@@ -2,7 +2,8 @@
 // simulation core. The topology is partitioned into regions — the
 // transit-stub domain structure when the generator hinted it, a
 // delay-threshold cut otherwise — and each region gets its own
-// scheduler, RNG streams and packet pool. Regions advance together in
+// scheduler, RNG streams and packet cache (in front of the network's one
+// free list). Regions advance together in
 // conservative lookahead windows no wider than the minimum delay of any
 // region-crossing link, so a packet propagating across a cut always
 // arrives at or after the next synchronization barrier and no scheduler

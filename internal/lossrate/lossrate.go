@@ -39,33 +39,56 @@ func Weights(n int) []float64 {
 	return w
 }
 
+// inlineDepth is the loss-history depth held inside the Estimator itself:
+// the paper's n = 8. Deeper histories spill to the heap.
+const inlineDepth = 8
+
 // Estimator tracks loss intervals for one receiver.
 //
 // Packets are reported in arrival order via OnPacket and OnLoss. The
 // estimator needs the receiver's current RTT estimate to decide whether a
 // lost packet belongs to the current loss event or starts a new one.
+//
+// The zero value becomes usable with Reset. Up to inlineDepth intervals,
+// intervals and weights alias the estimator's own ivBuf/wBuf, so a
+// receiver that embeds an Estimator by value reaches its whole loss
+// history without leaving its own allocation — which also means an
+// Estimator must not be copied once Reset (or NewEstimator) has run; go
+// vet's copylocks check enforces it through noCopy.
 type Estimator struct {
-	weights []float64
+	_ noCopy
 
 	// intervals[0] is the current (open) interval: the number of packets
 	// since the last loss event. intervals[1..] are closed intervals,
-	// most recent first.
+	// most recent first. ivBuf follows directly so the per-packet
+	// increment and the rate computation stay within adjacent lines.
 	intervals []int
+	ivBuf     [inlineDepth + 1]int
 
-	haveLoss       bool
-	lastEventTime  sim.Time // time the current loss event started
-	packetsSinceEv int      // packets counted into intervals[0]
-
-	// Recent losses for Appendix A re-aggregation, newest last. newEvent
-	// records whether that loss started a new loss event when recorded.
-	recentLosses []lossRecord
-	maxRecent    int
+	haveLoss      bool
+	lastEventTime sim.Time // time the current loss event started
 
 	// initIdx tracks the position of the synthetic first interval from
 	// Appendix B so it can be rescaled when the real RTT arrives; -1 when
 	// absent or aged out of the history.
 	initIdx int
+
+	weights []float64
+	wBuf    [inlineDepth]float64
+
+	// Recent losses for Appendix A re-aggregation, newest last. newEvent
+	// records whether that loss started a new loss event when recorded.
+	recentLosses []lossRecord
+	maxRecent    int
 }
+
+// noCopy marks a struct that holds pointers into itself: vet reports any
+// copy of a value containing one (it has Lock and Unlock, so copylocks
+// takes it for a lock).
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
 
 type lossRecord struct {
 	t        sim.Time
@@ -74,27 +97,22 @@ type lossRecord struct {
 
 // NewEstimator returns an estimator over len(weights) loss intervals.
 func NewEstimator(weights []float64) *Estimator {
-	if len(weights) == 0 {
-		weights = DefaultWeights
-	}
-	w := make([]float64, len(weights))
-	copy(w, weights)
-	return &Estimator{
-		weights:   w,
-		intervals: []int{0},
-		maxRecent: 4 * len(w),
-		initIdx:   -1,
-	}
+	e := new(Estimator)
+	e.Reset(weights)
+	return e
 }
 
-// Reset rewinds the estimator to the state NewEstimator(weights) returns,
-// keeping the interval and loss-record storage allocated (and the weight
-// vector too, when it is unchanged).
+// Reset puts the estimator — a zero value or a used one — into the state
+// NewEstimator(weights) returns, keeping the interval and loss-record
+// storage allocated (and the weight vector too, when it is unchanged).
 func (e *Estimator) Reset(weights []float64) {
 	if len(weights) == 0 {
 		weights = DefaultWeights
 	}
 	if !slices.Equal(e.weights, weights) {
+		if e.weights == nil {
+			e.weights = e.wBuf[:0]
+		}
 		e.weights = append(e.weights[:0], weights...)
 		e.maxRecent = 4 * len(e.weights)
 	}
@@ -103,14 +121,32 @@ func (e *Estimator) Reset(weights []float64) {
 
 // ResetKeepWeights rewinds the estimator state under the current weight
 // vector without touching it — the allocation-free path for pooled
-// receivers whose configuration did not change.
+// receivers whose configuration did not change. An estimator that never
+// had weights gets the default ones.
 func (e *Estimator) ResetKeepWeights() {
+	if len(e.weights) == 0 {
+		e.Reset(nil)
+		return
+	}
+	if e.intervals == nil {
+		e.intervals = e.ivBuf[:0]
+	}
 	e.intervals = append(e.intervals[:0], 0)
 	e.haveLoss = false
 	e.lastEventTime = 0
-	e.packetsSinceEv = 0
 	e.recentLosses = e.recentLosses[:0]
 	e.initIdx = -1
+}
+
+// pushInterval opens a history slot at index at by shifting intervals[at:]
+// one place towards the old end, in place; the oldest interval falls off
+// once the history holds len(weights) closed intervals. The caller stores
+// the new intervals[at].
+func (e *Estimator) pushInterval(at int) {
+	if len(e.intervals) <= len(e.weights) {
+		e.intervals = append(e.intervals, 0)
+	}
+	copy(e.intervals[at+1:], e.intervals[at:])
 }
 
 // HaveLoss reports whether a loss event has been registered yet.
@@ -138,10 +174,8 @@ func (e *Estimator) OnLoss(t sim.Time, rtt sim.Time) bool {
 	// ends the interval counts as part of it (RFC 3448 style), so an
 	// interval is never smaller than one packet and p never exceeds 1.
 	e.intervals[0]++
-	e.intervals = append([]int{0}, e.intervals...)
-	if len(e.intervals) > len(e.weights)+1 {
-		e.intervals = e.intervals[:len(e.weights)+1]
-	}
+	e.pushInterval(0)
+	e.intervals[0] = 0
 	if e.initIdx >= 0 {
 		e.initIdx++
 		if e.initIdx >= len(e.intervals) {
@@ -203,10 +237,15 @@ func (e *Estimator) ScaleHistory(f float64) {
 }
 
 func (e *Estimator) recordLoss(t sim.Time, newEvent bool) {
-	e.recentLosses = append(e.recentLosses, lossRecord{t: t, newEvent: newEvent})
-	if len(e.recentLosses) > e.maxRecent {
-		e.recentLosses = e.recentLosses[len(e.recentLosses)-e.maxRecent:]
+	rec := lossRecord{t: t, newEvent: newEvent}
+	if n := len(e.recentLosses); n >= e.maxRecent {
+		// Full: drop the oldest in place rather than re-slicing forward,
+		// which would walk off the backing array and reallocate.
+		copy(e.recentLosses, e.recentLosses[1:])
+		e.recentLosses[n-1] = rec
+		return
 	}
+	e.recentLosses = append(e.recentLosses, rec)
 }
 
 // Reaggregate rebuilds loss events from the recorded recent loss
@@ -241,11 +280,8 @@ func (e *Estimator) Reaggregate(rtt sim.Time) int {
 		}
 		half := e.intervals[1] / 2
 		e.intervals[1] -= half
-		rest := append([]int{half}, e.intervals[1:]...)
-		e.intervals = append([]int{e.intervals[0]}, rest...)
-		if len(e.intervals) > len(e.weights)+1 {
-			e.intervals = e.intervals[:len(e.weights)+1]
-		}
+		e.pushInterval(1)
+		e.intervals[1] = half
 	}
 	if extra < 0 {
 		return 0

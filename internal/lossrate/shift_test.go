@@ -1,0 +1,170 @@
+package lossrate
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/sim"
+)
+
+// refHistory is the prepend-by-copy reference for the loss-interval
+// history: it builds a fresh slice on every loss event and every
+// re-aggregation split, the way the estimator did before it shifted in
+// place. Everything that does not restructure the history is delegated to
+// a real Estimator that is fed the same operations.
+type refHistory struct {
+	depth     int
+	intervals []int
+	initIdx   int
+}
+
+func (r *refHistory) onNewEvent() {
+	r.intervals[0]++
+	r.intervals = append([]int{0}, r.intervals...)
+	if len(r.intervals) > r.depth+1 {
+		r.intervals = r.intervals[:r.depth+1]
+	}
+	if r.initIdx >= 0 {
+		r.initIdx++
+		if r.initIdx >= len(r.intervals) {
+			r.initIdx = -1
+		}
+	}
+}
+
+func (r *refHistory) split(extra int) {
+	for i := 0; i < extra; i++ {
+		if len(r.intervals) < 2 || r.intervals[1] < 2 {
+			return
+		}
+		half := r.intervals[1] / 2
+		r.intervals[1] -= half
+		rest := append([]int{half}, r.intervals[1:]...)
+		r.intervals = append([]int{r.intervals[0]}, rest...)
+		if len(r.intervals) > r.depth+1 {
+			r.intervals = r.intervals[:r.depth+1]
+		}
+	}
+}
+
+// TestInPlaceHistoryMatchesPrependReference drives random operation
+// sequences — packets, losses inside and outside the current loss event,
+// Appendix B initialisation and adjustment, Appendix A re-aggregation —
+// through estimators of inline and spilled depth and checks the history
+// after every operation.
+func TestInPlaceHistoryMatchesPrependReference(t *testing.T) {
+	for _, depth := range []int{1, 2, 8, 9, 32} {
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			e := NewEstimator(Weights(depth))
+			ref := &refHistory{depth: len(e.weights), intervals: []int{0}, initIdx: -1}
+			now := sim.Time(0)
+			for op := 0; op < 400; op++ {
+				switch k := rng.Intn(10); {
+				case k < 5:
+					for i := rng.Intn(30); i >= 0; i-- {
+						e.OnPacket()
+						ref.intervals[0]++
+					}
+				case k < 8:
+					now += sim.Time(rng.Intn(120)) * sim.Millisecond
+					if e.OnLoss(now, 50*sim.Millisecond) {
+						ref.onNewEvent()
+					}
+				case k == 8:
+					if rng.Intn(2) == 0 {
+						p := 1 + rng.Intn(200)
+						e.InitFirstInterval(p)
+						if len(ref.intervals) >= 2 {
+							ref.intervals[1], ref.initIdx = p, 1
+						}
+					} else if ref.initIdx >= 1 {
+						e.AdjustInitInterval(0.25)
+						v := float64(ref.intervals[ref.initIdx]) * 0.25
+						ref.intervals[ref.initIdx], ref.initIdx = int(max(v, 1)+0.5), -1
+					}
+				default:
+					ref.split(e.Reaggregate(sim.Time(1+rng.Intn(40)) * sim.Millisecond))
+				}
+				if !slices.Equal(e.intervals, ref.intervals) || e.initIdx != ref.initIdx {
+					t.Fatalf("depth %d seed %d op %d: history %v (init %d), prepend reference %v (init %d)",
+						depth, seed, op, e.intervals, e.initIdx, ref.intervals, ref.initIdx)
+				}
+			}
+		}
+	}
+}
+
+// TestLossEventsDoNotAllocate: once the history and the recent-loss record
+// are full, a loss event and a re-aggregation split cost no allocation, at
+// inline depth and at a depth that spilled to the heap.
+func TestLossEventsDoNotAllocate(t *testing.T) {
+	for _, depth := range []int{8, 32} {
+		e := NewEstimator(Weights(depth))
+		now := sim.Time(0)
+		event := func() {
+			for i := 0; i < 40; i++ {
+				e.OnPacket()
+			}
+			now += sim.Second
+			e.OnLoss(now, 100*sim.Millisecond)           // a new loss event
+			e.OnLoss(now+sim.Millisecond, sim.Second/10) // aggregated into it
+		}
+		for i := 0; i < 5*depth; i++ {
+			event()
+		}
+		if n := testing.AllocsPerRun(200, event); n != 0 {
+			t.Errorf("depth %d: OnLoss allocates %v objects per loss event", depth, n)
+		}
+		if n := testing.AllocsPerRun(50, func() {
+			event()
+			if e.Reaggregate(sim.Microsecond) == 0 {
+				t.Fatal("setup: re-aggregation split nothing")
+			}
+		}); n != 0 {
+			t.Errorf("depth %d: Reaggregate allocates %v objects per call", depth, n)
+		}
+	}
+}
+
+// TestEstimatorByValue: a zero Estimator held by value becomes usable
+// through Reset and keeps the default-depth history in its own storage.
+func TestEstimatorByValue(t *testing.T) {
+	var host struct {
+		pad [3]int
+		e   Estimator
+	}
+	e := &host.e
+	e.Reset(nil)
+	for i := 0; i < 12; i++ {
+		e.OnPacket()
+		e.OnLoss(sim.Time(i+1)*sim.Second, 100*sim.Millisecond)
+	}
+	if &e.intervals[0] != &e.ivBuf[0] || &e.weights[0] != &e.wBuf[0] {
+		t.Fatal("default-depth history left the estimator's inline storage")
+	}
+	if got, want := e.LossEventRate(), 0.5; got != want {
+		t.Fatalf("loss event rate = %v, want %v", got, want)
+	}
+}
+
+// TestResetKeepWeightsOnZeroValue: the allocation-free rewind, called on an
+// estimator that never saw Reset, must leave it as usable as Reset(nil)
+// does (a zero maxRecent made recordLoss index recentLosses[-1]).
+func TestResetKeepWeightsOnZeroValue(t *testing.T) {
+	var e, ref Estimator
+	e.ResetKeepWeights()
+	ref.Reset(nil)
+	for _, x := range []*Estimator{&e, &ref} {
+		for i := 0; i < 40; i++ {
+			x.OnPacket()
+			x.OnLoss(sim.Time(i+1)*sim.Second, 100*sim.Millisecond)
+		}
+		x.Reaggregate(50 * sim.Millisecond)
+	}
+	if !slices.Equal(e.intervals, ref.intervals) || e.LossEventRate() != ref.LossEventRate() {
+		t.Fatalf("zero value after ResetKeepWeights: intervals %v rate %v, want %v %v",
+			e.intervals, e.LossEventRate(), ref.intervals, ref.LossEventRate())
+	}
+}

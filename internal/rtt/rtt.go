@@ -46,7 +46,9 @@ func NewEstimator(cfg Config) *Estimator {
 	return &Estimator{cfg: cfg}
 }
 
-// Reset rewinds the estimator to the state NewEstimator(cfg) returns.
+// Reset puts the estimator into the state NewEstimator(cfg) returns. It
+// also initialises a zero value in place, for owners that hold the
+// estimator by value.
 func (e *Estimator) Reset(cfg Config) {
 	if cfg.InitialRTT == 0 {
 		cfg = DefaultConfig()

@@ -122,3 +122,44 @@ func TestBatchResetClearsCounters(t *testing.T) {
 		t.Fatal("Reset disabled batching")
 	}
 }
+
+// TestReservedSeqInsideBatch: an event scheduled under a reserved seq
+// (AtSeqArg) by a member of a same-instant batch may precede members the
+// burst already popped. It must run between them, exactly where the
+// event-at-a-time loop runs it — coalesced sources (link rings, fan-out
+// trains) re-arm this way whenever CanInline turns them down.
+func TestReservedSeqInsideBatch(t *testing.T) {
+	run := func(batch bool) string {
+		s := NewScheduler()
+		s.SetBatching(batch)
+		var trace string
+		note := func(a any) { trace += a.(string) + " " }
+		var held [3]uint64
+		s.AtArg(Second, func(any) {
+			note("a")
+			// Not inlinable: b is pending at this instant with an older seq
+			// than held[1] and held[2].
+			if s.CanInline(Second, held[1]) {
+				t.Error("CanInline let a reserved seq jump a pending batch member")
+			}
+			s.AtSeqArg(Second, held[2], note, "e")
+			s.AtSeqArg(Second, held[0], note, "a'")
+			s.AtSeqArg(Second, held[1], note, "c")
+		}, nil)
+		held[0] = s.ReserveSeq()
+		s.AtArg(Second, note, "b")
+		held[1] = s.ReserveSeq()
+		s.AtArg(Second, note, "d")
+		held[2] = s.ReserveSeq()
+		s.AtArg(Second, note, "f")
+		s.Run()
+		return fmt.Sprintf("%s/%d", trace, s.Processed())
+	}
+	const want = "a a' b c d e f /7"
+	if got := run(false); got != want {
+		t.Fatalf("event-at-a-time order = %q, want %q", got, want)
+	}
+	if got := run(true); got != want {
+		t.Fatalf("batched order = %q, want %q", got, want)
+	}
+}

@@ -356,26 +356,34 @@ func (s *Scheduler) noteDeadPop() {
 	}
 }
 
+// runTop pops exactly the heap top and runs it if it is live; it reports
+// whether it was.
+func (s *Scheduler) runTop() bool {
+	e := s.heap[0]
+	s.popTop()
+	sl := &s.slots[e.slot]
+	if sl.gen != e.gen {
+		s.noteDeadPop()
+		return false
+	}
+	fn, fnArg, arg := sl.fn, sl.fnArg, sl.arg
+	s.releaseSlot(e.slot)
+	s.now = e.at
+	s.nRun++
+	if fn != nil {
+		fn()
+	} else {
+		fnArg(arg)
+	}
+	return true
+}
+
 // Step runs the next event. It reports false when the queue is empty.
 func (s *Scheduler) Step() bool {
 	for len(s.heap) > 0 {
-		e := s.heap[0]
-		s.popTop()
-		sl := &s.slots[e.slot]
-		if sl.gen != e.gen {
-			s.noteDeadPop()
-			continue
+		if s.runTop() {
+			return true
 		}
-		fn, fnArg, arg := sl.fn, sl.fnArg, sl.arg
-		s.releaseSlot(e.slot)
-		s.now = e.at
-		s.nRun++
-		if fn != nil {
-			fn()
-		} else {
-			fnArg(arg)
-		}
-		return true
 	}
 	return false
 }
@@ -417,7 +425,9 @@ func (s *Scheduler) RunUntil(t Time) {
 // so a batch member cancelled by an earlier member still no-ops exactly
 // as in event-at-a-time mode. Events a batch member schedules at the
 // same instant land in a follow-up batch — their seqs are higher than
-// every popped member's, so (time, seq) order is preserved bit-for-bit.
+// every popped member's, so (time, seq) order is preserved bit-for-bit;
+// the one exception, an AtSeqArg under an older reserved seq, is run
+// between the members it falls between.
 func (s *Scheduler) RunUntilBatch(t Time) {
 	s.runBound = t
 	s.batchDrain(t)
@@ -476,6 +486,13 @@ func (s *Scheduler) batchDrain(t Time) {
 		s.batchBuf = buf[:0] // keep grown capacity for the next batch
 		s.nBatches++
 		for i, e := range buf {
+			// An earlier member may have scheduled an event at this very
+			// instant under a reserved seq (AtSeqArg) that precedes e. It
+			// sits in the heap, not in buf, and must run first.
+			for len(s.heap) > 0 && s.heap[0].at == at && s.heap[0].seq < e.seq {
+				s.pendAt, s.pendSeq = at, e.seq
+				s.runTop()
+			}
 			sl := &s.slots[e.slot]
 			if sl.gen != e.gen {
 				s.noteDeadPop()

@@ -20,38 +20,47 @@ type LinkStats struct {
 // infinitely fast link (no serialisation, no queueing) — used for the
 // star access links in the large-receiver-set experiments where only
 // delay and random loss matter.
+//
+// Field order serves the per-copy path of a large fan-out, which visits a
+// thousand links per packet: everything that decides what happens to a
+// packet entering the link (admit, fixedDelay, propDelay) and the far node
+// a delivery needs fill the first cache line, the counters the second;
+// the rest is touched only by links that queue, cross regions or bind.
 type Link struct {
-	From, To  NodeID
+	To        NodeID
+	Delay     sim.Time // propagation delay; change it at runtime with SetDelay
 	Bandwidth float64  // bytes per second; 0 = infinite
-	Delay     sim.Time // propagation delay
-	Q         Queue
-	LossProb  float64 // Bernoulli drop probability on entry
-	Stats     LinkStats
+	LossProb  float64  // Bernoulli drop probability on entry
 
 	// Fault-injection impairments (all off by default). Each module draws
 	// from the network RNG only when its rate is non-zero, so a run with no
 	// impairments consumes exactly the same random sequence as before the
 	// fault layer existed.
-	CorruptProb  float64  // Bernoulli in-transit corruption (counted drop)
-	DupProb      float64  // Bernoulli duplication (a second copy is sent)
-	ReorderProb  float64  // Bernoulli extra propagation delay (reordering)
-	ReorderDelay sim.Time // max extra delay for a reordered packet
+	CorruptProb float64 // Bernoulli in-transit corruption (counted drop)
+	DupProb     float64 // Bernoulli duplication (a second copy is sent)
+	ReorderProb float64 // Bernoulli extra propagation delay (reordering)
 
-	net  *Network
 	down bool
 	busy bool
+	// crossTo is the destination region when the link crosses a region
+	// boundary (-1 otherwise): propagation over a crossing link is routed
+	// through the handoff outbox instead of the local scheduler.
+	crossTo int32
+
+	Stats LinkStats
+
+	From         NodeID
+	ReorderDelay sim.Time // max extra delay for a reordered packet
+	Q            Queue
 
 	// Execution binding (see Network.bindLink): the scheduler and RNG the
 	// link's entry modules and serialiser run on. On a serial network these
 	// are the network's globals; on a sharded one they belong to the
-	// from-side region, so every draw and timer stays shard-local. crossTo
-	// is the destination region when the link crosses a region boundary
-	// (-1 otherwise): propagation over a crossing link is routed through
-	// the handoff outbox instead of the local scheduler.
-	sched   *sim.Scheduler
-	rng     *sim.Rand
-	shard   int32 // from-side region, -1 on a serial network
-	crossTo int32 // to-side region when crossing, else -1
+	// from-side region, so every draw and timer stays shard-local.
+	net   *Network
+	sched *sim.Scheduler
+	rng   *sim.Rand
+	shard int32 // from-side region, -1 on a serial network
 
 	// Pre-bound callbacks so per-packet scheduling allocates no closures;
 	// the packet rides along as the event argument.
@@ -178,24 +187,7 @@ func (l *Link) SetImpairments(corrupt, dup, reorder float64, extra sim.Time) {
 // corruption and duplication modules, and the queue. It consumes one
 // packet reference on every path that ends here (drops).
 func (l *Link) send(pkt *Packet) {
-	l.Stats.Sent++
-	if l.down {
-		l.Stats.DropDown++
-		l.net.faultsAt(l.shard).Unreachable++
-		l.net.releasePktAt(pkt, l.shard)
-		return
-	}
-	if l.LossProb > 0 && l.rng.Bool(l.LossProb) {
-		l.Stats.DropRand++
-		l.net.releasePktAt(pkt, l.shard)
-		return
-	}
-	if l.CorruptProb > 0 && l.rng.Bool(l.CorruptProb) {
-		// Corrupted in transit: the far end's checksum rejects it, so it
-		// behaves as a counted drop.
-		l.Stats.Corrupted++
-		l.net.faultsAt(l.shard).Corrupted++
-		l.net.releasePktAt(pkt, l.shard)
+	if !l.admit(pkt) {
 		return
 	}
 	if l.DupProb > 0 && l.rng.Bool(l.DupProb) {
@@ -205,6 +197,42 @@ func (l *Link) send(pkt *Packet) {
 		l.xmit(pkt)
 	}
 	l.xmit(pkt)
+}
+
+// admit counts a packet onto the link and runs the entry modules that can
+// refuse it — down state, random loss, corruption — in that order. A
+// refused packet's reference is consumed here and admit reports false.
+func (l *Link) admit(pkt *Packet) bool {
+	l.Stats.Sent++
+	if l.down {
+		l.Stats.DropDown++
+		l.net.faultsAt(l.shard).Unreachable++
+		l.net.releasePktAt(pkt, l.shard)
+		return false
+	}
+	if l.LossProb > 0 && l.rng.Bool(l.LossProb) {
+		l.Stats.DropRand++
+		l.net.releasePktAt(pkt, l.shard)
+		return false
+	}
+	if l.CorruptProb > 0 && l.rng.Bool(l.CorruptProb) {
+		// Corrupted in transit: the far end's checksum rejects it, so it
+		// behaves as a counted drop.
+		l.Stats.Corrupted++
+		l.net.faultsAt(l.shard).Corrupted++
+		l.net.releasePktAt(pkt, l.shard)
+		return false
+	}
+	return true
+}
+
+// fixedDelay reports whether a packet admitted now reaches the far node
+// exactly Delay later on this link's own scheduler, with no further
+// random draw: no serialiser, no region crossing, and neither the
+// duplication nor the reordering module armed. Such a copy can ride a
+// fan-out train (see train.go); the answer can change between packets.
+func (l *Link) fixedDelay() bool {
+	return l.Bandwidth <= 0 && l.crossTo < 0 && l.DupProb == 0 && l.ReorderProb == 0
 }
 
 // xmit moves a packet past the entry modules onto the wire: pure delay

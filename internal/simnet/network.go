@@ -1,6 +1,8 @@
 package simnet
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -11,11 +13,11 @@ import (
 // source-rooted multicast forwarding.
 //
 // The per-packet fast path is allocation- and map-free: links live in a
-// flat slice with a CSR adjacency index, unicast routes are a single
-// []int32 of size V*V holding first-hop link indices, multicast trees are
-// compiled into flattened child-link arrays, and packets obtained from
-// AllocPacket are recycled through a per-network free list (the simulator
-// is single-threaded, so no locking is needed).
+// flat slice with a CSR adjacency index, unicast routes are per-source
+// rows of first-hop link indices computed the first time a node forwards,
+// multicast trees are compiled into flattened child-link arrays, and
+// packets obtained from AllocPacket are recycled through a per-network
+// free list (locked only while the network is sharded).
 type Network struct {
 	sched *sim.Scheduler
 	rng   *sim.Rand
@@ -31,8 +33,18 @@ type Network struct {
 	adjStart []int32
 	adjLinks []int32
 
-	routesOK bool
-	routes   []int32 // routes[src*V+dst] = first-hop link index, -1 unreachable
+	// Unicast routes, one row per source: routeRows[src][dst] is the
+	// first-hop link index from src towards dst, -1 when unreachable. A nil
+	// row has not been needed yet (see routeRow). routesOK false means the
+	// topology changed and every row is stale; routesAll records that
+	// ensureRoutes filled them all. Rows are carved from routeSlabs, which
+	// survive invalidation, so recomputing allocates nothing.
+	routesOK   bool
+	routesAll  bool
+	routeRows  [][]int32
+	routeSlabs [][]int32
+	slabIdx    int // slab being carved
+	slabOff    int // first free element in it
 
 	groups     map[GroupID]*group
 	mcastTrees map[mcastKey]*mcastTree
@@ -50,13 +62,19 @@ type Network struct {
 	// see Link.ringAppend.
 	batch bool
 
-	// Dijkstra scratch, reused across route recomputations.
+	// Dijkstra scratch, reused across route recomputations. via[v] is the
+	// link that last relaxed v.
 	dist []int64
 	prev []NodeID
+	via  []int32
 	done []bool
 	dh   []distEntry
 
+	// freePkts is the network's one packet free list per class. Shards
+	// trade bursts with it under poolMu (shardCtx.cacheGet/cachePut); a
+	// serial network uses it directly and never locks.
 	freePkts [NumPacketClasses][]*Packet
+	poolMu   sync.Mutex
 
 	// faults counts fault-injection outcomes for the whole network; pktLive
 	// tracks pooled packets currently in flight (allocated, not yet fully
@@ -165,18 +183,32 @@ type group struct {
 
 // mcastTree is a compiled source-rooted distribution tree: child link
 // indices in CSR form plus a node-indexed delivery bitmap. Forwarding one
-// hop touches only flat slices.
+// hop touches only flat slices. A tree is read-only once compiled.
 type mcastTree struct {
 	start   []int32 // len V+1
 	links   []int32 // linkList indices, grouped per node
 	deliver []bool  // member && not source
 	unreach int32   // members with no route from src (counted drops per send)
+
+	// Fan-out train layout (train.go). rank is aligned with links: a
+	// child's slot in its node's train — its position among the node's
+	// infinite-bandwidth children ordered by (Delay, tree position) — or
+	// -1 for a child kept off trains. slots[u] is node u's train length,
+	// 0 when u sends none.
+	rank  []int32
+	slots []int32
 }
 
 type node struct {
-	id       NodeID
 	name     string
 	handlers []Handler // indexed by Port
+
+	// The most recently bound handler and its port, inline: delivering to
+	// it is one load off the node instead of node, slice, interface.
+	h     Handler
+	hport Port
+
+	fan *fanout // fan-out train state (train.go); nil until first used
 }
 
 // New returns an empty network bound to a scheduler and RNG.
@@ -203,15 +235,29 @@ func (n *Network) SetBatching(on bool) { n.batch = on }
 func (n *Network) Batching() bool { return n.batch }
 
 // RingHeld returns the number of arrivals currently parked in link
-// delivery rings. Used by the ring-conservation invariant (ring-held
-// packets are live by definition); call from the control path or at a
-// barrier, where shards are quiescent.
+// delivery rings and node fan-out trains. Used by the ring-conservation
+// invariant (held packets are live by definition); call from the control
+// path or at a barrier, where shards are quiescent.
 func (n *Network) RingHeld() int64 {
 	var c int64
 	for _, l := range n.linkList {
 		c += int64(len(l.ring) - l.ringHead)
 	}
+	for i := range n.nodes {
+		if f := n.nodes[i].fan; f != nil {
+			c += f.held
+		}
+	}
 	return c
+}
+
+// clearTrains drops every node's in-flight fan-out trains.
+func (n *Network) clearTrains() {
+	for i := range n.nodes {
+		if f := n.nodes[i].fan; f != nil {
+			f.clear()
+		}
+	}
 }
 
 // EnableReuse turns on construction recording so Reset can rewind the
@@ -255,10 +301,12 @@ func (n *Network) Reset() bool {
 	}
 	n.replay = 0
 	for i := range n.nodes {
-		hs := n.nodes[i].handlers
-		clear(hs)
-		n.nodes[i].handlers = hs[:0]
+		nd := &n.nodes[i]
+		clear(nd.handlers)
+		nd.handlers = nd.handlers[:0]
+		nd.h = nil
 	}
+	n.clearTrains()
 	for _, gr := range n.groups {
 		clear(gr.member)
 		gr.count = 0
@@ -277,16 +325,16 @@ func (n *Network) Reset() bool {
 	n.pktLive = 0
 	clear(n.hints)
 	if n.sharded {
-		// Tear sharding down: merge the shard pools back into the main free
-		// lists in shard order (packet identity never reaches any output, so
-		// the merge order only needs to be deterministic), drop in-flight
-		// handoffs, and rebind every link to the serial scheduler/RNG. A
-		// following sharded run re-enables with fresh shard state.
+		// Tear sharding down: flush the shards' burst caches back into the
+		// free lists in shard order (packet identity never reaches any
+		// output, so the order only needs to be deterministic), drop
+		// in-flight handoffs, and rebind every link to the serial
+		// scheduler/RNG. A following sharded run re-enables with fresh shard
+		// state and draws from the same lists.
 		for _, sc := range n.shards {
-			for c := range sc.pool {
+			for c := range sc.cache {
 				n.freePkts[c] = append(n.freePkts[c], sc.cache[c]...)
-				n.freePkts[c] = append(n.freePkts[c], sc.pool[c]...)
-				sc.cache[c], sc.pool[c] = nil, nil
+				sc.cache[c] = nil
 			}
 		}
 		n.sharded = false
@@ -341,6 +389,7 @@ func (n *Network) divergeAt(pos int) {
 		}
 	}
 	n.linkList = newList
+	n.clearTrains()
 	n.nodes = n.nodes[:nodeCnt]
 	n.routesOK, n.adjOK = false, false
 	clear(n.mcastTrees)
@@ -369,7 +418,7 @@ func (n *Network) AddNode(name string) NodeID {
 		}
 	}
 	id := NodeID(len(n.nodes))
-	n.nodes = append(n.nodes, node{id: id, name: name})
+	n.nodes = append(n.nodes, node{name: name})
 	n.routesOK = false
 	n.adjOK = false
 	n.topoVer++
@@ -387,12 +436,14 @@ func (n *Network) NodeName(id NodeID) string { return n.nodes[id].name }
 
 // Bind attaches a handler to a node's port.
 func (n *Network) Bind(addr Addr, h Handler) {
-	hs := n.nodes[addr.Node].handlers
-	for int(addr.Port) >= len(hs) {
-		hs = append(hs, nil)
+	nd := &n.nodes[addr.Node]
+	for int(addr.Port) >= len(nd.handlers) {
+		nd.handlers = append(nd.handlers, nil)
 	}
-	hs[addr.Port] = h
-	n.nodes[addr.Node].handlers = hs
+	nd.handlers[addr.Port] = h
+	if h != nil || nd.hport == addr.Port {
+		nd.h, nd.hport = h, addr.Port
+	}
 }
 
 // AddLink creates a unidirectional link. bandwidth is in bytes/second
@@ -567,12 +618,22 @@ func (n *Network) AllocPacket() *Packet { return n.AllocPacketClass(0) }
 // convention (see each protocol package); class 0 is the default.
 func (n *Network) AllocPacketClass(class uint8) *Packet {
 	if n.sharded {
-		// Legacy call site on a sharded network: fall back to shard 0's
-		// locked pool (correct, just potentially contended). Hot sharded
-		// paths use AllocPacketClassFor with the allocating node instead.
-		return n.allocShard(class, 0)
+		// Legacy call site on a sharded network, with no node to name the
+		// executing shard: take the locked free list directly (correct, just
+		// potentially contended). Hot sharded paths use AllocPacketClassFor.
+		atomic.AddInt64(&n.pktLive, 1)
+		n.poolMu.Lock()
+		p := n.popFree(class)
+		n.poolMu.Unlock()
+		return p
 	}
 	n.pktLive++
+	return n.popFree(class)
+}
+
+// popFree takes a packet of the class off the network free list, or
+// makes one. Sharded callers hold poolMu.
+func (n *Network) popFree(class uint8) *Packet {
 	free := &n.freePkts[class]
 	if k := len(*free); k > 0 {
 		p := (*free)[k-1]
@@ -583,45 +644,21 @@ func (n *Network) AllocPacketClass(class uint8) *Packet {
 }
 
 // AllocPacketFor is AllocPacket bound to the allocating node: on a
-// sharded network the packet comes from (and returns to) that node's
-// shard pool; on a serial network it is exactly AllocPacket.
+// sharded network the packet comes from that node's shard cache; on a
+// serial network it is exactly AllocPacket.
 func (n *Network) AllocPacketFor(at NodeID) *Packet { return n.AllocPacketClassFor(0, at) }
 
 // AllocPacketClassFor is AllocPacketClass bound to the allocating node
 // (see AllocPacketFor). Callers execute on the node's shard (protocol
 // timers run there; control-phase callers run while shards are
 // quiesced), so the allocation comes from the shard's unlocked burst
-// cache, refilled from the locked pool in runs of burstK.
+// cache, refilled from the network free list in runs of burstK.
 func (n *Network) AllocPacketClassFor(class uint8, at NodeID) *Packet {
 	if !n.sharded {
 		return n.AllocPacketClass(class)
 	}
-	k := n.shardOf[at]
 	atomic.AddInt64(&n.pktLive, 1)
-	p := n.shards[k].cacheGet(class)
-	if p == nil {
-		p = &Packet{pooled: true, class: class}
-	}
-	p.owner = int8(k)
-	return p
-}
-
-func (n *Network) allocShard(class uint8, k int32) *Packet {
-	atomic.AddInt64(&n.pktLive, 1)
-	sc := n.shards[k]
-	var p *Packet
-	sc.mu.Lock()
-	free := &sc.pool[class]
-	if m := len(*free); m > 0 {
-		p = (*free)[m-1]
-		*free = (*free)[:m-1]
-	}
-	sc.mu.Unlock()
-	if p == nil {
-		p = &Packet{pooled: true, class: class}
-	}
-	p.owner = int8(k)
-	return p
+	return n.shards[n.shardOf[at]].cacheGet(n, class)
 }
 
 // ReleasePacket returns a packet obtained from AllocPacket without
@@ -634,7 +671,7 @@ func (n *Network) ReleasePacket(p *Packet) {
 }
 
 // releasePkt drops one reference with no execution context; on a
-// sharded network the recycled packet takes the locked owner-pool path.
+// sharded network the recycled packet takes the locked free-list path.
 // Hot paths that know the shard they execute on use releasePktAt.
 func (n *Network) releasePkt(p *Packet) { n.releasePktAt(p, -1) }
 
@@ -645,7 +682,9 @@ func (n *Network) releasePkt(p *Packet) { n.releasePktAt(p, -1) }
 // shards at once) and the packet recycles into the unlocked burst cache
 // of the shard the caller executes on (exec >= 0) — safe because a
 // shard's window and the control phase strictly alternate — or, with no
-// execution context (exec < 0), into its owner shard's locked pool.
+// execution context (exec < 0), straight onto the locked free list.
+// Either way it ends up on the one list every shard refills from, so a
+// one-way cross-region flow recirculates its packets.
 func (n *Network) releasePktAt(p *Packet, exec int32) {
 	if n.sharded {
 		if atomic.AddInt32(&p.refs, -1) != 0 || !p.pooled {
@@ -653,24 +692,22 @@ func (n *Network) releasePktAt(p *Packet, exec int32) {
 		}
 		atomic.AddInt64(&n.pktLive, -1)
 		payload := p.Payload
-		*p = Packet{pooled: true, Payload: payload, class: p.class, owner: p.owner}
+		*p = Packet{pooled: true, Payload: payload, class: p.class}
 		if exec >= 0 {
-			n.shards[exec].cachePut(p)
+			n.shards[exec].cachePut(n, p)
 			return
 		}
-		sc := n.shards[p.owner]
-		sc.mu.Lock()
-		sc.pool[p.class] = append(sc.pool[p.class], p)
-		sc.mu.Unlock()
+		n.poolMu.Lock()
+		n.freePkts[p.class] = append(n.freePkts[p.class], p)
+		n.poolMu.Unlock()
 		return
 	}
 	p.refs--
 	if p.refs == 0 && p.pooled {
 		n.pktLive--
-		// Field-wise reset: Payload/pooled/class/owner survive recycling
-		// (owner is never read on the serial path), everything a fresh
-		// allocation would zero is cleared in place — cheaper than the
-		// whole-struct rewrite plus payload save/restore.
+		// Field-wise reset: Payload/pooled/class survive recycling,
+		// everything a fresh allocation would zero is cleared in place —
+		// cheaper than the whole-struct rewrite plus payload save/restore.
 		p.Size = 0
 		p.Src, p.Dst = Addr{}, Addr{}
 		p.Group, p.IsMcast, p.SentAt = 0, false, 0
@@ -716,12 +753,9 @@ func (n *Network) forward(at NodeID, pkt *Packet) {
 		n.releasePktAt(pkt, n.shardIdx(at))
 		return
 	}
-	if !n.routesOK {
-		// Lazy recompute is serial-only; a sharded run recomputes routes at
-		// barriers (BarrierSync), before any shard can forward again.
-		n.ensureRoutes()
-	}
-	li := n.routes[int(at)*len(n.nodes)+int(pkt.Dst.Node)]
+	// Computing a row on demand is serial-only; a sharded run fills every
+	// row at barriers (BarrierSync), before any shard can forward again.
+	li := n.routeRow(at)[pkt.Dst.Node]
 	if li < 0 {
 		// No route (partition, down links): a counted drop, not a panic —
 		// fault scenarios legitimately strand traffic.
@@ -767,19 +801,28 @@ func (n *Network) forwardMcast(at, src NodeID, pkt *Packet) {
 	if int(at) < len(t.deliver) && t.deliver[at] {
 		n.deliverLocal(at, pkt)
 	}
-	var children []int32
 	if int(at)+1 < len(t.start) {
-		children = t.links[t.start[at]:t.start[at+1]]
-	}
-	n.addRefs(pkt, int32(len(children)))
-	for _, li := range children {
-		n.linkList[li].send(pkt)
+		lo, hi := t.start[at], t.start[at+1]
+		children := t.links[lo:hi]
+		n.addRefs(pkt, int32(len(children)))
+		if slots := t.slots[at]; slots > 0 && n.batch {
+			n.fanOut(at, pkt, children, t.rank[lo:hi], int(slots))
+		} else {
+			for _, li := range children {
+				n.linkList[li].send(pkt)
+			}
+		}
 	}
 	n.releasePktAt(pkt, n.shardIdx(at))
 }
 
 func (n *Network) deliverLocal(at NodeID, pkt *Packet) {
-	hs := n.nodes[at].handlers
+	nd := &n.nodes[at]
+	if nd.h != nil && nd.hport == pkt.Dst.Port {
+		nd.h.Recv(pkt)
+		return
+	}
+	hs := nd.handlers
 	if int(pkt.Dst.Port) < len(hs) {
 		if h := hs[pkt.Dst.Port]; h != nil {
 			h.Recv(pkt)
@@ -830,33 +873,85 @@ func (n *Network) ensureAdj() {
 	n.adjOK = true
 }
 
-// ensureRoutes computes all-pairs first-hop link indices by running
-// heap-based Dijkstra (edge weight = propagation delay, with a small
-// constant so zero-delay links still count hops) from every node.
+// routeRow returns src's row of first-hop link indices, running
+// heap-based Dijkstra from src (edge weight = propagation delay, with a
+// small constant so zero-delay links still count hops) the first time the
+// row is asked for since the topology last changed. Only nodes that
+// actually forward pay for a row: in a thousand-receiver star that is the
+// sender, the routers and the receivers that report.
+func (n *Network) routeRow(src NodeID) []int32 {
+	if !n.routesOK {
+		n.dropRoutes()
+	}
+	row := n.routeRows[src]
+	if row == nil {
+		row = n.carveRow()
+		n.dijkstra(src, row)
+		n.routeRows[src] = row
+	}
+	return row
+}
+
+// ensureRoutes fills every row. Serial forwarding never needs it; the
+// sharded barrier does, because shards must not compute rows (or touch
+// the shared Dijkstra scratch) concurrently.
 func (n *Network) ensureRoutes() {
-	if n.routesOK {
+	if n.routesOK && n.routesAll {
 		return
 	}
+	for s := range n.nodes {
+		n.routeRow(NodeID(s))
+	}
+	n.routesAll = true
+}
+
+// dropRoutes discards every row after a topology change and sizes the
+// row index and the Dijkstra scratch for the current node count. The
+// slabs stay: rows are re-carved from their start.
+func (n *Network) dropRoutes() {
 	n.ensureAdj()
 	cnt := len(n.nodes)
-	if cap(n.routes) < cnt*cnt {
-		n.routes = make([]int32, cnt*cnt)
+	if cap(n.routeRows) < cnt {
+		n.routeRows = make([][]int32, cnt)
 	} else {
-		n.routes = n.routes[:cnt*cnt]
+		n.routeRows = n.routeRows[:cnt]
+		clear(n.routeRows)
 	}
+	n.slabIdx, n.slabOff = 0, 0
 	if cap(n.dist) < cnt {
 		n.dist = make([]int64, cnt)
 		n.prev = make([]NodeID, cnt)
+		n.via = make([]int32, cnt)
 		n.done = make([]bool, cnt)
 	} else {
 		n.dist = n.dist[:cnt]
 		n.prev = n.prev[:cnt]
+		n.via = n.via[:cnt]
 		n.done = n.done[:cnt]
 	}
-	for s := 0; s < cnt; s++ {
-		n.dijkstra(NodeID(s), n.routes[s*cnt:(s+1)*cnt])
+	n.routesOK, n.routesAll = true, false
+}
+
+// routeSlabRows is how many rows one slab allocation holds.
+const routeSlabRows = 16
+
+// carveRow returns an unused row of len(nodes) entries from the slabs,
+// adding a slab when the current ones are used up (or too small for a
+// network that has grown since they were made).
+func (n *Network) carveRow() []int32 {
+	cnt := len(n.nodes)
+	for {
+		if n.slabIdx == len(n.routeSlabs) {
+			n.routeSlabs = append(n.routeSlabs, make([]int32, cnt*routeSlabRows))
+		}
+		if slab := n.routeSlabs[n.slabIdx]; len(slab)-n.slabOff >= cnt {
+			row := slab[n.slabOff : n.slabOff+cnt : n.slabOff+cnt]
+			n.slabOff += cnt
+			return row
+		}
+		n.slabIdx++
+		n.slabOff = 0
 	}
-	n.routesOK = true
 }
 
 // distEntry is a lazy-deletion Dijkstra heap entry ordered by (d, node);
@@ -879,11 +974,12 @@ func distLess(a, b distEntry) bool {
 func (n *Network) dijkstra(src NodeID, next []int32) {
 	cnt := len(n.nodes)
 	const inf = int64(1) << 62
-	dist, prev, done := n.dist, n.prev, n.done
+	dist, prev, via, done := n.dist, n.prev, n.via, n.done
 	for i := 0; i < cnt; i++ {
 		dist[i] = inf
 		prev[i] = -1
 		done[i] = false
+		next[i] = -1
 	}
 	dist[src] = 0
 	h := n.dh[:0]
@@ -918,6 +1014,14 @@ func (n *Network) dijkstra(src NodeID, next []int32) {
 			continue
 		}
 		done[u] = true
+		// u's shortest path is final, and so is its parent's (settled
+		// earlier): the first hop towards u is the link out of src itself,
+		// or whatever reaches the parent.
+		if p := prev[u]; p == src {
+			next[u] = via[u]
+		} else if p >= 0 {
+			next[u] = next[p]
+		}
 		for _, li := range n.adjLinks[n.adjStart[u]:n.adjStart[u+1]] {
 			l := n.linkList[li]
 			if l.down {
@@ -928,6 +1032,7 @@ func (n *Network) dijkstra(src NodeID, next []int32) {
 			if nd := dist[u] + w; nd < dist[v] {
 				dist[v] = nd
 				prev[v] = u
+				via[v] = li
 				// Push (sift-up).
 				h = append(h, distEntry{nd, v})
 				i := len(h) - 1
@@ -945,21 +1050,6 @@ func (n *Network) dijkstra(src NodeID, next []int32) {
 		}
 	}
 	n.dh = h[:0]
-	// next[dst]: first-hop link from src towards dst.
-	for d := 0; d < cnt; d++ {
-		if NodeID(d) == src || prev[d] == -1 {
-			next[d] = -1
-			continue
-		}
-		hop := NodeID(d)
-		for prev[hop] != src {
-			hop = prev[hop]
-			if hop < 0 {
-				break
-			}
-		}
-		next[d] = n.linkIdx[linkKey{src, hop}]
-	}
 }
 
 // mcastTree returns (compiling if needed) the flattened shortest-path tree
@@ -969,7 +1059,6 @@ func (n *Network) mcastTree(g GroupID, src NodeID) *mcastTree {
 	if t, ok := n.mcastTrees[key]; ok {
 		return t
 	}
-	n.ensureRoutes()
 	cnt := len(n.nodes)
 	gr := n.groups[g]
 	children := make([][]int32, cnt)
@@ -991,7 +1080,7 @@ func (n *Network) mcastTree(g GroupID, src NodeID) *mcastTree {
 			walk = walk[:0]
 			at := src
 			for at != m {
-				li := n.routes[int(at)*cnt+int(m)]
+				li := n.routeRow(at)[m]
 				if li < 0 {
 					walk = walk[:0]
 					unreach++
@@ -1023,9 +1112,14 @@ func (n *Network) mcastTree(g GroupID, src NodeID) *mcastTree {
 		deliver: make([]bool, cnt),
 		unreach: int32(unreach),
 	}
+	// One allocation for the train layout and trainRanks' scratch.
+	layout := make([]int32, 2*nLinks+cnt)
+	t.rank, t.slots = layout[:0:nLinks], layout[nLinks:nLinks+cnt]
+	order := layout[nLinks+cnt:]
 	for u := 0; u < cnt; u++ {
 		t.start[u] = int32(len(t.links))
 		t.links = append(t.links, children[u]...)
+		t.rank, t.slots[u] = n.trainRanks(t.rank, children[u], order)
 		if gr != nil && u < len(gr.member) {
 			t.deliver[u] = gr.member[u] && NodeID(u) != src && reachable[NodeID(u)]
 		}
@@ -1033,6 +1127,33 @@ func (n *Network) mcastTree(g GroupID, src NodeID) *mcastTree {
 	t.start[cnt] = int32(len(t.links))
 	n.mcastTrees[key] = t
 	return t
+}
+
+// trainRanks appends one node's fan-out train layout to rank (see
+// mcastTree.rank) and returns the node's train length. A node with fewer
+// than two infinite-bandwidth children sends no trains — a lone copy
+// already rides its link's timer at no extra cost — so all its ranks are
+// -1. scratch must hold len(kids) entries.
+func (n *Network) trainRanks(rank, kids, scratch []int32) ([]int32, int32) {
+	base := len(rank)
+	order := scratch[:0]
+	for i, li := range kids {
+		rank = append(rank, -1)
+		if n.linkList[li].Bandwidth <= 0 {
+			order = append(order, int32(i))
+		}
+	}
+	if len(order) < 2 {
+		return rank, 0
+	}
+	// Stable: equal delays keep tree order, which is seq order.
+	slices.SortStableFunc(order, func(a, b int32) int {
+		return cmp.Compare(n.linkList[kids[a]].Delay, n.linkList[kids[b]].Delay)
+	})
+	for r, i := range order {
+		rank[base+int(i)] = int32(r)
+	}
+	return rank, int32(len(order))
 }
 
 // Links returns the network's links in creation order. Intended for

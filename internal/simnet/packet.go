@@ -46,7 +46,6 @@ type Packet struct {
 	refs    int32 // outstanding forwarding tokens (atomic when sharded)
 	pooled  bool  // came from AllocPacket; recycle at refs==0
 	class   uint8 // recycling class (AllocPacketClass); keeps box types stable
-	owner   int8  // shard pool the packet returns to (sharded runs only)
 }
 
 // Handler consumes packets delivered to a port.

@@ -1,0 +1,186 @@
+package simnet
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/sim"
+)
+
+// eagerRoutes is the reference all-pairs table, written the slow obvious
+// way: linear-scan Dijkstra per source (lowest index among equal
+// distances, strict relaxation over neighbours in destination order — the
+// tie-breaks the production heap reproduces), then the first hop found by
+// walking predecessors back and looking the link up by its endpoints.
+func eagerRoutes(n *Network) [][]int32 {
+	cnt := len(n.nodes)
+	const inf = int64(1) << 62
+	table := make([][]int32, cnt)
+	for src := range table {
+		dist := make([]int64, cnt)
+		prev := make([]int, cnt)
+		done := make([]bool, cnt)
+		for i := range dist {
+			dist[i], prev[i] = inf, -1
+		}
+		dist[src] = 0
+		for {
+			u := -1
+			for i := range dist {
+				if !done[i] && dist[i] < inf && (u < 0 || dist[i] < dist[u]) {
+					u = i
+				}
+			}
+			if u < 0 {
+				break
+			}
+			done[u] = true
+			var out []*Link
+			for _, l := range n.linkList {
+				if int(l.From) == u && !l.down {
+					out = append(out, l)
+				}
+			}
+			slices.SortFunc(out, func(a, b *Link) int { return int(a.To) - int(b.To) })
+			for _, l := range out {
+				if nd := dist[u] + int64(l.Delay) + 1; nd < dist[l.To] {
+					dist[l.To], prev[l.To] = nd, u
+				}
+			}
+		}
+		row := make([]int32, cnt)
+		for d := range row {
+			row[d] = -1
+			if d == src || prev[d] < 0 {
+				continue
+			}
+			hop := d
+			for prev[hop] != src {
+				hop = prev[hop]
+			}
+			row[d] = n.linkIdx[linkKey{NodeID(src), NodeID(hop)}]
+		}
+		table[src] = row
+	}
+	return table
+}
+
+// randomGraph builds (or, on a rewound network, replays) a connected-ish
+// graph whose delays come from a three-value set, so equal-cost paths are
+// everywhere.
+func randomGraph(n *Network, seed int64) []*Link {
+	rng := rand.New(rand.NewSource(seed))
+	v := 8 + rng.Intn(20)
+	for i := 0; i < v; i++ {
+		n.AddNode("n")
+	}
+	delay := func() sim.Time { return sim.Time(1+rng.Intn(3)) * sim.Millisecond }
+	var links []*Link
+	seen := map[linkKey]bool{}
+	add := func(a, b int) {
+		if a == b || seen[linkKey{NodeID(a), NodeID(b)}] {
+			return
+		}
+		seen[linkKey{NodeID(a), NodeID(b)}] = true
+		seen[linkKey{NodeID(b), NodeID(a)}] = true
+		ab, ba := n.AddDuplex(NodeID(a), NodeID(b), 0, delay(), 0)
+		links = append(links, ab, ba)
+	}
+	for i := 1; i < v-2; i++ { // the last two nodes may stay unreachable
+		add(i, rng.Intn(i))
+	}
+	for i := 0; i < 2*v; i++ {
+		add(rng.Intn(v), rng.Intn(v))
+	}
+	return links
+}
+
+// checkRows asks for rows one at a time in a seeded order — checking after
+// each, when the topology has just changed, that exactly the asked-for
+// rows exist — and compares every row, then the ensureRoutes fill, against
+// the eager reference.
+func checkRows(t *testing.T, n *Network, rng *rand.Rand, when string) {
+	t.Helper()
+	want := eagerRoutes(n)
+	stale := !n.routesOK
+	asked := 0
+	for _, s := range rng.Perm(len(n.nodes))[:len(n.nodes)/2] {
+		if got := n.routeRow(NodeID(s)); !slices.Equal(got, want[s]) {
+			t.Fatalf("%s: lazy row %d = %v, eager table has %v", when, s, got, want[s])
+		}
+		asked++
+		have := 0
+		for _, r := range n.routeRows {
+			if r != nil {
+				have++
+			}
+		}
+		if stale && have != asked {
+			t.Fatalf("%s: %d rows computed after asking for %d", when, have, asked)
+		}
+	}
+	n.ensureRoutes()
+	for s := range want {
+		if !slices.Equal(n.routeRows[s], want[s]) {
+			t.Fatalf("%s: ensureRoutes row %d = %v, eager table has %v", when, s, n.routeRows[s], want[s])
+		}
+	}
+}
+
+// TestLazyRouteRowsMatchEagerTable: rows computed on demand equal the
+// all-pairs table on random graphs with equal-cost ties and down links,
+// before and after every kind of invalidation, and on a rewound network.
+func TestLazyRouteRowsMatchEagerTable(t *testing.T) {
+	for seed := int64(1); seed <= 25; seed++ {
+		rng := rand.New(rand.NewSource(seed * 977))
+		n := New(sim.NewScheduler(), sim.NewRand(1))
+		n.EnableReuse()
+		links := randomGraph(n, seed)
+		pick := func() *Link { return links[rng.Intn(len(links))] }
+		for i := 0; i < 3; i++ {
+			pick().SetDown(true)
+		}
+		checkRows(t, n, rng, "fresh")
+
+		l := pick()
+		l.SetDelay(l.Delay%(3*sim.Millisecond) + sim.Millisecond)
+		checkRows(t, n, rng, "after SetDelay")
+		l = pick()
+		l.SetDown(!l.IsDown())
+		checkRows(t, n, rng, "after SetDown")
+		extra := n.AddNode("late")
+		n.AddDuplex(extra, NodeID(1+rng.Intn(int(extra)-1)), 0, sim.Millisecond, 0)
+		n.AddLink(NodeID(0), extra, 0, 2*sim.Millisecond, 0)
+		checkRows(t, n, rng, "after AddNode/AddLink")
+
+		// Rewind and replay the original construction: the late node is
+		// truncated away, the mutated delay and the down links are restored.
+		if !n.Reset() {
+			t.Fatal("Reset refused")
+		}
+		randomGraph(n, seed)
+		n.Send(&Packet{Src: Addr{Node: 0}, Dst: Addr{Node: 0}}) // ends construction replay
+		fresh := New(sim.NewScheduler(), sim.NewRand(1))
+		randomGraph(fresh, seed)
+		if a, b := eagerRoutes(n), eagerRoutes(fresh); !slices.EqualFunc(a, b, slices.Equal[[]int32]) {
+			t.Fatal("reference tables differ between rewound and fresh network")
+		}
+		checkRows(t, n, rng, "rewound")
+	}
+}
+
+// TestRouteSlabsSurviveInvalidation: recomputing rows after a topology
+// change re-carves the existing slabs instead of allocating.
+func TestRouteSlabsSurviveInvalidation(t *testing.T) {
+	n := New(sim.NewScheduler(), sim.NewRand(1))
+	links := randomGraph(n, 3)
+	n.ensureRoutes()
+	allocs := testing.AllocsPerRun(10, func() {
+		links[0].SetDelay(links[0].Delay + sim.Millisecond)
+		n.ensureRoutes()
+	})
+	if allocs != 0 {
+		t.Fatalf("route recomputation allocates %v objects per rebuild", allocs)
+	}
+}

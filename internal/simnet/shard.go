@@ -1,8 +1,8 @@
 package simnet
 
 import (
-	"sort"
-	"sync"
+	"cmp"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -44,66 +44,65 @@ type shardCtx struct {
 	trees   map[mcastKey]*mcastTree
 	treeVer uint32
 
-	// Per-shard packet pool plus an unlocked burst cache (NDN-DPDK
-	// mempool style). The cache is touched only by code executing on this
-	// shard — its window goroutine, or the control thread while shards
-	// are quiesced; those phases strictly alternate, and the engine's
+	// Unlocked burst cache in front of the network's packet free list
+	// (NDN-DPDK mempool style). The cache is touched only by code executing
+	// on this shard — its window goroutine, or the control thread while
+	// shards are quiesced; those phases strictly alternate, and the engine's
 	// barrier provides the happens-before edge. Alloc pops the cache and
-	// refills runs of burstK from the locked pool; release pushes the
-	// cache and spills runs of burstK when it overfills.
-	mu    sync.Mutex
-	pool  [NumPacketClasses][]*Packet
+	// refills runs of burstK from the free list (of fresh packets when that
+	// has none); release pushes the cache and spills runs of burstK when it
+	// overfills. Both ends of a cross-region flow therefore trade with the
+	// same list.
 	cache [NumPacketClasses][]*Packet
 }
 
 // burstK is the mempool transfer size: how many packets move between a
-// shard's unlocked cache and its locked pool per refill or spill.
+// shard's unlocked cache and the network's locked free list per refill or
+// spill.
 const burstK = 64
 
-// cacheGet pops one packet from the shard's burst cache, refilling from
-// the locked pool when empty. Returns nil when both are empty.
-func (sc *shardCtx) cacheGet(class uint8) *Packet {
+// cacheGet pops one packet from the shard's burst cache. An empty cache
+// refills with a burst from the network free list or, when that is empty
+// too, with a burst of fresh packets — so a shard that is still growing its
+// working set takes the lock once per burstK allocations, not once each.
+func (sc *shardCtx) cacheGet(n *Network, class uint8) *Packet {
 	cc := &sc.cache[class]
-	if m := len(*cc); m > 0 {
-		p := (*cc)[m-1]
-		(*cc)[m-1] = nil
-		*cc = (*cc)[:m-1]
-		return p
-	}
-	sc.mu.Lock()
-	free := &sc.pool[class]
-	m := len(*free)
-	take := burstK
-	if take > m {
-		take = m
-	}
-	if take > 0 {
+	if len(*cc) == 0 {
+		n.poolMu.Lock()
+		free := &n.freePkts[class]
+		m := len(*free)
+		take := min(burstK, m)
 		*cc = append(*cc, (*free)[m-take:]...)
 		clear((*free)[m-take:])
 		*free = (*free)[:m-take]
+		n.poolMu.Unlock()
+		if take == 0 {
+			fresh := make([]Packet, burstK)
+			for i := range fresh {
+				fresh[i] = Packet{pooled: true, class: class}
+				*cc = append(*cc, &fresh[i])
+			}
+		}
 	}
-	sc.mu.Unlock()
-	if m := len(*cc); m > 0 {
-		p := (*cc)[m-1]
-		(*cc)[m-1] = nil
-		*cc = (*cc)[:m-1]
-		return p
-	}
-	return nil
+	m := len(*cc)
+	p := (*cc)[m-1]
+	(*cc)[m-1] = nil
+	*cc = (*cc)[:m-1]
+	return p
 }
 
 // cachePut pushes one recycled packet onto the shard's burst cache,
-// spilling a run of burstK to the locked pool when the cache holds two
-// bursts — the spill bounds how far packets can pile up on a shard that
-// releases more than it allocates.
-func (sc *shardCtx) cachePut(p *Packet) {
+// spilling a run of burstK to the network free list when the cache holds
+// two bursts — the spill is what carries packets back from a shard that
+// releases more than it allocates to the shards that allocate them.
+func (sc *shardCtx) cachePut(n *Network, p *Packet) {
 	cc := &sc.cache[p.class]
 	*cc = append(*cc, p)
 	if len(*cc) >= 2*burstK {
 		m := len(*cc)
-		sc.mu.Lock()
-		sc.pool[p.class] = append(sc.pool[p.class], (*cc)[m-burstK:]...)
-		sc.mu.Unlock()
+		n.poolMu.Lock()
+		n.freePkts[p.class] = append(n.freePkts[p.class], (*cc)[m-burstK:]...)
+		n.poolMu.Unlock()
 		clear((*cc)[m-burstK:])
 		*cc = (*cc)[:m-burstK]
 	}
@@ -240,15 +239,8 @@ func (n *Network) DrainHandoffs() int {
 			clear(n.outbox[box])
 			n.outbox[box] = n.outbox[box][:0]
 		}
-		sort.Slice(buf, func(i, j int) bool {
-			a, b := buf[i], buf[j]
-			if a.at != b.at {
-				return a.at < b.at
-			}
-			if a.src != b.src {
-				return a.src < b.src
-			}
-			return a.seq < b.seq
+		slices.SortFunc(buf, func(a, b handoff) int {
+			return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.src, b.src), cmp.Compare(a.seq, b.seq))
 		})
 		sched := n.shards[dst].sched
 		for i := range buf {
@@ -270,7 +262,8 @@ func (n *Network) DrainHandoffs() int {
 // It must run on the control thread with every shard quiesced: it ends
 // construction replay (mirroring what the first Send does on a serial
 // network) and eagerly recomputes routes invalidated by control-phase
-// topology mutations, so no shard ever triggers a route recompute
+// topology mutations — every row, since shards must find the one they
+// need already there — so no shard ever triggers a route computation
 // concurrently.
 func (n *Network) BarrierSync() {
 	if !n.sharded {
@@ -279,9 +272,7 @@ func (n *Network) BarrierSync() {
 	if n.replay >= 0 && n.replay < len(n.ops) {
 		n.divergeAt(n.replay)
 	}
-	if !n.routesOK {
-		n.ensureRoutes()
-	}
+	n.ensureRoutes()
 }
 
 // shardTree returns the compiled multicast tree for (group, src) via the

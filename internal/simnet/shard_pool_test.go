@@ -1,0 +1,89 @@
+package simnet
+
+import (
+	"testing"
+
+	"repro/internal/sim"
+)
+
+// pooledPackets counts every recycled packet the network holds: the free
+// lists plus the shards' burst caches.
+func pooledPackets(n *Network) int {
+	total := 0
+	for c := range n.freePkts {
+		total += len(n.freePkts[c])
+		for _, sc := range n.shards {
+			total += len(sc.cache[c])
+		}
+	}
+	return total
+}
+
+// TestShardedPoolRecirculates: a one-way cross-region flow allocates on
+// one shard and releases on the other. The packets must travel back — the
+// flow may not mint a fresh packet per send within a run, and repeated
+// sharded rewinds of it may not grow the pool: its size plateaus after
+// the second run.
+func TestShardedPoolRecirculates(t *testing.T) {
+	ctl := sim.NewScheduler()
+	n := New(ctl, sim.NewRand(1))
+	n.EnableReuse()
+	const (
+		sends     = 5000
+		lookahead = 5 * sim.Millisecond
+	)
+	run := func() {
+		setups := []ShardSetup{
+			{Sched: sim.NewScheduler(), NetRng: sim.NewRand(2), ProtoRng: sim.NewRand(3)},
+			{Sched: sim.NewScheduler(), NetRng: sim.NewRand(4), ProtoRng: sim.NewRand(5)},
+		}
+		n.EnableSharding([]int32{0, 1}, setups)
+		a, b := n.AddNode("a"), n.AddNode("b")
+		n.AddDuplex(a, b, 0, lookahead, 0)
+		got := 0
+		n.Bind(Addr{b, 1}, HandlerFunc(func(*Packet) { got++ }))
+		src := n.SchedFor(a)
+		for i := 0; i < sends; i++ {
+			src.At(sim.Time(i)*100*sim.Microsecond, func() {
+				pkt := n.AllocPacketFor(a)
+				pkt.Size, pkt.Src, pkt.Dst = 100, Addr{a, 1}, Addr{b, 1}
+				n.Send(pkt)
+			})
+		}
+		n.BarrierSync()
+		end := sim.Time(sends)*100*sim.Microsecond + 2*lookahead
+		for now := sim.Time(0); now < end; now += lookahead {
+			for _, s := range setups {
+				s.Sched.RunUntil(now + lookahead)
+			}
+			n.DrainHandoffs()
+			n.BarrierSync()
+		}
+		if got != sends || n.LivePackets() != 0 {
+			t.Fatalf("delivered %d of %d, %d packets still live", got, sends, n.LivePackets())
+		}
+	}
+	var pooled []int
+	for i := 0; i < 5; i++ {
+		run()
+		pooled = append(pooled, pooledPackets(n))
+		ctl.Reset()
+		if !n.Reset() {
+			t.Fatal("Reset refused")
+		}
+		if after := pooledPackets(n); after != pooled[i] {
+			t.Fatalf("run %d: Reset changed the pooled count %d -> %d", i, pooled[i], after)
+		}
+	}
+	// In flight at once: lookahead/100us = 50 packets, plus a window of
+	// handoffs and at most two bursts parked in each shard's cache.
+	if pooled[0] > 50+50+4*burstK {
+		t.Errorf("one run of %d sends left %d packets pooled: the flow is not recirculating", sends, pooled[0])
+	}
+	for i := 2; i < len(pooled); i++ {
+		if pooled[i] != pooled[1] {
+			t.Errorf("pooled packets after runs 1..%d: %v — still growing after run 2", len(pooled), pooled)
+			break
+		}
+	}
+}

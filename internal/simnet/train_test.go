@@ -1,0 +1,385 @@
+package simnet
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+	"unsafe"
+
+	"repro/internal/sim"
+)
+
+// trainRig is a fan-out node with a deliberately awkward child mix: fixed-
+// delay tails of distinct and of equal delays, lossy tails, finite-
+// bandwidth tails, and one tail that is itself a fan-out router, so a
+// train delivery starts another train one hop down.
+type trainRig struct {
+	sch    *sim.Scheduler
+	net    *Network
+	src    NodeID
+	leaves []NodeID
+	links  []*Link // every downstream link, in creation order
+	log    strings.Builder
+}
+
+const trainGroup = GroupID(7)
+
+type trainLeaf struct {
+	rig *trainRig
+	id  NodeID
+}
+
+func (l trainLeaf) Recv(pkt *Packet) {
+	fmt.Fprintf(&l.rig.log, "%d %d %d\n", l.rig.sch.Now(), l.id, pkt.Size)
+}
+
+// build (re)issues the construction calls; on a rewound network they
+// replay onto the existing nodes and links.
+func (r *trainRig) build() {
+	net := r.net
+	r.leaves, r.links = r.leaves[:0], r.links[:0]
+	r.src = net.AddNode("src")
+	hub := net.AddNode("hub")
+	down := func(a, b NodeID, bw float64, d sim.Time, q int, loss float64) {
+		l, _ := net.AddDuplex(a, b, bw, d, q)
+		l.LossProb = loss
+		r.links = append(r.links, l)
+	}
+	down(r.src, hub, 0, sim.Millisecond, 0, 0)
+	leaf := func(parent NodeID, bw float64, d sim.Time, q int, loss float64) {
+		id := net.AddNode("leaf")
+		down(parent, id, bw, d, q, loss)
+		net.Bind(Addr{id, 1}, trainLeaf{r, id})
+		net.Join(trainGroup, id)
+		r.leaves = append(r.leaves, id)
+	}
+	for i := 0; i < 14; i++ {
+		switch {
+		case i%5 == 3: // finite bandwidth, shallow queue: serialiser + drops
+			leaf(hub, 4e5, sim.Time(2+i)*sim.Millisecond, 3, 0)
+		case i%4 == 1: // lossy fixed-delay tail
+			leaf(hub, 0, sim.Time(3+i%3)*sim.Millisecond, 0, 0.2)
+		default: // fixed-delay tails, several sharing a delay
+			leaf(hub, 0, sim.Time(3+(i*7)%9)*sim.Millisecond, 0, 0)
+		}
+	}
+	sub := net.AddNode("sub")
+	down(hub, sub, 0, 4*sim.Millisecond, 0, 0.05)
+	for i := 0; i < 4; i++ {
+		leaf(sub, 0, sim.Time(1+i%2)*sim.Millisecond, 0, 0.1)
+	}
+}
+
+func newTrainRig(batch bool, seed int64) *trainRig {
+	r := &trainRig{sch: sim.NewScheduler()}
+	r.sch.SetBatching(batch)
+	r.net = New(r.sch, sim.NewRand(seed))
+	r.net.SetBatching(batch)
+	r.net.EnableReuse()
+	r.build()
+	return r
+}
+
+// script schedules the traffic and a seeded storm of mid-flight
+// mutations. It draws from its own RNG, never the network's, and every
+// mutation is a scheduler event, so both delivery modes see the same
+// script at the same (time, seq) positions.
+func (r *trainRig) script(seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	sch, net := r.sch, r.net
+	for i := 0; i < 500; i++ {
+		size := 200 + i // the size doubles as the packet's identity in the log
+		sch.At(sim.Time(i)*600*sim.Microsecond, func() {
+			pkt := net.AllocPacket()
+			pkt.Size, pkt.Src, pkt.Dst = size, Addr{r.src, 1}, Addr{Port: 1}
+			pkt.Group, pkt.IsMcast = trainGroup, true
+			net.Send(pkt)
+		})
+	}
+	for i := 0; i < 60; i++ {
+		at := sim.Time(rng.Int63n(int64(300 * sim.Millisecond)))
+		l := r.links[1+rng.Intn(len(r.links)-1)]
+		leaf := r.leaves[rng.Intn(len(r.leaves))]
+		var fn func()
+		switch rng.Intn(7) {
+		case 0:
+			c, d, ro := rng.Float64()*0.2, rng.Float64()*0.2, rng.Float64()*0.3
+			fn = func() { l.SetImpairments(c, d, ro, 5*sim.Millisecond) }
+		case 1:
+			fn = func() { l.SetImpairments(0, 0, 0, 0) }
+		case 2:
+			d := sim.Time(1+rng.Intn(12)) * sim.Millisecond
+			fn = func() { l.SetDelay(d) }
+		case 3:
+			fn = func() { l.SetDown(!l.IsDown()) }
+		case 4:
+			fn = func() { net.Leave(trainGroup, leaf) }
+		case 5:
+			fn = func() { net.Join(trainGroup, leaf) }
+		case 6:
+			bw := []float64{0, 3e5}[rng.Intn(2)]
+			fn = func() { l.SetBandwidth(bw) }
+		}
+		sch.At(at, fn)
+	}
+}
+
+// run advances to until in slices of seeded, awkward lengths — zero, a
+// few nanoseconds, exact multiples of the link delays — so trains are cut
+// by the run bound at every possible place.
+func (r *trainRig) run(seed int64, until sim.Time) {
+	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
+	for r.sch.Now() < until {
+		var step sim.Time
+		switch rng.Intn(4) {
+		case 0:
+			step = 0
+		case 1:
+			step = sim.Time(rng.Intn(50))
+		case 2:
+			step = sim.Time(1+rng.Intn(4)) * sim.Millisecond
+		case 3:
+			step = sim.Time(rng.Int63n(int64(9 * sim.Millisecond)))
+		}
+		r.sch.RunUntil(min(r.sch.Now()+step, until))
+	}
+}
+
+func (r *trainRig) stats() string {
+	var b strings.Builder
+	for i, l := range r.links {
+		fmt.Fprintf(&b, "%d %+v\n", i, l.Stats)
+	}
+	fmt.Fprintf(&b, "faults %+v processed %d\n", r.net.Faults(), r.sch.Processed())
+	return b.String()
+}
+
+// TestTrainIdentity: fan-out trains must reproduce the timer-per-packet
+// oracle — the delivery log, every link's counters, the fault counters
+// and the processed-event count — under mixed children, per-child loss,
+// impairments armed mid-run, delay/availability/membership changes while
+// copies are in flight, and awkward RunUntil slicing.
+func TestTrainIdentity(t *testing.T) {
+	const end = 3 * sim.Second
+	for seed := int64(1); seed <= 12; seed++ {
+		on, off := newTrainRig(true, seed), newTrainRig(false, seed)
+		for _, r := range []*trainRig{on, off} {
+			r.script(seed)
+			r.run(seed, end)
+		}
+		if on.log.Len() == 0 {
+			t.Fatalf("seed %d: nothing delivered", seed)
+		}
+		if on.log.String() != off.log.String() {
+			t.Fatalf("seed %d: delivery log differs between trains and the timer-per-packet oracle", seed)
+		}
+		if a, b := on.stats(), off.stats(); a != b {
+			t.Fatalf("seed %d: counters differ:\ntrains:\n%s\noracle:\n%s", seed, a, b)
+		}
+		for _, r := range []*trainRig{on, off} {
+			if live, held := r.net.LivePackets(), r.net.RingHeld(); live != 0 || held != 0 {
+				t.Fatalf("seed %d: after drain %d packets live, %d held", seed, live, held)
+			}
+		}
+	}
+}
+
+// TestTrainsCarryTheFanOut guards the test above against vacuity: with
+// batching on, the rig's hub really does park copies on trains.
+func TestTrainsCarryTheFanOut(t *testing.T) {
+	r := newTrainRig(true, 1)
+	r.script(1)
+	r.sch.RunUntil(20 * sim.Millisecond)
+	var onTrains int64
+	for i := range r.net.nodes {
+		if f := r.net.nodes[i].fan; f != nil {
+			onTrains += f.held
+		}
+	}
+	if onTrains == 0 {
+		t.Fatal("no copy is riding a train 20 ms into the run")
+	}
+	if held := r.net.RingHeld(); held < onTrains {
+		t.Fatalf("RingHeld = %d does not count the %d copies on trains", held, onTrains)
+	}
+}
+
+// TestTrainResetMidFlight: Reset with trains in flight drops them, and the
+// rewound network then reproduces a fresh run exactly.
+func TestTrainResetMidFlight(t *testing.T) {
+	const end = 3 * sim.Second
+	for seed := int64(1); seed <= 4; seed++ {
+		fresh := newTrainRig(true, seed)
+		fresh.script(seed)
+		fresh.run(seed, end)
+
+		r := newTrainRig(true, seed+100)
+		r.script(seed + 100)
+		r.run(seed+100, 150*sim.Millisecond)
+		if r.net.RingHeld() == 0 {
+			t.Fatalf("seed %d: setup: nothing in flight at the rewind point", seed)
+		}
+		r.sch.Reset()
+		if !r.net.Reset() {
+			t.Fatal("Reset refused")
+		}
+		if held, live := r.net.RingHeld(), r.net.LivePackets(); held != 0 || live != 0 {
+			t.Fatalf("seed %d: Reset left %d held, %d live", seed, held, live)
+		}
+		r.net.Rand().Reseed(seed)
+		r.log.Reset()
+		r.build()
+		r.script(seed)
+		r.run(seed, end)
+		if r.log.String() != fresh.log.String() {
+			t.Fatalf("seed %d: rewound run's delivery log differs from a fresh run's", seed)
+		}
+		if a, b := r.stats(), fresh.stats(); a != b {
+			t.Fatalf("seed %d: rewound counters differ:\n%s\nfresh:\n%s", seed, a, b)
+		}
+	}
+}
+
+// TestLinkEntryFieldsShareALine pins Link's layout contract: what a packet
+// entering the link reads, and the far node, end where Stats begins, one
+// 64-byte line in.
+func TestLinkEntryFieldsShareALine(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout pinned for 64-bit targets")
+	}
+	var l Link
+	if off := unsafe.Offsetof(l.Stats); off != 64 {
+		t.Errorf("Link.Stats at offset %d: the entry-module fields no longer fill exactly one cache line", off)
+	}
+	for name, off := range map[string]uintptr{
+		"To": unsafe.Offsetof(l.To), "Delay": unsafe.Offsetof(l.Delay), "Bandwidth": unsafe.Offsetof(l.Bandwidth),
+		"LossProb": unsafe.Offsetof(l.LossProb), "CorruptProb": unsafe.Offsetof(l.CorruptProb),
+		"DupProb": unsafe.Offsetof(l.DupProb), "ReorderProb": unsafe.Offsetof(l.ReorderProb),
+		"down": unsafe.Offsetof(l.down), "crossTo": unsafe.Offsetof(l.crossTo),
+	} {
+		if off >= 64 {
+			t.Errorf("entry field %s at offset %d is off the first line", name, off)
+		}
+	}
+}
+
+// fastStar is a fan-out router behind a fast bottleneck: packets arrive at
+// the hub every spacing while the children's delays spread over 1–40 ms,
+// so the hub holds about 39 ms / spacing trains at once — hundreds at
+// 100 Mbit, where figure 12's 1 Mbit gives five.
+type fastStar struct {
+	sch  *sim.Scheduler
+	net  *Network
+	src  NodeID
+	hub  NodeID
+	sum  uint64 // order-sensitive hash of every (time, leaf, size) delivery
+	recv int
+}
+
+type fastLeaf struct {
+	st *fastStar
+	id NodeID
+}
+
+func (l fastLeaf) Recv(pkt *Packet) {
+	st := l.st
+	st.recv++
+	for _, v := range [3]uint64{uint64(st.sch.Now()), uint64(l.id), uint64(pkt.Size)} {
+		st.sum = (st.sum ^ v) * 1099511628211
+	}
+}
+
+func newFastStar(batch bool, leaves int, seed int64) *fastStar {
+	st := &fastStar{sch: sim.NewScheduler()}
+	st.sch.SetBatching(batch)
+	st.net = New(st.sch, sim.NewRand(seed))
+	st.net.SetBatching(batch)
+	rng := rand.New(rand.NewSource(seed))
+	st.src, st.hub = st.net.AddNode("src"), st.net.AddNode("hub")
+	st.net.AddLink(st.src, st.hub, 12.5e6, sim.Millisecond, 1<<20)
+	for i := 0; i < leaves; i++ {
+		id := st.net.AddNode("leaf")
+		// Tenth-of-a-millisecond steps: many equal delays, so ties on the
+		// arrival time are settled by seq across trains too.
+		d := sim.Millisecond + sim.Time(rng.Intn(390))*100*sim.Microsecond
+		l := st.net.AddLink(st.hub, id, 0, d, 0)
+		if i%7 == 0 {
+			l.LossProb = 0.1
+		}
+		st.net.Bind(Addr{id, 1}, fastLeaf{st, id})
+		st.net.Join(trainGroup, id)
+	}
+	return st
+}
+
+// send schedules count 1000-byte multicast packets spacing apart.
+func (st *fastStar) send(count int, spacing sim.Time) {
+	for i := 0; i < count; i++ {
+		size := 1000 + i%7
+		st.sch.At(sim.Time(i)*spacing, func() {
+			pkt := st.net.AllocPacket()
+			pkt.Size, pkt.Src, pkt.Dst = size, Addr{st.src, 1}, Addr{Port: 1}
+			pkt.Group, pkt.IsMcast = trainGroup, true
+			st.net.Send(pkt)
+		})
+	}
+}
+
+// TestTrainIdentityManyInFlight: the oracle identity holds, and the train
+// heap is really exercised, with hundreds of trains in flight at one node.
+func TestTrainIdentityManyInFlight(t *testing.T) {
+	const spacing = 80 * sim.Microsecond // 1000 bytes at 100 Mbit
+	on, off := newFastStar(true, 200, 3), newFastStar(false, 200, 3)
+	peak := 0
+	for _, st := range []*fastStar{on, off} {
+		st.send(1500, spacing)
+		for st.sch.Now() < 200*sim.Millisecond {
+			st.sch.RunUntil(st.sch.Now() + 1700*sim.Microsecond)
+			if f := st.net.nodes[st.hub].fan; f != nil {
+				peak = max(peak, len(f.trains))
+			}
+		}
+	}
+	if peak < 300 {
+		t.Fatalf("at most %d trains in flight at the hub; the case is meant to hold hundreds", peak)
+	}
+	if on.recv == 0 || on.recv != off.recv || on.sum != off.sum {
+		t.Fatalf("deliveries differ: trains %d (hash %x), oracle %d (hash %x)", on.recv, on.sum, off.recv, off.sum)
+	}
+	if a, b := on.sch.Processed(), off.sch.Processed(); a != b {
+		t.Fatalf("processed %d events with trains, %d with the oracle", a, b)
+	}
+	for _, st := range []*fastStar{on, off} {
+		if live, held := st.net.LivePackets(), st.net.RingHeld(); live != 0 || held != 0 {
+			t.Fatalf("after drain %d packets live, %d held", live, held)
+		}
+	}
+}
+
+// BenchmarkFanOutCopy prices one delivered copy of a 1000-child fan-out
+// with few (8 ms packet spacing: figure 12's 1 Mbit bottleneck) and many
+// (80 us: 100 Mbit) trains in flight, against the timer-per-packet oracle.
+func BenchmarkFanOutCopy(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		spacing sim.Time
+	}{{"spacing8ms", 8 * sim.Millisecond}, {"spacing80us", 80 * sim.Microsecond}} {
+		for _, batch := range []bool{true, false} {
+			mode := "trains"
+			if !batch {
+				mode = "timers"
+			}
+			b.Run(c.name+"/"+mode, func(b *testing.B) {
+				st := newFastStar(batch, 1000, 1)
+				const burst = 800
+				for n := 0; n < b.N; n += st.recv {
+					st.recv = 0
+					st.sch.Reset()
+					st.send(burst, c.spacing)
+					st.sch.Run()
+				}
+			})
+		}
+	}
+}

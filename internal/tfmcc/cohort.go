@@ -52,7 +52,7 @@ type cohortState struct {
 //     E[M] for Members same-value receivers, for comparison against
 //     measured explicit-receiver feedback (the Figure 4 trajectory).
 //
-// Memory is O(1) in Members: one probe receiver (~16 KB of receive
+// Memory is O(1) in Members: one probe receiver (~8 KB of receive
 // window) regardless of cohort size, which is what lets a Spec declare a
 // million receivers and run.
 //

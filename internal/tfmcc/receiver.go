@@ -15,36 +15,39 @@ import (
 // Receiver is one TFMCC multicast receiver. It measures loss event rate
 // and RTT, computes its TCP-friendly rate and takes part in the biased
 // feedback suppression process.
+//
+// Field order is a performance contract. With a thousand receivers the
+// per-packet cost is the cache lines Recv pulls in, so everything an
+// in-order data packet reads or writes — scalars first, then the RTT
+// estimator, the last-header snapshot and the loss history, all held by
+// value — forms one contiguous prefix ending at est. Configuration,
+// identity, counters and hooks follow it, and the 8 KB of receive-window
+// samples sit at the very end, where add touches one line of them per
+// packet. TestReceiverHotPrefix pins the prefix's extent.
 type Receiver struct {
-	cfg    Config
-	id     ReceiverID
-	net    *simnet.Network
-	sch    *sim.Scheduler
-	rng    *sim.Rand
-	addr   simnet.Addr
-	sender simnet.Addr
-	group  simnet.GroupID
+	sch   *sim.Scheduler
+	id    ReceiverID
+	round int
 
-	est  *lossrate.Estimator
-	rtte *rtt.Estimator
+	left      bool
+	isCLR     bool
+	haveSeq   bool
+	fbHasLoss bool
 
-	haveSeq     bool
 	nextSeq     int64
 	lastArrival sim.Time
-	lastData    Data
+	clrNextAt   sim.Time
+	PacketsRecv int64
+	Meter       *stats.Meter // optional throughput meter
 	rw          recvWindow
 
-	round     int
-	fbTimer   sim.Timer
-	fbData    Data    // round-start data snapshot the pending feedback fires with
-	fbValue   float64 // planned report rate (bytes/s) guarding cancellation
-	fbHasLoss bool
-	isCLR     bool
-	clrNextAt sim.Time
+	fbTimer      sim.Timer
+	lastSuppress float64
+	fbValue      float64 // planned report rate (bytes/s) guarding cancellation
 
-	left    bool
-	crashed bool
-	leftAt  sim.Time // when the receiver left or crashed (0 = still joined)
+	rtte rtt.Estimator
+	last lastHeader
+	est  lossrate.Estimator // end of the hot prefix
 
 	// cohort, when non-nil, marks this receiver as the probe of a
 	// CohortReceiver: the feedback draw becomes the minimum of the
@@ -52,6 +55,17 @@ type Receiver struct {
 	// (see cohort.go). Nil for explicit receivers — every cohort delta
 	// gates on this single check.
 	cohort *cohortState
+
+	cfg    Config
+	net    *simnet.Network
+	rng    *sim.Rand
+	addr   simnet.Addr
+	sender simnet.Addr
+	group  simnet.GroupID
+
+	fbSlowstart bool // the pending feedback's round started in slowstart
+	crashed     bool
+	leftAt      sim.Time // when the receiver left or crashed (0 = still joined)
 
 	// Appendix A/B bookkeeping: the first loss event was aggregated and
 	// initialised using the conservative initial RTT.
@@ -62,12 +76,20 @@ type Receiver struct {
 	SuppressCancels int64
 	Losses          int64
 	LossEvents      int64
-	PacketsRecv     int64
-	StaleDiscards   int64        // stale/malformed data packets discarded unprocessed
-	OnFirstRTT      func()       // optional hook fired at the first valid measurement
-	Meter           *stats.Meter // optional throughput meter
-	Trace           *trace.Log   // optional event trace (losses, reports)
-	lastSuppress    float64
+	StaleDiscards   int64      // stale/malformed data packets discarded unprocessed
+	OnFirstRTT      func()     // optional hook fired at the first valid measurement
+	Trace           *trace.Log // optional event trace (losses, reports)
+
+	samples recvSamples
+}
+
+// lastHeader is what the receiver keeps of the newest data header: the
+// fields a later feedback timer or report reads back.
+type lastHeader struct {
+	SendTime sim.Time
+	Rate     float64
+	RoundT   sim.Time
+	CLR      ReceiverID
 }
 
 // staleDataRounds bounds how far behind the receiver's current feedback
@@ -76,7 +98,7 @@ const staleDataRounds = 2
 
 // receiverArenaKey pools receivers on reuse-enabled networks: the
 // receiver is by far the heaviest per-scenario allocation (the receive
-// window ring alone is 16 KB), so rewound runs take it back from the
+// window ring alone is 8 KB), so rewound runs take it back from the
 // network's arena instead of rebuilding it.
 const receiverArenaKey = "tfmcc.Receiver"
 
@@ -102,10 +124,11 @@ func newReceiver(id ReceiverID, net *simnet.Network, node simnet.NodeID, port si
 		addr:   simnet.Addr{Node: node, Port: port},
 		sender: sender,
 		group:  group,
-		est:    lossrate.NewEstimator(lossrate.Weights(cfg.NumLossIntervals)),
-		rtte:   rtt.NewEstimator(cfg.RTT),
 		round:  -1,
 	}
+	// In place: the loss history lives inside the receiver (see Estimator).
+	r.est.Reset(lossrate.Weights(cfg.NumLossIntervals))
+	r.rtte.Reset(cfg.RTT)
 	net.Bind(r.addr, r)
 	net.Join(group, node)
 	return r
@@ -135,11 +158,11 @@ func (r *Receiver) rewind(id ReceiverID, net *simnet.Network, node simnet.NodeID
 	r.haveSeq = false
 	r.nextSeq = 0
 	r.lastArrival = 0
-	r.lastData = Data{}
+	r.last = lastHeader{}
 	r.rw.reset()
 	r.round = -1
 	r.fbTimer = sim.Timer{}
-	r.fbData = Data{}
+	r.fbSlowstart = false
 	r.fbValue = 0
 	r.fbHasLoss = false
 	r.isCLR = false
@@ -280,8 +303,8 @@ func (r *Receiver) Leave() {
 // Recv implements simnet.Handler (binding the receiver itself avoids the
 // per-run closure a HandlerFunc wrapper would allocate). Data headers are
 // pooled *Data boxes owned by the packet: helpers read the box in place,
-// and only the state that outlives this call (lastData, fbData) keeps a
-// copy — the box is recycled with the packet.
+// and only the fields that outlive this call are copied out (last,
+// fbSlowstart) — the box is recycled with the packet.
 func (r *Receiver) Recv(pkt *simnet.Packet) {
 	d, ok := pkt.Payload.(*Data)
 	if !ok || r.left {
@@ -306,7 +329,7 @@ func (r *Receiver) Recv(pkt *simnet.Packet) {
 
 	r.detectLosses(d, now)
 	r.est.OnPacket()
-	r.rw.add(now, pkt.Size)
+	r.rw.add(&r.samples, now, pkt.Size)
 
 	wasCLR := r.isCLR
 	r.isCLR = d.CLR == r.id
@@ -319,7 +342,7 @@ func (r *Receiver) Recv(pkt *simnet.Packet) {
 	r.haveSeq = true
 	r.nextSeq = d.Seq + 1
 	r.lastArrival = now
-	r.lastData = *d
+	r.last = lastHeader{SendTime: d.SendTime, Rate: d.Rate, RoundT: d.RoundT, CLR: d.CLR}
 
 	if d.Round != r.round {
 		r.round = d.Round
@@ -371,7 +394,7 @@ func (r *Receiver) initLossHistory(d *Data) {
 	// fallback (it is unreliable when few packets have arrived).
 	rate := d.Rate
 	if rate <= 0 {
-		rate = r.rw.rate(r.window(d), r.sch.Now())
+		rate = r.recvRate(d.Rate, r.sch.Now())
 	}
 	// Slowstart overshoots to at most twice the bottleneck bandwidth, so
 	// half the receive rate approximates the fair rate.
@@ -421,17 +444,24 @@ func (r *Receiver) onFirstRTTMeasurement(*Data) {
 	}
 }
 
-// window returns the averaging window for receive-rate measurement: a
+// window returns the averaging window for receive-rate measurement at the
+// sender's current rate: a
 // few RTTs, but always enough to span several packets — at very low
 // sending rates a short window quantises the measured rate so coarsely
 // that feedback suppression cannot match values across receivers.
-func (r *Receiver) window(d *Data) sim.Time {
+func (r *Receiver) window(sendRate float64) sim.Time {
 	w := r.rtte.RTT().Scale(4)
-	if d.Rate > 0 {
-		minW := sim.FromSeconds(8 * float64(r.cfg.PacketSize) / d.Rate)
+	if sendRate > 0 {
+		minW := sim.FromSeconds(8 * float64(r.cfg.PacketSize) / sendRate)
 		w = sim.MaxOf(w, minW)
 	}
 	return w
+}
+
+// recvRate returns the receive rate in bytes/s over the averaging window
+// for the given sending rate.
+func (r *Receiver) recvRate(sendRate float64, now sim.Time) float64 {
+	return r.rw.rate(&r.samples, r.window(sendRate), now)
 }
 
 // startRound resets suppression state and draws a biased feedback timer
@@ -452,7 +482,7 @@ func (r *Receiver) startRound(d *Data, now sim.Time) {
 		if r.est.HaveLoss() {
 			value, hasLoss = r.CalcRate(), true
 		} else {
-			recv := r.rw.rate(r.window(d), now)
+			recv := r.recvRate(d.Rate, now)
 			if recv <= 0 || d.Rate <= 0 {
 				return
 			}
@@ -469,7 +499,7 @@ func (r *Receiver) startRound(d *Data, now sim.Time) {
 		// every receiver becomes eligible; lossless receivers report
 		// their receive rate as a safe upper bound.
 		if math.IsInf(xc, 1) {
-			recv := r.rw.rate(r.window(d), now)
+			recv := r.recvRate(d.Rate, now)
 			if recv <= 0 {
 				return
 			}
@@ -480,14 +510,14 @@ func (r *Receiver) startRound(d *Data, now sim.Time) {
 		x = clamp01(value / d.Rate)
 	}
 
-	fb := r.roundConfig(d)
+	fb := r.roundConfig(d.RoundT)
 	delay := fb.Delay(x, r.feedbackDraw())
 	if c := r.cohort; c != nil {
 		c.accrueExpectedFeedback(fb, r.rtte.RTT())
 	}
 	r.fbValue = value
 	r.fbHasLoss = hasLoss
-	r.fbData = *d
+	r.fbSlowstart = d.Slowstart
 	r.fbTimer = r.sch.AfterArg(delay, receiverFireFeedback, r)
 }
 
@@ -507,16 +537,13 @@ func (r *Receiver) feedbackDraw() float64 {
 }
 
 // receiverFireFeedback is the feedback timer's closure-free callback:
-// the round-start snapshot rides in r.fbData instead of a per-round
-// closure capture.
-func receiverFireFeedback(a any) {
-	r := a.(*Receiver)
-	r.fireFeedback(&r.fbData)
-}
+// what it needs of the round-start header rides in r.fbSlowstart instead
+// of a per-round closure capture.
+func receiverFireFeedback(a any) { a.(*Receiver).fireFeedback() }
 
-func (r *Receiver) roundConfig(d *Data) feedback.Config {
+func (r *Receiver) roundConfig(roundT sim.Time) feedback.Config {
 	return feedback.Config{
-		T:     d.RoundT,
+		T:     roundT,
 		N:     r.cfg.FeedbackN,
 		Delta: r.cfg.FeedbackDelta,
 		Eps:   r.cfg.FeedbackEps,
@@ -549,38 +576,39 @@ func (r *Receiver) maybeSuppress(d *Data) {
 	// Compare against the value the report would carry *now*, not the one
 	// planned at round start: receive rates drift as the sending rate
 	// moves, and a stale low value must not defeat suppression.
-	if v := r.currentValue(d); v > 0 && !math.IsInf(v, 1) {
+	if v := r.currentValue(d.Rate); v > 0 && !math.IsInf(v, 1) {
 		r.fbValue = v
 	}
-	if r.roundConfig(d).Cancel(r.fbValue, r.lastSuppress) {
+	if r.roundConfig(d.RoundT).Cancel(r.fbValue, r.lastSuppress) {
 		r.SuppressCancels++
 		r.cancelTimer()
 	}
 }
 
-// currentValue returns the rate a report sent right now would carry.
-func (r *Receiver) currentValue(d *Data) float64 {
+// currentValue returns the rate a report sent right now, at the given
+// sending rate, would carry.
+func (r *Receiver) currentValue(sendRate float64) float64 {
 	if r.est.HaveLoss() {
 		return r.CalcRate()
 	}
-	return r.rw.rate(r.window(d), r.sch.Now())
+	return r.recvRate(sendRate, r.sch.Now())
 }
 
-func (r *Receiver) fireFeedback(d *Data) {
+func (r *Receiver) fireFeedback() {
 	// Re-check eligibility: the sending rate may have dropped below our
 	// calculated rate since the timer was set. (Not applicable during
 	// slowstart or when the sender has no CLR and is soliciting.)
-	if !d.Slowstart && r.lastData.CLR != noReceiver {
+	if !r.fbSlowstart && r.last.CLR != noReceiver {
 		xc := r.CalcRate()
-		if math.IsInf(xc, 1) || xc >= r.lastData.Rate {
+		if math.IsInf(xc, 1) || xc >= r.last.Rate {
 			return
 		}
 	}
 	// Re-check suppression with the value the report will actually carry.
 	if !math.IsInf(r.lastSuppress, 1) {
-		v := r.currentValue(&r.lastData)
+		v := r.currentValue(r.last.Rate)
 		if v > 0 && !math.IsInf(v, 1) &&
-			r.roundConfig(&r.lastData).Cancel(v, r.lastSuppress) {
+			r.roundConfig(r.last.RoundT).Cancel(v, r.lastSuppress) {
 			r.SuppressCancels++
 			return
 		}
@@ -592,7 +620,7 @@ func (r *Receiver) sendReport(now sim.Time) {
 	rate := r.fbValue
 	if r.est.HaveLoss() {
 		rate = r.CalcRate()
-	} else if recv := r.rw.rate(r.window(&r.lastData), now); recv > 0 {
+	} else if recv := r.recvRate(r.last.Rate, now); recv > 0 {
 		rate = recv
 	}
 	if rate <= 0 || math.IsInf(rate, 1) {
@@ -609,10 +637,10 @@ func (r *Receiver) sendReport(now sim.Time) {
 	*reportBox(pkt) = Report{
 		From:      r.id,
 		Timestamp: now,
-		EchoTS:    r.lastData.SendTime,
+		EchoTS:    r.last.SendTime,
 		EchoDelay: now - r.lastArrival,
 		Rate:      rate,
-		RecvRate:  r.rw.rate(r.window(&r.lastData), now),
+		RecvRate:  r.recvRate(r.last.Rate, now),
 		HasRTT:    r.rtte.Valid(),
 		RTT:       r.rtte.RTT(),
 		LossRate:  r.LossEventRate(),
@@ -650,49 +678,69 @@ func clamp01(x float64) float64 {
 }
 
 // recvWindow measures receive rate over a sliding time window. Samples
-// live in a fixed power-of-two ring so the per-packet add never
-// allocates; pruning keeps the same samples the old slice version kept
-// (drop the oldest 256 once 512 is exceeded).
+// live in a fixed ring so the per-packet add never allocates; pruning
+// keeps the same samples the old slice version kept (drop the oldest 256
+// once 512 is exceeded). The cursors and the ring are separate types so a
+// Receiver can keep the cursors among its hot fields and the ring out of
+// their way.
 type recvWindow struct {
-	t     [recvWindowCap]sim.Time
-	b     [recvWindowCap]int
 	head  int // index of the oldest sample
 	n     int
 	total int64
 }
 
-const recvWindowCap = 1024 // must exceed 513, power of two for masking
+// recvSamples is a recvWindow's ring, time and size of one arrival side
+// by side so add writes a single cache line.
+type recvSamples [recvWindowCap]struct {
+	t sim.Time
+	b int
+}
 
-// reset empties the window. The sample arrays keep their contents — with
-// n == 0 nothing can read them — so rewinding costs three stores instead
-// of a 16 KB clear.
+// recvWindowCap is the ring size: the pruning rule never lets more than
+// 513 samples live, and the ring is most of a receiver's memory, so it is
+// sized to that rule rather than to the next power of two (indices wrap by
+// compare, not by mask).
+const recvWindowCap = 520
+
+// slot returns the ring index of the i-th oldest sample, 0 <= i <= n.
+func (w *recvWindow) slot(i int) int {
+	j := w.head + i
+	if j >= recvWindowCap {
+		j -= recvWindowCap
+	}
+	return j
+}
+
+// reset empties the window. The ring keeps its contents — with n == 0
+// nothing can read them — so rewinding costs three stores instead of an
+// 8 KB clear.
 func (w *recvWindow) reset() { w.head, w.n, w.total = 0, 0, 0 }
 
-func (w *recvWindow) add(now sim.Time, bytes int) {
-	w.t[(w.head+w.n)&(recvWindowCap-1)] = now
-	w.b[(w.head+w.n)&(recvWindowCap-1)] = bytes
+func (w *recvWindow) add(s *recvSamples, now sim.Time, bytes int) {
+	e := &s[w.slot(w.n)]
+	e.t, e.b = now, bytes
 	w.n++
 	w.total += int64(bytes)
 	// Amortised pruning: keep at most ~512 samples.
 	if w.n > 512 {
-		w.head = (w.head + 256) & (recvWindowCap - 1)
+		w.head = w.slot(256)
 		w.n -= 256
 	}
 }
 
 // rate returns bytes/second received over the trailing window.
-func (w *recvWindow) rate(window, now sim.Time) float64 {
+func (w *recvWindow) rate(s *recvSamples, window, now sim.Time) float64 {
 	if window <= 0 || w.n == 0 {
 		return 0
 	}
 	cut := now - window
 	var bytes int64
 	for i := w.n - 1; i >= 0; i-- {
-		j := (w.head + i) & (recvWindowCap - 1)
-		if w.t[j] < cut {
+		e := &s[w.slot(i)]
+		if e.t < cut {
 			break
 		}
-		bytes += int64(w.b[j])
+		bytes += int64(e.b)
 	}
 	return float64(bytes) / window.Seconds()
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/sim"
 	"repro/internal/simnet"
@@ -164,36 +165,38 @@ func TestReceiverEligibilityRequiresLowerRate(t *testing.T) {
 
 func TestRecvWindowRate(t *testing.T) {
 	var w recvWindow
-	w.add(0, 1000)
-	w.add(100*sim.Millisecond, 1000)
-	w.add(200*sim.Millisecond, 1000)
+	var s recvSamples
+	w.add(&s, 0, 1000)
+	w.add(&s, 100*sim.Millisecond, 1000)
+	w.add(&s, 200*sim.Millisecond, 1000)
 	// Window of 1s from t=200ms covers all three packets.
-	if got := w.rate(sim.Second, 200*sim.Millisecond); got != 3000 {
+	if got := w.rate(&s, sim.Second, 200*sim.Millisecond); got != 3000 {
 		t.Fatalf("rate = %v, want 3000 B/s", got)
 	}
 	// Window of 150ms covers the last two.
-	if got := w.rate(150*sim.Millisecond, 200*sim.Millisecond); math.Abs(got-2000/0.15) > 1 {
+	if got := w.rate(&s, 150*sim.Millisecond, 200*sim.Millisecond); math.Abs(got-2000/0.15) > 1 {
 		t.Fatalf("rate = %v, want %v", got, 2000/0.15)
 	}
-	if w.rate(0, 0) != 0 {
+	if w.rate(&s, 0, 0) != 0 {
 		t.Fatal("zero window should be 0")
 	}
 	var empty recvWindow
-	if empty.rate(sim.Second, 0) != 0 {
+	if empty.rate(&s, sim.Second, 0) != 0 {
 		t.Fatal("empty window should be 0")
 	}
 }
 
 func TestRecvWindowPruning(t *testing.T) {
 	var w recvWindow
+	var s recvSamples
 	for i := 0; i < 2000; i++ {
-		w.add(sim.Time(i)*sim.Millisecond, 100)
+		w.add(&s, sim.Time(i)*sim.Millisecond, 100)
 	}
 	if w.n > 512 {
 		t.Fatalf("window not pruned: %d samples", w.n)
 	}
 	// Recent rate still correct after pruning.
-	got := w.rate(100*sim.Millisecond, 1999*sim.Millisecond)
+	got := w.rate(&s, 100*sim.Millisecond, 1999*sim.Millisecond)
 	if math.Abs(got-100*101/0.1) > 2000 {
 		t.Fatalf("post-prune rate = %v", got)
 	}
@@ -234,5 +237,44 @@ func TestCLRReportRateLimitedPerRTT(t *testing.T) {
 	// only the first may trigger a CLR report.
 	if len(rig.reports) != 1 {
 		t.Fatalf("CLR reported %d times within one RTT, want 1", len(rig.reports))
+	}
+}
+
+// TestReceiverHotPrefix pins the layout contract in Receiver's doc
+// comment: the fields an in-order data packet touches end with est, within
+// hotPrefixEnd bytes of the struct's start; nothing cold sits among them;
+// and the receive-window ring is the struct's tail. A field added in the
+// wrong place fails here rather than in a benchmark — if the new field is
+// hot, put it in the prefix and move the constant; if not, put it behind.
+func TestReceiverHotPrefix(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout pinned for 64-bit targets")
+	}
+	const hotPrefixEnd = 472
+	var r Receiver
+	if end := unsafe.Offsetof(r.est) + unsafe.Sizeof(r.est); end != hotPrefixEnd {
+		t.Errorf("hot prefix ends at byte %d, pinned at %d", end, hotPrefixEnd)
+	}
+	for name, off := range map[string]uintptr{
+		"sch": unsafe.Offsetof(r.sch), "round": unsafe.Offsetof(r.round), "left": unsafe.Offsetof(r.left),
+		"nextSeq": unsafe.Offsetof(r.nextSeq), "lastArrival": unsafe.Offsetof(r.lastArrival),
+		"PacketsRecv": unsafe.Offsetof(r.PacketsRecv), "Meter": unsafe.Offsetof(r.Meter),
+		"rw": unsafe.Offsetof(r.rw), "fbTimer": unsafe.Offsetof(r.fbTimer),
+		"rtte": unsafe.Offsetof(r.rtte), "last": unsafe.Offsetof(r.last),
+	} {
+		if off >= unsafe.Offsetof(r.est) {
+			t.Errorf("hot field %s at offset %d lies behind est", name, off)
+		}
+	}
+	for name, off := range map[string]uintptr{
+		"cohort": unsafe.Offsetof(r.cohort), "cfg": unsafe.Offsetof(r.cfg), "net": unsafe.Offsetof(r.net),
+		"ReportsSent": unsafe.Offsetof(r.ReportsSent), "Trace": unsafe.Offsetof(r.Trace),
+	} {
+		if off < hotPrefixEnd {
+			t.Errorf("cold field %s at offset %d sits inside the hot prefix", name, off)
+		}
+	}
+	if end := unsafe.Offsetof(r.samples) + unsafe.Sizeof(r.samples); end != unsafe.Sizeof(r) {
+		t.Errorf("receive-window ring ends at byte %d of %d: it must be the last field", end, unsafe.Sizeof(r))
 	}
 }
