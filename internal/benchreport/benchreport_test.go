@@ -600,6 +600,10 @@ func TestShardedMeasurement(t *testing.T) {
 		if m.Events != m.ControlEvents+sum || m.HandoffsSent != m.HandoffsRecv {
 			t.Fatalf("%s: conservation broken in measurement: %+v", m.ID, m)
 		}
+		if m.ShardSteps == 0 || m.ShardSteps > uint64(m.EngineShards)*m.Windows || m.ShardSteps > sum {
+			t.Fatalf("%s: %d shard steps over %d windows of %d shards running %d shard events",
+				m.ID, m.ShardSteps, m.Windows, m.EngineShards, sum)
+		}
 	}
 	if regs, _ := Compare(full, full, 0.15); len(regs) != 0 {
 		t.Fatalf("self-compare of a sharded report regressed: %v", regs)
@@ -630,6 +634,13 @@ func TestShardedMeasurement(t *testing.T) {
 	if string(got) != string(want) {
 		t.Fatalf("seed-merged sharded report differs from full run:\n%s\nvs\n%s", got, want)
 	}
+	// The window diagnostics are stripped from the identity above but sum
+	// across seed fragments all the same.
+	for i, m := range merged.Scenarios {
+		if f := full.Scenarios[i]; m.Windows != f.Windows || m.ShardSteps != f.ShardSteps {
+			t.Errorf("%s: merged windows/shard steps %d/%d, full run %d/%d", m.ID, m.Windows, m.ShardSteps, f.Windows, f.ShardSteps)
+		}
+	}
 }
 
 // TestConservationGate: broken handoff or event accounting on a sharded
@@ -650,5 +661,24 @@ func TestConservationGate(t *testing.T) {
 	regs, _ := Compare(base, &Report{Scenarios: []Metrics{bad}}, 0.15)
 	if len(regs) != 2 {
 		t.Fatalf("want 2 conservation regressions, got %v", regs)
+	}
+	// Window accounting (full reports): between zero and Shards shards are
+	// stepped per window, each running at least one event.
+	full := m
+	full.Batches, full.Windows, full.ShardSteps = 60, 10, 15
+	for _, tc := range []struct {
+		steps uint64
+		want  int
+	}{{15, 0}, {20, 0}, {21, 1}, {0, 1}} {
+		c := full
+		c.ShardSteps = tc.steps
+		if regs, _ := Compare(base, &Report{Scenarios: []Metrics{c}}, 0.15); len(regs) != tc.want {
+			t.Errorf("%d shard steps over 10 windows of 2 shards: want %d regressions, got %v", tc.steps, tc.want, regs)
+		}
+	}
+	c := full
+	c.ShardEvents, c.ControlEvents, c.ShardSteps = []uint64{8, 4}, 88, 13
+	if regs, _ := Compare(base, &Report{Scenarios: []Metrics{c}}, 0.15); len(regs) != 1 {
+		t.Errorf("13 shard steps running 12 shard events: want 1 regression, got %v", regs)
 	}
 }

@@ -107,6 +107,26 @@ func conserve(m Metrics) []Regression {
 			Base: 1, New: 0, Ratio: 0,
 		})
 	}
+	// A window steps between none and all of the shards; a stepped shard
+	// had an event due, so it ran at least one; and shard events only run
+	// inside a step (full reports only, like the window count).
+	var shardEvents uint64
+	for _, v := range m.ShardEvents {
+		shardEvents += v
+	}
+	if limit := min(uint64(m.EngineShards)*m.Windows, shardEvents); m.ShardSteps > limit {
+		regs = append(regs, Regression{
+			ID: m.ID, Metric: "shard steps > min(shards*windows, shard events)",
+			Base: float64(limit), New: float64(m.ShardSteps),
+			Ratio: ratioOf(m.ShardSteps, limit),
+		})
+	}
+	if m.ShardSteps == 0 && m.Windows > 0 && shardEvents > 0 {
+		regs = append(regs, Regression{
+			ID: m.ID, Metric: "no shard steps recorded",
+			Base: 1, New: 0, Ratio: 0,
+		})
+	}
 	if m.HandoffsSent != m.HandoffsRecv {
 		regs = append(regs, Regression{
 			ID: m.ID, Metric: "handoffs sent!=recv",
@@ -114,11 +134,7 @@ func conserve(m Metrics) []Regression {
 			Ratio: ratioOf(m.HandoffsRecv, m.HandoffsSent),
 		})
 	}
-	sum := m.ControlEvents
-	for _, v := range m.ShardEvents {
-		sum += v
-	}
-	if m.Events != sum {
+	if sum := m.ControlEvents + shardEvents; m.Events != sum {
 		regs = append(regs, Regression{
 			ID: m.ID, Metric: "event decomposition",
 			Base: float64(m.Events), New: float64(sum),

@@ -39,6 +39,7 @@ func (m *Metrics) finish(wall time.Duration, st experiments.EngineStats, allocs 
 	m.Batches = st.Batches
 	m.Windows = st.Windows
 	m.WindowNS = int64(st.WindowNS)
+	m.ShardSteps = st.ShardSteps
 	if st.Batches > 0 {
 		m.MeanBatch = float64(st.Events) / float64(st.Batches)
 	}
@@ -133,6 +134,10 @@ func MeasureOpts(items, plan []Item, opt Options, progress io.Writer) *Report {
 			fmt.Fprintf(progress, "%-13s %8.0f events/sec %8.0f packets/sec %6.1f ns/event %.3f allocs/event (setup: %d cold / %.0f warm allocs, %.1fx)\n",
 				m.ID, m.EventsPerSec, m.PacketsPerSec, m.NSPerEvent, m.AllocsPerEvt,
 				m.Setup.ColdAllocs, m.Setup.WarmAllocs, m.Setup.AllocReduction)
+		case m.Windows > 0:
+			fmt.Fprintf(progress, "%-13s %8.0f events/sec %8.0f packets/sec %6.1f ns/event %.3f allocs/event (%d regions, %.1f busy shards/window)\n",
+				m.ID, m.EventsPerSec, m.PacketsPerSec, m.NSPerEvent, m.AllocsPerEvt,
+				m.EngineShards, float64(m.ShardSteps)/float64(m.Windows))
 		default:
 			fmt.Fprintf(progress, "%-13s %8.0f events/sec %8.0f packets/sec %6.1f ns/event %.3f allocs/event\n",
 				m.ID, m.EventsPerSec, m.PacketsPerSec, m.NSPerEvent, m.AllocsPerEvt)

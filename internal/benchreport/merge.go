@@ -244,6 +244,7 @@ func mergeSeeds(frags []*Report) (*Report, error) {
 			acc.Batches += m.Batches
 			acc.Windows += m.Windows
 			acc.WindowNS += m.WindowNS
+			acc.ShardSteps += m.ShardSteps
 			acc.CLRLosses += m.CLRLosses
 			acc.Reelections += m.Reelections
 			acc.RateRecoveries += m.RateRecoveries

@@ -60,15 +60,18 @@ type Metrics struct {
 	HandoffsRecv  uint64   `json:"handoffs_recv,omitempty"`
 	// Batch-dispatch diagnostics. Batches counts dispatch batches across
 	// every scheduler; MeanBatch = Events/Batches is the mean occupancy.
-	// Windows/WindowNS describe the region-parallel window schedule.
+	// Windows/WindowNS/ShardSteps describe the region-parallel window
+	// schedule: ShardSteps sums, over windows, the shards that had an
+	// event due (ShardSteps/Windows = mean busy shards per window).
 	// Unlike the counters above these vary with -check (checker ticks add
 	// events and clip windows), so Strip removes them: they are
 	// measurement diagnostics for benchdiff history, not part of the
 	// deterministic identity.
-	Batches   uint64  `json:"batches,omitempty"`
-	MeanBatch float64 `json:"mean_batch,omitempty"`
-	Windows   uint64  `json:"windows,omitempty"`
-	WindowNS  int64   `json:"window_ns,omitempty"`
+	Batches    uint64  `json:"batches,omitempty"`
+	MeanBatch  float64 `json:"mean_batch,omitempty"`
+	Windows    uint64  `json:"windows,omitempty"`
+	WindowNS   int64   `json:"window_ns,omitempty"`
+	ShardSteps uint64  `json:"shard_steps,omitempty"`
 	// Recovery-time counters (simulation-deterministic, zero — and
 	// omitted — unless a run lost its CLR without an immediate successor).
 	// Counts sum across the sweep's seeds; the _ns fields are the worst
@@ -198,6 +201,7 @@ func (r *Report) Strip() *Report {
 		m.MeanBatch = 0
 		m.Windows = 0
 		m.WindowNS = 0
+		m.ShardSteps = 0
 		out.Scenarios[i] = m
 	}
 	return &out

@@ -2,13 +2,17 @@ package engine_test
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/experiments"
+	"repro/internal/invariant"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/simnet"
+	"repro/internal/stats"
 	"repro/internal/sweep"
 )
 
@@ -50,16 +54,102 @@ func TestShardedDeterminismAndRewind(t *testing.T) {
 	}
 }
 
+// engineRun drives engine.Run itself on a fresh environment, the way
+// RunCtx does for -engineworkers >= 2 but for any worker count — one
+// included, which the CLIs route to the serial engine instead — with the
+// invariant checker armed when check is set. hook, when not nil, can
+// prepare the environment before the run.
+func engineRun(t *testing.T, id string, seed int64, dur sim.Time, workers int, check bool, hook func(scenario.Env)) (string, engine.Stats, []invariant.Violation) {
+	t.Helper()
+	e, ok := experiments.Lookup(id)
+	if !ok || e.Spec == nil {
+		t.Fatalf("%s: no such preset", id)
+	}
+	spec := e.Spec()
+	spec.Duration = dur
+	sch := sim.NewScheduler()
+	env := scenario.Env{Sch: sch, Net: simnet.New(sch, sim.NewRand(seed)), Rng: sim.NewRand(seed + 7)}
+	if check {
+		env.Check = invariant.New(sch, 0)
+		env.Check.Start()
+	}
+	if hook != nil {
+		hook(env)
+	}
+	sc, st, err := engine.Run(env, spec, seed, workers)
+	if err != nil {
+		t.Fatalf("%s at %d workers: %v", id, workers, err)
+	}
+	var viol []invariant.Violation
+	if check {
+		viol = env.Check.Violations()
+	}
+	return (&experiments.Result{Figure: id, Series: sc.Series()}).TSV(), st, viol
+}
+
 // The worker count is purely a goroutine count: region structure,
-// window schedule and handoff order depend only on topology and seed,
-// so any N >= 2 produces byte-identical output.
+// window schedule and handoff order depend only on topology and seed, so
+// any N >= 1 — the coordinator alone, the coordinator and helpers, more
+// workers than regions — produces byte-identical output and the same
+// window, busy-shard and handoff counts. The checker is armed, so "no
+// shard clock lags control" also holds for shards a window only moved.
 func TestWorkerCountInvariance(t *testing.T) {
 	for _, id := range []string{"wireless", "partition", "chainloss", "deeptree"} {
-		base := shortRun(t, shardedCtx(2), id, 3, 8*sim.Second)
-		for _, w := range []int{3, 4} {
-			if got := shortRun(t, shardedCtx(w), id, 3, 8*sim.Second); got != base {
-				t.Errorf("%s: %d-worker run diverged from 2-worker run", id, w)
+		base, bst, viol := engineRun(t, id, 3, 8*sim.Second, 1, true, nil)
+		for _, v := range viol {
+			t.Errorf("%s: invariant violated: %s", id, v)
+		}
+		if bst.ShardSteps == 0 || bst.ShardSteps >= uint64(bst.Shards)*bst.Windows {
+			t.Errorf("%s: %d shard steps over %d windows of %d shards: no window skipped an idle shard",
+				id, bst.ShardSteps, bst.Windows, bst.Shards)
+		}
+		for _, w := range []int{2, 3, 8} {
+			got, st, viol := engineRun(t, id, 3, 8*sim.Second, w, true, nil)
+			if got != base {
+				t.Errorf("%s: %d-worker run diverged from 1-worker run", id, w)
 			}
+			if st.Windows != bst.Windows || st.ShardSteps != bst.ShardSteps || st.HandoffsRecv != bst.HandoffsRecv {
+				t.Errorf("%s: %d workers ran %d windows / %d shard steps / %d handoffs, 1 worker %d / %d / %d", id, w,
+					st.Windows, st.ShardSteps, st.HandoffsRecv, bst.Windows, bst.ShardSteps, bst.HandoffsRecv)
+			}
+			for _, v := range viol {
+				t.Errorf("%s at %d workers: invariant violated: %s", id, w, v)
+			}
+		}
+		// The RunCtx path the CLIs take is the same universe.
+		if got := shortRun(t, shardedCtx(2), id, 3, 8*sim.Second); got != base {
+			t.Errorf("%s: RunCtx at -engineworkers 2 diverged from engine.Run", id)
+		}
+	}
+}
+
+// With a single processor the coordinator and its helper can only take
+// turns, so a barrier that waited by spinning would never end. The full
+// preset completes and is the run any other processor count gives.
+func TestRunCompletesOnOneProcessor(t *testing.T) {
+	want := shortRun(t, shardedCtx(2), "wireless", 1, 120*sim.Second)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if got := shortRun(t, shardedCtx(2), "wireless", 1, 120*sim.Second); got != want {
+		t.Error("wireless at -engineworkers 2 under GOMAXPROCS(1) diverged from the multi-processor run")
+	}
+}
+
+// A panic inside a shard of a real run — here the network's drop hook,
+// called from whichever goroutine steps the bottleneck's region — comes
+// out of engine.Run on the calling goroutine, so a sweep over seeds
+// records it as that seed's error and carries on.
+func TestShardPanicBecomesSeedError(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		_, errs := sweep.RunRaw(sweep.Config{Seeds: 2, Workers: 1, Base: 1}, func(_ int, seed int64) []*stats.Series {
+			engineRun(t, "wireless", seed, 8*sim.Second, workers, false, func(env scenario.Env) {
+				if seed == 2 {
+					env.Net.DropHook = func(*simnet.Link, *simnet.Packet) { panic("queue drop hook blew up") }
+				}
+			})
+			return nil
+		})
+		if len(errs) != 1 || errs[0].Seed != 2 || !strings.Contains(errs[0].Msg, "drop hook blew up") {
+			t.Errorf("%d workers: sweep recorded %v, want the drop hook's panic against seed 2", workers, errs)
 		}
 	}
 }

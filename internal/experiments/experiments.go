@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/engine"
 	"repro/internal/invariant"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -243,9 +244,10 @@ func (c *RunCtx) harvestRecovery(s *tfmcc.Sender) {
 // context totals. Called by RunSpecErr right after engine.Run; the window
 // counters are wall-structure diagnostics (they depend on -check ticks
 // clipping windows), so reports strip them and only history records them.
-func (c *RunCtx) noteEngineRun(windows uint64, windowNS sim.Time) {
-	c.stats.Windows += windows
-	c.stats.WindowNS += windowNS
+func (c *RunCtx) noteEngineRun(st engine.Stats) {
+	c.stats.Windows += st.Windows
+	c.stats.WindowNS += st.WindowNS
+	c.stats.ShardSteps += st.ShardSteps
 }
 
 // ResetStats zeroes the accumulated engine counters and violations.
@@ -532,14 +534,16 @@ type EngineStats struct {
 	HandoffsRecv  uint64                       // cross-region packets drained into destinations
 
 	// Batch-dispatch diagnostics. Batches counts dispatch batches across
-	// every scheduler (mean occupancy = Events/Batches); Windows and
-	// WindowNS describe the region-parallel window schedule. All three
-	// vary with -check (checker ticks add events and clip windows), so the
-	// deterministic report form strips them — benchdiff history is where
-	// they surface.
-	Batches  uint64   // dispatch batches executed (0 when batching is off)
-	Windows  uint64   // region-parallel synchronization windows
-	WindowNS sim.Time // summed window widths
+	// every scheduler (mean occupancy = Events/Batches); Windows,
+	// WindowNS and ShardSteps describe the region-parallel window
+	// schedule (mean busy shards per window = ShardSteps/Windows). All
+	// four vary with -check (checker ticks add events and clip windows),
+	// so the deterministic report form strips them — benchdiff history is
+	// where they surface.
+	Batches    uint64   // dispatch batches executed (0 when batching is off)
+	Windows    uint64   // region-parallel synchronization windows
+	WindowNS   sim.Time // summed window widths
+	ShardSteps uint64   // summed per-window counts of shards that had an event due
 }
 
 // Add folds another stats sample into s.
@@ -571,4 +575,5 @@ func (s *EngineStats) Add(o EngineStats) {
 	s.Batches += o.Batches
 	s.Windows += o.Windows
 	s.WindowNS += o.WindowNS
+	s.ShardSteps += o.ShardSteps
 }

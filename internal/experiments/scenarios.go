@@ -37,7 +37,7 @@ func (c *RunCtx) runScenario(spec *scenario.Spec, seed int64) *scenario.Scenario
 	if w := c.engineWorkers; w >= 2 {
 		sc, st, err := engine.Run(c.ScenarioEnv(seed), spec, seed, w)
 		if err == nil {
-			c.noteEngineRun(st.Windows, st.WindowNS)
+			c.noteEngineRun(st)
 		}
 		return mustScenario(sc, err)
 	}
@@ -67,7 +67,7 @@ func RunSpecErr(c *RunCtx, id string, spec *scenario.Spec, seed int64) (*Result,
 		var st engine.Stats
 		sc, st, err = engine.Run(c.ScenarioEnv(seed), spec, seed, w)
 		if err == nil {
-			c.noteEngineRun(st.Windows, st.WindowNS)
+			c.noteEngineRun(st)
 		}
 	} else {
 		sc, err = scenario.Run(c.ScenarioEnv(seed), spec)

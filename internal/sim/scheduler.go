@@ -419,6 +419,17 @@ func (s *Scheduler) RunUntil(t Time) {
 	s.runBound = s.now
 }
 
+// AdvanceTo moves the clock to t without dispatching anything. It is
+// RunUntil(t) for a caller that has just learnt from PeekTime that no
+// live event is due at or before t — the region engine's idle shards —
+// and leaves the scheduler in exactly the state RunUntil would have.
+func (s *Scheduler) AdvanceTo(t Time) {
+	if s.now < t {
+		s.now = t
+	}
+	s.runBound = s.now
+}
+
 // RunUntilBatch is the burst-dispatch form of RunUntil: it pops the
 // maximal run of same-timestamp entries in one heap pass and dispatches
 // them as a slice, re-checking each entry's generation at dispatch time

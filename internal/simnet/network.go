@@ -107,7 +107,6 @@ type Network struct {
 	shards   []*shardCtx
 	outbox   [][]handoff // K*K slices indexed src*K+dst
 	handRecv uint64
-	drainBuf []handoff
 	treeMu   sync.Mutex // serialises shared mcast-tree compilation
 	hints    map[NodeID]int32
 
@@ -338,7 +337,7 @@ func (n *Network) Reset() bool {
 			}
 		}
 		n.sharded = false
-		n.shards, n.outbox, n.drainBuf = nil, nil, nil
+		n.shards, n.outbox = nil, nil
 		n.shardOf = n.shardOf[:0]
 		n.handRecv = 0
 	}

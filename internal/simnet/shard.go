@@ -1,11 +1,6 @@
 package simnet
 
-import (
-	"cmp"
-	"slices"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // Sharded (region-parallel) execution support.
 //
@@ -33,10 +28,12 @@ type shardCtx struct {
 	// control thread while the shard is quiesced at a barrier).
 	faults FaultStats
 
-	// sent/seq: handoffs pushed by this shard and the per-source sequence
-	// number used for the deterministic (time, src region, seq) tie-break.
-	sent uint64
-	seq  uint64
+	// sent counts the handoffs this shard pushed; dirty lists the
+	// destinations whose outbox it made non-empty since the last drain, so
+	// a barrier visits only the outboxes that hold something. Both are
+	// written by the pushing shard alone.
+	sent  uint64
+	dirty []int32
 
 	// Shard-local mirror of the network's compiled multicast trees,
 	// invalidated by topology version. Compilation of a missing tree goes
@@ -113,8 +110,6 @@ type handoff struct {
 	at  sim.Time
 	l   *Link
 	pkt *Packet
-	src int32
-	seq uint64
 }
 
 // ShardSetup binds one region to its scheduler and RNG streams.
@@ -216,45 +211,46 @@ func (n *Network) ProtoRandFor(id NodeID, fallback *sim.Rand) *sim.Rand {
 func (n *Network) pushHandoff(l *Link, at sim.Time, pkt *Packet) {
 	sc := n.shards[l.shard]
 	sc.sent++
-	sc.seq++
-	box := int(l.shard)*len(n.shards) + int(l.crossTo)
-	n.outbox[box] = append(n.outbox[box], handoff{at: at, l: l, pkt: pkt, src: l.shard, seq: sc.seq})
+	box := &n.outbox[int(l.shard)*len(n.shards)+int(l.crossTo)]
+	if len(*box) == 0 {
+		sc.dirty = append(sc.dirty, l.crossTo)
+	}
+	*box = append(*box, handoff{at: at, l: l, pkt: pkt})
 }
 
 // DrainHandoffs moves every queued cross-region packet into its
-// destination shard's scheduler. Within a destination, handoffs are
-// ordered by (arrival time, source region, per-source sequence) so the
-// schedule — and therefore all downstream tie-breaks — is independent of
-// the worker count. Must be called at a barrier (all shards quiesced).
-// It returns the number of handoffs moved.
+// destination shard's scheduler and returns how many it moved. Must be
+// called at a barrier (all shards quiesced).
+//
+// Within a destination, handoffs dispatch in (arrival time, source
+// region, per-source push order), which depends on the topology and the
+// seed alone, never on the worker count. No sort is needed to get there:
+// a scheduler breaks ties on one instant by schedule order, an outbox
+// holds its source's pushes in push order, and the walk below reaches the
+// outboxes of one destination in ascending source order — so scheduling
+// them as found gives the scheduler exactly that key.
+// (TestDrainOrderMatchesSortedReference pins it against the explicit
+// sort this replaced.) Only outboxes written since the last drain are
+// visited, and each is cleared as soon as it is scheduled so a parked
+// backing array never pins packets or links.
 func (n *Network) DrainHandoffs() int {
 	k := len(n.shards)
 	moved := 0
-	for dst := 0; dst < k; dst++ {
-		buf := n.drainBuf[:0]
-		for src := 0; src < k; src++ {
-			box := src*k + dst
-			buf = append(buf, n.outbox[box]...)
-			// Drop packet references so the parked slice doesn't pin them.
-			clear(n.outbox[box])
-			n.outbox[box] = n.outbox[box][:0]
+	for src, sc := range n.shards {
+		for _, dst := range sc.dirty {
+			box := &n.outbox[src*k+int(dst)]
+			sched := n.shards[dst].sched
+			for i := range *box {
+				h := &(*box)[i]
+				sched.AtArg(h.at, h.l.deliverFn, h.pkt)
+			}
+			moved += len(*box)
+			clear(*box)
+			*box = (*box)[:0]
 		}
-		slices.SortFunc(buf, func(a, b handoff) int {
-			return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.src, b.src), cmp.Compare(a.seq, b.seq))
-		})
-		sched := n.shards[dst].sched
-		for i := range buf {
-			h := &buf[i]
-			sched.AtArg(h.at, h.l.deliverFn, h.pkt)
-		}
-		n.handRecv += uint64(len(buf))
-		moved += len(buf)
-		n.drainBuf = buf
+		sc.dirty = sc.dirty[:0]
 	}
-	if n.drainBuf != nil {
-		clear(n.drainBuf)
-		n.drainBuf = n.drainBuf[:0]
-	}
+	n.handRecv += uint64(moved)
 	return moved
 }
 
