@@ -1,0 +1,199 @@
+package experiments
+
+import (
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"os"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/scenario"
+	"repro/internal/sim"
+)
+
+// The golden ledger pins what "these bytes do not move" means: one row
+// per registry entry at seed 1 — the sha256 of Result.TSV() and the
+// run's deterministic engine counters — plus a second universe of rows
+// on the region-parallel engine. A PR that changes a row on purpose
+// regenerates the file with
+//
+//	go test ./internal/experiments -run TestGoldenLedger -update
+//
+// and says why in CHANGES.md; nothing but this test reads the flag.
+var updateLedger = flag.Bool("update", false, "rewrite testdata/golden.sums from this run instead of comparing against it")
+
+const ledgerPath = "testdata/golden.sums"
+
+const ledgerHeader = `# Golden ledger: sha256 of Result.TSV() and the deterministic engine
+# counters of every registry entry at seed 1, invariant checker off.
+# Verified by TestGoldenLedger; regenerate only with
+#   go test ./internal/experiments -run TestGoldenLedger -update
+# and a CHANGES.md line saying why the bytes moved.
+#
+# universe "serial" is the default engine, "ew2" is SetEngineWorkers(2)
+# (its own deterministic universe, invariant in the worker count).
+# Every entry runs in full — figures 7 and 13 included, they have no
+# duration knob — except figure 12, which costs 2.6 s in full and is
+# pinned as its spec under a Duration override ("12@40s" = 40 simulated
+# seconds through the generic spec runner) in both universes.
+#
+# universe	id	sha256(tsv)	events	packets_sent	packets_delivered
+`
+
+// ledgerRow identifies one run of the ledger. A zero dur runs the
+// registry entry's own runner; otherwise the entry's spec runs for dur
+// through RunOverridden.
+type ledgerRow struct {
+	universe string // "serial" or "ew2"
+	entry    string
+	dur      sim.Time
+}
+
+func (r ledgerRow) id() string {
+	if r.dur > 0 {
+		return fmt.Sprintf("%s@%.0fs", r.entry, r.dur.Seconds())
+	}
+	return r.entry
+}
+
+func (r ledgerRow) key() string { return r.universe + "\t" + r.id() }
+
+// run executes the row on a fresh context and renders its ledger fields.
+func (r ledgerRow) run() (string, error) {
+	ctx := NewRunCtx()
+	if r.universe == "ew2" {
+		ctx.SetEngineWorkers(2)
+	}
+	var res *Result
+	var err error
+	if r.dur > 0 {
+		ov := scenario.None()
+		ov.Duration = r.dur
+		res, err = RunOverridden(ctx, r.entry, ov, 1)
+	} else {
+		res, err = RunWith(ctx, r.entry, 1)
+	}
+	if err != nil {
+		return "", err
+	}
+	st := ctx.Stats()
+	return fmt.Sprintf("%x\t%d\t%d\t%d", sha256.Sum256([]byte(res.TSV())),
+		st.Events, st.PacketsSent, st.PacketsDelivered), nil
+}
+
+// ledgerRows enumerates the ledger in file order: the whole registry on
+// the serial engine, then the sharded universe's subset.
+func ledgerRows() []ledgerRow {
+	const short12 = 40 * sim.Second
+	var rows []ledgerRow
+	for _, e := range Entries() {
+		row := ledgerRow{universe: "serial", entry: e.ID}
+		if e.ID == "12" {
+			row.dur = short12
+		}
+		rows = append(rows, row)
+	}
+	for _, id := range []string{"wireless", "chainloss", "deeptree", "flashcrowd"} {
+		rows = append(rows, ledgerRow{universe: "ew2", entry: id})
+	}
+	return append(rows, ledgerRow{universe: "ew2", entry: "12", dur: short12})
+}
+
+// readLedger parses the committed file into key -> fields.
+func readLedger(t *testing.T) map[string]string {
+	raw, err := os.ReadFile(ledgerPath)
+	if os.IsNotExist(err) && *updateLedger {
+		return map[string]string{}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		f := strings.SplitN(line, "\t", 3)
+		if len(f) != 3 {
+			t.Fatalf("%s: malformed row %q", ledgerPath, line)
+		}
+		want[f[0]+"\t"+f[1]] = f[2]
+	}
+	return want
+}
+
+// TestGoldenLedger runs every ledger row and requires the committed
+// fields; rows are independent runs on their own contexts, so they run
+// in parallel. Subtests are named <universe>/<id>, so CI's race job can
+// select the sharded rows alone (-run TestGoldenLedger/ew2).
+func TestGoldenLedger(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the whole registry")
+	}
+	want := readLedger(t)
+	rows := ledgerRows()
+	if !*updateLedger {
+		known := map[string]bool{}
+		for _, r := range rows {
+			known[r.key()] = true
+		}
+		for k := range want {
+			if !known[k] {
+				t.Errorf("ledger row %q has no registry entry behind it; rerun with -update", k)
+			}
+		}
+	}
+	var mu sync.Mutex
+	got := map[string]string{}
+	for _, universe := range []string{"serial", "ew2"} {
+		t.Run(universe, func(t *testing.T) {
+			for _, r := range rows {
+				if r.universe != universe {
+					continue
+				}
+				t.Run(r.id(), func(t *testing.T) {
+					t.Parallel()
+					fields, err := r.run()
+					if err != nil {
+						t.Fatal(err)
+					}
+					mu.Lock()
+					got[r.key()] = fields
+					mu.Unlock()
+					if *updateLedger {
+						return
+					}
+					switch w, ok := want[r.key()]; {
+					case !ok:
+						t.Errorf("no ledger row; rerun with -update and say why in CHANGES.md\n got: %s", fields)
+					case w != fields:
+						t.Errorf("ledger row moved (sha256, events, packets sent, delivered); if intended, rerun with -update and say why in CHANGES.md\nwant: %s\n got: %s", w, fields)
+					}
+				})
+			}
+		})
+	}
+	if !*updateLedger {
+		return
+	}
+	// Rows a -run filter skipped keep their committed fields.
+	var b strings.Builder
+	b.WriteString(ledgerHeader)
+	for _, r := range rows {
+		fields, ok := got[r.key()]
+		if !ok {
+			if fields, ok = want[r.key()]; !ok {
+				continue
+			}
+		}
+		fmt.Fprintf(&b, "%s\t%s\n", r.key(), fields)
+	}
+	if err := os.MkdirAll("testdata", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(ledgerPath, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
