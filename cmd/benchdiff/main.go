@@ -1,7 +1,9 @@
-// Command benchdiff is the CI bench-regression gate: it compares a fresh
-// BENCH_engine.json against the committed baseline and fails when an
-// engine (non-analytic) scenario's ns/event or allocs/event regressed by
-// more than the tolerance.
+// Command benchdiff is the CI bench gate: it compares a fresh
+// BENCH_engine.json against the committed baseline on what the report is
+// exact about and fails when an engine (non-analytic) scenario's
+// allocs/event regressed by more than the tolerance, or — the two
+// reports having swept the same seeds — its event or packet counters
+// differ from the baseline at all.
 //
 // Usage:
 //
@@ -11,8 +13,9 @@
 // Analytic figures never drive the engine, so they carry no per-event
 // rates and are exempt. On sharded (-engineworkers) measurements the
 // cross-region conservation identities are re-checked with zero
-// tolerance. Exit status is 1 when any gated metric regressed beyond
-// -max-regress, 0 otherwise.
+// tolerance. ns/event is not gated — timing claims are bench/'s paired
+// method's job — it only feeds the -history trend. Exit status is 1 when
+// any gated quantity failed, 0 otherwise.
 //
 // -history appends the fresh report's per-scenario ns/event and total
 // wall clock as one JSON line to the given file (a run log CI restores
@@ -34,7 +37,7 @@ import (
 func main() {
 	basePath := flag.String("baseline", "BENCH_engine.json", "committed baseline report")
 	newPath := flag.String("new", "", "freshly measured report to gate")
-	tol := flag.Float64("max-regress", 0.15, "maximum allowed relative regression (0.15 = 15%)")
+	tol := flag.Float64("max-regress", 0.15, "maximum allowed relative allocs/event regression (0.15 = 15%)")
 	history := flag.String("history", "", "append this run's per-scenario ns/event and wall clock to the JSONL file and print a last-5-run trend")
 	summary := flag.String("summary", "", "with -history: write the trend as a markdown table to this file (e.g. $GITHUB_STEP_SUMMARY)")
 	flag.Parse()
@@ -65,11 +68,11 @@ func main() {
 		}
 	}
 	if len(regs) == 0 {
-		fmt.Fprintf(os.Stderr, "benchdiff: no regressions beyond %.0f%% (%d scenarios gated)\n",
+		fmt.Fprintf(os.Stderr, "benchdiff: no counter drift, no broken identity, no allocs/event regression beyond %.0f%% (%d scenarios gated)\n",
 			*tol*100, gated(fresh))
 		return
 	}
-	fmt.Fprintf(os.Stderr, "benchdiff: %d metric(s) regressed beyond %.0f%%:\n", len(regs), *tol*100)
+	fmt.Fprintf(os.Stderr, "benchdiff: %d gated quantity(ies) failed (allocs/event beyond %.0f%%, or an exact counter or identity):\n", len(regs), *tol*100)
 	for _, r := range regs {
 		fmt.Fprintf(os.Stderr, "  %s\n", r)
 	}

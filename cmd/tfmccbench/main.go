@@ -55,11 +55,8 @@ func main() {
 	seeds := flag.Int("seeds", 3, "independent seeds per scenario")
 	workers := flag.Int("workers", min(4, runtime.NumCPU()), "parallel sweep workers")
 	engineWorkers := flag.Int("engineworkers", 0, "run scenario-spec figures on the region-parallel engine with this many goroutines per run (>= 2; 0 or 1 = serial)")
-	batch := flag.Bool("batch", true, "burst event dispatch: pop and dispatch same-timestamp event runs in one heap pass (output is byte-identical either way)")
-	nOld := flag.Int("n", 0, "deprecated alias for -seeds")
 	list := flag.Bool("list", false, "list the bench plan (ids, tags, cost weights) and exit")
 	only := flag.String("only", "", "comma-separated scenario ids to run (default: all)")
-	figures := flag.String("figures", "", "deprecated alias for -only")
 	session := flag.Bool("session", true, "include the 100-receiver session micro-scenario")
 	shard := flag.String("shard", "", "run shard i/N of the plan (e.g. 2/3)")
 	seedshard := flag.String("seedshard", "", "run the whole plan over seed sub-range i/N (e.g. 2/3)")
@@ -69,12 +66,6 @@ func main() {
 	summary := flag.String("summary", "", "with -merge: append a per-fragment wall-clock markdown table to this file")
 	out := flag.String("o", "", "output file ('-' for stdout; default BENCH_engine.json, or the shard fragment name)")
 	flag.Parse()
-	if *nOld > 0 {
-		*seeds = *nOld
-	}
-	if *only == "" {
-		*only = *figures
-	}
 
 	if *merge {
 		runMerge(flag.Args(), *det, *out, *summary)
@@ -104,7 +95,7 @@ func main() {
 	items := plan
 	opt := benchreport.Options{
 		Seeds: *seeds, Workers: *workers, Check: *check,
-		EngineWorkers: *engineWorkers, NoBatch: !*batch,
+		EngineWorkers: *engineWorkers,
 	}
 	var shardSpec, fragName string
 	if *shard != "" {

@@ -37,7 +37,6 @@ func main() {
 	run := flag.String("run", "", "run one hypothesis by suite id or JSON document path")
 	workers := flag.Int("workers", min(4, runtime.NumCPU()), "parallel sweep workers per hypothesis")
 	engineW := flag.Int("engineworkers", 0, "judge workloads on the region-parallel engine with this many goroutines per run (>= 2; 0 or 1 = serial)")
-	batch := flag.Bool("batch", true, "burst event dispatch: pop and dispatch same-timestamp event runs in one heap pass (output is byte-identical either way)")
 	asJSON := flag.Bool("json", false, "emit verdicts as JSON instead of text reports")
 	summary := flag.String("summary", "", "append a markdown verdict table to this file")
 	flag.Parse()
@@ -66,10 +65,10 @@ func main() {
 					*run, strings.Join(hypothesis.SuiteIDs(), ", "), err)
 			}
 		}
-		verdicts := judge([]*hypothesis.Hypothesis{h}, *workers, *engineW, *batch, *asJSON)
+		verdicts := judge([]*hypothesis.Hypothesis{h}, *workers, *engineW, *asJSON)
 		finish(verdicts, *summary, *asJSON)
 	case *suite:
-		verdicts := judge(hypothesis.Suite(), *workers, *engineW, *batch, *asJSON)
+		verdicts := judge(hypothesis.Suite(), *workers, *engineW, *asJSON)
 		finish(verdicts, *summary, *asJSON)
 	default:
 		flag.Usage()
@@ -77,10 +76,10 @@ func main() {
 	}
 }
 
-func judge(hs []*hypothesis.Hypothesis, workers, engineW int, batch, asJSON bool) []*hypothesis.Verdict {
+func judge(hs []*hypothesis.Hypothesis, workers, engineW int, asJSON bool) []*hypothesis.Verdict {
 	var out []*hypothesis.Verdict
 	for _, h := range hs {
-		v, err := hypothesis.Run(h, hypothesis.Options{Workers: workers, EngineWorkers: engineW, NoBatch: !batch})
+		v, err := hypothesis.Run(h, hypothesis.Options{Workers: workers, EngineWorkers: engineW})
 		if err != nil {
 			fatalf("%s: %v", h.ID, err)
 		}

@@ -43,6 +43,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"strings"
@@ -70,7 +71,6 @@ func main() {
 		ci       = flag.Float64("ci", 0.95, "confidence level for the merged bands")
 		check    = flag.Bool("check", false, "run the invariant checker alongside the simulation; exit 1 on violations")
 		engineW  = flag.Int("engineworkers", 0, "run scenario-spec simulations on the region-parallel engine with this many goroutines (>= 2; 0 or 1 = serial)")
-		batch    = flag.Bool("batch", true, "burst event dispatch: pop and dispatch same-timestamp event runs in one heap pass (output is byte-identical either way)")
 
 		duration  = flag.Float64("duration", 0, "override: simulated seconds")
 		corebw    = flag.Float64("corebw", 0, "override: core link bandwidth in Mbit/s")
@@ -86,6 +86,16 @@ func main() {
 	)
 	flag.Parse()
 
+	// The two flags converted to integer sim.Time must be finite before
+	// the conversion; every other range check is Spec.Apply's.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"-duration", *duration}, {"-coredelay", *coredelay}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			fail(fmt.Errorf("%s %v: not a finite number", f.name, f.v))
+		}
+	}
 	ov := scenario.Overrides{
 		Duration:  sim.FromSeconds(*duration),
 		CoreBW:    *corebw * 125000,
@@ -99,6 +109,42 @@ func main() {
 		Depth:     *depth,
 		Hops:      *hops,
 	}
+	// once runs one single-seed simulation on a fresh context and prints
+	// it, exiting 1 on an error or an invariant violation.
+	once := func(run func(*experiments.RunCtx) (*experiments.Result, error)) {
+		ctx := experiments.NewRunCtx()
+		ctx.SetEngineWorkers(*engineW)
+		if *check {
+			ctx.EnableInvariants()
+		}
+		res, err := run(ctx)
+		if err != nil {
+			fail(err)
+		}
+		emit(res, *tsv)
+		var violations []string
+		for _, v := range ctx.Violations() {
+			violations = append(violations, v.String())
+		}
+		reportViolations(violations, nil)
+	}
+	figureRun := func(id string) {
+		if *seeds > 1 {
+			res, err := experiments.Sweep(id, sweep.Config{
+				Seeds: *seeds, Workers: *workers, CI: *ci, Base: *seed, Check: *check,
+				EngineWorkers: *engineW,
+			})
+			if err != nil {
+				fail(err)
+			}
+			emit(res, *tsv)
+			reportViolations(res.Violations, res.Failures)
+			return
+		}
+		once(func(ctx *experiments.RunCtx) (*experiments.Result, error) {
+			return experiments.RunWith(ctx, id, *seed)
+		})
+	}
 
 	switch {
 	case *list:
@@ -107,105 +153,56 @@ func main() {
 				e.ID, "["+strings.Join(e.Tags, ",")+"]", e.Cost, e.Title)
 		}
 	case *hyp != "":
-		judge(*hyp, *workers, *engineW, !*batch)
+		judge(*hyp, *workers, *engineW)
 	case *scenFile != "":
 		spec, err := scenario.LoadSpec(*scenFile)
 		if err == nil {
 			spec, err = spec.Apply(ov)
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fail(err)
 		}
-		ctx := experiments.NewRunCtx()
-		ctx.SetEngineWorkers(*engineW)
-		ctx.SetBatching(*batch)
-		if *check {
-			ctx.EnableInvariants()
-		}
-		res, err := experiments.RunSpecKeyed(ctx, "file-"+*scenFile, spec, *seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if *tsv {
-			fmt.Print(res.TSV())
-		} else {
-			fmt.Print(res.Summary())
-		}
-		reportViolations(violationStrings(ctx), nil)
+		once(func(ctx *experiments.RunCtx) (*experiments.Result, error) {
+			return experiments.RunSpecKeyed(ctx, "file-"+*scenFile, spec, *seed)
+		})
 	case *scen != "" && *specOut != "":
 		writeSpec(*scen, ov, *specOut)
 	case *scen != "":
-		ctx := experiments.NewRunCtx()
-		ctx.SetEngineWorkers(*engineW)
-		ctx.SetBatching(*batch)
-		if *check {
-			ctx.EnableInvariants()
-		}
-		res, err := experiments.RunOverridden(ctx, *scen, ov, *seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if *tsv {
-			fmt.Print(res.TSV())
-		} else {
-			fmt.Print(res.Summary())
-		}
-		reportViolations(violationStrings(ctx), nil)
+		once(func(ctx *experiments.RunCtx) (*experiments.Result, error) {
+			return experiments.RunOverridden(ctx, *scen, ov, *seed)
+		})
 	case *all:
 		for _, id := range experiments.Figures() {
-			run(id, *seed, *seeds, *workers, *engineW, *ci, *tsv, *check, *batch)
+			figureRun(id)
 		}
 	case *figure != "":
-		run(*figure, *seed, *seeds, *workers, *engineW, *ci, *tsv, *check, *batch)
+		figureRun(*figure)
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
 }
 
-func run(id string, seed int64, seeds, workers, engineW int, ci float64, tsv, check, batch bool) {
-	if seeds > 1 {
-		res, err := experiments.Sweep(id, sweep.Config{
-			Seeds: seeds, Workers: workers, CI: ci, Base: seed, Check: check,
-			EngineWorkers: engineW, NoBatch: !batch,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if tsv {
-			fmt.Print(res.TSV())
-		} else {
-			fmt.Print(res.Summary())
-		}
-		reportViolations(res.Violations, res.Failures)
-		return
-	}
-	ctx := experiments.NewRunCtx()
-	ctx.SetEngineWorkers(engineW)
-	ctx.SetBatching(batch)
-	if check {
-		ctx.EnableInvariants()
-	}
-	res, err := experiments.RunWith(ctx, id, seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(1)
+}
+
+// emit prints a single run's or a sweep's result in the selected form.
+func emit(res interface {
+	TSV() string
+	Summary() string
+}, tsv bool) {
 	if tsv {
 		fmt.Print(res.TSV())
 	} else {
 		fmt.Print(res.Summary())
 	}
-	reportViolations(violationStrings(ctx), nil)
 }
 
 // judge resolves a hypothesis — a committed-suite id or a JSON document
 // path — runs it and exits 1 when any expectation fails.
-func judge(ref string, workers, engineW int, noBatch bool) {
+func judge(ref string, workers, engineW int) {
 	h, ok := hypothesis.ByID(ref)
 	if !ok {
 		var err error
@@ -216,10 +213,9 @@ func judge(ref string, workers, engineW int, noBatch bool) {
 			os.Exit(1)
 		}
 	}
-	v, err := hypothesis.Run(h, hypothesis.Options{Workers: workers, EngineWorkers: engineW, NoBatch: noBatch})
+	v, err := hypothesis.Run(h, hypothesis.Options{Workers: workers, EngineWorkers: engineW})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fail(err)
 	}
 	fmt.Print(v.Report())
 	if !v.Pass {
@@ -247,17 +243,8 @@ func writeSpec(id string, ov scenario.Overrides, path string) {
 		}
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fail(err)
 	}
-}
-
-func violationStrings(ctx *experiments.RunCtx) []string {
-	var out []string
-	for _, v := range ctx.Violations() {
-		out = append(out, v.String())
-	}
-	return out
 }
 
 // reportViolations surfaces invariant violations and failed (panicked)

@@ -284,7 +284,7 @@ func measure(t *testing.T, shard, n int) *Report {
 			t.Fatal(err)
 		}
 	}
-	rep := Measure(items, plan, 2, 1, io.Discard)
+	rep := MeasureOpts(items, plan, Options{Seeds: 2, Workers: 1}, io.Discard)
 	if n > 0 {
 		rep.Shard = fmt.Sprintf("%d/%d", shard, n)
 	}
@@ -375,37 +375,66 @@ func TestMergeValidation(t *testing.T) {
 }
 
 func TestCompareGatesRegressions(t *testing.T) {
-	mk := func(ns, allocs float64) *Report {
-		return &Report{Scenarios: []Metrics{
-			{ID: "figure9", NSPerEvent: ns, AllocsPerEvt: allocs},
-			{ID: "figure1", Analytic: true, WallNS: 1},
+	mk := func(events uint64, allocs float64) *Report {
+		return &Report{Seeds: 4, Scenarios: []Metrics{
+			{ID: "figure9", Runs: 4, Events: events, PacketsSent: 700, PacketsDeliv: 690,
+				NSPerEvent: 100, AllocsPerEvt: allocs},
+			{ID: "figure1", Runs: 4, Analytic: true, WallNS: 1},
 		}}
 	}
-	base := mk(100, 0.010)
-	if regs, _ := Compare(base, mk(110, 0.011), 0.15); len(regs) != 0 {
-		t.Fatalf("10%% drift gated: %v", regs)
+	base := mk(1000, 0.010)
+	if regs, _ := Compare(base, mk(1000, 0.011), 0.15); len(regs) != 0 {
+		t.Fatalf("10%% allocs/event drift gated: %v", regs)
 	}
-	regs, _ := Compare(base, mk(120, 0.012), 0.15)
-	if len(regs) != 2 {
-		t.Fatalf("20%% regression not gated on both metrics: %v", regs)
+	if regs, _ := Compare(base, mk(1000, 0.012), 0.15); len(regs) != 1 || regs[0].Metric != "allocs/event" {
+		t.Fatalf("20%% allocs/event regression not gated: %v", regs)
+	}
+	// The baseline is a counter ledger: one event, or one packet, of drift
+	// over the same seeds fails, in either direction.
+	for _, events := range []uint64{999, 1001} {
+		regs, _ := Compare(base, mk(events, 0.010), 0.15)
+		if len(regs) != 1 || regs[0].ID != "figure9" || regs[0].Metric != "events drift" {
+			t.Fatalf("%d events against a baseline of 1000 not gated: %v", events, regs)
+		}
+	}
+	pkts := mk(1000, 0.010)
+	pkts.Scenarios[0].PacketsSent++
+	pkts.Scenarios[0].PacketsDeliv--
+	if regs, _ := Compare(base, pkts, 0.15); len(regs) != 2 {
+		t.Fatalf("packet counter drift not gated on both counters: %v", regs)
+	}
+	// Other seeds (count, base) or another engine are another universe:
+	// counters are not comparable, which is a note, not a failure.
+	for name, mut := range map[string]func(*Report){
+		"seed count": func(r *Report) { r.Scenarios[0].Runs = 2 },
+		"seed base":  func(r *Report) { r.SeedBase = 5 },
+		"engine":     func(r *Report) { r.Scenarios[0].EngineShards = 2; r.Scenarios[0].ControlEvents = 500 },
+	} {
+		other := mk(500, 0.010)
+		mut(other)
+		regs, notes := Compare(base, other, 0.15)
+		if len(regs) != 0 || len(notes) == 0 {
+			t.Fatalf("different %s: want a note and no regression, got %v / %v", name, regs, notes)
+		}
 	}
 	// Analytic figures are exempt however much their wall time moves.
-	slow := mk(100, 0.010)
+	slow := mk(1000, 0.010)
 	slow.Scenarios[1].WallNS = 1e12
 	if regs, _ := Compare(base, slow, 0.15); len(regs) != 0 {
 		t.Fatalf("analytic figure gated: %v", regs)
 	}
 	// A scenario missing on either side is a note, not a silent pass.
-	missing := &Report{Scenarios: []Metrics{{ID: "figure9", NSPerEvent: 100, AllocsPerEvt: 0.01}}}
+	missing := &Report{Scenarios: []Metrics{base.Scenarios[0]}}
 	if _, notes := Compare(base, missing, 0.15); len(notes) == 0 {
 		t.Fatal("missing scenario must be noted")
 	}
 }
 
-// TestCompareNormalizesMachineSpeed: with enough scenarios the ns gate is
-// relative to the suite-wide median ratio, so a uniformly slower CI
-// runner does not fail the build, while one scenario regressing against
-// the rest still does. allocs/event stays an absolute gate.
+// TestCompareNormalizesMachineSpeed: Compare's verdict does not depend
+// on the machine. Wall-clock rates are not gated at all — neither a
+// uniformly slower runner nor one scenario that is slower than the rest
+// fails (bench/ is the timing authority) — while allocs/event, which is
+// machine-independent, stays an absolute gate.
 func TestCompareNormalizesMachineSpeed(t *testing.T) {
 	mk := func(scale float64, slowOne bool) *Report {
 		r := &Report{}
@@ -415,24 +444,18 @@ func TestCompareNormalizesMachineSpeed(t *testing.T) {
 				ns *= 1.4
 			}
 			r.Scenarios = append(r.Scenarios, Metrics{
-				ID: fmt.Sprintf("figure%d", 9+i), NSPerEvent: ns, AllocsPerEvt: 0.01,
+				ID: fmt.Sprintf("figure%d", 9+i), Runs: 4, Events: 1000, NSPerEvent: ns, AllocsPerEvt: 0.01,
 			})
 		}
 		return r
 	}
 	base := mk(1, false)
-	// Whole suite 2x slower (different machine): no ns regression gated.
-	if regs, _ := Compare(base, mk(2, false), 0.15); len(regs) != 0 {
-		t.Fatalf("uniform machine slowdown gated: %v", regs)
+	for _, fresh := range []*Report{mk(2, false), mk(2, true), mk(0.5, true)} {
+		if regs, _ := Compare(base, fresh, 0.15); len(regs) != 0 {
+			t.Fatalf("ns/event gated: %v", regs)
+		}
 	}
-	// Same slow machine, but one scenario regressed 40% beyond the rest.
-	regs, _ := Compare(base, mk(2, true), 0.15)
-	if len(regs) != 1 || regs[0].ID != "figure9" || regs[0].Metric != "ns/event" {
-		t.Fatalf("relative ns regression not gated: %v", regs)
-	}
-	// allocs/event is machine-independent: raw 20% regression gates even
-	// though ns is uniform.
-	worse := mk(1, false)
+	worse := mk(2, false)
 	for i := range worse.Scenarios {
 		worse.Scenarios[i].AllocsPerEvt = 0.012
 	}

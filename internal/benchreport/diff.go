@@ -1,12 +1,9 @@
 package benchreport
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Regression is one gated metric that got worse than the baseline by
-// more than the tolerance.
+// more than the tolerance, or an exact quantity that moved at all.
 type Regression struct {
 	ID     string
 	Metric string
@@ -20,41 +17,29 @@ func (r Regression) String() string {
 		r.ID, r.Metric, r.Base, r.New, (r.Ratio-1)*100)
 }
 
-// Compare gates fresh against base: for every non-analytic scenario
-// present in both reports, ns/event and allocs/event may not regress by
-// more than tol (0.15 = 15%). Analytic figures have no engine events, so
-// their per-event rates are meaningless and exempt. Scenarios missing on
-// either side are reported as notes, never silently dropped.
+// Compare gates fresh against base on what a report is exact about. For
+// every non-analytic scenario present in both: allocs/event may not
+// regress by more than tol (0.15 = 15%; it is machine-independent, so
+// the raw ratio is gated), and — when both sides swept the same seeds on
+// the same engine — events, packets sent and packets delivered must
+// equal the baseline's exactly: the committed report doubles as a
+// counter ledger, so a change that moves one event fails here even if
+// every rate looks fine. Conservation identities are re-checked on every
+// fresh scenario. Analytic figures have no engine events and are exempt.
+// Scenarios missing on either side, and counter comparisons skipped for
+// a seed mismatch, are reported as notes, never silently dropped.
 //
-// allocs/event is machine-independent and gated on the raw ratio. The
-// baseline's ns/event, however, was measured on whatever machine
-// regenerated it, which CI runners can out- or under-pace by far more
-// than any sane tolerance; with enough scenarios the median fresh/base
-// ns ratio estimates that machine-speed factor, and ns/event is gated
-// *relative* to it — a scenario fails only when it got slower than the
-// rest of the suite did. The trade-off: a perfectly uniform slowdown
-// cancels out of the normalised ns gate (allocs/event remains the exact
-// line of defence); with fewer than four comparable scenarios there is
-// no robust median and the raw ratio is gated instead.
+// Wall-clock rates (ns/event) are not gated: the baseline was measured
+// on another machine at another time, and bench/ is the timing authority
+// (paired runs at one commit pair). They stay in the report and in
+// benchdiff's -history trend.
 func Compare(base, fresh *Report, tol float64) (regs []Regression, notes []string) {
 	baseByID := map[string]Metrics{}
 	for _, m := range base.Scenarios {
 		baseByID[m.ID] = m
 	}
-	var nsRatios []float64
-	for _, m := range fresh.Scenarios {
-		if b, ok := baseByID[m.ID]; ok && !m.Analytic && !b.Analytic && b.NSPerEvent > 0 {
-			nsRatios = append(nsRatios, m.NSPerEvent/b.NSPerEvent)
-		}
-	}
-	speed := 1.0
-	if len(nsRatios) >= 4 {
-		speed = median(nsRatios)
-		notes = append(notes, fmt.Sprintf(
-			"machine-speed factor %.3f (median ns/event ratio over %d scenarios); ns gate is relative to it",
-			speed, len(nsRatios)))
-	}
 	seen := map[string]bool{}
+	skipped := 0
 	for _, m := range fresh.Scenarios {
 		seen[m.ID] = true
 		regs = append(regs, conserve(m)...)
@@ -66,8 +51,18 @@ func Compare(base, fresh *Report, tol float64) (regs []Regression, notes []strin
 		if m.Analytic || b.Analytic {
 			continue
 		}
-		regs = append(regs, gate(m.ID, "ns/event", b.NSPerEvent*speed, m.NSPerEvent, tol)...)
 		regs = append(regs, gate(m.ID, "allocs/event", b.AllocsPerEvt, m.AllocsPerEvt, tol)...)
+		if base.SeedBase != fresh.SeedBase || m.Runs != b.Runs || m.EngineShards != b.EngineShards {
+			skipped++
+			continue
+		}
+		regs = append(regs, exact(m.ID, "events", b.Events, m.Events)...)
+		regs = append(regs, exact(m.ID, "packets_sent", uint64(b.PacketsSent), uint64(m.PacketsSent))...)
+		regs = append(regs, exact(m.ID, "packets_delivered", uint64(b.PacketsDeliv), uint64(m.PacketsDeliv))...)
+	}
+	if skipped > 0 {
+		notes = append(notes, fmt.Sprintf(
+			"%d scenario(s) swept other seeds or ran on another engine than the baseline: event and packet counters not compared", skipped))
 	}
 	for _, m := range base.Scenarios {
 		if !seen[m.ID] {
@@ -75,6 +70,14 @@ func Compare(base, fresh *Report, tol float64) (regs []Regression, notes []strin
 		}
 	}
 	return regs, notes
+}
+
+// exact flags a deterministic counter that differs from the baseline.
+func exact(id, counter string, base, fresh uint64) []Regression {
+	if base == fresh {
+		return nil
+	}
+	return []Regression{{ID: id, Metric: counter + " drift", Base: float64(base), New: float64(fresh), Ratio: ratioOf(fresh, base)}}
 }
 
 // conserve checks the region-parallel engine's conservation identities
@@ -159,14 +162,4 @@ func gate(id, metric string, base, fresh, tol float64) []Regression {
 		return nil
 	}
 	return []Regression{{ID: id, Metric: metric, Base: base, New: fresh, Ratio: fresh / base}}
-}
-
-func median(xs []float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if n := len(s); n%2 == 1 {
-		return s[n/2]
-	} else {
-		return (s[n/2-1] + s[n/2]) / 2
-	}
 }

@@ -73,16 +73,6 @@ type Options struct {
 	// region-parallel engine on that many goroutines per run; the report
 	// then carries per-shard event and handoff counters.
 	EngineWorkers int
-	// NoBatch disables burst event dispatch. The deterministic report is
-	// byte-identical either way (the switch changes only wall time and
-	// the batch-occupancy diagnostics), which the CI identity smoke pins.
-	NoBatch bool
-}
-
-// Measure runs every item of items (typically one shard of plan) and
-// returns the report, like MeasureOpts with the default seed range.
-func Measure(items, plan []Item, seeds, workers int, progress io.Writer) *Report {
-	return MeasureOpts(items, plan, Options{Seeds: seeds, Workers: workers}, progress)
 }
 
 // MeasureOpts runs every item of items (typically one shard of plan, or
@@ -158,7 +148,7 @@ func measureFigure(it Item, opt Options) Metrics {
 	start := time.Now()
 	res, err := experiments.Sweep(it.FigureID, sweep.Config{
 		Seeds: opt.Seeds, Workers: opt.Workers, Base: opt.SeedBase, Check: opt.Check,
-		EngineWorkers: opt.EngineWorkers, NoBatch: opt.NoBatch})
+		EngineWorkers: opt.EngineWorkers})
 	if err != nil {
 		// Serial-only figures refuse -engineworkers rather than silently
 		// running serial; surface the refusal as a recorded failure so a
@@ -185,7 +175,6 @@ func measureSession(it Item, opt Options) Metrics {
 	base, seeds := opt.SeedBase, opt.Seeds
 	m := Metrics{ID: it.ID, Seq: it.Seq, Title: it.Title, Tags: it.Tags, Runs: seeds}
 	ctx := experiments.NewRunCtx()
-	ctx.SetBatching(!opt.NoBatch)
 	runtime.GC()
 	a0 := allocsNow()
 	ctx.SessionThroughput(100, 0) // cold: builds the arena

@@ -125,12 +125,6 @@ func Run(env scenario.Env, spec *scenario.Spec, seed int64, workers int) (*scena
 		return nil, Stats{}, fmt.Errorf("engine: scenario %s has no nodes to partition", spec.Name)
 	}
 	setups := Setups(k, seed)
-	for _, s := range setups {
-		// Shards inherit the control scheduler's dispatch mode so a
-		// batch-on and a batch-off sharded run stay byte-identical to
-		// each other per mode toggle, never mixed.
-		s.Sched.SetBatching(env.Sch.Batching())
-	}
 	env.Net.EnableSharding(part.ShardOf, setups)
 	sc, err := scenario.Build(env, spec)
 	if err != nil {

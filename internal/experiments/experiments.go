@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/engine"
 	"repro/internal/invariant"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -116,7 +115,6 @@ type RunCtx struct {
 	next          int
 	reuse         bool
 	check         bool
-	noBatch       bool
 	engineWorkers int
 	stats         EngineStats
 	violations    []invariant.Violation
@@ -146,21 +144,6 @@ func (c *RunCtx) Violations() []invariant.Violation { return c.violations }
 // different deterministic universe than the serial engine's (per-region
 // RNG streams), so 1 means serial, byte-identical to the default.
 func (c *RunCtx) SetEngineWorkers(n int) { c.engineWorkers = n }
-
-// EngineWorkers reports the configured engine worker count (0 or 1 =
-// serial).
-func (c *RunCtx) EngineWorkers() int { return c.engineWorkers }
-
-// SetBatching toggles burst event dispatch on every environment this
-// context hands out. Batching is on by default; it changes only how
-// events are popped and how link arrivals are timed internally — the
-// dispatch order and every random stream are unchanged, so output is
-// byte-identical either way. The off switch exists for the identity
-// smoke tests and for bisecting suspected batching bugs.
-func (c *RunCtx) SetBatching(on bool) { c.noBatch = !on }
-
-// Batching reports whether burst event dispatch is enabled.
-func (c *RunCtx) Batching() bool { return !c.noBatch }
 
 // begin starts a run of the named scenario and returns the harvest
 // function to defer: it folds the run's engine counters into the context
@@ -240,16 +223,6 @@ func (c *RunCtx) harvestRecovery(s *tfmcc.Sender) {
 	}
 }
 
-// noteEngineRun folds one region-parallel run's window schedule into the
-// context totals. Called by RunSpecErr right after engine.Run; the window
-// counters are wall-structure diagnostics (they depend on -check ticks
-// clipping windows), so reports strip them and only history records them.
-func (c *RunCtx) noteEngineRun(st engine.Stats) {
-	c.stats.Windows += st.Windows
-	c.stats.WindowNS += st.WindowNS
-	c.stats.ShardSteps += st.ShardSteps
-}
-
 // ResetStats zeroes the accumulated engine counters and violations.
 func (c *RunCtx) ResetStats() {
 	c.stats = EngineStats{}
@@ -275,8 +248,6 @@ func (c *RunCtx) newEnv(seed int64) *env {
 		e := list[c.next]
 		c.next++
 		e.rewind(seed)
-		e.sch.SetBatching(!c.noBatch)
-		e.net.SetBatching(!c.noBatch)
 		c.armChecker(e)
 		return e
 	}
@@ -286,8 +257,6 @@ func (c *RunCtx) newEnv(seed int64) *env {
 	if c.reuse {
 		e.net.EnableReuse()
 	}
-	e.sch.SetBatching(!c.noBatch)
-	e.net.SetBatching(!c.noBatch)
 	c.envs[c.key] = append(list, e)
 	c.next++
 	c.armChecker(e)
@@ -460,7 +429,6 @@ func Sweep(id string, cfg sweep.Config) (*SweepResult, error) {
 			ctxs[i].EnableInvariants()
 		}
 		ctxs[i].SetEngineWorkers(cfg.EngineWorkers)
-		ctxs[i].SetBatching(!cfg.NoBatch)
 	}
 	notes := make([][]string, cfg.Seeds)
 	merged := sweep.Run(cfg, func(worker int, seed int64) []*stats.Series {
@@ -540,7 +508,7 @@ type EngineStats struct {
 	// four vary with -check (checker ticks add events and clip windows),
 	// so the deterministic report form strips them — benchdiff history is
 	// where they surface.
-	Batches    uint64   // dispatch batches executed (0 when batching is off)
+	Batches    uint64   // dispatch batches executed
 	Windows    uint64   // region-parallel synchronization windows
 	WindowNS   sim.Time // summed window widths
 	ShardSteps uint64   // summed per-window counts of shards that had an event due

@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/sweep"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -316,5 +318,34 @@ func TestLateJoinDeterministic(t *testing.T) {
 	}
 	if a.Summary() != b.Summary() {
 		t.Fatalf("late-join figure not seed-deterministic:\n%s\nvs\n%s", a.Summary(), b.Summary())
+	}
+}
+
+// TestSerialOnlyRefused: the figures that drive the simulation clock
+// themselves (13: RTT-change reaction, 14: slowstart cap) cannot run on
+// the region-parallel engine; requesting engine workers for them must
+// fail fast with an error naming the serial engine, in both the direct
+// runner and the sweep path — never silently fall back to serial.
+func TestSerialOnlyRefused(t *testing.T) {
+	for _, id := range []string{"13", "14"} {
+		e, ok := Lookup(id)
+		if !ok {
+			t.Fatalf("figure %s missing from the registry", id)
+		}
+		if !e.SerialOnly {
+			t.Fatalf("figure %s should be marked serial-only", id)
+		}
+		ctx := NewRunCtx()
+		ctx.SetEngineWorkers(2)
+		if _, err := RunWith(ctx, id, 1); err == nil {
+			t.Fatalf("figure %s ran with engine workers", id)
+		} else if !strings.Contains(err.Error(), "serial engine") {
+			t.Fatalf("figure %s: refusal does not explain itself: %v", id, err)
+		}
+		if _, err := Sweep(id, sweep.Config{Seeds: 1, Workers: 1, EngineWorkers: 2}); err == nil {
+			t.Fatalf("figure %s swept with engine workers", id)
+		} else if !strings.Contains(err.Error(), "serial engine") {
+			t.Fatalf("figure %s: sweep refusal does not explain itself: %v", id, err)
+		}
 	}
 }

@@ -27,21 +27,28 @@ func init() {
 	}
 }
 
-// runScenario executes a compile-time figure spec on the configured
-// execution engine — region-parallel when the context has engineWorkers
-// >= 2, serial otherwise — so the hand-wired figure runners honour
-// -engineworkers exactly like Spec-backed runs. Build failures panic:
-// these specs are compile-time constants, so failure is a programmer
-// bug (the mustScenario contract).
-func (c *RunCtx) runScenario(spec *scenario.Spec, seed int64) *scenario.Scenario {
+// runSpec executes spec on the configured execution engine —
+// region-parallel when the context has engineWorkers >= 2, serial
+// otherwise — the one dispatch every scenario-spec run goes through.
+func (c *RunCtx) runSpec(spec *scenario.Spec, seed int64) (*scenario.Scenario, error) {
 	if w := c.engineWorkers; w >= 2 {
 		sc, st, err := engine.Run(c.ScenarioEnv(seed), spec, seed, w)
-		if err == nil {
-			c.noteEngineRun(st)
-		}
-		return mustScenario(sc, err)
+		// The window schedule is a wall-structure diagnostic (-check
+		// ticks clip windows): reports strip it, history records it.
+		c.stats.Windows += st.Windows
+		c.stats.WindowNS += st.WindowNS
+		c.stats.ShardSteps += st.ShardSteps
+		return sc, err
 	}
-	return mustScenario(scenario.Run(c.ScenarioEnv(seed), spec))
+	return scenario.Run(c.ScenarioEnv(seed), spec)
+}
+
+// runScenario is runSpec for the hand-wired figure runners, which thereby
+// honour -engineworkers exactly like Spec-backed runs. Build failures
+// panic: these specs are compile-time constants, so failure is a
+// programmer bug (the mustScenario contract).
+func (c *RunCtx) runScenario(spec *scenario.Spec, seed int64) *scenario.Scenario {
+	return mustScenario(c.runSpec(spec, seed))
 }
 
 // RunSpec executes a declarative scenario spec and renders a generic
@@ -61,17 +68,7 @@ func RunSpec(c *RunCtx, id string, spec *scenario.Spec, seed int64) *Result {
 // hypothesis workloads) go through, where a malformed spec is an input
 // problem rather than a programmer bug.
 func RunSpecErr(c *RunCtx, id string, spec *scenario.Spec, seed int64) (*Result, error) {
-	var sc *scenario.Scenario
-	var err error
-	if w := c.engineWorkers; w >= 2 {
-		var st engine.Stats
-		sc, st, err = engine.Run(c.ScenarioEnv(seed), spec, seed, w)
-		if err == nil {
-			c.noteEngineRun(st)
-		}
-	} else {
-		sc, err = scenario.Run(c.ScenarioEnv(seed), spec)
-	}
+	sc, err := c.runSpec(spec, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -211,28 +211,3 @@ func TestChaosJudgedSharded(t *testing.T) {
 		t.Errorf("sharded verdicts differ across worker counts:\n%+v\nvs\n%+v", a, b)
 	}
 }
-
-// TestChaosJudgedBatchInvariance: the judged trajectory of a chaos
-// hypothesis on the sharded engine is identical with burst dispatch on
-// and off — faults, coalesced link rings and lookahead windows included.
-// CI also runs this test under -race as the batching data-race check.
-func TestChaosJudgedBatchInvariance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-simulation run")
-	}
-	h, ok := ByID("chaos-deeptree-l1")
-	if !ok {
-		t.Fatal("chaos-deeptree-l1 missing from the suite")
-	}
-	a, err := Run(h, Options{Workers: 1, EngineWorkers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(h, Options{Workers: 1, EngineWorkers: 2, NoBatch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("verdicts differ between batch on and off:\n%+v\nvs\n%+v", a, b)
-	}
-}

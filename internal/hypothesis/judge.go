@@ -22,9 +22,6 @@ type Options struct {
 	// the serial engine's; the verdict is still independent of both
 	// Workers and EngineWorkers.
 	EngineWorkers int
-	// NoBatch disables burst event dispatch; the judged trajectory is
-	// byte-identical either way.
-	NoBatch bool
 }
 
 // SeedMeasure is one seed's judgement of one expectation.
@@ -163,7 +160,6 @@ func Run(h *Hypothesis, opt Options) (*Verdict, error) {
 		ctxs[i] = experiments.NewRunCtx()
 		ctxs[i].EnableInvariants()
 		ctxs[i].SetEngineWorkers(opt.EngineWorkers)
-		ctxs[i].SetBatching(!opt.NoBatch)
 	}
 	outcomes := make([]*outcome, cfg.Seeds)
 	_, seedErrs := sweep.RunRaw(cfg, func(worker int, seed int64) []*stats.Series {

@@ -2,19 +2,23 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/sim"
 )
 
 // Overrides are the command-line knobs applicable to any Spec without
-// knowing its shape: zero/negative values mean "keep the spec's value".
+// knowing its shape. Zero means "keep the spec's value", except on the
+// two loss fields, where 0 is a meaningful value and exactly -1 (what
+// None sets) is the one "unset" marker. Apply rejects everything else
+// that is not a value: negatives, NaN, infinities, a loss above 1.
 type Overrides struct {
 	Duration  sim.Time // total simulated time
 	CoreBW    float64  // bytes/s on every core link
 	CoreDelay sim.Time
-	CoreLoss  float64 // < 0 = unset (0 is a meaningful value)
+	CoreLoss  float64 // -1 = unset
 	CoreQueue int
-	// EdgeLoss (< 0 = unset) replaces the down-direction loss of every
+	// EdgeLoss (-1 = unset) replaces the down-direction loss of every
 	// site's LAST hop — the edge link nearest the receiver — and of the
 	// population access hop; earlier hops of two-hop tails keep their
 	// declared loss.
@@ -30,10 +34,38 @@ type Overrides struct {
 // "unset" marker because 0 is meaningful).
 func None() Overrides { return Overrides{CoreLoss: -1, EdgeLoss: -1} }
 
-// Apply returns a copy of the spec with the overrides folded in. Steps
-// are copied only as deeply as they are modified; the receiver spec is
-// never mutated.
+// validate names the first field (by its command-line flag) whose value
+// is neither "unset" nor something a spec can hold.
+func (o Overrides) validate() error {
+	type field struct {
+		flag string
+		v    float64
+	}
+	for _, f := range []field{
+		{"-duration", float64(o.Duration)}, {"-corebw", o.CoreBW},
+		{"-coredelay", float64(o.CoreDelay)}, {"-corequeue", float64(o.CoreQueue)},
+		{"-receivers", float64(o.Receivers)}, {"-cohort", float64(o.Cohort)},
+		{"-fanout", float64(o.Fanout)}, {"-depth", float64(o.Depth)}, {"-hops", float64(o.Hops)},
+	} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) { // negated so that NaN fails too
+			return fmt.Errorf("scenario: override %s is negative or not finite (0 keeps the spec's value)", f.flag)
+		}
+	}
+	for _, f := range []field{{"-coreloss", o.CoreLoss}, {"-edgeloss", o.EdgeLoss}} {
+		if f.v != -1 && !(f.v >= 0 && f.v <= 1) {
+			return fmt.Errorf("scenario: override %s %v is not a loss probability in [0, 1] (-1 keeps the spec's value)", f.flag, f.v)
+		}
+	}
+	return nil
+}
+
+// Apply returns a copy of the spec with the overrides folded in, or an
+// error naming the override that is out of range. Steps are copied only
+// as deeply as they are modified; the receiver spec is never mutated.
 func (s *Spec) Apply(o Overrides) (*Spec, error) {
+	if err := o.validate(); err != nil {
+		return nil, err
+	}
 	out := *s
 	if o.Duration > 0 {
 		out.Duration = o.Duration

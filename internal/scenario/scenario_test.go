@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -200,6 +202,56 @@ func TestOverridesApply(t *testing.T) {
 	}
 	if !checked {
 		t.Fatal("no site steps found in flashcrowd")
+	}
+}
+
+// TestOverridesRejectNonsense: an override that is neither "unset" nor a
+// value a spec can hold is an error naming its flag — never silently
+// dropped (NaN and negatives used to read as "not set") and never folded
+// into the spec (a loss of 1.5 used to run and print zeros).
+func TestOverridesRejectNonsense(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	with := func(set func(*Overrides)) Overrides {
+		o := None()
+		set(&o)
+		return o
+	}
+	for _, c := range []struct {
+		name string
+		ov   Overrides
+		flag string // "" = must apply cleanly
+	}{
+		{"none", None(), ""},
+		{"loss 0", with(func(o *Overrides) { o.CoreLoss, o.EdgeLoss = 0, 0 }), ""},
+		{"loss 1", with(func(o *Overrides) { o.CoreLoss, o.EdgeLoss = 1, 1 }), ""},
+		{"coreloss 1.5", with(func(o *Overrides) { o.CoreLoss = 1.5 }), "-coreloss"},
+		{"coreloss NaN", with(func(o *Overrides) { o.CoreLoss = nan }), "-coreloss"},
+		{"coreloss -0.5", with(func(o *Overrides) { o.CoreLoss = -0.5 }), "-coreloss"},
+		{"coreloss -Inf", with(func(o *Overrides) { o.CoreLoss = math.Inf(-1) }), "-coreloss"},
+		{"edgeloss NaN", with(func(o *Overrides) { o.EdgeLoss = nan }), "-edgeloss"},
+		{"edgeloss +Inf", with(func(o *Overrides) { o.EdgeLoss = inf }), "-edgeloss"},
+		{"edgeloss -2", with(func(o *Overrides) { o.EdgeLoss = -2 }), "-edgeloss"},
+		{"corebw -3", with(func(o *Overrides) { o.CoreBW = -3 * 125000 }), "-corebw"},
+		{"corebw NaN", with(func(o *Overrides) { o.CoreBW = nan }), "-corebw"},
+		{"corebw +Inf", with(func(o *Overrides) { o.CoreBW = inf }), "-corebw"},
+		{"duration -5", with(func(o *Overrides) { o.Duration = -5 * sim.Second }), "-duration"},
+		{"coredelay -1ms", with(func(o *Overrides) { o.CoreDelay = -sim.Millisecond }), "-coredelay"},
+		{"corequeue -1", with(func(o *Overrides) { o.CoreQueue = -1 }), "-corequeue"},
+		{"receivers -2", with(func(o *Overrides) { o.Receivers = -2 }), "-receivers"},
+		{"cohort -1", with(func(o *Overrides) { o.Cohort = -1 }), "-cohort"},
+		{"fanout -1", with(func(o *Overrides) { o.Fanout = -1 }), "-fanout"},
+		{"depth -1", with(func(o *Overrides) { o.Depth = -1 }), "-depth"},
+		{"hops -1", with(func(o *Overrides) { o.Hops = -1 }), "-hops"},
+	} {
+		out, err := DeepTree().Apply(c.ov)
+		switch {
+		case c.flag == "" && err != nil:
+			t.Errorf("%s: valid overrides refused: %v", c.name, err)
+		case c.flag != "" && err == nil:
+			t.Errorf("%s: applied without error (core loss %v, duration %v)", c.name, out.Topology.Core.Loss, out.Duration)
+		case c.flag != "" && !strings.Contains(err.Error(), c.flag+" "):
+			t.Errorf("%s: error does not name %s: %v", c.name, c.flag, err)
+		}
 	}
 }
 

@@ -40,25 +40,22 @@ func batchWorkload(s *Scheduler) *string {
 	return trace
 }
 
-// TestBatchDispatchMatchesSerial: the burst-dispatch path must replay
-// event-at-a-time semantics exactly — same callback order, same clock,
-// same processed count — while actually coalescing (fewer batches than
-// events).
+// TestBatchDispatchMatchesSerial: burst dispatch must replay the
+// event-at-a-time reference loop exactly — same callback order, same
+// clock, same processed count — while actually coalescing (fewer batches
+// than events), on the canned edge-case mix and on seeded programs of
+// colliding timers, follow-ups and cancellations.
 func TestBatchDispatchMatchesSerial(t *testing.T) {
 	serial := NewScheduler()
-	serial.SetBatching(false)
 	st := batchWorkload(serial)
-	serial.Run()
+	refRun(serial)
 
 	batched := NewScheduler()
-	if !batched.Batching() {
-		t.Fatal("batching should default on")
-	}
 	bt := batchWorkload(batched)
 	batched.Run()
 
 	if *st != *bt {
-		t.Fatalf("dispatch traces diverge:\nserial:\n%sbatched:\n%s", *st, *bt)
+		t.Fatalf("dispatch traces diverge:\nreference:\n%sbatched:\n%s", *st, *bt)
 	}
 	if serial.Now() != batched.Now() {
 		t.Fatalf("clocks diverge: %v vs %v", serial.Now(), batched.Now())
@@ -66,23 +63,44 @@ func TestBatchDispatchMatchesSerial(t *testing.T) {
 	if serial.Processed() != batched.Processed() {
 		t.Fatalf("processed counts diverge: %d vs %d", serial.Processed(), batched.Processed())
 	}
+	// The reference really is the other loop: Step opens no batches.
 	if serial.Batches() != 0 {
-		t.Fatalf("serial scheduler recorded %d batches, want 0", serial.Batches())
-	}
-	if b, n := batched.Batches(), batched.Processed(); b == 0 || b > n {
-		t.Fatalf("batch accounting: %d batches for %d events", b, n)
+		t.Fatalf("reference loop recorded %d batches, want 0", serial.Batches())
 	}
 	// 6 live events at t=1s collapse into one batch; the t=2s instant
 	// takes two (the re-scheduled c opens a follow-up batch); d and e are
-	// singleton batches. Occupancy must therefore beat 1 on average.
-	if b, n := batched.Batches(), batched.Processed(); float64(n)/float64(b) <= 1 {
+	// singleton batches. Occupancy must therefore beat 1.
+	if b, n := batched.Batches(), batched.Processed(); b == 0 || b >= n {
 		t.Fatalf("no coalescing: %d events in %d batches", n, b)
+	}
+
+	for seed := int64(1); seed <= 20; seed++ {
+		drive := func(run func(*Scheduler)) ([]int, uint64, Time, uint64) {
+			s := NewScheduler()
+			order, n, end := runProgram(seed, schedDriver{
+				after:     func(d Time, fn func()) func() bool { return s.After(d, fn).Stop },
+				run:       func() { run(s) },
+				now:       s.Now,
+				processed: s.Processed,
+			})
+			return order, n, end, s.Batches()
+		}
+		refOrder, refN, refEnd, refBatches := drive(refRun)
+		order, n, end, batches := drive((*Scheduler).Run)
+		if fmt.Sprint(order) != fmt.Sprint(refOrder) || n != refN || end != refEnd {
+			t.Fatalf("seed %d: burst dispatch ran %d events to %v, reference loop %d to %v, or in another order",
+				seed, n, end, refN, refEnd)
+		}
+		if refBatches != 0 || batches == 0 || batches >= n {
+			t.Fatalf("seed %d: vacuous comparison: %d events in %d batches, reference recorded %d batches",
+				seed, n, batches, refBatches)
+		}
 	}
 }
 
-// TestBatchRunUntilBound: RunUntil with batching must stop at exactly
-// the bound even when a same-instant run straddles pending later work,
-// and resuming picks up the remainder — mirroring the serial contract.
+// TestBatchRunUntilBound: RunUntil must stop at exactly the bound even
+// when a same-instant run straddles pending later work, and resuming
+// picks up the remainder.
 func TestBatchRunUntilBound(t *testing.T) {
 	s := NewScheduler()
 	count := 0
@@ -104,7 +122,7 @@ func TestBatchRunUntilBound(t *testing.T) {
 }
 
 // TestBatchResetClearsCounters: Reset must zero the batch counter with
-// the rest of the run statistics but keep the batching mode.
+// the rest of the run statistics.
 func TestBatchResetClearsCounters(t *testing.T) {
 	s := NewScheduler()
 	for i := 0; i < 3; i++ {
@@ -118,20 +136,16 @@ func TestBatchResetClearsCounters(t *testing.T) {
 	if s.Batches() != 0 {
 		t.Fatalf("Reset kept %d batches", s.Batches())
 	}
-	if !s.Batching() {
-		t.Fatal("Reset disabled batching")
-	}
 }
 
 // TestReservedSeqInsideBatch: an event scheduled under a reserved seq
 // (AtSeqArg) by a member of a same-instant batch may precede members the
 // burst already popped. It must run between them, exactly where the
-// event-at-a-time loop runs it — coalesced sources (link rings, fan-out
+// event-at-a-time reference loop runs it — coalesced sources (link rings, fan-out
 // trains) re-arm this way whenever CanInline turns them down.
 func TestReservedSeqInsideBatch(t *testing.T) {
-	run := func(batch bool) string {
+	run := func(run func(*Scheduler)) string {
 		s := NewScheduler()
-		s.SetBatching(batch)
 		var trace string
 		note := func(a any) { trace += a.(string) + " " }
 		var held [3]uint64
@@ -152,14 +166,14 @@ func TestReservedSeqInsideBatch(t *testing.T) {
 		s.AtArg(Second, note, "d")
 		held[2] = s.ReserveSeq()
 		s.AtArg(Second, note, "f")
-		s.Run()
+		run(s)
 		return fmt.Sprintf("%s/%d", trace, s.Processed())
 	}
 	const want = "a a' b c d e f /7"
-	if got := run(false); got != want {
-		t.Fatalf("event-at-a-time order = %q, want %q", got, want)
+	if got := run(refRun); got != want {
+		t.Fatalf("event-at-a-time reference order = %q, want %q", got, want)
 	}
-	if got := run(true); got != want {
+	if got := run((*Scheduler).Run); got != want {
 		t.Fatalf("batched order = %q, want %q", got, want)
 	}
 }

@@ -165,6 +165,35 @@ func (s *refSched) run() {
 	}
 }
 
+// --- reference loop: event-at-a-time dispatch built on Step --------------
+//
+// refRunUntil and refRun are the dispatch loop RunUntil and Run had before
+// burst dispatch became the only path: peek the earliest live event, run
+// it with Step if it is inside the bound, repeat. They keep the run bound
+// the way RunUntil does, so CanInline — and with it every coalesced
+// source — behaves as it would under the production loop.
+
+func refRunUntil(s *Scheduler, t Time) {
+	s.runBound = t
+	for {
+		at, ok := s.PeekTime()
+		if !ok || at > t || !s.Step() {
+			break
+		}
+	}
+	if s.now < t {
+		s.now = t
+	}
+	s.runBound = s.now
+}
+
+func refRun(s *Scheduler) {
+	s.runBound = MaxTime
+	for s.Step() {
+	}
+	s.runBound = s.now
+}
+
 // driver abstracts old and new schedulers so the same random program runs
 // against both.
 type schedDriver struct {

@@ -7,6 +7,10 @@ package sim
 // make Timer handles safe across slot reuse: a stale handle (fired or
 // stopped timer) simply no-ops. Cancelled timers are removed lazily; when
 // more than half the queue is dead the heap is compacted in one pass.
+// There is one dispatch loop (batchDrain): it pops each run of
+// same-timestamp events in one heap pass, and coalesced sources park
+// arrivals outside the heap under reserved seqs (ReserveSeq, AtSeqArg,
+// CanInline), so neither changes the (time, seq) order events run in.
 
 // Timer is a handle to a scheduled event. The zero Timer is inactive;
 // cancelling an expired, cancelled, or zero timer is a no-op.
@@ -72,32 +76,18 @@ type Scheduler struct {
 	free     int32 // head of the slot free list, -1 when empty
 	nStopped int   // dead entries still in the heap
 
-	batch    bool        // batched dispatch in RunUntil
 	runBound Time        // upper bound of the active RunUntil window
-	nBatches uint64      // dispatch batches executed (batched mode only)
+	nBatches uint64      // dispatch batches executed
 	batchBuf []heapEntry // scratch for one same-timestamp run
 	pendAt   Time        // key of the next undispatched batch member…
 	pendSeq  uint64      // …0 when no batch member is pending
 }
 
-// NewScheduler returns a scheduler with the clock at zero. Batched
-// dispatch is enabled by default; SetBatching(false) restores the
-// event-at-a-time loop (dispatch order is identical either way).
-func NewScheduler() *Scheduler { return &Scheduler{free: -1, batch: true} }
+// NewScheduler returns a scheduler with the clock at zero.
+func NewScheduler() *Scheduler { return &Scheduler{free: -1} }
 
-// SetBatching switches RunUntil between the batched dispatch loop and
-// the event-at-a-time loop. Both execute events in identical (time,
-// schedule-order) sequence; batching only changes how many heap passes
-// and bound checks each event costs. Callers toggle it before a run,
-// not mid-window.
-func (s *Scheduler) SetBatching(on bool) { s.batch = on }
-
-// Batching reports whether batched dispatch is enabled.
-func (s *Scheduler) Batching() bool { return s.batch }
-
-// Batches returns the number of dispatch batches executed so far. Mean
-// batch occupancy is Processed()/Batches(). Zero in event-at-a-time
-// mode.
+// Batches returns the number of dispatch batches RunUntil and Run have
+// executed so far. Mean batch occupancy is Processed()/Batches().
 func (s *Scheduler) Batches() uint64 { return s.nBatches }
 
 // Reset rewinds the scheduler to its initial state — clock at zero, no
@@ -210,7 +200,7 @@ func (s *Scheduler) AtSeqArg(t Time, seq uint64, fn func(any), arg any) Timer {
 // run bound, and must precede the earliest queued entry. The heap-top
 // comparison is conservative — a dead (cancelled) top entry defers
 // inlining until the dead entry is discarded — which only costs
-// batching, never ordering.
+// coalescing, never ordering.
 func (s *Scheduler) CanInline(t Time, seq uint64) bool {
 	if t > s.runBound {
 		return false
@@ -378,7 +368,9 @@ func (s *Scheduler) runTop() bool {
 	return true
 }
 
-// Step runs the next event. It reports false when the queue is empty.
+// Step runs the next event outside any run window and reports false when
+// the queue is empty. RunUntil and Run do not go through it; the
+// event-at-a-time reference loop the tests compare them against does.
 func (s *Scheduler) Step() bool {
 	for len(s.heap) > 0 {
 		if s.runTop() {
@@ -389,30 +381,18 @@ func (s *Scheduler) Step() bool {
 }
 
 // RunUntil executes events until the clock would pass t; afterwards the
-// clock reads exactly t. Events at exactly t are executed. With
-// batching enabled (the default) it dispatches same-timestamp runs in
-// batches; the dispatch order is identical either way.
+// clock reads exactly t. Events at exactly t are executed. Dispatch is
+// in bursts: the maximal run of same-timestamp entries is popped in one
+// heap pass and dispatched as a slice, re-checking each entry's
+// generation at dispatch time so a member cancelled by an earlier member
+// still no-ops. Events a member schedules at the same instant land in a
+// follow-up batch — their seqs are higher than every popped member's,
+// so (time, seq) order is preserved bit-for-bit; the one exception, an
+// AtSeqArg under an older reserved seq, is run between the members it
+// falls between.
 func (s *Scheduler) RunUntil(t Time) {
-	if s.batch {
-		s.RunUntilBatch(t)
-		return
-	}
 	s.runBound = t
-	for {
-		// Discard dead entries at the top so the peek sees a live event;
-		// otherwise a cancelled timer's deadline could admit a Step that
-		// runs a live event scheduled after t.
-		for len(s.heap) > 0 && s.slots[s.heap[0].slot].gen != s.heap[0].gen {
-			s.popTop()
-			s.noteDeadPop()
-		}
-		if len(s.heap) == 0 || s.heap[0].at > t {
-			break
-		}
-		if !s.Step() {
-			break
-		}
-	}
+	s.batchDrain(t)
 	if s.now < t {
 		s.now = t
 	}
@@ -430,32 +410,14 @@ func (s *Scheduler) AdvanceTo(t Time) {
 	s.runBound = s.now
 }
 
-// RunUntilBatch is the burst-dispatch form of RunUntil: it pops the
-// maximal run of same-timestamp entries in one heap pass and dispatches
-// them as a slice, re-checking each entry's generation at dispatch time
-// so a batch member cancelled by an earlier member still no-ops exactly
-// as in event-at-a-time mode. Events a batch member schedules at the
-// same instant land in a follow-up batch — their seqs are higher than
-// every popped member's, so (time, seq) order is preserved bit-for-bit;
-// the one exception, an AtSeqArg under an older reserved seq, is run
-// between the members it falls between.
-func (s *Scheduler) RunUntilBatch(t Time) {
-	s.runBound = t
-	s.batchDrain(t)
-	if s.now < t {
-		s.now = t
-	}
-	s.runBound = s.now
-}
-
-// batchDrain is the burst loop shared by RunUntilBatch and Run: it
+// batchDrain is the burst loop shared by RunUntil and Run: it
 // executes batches up to and including time t but leaves the clock at
 // the last dispatched event (callers decide whether to advance to t).
 func (s *Scheduler) batchDrain(t Time) {
 	for len(s.heap) > 0 {
-		// Discard dead entries at the top first — exactly like the serial
-		// path — so a block of cancelled timers beyond the bound is reaped
-		// rather than left queued, and the peeked time is a live event's.
+		// Discard dead entries at the top first, so a block of cancelled
+		// timers beyond the bound is reaped rather than left queued, and
+		// the peeked time is a live event's.
 		for len(s.heap) > 0 && s.slots[s.heap[0].slot].gen != s.heap[0].gen {
 			s.popTop()
 			s.noteDeadPop()
@@ -543,15 +505,9 @@ func (s *Scheduler) PeekTime() (t Time, ok bool) {
 	return s.heap[0].at, true
 }
 
-// Run executes events until the queue drains. With batching enabled it
-// dispatches through the burst path; the order is identical either way.
+// Run executes events until the queue drains.
 func (s *Scheduler) Run() {
 	s.runBound = MaxTime
-	if s.batch {
-		s.batchDrain(MaxTime)
-	} else {
-		for s.Step() {
-		}
-	}
+	s.batchDrain(MaxTime)
 	s.runBound = s.now
 }

@@ -316,45 +316,42 @@ func TestPeekTimeSkipsDead(t *testing.T) {
 // TestAdvanceToMatchesRunUntil: for a scheduler whose PeekTime says
 // nothing is due by t, AdvanceTo(t) and RunUntil(t) leave the same state
 // behind — clock, run bound (what CanInline admits), counters, queue —
-// in both dispatch modes, and the run that follows is the same.
+// and the run that follows is the same.
 func TestAdvanceToMatchesRunUntil(t *testing.T) {
-	for _, batch := range []bool{true, false} {
-		build := func() (*Scheduler, *[]Time) {
-			s := NewScheduler()
-			s.SetBatching(batch)
-			var ran []Time
-			s.At(5, func() { ran = append(ran, s.Now()) })
-			s.RunUntil(7)
-			s.At(9, func() {}).Stop() // a dead entry ahead of the live ones
-			s.At(30, func() { ran = append(ran, s.Now()) })
-			s.At(30, func() { ran = append(ran, s.Now()) })
-			return s, &ran
+	build := func() (*Scheduler, *[]Time) {
+		s := NewScheduler()
+		var ran []Time
+		s.At(5, func() { ran = append(ran, s.Now()) })
+		s.RunUntil(7)
+		s.At(9, func() {}).Stop() // a dead entry ahead of the live ones
+		s.At(30, func() { ran = append(ran, s.Now()) })
+		s.At(30, func() { ran = append(ran, s.Now()) })
+		return s, &ran
+	}
+	a, ranA := build()
+	b, ranB := build()
+	if at, ok := a.PeekTime(); !ok || at != 30 {
+		t.Fatalf("PeekTime = %v, %v; want 30, true", at, ok)
+	}
+	a.AdvanceTo(20)
+	b.RunUntil(20)
+	for _, probe := range []Time{19, 20, 21} {
+		if a.CanInline(probe, 1<<40) != b.CanInline(probe, 1<<40) {
+			t.Errorf("CanInline(%d) differs after AdvanceTo and RunUntil", probe)
 		}
-		a, ranA := build()
-		b, ranB := build()
-		if at, ok := a.PeekTime(); !ok || at != 30 {
-			t.Fatalf("batch=%v: PeekTime = %v, %v; want 30, true", batch, at, ok)
-		}
-		a.AdvanceTo(20)
-		b.RunUntil(20)
-		for _, probe := range []Time{19, 20, 21} {
-			if a.CanInline(probe, 1<<40) != b.CanInline(probe, 1<<40) {
-				t.Errorf("batch=%v: CanInline(%d) differs after AdvanceTo and RunUntil", batch, probe)
-			}
-		}
-		a.RunUntil(40)
-		b.RunUntil(40)
-		if a.Now() != b.Now() || a.Processed() != b.Processed() || a.Batches() != b.Batches() || a.Pending() != b.Pending() {
-			t.Errorf("batch=%v: AdvanceTo then run: now %d, %d events, %d batches, %d pending; RunUntil: %d, %d, %d, %d", batch,
-				a.Now(), a.Processed(), a.Batches(), a.Pending(), b.Now(), b.Processed(), b.Batches(), b.Pending())
-		}
-		if len(*ranA) != 3 || len(*ranB) != 3 || (*ranA)[2] != (*ranB)[2] {
-			t.Errorf("batch=%v: events ran at %v after AdvanceTo, %v after RunUntil", batch, *ranA, *ranB)
-		}
-		// AdvanceTo never moves the clock back.
-		a.AdvanceTo(10)
-		if a.Now() != 40 {
-			t.Errorf("batch=%v: AdvanceTo into the past set the clock to %d", batch, a.Now())
-		}
+	}
+	a.RunUntil(40)
+	b.RunUntil(40)
+	if a.Now() != b.Now() || a.Processed() != b.Processed() || a.Batches() != b.Batches() || a.Pending() != b.Pending() {
+		t.Errorf("AdvanceTo then run: now %d, %d events, %d batches, %d pending; RunUntil: %d, %d, %d, %d",
+			a.Now(), a.Processed(), a.Batches(), a.Pending(), b.Now(), b.Processed(), b.Batches(), b.Pending())
+	}
+	if len(*ranA) != 3 || len(*ranB) != 3 || (*ranA)[2] != (*ranB)[2] {
+		t.Errorf("events ran at %v after AdvanceTo, %v after RunUntil", *ranA, *ranB)
+	}
+	// AdvanceTo never moves the clock back.
+	a.AdvanceTo(10)
+	if a.Now() != 40 {
+		t.Errorf("AdvanceTo into the past set the clock to %d", a.Now())
 	}
 }

@@ -7,16 +7,15 @@ import (
 	"repro/internal/sim"
 )
 
-// batchModeRun drives a fixed packet stream over an impaired link with
-// the coalesced-ring delivery path on or off and returns the arrival
-// trace plus fault stats. The stream deliberately mixes back-to-back
-// sends (which share a ring and a single armed timer) with reordering,
-// so out-of-order ring appends take the fallback path too.
+// batchModeRun drives a fixed packet stream over an impaired link on
+// the coalesced-ring delivery path (on) or the timer-per-packet oracle
+// and returns the arrival trace plus fault stats. The stream
+// deliberately mixes back-to-back sends (which share a ring and a single
+// armed timer) with reordering, so out-of-order ring appends take the
+// fallback path too.
 func batchModeRun(on bool, seed int64) (string, LinkStats, *Network) {
 	sch := sim.NewScheduler()
-	sch.SetBatching(on)
-	net := New(sch, sim.NewRand(seed))
-	net.SetBatching(on)
+	net := newTestNet(!on, sch, sim.NewRand(seed))
 	a, b := net.AddNode("a"), net.AddNode("b")
 	l, _ := net.AddDuplex(a, b, 1e6, 5*sim.Millisecond, 50)
 	l.SetImpairments(0.1, 0.15, 0.3, 20*sim.Millisecond)
@@ -42,10 +41,11 @@ func batchModeRun(on bool, seed int64) (string, LinkStats, *Network) {
 func TestImpairedDeliveryBatchIdentity(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		on, onStats, net := batchModeRun(true, seed)
-		off, offStats, _ := batchModeRun(false, seed)
+		off, offStats, oracle := batchModeRun(false, seed)
 		if on != off {
-			t.Fatalf("seed %d: delivery trace differs between batch on and off", seed)
+			t.Fatalf("seed %d: delivery trace differs between link rings and the timer-per-packet oracle", seed)
 		}
+		requireOracleSplit(t, net, oracle, false)
 		if onStats != offStats {
 			t.Fatalf("seed %d: link stats differ: %+v vs %+v", seed, onStats, offStats)
 		}
@@ -92,5 +92,32 @@ func TestBatchRingSurvivesReset(t *testing.T) {
 	}
 	if net.LivePackets() != 0 {
 		t.Fatalf("Reset leaked %d live packets", net.LivePackets())
+	}
+}
+
+// TestRingYieldsToInterleavedEvent: two arrivals due on one link at the
+// same instant with an unrelated event scheduled between them. The second
+// arrival is parked on the ring behind the first one's timer and must not
+// be drained inline past the event whose seq precedes its own — the order
+// is the timer-per-packet oracle's, arrival, event, arrival.
+func TestRingYieldsToInterleavedEvent(t *testing.T) {
+	const want = "pkt1 event pkt2 "
+	for _, oracle := range []bool{false, true} {
+		sch := sim.NewScheduler()
+		net := newTestNet(oracle, sch, sim.NewRand(1))
+		a, b := net.AddNode("a"), net.AddNode("b")
+		net.AddLink(a, b, 0, 5*sim.Millisecond, 0)
+		var trace string
+		net.Bind(Addr{b, 1}, HandlerFunc(func(p *Packet) { trace += fmt.Sprintf("pkt%d ", p.Size) }))
+		net.Send(&Packet{Size: 1, Src: Addr{a, 1}, Dst: Addr{b, 1}})
+		sch.At(5*sim.Millisecond, func() { trace += "event " })
+		net.Send(&Packet{Size: 2, Src: Addr{a, 1}, Dst: Addr{b, 1}})
+		if held := net.RingHeld(); (held == 0) != oracle {
+			t.Fatalf("oracle=%v: %d arrivals parked on the ring after two sends", oracle, held)
+		}
+		sch.Run()
+		if trace != want {
+			t.Errorf("oracle=%v: order %q, want %q", oracle, trace, want)
+		}
 	}
 }

@@ -69,14 +69,13 @@ type Link struct {
 	ringFn    func(any)
 	directFn  func(any)
 
-	// Coalesced delivery (Network.SetBatching, on by default): while a
-	// delivery timer is outstanding on the link, further in-flight
-	// arrivals park in a per-link ring sorted by (time, seq) instead of
-	// each taking a heap timer. The first arrival of a train rides its
-	// timer directly (armed), so sparse links pay no ring bookkeeping at
-	// all. Each arrival still reserves a scheduler seq, so dispatch
-	// order — and every downstream byte — is identical to the
-	// timer-per-packet path.
+	// Coalesced delivery: while a delivery timer is outstanding on the
+	// link, further in-flight arrivals park in a per-link ring sorted by
+	// (time, seq) instead of each taking a heap timer. The first arrival
+	// of a train rides its timer directly (armed), so sparse links pay no
+	// ring bookkeeping at all. Each arrival still reserves a scheduler
+	// seq, so dispatch order — and every downstream byte — is identical
+	// to the timer-per-packet reference (Network.timerPerPacket).
 	ring     []ringEntry
 	ringHead int
 	armed    bool     // an in-order delivery timer is outstanding
@@ -280,11 +279,11 @@ func (l *Link) propagate(pkt *Packet) {
 		l.net.pushHandoff(l, l.sched.Now()+d, pkt)
 		return
 	}
-	if l.net.batch {
-		l.ringAppend(l.sched.Now()+d, pkt)
+	if l.net.timerPerPacket {
+		l.sched.AfterArg(d, l.deliverFn, pkt)
 		return
 	}
-	l.sched.AfterArg(d, l.deliverFn, pkt)
+	l.ringAppend(l.sched.Now()+d, pkt)
 }
 
 // ringAppend routes an in-flight arrival through coalesced delivery.

@@ -57,10 +57,12 @@ type Network struct {
 	lastTree *mcastTree
 	lastVer  uint32
 
-	// batch enables coalesced link delivery (per-link arrival rings, one
-	// armed timer per link). Byte-identical to timer-per-packet delivery;
-	// see Link.ringAppend.
-	batch bool
+	// timerPerPacket gives every in-flight copy its own scheduler timer
+	// instead of parking it on a link ring or a fan-out train. Nothing
+	// outside this package's tests sets it: it is the reference delivery
+	// path the coalesced ones (Link.ringAppend, fanOut) are fuzzed
+	// against, byte-identical by contract.
+	timerPerPacket bool
 
 	// Dijkstra scratch, reused across route recomputations. via[v] is the
 	// link that last relaxed v.
@@ -219,19 +221,8 @@ func New(sched *sim.Scheduler, rng *sim.Rand) *Network {
 		groups:     map[GroupID]*group{},
 		mcastTrees: map[mcastKey]*mcastTree{},
 		replay:     -1,
-		batch:      true,
 	}
 }
-
-// SetBatching toggles coalesced link delivery. The toggle changes no
-// observable byte — ring arrivals reserve scheduler seqs exactly as
-// per-packet timers would and drain in identical (time, seq) order —
-// only the per-event heap traffic. Toggle between runs, never while
-// packets are in flight.
-func (n *Network) SetBatching(on bool) { n.batch = on }
-
-// Batching reports whether coalesced link delivery is enabled.
-func (n *Network) Batching() bool { return n.batch }
 
 // RingHeld returns the number of arrivals currently parked in link
 // delivery rings and node fan-out trains. Used by the ring-conservation
@@ -804,7 +795,7 @@ func (n *Network) forwardMcast(at, src NodeID, pkt *Packet) {
 		lo, hi := t.start[at], t.start[at+1]
 		children := t.links[lo:hi]
 		n.addRefs(pkt, int32(len(children)))
-		if slots := t.slots[at]; slots > 0 && n.batch {
+		if slots := t.slots[at]; slots > 0 && !n.timerPerPacket {
 			n.fanOut(at, pkt, children, t.rank[lo:hi], int(slots))
 		} else {
 			for _, li := range children {

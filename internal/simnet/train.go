@@ -2,7 +2,7 @@ package simnet
 
 import "repro/internal/sim"
 
-// Fan-out trains (Network.SetBatching, on by default).
+// Fan-out trains.
 //
 // A node that fans one multicast packet out over many fixed-delay links
 // (Link.fixedDelay) produces copies that differ only in link and arrival

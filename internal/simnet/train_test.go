@@ -21,6 +21,7 @@ type trainRig struct {
 	leaves []NodeID
 	links  []*Link // every downstream link, in creation order
 	log    strings.Builder
+	held   int64 // peak RingHeld over the run's slices
 }
 
 const trainGroup = GroupID(7)
@@ -71,11 +72,55 @@ func (r *trainRig) build() {
 	}
 }
 
-func newTrainRig(batch bool, seed int64) *trainRig {
+// newTestNet returns a production network or, with oracle set, one on the
+// timer-per-packet reference path — every in-flight copy on its own
+// scheduler timer, no link ring, no fan-out train — which the coalesced
+// production path must reproduce byte for byte. This file and
+// batch_test.go are the seam's only users.
+func newTestNet(oracle bool, sch *sim.Scheduler, rng *sim.Rand) *Network {
+	n := New(sch, rng)
+	n.timerPerPacket = oracle
+	return n
+}
+
+// coalescedEver reports whether any arrival has gone through a link ring
+// (ringAppend is the only writer of lastAt) or any node has fanned out
+// over trains, since construction or the last Reset. An oracle run
+// must answer false twice: then each delivered copy was one heap push.
+func (n *Network) coalescedEver() (rings, trains bool) {
+	for _, l := range n.linkList {
+		if l.lastAt != 0 || l.armed || len(l.ring) > 0 {
+			rings = true
+		}
+	}
+	for i := range n.nodes {
+		if n.nodes[i].fan != nil {
+			trains = true
+		}
+	}
+	return rings, trains
+}
+
+// requireOracleSplit is the vacuity guard of every production-vs-oracle
+// comparison: the production run coalesced (rings and, when the topology
+// fans out, trains were used; fewer dispatch batches than events) and the
+// oracle run never did.
+func requireOracleSplit(t *testing.T, on, off *Network, wantTrains bool) {
+	t.Helper()
+	if rings, trains := on.coalescedEver(); !rings || trains != wantTrains {
+		t.Fatalf("production run: rings used %v, trains used %v (want true, %v)", rings, trains, wantTrains)
+	}
+	if b, n := on.sched.Batches(), on.sched.Processed(); b == 0 || b >= n {
+		t.Fatalf("production run did not coalesce: %d events in %d batches", n, b)
+	}
+	if rings, trains := off.coalescedEver(); rings || trains {
+		t.Fatalf("oracle run left the timer-per-packet path: rings used %v, trains used %v", rings, trains)
+	}
+}
+
+func newTrainRig(coalesce bool, seed int64) *trainRig {
 	r := &trainRig{sch: sim.NewScheduler()}
-	r.sch.SetBatching(batch)
-	r.net = New(r.sch, sim.NewRand(seed))
-	r.net.SetBatching(batch)
+	r.net = newTestNet(!coalesce, r.sch, sim.NewRand(seed))
 	r.net.EnableReuse()
 	r.build()
 	return r
@@ -143,6 +188,7 @@ func (r *trainRig) run(seed int64, until sim.Time) {
 			step = sim.Time(rng.Int63n(int64(9 * sim.Millisecond)))
 		}
 		r.sch.RunUntil(min(r.sch.Now()+step, until))
+		r.held = max(r.held, r.net.RingHeld())
 	}
 }
 
@@ -177,6 +223,10 @@ func TestTrainIdentity(t *testing.T) {
 		if a, b := on.stats(), off.stats(); a != b {
 			t.Fatalf("seed %d: counters differ:\ntrains:\n%s\noracle:\n%s", seed, a, b)
 		}
+		requireOracleSplit(t, on.net, off.net, true)
+		if on.held == 0 || off.held != 0 {
+			t.Fatalf("seed %d: peak RingHeld %d with trains, %d on the oracle (want > 0, 0)", seed, on.held, off.held)
+		}
 		for _, r := range []*trainRig{on, off} {
 			if live, held := r.net.LivePackets(), r.net.RingHeld(); live != 0 || held != 0 {
 				t.Fatalf("seed %d: after drain %d packets live, %d held", seed, live, held)
@@ -185,8 +235,8 @@ func TestTrainIdentity(t *testing.T) {
 	}
 }
 
-// TestTrainsCarryTheFanOut guards the test above against vacuity: with
-// batching on, the rig's hub really does park copies on trains.
+// TestTrainsCarryTheFanOut guards the test above against vacuity from the
+// other side: the production rig's hub really does park copies on trains.
 func TestTrainsCarryTheFanOut(t *testing.T) {
 	r := newTrainRig(true, 1)
 	r.script(1)
@@ -290,11 +340,9 @@ func (l fastLeaf) Recv(pkt *Packet) {
 	}
 }
 
-func newFastStar(batch bool, leaves int, seed int64) *fastStar {
+func newFastStar(coalesce bool, leaves int, seed int64) *fastStar {
 	st := &fastStar{sch: sim.NewScheduler()}
-	st.sch.SetBatching(batch)
-	st.net = New(st.sch, sim.NewRand(seed))
-	st.net.SetBatching(batch)
+	st.net = newTestNet(!coalesce, st.sch, sim.NewRand(seed))
 	rng := rand.New(rand.NewSource(seed))
 	st.src, st.hub = st.net.AddNode("src"), st.net.AddNode("hub")
 	st.net.AddLink(st.src, st.hub, 12.5e6, sim.Millisecond, 1<<20)
@@ -339,8 +387,12 @@ func TestTrainIdentityManyInFlight(t *testing.T) {
 			if f := st.net.nodes[st.hub].fan; f != nil {
 				peak = max(peak, len(f.trains))
 			}
+			if st == off && st.net.RingHeld() != 0 {
+				t.Fatalf("oracle holds %d arrivals off the heap at %v", st.net.RingHeld(), st.sch.Now())
+			}
 		}
 	}
+	requireOracleSplit(t, on.net, off.net, true)
 	if peak < 300 {
 		t.Fatalf("at most %d trains in flight at the hub; the case is meant to hold hundreds", peak)
 	}
@@ -365,13 +417,13 @@ func BenchmarkFanOutCopy(b *testing.B) {
 		name    string
 		spacing sim.Time
 	}{{"spacing8ms", 8 * sim.Millisecond}, {"spacing80us", 80 * sim.Microsecond}} {
-		for _, batch := range []bool{true, false} {
+		for _, coalesce := range []bool{true, false} {
 			mode := "trains"
-			if !batch {
+			if !coalesce {
 				mode = "timers"
 			}
 			b.Run(c.name+"/"+mode, func(b *testing.B) {
-				st := newFastStar(batch, 1000, 1)
+				st := newFastStar(coalesce, 1000, 1)
 				const burst = 800
 				for n := 0; n < b.N; n += st.recv {
 					st.recv = 0

@@ -32,11 +32,6 @@ type Config struct {
 	// see experiments.RunCtx.SetEngineWorkers. Orthogonal to Workers,
 	// which parallelises across seeds.
 	EngineWorkers int
-
-	// NoBatch disables burst event dispatch (see
-	// experiments.RunCtx.SetBatching). Output is byte-identical either
-	// way; the switch exists for identity smokes and bisection.
-	NoBatch bool
 }
 
 // SeedError records one seed whose run panicked. The sweep recovers,
