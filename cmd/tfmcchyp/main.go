@@ -29,17 +29,22 @@ import (
 	"strings"
 
 	"repro/internal/hypothesis"
+	"repro/internal/sweep"
 )
 
 func main() {
 	suite := flag.Bool("suite", false, "run every committed-suite hypothesis")
 	list := flag.Bool("list", false, "list the committed suite and chaos levels")
 	run := flag.String("run", "", "run one hypothesis by suite id or JSON document path")
-	workers := flag.Int("workers", min(4, runtime.NumCPU()), "parallel sweep workers per hypothesis")
-	engineW := flag.Int("engineworkers", 0, "judge workloads on the region-parallel engine with this many goroutines per run (>= 2; 0 or 1 = serial)")
+	cfg := sweep.Config{Seeds: 1, Workers: min(4, runtime.NumCPU()), CI: 0.95, Base: 1}
+	cfg.RegisterFlags(flag.CommandLine, "workers", "engineworkers")
 	asJSON := flag.Bool("json", false, "emit verdicts as JSON instead of text reports")
 	summary := flag.String("summary", "", "append a markdown verdict table to this file")
 	flag.Parse()
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	switch {
 	case *list:
@@ -65,10 +70,10 @@ func main() {
 					*run, strings.Join(hypothesis.SuiteIDs(), ", "), err)
 			}
 		}
-		verdicts := judge([]*hypothesis.Hypothesis{h}, *workers, *engineW, *asJSON)
+		verdicts := judge([]*hypothesis.Hypothesis{h}, cfg, *asJSON)
 		finish(verdicts, *summary, *asJSON)
 	case *suite:
-		verdicts := judge(hypothesis.Suite(), *workers, *engineW, *asJSON)
+		verdicts := judge(hypothesis.Suite(), cfg, *asJSON)
 		finish(verdicts, *summary, *asJSON)
 	default:
 		flag.Usage()
@@ -76,10 +81,10 @@ func main() {
 	}
 }
 
-func judge(hs []*hypothesis.Hypothesis, workers, engineW int, asJSON bool) []*hypothesis.Verdict {
+func judge(hs []*hypothesis.Hypothesis, cfg sweep.Config, asJSON bool) []*hypothesis.Verdict {
 	var out []*hypothesis.Verdict
 	for _, h := range hs {
-		v, err := hypothesis.Run(h, hypothesis.Options{Workers: workers, EngineWorkers: engineW})
+		v, err := hypothesis.Run(h, cfg)
 		if err != nil {
 			fatalf("%s: %v", h.ID, err)
 		}

@@ -21,23 +21,17 @@
 // -depth, -hops) folded into the declarative spec before the run.
 //
 // With -seeds > 1 the figure is replicated across that many independent
-// seeds (fanned out over -workers goroutines, each reusing one simulation
-// arena) and the output carries mean/CI/min/max band columns instead of a
+// seeds and the output carries mean/CI/min/max band columns instead of a
 // single trajectory: TSV becomes the long-format table
 //
 //	series  x  mean  ci_lo  ci_hi  min  max  n
 //
-// where [ci_lo, ci_hi] is the -ci confidence interval for the mean. The
-// merged output is bit-for-bit independent of -workers.
-//
-// -engineworkers w (>= 2) runs every scenario-spec-driven simulation on
-// the region-parallel engine: the topology is partitioned into regions
-// that advance on their own scheduler shards over w goroutines,
-// synchronised by conservative lookahead windows. Output is
-// deterministic and independent of w, but is a different (equally valid)
-// trajectory than the serial engine's — the shards draw from per-region
-// random streams. 0 or 1 keeps the byte-identical serial path.
-// Hand-wired figures (the non-Spec entries) always run serially.
+// The run options (-seeds, -seed, -workers, -ci, -check, -engineworkers)
+// are sweep.Config's, shared with tfmccbench and tfmcchyp and described
+// once in README.md ("Run options"); a value that cannot mean anything
+// exits 2 naming the flag. With -engineworkers >= 2 output is a different
+// (equally valid, worker-count-invariant) trajectory than the serial
+// engine's; hand-wired serial-only figures refuse it.
 package main
 
 import (
@@ -65,12 +59,6 @@ func main() {
 		all      = flag.Bool("all", false, "run every figure")
 		list     = flag.Bool("list", false, "list available figures and presets")
 		tsv      = flag.Bool("tsv", false, "print full series as TSV instead of a summary")
-		seed     = flag.Int64("seed", 1, "random seed (first seed of a sweep)")
-		seeds    = flag.Int("seeds", 1, "number of independent seeds to sweep and merge")
-		workers  = flag.Int("workers", runtime.NumCPU(), "parallel sweep workers (capped at -seeds)")
-		ci       = flag.Float64("ci", 0.95, "confidence level for the merged bands")
-		check    = flag.Bool("check", false, "run the invariant checker alongside the simulation; exit 1 on violations")
-		engineW  = flag.Int("engineworkers", 0, "run scenario-spec simulations on the region-parallel engine with this many goroutines (>= 2; 0 or 1 = serial)")
 
 		duration  = flag.Float64("duration", 0, "override: simulated seconds")
 		corebw    = flag.Float64("corebw", 0, "override: core link bandwidth in Mbit/s")
@@ -84,7 +72,13 @@ func main() {
 		depth     = flag.Int("depth", 0, "override: tree depth")
 		hops      = flag.Int("hops", 0, "override: chain length")
 	)
+	cfg := sweep.Config{Seeds: 1, Workers: runtime.NumCPU(), CI: 0.95, Base: 1}
+	cfg.RegisterFlags(flag.CommandLine, "seed", "seeds", "workers", "ci", "check", "engineworkers")
 	flag.Parse()
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	// The two flags converted to integer sim.Time must be finite before
 	// the conversion; every other range check is Spec.Apply's.
@@ -112,11 +106,7 @@ func main() {
 	// once runs one single-seed simulation on a fresh context and prints
 	// it, exiting 1 on an error or an invariant violation.
 	once := func(run func(*experiments.RunCtx) (*experiments.Result, error)) {
-		ctx := experiments.NewRunCtx()
-		ctx.SetEngineWorkers(*engineW)
-		if *check {
-			ctx.EnableInvariants()
-		}
+		ctx := experiments.NewRunCtxFor(cfg)
 		res, err := run(ctx)
 		if err != nil {
 			fail(err)
@@ -129,11 +119,8 @@ func main() {
 		reportViolations(violations, nil)
 	}
 	figureRun := func(id string) {
-		if *seeds > 1 {
-			res, err := experiments.Sweep(id, sweep.Config{
-				Seeds: *seeds, Workers: *workers, CI: *ci, Base: *seed, Check: *check,
-				EngineWorkers: *engineW,
-			})
+		if cfg.Seeds > 1 {
+			res, err := experiments.Sweep(id, cfg)
 			if err != nil {
 				fail(err)
 			}
@@ -142,18 +129,17 @@ func main() {
 			return
 		}
 		once(func(ctx *experiments.RunCtx) (*experiments.Result, error) {
-			return experiments.RunWith(ctx, id, *seed)
+			return experiments.RunWith(ctx, id, cfg.Base)
 		})
 	}
 
 	switch {
 	case *list:
 		for _, e := range experiments.Entries() {
-			fmt.Printf("%-10s %-26s cost=%-6.2f %s\n",
-				e.ID, "["+strings.Join(e.Tags, ",")+"]", e.Cost, e.Title)
+			fmt.Printf("%-10s %-26s %s\n", e.ID, "["+strings.Join(e.Tags, ",")+"]", e.Title)
 		}
 	case *hyp != "":
-		judge(*hyp, *workers, *engineW)
+		judge(*hyp, cfg)
 	case *scenFile != "":
 		spec, err := scenario.LoadSpec(*scenFile)
 		if err == nil {
@@ -163,13 +149,13 @@ func main() {
 			fail(err)
 		}
 		once(func(ctx *experiments.RunCtx) (*experiments.Result, error) {
-			return experiments.RunSpecKeyed(ctx, "file-"+*scenFile, spec, *seed)
+			return experiments.RunSpecKeyed(ctx, "file-"+*scenFile, spec, cfg.Base)
 		})
 	case *scen != "" && *specOut != "":
 		writeSpec(*scen, ov, *specOut)
 	case *scen != "":
 		once(func(ctx *experiments.RunCtx) (*experiments.Result, error) {
-			return experiments.RunOverridden(ctx, *scen, ov, *seed)
+			return experiments.RunOverridden(ctx, *scen, ov, cfg.Base)
 		})
 	case *all:
 		for _, id := range experiments.Figures() {
@@ -202,7 +188,7 @@ func emit(res interface {
 
 // judge resolves a hypothesis — a committed-suite id or a JSON document
 // path — runs it and exits 1 when any expectation fails.
-func judge(ref string, workers, engineW int) {
+func judge(ref string, cfg sweep.Config) {
 	h, ok := hypothesis.ByID(ref)
 	if !ok {
 		var err error
@@ -213,7 +199,7 @@ func judge(ref string, workers, engineW int) {
 			os.Exit(1)
 		}
 	}
-	v, err := hypothesis.Run(h, hypothesis.Options{Workers: workers, EngineWorkers: engineW})
+	v, err := hypothesis.Run(h, cfg)
 	if err != nil {
 		fail(err)
 	}

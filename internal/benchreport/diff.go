@@ -1,6 +1,10 @@
 package benchreport
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/experiments"
+)
 
 // Regression is one gated metric that got worse than the baseline by
 // more than the tolerance, or an exact quantity that moved at all.
@@ -20,11 +24,11 @@ func (r Regression) String() string {
 // Compare gates fresh against base on what a report is exact about. For
 // every non-analytic scenario present in both: allocs/event may not
 // regress by more than tol (0.15 = 15%; it is machine-independent, so
-// the raw ratio is gated), and — when both sides swept the same seeds on
-// the same engine — events, packets sent and packets delivered must
-// equal the baseline's exactly: the committed report doubles as a
-// counter ledger, so a change that moves one event fails here even if
-// every rate looks fine. Conservation identities are re-checked on every
+// the raw ratio is gated), and — when both sides swept the same number
+// of seeds on the same engine — every counter the experiments.Counters
+// table marks exact (events, packets sent, packets delivered) must equal
+// the baseline's: the committed report doubles as a counter ledger, so a
+// change that moves one event fails here even if every rate looks fine. Conservation identities are re-checked on every
 // fresh scenario. Analytic figures have no engine events and are exempt.
 // Scenarios missing on either side, and counter comparisons skipped for
 // a seed mismatch, are reported as notes, never silently dropped.
@@ -40,6 +44,7 @@ func Compare(base, fresh *Report, tol float64) (regs []Regression, notes []strin
 	}
 	seen := map[string]bool{}
 	skipped := 0
+	counters := experiments.Counters()
 	for _, m := range fresh.Scenarios {
 		seen[m.ID] = true
 		regs = append(regs, conserve(m)...)
@@ -52,17 +57,19 @@ func Compare(base, fresh *Report, tol float64) (regs []Regression, notes []strin
 			continue
 		}
 		regs = append(regs, gate(m.ID, "allocs/event", b.AllocsPerEvt, m.AllocsPerEvt, tol)...)
-		if base.SeedBase != fresh.SeedBase || m.Runs != b.Runs || m.EngineShards != b.EngineShards {
+		if m.Runs != b.Runs || m.EngineShards != b.EngineShards {
 			skipped++
 			continue
 		}
-		regs = append(regs, exact(m.ID, "events", b.Events, m.Events)...)
-		regs = append(regs, exact(m.ID, "packets_sent", uint64(b.PacketsSent), uint64(m.PacketsSent))...)
-		regs = append(regs, exact(m.ID, "packets_delivered", uint64(b.PacketsDeliv), uint64(m.PacketsDeliv))...)
+		for _, c := range counters {
+			if c.Exact {
+				regs = append(regs, exact(m.ID, c.Name, c.Value(&b.EngineStats), c.Value(&m.EngineStats))...)
+			}
+		}
 	}
 	if skipped > 0 {
 		notes = append(notes, fmt.Sprintf(
-			"%d scenario(s) swept other seeds or ran on another engine than the baseline: event and packet counters not compared", skipped))
+			"%d scenario(s) swept another seed count or ran on another engine than the baseline: event and packet counters not compared", skipped))
 	}
 	for _, m := range base.Scenarios {
 		if !seen[m.ID] {

@@ -17,29 +17,8 @@ func allocsNow() uint64 {
 }
 
 func (m *Metrics) finish(wall time.Duration, st experiments.EngineStats, allocs uint64) {
+	m.EngineStats = st
 	m.WallNS = wall.Nanoseconds()
-	m.Events = st.Events
-	m.PacketsSent = st.PacketsSent
-	m.PacketsDeliv = st.PacketsDelivered
-	m.Unreachable = st.Unreachable
-	m.Corrupted = st.Corrupted
-	m.Duplicated = st.Duplicated
-	m.CLRLosses = st.CLRLosses
-	m.Reelections = st.Reelections
-	m.RateRecoveries = st.RateRecoveries
-	m.ReelectNS = int64(st.ReelectNS)
-	m.RateRecoverNS = int64(st.RateRecoverNS)
-	if st.EngineShards > 0 {
-		m.EngineShards = st.EngineShards
-		m.ShardEvents = append([]uint64(nil), st.ShardEvents[:st.EngineShards]...)
-		m.ControlEvents = st.ControlEvents
-		m.HandoffsSent = st.HandoffsSent
-		m.HandoffsRecv = st.HandoffsRecv
-	}
-	m.Batches = st.Batches
-	m.Windows = st.Windows
-	m.WindowNS = int64(st.WindowNS)
-	m.ShardSteps = st.ShardSteps
 	if st.Batches > 0 {
 		m.MeanBatch = float64(st.Events) / float64(st.Batches)
 	}
@@ -54,66 +33,30 @@ func (m *Metrics) finish(wall time.Duration, st experiments.EngineStats, allocs 
 	}
 }
 
-// Options configure a measurement run.
-type Options struct {
-	Seeds    int   // seeds per scenario in this run
-	SeedBase int64 // first seed; 0 means 1
-	Workers  int
-	// TotalSeeds is the whole run's seed count when this is a seed-range
-	// fragment (recorded as the header Seeds so sibling fragments agree);
-	// 0 means Seeds.
-	TotalSeeds int
-	SeedShard  string // "i/N" stamped on seed-range fragments
-	// Check enables the run-level invariant checker in every figure
-	// sweep; violations land in the scenario's Metrics. The checker's
-	// ticks are excluded from event counts, so the deterministic report
-	// is unchanged by enabling it.
-	Check bool
-	// EngineWorkers >= 2 routes scenario-spec runs through the
-	// region-parallel engine on that many goroutines per run; the report
-	// then carries per-shard event and handoff counters.
-	EngineWorkers int
-}
-
-// MeasureOpts runs every item of items (typically one shard of plan, or
-// the whole plan over one seed sub-range) and returns the report.
-// Progress lines go to progress (pass io.Discard to silence). The header
-// records the full plan — size and scenario ids — so fragments from
-// sibling shards can be merged and checked for completeness against the
-// same selection.
-func MeasureOpts(items, plan []Item, opt Options, progress io.Writer) *Report {
-	if opt.SeedBase == 0 {
-		opt.SeedBase = 1
-	}
-	if opt.TotalSeeds == 0 {
-		opt.TotalSeeds = opt.Seeds
-	}
-	planIDs := make([]string, len(plan))
-	for i, it := range plan {
-		planIDs[i] = it.ID
-	}
+// Measure runs every item of plan under the run options cfg — each
+// figure swept over cfg's seeds on cfg.Workers workers, with the
+// invariant checker when cfg.Check (its ticks are excluded from event
+// counts, so the deterministic report is unchanged by it) and on the
+// region-parallel engine when cfg.EngineWorkers >= 2 — and returns the
+// report. Progress lines go to progress (pass io.Discard to silence).
+func Measure(plan []Item, cfg sweep.Config, progress io.Writer) *Report {
+	cfg = cfg.Normalized()
 	rep := &Report{
 		Generated: time.Now().UTC().Format(time.RFC3339),
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
-		Seeds:     opt.TotalSeeds,
-		Workers:   opt.Workers,
-		PlanSize:  len(plan),
-		PlanIDs:   planIDs,
-		SeedShard: opt.SeedShard,
+		Seeds:     cfg.Seeds,
+		Workers:   cfg.Workers,
 		Scenarios: []Metrics{},
 	}
-	if opt.SeedBase != 1 {
-		rep.SeedBase = opt.SeedBase
-	}
 	start := time.Now()
-	for _, it := range items {
+	for _, it := range plan {
 		var m Metrics
 		if it.ID == SessionID {
-			m = measureSession(it, opt)
+			m = measureSession(it, cfg)
 		} else {
-			m = measureFigure(it, opt)
+			m = measureFigure(it, cfg)
 		}
 		rep.Scenarios = append(rep.Scenarios, m)
 		switch {
@@ -138,17 +81,12 @@ func MeasureOpts(items, plan []Item, opt Options, progress io.Writer) *Report {
 }
 
 // measureFigure sweeps one registered figure across seeds in parallel.
-func measureFigure(it Item, opt Options) Metrics {
-	m := Metrics{
-		ID: it.ID, Seq: it.Seq, Title: it.Title, Tags: it.Tags,
-		Runs: opt.Seeds, Analytic: it.Analytic,
-	}
+func measureFigure(it Item, cfg sweep.Config) Metrics {
+	m := Metrics{ID: it.ID, Title: it.Title, Tags: it.Tags, Runs: cfg.Seeds, Analytic: it.Analytic}
 	runtime.GC()
 	a0 := allocsNow()
 	start := time.Now()
-	res, err := experiments.Sweep(it.FigureID, sweep.Config{
-		Seeds: opt.Seeds, Workers: opt.Workers, Base: opt.SeedBase, Check: opt.Check,
-		EngineWorkers: opt.EngineWorkers})
+	res, err := experiments.Sweep(it.FigureID, cfg)
 	if err != nil {
 		// Serial-only figures refuse -engineworkers rather than silently
 		// running serial; surface the refusal as a recorded failure so a
@@ -159,21 +97,20 @@ func measureFigure(it Item, opt Options) Metrics {
 	}
 	m.finish(time.Since(start), res.Engine, allocsNow()-a0)
 	if res.Engine.EngineShards > 0 {
-		m.EngineWorkers = opt.EngineWorkers
+		m.EngineWorkers = cfg.EngineWorkers
 	}
 	m.Violations = res.Violations
 	m.Failures = res.Failures
 	return m
 }
 
-// measureSession runs the 100-receiver session scenario seeds times on
+// measureSession runs the 100-receiver session scenario once per seed on
 // one reusable arena, recording cold-vs-warm setup allocations. The setup
 // probes run the scenario for zero simulated seconds — construction only —
 // so the amortisation ratio isolates what arena reuse saves, undiluted by
 // run-phase allocations.
-func measureSession(it Item, opt Options) Metrics {
-	base, seeds := opt.SeedBase, opt.Seeds
-	m := Metrics{ID: it.ID, Seq: it.Seq, Title: it.Title, Tags: it.Tags, Runs: seeds}
+func measureSession(it Item, cfg sweep.Config) Metrics {
+	m := Metrics{ID: it.ID, Title: it.Title, Tags: it.Tags, Runs: cfg.Seeds}
 	ctx := experiments.NewRunCtx()
 	runtime.GC()
 	a0 := allocsNow()
@@ -192,8 +129,8 @@ func measureSession(it Item, opt Options) Metrics {
 	runtime.GC()
 	a0 = allocsNow()
 	start := time.Now()
-	for seed := base; seed < base+int64(seeds); seed++ {
-		ctx.SessionThroughputSeed(seed, 100, 10)
+	for i := 0; i < cfg.Seeds; i++ {
+		ctx.SessionThroughputSeed(cfg.Seed(i), 100, 10)
 	}
 	m.finish(time.Since(start), ctx.Stats(), allocsNow()-a0)
 	return m

@@ -2,8 +2,6 @@ package benchreport
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/experiments"
@@ -13,28 +11,21 @@ import (
 // which rides along with the figure registry in every bench plan.
 const SessionID = "session100x10"
 
-// sessionCost is the session scenario's shard-balancing weight (it
-// simulates ~10 engine-seconds per seed; negligible next to figures).
-const sessionCost = 0.1
-
 // Item is one scenario of a bench plan.
 type Item struct {
 	ID       string // scenario id as written to the report ("figure9", SessionID)
-	Seq      int    // plan-relative position, assigned by NewPlan
 	FigureID string // registry id ("9"); empty for the session scenario
 	Title    string
 	Analytic bool
 	Tags     []string
-	Cost     float64 // relative wall-clock weight, from the registry
 }
 
 // NewPlan enumerates the bench plan: every registry figure in
 // enumeration order, then the session scenario (when includeSession).
 // A non-empty only list selects a subset; ids may be registry ids ("9"),
 // report ids ("figure9") or the session id. Selection never reorders —
-// plan order is always enumeration order, so sharded and unsharded runs
-// of the same selection agree on sequence numbers. Unknown or duplicate
-// ids are errors.
+// plan order is always enumeration order. Unknown or duplicate ids are
+// errors.
 func NewPlan(only []string, includeSession bool) ([]Item, error) {
 	var all []Item
 	for _, e := range experiments.Entries() {
@@ -48,7 +39,6 @@ func NewPlan(only []string, includeSession bool) ([]Item, error) {
 			Title:    e.Title,
 			Analytic: e.Analytic(),
 			Tags:     e.Tags,
-			Cost:     e.Cost,
 		})
 	}
 	if includeSession {
@@ -56,31 +46,27 @@ func NewPlan(only []string, includeSession bool) ([]Item, error) {
 			ID:    SessionID,
 			Title: "100 receivers, 1 Mbit/s bottleneck, 10 s",
 			Tags:  []string{experiments.TagEngine, experiments.TagSweep},
-			Cost:  sessionCost,
 		})
 	}
-	items := all
-	if len(only) > 0 {
-		want := map[string]bool{}
-		for _, raw := range only {
-			id, err := normalizeID(all, raw)
-			if err != nil {
-				return nil, err
-			}
-			if want[id] {
-				return nil, fmt.Errorf("benchreport: duplicate id %q in selection", strings.TrimSpace(raw))
-			}
-			want[id] = true
-		}
-		items = items[:0:0]
-		for _, it := range all {
-			if want[it.ID] {
-				items = append(items, it)
-			}
-		}
+	if len(only) == 0 {
+		return all, nil
 	}
-	for i := range items {
-		items[i].Seq = i
+	want := map[string]bool{}
+	for _, raw := range only {
+		id, err := normalizeID(all, raw)
+		if err != nil {
+			return nil, err
+		}
+		if want[id] {
+			return nil, fmt.Errorf("benchreport: duplicate id %q in selection", strings.TrimSpace(raw))
+		}
+		want[id] = true
+	}
+	var items []Item
+	for _, it := range all {
+		if want[it.ID] {
+			items = append(items, it)
+		}
 	}
 	return items, nil
 }
@@ -98,87 +84,4 @@ func normalizeID(all []Item, raw string) (string, error) {
 		known[i] = it.ID
 	}
 	return "", fmt.Errorf("benchreport: unknown id %q (have %v)", id, known)
-}
-
-// Shard returns the shard-th of n cost-balanced partitions of the plan
-// (1-based). Partitioning is deterministic: items are considered in
-// decreasing cost order (ties broken by sequence number) and greedily
-// assigned to the lightest shard so far (ties to the lowest shard
-// index); each shard's items come back in plan order. Shards are
-// disjoint and together cover the plan exactly, so fragment merges can
-// reconstruct the unsharded report.
-func Shard(items []Item, shard, n int) ([]Item, error) {
-	if n < 1 || shard < 1 || shard > n {
-		return nil, fmt.Errorf("benchreport: invalid shard %d/%d", shard, n)
-	}
-	byCost := append([]Item(nil), items...)
-	sort.SliceStable(byCost, func(i, j int) bool { return byCost[i].Cost > byCost[j].Cost })
-	load := make([]float64, n)
-	assign := map[int]int{} // seq -> shard index (0-based)
-	for _, it := range byCost {
-		best := 0
-		for s := 1; s < n; s++ {
-			if load[s] < load[best] {
-				best = s
-			}
-		}
-		load[best] += it.Cost
-		assign[it.Seq] = best
-	}
-	var out []Item
-	for _, it := range items {
-		if assign[it.Seq] == shard-1 {
-			out = append(out, it)
-		}
-	}
-	return out, nil
-}
-
-// SeedRange returns the contiguous seed sub-range shard i of n covers
-// when total seeds are split as evenly as possible (the first total%n
-// shards get one extra seed). Every scenario of the plan runs in every
-// seed fragment — the split is across the random streams, not the
-// scenarios — which is what lets one expensive figure's seeds spread
-// over machines instead of dominating a single shard.
-func SeedRange(total, shard, n int) (base int64, count int, err error) {
-	if n < 1 || shard < 1 || shard > n {
-		return 0, 0, fmt.Errorf("benchreport: invalid seed shard %d/%d", shard, n)
-	}
-	if n > total {
-		return 0, 0, fmt.Errorf("benchreport: cannot split %d seeds into %d fragments", total, n)
-	}
-	per, extra := total/n, total%n
-	base = 1
-	for i := 1; i < shard; i++ {
-		c := per
-		if i <= extra {
-			c++
-		}
-		base += int64(c)
-	}
-	count = per
-	if shard <= extra {
-		count++
-	}
-	return base, count, nil
-}
-
-// ParseShardSpec parses a "-shard i/N" flag value. The whole string must
-// be the spec — trailing garbage is an error, not a silently different
-// partition.
-func ParseShardSpec(spec string) (shard, n int, err error) {
-	a, b, ok := strings.Cut(spec, "/")
-	if ok {
-		shard, err = strconv.Atoi(a)
-		if err == nil {
-			n, err = strconv.Atoi(b)
-		}
-	}
-	if !ok || err != nil {
-		return 0, 0, fmt.Errorf("benchreport: shard spec %q is not i/N", spec)
-	}
-	if n < 1 || shard < 1 || shard > n {
-		return 0, 0, fmt.Errorf("benchreport: shard spec %q out of range", spec)
-	}
-	return shard, n, nil
 }

@@ -8,7 +8,7 @@ import (
 )
 
 func init() {
-	register("cohortconv", "Cohort-of-N receivers track N explicit receivers (figure 9 setting)", 9.0, CohortConv)
+	register("cohortconv", "Cohort-of-N receivers track N explicit receivers (figure 9 setting)", CohortConv)
 }
 
 // cohortTwinSpec is the explicit-population twin of the cohort%d preset:

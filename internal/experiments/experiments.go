@@ -123,6 +123,19 @@ type RunCtx struct {
 // NewRunCtx returns a context with environment reuse enabled.
 func NewRunCtx() *RunCtx { return &RunCtx{envs: map[string][]*env{}, reuse: true} }
 
+// NewRunCtxFor returns a context configured from the run options — the
+// invariant checker armed when cfg.Check, the execution engine selected
+// by cfg.EngineWorkers. Sweeps, judged runs and single command-line runs
+// all build their contexts here.
+func NewRunCtxFor(cfg sweep.Config) *RunCtx {
+	c := NewRunCtx()
+	if cfg.Check {
+		c.EnableInvariants()
+	}
+	c.SetEngineWorkers(cfg.EngineWorkers)
+	return c
+}
+
 // EnableInvariants arms the run-level invariant checker on every
 // environment this context hands out: engine-level predicates (packet
 // pool conservation, scheduler monotonicity) on all runs, plus
@@ -424,11 +437,7 @@ func Sweep(id string, cfg sweep.Config) (*SweepResult, error) {
 	cfg = cfg.Normalized()
 	ctxs := make([]*RunCtx, cfg.Workers)
 	for i := range ctxs {
-		ctxs[i] = NewRunCtx()
-		if cfg.Check {
-			ctxs[i].EnableInvariants()
-		}
-		ctxs[i].SetEngineWorkers(cfg.EngineWorkers)
+		ctxs[i] = NewRunCtxFor(cfg)
 	}
 	notes := make([][]string, cfg.Seeds)
 	merged := sweep.Run(cfg, func(worker int, seed int64) []*stats.Series {
@@ -460,88 +469,4 @@ func Sweep(id string, cfg sweep.Config) (*SweepResult, error) {
 		}
 	}
 	return out, nil
-}
-
-// --- engine benchmarking hooks -----------------------------------------
-
-// EngineStats aggregates raw simulation-engine counters over one or more
-// scenario runs, for cmd/tfmccbench and the root benchmarks. The fault
-// counters stay zero unless a scenario injects faults (down links,
-// corruption, duplication), so reports for healthy scenarios are
-// unchanged by the fault layer.
-type EngineStats struct {
-	Events           uint64 // scheduler events executed
-	PacketsSent      int64  // packets handed to links
-	PacketsDelivered int64  // packets delivered by links
-	Unreachable      int64  // sends dropped for lack of a route (partitions, down links)
-	Corrupted        int64  // packets dropped as corrupted by link impairment
-	Duplicated       int64  // extra copies injected by link impairment
-
-	// Recovery counters, harvested from the TFMCC sender of scenario-spec
-	// runs (RunSpec). Counts sum across runs; the durations are maxima, so
-	// a merged sweep reports the worst episode of any seed. All zero — and
-	// omitted from BENCH_engine.json — unless a run actually lost its CLR.
-	CLRLosses      int64    // CLR lost with no immediately elected successor
-	Reelections    int64    // successors elected after such a loss
-	RateRecoveries int64    // losses whose rate re-attained the pre-loss level
-	ReelectNS      sim.Time // max loss-to-re-election sim-time
-	RateRecoverNS  sim.Time // max loss-to-rate-re-attainment sim-time
-
-	// Region-parallel engine counters, all zero (and omitted from
-	// reports) on serial runs. For sharded runs Events above equals
-	// ControlEvents + sum(ShardEvents), and HandoffsSent equals
-	// HandoffsRecv once every window drained — the conservation
-	// identities the benchdiff gate pins.
-	// ShardEvents is a fixed array (the region count is capped at
-	// simnet.MaxAutoShards) so EngineStats stays comparable; only the
-	// first EngineShards entries are meaningful.
-	EngineShards  int                          // max regions any folded run was cut into
-	ShardEvents   [simnet.MaxAutoShards]uint64 // per-region events, elementwise-summed across runs
-	ControlEvents uint64                       // control-scheduler events (checker ticks excluded)
-	HandoffsSent  uint64                       // cross-region packets pushed by source shards
-	HandoffsRecv  uint64                       // cross-region packets drained into destinations
-
-	// Batch-dispatch diagnostics. Batches counts dispatch batches across
-	// every scheduler (mean occupancy = Events/Batches); Windows,
-	// WindowNS and ShardSteps describe the region-parallel window
-	// schedule (mean busy shards per window = ShardSteps/Windows). All
-	// four vary with -check (checker ticks add events and clip windows),
-	// so the deterministic report form strips them — benchdiff history is
-	// where they surface.
-	Batches    uint64   // dispatch batches executed
-	Windows    uint64   // region-parallel synchronization windows
-	WindowNS   sim.Time // summed window widths
-	ShardSteps uint64   // summed per-window counts of shards that had an event due
-}
-
-// Add folds another stats sample into s.
-func (s *EngineStats) Add(o EngineStats) {
-	s.Events += o.Events
-	s.PacketsSent += o.PacketsSent
-	s.PacketsDelivered += o.PacketsDelivered
-	s.Unreachable += o.Unreachable
-	s.Corrupted += o.Corrupted
-	s.Duplicated += o.Duplicated
-	s.CLRLosses += o.CLRLosses
-	s.Reelections += o.Reelections
-	s.RateRecoveries += o.RateRecoveries
-	if o.ReelectNS > s.ReelectNS {
-		s.ReelectNS = o.ReelectNS
-	}
-	if o.RateRecoverNS > s.RateRecoverNS {
-		s.RateRecoverNS = o.RateRecoverNS
-	}
-	if o.EngineShards > s.EngineShards {
-		s.EngineShards = o.EngineShards
-	}
-	for i, v := range o.ShardEvents {
-		s.ShardEvents[i] += v
-	}
-	s.ControlEvents += o.ControlEvents
-	s.HandoffsSent += o.HandoffsSent
-	s.HandoffsRecv += o.HandoffsRecv
-	s.Batches += o.Batches
-	s.Windows += o.Windows
-	s.WindowNS += o.WindowNS
-	s.ShardSteps += o.ShardSteps
 }

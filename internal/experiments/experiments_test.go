@@ -21,9 +21,6 @@ func TestRegistryComplete(t *testing.T) {
 		if e.Title == "" {
 			t.Fatalf("entry %s has no title", id)
 		}
-		if e.Cost <= 0 {
-			t.Fatalf("entry %s has no cost weight", id)
-		}
 		if e.HasTag(TagAnalytic) == e.HasTag(TagEngine) {
 			t.Fatalf("entry %s must carry exactly one of analytic/engine, got %v", id, e.Tags)
 		}

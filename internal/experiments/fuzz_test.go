@@ -47,6 +47,21 @@ func mutateSpec(spec *scenario.Spec, mut []byte) {
 	}
 }
 
+// zeroPacketSizeID names the extra corpus document below in
+// FuzzScenarioSpec's seed corpus.
+const zeroPacketSizeID = "clrfail-packetsize0"
+
+// zeroPacketSize is the spec document that wedged a run before session
+// configs were validated: a fault preset with session.cfg.PacketSize 0.
+// Both fuzzers start from it.
+func zeroPacketSize() *scenario.Spec {
+	spec := scenario.CLRFail()
+	cfg := *spec.Session.Cfg
+	cfg.PacketSize = 0
+	spec.Session.Cfg = &cfg
+	return spec
+}
+
 // FuzzSpecJSON feeds mutated serialised specs to the strict JSON
 // loader. The contract: arbitrary bytes either fail to decode with an
 // error or decode to a spec whose re-encoding is a byte fixpoint
@@ -66,6 +81,11 @@ func FuzzSpecJSON(f *testing.F) {
 	}
 	f.Add([]byte(`{"name":"x","duration_ns":1}{"trailing":true}`))
 	f.Add([]byte(`{"name":"x","unknown_field":1}`))
+	enc, err := zeroPacketSize().Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(enc)
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		spec, err := scenario.DecodeSpec(raw)
 		spec2, err2 := scenario.DecodeSpec(raw)
@@ -151,13 +171,18 @@ func FuzzScenarioSpec(f *testing.F) {
 		f.Add(id, int64(i+1), []byte{byte(i + 4), 0xc0, 0xff, byte(i)})
 		f.Add(id, int64(i+1), []byte{byte(i), 0x40, byte(2 * i), 1, 0, byte(i), 0x17, 2, 0, 40, 3, 1, 9})
 	}
+	f.Add(zeroPacketSizeID, int64(1), []byte{})
 	f.Fuzz(func(t *testing.T, id string, seed int64, mut []byte) {
-		e, ok := Lookup(id)
-		if !ok || e.Spec == nil {
-			t.Skip("not a Spec-backed entry")
+		base := zeroPacketSize
+		if id != zeroPacketSizeID {
+			e, ok := Lookup(id)
+			if !ok || e.Spec == nil {
+				t.Skip("not a Spec-backed entry")
+			}
+			base = e.Spec
 		}
 		run := func() (string, error) {
-			spec := e.Spec()
+			spec := base()
 			if spec.Duration > fuzzDuration {
 				spec.Duration = fuzzDuration
 			}

@@ -7,8 +7,8 @@ import (
 	"repro/internal/scenario"
 )
 
-// Registry tags classify figure reproductions for tooling (CI sharding,
-// bench reports, CLI listings).
+// Registry tags classify figure reproductions for tooling (bench
+// reports, CLI listings).
 const (
 	// TagAnalytic marks figures that never drive the discrete-event
 	// engine: closed-form curves or Monte-Carlo plots over the feedback
@@ -31,10 +31,6 @@ type Entry struct {
 	Title string   // paper caption
 	Run   Runner   // scenario builder
 	Tags  []string // TagAnalytic or TagEngine, plus TagSweep when stochastic
-	// Cost is the entry's relative wall-clock weight — roughly seconds
-	// per 4-seed sweep on the reference container — used to balance CI
-	// shards. Only ratios matter; the scale is arbitrary.
-	Cost float64
 	// Spec returns the entry's declarative scenario, when the entry is
 	// backed by one (single-scenario engine figures and every preset).
 	// Nil for analytic figures and for figure families that sweep many
@@ -77,34 +73,34 @@ func addEntry(e Entry) {
 }
 
 // register adds an engine-driven stochastic figure.
-func register(id, title string, cost float64, r Runner) {
-	addEntry(Entry{ID: id, Title: title, Run: r, Cost: cost,
+func register(id, title string, r Runner) {
+	addEntry(Entry{ID: id, Title: title, Run: r,
 		Tags: []string{TagEngine, TagSweep}})
 }
 
 // registerSerial adds an engine-driven figure whose runner steps the
 // clock itself and therefore only runs on the serial engine.
-func registerSerial(id, title string, cost float64, r Runner) {
-	addEntry(Entry{ID: id, Title: title, Run: r, Cost: cost,
+func registerSerial(id, title string, r Runner) {
+	addEntry(Entry{ID: id, Title: title, Run: r,
 		Tags: []string{TagEngine, TagSweep}, SerialOnly: true})
 }
 
 // registerSpec adds an engine figure together with its declarative
 // scenario spec, making it addressable (and overridable) as a named
 // preset via tfmccsim -scenario.
-func registerSpec(id, title string, cost float64, spec func() *scenario.Spec, r Runner) {
-	addEntry(Entry{ID: id, Title: title, Run: r, Cost: cost, Spec: spec,
+func registerSpec(id, title string, spec func() *scenario.Spec, r Runner) {
+	addEntry(Entry{ID: id, Title: title, Run: r, Spec: spec,
 		Tags: []string{TagEngine, TagSweep}})
 }
 
 // registerAnalytic adds a figure that does not use the simulation engine.
 // sweep marks Monte-Carlo plots whose output depends on the seed.
-func registerAnalytic(id, title string, cost float64, sweep bool, r Runner) {
+func registerAnalytic(id, title string, sweep bool, r Runner) {
 	tags := []string{TagAnalytic}
 	if sweep {
 		tags = append(tags, TagSweep)
 	}
-	addEntry(Entry{ID: id, Title: title, Run: r, Cost: cost, Tags: tags})
+	addEntry(Entry{ID: id, Title: title, Run: r, Tags: tags})
 }
 
 // Lookup returns the entry registered for a figure id.
@@ -118,8 +114,7 @@ func Lookup(id string) (Entry, bool) {
 
 // Entries returns all registered entries in enumeration order — numeric
 // figure ids ascending, then named scenario presets lexicographically —
-// the order every tool shares: listings, bench reports, shard
-// partitions.
+// the order every tool shares: listings and bench reports.
 func Entries() []Entry {
 	out := append([]Entry(nil), entries...)
 	sort.Slice(out, func(i, j int) bool {

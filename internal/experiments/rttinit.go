@@ -9,8 +9,8 @@ import (
 )
 
 func init() {
-	registerSpec("12", "Rate of initial RTT measurements (1000 receivers)", 35.6, Figure12Spec, Figure12)
-	registerSerial("13", "Responsiveness to changes in the RTT", 31.7, Figure13)
+	registerSpec("12", "Rate of initial RTT measurements (1000 receivers)", Figure12Spec, Figure12)
+	registerSerial("13", "Responsiveness to changes in the RTT", Figure13)
 }
 
 // Figure12Spec declares the 1000-receiver RTT-measurement scenario: a

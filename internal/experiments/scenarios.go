@@ -8,16 +8,15 @@ import (
 )
 
 // The scenario presets ride in the same registry as the paper figures —
-// stable IDs, tags and cost weights — so tfmccbench lists, shards and
-// regression-gates them like any figure, and tfmccsim runs them via
-// -scenario with parameter overrides.
+// stable IDs and tags — so tfmccbench lists and regression-gates them
+// like any figure, and tfmccsim runs them via -scenario with parameter
+// overrides.
 func init() {
 	for _, p := range scenario.Presets() {
 		p := p
 		addEntry(Entry{
 			ID:    p.ID,
 			Title: p.Title,
-			Cost:  p.Cost,
 			Tags:  []string{TagEngine, TagSweep, TagScenario},
 			Spec:  p.Make,
 			Run: func(c *RunCtx, seed int64) *Result {

@@ -10,7 +10,7 @@ import (
 	"repro/internal/sweep"
 )
 
-func init() { registerSerial("14", "Maximum slowstart rate vs number of receivers", 0.9, Figure14) }
+func init() { registerSerial("14", "Maximum slowstart rate vs number of receivers", Figure14) }
 
 // Figure14 measures the maximum rate reached during slowstart as a
 // function of the receiver-set size, in three settings with a fair rate

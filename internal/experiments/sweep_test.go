@@ -177,11 +177,10 @@ func TestAnalyticRegistry(t *testing.T) {
 	}
 }
 
-// TestSeedRangeFragmentsMergeRuns is the band-level seed-sharding
-// property behind tfmccbench -seedshard: running a figure's seed range
-// as disjoint fragments (each on its own arena, like separate machines)
-// and merging the raw per-seed series with stats.MergeRuns reproduces
-// the single full-range sweep bit for bit.
+// TestSeedRangeFragmentsMergeRuns is sweep.RunRaw's contract at band
+// level: running a figure's seed range as disjoint fragments (each on its
+// own arena) and merging the raw per-seed series with stats.MergeRuns
+// reproduces the single full-range sweep bit for bit.
 func TestSeedRangeFragmentsMergeRuns(t *testing.T) {
 	runner := func(ctx *RunCtx) sweep.RunFunc {
 		return func(_ int, seed int64) []*stats.Series {

@@ -18,7 +18,6 @@ var registerPanicEntry = sync.OnceFunc(func() {
 	addEntry(Entry{
 		ID:    "panictest",
 		Title: "injected panicking runner (test only)",
-		Cost:  0.01,
 		Tags:  []string{TagEngine, TagSweep},
 		Run: func(c *RunCtx, seed int64) *Result {
 			if seed == 2 {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/sweep"
 )
 
 // BenchmarkPlainRun is the baseline for the judged-run overhead claim in
@@ -28,7 +29,7 @@ func BenchmarkJudgedRun(b *testing.B) {
 	}
 	h.Seeds = SeedSet{Base: 1, Count: 1}
 	for b.Loop() {
-		v, err := Run(h, Options{Workers: 1})
+		v, err := Run(h, sweep.Config{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -114,9 +114,9 @@ type CLRReelectedBy struct {
 }
 
 // CounterBound brackets one engine counter for the seed's run. Nil ends
-// are unbounded; Counter is one of events, packets_sent,
-// packets_delivered, unreachable, corrupted, duplicated, clr_losses,
-// reelections, rate_recoveries.
+// are unbounded; Counter is a report key of experiments.EngineStats
+// (events, packets_sent, packets_delivered, unreachable, corrupted,
+// duplicated, clr_losses, reelections, rate_recoveries, ...).
 type CounterBound struct {
 	Counter string `json:"counter"`
 	Min     *int64 `json:"min,omitempty"`

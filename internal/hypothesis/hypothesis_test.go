@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/scenario"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 )
 
 // TestSuiteJSONRoundTrip pins the wire format of every committed-suite
@@ -118,7 +119,7 @@ func TestBrokenBoundFails(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-simulation run")
 	}
-	v, err := Run(brokenHypothesis(), Options{Workers: 1})
+	v, err := Run(brokenHypothesis(), sweep.Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +143,11 @@ func TestJudgedRunDeterministic(t *testing.T) {
 		t.Skip("full-simulation run")
 	}
 	h := brokenHypothesis()
-	a, err := Run(h, Options{Workers: 1})
+	a, err := Run(h, sweep.Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(h, Options{Workers: 2})
+	b, err := Run(h, sweep.Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,14 +163,14 @@ func TestExpectationOneOf(t *testing.T) {
 		Workload: Workload{Scenario: "partition"},
 		Expect:   []Expectation{{}},
 	}
-	if _, err := Run(h, Options{}); err == nil {
+	if _, err := Run(h, sweep.Config{}); err == nil {
 		t.Error("empty expectation accepted")
 	}
 	h.Expect = []Expectation{{
 		RateFloor:             &RateBound{Series: "x"},
 		NoInvariantViolations: &NoInvariantViolations{},
 	}}
-	if _, err := Run(h, Options{}); err == nil {
+	if _, err := Run(h, sweep.Config{}); err == nil {
 		t.Error("doubly-populated expectation accepted")
 	}
 }
@@ -196,14 +197,14 @@ func TestChaosJudgedSharded(t *testing.T) {
 	if !ok {
 		t.Fatal("chaos-deeptree-l1 missing from the suite")
 	}
-	a, err := Run(h, Options{Workers: 1, EngineWorkers: 2})
+	a, err := Run(h, sweep.Config{Workers: 1, EngineWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !a.Pass {
 		t.Fatalf("chaos hypothesis fails on the sharded engine:\n%s", a.Report())
 	}
-	b, err := Run(h, Options{Workers: 2, EngineWorkers: 3})
+	b, err := Run(h, sweep.Config{Workers: 2, EngineWorkers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

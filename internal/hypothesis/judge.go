@@ -12,18 +12,6 @@ import (
 	"repro/internal/sweep"
 )
 
-// Options configure a judged run.
-type Options struct {
-	Workers int // sweep workers; < 1 means 1
-	// EngineWorkers >= 2 judges the workload on the region-parallel
-	// engine with that many goroutines per run. The sharded engine is its
-	// own deterministic universe (per-region random streams), so
-	// expectations judge a different — equally valid — trajectory than
-	// the serial engine's; the verdict is still independent of both
-	// Workers and EngineWorkers.
-	EngineWorkers int
-}
-
 // SeedMeasure is one seed's judgement of one expectation.
 type SeedMeasure struct {
 	Seed     int64   `json:"seed"`
@@ -128,15 +116,20 @@ func (w Workload) Resolve() (*scenario.Spec, string, error) {
 }
 
 // Run executes and judges one hypothesis. The workload runs once per
-// seed, fanned over opt.Workers through the sweep machinery — each
-// worker owns one RunCtx with the invariant checker armed, so repeated
-// seeds rewind the cached topology exactly like figure sweeps — and
-// every expectation is then judged against the per-seed outcomes in
+// seed of the hypothesis' own seed set (cfg's seed fields are replaced
+// by it), fanned over cfg.Workers through the sweep machinery — each
+// worker owns one RunCtx with the invariant checker always armed, so
+// repeated seeds rewind the cached topology exactly like figure sweeps —
+// and every expectation is then judged against the per-seed outcomes in
 // seed order, making the verdict independent of the worker count.
+// cfg.EngineWorkers >= 2 judges the workload on the region-parallel
+// engine: its own deterministic universe (per-region random streams), so
+// expectations judge a different — equally valid — trajectory than the
+// serial engine's.
 // The returned error covers malformed hypotheses (bad workload ref,
 // mis-populated expectation); workload build/run failures are judged
 // (they fail every expectation), not returned.
-func Run(h *Hypothesis, opt Options) (*Verdict, error) {
+func Run(h *Hypothesis, cfg sweep.Config) (*Verdict, error) {
 	if h.ID == "" {
 		return nil, fmt.Errorf("hypothesis: missing id")
 	}
@@ -154,12 +147,11 @@ func Run(h *Hypothesis, opt Options) (*Verdict, error) {
 	}
 
 	seeds := h.Seeds.normalized()
-	cfg := sweep.Config{Seeds: seeds.Count, Workers: opt.Workers, Base: seeds.Base}.Normalized()
+	cfg.Seeds, cfg.Base, cfg.Step, cfg.Check = seeds.Count, seeds.Base, 1, true
+	cfg = cfg.Normalized()
 	ctxs := make([]*experiments.RunCtx, cfg.Workers)
 	for i := range ctxs {
-		ctxs[i] = experiments.NewRunCtx()
-		ctxs[i].EnableInvariants()
-		ctxs[i].SetEngineWorkers(opt.EngineWorkers)
+		ctxs[i] = experiments.NewRunCtxFor(cfg)
 	}
 	outcomes := make([]*outcome, cfg.Seeds)
 	_, seedErrs := sweep.RunRaw(cfg, func(worker int, seed int64) []*stats.Series {
@@ -365,29 +357,11 @@ func (c *CLRReelectedBy) judge(o *outcome) SeedMeasure {
 }
 
 func (c *CounterBound) judge(o *outcome) SeedMeasure {
-	var v int64
-	switch c.Counter {
-	case "events":
-		v = int64(o.stats.Events)
-	case "packets_sent":
-		v = o.stats.PacketsSent
-	case "packets_delivered":
-		v = o.stats.PacketsDelivered
-	case "unreachable":
-		v = o.stats.Unreachable
-	case "corrupted":
-		v = o.stats.Corrupted
-	case "duplicated":
-		v = o.stats.Duplicated
-	case "clr_losses":
-		v = o.stats.CLRLosses
-	case "reelections":
-		v = o.stats.Reelections
-	case "rate_recoveries":
-		v = o.stats.RateRecoveries
-	default:
+	u, ok := o.stats.Lookup(c.Counter)
+	if !ok {
 		return SeedMeasure{Detail: fmt.Sprintf("unknown counter %q", c.Counter)}
 	}
+	v := int64(u)
 	pass := (c.Min == nil || v >= *c.Min) && (c.Max == nil || v <= *c.Max)
 	return SeedMeasure{
 		Pass: pass, Measured: float64(v),

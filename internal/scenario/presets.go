@@ -8,15 +8,12 @@ import (
 )
 
 // Preset is a named, registrable scenario: the experiments registry
-// turns each into an entry with a generic runner so tfmccbench shards
+// turns each into an entry with a generic runner so tfmccbench measures
 // and gates it like any figure, and tfmccsim runs it via -scenario.
 type Preset struct {
 	ID    string
 	Title string
-	// Cost is the shard-balancing weight (roughly seconds per 4-seed
-	// sweep on the reference container), like registry figure costs.
-	Cost float64
-	Make func() *Spec
+	Make  func() *Spec
 }
 
 // Presets enumerates the built-in scenario presets, each probing a TFMCC
@@ -24,19 +21,19 @@ type Preset struct {
 // after the numeric figures.
 func Presets() []Preset {
 	return []Preset{
-		{ID: "chainloss", Title: "Multi-hop lossy chain with mid-path cross traffic", Cost: 2.0, Make: ChainLoss},
-		{ID: "clrfail", Title: "CLR crash, silence halving and re-election", Cost: 2.0, Make: CLRFail},
-		{ID: "cohort16", Title: "Cohort of 16 receivers in the figure 9 setting", Cost: 2.0, Make: CohortFig9(16)},
-		{ID: "cohort64", Title: "Cohort of 64 receivers in the figure 9 setting", Cost: 2.0, Make: CohortFig9(64)},
-		{ID: "cohort256", Title: "Cohort of 256 receivers in the figure 9 setting", Cost: 2.0, Make: CohortFig9(256)},
-		{ID: "corruptfb", Title: "Corrupted and reordered feedback path", Cost: 2.0, Make: CorruptFB},
-		{ID: "deeptree", Title: "Deep binary-tree fan-out with lossy interior", Cost: 3.0, Make: DeepTree},
-		{ID: "degrade", Title: "Mid-run bottleneck degradation and recovery", Cost: 2.5, Make: Degrade},
-		{ID: "flashcrowd", Title: "Flash-crowd join burst", Cost: 2.0, Make: FlashCrowd},
-		{ID: "massleave", Title: "Mass leave including the CLR", Cost: 2.0, Make: MassLeave},
-		{ID: "partition", Title: "Core partition and heal", Cost: 2.0, Make: Partition},
-		{ID: "tcpburst", Title: "Competing TCP burst over CBR background", Cost: 2.0, Make: TCPBurst},
-		{ID: "wireless", Title: "Lossy-edge (wireless-like) receivers on a transit-stub", Cost: 2.0, Make: Wireless},
+		{ID: "chainloss", Title: "Multi-hop lossy chain with mid-path cross traffic", Make: ChainLoss},
+		{ID: "clrfail", Title: "CLR crash, silence halving and re-election", Make: CLRFail},
+		{ID: "cohort16", Title: "Cohort of 16 receivers in the figure 9 setting", Make: CohortFig9(16)},
+		{ID: "cohort64", Title: "Cohort of 64 receivers in the figure 9 setting", Make: CohortFig9(64)},
+		{ID: "cohort256", Title: "Cohort of 256 receivers in the figure 9 setting", Make: CohortFig9(256)},
+		{ID: "corruptfb", Title: "Corrupted and reordered feedback path", Make: CorruptFB},
+		{ID: "deeptree", Title: "Deep binary-tree fan-out with lossy interior", Make: DeepTree},
+		{ID: "degrade", Title: "Mid-run bottleneck degradation and recovery", Make: Degrade},
+		{ID: "flashcrowd", Title: "Flash-crowd join burst", Make: FlashCrowd},
+		{ID: "massleave", Title: "Mass leave including the CLR", Make: MassLeave},
+		{ID: "partition", Title: "Core partition and heal", Make: Partition},
+		{ID: "tcpburst", Title: "Competing TCP burst over CBR background", Make: TCPBurst},
+		{ID: "wireless", Title: "Lossy-edge (wireless-like) receivers on a transit-stub", Make: Wireless},
 	}
 }
 

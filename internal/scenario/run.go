@@ -170,11 +170,18 @@ func Run(env Env, spec *Spec) (*Scenario, error) {
 // measurement loop call Build, then Start and drive the clock themselves.
 //
 // Malformed specs — unknown refs, out-of-range indices, negative times,
-// duplicate flows — return errors; on error the environment may be left
+// duplicate flows, an unusable session config — return errors; on error the environment may be left
 // partially built and should be reset or discarded.
 func Build(env Env, spec *Spec) (*Scenario, error) {
 	if spec.Duration < 0 {
 		return nil, fmt.Errorf("scenario %s: negative duration %v", spec.Name, spec.Duration)
+	}
+	cfg := tfmcc.DefaultConfig()
+	if spec.Session.Cfg != nil {
+		cfg = *spec.Session.Cfg
+		if err := cfg.Validate(); err != nil {
+			return nil, fmt.Errorf("scenario %s: session cfg: %w", spec.Name, err)
+		}
 	}
 	topo, err := buildTopology(env.Net, spec.Topology)
 	if err != nil {
@@ -197,10 +204,6 @@ func Build(env Env, spec *Spec) (*Scenario, error) {
 	}
 	if port == 0 {
 		port = 100
-	}
-	cfg := tfmcc.DefaultConfig()
-	if spec.Session.Cfg != nil {
-		cfg = *spec.Session.Cfg
 	}
 	sc.Sess = tfmcc.NewSession(net, snd, group, port, cfg, env.Rng)
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/simnet"
+	"repro/internal/tfmcc"
 )
 
 func testEnv(seed int64) Env {
@@ -268,5 +269,35 @@ func TestPresetSpecsBuild(t *testing.T) {
 		if sc.Sess == nil {
 			t.Fatalf("%s: no session", p.ID)
 		}
+	}
+}
+
+// TestBuildRejectsUnusableSessionConfig: Session.Cfg arrives in spec
+// documents from outside the program, so a parameter set that cannot
+// drive a session is a Build error naming the field — PacketSize 0 used
+// to wedge the run (the send clock never advanced).
+func TestBuildRejectsUnusableSessionConfig(t *testing.T) {
+	for field, mut := range map[string]func(*tfmcc.Config){
+		"PacketSize":       func(c *tfmcc.Config) { c.PacketSize = 0 },
+		"ReportSize":       func(c *tfmcc.Config) { c.ReportSize = -40 },
+		"FeedbackC":        func(c *tfmcc.Config) { c.FeedbackC = 0 },
+		"FeedbackN":        func(c *tfmcc.Config) { c.FeedbackN = math.NaN() },
+		"SlowstartFactor":  func(c *tfmcc.Config) { c.SlowstartFactor = math.Inf(1) },
+		"NumLossIntervals": func(c *tfmcc.Config) { c.NumLossIntervals = 0 },
+		"InitialRate":      func(c *tfmcc.Config) { c.InitialRate = math.NaN() },
+		"MinRate":          func(c *tfmcc.Config) { c.MinRate = -1 },
+		"MaxRate":          func(c *tfmcc.Config) { c.MaxRate = c.MinRate / 2 },
+		"CLRTimeoutRounds": func(c *tfmcc.Config) { c.CLRTimeoutRounds = 0 },
+	} {
+		spec := CLRFail()
+		cfg := *spec.Session.Cfg
+		mut(&cfg)
+		spec.Session.Cfg = &cfg
+		if _, err := Build(testEnv(1), spec); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("%s: want a Build error naming the field, got %v", field, err)
+		}
+	}
+	if err := tfmcc.DefaultConfig().Validate(); err != nil {
+		t.Fatalf("the paper's parameter set is rejected: %v", err)
 	}
 }

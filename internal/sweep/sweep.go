@@ -11,6 +11,7 @@
 package sweep
 
 import (
+	"flag"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -18,7 +19,11 @@ import (
 	"repro/internal/stats"
 )
 
-// Config controls a seed sweep.
+// Config is the run-options value every command and harness shares: the
+// seed set, the parallelism across and within runs, and the checker
+// switch. Library callers may leave fields zero (Normalized fills the
+// defaults); command lines register the flags they offer with
+// RegisterFlags and reject nonsense with Validate.
 type Config struct {
 	Seeds   int     // number of independent seeds; < 1 means 1
 	Workers int     // worker goroutines; < 1 means 1, capped at Seeds
@@ -45,6 +50,48 @@ type SeedError struct {
 
 func (e SeedError) Error() string {
 	return fmt.Sprintf("seed %d (worker %d) panicked: %s", e.Seed, e.Worker, e.Msg)
+}
+
+// RegisterFlags binds the named run-option flags to c's fields on fs; c's
+// current values are the defaults. Each command registers the subset it
+// offers, so a flag's name, type and help text exist once.
+func (c *Config) RegisterFlags(fs *flag.FlagSet, names ...string) {
+	for _, name := range names {
+		switch name {
+		case "seeds":
+			fs.IntVar(&c.Seeds, name, c.Seeds, "independent seeds per scenario, swept and merged into bands")
+		case "seed":
+			fs.Int64Var(&c.Base, name, c.Base, "random seed (first seed of a sweep)")
+		case "workers":
+			fs.IntVar(&c.Workers, name, c.Workers, "parallel sweep workers (capped at the seed count)")
+		case "ci":
+			fs.Float64Var(&c.CI, name, c.CI, "confidence level for the merged bands, strictly between 0 and 1")
+		case "check":
+			fs.BoolVar(&c.Check, name, c.Check, "run the invariant checker alongside every simulation; exit 1 on violations")
+		case "engineworkers":
+			fs.IntVar(&c.EngineWorkers, name, c.EngineWorkers, "run scenario-spec simulations on the region-parallel engine with this many goroutines per run (>= 2; 0 or 1 = serial)")
+		default:
+			panic("sweep: no run-option flag -" + name)
+		}
+	}
+}
+
+// Validate rejects option values that arrived from outside the program
+// and cannot mean anything, naming the offending flag. Unlike Normalized
+// it does not substitute defaults: a command validates what its user
+// typed, then runs exactly that.
+func (c Config) Validate() error {
+	switch {
+	case c.Seeds < 1:
+		return fmt.Errorf("-seeds %d: need at least one seed", c.Seeds)
+	case c.Workers < 1:
+		return fmt.Errorf("-workers %d: need at least one worker", c.Workers)
+	case !(c.CI > 0 && c.CI < 1): // also catches NaN
+		return fmt.Errorf("-ci %v: confidence level must lie strictly between 0 and 1", c.CI)
+	case c.EngineWorkers < 0:
+		return fmt.Errorf("-engineworkers %d: must not be negative", c.EngineWorkers)
+	}
+	return nil
 }
 
 // Normalized returns the config with defaults applied.
@@ -105,11 +152,9 @@ func Run(cfg Config, fn RunFunc) *Result {
 }
 
 // RunRaw executes fn for every seed and returns the raw per-seed series
-// in seed order, for callers that merge seed-range fragments themselves:
-// stats.MergeRuns over the concatenation of consecutive fragments'
-// RunRaw outputs is byte-identical to one full Run over the whole range.
-// This is the primitive behind seed-range sharding, where one expensive
-// scenario's seeds are split across machines.
+// in seed order, for callers that merge (or judge) the runs themselves:
+// stats.MergeRuns over the concatenation of consecutive ranges' RunRaw
+// outputs is byte-identical to one full Run over the whole range.
 //
 // A seed whose fn panics is recovered: its slot stays nil (MergeRuns
 // skips nil runs) and a SeedError is returned. The error list is in seed

@@ -1,8 +1,11 @@
 package sweep
 
 import (
+	"flag"
 	"fmt"
+	"io"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -103,6 +106,46 @@ func TestNormalizedDefaults(t *testing.T) {
 	}
 	if got := (Config{Base: 5, Step: 3}).Normalized().Seed(2); got != 11 {
 		t.Fatalf("Seed(2) = %d, want 11", got)
+	}
+}
+
+// TestFlagsAndValidate: the flags a command registers land in the Config
+// they were registered from, and values that cannot mean anything are
+// errors naming the flag — not silently clamped the way Normalized
+// treats zero-valued library configs.
+func TestFlagsAndValidate(t *testing.T) {
+	parse := func(args ...string) (Config, error) {
+		c := Config{Seeds: 1, Workers: 2, CI: 0.95, Base: 1}
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		c.RegisterFlags(fs, "seeds", "seed", "workers", "ci", "check", "engineworkers")
+		if err := fs.Parse(args); err != nil {
+			return c, err
+		}
+		return c, c.Validate()
+	}
+	c, err := parse("-seeds", "8", "-seed", "5", "-workers", "3", "-ci", "0.9", "-check", "-engineworkers", "2")
+	want := Config{Seeds: 8, Workers: 3, CI: 0.9, Base: 5, Check: true, EngineWorkers: 2}
+	if err != nil || c != want {
+		t.Fatalf("parsed %+v (%v), want %+v", c, err, want)
+	}
+	if _, err := parse(); err != nil {
+		t.Fatalf("defaults rejected: %v", err)
+	}
+	for _, bad := range [][2]string{
+		{"-seeds", "0"}, {"-workers", "-1"}, {"-engineworkers", "-1"},
+		{"-ci", "0"}, {"-ci", "1"}, {"-ci", "1.5"}, {"-ci", "-0.5"}, {"-ci", "NaN"},
+	} {
+		if _, err := parse(bad[0], bad[1]); err == nil || !strings.HasPrefix(err.Error(), bad[0]+" ") {
+			t.Errorf("%s %s: want an error naming the flag, got %v", bad[0], bad[1], err)
+		}
+	}
+	// A command that does not offer a flag does not register it.
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	(&Config{}).RegisterFlags(fs, "workers")
+	if fs.Lookup("seeds") != nil || fs.Lookup("workers") == nil {
+		t.Fatal("RegisterFlags registered something other than the named flags")
 	}
 }
 

@@ -9,6 +9,9 @@
 package tfmcc
 
 import (
+	"fmt"
+	"math"
+
 	"repro/internal/feedback"
 	"repro/internal/rtt"
 	"repro/internal/sim"
@@ -80,6 +83,38 @@ func DefaultConfig() Config {
 		PrevCLRTimeout:   2 * sim.Second,
 		HalveOnSilence:   false,
 	}
+}
+
+// Validate rejects parameter sets that cannot drive a session — the ones
+// that arrive in spec documents from outside the program and would
+// otherwise wedge a run (a zero packet size never advances the send
+// clock) or poison it with NaN rates. It names the first offending field.
+func (c Config) Validate() error {
+	positive := func(v float64) bool { return v > 0 && !math.IsInf(v, 1) } // false for NaN
+	rate := func(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
+	switch {
+	case c.PacketSize < 1:
+		return fmt.Errorf("tfmcc: PacketSize %d must be at least 1", c.PacketSize)
+	case c.ReportSize < 1:
+		return fmt.Errorf("tfmcc: ReportSize %d must be at least 1", c.ReportSize)
+	case !positive(c.FeedbackC):
+		return fmt.Errorf("tfmcc: FeedbackC %v must be finite and positive", c.FeedbackC)
+	case !positive(c.FeedbackN):
+		return fmt.Errorf("tfmcc: FeedbackN %v must be finite and positive", c.FeedbackN)
+	case !positive(c.SlowstartFactor):
+		return fmt.Errorf("tfmcc: SlowstartFactor %v must be finite and positive", c.SlowstartFactor)
+	case c.NumLossIntervals < 1:
+		return fmt.Errorf("tfmcc: NumLossIntervals %d must be at least 1", c.NumLossIntervals)
+	case !rate(c.InitialRate):
+		return fmt.Errorf("tfmcc: InitialRate %v must be finite and not negative", c.InitialRate)
+	case !rate(c.MinRate):
+		return fmt.Errorf("tfmcc: MinRate %v must be finite and not negative", c.MinRate)
+	case !(c.MaxRate == 0 || c.MaxRate >= c.MinRate):
+		return fmt.Errorf("tfmcc: MaxRate %v must be 0 (unlimited) or at least MinRate %v", c.MaxRate, c.MinRate)
+	case c.CLRTimeoutRounds < 1:
+		return fmt.Errorf("tfmcc: CLRTimeoutRounds %d must be at least 1", c.CLRTimeoutRounds)
+	}
+	return nil
 }
 
 // feedbackConfig assembles the per-round feedback.Config for the current
