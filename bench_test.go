@@ -1,5 +1,5 @@
 // Package repro's root benchmarks regenerate every figure of the TFMCC
-// paper plus the ablation studies. Run with:
+// paper and the scenario presets. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -67,45 +67,6 @@ func BenchmarkScenarioCLRFail(b *testing.B)   { benchFigure(b, "clrfail") }
 func BenchmarkScenarioPartition(b *testing.B) { benchFigure(b, "partition") }
 func BenchmarkScenarioCorruptFB(b *testing.B) { benchFigure(b, "corruptfb") }
 
-func benchAblation(b *testing.B, run func(*experiments.RunCtx, int64) *experiments.Result) {
-	b.Helper()
-	b.ReportAllocs()
-	ctx := experiments.NewRunCtx()
-	var res *experiments.Result
-	for i := 0; i < b.N; i++ {
-		res = run(ctx, 1)
-	}
-	if res != nil {
-		b.Log(res.Summary())
-	}
-}
-
-func BenchmarkAblationLossHistoryDepth(b *testing.B) {
-	benchAblation(b, experiments.AblationLossHistoryDepth)
-}
-func BenchmarkAblationPrevCLR(b *testing.B) {
-	benchAblation(b, experiments.AblationPrevCLR)
-}
-func BenchmarkAblationQueueDiscipline(b *testing.B) {
-	benchAblation(b, experiments.AblationQueueDiscipline)
-}
-func BenchmarkAblationFeedbackBias(b *testing.B) {
-	benchAblation(b, experiments.AblationFeedbackBias)
-}
-func BenchmarkAblationLossInit(b *testing.B) {
-	benchAblation(b, experiments.AblationLossInit)
-}
-func BenchmarkCompareTFMCCvsPGMCC(b *testing.B) {
-	benchAblation(b, experiments.CompareTFMCCvsPGMCC)
-}
-func BenchmarkCompareTFMCCvsTFRC(b *testing.B) {
-	benchAblation(b, experiments.CompareTFMCCvsTFRC)
-}
-
-func BenchmarkExtensionFeedbackTree(b *testing.B) {
-	benchAblation(b, experiments.ExtensionFeedbackTree)
-}
-
 // BenchmarkTFMCCSession measures end-to-end simulation cost: one sender,
 // 100 receivers, a 1 Mbit/s bottleneck, 10 simulated seconds per
 // iteration. Engine-level metrics (events/sec, packets/sec, ns/event)
@@ -156,8 +117,4 @@ func BenchmarkTFMCCSessionCold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		experiments.SessionThroughput(100, 10)
 	}
-}
-
-func BenchmarkExtensionCorrelatedLoss(b *testing.B) {
-	benchAblation(b, experiments.ExtensionCorrelatedLoss)
 }

@@ -29,7 +29,8 @@
 // The run options (-seeds, -seed, -workers, -ci, -check, -engineworkers)
 // are sweep.Config's, shared with tfmccbench and tfmcchyp and described
 // once in README.md ("Run options"); a value that cannot mean anything
-// exits 2 naming the flag. With -engineworkers >= 2 output is a different
+// exits 2 naming the flag, and so does a flag that could not take effect
+// (see flagConflict). With -engineworkers >= 2 output is a different
 // (equally valid, worker-count-invariant) trajectory than the serial
 // engine's; hand-wired serial-only figures refuse it.
 package main
@@ -75,7 +76,13 @@ func main() {
 	cfg := sweep.Config{Seeds: 1, Workers: runtime.NumCPU(), CI: 0.95, Base: 1}
 	cfg.RegisterFlags(flag.CommandLine, "seed", "seeds", "workers", "ci", "check", "engineworkers")
 	flag.Parse()
-	if err := cfg.Validate(); err != nil {
+	err := cfg.Validate()
+	if err == nil {
+		set := map[string]bool{}
+		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+		err = flagConflict(set, cfg.Seeds)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -167,6 +174,43 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+}
+
+// flagConflict rejects flag combinations in which a flag given on the
+// command line (set, as flag.Visit reports them) would be silently
+// ignored: two selectors at once, an override without the scenario
+// executor to apply it, or a multi-seed sweep of a -scenario run, which
+// is single-seed. The error names the offending flag.
+func flagConflict(set map[string]bool, seeds int) error {
+	var selectors []string
+	for _, s := range []string{"figure", "all", "scenario", "scenario-file", "hypothesis", "list"} {
+		if set[s] {
+			selectors = append(selectors, "-"+s)
+		}
+	}
+	if len(selectors) > 1 {
+		return fmt.Errorf("%s: give one of them; each selects what to run", strings.Join(selectors, " and "))
+	}
+	if set["scenario"] || set["scenario-file"] {
+		if seeds > 1 {
+			return fmt.Errorf("-seeds %d: a %s run is single-seed (-seed picks it); sweeps take -figure", seeds, selectors[0])
+		}
+		if set["ci"] {
+			return fmt.Errorf("-ci: a %s run is single-seed and prints no bands; sweeps take -figure", selectors[0])
+		}
+		return nil
+	}
+	var overrides []string
+	for _, o := range []string{"duration", "corebw", "coredelay", "coreloss", "corequeue", "edgeloss",
+		"receivers", "cohort", "fanout", "depth", "hops"} {
+		if set[o] {
+			overrides = append(overrides, "-"+o)
+		}
+	}
+	if len(overrides) > 0 {
+		return fmt.Errorf("%s: overrides apply to -scenario or -scenario-file runs only", strings.Join(overrides, ", "))
+	}
+	return nil
 }
 
 func fail(err error) {

@@ -1,7 +1,8 @@
 // Package experiments contains one scenario builder per figure of the
 // TFMCC paper's evaluation. Each builder returns a Result whose series
-// reproduce the corresponding plot; cmd/tfmccsim prints them as TSV and
-// the root bench_test.go wraps each in a testing.B benchmark.
+// reproduce the corresponding plot; cmd/tfmccsim prints them as TSV. Every
+// runner is a Registry entry: the golden ledger pins its output and
+// cmd/tfmccbench measures it.
 //
 // Runners execute against a RunCtx, which owns an arena of reusable
 // simulation environments: rerunning the same scenario (another seed of a
@@ -21,7 +22,6 @@ import (
 	"repro/internal/simnet"
 	"repro/internal/stats"
 	"repro/internal/sweep"
-	"repro/internal/tcpsim"
 	"repro/internal/tfmcc"
 )
 
@@ -332,40 +332,46 @@ func (e *env) rewind(seed int64) {
 	e.rng.Reseed(seed + 7)
 }
 
-// newMeter returns a per-second throughput meter, pooled through the
-// network arena when the environment is reusable. It delegates to the
-// scenario executor's helper so hand-wired runners and scenario-built
-// setups share one pool key and rewind recipe.
-func (e *env) newMeter(name string) *stats.Meter {
-	return scenario.Env{Sch: e.sch, Net: e.net, Rng: e.rng}.NewMeter(name)
-}
-
-// addTCP wires a TCP flow from a fresh source node through `in` to a
-// fresh sink node hanging off `out`, metering goodput.
-func (e *env) addTCP(name string, in, out simnet.NodeID, port simnet.Port) (*tcpsim.Sender, *stats.Meter) {
-	a := e.net.AddNode(name + "-src")
-	b := e.net.AddNode(name + "-dst")
-	e.net.AddDuplex(a, in, 0, sim.Millisecond, 0)
-	e.net.AddDuplex(out, b, 0, sim.Millisecond, 0)
-	snd, snk := tcpsim.NewFlow(name, e.net, a, b, port, tcpsim.DefaultConfig())
-	m := e.newMeter(name)
-	snk.Meter = m
-	m.Start()
-	return snd, m
-}
-
-// meterReceiver attaches a throughput meter to a TFMCC receiver model.
-func (e *env) meterReceiver(name string, r tfmcc.ReceiverModel) *stats.Meter {
-	m := e.newMeter(name)
-	r.SetMeter(m)
-	m.Start()
-	return m
-}
-
 const (
 	mbit = 125000.0 // bytes/s per Mbit/s
 	kbit = 125.0    // bytes/s per Kbit/s
 )
+
+// SessionThroughput is a benchmark helper: runs a session with n
+// receivers over a 1 Mbit/s bottleneck for the given number of simulated
+// seconds and returns the sender's final rate (bytes/s). Repeated calls
+// on the same context rewind and reuse the cached scenario instead of
+// rebuilding it.
+func (c *RunCtx) SessionThroughput(n int, seconds int) float64 {
+	return c.SessionThroughputSeed(1, n, seconds)
+}
+
+// SessionThroughputSeed is SessionThroughput with an explicit seed, for
+// cross-seed sweeps of the benchmark scenario.
+func (c *RunCtx) SessionThroughputSeed(seed int64, n, seconds int) float64 {
+	defer c.begin("session")()
+	e := c.newEnv(seed)
+	r1 := e.net.AddNode("r1")
+	r2 := e.net.AddNode("r2")
+	e.net.AddDuplex(r1, r2, 1*mbit, 20*sim.Millisecond, 30)
+	snd := e.net.AddNode("src")
+	e.net.AddDuplex(snd, r1, 0, sim.Millisecond, 0)
+	sess := tfmcc.NewSession(e.net, snd, 1, 100, tfmcc.DefaultConfig(), e.rng)
+	for i := 0; i < n; i++ {
+		leaf := e.net.AddNode("leaf")
+		e.net.AddDuplex(r2, leaf, 0, sim.Time(2+i%40)*sim.Millisecond, 0)
+		sess.AddReceiver(leaf)
+	}
+	sess.Start()
+	e.sch.RunUntil(sim.Time(seconds) * sim.Second)
+	return sess.Sender.Rate()
+}
+
+// SessionThroughput runs the session benchmark scenario on a fresh
+// context.
+func SessionThroughput(n int, seconds int) float64 {
+	return NewRunCtx().SessionThroughput(n, seconds)
+}
 
 // --- seed sweeps -------------------------------------------------------
 

@@ -271,36 +271,6 @@ func TestSessionThroughputHelper(t *testing.T) {
 	}
 }
 
-func TestAblationFeedbackBiasOrdering(t *testing.T) {
-	res := AblationFeedbackBias(NewRunCtx(), 1)
-	var unbiased, modOffset float64
-	for _, s := range res.Series {
-		switch s.Name {
-		case "unbiased":
-			unbiased = s.Points[0].V
-		case "modified-offset":
-			modOffset = s.Points[0].V
-		}
-	}
-	if modOffset >= unbiased {
-		t.Fatalf("modified offset should beat unbiased: %v vs %v", modOffset, unbiased)
-	}
-}
-
-func TestExtensionFeedbackTreeQuality(t *testing.T) {
-	res := ExtensionFeedbackTree(NewRunCtx(), 1)
-	// The tree's best report always carries the exact minimum.
-	for _, s := range res.Series {
-		if s.Name == "tree quality" {
-			for _, p := range s.Points {
-				if p.V != 0 {
-					t.Fatalf("tree aggregation lost the minimum: quality %v", p.V)
-				}
-			}
-		}
-	}
-}
-
 // TestLateJoinDeterministic guards the engine's seed-determinism through
 // the late-join scenario, which exercises mid-run Join/Leave against the
 // cached multicast trees: the same seed must reproduce the same summary.

@@ -6,38 +6,11 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/simnet"
-	"repro/internal/tfmcc"
 )
 
 func init() {
 	registerSpec("11", "Responsiveness to changes in the loss rate", Figure11Spec, Figure11)
 	registerSpec("20", "Responsiveness to network delay", Figure20Spec, Figure20)
-}
-
-// starSession builds the star topology used by the responsiveness
-// figures: sender -- hub -- receiver_i, with per-receiver loss and delay
-// on the tails (one-way delay = delay/2 each way is approximated by
-// putting the whole delay on the downstream link and 1ms upstream).
-type star struct {
-	e     *env
-	sess  *tfmcc.Session
-	leafs []simnet.NodeID
-	hub   simnet.NodeID
-}
-
-func buildStar(e *env, loss []float64, delay []sim.Time, bw float64, qlen int) *star {
-	hub := e.net.AddNode("hub")
-	snd := e.net.AddNode("tfmcc-src")
-	e.net.AddDuplex(snd, hub, 0, sim.Millisecond, 0)
-	sess := tfmcc.NewSession(e.net, snd, 1, 100, tfmcc.DefaultConfig(), e.rng)
-	st := &star{e: e, sess: sess, hub: hub}
-	for i := range loss {
-		leaf := e.net.AddNode(fmt.Sprintf("leaf%d", i))
-		down, _ := e.net.AddDuplex(hub, leaf, bw, delay[i], qlen)
-		down.LossProb = loss[i]
-		st.leafs = append(st.leafs, leaf)
-	}
-	return st
 }
 
 // Figure11 reproduces the join/leave experiment: four receivers with loss

@@ -20,7 +20,13 @@ func init() {
 			Tags:  []string{TagEngine, TagSweep, TagScenario},
 			Spec:  p.Make,
 			Run: func(c *RunCtx, seed int64) *Result {
-				return RunSpec(c, p.ID, p.Make(), seed)
+				// Preset specs are compile-time constants: a build failure
+				// is a programmer bug, not an input problem.
+				res, err := RunSpecErr(c, p.ID, p.Make(), seed)
+				if err != nil {
+					panic(err)
+				}
+				return res
 			},
 		})
 	}
@@ -50,22 +56,12 @@ func (c *RunCtx) runScenario(spec *scenario.Spec, seed int64) *scenario.Scenario
 	return mustScenario(c.runSpec(spec, seed))
 }
 
-// RunSpec executes a declarative scenario spec and renders a generic
+// RunSpecErr executes a declarative scenario spec and renders a generic
 // Result: every collected series plus steady-state digest notes. Figure
-// runners do their own post-processing; presets (and command-line
-// override runs) share this one.
-func RunSpec(c *RunCtx, id string, spec *scenario.Spec, seed int64) *Result {
-	res, err := RunSpecErr(c, id, spec, seed)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// RunSpecErr is RunSpec with build failures as structured errors instead
-// of panics — the form data-loaded specs (JSON files, fuzz inputs,
-// hypothesis workloads) go through, where a malformed spec is an input
-// problem rather than a programmer bug.
+// runners do their own post-processing; presets, command-line override
+// runs and data-loaded specs (JSON files, fuzz inputs, hypothesis
+// workloads) share this one. A build failure is returned as a structured
+// error: for everything but the presets the spec is outside input.
 func RunSpecErr(c *RunCtx, id string, spec *scenario.Spec, seed int64) (*Result, error) {
 	sc, err := c.runSpec(spec, seed)
 	if err != nil {
@@ -108,7 +104,7 @@ func RunOverridden(c *RunCtx, id string, ov scenario.Overrides, seed int64) (*Re
 		return nil, err
 	}
 	defer c.begin("scenario-" + id)()
-	return RunSpec(c, id, spec, seed), nil
+	return RunSpecErr(c, id, spec, seed)
 }
 
 // ScenarioIDs returns the ids of every Spec-backed entry (figures with a

@@ -164,3 +164,15 @@ func TestOverriddenScenarioIsDeterministic(t *testing.T) {
 		t.Fatal("overridden scenario not seed-deterministic")
 	}
 }
+
+// TestOverriddenBuildFailureIsAnError: an override is user input, so a
+// spec it makes unbuildable comes back as an error (tfmccsim prints one
+// line and exits 1) — it used to panic out of RunOverridden.
+func TestOverriddenBuildFailureIsAnError(t *testing.T) {
+	ov := scenario.None()
+	ov.Fanout = 100
+	res, err := RunOverridden(NewRunCtx(), "deeptree", ov, 1)
+	if err == nil || !strings.Contains(err.Error(), "too large") {
+		t.Fatalf("RunOverridden(deeptree, fanout 100) = %v, %v; want a topology-size error", res, err)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/sweep"
@@ -31,7 +32,9 @@ func miniSession(c *RunCtx, seed int64) *Result {
 		down.LossProb = 0.01
 		rcv := sess.AddReceiver(leaf)
 		if i == 0 {
-			m = e.meterReceiver("rate", rcv)
+			m = scenario.Env{Sch: e.sch, Net: e.net, Rng: e.rng}.NewMeter("rate")
+			rcv.SetMeter(m)
+			m.Start()
 		}
 	}
 	sess.Start()

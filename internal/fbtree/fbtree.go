@@ -6,6 +6,10 @@
 // work proposes a hybrid TFMCC variant with suppression inside the
 // aggregation nodes. This package provides the aggregation logic and an
 // analytic/simulation comparison point against flat timer suppression.
+//
+// No command or registered experiment runs it; it is reachable through
+// the cross-commit benchmark only, whose fbtree.probe.round_us_n10000
+// probe (bench/probes.go) times SimulateRound.
 package fbtree
 
 import (

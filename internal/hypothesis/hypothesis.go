@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // Workload selects what a hypothesis runs. Exactly one of Scenario, File
@@ -137,15 +136,6 @@ type SeriesWithinBand struct {
 type GoldenP struct {
 	T sim.Time `json:"t_ns"`
 	V float64  `json:"v"`
-}
-
-// GoldenFromSeries converts a collected series into golden points.
-func GoldenFromSeries(s *stats.Series) []GoldenP {
-	out := make([]GoldenP, len(s.Points))
-	for i, p := range s.Points {
-		out[i] = GoldenP{T: p.T, V: p.V}
-	}
-	return out
 }
 
 // kind returns the one-of discriminator and its payload description for

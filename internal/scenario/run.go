@@ -26,8 +26,7 @@ type Env struct {
 // meterArenaKey pools stats.Meter structs on reuse-enabled networks. A
 // rewound meter gets a fresh Series (a previous run's Result may still
 // reference the old one) but reuses the struct and its closure-free
-// sampling timer. The experiments package delegates here, so scenario
-// and hand-wired setups share one pool.
+// sampling timer.
 const meterArenaKey = "stats.Meter"
 
 // NewMeter returns a per-second throughput meter, pooled through the
@@ -506,8 +505,7 @@ func (sc *Scenario) registerFlow(f *Flow) error {
 }
 
 // buildEndpoints creates a flow's fresh source and sink nodes and their
-// fast access duplexes (source into from, sink behind to) — the addTCP
-// wiring every figure used.
+// fast access duplexes (source into from, sink behind to).
 func (sc *Scenario) buildEndpoints(name string, from, to NodeRef) (a, b simnet.NodeID, err error) {
 	fromID, err := sc.node(from)
 	if err != nil {

@@ -448,9 +448,6 @@ func (t Topology) AttachPoints() int {
 // BW converts Mbit/s to the bytes/second links use.
 func BW(mbit float64) float64 { return mbit * 125000 }
 
-// KbitBW converts Kbit/s to bytes/second.
-func KbitBW(kbit float64) float64 { return kbit * 125 }
-
 func ptrF(v float64) *float64   { return &v }
 func ptrT(v sim.Time) *sim.Time { return &v }
 

@@ -73,18 +73,6 @@ func BenchmarkDropTail(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "packets/sec")
 }
 
-func BenchmarkRED(b *testing.B) {
-	b.ReportAllocs()
-	q := NewRED(64, 1e6, sim.NewRand(1))
-	p := &Packet{Size: 1000}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q.Enqueue(p, sim.Time(i))
-		q.Dequeue(sim.Time(i))
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "packets/sec")
-}
-
 func BenchmarkRouteComputation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sch := sim.NewScheduler()

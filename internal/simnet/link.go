@@ -51,7 +51,7 @@ type Link struct {
 
 	From         NodeID
 	ReorderDelay sim.Time // max extra delay for a reordered packet
-	Q            Queue
+	Q            *DropTail
 
 	// Execution binding (see Network.bindLink): the scheduler and RNG the
 	// link's entry modules and serialiser run on. On a serial network these
@@ -90,10 +90,8 @@ type ringEntry struct {
 }
 
 // resetForReuse rewinds the link to the state AddLink would have produced
-// fresh: counters zeroed, loss module off, queue emptied. The DropTail
-// ring is kept when the link still has one; a queue the scenario swapped
-// in (e.g. RED) is replaced so the rewound run starts from AddLink
-// semantics again.
+// fresh: counters zeroed, loss module off, queue emptied (its ring storage
+// kept).
 func (l *Link) resetForReuse(bandwidth float64, delay sim.Time, queueLimit int) {
 	l.Bandwidth = bandwidth
 	l.Delay = delay
@@ -104,11 +102,7 @@ func (l *Link) resetForReuse(bandwidth float64, delay sim.Time, queueLimit int) 
 	l.down = false
 	l.busy = false
 	l.clearRing()
-	if dt, ok := l.Q.(*DropTail); ok {
-		dt.reset(queueLimit)
-	} else {
-		l.Q = NewDropTail(queueLimit)
-	}
+	l.Q.reset(queueLimit)
 }
 
 // clearRing empties the coalesced-delivery ring, dropping packet

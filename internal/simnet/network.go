@@ -345,12 +345,7 @@ func (n *Network) Reset() bool {
 		l.down = false
 		l.busy = false
 		l.clearRing()
-		if dt, ok := l.Q.(*DropTail); ok {
-			dt.reset(dt.Limit)
-		} else if l.Q != nil {
-			for l.Q.Dequeue(0) != nil {
-			}
-		}
+		l.Q.reset(l.Q.Limit)
 	}
 	return true
 }
@@ -582,8 +577,7 @@ func (n *Network) invalidateGroup(g GroupID) {
 
 // NumPacketClasses bounds the recycling classes of AllocPacketClass.
 // Current convention: 0 tfmcc (data + rare reports), 1-2 tcpsim
-// segment/ack, 3-4 tfrc data/feedback, 5-7 pgmcc data/ack/report,
-// 8 scenario CBR.
+// segment/ack, 3-4 tfrc data/feedback, 8 scenario CBR.
 const NumPacketClasses = 16
 
 // AllocPacket returns a packet from the network's default free list.

@@ -166,6 +166,52 @@ func TestMulticastSharedLinkSendsOnce(t *testing.T) {
 	}
 }
 
+func TestTreeCorrelatedLossStructure(t *testing.T) {
+	// Two-level binary tree: every link carries one copy per packet, and a
+	// drop on a top-level link takes out its entire subtree at once.
+	sch, net := newNet()
+	root := net.AddNode("root")
+	var top, all []*Link
+	var leaves []NodeID
+	for i := 0; i < 2; i++ {
+		mid := net.AddNode("mid")
+		down, _ := net.AddDuplex(root, mid, 0, sim.Millisecond, 0)
+		top = append(top, down)
+		all = append(all, down)
+		for j := 0; j < 2; j++ {
+			leaf := net.AddNode("leaf")
+			down, _ := net.AddDuplex(mid, leaf, 0, sim.Millisecond, 0)
+			all = append(all, down)
+			leaves = append(leaves, leaf)
+			net.Join(1, leaf)
+		}
+	}
+	per := make(map[NodeID]int)
+	for _, leaf := range leaves {
+		leaf := leaf
+		net.Bind(Addr{leaf, 1}, HandlerFunc(func(*Packet) { per[leaf]++ }))
+	}
+	send := func() {
+		net.Send(&Packet{Size: 100, Src: Addr{root, 1}, Dst: Addr{Port: 1}, Group: 1, IsMcast: true})
+		sch.Run()
+	}
+	send()
+	for i, l := range all {
+		if l.Stats.Sent != 1 {
+			t.Fatalf("tree link %d carried %d copies, want 1", i, l.Stats.Sent)
+		}
+	}
+	top[0].LossProb = 1 // kill the first top-level branch
+	send()
+	// Leaves 0,1 are under the dead branch; 2,3 under the live one.
+	if per[leaves[0]] != 1 || per[leaves[1]] != 1 {
+		t.Fatal("dead subtree received packets")
+	}
+	if per[leaves[2]] != 2 || per[leaves[3]] != 2 {
+		t.Fatal("live subtree missed packets")
+	}
+}
+
 func TestMulticastJoinLeave(t *testing.T) {
 	sch, net := newNet()
 	src := net.AddNode("src")

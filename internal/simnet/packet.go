@@ -1,5 +1,5 @@
 // Package simnet is a packet-level network simulator: nodes, queued
-// links with bandwidth and propagation delay, drop-tail and RED queues,
+// links with bandwidth and propagation delay, drop-tail queues,
 // per-link random loss, shortest-path unicast routing and source-rooted
 // multicast distribution trees. It plays the role ns-2 plays in the
 // TFMCC paper's evaluation.

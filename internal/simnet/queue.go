@@ -2,17 +2,10 @@ package simnet
 
 import "repro/internal/sim"
 
-// Queue is the buffering discipline of a link. Enqueue reports false when
-// the packet is dropped.
-type Queue interface {
-	Enqueue(pkt *Packet, now sim.Time) bool
-	Dequeue(now sim.Time) *Packet
-	Len() int
-}
-
-// DropTail is the FIFO queue used in all of the paper's simulations. It
-// is a fixed ring buffer: steady-state enqueue/dequeue never allocates
-// (the old slice version re-grew its backing array continuously).
+// DropTail is the FIFO queue of every link, the discipline used in all of
+// the paper's simulations. It is a fixed ring buffer: steady-state
+// enqueue/dequeue never allocates (the old slice version re-grew its
+// backing array continuously).
 type DropTail struct {
 	Limit int // capacity in packets
 	buf   []*Packet
@@ -28,7 +21,8 @@ func NewDropTail(limit int) *DropTail {
 	return &DropTail{Limit: limit}
 }
 
-// Enqueue implements Queue.
+// Enqueue appends pkt and reports false when the queue is full and the
+// packet is dropped.
 func (d *DropTail) Enqueue(pkt *Packet, _ sim.Time) bool {
 	if d.n >= d.Limit {
 		return false
@@ -62,7 +56,7 @@ func (d *DropTail) reset(limit int) {
 	d.Limit, d.head, d.n = limit, 0, 0
 }
 
-// Dequeue implements Queue.
+// Dequeue removes and returns the oldest packet, nil when empty.
 func (d *DropTail) Dequeue(_ sim.Time) *Packet {
 	if d.n == 0 {
 		return nil
@@ -74,98 +68,5 @@ func (d *DropTail) Dequeue(_ sim.Time) *Packet {
 	return pkt
 }
 
-// Len implements Queue.
+// Len returns the number of queued packets.
 func (d *DropTail) Len() int { return d.n }
-
-// RED implements Random Early Detection (Floyd & Jacobson). The paper
-// notes fairness improves when RED replaces drop-tail; it backs the
-// queue-discipline ablation bench.
-type RED struct {
-	Limit    int     // physical capacity in packets
-	MinTh    float64 // minimum average-queue threshold
-	MaxTh    float64 // maximum average-queue threshold
-	MaxP     float64 // maximum drop probability at MaxTh
-	Wq       float64 // averaging weight
-	MeanPkt  int     // mean packet size for idle-time compensation (bytes)
-	BW       float64 // link bandwidth in bytes/s, for idle-time compensation
-	Rng      *sim.Rand
-	q        []*Packet
-	avg      float64
-	count    int // packets since last drop
-	idleFrom sim.Time
-	idle     bool
-}
-
-// NewRED returns a RED queue with the classic parameter defaults
-// (min=5, max=15, maxP=0.1, wq=0.002) scaled to the given capacity.
-func NewRED(limit int, bwBytesPerSec float64, rng *sim.Rand) *RED {
-	if limit <= 0 {
-		limit = 50
-	}
-	return &RED{
-		Limit:   limit,
-		MinTh:   float64(limit) * 0.1,
-		MaxTh:   float64(limit) * 0.3,
-		MaxP:    0.1,
-		Wq:      0.002,
-		MeanPkt: 1000,
-		BW:      bwBytesPerSec,
-		Rng:     rng,
-	}
-}
-
-// Enqueue implements Queue with RED's average-queue drop logic.
-func (r *RED) Enqueue(pkt *Packet, now sim.Time) bool {
-	if r.idle && r.BW > 0 {
-		// Decay the average across the idle period as if m small packets
-		// had been dequeued.
-		idleDur := (now - r.idleFrom).Seconds()
-		m := idleDur * r.BW / float64(r.MeanPkt)
-		for i := 0; i < int(m) && i < 10000; i++ {
-			r.avg *= 1 - r.Wq
-		}
-		r.idle = false
-	}
-	r.avg = (1-r.Wq)*r.avg + r.Wq*float64(len(r.q))
-	drop := false
-	switch {
-	case len(r.q) >= r.Limit:
-		drop = true
-	case r.avg >= r.MaxTh:
-		drop = true
-	case r.avg >= r.MinTh:
-		pb := r.MaxP * (r.avg - r.MinTh) / (r.MaxTh - r.MinTh)
-		pa := pb / (1 - float64(r.count)*pb)
-		if pa < 0 || pa > 1 {
-			pa = 1
-		}
-		if r.Rng != nil && r.Rng.Bool(pa) {
-			drop = true
-		}
-	}
-	if drop {
-		r.count = 0
-		return false
-	}
-	r.count++
-	r.q = append(r.q, pkt)
-	return true
-}
-
-// Dequeue implements Queue.
-func (r *RED) Dequeue(now sim.Time) *Packet {
-	if len(r.q) == 0 {
-		return nil
-	}
-	pkt := r.q[0]
-	r.q[0] = nil
-	r.q = r.q[1:]
-	if len(r.q) == 0 {
-		r.idle = true
-		r.idleFrom = now
-	}
-	return pkt
-}
-
-// Len implements Queue.
-func (r *RED) Len() int { return len(r.q) }

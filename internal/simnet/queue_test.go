@@ -1,10 +1,6 @@
 package simnet
 
-import (
-	"testing"
-
-	"repro/internal/sim"
-)
+import "testing"
 
 func TestDropTailFIFO(t *testing.T) {
 	q := NewDropTail(3)
@@ -32,79 +28,5 @@ func TestDropTailDefaultLimit(t *testing.T) {
 	q := NewDropTail(0)
 	if q.Limit != 50 {
 		t.Fatalf("default limit = %d, want 50", q.Limit)
-	}
-}
-
-func TestREDAcceptsBelowMinThreshold(t *testing.T) {
-	q := NewRED(100, 1e6, sim.NewRand(1))
-	// Below MinTh (10) the average stays low: no early drops.
-	for i := 0; i < 5; i++ {
-		if !q.Enqueue(&Packet{Size: 1000}, 0) {
-			t.Fatal("RED dropped below min threshold")
-		}
-		q.Dequeue(0)
-	}
-}
-
-func TestREDDropsUnderSustainedLoad(t *testing.T) {
-	q := NewRED(100, 1e6, sim.NewRand(1))
-	drops := 0
-	now := sim.Time(0)
-	for i := 0; i < 5000; i++ {
-		// Keep ~40 packets in the queue: above MaxTh (30) once the
-		// average catches up, forcing drops.
-		if !q.Enqueue(&Packet{Size: 1000}, now) {
-			drops++
-		}
-		if q.Len() > 40 {
-			q.Dequeue(now)
-		}
-		now += sim.Millisecond
-	}
-	if drops == 0 {
-		t.Fatal("RED never dropped under sustained overload")
-	}
-}
-
-func TestREDHardLimit(t *testing.T) {
-	q := NewRED(10, 1e6, sim.NewRand(1))
-	accepted := 0
-	for i := 0; i < 100; i++ {
-		if q.Enqueue(&Packet{Size: 1000}, 0) {
-			accepted++
-		}
-	}
-	if accepted > 10 {
-		t.Fatalf("RED exceeded physical capacity: %d", accepted)
-	}
-}
-
-func TestREDIdleDecay(t *testing.T) {
-	q := NewRED(100, 1e6, sim.NewRand(1))
-	now := sim.Time(0)
-	// Build up the average.
-	for i := 0; i < 2000; i++ {
-		q.Enqueue(&Packet{Size: 1000}, now)
-		if q.Len() > 25 {
-			q.Dequeue(now)
-		}
-		now += sim.Microsecond
-	}
-	for q.Len() > 0 {
-		q.Dequeue(now)
-	}
-	avgBefore := q.avg
-	// A long idle period should decay the average.
-	now += 10 * sim.Second
-	q.Enqueue(&Packet{Size: 1000}, now)
-	if q.avg >= avgBefore {
-		t.Fatalf("idle decay did not reduce avg: %v -> %v", avgBefore, q.avg)
-	}
-}
-
-func TestREDDefaultLimit(t *testing.T) {
-	q := NewRED(0, 1e6, sim.NewRand(1))
-	if q.Limit != 50 {
-		t.Fatalf("default RED limit = %d", q.Limit)
 	}
 }

@@ -145,9 +145,6 @@ func (n *Network) EnableSharding(shardOf []int32, setups []ShardSetup) {
 // Sharded reports whether the network is in sharded execution mode.
 func (n *Network) Sharded() bool { return n.sharded }
 
-// ShardCount returns the number of regions (0 when not sharded).
-func (n *Network) ShardCount() int { return len(n.shards) }
-
 // bindLink points a link at the scheduler/RNG it executes on and
 // classifies it as crossing or intra-region.
 func (n *Network) bindLink(l *Link) {
@@ -304,12 +301,6 @@ func (n *Network) SetRegionHint(id NodeID, region int) {
 		n.hints = map[NodeID]int32{}
 	}
 	n.hints[id] = int32(region)
-}
-
-// RegionHint returns the hint for a node, if any.
-func (n *Network) RegionHint(id NodeID) (int, bool) {
-	r, ok := n.hints[id]
-	return int(r), ok
 }
 
 // ShardEventCounts returns per-shard processed-event counts (nil when

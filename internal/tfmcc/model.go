@@ -3,7 +3,6 @@ package tfmcc
 import (
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // ReceiverModel is the session-facing receiver API: everything Session,
@@ -42,7 +41,6 @@ type ReceiverModel interface {
 
 	// Instrumentation and stats sampling.
 	SetMeter(m *stats.Meter)
-	SetTrace(t *trace.Log)
 	Stats() ReceiverStats
 }
 

@@ -9,7 +9,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // Receiver is one TFMCC multicast receiver. It measures loss event rate
@@ -76,9 +75,8 @@ type Receiver struct {
 	SuppressCancels int64
 	Losses          int64
 	LossEvents      int64
-	StaleDiscards   int64      // stale/malformed data packets discarded unprocessed
-	OnFirstRTT      func()     // optional hook fired at the first valid measurement
-	Trace           *trace.Log // optional event trace (losses, reports)
+	StaleDiscards   int64  // stale/malformed data packets discarded unprocessed
+	OnFirstRTT      func() // optional hook fired at the first valid measurement
 
 	samples recvSamples
 }
@@ -180,7 +178,6 @@ func (r *Receiver) rewind(id ReceiverID, net *simnet.Network, node simnet.NodeID
 	r.StaleDiscards = 0
 	r.OnFirstRTT = nil
 	r.Meter = nil
-	r.Trace = nil
 	r.lastSuppress = 0
 	net.Bind(r.addr, r)
 	net.Join(group, node)
@@ -194,9 +191,6 @@ func (r *Receiver) Members() int { return 1 }
 
 // SetMeter attaches (or detaches, with nil) a throughput meter.
 func (r *Receiver) SetMeter(m *stats.Meter) { r.Meter = m }
-
-// SetTrace attaches (or detaches, with nil) an event trace.
-func (r *Receiver) SetTrace(t *trace.Log) { r.Trace = t }
 
 // Stats returns the receiver's counter snapshot.
 func (r *Receiver) Stats() ReceiverStats {
@@ -372,9 +366,6 @@ func (r *Receiver) detectLosses(d *Data, now sim.Time) {
 	for i := int64(0); i < missing; i++ {
 		tLost := r.lastArrival + span.Scale(float64(i+1)/float64(missing+1))
 		r.Losses++
-		if r.Trace != nil {
-			r.Trace.Add(tLost, trace.CatLoss, int(r.id), 1)
-		}
 		first := !r.est.HaveLoss()
 		if r.est.OnLoss(tLost, r.rtte.RTT()) {
 			r.LossEvents++
@@ -627,9 +618,6 @@ func (r *Receiver) sendReport(now sim.Time) {
 		return
 	}
 	r.ReportsSent++
-	if r.Trace != nil {
-		r.Trace.AddNote(now, trace.CatFeedback, int(r.id), rate, trace.NoteReport)
-	}
 	pkt := r.net.AllocPacketFor(r.addr.Node)
 	pkt.Size = r.cfg.ReportSize
 	pkt.Src = r.addr

@@ -268,7 +268,7 @@ func TestReceiverHotPrefix(t *testing.T) {
 	}
 	for name, off := range map[string]uintptr{
 		"cohort": unsafe.Offsetof(r.cohort), "cfg": unsafe.Offsetof(r.cfg), "net": unsafe.Offsetof(r.net),
-		"ReportsSent": unsafe.Offsetof(r.ReportsSent), "Trace": unsafe.Offsetof(r.Trace),
+		"ReportsSent": unsafe.Offsetof(r.ReportsSent),
 	} {
 		if off < hotPrefixEnd {
 			t.Errorf("cold field %s at offset %d sits inside the hot prefix", name, off)

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/simnet"
-	"repro/internal/trace"
 )
 
 // Sender is the TFMCC multicast sender: it paces data packets at the
@@ -93,10 +92,6 @@ type Sender struct {
 	recoverWait bool     // re-elected, waiting for rate re-attainment
 	clrLostAt   sim.Time // when the open episode began
 	lostRate    float64  // sending rate at that moment
-
-	// Trace, when set, records rate changes, CLR switches, rounds and
-	// received feedback.
-	Trace *trace.Log
 }
 
 type echoEntry struct {
@@ -224,7 +219,6 @@ func (s *Sender) rewind(net *simnet.Network, node simnet.NodeID, port simnet.Por
 	s.recoverWait = false
 	s.clrLostAt = 0
 	s.lostRate = 0
-	s.Trace = nil
 	net.Bind(s.addr, s)
 }
 
@@ -266,10 +260,6 @@ func (s *Sender) RoundStart() sim.Time { return s.roundStart }
 // CLRSilentRounds returns how many consecutive completed feedback
 // rounds passed without a report from the current CLR.
 func (s *Sender) CLRSilentRounds() int { return s.clrSilentRounds }
-
-// LastCLRReport returns the arrival time of the last report from the
-// current CLR (zero if none has arrived yet).
-func (s *Sender) LastCLRReport() sim.Time { return s.lastCLRReport }
 
 // Running reports whether the sender has been started and not stopped.
 func (s *Sender) Running() bool { return s.running }
@@ -413,9 +403,6 @@ func (s *Sender) Recv(pkt *simnet.Packet) {
 	rep := *rp
 	now := s.sch.Now()
 	s.ReportsRecv++
-	if s.Trace != nil {
-		s.Trace.Add(now, trace.CatFeedback, int(rep.From), rep.Rate)
-	}
 
 	if rep.Leave {
 		s.onLeave(rep.From, now)
@@ -572,9 +559,6 @@ func (s *Sender) setCLR(id ReceiverID, rate float64, rttEst sim.Time, now sim.Ti
 	if s.clr != id {
 		s.CLRChanges++
 		s.newCLREcho = true
-		if s.Trace != nil {
-			s.Trace.AddNote(now, trace.CatCLR, int(id), rate, trace.NoteCLRChange)
-		}
 	}
 	s.clr = id
 	s.clrRate = rate
@@ -678,9 +662,6 @@ func (s *Sender) setRate(r float64) {
 	}
 	if s.cfg.MaxRate > 0 && r > s.cfg.MaxRate {
 		r = s.cfg.MaxRate
-	}
-	if s.Trace != nil && r != s.rate {
-		s.Trace.Add(s.sch.Now(), trace.CatRate, -1, r)
 	}
 	s.rate = r
 	if s.recoverWait {
@@ -812,8 +793,5 @@ func (s *Sender) advanceRound() {
 	s.suppressRate = math.Inf(1)
 	s.suppressLoss = false
 	s.roundT = s.cfg.feedbackConfig(s.maxRTT, s.rate).T
-	if s.Trace != nil {
-		s.Trace.Add(now, trace.CatRound, s.round, s.roundT.Seconds())
-	}
 	s.roundTimer = s.sch.AfterArg(s.roundT, senderAdvanceRound, s)
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // singleBottleneck builds sender -- r1 ==bw== r2 -- {receivers} with a
@@ -320,26 +319,5 @@ func TestCalcRateInfiniteBeforeLoss(t *testing.T) {
 	_, _, sess := singleBottleneck(1, 125000, 20*sim.Millisecond, 30, cfg, 15)
 	if !math.IsInf(sess.Receivers[0].CalcRate(), 1) {
 		t.Fatal("CalcRate should be +Inf before any loss")
-	}
-}
-
-func TestTraceHooks(t *testing.T) {
-	cfg := DefaultConfig()
-	sch, _, sess := singleBottleneck(2, 125000, 20*sim.Millisecond, 20, cfg, 31)
-	log := trace.New(4096)
-	sess.Sender.Trace = log
-	for _, r := range sess.Receivers {
-		r.SetTrace(log)
-	}
-	sess.Start()
-	sch.RunUntil(60 * sim.Second)
-	for _, cat := range []trace.Category{trace.CatRound, trace.CatRate,
-		trace.CatFeedback, trace.CatLoss, trace.CatCLR} {
-		if log.Count(cat) == 0 {
-			t.Fatalf("no %v events traced", cat)
-		}
-	}
-	if len(log.Dump()) == 0 {
-		t.Fatal("empty dump")
 	}
 }

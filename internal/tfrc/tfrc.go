@@ -1,9 +1,13 @@
 // Package tfrc implements unicast TCP-Friendly Rate Control (Floyd,
 // Handley, Padhye, Widmer, SIGCOMM 2000; RFC 3448) on top of simnet. It
-// is the protocol TFMCC extends to multicast, and serves as the unicast
-// reference point in comparison benchmarks: same control equation, same
+// is the protocol TFMCC extends to multicast: same control equation, same
 // loss-interval measurement, but sender-side rate computation and a
 // single receiver reporting once per RTT.
+//
+// No command or registered experiment runs it. It is kept as the
+// reference implementation TestSingleReceiverTracksTFRC compares a
+// one-receiver TFMCC session against (CI's reachability check allowlists
+// the package for that reason).
 package tfrc
 
 import (
