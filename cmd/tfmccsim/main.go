@@ -27,10 +27,10 @@
 //	series  x  mean  ci_lo  ci_hi  min  max  n
 //
 // The run options (-seeds, -seed, -workers, -ci, -check, -engineworkers)
-// are sweep.Config's, shared with tfmccbench and tfmcchyp and described
-// once in README.md ("Run options"); a value that cannot mean anything
-// exits 2 naming the flag, and so does a flag that could not take effect
-// (see flagConflict). With -engineworkers >= 2 output is a different
+// are sweep.Config's, shared with tfmcchyp and described once in
+// README.md ("Run options"); a value that cannot mean anything exits 2
+// naming the flag, and so does a flag that could not take effect (see
+// flagConflict). With -engineworkers >= 2 output is a different
 // (equally valid, worker-count-invariant) trajectory than the serial
 // engine's; hand-wired serial-only figures refuse it.
 package main
@@ -44,7 +44,6 @@ import (
 	"strings"
 
 	"repro/internal/experiments"
-	"repro/internal/hypothesis"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/sweep"
@@ -56,7 +55,6 @@ func main() {
 		scen     = flag.String("scenario", "", "run a Spec-backed entry through the scenario executor (with overrides)")
 		scenFile = flag.String("scenario-file", "", "run a JSON spec document through the scenario executor (with overrides)")
 		specOut  = flag.String("spec-out", "", "with -scenario: write the spec (overrides applied) as JSON to this file ('-' for stdout) instead of running it")
-		hyp      = flag.String("hypothesis", "", "judge a hypothesis by id or JSON file; exit 1 on a failed expectation")
 		all      = flag.Bool("all", false, "run every figure")
 		list     = flag.Bool("list", false, "list available figures and presets")
 		tsv      = flag.Bool("tsv", false, "print full series as TSV instead of a summary")
@@ -145,8 +143,6 @@ func main() {
 		for _, e := range experiments.Entries() {
 			fmt.Printf("%-10s %-26s %s\n", e.ID, "["+strings.Join(e.Tags, ",")+"]", e.Title)
 		}
-	case *hyp != "":
-		judge(*hyp, cfg)
 	case *scenFile != "":
 		spec, err := scenario.LoadSpec(*scenFile)
 		if err == nil {
@@ -183,7 +179,7 @@ func main() {
 // is single-seed. The error names the offending flag.
 func flagConflict(set map[string]bool, seeds int) error {
 	var selectors []string
-	for _, s := range []string{"figure", "all", "scenario", "scenario-file", "hypothesis", "list"} {
+	for _, s := range []string{"figure", "all", "scenario", "scenario-file", "list"} {
 		if set[s] {
 			selectors = append(selectors, "-"+s)
 		}
@@ -227,29 +223,6 @@ func emit(res interface {
 		fmt.Print(res.TSV())
 	} else {
 		fmt.Print(res.Summary())
-	}
-}
-
-// judge resolves a hypothesis — a committed-suite id or a JSON document
-// path — runs it and exits 1 when any expectation fails.
-func judge(ref string, cfg sweep.Config) {
-	h, ok := hypothesis.ByID(ref)
-	if !ok {
-		var err error
-		h, err = hypothesis.Load(ref)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%q is neither a suite hypothesis id (have %v) nor a loadable file: %v\n",
-				ref, hypothesis.SuiteIDs(), err)
-			os.Exit(1)
-		}
-	}
-	v, err := hypothesis.Run(h, cfg)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Print(v.Report())
-	if !v.Pass {
-		os.Exit(1)
 	}
 }
 

@@ -21,13 +21,11 @@ func TestFlagConflict(t *testing.T) {
 		{"scenario ci", 1, "-ci"},
 		{"figure scenario", 1, "-figure and -scenario"},
 		{"all scenario", 1, "-all and -scenario"},
-		{"hypothesis list", 1, "-hypothesis and -list"},
 
 		{"scenario duration coreloss seed check tsv engineworkers", 1, ""},
 		{"scenario seeds spec-out", 1, ""}, // -seeds 1 is the default spelled out
 		{"scenario-file fanout", 1, ""},
 		{"figure seeds workers ci tsv", 8, ""},
-		{"hypothesis seeds", 4, ""},
 		{"", 1, ""}, // no selector: main prints usage
 	} {
 		set := map[string]bool{}

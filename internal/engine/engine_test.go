@@ -183,27 +183,50 @@ func TestShardedInvariantsClean(t *testing.T) {
 }
 
 // The per-shard accounting satisfies its conservation identities: every
-// handoff pushed is drained, and the total event count decomposes into
-// control plus per-region events.
+// handoff pushed is drained, the total event count decomposes into
+// control plus per-region events, and the window schedule is consistent
+// with both.
 func TestEngineStatsConservation(t *testing.T) {
-	c := shardedCtx(2)
-	shortRun(t, c, "wireless", 1, 8*sim.Second)
-	st := c.Stats()
-	if st.EngineShards < 2 {
-		t.Fatalf("expected a multi-region cut, got %d shards", st.EngineShards)
-	}
-	if st.HandoffsSent != st.HandoffsRecv {
-		t.Errorf("handoff conservation broken: sent %d, drained %d", st.HandoffsSent, st.HandoffsRecv)
-	}
-	if st.HandoffsSent == 0 {
-		t.Error("expected cross-region traffic, saw none")
-	}
-	sum := st.ControlEvents
-	for _, v := range st.ShardEvents {
-		sum += v
-	}
-	if st.Events != sum {
-		t.Errorf("event decomposition broken: total %d, control+shards %d", st.Events, sum)
+	for _, tc := range []struct {
+		id  string
+		dur sim.Time
+	}{
+		{"wireless", 8 * sim.Second},
+		{"flashcrowd", 40 * sim.Second}, // through the join burst
+		{"partition", 100 * sim.Second}, // through the partition and its heal
+	} {
+		c := shardedCtx(2)
+		shortRun(t, c, tc.id, 1, tc.dur)
+		st := c.Stats()
+		if st.EngineShards < 2 {
+			t.Fatalf("%s: expected a multi-region cut, got %d shards", tc.id, st.EngineShards)
+		}
+		if st.HandoffsSent != st.HandoffsRecv {
+			t.Errorf("%s: handoff conservation broken: sent %d, drained %d", tc.id, st.HandoffsSent, st.HandoffsRecv)
+		}
+		if st.HandoffsSent == 0 {
+			t.Errorf("%s: expected cross-region traffic, saw none", tc.id)
+		}
+		var shardEvents uint64
+		for _, v := range st.ShardEvents {
+			shardEvents += v
+		}
+		if st.Events != st.ControlEvents+shardEvents {
+			t.Errorf("%s: event decomposition broken: total %d, control+shards %d", tc.id, st.Events, st.ControlEvents+shardEvents)
+		}
+		// Window accounting: burst dispatch only coalesces events, every
+		// sharded run executes a window, a window steps between none and all
+		// of the shards, and a stepped shard runs at least one event.
+		if st.Batches > st.Events {
+			t.Errorf("%s: %d batches for %d events", tc.id, st.Batches, st.Events)
+		}
+		if st.Windows == 0 {
+			t.Errorf("%s: no windows recorded", tc.id)
+		}
+		if limit := min(uint64(st.EngineShards)*st.Windows, shardEvents); st.ShardSteps == 0 || st.ShardSteps > limit {
+			t.Errorf("%s: %d shard steps, want in (0, %d] over %d windows of %d shards running %d shard events",
+				tc.id, st.ShardSteps, limit, st.Windows, st.EngineShards, shardEvents)
+		}
 	}
 }
 

@@ -2,7 +2,7 @@
 // TFMCC paper's evaluation. Each builder returns a Result whose series
 // reproduce the corresponding plot; cmd/tfmccsim prints them as TSV. Every
 // runner is a Registry entry: the golden ledger pins its output and
-// cmd/tfmccbench measures it.
+// counters, and tfmccsim -all -check runs every one.
 //
 // Runners execute against a RunCtx, which owns an arena of reusable
 // simulation environments: rerunning the same scenario (another seed of a
@@ -142,7 +142,7 @@ func NewRunCtxFor(cfg sweep.Config) *RunCtx {
 // protocol-level ones (sender rate bound, CLR liveness) on scenario-spec
 // runs. Violations accumulate across runs; see Violations. The checker's
 // sampling ticks are subtracted from the EngineStats event count, so
-// deterministic engine reports are unchanged by enabling it.
+// the event and packet counters are unchanged by enabling it.
 func (c *RunCtx) EnableInvariants() { c.check = true }
 
 // Violations returns the invariant violations observed across every run
@@ -185,12 +185,12 @@ func (c *RunCtx) endRun() {
 		}
 		// Batch occupancy: one batch may dispatch many same-timestamp
 		// events. The count differs with and without -check (checker ticks
-		// add events), so reports strip it; history records it.
+		// add events), so no determinism check compares it.
 		c.stats.Batches += e.sch.Batches()
 		if e.net.Sharded() {
 			// Region-parallel run: the environment scheduler only carried
 			// control flow. Total events = control + every region scheduler,
-			// an identity the benchdiff gate re-checks from the report.
+			// an identity TestEngineStatsConservation and bench/ re-check.
 			c.stats.ControlEvents += events
 			se := e.net.ShardEventCounts()
 			if len(se) > c.stats.EngineShards {
@@ -343,14 +343,8 @@ const (
 // on the same context rewind and reuse the cached scenario instead of
 // rebuilding it.
 func (c *RunCtx) SessionThroughput(n int, seconds int) float64 {
-	return c.SessionThroughputSeed(1, n, seconds)
-}
-
-// SessionThroughputSeed is SessionThroughput with an explicit seed, for
-// cross-seed sweeps of the benchmark scenario.
-func (c *RunCtx) SessionThroughputSeed(seed int64, n, seconds int) float64 {
 	defer c.begin("session")()
-	e := c.newEnv(seed)
+	e := c.newEnv(1)
 	r1 := e.net.AddNode("r1")
 	r2 := e.net.AddNode("r2")
 	e.net.AddDuplex(r1, r2, 1*mbit, 20*sim.Millisecond, 30)

@@ -37,9 +37,8 @@ func TestRecoveryCountersClrfail(t *testing.T) {
 }
 
 // TestRecoveryCountersZeroOnFaultFreeRun pins that a fault-free run
-// records no recovery episodes, which (via the omitempty tags on
-// benchreport.Metrics) keeps BENCH_engine.json byte-stable for
-// scenarios without fault events.
+// records no recovery episodes, so counter_bound hypotheses on them only
+// see episodes a fault actually caused.
 func TestRecoveryCountersZeroOnFaultFreeRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-simulation scenario")

@@ -7,8 +7,8 @@ import (
 	"repro/internal/scenario"
 )
 
-// Registry tags classify figure reproductions for tooling (bench
-// reports, CLI listings).
+// Registry tags classify figure reproductions for tooling (bench/
+// workloads, CLI listings).
 const (
 	// TagAnalytic marks figures that never drive the discrete-event
 	// engine: closed-form curves or Monte-Carlo plots over the feedback
@@ -114,7 +114,7 @@ func Lookup(id string) (Entry, bool) {
 
 // Entries returns all registered entries in enumeration order — numeric
 // figure ids ascending, then named scenario presets lexicographically —
-// the order every tool shares: listings and bench reports.
+// the order every tool shares: listings, tfmccsim -all and the ledger.
 func Entries() []Entry {
 	out := append([]Entry(nil), entries...)
 	sort.Slice(out, func(i, j int) bool {

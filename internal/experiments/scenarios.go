@@ -8,9 +8,9 @@ import (
 )
 
 // The scenario presets ride in the same registry as the paper figures —
-// stable IDs and tags — so tfmccbench lists and regression-gates them
-// like any figure, and tfmccsim runs them via -scenario with parameter
-// overrides.
+// stable IDs and tags — so the golden ledger pins them and tfmccsim -all
+// runs them like any figure, and tfmccsim runs them via -scenario with
+// parameter overrides.
 func init() {
 	for _, p := range scenario.Presets() {
 		p := p
@@ -39,7 +39,7 @@ func (c *RunCtx) runSpec(spec *scenario.Spec, seed int64) (*scenario.Scenario, e
 	if w := c.engineWorkers; w >= 2 {
 		sc, st, err := engine.Run(c.ScenarioEnv(seed), spec, seed, w)
 		// The window schedule is a wall-structure diagnostic (-check
-		// ticks clip windows): reports strip it, history records it.
+		// ticks clip windows), not part of any determinism check.
 		c.stats.Windows += st.Windows
 		c.stats.WindowNS += st.WindowNS
 		c.stats.ShardSteps += st.ShardSteps

@@ -97,9 +97,9 @@ func TestDegradeEventsShapeRate(t *testing.T) {
 }
 
 // TestCohortSweepWorkerInvariance: a multi-seed sweep over a cohort
-// preset must merge to byte-identical TSV regardless of worker count —
-// the cohort's feedback draws come from the per-run protocol stream, so
-// no worker-shared state may leak into them.
+// preset must merge to byte-identical TSV and equal engine counters
+// regardless of worker count — the cohort's feedback draws come from the
+// per-run protocol stream, so no worker-shared state may leak into them.
 func TestCohortSweepWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-simulation scenarios")
@@ -114,6 +114,11 @@ func TestCohortSweepWorkerInvariance(t *testing.T) {
 	}
 	if base.TSV() != multi.TSV() {
 		t.Fatal("cohort sweep output differs between workers=1 and workers=2")
+	}
+	// The merged engine counters too, bar the dispatch-batch diagnostic.
+	base.Engine.Batches, multi.Engine.Batches = 0, 0
+	if base.Engine != multi.Engine {
+		t.Fatalf("cohort sweep counters differ between workers=1 and workers=2:\n%+v\nvs\n%+v", base.Engine, multi.Engine)
 	}
 }
 

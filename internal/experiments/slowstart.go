@@ -75,8 +75,12 @@ func slowstartSpec(nRecv int, bw float64, numTCP, qlen int) *scenario.Spec {
 	}
 }
 
+// maxSlowstartRate runs one figure 14 sub-run, scoped under its spec name
+// so the figure's 36 sub-runs rewind one environment per spec shape.
 func maxSlowstartRate(c *RunCtx, nRecv int, bw float64, numTCP, qlen int, seed int64) float64 {
-	sc := mustScenario(scenario.Build(c.ScenarioEnv(seed+int64(nRecv)), slowstartSpec(nRecv, bw, numTCP, qlen)))
+	spec := slowstartSpec(nRecv, bw, numTCP, qlen)
+	defer c.begin(spec.Name)()
+	sc := mustScenario(scenario.Build(c.ScenarioEnv(seed+int64(nRecv)), spec))
 	// All flows start together, as in the paper.
 	sc.Start()
 	sch := sc.Env.Sch

@@ -85,6 +85,32 @@ func TestArenaCrossScenarioReuse(t *testing.T) {
 	}
 }
 
+// TestSteppedClockArenaPerShape: the stepped-clock figures rewind one
+// environment per distinct sub-run spec instead of keeping one per
+// sub-run — figure 14 has 12 spec shapes over 36 sub-runs, figure 13 two
+// over 30.
+func TestSteppedClockArenaPerShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-simulation figures")
+	}
+	for _, tc := range []struct {
+		id   string
+		envs int
+	}{{"14", 12}, {"13", 2}} {
+		ctx := NewRunCtx()
+		if _, err := RunWith(ctx, tc.id, 1); err != nil {
+			t.Fatal(err)
+		}
+		held := 0
+		for _, list := range ctx.envs {
+			held += len(list)
+		}
+		if held > tc.envs {
+			t.Errorf("figure %s: context holds %d environments, want <= %d", tc.id, held, tc.envs)
+		}
+	}
+}
+
 // TestSweepWorkerInvariance: the merged sweep output must be
 // byte-identical for -workers 1 and any larger worker count, even though
 // each worker's arena sees a different seed subsequence.
@@ -166,7 +192,7 @@ func TestEngineStatsAccumulate(t *testing.T) {
 }
 
 // TestAnalyticRegistry: the engine-less figures must be flagged so
-// benchmark reports can explain their zero event counts.
+// bench/ does not prime engine arenas for them.
 func TestAnalyticRegistry(t *testing.T) {
 	for _, id := range []string{"1", "2", "3", "4", "5", "6", "7", "17"} {
 		if !Analytic(id) {

@@ -10,7 +10,7 @@
 // bound, per-seed breakdown.
 //
 // Hypotheses serialise to JSON like scenario specs, so prediction suites
-// ship as data (`tfmccsim -hypothesis spec.json`); the committed suite
+// ship as data (`tfmcchyp -run spec.json`); the committed suite
 // (suite.go) gates CI through cmd/tfmcchyp.
 package hypothesis
 

@@ -212,3 +212,20 @@ func TestChaosJudgedSharded(t *testing.T) {
 		t.Errorf("sharded verdicts differ across worker counts:\n%+v\nvs\n%+v", a, b)
 	}
 }
+
+// TestGoldenBandRefusedSharded: a golden trajectory is a serial-engine
+// one, so judging it on the region-parallel engine is an error naming the
+// expectation, not a FAIL verdict for a correct run.
+func TestGoldenBandRefusedSharded(t *testing.T) {
+	h, ok := ByID("degrade-golden-band")
+	if !ok {
+		t.Fatal("degrade-golden-band missing from the suite")
+	}
+	v, err := Run(h, sweep.Config{Workers: 1, EngineWorkers: 2})
+	if err == nil {
+		t.Fatalf("golden band judged on the sharded engine without an error:\n%s", v.Report())
+	}
+	if !strings.Contains(err.Error(), "series_within_band") || !strings.Contains(err.Error(), "serially") {
+		t.Errorf("error %q does not name the expectation and the serial remedy", err)
+	}
+}

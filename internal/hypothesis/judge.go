@@ -125,10 +125,11 @@ func (w Workload) Resolve() (*scenario.Spec, string, error) {
 // cfg.EngineWorkers >= 2 judges the workload on the region-parallel
 // engine: its own deterministic universe (per-region random streams), so
 // expectations judge a different — equally valid — trajectory than the
-// serial engine's.
+// serial engine's; a golden trajectory (series_within_band) is a serial
+// one, so it is refused there rather than failed.
 // The returned error covers malformed hypotheses (bad workload ref,
-// mis-populated expectation); workload build/run failures are judged
-// (they fail every expectation), not returned.
+// mis-populated expectation) and that refusal; workload build/run
+// failures are judged (they fail every expectation), not returned.
 func Run(h *Hypothesis, cfg sweep.Config) (*Verdict, error) {
 	if h.ID == "" {
 		return nil, fmt.Errorf("hypothesis: missing id")
@@ -141,8 +142,13 @@ func Run(h *Hypothesis, cfg sweep.Config) (*Verdict, error) {
 		return nil, fmt.Errorf("hypothesis %s: %w", h.ID, err)
 	}
 	for _, e := range h.Expect {
-		if _, _, err := e.kind(); err != nil {
+		kind, desc, err := e.kind()
+		if err != nil {
 			return nil, fmt.Errorf("hypothesis %s: %w", h.ID, err)
+		}
+		if e.SeriesWithinBand != nil && cfg.EngineWorkers >= 2 {
+			return nil, fmt.Errorf("hypothesis %s: %s %s compares against a serial-engine trajectory; judge it serially (without -engineworkers, or with -engineworkers 1)",
+				h.ID, kind, desc)
 		}
 	}
 

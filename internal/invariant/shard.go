@@ -30,7 +30,7 @@ type ShardState interface {
 //   - handoff-conservation: handoffs drained into destinations never
 //     exceed handoffs pushed by sources (packets cannot materialise in
 //     an inbound ring). The end-of-run equality — nothing still parked
-//     in an outbox — is pinned by the engine and the benchdiff gate.
+//     in an outbox — is pinned by the engine's tests and bench/.
 func RegisterShardPredicates(c *Checker, s ShardState) {
 	c.Register("shard-skew", func() string {
 		ctl := s.ControlNow()

@@ -8,8 +8,8 @@ import (
 )
 
 // Preset is a named, registrable scenario: the experiments registry
-// turns each into an entry with a generic runner so tfmccbench measures
-// and gates it like any figure, and tfmccsim runs it via -scenario.
+// turns each into an entry with a generic runner so the golden ledger
+// pins it like any figure, and tfmccsim runs it via -scenario.
 type Preset struct {
 	ID    string
 	Title string

@@ -329,7 +329,8 @@ func (n *Network) ShardBatches() uint64 {
 
 // HandoffCounts returns the cross-region handoffs pushed by all shards
 // and the handoffs drained into destination shards. After a final drain
-// the two are equal; the benchdiff gate pins that conservation.
+// the two are equal; engine.TestEngineStatsConservation and bench/ pin
+// that conservation.
 func (n *Network) HandoffCounts() (sent, recv uint64) {
 	for _, sc := range n.shards {
 		sent += sc.sent
