@@ -9,7 +9,7 @@
 //	tfmcchyp -run path/to/hyp.json   # run a hypothesis document
 //	tfmcchyp -suite -json            # machine-readable verdicts
 //	tfmcchyp -suite -summary out.md  # append a markdown verdict table (CI job summary)
-//	tfmcchyp -run chaos-deeptree-l1 -engineworkers 2 # judge on the region-parallel engine
+//	tfmcchyp -run chaos-deeptree-l1 -engineworkers 2 # judge on the region engine
 //
 // Each hypothesis names a workload (a registry scenario, a JSON spec
 // file, an inline spec, optionally perturbed by a seeded chaos fault

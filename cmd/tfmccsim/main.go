@@ -12,7 +12,7 @@
 //	tfmccsim -scenario flashcrowd            # run a scenario preset
 //	tfmccsim -scenario 9 -duration 60 -coreloss 0.01   # overridden figure
 //	tfmccsim -figure clrfail -check          # run with the invariant checker
-//	tfmccsim -scenario wireless -engineworkers 2   # region-parallel engine
+//	tfmccsim -scenario wireless -engineworkers 2   # region engine
 //
 // -scenario runs any Spec-backed registry entry — the named presets and
 // every single-scenario engine figure — through the generic scenario
@@ -31,7 +31,7 @@
 // README.md ("Run options"); a value that cannot mean anything exits 2
 // naming the flag, and so does a flag that could not take effect (see
 // flagConflict). With -engineworkers >= 2 output is a different
-// (equally valid, worker-count-invariant) trajectory than the serial
+// (equally valid) trajectory than the serial
 // engine's; hand-wired serial-only figures refuse it.
 package main
 

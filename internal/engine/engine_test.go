@@ -2,7 +2,6 @@ package engine_test
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -55,11 +54,10 @@ func TestShardedDeterminismAndRewind(t *testing.T) {
 }
 
 // engineRun drives engine.Run itself on a fresh environment, the way
-// RunCtx does for -engineworkers >= 2 but for any worker count — one
-// included, which the CLIs route to the serial engine instead — with the
-// invariant checker armed when check is set. hook, when not nil, can
-// prepare the environment before the run.
-func engineRun(t *testing.T, id string, seed int64, dur sim.Time, workers int, check bool, hook func(scenario.Env)) (string, engine.Stats, []invariant.Violation) {
+// RunCtx does for -engineworkers >= 2, with the invariant checker armed
+// when check is set. hook, when not nil, can prepare the environment
+// before the run.
+func engineRun(t *testing.T, id string, seed int64, dur sim.Time, check bool, hook func(scenario.Env)) (string, engine.Stats, []invariant.Violation) {
 	t.Helper()
 	e, ok := experiments.Lookup(id)
 	if !ok || e.Spec == nil {
@@ -76,9 +74,9 @@ func engineRun(t *testing.T, id string, seed int64, dur sim.Time, workers int, c
 	if hook != nil {
 		hook(env)
 	}
-	sc, st, err := engine.Run(env, spec, seed, workers)
+	sc, st, err := engine.Run(env, spec, seed, 2)
 	if err != nil {
-		t.Fatalf("%s at %d workers: %v", id, workers, err)
+		t.Fatalf("%s: %v", id, err)
 	}
 	var viol []invariant.Violation
 	if check {
@@ -87,70 +85,42 @@ func engineRun(t *testing.T, id string, seed int64, dur sim.Time, workers int, c
 	return (&experiments.Result{Figure: id, Series: sc.Series()}).TSV(), st, viol
 }
 
-// The worker count is purely a goroutine count: region structure,
-// window schedule and handoff order depend only on topology and seed, so
-// any N >= 1 — the coordinator alone, the coordinator and helpers, more
-// workers than regions — produces byte-identical output and the same
-// window, busy-shard and handoff counts. The checker is armed, so "no
-// shard clock lags control" also holds for shards a window only moved.
+// A sharded run skips idle shards — some window steps fewer than all of
+// them — and keeps every invariant with the checker armed, so "no shard
+// clock lags control" also holds for shards a window only moved. The
+// RunCtx path the CLIs take at -engineworkers 2 is the same universe as
+// engine.Run.
 func TestWorkerCountInvariance(t *testing.T) {
 	for _, id := range []string{"wireless", "partition", "chainloss", "deeptree"} {
-		base, bst, viol := engineRun(t, id, 3, 8*sim.Second, 1, true, nil)
+		base, st, viol := engineRun(t, id, 3, 8*sim.Second, true, nil)
 		for _, v := range viol {
 			t.Errorf("%s: invariant violated: %s", id, v)
 		}
-		if bst.ShardSteps == 0 || bst.ShardSteps >= uint64(bst.Shards)*bst.Windows {
+		if st.ShardSteps == 0 || st.ShardSteps >= uint64(st.Shards)*st.Windows {
 			t.Errorf("%s: %d shard steps over %d windows of %d shards: no window skipped an idle shard",
-				id, bst.ShardSteps, bst.Windows, bst.Shards)
+				id, st.ShardSteps, st.Windows, st.Shards)
 		}
-		for _, w := range []int{2, 3, 8} {
-			got, st, viol := engineRun(t, id, 3, 8*sim.Second, w, true, nil)
-			if got != base {
-				t.Errorf("%s: %d-worker run diverged from 1-worker run", id, w)
-			}
-			if st.Windows != bst.Windows || st.ShardSteps != bst.ShardSteps || st.HandoffsRecv != bst.HandoffsRecv {
-				t.Errorf("%s: %d workers ran %d windows / %d shard steps / %d handoffs, 1 worker %d / %d / %d", id, w,
-					st.Windows, st.ShardSteps, st.HandoffsRecv, bst.Windows, bst.ShardSteps, bst.HandoffsRecv)
-			}
-			for _, v := range viol {
-				t.Errorf("%s at %d workers: invariant violated: %s", id, w, v)
-			}
-		}
-		// The RunCtx path the CLIs take is the same universe.
 		if got := shortRun(t, shardedCtx(2), id, 3, 8*sim.Second); got != base {
 			t.Errorf("%s: RunCtx at -engineworkers 2 diverged from engine.Run", id)
 		}
 	}
 }
 
-// With a single processor the coordinator and its helper can only take
-// turns, so a barrier that waited by spinning would never end. The full
-// preset completes and is the run any other processor count gives.
-func TestRunCompletesOnOneProcessor(t *testing.T) {
-	want := shortRun(t, shardedCtx(2), "wireless", 1, 120*sim.Second)
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	if got := shortRun(t, shardedCtx(2), "wireless", 1, 120*sim.Second); got != want {
-		t.Error("wireless at -engineworkers 2 under GOMAXPROCS(1) diverged from the multi-processor run")
-	}
-}
-
 // A panic inside a shard of a real run — here the network's drop hook,
-// called from whichever goroutine steps the bottleneck's region — comes
-// out of engine.Run on the calling goroutine, so a sweep over seeds
-// records it as that seed's error and carries on.
+// called while the bottleneck's region steps — comes out of engine.Run
+// on the calling goroutine, so a sweep over seeds records it as that
+// seed's error and carries on.
 func TestShardPanicBecomesSeedError(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		_, errs := sweep.RunRaw(sweep.Config{Seeds: 2, Workers: 1, Base: 1}, func(_ int, seed int64) []*stats.Series {
-			engineRun(t, "wireless", seed, 8*sim.Second, workers, false, func(env scenario.Env) {
-				if seed == 2 {
-					env.Net.DropHook = func(*simnet.Link, *simnet.Packet) { panic("queue drop hook blew up") }
-				}
-			})
-			return nil
+	_, errs := sweep.RunRaw(sweep.Config{Seeds: 2, Workers: 1, Base: 1}, func(_ int, seed int64) []*stats.Series {
+		engineRun(t, "wireless", seed, 8*sim.Second, false, func(env scenario.Env) {
+			if seed == 2 {
+				env.Net.DropHook = func(*simnet.Link, *simnet.Packet) { panic("queue drop hook blew up") }
+			}
 		})
-		if len(errs) != 1 || errs[0].Seed != 2 || !strings.Contains(errs[0].Msg, "drop hook blew up") {
-			t.Errorf("%d workers: sweep recorded %v, want the drop hook's panic against seed 2", workers, errs)
-		}
+		return nil
+	})
+	if len(errs) != 1 || errs[0].Seed != 2 || !strings.Contains(errs[0].Msg, "drop hook blew up") {
+		t.Errorf("sweep recorded %v, want the drop hook's panic against seed 2", errs)
 	}
 }
 
@@ -258,8 +228,7 @@ func TestPartitionOnPresets(t *testing.T) {
 }
 
 // Sharded execution composes with seed sweeps: the merged bands stay
-// independent of the sweep worker count, with the engine parallelism
-// nested inside.
+// independent of the sweep worker count.
 func TestSweepWithEngineWorkers(t *testing.T) {
 	run := func(sweepWorkers int) string {
 		res, err := experiments.Sweep("flashcrowd", sweep.Config{

@@ -37,7 +37,7 @@ type EngineStats struct {
 	ReelectNS      sim.Time `json:"reelect_ns" stat:"max"`      // max loss-to-re-election sim-time
 	RateRecoverNS  sim.Time `json:"rate_recover_ns" stat:"max"` // max loss-to-rate-re-attainment sim-time
 
-	// Region-parallel engine counters, zero on serial runs. For sharded
+	// Region engine counters, zero on serial runs. For sharded
 	// runs Events equals ControlEvents + sum(ShardEvents) and
 	// HandoffsSent equals HandoffsRecv once every window drained — the
 	// conservation identities engine.TestEngineStatsConservation and
@@ -51,10 +51,10 @@ type EngineStats struct {
 	HandoffsRecv  uint64                       `json:"handoffs_recv" stat:"sum"`  // cross-region packets drained into destinations
 
 	// Dispatch diagnostics: mean batch occupancy is Events/Batches; the
-	// last three describe the region-parallel window schedule. They vary
+	// last three describe the region window schedule. They vary
 	// with -check (checker ticks add events and clip windows).
 	Batches    uint64   `json:"batches" stat:"sum"`     // dispatch batches executed, every scheduler
-	Windows    uint64   `json:"windows" stat:"sum"`     // region-parallel synchronization windows
+	Windows    uint64   `json:"windows" stat:"sum"`     // region synchronization windows
 	WindowNS   sim.Time `json:"window_ns" stat:"sum"`   // summed window widths
 	ShardSteps uint64   `json:"shard_steps" stat:"sum"` // summed per-window counts of shards that had an event due
 }

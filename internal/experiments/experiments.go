@@ -93,7 +93,7 @@ func RunWith(c *RunCtx, id string, seed int64) (*Result, error) {
 	return e.Run(c, seed), nil
 }
 
-// refuseSerialOnly rejects serial-only runners when the region-parallel
+// refuseSerialOnly rejects serial-only runners when the region
 // engine was requested: silently falling back to serial would report a
 // different deterministic universe than the caller asked for.
 func refuseSerialOnly(e Entry, engineWorkers int) error {
@@ -150,12 +150,11 @@ func (c *RunCtx) EnableInvariants() { c.check = true }
 func (c *RunCtx) Violations() []invariant.Violation { return c.violations }
 
 // SetEngineWorkers selects the execution engine for scenario-spec runs:
-// n >= 2 routes them through the region-parallel engine
-// (internal/engine) on n worker goroutines, anything lower keeps the
-// serial engine. Sharded output is deterministic and invariant in n —
-// the region structure depends only on topology and seed — but it is a
-// different deterministic universe than the serial engine's (per-region
-// RNG streams), so 1 means serial, byte-identical to the default.
+// n >= 2 runs them on the region engine (internal/engine), 0 or 1 on the
+// serial engine. Every n >= 2 runs the same code — the region structure
+// depends only on topology and seed — but sharded output is a different
+// deterministic universe than the serial engine's (per-region RNG
+// streams), so 1 means serial, byte-identical to the default.
 func (c *RunCtx) SetEngineWorkers(n int) { c.engineWorkers = n }
 
 // begin starts a run of the named scenario and returns the harvest
@@ -188,7 +187,7 @@ func (c *RunCtx) endRun() {
 		// add events), so no determinism check compares it.
 		c.stats.Batches += e.sch.Batches()
 		if e.net.Sharded() {
-			// Region-parallel run: the environment scheduler only carried
+			// Region-engine run: the environment scheduler only carried
 			// control flow. Total events = control + every region scheduler,
 			// an identity TestEngineStatsConservation and bench/ re-check.
 			c.stats.ControlEvents += events

@@ -290,7 +290,7 @@ func TestLateJoinDeterministic(t *testing.T) {
 
 // TestSerialOnlyRefused: the figures that drive the simulation clock
 // themselves (13: RTT-change reaction, 14: slowstart cap) cannot run on
-// the region-parallel engine; requesting engine workers for them must
+// the region engine; requesting engine workers for them must
 // fail fast with an error naming the serial engine, in both the direct
 // runner and the sweep path — never silently fall back to serial.
 func TestSerialOnlyRefused(t *testing.T) {

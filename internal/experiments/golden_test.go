@@ -16,7 +16,7 @@ import (
 // The golden ledger pins what "these bytes do not move" means: one row
 // per registry entry at seed 1 — the sha256 of Result.TSV() and the
 // run's deterministic engine counters — plus a second universe of rows
-// on the region-parallel engine. A PR that changes a row on purpose
+// on the region engine. A PR that changes a row on purpose
 // regenerates the file with
 //
 //	go test ./internal/experiments -run TestGoldenLedger -update

@@ -39,7 +39,7 @@ type Entry struct {
 	Spec func() *scenario.Spec
 	// SerialOnly marks runners that drive the simulation clock themselves
 	// (RunUntil polling loops reading protocol state mid-run) and so
-	// cannot execute on the region-parallel engine. RunWith and Sweep
+	// cannot execute on the region engine. RunWith and Sweep
 	// refuse them when engine workers are requested instead of silently
 	// running serial.
 	SerialOnly bool

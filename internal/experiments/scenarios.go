@@ -33,7 +33,7 @@ func init() {
 }
 
 // runSpec executes spec on the configured execution engine —
-// region-parallel when the context has engineWorkers >= 2, serial
+// the region engine when the context has engineWorkers >= 2, serial
 // otherwise — the one dispatch every scenario-spec run goes through.
 func (c *RunCtx) runSpec(spec *scenario.Spec, seed int64) (*scenario.Scenario, error) {
 	if w := c.engineWorkers; w >= 2 {

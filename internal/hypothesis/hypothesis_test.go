@@ -187,8 +187,8 @@ func TestWorkloadOneOf(t *testing.T) {
 }
 
 // TestChaosJudgedSharded runs a chaos suite hypothesis on the
-// region-parallel engine and expects it to pass, with verdicts
-// invariant in both the sweep worker count and the engine worker count.
+// region engine and expects it to pass, with verdicts invariant in the
+// sweep worker count.
 func TestChaosJudgedSharded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-simulation run")
@@ -204,17 +204,17 @@ func TestChaosJudgedSharded(t *testing.T) {
 	if !a.Pass {
 		t.Fatalf("chaos hypothesis fails on the sharded engine:\n%s", a.Report())
 	}
-	b, err := Run(h, sweep.Config{Workers: 2, EngineWorkers: 3})
+	b, err := Run(h, sweep.Config{Workers: 2, EngineWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
-		t.Errorf("sharded verdicts differ across worker counts:\n%+v\nvs\n%+v", a, b)
+		t.Errorf("sharded verdicts differ across sweep worker counts:\n%+v\nvs\n%+v", a, b)
 	}
 }
 
 // TestGoldenBandRefusedSharded: a golden trajectory is a serial-engine
-// one, so judging it on the region-parallel engine is an error naming the
+// one, so judging it on the region engine is an error naming the
 // expectation, not a FAIL verdict for a correct run.
 func TestGoldenBandRefusedSharded(t *testing.T) {
 	h, ok := ByID("degrade-golden-band")

@@ -122,7 +122,7 @@ func (w Workload) Resolve() (*scenario.Spec, string, error) {
 // repeated seeds rewind the cached topology exactly like figure sweeps —
 // and every expectation is then judged against the per-seed outcomes in
 // seed order, making the verdict independent of the worker count.
-// cfg.EngineWorkers >= 2 judges the workload on the region-parallel
+// cfg.EngineWorkers >= 2 judges the workload on the region
 // engine: its own deterministic universe (per-region random streams), so
 // expectations judge a different — equally valid — trajectory than the
 // serial engine's; a golden trajectory (series_within_band) is a serial

@@ -6,7 +6,7 @@ import (
 	"repro/internal/sim"
 )
 
-// ShardState exposes a sharded (region-parallel) engine run to the
+// ShardState exposes a sharded (region) engine run to the
 // cross-shard predicates. The checker ticks on the control scheduler
 // while shards are quiesced, so all reads here are race-free.
 type ShardState interface {

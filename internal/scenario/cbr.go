@@ -63,7 +63,7 @@ func (c *CBR) tick() {
 	if !c.running {
 		return
 	}
-	pkt := c.net.AllocPacketClassFor(cbrClass, c.src.Node)
+	pkt := c.net.AllocPacketClass(cbrClass)
 	d, ok := pkt.Payload.(*CBRData)
 	if !ok {
 		d = new(CBRData)

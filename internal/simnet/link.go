@@ -185,8 +185,8 @@ func (l *Link) send(pkt *Packet) {
 	}
 	if l.DupProb > 0 && l.rng.Bool(l.DupProb) {
 		l.Stats.Duplicated++
-		l.net.faultsAt(l.shard).Duplicated++
-		l.net.addRefs(pkt, 1) // the extra copy consumes its own reference downstream
+		l.net.faults.Duplicated++
+		pkt.refs++ // the extra copy consumes its own reference downstream
 		l.xmit(pkt)
 	}
 	l.xmit(pkt)
@@ -199,21 +199,21 @@ func (l *Link) admit(pkt *Packet) bool {
 	l.Stats.Sent++
 	if l.down {
 		l.Stats.DropDown++
-		l.net.faultsAt(l.shard).Unreachable++
-		l.net.releasePktAt(pkt, l.shard)
+		l.net.faults.Unreachable++
+		l.net.releasePkt(pkt)
 		return false
 	}
 	if l.LossProb > 0 && l.rng.Bool(l.LossProb) {
 		l.Stats.DropRand++
-		l.net.releasePktAt(pkt, l.shard)
+		l.net.releasePkt(pkt)
 		return false
 	}
 	if l.CorruptProb > 0 && l.rng.Bool(l.CorruptProb) {
 		// Corrupted in transit: the far end's checksum rejects it, so it
 		// behaves as a counted drop.
 		l.Stats.Corrupted++
-		l.net.faultsAt(l.shard).Corrupted++
-		l.net.releasePktAt(pkt, l.shard)
+		l.net.faults.Corrupted++
+		l.net.releasePkt(pkt)
 		return false
 	}
 	return true
@@ -241,7 +241,7 @@ func (l *Link) xmit(pkt *Packet) {
 		if l.net.DropHook != nil {
 			l.net.DropHook(l, pkt)
 		}
-		l.net.releasePktAt(pkt, l.shard)
+		l.net.releasePkt(pkt)
 		return
 	}
 	if !l.busy {

@@ -3,8 +3,6 @@ package simnet
 import (
 	"cmp"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/sim"
 )
@@ -17,7 +15,7 @@ import (
 // rows of first-hop link indices computed the first time a node forwards,
 // multicast trees are compiled into flattened child-link arrays, and
 // packets obtained from AllocPacket are recycled through a per-network
-// free list (locked only while the network is sharded).
+// free list, shared by every region of a sharded network.
 type Network struct {
 	sched *sim.Scheduler
 	rng   *sim.Rand
@@ -36,11 +34,10 @@ type Network struct {
 	// Unicast routes, one row per source: routeRows[src][dst] is the
 	// first-hop link index from src towards dst, -1 when unreachable. A nil
 	// row has not been needed yet (see routeRow). routesOK false means the
-	// topology changed and every row is stale; routesAll records that
-	// ensureRoutes filled them all. Rows are carved from routeSlabs, which
-	// survive invalidation, so recomputing allocates nothing.
+	// topology changed and every row is stale. Rows are carved from
+	// routeSlabs, which survive invalidation, so recomputing allocates
+	// nothing.
 	routesOK   bool
-	routesAll  bool
 	routeRows  [][]int32
 	routeSlabs [][]int32
 	slabIdx    int // slab being carved
@@ -50,7 +47,7 @@ type Network struct {
 	mcastTrees map[mcastKey]*mcastTree
 	topoVer    uint32 // bumped on any change that can affect forwarding
 
-	// One-entry last-tree cache for the serial forwarding path: almost
+	// One-entry last-tree cache for the forwarding path: almost
 	// every multicast Send is the session's data stream from one source,
 	// so this hits far more often than the map above misses.
 	lastKey  mcastKey
@@ -72,11 +69,8 @@ type Network struct {
 	done []bool
 	dh   []distEntry
 
-	// freePkts is the network's one packet free list per class. Shards
-	// trade bursts with it under poolMu (shardCtx.cacheGet/cachePut); a
-	// serial network uses it directly and never locks.
+	// freePkts is the network's one packet free list per class.
 	freePkts [NumPacketClasses][]*Packet
-	poolMu   sync.Mutex
 
 	// faults counts fault-injection outcomes for the whole network; pktLive
 	// tracks pooled packets currently in flight (allocated, not yet fully
@@ -109,7 +103,6 @@ type Network struct {
 	shards   []*shardCtx
 	outbox   [][]handoff // K*K slices indexed src*K+dst
 	handRecv uint64
-	treeMu   sync.Mutex // serialises shared mcast-tree compilation
 	hints    map[NodeID]int32
 
 	// DropHook, when set, observes every congestion (queue) drop.
@@ -136,37 +129,13 @@ type FaultStats struct {
 	Duplicated  int64
 }
 
-// Faults returns the fault counters accumulated since the last Reset,
-// summed over the control path and every shard.
-func (n *Network) Faults() FaultStats {
-	f := n.faults
-	for _, sc := range n.shards {
-		f.Unreachable += sc.faults.Unreachable
-		f.Corrupted += sc.faults.Corrupted
-		f.Duplicated += sc.faults.Duplicated
-	}
-	return f
-}
-
-// faultsAt returns the fault counters the caller may write: the given
-// shard's on a sharded network (single writer per shard), the network's
-// otherwise. shard -1 means the control path / serial network.
-func (n *Network) faultsAt(shard int32) *FaultStats {
-	if shard >= 0 && n.sharded {
-		return &n.shards[shard].faults
-	}
-	return &n.faults
-}
+// Faults returns the fault counters accumulated since the last Reset.
+func (n *Network) Faults() FaultStats { return n.faults }
 
 // LivePackets returns the number of pooled packets currently allocated
 // and not yet fully released. The pool-conservation invariant is that it
 // never goes negative (a free without a matching alloc).
-func (n *Network) LivePackets() int64 {
-	if n.sharded {
-		return atomic.LoadInt64(&n.pktLive)
-	}
-	return n.pktLive
-}
+func (n *Network) LivePackets() int64 { return n.pktLive }
 
 type linkKey struct{ from, to NodeID }
 
@@ -315,18 +284,9 @@ func (n *Network) Reset() bool {
 	n.pktLive = 0
 	clear(n.hints)
 	if n.sharded {
-		// Tear sharding down: flush the shards' burst caches back into the
-		// free lists in shard order (packet identity never reaches any
-		// output, so the order only needs to be deterministic), drop
-		// in-flight handoffs, and rebind every link to the serial
-		// scheduler/RNG. A following sharded run re-enables with fresh shard
-		// state and draws from the same lists.
-		for _, sc := range n.shards {
-			for c := range sc.cache {
-				n.freePkts[c] = append(n.freePkts[c], sc.cache[c]...)
-				sc.cache[c] = nil
-			}
-		}
+		// Tear sharding down: drop in-flight handoffs and rebind every link
+		// to the serial scheduler/RNG. A following sharded run re-enables
+		// with fresh shard state.
 		n.sharded = false
 		n.shards, n.outbox = nil, nil
 		n.shardOf = n.shardOf[:0]
@@ -595,29 +555,13 @@ func (n *Network) AllocPacket() *Packet { return n.AllocPacketClass(0) }
 // AllocPacketClass is AllocPacket with a separate recycling class: a
 // packet returns to the free list of the class it was allocated from.
 // Protocols whose data and acknowledgement streams interleave (TCP,
-// PGMCC, TFRC) draw them from distinct classes so a recycled packet's
-// pooled header box always matches the payload type about to be written
-// — a single shared LIFO would alternate box types under bursts and
+// TFRC) draw them from distinct classes so a recycled packet's pooled
+// header box always matches the payload type about to be written — a
+// single shared LIFO would alternate box types under bursts and
 // reallocate on every mismatch. Class assignments are a repo-wide
 // convention (see each protocol package); class 0 is the default.
 func (n *Network) AllocPacketClass(class uint8) *Packet {
-	if n.sharded {
-		// Legacy call site on a sharded network, with no node to name the
-		// executing shard: take the locked free list directly (correct, just
-		// potentially contended). Hot sharded paths use AllocPacketClassFor.
-		atomic.AddInt64(&n.pktLive, 1)
-		n.poolMu.Lock()
-		p := n.popFree(class)
-		n.poolMu.Unlock()
-		return p
-	}
 	n.pktLive++
-	return n.popFree(class)
-}
-
-// popFree takes a packet of the class off the network free list, or
-// makes one. Sharded callers hold poolMu.
-func (n *Network) popFree(class uint8) *Packet {
 	free := &n.freePkts[class]
 	if k := len(*free); k > 0 {
 		p := (*free)[k-1]
@@ -625,24 +569,6 @@ func (n *Network) popFree(class uint8) *Packet {
 		return p
 	}
 	return &Packet{pooled: true, class: class}
-}
-
-// AllocPacketFor is AllocPacket bound to the allocating node: on a
-// sharded network the packet comes from that node's shard cache; on a
-// serial network it is exactly AllocPacket.
-func (n *Network) AllocPacketFor(at NodeID) *Packet { return n.AllocPacketClassFor(0, at) }
-
-// AllocPacketClassFor is AllocPacketClass bound to the allocating node
-// (see AllocPacketFor). Callers execute on the node's shard (protocol
-// timers run there; control-phase callers run while shards are
-// quiesced), so the allocation comes from the shard's unlocked burst
-// cache, refilled from the network free list in runs of burstK.
-func (n *Network) AllocPacketClassFor(class uint8, at NodeID) *Packet {
-	if !n.sharded {
-		return n.AllocPacketClass(class)
-	}
-	atomic.AddInt64(&n.pktLive, 1)
-	return n.shards[n.shardOf[at]].cacheGet(n, class)
 }
 
 // ReleasePacket returns a packet obtained from AllocPacket without
@@ -654,38 +580,12 @@ func (n *Network) ReleasePacket(p *Packet) {
 	n.releasePkt(p)
 }
 
-// releasePkt drops one reference with no execution context; on a
-// sharded network the recycled packet takes the locked free-list path.
-// Hot paths that know the shard they execute on use releasePktAt.
-func (n *Network) releasePkt(p *Packet) { n.releasePktAt(p, -1) }
-
-// releasePktAt drops one reference; the last reference of a pooled
-// packet recycles it onto a free list. The Payload survives recycling
-// (see AllocPacket); everything else is zeroed. On a sharded network
-// the refcount is atomic (a multicast fan-out can release on several
-// shards at once) and the packet recycles into the unlocked burst cache
-// of the shard the caller executes on (exec >= 0) — safe because a
-// shard's window and the control phase strictly alternate — or, with no
-// execution context (exec < 0), straight onto the locked free list.
-// Either way it ends up on the one list every shard refills from, so a
-// one-way cross-region flow recirculates its packets.
-func (n *Network) releasePktAt(p *Packet, exec int32) {
-	if n.sharded {
-		if atomic.AddInt32(&p.refs, -1) != 0 || !p.pooled {
-			return
-		}
-		atomic.AddInt64(&n.pktLive, -1)
-		payload := p.Payload
-		*p = Packet{pooled: true, Payload: payload, class: p.class}
-		if exec >= 0 {
-			n.shards[exec].cachePut(n, p)
-			return
-		}
-		n.poolMu.Lock()
-		n.freePkts[p.class] = append(n.freePkts[p.class], p)
-		n.poolMu.Unlock()
-		return
-	}
+// releasePkt drops one reference; the last reference of a pooled
+// packet recycles it onto its class's free list. The Payload survives
+// recycling (see AllocPacket); everything else is zeroed. On a sharded
+// network every region allocates from and releases to the same lists, so
+// a one-way cross-region flow recirculates its packets.
+func (n *Network) releasePkt(p *Packet) {
 	p.refs--
 	if p.refs == 0 && p.pooled {
 		n.pktLive--
@@ -698,15 +598,6 @@ func (n *Network) releasePktAt(p *Packet, exec int32) {
 		p.tree, p.treeVer = nil, 0
 		n.freePkts[p.class] = append(n.freePkts[p.class], p)
 	}
-}
-
-// addRefs adds d forwarding tokens to a packet, atomically when sharded.
-func (n *Network) addRefs(p *Packet, d int32) {
-	if n.sharded {
-		atomic.AddInt32(&p.refs, d)
-		return
-	}
-	p.refs += d
 }
 
 // Send injects a packet at its source node. Unicast packets follow
@@ -734,17 +625,15 @@ func (n *Network) Send(pkt *Packet) {
 func (n *Network) forward(at NodeID, pkt *Packet) {
 	if at == pkt.Dst.Node {
 		n.deliverLocal(at, pkt)
-		n.releasePktAt(pkt, n.shardIdx(at))
+		n.releasePkt(pkt)
 		return
 	}
-	// Computing a row on demand is serial-only; a sharded run fills every
-	// row at barriers (BarrierSync), before any shard can forward again.
 	li := n.routeRow(at)[pkt.Dst.Node]
 	if li < 0 {
 		// No route (partition, down links): a counted drop, not a panic —
 		// fault scenarios legitimately strand traffic.
-		n.faultsAt(n.shardIdx(at)).Unreachable++
-		n.releasePktAt(pkt, n.shardIdx(at))
+		n.faults.Unreachable++
+		n.releasePkt(pkt)
 		return
 	}
 	n.linkList[li].send(pkt)
@@ -759,28 +648,21 @@ func (n *Network) arrive(at NodeID, pkt *Packet) {
 }
 
 func (n *Network) forwardMcast(at, src NodeID, pkt *Packet) {
-	var t *mcastTree
-	if n.sharded {
-		// The on-packet tree cache is single-writer state; sharded runs use
-		// a per-shard tree cache instead and never touch pkt.tree.
-		t = n.shardTree(n.shardOf[at], pkt.Group, src)
-	} else {
-		t = pkt.tree
-		if t == nil || pkt.treeVer != n.topoVer {
-			key := mcastKey{pkt.Group, src}
-			if n.lastTree != nil && n.lastVer == n.topoVer && n.lastKey == key {
-				t = n.lastTree
-			} else {
-				t = n.mcastTree(pkt.Group, src)
-				n.lastKey, n.lastTree, n.lastVer = key, t, n.topoVer
-			}
-			pkt.tree, pkt.treeVer = t, n.topoVer
+	t := pkt.tree
+	if t == nil || pkt.treeVer != n.topoVer {
+		key := mcastKey{pkt.Group, src}
+		if n.lastTree != nil && n.lastVer == n.topoVer && n.lastKey == key {
+			t = n.lastTree
+		} else {
+			t = n.mcastTree(pkt.Group, src)
+			n.lastKey, n.lastTree, n.lastVer = key, t, n.topoVer
 		}
+		pkt.tree, pkt.treeVer = t, n.topoVer
 	}
 	if at == src && t.unreach > 0 {
 		// Members severed from the source: each send silently fails to
 		// reach them — charge one unreachable drop per stranded member.
-		n.faultsAt(n.shardIdx(at)).Unreachable += int64(t.unreach)
+		n.faults.Unreachable += int64(t.unreach)
 	}
 	if int(at) < len(t.deliver) && t.deliver[at] {
 		n.deliverLocal(at, pkt)
@@ -788,7 +670,7 @@ func (n *Network) forwardMcast(at, src NodeID, pkt *Packet) {
 	if int(at)+1 < len(t.start) {
 		lo, hi := t.start[at], t.start[at+1]
 		children := t.links[lo:hi]
-		n.addRefs(pkt, int32(len(children)))
+		pkt.refs += int32(len(children))
 		if slots := t.slots[at]; slots > 0 && !n.timerPerPacket {
 			n.fanOut(at, pkt, children, t.rank[lo:hi], int(slots))
 		} else {
@@ -797,7 +679,7 @@ func (n *Network) forwardMcast(at, src NodeID, pkt *Packet) {
 			}
 		}
 	}
-	n.releasePktAt(pkt, n.shardIdx(at))
+	n.releasePkt(pkt)
 }
 
 func (n *Network) deliverLocal(at NodeID, pkt *Packet) {
@@ -876,19 +758,6 @@ func (n *Network) routeRow(src NodeID) []int32 {
 	return row
 }
 
-// ensureRoutes fills every row. Serial forwarding never needs it; the
-// sharded barrier does, because shards must not compute rows (or touch
-// the shared Dijkstra scratch) concurrently.
-func (n *Network) ensureRoutes() {
-	if n.routesOK && n.routesAll {
-		return
-	}
-	for s := range n.nodes {
-		n.routeRow(NodeID(s))
-	}
-	n.routesAll = true
-}
-
 // dropRoutes discards every row after a topology change and sizes the
 // row index and the Dijkstra scratch for the current node count. The
 // slabs stay: rows are re-carved from their start.
@@ -913,7 +782,7 @@ func (n *Network) dropRoutes() {
 		n.via = n.via[:cnt]
 		n.done = n.done[:cnt]
 	}
-	n.routesOK, n.routesAll = true, false
+	n.routesOK = true
 }
 
 // routeSlabRows is how many rows one slab allocation holds.

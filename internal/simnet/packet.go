@@ -43,7 +43,7 @@ type Packet struct {
 
 	tree    *mcastTree // compiled tree cache, valid while treeVer matches
 	treeVer uint32
-	refs    int32 // outstanding forwarding tokens (atomic when sharded)
+	refs    int32 // outstanding forwarding tokens
 	pooled  bool  // came from AllocPacket; recycle at refs==0
 	class   uint8 // recycling class (AllocPacketClass); keeps box types stable
 }

@@ -19,8 +19,7 @@ import (
 
 // MaxAutoShards caps how many regions PartitionRegions returns. The cap
 // is a constant on purpose: the region structure must depend only on the
-// topology (never on the worker count) so sharded output is invariant in
-// -engineworkers.
+// topology, never on a run option.
 const MaxAutoShards = 8
 
 // InfiniteLookahead is the Lookahead reported when no crossing link

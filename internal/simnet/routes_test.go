@@ -96,9 +96,16 @@ func randomGraph(n *Network, seed int64) []*Link {
 	return links
 }
 
+// fillRoutes asks for every row, the all-rows fill forwarding never does.
+func fillRoutes(n *Network) {
+	for s := range n.nodes {
+		n.routeRow(NodeID(s))
+	}
+}
+
 // checkRows asks for rows one at a time in a seeded order — checking after
 // each, when the topology has just changed, that exactly the asked-for
-// rows exist — and compares every row, then the ensureRoutes fill, against
+// rows exist — and compares every row, then the fillRoutes fill, against
 // the eager reference.
 func checkRows(t *testing.T, n *Network, rng *rand.Rand, when string) {
 	t.Helper()
@@ -120,10 +127,10 @@ func checkRows(t *testing.T, n *Network, rng *rand.Rand, when string) {
 			t.Fatalf("%s: %d rows computed after asking for %d", when, have, asked)
 		}
 	}
-	n.ensureRoutes()
+	fillRoutes(n)
 	for s := range want {
 		if !slices.Equal(n.routeRows[s], want[s]) {
-			t.Fatalf("%s: ensureRoutes row %d = %v, eager table has %v", when, s, n.routeRows[s], want[s])
+			t.Fatalf("%s: fillRoutes row %d = %v, eager table has %v", when, s, n.routeRows[s], want[s])
 		}
 	}
 }
@@ -175,10 +182,10 @@ func TestLazyRouteRowsMatchEagerTable(t *testing.T) {
 func TestRouteSlabsSurviveInvalidation(t *testing.T) {
 	n := New(sim.NewScheduler(), sim.NewRand(1))
 	links := randomGraph(n, 3)
-	n.ensureRoutes()
+	fillRoutes(n)
 	allocs := testing.AllocsPerRun(10, func() {
 		links[0].SetDelay(links[0].Delay + sim.Millisecond)
-		n.ensureRoutes()
+		fillRoutes(n)
 	})
 	if allocs != 0 {
 		t.Fatalf("route recomputation allocates %v objects per rebuild", allocs)

@@ -2,7 +2,7 @@ package simnet
 
 import "repro/internal/sim"
 
-// Sharded (region-parallel) execution support.
+// Sharded (region) execution support.
 //
 // EnableSharding assigns every node to a region and binds each region to
 // its own scheduler and RNG pair. All intra-region traffic — link entry
@@ -10,10 +10,13 @@ import "repro/internal/sim"
 // region's shard; the only inter-region interaction is propagation over a
 // crossing link, which is appended to a per-(src,dst) outbox and drained
 // into the destination shard at the next synchronization barrier. The
-// engine (internal/engine) advances all shards in conservative lookahead
-// windows no wider than the minimum crossing-link delay, so a handoff's
-// arrival time is always at or after the next barrier and the destination
-// scheduler never sees an event in its past.
+// engine (internal/engine) steps the shards one after another on one
+// goroutine, in conservative lookahead windows no wider than the minimum
+// crossing-link delay, so a handoff's arrival time is always at or after
+// the next barrier and the destination scheduler never sees an event in
+// its past. Everything else — the packet free lists, routes, compiled
+// multicast trees, fault counters — is the network's one copy, shared by
+// every region.
 //
 // Everything here is gated on n.sharded; a network that never calls
 // EnableSharding takes exactly the serial code paths it always did.
@@ -24,85 +27,11 @@ type shardCtx struct {
 	rng   *sim.Rand // network stream: loss/corrupt/dup/reorder draws
 	proto *sim.Rand // protocol stream: e.g. feedback suppression draws
 
-	// faults is written only by code executing on this shard (or by the
-	// control thread while the shard is quiesced at a barrier).
-	faults FaultStats
-
 	// sent counts the handoffs this shard pushed; dirty lists the
 	// destinations whose outbox it made non-empty since the last drain, so
-	// a barrier visits only the outboxes that hold something. Both are
-	// written by the pushing shard alone.
+	// a barrier visits only the outboxes that hold something.
 	sent  uint64
 	dirty []int32
-
-	// Shard-local mirror of the network's compiled multicast trees,
-	// invalidated by topology version. Compilation of a missing tree goes
-	// through the shared cache under treeMu.
-	trees   map[mcastKey]*mcastTree
-	treeVer uint32
-
-	// Unlocked burst cache in front of the network's packet free list
-	// (NDN-DPDK mempool style). The cache is touched only by code executing
-	// on this shard — its window goroutine, or the control thread while
-	// shards are quiesced; those phases strictly alternate, and the engine's
-	// barrier provides the happens-before edge. Alloc pops the cache and
-	// refills runs of burstK from the free list (of fresh packets when that
-	// has none); release pushes the cache and spills runs of burstK when it
-	// overfills. Both ends of a cross-region flow therefore trade with the
-	// same list.
-	cache [NumPacketClasses][]*Packet
-}
-
-// burstK is the mempool transfer size: how many packets move between a
-// shard's unlocked cache and the network's locked free list per refill or
-// spill.
-const burstK = 64
-
-// cacheGet pops one packet from the shard's burst cache. An empty cache
-// refills with a burst from the network free list or, when that is empty
-// too, with a burst of fresh packets — so a shard that is still growing its
-// working set takes the lock once per burstK allocations, not once each.
-func (sc *shardCtx) cacheGet(n *Network, class uint8) *Packet {
-	cc := &sc.cache[class]
-	if len(*cc) == 0 {
-		n.poolMu.Lock()
-		free := &n.freePkts[class]
-		m := len(*free)
-		take := min(burstK, m)
-		*cc = append(*cc, (*free)[m-take:]...)
-		clear((*free)[m-take:])
-		*free = (*free)[:m-take]
-		n.poolMu.Unlock()
-		if take == 0 {
-			fresh := make([]Packet, burstK)
-			for i := range fresh {
-				fresh[i] = Packet{pooled: true, class: class}
-				*cc = append(*cc, &fresh[i])
-			}
-		}
-	}
-	m := len(*cc)
-	p := (*cc)[m-1]
-	(*cc)[m-1] = nil
-	*cc = (*cc)[:m-1]
-	return p
-}
-
-// cachePut pushes one recycled packet onto the shard's burst cache,
-// spilling a run of burstK to the network free list when the cache holds
-// two bursts — the spill is what carries packets back from a shard that
-// releases more than it allocates to the shards that allocate them.
-func (sc *shardCtx) cachePut(n *Network, p *Packet) {
-	cc := &sc.cache[p.class]
-	*cc = append(*cc, p)
-	if len(*cc) >= 2*burstK {
-		m := len(*cc)
-		n.poolMu.Lock()
-		n.freePkts[p.class] = append(n.freePkts[p.class], (*cc)[m-burstK:]...)
-		n.poolMu.Unlock()
-		clear((*cc)[m-burstK:])
-		*cc = (*cc)[:m-burstK]
-	}
 }
 
 // handoff is one cross-region propagation in flight between barriers.
@@ -162,14 +91,6 @@ func (n *Network) bindLink(l *Link) {
 	}
 }
 
-// shardIdx returns the region executing events at a node, -1 when serial.
-func (n *Network) shardIdx(id NodeID) int32 {
-	if !n.sharded {
-		return -1
-	}
-	return n.shardOf[id]
-}
-
 func (n *Network) schedForNode(id NodeID) *sim.Scheduler {
 	if !n.sharded {
 		return n.sched
@@ -202,9 +123,8 @@ func (n *Network) ProtoRandFor(id NodeID, fallback *sim.Rand) *sim.Rand {
 	return n.shards[n.shardOf[id]].proto
 }
 
-// pushHandoff queues one cross-region propagation with its arrival time.
-// Only the from-side shard (or the control thread at a barrier) appends
-// to a given (src,dst) outbox, so no locking is needed.
+// pushHandoff queues one cross-region propagation with its arrival time
+// on the (from-side, to-side) outbox.
 func (n *Network) pushHandoff(l *Link, at sim.Time, pkt *Packet) {
 	sc := n.shards[l.shard]
 	sc.sent++
@@ -221,7 +141,7 @@ func (n *Network) pushHandoff(l *Link, at sim.Time, pkt *Packet) {
 //
 // Within a destination, handoffs dispatch in (arrival time, source
 // region, per-source push order), which depends on the topology and the
-// seed alone, never on the worker count. No sort is needed to get there:
+// seed alone. No sort is needed to get there:
 // a scheduler breaks ties on one instant by schedule order, an outbox
 // holds its source's pushes in push order, and the walk below reaches the
 // outboxes of one destination in ascending source order — so scheduling
@@ -253,11 +173,8 @@ func (n *Network) DrainHandoffs() int {
 
 // BarrierSync prepares a sharded network for the next lookahead window.
 // It must run on the control thread with every shard quiesced: it ends
-// construction replay (mirroring what the first Send does on a serial
-// network) and eagerly recomputes routes invalidated by control-phase
-// topology mutations — every row, since shards must find the one they
-// need already there — so no shard ever triggers a route computation
-// concurrently.
+// construction replay, mirroring what the first Send does on a serial
+// network. Routes and trees are computed lazily, as on the serial path.
 func (n *Network) BarrierSync() {
 	if !n.sharded {
 		return
@@ -265,31 +182,6 @@ func (n *Network) BarrierSync() {
 	if n.replay >= 0 && n.replay < len(n.ops) {
 		n.divergeAt(n.replay)
 	}
-	n.ensureRoutes()
-}
-
-// shardTree returns the compiled multicast tree for (group, src) via the
-// calling shard's cache. A miss compiles through the shared cache under
-// treeMu; the shared map is only ever written there, and route state is
-// guaranteed fresh by BarrierSync, so compilation reads are race-free.
-func (n *Network) shardTree(k int32, g GroupID, src NodeID) *mcastTree {
-	sc := n.shards[k]
-	if sc.trees == nil {
-		sc.trees = map[mcastKey]*mcastTree{}
-		sc.treeVer = n.topoVer
-	} else if sc.treeVer != n.topoVer {
-		clear(sc.trees)
-		sc.treeVer = n.topoVer
-	}
-	key := mcastKey{group: g, src: src}
-	if t, ok := sc.trees[key]; ok {
-		return t
-	}
-	n.treeMu.Lock()
-	t := n.mcastTree(g, src)
-	n.treeMu.Unlock()
-	sc.trees[key] = t
-	return t
 }
 
 // SetRegionHint records a partitioning hint: topology generators label

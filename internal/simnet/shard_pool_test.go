@@ -6,15 +6,12 @@ import (
 	"repro/internal/sim"
 )
 
-// pooledPackets counts every recycled packet the network holds: the free
-// lists plus the shards' burst caches.
+// pooledPackets counts every recycled packet the network holds: the
+// free lists.
 func pooledPackets(n *Network) int {
 	total := 0
 	for c := range n.freePkts {
 		total += len(n.freePkts[c])
-		for _, sc := range n.shards {
-			total += len(sc.cache[c])
-		}
 	}
 	return total
 }
@@ -45,7 +42,7 @@ func TestShardedPoolRecirculates(t *testing.T) {
 		src := n.SchedFor(a)
 		for i := 0; i < sends; i++ {
 			src.At(sim.Time(i)*100*sim.Microsecond, func() {
-				pkt := n.AllocPacketFor(a)
+				pkt := n.AllocPacket()
 				pkt.Size, pkt.Src, pkt.Dst = 100, Addr{a, 1}, Addr{b, 1}
 				n.Send(pkt)
 			})
@@ -75,9 +72,10 @@ func TestShardedPoolRecirculates(t *testing.T) {
 			t.Fatalf("run %d: Reset changed the pooled count %d -> %d", i, pooled[i], after)
 		}
 	}
-	// In flight at once: lookahead/100us = 50 packets, plus a window of
-	// handoffs and at most two bursts parked in each shard's cache.
-	if pooled[0] > 50+50+4*burstK {
+	// In flight at once: the first window's 51 sends (0 to 5 ms, both ends
+	// included) wait in their handoffs while the source shard, stepped
+	// first, allocates the next window's 50.
+	if pooled[0] > 51+50 {
 		t.Errorf("one run of %d sends left %d packets pooled: the flow is not recirculating", sends, pooled[0])
 	}
 	for i := 2; i < len(pooled); i++ {

@@ -32,10 +32,10 @@ type Config struct {
 	Step    int64   // seed stride; 0 means 1
 	Check   bool    // enable run-level invariant checking in runners that support it
 
-	// EngineWorkers >= 2 routes scenario-spec runs through the
-	// region-parallel engine with that many worker goroutines per run;
-	// see experiments.RunCtx.SetEngineWorkers. Orthogonal to Workers,
-	// which parallelises across seeds.
+	// EngineWorkers >= 2 runs scenario-spec simulations on the region
+	// engine; 0 or 1 runs them on the serial engine. See
+	// experiments.RunCtx.SetEngineWorkers. Orthogonal to Workers, which
+	// parallelises across seeds.
 	EngineWorkers int
 }
 
@@ -69,7 +69,7 @@ func (c *Config) RegisterFlags(fs *flag.FlagSet, names ...string) {
 		case "check":
 			fs.BoolVar(&c.Check, name, c.Check, "run the invariant checker alongside every simulation; exit 1 on violations")
 		case "engineworkers":
-			fs.IntVar(&c.EngineWorkers, name, c.EngineWorkers, "run scenario-spec simulations on the region-parallel engine with this many goroutines per run (>= 2; 0 or 1 = serial)")
+			fs.IntVar(&c.EngineWorkers, name, c.EngineWorkers, "run scenario-spec simulations on the region engine (>= 2) or the serial engine (0 or 1)")
 		default:
 			panic("sweep: no run-option flag -" + name)
 		}

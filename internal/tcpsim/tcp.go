@@ -176,7 +176,7 @@ func (s *Sender) transmit(seq int64, isRetx bool) {
 			s.rttPending = false
 		}
 	}
-	pkt := s.net.AllocPacketClassFor(classSegment, s.src.Node)
+	pkt := s.net.AllocPacketClass(classSegment)
 	pkt.Size = s.cfg.PacketSize
 	pkt.Src = s.src
 	pkt.Dst = s.dst
@@ -389,7 +389,7 @@ func (k *Sink) recv(pkt *simnet.Packet) {
 	} else if seg.Seq > k.next {
 		k.ooo[seg.Seq] = true
 	}
-	ack := k.net.AllocPacketClassFor(classAck, k.src.Node)
+	ack := k.net.AllocPacketClass(classAck)
 	ack.Size = k.cfg.AckSize
 	ack.Src = k.src
 	ack.Dst = k.peer

@@ -281,7 +281,7 @@ func (r *Receiver) Leave() {
 	r.left = true
 	r.leftAt = r.sch.Now()
 	r.cancelTimer()
-	pkt := r.net.AllocPacketFor(r.addr.Node)
+	pkt := r.net.AllocPacket()
 	pkt.Size = r.cfg.ReportSize
 	pkt.Src = r.addr
 	pkt.Dst = r.sender
@@ -618,7 +618,7 @@ func (r *Receiver) sendReport(now sim.Time) {
 		return
 	}
 	r.ReportsSent++
-	pkt := r.net.AllocPacketFor(r.addr.Node)
+	pkt := r.net.AllocPacket()
 	pkt.Size = r.cfg.ReportSize
 	pkt.Src = r.addr
 	pkt.Dst = r.sender

@@ -318,7 +318,7 @@ func (s *Sender) sendLoop() {
 
 func (s *Sender) transmit() {
 	now := s.sch.Now()
-	pkt := s.net.AllocPacketFor(s.addr.Node)
+	pkt := s.net.AllocPacket()
 	// Recycled packets keep their header box: reusing it makes the
 	// steady-state data path allocation-free (see Network.AllocPacket).
 	d, ok := pkt.Payload.(*Data)
