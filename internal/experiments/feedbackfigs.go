@@ -99,8 +99,8 @@ func Figure3(_ *RunCtx, seed int64) *Result {
 		for _, n := range logSpace(1, 10000, 13) {
 			cfg := fbBase(feedback.BiasModifiedOffset)
 			cfg.Eps = eps
+			v := make([]float64, n)
 			mk := func(r *sim.Rand) []float64 {
-				v := make([]float64, n)
 				for i := range v {
 					v[i] = r.Uniform(0.3, 0.7)
 				}
@@ -164,8 +164,8 @@ func biasSweep(res *Result, seed int64, pick func(sent, first, qual float64) flo
 		s := &stats.Series{Name: m.name}
 		rng := sim.NewRand(seed)
 		for _, n := range logSpace(1, 10000, 13) {
+			v := make([]float64, n)
 			mk := func(r *sim.Rand) []float64 {
-				v := make([]float64, n)
 				for i := range v {
 					v[i] = r.Uniform(0.5, 1.0)
 				}

@@ -30,12 +30,13 @@ func Figure7(_ *RunCtx, seed int64) *Result {
 	model := tcpmodel.Default()
 	const rtt = 0.050
 	ns := logSpace(1, 10000, 9)
+	ests := make([]lossrate.Estimator, ns[len(ns)-1])
 
 	constant := &stats.Series{Name: "constant"}
 	distrib := &stats.Series{Name: "distrib."}
 	for _, n := range ns {
-		constant.Add(sim.FromSeconds(float64(n)), minRateSim(model, rtt, constantLoss(n, 0.10), seed))
-		distrib.Add(sim.FromSeconds(float64(n)), minRateSim(model, rtt, treeLoss(n), seed+1))
+		constant.Add(sim.FromSeconds(float64(n)), minRateSim(model, rtt, constantLoss(n, 0.10), seed, ests))
+		distrib.Add(sim.FromSeconds(float64(n)), minRateSim(model, rtt, treeLoss(n), seed+1, ests))
 	}
 	toKbit(constant)
 	toKbit(distrib)
@@ -83,24 +84,24 @@ func treeLoss(n int) []float64 {
 }
 
 // minRateSim runs the estimator-level minimum-tracking simulation: each
-// receiver's loss history advances by geometric gaps; every round the
-// minimum calculated rate over all receivers is sampled. Returns the mean
-// of the minimum rate in bytes/s.
-func minRateSim(model tcpmodel.Params, rtt float64, loss []float64, seed int64) float64 {
-	n := len(loss)
+// receiver's loss history advances by geometric gaps, a gap of g packets
+// entering as g−1 arrivals (one OnPackets call) and one loss; every round
+// the minimum calculated rate over all receivers is sampled. Returns the
+// mean of the minimum rate in bytes/s.
+//
+// The receivers are the first len(loss) entries of ests, reset here, so
+// one slice serves every call of a figure run.
+func minRateSim(model tcpmodel.Params, rtt float64, loss []float64, seed int64, ests []lossrate.Estimator) float64 {
+	ests = ests[:len(loss)]
 	rng := sim.NewRand(seed)
-	ests := make([]*lossrate.Estimator, n)
 	now := sim.Time(0)
 	const rounds = 260
 	const warmup = 60
 	for i := range ests {
-		ests[i] = lossrate.NewEstimator(lossrate.DefaultWeights)
+		ests[i].Reset(lossrate.DefaultWeights)
 		// Prime each history with 8 intervals.
 		for k := 0; k < 9; k++ {
-			gap := rng.Geometric(loss[i])
-			for j := 0; j < gap-1; j++ {
-				ests[i].OnPacket()
-			}
+			ests[i].OnPackets(rng.Geometric(loss[i]) - 1)
 			now += sim.Second
 			ests[i].OnLoss(now, sim.FromSeconds(rtt))
 		}
@@ -110,10 +111,7 @@ func minRateSim(model tcpmodel.Params, rtt float64, loss []float64, seed int64) 
 		minRate := math.Inf(1)
 		for i := range ests {
 			// Advance one loss interval per round.
-			gap := rng.Geometric(loss[i])
-			for j := 0; j < gap-1; j++ {
-				ests[i].OnPacket()
-			}
+			ests[i].OnPackets(rng.Geometric(loss[i]) - 1)
 			now += sim.Second
 			ests[i].OnLoss(now, sim.FromSeconds(rtt))
 			p := ests[i].LossEventRate()

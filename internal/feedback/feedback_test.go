@@ -364,6 +364,28 @@ func TestFirstResponseTimeDecreasesWithN(t *testing.T) {
 	}
 }
 
+// TestMeanOverRoundsReusesRoundStorage: the rounds of one MeanOverRounds
+// call share their response and sent-log storage, so with a values
+// closure that reuses its slice the call allocates as much at 5 trials as
+// at 50.
+func TestMeanOverRoundsReusesRoundStorage(t *testing.T) {
+	c := cfg(BiasModifiedOffset)
+	vals := make([]float64, 500)
+	mk := func(rng *sim.Rand) []float64 {
+		for i := range vals {
+			vals[i] = rng.Uniform(0.1, 1.0)
+		}
+		return vals
+	}
+	allocs := func(trials int) float64 {
+		rng := sim.NewRand(13)
+		return testing.AllocsPerRun(5, func() { MeanOverRounds(c, mk, 50*sim.Millisecond, trials, rng) })
+	}
+	if a5, a50 := allocs(5), allocs(50); a5 != a50 {
+		t.Fatalf("MeanOverRounds allocates %v objects at 5 trials, %v at 50", a5, a50)
+	}
+}
+
 func TestRoundResultQualityEdges(t *testing.T) {
 	r := RoundResult{TrueMin: 0, NumSent: 1}
 	if r.Quality() != 0 {

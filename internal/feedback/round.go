@@ -1,8 +1,9 @@
 package feedback
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -41,10 +42,39 @@ func (r RoundResult) Quality() float64 {
 // report up, echo down with the next data packet). The sender echoes only
 // reports lower than everything echoed before; receivers apply the
 // ε-cancellation rule against the lowest echo heard so far.
+//
+// Responses come back in a new slice, sorted by timer expiry with
+// slices.SortFunc; the sort is not stable, so equal expiries keep the
+// order its pdqsort leaves them in, which the golden ledger pins.
+// MeanOverRounds plays the same round on reused storage.
 func SimulateRound(cfg Config, values []float64, delay sim.Time, rng *sim.Rand) RoundResult {
+	return simulateRound(cfg, values, delay, rng, &roundBuf{})
+}
+
+// sentResp is the (time, value) of a sent response; the echoed minimum
+// visible at time t is the running min over entries with at <= t-delay.
+type sentResp struct {
+	at  sim.Time
+	val float64
+}
+
+// roundBuf is the storage of one round, reused by the next round that is
+// handed the same buffer: the responses and the log of sent ones.
+type roundBuf struct {
+	responses []Response
+	log       []sentResp
+}
+
+// simulateRound is SimulateRound on buf's storage; the result's Responses
+// alias buf and are overwritten by the next round on it.
+func simulateRound(cfg Config, values []float64, delay sim.Time, rng *sim.Rand, buf *roundBuf) RoundResult {
 	n := len(values)
+	if cap(buf.responses) < n {
+		buf.responses = make([]Response, 0, n)
+		buf.log = make([]sentResp, 0, n)
+	}
 	res := RoundResult{TrueMin: math.Inf(1)}
-	res.Responses = make([]Response, 0, n)
+	res.Responses = buf.responses[:0]
 	for i, x := range values {
 		if x < res.TrueMin {
 			res.TrueMin = x
@@ -55,17 +85,9 @@ func SimulateRound(cfg Config, values []float64, delay sim.Time, rng *sim.Rand) 
 			At:       cfg.Delay(x, rng.Float64()),
 		})
 	}
-	sort.Slice(res.Responses, func(i, j int) bool {
-		return res.Responses[i].At < res.Responses[j].At
-	})
+	slices.SortFunc(res.Responses, func(a, b Response) int { return cmp.Compare(a.At, b.At) })
 
-	// sentLog holds (time, value) of sent responses; the echoed minimum
-	// visible at time t is the running min over entries with at <= t-delay.
-	type sent struct {
-		at  sim.Time
-		val float64
-	}
-	var log []sent
+	log := buf.log[:0]
 	res.FirstAt = -1
 	res.BestValue = math.Inf(1)
 	for i := range res.Responses {
@@ -89,18 +111,21 @@ func SimulateRound(cfg Config, values []float64, delay sim.Time, rng *sim.Rand) 
 			res.BestValue = r.Value
 			res.BestAt = r.At
 		}
-		log = append(log, sent{at: r.At, val: r.Value})
+		log = append(log, sentResp{at: r.At, val: r.Value})
 	}
 	return res
 }
 
-// MeanOverRounds runs SimulateRound trials times and averages the number
-// of sent responses, first-response time, and quality. It backs
-// Figures 3, 5 and 6, where each point is a mean over many rounds.
+// MeanOverRounds runs trials feedback rounds and averages the number of
+// sent responses, first-response time, and quality. It backs Figures 3, 5
+// and 6, where each point is a mean over many rounds. The rounds share one
+// response buffer and one sent log, so makeValues may also hand back the
+// same slice every trial.
 func MeanOverRounds(cfg Config, makeValues func(*sim.Rand) []float64, delay sim.Time, trials int, rng *sim.Rand) (meanSent, meanFirstRTT, meanQuality float64) {
 	var sumSent, sumFirst, sumQual float64
+	var buf roundBuf
 	for i := 0; i < trials; i++ {
-		res := SimulateRound(cfg, makeValues(rng), delay, rng)
+		res := simulateRound(cfg, makeValues(rng), delay, rng, &buf)
 		sumSent += float64(res.NumSent)
 		sumFirst += res.FirstAt.Seconds()
 		sumQual += res.Quality()

@@ -157,6 +157,12 @@ func (e *Estimator) OnPacket() {
 	e.intervals[0]++
 }
 
+// OnPackets records the in-order arrival of k data packets, the same as k
+// OnPacket calls.
+func (e *Estimator) OnPackets(k int) {
+	e.intervals[0] += k
+}
+
 // OnLoss records a lost packet whose (estimated) send time is t, with the
 // receiver's current RTT estimate. Losses within one RTT of the start of
 // the current loss event are aggregated into it; otherwise a new loss

@@ -49,7 +49,8 @@ func (r *refHistory) split(extra int) {
 }
 
 // TestInPlaceHistoryMatchesPrependReference drives random operation
-// sequences — packets, losses inside and outside the current loss event,
+// sequences — packets one at a time and in bulk (OnPackets, k = 0
+// included), losses inside and outside the current loss event,
 // Appendix B initialisation and adjustment, Appendix A re-aggregation —
 // through estimators of inline and spilled depth and checks the history
 // after every operation.
@@ -61,12 +62,16 @@ func TestInPlaceHistoryMatchesPrependReference(t *testing.T) {
 			ref := &refHistory{depth: len(e.weights), intervals: []int{0}, initIdx: -1}
 			now := sim.Time(0)
 			for op := 0; op < 400; op++ {
-				switch k := rng.Intn(10); {
+				switch k := rng.Intn(11); {
 				case k < 5:
 					for i := rng.Intn(30); i >= 0; i-- {
 						e.OnPacket()
 						ref.intervals[0]++
 					}
+				case k == 10:
+					n := rng.Intn(30)
+					e.OnPackets(n)
+					ref.intervals[0] += n
 				case k < 8:
 					now += sim.Time(rng.Intn(120)) * sim.Millisecond
 					if e.OnLoss(now, 50*sim.Millisecond) {
@@ -93,6 +98,27 @@ func TestInPlaceHistoryMatchesPrependReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestOnPacketsEqualsRepeatedOnPacket: OnPackets(k) leaves an estimator
+// exactly where k OnPacket calls leave a twin, k = 0 included, whether the
+// interval is the first one or follows loss events.
+func TestOnPacketsEqualsRepeatedOnPacket(t *testing.T) {
+	bulk, single := NewEstimator(nil), NewEstimator(nil)
+	now := sim.Time(0)
+	for _, k := range []int{0, 1, 7, 0, 1000, 3, 0, 40, 1, 250} {
+		bulk.OnPackets(k)
+		for i := 0; i < k; i++ {
+			single.OnPacket()
+		}
+		if !slices.Equal(bulk.intervals, single.intervals) || bulk.LossEventRate() != single.LossEventRate() {
+			t.Fatalf("after OnPackets(%d): intervals %v rate %v, after %d OnPacket: %v %v",
+				k, bulk.intervals, bulk.LossEventRate(), k, single.intervals, single.LossEventRate())
+		}
+		now += sim.Second
+		bulk.OnLoss(now, 100*sim.Millisecond)
+		single.OnLoss(now, 100*sim.Millisecond)
 	}
 }
 

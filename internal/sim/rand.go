@@ -1,6 +1,9 @@
 package sim
 
-import "math/rand"
+import (
+	"math"
+	"math/rand"
+)
 
 // Rand wraps a deterministic pseudo-random source with the distributions
 // the protocols and workloads need. All simulation randomness must flow
@@ -38,18 +41,24 @@ func (r *Rand) Exp(mean float64) float64 { return r.r.ExpFloat64() * mean }
 // Geometric returns the number of Bernoulli(p) trials up to and including
 // the first success (support {1,2,...}). It models the gap between packet
 // losses under independent loss with probability p.
+//
+// It draws by inversion from one uniform U in (0,1]: 1 + ⌊ln U / ln(1−p)⌋,
+// since P(X > k) = (1−p)^k = P(U ≤ (1−p)^k). The result is capped at
+// 1<<30, which is also what p ≤ 0 (no loss ever) returns.
 func (r *Rand) Geometric(p float64) int {
+	const maxGap = 1 << 30
 	if p <= 0 {
-		return 1 << 30
+		return maxGap
 	}
 	if p >= 1 {
 		return 1
 	}
-	n := 1
-	for !r.Bool(p) {
-		n++
+	u := 1 - r.r.Float64()
+	k := math.Floor(math.Log(u) / math.Log1p(-p))
+	if k >= maxGap-1 {
+		return maxGap
 	}
-	return n
+	return 1 + int(k)
 }
 
 // Gamma returns a Gamma(shape k, scale theta) variate using the

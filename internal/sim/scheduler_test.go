@@ -162,27 +162,89 @@ func TestRandDeterminism(t *testing.T) {
 	}
 }
 
-func TestRandGeometricMean(t *testing.T) {
-	r := NewRand(1)
-	const p = 0.1
-	sum := 0
-	const n = 20000
-	for i := 0; i < n; i++ {
-		sum += r.Geometric(p)
+// bernoulliGeometric is the reference for Rand.Geometric: the sampler it
+// replaced, which spends one Float64 per Bernoulli(p) trial up to and
+// including the first success.
+func bernoulliGeometric(r *Rand, p float64) int {
+	n := 1
+	for !r.Bool(p) {
+		n++
 	}
-	mean := float64(sum) / n
-	if math.Abs(mean-1/p) > 0.5 {
-		t.Fatalf("geometric mean = %v, want ~%v", mean, 1/p)
+	return n
+}
+
+// geometricSample holds the sample mean, variance and share of ones of n
+// draws.
+type geometricSample struct{ mean, variance, p1 float64 }
+
+func sampleGeometric(n int, draw func() int) geometricSample {
+	var sum, sum2 float64
+	ones := 0
+	for i := 0; i < n; i++ {
+		x := float64(draw())
+		sum += x
+		sum2 += x * x
+		if x == 1 {
+			ones++
+		}
+	}
+	mean := sum / float64(n)
+	return geometricSample{mean, sum2/float64(n) - mean*mean, float64(ones) / float64(n)}
+}
+
+// TestRandGeometricMean checks the inversion sampler's mean, variance and
+// P(X=1) against the geometric law (1/p, (1−p)/p², p) and against the
+// Bernoulli-loop reference, at loss rates spanning figure 7's range and
+// beyond. Tolerances are 5 standard errors of one n-draw estimate against
+// theory, 5·√2 of the difference of two against the reference; the
+// variance's standard error uses the geometric kurtosis 9 + p²/(1−p).
+func TestRandGeometricMean(t *testing.T) {
+	const n = 100000
+	for _, p := range []float64{0.005, 0.02, 0.1, 0.5, 0.9} {
+		r, ref := NewRand(1), NewRand(2)
+		got := sampleGeometric(n, func() int { return r.Geometric(p) })
+		want := sampleGeometric(n, func() int { return bernoulliGeometric(ref, p) })
+		variance := (1 - p) / (p * p)
+		se := geometricSample{
+			mean:     math.Sqrt(variance / n),
+			variance: variance * math.Sqrt((8+p*p/(1-p))/n),
+			p1:       math.Sqrt(p * (1 - p) / n),
+		}
+		for _, c := range []struct {
+			what                string
+			got, theory, ref, s float64
+		}{
+			{"mean", got.mean, 1 / p, want.mean, se.mean},
+			{"variance", got.variance, variance, want.variance, se.variance},
+			{"P(X=1)", got.p1, p, want.p1, se.p1},
+		} {
+			if math.Abs(c.got-c.theory) > 5*c.s {
+				t.Errorf("p=%g: %s = %.5g, theory %.5g (tolerance %.3g)", p, c.what, c.got, c.theory, 5*c.s)
+			}
+			if math.Abs(c.got-c.ref) > 5*math.Sqrt2*c.s {
+				t.Errorf("p=%g: %s = %.5g, Bernoulli reference %.5g (tolerance %.3g)", p, c.what, c.got, c.ref, 5*math.Sqrt2*c.s)
+			}
+		}
 	}
 }
 
 func TestRandGeometricEdges(t *testing.T) {
 	r := NewRand(1)
-	if got := r.Geometric(1); got != 1 {
-		t.Fatalf("Geometric(1) = %d, want 1", got)
+	for _, p := range []float64{1, 1.5} {
+		if got := r.Geometric(p); got != 1 {
+			t.Fatalf("Geometric(%v) = %d, want 1", p, got)
+		}
 	}
-	if got := r.Geometric(0); got < 1<<29 {
-		t.Fatalf("Geometric(0) should be huge, got %d", got)
+	for _, p := range []float64{0, -0.5} {
+		if got := r.Geometric(p); got != 1<<30 {
+			t.Fatalf("Geometric(%v) = %d, want 1<<30", p, got)
+		}
+	}
+	// Mean 10¹²: a per-trial sampler would not return; inversion caps.
+	for i := 0; i < 1000; i++ {
+		if got := r.Geometric(1e-12); got < 1 || got > 1<<30 {
+			t.Fatalf("Geometric(1e-12) = %d, want in [1, 1<<30]", got)
+		}
 	}
 }
 
