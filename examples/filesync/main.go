@@ -28,7 +28,7 @@ type syncReceiver struct {
 	have     map[int]bool
 	done     bool
 	doneAt   sim.Time
-	rcv      tfmcc.ReceiverModel
+	rcv      *tfmcc.Receiver
 	lastSeq  int64
 	receives int64
 }

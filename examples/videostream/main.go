@@ -36,7 +36,7 @@ func main() {
 		rcv := sess.AddReceiver(leaf)
 		if i == 0 {
 			viewer = stats.NewMeter("viewer0", sch, sim.Second)
-			rcv.SetMeter(viewer)
+			rcv.Meter = viewer
 			viewer.Start()
 		}
 	}

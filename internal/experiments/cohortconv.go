@@ -57,20 +57,16 @@ func CohortConv(c *RunCtx, seed int64) *Result {
 		// per solicited round, and the wire cost of each representation —
 		// one endpoint's reports vs the whole explicit population's.
 		var twinReports int64
-		for _, slot := range tsc.Recvs {
-			if slot.R != nil {
-				twinReports += slot.R.Stats().ReportsSent
+		for _, r := range tsc.Recvs {
+			if r != nil {
+				twinReports += r.Stats().ReportsSent
 			}
 		}
-		if cr, ok := csc.Recvs[0].R.(interface {
-			ExpectedReportsPerRound() (float64, int64)
-		}); ok {
-			em, rounds := cr.ExpectedReportsPerRound()
-			if rounds > 0 {
-				res.Notes = append(res.Notes, fmt.Sprintf(
-					"n=%-4d feedback: analytic E[M]=%.2f per solicited round (%d rounds); reports sent cohort=%d vs explicit population=%d",
-					n, em/float64(rounds), rounds, csc.Recvs[0].R.Stats().ReportsSent, twinReports))
-			}
+		cohort := csc.Recvs[0]
+		if em, rounds := cohort.ExpectedReportsPerRound(); rounds > 0 {
+			res.Notes = append(res.Notes, fmt.Sprintf(
+				"n=%-4d feedback: analytic E[M]=%.2f per solicited round (%d rounds); reports sent cohort=%d vs explicit population=%d",
+				n, em, rounds, cohort.ReportsSent, twinReports))
 		}
 	}
 	return res

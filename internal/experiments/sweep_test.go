@@ -32,8 +32,8 @@ func miniSession(c *RunCtx, seed int64) *Result {
 		down.LossProb = 0.01
 		rcv := sess.AddReceiver(leaf)
 		if i == 0 {
-			m = scenario.Env{Sch: e.sch, Net: e.net, Rng: e.rng}.NewMeter("rate")
-			rcv.SetMeter(m)
+			m = scenario.Env{Sch: e.sch, Net: e.net, Rng: e.rng}.NewMeterAt("rate", leaf)
+			rcv.Meter = m
 			m.Start()
 		}
 	}

@@ -2,8 +2,7 @@
 // (paper section 2.4): an exponentially weighted moving average over rare
 // explicit measurements, continuous one-way-delay adjustments between
 // them, and handling of the conservative initial RTT used before the
-// first real measurement. It also models clock-synchronised
-// initialisation (GPS/NTP, section 2.4.1).
+// first real measurement.
 package rtt
 
 import "repro/internal/sim"
@@ -122,30 +121,4 @@ func (e *Estimator) DiscardOneWay() { e.owdValid = false }
 
 func ewma(old, sample sim.Time, alpha float64) sim.Time {
 	return sim.Time(alpha*float64(sample) + (1-alpha)*float64(old))
-}
-
-// ClockSync models initialisation from synchronised clocks (GPS or NTP,
-// section 2.4.1): the one-way delay observed on a timestamped data packet
-// is doubled and padded with the worst-case synchronisation error.
-type ClockSync struct {
-	// Err is the worst-case synchronisation error at each end
-	// (errSender + errReceiver); zero for GPS.
-	Err sim.Time
-}
-
-// EstimateFromOneWay returns the conservative initial RTT
-// 2·(d_oneway + err).
-func (c ClockSync) EstimateFromOneWay(oneWay sim.Time) sim.Time {
-	if oneWay < 0 {
-		oneWay = 0
-	}
-	return 2 * (oneWay + c.Err)
-}
-
-// Seed installs a clock-sync-derived estimate as a real measurement with
-// no smoothing, marking the estimator valid. Receivers seeded this way
-// skip the 500 ms initial RTT entirely.
-func (e *Estimator) Seed(estimate sim.Time) {
-	e.valid = true
-	e.est = estimate
 }

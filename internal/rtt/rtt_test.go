@@ -39,7 +39,7 @@ func TestFirstMeasurementTakesFullValue(t *testing.T) {
 func TestEWMASmoothingCLRvsOther(t *testing.T) {
 	mk := func(isCLR bool) sim.Time {
 		e := NewEstimator(DefaultConfig())
-		e.Seed(100 * sim.Millisecond)
+		e.Measure(sim.FromMillis(1100), sim.Second, 0, sim.FromMillis(1050), isCLR) // 100ms
 		// Single spurious 200ms sample.
 		e.Measure(sim.FromMillis(1200), sim.Second, 0, sim.FromMillis(1100), isCLR)
 		return e.RTT()
@@ -110,27 +110,5 @@ func TestDiscardOneWay(t *testing.T) {
 	e.DiscardOneWay()
 	if _, ok := e.AdjustOneWay(2*sim.Second, sim.FromMillis(1970)); ok {
 		t.Fatal("adjustment after discard must fail")
-	}
-}
-
-func TestClockSyncEstimate(t *testing.T) {
-	gps := ClockSync{}
-	if got := gps.EstimateFromOneWay(25 * sim.Millisecond); got != 50*sim.Millisecond {
-		t.Fatalf("GPS estimate = %v, want 50ms", got)
-	}
-	ntp := ClockSync{Err: 30 * sim.Millisecond}
-	if got := ntp.EstimateFromOneWay(25 * sim.Millisecond); got != 110*sim.Millisecond {
-		t.Fatalf("NTP estimate = %v, want 110ms", got)
-	}
-	if got := ntp.EstimateFromOneWay(-sim.Second); got != 60*sim.Millisecond {
-		t.Fatalf("negative one-way should clamp, got %v", got)
-	}
-}
-
-func TestSeedMarksValid(t *testing.T) {
-	e := NewEstimator(DefaultConfig())
-	e.Seed(80 * sim.Millisecond)
-	if !e.Valid() || e.RTT() != 80*sim.Millisecond {
-		t.Fatalf("seeded estimator: valid=%v rtt=%v", e.Valid(), e.RTT())
 	}
 }

@@ -24,37 +24,19 @@ type Env struct {
 }
 
 // meterArenaKey pools stats.Meter structs on reuse-enabled networks. A
-// rewound meter gets a fresh Series (a previous run's Result may still
-// reference the old one) but reuses the struct and its closure-free
-// sampling timer.
+// recycled meter gets a fresh Series (a previous run's Result may still
+// reference the old one) but reuses the struct.
 const meterArenaKey = "stats.Meter"
 
-// NewMeter returns a per-second throughput meter, pooled through the
-// network arena when the environment is reusable.
-func (e Env) NewMeter(name string) *stats.Meter {
-	return sim.Pooled(e.Net.Arena(), meterArenaKey,
-		func() *stats.Meter { return stats.NewMeter(name, e.Sch, sim.Second) },
-		func(m *stats.Meter) { m.Reset(name, e.Sch, sim.Second) })
-}
-
-// NewMeterAt is NewMeter bound to the metered endpoint's node: on a
-// sharded network the meter's sampling timer runs on that node's shard
-// scheduler (the one its Add calls execute on); on a serial network the
-// binding is the environment scheduler, exactly as before.
+// NewMeterAt returns a per-second throughput meter bound to the metered
+// endpoint's node, pooled through the network arena when the environment
+// is reusable. On a sharded network the meter's sampling timer runs on
+// that node's shard scheduler (the one its Add calls execute on); on a
+// serial network the binding is the environment scheduler.
 func (e Env) NewMeterAt(name string, at simnet.NodeID) *stats.Meter {
-	sch := e.Net.SchedFor(at)
-	return sim.Pooled(e.Net.Arena(), meterArenaKey,
-		func() *stats.Meter { return stats.NewMeter(name, sch, sim.Second) },
-		func(m *stats.Meter) { m.Reset(name, sch, sim.Second) })
-}
-
-// RecvSlot is one declared receiver endpoint of a built scenario — an
-// explicit receiver or a whole cohort. R and Meter are nil until the
-// receiver's join time (receivers declared with JoinAt > 0 are
-// instantiated when the event fires).
-type RecvSlot struct {
-	R     tfmcc.ReceiverModel
-	Meter *stats.Meter
+	m := sim.Pooled[stats.Meter](e.Net.Arena(), meterArenaKey)
+	m.Reset(name, e.Net.SchedFor(at), sim.Second)
+	return m
 }
 
 // Flow is one declared traffic source of a built scenario: exactly one
@@ -99,8 +81,11 @@ type Scenario struct {
 	SiteMid   []simnet.NodeID  // -1 for single-hop sites
 	SiteLinks [][]*simnet.Link // per site: down0, up0[, down1, up1]
 
-	Recvs   []*RecvSlot // population receivers first, then Recv steps
-	Flows   []*Flow     // TCP/CBR steps in order
+	// Recvs holds the declared receiver endpoints — population receivers
+	// first, then Recv steps, then the cohort probe. An entry is nil
+	// until its receiver's join fires (JoinAt > 0).
+	Recvs   []*tfmcc.Receiver
+	Flows   []*Flow // TCP/CBR steps in order
 	Aggs    []*stats.Series
 	Samples []*stats.Series
 
@@ -136,7 +121,7 @@ func (sc *Scenario) RunUntil(t sim.Time) { sc.Env.Sch.RunUntil(t) }
 func (sc *Scenario) Series() []*stats.Series {
 	var out []*stats.Series
 	for _, r := range sc.Recvs {
-		if r.Meter != nil {
+		if r != nil && r.Meter != nil {
 			out = append(out, r.Meter.Series)
 		}
 	}
@@ -413,31 +398,35 @@ func (sc *Scenario) buildRecv(r *RecvSpec) error {
 	if err != nil {
 		return err
 	}
-	slot := &RecvSlot{}
-	sc.Recvs = append(sc.Recvs, slot)
-	join := func() {
-		rcv := sc.Sess.AddReceiver(at)
-		slot.R = rcv
-		if r.Meter != "" {
-			m := sc.Env.NewMeterAt(r.Meter, at)
-			rcv.SetMeter(m)
-			m.Start()
-			slot.Meter = m
-		}
-	}
-	if r.JoinAt == 0 {
-		join()
-	} else {
-		sc.Env.Sch.At(r.JoinAt, join)
-	}
+	slot := len(sc.Recvs)
+	sc.Recvs = append(sc.Recvs, nil)
+	sc.join(r.JoinAt, slot, func() *tfmcc.Receiver { return sc.Sess.AddReceiver(at) }, r.Meter, at)
 	if r.LeaveAt > 0 {
 		sc.Env.Sch.At(r.LeaveAt, func() {
-			if slot.R != nil {
-				slot.R.Leave()
+			if rcv := sc.Recvs[slot]; rcv != nil {
+				rcv.Leave()
 			}
 		})
 	}
 	return nil
+}
+
+// join fills receiver slot with add's receiver at joinAt (now when 0),
+// attaching and starting a throughput meter when meter names one.
+func (sc *Scenario) join(joinAt sim.Time, slot int, add func() *tfmcc.Receiver, meter string, at simnet.NodeID) {
+	join := func() {
+		rcv := add()
+		sc.Recvs[slot] = rcv
+		if meter != "" {
+			rcv.Meter = sc.Env.NewMeterAt(meter, at)
+			rcv.Meter.Start()
+		}
+	}
+	if joinAt == 0 {
+		join()
+	} else {
+		sc.Env.Sch.At(joinAt, join)
+	}
 }
 
 // maxCohort bounds the analytic receiver block. Cohorts cost O(1)
@@ -473,25 +462,13 @@ func (sc *Scenario) buildCohort(c *CohortSpec) error {
 	if err != nil {
 		return err
 	}
-	slot := &RecvSlot{}
-	sc.Recvs = append(sc.Recvs, slot)
 	size, spread := c.Size, c.LossModel.Spread
-	join := func() {
+	sc.Recvs = append(sc.Recvs, nil)
+	sc.join(c.JoinAt, len(sc.Recvs)-1, func() *tfmcc.Receiver {
 		rcv := sc.Sess.AddCohort(at, size)
 		rcv.SetLossSpread(spread)
-		slot.R = rcv
-		if c.Meter != "" {
-			m := sc.Env.NewMeterAt(c.Meter, at)
-			rcv.SetMeter(m)
-			m.Start()
-			slot.Meter = m
-		}
-	}
-	if c.JoinAt == 0 {
-		join()
-	} else {
-		sc.Env.Sch.At(c.JoinAt, join)
-	}
+		return rcv
+	}, c.Meter, at)
 	return nil
 }
 
@@ -744,10 +721,9 @@ func (sc *Scenario) scheduleEvent(ev Event) error {
 			return fmt.Errorf("scenario %s: crash of receiver %d out of range (have %d)",
 				sc.Spec.Name, idx, len(sc.Recvs))
 		}
-		slot := sc.Recvs[idx]
 		sc.Env.Sch.At(ev.At, func() {
-			if slot.R != nil {
-				slot.R.Crash()
+			if rcv := sc.Recvs[idx]; rcv != nil {
+				rcv.Crash()
 			}
 		})
 	case ev.Impair != nil:

@@ -300,13 +300,13 @@ type LossModel struct {
 }
 
 // CohortSpec declares an aggregate receiver block: Size homogeneous
-// receivers modelled analytically by a single probe endpoint
-// (tfmcc.CohortReceiver), so a spec can declare a million receivers and
+// receivers modelled analytically by a single probe endpoint (see
+// tfmcc.Session.AddCohort), so a spec can declare a million receivers and
 // run in bounded memory. The cohort attaches at At — typically an access
 // site or attach point of a dumbbell/transit-stub topology — either
 // directly (Hop nil) or behind a dedicated single access hop. It is
 // built after the explicit Steps (so At may reference any declared
-// site) and occupies the last RecvSlot.
+// site) and occupies the last entry of Scenario.Recvs.
 //
 // A cohort twin is only valid for members genuinely sharing the probe's
 // path; heterogeneous-RTT populations must be split into one cohort per
@@ -398,11 +398,11 @@ func (s *Spec) DeclaredReceivers() int {
 	return n
 }
 
-// DeclaredEndpoints returns how many receiver endpoints (RecvSlots) the
-// spec will build — the valid CrashEvent indices: the population block
-// first, then the explicit Recv steps, then the cohort (one slot
-// regardless of membership). Equal to DeclaredReceivers for cohort-free
-// specs.
+// DeclaredEndpoints returns how many receiver endpoints (entries of
+// Scenario.Recvs) the spec will build — the valid Crash indices: the
+// population block first, then the explicit Recv steps, then the cohort
+// (one entry regardless of membership). Equal to DeclaredReceivers for
+// cohort-free specs.
 func (s *Spec) DeclaredEndpoints() int {
 	n := 0
 	if s.Pop != nil {

@@ -135,14 +135,14 @@ func TestChurnScript(t *testing.T) {
 	if n := env.Net.Members(g); n != 1 {
 		t.Fatalf("members at 1s = %d, want 1", n)
 	}
-	if sc.Recvs[1].R != nil {
+	if sc.Recvs[1] != nil {
 		t.Fatal("scheduled receiver instantiated early")
 	}
 	sc.RunUntil(3 * sim.Second)
 	if n := env.Net.Members(g); n != 2 {
 		t.Fatalf("members at 3s = %d, want 2", n)
 	}
-	if sc.Recvs[1].R == nil {
+	if sc.Recvs[1] == nil {
 		t.Fatal("scheduled receiver missing after JoinAt")
 	}
 	sc.RunUntil(5 * sim.Second)

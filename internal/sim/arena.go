@@ -1,9 +1,9 @@
 package sim
 
 // Arena pools allocation-heavy protocol objects across repeated runs of
-// the same scenario. Constructors call Take to get the object they built
-// at the same point of the previous run (rewinding it themselves), or Put
-// to record a freshly built one. Rewind starts a new run: every pooled
+// the same scenario. Constructors call Pooled to get the object they
+// built at the same point of the previous run, or a new one it records,
+// and initialise it in place. Rewind starts a new run: every pooled
 // object becomes available again in construction order.
 //
 // Objects are keyed so unrelated constructors never receive each other's
@@ -43,20 +43,19 @@ func (a *Arena) Take(key string) any {
 	return x
 }
 
-// Pooled is the standard arena take-or-build pattern shared by every
-// pooled constructor: return the object built at the same point of a
-// previous run — rewound by the caller-supplied function — or build a
-// fresh one and record it. A nil arena (reuse disabled) always builds.
-func Pooled[T any](a *Arena, key string, build func() T, rewind func(T)) T {
+// Pooled is the take-or-allocate step shared by every pooled constructor:
+// it returns the object handed out at the same point of a previous run,
+// or a new zero one that it records. Either way the caller runs the
+// type's one initialiser on it, so a recycled object and a fresh one go
+// through the same code. A nil arena (reuse disabled) always allocates.
+func Pooled[T any](a *Arena, key string) *T {
 	if a == nil {
-		return build()
+		return new(T)
 	}
 	if old := a.Take(key); old != nil {
-		x := old.(T)
-		rewind(x)
-		return x
+		return old.(*T)
 	}
-	x := build()
+	x := new(T)
 	a.Put(key, x)
 	return x
 }

@@ -298,14 +298,7 @@ func (n *Network) Reset() bool {
 	// old run must not black-hole traffic.
 	for _, l := range n.linkList {
 		n.bindLink(l)
-		l.Stats = LinkStats{}
-		l.LossProb = 0
-		l.CorruptProb, l.DupProb, l.ReorderProb = 0, 0, 0
-		l.ReorderDelay = 0
-		l.down = false
-		l.busy = false
-		l.clearRing()
-		l.Q.reset(l.Q.Limit)
+		l.resetForReuse(l.Bandwidth, l.Delay, l.Q.Limit)
 	}
 	return true
 }

@@ -116,18 +116,16 @@ type Meter struct {
 // NewMeter creates a meter that samples every interval once Start is
 // called.
 func NewMeter(name string, sched *sim.Scheduler, interval sim.Time) *Meter {
-	return &Meter{Series: &Series{Name: name}, Interval: interval, sched: sched}
+	m := new(Meter)
+	m.Reset(name, sched, interval)
+	return m
 }
 
-// Reset re-arms a (possibly pooled) meter for a new run: counters
-// zeroed, sampling stopped until the next Start, and a fresh Series —
-// never the old one, which a previous run's results may still reference.
+// Reset (re-)arms a new or pooled meter for a run: counters zeroed,
+// sampling stopped until the next Start, and a fresh Series — never the
+// old one, which a previous run's results may still reference.
 func (m *Meter) Reset(name string, sched *sim.Scheduler, interval sim.Time) {
-	m.Series = &Series{Name: name}
-	m.Interval = interval
-	m.sched = sched
-	m.bytes, m.totalBytes = 0, 0
-	m.started = false
+	*m = Meter{Series: &Series{Name: name}, Interval: interval, sched: sched}
 }
 
 // Start begins periodic sampling.

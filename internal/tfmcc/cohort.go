@@ -7,11 +7,11 @@ import (
 )
 
 // cohortState is the analytic twin a probe Receiver carries when it
-// stands in for a whole cohort. It is owned by the CohortReceiver wrapper
-// and referenced from the probe, so the cohort-only deltas in the
-// receiver's packet path (the min-of-N feedback draw, the worst-member
-// loss inflation, the per-round expected-feedback accrual) all gate on a
-// single nil check and the explicit-receiver path stays untouched.
+// stands in for a whole cohort. The cohort-only deltas in the receiver's
+// packet path (the min-of-N feedback draw, the worst-member loss
+// inflation, the per-round expected-feedback accrual) all gate on the
+// probe's single nil check, so the explicit-receiver path stays
+// untouched.
 type cohortState struct {
 	size   int
 	spread float64 // worst-member loss inflation per log2(size); 0 = homogeneous
@@ -32,11 +32,14 @@ type cohortState struct {
 	lastEM float64
 }
 
-// CohortReceiver models Members homogeneous receivers behind one access
-// point with a single probe endpoint. The probe runs the full receiver
-// pipeline — loss-event estimation, RTT measurement via echoes, feedback
-// rounds — on the real packet stream, and the cohort's aggregate
-// behaviour is layered on analytically:
+// NewCohortReceiver creates a cohort of size homogeneous receivers behind
+// one access point, modelled by a single probe endpoint that joins the
+// group on node. The probe reports as ReceiverID id — the cohort's worst
+// member — and the cohort occupies IDs [id, id+size). The probe is a
+// Receiver carrying cohort state: it runs the full receiver pipeline —
+// loss-event estimation, RTT measurement via echoes, feedback rounds —
+// on the real packet stream, and the cohort's aggregate behaviour is
+// layered on analytically:
 //
 //   - The cohort's feedback timer is the minimum of Members independent
 //     draws from the paper's biased exponential suppression distribution.
@@ -59,71 +62,43 @@ type cohortState struct {
 // A cohort twin is only valid for members that genuinely share the
 // probe's path characteristics (same access site, hence same RTT and
 // loss process). Heterogeneous populations must be split into one cohort
-// per access site.
-type CohortReceiver struct {
-	*Receiver
-	st cohortState
-}
-
-// cohortArenaKey pools cohort wrappers on reuse-enabled networks (the
-// probe inside pools separately under receiverArenaKey via NewReceiver).
-const cohortArenaKey = "tfmcc.CohortReceiver"
-
-// NewCohortReceiver creates a cohort of size members whose probe joins
-// the group on node. The probe reports as ReceiverID id — the cohort's
-// worst member — and the cohort occupies IDs [id, id+size). On a
-// reuse-enabled network the wrapper and its probe are recycled from the
-// arena, bit-for-bit equivalent to a fresh build.
+// per access site. On a reuse-enabled network the probe and its cohort
+// state are recycled from the arena, each under its own key.
 func NewCohortReceiver(id ReceiverID, net *simnet.Network, node simnet.NodeID, port simnet.Port,
-	sender simnet.Addr, group simnet.GroupID, cfg Config, rng *sim.Rand, size int) *CohortReceiver {
-	if size < 1 {
-		size = 1
-	}
-	c := sim.Pooled(net.Arena(), cohortArenaKey,
-		func() *CohortReceiver { return new(CohortReceiver) },
-		func(c *CohortReceiver) {})
-	c.Receiver = NewReceiver(id, net, node, port, sender, group, cfg, rng)
-	c.st = cohortState{size: size}
-	c.Receiver.cohort = &c.st
-	return c
+	sender simnet.Addr, group simnet.GroupID, cfg Config, rng *sim.Rand, size int) *Receiver {
+	st := sim.Pooled[cohortState](net.Arena(), cohortArenaKey)
+	*st = cohortState{size: max(size, 1)}
+	r := NewReceiver(id, net, node, port, sender, group, cfg, rng)
+	r.cohort = st
+	return r
 }
 
-// Members returns the cohort size.
-func (c *CohortReceiver) Members() int { return c.st.size }
+// cohortArenaKey pools cohort state on reuse-enabled networks (the probe
+// pools separately under receiverArenaKey via NewReceiver).
+const cohortArenaKey = "tfmcc.cohortState"
 
-// SetLossSpread declares the cohort's loss heterogeneity: the worst
+// SetLossSpread declares a cohort's loss heterogeneity: the worst
 // member's loss event rate is the probe's measurement inflated by
 // (1 + spread·log2(size)), capped at 1. Zero (the default) models a
-// homogeneous cohort whose members all see the probe's loss process.
-func (c *CohortReceiver) SetLossSpread(spread float64) {
-	if spread < 0 {
-		spread = 0
+// homogeneous cohort whose members all see the probe's loss process. It
+// does nothing on an explicit receiver.
+func (r *Receiver) SetLossSpread(spread float64) {
+	if r.cohort != nil {
+		r.cohort.spread = max(spread, 0)
 	}
-	c.st.spread = spread
 }
 
 // ExpectedReportsPerRound returns the mean analytic feedback load E[M]
 // over the rounds in which the cohort was eligible to report, and how
-// many such rounds accrued. This is the cohort-side value the
-// convergence harness holds against measured explicit-receiver feedback.
-func (c *CohortReceiver) ExpectedReportsPerRound() (float64, int64) {
-	if c.st.rounds == 0 {
+// many such rounds accrued; (0, 0) for an explicit receiver. This is the
+// cohort-side value the convergence harness holds against measured
+// explicit-receiver feedback.
+func (r *Receiver) ExpectedReportsPerRound() (float64, int64) {
+	c := r.cohort
+	if c == nil || c.rounds == 0 {
 		return 0, 0
 	}
-	return c.st.expectedReports / float64(c.st.rounds), c.st.rounds
-}
-
-// Stats returns the cohort-level counter snapshot: per-member counters
-// scaled to the membership, wire-level counters endpoint-true (see
-// ReceiverStats).
-func (c *CohortReceiver) Stats() ReceiverStats {
-	s := c.Receiver.Stats()
-	n := int64(c.st.size)
-	s.Losses *= n
-	s.LossEvents *= n
-	s.PacketsRecv *= n
-	s.StaleDiscards *= n
-	return s
+	return c.expectedReports / float64(c.rounds), c.rounds
 }
 
 // accrueExpectedFeedback records one eligible round's analytic expected

@@ -1,6 +1,7 @@
 package tfmcc
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -10,7 +11,7 @@ import (
 // cohortBottleneck builds sender -- r1 ==bw== r2 -- leaf with one
 // analytic cohort of the given size on the leaf, runs it for dur and
 // returns the session.
-func cohortBottleneck(size int, dur sim.Time, seed int64) (*Session, *CohortReceiver) {
+func cohortBottleneck(size int, dur sim.Time, seed int64) (*Session, *Receiver) {
 	sch := sim.NewScheduler()
 	net := simnet.New(sch, sim.NewRand(seed))
 	snd := net.AddNode("sender")
@@ -38,22 +39,22 @@ func TestCohortMemberAccounting(t *testing.T) {
 	a := net.AddNode("a")
 	net.AddDuplex(hub, a, 0, sim.Millisecond, 0)
 	r := sess.AddReceiver(a)
-	if r.ID() != 0 || r.Members() != 1 {
-		t.Fatalf("explicit receiver: id=%d members=%d, want 0/1", r.ID(), r.Members())
+	if r.id != 0 || r.Members() != 1 {
+		t.Fatalf("explicit receiver: id=%d members=%d, want 0/1", r.id, r.Members())
 	}
 	b := net.AddNode("b")
 	net.AddDuplex(hub, b, 0, sim.Millisecond, 0)
 	c := sess.AddCohort(b, 64)
-	if c.ID() != 1 || c.Members() != 64 {
-		t.Fatalf("cohort: id=%d members=%d, want 1/64", c.ID(), c.Members())
+	if c.id != 1 || c.Members() != 64 {
+		t.Fatalf("cohort: id=%d members=%d, want 1/64", c.id, c.Members())
 	}
 	// The cohort occupies one id per member, so the next endpoint's id
 	// lands past the whole block and MemberCount sums members.
 	d := net.AddNode("d")
 	net.AddDuplex(hub, d, 0, sim.Millisecond, 0)
 	r2 := sess.AddReceiver(d)
-	if r2.ID() != 65 {
-		t.Fatalf("receiver after cohort: id=%d, want 65", r2.ID())
+	if r2.id != 65 {
+		t.Fatalf("receiver after cohort: id=%d, want 65", r2.id)
 	}
 	if got := sess.MemberCount(); got != 66 {
 		t.Fatalf("MemberCount=%d, want 66", got)
@@ -66,19 +67,19 @@ func TestCohortStatsScaleWithMembership(t *testing.T) {
 	if st.PacketsRecv == 0 {
 		t.Fatal("cohort received no packets")
 	}
-	if st.PacketsRecv != 64*c.Receiver.PacketsRecv {
-		t.Fatalf("PacketsRecv=%d, want 64x endpoint count %d", st.PacketsRecv, c.Receiver.PacketsRecv)
+	if st.PacketsRecv != 64*c.PacketsRecv {
+		t.Fatalf("PacketsRecv=%d, want 64x endpoint count %d", st.PacketsRecv, c.PacketsRecv)
 	}
 	// Wire-level stats stay endpoint-true: the cohort sends one
 	// endpoint's worth of reports, not 64.
-	if st.ReportsSent != c.Receiver.ReportsSent {
-		t.Fatalf("ReportsSent=%d, want endpoint-true %d", st.ReportsSent, c.Receiver.ReportsSent)
+	if st.ReportsSent != c.ReportsSent {
+		t.Fatalf("ReportsSent=%d, want endpoint-true %d", st.ReportsSent, c.ReportsSent)
 	}
 }
 
 func TestCohortBecomesCLR(t *testing.T) {
 	sess, c := cohortBottleneck(256, 40*sim.Second, 3)
-	if !c.IsCLR() {
+	if !c.isCLR {
 		t.Fatalf("sole cohort should be CLR, sender has %d", sess.Sender.CLR())
 	}
 	if n := sess.ValidRTTCount(); n != 256 {
@@ -90,16 +91,109 @@ func TestCohortBecomesCLR(t *testing.T) {
 }
 
 func TestCohortExpectedFeedbackAccrues(t *testing.T) {
-	_, c := cohortBottleneck(64, 30*sim.Second, 4)
-	em, rounds := c.ExpectedReportsPerRound()
-	if rounds == 0 {
-		t.Fatal("no feedback rounds accrued")
+	for _, n := range []int{16, 64} {
+		_, c := cohortBottleneck(n, 30*sim.Second, 4)
+		em, rounds := c.ExpectedReportsPerRound()
+		if rounds == 0 {
+			t.Fatalf("n=%d: no feedback rounds accrued", n)
+		}
+		// Per round at least the first timer to fire reports, and at most
+		// every member does.
+		if em < 1 || em > float64(n) {
+			t.Errorf("n=%d: E[M] per round = %.2f, want in [1, %d]", n, em, n)
+		}
 	}
-	per := em / float64(rounds)
-	// The paper's suppression aims at O(1) expected responses per round
-	// regardless of population size.
-	if per <= 0 || per > 10 {
-		t.Fatalf("E[M] per round = %.2f, want in (0, 10]", per)
+}
+
+// recycleRun builds the bare receiver rig on net — an explicit receiver
+// when size is 0, else a cohort probe of that size with loss spread 0.1
+// — plays rounds of data with one loss per round, no CLR and no
+// slowstart (so every round draws a feedback timer, and a round outlasts
+// its 2 s timer), and returns the receiver and the reports it sent.
+func recycleRun(t *testing.T, sch *sim.Scheduler, net *simnet.Network, size, rounds int) (*Receiver, []Report) {
+	snd := net.AddNode("snd")
+	rn := net.AddNode("rcv")
+	net.AddDuplex(snd, rn, 0, sim.Millisecond, 0)
+	var reports []Report
+	senderAddr := simnet.Addr{Node: snd, Port: 100}
+	net.Bind(senderAddr, simnet.HandlerFunc(func(p *simnet.Packet) {
+		reports = append(reports, *p.Payload.(*Report))
+	}))
+	var r *Receiver
+	if size == 0 {
+		r = NewReceiver(0, net, rn, 100, senderAddr, 1, DefaultConfig(), sim.NewRand(2))
+	} else {
+		r = NewCohortReceiver(0, net, rn, 100, senderAddr, 1, DefaultConfig(), sim.NewRand(2), size)
+		r.SetLossSpread(0.1)
+		if _, n := r.ExpectedReportsPerRound(); n != 0 {
+			t.Fatalf("a new cohort starts with %d accrued rounds", n)
+		}
+	}
+	seq := int64(0)
+	for round := 1; round <= rounds; round++ {
+		for i := 0; i < 10; i++ {
+			if seq++; i == 5 {
+				continue
+			}
+			d := baseData(seq, sch.Now())
+			d.Round = round
+			net.Send(&simnet.Packet{Size: 1000, Src: simnet.Addr{Node: snd, Port: 100},
+				Dst: simnet.Addr{Port: 100}, Group: 1, IsMcast: true, Payload: &d})
+			sch.RunUntil(sch.Now() + 250*sim.Millisecond)
+		}
+	}
+	return r, reports
+}
+
+// TestRecycledReceiverForgetsItsKind: a pooled receiver slot that changes
+// kind between runs — cohort probe, then explicit receiver, then cohort
+// again — carries nothing of its previous life. Each run must match a
+// never-pooled receiver of the same kind fed the same packets.
+func TestRecycledReceiverForgetsItsKind(t *testing.T) {
+	sch := sim.NewScheduler()
+	net := simnet.New(sch, sim.NewRand(1))
+	net.EnableReuse()
+	var first *Receiver
+	for run, size := range []int{256, 0, 256} {
+		if run > 0 {
+			sch.Reset()
+			if !net.Reset() {
+				t.Fatal("network did not rewind")
+			}
+		}
+		r, got := recycleRun(t, sch, net, size, 8)
+		if run == 0 {
+			first = r
+		} else if r != first {
+			t.Fatalf("run %d: the receiver was not recycled", run)
+		}
+		fsch := sim.NewScheduler()
+		fresh, want := recycleRun(t, fsch, simnet.New(fsch, sim.NewRand(1)), size, 8)
+		if len(want) == 0 {
+			t.Fatalf("run %d: the reference receiver sent no reports", run)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("run %d: recycled receiver's reports differ from a never-pooled one's\n got %v\nwant %v", run, got, want)
+		}
+		if r.Stats() != fresh.Stats() || r.Members() != fresh.Members() || r.LossEventRate() != fresh.LossEventRate() {
+			t.Errorf("run %d: recycled stats/members/loss rate %+v/%d/%v, fresh %+v/%d/%v", run,
+				r.Stats(), r.Members(), r.LossEventRate(), fresh.Stats(), fresh.Members(), fresh.LossEventRate())
+		}
+		em, rounds := r.ExpectedReportsPerRound()
+		if fem, frounds := fresh.ExpectedReportsPerRound(); em != fem || rounds != frounds {
+			t.Errorf("run %d: recycled E[M] %v over %d rounds, fresh %v over %d", run, em, rounds, fem, frounds)
+		}
+		if size == 0 {
+			if r.Members() != 1 || r.LossEventRate() != r.est.LossEventRate() || em != 0 || rounds != 0 {
+				t.Errorf("explicit run: members %d, loss rate %v (estimator %v), E[M] (%v, %d); want 1, the estimator's, (0, 0)",
+					r.Members(), r.LossEventRate(), r.est.LossEventRate(), em, rounds)
+			}
+			if st := r.Stats(); st.PacketsRecv != r.PacketsRecv || st.Losses != r.Losses || st.LossEvents != r.LossEvents {
+				t.Errorf("explicit run: stats %+v scaled", st)
+			}
+		} else if rounds == 0 || r.Stats().PacketsRecv != 256*r.PacketsRecv {
+			t.Errorf("cohort run %d: %d rounds accrued, stats %+v; want rounds and scaled counters", run, rounds, r.Stats())
+		}
 	}
 }
 
@@ -134,7 +228,7 @@ func TestCohortLossSpreadRaisesRate(t *testing.T) {
 	c.SetLossSpread(0.1)
 	sess.Start()
 	sch.RunUntil(30 * sim.Second)
-	base := c.Receiver.est.LossEventRate()
+	base := c.est.LossEventRate()
 	seen := c.LossEventRate()
 	if base <= 0 {
 		t.Fatal("no loss events measured on a 2% lossy path")

@@ -55,11 +55,6 @@ type Config struct {
 	// leave the sender CLR-less for a round during churn, and the figure
 	// scenarios predate the halving; the fault presets turn it on.
 	HalveOnSilence bool
-
-	// UseClockSync seeds receivers' RTT estimators from synchronised
-	// clocks (section 2.4.1) instead of the 500 ms initial RTT.
-	UseClockSync bool
-	ClockSyncErr sim.Time // worst-case NTP error; 0 = GPS
 }
 
 // DefaultConfig returns the paper's parameter set.

@@ -62,7 +62,7 @@ func TestReportPathLossDoesNotStall(t *testing.T) {
 	net.LinkBetween(3, 2).LossProb = 0.3
 	net.LinkBetween(4, 2).LossProb = 0.3
 	m := stats.NewMeter("tfmcc", sch, sim.Second)
-	sess.Receivers[0].SetMeter(m)
+	sess.Receivers[0].Meter = m
 	m.Start()
 	sess.Start()
 	sch.RunUntil(120 * sim.Second)
@@ -90,7 +90,7 @@ func TestTwoTFMCCSessionsShare(t *testing.T) {
 		net.AddDuplex(r2, leaf, 0, sim.Millisecond, 0)
 		rcv := sess.AddReceiver(leaf)
 		m := stats.NewMeter("tfmcc", sch, sim.Second)
-		rcv.SetMeter(m)
+		rcv.Meter = m
 		m.Start()
 		meters = append(meters, m)
 		sess.Start()
@@ -200,7 +200,7 @@ func TestSilenceHalvingAfterCrash(t *testing.T) {
 	}
 	// Crash, unlike Leave, sends nothing.
 	for i, r := range sess.Receivers {
-		if !r.Crashed() || !r.Left() {
+		if !r.crashed || !r.left {
 			t.Fatalf("receiver %d not marked crashed+left", i)
 		}
 	}
@@ -273,7 +273,7 @@ func TestStaleDataDiscardedByReceiver(t *testing.T) {
 	sch, net, sess := singleBottleneck(1, 125000, 20*sim.Millisecond, 30, cfg, 30)
 	sess.Start()
 	sch.RunUntil(30 * sim.Second)
-	r := sess.Receivers[0].(*Receiver)
+	r := sess.Receivers[0]
 	recvBefore := r.Stats().PacketsRecv
 	bad := []Data{
 		{Seq: -1, Rate: 1000, Round: r.round},

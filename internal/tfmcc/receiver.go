@@ -48,8 +48,8 @@ type Receiver struct {
 	last lastHeader
 	est  lossrate.Estimator // end of the hot prefix
 
-	// cohort, when non-nil, marks this receiver as the probe of a
-	// CohortReceiver: the feedback draw becomes the minimum of the
+	// cohort, when non-nil, marks this receiver as the probe standing in
+	// for a whole cohort: the feedback draw becomes the minimum of the
 	// cohort's timers and the reported loss state is the worst member's
 	// (see cohort.go). Nil for explicit receivers — every cohort delta
 	// gates on this single check.
@@ -103,43 +103,24 @@ const receiverArenaKey = "tfmcc.Receiver"
 // NewReceiver creates a receiver on the given node and joins the group.
 // sender is the sender's unicast address for reports. On a reuse-enabled
 // network the receiver built at the same point of a previous run is
-// rewound and returned instead of allocating a new one.
+// re-initialised and returned instead of allocating a new one.
 func NewReceiver(id ReceiverID, net *simnet.Network, node simnet.NodeID, port simnet.Port,
 	sender simnet.Addr, group simnet.GroupID, cfg Config, rng *sim.Rand) *Receiver {
-	return sim.Pooled(net.Arena(), receiverArenaKey,
-		func() *Receiver { return newReceiver(id, net, node, port, sender, group, cfg, rng) },
-		func(r *Receiver) { r.rewind(id, net, node, port, sender, group, cfg, rng) })
-}
-
-func newReceiver(id ReceiverID, net *simnet.Network, node simnet.NodeID, port simnet.Port,
-	sender simnet.Addr, group simnet.GroupID, cfg Config, rng *sim.Rand) *Receiver {
-	r := &Receiver{
-		cfg:    cfg,
-		id:     id,
-		net:    net,
-		sch:    net.SchedFor(node),
-		rng:    net.ProtoRandFor(node, rng),
-		addr:   simnet.Addr{Node: node, Port: port},
-		sender: sender,
-		group:  group,
-		round:  -1,
-	}
-	// In place: the loss history lives inside the receiver (see Estimator).
-	r.est.Reset(lossrate.Weights(cfg.NumLossIntervals))
-	r.rtte.Reset(cfg.RTT)
-	net.Bind(r.addr, r)
-	net.Join(group, node)
+	r := sim.Pooled[Receiver](net.Arena(), receiverArenaKey)
+	r.init(id, net, node, port, sender, group, cfg, rng)
 	return r
 }
 
-// rewind restores a pooled receiver to the state newReceiver would have
-// produced, reusing the loss/RTT estimator storage and the receive-window
+// init puts a new or recycled receiver into its pre-run state field by
+// field, reusing the loss/RTT estimator storage and the receive-window
 // ring (whose stale contents are unreachable once the cursors are
-// zeroed). Bit-for-bit equivalence with a fresh receiver is what keeps
-// rewound sweep runs deterministic.
-func (r *Receiver) rewind(id ReceiverID, net *simnet.Network, node simnet.NodeID, port simnet.Port,
+// zeroed; a whole-struct assignment would clear its 8 KB). Bit-for-bit
+// equivalence of recycled and fresh receivers is what keeps rewound
+// sweep runs deterministic.
+func (r *Receiver) init(id ReceiverID, net *simnet.Network, node simnet.NodeID, port simnet.Port,
 	sender simnet.Addr, group simnet.GroupID, cfg Config, rng *sim.Rand) {
-	if cfg.NumLossIntervals == r.cfg.NumLossIntervals {
+	// A fresh receiver (nil net) has no weights to keep yet.
+	if r.net != nil && cfg.NumLossIntervals == r.cfg.NumLossIntervals {
 		r.est.ResetKeepWeights()
 	} else {
 		r.est.Reset(lossrate.Weights(cfg.NumLossIntervals))
@@ -183,33 +164,32 @@ func (r *Receiver) rewind(id ReceiverID, net *simnet.Network, node simnet.NodeID
 	net.Join(group, node)
 }
 
-// ID returns the receiver's identifier.
-func (r *Receiver) ID() ReceiverID { return r.id }
+// Members returns how many receivers this endpoint represents: 1 for an
+// explicit receiver, the cohort size for a cohort probe.
+func (r *Receiver) Members() int {
+	if r.cohort != nil {
+		return r.cohort.size
+	}
+	return 1
+}
 
-// Members returns 1: an explicit receiver models only itself.
-func (r *Receiver) Members() int { return 1 }
-
-// SetMeter attaches (or detaches, with nil) a throughput meter.
-func (r *Receiver) SetMeter(m *stats.Meter) { r.Meter = m }
-
-// Stats returns the receiver's counter snapshot.
+// Stats returns the counter snapshot: per-member counters scaled by
+// Members, wire-level counters the endpoint's own (see ReceiverStats).
 func (r *Receiver) Stats() ReceiverStats {
+	n := int64(r.Members())
 	return ReceiverStats{
 		ReportsSent:     r.ReportsSent,
 		SuppressCancels: r.SuppressCancels,
-		Losses:          r.Losses,
-		LossEvents:      r.LossEvents,
-		PacketsRecv:     r.PacketsRecv,
-		StaleDiscards:   r.StaleDiscards,
+		Losses:          n * r.Losses,
+		LossEvents:      n * r.LossEvents,
+		PacketsRecv:     n * r.PacketsRecv,
+		StaleDiscards:   n * r.StaleDiscards,
 	}
 }
 
 // HasValidRTT reports whether the receiver has a real RTT measurement
 // (Figure 12's metric).
 func (r *Receiver) HasValidRTT() bool { return r.rtte.Valid() }
-
-// RTT returns the current RTT estimate.
-func (r *Receiver) RTT() sim.Time { return r.rtte.RTT() }
 
 // LossEventRate returns the loss event rate of the receiver this
 // endpoint would offer as CLR candidate: the measured rate for an
@@ -226,17 +206,6 @@ func (r *Receiver) LossEventRate() float64 {
 	return p
 }
 
-// IsCLR reports whether the sender currently designates this receiver as
-// the current limiting receiver.
-func (r *Receiver) IsCLR() bool { return r.isCLR }
-
-// SeedClockSync initialises the RTT estimate from synchronised clocks
-// using the observed one-way delay (section 2.4.1).
-func (r *Receiver) SeedClockSync(oneWay sim.Time) {
-	cs := rtt.ClockSync{Err: r.cfg.ClockSyncErr}
-	r.rtte.Seed(cs.EstimateFromOneWay(oneWay))
-}
-
 // CalcRate returns X_calc in bytes/s (+Inf before the first loss event),
 // computed from the CLR-candidate loss event rate (for a cohort probe:
 // the worst member's).
@@ -247,16 +216,6 @@ func (r *Receiver) CalcRate() float64 {
 	}
 	return r.cfg.Model.Throughput(p, r.rtte.RTT().Seconds())
 }
-
-// Left reports whether the receiver has left the session (gracefully or
-// by crashing).
-func (r *Receiver) Left() bool { return r.left }
-
-// Crashed reports whether the receiver was killed by a fault event.
-func (r *Receiver) Crashed() bool { return r.crashed }
-
-// LeftAt returns when the receiver left or crashed (0 = still joined).
-func (r *Receiver) LeftAt() sim.Time { return r.leftAt }
 
 // Crash kills the receiver: it stops processing traffic and leaves the
 // multicast group, but — unlike Leave — sends no departure report. The

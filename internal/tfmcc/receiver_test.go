@@ -103,7 +103,7 @@ func TestReceiverRTTMeasurementViaEcho(t *testing.T) {
 		t.Fatal("echo should yield a valid RTT")
 	}
 	// True path RTT = 2ms (1ms each way).
-	if got := rig.rcv.RTT(); got < sim.Millisecond || got > 4*sim.Millisecond {
+	if got := rig.rcv.rtte.RTT(); got < sim.Millisecond || got > 4*sim.Millisecond {
 		t.Fatalf("RTT = %v, want ~2ms", got)
 	}
 }

@@ -133,18 +133,25 @@ const senderArenaKey = "tfmcc.Sender"
 
 // NewSender creates a sender on the given node sending to group. Reports
 // are received on addr. On a reuse-enabled network the sender built at
-// the same point of a previous run is rewound and returned instead of
-// allocating a new one.
+// the same point of a previous run is re-initialised and returned instead
+// of allocating a new one.
 func NewSender(net *simnet.Network, node simnet.NodeID, port simnet.Port,
 	group simnet.GroupID, cfg Config) *Sender {
-	return sim.Pooled(net.Arena(), senderArenaKey,
-		func() *Sender { return newSender(net, node, port, group, cfg) },
-		func(s *Sender) { s.rewind(net, node, port, group, cfg) })
+	s := sim.Pooled[Sender](net.Arena(), senderArenaKey)
+	s.init(net, node, port, group, cfg)
+	return s
 }
 
-func newSender(net *simnet.Network, node simnet.NodeID, port simnet.Port,
-	group simnet.GroupID, cfg Config) *Sender {
-	s := &Sender{
+// init puts a new or recycled sender into its pre-run state. Only the
+// report map, echo queue and RTT window storage carry over, emptied.
+func (s *Sender) init(net *simnet.Network, node simnet.NodeID, port simnet.Port,
+	group simnet.GroupID, cfg Config) {
+	reports := s.reports
+	if reports == nil {
+		reports = map[ReceiverID]reportInfo{}
+	}
+	clear(reports)
+	*s = Sender{
 		cfg:          cfg,
 		net:          net,
 		sch:          net.SchedFor(node),
@@ -157,68 +164,11 @@ func newSender(net *simnet.Network, node simnet.NodeID, port simnet.Port,
 		maxRTT:       cfg.RTT.InitialRTT,
 		clr:          noReceiver,
 		prevCLR:      noReceiver,
-		reports:      map[ReceiverID]reportInfo{},
+		reports:      reports,
 		minRecvRound: math.Inf(1),
+		rttWindow:    s.rttWindow[:0],
+		echoQ:        s.echoQ[:0],
 	}
-	net.Bind(s.addr, s)
-	return s
-}
-
-// rewind restores a pooled sender to the state newSender would have
-// produced, reusing the report map, echo queue and RTT window storage.
-// Bit-for-bit equivalence with a fresh sender keeps rewound runs
-// deterministic.
-func (s *Sender) rewind(net *simnet.Network, node simnet.NodeID, port simnet.Port,
-	group simnet.GroupID, cfg Config) {
-	s.cfg = cfg
-	s.net = net
-	s.sch = net.SchedFor(node)
-	s.addr = simnet.Addr{Node: node, Port: port}
-	s.group = group
-	s.running = false
-	s.seq = 0
-	s.rate = cfg.InitialRate
-	s.target = cfg.InitialRate
-	s.slowstart = true
-	s.minRecvRound = math.Inf(1)
-	s.round = 0
-	s.roundT = 0
-	s.roundStart = 0
-	s.roundTimer = sim.Timer{}
-	s.clrSilentRounds = 0
-	s.suppressRate = math.Inf(1)
-	s.suppressLoss = false
-	s.maxRTT = cfg.RTT.InitialRTT
-	s.roundRTT = 0
-	s.roundNoRTT = false
-	s.rttWindow = s.rttWindow[:0]
-	s.clr = noReceiver
-	s.clrRate = 0
-	s.clrRTT = 0
-	s.lastCLRReport = 0
-	s.newCLREcho = false
-	s.prevCLR = noReceiver
-	s.prevCLRRate = 0
-	s.prevCLRExpires = 0
-	s.echoQ = s.echoQ[:0]
-	s.clrEcho = echoEntry{}
-	clear(s.reports)
-	s.rampTimer = sim.Timer{}
-	s.roundReports = 0
-	s.PacketsSent = 0
-	s.ReportsRecv = 0
-	s.CLRChanges = 0
-	s.ReportsDiscarded = 0
-	s.SilenceHalvings = 0
-	s.CLRLosses = 0
-	s.Reelections = 0
-	s.RateRecoveries = 0
-	s.ReelectTime = 0
-	s.RateRecovery = 0
-	s.clrLost = false
-	s.recoverWait = false
-	s.clrLostAt = 0
-	s.lostRate = 0
 	net.Bind(s.addr, s)
 }
 

@@ -9,8 +9,8 @@ import (
 
 // Session wires one TFMCC sender and its receivers onto an existing
 // network topology, allocating receiver IDs and a shared port. Receivers
-// holds the session's receiver models in join order — explicit receivers
-// and cohorts alike; a cohort occupies one slot but Members() receiver
+// holds the session's receivers in join order — explicit receivers and
+// cohort probes alike; a cohort occupies one slot but Members() receiver
 // IDs, so slot index and ReceiverID diverge once a cohort has joined.
 type Session struct {
 	Cfg       Config
@@ -18,7 +18,7 @@ type Session struct {
 	Group     simnet.GroupID
 	Port      simnet.Port
 	Sender    *Sender
-	Receivers []ReceiverModel
+	Receivers []*Receiver
 
 	// nextID is the first unallocated ReceiverID: each explicit receiver
 	// advances it by one, each cohort by its membership.
@@ -36,40 +36,21 @@ const sessionArenaKey = "tfmcc.Session"
 // recycled from the arena instead of allocated.
 func NewSession(net *simnet.Network, senderNode simnet.NodeID, group simnet.GroupID,
 	port simnet.Port, cfg Config, rng *sim.Rand) *Session {
-	return sim.Pooled(net.Arena(), sessionArenaKey,
-		func() *Session { return newSession(net, senderNode, group, port, cfg, rng) },
-		func(s *Session) { s.rewind(net, senderNode, group, port, cfg, rng) })
-}
-
-func newSession(net *simnet.Network, senderNode simnet.NodeID, group simnet.GroupID,
-	port simnet.Port, cfg Config, rng *sim.Rand) *Session {
-	return &Session{
-		Cfg:    cfg,
-		Net:    net,
-		Group:  group,
-		Port:   port,
-		Sender: NewSender(net, senderNode, port, group, cfg),
-		rng:    rng,
+	s := sim.Pooled[Session](net.Arena(), sessionArenaKey)
+	*s = Session{
+		Cfg:       cfg,
+		Net:       net,
+		Group:     group,
+		Port:      port,
+		Sender:    NewSender(net, senderNode, port, group, cfg),
+		Receivers: s.Receivers[:0], // a recycled session keeps the backing array
+		rng:       rng,
 	}
+	return s
 }
 
-// rewind restores a pooled session to the state newSession would have
-// produced, reusing the receiver slice's backing array.
-func (s *Session) rewind(net *simnet.Network, senderNode simnet.NodeID, group simnet.GroupID,
-	port simnet.Port, cfg Config, rng *sim.Rand) {
-	s.Cfg = cfg
-	s.Net = net
-	s.Group = group
-	s.Port = port
-	s.Sender = NewSender(net, senderNode, port, group, cfg)
-	s.Receivers = s.Receivers[:0]
-	s.nextID = 0
-	s.rng = rng
-}
-
-// AddReceiver joins an explicit receiver on the given node and returns
-// its model.
-func (s *Session) AddReceiver(node simnet.NodeID) ReceiverModel {
+// AddReceiver joins an explicit receiver on the given node.
+func (s *Session) AddReceiver(node simnet.NodeID) *Receiver {
 	id := s.nextID
 	r := NewReceiver(id, s.Net, node, s.Port, s.Sender.addr, s.Group, s.Cfg, s.rng)
 	s.Receivers = append(s.Receivers, r)
@@ -78,10 +59,10 @@ func (s *Session) AddReceiver(node simnet.NodeID) ReceiverModel {
 }
 
 // AddCohort joins a cohort of size homogeneous receivers modelled by one
-// probe endpoint on the given node (see CohortReceiver). The cohort
+// probe endpoint on the given node (see cohort.go). The cohort
 // occupies the next size receiver IDs; its probe — the minimum-rate
 // member and CLR candidate — reports as the first of them.
-func (s *Session) AddCohort(node simnet.NodeID, size int) *CohortReceiver {
+func (s *Session) AddCohort(node simnet.NodeID, size int) *Receiver {
 	if size < 1 {
 		size = 1
 	}
@@ -91,8 +72,8 @@ func (s *Session) AddCohort(node simnet.NodeID, size int) *CohortReceiver {
 	return c
 }
 
-// MemberCount returns how many receivers the session's models represent
-// in total (explicit receivers count 1, cohorts their membership).
+// MemberCount returns how many receivers the session represents in
+// total (explicit receivers count 1, cohorts their membership).
 func (s *Session) MemberCount() int { return int(s.nextID) }
 
 // Start begins the transfer.

@@ -82,7 +82,7 @@ func TestRateConvergesToBottleneck(t *testing.T) {
 	cfg := DefaultConfig()
 	sch, _, sess := singleBottleneck(8, 125000, 20*sim.Millisecond, 30, cfg, 3)
 	m := stats.NewMeter("tfmcc", sch, sim.Second)
-	sess.Receivers[0].SetMeter(m)
+	sess.Receivers[0].Meter = m
 	m.Start()
 	sess.Start()
 	sch.RunUntil(120 * sim.Second)
@@ -113,7 +113,7 @@ func TestRateMatchesModelOnLossyPath(t *testing.T) {
 	delay := []sim.Time{30 * sim.Millisecond}
 	sch, _, sess := starLossy(loss, delay, cfg, 5)
 	m := stats.NewMeter("tfmcc", sch, sim.Second)
-	sess.Receivers[0].SetMeter(m)
+	sess.Receivers[0].Meter = m
 	m.Start()
 	sess.Start()
 	sch.RunUntil(180 * sim.Second)
@@ -141,7 +141,7 @@ func TestReceiversMeasureRTT(t *testing.T) {
 		if !r.HasValidRTT() {
 			continue
 		}
-		if rtt := r.RTT(); rtt > 300*sim.Millisecond || rtt < 20*sim.Millisecond {
+		if rtt := r.rtte.RTT(); rtt > 300*sim.Millisecond || rtt < 20*sim.Millisecond {
 			t.Fatalf("receiver %d RTT = %v, implausible", i, rtt)
 		}
 	}
@@ -263,21 +263,6 @@ func TestSlowstartTerminatesOnFirstLoss(t *testing.T) {
 	if exitRate > 2.6*125000 {
 		t.Fatalf("slowstart overshoot: %.0f B/s on a 125000 B/s link", exitRate)
 	}
-}
-
-func TestClockSyncSeedsRTT(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.UseClockSync = true
-	sch, _, sess := singleBottleneck(2, 125000, 20*sim.Millisecond, 30, cfg, 13)
-	sess.Receivers[0].SeedClockSync(22 * sim.Millisecond)
-	if !sess.Receivers[0].HasValidRTT() {
-		t.Fatal("clock-sync seeded receiver should have a valid RTT")
-	}
-	if got := sess.Receivers[0].RTT(); got != 44*sim.Millisecond {
-		t.Fatalf("seeded RTT = %v, want 44ms", got)
-	}
-	sess.Start()
-	sch.RunUntil(5 * sim.Second)
 }
 
 func TestDeterministicRuns(t *testing.T) {

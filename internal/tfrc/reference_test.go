@@ -33,7 +33,7 @@ func TestSingleReceiverTracksTFRC(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		sch, net, a, b, m := path(seed)
 		sess := tfmcc.NewSession(net, a, 1, 100, tfmcc.DefaultConfig(), sim.NewRand(seed+7))
-		sess.AddReceiver(b).SetMeter(m)
+		sess.AddReceiver(b).Meter = m
 		sess.Start()
 		multicast := steady(sch, m)
 
