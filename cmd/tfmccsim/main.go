@@ -31,8 +31,7 @@
 // README.md ("Run options"); a value that cannot mean anything exits 2
 // naming the flag, and so does a flag that could not take effect (see
 // flagConflict). With -engineworkers >= 2 output is a different
-// (equally valid) trajectory than the serial
-// engine's; hand-wired serial-only figures refuse it.
+// (equally valid) trajectory than the serial engine's.
 package main
 
 import (

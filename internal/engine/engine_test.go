@@ -53,11 +53,20 @@ func TestShardedDeterminismAndRewind(t *testing.T) {
 	}
 }
 
-// engineRun drives engine.Run itself on a fresh environment, the way
-// RunCtx does for -engineworkers >= 2, with the invariant checker armed
-// when check is set. hook, when not nil, can prepare the environment
-// before the run.
-func engineRun(t *testing.T, id string, seed int64, dur sim.Time, check bool, hook func(scenario.Env)) (string, engine.Stats, []invariant.Violation) {
+// freshEnv returns a new environment for seed, the invariant checker
+// armed when check is set.
+func freshEnv(seed int64, check bool) scenario.Env {
+	sch := sim.NewScheduler()
+	env := scenario.Env{Sch: sch, Net: simnet.New(sch, sim.NewRand(seed)), Rng: sim.NewRand(seed + 7)}
+	if check {
+		env.Check = invariant.New(sch, 0)
+		env.Check.Start()
+	}
+	return env
+}
+
+// presetSpec returns a registry preset's spec with its duration set.
+func presetSpec(t *testing.T, id string, dur sim.Time) *scenario.Spec {
 	t.Helper()
 	e, ok := experiments.Lookup(id)
 	if !ok || e.Spec == nil {
@@ -65,16 +74,16 @@ func engineRun(t *testing.T, id string, seed int64, dur sim.Time, check bool, ho
 	}
 	spec := e.Spec()
 	spec.Duration = dur
-	sch := sim.NewScheduler()
-	env := scenario.Env{Sch: sch, Net: simnet.New(sch, sim.NewRand(seed)), Rng: sim.NewRand(seed + 7)}
-	if check {
-		env.Check = invariant.New(sch, 0)
-		env.Check.Start()
-	}
-	if hook != nil {
-		hook(env)
-	}
-	sc, st, err := engine.Run(env, spec, seed, 2)
+	return spec
+}
+
+// engineRun drives engine.Run itself on a fresh environment, the way
+// RunCtx does for -engineworkers >= 2, with the invariant checker armed
+// when check is set.
+func engineRun(t *testing.T, id string, seed int64, dur sim.Time, check bool) (string, engine.Stats, []invariant.Violation) {
+	t.Helper()
+	env := freshEnv(seed, check)
+	sc, st, err := engine.Run(env, presetSpec(t, id, dur), seed, 2)
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
@@ -92,7 +101,7 @@ func engineRun(t *testing.T, id string, seed int64, dur sim.Time, check bool, ho
 // engine.Run.
 func TestWorkerCountInvariance(t *testing.T) {
 	for _, id := range []string{"wireless", "partition", "chainloss", "deeptree"} {
-		base, st, viol := engineRun(t, id, 3, 8*sim.Second, true, nil)
+		base, st, viol := engineRun(t, id, 3, 8*sim.Second, true)
 		for _, v := range viol {
 			t.Errorf("%s: invariant violated: %s", id, v)
 		}
@@ -106,21 +115,49 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// A panic inside a shard of a real run — here the network's drop hook,
-// called while the bottleneck's region steps — comes out of engine.Run
-// on the calling goroutine, so a sweep over seeds records it as that
-// seed's error and carries on.
+// A panic inside a shard of a real run — here a handler bound over a
+// receiver's, called while its region steps — comes out of RunUntil on
+// the calling goroutine, so a sweep over seeds records it as that seed's
+// error and carries on.
 func TestShardPanicBecomesSeedError(t *testing.T) {
+	spec := presetSpec(t, "wireless", 8*sim.Second)
 	_, errs := sweep.RunRaw(sweep.Config{Seeds: 2, Workers: 1, Base: 1}, func(_ int, seed int64) []*stats.Series {
-		engineRun(t, "wireless", seed, 8*sim.Second, false, func(env scenario.Env) {
-			if seed == 2 {
-				env.Net.DropHook = func(*simnet.Link, *simnet.Packet) { panic("queue drop hook blew up") }
-			}
-		})
+		sc, err := engine.Build(freshEnv(seed, false), spec, seed)
+		if err != nil {
+			panic(err)
+		}
+		if seed == 2 {
+			at := simnet.Addr{Node: sc.SiteLeaf[0], Port: sc.Sess.Port}
+			sc.Env.Net.Bind(at, simnet.HandlerFunc(func(*simnet.Packet) { panic("receiver handler blew up") }))
+		}
+		sc.Start()
+		sc.RunUntil(spec.Duration)
 		return nil
 	})
-	if len(errs) != 1 || errs[0].Seed != 2 || !strings.Contains(errs[0].Msg, "drop hook blew up") {
-		t.Errorf("sweep recorded %v, want the drop hook's panic against seed 2", errs)
+	if len(errs) != 1 || errs[0].Seed != 2 || !strings.Contains(errs[0].Msg, "handler blew up") {
+		t.Errorf("sweep recorded %v, want the handler's panic against seed 2", errs)
+	}
+}
+
+// A caller may act between two RunUntil calls — here a receiver leaves,
+// sending its Leave report from outside any window. The next call drains
+// whatever that pushed before it steps a shard: nothing panics, every
+// handoff is drained and the checker stays clean.
+func TestLeaveBetweenRunUntilCalls(t *testing.T) {
+	env := freshEnv(1, true)
+	sc, err := engine.Build(env, presetSpec(t, "wireless", 0), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Start()
+	sc.RunUntil(5 * sim.Second)
+	sc.Recvs[0].Leave()
+	sc.RunUntil(10 * sim.Second)
+	if sent, recv := env.Net.HandoffCounts(); sent == 0 || sent != recv {
+		t.Errorf("handoffs sent %d, drained %d, want equal and non-zero", sent, recv)
+	}
+	for _, v := range env.Check.Violations() {
+		t.Errorf("invariant violated: %s", v)
 	}
 }
 
@@ -197,6 +234,23 @@ func TestEngineStatsConservation(t *testing.T) {
 			t.Errorf("%s: %d shard steps, want in (0, %d] over %d windows of %d shards running %d shard events",
 				tc.id, st.ShardSteps, limit, st.Windows, st.EngineShards, shardEvents)
 		}
+	}
+}
+
+// A control event that sends at a barrier — here the scheduled Leave
+// reports of massleave's 60–70 s burst — parks its handoff after the
+// shards have stepped. The window loop drains it before it sizes the next
+// window, so no destination shard steps past the arrival: the run neither
+// panics nor breaks an invariant, and every handoff pushed is drained.
+func TestBarrierSendIsDrained(t *testing.T) {
+	c := shardedCtx(2)
+	c.EnableInvariants()
+	shortRun(t, c, "massleave", 1, 75*sim.Second)
+	for _, v := range c.Violations() {
+		t.Errorf("invariant violated: %s", v)
+	}
+	if st := c.Stats(); st.HandoffsSent != st.HandoffsRecv {
+		t.Errorf("handoffs sent %d, drained %d", st.HandoffsSent, st.HandoffsRecv)
 	}
 }
 

@@ -64,7 +64,7 @@ func (r *Result) TSV() string {
 // environments.
 type Runner func(c *RunCtx, seed int64) *Result
 
-// mustScenario unwraps a scenario.Run/Build result for the hand-wired
+// mustScenario unwraps a RunCtx build or run result for the hand-wired
 // figure runners: their specs are compile-time constants, so a build
 // error is a programmer bug, not an input problem.
 func mustScenario(sc *scenario.Scenario, err error) *scenario.Scenario {
@@ -86,21 +86,8 @@ func RunWith(c *RunCtx, id string, seed int64) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown figure %q (have %v)", id, Figures())
 	}
-	if err := refuseSerialOnly(e, c.engineWorkers); err != nil {
-		return nil, err
-	}
 	defer c.begin("figure" + id)()
 	return e.Run(c, seed), nil
-}
-
-// refuseSerialOnly rejects serial-only runners when the region
-// engine was requested: silently falling back to serial would report a
-// different deterministic universe than the caller asked for.
-func refuseSerialOnly(e Entry, engineWorkers int) error {
-	if e.SerialOnly && engineWorkers >= 2 {
-		return fmt.Errorf("experiments: figure %q drives the simulation clock itself and only runs on the serial engine; rerun it without -engineworkers (or with -engineworkers 1)", e.ID)
-	}
-	return nil
 }
 
 // --- run context and environment arena ---------------------------------
@@ -149,12 +136,13 @@ func (c *RunCtx) EnableInvariants() { c.check = true }
 // executed with this context since the last ResetStats.
 func (c *RunCtx) Violations() []invariant.Violation { return c.violations }
 
-// SetEngineWorkers selects the execution engine for scenario-spec runs:
-// n >= 2 runs them on the region engine (internal/engine), 0 or 1 on the
-// serial engine. Every n >= 2 runs the same code — the region structure
-// depends only on topology and seed — but sharded output is a different
-// deterministic universe than the serial engine's (per-region RNG
-// streams), so 1 means serial, byte-identical to the default.
+// SetEngineWorkers selects the execution engine for every scenario the
+// context builds: n >= 2 runs them on the region engine
+// (internal/engine), 0 or 1 on the serial engine. Every n >= 2 runs the
+// same code — the region structure depends only on topology and seed —
+// but sharded output is a different deterministic universe than the
+// serial engine's (per-region RNG streams), so 1 means serial,
+// byte-identical to the default.
 func (c *RunCtx) SetEngineWorkers(n int) { c.engineWorkers = n }
 
 // begin starts a run of the named scenario and returns the harvest
@@ -203,6 +191,12 @@ func (c *RunCtx) endRun() {
 			c.stats.HandoffsSent += sent
 			c.stats.HandoffsRecv += recv
 			c.stats.Batches += e.net.ShardBatches()
+			// The window schedule is a wall-structure diagnostic (-check
+			// ticks clip windows), not part of any determinism check.
+			windows, width, steps := e.net.WindowCounts()
+			c.stats.Windows += windows
+			c.stats.WindowNS += width
+			c.stats.ShardSteps += steps
 		}
 		c.stats.Events += events
 		for _, l := range e.net.Links() {
@@ -307,11 +301,10 @@ func (c *RunCtx) armChecker(e *env) {
 	e.check.Start()
 }
 
-// ScenarioEnv returns the next pooled simulation environment of the
-// current run, wrapped for the scenario executor. Scenario-spec runners
-// get the same arena reuse as hand-wired ones: rerunning the same figure
-// rewinds the cached topology and pooled protocol state.
-func (c *RunCtx) ScenarioEnv(seed int64) scenario.Env {
+// scenarioEnv returns the next pooled simulation environment of the
+// current run, wrapped for the scenario builder: rerunning the same
+// figure rewinds the cached topology and pooled protocol state.
+func (c *RunCtx) scenarioEnv(seed int64) scenario.Env {
 	e := c.newEnv(seed)
 	return scenario.Env{Sch: e.sch, Net: e.net, Rng: e.rng, Check: e.check}
 }
@@ -429,9 +422,6 @@ func Sweep(id string, cfg sweep.Config) (*SweepResult, error) {
 	entry, ok := Lookup(id)
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown figure %q (have %v)", id, Figures())
-	}
-	if err := refuseSerialOnly(entry, cfg.EngineWorkers); err != nil {
-		return nil, err
 	}
 	cfg = cfg.Normalized()
 	ctxs := make([]*RunCtx, cfg.Workers)

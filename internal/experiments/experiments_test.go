@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/sweep"
 )
 
@@ -334,31 +335,32 @@ func TestLateJoinDeterministic(t *testing.T) {
 	}
 }
 
-// TestSerialOnlyRefused: the figures that drive the simulation clock
-// themselves (13: RTT-change reaction, 14: slowstart cap) cannot run on
-// the region engine; requesting engine workers for them must
-// fail fast with an error naming the serial engine, in both the direct
-// runner and the sweep path — never silently fall back to serial.
-func TestSerialOnlyRefused(t *testing.T) {
-	for _, id := range []string{"13", "14"} {
-		e, ok := Lookup(id)
-		if !ok {
-			t.Fatalf("figure %s missing from the registry", id)
+// A figure 13 sub-run on the region engine: the runner's 100 ms poll
+// loop steps the sharded clock through RunUntil, and around the runtime
+// delay change it finds a finite reaction with the checker clean, the
+// same on an arena rewind and on a fresh context.
+func TestRTTChangeReactionSharded(t *testing.T) {
+	cfg := sweep.Config{Check: true, EngineWorkers: 2}
+	run := func(c *RunCtx) sim.Time {
+		c.ResetStats()
+		d := rttChangeReaction(c, 40, 10*sim.Second, 1)
+		for _, v := range c.Violations() {
+			t.Errorf("invariant violated: %s", v)
 		}
-		if !e.SerialOnly {
-			t.Fatalf("figure %s should be marked serial-only", id)
+		if st := c.Stats(); st.EngineShards < 2 {
+			t.Fatalf("sub-run ran on %d shards, want the region engine", st.EngineShards)
 		}
-		ctx := NewRunCtx()
-		ctx.SetEngineWorkers(2)
-		if _, err := RunWith(ctx, id, 1); err == nil {
-			t.Fatalf("figure %s ran with engine workers", id)
-		} else if !strings.Contains(err.Error(), "serial engine") {
-			t.Fatalf("figure %s: refusal does not explain itself: %v", id, err)
-		}
-		if _, err := Sweep(id, sweep.Config{Seeds: 1, Workers: 1, EngineWorkers: 2}); err == nil {
-			t.Fatalf("figure %s swept with engine workers", id)
-		} else if !strings.Contains(err.Error(), "serial engine") {
-			t.Fatalf("figure %s: sweep refusal does not explain itself: %v", id, err)
-		}
+		return d
+	}
+	c := NewRunCtxFor(cfg)
+	first := run(c)
+	if first <= 0 || first >= 200*sim.Second {
+		t.Fatalf("reaction %v, want a finite delay inside the 200 s deadline", first)
+	}
+	if again := run(c); again != first {
+		t.Errorf("rewound sub-run reacted after %v, first run after %v", again, first)
+	}
+	if fresh := run(NewRunCtxFor(cfg)); fresh != first {
+		t.Errorf("fresh-context sub-run reacted after %v, first run after %v", fresh, first)
 	}
 }

@@ -204,7 +204,7 @@ func FuzzScenarioSpec(f *testing.F) {
 			}
 			ctx := NewRunCtx()
 			ctx.EnableInvariants()
-			sc, err := scenario.Run(ctx.ScenarioEnv(seed), spec)
+			sc, err := ctx.runSpec(spec, seed)
 			if err != nil {
 				return "", err
 			}

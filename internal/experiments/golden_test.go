@@ -98,7 +98,8 @@ func ledgerRows() []ledgerRow {
 	for _, id := range []string{"wireless", "chainloss", "deeptree", "flashcrowd"} {
 		rows = append(rows, ledgerRow{universe: "ew2", entry: id})
 	}
-	return append(rows, ledgerRow{universe: "ew2", entry: "12", dur: short12})
+	return append(rows, ledgerRow{universe: "ew2", entry: "12", dur: short12},
+		ledgerRow{universe: "ew2", entry: "14"}, ledgerRow{universe: "ew2", entry: "massleave"})
 }
 
 // readLedger parses the committed file into key -> fields.

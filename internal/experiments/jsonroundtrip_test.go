@@ -12,7 +12,7 @@ import (
 func runSpecTSV(t *testing.T, spec *scenario.Spec, seed int64) string {
 	t.Helper()
 	ctx := NewRunCtx()
-	sc, err := scenario.Run(ctx.ScenarioEnv(seed), spec)
+	sc, err := ctx.runSpec(spec, seed)
 	if err != nil {
 		t.Fatalf("%s: %v", spec.Name, err)
 	}

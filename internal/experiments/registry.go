@@ -34,15 +34,10 @@ type Entry struct {
 	// Spec returns the entry's declarative scenario, when the entry is
 	// backed by one (single-scenario engine figures and every preset).
 	// Nil for analytic figures and for figure families that sweep many
-	// sub-scenarios (13, 14). The command line uses it for -scenario
-	// runs with parameter overrides.
+	// sub-scenarios (13 and 14, whose runners step each sub-run's clock
+	// in slices on whichever engine built it). The command line uses it
+	// for -scenario runs with parameter overrides.
 	Spec func() *scenario.Spec
-	// SerialOnly marks runners that drive the simulation clock themselves
-	// (RunUntil polling loops reading protocol state mid-run) and so
-	// cannot execute on the region engine. RunWith and Sweep
-	// refuse them when engine workers are requested instead of silently
-	// running serial.
-	SerialOnly bool
 }
 
 // Analytic reports whether the entry never uses the simulation engine.
@@ -76,13 +71,6 @@ func addEntry(e Entry) {
 func register(id, title string, r Runner) {
 	addEntry(Entry{ID: id, Title: title, Run: r,
 		Tags: []string{TagEngine, TagSweep}})
-}
-
-// registerSerial adds an engine-driven figure whose runner steps the
-// clock itself and therefore only runs on the serial engine.
-func registerSerial(id, title string, r Runner) {
-	addEntry(Entry{ID: id, Title: title, Run: r,
-		Tags: []string{TagEngine, TagSweep}, SerialOnly: true})
 }
 
 // registerSpec adds an engine figure together with its declarative

@@ -10,7 +10,7 @@ import (
 
 func init() {
 	registerSpec("12", "Rate of initial RTT measurements (1000 receivers)", Figure12Spec, Figure12)
-	registerSerial("13", "Responsiveness to changes in the RTT", Figure13)
+	register("13", "Responsiveness to changes in the RTT", Figure13)
 }
 
 // Figure12Spec declares the 1000-receiver RTT-measurement scenario: a
@@ -111,7 +111,7 @@ func rttStarSpec(n int) *scenario.Spec {
 func rttChangeReaction(c *RunCtx, n int, changeAt sim.Time, seed int64) sim.Time {
 	spec := rttStarSpec(n)
 	defer c.begin(spec.Name)()
-	sc := mustScenario(scenario.Build(c.ScenarioEnv(seed+int64(n)), spec))
+	sc := mustScenario(c.build(spec, seed+int64(n)))
 	sc.Start()
 	sc.RunUntil(changeAt)
 	sc.SiteLinks[0][0].SetDelay(148 * sim.Millisecond)

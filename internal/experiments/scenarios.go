@@ -32,20 +32,27 @@ func init() {
 	}
 }
 
-// runSpec executes spec on the configured execution engine —
-// the region engine when the context has engineWorkers >= 2, serial
-// otherwise — the one dispatch every scenario-spec run goes through.
-func (c *RunCtx) runSpec(spec *scenario.Spec, seed int64) (*scenario.Scenario, error) {
-	if w := c.engineWorkers; w >= 2 {
-		sc, st, err := engine.Run(c.ScenarioEnv(seed), spec, seed, w)
-		// The window schedule is a wall-structure diagnostic (-check
-		// ticks clip windows), not part of any determinism check.
-		c.stats.Windows += st.Windows
-		c.stats.WindowNS += st.WindowNS
-		c.stats.ShardSteps += st.ShardSteps
-		return sc, err
+// build builds spec on the next pooled environment for the configured
+// execution engine — the region engine when the context has
+// engineWorkers >= 2, serial otherwise — the one dispatch every scenario
+// goes through. The caller starts it and drives its clock with RunUntil.
+func (c *RunCtx) build(spec *scenario.Spec, seed int64) (*scenario.Scenario, error) {
+	env := c.scenarioEnv(seed)
+	if c.engineWorkers >= 2 {
+		return engine.Build(env, spec, seed)
 	}
-	return scenario.Run(c.ScenarioEnv(seed), spec)
+	return scenario.Build(env, spec)
+}
+
+// runSpec builds spec and runs it to its duration.
+func (c *RunCtx) runSpec(spec *scenario.Spec, seed int64) (*scenario.Scenario, error) {
+	sc, err := c.build(spec, seed)
+	if err != nil {
+		return nil, err
+	}
+	sc.Start()
+	sc.RunUntil(spec.Duration)
+	return sc, nil
 }
 
 // runScenario is runSpec for the hand-wired figure runners, which thereby

@@ -10,7 +10,7 @@ import (
 	"repro/internal/sweep"
 )
 
-func init() { registerSerial("14", "Maximum slowstart rate vs number of receivers", Figure14) }
+func init() { register("14", "Maximum slowstart rate vs number of receivers", Figure14) }
 
 // Figure14 measures the maximum rate reached during slowstart as a
 // function of the receiver-set size, in three settings with a fair rate
@@ -80,7 +80,7 @@ func slowstartSpec(nRecv int, bw float64, numTCP, qlen int) *scenario.Spec {
 func maxSlowstartRate(c *RunCtx, nRecv int, bw float64, numTCP, qlen int, seed int64) float64 {
 	spec := slowstartSpec(nRecv, bw, numTCP, qlen)
 	defer c.begin(spec.Name)()
-	sc := mustScenario(scenario.Build(c.ScenarioEnv(seed+int64(nRecv)), spec))
+	sc := mustScenario(c.build(spec, seed+int64(nRecv)))
 	// All flows start together, as in the paper.
 	sc.Start()
 	sch := sc.Env.Sch

@@ -112,8 +112,9 @@ func (sc *Scenario) flow(name string) (*Flow, error) {
 // with StartAt 0 are running and events are scheduled).
 func (sc *Scenario) Start() { sc.Sess.Start() }
 
-// RunUntil advances the simulation clock.
-func (sc *Scenario) RunUntil(t sim.Time) { sc.Env.Sch.RunUntil(t) }
+// RunUntil advances the simulation clock to t on whichever engine the
+// network was built for (see simnet.Network.RunUntil).
+func (sc *Scenario) RunUntil(t sim.Time) { sc.Env.Net.RunUntil(t) }
 
 // Series returns every collected series in declaration order: metered
 // receivers, metered flows, aggregates, samples. Intended for generic
@@ -135,27 +136,16 @@ func (sc *Scenario) Series() []*stats.Series {
 	return out
 }
 
-// Run builds the spec on env, starts the session, runs for the spec's
-// duration and returns the populated scenario. A malformed spec is a
-// structured error, never a panic.
-func Run(env Env, spec *Spec) (*Scenario, error) {
-	sc, err := Build(env, spec)
-	if err != nil {
-		return nil, err
-	}
-	sc.Start()
-	sc.RunUntil(spec.Duration)
-	return sc, nil
-}
-
 // Build instantiates the spec on env without starting the session or
 // advancing time: topology, sender and session, population, steps in
-// declaration order, then the event script. Callers that need a custom
-// measurement loop call Build, then Start and drive the clock themselves.
+// declaration order, then the event script. Callers then Start it and
+// drive the clock with RunUntil — once to the spec's duration, or in
+// slices for a measurement loop.
 //
 // Malformed specs — unknown refs, out-of-range indices, negative times,
-// duplicate flows, an unusable session config — return errors; on error the environment may be left
-// partially built and should be reset or discarded.
+// duplicate flows, an unusable session config — return errors, never
+// panics; on error the environment may be left partially built and
+// should be reset or discarded.
 func Build(env Env, spec *Spec) (*Scenario, error) {
 	if spec.Duration < 0 {
 		return nil, fmt.Errorf("scenario %s: negative duration %v", spec.Name, spec.Duration)

@@ -238,9 +238,6 @@ func (l *Link) xmit(pkt *Packet) {
 	}
 	if !l.Q.Enqueue(pkt, l.sched.Now()) {
 		l.Stats.DropQ++
-		if l.net.DropHook != nil {
-			l.net.DropHook(l, pkt)
-		}
 		l.net.releasePkt(pkt)
 		return
 	}

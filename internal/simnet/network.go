@@ -8,7 +8,9 @@ import (
 )
 
 // Network ties nodes and links together with unicast routing and
-// source-rooted multicast forwarding.
+// source-rooted multicast forwarding, and owns the clock: RunUntil runs
+// its scheduler, or on a sharded network (shard.go) its regions'
+// schedulers in lookahead windows, so callers step either kind alike.
 //
 // The per-packet fast path is allocation- and map-free: links live in a
 // flat slice with a CSR adjacency index, unicast routes are per-source
@@ -97,16 +99,20 @@ type Network struct {
 	// Sharded execution (EnableSharding): nodes are assigned to regions,
 	// each region runs on its own scheduler/RNG pair, and crossing-link
 	// propagation is routed through per-(src,dst) handoff outboxes drained
-	// at synchronization barriers. See shard.go.
-	sharded  bool
-	shardOf  []int32
-	shards   []*shardCtx
-	outbox   [][]handoff // K*K slices indexed src*K+dst
-	handRecv uint64
-	hints    map[NodeID]int32
+	// at the synchronization barriers between RunUntil's lookahead
+	// windows. See shard.go.
+	sharded   bool
+	shardOf   []int32
+	shards    []*shardCtx
+	outbox    [][]handoff // K*K slices indexed src*K+dst
+	handRecv  uint64
+	hints     map[NodeID]int32
+	lookahead sim.Time
 
-	// DropHook, when set, observes every congestion (queue) drop.
-	DropHook func(l *Link, pkt *Packet)
+	// Window schedule of the sharded run so far (see WindowCounts).
+	windows    uint64
+	windowNS   sim.Time
+	shardSteps uint64
 }
 
 // topoOp records one construction call for replay on Reset.
@@ -272,7 +278,6 @@ func (n *Network) Reset() bool {
 	}
 	clear(n.mcastTrees)
 	n.topoVer++
-	n.DropHook = nil
 	if n.runMutated {
 		// Mid-run delay mutations left routes computed against delays the
 		// replaying AddLink calls are about to restore; force a recompute.
@@ -291,6 +296,7 @@ func (n *Network) Reset() bool {
 		n.shards, n.outbox = nil, nil
 		n.shardOf = n.shardOf[:0]
 		n.handRecv = 0
+		n.windows, n.windowNS, n.shardSteps = 0, 0, 0
 	}
 	// Eagerly clear per-run link state (the replaying AddLink call resets
 	// again with that run's parameters): counters must not leak into the

@@ -277,21 +277,6 @@ func TestNoRouteIsCountedDrop(t *testing.T) {
 	}
 }
 
-func TestDropHookObservesCongestionDrops(t *testing.T) {
-	sch, net := newNet()
-	a, b := net.AddNode("a"), net.AddNode("b")
-	net.AddDuplex(a, b, 1e5, sim.Millisecond, 1)
-	drops := 0
-	net.DropHook = func(l *Link, pkt *Packet) { drops++ }
-	for i := 0; i < 5; i++ {
-		net.Send(&Packet{Size: 1000, Src: Addr{a, 1}, Dst: Addr{b, 1}})
-	}
-	sch.Run()
-	if drops != 3 {
-		t.Fatalf("hook saw %d drops, want 3", drops)
-	}
-}
-
 func TestDeterministicDelivery(t *testing.T) {
 	run := func() []sim.Time {
 		sch, net := newNet()

@@ -9,9 +9,9 @@ import "repro/internal/sim"
 // modules, serialisers, propagation, protocol timers — runs on the
 // region's shard; the only inter-region interaction is propagation over a
 // crossing link, which is appended to a per-(src,dst) outbox and drained
-// into the destination shard at the next synchronization barrier. The
-// engine (internal/engine) steps the shards one after another on one
-// goroutine, in conservative lookahead windows no wider than the minimum
+// into the destination shard at the next synchronization barrier.
+// RunUntil steps the shards one after another on the calling goroutine,
+// in conservative lookahead windows no wider than the minimum
 // crossing-link delay, so a handoff's arrival time is always at or after
 // the next barrier and the destination scheduler never sees an event in
 // its past. Everything else — the packet free lists, routes, compiled
@@ -26,6 +26,10 @@ type shardCtx struct {
 	sched *sim.Scheduler
 	rng   *sim.Rand // network stream: loss/corrupt/dup/reorder draws
 	proto *sim.Rand // protocol stream: e.g. feedback suppression draws
+
+	// next is the shard's earliest pending event at the last peek, MaxTime
+	// if none.
+	next sim.Time
 
 	// sent counts the handoffs this shard pushed; dirty lists the
 	// destinations whose outbox it made non-empty since the last drain, so
@@ -48,27 +52,108 @@ type ShardSetup struct {
 	ProtoRng *sim.Rand
 }
 
-// EnableSharding switches the network to sharded execution: shardOf maps
-// every node (present and to be built — the caller derives it from a
-// scratch build of the same scenario) to a region, and setups binds each
-// region's scheduler and RNGs. Existing links are rebound; links added
-// later bind on creation. Reset tears sharding down again.
-func (n *Network) EnableSharding(shardOf []int32, setups []ShardSetup) {
+// EnableSharding switches the network to sharded execution: p maps every
+// node (present and to be built — the caller derives it from a scratch
+// build of the same scenario) to a region and bounds RunUntil's windows
+// by its lookahead, and setups binds each region's scheduler and RNGs.
+// Existing links are rebound; links added later bind on creation. Reset
+// tears sharding down again.
+func (n *Network) EnableSharding(p Partition, setups []ShardSetup) {
 	k := len(setups)
 	if k == 0 {
 		panic("simnet: EnableSharding with no shards")
 	}
 	n.sharded = true
-	n.shardOf = append(n.shardOf[:0], shardOf...)
+	n.shardOf = append(n.shardOf[:0], p.ShardOf...)
+	n.lookahead = p.Lookahead
 	n.shards = make([]*shardCtx, k)
 	for i, s := range setups {
 		n.shards[i] = &shardCtx{sched: s.Sched, rng: s.NetRng, proto: s.ProtoRng}
 	}
 	n.outbox = make([][]handoff, k*k)
 	n.handRecv = 0
+	n.windows, n.windowNS, n.shardSteps = 0, 0, 0
 	for _, l := range n.linkList {
 		n.bindLink(l)
 	}
+}
+
+// RunUntil advances the simulation to time t. A serial network runs its
+// scheduler. A sharded one runs windows: each ends at the earliest pending
+// shard event plus the lookahead (no shard can emit a cross-region packet
+// before its first event, so every future handoff arrives at or after
+// that), clipped to t and to the next control event, which must see the
+// shards at its own time. Idle stretches — suppression silences,
+// converged steady state — thus collapse into one wide window instead of
+// a barrier per lookahead quantum. At each barrier the busy shards step
+// to the window end, the control events due run, and the handoffs either
+// of them pushed are drained before the next window is sized. The drain
+// also runs on entry, for whatever the caller sent between two calls.
+func (n *Network) RunUntil(t sim.Time) {
+	ctl := n.sched
+	if !n.sharded {
+		ctl.RunUntil(t)
+		return
+	}
+	n.DrainHandoffs()
+	n.BarrierSync()
+	for now := ctl.Now(); ; now = ctl.Now() {
+		end := t
+		// emin == MaxTime means no shard has pending work: only a control
+		// event can create any, and the clip below handles it.
+		if emin := n.peek(); n.lookahead < InfiniteLookahead && emin < sim.MaxTime {
+			if w := emin + n.lookahead; w >= emin && w < end {
+				end = w
+			}
+		}
+		if ct, ok := ctl.PeekTime(); ok && ct < end {
+			end = ct
+		}
+		end = max(end, now)
+		n.shardSteps += uint64(n.stepTo(end))
+		ctl.RunUntil(end)
+		n.DrainHandoffs()
+		n.BarrierSync()
+		n.windows++
+		n.windowNS += end - now
+		if end >= t {
+			return
+		}
+	}
+}
+
+// peek records every shard's earliest pending event time and returns
+// the minimum, sim.MaxTime when no shard has anything pending.
+func (n *Network) peek() sim.Time {
+	emin := sim.MaxTime
+	for _, sc := range n.shards {
+		t, ok := sc.sched.PeekTime()
+		if !ok {
+			t = sim.MaxTime
+		}
+		sc.next = t
+		emin = min(emin, t)
+	}
+	return emin
+}
+
+// stepTo brings every shard to time end and returns how many had an
+// event due by then. Only those run, in region order; the others just
+// have their clock moved: a shard's schedule cannot change before the
+// barrier except through its own events — the control events and the
+// handoff drain, the only other writers, run after it — so a shard with
+// nothing due at the last peek has nothing to run.
+func (n *Network) stepTo(end sim.Time) int {
+	busy := 0
+	for _, sc := range n.shards {
+		if sc.next <= end {
+			sc.sched.RunUntil(end)
+			busy++
+		} else {
+			sc.sched.AdvanceTo(end)
+		}
+	}
+	return busy
 }
 
 // Sharded reports whether the network is in sharded execution mode.
@@ -220,15 +305,26 @@ func (n *Network) ShardBatches() uint64 {
 }
 
 // HandoffCounts returns the cross-region handoffs pushed by all shards
-// and the handoffs drained into destination shards. After a final drain
-// the two are equal; engine.TestEngineStatsConservation and bench/ pin
-// that conservation.
+// and the handoffs drained into destination shards. After RunUntil
+// returns the two are equal; engine.TestEngineStatsConservation and
+// bench/ pin that conservation.
 func (n *Network) HandoffCounts() (sent, recv uint64) {
 	for _, sc := range n.shards {
 		sent += sc.sent
 	}
 	return sent, n.handRecv
 }
+
+// WindowCounts returns RunUntil's window schedule since sharding was
+// enabled: the windows run, their summed widths, and the summed count of
+// shards each stepped (mean busy shards = steps/windows).
+func (n *Network) WindowCounts() (windows uint64, width sim.Time, steps uint64) {
+	return n.windows, n.windowNS, n.shardSteps
+}
+
+// ControlNow is the control scheduler's clock, the reference the
+// cross-shard invariants compare shard clocks against.
+func (n *Network) ControlNow() sim.Time { return n.sched.Now() }
 
 // ShardClocks returns each shard scheduler's current time (nil when not
 // sharded). At a barrier every entry equals the control clock; the

@@ -20,7 +20,7 @@ func drainStar(srcs, dsts int) (n *Network, setups []ShardSetup, links [][]*Link
 		shardOf[i] = int32(i)
 		setups = append(setups, ShardSetup{Sched: sim.NewScheduler(), NetRng: sim.NewRand(int64(2 * i)), ProtoRng: sim.NewRand(int64(2*i + 1))})
 	}
-	n.EnableSharding(shardOf, setups)
+	n.EnableSharding(Partition{ShardOf: shardOf, Shards: k, Lookahead: sim.Millisecond}, setups)
 	nodes := make([]NodeID, k)
 	for i := range nodes {
 		nodes[i] = n.AddNode("")

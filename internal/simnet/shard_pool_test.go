@@ -34,7 +34,7 @@ func TestShardedPoolRecirculates(t *testing.T) {
 			{Sched: sim.NewScheduler(), NetRng: sim.NewRand(2), ProtoRng: sim.NewRand(3)},
 			{Sched: sim.NewScheduler(), NetRng: sim.NewRand(4), ProtoRng: sim.NewRand(5)},
 		}
-		n.EnableSharding([]int32{0, 1}, setups)
+		n.EnableSharding(Partition{ShardOf: []int32{0, 1}, Shards: 2, Lookahead: lookahead}, setups)
 		a, b := n.AddNode("a"), n.AddNode("b")
 		n.AddDuplex(a, b, 0, lookahead, 0)
 		got := 0

@@ -75,8 +75,7 @@ type Receiver struct {
 	SuppressCancels int64
 	Losses          int64
 	LossEvents      int64
-	StaleDiscards   int64  // stale/malformed data packets discarded unprocessed
-	OnFirstRTT      func() // optional hook fired at the first valid measurement
+	StaleDiscards   int64 // stale/malformed data packets discarded unprocessed
 
 	samples recvSamples
 }
@@ -157,7 +156,6 @@ func (r *Receiver) init(id ReceiverID, net *simnet.Network, node simnet.NodeID, 
 	r.LossEvents = 0
 	r.PacketsRecv = 0
 	r.StaleDiscards = 0
-	r.OnFirstRTT = nil
 	r.Meter = nil
 	r.lastSuppress = 0
 	net.Bind(r.addr, r)
@@ -381,9 +379,6 @@ func (r *Receiver) updateRTT(d *Data, now sim.Time) {
 // aggregated with the too-high initial RTT are split, and the synthetic
 // first loss interval is rescaled by (R/R_init)².
 func (r *Receiver) onFirstRTTMeasurement(*Data) {
-	if r.OnFirstRTT != nil {
-		r.OnFirstRTT()
-	}
 	if !r.est.HaveLoss() {
 		return
 	}
