@@ -84,20 +84,23 @@ func main() {
 		os.Exit(2)
 	}
 
-	// The two flags converted to integer sim.Time must be finite before
-	// the conversion; every other range check is Spec.Apply's.
+	// The two flags converted to integer sim.Time must be finite and fit
+	// in it before the conversion (which would saturate); every other
+	// range check is Spec.Apply's.
 	for _, f := range []struct {
-		name string
-		v    float64
-	}{{"-duration", *duration}, {"-coredelay", *coredelay}} {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+		name    string
+		v, unit float64
+	}{{"-duration", *duration, float64(sim.Second)}, {"-coredelay", *coredelay, float64(sim.Millisecond)}} {
+		if limit := float64(sim.MaxTime) / f.unit; math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			fail(fmt.Errorf("%s %v: not a finite number", f.name, f.v))
+		} else if math.Abs(f.v) >= limit {
+			fail(fmt.Errorf("%s %v: out of range (magnitude must be below %.4g)", f.name, f.v, limit))
 		}
 	}
 	ov := scenario.Overrides{
 		Duration:  sim.FromSeconds(*duration),
 		CoreBW:    *corebw * 125000,
-		CoreDelay: sim.Time(*coredelay * float64(sim.Millisecond)),
+		CoreDelay: sim.FromMillis(*coredelay),
 		CoreLoss:  *coreloss,
 		CoreQueue: *corequeue,
 		EdgeLoss:  *edgeloss,

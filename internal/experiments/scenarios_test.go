@@ -5,8 +5,39 @@ import (
 	"testing"
 
 	"repro/internal/scenario"
+	"repro/internal/sim"
 	"repro/internal/sweep"
 )
+
+// TestStarvedCoreLinkDeliversNothing is figure 9 at -corebw 1e-30
+// -duration 5: one packet's serialisation time is beyond sim.Time's
+// range, so the core link must hold its first packet for ever. It used to
+// deliver everything in zero time, because the overflowed duration came
+// out negative and After read it as "now".
+func TestStarvedCoreLinkDeliversNothing(t *testing.T) {
+	ov := scenario.None()
+	ov.CoreBW = 1e-30 * 125000
+	ov.Duration = 5 * sim.Second
+	spec, err := Figure9Spec().Apply(ov)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := NewRunCtx().runSpec(spec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	core, err := sc.Link(scenario.CoreLink(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if core.Stats.Sent == 0 {
+		t.Fatal("no packet was offered to the core link; the test proves nothing")
+	}
+	if core.Stats.Deliver != 0 {
+		t.Fatalf("core link at 1e-30 Mbit/s delivered %d of %d packets in 5 s, want 0",
+			core.Stats.Deliver, core.Stats.Sent)
+	}
+}
 
 // TestScenarioRewindVsFresh pins the arena interplay of the scenario
 // executor: running a preset on a warm context (rewound scheduler,

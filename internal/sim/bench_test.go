@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func BenchmarkSchedulerScheduleRun(b *testing.B) {
 	b.ReportAllocs()
@@ -11,6 +14,32 @@ func BenchmarkSchedulerScheduleRun(b *testing.B) {
 		s.Step()
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
+}
+
+// BenchmarkSchedulerHold is the hold model of bench/'s sim.probe.hold_ns
+// probes: a heap kept at a steady depth, each executed event scheduling
+// its successor an exponential delay (mean 1 ms) ahead, drained by
+// RunUntil. It puts a layer number on a heap-kernel change without the
+// benchmark module.
+func BenchmarkSchedulerHold(b *testing.B) {
+	for _, depth := range []int{64, 1024, 16384} {
+		b.Run(fmt.Sprintf("depth%d", depth), func(b *testing.B) {
+			s, rng := NewScheduler(), NewRand(1)
+			var fn func(any)
+			fn = func(any) { s.AfterArg(Time(rng.Exp(1e6))+1, fn, nil) }
+			for i := 0; i < depth; i++ {
+				fn(nil)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			// Mean delay 1e6 ns at this depth: N events take N*1e6/depth ns.
+			s.RunUntil(Time(float64(b.N) * 1e6 / float64(depth)))
+			b.StopTimer()
+			if n := s.Processed(); n > 0 {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/event")
+			}
+		})
+	}
 }
 
 func BenchmarkSchedulerChurn1k(b *testing.B) {

@@ -142,7 +142,12 @@ func (s *refSched) after(d Time, fn func()) func() bool {
 		d = 0
 	}
 	s.seq++
-	tm := &refTimer{at: s.now + d, seq: s.seq, fn: fn, index: -1}
+	return s.push(s.now+d, s.seq, fn)
+}
+
+// push queues fn under an explicit (at, seq) key and returns its cancel.
+func (s *refSched) push(at Time, seq uint64, fn func()) func() bool {
+	tm := &refTimer{at: at, seq: seq, fn: fn, index: -1}
 	heap.Push(&s.events, tm)
 	return func() bool {
 		if tm.stopped || tm.index < 0 {

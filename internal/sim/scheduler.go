@@ -1,5 +1,7 @@
 package sim
 
+import "math/bits"
+
 // The scheduler is the innermost loop of every experiment, so it avoids
 // container/heap (interface boxing, per-op dynamic dispatch) in favour of
 // a hand-rolled 4-ary min-heap of small value entries, and avoids per-event
@@ -7,8 +9,11 @@ package sim
 // make Timer handles safe across slot reuse: a stale handle (fired or
 // stopped timer) simply no-ops. Cancelled timers are removed lazily; when
 // more than half the queue is dead the heap is compacted in one pass.
-// There is one dispatch loop (batchDrain): it pops each run of
-// same-timestamp events in one heap pass, and coalesced sources park
+// The (time, seq) order has one definition, lessBit, a branch-free
+// 128-bit compare, and siftDown picks the least of a full node's four
+// children with masks rather than jumps. There is one dispatch loop
+// (batchDrain): it pops each run of same-timestamp events into a batch,
+// one popTop per member, and dispatches the batch; coalesced sources park
 // arrivals outside the heap under reserved seqs (ReserveSeq, AtSeqArg,
 // CanInline), so neither changes the (time, seq) order events run in.
 
@@ -129,12 +134,17 @@ func (s *Scheduler) At(t Time, fn func()) Timer {
 	return s.schedule(t, fn, nil, nil)
 }
 
-// After schedules fn to run d after the current time.
+// After schedules fn to run d after the current time. A negative d reads
+// as 0, and the sum saturates at MaxTime.
 func (s *Scheduler) After(d Time, fn func()) Timer {
-	if d < 0 {
-		d = 0
+	return s.schedule(s.later(d), fn, nil, nil)
+}
+
+func (s *Scheduler) later(d Time) Time {
+	if d > MaxTime-s.now {
+		return MaxTime
 	}
-	return s.schedule(s.now+d, fn, nil, nil)
+	return s.now + max(d, 0)
 }
 
 // AtArg schedules fn(arg) at absolute time t. Unlike At it needs no
@@ -146,10 +156,7 @@ func (s *Scheduler) AtArg(t Time, fn func(any), arg any) Timer {
 
 // AfterArg schedules fn(arg) to run d after the current time.
 func (s *Scheduler) AfterArg(d Time, fn func(any), arg any) Timer {
-	if d < 0 {
-		d = 0
-	}
-	return s.schedule(s.now+d, nil, fn, arg)
+	return s.schedule(s.later(d), nil, fn, arg)
 }
 
 func (s *Scheduler) schedule(t Time, fn func(), fnArg func(any), arg any) Timer {
@@ -209,16 +216,11 @@ func (s *Scheduler) CanInline(t Time, seq uint64) bool {
 	// as much "earliest queued" as the heap top: batched dispatch
 	// publishes the next member's key here so inlined arrivals cannot
 	// jump ahead of it.
-	if s.pendSeq != 0 && (s.pendAt < t || (s.pendAt == t && s.pendSeq < seq)) {
+	key := heapEntry{at: t, seq: seq}
+	if s.pendSeq != 0 && entryLess(heapEntry{at: s.pendAt, seq: s.pendSeq}, key) {
 		return false
 	}
-	if len(s.heap) > 0 {
-		top := s.heap[0]
-		if top.at < t || (top.at == t && top.seq < seq) {
-			return false
-		}
-	}
-	return true
+	return len(s.heap) == 0 || !entryLess(s.heap[0], key)
 }
 
 // NoteInlineEvent accounts for one event executed outside the heap (a
@@ -269,11 +271,27 @@ func (s *Scheduler) reap() {
 	}
 }
 
-func entryLess(a, b heapEntry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+// lessBit is 1 when a orders before b, else 0: the borrow out of the
+// 128-bit subtraction (a.at, a.seq) − (b.at, b.seq), with at's sign bit
+// flipped so the signed times compare as unsigned. It is the only
+// definition of the order: entryLess and least are built on it.
+func lessBit(a, b heapEntry) uint64 {
+	const sign = 1 << 63
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.at)^sign, uint64(b.at)^sign, borrow)
+	return borrow
+}
+
+func entryLess(a, b heapEntry) bool { return lessBit(a, b) != 0 }
+
+// least returns the key of the lesser of x (at index i) and y (at j) and
+// that index, selected with a mask rather than a branch. Only at and seq
+// are selected; the returned entry's other fields are x's.
+func least(x heapEntry, i int, y heapEntry, j int) (heapEntry, int) {
+	m := -lessBit(y, x)
+	x.at ^= (x.at ^ y.at) & Time(m)
+	x.seq ^= (x.seq ^ y.seq) & m
+	return x, i ^ (i^j)&int(m)
 }
 
 func (s *Scheduler) push(e heapEntry) {
@@ -308,6 +326,22 @@ func (s *Scheduler) siftDown(i int) {
 	h := s.heap
 	n := len(h)
 	e := h[i]
+	// Full nodes: pick the least of the four children as a two-round
+	// tournament of mask selects, with no jumps. The keys are random, so a
+	// compare-and-branch per child mispredicts about as often as not.
+	for c := i*4 + 1; c+4 <= n; c = i*4 + 1 {
+		kids := (*[4]heapEntry)(h[c : c+4])
+		x, best := least(kids[0], 0, kids[1], 1)
+		y, j := least(kids[2], 2, kids[3], 3)
+		x, best = least(x, best, y, j)
+		if !entryLess(x, e) {
+			h[i] = e
+			return
+		}
+		h[i] = kids[best&3]
+		i = c + best&3
+	}
+	// The last, partial node.
 	for {
 		c := i*4 + 1
 		if c >= n {
@@ -382,8 +416,8 @@ func (s *Scheduler) Step() bool {
 
 // RunUntil executes events until the clock would pass t; afterwards the
 // clock reads exactly t. Events at exactly t are executed. Dispatch is
-// in bursts: the maximal run of same-timestamp entries is popped in one
-// heap pass and dispatched as a slice, re-checking each entry's
+// in bursts: the maximal run of same-timestamp entries is popped, one
+// popTop per entry, and dispatched as a slice, re-checking each entry's
 // generation at dispatch time so a member cancelled by an earlier member
 // still no-ops. Events a member schedules at the same instant land in a
 // follow-up batch — their seqs are higher than every popped member's,
@@ -462,7 +496,7 @@ func (s *Scheduler) batchDrain(t Time) {
 			// An earlier member may have scheduled an event at this very
 			// instant under a reserved seq (AtSeqArg) that precedes e. It
 			// sits in the heap, not in buf, and must run first.
-			for len(s.heap) > 0 && s.heap[0].at == at && s.heap[0].seq < e.seq {
+			for len(s.heap) > 0 && entryLess(s.heap[0], e) {
 				s.pendAt, s.pendSeq = at, e.seq
 				s.runTop()
 			}

@@ -30,6 +30,52 @@ func TestTimeScaleSaturates(t *testing.T) {
 	}
 }
 
+// TestTimeConversionsSaturate: a duration too long for sim.Time becomes
+// ±MaxTime, not MinInt64, which the scheduler would read as "now".
+func TestTimeConversionsSaturate(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		got  Time
+		want Time
+	}{
+		{"FromSeconds(1e30)", FromSeconds(1e30), MaxTime},
+		{"FromSeconds(300 years)", FromSeconds(300 * 365 * 86400), MaxTime},
+		{"FromSeconds(+Inf)", FromSeconds(math.Inf(1)), MaxTime},
+		{"FromSeconds(NaN)", FromSeconds(math.NaN()), MaxTime},
+		{"FromSeconds(-1e30)", FromSeconds(-1e30), -MaxTime},
+		{"FromSeconds(-Inf)", FromSeconds(math.Inf(-1)), -MaxTime},
+		{"FromMillis(1e300)", FromMillis(1e300), MaxTime},
+		{"FromMillis(NaN)", FromMillis(math.NaN()), MaxTime},
+		{"FromMillis(-1e300)", FromMillis(-1e300), -MaxTime},
+		{"Second.Scale(NaN)", Second.Scale(math.NaN()), MaxTime},
+		{"MaxTime.Scale(-2)", MaxTime.Scale(-2), -MaxTime},
+		{"FromSeconds(9e9)", FromSeconds(9e9), Time(9e18)},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
+		}
+	}
+}
+
+// TestAfterSaturatesAtMaxTime: now + d past the end of time is MaxTime —
+// no "scheduled in the past" panic, no firing early.
+func TestAfterSaturatesAtMaxTime(t *testing.T) {
+	s := NewScheduler()
+	s.RunUntil(Second)
+	var fired []Time
+	s.After(MaxTime, func() { fired = append(fired, s.Now()) })
+	s.AfterArg(MaxTime-Second/2, func(any) { fired = append(fired, s.Now()) }, nil)
+	s.After(FromSeconds(1e30), func() { fired = append(fired, s.Now()) })
+	s.RunUntil(MaxTime - 1)
+	if len(fired) != 0 {
+		t.Fatalf("saturated timers fired at %v, before MaxTime", fired)
+	}
+	s.Run()
+	if len(fired) != 3 || fired[0] != MaxTime || fired[2] != MaxTime {
+		t.Fatalf("saturated timers fired at %v, want three at MaxTime", fired)
+	}
+}
+
 func TestMinMaxTime(t *testing.T) {
 	if MinTime(Second, 2*Second) != Second {
 		t.Fatal("MinTime wrong")

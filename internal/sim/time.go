@@ -33,19 +33,29 @@ func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
 // String formats the time with millisecond precision for traces.
 func (t Time) String() string { return fmt.Sprintf("%.6fs", t.Seconds()) }
 
-// FromSeconds converts a duration in seconds to a Time.
-func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
+// FromSeconds converts a duration in seconds to a Time, saturating at
+// ±MaxTime; NaN reads as MaxTime.
+func FromSeconds(s float64) Time { return saturate(s * float64(Second)) }
 
-// FromMillis converts a duration in milliseconds to a Time.
-func FromMillis(ms float64) Time { return Time(ms * float64(Millisecond)) }
+// FromMillis converts a duration in milliseconds to a Time, saturating
+// like FromSeconds.
+func FromMillis(ms float64) Time { return saturate(ms * float64(Millisecond)) }
 
-// Scale multiplies a time by a dimensionless factor, saturating at MaxTime.
-func (t Time) Scale(f float64) Time {
-	v := float64(t) * f
-	if v >= float64(math.MaxInt64) {
+// Scale multiplies a time by a dimensionless factor, saturating like
+// FromSeconds.
+func (t Time) Scale(f float64) Time { return saturate(float64(t) * f) }
+
+// saturate converts nanoseconds to a Time. A bare conversion of a value
+// outside int64 (or of NaN) is MinInt64 on amd64, which turns a duration
+// too long to represent into one the scheduler reads as "now".
+func saturate(ns float64) Time {
+	if !(ns < float64(MaxTime)) { // ≥ 2⁶³, or NaN
 		return MaxTime
 	}
-	return Time(v)
+	if ns <= -float64(MaxTime) {
+		return -MaxTime
+	}
+	return Time(ns)
 }
 
 // MinTime returns the smaller of a and b.
