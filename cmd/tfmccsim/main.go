@@ -176,9 +176,10 @@ func main() {
 
 // flagConflict rejects flag combinations in which a flag given on the
 // command line (set, as flag.Visit reports them) would be silently
-// ignored: two selectors at once, an override without the scenario
-// executor to apply it, or a multi-seed sweep of a -scenario run, which
-// is single-seed. The error names the offending flag.
+// ignored: two selectors at once, -spec-out without -scenario (the only
+// run it exports), an override without the scenario executor to apply
+// it, or a multi-seed sweep of a -scenario run, which is single-seed.
+// The error names the offending flag.
 func flagConflict(set map[string]bool, seeds int) error {
 	var selectors []string
 	for _, s := range []string{"figure", "all", "scenario", "scenario-file", "list"} {
@@ -188,6 +189,9 @@ func flagConflict(set map[string]bool, seeds int) error {
 	}
 	if len(selectors) > 1 {
 		return fmt.Errorf("%s: give one of them; each selects what to run", strings.Join(selectors, " and "))
+	}
+	if set["spec-out"] && !set["scenario"] {
+		return fmt.Errorf("-spec-out: exports the spec of a -scenario entry only")
 	}
 	if set["scenario"] || set["scenario-file"] {
 		if seeds > 1 {

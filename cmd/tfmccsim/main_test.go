@@ -21,6 +21,11 @@ func TestFlagConflict(t *testing.T) {
 		{"scenario ci", 1, "-ci"},
 		{"figure scenario", 1, "-figure and -scenario"},
 		{"all scenario", 1, "-all and -scenario"},
+		{"figure spec-out", 1, "-spec-out"},
+		{"scenario-file spec-out", 1, "-spec-out"},
+		{"all spec-out", 1, "-spec-out"},
+		{"list spec-out", 1, "-spec-out"},
+		{"spec-out", 1, "-spec-out"},
 
 		{"scenario duration coreloss seed check tsv engineworkers", 1, ""},
 		{"scenario seeds spec-out", 1, ""}, // -seeds 1 is the default spelled out

@@ -46,7 +46,7 @@ type Stats struct {
 	Windows       uint64   // synchronization windows executed
 	WindowNS      sim.Time // summed window widths (mean width = WindowNS/Windows)
 	ShardSteps    uint64   // summed busy shards per window (mean busy = ShardSteps/Windows)
-	Batches       uint64   // dispatch batches across control + shard schedulers
+	Batches       uint64   // dispatch instants across control + shard schedulers
 	ShardEvents   []uint64 // events executed per region scheduler
 	ControlEvents uint64   // events executed on the control scheduler
 	HandoffsSent  uint64   // cross-region packets pushed by source shards

@@ -221,7 +221,7 @@ func TestEngineStatsConservation(t *testing.T) {
 		if st.Events != st.ControlEvents+shardEvents {
 			t.Errorf("%s: event decomposition broken: total %d, control+shards %d", tc.id, st.Events, st.ControlEvents+shardEvents)
 		}
-		// Window accounting: burst dispatch only coalesces events, every
+		// Window accounting: a batch is a run of events at one instant, every
 		// sharded run executes a window, a window steps between none and all
 		// of the shards, and a stepped shard runs at least one event.
 		if st.Batches > st.Events {

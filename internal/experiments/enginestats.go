@@ -53,7 +53,7 @@ type EngineStats struct {
 	// Dispatch diagnostics: mean batch occupancy is Events/Batches; the
 	// last three describe the region window schedule. They vary
 	// with -check (checker ticks add events and clip windows).
-	Batches    uint64   `json:"batches" stat:"sum"`     // dispatch batches executed, every scheduler
+	Batches    uint64   `json:"batches" stat:"sum"`     // dispatch instants, every scheduler
 	Windows    uint64   `json:"windows" stat:"sum"`     // region synchronization windows
 	WindowNS   sim.Time `json:"window_ns" stat:"sum"`   // summed window widths
 	ShardSteps uint64   `json:"shard_steps" stat:"sum"` // summed per-window counts of shards that had an event due

@@ -100,15 +100,14 @@ type RunCtx struct {
 	key           string
 	envs          map[string][]*env
 	next          int
-	reuse         bool
 	check         bool
 	engineWorkers int
 	stats         EngineStats
 	violations    []invariant.Violation
 }
 
-// NewRunCtx returns a context with environment reuse enabled.
-func NewRunCtx() *RunCtx { return &RunCtx{envs: map[string][]*env{}, reuse: true} }
+// NewRunCtx returns a context with an empty environment arena.
+func NewRunCtx() *RunCtx { return &RunCtx{envs: map[string][]*env{}} }
 
 // NewRunCtxFor returns a context configured from the run options — the
 // invariant checker armed when cfg.Check, the execution engine selected
@@ -260,9 +259,7 @@ func (c *RunCtx) newEnv(seed int64) *env {
 	sch := sim.NewScheduler()
 	netRng := sim.NewRand(seed)
 	e := &env{sch: sch, net: simnet.New(sch, netRng), rng: sim.NewRand(seed + 7), netRng: netRng}
-	if c.reuse {
-		e.net.EnableReuse()
-	}
+	e.net.EnableReuse()
 	c.envs[c.key] = append(list, e)
 	c.next++
 	c.armChecker(e)
@@ -289,12 +286,12 @@ func (c *RunCtx) armChecker(e *env) {
 		}
 		return ""
 	})
-	// A ring entry holds a packet reference, so parked arrivals imply live
+	// A train copy holds a packet reference, so parked copies imply live
 	// packets. The converse bound (held <= live) does NOT hold: a multicast
-	// packet fans one live allocation out to many link rings.
-	e.check.Register("ring-conservation", func() string {
-		if held, live := net.RingHeld(), net.LivePackets(); held > 0 && live == 0 {
-			return fmt.Sprintf("link ring conservation broken: %d ring-held arrivals with no live packets", held)
+	// packet fans one live allocation out to many train copies.
+	e.check.Register("train-conservation", func() string {
+		if held, live := net.TrainHeld(), net.LivePackets(); held > 0 && live == 0 {
+			return fmt.Sprintf("fan-out train conservation broken: %d copies on trains with no live packets", held)
 		}
 		return ""
 	})
@@ -310,9 +307,9 @@ func (c *RunCtx) scenarioEnv(seed int64) scenario.Env {
 }
 
 // rewind restores the environment to the state newEnv would have built
-// fresh for seed. When the network cannot be rewound (reuse disabled or a
-// replay-incompatible construction), it is rebuilt from scratch — always
-// correct, just without the reuse speedup.
+// fresh for seed. When the network cannot be rewound (a construction
+// replay cannot follow), it is rebuilt from scratch — always correct,
+// just without the reuse speedup.
 func (e *env) rewind(seed int64) {
 	e.sch.Reset()
 	if !e.net.Reset() {

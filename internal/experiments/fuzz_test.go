@@ -148,6 +148,35 @@ func mutateJSON(doc, mut []byte) []byte {
 	return out
 }
 
+// fuzzOverrides folds a leading override record out of the mutation
+// bytes. When the first byte has its top bit set, it and the next three
+// become a scenario.Overrides — the second byte's bits pick the fields,
+// the last two give their values, loss fields included out of [0, 1] and
+// the queue limit negative — and the rest of mut is returned; otherwise
+// the overrides are None and mut is returned whole.
+func fuzzOverrides(mut []byte) (scenario.Overrides, []byte) {
+	ov := scenario.None()
+	if len(mut) < 4 || mut[0]&0x80 == 0 {
+		return ov, mut
+	}
+	pick, a, b := mut[1], int(mut[2]), int(mut[3])
+	for bit, set := range []func(){
+		func() { ov.Cohort = 8 * a },
+		func() { ov.Receivers = b },
+		func() { ov.Fanout = a % 8 },
+		func() { ov.Depth = b % 6 },
+		func() { ov.Hops = a % 12 },
+		func() { ov.CoreLoss = float64(b)/128 - 0.5 },
+		func() { ov.EdgeLoss = float64(a)/128 - 0.5 },
+		func() { ov.CoreQueue = b - 64 },
+	} {
+		if pick&(1<<bit) != 0 {
+			set()
+		}
+	}
+	return ov, mut[4:]
+}
+
 // fuzzTooExpensive deterministically rejects decoded specs whose
 // mutated numeric fields would make the run unaffordable for a fuzz
 // iteration (a digit tweak can turn 40 receivers into 940). The bound
@@ -157,11 +186,13 @@ func fuzzTooExpensive(spec *scenario.Spec) bool {
 }
 
 // FuzzScenarioSpec drives randomly mutated scenario specs — every
-// registered Spec-backed entry with fuzz-chosen fault events spliced in —
-// through the executor. The mutation bytes are split in half: the first
-// half becomes structured fault events (mutateSpec), the second half a
-// byte-level edit script over the spec's serialised JSON form
-// (mutateJSON), so the strict loader sits inside the fuzzed path too.
+// registered Spec-backed entry with fuzz-chosen overrides and fault events
+// spliced in — through the executor. An optional leading record of the
+// mutation bytes becomes command-line overrides applied with Spec.Apply
+// (fuzzOverrides); the rest is split in half: the first half becomes
+// structured fault events (mutateSpec), the second half a byte-level edit
+// script over the spec's serialised JSON form (mutateJSON), so the strict
+// loader sits inside the fuzzed path too.
 // The contract under test: a spec either fails to decode/build/run with
 // a structured error or runs deterministically (two runs with the same
 // seed are byte-identical); it never panics.
@@ -172,6 +203,12 @@ func FuzzScenarioSpec(f *testing.F) {
 		f.Add(id, int64(i+1), []byte{byte(i), 0x40, byte(2 * i), 1, 0, byte(i), 0x17, 2, 0, 40, 3, 1, 9})
 	}
 	f.Add(zeroPacketSizeID, int64(1), []byte{})
+	// Override records: a cohort replacing the receivers (with a fault
+	// event after it), a cohort on a tree reshaped by fan-out and depth,
+	// and a core loss of 1.49 that Apply must refuse.
+	f.Add("degrade", int64(1), []byte{0x80, 0x01, 5, 0, 4, 0x40, 0, 1})
+	f.Add("deeptree", int64(2), []byte{0x80, 0x0d, 2, 3})
+	f.Add("clrfail", int64(3), []byte{0x80, 0x21, 1, 0xff})
 	f.Fuzz(func(t *testing.T, id string, seed int64, mut []byte) {
 		base := zeroPacketSize
 		if id != zeroPacketSizeID {
@@ -185,6 +222,11 @@ func FuzzScenarioSpec(f *testing.F) {
 			spec := base()
 			if spec.Duration > fuzzDuration {
 				spec.Duration = fuzzDuration
+			}
+			ov, mut := fuzzOverrides(mut)
+			spec, err := spec.Apply(ov)
+			if err != nil {
+				return "", err
 			}
 			half := len(mut) / 2
 			mutateSpec(spec, mut[:half])

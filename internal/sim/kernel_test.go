@@ -124,11 +124,10 @@ func kernelProgram(seed int64, d kernelOps) []int {
 }
 
 // TestHeapKernelMatchesReference runs kernel programs on the pooled 4-ary
-// heap — through the event-at-a-time Step loop and through Run's burst
-// dispatch — and on the container/heap reference, and requires the same
-// dispatch order. Guards: the full-node child selection ran (≥ 1000 pops
-// with ≥ 5 entries left queued), cancellation reaped, ties were dense and
-// reserved seqs were used.
+// heap — through the Step loop and through Run — and on the container/heap
+// reference, and requires the same dispatch order. Guards: the full-node
+// child selection ran (≥ 1000 pops with ≥ 5 entries left queued),
+// cancellation reaped, ties were dense and reserved seqs were used.
 func TestHeapKernelMatchesReference(t *testing.T) {
 	var deepPops, reaps, atSeqs, maxTie int
 	for seed := int64(1); seed <= 30; seed++ {
@@ -150,7 +149,7 @@ func TestHeapKernelMatchesReference(t *testing.T) {
 				ref.run()
 			},
 		})
-		for _, burst := range []bool{false, true} {
+		for _, viaRun := range []bool{false, true} {
 			s := NewScheduler()
 			stop := func(tm Timer) func() bool {
 				return func() bool {
@@ -171,7 +170,7 @@ func TestHeapKernelMatchesReference(t *testing.T) {
 				},
 				now: s.Now,
 				run: func() {
-					if burst {
+					if viaRun {
 						s.Run()
 						return
 					}
@@ -186,16 +185,16 @@ func TestHeapKernelMatchesReference(t *testing.T) {
 				},
 			})
 			if len(got) != len(want) {
-				t.Fatalf("seed %d burst=%v: ran %d events, reference ran %d", seed, burst, len(got), len(want))
+				t.Fatalf("seed %d viaRun=%v: ran %d events, reference ran %d", seed, viaRun, len(got), len(want))
 			}
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("seed %d burst=%v: order diverges at %d: got event %d, reference %d",
-						seed, burst, i, got[i], want[i])
+					t.Fatalf("seed %d viaRun=%v: order diverges at %d: got event %d, reference %d",
+						seed, viaRun, i, got[i], want[i])
 				}
 			}
 			if s.Now() != ref.now {
-				t.Fatalf("seed %d burst=%v: final clock %v, reference %v", seed, burst, s.Now(), ref.now)
+				t.Fatalf("seed %d viaRun=%v: final clock %v, reference %v", seed, viaRun, s.Now(), ref.now)
 			}
 		}
 	}

@@ -11,11 +11,13 @@ import "math/bits"
 // more than half the queue is dead the heap is compacted in one pass.
 // The (time, seq) order has one definition, lessBit, a branch-free
 // 128-bit compare, and siftDown picks the least of a full node's four
-// children with masks rather than jumps. There is one dispatch loop
-// (batchDrain): it pops each run of same-timestamp events into a batch,
-// one popTop per member, and dispatches the batch; coalesced sources park
-// arrivals outside the heap under reserved seqs (ReserveSeq, AtSeqArg,
-// CanInline), so neither changes the (time, seq) order events run in.
+// children with masks rather than jumps. There is one dispatch body,
+// runTop: Step, RunUntil and Run all pop the heap top and run it if it
+// is live, one heap entry per event. The one source that parks
+// events outside the heap, the fan-out trains of internal/simnet,
+// reserves a seq per event (ReserveSeq, AtSeqArg) and runs them inline
+// only when CanInline says nothing queued precedes them, so it does not
+// change the (time, seq) order events run in.
 
 // Timer is a handle to a scheduled event. The zero Timer is inactive;
 // cancelling an expired, cancelled, or zero timer is a no-op.
@@ -81,18 +83,17 @@ type Scheduler struct {
 	free     int32 // head of the slot free list, -1 when empty
 	nStopped int   // dead entries still in the heap
 
-	runBound Time        // upper bound of the active RunUntil window
-	nBatches uint64      // dispatch batches executed
-	batchBuf []heapEntry // scratch for one same-timestamp run
-	pendAt   Time        // key of the next undispatched batch member…
-	pendSeq  uint64      // …0 when no batch member is pending
+	runBound Time   // upper bound of the active RunUntil window
+	nBatches uint64 // dispatch instants: maximal runs of events at one time
+	batchAt  Time   // time of the last executed event
 }
 
 // NewScheduler returns a scheduler with the clock at zero.
 func NewScheduler() *Scheduler { return &Scheduler{free: -1} }
 
-// Batches returns the number of dispatch batches RunUntil and Run have
-// executed so far. Mean batch occupancy is Processed()/Batches().
+// Batches returns the number of dispatch instants so far: a batch is a
+// maximal run of consecutive events at one time, inline ones included,
+// so Batches() <= Processed() and mean occupancy is their ratio.
 func (s *Scheduler) Batches() uint64 { return s.nBatches }
 
 // Reset rewinds the scheduler to its initial state — clock at zero, no
@@ -104,8 +105,7 @@ func (s *Scheduler) Batches() uint64 { return s.nBatches }
 // slot identity.
 func (s *Scheduler) Reset() {
 	s.now, s.seq, s.nRun, s.nStopped = 0, 0, 0, 0
-	s.runBound, s.nBatches = 0, 0
-	s.pendAt, s.pendSeq = 0, 0
+	s.runBound, s.nBatches, s.batchAt = 0, 0, 0
 	clear(s.heap)
 	s.heap = s.heap[:0]
 	s.free = -1
@@ -182,10 +182,10 @@ func (s *Scheduler) scheduleSeq(t Time, seq uint64, fn func(), fnArg func(any), 
 }
 
 // ReserveSeq consumes and returns the next schedule-order sequence
-// number without queueing anything. Coalesced event sources (the link
-// arrival rings) reserve one seq per event exactly as a heap push
+// number without queueing anything. A coalesced event source (the
+// fan-out trains) reserves one seq per event exactly as a heap push
 // would, so the global (time, seq) dispatch order — and hence every
-// downstream byte — is identical whether an arrival sits in a ring or
+// downstream byte — is identical whether an event sits on a train or
 // in the heap.
 func (s *Scheduler) ReserveSeq() uint64 {
 	s.seq++
@@ -209,25 +209,17 @@ func (s *Scheduler) AtSeqArg(t Time, seq uint64, fn func(any), arg any) Timer {
 // inlining until the dead entry is discarded — which only costs
 // coalescing, never ordering.
 func (s *Scheduler) CanInline(t Time, seq uint64) bool {
-	if t > s.runBound {
-		return false
-	}
-	// A batch member popped off the heap but not yet dispatched is just
-	// as much "earliest queued" as the heap top: batched dispatch
-	// publishes the next member's key here so inlined arrivals cannot
-	// jump ahead of it.
-	key := heapEntry{at: t, seq: seq}
-	if s.pendSeq != 0 && entryLess(heapEntry{at: s.pendAt, seq: s.pendSeq}, key) {
-		return false
-	}
-	return len(s.heap) == 0 || !entryLess(s.heap[0], key)
+	return t <= s.runBound && (len(s.heap) == 0 || !entryLess(s.heap[0], heapEntry{at: t, seq: seq}))
 }
 
-// NoteInlineEvent accounts for one event executed outside the heap (a
-// coalesced ring arrival drained inline): the clock advances to t and
-// the processed count — and the occupancy of the current dispatch
-// batch — include it, exactly as if it had been popped.
+// NoteInlineEvent accounts for one executed event at time t — one runTop
+// popped, or one run outside the heap (a train copy delivered inline):
+// the clock advances to t, and the processed and batch counts include it.
 func (s *Scheduler) NoteInlineEvent(t Time) {
+	if t != s.batchAt || s.nRun == 0 {
+		s.nBatches++
+		s.batchAt = t
+	}
 	s.now = t
 	s.nRun++
 }
@@ -392,8 +384,7 @@ func (s *Scheduler) runTop() bool {
 	}
 	fn, fnArg, arg := sl.fn, sl.fnArg, sl.arg
 	s.releaseSlot(e.slot)
-	s.now = e.at
-	s.nRun++
+	s.NoteInlineEvent(e.at)
 	if fn != nil {
 		fn()
 	} else {
@@ -403,8 +394,7 @@ func (s *Scheduler) runTop() bool {
 }
 
 // Step runs the next event outside any run window and reports false when
-// the queue is empty. RunUntil and Run do not go through it; the
-// event-at-a-time reference loop the tests compare them against does.
+// the queue is empty.
 func (s *Scheduler) Step() bool {
 	for len(s.heap) > 0 {
 		if s.runTop() {
@@ -415,112 +405,34 @@ func (s *Scheduler) Step() bool {
 }
 
 // RunUntil executes events until the clock would pass t; afterwards the
-// clock reads exactly t. Events at exactly t are executed. Dispatch is
-// in bursts: the maximal run of same-timestamp entries is popped, one
-// popTop per entry, and dispatched as a slice, re-checking each entry's
-// generation at dispatch time so a member cancelled by an earlier member
-// still no-ops. Events a member schedules at the same instant land in a
-// follow-up batch — their seqs are higher than every popped member's,
-// so (time, seq) order is preserved bit-for-bit; the one exception, an
-// AtSeqArg under an older reserved seq, is run between the members it
-// falls between.
+// clock reads exactly t. Events at exactly t are executed.
 func (s *Scheduler) RunUntil(t Time) {
 	s.runBound = t
-	s.batchDrain(t)
+	s.drain(t)
 	if s.now < t {
 		s.now = t
 	}
 	s.runBound = s.now
 }
 
-// AdvanceTo moves the clock to t without dispatching anything. It is
-// RunUntil(t) for a caller that has just learnt from PeekTime that no
-// live event is due at or before t — the region engine's idle shards —
-// and leaves the scheduler in exactly the state RunUntil would have.
-func (s *Scheduler) AdvanceTo(t Time) {
-	if s.now < t {
-		s.now = t
-	}
+// Run executes events until the queue drains.
+func (s *Scheduler) Run() {
+	s.runBound = MaxTime
+	s.drain(MaxTime)
 	s.runBound = s.now
 }
 
-// batchDrain is the burst loop shared by RunUntil and Run: it
-// executes batches up to and including time t but leaves the clock at
-// the last dispatched event (callers decide whether to advance to t).
-func (s *Scheduler) batchDrain(t Time) {
+// drain runs events up to and including time t and leaves the clock at
+// the last one (callers decide whether to advance to t). It is PeekTime
+// fused with runTop: a dead top is discarded even past t, so a block of
+// cancelled timers beyond the bound is reaped rather than left queued,
+// and a live top stops the loop once it is past t.
+func (s *Scheduler) drain(t Time) {
 	for len(s.heap) > 0 {
-		// Discard dead entries at the top first, so a block of cancelled
-		// timers beyond the bound is reaped rather than left queued, and
-		// the peeked time is a live event's.
-		for len(s.heap) > 0 && s.slots[s.heap[0].slot].gen != s.heap[0].gen {
-			s.popTop()
-			s.noteDeadPop()
+		if e := s.heap[0]; e.at > t && s.slots[e.slot].gen == e.gen {
+			return
 		}
-		if len(s.heap) == 0 {
-			break
-		}
-		at := s.heap[0].at
-		if at > t {
-			break
-		}
-		e := s.heap[0]
-		s.popTop()
-		if len(s.heap) == 0 || s.heap[0].at != at {
-			// Singleton batch — the common case on sparse timelines:
-			// dispatch without staging. The entry is live (the dead-discard
-			// loop above ran) and pendSeq is already 0.
-			s.nBatches++
-			sl := &s.slots[e.slot]
-			fn, fnArg, arg := sl.fn, sl.fnArg, sl.arg
-			s.releaseSlot(e.slot)
-			s.now = e.at
-			s.nRun++
-			if fn != nil {
-				fn()
-			} else {
-				fnArg(arg)
-			}
-			continue
-		}
-		// Collect the run of entries at this timestamp. Dead entries are
-		// carried along and skipped at dispatch; they cost a slot in the
-		// batch but no callback.
-		buf := append(s.batchBuf[:0], e)
-		for len(s.heap) > 0 && s.heap[0].at == at {
-			buf = append(buf, s.heap[0])
-			s.popTop()
-		}
-		s.batchBuf = buf[:0] // keep grown capacity for the next batch
-		s.nBatches++
-		for i, e := range buf {
-			// An earlier member may have scheduled an event at this very
-			// instant under a reserved seq (AtSeqArg) that precedes e. It
-			// sits in the heap, not in buf, and must run first.
-			for len(s.heap) > 0 && entryLess(s.heap[0], e) {
-				s.pendAt, s.pendSeq = at, e.seq
-				s.runTop()
-			}
-			sl := &s.slots[e.slot]
-			if sl.gen != e.gen {
-				s.noteDeadPop()
-				continue
-			}
-			if i+1 < len(buf) {
-				s.pendAt, s.pendSeq = at, buf[i+1].seq
-			} else {
-				s.pendSeq = 0
-			}
-			fn, fnArg, arg := sl.fn, sl.fnArg, sl.arg
-			s.releaseSlot(e.slot)
-			s.now = e.at
-			s.nRun++
-			if fn != nil {
-				fn()
-			} else {
-				fnArg(arg)
-			}
-		}
-		s.pendSeq = 0
+		s.runTop()
 	}
 }
 
@@ -537,11 +449,4 @@ func (s *Scheduler) PeekTime() (t Time, ok bool) {
 		return 0, false
 	}
 	return s.heap[0].at, true
-}
-
-// Run executes events until the queue drains.
-func (s *Scheduler) Run() {
-	s.runBound = MaxTime
-	s.batchDrain(MaxTime)
-	s.runBound = s.now
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -421,45 +422,99 @@ func TestPeekTimeSkipsDead(t *testing.T) {
 	}
 }
 
-// TestAdvanceToMatchesRunUntil: for a scheduler whose PeekTime says
-// nothing is due by t, AdvanceTo(t) and RunUntil(t) leave the same state
-// behind — clock, run bound (what CanInline admits), counters, queue —
-// and the run that follows is the same.
-func TestAdvanceToMatchesRunUntil(t *testing.T) {
-	build := func() (*Scheduler, *[]Time) {
-		s := NewScheduler()
-		var ran []Time
-		s.At(5, func() { ran = append(ran, s.Now()) })
-		s.RunUntil(7)
-		s.At(9, func() {}).Stop() // a dead entry ahead of the live ones
-		s.At(30, func() { ran = append(ran, s.Now()) })
-		s.At(30, func() { ran = append(ran, s.Now()) })
-		return s, &ran
+// TestBatchRunUntilBound: RunUntil must stop at exactly the bound even
+// when a same-instant pair straddles pending later work, and resuming
+// picks up the remainder.
+func TestBatchRunUntilBound(t *testing.T) {
+	s := NewScheduler()
+	count := 0
+	for i := 1; i <= 5; i++ {
+		s.At(Time(i)*Second, func() { count++ })
+		s.At(Time(i)*Second, func() { count++ })
 	}
-	a, ranA := build()
-	b, ranB := build()
-	if at, ok := a.PeekTime(); !ok || at != 30 {
-		t.Fatalf("PeekTime = %v, %v; want 30, true", at, ok)
+	s.RunUntil(3 * Second)
+	if count != 6 {
+		t.Fatalf("RunUntil(3s) ran %d events, want 6", count)
 	}
-	a.AdvanceTo(20)
-	b.RunUntil(20)
-	for _, probe := range []Time{19, 20, 21} {
-		if a.CanInline(probe, 1<<40) != b.CanInline(probe, 1<<40) {
-			t.Errorf("CanInline(%d) differs after AdvanceTo and RunUntil", probe)
+	if s.Now() != 3*Second {
+		t.Fatalf("clock = %v, want exactly 3s", s.Now())
+	}
+	s.RunUntil(10 * Second)
+	if count != 10 || s.Now() != 10*Second {
+		t.Fatalf("count=%d now=%v", count, s.Now())
+	}
+}
+
+// TestBatchesCountInstants: a batch is a maximal run of consecutive
+// events at one time. An event scheduled at its own instant joins the
+// current batch; an event at an instant the clock only reached through
+// a RunUntil bound opens a new one; inline events count like popped ones.
+func TestBatchesCountInstants(t *testing.T) {
+	s := NewScheduler()
+	for i := 0; i < 3; i++ {
+		s.At(Second, func() {})
+	}
+	s.At(2*Second, func() { s.At(2*Second, func() {}) })
+	s.RunUntil(3 * Second) // instants 1s and 2s; the clock ends at 3s
+	s.At(3*Second, func() { s.NoteInlineEvent(3 * Second) })
+	s.At(4*Second, func() { s.NoteInlineEvent(5 * Second) })
+	s.Run()
+	if b, n := s.Batches(), s.Processed(); b != 5 || n != 9 {
+		t.Fatalf("%d events in %d batches, want 9 in 5", n, b)
+	}
+}
+
+// TestBatchResetClearsCounters: Reset must zero the batch counter with
+// the rest of the run statistics, and the first event after it opens a
+// batch even at time 0.
+func TestBatchResetClearsCounters(t *testing.T) {
+	s := NewScheduler()
+	for i := 0; i < 3; i++ {
+		s.At(Second, func() {})
+	}
+	s.Run()
+	if s.Batches() == 0 {
+		t.Fatal("no batches recorded before reset")
+	}
+	s.Reset()
+	if s.Batches() != 0 {
+		t.Fatalf("Reset kept %d batches", s.Batches())
+	}
+	s.At(0, func() {})
+	s.Run()
+	if b := s.Batches(); b != 1 {
+		t.Fatalf("an event at time 0 after Reset opened %d batches, want 1", b)
+	}
+}
+
+// TestReservedSeqRunsInOrder: an event scheduled under a reserved seq
+// (AtSeqArg) at the current instant may precede events already queued
+// for it, and runs before them, exactly where its seq places it. A
+// fan-out train re-arms this way whenever CanInline turns it down.
+func TestReservedSeqRunsInOrder(t *testing.T) {
+	s := NewScheduler()
+	var trace string
+	note := func(a any) { trace += a.(string) + " " }
+	var held [3]uint64
+	s.AtArg(Second, func(any) {
+		note("a")
+		// Not inlinable: b is queued at this instant with an older seq
+		// than held[1] and held[2].
+		if s.CanInline(Second, held[1]) {
+			t.Error("CanInline let a reserved seq jump a queued event")
 		}
-	}
-	a.RunUntil(40)
-	b.RunUntil(40)
-	if a.Now() != b.Now() || a.Processed() != b.Processed() || a.Batches() != b.Batches() || a.Pending() != b.Pending() {
-		t.Errorf("AdvanceTo then run: now %d, %d events, %d batches, %d pending; RunUntil: %d, %d, %d, %d",
-			a.Now(), a.Processed(), a.Batches(), a.Pending(), b.Now(), b.Processed(), b.Batches(), b.Pending())
-	}
-	if len(*ranA) != 3 || len(*ranB) != 3 || (*ranA)[2] != (*ranB)[2] {
-		t.Errorf("events ran at %v after AdvanceTo, %v after RunUntil", *ranA, *ranB)
-	}
-	// AdvanceTo never moves the clock back.
-	a.AdvanceTo(10)
-	if a.Now() != 40 {
-		t.Errorf("AdvanceTo into the past set the clock to %d", a.Now())
+		s.AtSeqArg(Second, held[2], note, "e")
+		s.AtSeqArg(Second, held[0], note, "a'")
+		s.AtSeqArg(Second, held[1], note, "c")
+	}, nil)
+	held[0] = s.ReserveSeq()
+	s.AtArg(Second, note, "b")
+	held[1] = s.ReserveSeq()
+	s.AtArg(Second, note, "d")
+	held[2] = s.ReserveSeq()
+	s.AtArg(Second, note, "f")
+	s.Run()
+	if got, want := fmt.Sprintf("%s/%d", trace, s.Processed()), "a a' b c d e f /7"; got != want {
+		t.Fatalf("order = %q, want %q", got, want)
 	}
 }

@@ -7,19 +7,21 @@ import (
 	"repro/internal/sim"
 )
 
-// impairedRun drives a fixed packet stream over one impaired link and
-// returns the arrival-time trace plus the link's fault stats, for
+// impairedRun sends 200 packets over one link with corruption,
+// duplication and reordering armed, burst of them at each millisecond
+// (same-instant sends tie and queue behind each other), and returns the
+// arrival-time trace, the link's fault stats and the network, for
 // determinism comparisons.
-func impairedRun(seed int64, corrupt, dup, reorder float64) (string, LinkStats) {
+func impairedRun(seed int64, burst int) (string, LinkStats, *Network) {
 	sch := sim.NewScheduler()
 	net := New(sch, sim.NewRand(seed))
 	a, b := net.AddNode("a"), net.AddNode("b")
 	l, _ := net.AddDuplex(a, b, 1e6, 5*sim.Millisecond, 50)
-	l.SetImpairments(corrupt, dup, reorder, 20*sim.Millisecond)
+	l.SetImpairments(0.1, 0.1, 0.3, 20*sim.Millisecond)
 	c := &collector{sch: sch}
 	net.Bind(Addr{b, 1}, c)
 	for i := 0; i < 200; i++ {
-		sch.At(sim.Time(i)*sim.Millisecond, func() {
+		sch.At(sim.Time(i/burst)*sim.Millisecond, func() {
 			net.Send(&Packet{Size: 500, Src: Addr{a, 1}, Dst: Addr{b, 1}})
 		})
 	}
@@ -28,15 +30,15 @@ func impairedRun(seed int64, corrupt, dup, reorder float64) (string, LinkStats) 
 	for _, at := range c.at {
 		trace += fmt.Sprintf("%d\n", at)
 	}
-	return trace, l.Stats
+	return trace, l.Stats, net
 }
 
 // TestImpairmentDeterminism: for a fixed seed the corruption, duplication
 // and reordering draws — and therefore the delivery trace — are exactly
 // reproducible, and the modules genuinely fire.
 func TestImpairmentDeterminism(t *testing.T) {
-	trace1, stats1 := impairedRun(7, 0.1, 0.1, 0.3)
-	trace2, stats2 := impairedRun(7, 0.1, 0.1, 0.3)
+	trace1, stats1, _ := impairedRun(7, 1)
+	trace2, stats2, _ := impairedRun(7, 1)
 	if trace1 != trace2 {
 		t.Fatal("same seed produced different delivery traces")
 	}
@@ -46,9 +48,28 @@ func TestImpairmentDeterminism(t *testing.T) {
 	if stats1.Corrupted == 0 || stats1.Duplicated == 0 || stats1.Reordered == 0 {
 		t.Fatalf("impairment modules never fired: %+v", stats1)
 	}
-	other, _ := impairedRun(8, 0.1, 0.1, 0.3)
+	other, _, _ := impairedRun(8, 1)
 	if trace1 == other {
 		t.Fatal("different seeds produced identical impairment draws")
+	}
+}
+
+// TestImpairedDeliveryBatchIdentity: bursts of three same-instant sends
+// over the impaired link deliver the same trace with the same fault draws
+// run to run, and drain the packet pool.
+func TestImpairedDeliveryBatchIdentity(t *testing.T) {
+	for _, seed := range []int64{1, 7, 42} {
+		trace, stats, net := impairedRun(seed, 3)
+		again, againStats, _ := impairedRun(seed, 3)
+		if trace != again || stats != againStats {
+			t.Fatalf("seed %d: two runs differ: stats %+v vs %+v", seed, stats, againStats)
+		}
+		if stats.Corrupted == 0 || stats.Duplicated == 0 || stats.Reordered == 0 {
+			t.Fatalf("seed %d: impairment modules never fired: %+v", seed, stats)
+		}
+		if live := net.LivePackets(); live != 0 {
+			t.Fatalf("seed %d: pool conservation broken: %d packets live", seed, live)
+		}
 	}
 }
 

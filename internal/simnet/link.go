@@ -21,6 +21,12 @@ type LinkStats struct {
 // star access links in the large-receiver-set experiments where only
 // delay and random loss matter.
 //
+// Each packet on a link is one scheduler timer per stage: a serialiser
+// completion, then its arrival at the far node (or a handoff, on a link
+// that crosses regions). The only exception is a copy boarded on its
+// parent node's fan-out train (train.go), which never reaches the link's
+// own timers.
+//
 // Field order serves the per-copy path of a large fan-out, which visits a
 // thousand links per packet: everything that decides what happens to a
 // packet entering the link (admit, fixedDelay, propDelay) and the far node
@@ -66,27 +72,6 @@ type Link struct {
 	// the packet rides along as the event argument.
 	deliverFn func(any)
 	txDoneFn  func(any)
-	ringFn    func(any)
-	directFn  func(any)
-
-	// Coalesced delivery: while a delivery timer is outstanding on the
-	// link, further in-flight arrivals park in a per-link ring sorted by
-	// (time, seq) instead of each taking a heap timer. The first arrival
-	// of a train rides its timer directly (armed), so sparse links pay no
-	// ring bookkeeping at all. Each arrival still reserves a scheduler
-	// seq, so dispatch order — and every downstream byte — is identical
-	// to the timer-per-packet reference (Network.timerPerPacket).
-	ring     []ringEntry
-	ringHead int
-	armed    bool     // an in-order delivery timer is outstanding
-	lastAt   sim.Time // arrival time of the newest in-order delivery
-}
-
-// ringEntry is one coalesced in-flight arrival.
-type ringEntry struct {
-	at  sim.Time
-	seq uint64
-	pkt *Packet
 }
 
 // resetForReuse rewinds the link to the state AddLink would have produced
@@ -101,21 +86,7 @@ func (l *Link) resetForReuse(bandwidth float64, delay sim.Time, queueLimit int) 
 	l.ReorderDelay = 0
 	l.down = false
 	l.busy = false
-	l.clearRing()
 	l.Q.reset(queueLimit)
-}
-
-// clearRing empties the coalesced-delivery ring, dropping packet
-// references so parked arrivals are collectable. Callers reset the
-// scheduler alongside, which invalidates the armed timer.
-func (l *Link) clearRing() {
-	for i := l.ringHead; i < len(l.ring); i++ {
-		l.ring[i].pkt = nil
-	}
-	l.ring = l.ring[:0]
-	l.ringHead = 0
-	l.armed = false
-	l.lastAt = 0
 }
 
 // SetDelay changes the link's propagation delay at runtime (a scenario
@@ -260,99 +231,18 @@ func (l *Link) propDelay() sim.Time {
 }
 
 // propagate starts a packet's propagation towards the far node. Within a
-// region this is a shard-local timer; across regions the packet goes into
-// the handoff outbox with its arrival time and is scheduled into the
-// destination shard at the next barrier (the crossing delay is at least
-// the lookahead window, so the arrival is always at or after it).
+// region this is one shard-local timer per packet; across regions the
+// packet goes into the handoff outbox with its arrival time and is
+// scheduled into the destination shard at the next barrier (the crossing
+// delay is at least the lookahead window, so the arrival is always at or
+// after it).
 func (l *Link) propagate(pkt *Packet) {
 	d := l.propDelay()
 	if l.crossTo >= 0 {
 		l.net.pushHandoff(l, l.sched.Now()+d, pkt)
 		return
 	}
-	if l.net.timerPerPacket {
-		l.sched.AfterArg(d, l.deliverFn, pkt)
-		return
-	}
-	l.ringAppend(l.sched.Now()+d, pkt)
-}
-
-// ringAppend routes an in-flight arrival through coalesced delivery.
-// The first arrival of a train rides its own timer (nothing
-// outstanding: the ring is untouched, which makes sparse links as
-// cheap as the timer-per-packet path); while a timer is outstanding,
-// later arrivals park on the ring, kept sorted by (time, seq) —
-// appends are monotone because the clock only advances and the seq
-// counter only grows — and drain off the outstanding timer. An arrival
-// earlier than the newest scheduled one (the reorder module, a mid-run
-// delay cut) falls back to its own heap timer, which preserves global
-// dispatch order exactly.
-func (l *Link) ringAppend(at sim.Time, pkt *Packet) {
-	s := l.sched
-	seq := s.ReserveSeq()
-	if at < l.lastAt {
-		s.AtSeqArg(at, seq, l.deliverFn, pkt)
-		return
-	}
-	l.lastAt = at
-	if !l.armed {
-		l.armed = true
-		s.AtSeqArg(at, seq, l.directFn, pkt)
-		return
-	}
-	l.ring = append(l.ring, ringEntry{at: at, seq: seq, pkt: pkt})
-}
-
-// deliverDrain is the direct (first-of-train) timer's callback: the
-// packet rode the timer itself, so deliver it and then drain whatever
-// parked behind it.
-func (l *Link) deliverDrain(a any) {
-	l.deliver(a.(*Packet))
-	l.drainRing()
-}
-
-// ringDrain is the re-armed timer's callback: it delivers the ring
-// head (the event the timer stood in for), then drains.
-func (l *Link) ringDrain(any) {
-	h := l.ringHead
-	e := l.ring[h]
-	l.ring[h].pkt = nil
-	l.ringHead = h + 1
-	l.deliver(e.pkt)
-	l.drainRing()
-}
-
-// drainRing keeps delivering parked arrivals inline while each precedes
-// everything queued on the scheduler and stays inside the active run
-// window. If arrivals remain, the timer is re-armed for the new head
-// under its reserved seq; otherwise the link disarms.
-func (l *Link) drainRing() {
-	s := l.sched
-	h := l.ringHead
-	for h < len(l.ring) {
-		nx := l.ring[h]
-		if !s.CanInline(nx.at, nx.seq) {
-			break
-		}
-		l.ring[h].pkt = nil
-		h++
-		s.NoteInlineEvent(nx.at)
-		l.deliver(nx.pkt)
-	}
-	if h == len(l.ring) {
-		l.ring = l.ring[:0]
-		l.ringHead = 0
-		l.armed = false
-		return
-	}
-	if h > 32 && h*2 >= len(l.ring) {
-		m := copy(l.ring, l.ring[h:])
-		l.ring = l.ring[:m]
-		h = 0
-	}
-	l.ringHead = h
-	nx := l.ring[h]
-	s.AtSeqArg(nx.at, nx.seq, l.ringFn, nil)
+	l.sched.AfterArg(d, l.deliverFn, pkt)
 }
 
 func (l *Link) startTx() {

@@ -56,11 +56,10 @@ type Network struct {
 	lastTree *mcastTree
 	lastVer  uint32
 
-	// timerPerPacket gives every in-flight copy its own scheduler timer
-	// instead of parking it on a link ring or a fan-out train. Nothing
-	// outside this package's tests sets it: it is the reference delivery
-	// path the coalesced ones (Link.ringAppend, fanOut) are fuzzed
-	// against, byte-identical by contract.
+	// timerPerPacket gives every fanned-out copy its own link timer
+	// instead of parking it on a fan-out train. Nothing outside this
+	// package's tests sets it: it is the reference delivery path fanOut
+	// is fuzzed against, byte-identical by contract.
 	timerPerPacket bool
 
 	// Dijkstra scratch, reused across route recomputations. via[v] is the
@@ -199,15 +198,13 @@ func New(sched *sim.Scheduler, rng *sim.Rand) *Network {
 	}
 }
 
-// RingHeld returns the number of arrivals currently parked in link
-// delivery rings and node fan-out trains. Used by the ring-conservation
-// invariant (held packets are live by definition); call from the control
-// path or at a barrier, where shards are quiescent.
-func (n *Network) RingHeld() int64 {
+// TrainHeld returns the number of copies currently parked on node
+// fan-out trains, the only events held outside a scheduler heap. Used by
+// the train-conservation invariant (held copies are live by
+// definition); call from the control path or at a barrier, where shards
+// are quiescent.
+func (n *Network) TrainHeld() int64 {
 	var c int64
-	for _, l := range n.linkList {
-		c += int64(len(l.ring) - l.ringHead)
-	}
 	for i := range n.nodes {
 		if f := n.nodes[i].fan; f != nil {
 			c += f.held
@@ -427,11 +424,6 @@ func (n *Network) AddLink(from, to NodeID, bandwidth float64, delay sim.Time, qu
 	}
 	l.deliverFn = l.deliverArg
 	l.txDoneFn = l.txDone
-	l.ringFn = l.ringDrain
-	l.directFn = l.deliverDrain
-	// Pre-size the delivery ring so run-phase appends don't grow it from
-	// nil — construction cost, not steady-state allocations.
-	l.ring = make([]ringEntry, 0, 16)
 	n.bindLink(l)
 	key := linkKey{from, to}
 	if i, ok := n.linkIdx[key]; ok {

@@ -137,21 +137,18 @@ func (n *Network) peek() sim.Time {
 	return emin
 }
 
-// stepTo brings every shard to time end and returns how many had an
-// event due by then. Only those run, in region order; the others just
-// have their clock moved: a shard's schedule cannot change before the
-// barrier except through its own events — the control events and the
-// handoff drain, the only other writers, run after it — so a shard with
-// nothing due at the last peek has nothing to run.
+// stepTo runs every shard to time end and returns how many had an event
+// due by then (the window's ShardSteps). A shard's schedule cannot change
+// before the barrier except through its own events — the control events
+// and the handoff drain, the only other writers, run after it — so a
+// shard with nothing due at the last peek only has its clock moved.
 func (n *Network) stepTo(end sim.Time) int {
 	busy := 0
 	for _, sc := range n.shards {
 		if sc.next <= end {
-			sc.sched.RunUntil(end)
 			busy++
-		} else {
-			sc.sched.AdvanceTo(end)
 		}
+		sc.sched.RunUntil(end)
 	}
 	return busy
 }
@@ -293,9 +290,9 @@ func (n *Network) ShardEventCounts() []uint64 {
 	return out
 }
 
-// ShardBatches returns the dispatch batches executed across every region
-// scheduler (0 when not sharded). The control scheduler's batches are
-// not included; callers fold those separately.
+// ShardBatches returns the dispatch instants (Scheduler.Batches) summed
+// over every region scheduler (0 when not sharded). The control
+// scheduler's are not included; callers fold those separately.
 func (n *Network) ShardBatches() uint64 {
 	var out uint64
 	for _, sc := range n.shards {

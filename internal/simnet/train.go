@@ -24,12 +24,13 @@ import "repro/internal/sim"
 // and the node keeps delivering the next-earliest copy inline for as long
 // as the scheduler says it precedes everything queued and lies inside the
 // run window (CanInline), counting each as an event (NoteInlineEvent);
-// otherwise it re-arms under that copy's key. This is the contract the
-// per-link arrival ring follows, so every copy is dispatched at exactly the
-// (time, seq) position its own timer would have had: global order, event
-// counts and RunUntil/engine-window behaviour are unchanged, and a large
-// fan-out costs about one scheduler heap operation per packet instead of
-// two per copy.
+// otherwise it re-arms under that copy's key. Every copy is thus
+// dispatched at exactly the (time, seq) position its own timer would have
+// had: global order, event counts and RunUntil/engine-window behaviour
+// are unchanged, and a large fan-out costs about one scheduler heap
+// operation per packet instead of two per copy. Trains are the only
+// events the scheduler does not hold in its heap; every other packet
+// event, link arrivals included, is one heap entry.
 
 // trainEntry is one copy in flight on a train.
 type trainEntry struct {

@@ -21,7 +21,7 @@ type trainRig struct {
 	leaves []NodeID
 	links  []*Link // every downstream link, in creation order
 	log    strings.Builder
-	held   int64 // peak RingHeld over the run's slices
+	held   int64 // peak TrainHeld over the run's slices
 }
 
 const trainGroup = GroupID(7)
@@ -73,48 +73,36 @@ func (r *trainRig) build() {
 }
 
 // newTestNet returns a production network or, with oracle set, one on the
-// timer-per-packet reference path — every in-flight copy on its own
-// scheduler timer, no link ring, no fan-out train — which the coalesced
-// production path must reproduce byte for byte. This file and
-// batch_test.go are the seam's only users.
+// timer-per-packet reference path — every fanned-out copy on its own link
+// timer, no fan-out train — which the production path must reproduce byte
+// for byte. This file is the seam's only user.
 func newTestNet(oracle bool, sch *sim.Scheduler, rng *sim.Rand) *Network {
 	n := New(sch, rng)
 	n.timerPerPacket = oracle
 	return n
 }
 
-// coalescedEver reports whether any arrival has gone through a link ring
-// (ringAppend is the only writer of lastAt) or any node has fanned out
-// over trains, since construction or the last Reset. An oracle run
-// must answer false twice: then each delivered copy was one heap push.
-func (n *Network) coalescedEver() (rings, trains bool) {
-	for _, l := range n.linkList {
-		if l.lastAt != 0 || l.armed || len(l.ring) > 0 {
-			rings = true
-		}
-	}
+// trainsEver reports whether any node has fanned out over trains since
+// construction or the last Reset. An oracle run must answer false: then
+// each delivered copy was one heap push.
+func (n *Network) trainsEver() bool {
 	for i := range n.nodes {
 		if n.nodes[i].fan != nil {
-			trains = true
+			return true
 		}
 	}
-	return rings, trains
+	return false
 }
 
 // requireOracleSplit is the vacuity guard of every production-vs-oracle
-// comparison: the production run coalesced (rings and, when the topology
-// fans out, trains were used; fewer dispatch batches than events) and the
-// oracle run never did.
-func requireOracleSplit(t *testing.T, on, off *Network, wantTrains bool) {
+// comparison: the production run used trains and the oracle run never did.
+func requireOracleSplit(t *testing.T, on, off *Network) {
 	t.Helper()
-	if rings, trains := on.coalescedEver(); !rings || trains != wantTrains {
-		t.Fatalf("production run: rings used %v, trains used %v (want true, %v)", rings, trains, wantTrains)
+	if !on.trainsEver() {
+		t.Fatal("production run never rode a fan-out train")
 	}
-	if b, n := on.sched.Batches(), on.sched.Processed(); b == 0 || b >= n {
-		t.Fatalf("production run did not coalesce: %d events in %d batches", n, b)
-	}
-	if rings, trains := off.coalescedEver(); rings || trains {
-		t.Fatalf("oracle run left the timer-per-packet path: rings used %v, trains used %v", rings, trains)
+	if off.trainsEver() {
+		t.Fatal("oracle run left the timer-per-packet path: a node fanned out over trains")
 	}
 }
 
@@ -188,7 +176,7 @@ func (r *trainRig) run(seed int64, until sim.Time) {
 			step = sim.Time(rng.Int63n(int64(9 * sim.Millisecond)))
 		}
 		r.sch.RunUntil(min(r.sch.Now()+step, until))
-		r.held = max(r.held, r.net.RingHeld())
+		r.held = max(r.held, r.net.TrainHeld())
 	}
 }
 
@@ -223,12 +211,12 @@ func TestTrainIdentity(t *testing.T) {
 		if a, b := on.stats(), off.stats(); a != b {
 			t.Fatalf("seed %d: counters differ:\ntrains:\n%s\noracle:\n%s", seed, a, b)
 		}
-		requireOracleSplit(t, on.net, off.net, true)
+		requireOracleSplit(t, on.net, off.net)
 		if on.held == 0 || off.held != 0 {
-			t.Fatalf("seed %d: peak RingHeld %d with trains, %d on the oracle (want > 0, 0)", seed, on.held, off.held)
+			t.Fatalf("seed %d: peak TrainHeld %d with trains, %d on the oracle (want > 0, 0)", seed, on.held, off.held)
 		}
 		for _, r := range []*trainRig{on, off} {
-			if live, held := r.net.LivePackets(), r.net.RingHeld(); live != 0 || held != 0 {
+			if live, held := r.net.LivePackets(), r.net.TrainHeld(); live != 0 || held != 0 {
 				t.Fatalf("seed %d: after drain %d packets live, %d held", seed, live, held)
 			}
 		}
@@ -250,8 +238,8 @@ func TestTrainsCarryTheFanOut(t *testing.T) {
 	if onTrains == 0 {
 		t.Fatal("no copy is riding a train 20 ms into the run")
 	}
-	if held := r.net.RingHeld(); held < onTrains {
-		t.Fatalf("RingHeld = %d does not count the %d copies on trains", held, onTrains)
+	if held := r.net.TrainHeld(); held < onTrains {
+		t.Fatalf("TrainHeld = %d does not count the %d copies on trains", held, onTrains)
 	}
 }
 
@@ -267,14 +255,14 @@ func TestTrainResetMidFlight(t *testing.T) {
 		r := newTrainRig(true, seed+100)
 		r.script(seed + 100)
 		r.run(seed+100, 150*sim.Millisecond)
-		if r.net.RingHeld() == 0 {
+		if r.net.TrainHeld() == 0 {
 			t.Fatalf("seed %d: setup: nothing in flight at the rewind point", seed)
 		}
 		r.sch.Reset()
 		if !r.net.Reset() {
 			t.Fatal("Reset refused")
 		}
-		if held, live := r.net.RingHeld(), r.net.LivePackets(); held != 0 || live != 0 {
+		if held, live := r.net.TrainHeld(), r.net.LivePackets(); held != 0 || live != 0 {
 			t.Fatalf("seed %d: Reset left %d held, %d live", seed, held, live)
 		}
 		r.net.Rand().Reseed(seed)
@@ -387,12 +375,12 @@ func TestTrainIdentityManyInFlight(t *testing.T) {
 			if f := st.net.nodes[st.hub].fan; f != nil {
 				peak = max(peak, len(f.trains))
 			}
-			if st == off && st.net.RingHeld() != 0 {
-				t.Fatalf("oracle holds %d arrivals off the heap at %v", st.net.RingHeld(), st.sch.Now())
+			if st == off && st.net.TrainHeld() != 0 {
+				t.Fatalf("oracle holds %d arrivals off the heap at %v", st.net.TrainHeld(), st.sch.Now())
 			}
 		}
 	}
-	requireOracleSplit(t, on.net, off.net, true)
+	requireOracleSplit(t, on.net, off.net)
 	if peak < 300 {
 		t.Fatalf("at most %d trains in flight at the hub; the case is meant to hold hundreds", peak)
 	}
@@ -403,7 +391,7 @@ func TestTrainIdentityManyInFlight(t *testing.T) {
 		t.Fatalf("processed %d events with trains, %d with the oracle", a, b)
 	}
 	for _, st := range []*fastStar{on, off} {
-		if live, held := st.net.LivePackets(), st.net.RingHeld(); live != 0 || held != 0 {
+		if live, held := st.net.LivePackets(), st.net.TrainHeld(); live != 0 || held != 0 {
 			t.Fatalf("after drain %d packets live, %d held", live, held)
 		}
 	}
