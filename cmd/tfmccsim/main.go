@@ -13,6 +13,7 @@
 //	tfmccsim -scenario 9 -duration 60 -coreloss 0.01   # overridden figure
 //	tfmccsim -figure clrfail -check          # run with the invariant checker
 //	tfmccsim -scenario wireless -engineworkers 2   # region engine
+//	tfmccsim -scenario degrade -seeds 8 -tsv # swept preset, merged bands
 //
 // -scenario runs any Spec-backed registry entry — the named presets and
 // every single-scenario engine figure — through the generic scenario
@@ -20,9 +21,12 @@
 // -coreloss, -corequeue, -edgeloss, -receivers, -cohort, -fanout,
 // -depth, -hops) folded into the declarative spec before the run.
 //
-// With -seeds > 1 the figure is replicated across that many independent
-// seeds and the output carries mean/CI/min/max band columns instead of a
-// single trajectory: TSV becomes the long-format table
+// Every selector (-figure, -all, -scenario, -scenario-file) builds an
+// experiments.Job and runs it through experiments.Sweep. At one seed the
+// run's own series are printed; with -seeds > 1 the job is replicated
+// across that many independent seeds and the output carries
+// mean/CI/min/max band columns instead of a single trajectory: TSV
+// becomes the long-format table
 //
 //	series  x  mean  ci_lo  ci_hi  min  max  n
 //
@@ -30,11 +34,14 @@
 // are sweep.Config's, shared with tfmcchyp and described once in
 // README.md ("Run options"); a value that cannot mean anything exits 2
 // naming the flag, and so does a flag that could not take effect (see
-// flagConflict). With -engineworkers >= 2 output is a different
-// (equally valid) trajectory than the serial engine's.
+// flagConflict), such as -ci or -workers 2 at one seed. A failed seed
+// (with the stack of a panic) or an invariant violation exits 1. With
+// -engineworkers >= 2 output is a different (equally valid) trajectory
+// than the serial engine's.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -77,7 +84,7 @@ func main() {
 	if err == nil {
 		set := map[string]bool{}
 		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		err = flagConflict(set, cfg.Seeds)
+		err = flagConflict(set, cfg)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -110,34 +117,12 @@ func main() {
 		Depth:     *depth,
 		Hops:      *hops,
 	}
-	// once runs one single-seed simulation on a fresh context and prints
-	// it, exiting 1 on an error or an invariant violation.
-	once := func(run func(*experiments.RunCtx) (*experiments.Result, error)) {
-		ctx := experiments.NewRunCtxFor(cfg)
-		res, err := run(ctx)
+	// run sweeps and reports a job, or exits 1 on the error building it.
+	run := func(job experiments.Job, err error) {
 		if err != nil {
 			fail(err)
 		}
-		emit(res, *tsv)
-		var violations []string
-		for _, v := range ctx.Violations() {
-			violations = append(violations, v.String())
-		}
-		reportViolations(violations, nil)
-	}
-	figureRun := func(id string) {
-		if cfg.Seeds > 1 {
-			res, err := experiments.Sweep(id, cfg)
-			if err != nil {
-				fail(err)
-			}
-			emit(res, *tsv)
-			reportViolations(res.Violations, res.Failures)
-			return
-		}
-		once(func(ctx *experiments.RunCtx) (*experiments.Result, error) {
-			return experiments.RunWith(ctx, id, cfg.Base)
-		})
+		report(experiments.Sweep(job, cfg), *tsv)
 	}
 
 	switch {
@@ -153,21 +138,17 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		once(func(ctx *experiments.RunCtx) (*experiments.Result, error) {
-			return experiments.RunSpecKeyed(ctx, "file-"+*scenFile, spec, cfg.Base)
-		})
+		run(experiments.SpecJob("file-"+*scenFile, spec), nil)
 	case *scen != "" && *specOut != "":
 		writeSpec(*scen, ov, *specOut)
 	case *scen != "":
-		once(func(ctx *experiments.RunCtx) (*experiments.Result, error) {
-			return experiments.RunOverridden(ctx, *scen, ov, cfg.Base)
-		})
+		run(experiments.ScenarioJob(*scen, ov))
 	case *all:
 		for _, id := range experiments.Figures() {
-			figureRun(id)
+			run(experiments.FigureJob(id))
 		}
 	case *figure != "":
-		figureRun(*figure)
+		run(experiments.FigureJob(*figure))
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -177,10 +158,11 @@ func main() {
 // flagConflict rejects flag combinations in which a flag given on the
 // command line (set, as flag.Visit reports them) would be silently
 // ignored: two selectors at once, -spec-out without -scenario (the only
-// run it exports), an override without the scenario executor to apply
-// it, or a multi-seed sweep of a -scenario run, which is single-seed.
-// The error names the offending flag.
-func flagConflict(set map[string]bool, seeds int) error {
+// run it exports) or with -seeds (it runs nothing), an override without
+// the scenario executor to apply it, or -ci or more than one -workers
+// at one seed, which merges no bands and fans out nothing. The error
+// names the offending flag.
+func flagConflict(set map[string]bool, cfg sweep.Config) error {
 	var selectors []string
 	for _, s := range []string{"figure", "all", "scenario", "scenario-file", "list"} {
 		if set[s] {
@@ -193,13 +175,16 @@ func flagConflict(set map[string]bool, seeds int) error {
 	if set["spec-out"] && !set["scenario"] {
 		return fmt.Errorf("-spec-out: exports the spec of a -scenario entry only")
 	}
+	if set["spec-out"] && cfg.Seeds > 1 {
+		return fmt.Errorf("-seeds %d: -spec-out writes the spec and runs nothing", cfg.Seeds)
+	}
+	if cfg.Seeds == 1 && set["ci"] {
+		return fmt.Errorf("-ci: a single-seed run prints no bands; give -seeds > 1")
+	}
+	if cfg.Seeds == 1 && set["workers"] && cfg.Workers > 1 {
+		return fmt.Errorf("-workers %d: a single-seed run uses one worker; give -seeds > 1", cfg.Workers)
+	}
 	if set["scenario"] || set["scenario-file"] {
-		if seeds > 1 {
-			return fmt.Errorf("-seeds %d: a %s run is single-seed (-seed picks it); sweeps take -figure", seeds, selectors[0])
-		}
-		if set["ci"] {
-			return fmt.Errorf("-ci: a %s run is single-seed and prints no bands; sweeps take -figure", selectors[0])
-		}
 		return nil
 	}
 	var overrides []string
@@ -256,16 +241,35 @@ func writeSpec(id string, ov scenario.Overrides, path string) {
 	}
 }
 
-// reportViolations surfaces invariant violations and failed (panicked)
-// sweep seeds on stderr and exits nonzero, so -check runs gate CI.
-func reportViolations(violations, failures []string) {
-	for _, f := range failures {
-		fmt.Fprintf(os.Stderr, "FAILED: %s\n", f)
+// report prints a sweep: at one seed the run itself, at more the merged
+// bands. A run that failed to build at one seed exits 1 with the error
+// alone. Each seed's failure, with the stack of a panic, and invariant
+// violations go to stderr and exit 1, so -check runs gate CI.
+func report(res *experiments.SweepResult, tsv bool) {
+	var p sweep.SeedError
+	if len(res.Runs) > 1 {
+		emit(res, tsv)
+	} else if r := res.Runs[0]; r.Result != nil {
+		emit(r.Result, tsv)
+	} else if !errors.As(r.Err, &p) {
+		fail(r.Err)
 	}
-	for _, v := range violations {
-		fmt.Fprintf(os.Stderr, "INVARIANT: %s\n", v)
+	bad := false
+	for _, r := range res.Runs {
+		if errors.As(r.Err, &p) {
+			fmt.Fprintf(os.Stderr, "FAILED: %s\n%s", p, p.Stack)
+		} else if r.Err != nil {
+			fmt.Fprintf(os.Stderr, "FAILED: seed %d: %v\n", r.Seed, r.Err)
+		}
+		for _, v := range r.Violations {
+			fmt.Fprintf(os.Stderr, "INVARIANT: %s\n", v)
+		}
+		if r.Dropped > 0 {
+			fmt.Fprintf(os.Stderr, "INVARIANT: seed %d: %d more dropped\n", r.Seed, r.Dropped)
+		}
+		bad = bad || r.Err != nil || len(r.Violations) > 0
 	}
-	if len(violations) > 0 || len(failures) > 0 {
+	if bad {
 		os.Exit(1)
 	}
 }

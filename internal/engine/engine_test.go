@@ -284,14 +284,12 @@ func TestPartitionOnPresets(t *testing.T) {
 // Sharded execution composes with seed sweeps: the merged bands stay
 // independent of the sweep worker count.
 func TestSweepWithEngineWorkers(t *testing.T) {
+	job, err := experiments.FigureJob("flashcrowd")
+	if err != nil {
+		t.Fatal(err)
+	}
 	run := func(sweepWorkers int) string {
-		res, err := experiments.Sweep("flashcrowd", sweep.Config{
-			Seeds: 3, Workers: sweepWorkers, EngineWorkers: 2,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.TSV()
+		return experiments.Sweep(job, sweep.Config{Seeds: 3, Workers: sweepWorkers, EngineWorkers: 2}).TSV()
 	}
 	if a, b := run(1), run(2); a != b {
 		t.Error("sweep output depends on sweep worker count under sharded engine")

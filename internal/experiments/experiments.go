@@ -74,20 +74,14 @@ func mustScenario(sc *scenario.Scenario, err error) *scenario.Scenario {
 	return sc
 }
 
-// Run executes the runner for a figure id on a fresh context.
-func Run(id string, seed int64) (*Result, error) {
-	return RunWith(NewRunCtx(), id, seed)
-}
-
 // RunWith executes the runner for a figure id on c, reusing whatever
 // simulation state c has cached from earlier runs of the same scenario.
 func RunWith(c *RunCtx, id string, seed int64) (*Result, error) {
-	e, ok := Lookup(id)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown figure %q (have %v)", id, Figures())
+	j, err := FigureJob(id)
+	if err != nil {
+		return nil, err
 	}
-	defer c.begin("figure" + id)()
-	return e.Run(c, seed), nil
+	return j.runOn(c, seed)
 }
 
 // --- run context and environment arena ---------------------------------
@@ -104,6 +98,7 @@ type RunCtx struct {
 	engineWorkers int
 	stats         EngineStats
 	violations    []invariant.Violation
+	dropped       int64 // violations the checkers counted past their storage cap
 }
 
 // NewRunCtx returns a context with an empty environment arena.
@@ -111,8 +106,7 @@ func NewRunCtx() *RunCtx { return &RunCtx{envs: map[string][]*env{}} }
 
 // NewRunCtxFor returns a context configured from the run options — the
 // invariant checker armed when cfg.Check, the execution engine selected
-// by cfg.EngineWorkers. Sweeps, judged runs and single command-line runs
-// all build their contexts here.
+// by cfg.EngineWorkers. Sweep builds every command's contexts here.
 func NewRunCtxFor(cfg sweep.Config) *RunCtx {
 	c := NewRunCtx()
 	if cfg.Check {
@@ -168,6 +162,7 @@ func (c *RunCtx) endRun() {
 			// with and without -check.
 			events -= e.check.Ticks()
 			c.violations = append(c.violations, e.check.Violations()...)
+			c.dropped += e.check.Dropped()
 		}
 		// Batch occupancy: one batch may dispatch many same-timestamp
 		// events. The count differs with and without -check (checker ticks
@@ -232,6 +227,7 @@ func (c *RunCtx) harvestRecovery(s *tfmcc.Sender) {
 func (c *RunCtx) ResetStats() {
 	c.stats = EngineStats{}
 	c.violations = nil
+	c.dropped = 0
 }
 
 // env bundles the per-scenario simulation plumbing.
@@ -358,26 +354,60 @@ func SessionThroughput(n int, seconds int) float64 {
 
 // --- seed sweeps -------------------------------------------------------
 
-// SweepResult is a figure reproduced as the merged behaviour of many
-// independent seeds.
+// Job is what Sweep runs once per seed: a registry figure (FigureJob), a
+// Spec-backed entry with overrides (ScenarioJob) or a spec under a key
+// (SpecJob). Each runs under its own arena key, so consecutive seeds of
+// a job on one context rewind the cached topology.
+type Job struct {
+	ID    string
+	Title string
+	key   string
+	run   func(c *RunCtx, seed int64) (*Result, error)
+}
+
+// runOn runs one seed of the job on c under the job's arena key.
+func (j Job) runOn(c *RunCtx, seed int64) (*Result, error) {
+	defer c.begin(j.key)()
+	return j.run(c, seed)
+}
+
+// FigureJob runs a registry entry through its own runner.
+func FigureJob(id string) (Job, error) {
+	e, ok := Lookup(id)
+	if !ok {
+		return Job{}, fmt.Errorf("experiments: unknown figure %q (have %v)", id, Figures())
+	}
+	return Job{ID: id, Title: e.Title, key: "figure" + id,
+		run: func(c *RunCtx, seed int64) (*Result, error) { return e.Run(c, seed), nil }}, nil
+}
+
+// SeedRun is one seed of a sweep, recorded on its own.
+type SeedRun struct {
+	Seed       int64
+	Result     *Result     // nil when Err is set
+	Stats      EngineStats // this seed's engine counters
+	Violations []invariant.Violation
+	Dropped    int64 // violations counted past the checker's storage cap
+	Err        error // a build error, or the sweep.SeedError of a panic
+}
+
+// SweepResult is a job reproduced as the merged behaviour of many
+// independent seeds, plus each seed's own run.
 type SweepResult struct {
-	Figure     string
-	Title      string
-	Bands      []*stats.Band
-	Notes      []string // notes of the first seed's run, for orientation
-	Seeds      int
-	Workers    int
-	CI         float64
-	Engine     EngineStats // accumulated across all seeds and workers
-	Failures   []string    // seeds that panicked (excluded from Bands), in seed order
-	Violations []string    // invariant violations, when checking was enabled
+	Figure  string
+	Title   string
+	Bands   []*stats.Band
+	Runs    []SeedRun // one per seed, in seed order
+	Workers int
+	CI      float64
+	Engine  EngineStats // the seeds' Stats, added
 }
 
 // Summary returns a per-band digest of the sweep.
 func (r *SweepResult) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure %s: %s (%d seeds, %d workers, %.0f%% CI)\n",
-		r.Figure, r.Title, r.Seeds, r.Workers, r.CI*100)
+		r.Figure, r.Title, len(r.Runs), r.Workers, r.CI*100)
 	for _, bd := range r.Bands {
 		var mean stats.Welford
 		for _, p := range bd.Points {
@@ -385,14 +415,10 @@ func (r *SweepResult) Summary() string {
 		}
 		fmt.Fprintf(&b, "  %-28s mean=%10.3f points=%d\n", bd.Name, mean.Mean(), len(bd.Points))
 	}
-	for _, n := range r.Notes {
-		fmt.Fprintf(&b, "  note (first seed): %s\n", n)
-	}
-	for _, f := range r.Failures {
-		fmt.Fprintf(&b, "  FAILED: %s\n", f)
-	}
-	for _, v := range r.Violations {
-		fmt.Fprintf(&b, "  INVARIANT: %s\n", v)
+	if first := r.Runs[0].Result; first != nil {
+		for _, n := range first.Notes {
+			fmt.Fprintf(&b, "  note (first seed): %s\n", n)
+		}
 	}
 	return b.String()
 }
@@ -410,49 +436,45 @@ func (r *SweepResult) TSV() string {
 	return b.String()
 }
 
-// Sweep runs a registered figure across cfg.Seeds independent seeds on
-// cfg.Workers workers and merges the per-seed series into bands. Each
-// worker owns one RunCtx, so consecutive seeds on a worker reuse the
-// scenario's cached topology and pooled protocol state; the merged output
-// is bit-for-bit independent of the worker count.
-func Sweep(id string, cfg sweep.Config) (*SweepResult, error) {
-	entry, ok := Lookup(id)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown figure %q (have %v)", id, Figures())
-	}
+// Sweep runs job across cfg.Seeds independent seeds on cfg.Workers
+// workers, records each seed's run and merges the per-seed series into
+// bands. It is the one place run contexts are made: each worker owns one,
+// so consecutive seeds on a worker reuse the job's cached topology and
+// pooled protocol state. The bands, the runs and their order are
+// bit-for-bit independent of the worker count. A seed that fails to
+// build or panics keeps its Err and stays out of the bands.
+func Sweep(job Job, cfg sweep.Config) *SweepResult {
 	cfg = cfg.Normalized()
 	ctxs := make([]*RunCtx, cfg.Workers)
 	for i := range ctxs {
 		ctxs[i] = NewRunCtxFor(cfg)
 	}
-	notes := make([][]string, cfg.Seeds)
-	merged := sweep.Run(cfg, func(worker int, seed int64) []*stats.Series {
-		res, err := RunWith(ctxs[worker], id, seed)
-		if err != nil {
-			panic(err) // unreachable: id was validated above
+	runs := make([]SeedRun, cfg.Seeds)
+	series, panics := sweep.RunRaw(cfg, func(worker int, seed int64) []*stats.Series {
+		c, r := ctxs[worker], &runs[cfg.Index(seed)]
+		c.ResetStats()
+		// Deferred, so a seed that panics still records what it ran.
+		defer func() { r.Stats, r.Violations, r.Dropped = c.stats, c.violations, c.dropped }()
+		r.Seed = seed
+		r.Result, r.Err = job.runOn(c, seed)
+		if r.Err != nil {
+			return nil
 		}
-		notes[cfg.Index(seed)] = res.Notes
-		return res.Series
+		return r.Result.Series
 	})
+	for _, p := range panics {
+		runs[cfg.Index(p.Seed)].Err = p
+	}
 	out := &SweepResult{
-		Figure:  id,
-		Title:   entry.Title,
-		Bands:   merged.Bands,
-		Seeds:   merged.Seeds,
-		Workers: merged.Workers,
-		CI:      merged.CI,
+		Figure:  job.ID,
+		Title:   job.Title,
+		Bands:   stats.MergeRuns(series, cfg.CI),
+		Runs:    runs,
+		Workers: cfg.Workers,
+		CI:      cfg.CI,
 	}
-	if len(notes) > 0 {
-		out.Notes = notes[0]
+	for _, r := range runs {
+		out.Engine.Add(r.Stats)
 	}
-	for _, e := range merged.Errors {
-		out.Failures = append(out.Failures, e.Error())
-	}
-	for _, c := range ctxs {
-		out.Engine.Add(c.Stats())
-		for _, v := range c.Violations() {
-			out.Violations = append(out.Violations, v.String())
-		}
-	}
-	return out, nil
+	return out
 }

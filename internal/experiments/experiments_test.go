@@ -48,13 +48,13 @@ func TestFiguresSortedNumerically(t *testing.T) {
 }
 
 func TestRunUnknownFigure(t *testing.T) {
-	if _, err := Run("999", 1); err == nil {
+	if _, err := RunWith(NewRunCtx(), "999", 1); err == nil {
 		t.Fatal("unknown figure should error")
 	}
 }
 
 func TestFigure1CDFShape(t *testing.T) {
-	res, err := Run("1", 1)
+	res, err := RunWith(NewRunCtx(), "1", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestFigure1CDFShape(t *testing.T) {
 }
 
 func TestFigure3CancellationOrdering(t *testing.T) {
-	res, err := Run("3", 1)
+	res, err := RunWith(NewRunCtx(), "3", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestFigure3CancellationOrdering(t *testing.T) {
 }
 
 func TestFigure4Implosion(t *testing.T) {
-	res, err := Run("4", 1)
+	res, err := RunWith(NewRunCtx(), "4", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestFigure4Implosion(t *testing.T) {
 }
 
 func TestFigure5ResponseTimeDecreases(t *testing.T) {
-	res, err := Run("5", 1)
+	res, err := RunWith(NewRunCtx(), "5", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestFigure5ResponseTimeDecreases(t *testing.T) {
 }
 
 func TestFigure6BiasImprovesQuality(t *testing.T) {
-	res, err := Run("6", 1)
+	res, err := RunWith(NewRunCtx(), "6", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestFigure6BiasImprovesQuality(t *testing.T) {
 // sequence of the loss-gap sampler.
 func TestFigure7ScalingShape(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
-		res, err := Run("7", seed)
+		res, err := RunWith(NewRunCtx(), "7", seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +203,7 @@ func TestFigure7ScalingShape(t *testing.T) {
 }
 
 func TestFigure17Maximum(t *testing.T) {
-	res, err := Run("17", 1)
+	res, err := RunWith(NewRunCtx(), "17", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestCohortConvExpectedFeedback(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-simulation figure")
 	}
-	res, err := Run("cohortconv", 1)
+	res, err := RunWith(NewRunCtx(), "cohortconv", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestCohortConvExpectedFeedback(t *testing.T) {
 }
 
 func TestResultRendering(t *testing.T) {
-	res, err := Run("17", 1)
+	res, err := RunWith(NewRunCtx(), "17", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestFigure15ShapeQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-simulation figure")
 	}
-	res, err := Run("15", 1)
+	res, err := RunWith(NewRunCtx(), "15", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,11 +322,11 @@ func TestSessionThroughputHelper(t *testing.T) {
 // the late-join scenario, which exercises mid-run Join/Leave against the
 // cached multicast trees: the same seed must reproduce the same summary.
 func TestLateJoinDeterministic(t *testing.T) {
-	a, err := Run("15", 1)
+	a, err := RunWith(NewRunCtx(), "15", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run("15", 1)
+	b, err := RunWith(NewRunCtx(), "15", 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,31 +87,41 @@ func RunSpecErr(c *RunCtx, id string, spec *scenario.Spec, seed int64) (*Result,
 	return res, nil
 }
 
-// RunSpecKeyed runs an arbitrary (typically data-loaded) spec under its
-// own arena key, the way RunOverridden does for registry-backed specs:
-// repeated runs of the same key rewind the cached topology.
-func RunSpecKeyed(c *RunCtx, key string, spec *scenario.Spec, seed int64) (*Result, error) {
-	defer c.begin("spec-" + key)()
-	return RunSpecErr(c, key, spec, seed)
-}
-
-// RunOverridden runs a Spec-backed registry entry with command-line
-// overrides applied; the RunCtx arena key includes the entry id so
-// repeated runs reuse the cached topology.
-func RunOverridden(c *RunCtx, id string, ov scenario.Overrides, seed int64) (*Result, error) {
+// ScenarioJob runs a Spec-backed registry entry with command-line
+// overrides applied, through the generic scenario executor.
+func ScenarioJob(id string, ov scenario.Overrides) (Job, error) {
 	e, ok := Lookup(id)
 	if !ok {
-		return nil, fmt.Errorf("experiments: unknown scenario %q (have %v)", id, ScenarioIDs())
+		return Job{}, fmt.Errorf("experiments: unknown scenario %q (have %v)", id, ScenarioIDs())
 	}
 	if e.Spec == nil {
-		return nil, fmt.Errorf("experiments: %q is not scenario-backed (have %v)", id, ScenarioIDs())
+		return Job{}, fmt.Errorf("experiments: %q is not scenario-backed (have %v)", id, ScenarioIDs())
 	}
 	spec, err := e.Spec().Apply(ov)
 	if err != nil {
+		return Job{}, err
+	}
+	return Job{ID: id, Title: spec.Title, key: "scenario-" + id, run: specRunner(id, spec)}, nil
+}
+
+// SpecJob runs an arbitrary (typically data-loaded) spec under its own
+// key: a JSON document, a fuzz input, a hypothesis workload.
+func SpecJob(key string, spec *scenario.Spec) Job {
+	return Job{ID: key, Title: spec.Title, key: "spec-" + key, run: specRunner(key, spec)}
+}
+
+// specRunner runs spec through the generic executor as a Result named id.
+func specRunner(id string, spec *scenario.Spec) func(*RunCtx, int64) (*Result, error) {
+	return func(c *RunCtx, seed int64) (*Result, error) { return RunSpecErr(c, id, spec, seed) }
+}
+
+// RunOverridden runs ScenarioJob(id, ov) for one seed on c.
+func RunOverridden(c *RunCtx, id string, ov scenario.Overrides, seed int64) (*Result, error) {
+	j, err := ScenarioJob(id, ov)
+	if err != nil {
 		return nil, err
 	}
-	defer c.begin("scenario-" + id)()
-	return RunSpecErr(c, id, spec, seed)
+	return j.runOn(c, seed)
 }
 
 // ScenarioIDs returns the ids of every Spec-backed entry (figures with a

@@ -61,7 +61,7 @@ func TestScenarioRewindVsFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := Run(id, 1) // brand-new context
+		fresh, err := RunWith(NewRunCtx(), id, 1) // brand-new context
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func TestDegradeEventsShapeRate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-simulation scenario")
 	}
-	res, err := Run("degrade", 1)
+	res, err := RunWith(NewRunCtx(), "degrade", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,14 +135,12 @@ func TestCohortSweepWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-simulation scenarios")
 	}
-	base, err := Sweep("cohort64", sweep.Config{Seeds: 4, Workers: 1, Base: 1})
+	job, err := FigureJob("cohort64")
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := Sweep("cohort64", sweep.Config{Seeds: 4, Workers: 2, Base: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := Sweep(job, sweep.Config{Seeds: 4, Workers: 1, Base: 1})
+	multi := Sweep(job, sweep.Config{Seeds: 4, Workers: 2, Base: 1})
 	if base.TSV() != multi.TSV() {
 		t.Fatal("cohort sweep output differs between workers=1 and workers=2")
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/scenario"
@@ -111,41 +112,130 @@ func TestSteppedClockArenaPerShape(t *testing.T) {
 	}
 }
 
-// TestSweepWorkerInvariance: the merged sweep output must be
-// byte-identical for -workers 1 and any larger worker count, even though
-// each worker's arena sees a different seed subsequence.
-func TestSweepWorkerInvariance(t *testing.T) {
-	run := func(workers int) string {
-		ctxs := make([]*RunCtx, workers)
-		for i := range ctxs {
-			ctxs[i] = NewRunCtx()
-		}
-		merged := sweep.Run(sweep.Config{Seeds: 6, Workers: workers, Base: 2},
-			func(w int, seed int64) []*stats.Series {
-				return miniSession(ctxs[w], seed).Series
-			})
-		out := ""
-		for _, b := range merged.Bands {
-			out += b.Name + "\n" + b.TSV()
-		}
-		return out
+// miniJob sweeps miniSession.
+var miniJob = Job{ID: "mini", Title: "mini session", key: "mini",
+	run: func(c *RunCtx, seed int64) (*Result, error) { return miniSession(c, seed), nil }}
+
+// shortScenario is ScenarioJob(id) cut to the given duration.
+func shortScenario(t *testing.T, id string, d sim.Time) Job {
+	t.Helper()
+	ov := scenario.None()
+	ov.Duration = d
+	j, err := ScenarioJob(id, ov)
+	if err != nil {
+		t.Fatal(err)
 	}
-	base := run(1)
-	for _, w := range []int{2, 3, 6} {
-		if got := run(w); got != base {
-			t.Fatalf("workers=%d sweep output differs from workers=1", w)
+	return j
+}
+
+// TestSweepWorkerInvariance: the merged sweep output and every per-seed
+// run must be byte-identical for -workers 1 and any larger worker count,
+// even though each worker's arena sees a different seed subsequence.
+func TestSweepWorkerInvariance(t *testing.T) {
+	for _, job := range []Job{miniJob, shortScenario(t, "wireless", 8*sim.Second)} {
+		cfg := sweep.Config{Seeds: 6, Workers: 1, Base: 2}
+		base := Sweep(job, cfg)
+		for _, w := range []int{2, 3, 6} {
+			cfg.Workers = w
+			got := Sweep(job, cfg)
+			if got.TSV() != base.TSV() || got.Engine != base.Engine {
+				t.Fatalf("%s: workers=%d sweep output differs from workers=1", job.ID, w)
+			}
+			for i, r := range got.Runs {
+				if r.Seed != base.Runs[i].Seed || r.Result.TSV() != base.Runs[i].Result.TSV() || r.Stats != base.Runs[i].Stats {
+					t.Fatalf("%s: workers=%d seed %d run differs from workers=1", job.ID, w, r.Seed)
+				}
+			}
 		}
+	}
+}
+
+// TestSweepRunsMatchFreshRuns: each SeedRun of a sweep is exactly the
+// run a fresh context makes of that seed on its own — TSV, engine
+// counters and violations — whichever worker's warm arena ran it, and
+// the bands are stats.MergeRuns over those fresh runs.
+func TestSweepRunsMatchFreshRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-simulation runs")
+	}
+	ov := scenario.None()
+	ov.Duration = 20 * sim.Second
+	spec := scenario.CLRFail()
+	spec.Duration = 40 * sim.Second
+	fresh := map[string]func(c *RunCtx, seed int64) (*Result, error){
+		"15": func(c *RunCtx, seed int64) (*Result, error) { return RunWith(c, "15", seed) },
+		"degrade": func(c *RunCtx, seed int64) (*Result, error) {
+			return RunOverridden(c, "degrade", ov, seed)
+		},
+		"short-clrfail": func(c *RunCtx, seed int64) (*Result, error) {
+			return SpecJob("short-clrfail", spec).runOn(c, seed)
+		},
+	}
+	figure, err := FigureJob("15")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, job := range []Job{figure, shortScenario(t, "degrade", ov.Duration), SpecJob("short-clrfail", spec)} {
+		for _, workers := range []int{1, 2} {
+			cfg := sweep.Config{Seeds: 3, Workers: workers, Base: 4, Check: true}.Normalized()
+			res := Sweep(job, cfg)
+			var series [][]*stats.Series
+			var total EngineStats
+			for i, r := range res.Runs {
+				c := NewRunCtxFor(cfg)
+				want, err := fresh[job.ID](c, cfg.Seed(i))
+				if err != nil || r.Err != nil {
+					t.Fatalf("%s seed %d: fresh run error %v, sweep run error %v", job.ID, r.Seed, err, r.Err)
+				}
+				if r.Seed != cfg.Seed(i) || r.Result.TSV() != want.TSV() {
+					t.Fatalf("%s workers=%d: run %d (seed %d) differs from a fresh run of seed %d",
+						job.ID, workers, i, r.Seed, cfg.Seed(i))
+				}
+				if r.Stats != c.Stats() || !reflect.DeepEqual(r.Violations, c.Violations()) || r.Dropped != c.dropped {
+					t.Fatalf("%s workers=%d seed %d: counters or violations differ from a fresh run:\n%+v\nvs\n%+v",
+						job.ID, workers, r.Seed, r.Stats, c.Stats())
+				}
+				series = append(series, want.Series)
+				total.Add(c.Stats())
+			}
+			if !reflect.DeepEqual(res.Bands, stats.MergeRuns(series, 0.95)) || res.Engine != total {
+				t.Fatalf("%s workers=%d: bands or engine totals are not those of the fresh runs", job.ID, workers)
+			}
+		}
+	}
+}
+
+// TestDroppedViolationsCounted: a breach the checker stops storing past
+// its cap still counts — a seed whose predicate breaches with a new
+// message on every tick reports one violation per tick.
+func TestDroppedViolationsCounted(t *testing.T) {
+	var ticks uint64
+	job := Job{ID: "breach", key: "breach", run: func(c *RunCtx, seed int64) (*Result, error) {
+		e := c.newEnv(seed)
+		n := 0
+		e.check.Register("always", func() string { n++; return fmt.Sprintf("breach %d", n) })
+		e.sch.RunUntil(10 * sim.Second)
+		ticks = e.check.Ticks()
+		return &Result{Figure: "breach"}, nil
+	}}
+	r := Sweep(job, sweep.Config{Check: true}).Runs[0]
+	if ticks < 100 || r.Dropped == 0 {
+		t.Fatalf("%d ticks, %d dropped: the run did not overflow the checker's storage", ticks, r.Dropped)
+	}
+	if got := uint64(len(r.Violations)) + uint64(r.Dropped); got != ticks {
+		t.Fatalf("%d stored + %d dropped violations, want one per tick (%d)", len(r.Violations), r.Dropped, ticks)
 	}
 }
 
 // TestSweepRegisteredFigure exercises the public Sweep API end to end on
 // an analytic figure (cheap) and checks the metadata and band columns.
 func TestSweepRegisteredFigure(t *testing.T) {
-	res, err := Sweep("17", sweep.Config{Seeds: 3, Workers: 2, Base: 1})
+	job, err := FigureJob("17")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Figure != "17" || res.Seeds != 3 || res.Workers != 2 || res.CI != 0.95 {
+	res := Sweep(job, sweep.Config{Seeds: 3, Workers: 2, Base: 1})
+	if res.Figure != "17" || len(res.Runs) != 3 || res.Workers != 2 || res.CI != 0.95 {
 		t.Fatalf("sweep metadata wrong: %+v", res)
 	}
 	if len(res.Bands) == 0 || len(res.Bands[0].Points) == 0 {
@@ -164,9 +254,9 @@ func TestSweepRegisteredFigure(t *testing.T) {
 	}
 }
 
-// TestSweepUnknownFigure mirrors Run's error contract.
+// TestSweepUnknownFigure mirrors RunWith's error contract.
 func TestSweepUnknownFigure(t *testing.T) {
-	if _, err := Sweep("999", sweep.Config{Seeds: 2}); err == nil {
+	if _, err := FigureJob("999"); err == nil {
 		t.Fatal("unknown figure should error")
 	}
 }

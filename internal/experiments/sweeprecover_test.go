@@ -32,13 +32,15 @@ var registerPanicEntry = sync.OnceFunc(func() {
 
 func TestSweepSurvivesPanickingSeed(t *testing.T) {
 	registerPanicEntry()
-	res, err := Sweep("panictest", sweep.Config{Seeds: 4, Workers: 2, Base: 1})
+	job, err := FigureJob("panictest")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Failures) != 1 || !strings.Contains(res.Failures[0], "seed 2") ||
-		!strings.Contains(res.Failures[0], "cursed") {
-		t.Fatalf("failures = %v, want one entry naming seed 2", res.Failures)
+	res := Sweep(job, sweep.Config{Seeds: 4, Workers: 2, Base: 1})
+	for _, r := range res.Runs {
+		if failed := r.Err != nil; failed != (r.Seed == 2) || (failed && !strings.Contains(r.Err.Error(), "cursed")) {
+			t.Fatalf("seed %d: error %v, want the panic of seed 2 only", r.Seed, r.Err)
+		}
 	}
 	if len(res.Bands) != 1 {
 		t.Fatalf("bands = %d, want 1", len(res.Bands))

@@ -4,10 +4,10 @@
 // a seed set, and a list of typed Expectations ("after the heal at
 // t=90s the sender re-attains 80% of its steady rate within 30s", "the
 // rate never leaves [floor, ceiling]", "no invariant violations"). The
-// judge executes the workload over the seed set through the existing
-// sweep/RunCtx machinery with the run-level invariant checker armed, and
-// produces a structured Verdict: pass/fail per expectation, measured vs
-// bound, per-seed breakdown.
+// judge runs the workload as one experiments.Sweep over the seed set
+// with the run-level invariant checker armed, judges each seed's
+// experiments.SeedRun, and produces a structured Verdict: pass/fail per
+// expectation, measured vs bound, per-seed breakdown.
 //
 // Hypotheses serialise to JSON like scenario specs, so prediction suites
 // ship as data (`tfmcchyp -run spec.json`); the committed suite

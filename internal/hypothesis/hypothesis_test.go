@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/experiments"
+	"repro/internal/invariant"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/sweep"
@@ -227,5 +229,19 @@ func TestGoldenBandRefusedSharded(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "series_within_band") || !strings.Contains(err.Error(), "serially") {
 		t.Errorf("error %q does not name the expectation and the serial remedy", err)
+	}
+}
+
+// TestNoInvariantViolationsCountsDropped: the judge counts the breaches
+// the checker stopped storing past its cap (experiments'
+// TestDroppedViolationsCounted shows a sweep reports them), so an
+// allowance of 64 or more no longer passes however many there were.
+func TestNoInvariantViolationsCountsDropped(t *testing.T) {
+	run := &experiments.SeedRun{Seed: 1, Violations: make([]invariant.Violation, 64), Dropped: 36, Result: &experiments.Result{}}
+	if m := (&NoInvariantViolations{Allow: 64}).judge(run); m.Pass || m.Measured != 100 {
+		t.Errorf("64 stored + 36 dropped against allow 64: %+v, want a failure measuring 100", m)
+	}
+	if m := (&NoInvariantViolations{Allow: 100}).judge(run); !m.Pass || m.Measured != 100 {
+		t.Errorf("64 stored + 36 dropped against allow 100: %+v, want a pass measuring 100", m)
 	}
 }

@@ -1,6 +1,7 @@
 package hypothesis
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -65,16 +66,6 @@ func (v *Verdict) Report() string {
 	return b.String()
 }
 
-// outcome is everything one seed's run exposes to the judges.
-type outcome struct {
-	seed       int64
-	err        error
-	series     map[string]*stats.Series
-	stats      experiments.EngineStats
-	violations []string
-	duration   sim.Time
-}
-
 // Resolve materialises the workload's scenario spec (chaos applied) and
 // a stable arena key for it.
 func (w Workload) Resolve() (*scenario.Spec, string, error) {
@@ -115,18 +106,17 @@ func (w Workload) Resolve() (*scenario.Spec, string, error) {
 	return spec, key, nil
 }
 
-// Run executes and judges one hypothesis. The workload runs once per
+// Run executes and judges one hypothesis: the workload runs once per
 // seed of the hypothesis' own seed set (cfg's seed fields are replaced
-// by it), fanned over cfg.Workers through the sweep machinery — each
-// worker owns one RunCtx with the invariant checker always armed, so
-// repeated seeds rewind the cached topology exactly like figure sweeps —
-// and every expectation is then judged against the per-seed outcomes in
-// seed order, making the verdict independent of the worker count.
-// cfg.EngineWorkers >= 2 judges the workload on the region
-// engine: its own deterministic universe (per-region random streams), so
-// expectations judge a different — equally valid — trajectory than the
-// serial engine's; a golden trajectory (series_within_band) is a serial
-// one, so it is refused there rather than failed.
+// by it) as one experiments.Sweep of SpecJob(key, spec) with the
+// invariant checker armed, and every expectation is then judged against
+// the sweep's per-seed runs in seed order, making the verdict
+// independent of the worker count. cfg.EngineWorkers >= 2 judges the
+// workload on the region engine: its own deterministic universe
+// (per-region random streams), so expectations judge a different —
+// equally valid — trajectory than the serial engine's; a golden
+// trajectory (series_within_band) is a serial one, so it is refused
+// there rather than failed.
 // The returned error covers malformed hypotheses (bad workload ref,
 // mis-populated expectation) and that refusal; workload build/run
 // failures are judged (they fail every expectation), not returned.
@@ -154,41 +144,7 @@ func Run(h *Hypothesis, cfg sweep.Config) (*Verdict, error) {
 
 	seeds := h.Seeds.normalized()
 	cfg.Seeds, cfg.Base, cfg.Step, cfg.Check = seeds.Count, seeds.Base, 1, true
-	cfg = cfg.Normalized()
-	ctxs := make([]*experiments.RunCtx, cfg.Workers)
-	for i := range ctxs {
-		ctxs[i] = experiments.NewRunCtxFor(cfg)
-	}
-	outcomes := make([]*outcome, cfg.Seeds)
-	_, seedErrs := sweep.RunRaw(cfg, func(worker int, seed int64) []*stats.Series {
-		ctx := ctxs[worker]
-		ctx.ResetStats()
-		o := &outcome{seed: seed, duration: spec.Duration}
-		outcomes[cfg.Index(seed)] = o
-		res, err := experiments.RunSpecKeyed(ctx, key, spec, seed)
-		o.stats = ctx.Stats()
-		for _, v := range ctx.Violations() {
-			o.violations = append(o.violations, v.String())
-		}
-		if err != nil {
-			o.err = err
-			return nil
-		}
-		o.series = map[string]*stats.Series{}
-		for _, s := range res.Series {
-			o.series[s.Name] = s
-		}
-		return nil
-	})
-	for _, se := range seedErrs {
-		i := cfg.Index(se.Seed)
-		if outcomes[i] == nil {
-			outcomes[i] = &outcome{seed: se.Seed, duration: spec.Duration}
-		}
-		if outcomes[i].err == nil {
-			outcomes[i].err = fmt.Errorf("%s", se.Msg)
-		}
-	}
+	runs := experiments.Sweep(experiments.SpecJob(key, spec), cfg).Runs
 
 	v := &Verdict{
 		ID: h.ID, Title: h.Title, Workload: key,
@@ -197,9 +153,9 @@ func Run(h *Hypothesis, cfg sweep.Config) (*Verdict, error) {
 	for _, e := range h.Expect {
 		kind, desc, _ := e.kind()
 		ev := ExpectationVerdict{Kind: kind, Desc: desc, Pass: true}
-		for _, o := range outcomes {
-			m := e.judge(o)
-			m.Seed = o.seed
+		for i := range runs {
+			m := e.judge(&runs[i])
+			m.Seed = runs[i].Seed
 			if !m.Pass {
 				ev.Pass = false
 			}
@@ -213,10 +169,15 @@ func Run(h *Hypothesis, cfg sweep.Config) (*Verdict, error) {
 	return v, nil
 }
 
-// judge evaluates the expectation against one seed's outcome.
-func (e Expectation) judge(o *outcome) SeedMeasure {
-	if o.err != nil {
-		return SeedMeasure{Detail: fmt.Sprintf("run failed: %v", o.err)}
+// judge evaluates the expectation against one seed's run.
+func (e Expectation) judge(o *experiments.SeedRun) SeedMeasure {
+	if o.Err != nil {
+		msg := o.Err.Error()
+		var p sweep.SeedError
+		if errors.As(o.Err, &p) {
+			msg = p.Msg // the worker that ran the seed is not part of the verdict
+		}
+		return SeedMeasure{Detail: "run failed: " + msg}
 	}
 	switch {
 	case e.RecoverWithin != nil:
@@ -237,16 +198,23 @@ func (e Expectation) judge(o *outcome) SeedMeasure {
 	return SeedMeasure{Detail: "empty expectation"} // unreachable: kind() validated
 }
 
-func (o *outcome) lookup(name string) (*stats.Series, SeedMeasure, bool) {
-	s, ok := o.series[name]
-	if !ok || len(s.Points) == 0 {
-		return nil, SeedMeasure{Detail: fmt.Sprintf("series %q not collected (or empty)", name)}, false
+// lookup finds a run's collected series by name (the last of that name).
+func lookup(o *experiments.SeedRun, name string) (*stats.Series, SeedMeasure, bool) {
+	for i := len(o.Result.Series) - 1; i >= 0; i-- {
+		s := o.Result.Series[i]
+		if s.Name != name {
+			continue
+		}
+		if len(s.Points) == 0 {
+			break
+		}
+		return s, SeedMeasure{}, true
 	}
-	return s, SeedMeasure{}, true
+	return nil, SeedMeasure{Detail: fmt.Sprintf("series %q not collected (or empty)", name)}, false
 }
 
-func (r *RecoverWithin) judge(o *outcome) SeedMeasure {
-	s, fail, ok := o.lookup(r.Series)
+func (r *RecoverWithin) judge(o *experiments.SeedRun) SeedMeasure {
+	s, fail, ok := lookup(o, r.Series)
 	if !ok {
 		return fail
 	}
@@ -276,8 +244,8 @@ func (r *RecoverWithin) judge(o *outcome) SeedMeasure {
 
 // extreme scans the window for the min (floor) or max (ceiling) sample;
 // any NaN poisons the result.
-func (r *RateBound) extreme(o *outcome, wantMin bool) (float64, int, bool) {
-	s, _, ok := o.lookup(r.Series)
+func (r *RateBound) extreme(o *experiments.SeedRun, wantMin bool) (float64, int, bool) {
+	s, _, ok := lookup(o, r.Series)
 	if !ok {
 		return 0, 0, false
 	}
@@ -301,10 +269,10 @@ func (r *RateBound) extreme(o *outcome, wantMin bool) (float64, int, bool) {
 	return ext, n, true
 }
 
-func (r *RateBound) judgeFloor(o *outcome) SeedMeasure {
+func (r *RateBound) judgeFloor(o *experiments.SeedRun) SeedMeasure {
 	lo, n, ok := r.extreme(o, true)
 	if !ok {
-		_, fail, _ := o.lookup(r.Series)
+		_, fail, _ := lookup(o, r.Series)
 		return fail
 	}
 	if n == 0 {
@@ -316,10 +284,10 @@ func (r *RateBound) judgeFloor(o *outcome) SeedMeasure {
 	}
 }
 
-func (r *RateBound) judgeCeiling(o *outcome) SeedMeasure {
+func (r *RateBound) judgeCeiling(o *experiments.SeedRun) SeedMeasure {
 	hi, n, ok := r.extreme(o, false)
 	if !ok {
-		_, fail, _ := o.lookup(r.Series)
+		_, fail, _ := lookup(o, r.Series)
 		return fail
 	}
 	if n == 0 {
@@ -331,20 +299,20 @@ func (r *RateBound) judgeCeiling(o *outcome) SeedMeasure {
 	}
 }
 
-func (nv *NoInvariantViolations) judge(o *outcome) SeedMeasure {
-	n := len(o.violations)
+func (nv *NoInvariantViolations) judge(o *experiments.SeedRun) SeedMeasure {
+	n := int64(len(o.Violations)) + o.Dropped
 	m := SeedMeasure{
-		Pass: n <= nv.Allow, Measured: float64(n), Bound: float64(nv.Allow),
+		Pass: n <= int64(nv.Allow), Measured: float64(n), Bound: float64(nv.Allow),
 		Detail: fmt.Sprintf("%d violations vs allowed %d", n, nv.Allow),
 	}
-	if !m.Pass {
-		m.Detail += ": " + o.violations[0]
+	if !m.Pass && len(o.Violations) > 0 {
+		m.Detail += ": " + o.Violations[0].String()
 	}
 	return m
 }
 
-func (c *CLRReelectedBy) judge(o *outcome) SeedMeasure {
-	st := o.stats
+func (c *CLRReelectedBy) judge(o *experiments.SeedRun) SeedMeasure {
+	st := o.Stats
 	worst := st.ReelectNS.Seconds()
 	bound := c.Within.Seconds()
 	switch {
@@ -362,8 +330,8 @@ func (c *CLRReelectedBy) judge(o *outcome) SeedMeasure {
 	}
 }
 
-func (c *CounterBound) judge(o *outcome) SeedMeasure {
-	u, ok := o.stats.Lookup(c.Counter)
+func (c *CounterBound) judge(o *experiments.SeedRun) SeedMeasure {
+	u, ok := o.Stats.Lookup(c.Counter)
 	if !ok {
 		return SeedMeasure{Detail: fmt.Sprintf("unknown counter %q", c.Counter)}
 	}
@@ -375,8 +343,8 @@ func (c *CounterBound) judge(o *outcome) SeedMeasure {
 	}
 }
 
-func (b *SeriesWithinBand) judge(o *outcome) SeedMeasure {
-	s, fail, ok := o.lookup(b.Series)
+func (b *SeriesWithinBand) judge(o *experiments.SeedRun) SeedMeasure {
+	s, fail, ok := lookup(o, b.Series)
 	if !ok {
 		return fail
 	}

@@ -228,20 +228,6 @@ func (e *Estimator) FirstInterval() int {
 	return e.intervals[1]
 }
 
-// ScaleHistory multiplies every closed interval by f (clamped below at 1
-// packet). Appendix B uses this when the initial loss interval was
-// computed with the conservative initial RTT and the first real RTT
-// measurement arrives: l' = l · (R_real/R_init)².
-func (e *Estimator) ScaleHistory(f float64) {
-	for i := 1; i < len(e.intervals); i++ {
-		v := float64(e.intervals[i]) * f
-		if v < 1 {
-			v = 1
-		}
-		e.intervals[i] = int(v + 0.5)
-	}
-}
-
 func (e *Estimator) recordLoss(t sim.Time, newEvent bool) {
 	rec := lossRecord{t: t, newEvent: newEvent}
 	if n := len(e.recentLosses); n >= e.maxRecent {

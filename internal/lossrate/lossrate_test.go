@@ -141,22 +141,6 @@ func TestInitFirstInterval(t *testing.T) {
 	}
 }
 
-func TestScaleHistory(t *testing.T) {
-	e := NewEstimator([]float64{1, 1})
-	for i := 0; i < 100; i++ {
-		e.OnPacket()
-	}
-	e.OnLoss(sim.Second, sim.Millisecond)
-	e.ScaleHistory(0.25)
-	if e.FirstInterval() != 25 {
-		t.Fatalf("scaled interval = %d, want 25", e.FirstInterval())
-	}
-	e.ScaleHistory(0.001)
-	if e.FirstInterval() != 1 {
-		t.Fatalf("interval should clamp at 1, got %d", e.FirstInterval())
-	}
-}
-
 func TestReaggregateSplitsMergedEvents(t *testing.T) {
 	// With a huge initial RTT, three well-separated losses collapse into
 	// one event. After learning the true RTT, re-aggregation must split

@@ -6,7 +6,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"repro/internal/sim"
@@ -176,22 +175,6 @@ func JainIndex(xs []float64) float64 {
 		return 0
 	}
 	return sum * sum / (float64(len(xs)) * sum2)
-}
-
-// Quantile returns the q-quantile (0..1) of xs (copied, not mutated).
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	idx := q * float64(len(c)-1)
-	lo := int(idx)
-	if lo >= len(c)-1 {
-		return c[len(c)-1]
-	}
-	frac := idx - float64(lo)
-	return c[lo]*(1-frac) + c[lo+1]*frac
 }
 
 // Welford tracks running mean and variance without storing samples.

@@ -115,26 +115,6 @@ func TestJainIndexBoundsProperty(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{4, 1, 3, 2}
-	if got := Quantile(xs, 0); got != 1 {
-		t.Fatalf("q0 = %v", got)
-	}
-	if got := Quantile(xs, 1); got != 4 {
-		t.Fatalf("q1 = %v", got)
-	}
-	if got := Quantile(xs, 0.5); got != 2.5 {
-		t.Fatalf("median = %v, want 2.5", got)
-	}
-	if Quantile(nil, 0.5) != 0 {
-		t.Fatal("empty quantile should be 0")
-	}
-	// Input must not be mutated.
-	if xs[0] != 4 {
-		t.Fatal("Quantile mutated its input")
-	}
-}
-
 func TestWelfordMatchesDirect(t *testing.T) {
 	var w Welford
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}

@@ -1,18 +1,22 @@
-// Package sweep fans independent seeds of a stochastic scenario across
-// worker goroutines and merges the per-seed results into mean/min/max and
-// confidence-interval bands. Each simulation stays single-threaded by
-// design; the parallelism is entirely across seeds, and per-worker state
-// (a simulation arena) is reused from seed to seed so repeated runs skip
-// scenario reconstruction.
+// Package sweep holds the run options every command shares (Config) and
+// the one seed fan-out, RunRaw: it runs independent seeds of a stochastic
+// scenario on worker goroutines and returns the per-seed series in seed
+// order, recovering a panicking seed as a SeedError. Each simulation
+// stays single-threaded by design; the parallelism is entirely across
+// seeds, and per-worker state (a simulation arena) is reused from seed to
+// seed so repeated runs skip scenario reconstruction.
 //
-// The merge iterates seeds in seed order regardless of which worker ran
-// them, so the merged output is bit-for-bit independent of the worker
-// count — the property the determinism tests pin down.
+// Callers merge the runs into mean/min/max and confidence-interval bands
+// with stats.MergeRuns, which iterates seeds in seed order regardless of
+// which worker ran them, so the merged output is bit-for-bit independent
+// of the worker count — the property the determinism tests pin down.
+// experiments.Sweep is the caller every command goes through.
 package sweep
 
 import (
 	"flag"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -41,11 +45,13 @@ type Config struct {
 
 // SeedError records one seed whose run panicked. The sweep recovers,
 // excludes the seed from the merged bands and carries on — one broken
-// seed must not cost the other N-1.
+// seed must not cost the other N-1. Stack is the panicking goroutine's
+// trace, so a recovered panic still shows where it happened.
 type SeedError struct {
 	Seed   int64
 	Worker int
 	Msg    string
+	Stack  string
 }
 
 func (e SeedError) Error() string {
@@ -127,34 +133,11 @@ func (c Config) Index(seed int64) int { return int((seed - c.Base) / c.Step) }
 // RunFunc must be callable concurrently for distinct worker values.
 type RunFunc func(worker int, seed int64) []*stats.Series
 
-// Result is a merged sweep.
-type Result struct {
-	Bands   []*stats.Band
-	Seeds   int
-	Workers int
-	CI      float64
-	Errors  []SeedError // seeds that panicked, excluded from Bands
-}
-
-// Run executes fn for every seed across the configured workers and merges
-// the per-seed series into bands. Seeds whose run panics are recovered,
-// reported in Errors and excluded from the merge.
-func Run(cfg Config, fn RunFunc) *Result {
-	cfg = cfg.Normalized()
-	runs, errs := RunRaw(cfg, fn)
-	return &Result{
-		Bands:   stats.MergeRuns(runs, cfg.CI),
-		Seeds:   cfg.Seeds,
-		Workers: cfg.Workers,
-		CI:      cfg.CI,
-		Errors:  errs,
-	}
-}
-
-// RunRaw executes fn for every seed and returns the raw per-seed series
-// in seed order, for callers that merge (or judge) the runs themselves:
-// stats.MergeRuns over the concatenation of consecutive ranges' RunRaw
-// outputs is byte-identical to one full Run over the whole range.
+// RunRaw executes fn for every seed across the configured workers and
+// returns the raw per-seed series in seed order, for the caller to merge
+// (stats.MergeRuns) or judge: MergeRuns over the concatenation of
+// consecutive ranges' RunRaw outputs is byte-identical to MergeRuns over
+// one RunRaw of the whole range.
 //
 // A seed whose fn panics is recovered: its slot stays nil (MergeRuns
 // skips nil runs) and a SeedError is returned. The error list is in seed
@@ -168,7 +151,7 @@ func RunRaw(cfg Config, fn RunFunc) ([][]*stats.Series, []SeedError) {
 		defer func() {
 			if r := recover(); r != nil {
 				runs[i] = nil
-				fails[i] = &SeedError{Seed: seed, Worker: worker, Msg: fmt.Sprint(r)}
+				fails[i] = &SeedError{Seed: seed, Worker: worker, Msg: fmt.Sprint(r), Stack: string(debug.Stack())}
 			}
 		}()
 		runs[i] = fn(worker, seed)
@@ -182,19 +165,12 @@ func RunRaw(cfg Config, fn RunFunc) ([][]*stats.Series, []SeedError) {
 	return runs, errs
 }
 
-// Scalars evaluates a scalar metric for every seed and returns the values
-// in seed order.
-func Scalars(cfg Config, fn func(worker int, seed int64) float64) []float64 {
-	cfg = cfg.Normalized()
-	out := make([]float64, cfg.Seeds)
-	forEach(cfg, func(worker, i int) { out[i] = fn(worker, cfg.Seed(i)) })
-	return out
-}
-
 // Mean averages a scalar metric over the sweep's seeds. Summation is in
 // seed order, so the value is independent of worker scheduling.
 func Mean(cfg Config, fn func(worker int, seed int64) float64) float64 {
-	vals := Scalars(cfg, fn)
+	cfg = cfg.Normalized()
+	vals := make([]float64, cfg.Seeds)
+	forEach(cfg, func(worker, i int) { vals[i] = fn(worker, cfg.Seed(i)) })
 	sum := 0.0
 	for _, v := range vals {
 		sum += v

@@ -25,9 +25,16 @@ func synthRun(_ int, seed int64) []*stats.Series {
 	return []*stats.Series{a, b}
 }
 
-func bandsTSV(r *Result) string {
+// merged runs cfg through RunRaw and merges the runs into bands, the way
+// experiments.Sweep does.
+func merged(cfg Config, fn RunFunc) ([]*stats.Band, []SeedError) {
+	runs, errs := RunRaw(cfg, fn)
+	return stats.MergeRuns(runs, cfg.Normalized().CI), errs
+}
+
+func bandsTSV(bands []*stats.Band) string {
 	out := ""
-	for _, b := range r.Bands {
+	for _, b := range bands {
 		out += b.Name + "\n" + b.TSV()
 	}
 	return out
@@ -36,9 +43,9 @@ func bandsTSV(r *Result) string {
 // TestWorkerCountInvariance: the merged output must be byte-identical for
 // any worker count.
 func TestWorkerCountInvariance(t *testing.T) {
-	base := Run(Config{Seeds: 7, Workers: 1, Base: 3, Step: 2}, synthRun)
+	base, _ := merged(Config{Seeds: 7, Workers: 1, Base: 3, Step: 2}, synthRun)
 	for _, w := range []int{2, 3, 7, 16} {
-		got := Run(Config{Seeds: 7, Workers: w, Base: 3, Step: 2}, synthRun)
+		got, _ := merged(Config{Seeds: 7, Workers: w, Base: 3, Step: 2}, synthRun)
 		if bandsTSV(got) != bandsTSV(base) {
 			t.Fatalf("workers=%d merged output differs from workers=1", w)
 		}
@@ -48,7 +55,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 func TestSeedAssignment(t *testing.T) {
 	var mu sync.Mutex
 	seen := map[int64]int{}
-	Run(Config{Seeds: 9, Workers: 4, Base: 100, Step: 10}, func(w int, seed int64) []*stats.Series {
+	RunRaw(Config{Seeds: 9, Workers: 4, Base: 100, Step: 10}, func(w int, seed int64) []*stats.Series {
 		mu.Lock()
 		seen[seed]++
 		mu.Unlock()
@@ -68,7 +75,7 @@ func TestSeedAssignment(t *testing.T) {
 func TestWorkerIndexesDistinct(t *testing.T) {
 	var mu sync.Mutex
 	workers := map[int]bool{}
-	Run(Config{Seeds: 32, Workers: 4}, func(w int, seed int64) []*stats.Series {
+	RunRaw(Config{Seeds: 32, Workers: 4}, func(w int, seed int64) []*stats.Series {
 		mu.Lock()
 		workers[w] = true
 		mu.Unlock()
@@ -81,17 +88,21 @@ func TestWorkerIndexesDistinct(t *testing.T) {
 	}
 }
 
-func TestScalarsAndMeanSeedOrder(t *testing.T) {
+// TestMeanSeedOrder: Mean visits every seed once and sums in seed order,
+// so a sum that rounds differently in another order is still exact.
+func TestMeanSeedOrder(t *testing.T) {
 	cfg := Config{Seeds: 5, Workers: 3, Base: 1}
-	vals := Scalars(cfg, func(_ int, seed int64) float64 { return float64(seed * seed) })
-	for i, v := range vals {
-		seed := float64(i + 1)
-		if v != seed*seed {
-			t.Fatalf("vals[%d] = %v, want %v", i, v, seed*seed)
-		}
-	}
 	if m := Mean(cfg, func(_ int, seed int64) float64 { return float64(seed) }); m != 3 {
 		t.Fatalf("Mean = %v, want 3", m)
+	}
+	// 1e16 + 1 + 1 - 1e16 is 0 summed left to right in float64, 2 if the
+	// ones were added first: only seed order gives 0 every time.
+	vals := []float64{1e16, 1, 1, -1e16}
+	for w := 1; w <= 4; w++ {
+		cfg := Config{Seeds: 4, Workers: w}
+		if m := Mean(cfg, func(_ int, seed int64) float64 { return vals[seed] }); m != 0 {
+			t.Fatalf("workers=%d: Mean = %v, want 0 (seed-order sum)", w, m)
+		}
 	}
 }
 
@@ -150,30 +161,27 @@ func TestFlagsAndValidate(t *testing.T) {
 }
 
 func TestMergedBandContents(t *testing.T) {
-	r := Run(Config{Seeds: 3, Workers: 2, Base: 0}, synthRun)
-	if len(r.Bands) != 2 || r.Bands[0].Name != "a" || r.Bands[1].Name != "b" {
-		t.Fatalf("bands wrong: %+v", r.Bands)
+	bands, _ := merged(Config{Seeds: 3, Workers: 2, Base: 0}, synthRun)
+	if len(bands) != 2 || bands[0].Name != "a" || bands[1].Name != "b" {
+		t.Fatalf("bands wrong: %+v", bands)
 	}
 	// Series "a" at x=0 over seeds 0,1,2 is 0,10,20.
-	p := r.Bands[0].Points[0]
+	p := bands[0].Points[0]
 	if p.Mean != 10 || p.Min != 0 || p.Max != 20 || p.N != 3 {
 		t.Fatalf("merged point = %+v", p)
-	}
-	if r.Seeds != 3 || r.Workers != 2 || r.CI != 0.95 {
-		t.Fatalf("result metadata wrong: %+v", r)
 	}
 }
 
 func TestRunManyWorkersRace(t *testing.T) {
 	// Exercised under -race in CI: concurrent workers writing distinct
 	// result slots must not conflict.
-	r := Run(Config{Seeds: 64, Workers: 16}, func(w int, seed int64) []*stats.Series {
+	bands, _ := merged(Config{Seeds: 64, Workers: 16}, func(w int, seed int64) []*stats.Series {
 		s := &stats.Series{Name: fmt.Sprintf("only-%d", seed%4)}
 		s.Add(0, float64(seed))
 		return []*stats.Series{s}
 	})
 	total := 0
-	for _, b := range r.Bands {
+	for _, b := range bands {
 		for _, p := range b.Points {
 			total += p.N
 		}
@@ -198,18 +206,22 @@ func TestPanickingSeedIsRecoveredAndExcluded(t *testing.T) {
 		return mk(seed)
 	}
 	for _, workers := range []int{1, 4} {
-		r := Run(Config{Seeds: 5, Workers: workers, Base: 1}, boom)
-		if len(r.Errors) != 1 {
-			t.Fatalf("workers=%d: errors = %v, want exactly one", workers, r.Errors)
+		bands, errs := merged(Config{Seeds: 5, Workers: workers, Base: 1}, boom)
+		if len(errs) != 1 {
+			t.Fatalf("workers=%d: errors = %v, want exactly one", workers, errs)
 		}
-		e := r.Errors[0]
+		e := errs[0]
 		if e.Seed != 3 || e.Msg != "injected failure for seed 3" {
 			t.Fatalf("workers=%d: wrong seed error: %+v", workers, e)
 		}
-		if len(r.Bands) != 1 {
-			t.Fatalf("workers=%d: bands = %d, want 1", workers, len(r.Bands))
+		// The stack is the panicking goroutine's, down to the panic site.
+		if !strings.Contains(e.Stack, "panic(") || !strings.Contains(e.Stack, "TestPanickingSeedIsRecoveredAndExcluded") {
+			t.Fatalf("workers=%d: stack does not show the panic site:\n%s", workers, e.Stack)
 		}
-		p := r.Bands[0].Points[0]
+		if len(bands) != 1 {
+			t.Fatalf("workers=%d: bands = %d, want 1", workers, len(bands))
+		}
+		p := bands[0].Points[0]
 		// Survivors are seeds 1,2,4,5: mean 3, min 1, max 5, n 4.
 		if p.N != 4 || p.Mean != 3 || p.Min != 1 || p.Max != 5 {
 			t.Fatalf("workers=%d: failed seed leaked into merge: %+v", workers, p)
@@ -218,13 +230,13 @@ func TestPanickingSeedIsRecoveredAndExcluded(t *testing.T) {
 }
 
 func TestAllSeedsPanicStillTerminates(t *testing.T) {
-	r := Run(Config{Seeds: 3, Workers: 2}, func(w int, seed int64) []*stats.Series {
+	bands, errs := merged(Config{Seeds: 3, Workers: 2}, func(w int, seed int64) []*stats.Series {
 		panic("total failure")
 	})
-	if len(r.Errors) != 3 {
-		t.Fatalf("errors = %d, want 3", len(r.Errors))
+	if len(errs) != 3 {
+		t.Fatalf("errors = %d, want 3", len(errs))
 	}
-	if len(r.Bands) != 0 {
-		t.Fatalf("bands from failed seeds: %v", r.Bands)
+	if len(bands) != 0 {
+		t.Fatalf("bands from failed seeds: %v", bands)
 	}
 }
