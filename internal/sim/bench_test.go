@@ -42,6 +42,36 @@ func BenchmarkSchedulerHold(b *testing.B) {
 	}
 }
 
+// BenchmarkSchedulerRearm is figure 9's RTO shape on the hold model:
+// the heap held at depth 64, plus 16 long timers of which one is pushed
+// back 200 ms with RearmArg every 4th event, so none of them fires. It
+// reports ns per executed (hold) event.
+func BenchmarkSchedulerRearm(b *testing.B) {
+	const depth, long = 64, 16
+	s, rng := NewScheduler(), NewRand(1)
+	var rto [long]Timer
+	nop := func(any) {}
+	events := 0
+	var fn func(any)
+	fn = func(any) {
+		s.AfterArg(Time(rng.Exp(1e6))+1, fn, nil)
+		if events++; events%4 == 0 {
+			i := events / 4 % long
+			rto[i] = s.RearmArg(rto[i], 200*Millisecond, nop, nil)
+		}
+	}
+	for i := 0; i < depth; i++ {
+		fn(nil)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.RunUntil(Time(float64(b.N) * 1e6 / depth))
+	b.StopTimer()
+	if n := s.Processed(); n > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/event")
+	}
+}
+
 func BenchmarkSchedulerChurn1k(b *testing.B) {
 	b.ReportAllocs()
 	var events uint64

@@ -17,7 +17,11 @@ import "math/bits"
 // events outside the heap, the fan-out trains of internal/simnet,
 // reserves a seq per event (ReserveSeq, AtSeqArg) and runs them inline
 // only when CanInline says nothing queued precedes them, so it does not
-// change the (time, seq) order events run in.
+// change the (time, seq) order events run in. A re-armed timer
+// (RearmArg) keeps its slot and its heap entry: the slot holds the true
+// key, the entry an earlier stale one, and the entry is re-keyed in place
+// when it reaches the top. A stale key is never later than the true one,
+// so the heap still pops events in true (time, seq) order.
 
 // Timer is a handle to a scheduled event. The zero Timer is inactive;
 // cancelling an expired, cancelled, or zero timer is a no-op.
@@ -52,14 +56,21 @@ func (t Timer) Active() bool {
 
 // timerSlot is pooled storage for one scheduled event. gen increments on
 // every release, invalidating outstanding Timer handles and heap entries.
+// (at, seq) is the event's true key; the slot's heap entry may carry an
+// earlier one after a RearmArg.
 type timerSlot struct {
-	at    Time
-	fn    func()
-	fnArg func(any)
-	arg   any
-	gen   uint32
-	next  int32 // free-list link
+	at   Time
+	seq  uint64
+	fn   func(any)
+	arg  any
+	gen  uint32
+	next int32 // free-list link
 }
+
+// callFunc runs a closure queued by At or After: its slot holds callFunc
+// as fn and the closure as arg, so both kinds of event share one callback
+// field and the slot stays 48 bytes.
+func callFunc(f any) { f.(func())() }
 
 // heapEntry is what actually sits in the priority queue: 24 bytes, no
 // pointers into the heap, ordered by (at, seq) so simultaneous events run
@@ -112,7 +123,7 @@ func (s *Scheduler) Reset() {
 	for i := range s.slots {
 		sl := &s.slots[i]
 		sl.gen++
-		sl.fn, sl.fnArg, sl.arg = nil, nil, nil
+		sl.fn, sl.arg = nil, nil
 		sl.next = s.free
 		s.free = int32(i)
 	}
@@ -131,13 +142,13 @@ func (s *Scheduler) Pending() int { return len(s.heap) }
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it always indicates a protocol bug.
 func (s *Scheduler) At(t Time, fn func()) Timer {
-	return s.schedule(t, fn, nil, nil)
+	return s.schedule(t, callFunc, fn)
 }
 
 // After schedules fn to run d after the current time. A negative d reads
 // as 0, and the sum saturates at MaxTime.
 func (s *Scheduler) After(d Time, fn func()) Timer {
-	return s.schedule(s.later(d), fn, nil, nil)
+	return s.schedule(s.later(d), callFunc, fn)
 }
 
 func (s *Scheduler) later(d Time) Time {
@@ -151,23 +162,23 @@ func (s *Scheduler) later(d Time) Time {
 // closure: callers keep one fn per object and pass per-event state in arg,
 // so scheduling a packet event allocates nothing.
 func (s *Scheduler) AtArg(t Time, fn func(any), arg any) Timer {
-	return s.schedule(t, nil, fn, arg)
+	return s.schedule(t, fn, arg)
 }
 
 // AfterArg schedules fn(arg) to run d after the current time.
 func (s *Scheduler) AfterArg(d Time, fn func(any), arg any) Timer {
-	return s.schedule(s.later(d), nil, fn, arg)
+	return s.schedule(s.later(d), fn, arg)
 }
 
-func (s *Scheduler) schedule(t Time, fn func(), fnArg func(any), arg any) Timer {
+func (s *Scheduler) schedule(t Time, fn func(any), arg any) Timer {
 	if t < s.now {
 		panic("sim: event scheduled in the past")
 	}
 	s.seq++
-	return s.scheduleSeq(t, s.seq, fn, fnArg, arg)
+	return s.scheduleSeq(t, s.seq, fn, arg)
 }
 
-func (s *Scheduler) scheduleSeq(t Time, seq uint64, fn func(), fnArg func(any), arg any) Timer {
+func (s *Scheduler) scheduleSeq(t Time, seq uint64, fn func(any), arg any) Timer {
 	si := s.free
 	if si < 0 {
 		s.slots = append(s.slots, timerSlot{})
@@ -176,9 +187,28 @@ func (s *Scheduler) scheduleSeq(t Time, seq uint64, fn func(), fnArg func(any), 
 		s.free = s.slots[si].next
 	}
 	sl := &s.slots[si]
-	sl.at, sl.fn, sl.fnArg, sl.arg = t, fn, fnArg, arg
+	sl.at, sl.seq, sl.fn, sl.arg = t, seq, fn, arg
 	s.push(heapEntry{at: t, seq: seq, slot: si, gen: sl.gen})
 	return Timer{s: s, slot: si + 1, gen: sl.gen}
+}
+
+// RearmArg is t.Stop() followed by AfterArg(d, fn, arg): the event runs
+// at the same (time, seq) position and consumes the same seq. When t is
+// pending on s and the new time is not earlier than its current one, it
+// keeps t's slot, handle and heap entry and changes only the slot's key,
+// so a timer that is pushed back on every packet (TCP's RTO) leaves no
+// dead entry behind.
+func (s *Scheduler) RearmArg(t Timer, d Time, fn func(any), arg any) Timer {
+	at := s.later(d)
+	if t.s == s && t.Active() {
+		if sl := &s.slots[t.slot-1]; at >= sl.at {
+			s.seq++
+			sl.at, sl.seq, sl.fn, sl.arg = at, s.seq, fn, arg
+			return t
+		}
+	}
+	t.Stop()
+	return s.schedule(at, fn, arg)
 }
 
 // ReserveSeq consumes and returns the next schedule-order sequence
@@ -199,14 +229,15 @@ func (s *Scheduler) AtSeqArg(t Time, seq uint64, fn func(any), arg any) Timer {
 	if t < s.now {
 		panic("sim: event scheduled in the past")
 	}
-	return s.scheduleSeq(t, seq, nil, fn, arg)
+	return s.scheduleSeq(t, seq, fn, arg)
 }
 
 // CanInline reports whether an event with key (t, seq) may be executed
 // right now without going through the heap: it must not pass the active
 // run bound, and must precede the earliest queued entry. The heap-top
-// comparison is conservative — a dead (cancelled) top entry defers
-// inlining until the dead entry is discarded — which only costs
+// comparison is conservative — a dead (cancelled) top entry, or a
+// re-armed one whose stale key is earlier than its true one, defers
+// inlining until the entry is discarded or re-keyed — which only costs
 // coalescing, never ordering.
 func (s *Scheduler) CanInline(t Time, seq uint64) bool {
 	return t <= s.runBound && (len(s.heap) == 0 || !entryLess(s.heap[0], heapEntry{at: t, seq: seq}))
@@ -229,7 +260,7 @@ func (s *Scheduler) NoteInlineEvent(t Time) {
 func (s *Scheduler) releaseSlot(si int32) {
 	sl := &s.slots[si]
 	sl.gen++
-	sl.fn, sl.fnArg, sl.arg = nil, nil, nil
+	sl.fn, sl.arg = nil, nil
 	sl.next = s.free
 	s.free = si
 }
@@ -242,12 +273,14 @@ func (s *Scheduler) stopSlot(si int32) {
 	}
 }
 
-// reap removes dead entries (whose slot generation moved on) in one pass
-// and restores the heap property bottom-up.
+// reap removes dead entries (whose slot generation moved on) in one pass,
+// gives each live entry its slot's true key, and restores the heap
+// property bottom-up.
 func (s *Scheduler) reap() {
 	live := s.heap[:0]
 	for _, e := range s.heap {
-		if s.slots[e.slot].gen == e.gen {
+		if sl := &s.slots[e.slot]; sl.gen == e.gen {
+			e.at, e.seq = sl.at, sl.seq
 			live = append(live, e)
 		}
 	}
@@ -372,24 +405,33 @@ func (s *Scheduler) noteDeadPop() {
 	}
 }
 
-// runTop pops exactly the heap top and runs it if it is live; it reports
-// whether it was.
+// rekeyTop gives a re-armed top entry its slot's true key and sifts it
+// down to where that key belongs.
+func (s *Scheduler) rekeyTop(sl *timerSlot) {
+	s.heap[0].at, s.heap[0].seq = sl.at, sl.seq
+	s.siftDown(0)
+}
+
+// runTop runs exactly the heap top if it is live and its key is true; it
+// reports whether it ran. A dead top is popped, and a re-armed top is
+// re-keyed in place, without running anything.
 func (s *Scheduler) runTop() bool {
 	e := s.heap[0]
-	s.popTop()
 	sl := &s.slots[e.slot]
 	if sl.gen != e.gen {
+		s.popTop()
 		s.noteDeadPop()
 		return false
 	}
-	fn, fnArg, arg := sl.fn, sl.fnArg, sl.arg
+	if sl.seq != e.seq {
+		s.rekeyTop(sl)
+		return false
+	}
+	s.popTop()
+	fn, arg := sl.fn, sl.arg
 	s.releaseSlot(e.slot)
 	s.NoteInlineEvent(e.at)
-	if fn != nil {
-		fn()
-	} else {
-		fnArg(arg)
-	}
+	fn(arg)
 	return true
 }
 
@@ -426,7 +468,8 @@ func (s *Scheduler) Run() {
 // the last one (callers decide whether to advance to t). It is PeekTime
 // fused with runTop: a dead top is discarded even past t, so a block of
 // cancelled timers beyond the bound is reaped rather than left queued,
-// and a live top stops the loop once it is past t.
+// and a live top stops the loop once it is past t. A stale key is never
+// later than the true one, so a top whose stale key is past t is too.
 func (s *Scheduler) drain(t Time) {
 	for len(s.heap) > 0 {
 		if e := s.heap[0]; e.at > t && s.slots[e.slot].gen == e.gen {
@@ -439,14 +482,21 @@ func (s *Scheduler) drain(t Time) {
 // PeekTime returns the time of the earliest pending live event. ok is
 // false when no live event is queued. Dead entries blocking the top are
 // discarded on the way, so a PeekTime after a burst of cancellations is
-// O(dead) once, then O(1).
+// O(dead) once, then O(1); a re-armed top is re-keyed, so the time is the
+// true one.
 func (s *Scheduler) PeekTime() (t Time, ok bool) {
-	for len(s.heap) > 0 && s.slots[s.heap[0].slot].gen != s.heap[0].gen {
-		s.popTop()
-		s.noteDeadPop()
+	for len(s.heap) > 0 {
+		e := s.heap[0]
+		sl := &s.slots[e.slot]
+		switch {
+		case sl.gen != e.gen:
+			s.popTop()
+			s.noteDeadPop()
+		case sl.seq != e.seq:
+			s.rekeyTop(sl)
+		default:
+			return e.at, true
+		}
 	}
-	if len(s.heap) == 0 {
-		return 0, false
-	}
-	return s.heap[0].at, true
+	return 0, false
 }

@@ -61,6 +61,28 @@ func TestStepToSkipsIdleShards(t *testing.T) {
 	}
 }
 
+// A shard whose only pending event is a re-armed timer reports the
+// timer's true time through peek, not the earlier key its heap entry
+// kept, so the window that follows does not count the shard as busy.
+func TestPeekSeesRearmedTime(t *testing.T) {
+	n, scheds := shardedNet(2)
+	nop := func(any) {}
+	tm := scheds[0].AfterArg(5, nop, nil)
+	if scheds[0].RearmArg(tm, 40, nop, nil) != tm {
+		t.Fatal("setup: the re-arm did not keep the handle")
+	}
+	scheds[1].AfterArg(30, nop, nil)
+	if emin := n.peek(); emin != 30 {
+		t.Fatalf("earliest pending event %d, want 30", emin)
+	}
+	if next := n.shards[0].next; next != 40 {
+		t.Errorf("re-armed shard reports %d, want 40", next)
+	}
+	if busy := n.stepTo(30); busy != 1 {
+		t.Errorf("window to 30 stepped %d shards, want 1", busy)
+	}
+}
+
 // A packet the caller sends between two RunUntil calls over a crossing
 // link parks in its outbox at once. RunUntil drains it before the first
 // window, so the destination shard is not stepped past its arrival: it

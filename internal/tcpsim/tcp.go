@@ -210,7 +210,6 @@ func (s *Sender) transmit(seq int64, isRetx bool) {
 }
 
 func (s *Sender) armRTO() {
-	s.rtoTimer.Stop()
 	d := s.rto
 	for i := 0; i < s.backoff; i++ {
 		d *= 2
@@ -219,7 +218,7 @@ func (s *Sender) armRTO() {
 			break
 		}
 	}
-	s.rtoTimer = s.sch.AfterArg(d, s.timeoutFn, nil)
+	s.rtoTimer = s.sch.RearmArg(s.rtoTimer, d, s.timeoutFn, nil)
 }
 
 func (s *Sender) onTimeout() {

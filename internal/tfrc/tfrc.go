@@ -224,10 +224,9 @@ func (s *Sender) setRate(x float64) {
 // armNoFeedback (re)starts the no-feedback timer: when no report arrives
 // for 4 RTTs (or 2 packet intervals at low rates), the rate is halved.
 func (s *Sender) armNoFeedback() {
-	s.noFeedback.Stop()
 	d := sim.MaxOf(s.currentRTT().Scale(4),
 		sim.FromSeconds(2*float64(s.cfg.PacketSize)/s.rate))
-	s.noFeedback = s.sch.AfterArg(d, s.noFbFn, nil)
+	s.noFeedback = s.sch.RearmArg(s.noFeedback, d, s.noFbFn, nil)
 }
 
 func (s *Sender) onNoFeedback() {
