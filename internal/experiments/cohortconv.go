@@ -40,6 +40,10 @@ func CohortConv(c *RunCtx, seed int64) *Result {
 		cRate := csc.Samples[0].MeanBetween(from, to)
 		cThr := csc.Recvs[0].Meter.Series
 		cThr.Name = fmt.Sprintf("TFMCC cohort n=%d", n)
+		// The twin's build recycles the cohort receiver: read it first.
+		cohort := csc.Recvs[0]
+		em, rounds := cohort.ExpectedReportsPerRound()
+		cohortReports := cohort.ReportsSent
 
 		ts := cohortTwinSpec(n)
 		ts.Duration = to
@@ -62,11 +66,10 @@ func CohortConv(c *RunCtx, seed int64) *Result {
 				twinReports += r.Stats().ReportsSent
 			}
 		}
-		cohort := csc.Recvs[0]
-		if em, rounds := cohort.ExpectedReportsPerRound(); rounds > 0 {
+		if rounds > 0 {
 			res.Notes = append(res.Notes, fmt.Sprintf(
 				"n=%-4d feedback: analytic E[M]=%.2f per solicited round (%d rounds); reports sent cohort=%d vs explicit population=%d",
-				n, em, rounds, cohort.ReportsSent, twinReports))
+				n, em, rounds, cohortReports, twinReports))
 		}
 	}
 	return res

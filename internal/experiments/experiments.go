@@ -4,12 +4,13 @@
 // runner is a Registry entry: the golden ledger pins its output and
 // counters, and tfmccsim -all -check runs every one.
 //
-// Runners execute against a RunCtx, which owns an arena of reusable
-// simulation environments: rerunning the same scenario (another seed of a
-// sweep, another benchmark iteration) rewinds the cached scheduler,
-// network topology and pooled protocol state instead of rebuilding them.
-// A RunCtx is single-goroutine; seed sweeps hand one RunCtx to each
-// worker (see Sweep).
+// Runners execute against a RunCtx, which owns one reusable simulation
+// environment: every build after the first (another seed of a sweep,
+// another sub-run of a figure, another scenario) rewinds its scheduler,
+// network and pooled protocol state and rebuilds on their recycled
+// storage, running the same code as a fresh build. A RunCtx is
+// single-goroutine; seed sweeps hand one RunCtx to each worker (see
+// Sweep).
 package experiments
 
 import (
@@ -74,8 +75,8 @@ func mustScenario(sc *scenario.Scenario, err error) *scenario.Scenario {
 	return sc
 }
 
-// RunWith executes the runner for a figure id on c, reusing whatever
-// simulation state c has cached from earlier runs of the same scenario.
+// RunWith executes the runner for a figure id on c, recycling the
+// storage of whatever c ran before.
 func RunWith(c *RunCtx, id string, seed int64) (*Result, error) {
 	j, err := FigureJob(id)
 	if err != nil {
@@ -84,16 +85,15 @@ func RunWith(c *RunCtx, id string, seed int64) (*Result, error) {
 	return j.runOn(c, seed)
 }
 
-// --- run context and environment arena ---------------------------------
+// --- run context and its environment -----------------------------------
 
-// RunCtx carries the per-worker state behind figure runs: an arena of
-// reusable simulation environments keyed by scenario, plus the engine
+// RunCtx carries the per-worker state behind figure runs: one reusable
+// simulation environment, rewound for every build, plus the engine
 // counters accumulated across runs. It must be used from one goroutine at
 // a time; parallel sweeps give each worker its own RunCtx.
 type RunCtx struct {
-	key           string
-	envs          map[string][]*env
-	next          int
+	env           *env // nil until the first build
+	built         bool // env holds a build harvest has not folded yet
 	check         bool
 	engineWorkers int
 	stats         EngineStats
@@ -101,8 +101,8 @@ type RunCtx struct {
 	dropped       int64 // violations the checkers counted past their storage cap
 }
 
-// NewRunCtx returns a context with an empty environment arena.
-func NewRunCtx() *RunCtx { return &RunCtx{envs: map[string][]*env{}} }
+// NewRunCtx returns a context that has built nothing yet.
+func NewRunCtx() *RunCtx { return &RunCtx{} }
 
 // NewRunCtxFor returns a context configured from the run options — the
 // invariant checker armed when cfg.Check, the execution engine selected
@@ -138,70 +138,62 @@ func (c *RunCtx) Violations() []invariant.Violation { return c.violations }
 // byte-identical to the default.
 func (c *RunCtx) SetEngineWorkers(n int) { c.engineWorkers = n }
 
-// begin starts a run of the named scenario and returns the harvest
-// function to defer: it folds the run's engine counters into the context
-// totals and restores the enclosing scenario, so a runner invoked from
-// within another run (e.g. a begin-calling helper registered as a
-// figure) neither corrupts the outer arena cursor nor double-harvests.
-func (c *RunCtx) begin(key string) func() {
-	prevKey, prevNext := c.key, c.next
-	c.key = key
-	c.next = 0
-	return func() {
-		c.endRun()
-		c.key, c.next = prevKey, prevNext
+// harvest folds the engine counters of the environment's last build into
+// the context totals, once: newEnv calls it before rewinding, and a job
+// calls it when it returns. A context with nothing unharvested is left
+// alone.
+func (c *RunCtx) harvest() {
+	if !c.built {
+		return
 	}
-}
-
-func (c *RunCtx) endRun() {
-	for _, e := range c.envs[c.key][:c.next] {
-		events := e.sch.Processed()
-		if e.check != nil {
-			// The checker's sampling ticks are bookkeeping, not simulation:
-			// subtracting them keeps the deterministic event count identical
-			// with and without -check.
-			events -= e.check.Ticks()
-			c.violations = append(c.violations, e.check.Violations()...)
-			c.dropped += e.check.Dropped()
-		}
-		// Batch occupancy: one batch may dispatch many same-timestamp
-		// events. The count differs with and without -check (checker ticks
-		// add events), so no determinism check compares it.
-		c.stats.Batches += e.sch.Batches()
-		if e.net.Sharded() {
-			// Region-engine run: the environment scheduler only carried
-			// control flow. Total events = control + every region scheduler,
-			// an identity TestEngineStatsConservation and bench/ re-check.
-			c.stats.ControlEvents += events
-			se := e.net.ShardEventCounts()
-			if len(se) > c.stats.EngineShards {
-				c.stats.EngineShards = len(se)
-			}
-			for i, v := range se {
-				c.stats.ShardEvents[i] += v
-				events += v
-			}
-			sent, recv := e.net.HandoffCounts()
-			c.stats.HandoffsSent += sent
-			c.stats.HandoffsRecv += recv
-			c.stats.Batches += e.net.ShardBatches()
-			// The window schedule is a wall-structure diagnostic (-check
-			// ticks clip windows), not part of any determinism check.
-			windows, width, steps := e.net.WindowCounts()
-			c.stats.Windows += windows
-			c.stats.WindowNS += width
-			c.stats.ShardSteps += steps
-		}
-		c.stats.Events += events
-		for _, l := range e.net.Links() {
-			c.stats.PacketsSent += l.Stats.Sent
-			c.stats.PacketsDelivered += l.Stats.Deliver
-		}
-		f := e.net.Faults()
-		c.stats.Unreachable += f.Unreachable
-		c.stats.Corrupted += f.Corrupted
-		c.stats.Duplicated += f.Duplicated
+	c.built = false
+	e := c.env
+	events := e.sch.Processed()
+	if e.check != nil {
+		// The checker's sampling ticks are bookkeeping, not simulation:
+		// subtracting them keeps the deterministic event count identical
+		// with and without -check.
+		events -= e.check.Ticks()
+		c.violations = append(c.violations, e.check.Violations()...)
+		c.dropped += e.check.Dropped()
 	}
+	// Batch occupancy: one batch may dispatch many same-timestamp
+	// events. The count differs with and without -check (checker ticks
+	// add events), so no determinism check compares it.
+	c.stats.Batches += e.sch.Batches()
+	if e.net.Sharded() {
+		// Region-engine run: the environment scheduler only carried
+		// control flow. Total events = control + every region scheduler,
+		// an identity TestEngineStatsConservation and bench/ re-check.
+		c.stats.ControlEvents += events
+		se := e.net.ShardEventCounts()
+		if len(se) > c.stats.EngineShards {
+			c.stats.EngineShards = len(se)
+		}
+		for i, v := range se {
+			c.stats.ShardEvents[i] += v
+			events += v
+		}
+		sent, recv := e.net.HandoffCounts()
+		c.stats.HandoffsSent += sent
+		c.stats.HandoffsRecv += recv
+		c.stats.Batches += e.net.ShardBatches()
+		// The window schedule is a wall-structure diagnostic (-check
+		// ticks clip windows), not part of any determinism check.
+		windows, width, steps := e.net.WindowCounts()
+		c.stats.Windows += windows
+		c.stats.WindowNS += width
+		c.stats.ShardSteps += steps
+	}
+	c.stats.Events += events
+	for _, l := range e.net.Links() {
+		c.stats.PacketsSent += l.Stats.Sent
+		c.stats.PacketsDelivered += l.Stats.Deliver
+	}
+	f := e.net.Faults()
+	c.stats.Unreachable += f.Unreachable
+	c.stats.Corrupted += f.Corrupted
+	c.stats.Duplicated += f.Duplicated
 }
 
 // Stats returns the engine counters accumulated over every run executed
@@ -210,7 +202,7 @@ func (c *RunCtx) Stats() EngineStats { return c.stats }
 
 // harvestRecovery folds a sender's CLR-loss recovery counters into the
 // context totals. Called by the scenario-spec runner right after the run,
-// before any arena rewind can reset the sender.
+// before the next build recycles the sender.
 func (c *RunCtx) harvestRecovery(s *tfmcc.Sender) {
 	c.stats.CLRLosses += s.CLRLosses
 	c.stats.Reelections += s.Reelections
@@ -239,27 +231,20 @@ type env struct {
 	check  *invariant.Checker
 }
 
-// newEnv returns the next simulation environment of the current run:
-// either the environment built at the same point of a previous run of
-// this scenario — rewound to a pristine state for the new seed — or a
-// freshly built one that joins the arena.
+// newEnv returns the context's environment, empty and seeded for the next
+// build: it harvests the previous build, then rewinds the environment,
+// which the first call makes.
 func (c *RunCtx) newEnv(seed int64) *env {
-	list := c.envs[c.key]
-	if c.next < len(list) {
-		e := list[c.next]
-		c.next++
-		e.rewind(seed)
-		c.armChecker(e)
-		return e
+	c.harvest()
+	if c.env == nil {
+		sch, netRng := sim.NewScheduler(), sim.NewRand(seed)
+		c.env = &env{sch: sch, net: simnet.New(sch, netRng), rng: sim.NewRand(seed + 7), netRng: netRng}
+		c.env.net.EnableReuse()
 	}
-	sch := sim.NewScheduler()
-	netRng := sim.NewRand(seed)
-	e := &env{sch: sch, net: simnet.New(sch, netRng), rng: sim.NewRand(seed + 7), netRng: netRng}
-	e.net.EnableReuse()
-	c.envs[c.key] = append(list, e)
-	c.next++
-	c.armChecker(e)
-	return e
+	c.env.rewind(seed)
+	c.built = true
+	c.armChecker(c.env)
+	return c.env
 }
 
 // armChecker resets and starts the environment's invariant checker for a
@@ -294,25 +279,18 @@ func (c *RunCtx) armChecker(e *env) {
 	e.check.Start()
 }
 
-// scenarioEnv returns the next pooled simulation environment of the
-// current run, wrapped for the scenario builder: rerunning the same
-// figure rewinds the cached topology and pooled protocol state.
+// scenarioEnv returns newEnv's environment wrapped for the scenario
+// builder.
 func (c *RunCtx) scenarioEnv(seed int64) scenario.Env {
 	e := c.newEnv(seed)
 	return scenario.Env{Sch: e.sch, Net: e.net, Rng: e.rng, Check: e.check}
 }
 
-// rewind restores the environment to the state newEnv would have built
-// fresh for seed. When the network cannot be rewound (a construction
-// replay cannot follow), it is rebuilt from scratch — always correct,
-// just without the reuse speedup.
+// rewind empties the environment and reseeds it for seed, keeping all
+// its storage.
 func (e *env) rewind(seed int64) {
 	e.sch.Reset()
-	if !e.net.Reset() {
-		e.netRng = sim.NewRand(seed)
-		e.net = simnet.New(e.sch, e.netRng)
-		e.net.EnableReuse()
-	}
+	e.net.Reset()
 	e.netRng.Reseed(seed)
 	e.rng.Reseed(seed + 7)
 }
@@ -325,10 +303,9 @@ const (
 // SessionThroughput is a benchmark helper: runs a session with n
 // receivers over a 1 Mbit/s bottleneck for the given number of simulated
 // seconds and returns the sender's final rate (bytes/s). Repeated calls
-// on the same context rewind and reuse the cached scenario instead of
-// rebuilding it.
+// on the same context rebuild the scenario on recycled storage.
 func (c *RunCtx) SessionThroughput(n int, seconds int) float64 {
-	defer c.begin("session")()
+	defer c.harvest()
 	e := c.newEnv(1)
 	r1 := e.net.AddNode("r1")
 	r2 := e.net.AddNode("r2")
@@ -356,18 +333,16 @@ func SessionThroughput(n int, seconds int) float64 {
 
 // Job is what Sweep runs once per seed: a registry figure (FigureJob), a
 // Spec-backed entry with overrides (ScenarioJob) or a spec under a key
-// (SpecJob). Each runs under its own arena key, so consecutive seeds of
-// a job on one context rewind the cached topology.
+// (SpecJob).
 type Job struct {
 	ID    string
 	Title string
-	key   string
 	run   func(c *RunCtx, seed int64) (*Result, error)
 }
 
-// runOn runs one seed of the job on c under the job's arena key.
+// runOn runs one seed of the job on c and harvests its last build.
 func (j Job) runOn(c *RunCtx, seed int64) (*Result, error) {
-	defer c.begin(j.key)()
+	defer c.harvest()
 	return j.run(c, seed)
 }
 
@@ -377,7 +352,7 @@ func FigureJob(id string) (Job, error) {
 	if !ok {
 		return Job{}, fmt.Errorf("experiments: unknown figure %q (have %v)", id, Figures())
 	}
-	return Job{ID: id, Title: e.Title, key: "figure" + id,
+	return Job{ID: id, Title: e.Title,
 		run: func(c *RunCtx, seed int64) (*Result, error) { return e.Run(c, seed), nil }}, nil
 }
 
@@ -439,8 +414,8 @@ func (r *SweepResult) TSV() string {
 // Sweep runs job across cfg.Seeds independent seeds on cfg.Workers
 // workers, records each seed's run and merges the per-seed series into
 // bands. It is the one place run contexts are made: each worker owns one,
-// so consecutive seeds on a worker reuse the job's cached topology and
-// pooled protocol state. The bands, the runs and their order are
+// so consecutive seeds on a worker rebuild on the recycled storage of the
+// seed before. The bands, the runs and their order are
 // bit-for-bit independent of the worker count. A seed that fails to
 // build or panics keeps its Err and stays out of the bands.
 func Sweep(job Job, cfg sweep.Config) *SweepResult {

@@ -344,6 +344,7 @@ func TestRTTChangeReactionSharded(t *testing.T) {
 	run := func(c *RunCtx) sim.Time {
 		c.ResetStats()
 		d := rttChangeReaction(c, 40, 10*sim.Second, 1)
+		c.harvest()
 		for _, v := range c.Violations() {
 			t.Errorf("invariant violated: %s", v)
 		}

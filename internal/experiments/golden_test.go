@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -60,14 +61,19 @@ func (r ledgerRow) id() string {
 
 func (r ledgerRow) key() string { return r.universe + "\t" + r.id() }
 
-// run executes the row on a fresh context and renders its ledger fields.
-func (r ledgerRow) run() (string, error) {
-	ctx := NewRunCtx()
+// run executes the row on ctx, whose counters it resets first, and
+// renders its ledger fields. A panic is returned as the row's error.
+func (r ledgerRow) run(ctx *RunCtx) (fields string, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("panic: %v\n%s", p, debug.Stack())
+		}
+	}()
+	ctx.ResetStats()
 	if r.universe == "ew2" {
 		ctx.SetEngineWorkers(2)
 	}
 	var res *Result
-	var err error
 	if r.dur > 0 {
 		ov := scenario.None()
 		ov.Duration = r.dur
@@ -81,6 +87,37 @@ func (r ledgerRow) run() (string, error) {
 	st := ctx.Stats()
 	return fmt.Sprintf("%x\t%d\t%d\t%d", sha256.Sum256([]byte(res.TSV())),
 		st.Events, st.PacketsSent, st.PacketsDelivered), nil
+}
+
+// ledgerResult is a row's rendered fields, or the error that stopped it.
+type ledgerResult struct {
+	fields string
+	err    error
+}
+
+// runChains runs rows as two chains, the even and the odd rows in order,
+// each on one context of its own, so every row but the two heads runs on
+// an environment that last built a different scenario. It returns one
+// channel per row that delivers the row's result, and a wait for both
+// chains to finish.
+func runChains(rows []ledgerRow) ([]chan ledgerResult, func()) {
+	out := make([]chan ledgerResult, len(rows))
+	for i := range out {
+		out[i] = make(chan ledgerResult, 1)
+	}
+	var wg sync.WaitGroup
+	for head := 0; head < 2; head++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx := NewRunCtx()
+			for i := head; i < len(rows); i += 2 {
+				fields, err := rows[i].run(ctx)
+				out[i] <- ledgerResult{fields, err}
+			}
+		}()
+	}
+	return out, wg.Wait
 }
 
 // ledgerRows enumerates the ledger in file order: the whole registry on
@@ -126,9 +163,13 @@ func readLedger(t *testing.T) map[string]string {
 }
 
 // TestGoldenLedger runs every ledger row and requires the committed
-// fields; rows are independent runs on their own contexts, so they run
-// in parallel. Subtests are named <universe>/<id>, so CI's race job can
-// select the sharded rows alone (-run TestGoldenLedger/ew2).
+// fields. The committed sums are those of fresh builds, but each
+// universe's rows run as the two chains of runChains, concurrently: the
+// ledger thereby also pins that a rebuild on an environment recycled
+// from another scenario equals a fresh build. Subtests are named
+// <universe>/<id>, so CI's race job can select the sharded rows alone
+// (-run TestGoldenLedger/ew2); a filter that selects single rows still
+// runs their universe's chains in full.
 func TestGoldenLedger(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the whole registry")
@@ -146,23 +187,25 @@ func TestGoldenLedger(t *testing.T) {
 			}
 		}
 	}
-	var mu sync.Mutex
 	got := map[string]string{}
 	for _, universe := range []string{"serial", "ew2"} {
 		t.Run(universe, func(t *testing.T) {
+			var urows []ledgerRow
 			for _, r := range rows {
-				if r.universe != universe {
-					continue
+				if r.universe == universe {
+					urows = append(urows, r)
 				}
+			}
+			results, wait := runChains(urows)
+			defer wait()
+			for i, r := range urows {
 				t.Run(r.id(), func(t *testing.T) {
-					t.Parallel()
-					fields, err := r.run()
-					if err != nil {
-						t.Fatal(err)
+					res := <-results[i]
+					if res.err != nil {
+						t.Fatal(res.err)
 					}
-					mu.Lock()
+					fields := res.fields
 					got[r.key()] = fields
-					mu.Unlock()
 					if *updateLedger {
 						return
 					}

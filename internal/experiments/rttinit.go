@@ -106,12 +106,9 @@ func rttStarSpec(n int) *scenario.Spec {
 // rttChangeReaction builds a star of n receivers with equal independent
 // loss, raises receiver 0's tail delay from 28 ms to 148 ms (one way) at
 // changeAt via the runtime link-mutation API, and returns how long until
-// it is selected CLR. Each sub-run is scoped under its spec name, so the
-// figure's 30 sub-runs rewind one environment per star size.
+// it is selected CLR.
 func rttChangeReaction(c *RunCtx, n int, changeAt sim.Time, seed int64) sim.Time {
-	spec := rttStarSpec(n)
-	defer c.begin(spec.Name)()
-	sc := mustScenario(c.build(spec, seed+int64(n)))
+	sc := mustScenario(c.build(rttStarSpec(n), seed+int64(n)))
 	sc.Start()
 	sc.RunUntil(changeAt)
 	sc.SiteLinks[0][0].SetDelay(148 * sim.Millisecond)

@@ -32,7 +32,7 @@ func init() {
 	}
 }
 
-// build builds spec on the next pooled environment for the configured
+// build builds spec on the context's rewound environment for the configured
 // execution engine — the region engine when the context has
 // engineWorkers >= 2, serial otherwise — the one dispatch every scenario
 // goes through. The caller starts it and drives its clock with RunUntil.
@@ -101,13 +101,13 @@ func ScenarioJob(id string, ov scenario.Overrides) (Job, error) {
 	if err != nil {
 		return Job{}, err
 	}
-	return Job{ID: id, Title: spec.Title, key: "scenario-" + id, run: specRunner(id, spec)}, nil
+	return Job{ID: id, Title: spec.Title, run: specRunner(id, spec)}, nil
 }
 
-// SpecJob runs an arbitrary (typically data-loaded) spec under its own
-// key: a JSON document, a fuzz input, a hypothesis workload.
-func SpecJob(key string, spec *scenario.Spec) Job {
-	return Job{ID: key, Title: spec.Title, key: "spec-" + key, run: specRunner(key, spec)}
+// SpecJob runs an arbitrary (typically data-loaded) spec as a Result
+// named id: a JSON document, a fuzz input, a hypothesis workload.
+func SpecJob(id string, spec *scenario.Spec) Job {
+	return Job{ID: id, Title: spec.Title, run: specRunner(id, spec)}
 }
 
 // specRunner runs spec through the generic executor as a Result named id.

@@ -41,10 +41,10 @@ func TestStarvedCoreLinkDeliversNothing(t *testing.T) {
 
 // TestScenarioRewindVsFresh pins the arena interplay of the scenario
 // executor: running a preset on a warm context (rewound scheduler,
-// replayed topology, pooled protocol state) must reproduce a fresh
-// context's output byte for byte. The preset selection covers the four
-// hard cases — runtime link mutation against Reset's op-log replay
-// (degrade), receiver churn against multicast-tree caching (flashcrowd),
+// topology rebuilt on recycled storage, pooled protocol state) must
+// reproduce a fresh context's output byte for byte. The preset selection
+// covers the four hard cases — runtime link mutation against the
+// recycled links (degrade), receiver churn against multicast-tree caching (flashcrowd),
 // flow stop/start with CBR traffic (tcpburst), and the pooled analytic
 // cohort receiver (cohort64).
 func TestScenarioRewindVsFresh(t *testing.T) {

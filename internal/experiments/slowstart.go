@@ -75,12 +75,9 @@ func slowstartSpec(nRecv int, bw float64, numTCP, qlen int) *scenario.Spec {
 	}
 }
 
-// maxSlowstartRate runs one figure 14 sub-run, scoped under its spec name
-// so the figure's 36 sub-runs rewind one environment per spec shape.
+// maxSlowstartRate runs one figure 14 sub-run.
 func maxSlowstartRate(c *RunCtx, nRecv int, bw float64, numTCP, qlen int, seed int64) float64 {
-	spec := slowstartSpec(nRecv, bw, numTCP, qlen)
-	defer c.begin(spec.Name)()
-	sc := mustScenario(c.build(spec, seed+int64(nRecv)))
+	sc := mustScenario(c.build(slowstartSpec(nRecv, bw, numTCP, qlen), seed+int64(nRecv)))
 	// All flows start together, as in the paper.
 	sc.Start()
 	sch := sc.Env.Sch

@@ -18,7 +18,7 @@ import (
 // the metered per-second throughput series plus a counters series, so a
 // byte-level comparison covers event timing, loss draws and feedback.
 func miniSession(c *RunCtx, seed int64) *Result {
-	defer c.begin("miniSession")()
+	defer c.harvest()
 	e := c.newEnv(seed)
 	r1 := e.net.AddNode("r1")
 	r2 := e.net.AddNode("r2")
@@ -71,7 +71,7 @@ func TestArenaRunDeterministic(t *testing.T) {
 }
 
 // TestArenaCrossScenarioReuse: reusing one context for different
-// scenarios must stay correct (the arena is keyed per scenario).
+// scenarios must stay correct (each build recycles the other's storage).
 func TestArenaCrossScenarioReuse(t *testing.T) {
 	ctx := NewRunCtx()
 	a1 := miniSession(ctx, 1).TSV()
@@ -86,34 +86,8 @@ func TestArenaCrossScenarioReuse(t *testing.T) {
 	}
 }
 
-// TestSteppedClockArenaPerShape: the stepped-clock figures rewind one
-// environment per distinct sub-run spec instead of keeping one per
-// sub-run — figure 14 has 12 spec shapes over 36 sub-runs, figure 13 two
-// over 30.
-func TestSteppedClockArenaPerShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-simulation figures")
-	}
-	for _, tc := range []struct {
-		id   string
-		envs int
-	}{{"14", 12}, {"13", 2}} {
-		ctx := NewRunCtx()
-		if _, err := RunWith(ctx, tc.id, 1); err != nil {
-			t.Fatal(err)
-		}
-		held := 0
-		for _, list := range ctx.envs {
-			held += len(list)
-		}
-		if held > tc.envs {
-			t.Errorf("figure %s: context holds %d environments, want <= %d", tc.id, held, tc.envs)
-		}
-	}
-}
-
 // miniJob sweeps miniSession.
-var miniJob = Job{ID: "mini", Title: "mini session", key: "mini",
+var miniJob = Job{ID: "mini", Title: "mini session",
 	run: func(c *RunCtx, seed int64) (*Result, error) { return miniSession(c, seed), nil }}
 
 // shortScenario is ScenarioJob(id) cut to the given duration.
@@ -210,7 +184,7 @@ func TestSweepRunsMatchFreshRuns(t *testing.T) {
 // message on every tick reports one violation per tick.
 func TestDroppedViolationsCounted(t *testing.T) {
 	var ticks uint64
-	job := Job{ID: "breach", key: "breach", run: func(c *RunCtx, seed int64) (*Result, error) {
+	job := Job{ID: "breach", run: func(c *RunCtx, seed int64) (*Result, error) {
 		e := c.newEnv(seed)
 		n := 0
 		e.check.Register("always", func() string { n++; return fmt.Sprintf("breach %d", n) })

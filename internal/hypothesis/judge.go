@@ -67,10 +67,10 @@ func (v *Verdict) Report() string {
 }
 
 // Resolve materialises the workload's scenario spec (chaos applied) and
-// a stable arena key for it.
+// a stable name for it: the sweep job's id and the verdict's Workload.
 func (w Workload) Resolve() (*scenario.Spec, string, error) {
 	var spec *scenario.Spec
-	var key string
+	var name string
 	set := 0
 	if w.Scenario != "" {
 		set++
@@ -78,7 +78,7 @@ func (w Workload) Resolve() (*scenario.Spec, string, error) {
 		if !ok || e.Spec == nil {
 			return nil, "", fmt.Errorf("hypothesis: workload scenario %q is not a Spec-backed registry entry", w.Scenario)
 		}
-		spec, key = e.Spec(), w.Scenario
+		spec, name = e.Spec(), w.Scenario
 	}
 	if w.File != "" {
 		set++
@@ -86,11 +86,11 @@ func (w Workload) Resolve() (*scenario.Spec, string, error) {
 		if err != nil {
 			return nil, "", err
 		}
-		spec, key = s, "file-"+w.File
+		spec, name = s, "file-"+w.File
 	}
 	if w.Spec != nil {
 		set++
-		spec, key = w.Spec, "inline-"+w.Spec.Name
+		spec, name = w.Spec, "inline-"+w.Spec.Name
 	}
 	if set != 1 {
 		return nil, "", fmt.Errorf("hypothesis: workload must set exactly one of scenario, file, spec (has %d)", set)
@@ -101,14 +101,14 @@ func (w Workload) Resolve() (*scenario.Spec, string, error) {
 			return nil, "", err
 		}
 		spec = perturbed
-		key = fmt.Sprintf("%s-chaos%d-s%d", key, w.Chaos.Level, w.Chaos.seed())
+		name = fmt.Sprintf("%s-chaos%d-s%d", name, w.Chaos.Level, w.Chaos.seed())
 	}
-	return spec, key, nil
+	return spec, name, nil
 }
 
 // Run executes and judges one hypothesis: the workload runs once per
 // seed of the hypothesis' own seed set (cfg's seed fields are replaced
-// by it) as one experiments.Sweep of SpecJob(key, spec) with the
+// by it) as one experiments.Sweep of SpecJob(name, spec) with the
 // invariant checker armed, and every expectation is then judged against
 // the sweep's per-seed runs in seed order, making the verdict
 // independent of the worker count. cfg.EngineWorkers >= 2 judges the
@@ -127,7 +127,7 @@ func Run(h *Hypothesis, cfg sweep.Config) (*Verdict, error) {
 	if len(h.Expect) == 0 {
 		return nil, fmt.Errorf("hypothesis %s: no expectations", h.ID)
 	}
-	spec, key, err := h.Workload.Resolve()
+	spec, name, err := h.Workload.Resolve()
 	if err != nil {
 		return nil, fmt.Errorf("hypothesis %s: %w", h.ID, err)
 	}
@@ -144,10 +144,10 @@ func Run(h *Hypothesis, cfg sweep.Config) (*Verdict, error) {
 
 	seeds := h.Seeds.normalized()
 	cfg.Seeds, cfg.Base, cfg.Step, cfg.Check = seeds.Count, seeds.Base, 1, true
-	runs := experiments.Sweep(experiments.SpecJob(key, spec), cfg).Runs
+	runs := experiments.Sweep(experiments.SpecJob(name, spec), cfg).Runs
 
 	v := &Verdict{
-		ID: h.ID, Title: h.Title, Workload: key,
+		ID: h.ID, Title: h.Title, Workload: name,
 		SeedBase: seeds.Base, SeedCount: seeds.Count, Pass: true,
 	}
 	for _, e := range h.Expect {

@@ -338,7 +338,8 @@ func (sc *Scenario) link(r LinkRef) (*simnet.Link, error) {
 
 // buildSite creates a site's access path. All nodes are created before
 // any link — the exact sequence the hand-wired figures used — so node
-// and link identity is preserved for byte-identical replay.
+// ids and link order, and with them routes and bytes, match those
+// figures.
 func (sc *Scenario) buildSite(s *SiteSpec) error {
 	net := sc.Env.Net
 	parent, err := sc.node(s.Parent)

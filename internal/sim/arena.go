@@ -1,10 +1,11 @@
 package sim
 
 // Arena pools allocation-heavy protocol objects across repeated runs of
-// the same scenario. Constructors call Pooled to get the object they
-// built at the same point of the previous run, or a new one it records,
-// and initialise it in place. Rewind starts a new run: every pooled
-// object becomes available again in construction order.
+// any scenario. Constructors call Pooled to get the object built at the
+// same point of the previous runs (the same key, the same position in
+// construction order), or a new one it records, and initialise it in
+// place. Rewind starts a new run: every pooled object becomes available
+// again in construction order.
 //
 // Objects are keyed so unrelated constructors never receive each other's
 // state; within a key, hand-out order is construction order, which keeps

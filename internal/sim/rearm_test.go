@@ -40,7 +40,7 @@ type rearmCounts struct {
 // zero, fired and stopped handles and the current top, stops timers just
 // re-armed, and resets in the middle. Every choice depends only on the
 // seed and on what handles report, so a scheduler that re-arms exactly as
-// stop-and-schedule does replays the same log.
+// stop-and-schedule does writes the same log.
 func rearmProgram(seed int64, s *Scheduler, rearm rearmFunc, c *rearmCounts) []string {
 	rng := NewRand(seed)
 	var (

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// TestSchedulerResetBitIdentical: a reset scheduler must replay an event
+// TestSchedulerResetBitIdentical: a reset scheduler must run an event
 // program exactly like a fresh one — same order, same clock, same
 // Processed count — while keeping its storage.
 func TestSchedulerResetBitIdentical(t *testing.T) {

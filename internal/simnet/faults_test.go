@@ -218,7 +218,7 @@ func TestRouteRederivationAfterLinkUp(t *testing.T) {
 }
 
 // TestImpairedRewindVsFresh extends the arena-rewind discipline to the
-// fault layer: a rewound network replaying the same construction and
+// fault layer: a rewound network rebuilding the same construction and
 // impairment sequence must reproduce a fresh network's delivery trace
 // byte for byte, and the rewind itself must clear leftover impairments.
 func TestImpairedRewindVsFresh(t *testing.T) {

@@ -74,19 +74,16 @@ type Link struct {
 	txDoneFn  func(any)
 }
 
-// resetForReuse rewinds the link to the state AddLink would have produced
-// fresh: counters zeroed, loss module off, queue emptied (its ring storage
-// kept).
-func (l *Link) resetForReuse(bandwidth float64, delay sim.Time, queueLimit int) {
-	l.Bandwidth = bandwidth
-	l.Delay = delay
-	l.Stats = LinkStats{}
-	l.LossProb = 0
-	l.CorruptProb, l.DupProb, l.ReorderProb = 0, 0, 0
-	l.ReorderDelay = 0
-	l.down = false
-	l.busy = false
+// init sets the link up as AddLink creates it, on a new *Link or on one
+// an earlier run of a rewound network left behind: counters zeroed,
+// entry modules off, the queue emptied (its ring storage kept), and the
+// link bound to its scheduler and RNG. The pre-bound callbacks and the
+// queue survive.
+func (l *Link) init(n *Network, from, to NodeID, bandwidth float64, delay sim.Time, queueLimit int) {
 	l.Q.reset(queueLimit)
+	*l = Link{From: from, To: to, Bandwidth: bandwidth, Delay: delay, Q: l.Q, net: n,
+		deliverFn: l.deliverFn, txDoneFn: l.txDoneFn}
+	n.bindLink(l)
 }
 
 // SetDelay changes the link's propagation delay at runtime (a scenario
@@ -96,9 +93,6 @@ func (l *Link) resetForReuse(bandwidth float64, delay sim.Time, queueLimit int) 
 // are actually forwarded over again are recompiled. Packets already in
 // flight (queued, serialising, or propagating) keep the delay they were
 // scheduled with; the new delay applies from the next hop transmission.
-//
-// The network remembers that a run mutated delays so Reset can restore
-// the recorded construction state on rewind (see Network.Reset).
 func (l *Link) SetDelay(d sim.Time) {
 	if d == l.Delay {
 		return

@@ -137,10 +137,10 @@ func TestSetBandwidthAndLoss(t *testing.T) {
 	}
 }
 
-// TestResetAfterDelayMutation checks the op-log replay interplay: a run
-// that mutated a delay (and thereby recomputed routes mid-run) must,
-// after Reset + replay of the identical construction sequence, route
-// exactly like a fresh build — not like the mutated state.
+// TestResetAfterDelayMutation checks rewinds against runtime mutation: a
+// run that mutated a delay (and thereby recomputed routes mid-run) must,
+// after Reset + the identical construction sequence, route exactly like
+// a fresh build — not like the mutated state — on the recycled links.
 func TestResetAfterDelayMutation(t *testing.T) {
 	build := func(net *Network) (aUp, aDown *Link, b NodeID) {
 		a := net.AddNode("a")
@@ -169,16 +169,16 @@ func TestResetAfterDelayMutation(t *testing.T) {
 		t.Fatalf("mutated run should route over down: %d", aDown.Stats.Sent)
 	}
 
-	// Rewind and replay the same construction. The replayed AddLink
-	// passes the original 5 ms — equal to the recorded op — so without the
-	// runMutated bookkeeping the stale mutated routes would survive.
+	// Rewind and rebuild the same construction. The rebuilt AddLink
+	// recycles the mutated link and passes the original 5 ms; routes
+	// computed before the rewind must not survive it.
 	sch.Reset()
 	if !net.Reset() {
 		t.Fatal("network should be rewindable")
 	}
 	aUp2, aDown2, b2 := build(net)
 	if aUp2 != aUp || aDown2 != aDown {
-		t.Fatal("replay should hand back the recorded links")
+		t.Fatal("the rebuild should recycle the previous run's links")
 	}
 	net.Bind(Addr{b2, 1}, HandlerFunc(func(*Packet) {}))
 	send()

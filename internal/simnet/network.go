@@ -18,6 +18,11 @@ import (
 // multicast trees are compiled into flattened child-link arrays, and
 // packets obtained from AllocPacket are recycled through a per-network
 // free list, shared by every region of a sharded network.
+//
+// A reuse-enabled network (EnableReuse) is rewound by Reset, which
+// empties it but keeps its storage: the next run's construction calls
+// run the same code as a fresh build, on recycled node slots, links,
+// route slabs and pooled protocol objects.
 type Network struct {
 	sched *sim.Scheduler
 	rng   *sim.Rand
@@ -79,21 +84,12 @@ type Network struct {
 	faults  FaultStats
 	pktLive int64
 
-	// Arena reuse (EnableReuse/Reset): the construction op log lets a
-	// rewound network hand the same nodes and links back to a scenario
-	// builder that repeats the same calls, skipping reconstruction and —
-	// when the topology is unchanged — route recomputation.
-	reuse        bool
-	ops          []topoOp
-	replay       int // next op to match when >= 0; -1 = recording
-	hadOverwrite bool
-	arena        *sim.Arena
-
-	// runMutated records that a Link.SetDelay fired since the last Reset:
-	// routes (and trees) may have been recomputed against mutated delays,
-	// so a rewind must invalidate them even when the replayed construction
-	// calls repeat the recorded parameters exactly.
-	runMutated bool
+	// Arena reuse (EnableReuse/Reset): Reset empties the network but keeps
+	// its storage, so a rebuild takes the fresh-build path on recycled node
+	// slots, links and route scratch, and protocol constructors recycle
+	// their objects through the arena.
+	reuse bool
+	arena *sim.Arena
 
 	// Sharded execution (EnableSharding): nodes are assigned to regions,
 	// each region runs on its own scheduler/RNG pair, and crossing-link
@@ -112,17 +108,6 @@ type Network struct {
 	windows    uint64
 	windowNS   sim.Time
 	shardSteps uint64
-}
-
-// topoOp records one construction call for replay on Reset.
-type topoOp struct {
-	isLink    bool
-	name      string // AddNode
-	bandwidth float64
-	delay     sim.Time
-	qlim      int
-	node      NodeID // AddNode result
-	l         *Link  // AddLink result
 }
 
 // FaultStats counts network-wide fault-injection outcomes: packets that
@@ -194,7 +179,6 @@ func New(sched *sim.Scheduler, rng *sim.Rand) *Network {
 		linkIdx:    map[linkKey]int32{},
 		groups:     map[GroupID]*group{},
 		mcastTrees: map[mcastKey]*mcastTree{},
-		replay:     -1,
 	}
 }
 
@@ -222,9 +206,9 @@ func (n *Network) clearTrains() {
 	}
 }
 
-// EnableReuse turns on construction recording so Reset can rewind the
-// network for a repeated run of the same scenario. It must be called on
-// an empty network, before any AddNode/AddLink.
+// EnableReuse turns on arena reuse so Reset can rewind the network for
+// another run. It must be called on an empty network, before any
+// AddNode/AddLink.
 func (n *Network) EnableReuse() {
 	if n.reuse {
 		return
@@ -241,100 +225,45 @@ func (n *Network) EnableReuse() {
 // recycle their allocation-heavy state across rewound runs.
 func (n *Network) Arena() *sim.Arena { return n.arena }
 
-// Reset rewinds a reuse-enabled network to a pristine pre-run state while
-// keeping the topology: handlers, group memberships, multicast trees,
-// link counters/queues and the packet pool are cleared, and subsequent
-// AddNode/AddLink calls that repeat the recorded construction sequence
-// return the existing nodes and links without reallocating or recomputing
-// routes. A construction call that diverges from the record falls back to
-// a fresh build from that point on, so Reset is always safe.
+// Reset empties a reuse-enabled network for the next run of any
+// scenario: nodes, links, group memberships, multicast trees, routes,
+// fault counters, in-flight trains and sharding are dropped, and the
+// arena rewinds. All storage is kept: the rebuild runs the same AddNode
+// and AddLink code as a fresh build, on the node slots and links the
+// previous runs left behind, and routes are recomputed lazily.
 //
-// Reset reports false when the network cannot be rewound (reuse not
-// enabled, or the scenario overwrote a link in a way replay cannot
-// reproduce); the caller must then build a fresh network instead.
+// Reset reports false, and changes nothing, when reuse is not enabled;
+// the caller must then build a fresh network instead.
 func (n *Network) Reset() bool {
-	if !n.reuse || n.hadOverwrite {
+	if !n.reuse {
 		return false
 	}
-	// If the previous run replayed only a prefix of the record, the unused
-	// topology tail must not leak into the next run: truncate it now.
-	if n.replay >= 0 && n.replay < len(n.ops) {
-		n.divergeAt(n.replay)
-	}
-	n.replay = 0
-	for i := range n.nodes {
-		nd := &n.nodes[i]
-		clear(nd.handlers)
-		nd.handlers = nd.handlers[:0]
-		nd.h = nil
-	}
 	n.clearTrains()
+	n.nodes = n.nodes[:0]
+	n.linkList = n.linkList[:0]
+	clear(n.linkIdx)
+	n.adjOK, n.routesOK = false, false
 	for _, gr := range n.groups {
 		clear(gr.member)
 		gr.count = 0
 	}
 	clear(n.mcastTrees)
 	n.topoVer++
-	if n.runMutated {
-		// Mid-run delay mutations left routes computed against delays the
-		// replaying AddLink calls are about to restore; force a recompute.
-		n.routesOK = false
-		n.runMutated = false
-	}
 	n.arena.Rewind()
 	n.faults = FaultStats{}
 	n.pktLive = 0
 	clear(n.hints)
 	if n.sharded {
-		// Tear sharding down: drop in-flight handoffs and rebind every link
-		// to the serial scheduler/RNG. A following sharded run re-enables
-		// with fresh shard state.
+		// Tear sharding down: drop in-flight handoffs. Rebuilt links bind to
+		// the serial scheduler/RNG; a following sharded run re-enables with
+		// fresh shard state.
 		n.sharded = false
 		n.shards, n.outbox = nil, nil
 		n.shardOf = n.shardOf[:0]
 		n.handRecv = 0
 		n.windows, n.windowNS, n.shardSteps = 0, 0, 0
 	}
-	// Eagerly clear per-run link state (the replaying AddLink call resets
-	// again with that run's parameters): counters must not leak into the
-	// next run's harvest, and a queued packet or busy serialiser from the
-	// old run must not black-hole traffic.
-	for _, l := range n.linkList {
-		n.bindLink(l)
-		l.resetForReuse(l.Bandwidth, l.Delay, l.Q.Limit)
-	}
 	return true
-}
-
-// divergeAt truncates the topology to the first pos construction ops —
-// exactly what the current run has (re)built so far — and switches to
-// recording. Node and link identity for the kept prefix is preserved, so
-// pointers the scenario builder already holds stay valid.
-func (n *Network) divergeAt(pos int) {
-	n.replay = -1
-	n.ops = n.ops[:pos]
-	nodeCnt := 0
-	newList := make([]*Link, 0, len(n.linkList))
-	clear(n.linkIdx)
-	for _, op := range n.ops {
-		if !op.isLink {
-			nodeCnt++
-			continue
-		}
-		key := linkKey{op.l.From, op.l.To}
-		if i, ok := n.linkIdx[key]; ok {
-			newList[i] = op.l
-		} else {
-			n.linkIdx[key] = int32(len(newList))
-			newList = append(newList, op.l)
-		}
-	}
-	n.linkList = newList
-	n.clearTrains()
-	n.nodes = n.nodes[:nodeCnt]
-	n.routesOK, n.adjOK = false, false
-	clear(n.mcastTrees)
-	n.topoVer++
 }
 
 // Scheduler returns the scheduler the network runs on.
@@ -343,29 +272,22 @@ func (n *Network) Scheduler() *sim.Scheduler { return n.sched }
 // Rand returns the network's random source.
 func (n *Network) Rand() *sim.Rand { return n.rng }
 
-// AddNode creates a node and returns its ID. On a rewound network a call
-// matching the recorded construction sequence returns the existing node.
+// AddNode creates a node and returns its ID. On a rewound network it
+// reuses the slot an earlier run left at this position, keeping its
+// handler and train storage.
 func (n *Network) AddNode(name string) NodeID {
-	if n.replay >= 0 {
-		if n.replay < len(n.ops) {
-			op := &n.ops[n.replay]
-			if !op.isLink && op.name == name {
-				n.replay++
-				return op.node
-			}
-			n.divergeAt(n.replay)
-		} else {
-			n.replay = -1
-		}
-	}
 	id := NodeID(len(n.nodes))
-	n.nodes = append(n.nodes, node{name: name})
+	if len(n.nodes) < cap(n.nodes) {
+		n.nodes = n.nodes[:id+1]
+	} else {
+		n.nodes = append(n.nodes, node{})
+	}
+	nd := &n.nodes[id]
+	clear(nd.handlers)
+	*nd = node{name: name, handlers: nd.handlers[:0], fan: nd.fan}
 	n.routesOK = false
 	n.adjOK = false
 	n.topoVer++
-	if n.reuse {
-		n.ops = append(n.ops, topoOp{name: name, node: id})
-	}
 	return id
 }
 
@@ -389,46 +311,26 @@ func (n *Network) Bind(addr Addr, h Handler) {
 
 // AddLink creates a unidirectional link. bandwidth is in bytes/second
 // (0 = infinite), queueLimit in packets (ignored for infinite links).
-// On a rewound network a call matching the recorded construction sequence
-// rewinds and returns the existing link; routes survive untouched unless
-// the propagation delay changed.
+// Adding a link between the same endpoints again replaces the first one.
+// On a rewound network a new link reuses the *Link an earlier run left at
+// the same position of the link list, keeping its queue storage.
 func (n *Network) AddLink(from, to NodeID, bandwidth float64, delay sim.Time, queueLimit int) *Link {
-	if n.replay >= 0 {
-		if n.replay < len(n.ops) {
-			op := &n.ops[n.replay]
-			if op.isLink && op.l.From == from && op.l.To == to {
-				n.replay++
-				if op.delay != delay {
-					// Routes and trees depend on delay; recompute them.
-					op.delay = delay
-					n.routesOK = false
-					clear(n.mcastTrees)
-					n.topoVer++
-				}
-				op.bandwidth, op.qlim = bandwidth, queueLimit
-				op.l.resetForReuse(bandwidth, delay, queueLimit)
-				n.bindLink(op.l)
-				return op.l
-			}
-			n.divergeAt(n.replay)
-		} else {
-			n.replay = -1
-		}
-	}
-	l := &Link{
-		From: from, To: to,
-		Bandwidth: bandwidth,
-		Delay:     delay,
-		Q:         NewDropTail(queueLimit),
-		net:       n,
-	}
-	l.deliverFn = l.deliverArg
-	l.txDoneFn = l.txDone
-	n.bindLink(l)
 	key := linkKey{from, to}
-	if i, ok := n.linkIdx[key]; ok {
-		n.linkList[i] = l // replace, matching the old map-overwrite semantics
-		n.hadOverwrite = true
+	i, replace := n.linkIdx[key]
+	// A replacement is always a new *Link, as on a fresh build: whoever
+	// holds the replaced one must not see it change.
+	var l *Link
+	if k := len(n.linkList); !replace && k < cap(n.linkList) {
+		l = n.linkList[:k+1][k]
+	}
+	if l == nil {
+		l = &Link{Q: &DropTail{}}
+		l.deliverFn = l.deliverArg
+		l.txDoneFn = l.txDone
+	}
+	l.init(n, from, to, bandwidth, delay, queueLimit)
+	if replace {
+		n.linkList[i] = l
 	} else {
 		n.linkIdx[key] = int32(len(n.linkList))
 		n.linkList = append(n.linkList, l)
@@ -437,9 +339,6 @@ func (n *Network) AddLink(from, to NodeID, bandwidth float64, delay sim.Time, qu
 	n.adjOK = false
 	clear(n.mcastTrees)
 	n.topoVer++
-	if n.reuse {
-		n.ops = append(n.ops, topoOp{isLink: true, bandwidth: bandwidth, delay: delay, qlim: queueLimit, l: l})
-	}
 	return l
 }
 
@@ -514,7 +413,6 @@ func (n *Network) noteDelayChange() {
 	n.routesOK = false
 	clear(n.mcastTrees)
 	n.topoVer++
-	n.runMutated = true
 }
 
 func (n *Network) invalidateGroup(g GroupID) {
@@ -594,15 +492,7 @@ func (n *Network) releasePkt(p *Packet) {
 // Send injects a packet at its source node. Unicast packets follow
 // shortest-path (by propagation delay) routes; multicast packets follow
 // the source-rooted shortest-path tree over current group members.
-//
-// On a rewound network, the first Send marks the end of construction: if
-// the run replayed only a prefix of the recorded topology, the unused
-// tail is truncated now so traffic never sees nodes or links this run
-// did not (re)build.
 func (n *Network) Send(pkt *Packet) {
-	if n.replay >= 0 && n.replay < len(n.ops) {
-		n.divergeAt(n.replay)
-	}
 	pkt.SentAt = n.schedForNode(pkt.Src.Node).Now()
 	pkt.refs = 1
 	pkt.tree = nil // a reused packet must not forward along a stale tree
@@ -689,7 +579,8 @@ func (n *Network) deliverLocal(at NodeID, pkt *Packet) {
 
 // ensureAdj builds the CSR adjacency index with each node's outgoing
 // links sorted by destination. It replaces the per-relaxation map
-// iteration + sort the old Dijkstra paid on every visit.
+// iteration + sort the old Dijkstra paid on every visit. It runs from
+// dropRoutes, once the Dijkstra scratch is sized for the node count.
 func (n *Network) ensureAdj() {
 	if n.adjOK {
 		return
@@ -712,7 +603,8 @@ func (n *Network) ensureAdj() {
 	} else {
 		n.adjLinks = n.adjLinks[:len(n.linkList)]
 	}
-	fill := make([]int32, cnt)
+	fill := n.via[:cnt] // Dijkstra scratch, free until a row is computed
+	clear(fill)
 	for i, l := range n.linkList {
 		pos := n.adjStart[l.From] + fill[l.From]
 		n.adjLinks[pos] = int32(i)
@@ -753,7 +645,6 @@ func (n *Network) routeRow(src NodeID) []int32 {
 // row index and the Dijkstra scratch for the current node count. The
 // slabs stay: rows are re-carved from their start.
 func (n *Network) dropRoutes() {
-	n.ensureAdj()
 	cnt := len(n.nodes)
 	if cap(n.routeRows) < cnt {
 		n.routeRows = make([][]int32, cnt)
@@ -773,6 +664,7 @@ func (n *Network) dropRoutes() {
 		n.via = n.via[:cnt]
 		n.done = n.done[:cnt]
 	}
+	n.ensureAdj()
 	n.routesOK = true
 }
 

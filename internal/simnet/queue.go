@@ -15,10 +15,9 @@ type DropTail struct {
 
 // NewDropTail returns a FIFO queue holding at most limit packets.
 func NewDropTail(limit int) *DropTail {
-	if limit <= 0 {
-		limit = 50
-	}
-	return &DropTail{Limit: limit}
+	d := &DropTail{}
+	d.reset(limit)
+	return d
 }
 
 // Enqueue appends pkt and reports false when the queue is full and the

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -70,7 +71,7 @@ func TestResetReproducesFreshRun(t *testing.T) {
 	for rerun := 0; rerun < 3; rerun++ {
 		sch.Reset()
 		if !net.Reset() {
-			t.Fatal("Reset refused on a replayable network")
+			t.Fatal("Reset refused on a reuse-enabled network")
 		}
 		rng.Reseed(7)
 		if got := runScenario(sch, net, false); got != fresh {
@@ -79,9 +80,9 @@ func TestResetReproducesFreshRun(t *testing.T) {
 	}
 }
 
-// TestResetDivergentRebuild changes the topology after a Reset: replay
-// must fall back to a fresh build and still behave exactly like a network
-// that never saw the first scenario.
+// TestResetDivergentRebuild changes the topology after a Reset: the
+// rebuild, on recycled storage, must behave exactly like a network that
+// never saw the first scenario.
 func TestResetDivergentRebuild(t *testing.T) {
 	sch := sim.NewScheduler()
 	rng := sim.NewRand(7)
@@ -105,7 +106,8 @@ func TestResetDivergentRebuild(t *testing.T) {
 }
 
 // TestResetPrefixTruncation reruns a *smaller* scenario on a rewound
-// network: the unused topology tail must not influence routing or stats.
+// network: the node slots and links the bigger run left past the rebuilt
+// ones must not influence routing or stats.
 func TestResetPrefixTruncation(t *testing.T) {
 	sch := sim.NewScheduler()
 	rng := sim.NewRand(7)
@@ -113,8 +115,8 @@ func TestResetPrefixTruncation(t *testing.T) {
 	net.EnableReuse()
 	runScenario(sch, net, true) // big run first
 
-	// Two rewinds: the first replays a strict prefix (small scenario), the
-	// second must see the tail truncated away.
+	// Two rewinds: the first rebuilds a strict prefix (small scenario) with
+	// recycled storage left over past it, the second rebuilds it again.
 	for rerun := 0; rerun < 2; rerun++ {
 		sch.Reset()
 		if !net.Reset() {
@@ -131,18 +133,43 @@ func TestResetPrefixTruncation(t *testing.T) {
 	}
 }
 
-// TestResetRefusedOnOverwrite: replacing a link (same endpoints twice) is
-// the one construction replay cannot reproduce; Reset must refuse so the
-// caller rebuilds fresh.
-func TestResetRefusedOnOverwrite(t *testing.T) {
+// TestResetAfterOverwrite: a run that replaces a link (same endpoints
+// twice) rewinds like any other, and a rebuild that overwrites again
+// reproduces a fresh network's transcript.
+func TestResetAfterOverwrite(t *testing.T) {
+	run := func(sch *sim.Scheduler, net *Network) string {
+		a, r, b := net.AddNode("a"), net.AddNode("r"), net.AddNode("b")
+		net.AddDuplex(a, r, 1e5, 5*sim.Millisecond, 4)
+		net.AddLink(r, b, 1e5, 5*sim.Millisecond, 4)
+		net.AddLink(r, b, 0, 2*sim.Millisecond, 0) // replaces r->b
+		c := &collector{sch: sch}
+		net.Bind(Addr{b, 1}, c)
+		for i := 0; i < 10; i++ {
+			sch.At(sim.Time(i)*sim.Millisecond, func() {
+				net.Send(&Packet{Size: 500, Src: Addr{a, 1}, Dst: Addr{b, 1}})
+			})
+		}
+		sch.Run()
+		out := fmt.Sprint(c.at)
+		for _, l := range net.Links() {
+			out += fmt.Sprintf(" %d->%d %+v", l.From, l.To, l.Stats)
+		}
+		return out
+	}
+	sch2 := sim.NewScheduler()
+	want := run(sch2, New(sch2, sim.NewRand(1)))
 	sch := sim.NewScheduler()
 	net := New(sch, sim.NewRand(1))
 	net.EnableReuse()
-	a, b := net.AddNode("a"), net.AddNode("b")
-	net.AddLink(a, b, 0, sim.Millisecond, 0)
-	net.AddLink(a, b, 0, 2*sim.Millisecond, 0)
-	if net.Reset() {
-		t.Fatal("Reset must refuse after a link overwrite")
+	run(sch, net)
+	for rerun := 0; rerun < 2; rerun++ {
+		sch.Reset()
+		if !net.Reset() {
+			t.Fatal("Reset refused after a link overwrite")
+		}
+		if got := run(sch, net); got != want {
+			t.Fatalf("rerun %d after an overwrite differs from fresh:\n%s\nvs\n%s", rerun, got, want)
+		}
 	}
 }
 
@@ -197,5 +224,63 @@ func TestReplayAddLinkNewDelay(t *testing.T) {
 	sch.Run()
 	if len(c2.got) != 1 || c2.at[0] != 2*sim.Millisecond {
 		t.Fatalf("rewound build ignored new delay: arrivals %v", c2.at)
+	}
+}
+
+// TestResetRecyclesStorage: after Reset, an identical rebuild of a
+// 50-leaf star hands back the previous run's *Link pointers in order, and
+// a rewind plus rebuild plus one multicast and one unicast send allocates
+// only the multicast tree compile (28 objects): nodes, links, queues,
+// adjacency, routes and packets all come from recycled storage.
+func TestResetRecyclesStorage(t *testing.T) {
+	sch := sim.NewScheduler()
+	net := New(sch, sim.NewRand(1))
+	net.EnableReuse()
+	var links []*Link
+	var src, leaf0 NodeID
+	build := func() {
+		links = links[:0]
+		src = net.AddNode("src")
+		hub := net.AddNode("hub")
+		up, down := net.AddDuplex(src, hub, 1e6, sim.Millisecond, 10)
+		links = append(links, up, down)
+		for i := 0; i < 50; i++ {
+			leaf := net.AddNode("leaf")
+			if i == 0 {
+				leaf0 = leaf
+			}
+			out, back := net.AddDuplex(hub, leaf, 0, sim.Time(1+i%5)*sim.Millisecond, 0)
+			links = append(links, out, back)
+			net.Join(1, leaf)
+		}
+	}
+	send := func() {
+		p := net.AllocPacket()
+		p.Size, p.Src, p.IsMcast, p.Group = 100, Addr{src, 1}, true, 1
+		net.Send(p)
+		q := net.AllocPacket()
+		q.Size, q.Src, q.Dst = 100, Addr{src, 1}, Addr{leaf0, 1}
+		net.Send(q)
+		sch.Run()
+	}
+	rewind := func() {
+		sch.Reset()
+		if !net.Reset() {
+			t.Fatal("Reset refused")
+		}
+		build()
+		send()
+	}
+	build()
+	send()
+	prev := slices.Clone(links)
+	rewind()
+	if !slices.Equal(links, prev) {
+		t.Fatal("the rebuild did not hand back the previous run's links in order")
+	}
+	allocs := testing.AllocsPerRun(20, rewind)
+	t.Logf("%v allocs per rewind, rebuild and send", allocs)
+	if allocs > 28 {
+		t.Fatalf("rewind, rebuild and send allocate %v objects, want <= 28", allocs)
 	}
 }

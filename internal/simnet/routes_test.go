@@ -66,7 +66,7 @@ func eagerRoutes(n *Network) [][]int32 {
 	return table
 }
 
-// randomGraph builds (or, on a rewound network, replays) a connected-ish
+// randomGraph builds (or, on a rewound network, rebuilds) a connected-ish
 // graph whose delays come from a three-value set, so equal-cost paths are
 // everywhere.
 func randomGraph(n *Network, seed int64) []*Link {
@@ -161,13 +161,13 @@ func TestLazyRouteRowsMatchEagerTable(t *testing.T) {
 		n.AddLink(NodeID(0), extra, 0, 2*sim.Millisecond, 0)
 		checkRows(t, n, rng, "after AddNode/AddLink")
 
-		// Rewind and replay the original construction: the late node is
-		// truncated away, the mutated delay and the down links are restored.
+		// Rewind and rebuild the original construction: the late node is
+		// gone, the mutated delay and the down links are restored.
 		if !n.Reset() {
 			t.Fatal("Reset refused")
 		}
 		randomGraph(n, seed)
-		n.Send(&Packet{Src: Addr{Node: 0}, Dst: Addr{Node: 0}}) // ends construction replay
+		n.Send(&Packet{Src: Addr{Node: 0}, Dst: Addr{Node: 0}}) // a send on the rebuilt network
 		fresh := New(sim.NewScheduler(), sim.NewRand(1))
 		randomGraph(fresh, seed)
 		if a, b := eagerRoutes(n), eagerRoutes(fresh); !slices.EqualFunc(a, b, slices.Equal[[]int32]) {

@@ -96,7 +96,6 @@ func (n *Network) RunUntil(t sim.Time) {
 		return
 	}
 	n.DrainHandoffs()
-	n.BarrierSync()
 	for now := ctl.Now(); ; now = ctl.Now() {
 		end := t
 		// emin == MaxTime means no shard has pending work: only a control
@@ -113,7 +112,6 @@ func (n *Network) RunUntil(t sim.Time) {
 		n.shardSteps += uint64(n.stepTo(end))
 		ctl.RunUntil(end)
 		n.DrainHandoffs()
-		n.BarrierSync()
 		n.windows++
 		n.windowNS += end - now
 		if end >= t {
@@ -251,19 +249,6 @@ func (n *Network) DrainHandoffs() int {
 	}
 	n.handRecv += uint64(moved)
 	return moved
-}
-
-// BarrierSync prepares a sharded network for the next lookahead window.
-// It must run on the control thread with every shard quiesced: it ends
-// construction replay, mirroring what the first Send does on a serial
-// network. Routes and trees are computed lazily, as on the serial path.
-func (n *Network) BarrierSync() {
-	if !n.sharded {
-		return
-	}
-	if n.replay >= 0 && n.replay < len(n.ops) {
-		n.divergeAt(n.replay)
-	}
 }
 
 // SetRegionHint records a partitioning hint: topology generators label

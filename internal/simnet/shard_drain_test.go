@@ -35,7 +35,6 @@ func drainStar(srcs, dsts int) (n *Network, setups []ShardSetup, links [][]*Link
 			links[s] = append(links[s], n.AddLink(nodes[s], nodes[srcs+d], 0, sim.Millisecond, 0))
 		}
 	}
-	n.BarrierSync()
 	return n, setups, links, got
 }
 

@@ -36,7 +36,7 @@ func (l trainLeaf) Recv(pkt *Packet) {
 }
 
 // build (re)issues the construction calls; on a rewound network they
-// replay onto the existing nodes and links.
+// recycle the previous run's node slots and links.
 func (r *trainRig) build() {
 	net := r.net
 	r.leaves, r.links = r.leaves[:0], r.links[:0]
