@@ -24,11 +24,15 @@
 //
 // Output is deterministic: for a fixed seed the result is byte-identical
 // across runs, because the region structure, the window schedule and the
-// handoff order depend only on the topology, the seed and the RunUntil
-// calls. A sharded run is its own deterministic universe, distinct from
-// the serial engine's (per-region RNG streams replace the two global
-// ones), which is why -engineworkers 1 keeps the serial path rather than
-// a one-shard engine.
+// handoff order depend only on the topology, the seed, the RunUntil calls
+// and the control events. Control events include an armed invariant
+// checker's ticks: they clip windows, and a handoff drained at another
+// barrier takes another place among its region's events of the same
+// instant, so a checked run is not always byte-identical to an unchecked
+// one (PERFORMANCE.md §4 "Region engine"). A sharded run is its own
+// deterministic universe, distinct from the serial engine's (per-region
+// RNG streams replace the two global ones), which is why -engineworkers 1
+// keeps the serial path rather than a one-shard engine.
 package engine
 
 import (

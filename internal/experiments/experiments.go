@@ -121,8 +121,10 @@ func NewRunCtxFor(cfg sweep.Config) *RunCtx {
 // pool conservation, scheduler monotonicity) on all runs, plus
 // protocol-level ones (sender rate bound, CLR liveness) on scenario-spec
 // runs. Violations accumulate across runs; see Violations. The checker's
-// sampling ticks are subtracted from the EngineStats event count, so
-// the event and packet counters are unchanged by enabling it.
+// sampling ticks are subtracted from the EngineStats event count, so on
+// the serial engine enabling it changes no byte and no counter
+// (TestGoldenLedger's checked pass). On the region engine the ticks clip
+// the window schedule, which can move both.
 func (c *RunCtx) EnableInvariants() { c.check = true }
 
 // Violations returns the invariant violations observed across every run
@@ -151,7 +153,7 @@ func (c *RunCtx) harvest() {
 	events := e.sch.Processed()
 	if e.check != nil {
 		// The checker's sampling ticks are bookkeeping, not simulation:
-		// subtracting them keeps the deterministic event count identical
+		// subtracting them keeps the serial engine's event count identical
 		// with and without -check.
 		events -= e.check.Ticks()
 		c.violations = append(c.violations, e.check.Violations()...)

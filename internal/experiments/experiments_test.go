@@ -318,23 +318,6 @@ func TestSessionThroughputHelper(t *testing.T) {
 	}
 }
 
-// TestLateJoinDeterministic guards the engine's seed-determinism through
-// the late-join scenario, which exercises mid-run Join/Leave against the
-// cached multicast trees: the same seed must reproduce the same summary.
-func TestLateJoinDeterministic(t *testing.T) {
-	a, err := RunWith(NewRunCtx(), "15", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunWith(NewRunCtx(), "15", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Summary() != b.Summary() {
-		t.Fatalf("late-join figure not seed-deterministic:\n%s\nvs\n%s", a.Summary(), b.Summary())
-	}
-}
-
 // A figure 13 sub-run on the region engine: the runner's 100 ms poll
 // loop steps the sharded clock through RunUntil, and around the runtime
 // delay change it finds a finite reaction with the checker clean, the

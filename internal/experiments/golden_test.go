@@ -162,6 +162,12 @@ func readLedger(t *testing.T) map[string]string {
 	return want
 }
 
+// checkedRows are the serial rows the checked pass of TestGoldenLedger
+// reruns with the invariant checker armed: the fault presets and the
+// churn-heavy ones, where the protocol-level predicates have the most to
+// look at.
+var checkedRows = []string{"degrade", "clrfail", "partition", "corruptfb", "flashcrowd", "massleave", "tcpburst"}
+
 // TestGoldenLedger runs every ledger row and requires the committed
 // fields. The committed sums are those of fresh builds, but each
 // universe's rows run as the two chains of runChains, concurrently: the
@@ -170,6 +176,13 @@ func readLedger(t *testing.T) map[string]string {
 // <universe>/<id>, so CI's race job can select the sharded rows alone
 // (-run TestGoldenLedger/ew2); a filter that selects single rows still
 // runs their universe's chains in full.
+//
+// A last pass, checked/<id>, reruns checkedRows on one context with the
+// invariant checker armed: each must reproduce its serial fields (this
+// run's, else the committed ones) and record no violation, dropped ones
+// included, so arming the checker moves no byte. It is serial only: on
+// the region engine the checker's ticks clip the window schedule and
+// move bytes (PERFORMANCE.md §4). It adds no ledger rows.
 func TestGoldenLedger(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the whole registry")
@@ -219,6 +232,32 @@ func TestGoldenLedger(t *testing.T) {
 			}
 		})
 	}
+	t.Run("checked", func(t *testing.T) {
+		ctx := NewRunCtx()
+		ctx.EnableInvariants()
+		for _, id := range checkedRows {
+			r := ledgerRow{universe: "serial", entry: id}
+			t.Run(id, func(t *testing.T) {
+				fields, err := r.run(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if vs := ctx.Violations(); len(vs) > 0 || ctx.dropped > 0 {
+					t.Errorf("%d invariant violations (+%d dropped)", len(vs), ctx.dropped)
+					for _, v := range vs {
+						t.Log(v)
+					}
+				}
+				w, ok := got[r.key()]
+				if !ok {
+					w, ok = want[r.key()]
+				}
+				if ok && w != fields {
+					t.Errorf("arming the invariant checker moved the row (sha256, events, packets sent, delivered)\nunchecked: %s\n  checked: %s", w, fields)
+				}
+			})
+		}
+	})
 	if !*updateLedger {
 		return
 	}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/stats"
-	"repro/internal/sweep"
 )
 
 func init() { register("14", "Maximum slowstart rate vs number of receivers", Figure14) }
@@ -35,14 +34,13 @@ func Figure14(c *RunCtx, seed int64) *Result {
 		s := &stats.Series{Name: cfg.name}
 		for _, n := range counts {
 			// Average the peak over a few seeds: a single unlucky early
-			// loss otherwise dominates the competing-TCP settings. The
-			// sweep runs inline (one worker) so it can share this runner's
-			// environment arena.
-			mean := sweep.Mean(sweep.Config{Seeds: 3, Base: seed, Step: 100},
-				func(_ int, s int64) float64 {
-					return maxSlowstartRate(c, n, cfg.linkBW, cfg.numTCP, cfg.queue, s)
-				})
-			s.Add(sim.FromSeconds(float64(n)), mean*8/1000) // Kbit/s
+			// loss otherwise dominates the competing-TCP settings.
+			var sum float64
+			const seeds = 3
+			for k := int64(0); k < seeds; k++ {
+				sum += maxSlowstartRate(c, n, cfg.linkBW, cfg.numTCP, cfg.queue, seed+100*k)
+			}
+			s.Add(sim.FromSeconds(float64(n)), sum/seeds*8/1000) // Kbit/s
 		}
 		res.Series = append(res.Series, s)
 	}

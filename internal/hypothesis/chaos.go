@@ -20,7 +20,7 @@ import (
 type ChaosPlan struct {
 	Level  int      `json:"level"`             // 1 (mild) .. 3 (hostile)
 	Seed   int64    `json:"seed,omitempty"`    // schedule RNG seed; default 1
-	Bursts int      `json:"bursts,omitempty"`  // override the level's burst count
+	Bursts int      `json:"bursts,omitempty"`  // override the level's burst count; at most maxBursts
 	From   sim.Time `json:"from_ns,omitempty"` // default Duration/4
 	To     sim.Time `json:"to_ns,omitempty"`   // default 3·Duration/4
 }
@@ -45,6 +45,11 @@ func Levels() map[int]string {
 	return out
 }
 
+// maxBursts caps ChaosPlan.Bursts: the levels draw at most 8 faults, and
+// a document asking for millions would only exhaust memory building the
+// script.
+const maxBursts = 1024
+
 var chaosLevels = map[int]chaosLevel{
 	1: {bursts: 2, minOutage: 1 * sim.Second, maxOutage: 3 * sim.Second, maxImpair: 0.05, crashFrac: 0},
 	2: {bursts: 4, minOutage: 2 * sim.Second, maxOutage: 6 * sim.Second, maxImpair: 0.15, crashFrac: 0.25},
@@ -67,6 +72,9 @@ func (p *ChaosPlan) Apply(spec *scenario.Spec) (*scenario.Spec, error) {
 		return nil, fmt.Errorf("hypothesis: unknown chaos level %d (have 1..%d)", p.Level, len(chaosLevels))
 	}
 	bursts := p.Bursts
+	if bursts > maxBursts {
+		return nil, fmt.Errorf("hypothesis: chaos bursts %d exceeds the cap of %d", bursts, maxBursts)
+	}
 	if bursts <= 0 {
 		bursts = lvl.bursts
 	}

@@ -69,7 +69,6 @@ type Expectation struct {
 	NoInvariantViolations *NoInvariantViolations `json:"no_invariant_violations,omitempty"`
 	CLRReelectedBy        *CLRReelectedBy        `json:"clr_reelected_by,omitempty"`
 	CounterBound          *CounterBound          `json:"counter_bound,omitempty"`
-	SeriesWithinBand      *SeriesWithinBand      `json:"series_within_band,omitempty"`
 }
 
 // RecoverWithin asserts that a sampled series re-attains a fraction of
@@ -122,22 +121,6 @@ type CounterBound struct {
 	Max     *int64 `json:"max,omitempty"`
 }
 
-// SeriesWithinBand compares a collected series point-for-point against a
-// golden trajectory: the timestamps must match exactly and each value
-// must stay within Abs + Rel·|golden| of the golden value.
-type SeriesWithinBand struct {
-	Series string    `json:"series"`
-	Golden []GoldenP `json:"golden,omitempty"`
-	Abs    float64   `json:"abs,omitempty"`
-	Rel    float64   `json:"rel,omitempty"`
-}
-
-// GoldenP is one golden sample (integer-nanosecond timestamp, value).
-type GoldenP struct {
-	T sim.Time `json:"t_ns"`
-	V float64  `json:"v"`
-}
-
 // kind returns the one-of discriminator and its payload description for
 // verdict labelling, or an error when the one-of is mis-populated.
 func (e Expectation) kind() (string, string, error) {
@@ -168,11 +151,6 @@ func (e Expectation) kind() (string, string, error) {
 	if e.CounterBound != nil {
 		kinds = append(kinds, "counter_bound")
 		desc = fmt.Sprintf("counter %q in %s", e.CounterBound.Counter, e.CounterBound.bounds())
-	}
-	if e.SeriesWithinBand != nil {
-		kinds = append(kinds, "series_within_band")
-		desc = fmt.Sprintf("%q within abs=%.3g rel=%.3g of %d golden points",
-			e.SeriesWithinBand.Series, e.SeriesWithinBand.Abs, e.SeriesWithinBand.Rel, len(e.SeriesWithinBand.Golden))
 	}
 	if len(kinds) != 1 {
 		return "", "", fmt.Errorf("hypothesis: expectation must set exactly one kind, has %v", kinds)

@@ -46,6 +46,27 @@ func TestDecodeRejectsUnknownAndTrailing(t *testing.T) {
 	}
 }
 
+// TestHostileSizesRefused: a seed count or burst count that would only
+// exhaust memory is an error naming its field, returned before anything
+// is allocated for it.
+func TestHostileSizesRefused(t *testing.T) {
+	h := &Hypothesis{
+		ID:       "huge",
+		Workload: Workload{Scenario: "partition"},
+		Seeds:    SeedSet{Count: 1_000_000_000},
+		Expect:   []Expectation{{NoInvariantViolations: &NoInvariantViolations{}}},
+	}
+	if _, err := Run(h, sweep.Config{}); err == nil || !strings.Contains(err.Error(), "seeds.count") {
+		t.Errorf("seeds.count 1e9: %v, want an error naming seeds.count", err)
+	}
+	if _, err := (&ChaosPlan{Level: 1, Bursts: 100_000_000}).Apply(scenario.Partition()); err == nil || !strings.Contains(err.Error(), "bursts") {
+		t.Errorf("bursts 1e8: %v, want an error naming bursts", err)
+	}
+	if _, err := (&ChaosPlan{Level: 1, Bursts: maxBursts}).Apply(scenario.Partition()); err != nil {
+		t.Errorf("bursts at the cap refused: %v", err)
+	}
+}
+
 // TestChaosScheduleDeterministic pins the chaos generator contract: the
 // same plan over the same spec always appends the same fault script,
 // independent of how often or where it is applied; a different schedule
@@ -212,23 +233,6 @@ func TestChaosJudgedSharded(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("sharded verdicts differ across sweep worker counts:\n%+v\nvs\n%+v", a, b)
-	}
-}
-
-// TestGoldenBandRefusedSharded: a golden trajectory is a serial-engine
-// one, so judging it on the region engine is an error naming the
-// expectation, not a FAIL verdict for a correct run.
-func TestGoldenBandRefusedSharded(t *testing.T) {
-	h, ok := ByID("degrade-golden-band")
-	if !ok {
-		t.Fatal("degrade-golden-band missing from the suite")
-	}
-	v, err := Run(h, sweep.Config{Workers: 1, EngineWorkers: 2})
-	if err == nil {
-		t.Fatalf("golden band judged on the sharded engine without an error:\n%s", v.Report())
-	}
-	if !strings.Contains(err.Error(), "series_within_band") || !strings.Contains(err.Error(), "serially") {
-		t.Errorf("error %q does not name the expectation and the serial remedy", err)
 	}
 }
 

@@ -114,12 +114,12 @@ func (w Workload) Resolve() (*scenario.Spec, string, error) {
 // independent of the worker count. cfg.EngineWorkers >= 2 judges the
 // workload on the region engine: its own deterministic universe
 // (per-region random streams), so expectations judge a different —
-// equally valid — trajectory than the serial engine's; a golden
-// trajectory (series_within_band) is a serial one, so it is refused
-// there rather than failed.
+// equally valid — trajectory than the serial engine's. Every
+// expectation kind judges on either engine.
 // The returned error covers malformed hypotheses (bad workload ref,
-// mis-populated expectation) and that refusal; workload build/run
-// failures are judged (they fail every expectation), not returned.
+// mis-populated expectation, a seed count above sweep.MaxSeeds);
+// workload build/run failures are judged (they fail every expectation),
+// not returned.
 func Run(h *Hypothesis, cfg sweep.Config) (*Verdict, error) {
 	if h.ID == "" {
 		return nil, fmt.Errorf("hypothesis: missing id")
@@ -127,18 +127,16 @@ func Run(h *Hypothesis, cfg sweep.Config) (*Verdict, error) {
 	if len(h.Expect) == 0 {
 		return nil, fmt.Errorf("hypothesis %s: no expectations", h.ID)
 	}
+	if h.Seeds.Count > sweep.MaxSeeds {
+		return nil, fmt.Errorf("hypothesis %s: seeds.count %d exceeds the cap of %d", h.ID, h.Seeds.Count, sweep.MaxSeeds)
+	}
 	spec, name, err := h.Workload.Resolve()
 	if err != nil {
 		return nil, fmt.Errorf("hypothesis %s: %w", h.ID, err)
 	}
 	for _, e := range h.Expect {
-		kind, desc, err := e.kind()
-		if err != nil {
+		if _, _, err := e.kind(); err != nil {
 			return nil, fmt.Errorf("hypothesis %s: %w", h.ID, err)
-		}
-		if e.SeriesWithinBand != nil && cfg.EngineWorkers >= 2 {
-			return nil, fmt.Errorf("hypothesis %s: %s %s compares against a serial-engine trajectory; judge it serially (without -engineworkers, or with -engineworkers 1)",
-				h.ID, kind, desc)
 		}
 	}
 
@@ -192,8 +190,6 @@ func (e Expectation) judge(o *experiments.SeedRun) SeedMeasure {
 		return e.CLRReelectedBy.judge(o)
 	case e.CounterBound != nil:
 		return e.CounterBound.judge(o)
-	case e.SeriesWithinBand != nil:
-		return e.SeriesWithinBand.judge(o)
 	}
 	return SeedMeasure{Detail: "empty expectation"} // unreachable: kind() validated
 }
@@ -341,41 +337,6 @@ func (c *CounterBound) judge(o *experiments.SeedRun) SeedMeasure {
 		Pass: pass, Measured: float64(v),
 		Detail: fmt.Sprintf("%s = %d vs bounds %s", c.Counter, v, c.bounds()),
 	}
-}
-
-func (b *SeriesWithinBand) judge(o *experiments.SeedRun) SeedMeasure {
-	s, fail, ok := lookup(o, b.Series)
-	if !ok {
-		return fail
-	}
-	if len(s.Points) != len(b.Golden) {
-		return SeedMeasure{Measured: float64(len(s.Points)), Bound: float64(len(b.Golden)),
-			Detail: fmt.Sprintf("%d samples vs %d golden points", len(s.Points), len(b.Golden))}
-	}
-	// measured is the worst deviation as a multiple of its local
-	// allowance Abs + Rel·|golden|; the bound is therefore 1.
-	worst := 0.0
-	detail := "all points within band"
-	for i, g := range b.Golden {
-		p := s.Points[i]
-		if p.T != g.T {
-			return SeedMeasure{Detail: fmt.Sprintf("point %d at t=%v, golden at t=%v", i, p.T, g.T)}
-		}
-		allow := b.Abs + b.Rel*math.Abs(g.V)
-		dev := math.Abs(p.V - g.V)
-		ratio := math.Inf(1)
-		if allow > 0 {
-			ratio = dev / allow
-		} else if dev == 0 {
-			ratio = 0
-		}
-		if ratio > worst || math.IsNaN(ratio) {
-			worst = ratio
-			detail = fmt.Sprintf("worst point t=%v: %.3f vs golden %.3f (deviation %.3g, allowed %.3g)",
-				p.T, p.V, g.V, dev, allow)
-		}
-	}
-	return SeedMeasure{Pass: worst <= 1 && !math.IsNaN(worst), Measured: sanitize(worst), Bound: 1, Detail: detail}
 }
 
 // sanitize maps non-finite measurements to -1 so verdicts always

@@ -43,6 +43,12 @@ type Config struct {
 	EngineWorkers int
 }
 
+// MaxSeeds caps a sweep's seed count, the bound scenario's maxPopulation
+// puts on a receiver block: a sweep keeps one slot per seed, so a count
+// from outside the program past it would exhaust memory before the
+// first run.
+const MaxSeeds = 1 << 16
+
 // SeedError records one seed whose run panicked. The sweep recovers,
 // excludes the seed from the merged bands and carries on — one broken
 // seed must not cost the other N-1. Stack is the panicking goroutine's
@@ -90,6 +96,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.Seeds < 1:
 		return fmt.Errorf("-seeds %d: need at least one seed", c.Seeds)
+	case c.Seeds > MaxSeeds:
+		return fmt.Errorf("-seeds %d: at most %d seeds", c.Seeds, MaxSeeds)
 	case c.Workers < 1:
 		return fmt.Errorf("-workers %d: need at least one worker", c.Workers)
 	case !(c.CI > 0 && c.CI < 1): // also catches NaN
@@ -141,12 +149,13 @@ type RunFunc func(worker int, seed int64) []*stats.Series
 //
 // A seed whose fn panics is recovered: its slot stays nil (MergeRuns
 // skips nil runs) and a SeedError is returned. The error list is in seed
-// order, independent of worker scheduling.
+// order, independent of worker scheduling. With one worker every seed
+// runs inline on the calling goroutine.
 func RunRaw(cfg Config, fn RunFunc) ([][]*stats.Series, []SeedError) {
 	cfg = cfg.Normalized()
 	runs := make([][]*stats.Series, cfg.Seeds)
 	fails := make([]*SeedError, cfg.Seeds)
-	forEach(cfg, func(worker, i int) {
+	do := func(worker, i int) {
 		seed := cfg.Seed(i)
 		defer func() {
 			if r := recover(); r != nil {
@@ -155,7 +164,29 @@ func RunRaw(cfg Config, fn RunFunc) ([][]*stats.Series, []SeedError) {
 			}
 		}()
 		runs[i] = fn(worker, seed)
-	})
+	}
+	if cfg.Workers == 1 {
+		for i := range cfg.Seeds {
+			do(0, i)
+		}
+	} else {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for w := range cfg.Workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					i := int(next.Add(1)) - 1
+					if i >= cfg.Seeds {
+						return
+					}
+					do(w, i)
+				}
+			}()
+		}
+		wg.Wait()
+	}
 	var errs []SeedError
 	for _, f := range fails {
 		if f != nil {
@@ -163,45 +194,4 @@ func RunRaw(cfg Config, fn RunFunc) ([][]*stats.Series, []SeedError) {
 		}
 	}
 	return runs, errs
-}
-
-// Mean averages a scalar metric over the sweep's seeds. Summation is in
-// seed order, so the value is independent of worker scheduling.
-func Mean(cfg Config, fn func(worker int, seed int64) float64) float64 {
-	cfg = cfg.Normalized()
-	vals := make([]float64, cfg.Seeds)
-	forEach(cfg, func(worker, i int) { vals[i] = fn(worker, cfg.Seed(i)) })
-	sum := 0.0
-	for _, v := range vals {
-		sum += v
-	}
-	return sum / float64(len(vals))
-}
-
-// forEach dispatches seed indices to workers. With one worker everything
-// runs inline on the calling goroutine, which lets callers close over
-// non-thread-safe state (e.g. a figure runner's own arena).
-func forEach(cfg Config, do func(worker, i int)) {
-	if cfg.Workers == 1 {
-		for i := 0; i < cfg.Seeds; i++ {
-			do(0, i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= cfg.Seeds {
-					return
-				}
-				do(worker, i)
-			}
-		}(w)
-	}
-	wg.Wait()
 }
