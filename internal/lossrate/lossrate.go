@@ -10,7 +10,6 @@ package lossrate
 
 import (
 	"math"
-	"slices"
 
 	"repro/internal/sim"
 )
@@ -50,11 +49,12 @@ const inlineDepth = 8
 // lost packet belongs to the current loss event or starts a new one.
 //
 // The zero value becomes usable with Reset. Up to inlineDepth intervals,
-// intervals and weights alias the estimator's own ivBuf/wBuf, so a
-// receiver that embeds an Estimator by value reaches its whole loss
-// history without leaving its own allocation — which also means an
-// Estimator must not be copied once Reset (or NewEstimator) has run; go
-// vet's copylocks check enforces it through noCopy.
+// intervals aliases the estimator's own ivBuf, so a receiver that embeds
+// an Estimator by value reaches its loss history without leaving its own
+// allocation — which also means an Estimator must not be copied once
+// Reset (or NewEstimator) has run; go vet's copylocks check enforces it
+// through noCopy. The weight vector is the caller's, shared by every
+// estimator it is handed to and never written (see Reset).
 type Estimator struct {
 	_ noCopy
 
@@ -73,8 +73,7 @@ type Estimator struct {
 	// absent or aged out of the history.
 	initIdx int
 
-	weights []float64
-	wBuf    [inlineDepth]float64
+	weights []float64 // shared, read-only
 
 	// Recent losses for Appendix A re-aggregation, newest last. newEvent
 	// records whether that loss started a new loss event when recorded.
@@ -95,7 +94,8 @@ type lossRecord struct {
 	newEvent bool
 }
 
-// NewEstimator returns an estimator over len(weights) loss intervals.
+// NewEstimator returns an estimator over len(weights) loss intervals. It
+// keeps weights (see Reset).
 func NewEstimator(weights []float64) *Estimator {
 	e := new(Estimator)
 	e.Reset(weights)
@@ -104,30 +104,16 @@ func NewEstimator(weights []float64) *Estimator {
 
 // Reset puts the estimator — a zero value or a used one — into the state
 // NewEstimator(weights) returns, keeping the interval and loss-record
-// storage allocated (and the weight vector too, when it is unchanged).
+// storage allocated. The estimator keeps weights itself, not a copy, and
+// never writes it: one vector serves every estimator of a session, so the
+// caller must not change it while any of them is in use. Nil means
+// DefaultWeights.
 func (e *Estimator) Reset(weights []float64) {
 	if len(weights) == 0 {
 		weights = DefaultWeights
 	}
-	if !slices.Equal(e.weights, weights) {
-		if e.weights == nil {
-			e.weights = e.wBuf[:0]
-		}
-		e.weights = append(e.weights[:0], weights...)
-		e.maxRecent = 4 * len(e.weights)
-	}
-	e.ResetKeepWeights()
-}
-
-// ResetKeepWeights rewinds the estimator state under the current weight
-// vector without touching it — the allocation-free path for pooled
-// receivers whose configuration did not change. An estimator that never
-// had weights gets the default ones.
-func (e *Estimator) ResetKeepWeights() {
-	if len(e.weights) == 0 {
-		e.Reset(nil)
-		return
-	}
+	e.weights = weights
+	e.maxRecent = 4 * len(weights)
 	if e.intervals == nil {
 		e.intervals = e.ivBuf[:0]
 	}

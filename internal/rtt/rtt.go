@@ -25,32 +25,36 @@ func DefaultConfig() Config {
 	}
 }
 
-// Estimator tracks one receiver's RTT to the sender.
-type Estimator struct {
-	cfg Config
+// defaultConfig is the Config every estimator built with a zero
+// InitialRTT points at.
+var defaultConfig = DefaultConfig()
 
-	valid    bool
+// Estimator tracks one receiver's RTT to the sender. Its constants are
+// held by pointer: a session's receivers all share one Config.
+type Estimator struct {
+	cfg *Config
+
 	est      sim.Time
-	owdRecv  sim.Time // last measured sender->receiver one-way delay (incl. skew)
 	owdBack  sim.Time // derived receiver->sender one-way delay (incl. skew)
+	valid    bool
 	owdValid bool
 }
 
 // NewEstimator returns an estimator that reports cfg.InitialRTT until the
 // first measurement.
 func NewEstimator(cfg Config) *Estimator {
-	if cfg.InitialRTT == 0 {
-		cfg = DefaultConfig()
-	}
-	return &Estimator{cfg: cfg}
+	e := new(Estimator)
+	e.Reset(&cfg)
+	return e
 }
 
-// Reset puts the estimator into the state NewEstimator(cfg) returns. It
+// Reset puts the estimator into the state NewEstimator(*cfg) returns. It
 // also initialises a zero value in place, for owners that hold the
-// estimator by value.
-func (e *Estimator) Reset(cfg Config) {
-	if cfg.InitialRTT == 0 {
-		cfg = DefaultConfig()
+// estimator by value. The estimator keeps cfg, which must not change
+// while it is in use; nil or a zero InitialRTT means DefaultConfig.
+func (e *Estimator) Reset(cfg *Config) {
+	if cfg == nil || cfg.InitialRTT == 0 {
+		cfg = &defaultConfig
 	}
 	*e = Estimator{cfg: cfg}
 }
@@ -90,8 +94,7 @@ func (e *Estimator) Measure(now, sendTS, echoDelay, dataSendTS sim.Time, isCLR b
 	}
 	// One-way split for later adjustments (section 2.4.3). The skew
 	// cancels when recombined with a later forward delay.
-	e.owdRecv = now - dataSendTS
-	e.owdBack = inst - e.owdRecv
+	e.owdBack = inst - (now - dataSendTS)
 	e.owdValid = true
 	return inst
 }

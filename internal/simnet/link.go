@@ -2,13 +2,14 @@ package simnet
 
 import "repro/internal/sim"
 
-// LinkStats counts per-link traffic for tracing and assertions.
+// LinkStats counts per-link traffic for tracing and assertions. The
+// three every delivered packet updates come first (see Link).
 type LinkStats struct {
 	Sent       int64 // packets handed to the link
 	Deliver    int64 // packets delivered to the far node
+	Bytes      int64 // bytes delivered
 	DropQ      int64 // queue (congestion) drops
 	DropRand   int64 // random-loss-module drops
-	Bytes      int64 // bytes delivered
 	DropDown   int64 // packets refused because the link was down
 	Corrupted  int64 // packets corrupted in transit (dropped at checksum)
 	Duplicated int64 // extra copies injected by the duplication module
@@ -28,26 +29,24 @@ type LinkStats struct {
 // own timers.
 //
 // Field order serves the per-copy path of a large fan-out, which visits a
-// thousand links per packet: everything that decides what happens to a
-// packet entering the link (admit, fixedDelay, propDelay) and the far node
-// a delivery needs fill the first cache line, the counters the second;
-// the rest is touched only by links that queue, cross regions or bind.
+// thousand links per packet: everything a copy boarding a train reads or
+// writes — the far node, the entry modules' checks (admit, fixedDelay),
+// the delay and the Sent/Deliver/Bytes counters — fills the first 64-byte
+// line. The struct, queue held inline, is padded to 256 bytes, a size
+// class the allocator aligns to 64, so that line is one line of memory.
+// The impairment modules are summed up there by impaired and read behind
+// it only when one is armed; the rest is touched only by links that
+// queue, cross regions or drop. TestLinkLineBudget pins it.
 type Link struct {
 	To        NodeID
 	Delay     sim.Time // propagation delay; change it at runtime with SetDelay
-	Bandwidth float64  // bytes per second; 0 = infinite
 	LossProb  float64  // Bernoulli drop probability on entry
-
-	// Fault-injection impairments (all off by default). Each module draws
-	// from the network RNG only when its rate is non-zero, so a run with no
-	// impairments consumes exactly the same random sequence as before the
-	// fault layer existed.
-	CorruptProb float64 // Bernoulli in-transit corruption (counted drop)
-	DupProb     float64 // Bernoulli duplication (a second copy is sent)
-	ReorderProb float64 // Bernoulli extra propagation delay (reordering)
+	Bandwidth float64  // bytes per second; 0 = infinite
 
 	down bool
 	busy bool
+	// impaired is set while any of corrupt, dup or reorder is non-zero.
+	impaired bool
 	// crossTo is the destination region when the link crosses a region
 	// boundary (-1 otherwise): propagation over a crossing link is routed
 	// through the handoff outbox instead of the local scheduler.
@@ -55,9 +54,17 @@ type Link struct {
 
 	Stats LinkStats
 
-	From         NodeID
-	ReorderDelay sim.Time // max extra delay for a reordered packet
-	Q            *DropTail
+	// Fault-injection impairments (all off by default; set them with
+	// SetImpairments). Each module draws from the network RNG only when
+	// its rate is non-zero, so a run with no impairments consumes exactly
+	// the same random sequence as before the fault layer existed.
+	corrupt      float64  // Bernoulli in-transit corruption (counted drop)
+	dup          float64  // Bernoulli duplication (a second copy is sent)
+	reorder      float64  // Bernoulli extra propagation delay (reordering)
+	reorderDelay sim.Time // max extra delay for a reordered packet
+
+	From NodeID
+	Q    DropTail
 
 	// Execution binding (see Network.bindLink): the scheduler and RNG the
 	// link's entry modules and serialiser run on. On a serial network these
@@ -72,7 +79,12 @@ type Link struct {
 	// the packet rides along as the event argument.
 	deliverFn func(any)
 	txDoneFn  func(any)
+
+	_ [linkPad]byte
 }
+
+// linkPad rounds Link up to 256 bytes.
+const linkPad = 8
 
 // init sets the link up as AddLink creates it, on a new *Link or on one
 // an earlier run of a rewound network left behind: counters zeroed,
@@ -137,8 +149,9 @@ func (l *Link) IsDown() bool { return l.down }
 // additional propagation delay for reordered packets; it is ignored when
 // reorder is zero.
 func (l *Link) SetImpairments(corrupt, dup, reorder float64, extra sim.Time) {
-	l.CorruptProb, l.DupProb, l.ReorderProb = corrupt, dup, reorder
-	l.ReorderDelay = extra
+	l.corrupt, l.dup, l.reorder = corrupt, dup, reorder
+	l.reorderDelay = extra
+	l.impaired = corrupt != 0 || dup != 0 || reorder != 0
 }
 
 // send places a packet on the link, applying the down state, the loss,
@@ -148,7 +161,7 @@ func (l *Link) send(pkt *Packet) {
 	if !l.admit(pkt) {
 		return
 	}
-	if l.DupProb > 0 && l.rng.Bool(l.DupProb) {
+	if l.dup > 0 && l.rng.Bool(l.dup) {
 		l.Stats.Duplicated++
 		l.net.faults.Duplicated++
 		pkt.refs++ // the extra copy consumes its own reference downstream
@@ -173,7 +186,7 @@ func (l *Link) admit(pkt *Packet) bool {
 		l.net.releasePkt(pkt)
 		return false
 	}
-	if l.CorruptProb > 0 && l.rng.Bool(l.CorruptProb) {
+	if l.impaired && l.corrupt > 0 && l.rng.Bool(l.corrupt) {
 		// Corrupted in transit: the far end's checksum rejects it, so it
 		// behaves as a counted drop.
 		l.Stats.Corrupted++
@@ -190,8 +203,12 @@ func (l *Link) admit(pkt *Packet) bool {
 // duplication nor the reordering module armed. Such a copy can ride a
 // fan-out train (see train.go); the answer can change between packets.
 func (l *Link) fixedDelay() bool {
-	return l.Bandwidth <= 0 && l.crossTo < 0 && l.DupProb == 0 && l.ReorderProb == 0
+	return l.Bandwidth <= 0 && l.crossTo < 0 && (!l.impaired || !l.redraws())
 }
+
+// redraws reports whether the duplication or the reordering module is
+// armed, so that a copy needs a further draw past admit.
+func (l *Link) redraws() bool { return l.dup != 0 || l.reorder != 0 }
 
 // xmit moves a packet past the entry modules onto the wire: pure delay
 // for infinite links, queue + serialiser otherwise.
@@ -213,13 +230,13 @@ func (l *Link) xmit(pkt *Packet) {
 }
 
 // propDelay returns the propagation delay for one packet, stretched by
-// the reordering module: a reordered packet takes up to ReorderDelay
+// the reordering module: a reordered packet takes up to reorderDelay
 // extra, letting later packets overtake it.
 func (l *Link) propDelay() sim.Time {
 	d := l.Delay
-	if l.ReorderProb > 0 && l.rng.Bool(l.ReorderProb) {
+	if l.reorder > 0 && l.rng.Bool(l.reorder) {
 		l.Stats.Reordered++
-		d += sim.Time(float64(l.ReorderDelay) * l.rng.Float64())
+		d += sim.Time(float64(l.reorderDelay) * l.rng.Float64())
 	}
 	return d
 }
@@ -262,10 +279,12 @@ func (l *Link) txDone(a any) {
 	l.startTx()
 }
 
-func (l *Link) deliverArg(a any) { l.deliver(a.(*Packet)) }
+func (l *Link) deliverArg(a any) { l.deliver(l.net, a.(*Packet)) }
 
-func (l *Link) deliver(pkt *Packet) {
+// deliver hands a packet to the far node. The caller passes the network
+// in, so a train's copy reads nothing of the link past its first line.
+func (l *Link) deliver(n *Network, pkt *Packet) {
 	l.Stats.Deliver++
 	l.Stats.Bytes += int64(pkt.Size)
-	l.net.arrive(l.To, pkt)
+	n.arrive(l.To, pkt)
 }

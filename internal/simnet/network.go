@@ -28,6 +28,7 @@ type Network struct {
 	rng   *sim.Rand
 
 	nodes []node
+	names []string // debug names, aligned with nodes
 
 	linkList []*Link
 	linkIdx  map[linkKey]int32 // (from,to) -> index into linkList
@@ -159,16 +160,21 @@ type mcastTree struct {
 	slots []int32
 }
 
+// node is a 64-byte record, and what a delivery reads comes first: the
+// most recently bound handler and its port, so delivering to it is one
+// line off the node instead of node, slice, interface. A backing array
+// of figure 12's thousand nodes is a large object, which the allocator
+// page-aligns, so every record is one line of memory; a smaller one
+// starts 8 bytes into a line, behind the allocator's type header, and
+// the handler and port still share one. TestNodeLineBudget pins both.
 type node struct {
-	name     string
-	handlers []Handler // indexed by Port
-
-	// The most recently bound handler and its port, inline: delivering to
-	// it is one load off the node instead of node, slice, interface.
 	h     Handler
 	hport Port
 
-	fan *fanout // fan-out train state (train.go); nil until first used
+	fan      *fanout   // fan-out train state (train.go); nil until first used
+	handlers []Handler // indexed by Port
+
+	_ [8]byte
 }
 
 // New returns an empty network bound to a scheduler and RNG.
@@ -284,7 +290,8 @@ func (n *Network) AddNode(name string) NodeID {
 	}
 	nd := &n.nodes[id]
 	clear(nd.handlers)
-	*nd = node{name: name, handlers: nd.handlers[:0], fan: nd.fan}
+	*nd = node{handlers: nd.handlers[:0], fan: nd.fan}
+	n.names = append(n.names[:id], name)
 	n.routesOK = false
 	n.adjOK = false
 	n.topoVer++
@@ -295,7 +302,7 @@ func (n *Network) AddNode(name string) NodeID {
 func (n *Network) NumNodes() int { return len(n.nodes) }
 
 // NodeName returns the debug name of a node.
-func (n *Network) NodeName(id NodeID) string { return n.nodes[id].name }
+func (n *Network) NodeName(id NodeID) string { return n.names[id] }
 
 // Bind attaches a handler to a node's port.
 func (n *Network) Bind(addr Addr, h Handler) {
@@ -324,7 +331,7 @@ func (n *Network) AddLink(from, to NodeID, bandwidth float64, delay sim.Time, qu
 		l = n.linkList[:k+1][k]
 	}
 	if l == nil {
-		l = &Link{Q: &DropTail{}}
+		l = &Link{}
 		l.deliverFn = l.deliverArg
 		l.txDoneFn = l.txDone
 	}
@@ -622,23 +629,77 @@ func (n *Network) ensureAdj() {
 	n.adjOK = true
 }
 
-// routeRow returns src's row of first-hop link indices, running
-// heap-based Dijkstra from src (edge weight = propagation delay, with a
-// small constant so zero-delay links still count hops) the first time the
-// row is asked for since the topology last changed. Only nodes that
-// actually forward pay for a row: in a thousand-receiver star that is the
-// sender, the routers and the receivers that report.
+// routeRow returns src's row of first-hop link indices, computed the
+// first time the row is asked for since the topology last changed. Only
+// nodes that actually forward pay for a row: in a thousand-receiver star
+// that is the sender, the routers and the receivers that report. A node
+// with a single outgoing link derives its row from the far end's (see
+// soleExit); every other row is a heap-based Dijkstra from src (edge
+// weight = propagation delay, with a small constant so zero-delay links
+// still count hops).
 func (n *Network) routeRow(src NodeID) []int32 {
 	if !n.routesOK {
 		n.dropRoutes()
 	}
 	row := n.routeRows[src]
-	if row == nil {
-		row = n.carveRow()
-		n.dijkstra(src, row)
-		n.routeRows[src] = row
+	if row != nil {
+		return row
 	}
+	row = n.carveRow()
+	if li, ok := n.soleExit(src); !ok {
+		n.dijkstra(src, row)
+	} else if l := n.linkList[li]; l.down {
+		for i := range row {
+			row[i] = -1
+		}
+	} else {
+		// Every path out of src starts on l, so src reaches l.To and what
+		// l.To reaches, all through l; src itself stays -1.
+		far := n.routeRow(l.To)
+		for i, hop := range far {
+			row[i] = -1
+			if hop >= 0 || NodeID(i) == l.To {
+				row[i] = li
+			}
+		}
+		row[src] = -1
+	}
+	n.routeRows[src] = row
 	return row
+}
+
+// soleExit returns src's only outgoing link when src's row can be derived
+// from the far end's: src has exactly one, and following single exits
+// from the far end reaches a node that needs no derivation of its own (a
+// computed row, a down link, or more or fewer than one exit) without
+// coming back to src or going round a cycle. A pair of nodes that are
+// each other's only exit would otherwise derive each other forever.
+func (n *Network) soleExit(src NodeID) (int32, bool) {
+	exit := func(u NodeID) (int32, bool) {
+		lo, hi := n.adjStart[u], n.adjStart[u+1]
+		if hi-lo != 1 {
+			return -1, false
+		}
+		return n.adjLinks[lo], true
+	}
+	li, ok := exit(src)
+	if !ok {
+		return -1, false
+	}
+	if n.linkList[li].down {
+		return li, true
+	}
+	u := n.linkList[li].To
+	for steps := 0; ; steps++ {
+		if u == src || steps > len(n.nodes) {
+			return -1, false
+		}
+		next, ok := exit(u)
+		if n.routeRows[u] != nil || !ok || n.linkList[next].down {
+			return li, true
+		}
+		u = n.linkList[next].To
+	}
 }
 
 // dropRoutes discards every row after a topology change and sizes the

@@ -104,27 +104,33 @@ func fillRoutes(n *Network) {
 }
 
 // checkRows asks for rows one at a time in a seeded order — checking after
-// each, when the topology has just changed, that exactly the asked-for
-// rows exist — and compares every row, then the fillRoutes fill, against
-// the eager reference.
+// each, when the topology has just changed, that the asked-for rows exist
+// and that any other row is one a single-exit row was derived from (the
+// far end of its only link) — and compares every row, then the fillRoutes
+// fill, against the eager reference.
 func checkRows(t *testing.T, n *Network, rng *rand.Rand, when string) {
 	t.Helper()
 	want := eagerRoutes(n)
 	stale := !n.routesOK
-	asked := 0
+	asked := map[int]bool{}
 	for _, s := range rng.Perm(len(n.nodes))[:len(n.nodes)/2] {
 		if got := n.routeRow(NodeID(s)); !slices.Equal(got, want[s]) {
 			t.Fatalf("%s: lazy row %d = %v, eager table has %v", when, s, got, want[s])
 		}
-		asked++
-		have := 0
-		for _, r := range n.routeRows {
-			if r != nil {
-				have++
+		asked[s] = true
+		if !stale {
+			continue
+		}
+		derivedFrom := map[NodeID]bool{}
+		for u, r := range n.routeRows {
+			if lo, hi := n.adjStart[u], n.adjStart[u+1]; r != nil && hi-lo == 1 {
+				derivedFrom[n.linkList[n.adjLinks[lo]].To] = true
 			}
 		}
-		if stale && have != asked {
-			t.Fatalf("%s: %d rows computed after asking for %d", when, have, asked)
+		for u, r := range n.routeRows {
+			if r != nil && !asked[u] && !derivedFrom[NodeID(u)] {
+				t.Fatalf("%s: row %d computed, but nobody asked for it or derived a row from it", when, u)
+			}
 		}
 	}
 	fillRoutes(n)
@@ -190,4 +196,81 @@ func TestRouteSlabsSurviveInvalidation(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("route recomputation allocates %v objects per rebuild", allocs)
 	}
+}
+
+// TestSingleExitRowsMatchDijkstra: rows derived for nodes with one
+// outgoing link equal the eager table where derivation is tricky — two
+// nodes that are each other's only exit, a single exit that is down, and
+// a chain of single exits — and a star's leaves run one Dijkstra between
+// them, the hub's.
+func TestSingleExitRowsMatchDijkstra(t *testing.T) {
+	check := func(name string, n *Network) {
+		t.Helper()
+		want := eagerRoutes(n)
+		for s := range want {
+			if got := n.routeRow(NodeID(s)); !slices.Equal(got, want[s]) {
+				t.Errorf("%s: row %d = %v, eager table has %v", name, s, got, want[s])
+			}
+		}
+	}
+
+	pair := New(sim.NewScheduler(), sim.NewRand(1))
+	a, b := pair.AddNode("a"), pair.AddNode("b")
+	pair.AddDuplex(a, b, 0, sim.Millisecond, 0)
+	check("two-node net", pair)
+
+	down := New(sim.NewScheduler(), sim.NewRand(1))
+	hub := down.AddNode("hub")
+	leaf := down.AddNode("leaf")
+	other := down.AddNode("other")
+	up, _ := down.AddDuplex(hub, leaf, 0, sim.Millisecond, 0)
+	down.AddDuplex(hub, other, 0, sim.Millisecond, 0)
+	down.LinkBetween(leaf, hub).SetDown(true)
+	check("down uplink", down)
+	if row := down.routeRow(leaf); slices.ContainsFunc(row, func(h int32) bool { return h >= 0 }) {
+		t.Errorf("down uplink: leaf row %v routes somewhere", row)
+	}
+	up.SetDown(true) // now the hub's link to leaf is down as well
+	check("down uplink both ways", down)
+
+	// c0 -> c1 -> c2 -> c3 <-> c4: the first three have one exit each.
+	chain := New(sim.NewScheduler(), sim.NewRand(1))
+	var c [5]NodeID
+	for i := range c {
+		c[i] = chain.AddNode("c")
+	}
+	for i := 0; i < 3; i++ {
+		chain.AddLink(c[i], c[i+1], 0, sim.Millisecond, 0)
+	}
+	chain.AddDuplex(c[3], c[4], 0, sim.Millisecond, 0)
+	chain.AddLink(c[3], c[0], 0, 5*sim.Millisecond, 0)
+	chain.routeRow(c[0])
+	for i := range c {
+		if computed := chain.routeRows[c[i]] != nil; computed != (i != 4) {
+			t.Errorf("chain: after asking for c0, row c%d computed = %v", i, computed)
+		}
+	}
+	check("chain", chain)
+
+	star := New(sim.NewScheduler(), sim.NewRand(1))
+	src := star.AddNode("src")
+	centre := star.AddNode("hub")
+	star.AddDuplex(src, centre, 0, sim.Millisecond, 0)
+	for i := 0; i < 50; i++ {
+		star.AddDuplex(centre, star.AddNode("leaf"), 0, sim.Time(i+1)*sim.Millisecond, 0)
+	}
+	star.dropRoutes()
+	runs := 0
+	for s := NodeID(2); s < NodeID(star.NumNodes()); s++ {
+		star.routeRow(s)
+	}
+	for u, r := range star.routeRows {
+		if lo, hi := star.adjStart[u], star.adjStart[u+1]; r != nil && hi-lo != 1 {
+			runs++
+		}
+	}
+	if runs != 1 {
+		t.Errorf("star: the leaves' rows took %d Dijkstra runs, want 1 (the hub's)", runs)
+	}
+	check("star", star)
 }

@@ -52,6 +52,7 @@ func (t *train) first() *trainEntry { return &t.ents[t.head] }
 
 // fanout is a node's train state, created the first time it sends one.
 type fanout struct {
+	net    *Network
 	sched  *sim.Scheduler // the node's scheduler (its shard's when sharded)
 	trains []train        // in flight: a binary min-heap on the head copy's (at, seq)
 	spare  [][]trainEntry // entry buffers of finished trains
@@ -76,7 +77,7 @@ func (n *Network) fanOut(at NodeID, pkt *Packet, children, rank []int32, slots i
 		n.nodes[at].fan = f
 	}
 	s := n.schedForNode(at)
-	f.sched = s
+	f.net, f.sched = n, s
 	ents := f.entryBuf(slots)
 	now := s.Now()
 	boarded := 0
@@ -181,7 +182,7 @@ func (f *fanout) deliver() {
 	}
 	f.down(0)
 	f.held--
-	l.deliver(pkt)
+	l.deliver(f.net, pkt)
 }
 
 // The train heap. A node behind a slow link holds a handful of trains, one

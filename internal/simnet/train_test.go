@@ -2,7 +2,11 @@ package simnet
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"unsafe"
@@ -279,25 +283,130 @@ func TestTrainResetMidFlight(t *testing.T) {
 	}
 }
 
-// TestLinkEntryFieldsShareALine pins Link's layout contract: what a packet
-// entering the link reads, and the far node, end where Stats begins, one
-// 64-byte line in.
-func TestLinkEntryFieldsShareALine(t *testing.T) {
+// lineBytes is the cache line the layout contracts below are written for.
+const lineBytes = 64
+
+// TestLinkLineBudget pins Link's layout contract: every field a copy
+// boarding a fan-out train reads or writes lies in the first 64-byte line;
+// Link is a multiple of 64 bytes no larger than 512 (a size class the
+// allocator aligns to 64, with no header in front of the object); and the
+// links AddLink returns are 64-byte aligned. admit's unconditional reads
+// are listed here; deliver and fixedDelay are read from the source, so a
+// field either of them starts to read off that line fails the test.
+func TestLinkLineBudget(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("layout pinned for 64-bit targets")
 	}
-	var l Link
-	if off := unsafe.Offsetof(l.Stats); off != 64 {
-		t.Errorf("Link.Stats at offset %d: the entry-module fields no longer fill exactly one cache line", off)
+	lt := reflect.TypeOf(Link{})
+	// fieldEnd returns where the field a selector path names ends, following
+	// the path through nested structs (l.Stats.Sent) and stopping at
+	// anything else (l.net.arrive reads l.net); ok is false for a method.
+	fieldEnd := func(path []string) (field string, end uintptr, ok bool) {
+		typ, off := lt, uintptr(0)
+		for i, name := range path {
+			if typ.Kind() != reflect.Struct {
+				path = path[:i]
+				break
+			}
+			f, ok := typ.FieldByName(name)
+			if !ok {
+				return "", 0, false
+			}
+			typ, off = f.Type, off+f.Offset
+		}
+		return strings.Join(path, "."), off + typ.Size(), true
 	}
-	for name, off := range map[string]uintptr{
-		"To": unsafe.Offsetof(l.To), "Delay": unsafe.Offsetof(l.Delay), "Bandwidth": unsafe.Offsetof(l.Bandwidth),
-		"LossProb": unsafe.Offsetof(l.LossProb), "CorruptProb": unsafe.Offsetof(l.CorruptProb),
-		"DupProb": unsafe.Offsetof(l.DupProb), "ReorderProb": unsafe.Offsetof(l.ReorderProb),
-		"down": unsafe.Offsetof(l.down), "crossTo": unsafe.Offsetof(l.crossTo),
-	} {
-		if off >= 64 {
-			t.Errorf("entry field %s at offset %d is off the first line", name, off)
+	check := func(who string, path []string) {
+		if field, end, ok := fieldEnd(path); ok && end > lineBytes {
+			t.Errorf("%s reads Link.%s, which ends at byte %d, off the first line", who, field, end)
+		}
+	}
+	for _, f := range [][]string{{"Stats", "Sent"}, {"down"}, {"LossProb"}, {"impaired"}} {
+		check("admit", f)
+	}
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, "link.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, d := range file.Decls {
+		fn, ok := d.(*ast.FuncDecl)
+		if !ok || fn.Recv == nil || (fn.Name.Name != "deliver" && fn.Name.Name != "fixedDelay") {
+			continue
+		}
+		seen[fn.Name.Name] = true
+		recv := fn.Recv.List[0].Names[0].Name
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			var path []string
+			x := ast.Expr(sel)
+			for {
+				s, ok := x.(*ast.SelectorExpr)
+				if !ok {
+					break
+				}
+				path = append([]string{s.Sel.Name}, path...)
+				x = s.X
+			}
+			if id, ok := x.(*ast.Ident); ok && id.Name == recv {
+				check(fn.Name.Name, path)
+				return false
+			}
+			return true
+		})
+	}
+	if !seen["deliver"] || !seen["fixedDelay"] {
+		t.Fatalf("link.go: found %v of deliver and fixedDelay", seen)
+	}
+	if size := unsafe.Sizeof(Link{}); size%lineBytes != 0 || size > 512 {
+		t.Errorf("Link is %d bytes: it must be a multiple of %d no larger than 512", size, lineBytes)
+	}
+	net := New(sim.NewScheduler(), sim.NewRand(1))
+	hub := net.AddNode("hub")
+	for i := 0; i < 40; i++ {
+		down, up := net.AddDuplex(hub, net.AddNode("leaf"), 0, sim.Millisecond, 0)
+		for _, l := range []*Link{down, up} {
+			if a := uintptr(unsafe.Pointer(l)); a%lineBytes != 0 {
+				t.Fatalf("link at %#x is not %d-byte aligned", a, lineBytes)
+			}
+		}
+	}
+}
+
+// TestNodeLineBudget pins node's layout contract: a 64-byte record whose
+// first bytes are what a delivery reads, the handler and its port. A
+// thousand-node array is page-aligned, so every record is one line; in a
+// smaller one the handler and port still never straddle two lines.
+func TestNodeLineBudget(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout pinned for 64-bit targets")
+	}
+	var nd node
+	if size := unsafe.Sizeof(nd); size != lineBytes {
+		t.Errorf("node is %d bytes, want %d", size, lineBytes)
+	}
+	hotEnd := unsafe.Offsetof(nd.hport) + unsafe.Sizeof(nd.hport)
+	if unsafe.Offsetof(nd.h) != 0 || hotEnd > 24 {
+		t.Errorf("node: h at %d, hport ending at %d; want them to be the record's first 24 bytes",
+			unsafe.Offsetof(nd.h), hotEnd)
+	}
+	for _, count := range []int{3, 40, 300, 1002} {
+		net := New(sim.NewScheduler(), sim.NewRand(1))
+		for i := 0; i < count; i++ {
+			net.AddNode("n")
+		}
+		base := uintptr(unsafe.Pointer(&net.nodes[0]))
+		if count > 1000 && base%lineBytes != 0 {
+			t.Errorf("%d nodes: array at %#x is not %d-byte aligned", count, base, lineBytes)
+		}
+		for i := range net.nodes {
+			if a := uintptr(unsafe.Pointer(&net.nodes[i])); a/lineBytes != (a+hotEnd-1)/lineBytes {
+				t.Fatalf("%d nodes: node %d's handler and port straddle a line (at %#x)", count, i, a)
+			}
 		}
 	}
 }

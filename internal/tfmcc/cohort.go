@@ -66,15 +66,20 @@ type cohortState struct {
 // state are recycled from the arena, each under its own key.
 func NewCohortReceiver(id ReceiverID, net *simnet.Network, node simnet.NodeID, port simnet.Port,
 	sender simnet.Addr, group simnet.GroupID, cfg Config, rng *sim.Rand, size int) *Receiver {
+	return newCohortReceiver(id, net, node, port, sender, group, newParams(cfg), rng, size)
+}
+
+func newCohortReceiver(id ReceiverID, net *simnet.Network, node simnet.NodeID, port simnet.Port,
+	sender simnet.Addr, group simnet.GroupID, p *params, rng *sim.Rand, size int) *Receiver {
 	st := sim.Pooled[cohortState](net.Arena(), cohortArenaKey)
 	*st = cohortState{size: max(size, 1)}
-	r := NewReceiver(id, net, node, port, sender, group, cfg, rng)
+	r := newReceiver(id, net, node, port, sender, group, p, rng)
 	r.cohort = st
 	return r
 }
 
 // cohortArenaKey pools cohort state on reuse-enabled networks (the probe
-// pools separately under receiverArenaKey via NewReceiver).
+// pools separately under receiverArenaKey via newReceiver).
 const cohortArenaKey = "tfmcc.cohortState"
 
 // SetLossSpread declares a cohort's loss heterogeneity: the worst

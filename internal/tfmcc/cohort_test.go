@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/lossrate"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 )
@@ -238,5 +239,87 @@ func TestCohortLossSpreadRaisesRate(t *testing.T) {
 	}
 	if seen > 1 {
 		t.Fatalf("aggregate loss-event rate %.4f exceeds 1", seen)
+	}
+}
+
+// TestRecycledSessionTakesEachRunsConfig: a pooled session whose Config
+// changes between runs — loss history depth 8, then 4, then 8 again under
+// another TCP model — gives each run's receivers that run's configuration
+// and weights, one copy shared by all of them, and each run behaves as a
+// never-pooled session with that Config. A run never writes the shared
+// parameters: parallel sweep workers read them.
+func TestRecycledSessionTakesEachRunsConfig(t *testing.T) {
+	depth := func(cfg Config, n int) Config { cfg.NumLossIntervals = n; return cfg }
+	other := DefaultConfig()
+	other.Model.RTOFactor = 2
+	runs := []Config{depth(DefaultConfig(), 8), depth(DefaultConfig(), 4), depth(other, 8)}
+
+	star := func(sch *sim.Scheduler, net *simnet.Network, cfg Config) *Session {
+		snd := net.AddNode("sender")
+		hub := net.AddNode("hub")
+		net.AddDuplex(snd, hub, 125000, 20*sim.Millisecond, 30)
+		sess := NewSession(net, snd, 1, 100, cfg, sim.NewRand(2))
+		for i := 0; i < 4; i++ {
+			leaf := net.AddNode("leaf")
+			down, _ := net.AddDuplex(hub, leaf, 0, sim.Time(5+10*i)*sim.Millisecond, 0)
+			down.LossProb = 0.02
+			sess.AddReceiver(leaf)
+		}
+		sess.Start()
+		sch.RunUntil(20 * sim.Second)
+		return sess
+	}
+
+	sch, rng := sim.NewScheduler(), sim.NewRand(1)
+	net := simnet.New(sch, rng)
+	net.EnableReuse()
+	var first *Session
+	var shared []*params
+	var snapshots [][]float64
+	for run, cfg := range runs {
+		if run > 0 {
+			sch.Reset()
+			rng.Reseed(1)
+			if !net.Reset() {
+				t.Fatal("network did not rewind")
+			}
+		}
+		sess := star(sch, net, cfg)
+		if run == 0 {
+			first = sess
+		} else if sess != first {
+			t.Fatalf("run %d: the session was not recycled", run)
+		}
+		p := sess.Receivers[0].p
+		for i, r := range sess.Receivers {
+			if r.p != p {
+				t.Fatalf("run %d: receiver %d holds its own parameters", run, i)
+			}
+		}
+		if p.cfg != cfg || !slices.Equal(p.weights, lossrate.Weights(cfg.NumLossIntervals)) {
+			t.Errorf("run %d: receivers got depth %d, model %+v, weights %v; want depth %d, model %+v",
+				run, p.cfg.NumLossIntervals, p.cfg.Model, p.weights, cfg.NumLossIntervals, cfg.Model)
+		}
+		shared = append(shared, p)
+		snapshots = append(snapshots, slices.Clone(p.weights))
+
+		fsch := sim.NewScheduler()
+		fresh := star(fsch, simnet.New(fsch, sim.NewRand(1)), cfg)
+		for i, r := range sess.Receivers {
+			f := fresh.Receivers[i]
+			if r.Stats() != f.Stats() || r.LossEventRate() != f.LossEventRate() || r.CalcRate() != f.CalcRate() {
+				t.Errorf("run %d receiver %d: recycled %+v p=%v X=%v, fresh %+v p=%v X=%v", run, i,
+					r.Stats(), r.LossEventRate(), r.CalcRate(), f.Stats(), f.LossEventRate(), f.CalcRate())
+			}
+		}
+	}
+	if shared[0] == shared[1] || shared[1] == shared[2] {
+		t.Error("a changed Config reused the previous run's parameters")
+	}
+	for run, p := range shared {
+		if p.cfg != runs[run] || !slices.Equal(p.weights, snapshots[run]) {
+			t.Errorf("run %d's parameters changed after the run: depth %d, weights %v, want %v",
+				run, p.cfg.NumLossIntervals, p.weights, snapshots[run])
+		}
 	}
 }

@@ -16,37 +16,45 @@ import (
 // feedback suppression process.
 //
 // Field order is a performance contract. With a thousand receivers the
-// per-packet cost is the cache lines Recv pulls in, so everything an
-// in-order data packet reads or writes — scalars first, then the RTT
-// estimator, the last-header snapshot and the loss history, all held by
-// value — forms one contiguous prefix ending at est. Configuration,
-// identity, counters and hooks follow it, and the 8 KB of receive-window
-// samples sit at the very end, where add touches one line of them per
-// packet. TestReceiverHotPrefix pins the prefix's extent.
+// per-packet cost is the number of distinct cache lines Recv pulls in, so
+// everything an in-order data packet reads or writes fits the first three
+// 64-byte lines of a 64-byte-aligned object: the scalars, flags, counter
+// and meter of line 0; the ring cursors and the RTT estimator of line 1;
+// the last-header snapshot and the open loss interval (est's history
+// header and first slot) of line 2. The ring itself, the session
+// parameters (shared by pointer: Config, RTT constants and loss weights),
+// the CLR's report clock and everything touched only at round start, on
+// a loss or by a report follow. The struct stays within the 512-byte
+// size class: the largest one whose objects the allocator hands out with
+// no header in front, hence 64-byte aligned. TestReceiverLineBudget pins
+// all of it.
 type Receiver struct {
-	sch   *sim.Scheduler
-	id    ReceiverID
-	round int
-
-	left      bool
-	isCLR     bool
-	haveSeq   bool
-	fbHasLoss bool
-
+	// Line 0.
+	sch         *sim.Scheduler
+	id          ReceiverID
+	round       int
 	nextSeq     int64
 	lastArrival sim.Time
-	clrNextAt   sim.Time
 	PacketsRecv int64
 	Meter       *stats.Meter // optional throughput meter
-	rw          recvWindow
+	left        bool
+	isCLR       bool
+	haveSeq     bool
+	fbPending   bool // fbTimer is armed: Active() without loading its slot
+	fbHasLoss   bool
 
-	fbTimer      sim.Timer
+	// Line 1.
+	rw   recvWindow
+	rtte rtt.Estimator
+
+	// Line 2, and est runs on into lines 3-5.
+	last lastHeader
+	est  lossrate.Estimator
+
+	p            *params  // the session's shared configuration
+	clrNextAt    sim.Time // read by the CLR only
 	lastSuppress float64
 	fbValue      float64 // planned report rate (bytes/s) guarding cancellation
-
-	rtte rtt.Estimator
-	last lastHeader
-	est  lossrate.Estimator // end of the hot prefix
 
 	// cohort, when non-nil, marks this receiver as the probe standing in
 	// for a whole cohort: the feedback draw becomes the minimum of the
@@ -55,20 +63,13 @@ type Receiver struct {
 	// gates on this single check.
 	cohort *cohortState
 
-	cfg    Config
-	net    *simnet.Network
-	rng    *sim.Rand
-	addr   simnet.Addr
-	sender simnet.Addr
-	group  simnet.GroupID
-
-	fbSlowstart bool // the pending feedback's round started in slowstart
-	crashed     bool
-	leftAt      sim.Time // when the receiver left or crashed (0 = still joined)
-
-	// Appendix A/B bookkeeping: the first loss event was aggregated and
-	// initialised using the conservative initial RTT.
-	firstLossWithInitRTT bool
+	net     *simnet.Network
+	rng     *sim.Rand
+	addr    simnet.Addr
+	sender  simnet.Addr
+	group   simnet.GroupID
+	fbTimer sim.Timer
+	leftAt  sim.Time // when the receiver left or crashed (0 = still joined)
 
 	// Stats for the experiments.
 	ReportsSent     int64
@@ -77,7 +78,27 @@ type Receiver struct {
 	LossEvents      int64
 	StaleDiscards   int64 // stale/malformed data packets discarded unprocessed
 
-	samples recvSamples
+	fbSlowstart bool // the pending feedback's round started in slowstart
+	crashed     bool
+
+	// Appendix A/B bookkeeping: the first loss event was aggregated and
+	// initialised using the conservative initial RTT.
+	firstLossWithInitRTT bool
+}
+
+// params is what every receiver of a session reads and none writes: the
+// configuration and the loss-interval weights derived from it. Receivers
+// hold it by pointer, so a thousand of them keep one copy in cache. A
+// params is never changed once made — a session whose configuration
+// changes makes a new one — so parallel sweep workers and recycled
+// sessions never see one move under them.
+type params struct {
+	cfg     Config
+	weights []float64
+}
+
+func newParams(cfg Config) *params {
+	return &params{cfg: cfg, weights: lossrate.Weights(cfg.NumLossIntervals)}
 }
 
 // lastHeader is what the receiver keeps of the newest data header: the
@@ -93,38 +114,38 @@ type lastHeader struct {
 // round a data packet may lag before it is discarded as stale.
 const staleDataRounds = 2
 
-// receiverArenaKey pools receivers on reuse-enabled networks: the
-// receiver is by far the heaviest per-scenario allocation (the receive
-// window ring alone is 8 KB), so rewound runs take it back from the
-// network's arena instead of rebuilding it.
+// receiverArenaKey pools receivers on reuse-enabled networks: rewound
+// runs take a receiver, and its 8 KB receive-window ring, back from the
+// network's arena instead of rebuilding them.
 const receiverArenaKey = "tfmcc.Receiver"
 
 // NewReceiver creates a receiver on the given node and joins the group.
 // sender is the sender's unicast address for reports. On a reuse-enabled
 // network the receiver built at the same point of a previous run is
-// re-initialised and returned instead of allocating a new one.
+// re-initialised and returned instead of allocating a new one. The
+// receiver gets its own copy of cfg; Session.AddReceiver shares the
+// session's among all of its receivers.
 func NewReceiver(id ReceiverID, net *simnet.Network, node simnet.NodeID, port simnet.Port,
 	sender simnet.Addr, group simnet.GroupID, cfg Config, rng *sim.Rand) *Receiver {
+	return newReceiver(id, net, node, port, sender, group, newParams(cfg), rng)
+}
+
+func newReceiver(id ReceiverID, net *simnet.Network, node simnet.NodeID, port simnet.Port,
+	sender simnet.Addr, group simnet.GroupID, p *params, rng *sim.Rand) *Receiver {
 	r := sim.Pooled[Receiver](net.Arena(), receiverArenaKey)
-	r.init(id, net, node, port, sender, group, cfg, rng)
+	r.init(id, net, node, port, sender, group, p, rng)
 	return r
 }
 
 // init puts a new or recycled receiver into its pre-run state field by
-// field, reusing the loss/RTT estimator storage and the receive-window
-// ring (whose stale contents are unreachable once the cursors are
-// zeroed; a whole-struct assignment would clear its 8 KB). Bit-for-bit
-// equivalence of recycled and fresh receivers is what keeps rewound
-// sweep runs deterministic.
+// field, reusing the loss history storage and the receive-window ring
+// (whose stale contents are unreachable once the cursors are zeroed).
+// Bit-for-bit equivalence of recycled and fresh receivers is what keeps
+// rewound sweep runs deterministic.
 func (r *Receiver) init(id ReceiverID, net *simnet.Network, node simnet.NodeID, port simnet.Port,
-	sender simnet.Addr, group simnet.GroupID, cfg Config, rng *sim.Rand) {
-	// A fresh receiver (nil net) has no weights to keep yet.
-	if r.net != nil && cfg.NumLossIntervals == r.cfg.NumLossIntervals {
-		r.est.ResetKeepWeights()
-	} else {
-		r.est.Reset(lossrate.Weights(cfg.NumLossIntervals))
-	}
-	r.cfg = cfg
+	sender simnet.Addr, group simnet.GroupID, p *params, rng *sim.Rand) {
+	r.p = p
+	r.est.Reset(p.weights)
 	r.id = id
 	r.net = net
 	r.sch = net.SchedFor(node)
@@ -132,7 +153,7 @@ func (r *Receiver) init(id ReceiverID, net *simnet.Network, node simnet.NodeID, 
 	r.addr = simnet.Addr{Node: node, Port: port}
 	r.sender = sender
 	r.group = group
-	r.rtte.Reset(cfg.RTT)
+	r.rtte.Reset(&p.cfg.RTT)
 	r.haveSeq = false
 	r.nextSeq = 0
 	r.lastArrival = 0
@@ -140,6 +161,7 @@ func (r *Receiver) init(id ReceiverID, net *simnet.Network, node simnet.NodeID, 
 	r.rw.reset()
 	r.round = -1
 	r.fbTimer = sim.Timer{}
+	r.fbPending = false
 	r.fbSlowstart = false
 	r.fbValue = 0
 	r.fbHasLoss = false
@@ -212,7 +234,7 @@ func (r *Receiver) CalcRate() float64 {
 	if p <= 0 {
 		return math.Inf(1)
 	}
-	return r.cfg.Model.Throughput(p, r.rtte.RTT().Seconds())
+	return r.p.cfg.Model.Throughput(p, r.rtte.RTT().Seconds())
 }
 
 // Crash kills the receiver: it stops processing traffic and leaves the
@@ -239,7 +261,7 @@ func (r *Receiver) Leave() {
 	r.leftAt = r.sch.Now()
 	r.cancelTimer()
 	pkt := r.net.AllocPacket()
-	pkt.Size = r.cfg.ReportSize
+	pkt.Size = r.p.cfg.ReportSize
 	pkt.Src = r.addr
 	pkt.Dst = r.sender
 	*reportBox(pkt) = Report{
@@ -280,7 +302,7 @@ func (r *Receiver) Recv(pkt *simnet.Packet) {
 
 	r.detectLosses(d, now)
 	r.est.OnPacket()
-	r.rw.add(&r.samples, now, pkt.Size)
+	r.rw.add(now, pkt.Size)
 
 	wasCLR := r.isCLR
 	r.isCLR = d.CLR == r.id
@@ -346,7 +368,7 @@ func (r *Receiver) initLossHistory(d *Data) {
 	}
 	// Slowstart overshoots to at most twice the bottleneck bandwidth, so
 	// half the receive rate approximates the fair rate.
-	p := r.cfg.Model.SimpleLossRate(rate/2, r.rtte.RTT().Seconds())
+	p := r.p.cfg.Model.SimpleLossRate(rate/2, r.rtte.RTT().Seconds())
 	if p <= 0 {
 		return
 	}
@@ -384,7 +406,7 @@ func (r *Receiver) onFirstRTTMeasurement(*Data) {
 	}
 	r.est.Reaggregate(r.rtte.RTT())
 	if r.firstLossWithInitRTT {
-		ratio := float64(r.rtte.RTT()) / float64(r.cfg.RTT.InitialRTT)
+		ratio := float64(r.rtte.RTT()) / float64(r.p.cfg.RTT.InitialRTT)
 		r.est.AdjustInitInterval(ratio * ratio)
 	}
 }
@@ -397,7 +419,7 @@ func (r *Receiver) onFirstRTTMeasurement(*Data) {
 func (r *Receiver) window(sendRate float64) sim.Time {
 	w := r.rtte.RTT().Scale(4)
 	if sendRate > 0 {
-		minW := sim.FromSeconds(8 * float64(r.cfg.PacketSize) / sendRate)
+		minW := sim.FromSeconds(8 * float64(r.p.cfg.PacketSize) / sendRate)
 		w = sim.MaxOf(w, minW)
 	}
 	return w
@@ -406,7 +428,7 @@ func (r *Receiver) window(sendRate float64) sim.Time {
 // recvRate returns the receive rate in bytes/s over the averaging window
 // for the given sending rate.
 func (r *Receiver) recvRate(sendRate float64, now sim.Time) float64 {
-	return r.rw.rate(&r.samples, r.window(sendRate), now)
+	return r.rw.rate(r.window(sendRate), now)
 }
 
 // startRound resets suppression state and draws a biased feedback timer
@@ -464,6 +486,7 @@ func (r *Receiver) startRound(d *Data, now sim.Time) {
 	r.fbHasLoss = hasLoss
 	r.fbSlowstart = d.Slowstart
 	r.fbTimer = r.sch.AfterArg(delay, receiverFireFeedback, r)
+	r.fbPending = true
 }
 
 // feedbackDraw returns the uniform variate for this round's suppression
@@ -484,15 +507,19 @@ func (r *Receiver) feedbackDraw() float64 {
 // receiverFireFeedback is the feedback timer's closure-free callback:
 // what it needs of the round-start header rides in r.fbSlowstart instead
 // of a per-round closure capture.
-func receiverFireFeedback(a any) { a.(*Receiver).fireFeedback() }
+func receiverFireFeedback(a any) {
+	r := a.(*Receiver)
+	r.fbPending = false
+	r.fireFeedback()
+}
 
 func (r *Receiver) roundConfig(roundT sim.Time) feedback.Config {
 	return feedback.Config{
 		T:     roundT,
-		N:     r.cfg.FeedbackN,
-		Delta: r.cfg.FeedbackDelta,
-		Eps:   r.cfg.FeedbackEps,
-		Bias:  r.cfg.FeedbackBias,
+		N:     r.p.cfg.FeedbackN,
+		Delta: r.p.cfg.FeedbackDelta,
+		Eps:   r.p.cfg.FeedbackEps,
+		Bias:  r.p.cfg.FeedbackBias,
 	}
 }
 
@@ -501,7 +528,7 @@ func (r *Receiver) roundConfig(roundT sim.Time) feedback.Config {
 // be suppressed by another loss report; conversely a receive-rate report
 // is moot once any loss has been echoed (slowstart is ending).
 func (r *Receiver) maybeSuppress(d *Data) {
-	if !r.fbTimer.Active() {
+	if !r.fbPending {
 		return
 	}
 	if math.IsInf(d.SuppressRate, 1) {
@@ -573,7 +600,7 @@ func (r *Receiver) sendReport(now sim.Time) {
 	}
 	r.ReportsSent++
 	pkt := r.net.AllocPacket()
-	pkt.Size = r.cfg.ReportSize
+	pkt.Size = r.p.cfg.ReportSize
 	pkt.Src = r.addr
 	pkt.Dst = r.sender
 	*reportBox(pkt) = Report{
@@ -607,6 +634,7 @@ func reportBox(pkt *simnet.Packet) *Report {
 func (r *Receiver) cancelTimer() {
 	r.fbTimer.Stop()
 	r.fbTimer = sim.Timer{}
+	r.fbPending = false
 }
 
 func clamp01(x float64) float64 {
@@ -620,49 +648,49 @@ func clamp01(x float64) float64 {
 }
 
 // recvWindow measures receive rate over a sliding time window. Samples
-// live in a fixed ring so the per-packet add never allocates; pruning
-// keeps the same samples the old slice version kept (drop the oldest 256
-// once 512 is exceeded). The cursors and the ring are separate types so a
-// Receiver can keep the cursors among its hot fields and the ring out of
-// their way.
+// live in a fixed ring, allocated once per receiver, so the per-packet
+// add never allocates; pruning keeps the same samples the old slice
+// version kept (drop the oldest 256 once 512 is exceeded). The cursors
+// sit among the receiver's hot fields, the ring in its own allocation.
+// The ring is held as a slice, not an array pointer: indexing it is then
+// a bounds check against the length beside the cursors instead of a nil
+// check that loads the ring's first line.
 type recvWindow struct {
-	head  int // index of the oldest sample
-	n     int
-	total int64
+	s    []recvSample
+	head int32 // index of the oldest sample
+	n    int32
 }
 
-// recvSamples is a recvWindow's ring, time and size of one arrival side
-// by side so add writes a single cache line.
-type recvSamples [recvWindowCap]struct {
+// recvSample is one arrival, time and size side by side so add writes a
+// single cache line.
+type recvSample struct {
 	t sim.Time
 	b int
 }
 
-// recvWindowCap is the ring size: the pruning rule never lets more than
-// 513 samples live, and the ring is most of a receiver's memory, so it is
-// sized to that rule rather than to the next power of two (indices wrap by
-// compare, not by mask).
-const recvWindowCap = 520
+// recvWindowCap is the ring size, 8 KB, a power of two so indices wrap by
+// mask. The pruning rule lets 513 samples live for the instant between
+// add's write and its prune; the 513th is written over the oldest, which
+// that prune drops, so 512 slots hold every sample anything reads.
+const recvWindowCap = 512
 
 // slot returns the ring index of the i-th oldest sample, 0 <= i <= n.
-func (w *recvWindow) slot(i int) int {
-	j := w.head + i
-	if j >= recvWindowCap {
-		j -= recvWindowCap
+func (w *recvWindow) slot(i int32) int32 { return (w.head + i) & (recvWindowCap - 1) }
+
+// reset empties the window, allocating the ring the first time. The ring
+// keeps its contents — with n == 0 nothing can read them — so rewinding
+// costs two stores instead of an 8 KB clear.
+func (w *recvWindow) reset() {
+	if w.s == nil {
+		w.s = make([]recvSample, recvWindowCap)
 	}
-	return j
+	w.head, w.n = 0, 0
 }
 
-// reset empties the window. The ring keeps its contents — with n == 0
-// nothing can read them — so rewinding costs three stores instead of an
-// 8 KB clear.
-func (w *recvWindow) reset() { w.head, w.n, w.total = 0, 0, 0 }
-
-func (w *recvWindow) add(s *recvSamples, now sim.Time, bytes int) {
-	e := &s[w.slot(w.n)]
+func (w *recvWindow) add(now sim.Time, bytes int) {
+	e := &w.s[w.slot(w.n)]
 	e.t, e.b = now, bytes
 	w.n++
-	w.total += int64(bytes)
 	// Amortised pruning: keep at most ~512 samples.
 	if w.n > 512 {
 		w.head = w.slot(256)
@@ -671,14 +699,14 @@ func (w *recvWindow) add(s *recvSamples, now sim.Time, bytes int) {
 }
 
 // rate returns bytes/second received over the trailing window.
-func (w *recvWindow) rate(s *recvSamples, window, now sim.Time) float64 {
+func (w *recvWindow) rate(window, now sim.Time) float64 {
 	if window <= 0 || w.n == 0 {
 		return 0
 	}
 	cut := now - window
 	var bytes int64
 	for i := w.n - 1; i >= 0; i-- {
-		e := &s[w.slot(i)]
+		e := &w.s[w.slot(i)]
 		if e.t < cut {
 			break
 		}

@@ -2,6 +2,7 @@ package tfmcc
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -165,38 +166,38 @@ func TestReceiverEligibilityRequiresLowerRate(t *testing.T) {
 
 func TestRecvWindowRate(t *testing.T) {
 	var w recvWindow
-	var s recvSamples
-	w.add(&s, 0, 1000)
-	w.add(&s, 100*sim.Millisecond, 1000)
-	w.add(&s, 200*sim.Millisecond, 1000)
+	w.reset()
+	w.add(0, 1000)
+	w.add(100*sim.Millisecond, 1000)
+	w.add(200*sim.Millisecond, 1000)
 	// Window of 1s from t=200ms covers all three packets.
-	if got := w.rate(&s, sim.Second, 200*sim.Millisecond); got != 3000 {
+	if got := w.rate(sim.Second, 200*sim.Millisecond); got != 3000 {
 		t.Fatalf("rate = %v, want 3000 B/s", got)
 	}
 	// Window of 150ms covers the last two.
-	if got := w.rate(&s, 150*sim.Millisecond, 200*sim.Millisecond); math.Abs(got-2000/0.15) > 1 {
+	if got := w.rate(150*sim.Millisecond, 200*sim.Millisecond); math.Abs(got-2000/0.15) > 1 {
 		t.Fatalf("rate = %v, want %v", got, 2000/0.15)
 	}
-	if w.rate(&s, 0, 0) != 0 {
+	if w.rate(0, 0) != 0 {
 		t.Fatal("zero window should be 0")
 	}
 	var empty recvWindow
-	if empty.rate(&s, sim.Second, 0) != 0 {
+	if empty.rate(sim.Second, 0) != 0 {
 		t.Fatal("empty window should be 0")
 	}
 }
 
 func TestRecvWindowPruning(t *testing.T) {
 	var w recvWindow
-	var s recvSamples
+	w.reset()
 	for i := 0; i < 2000; i++ {
-		w.add(&s, sim.Time(i)*sim.Millisecond, 100)
+		w.add(sim.Time(i)*sim.Millisecond, 100)
 	}
 	if w.n > 512 {
 		t.Fatalf("window not pruned: %d samples", w.n)
 	}
 	// Recent rate still correct after pruning.
-	got := w.rate(&s, 100*sim.Millisecond, 1999*sim.Millisecond)
+	got := w.rate(100*sim.Millisecond, 1999*sim.Millisecond)
 	if math.Abs(got-100*101/0.1) > 2000 {
 		t.Fatalf("post-prune rate = %v", got)
 	}
@@ -240,41 +241,64 @@ func TestCLRReportRateLimitedPerRTT(t *testing.T) {
 	}
 }
 
-// TestReceiverHotPrefix pins the layout contract in Receiver's doc
-// comment: the fields an in-order data packet touches end with est, within
-// hotPrefixEnd bytes of the struct's start; nothing cold sits among them;
-// and the receive-window ring is the struct's tail. A field added in the
-// wrong place fails here rather than in a benchmark — if the new field is
-// hot, put it in the prefix and move the constant; if not, put it behind.
-func TestReceiverHotPrefix(t *testing.T) {
+// TestReceiverLineBudget pins the layout contract in Receiver's doc
+// comment: every field an in-order data packet reads or writes lies in
+// the first three 64-byte lines; the struct stays in a size class the
+// allocator aligns to 64 bytes (a multiple of 64, at most 512, the
+// largest without a malloc header in front of the object); and the
+// receivers a session builds do land 64-byte aligned. A field added in
+// the wrong place — or a per-receiver copy of the configuration, the RTT
+// constants or the loss weights — fails here rather than in a benchmark.
+func TestReceiverLineBudget(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("layout pinned for 64-bit targets")
 	}
-	const hotPrefixEnd = 472
+	const line, hotLines, maxSize = 64, 3, 512
 	var r Receiver
-	if end := unsafe.Offsetof(r.est) + unsafe.Sizeof(r.est); end != hotPrefixEnd {
-		t.Errorf("hot prefix ends at byte %d, pinned at %d", end, hotPrefixEnd)
+	est := reflect.TypeOf(&r.est).Elem()
+	ivBuf, _ := est.FieldByName("ivBuf")
+	intervals, _ := est.FieldByName("intervals")
+	if intervals.Offset+intervals.Type.Size() > ivBuf.Offset {
+		t.Fatal("lossrate.Estimator: the open interval's header no longer precedes ivBuf")
 	}
-	for name, off := range map[string]uintptr{
-		"sch": unsafe.Offsetof(r.sch), "round": unsafe.Offsetof(r.round), "left": unsafe.Offsetof(r.left),
-		"nextSeq": unsafe.Offsetof(r.nextSeq), "lastArrival": unsafe.Offsetof(r.lastArrival),
-		"PacketsRecv": unsafe.Offsetof(r.PacketsRecv), "Meter": unsafe.Offsetof(r.Meter),
-		"rw": unsafe.Offsetof(r.rw), "fbTimer": unsafe.Offsetof(r.fbTimer),
-		"rtte": unsafe.Offsetof(r.rtte), "last": unsafe.Offsetof(r.last),
+	// The end of each hot field: [offset, end) must lie in the budget.
+	for name, end := range map[string]uintptr{
+		"sch": unsafe.Offsetof(r.sch) + 8, "id": unsafe.Offsetof(r.id) + 8,
+		"round": unsafe.Offsetof(r.round) + 8, "nextSeq": unsafe.Offsetof(r.nextSeq) + 8,
+		"lastArrival": unsafe.Offsetof(r.lastArrival) + 8,
+		"PacketsRecv": unsafe.Offsetof(r.PacketsRecv) + 8,
+		"left":        unsafe.Offsetof(r.left) + 1, "isCLR": unsafe.Offsetof(r.isCLR) + 1,
+		"haveSeq": unsafe.Offsetof(r.haveSeq) + 1, "fbPending": unsafe.Offsetof(r.fbPending) + 1,
+		"fbHasLoss":           unsafe.Offsetof(r.fbHasLoss) + 1,
+		"Meter":               unsafe.Offsetof(r.Meter) + 8,
+		"rw":                  unsafe.Offsetof(r.rw) + unsafe.Sizeof(r.rw),
+		"rtte":                unsafe.Offsetof(r.rtte) + unsafe.Sizeof(r.rtte),
+		"last":                unsafe.Offsetof(r.last) + unsafe.Sizeof(r.last),
+		"est (open interval)": unsafe.Offsetof(r.est) + ivBuf.Offset + 8,
 	} {
-		if off >= unsafe.Offsetof(r.est) {
-			t.Errorf("hot field %s at offset %d lies behind est", name, off)
+		if end > hotLines*line {
+			t.Errorf("hot field %s ends at byte %d, past the %d-line budget", name, end, hotLines)
 		}
 	}
-	for name, off := range map[string]uintptr{
-		"cohort": unsafe.Offsetof(r.cohort), "cfg": unsafe.Offsetof(r.cfg), "net": unsafe.Offsetof(r.net),
-		"ReportsSent": unsafe.Offsetof(r.ReportsSent),
-	} {
-		if off < hotPrefixEnd {
-			t.Errorf("cold field %s at offset %d sits inside the hot prefix", name, off)
+	if size := unsafe.Sizeof(r); size > maxSize || sizeClass(size)%line != 0 {
+		t.Errorf("Receiver is %d bytes: its size class must be a multiple of %d no larger than %d", size, line, maxSize)
+	}
+	_, _, sess := singleBottleneck(20, 125000, 20*sim.Millisecond, 30, DefaultConfig(), 1)
+	for i, rc := range sess.Receivers {
+		if a := uintptr(unsafe.Pointer(rc)); a%line != 0 {
+			t.Fatalf("receiver %d at %#x is not %d-byte aligned", i, a, line)
 		}
 	}
-	if end := unsafe.Offsetof(r.samples) + unsafe.Sizeof(r.samples); end != unsafe.Sizeof(r) {
-		t.Errorf("receive-window ring ends at byte %d of %d: it must be the last field", end, unsafe.Sizeof(r))
+}
+
+// sizeClass returns the allocator's size class for an object of at most
+// 512 bytes.
+func sizeClass(size uintptr) uintptr {
+	for _, c := range []uintptr{8, 16, 24, 32, 48, 64, 80, 96, 112, 128, 144, 160, 176, 192, 208, 224,
+		240, 256, 288, 320, 352, 384, 416, 448, 480} {
+		if size <= c {
+			return c
+		}
 	}
+	return 512
 }

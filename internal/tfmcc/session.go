@@ -24,6 +24,10 @@ type Session struct {
 	// advances it by one, each cohort by its membership.
 	nextID ReceiverID
 
+	// p is Cfg as the receivers share it (see params). A recycled session
+	// keeps it while Cfg stays the same.
+	p *params
+
 	rng *sim.Rand
 }
 
@@ -37,6 +41,7 @@ const sessionArenaKey = "tfmcc.Session"
 func NewSession(net *simnet.Network, senderNode simnet.NodeID, group simnet.GroupID,
 	port simnet.Port, cfg Config, rng *sim.Rand) *Session {
 	s := sim.Pooled[Session](net.Arena(), sessionArenaKey)
+	p := s.p
 	*s = Session{
 		Cfg:       cfg,
 		Net:       net,
@@ -44,15 +49,26 @@ func NewSession(net *simnet.Network, senderNode simnet.NodeID, group simnet.Grou
 		Port:      port,
 		Sender:    NewSender(net, senderNode, port, group, cfg),
 		Receivers: s.Receivers[:0], // a recycled session keeps the backing array
+		p:         p,
 		rng:       rng,
 	}
 	return s
 }
 
+// params returns the parameters the session's receivers share, made anew
+// whenever Cfg differs from the ones last shared: receivers that joined
+// before a change keep the configuration they joined with.
+func (s *Session) params() *params {
+	if s.p == nil || s.p.cfg != s.Cfg {
+		s.p = newParams(s.Cfg)
+	}
+	return s.p
+}
+
 // AddReceiver joins an explicit receiver on the given node.
 func (s *Session) AddReceiver(node simnet.NodeID) *Receiver {
 	id := s.nextID
-	r := NewReceiver(id, s.Net, node, s.Port, s.Sender.addr, s.Group, s.Cfg, s.rng)
+	r := newReceiver(id, s.Net, node, s.Port, s.Sender.addr, s.Group, s.params(), s.rng)
 	s.Receivers = append(s.Receivers, r)
 	s.nextID++
 	return r
@@ -66,7 +82,7 @@ func (s *Session) AddCohort(node simnet.NodeID, size int) *Receiver {
 	if size < 1 {
 		size = 1
 	}
-	c := NewCohortReceiver(s.nextID, s.Net, node, s.Port, s.Sender.addr, s.Group, s.Cfg, s.rng, size)
+	c := newCohortReceiver(s.nextID, s.Net, node, s.Port, s.Sender.addr, s.Group, s.params(), s.rng, size)
 	s.Receivers = append(s.Receivers, c)
 	s.nextID += ReceiverID(size)
 	return c
