@@ -11,11 +11,11 @@
 //	tfmcchyp -suite -summary out.md  # append a markdown verdict table (CI job summary)
 //	tfmcchyp -run chaos-deeptree-l1 -engineworkers 2 # judge on the region engine
 //
-// Each hypothesis names a workload (a registry scenario, a JSON spec
-// file, an inline spec, optionally perturbed by a seeded chaos fault
-// schedule), a seed set and typed expectations; the judge executes the
-// workload with the invariant checker armed and reports pass/fail per
-// expectation with the measured value against its bound. Everything is
+// Each hypothesis names a workload (a registry scenario or an inline
+// spec, optionally perturbed by a seeded chaos fault schedule), a seed
+// set and typed expectations; the judge executes the workload with the
+// invariant checker armed and reports pass/fail per expectation with
+// the measured value against its bound. Everything is
 // deterministic: a failing suite reproduces exactly under the same
 // binary.
 package main

@@ -58,19 +58,14 @@ type Stats struct {
 }
 
 // Partition computes the region assignment the engine will use for a
-// spec: it builds the scenario on a scratch network — construction is
-// deterministic in the seed, and the only construction-time random
-// draws (site jitter) come from the protocol stream in both modes, so
-// the scratch topology including jittered delays is a faithful replica
-// — then resolves the links whose delay the event script mutates (their
-// endpoints must share a region so the lookahead can never be undercut
-// mid-run) and partitions. maxShards caps the region count, 0 meaning
+// spec: it builds the scenario on a scratch network (a faithful replica,
+// jittered delays included: see scenario.BuildScratch), then resolves
+// the links whose delay the event script mutates (their endpoints must
+// share a region so the lookahead can never be undercut mid-run) and
+// partitions. maxShards caps the region count, 0 meaning
 // simnet.MaxAutoShards.
 func Partition(spec *scenario.Spec, seed int64, maxShards int) (simnet.Partition, error) {
-	sch := sim.NewScheduler()
-	net := simnet.New(sch, sim.NewRand(seed))
-	env := scenario.Env{Sch: sch, Net: net, Rng: sim.NewRand(seed + 7)}
-	sc, err := scenario.Build(env, spec)
+	sc, err := scenario.BuildScratch(spec, seed)
 	if err != nil {
 		return simnet.Partition{}, err
 	}
@@ -79,13 +74,15 @@ func Partition(spec *scenario.Spec, seed int64, maxShards int) (simnet.Partition
 		if ev.SetLink == nil || ev.SetLink.Delay == nil {
 			continue
 		}
-		l, err := sc.Link(ev.SetLink.Link)
-		if err != nil {
-			return simnet.Partition{}, err
+		for _, r := range ev.SetLink.Links {
+			l, err := sc.Link(r)
+			if err != nil {
+				return simnet.Partition{}, err
+			}
+			pinned[l] = true
 		}
-		pinned[l] = true
 	}
-	return simnet.PartitionRegions(net, pinned, maxShards), nil
+	return simnet.PartitionRegions(sc.Env.Net, pinned, maxShards), nil
 }
 
 // shardRngMix spreads the region index across the seed bits (the

@@ -17,7 +17,8 @@ const fuzzDuration = 2 * sim.Second
 var errTooExpensive = errors.New("fuzz: mutated spec too expensive")
 
 // mutateSpec folds the fuzzer's byte stream into the spec as timed fault
-// events — down/up links, partitions, heals, crashes, impairments — with
+// events — set_link outages and heals of one link or a duplex, a
+// set_link retuning a duplex's loss and impairments, crashes — with
 // deliberately unvalidated link references and receiver indices. Bad
 // references must surface as Build/Run errors, never panics.
 func mutateSpec(spec *scenario.Spec, mut []byte) {
@@ -27,18 +28,21 @@ func mutateSpec(spec *scenario.Spec, mut []byte) {
 		ref := scenario.LinkRef{Site: int(a%5) - 1, Hop: int(b % 3), Up: a%2 == 0}
 		switch verb % 6 {
 		case 0:
-			spec.Events = append(spec.Events, scenario.LinkDownEvent(at, ref))
+			spec.Events = append(spec.Events, scenario.PartitionEvent(at, ref))
 		case 1:
-			spec.Events = append(spec.Events, scenario.LinkUpEvent(at, ref))
+			spec.Events = append(spec.Events, scenario.HealEvent(at, ref))
 		case 2:
 			spec.Events = append(spec.Events, scenario.PartitionEvent(at, scenario.DuplexRefs(ref)...))
 		case 3:
-			spec.Events = append(spec.Events, scenario.HealEvent(at, scenario.DuplexRefs(ref)...))
+			ev := scenario.HealEvent(at, scenario.DuplexRefs(ref)...)
+			loss := float64(b) / 512
+			ev.SetLink.Loss = &loss
+			ev.SetLink.Impair = &scenario.Impair{Reorder: float64(a) / 512}
+			spec.Events = append(spec.Events, ev)
 		case 4:
 			spec.Events = append(spec.Events, scenario.CrashEvent(at, int(a)-2))
 		case 5:
-			spec.Events = append(spec.Events, scenario.ImpairEvent(at, scenario.Impair{
-				Link:      ref,
+			spec.Events = append(spec.Events, scenario.ImpairEvent(at, ref, scenario.Impair{
 				Corrupt:   float64(a) / 512,
 				Duplicate: float64(b) / 512,
 				Reorder:   float64(a^b) / 512,
@@ -81,6 +85,8 @@ func FuzzSpecJSON(f *testing.F) {
 	}
 	f.Add([]byte(`{"name":"x","duration_ns":1}{"trailing":true}`))
 	f.Add([]byte(`{"name":"x","unknown_field":1}`))
+	f.Add([]byte(`{"name":"x","duration_ns":1,"events":[{"at_ns":1,"set_link":{"links":[{"site":-1},{"site":-1,"up":true}],"down":true,"impair":{}}}]}`))
+	f.Add([]byte(`{"name":"x","duration_ns":1,"events":[{"at_ns":1,"partition":[{"site":-1}]}]}`))
 	enc, err := zeroPacketSize().Encode()
 	if err != nil {
 		f.Fatal(err)
@@ -179,10 +185,17 @@ func fuzzOverrides(mut []byte) (scenario.Overrides, []byte) {
 
 // fuzzTooExpensive deterministically rejects decoded specs whose
 // mutated numeric fields would make the run unaffordable for a fuzz
-// iteration (a digit tweak can turn 40 receivers into 940). The bound
-// is generous against every registered spec after the duration clamp.
+// iteration (a digit tweak can turn 40 receivers into 940): a population
+// or a topology's attach points past 2000, the latter read from a
+// scratch build of the topology alone, before any receiver is built. The
+// bound is generous against every registered spec after the duration
+// clamp. A topology that does not build is left to the run to reject.
 func fuzzTooExpensive(spec *scenario.Spec) bool {
-	return spec.DeclaredReceivers() > 2000 || spec.Topology.AttachPoints() > 2000
+	if spec.Pop != nil && spec.Pop.Count > 2000 {
+		return true
+	}
+	top, err := scenario.BuildScratch(&scenario.Spec{Topology: spec.Topology}, 1)
+	return err == nil && len(top.Topo.Attach) > 2000
 }
 
 // FuzzScenarioSpec drives randomly mutated scenario specs — every

@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/sweep"
+	"repro/internal/tcpsim"
 )
 
 // TestStarvedCoreLinkDeliversNothing is figure 9 at -corebw 1e-30
@@ -208,5 +210,45 @@ func TestOverriddenBuildFailureIsAnError(t *testing.T) {
 	res, err := RunOverridden(NewRunCtx(), "deeptree", ov, 1)
 	if err == nil || !strings.Contains(err.Error(), "too large") {
 		t.Fatalf("RunOverridden(deeptree, fanout 100) = %v, %v; want a topology-size error", res, err)
+	}
+}
+
+// TestBuildRejectsUnusableTCPConfig: a spec document's tcp.cfg is
+// outside input, so a parameter set that cannot drive a flow is a Build
+// error naming the flow and the field. The three documents are figure 9
+// with every TCP step given the cfg: zero RTOs used to wedge the run (it
+// did not finish 0.1 simulated seconds in 30 s of wall time), MaxCwnd 0
+// ran every TCP flow at 0 Kbit/s, and a cfg without PacketSize was
+// silently replaced by the defaults.
+func TestBuildRejectsUnusableTCPConfig(t *testing.T) {
+	for field, cfg := range map[string]string{
+		"InitialRTO": `{"PacketSize":1000,"AckSize":40,"InitialRTO":0,"MinRTO":0,"MaxRTO":0,"MaxCwnd":10000,"Overhead":2000000}`,
+		"MaxCwnd":    `{"PacketSize":1000,"AckSize":40,"InitialRTO":1000000000,"MinRTO":200000000,"MaxRTO":64000000000,"MaxCwnd":0,"Overhead":2000000}`,
+		"PacketSize": `{"AckSize":40,"MaxCwnd":1}`,
+	} {
+		spec := Figure9Spec()
+		for _, st := range spec.Steps {
+			if st.TCP != nil {
+				st.TCP.Cfg = &tcpsim.Config{}
+				if err := json.Unmarshal([]byte(cfg), st.TCP.Cfg); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		doc, err := spec.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := scenario.DecodeSpec(doc)
+		if err != nil {
+			t.Fatalf("%s: %v", field, err)
+		}
+		_, err = scenario.Build(NewRunCtx().scenarioEnv(1), dec)
+		if err == nil || !strings.Contains(err.Error(), `flow "tcp0"`) || !strings.Contains(err.Error(), field) {
+			t.Errorf("%s: %v, want a Build error naming flow tcp0 and the field", field, err)
+		}
+	}
+	if err := tcpsim.DefaultConfig().Validate(); err != nil {
+		t.Fatalf("the default TCP parameter set is rejected: %v", err)
 	}
 }

@@ -101,24 +101,15 @@ func (p *ChaosPlan) Apply(spec *scenario.Spec) (*scenario.Spec, error) {
 		out.Session.Cfg = scenario.FaultSessionConfig()
 	}
 
-	// Fault targets derivable from the spec alone, no build needed.
-	coreLinks := spec.Topology.CoreLinkPairs()
-	sites := 0
-	if spec.Pop != nil && !spec.Pop.Direct {
-		sites = spec.Pop.Count
-		if spec.Pop.PerAttach && sites == 0 {
-			sites = spec.Topology.AttachPoints()
-		}
+	// Fault targets are read from a scratch build of the spec: core link
+	// pairs, sites (every first hop is an edge-down target) and receiver
+	// endpoint slots (a cohort is one slot no matter how many members it
+	// models), which both the crash budget and the index draw use.
+	built, err := scenario.BuildScratch(spec, 1)
+	if err != nil {
+		return nil, fmt.Errorf("hypothesis: chaos over spec %q: %w", spec.Name, err)
 	}
-	for _, st := range spec.Steps {
-		if st.Site != nil {
-			sites++
-		}
-	}
-	// Crash targets are endpoint slots (a cohort is one slot no matter
-	// how many members it models), so budget and index draw both use the
-	// endpoint count.
-	receivers := spec.DeclaredEndpoints()
+	coreLinks, sites, receivers := len(built.Topo.Links)/2, len(built.SiteLinks), len(built.Recvs)
 	crashBudget := int(lvl.crashFrac * float64(receivers))
 
 	rng := sim.NewRand(p.seed())
@@ -173,8 +164,8 @@ func (p *ChaosPlan) Apply(spec *scenario.Spec) (*scenario.Spec, error) {
 			l := scenario.SiteLink(rng.Intn(sites), 0, rng.Intn(2) == 1)
 			dur := drawDur()
 			out.Events = append(out.Events,
-				scenario.LinkDownEvent(at, l),
-				scenario.LinkUpEvent(healAt(at, dur), l))
+				scenario.PartitionEvent(at, l),
+				scenario.HealEvent(healAt(at, dur), l))
 		case "crash":
 			out.Events = append(out.Events, scenario.CrashEvent(at, rng.Intn(receivers)))
 			crashBudget--
@@ -182,13 +173,12 @@ func (p *ChaosPlan) Apply(spec *scenario.Spec) (*scenario.Spec, error) {
 			l := randLink()
 			dur := drawDur()
 			out.Events = append(out.Events,
-				scenario.ImpairEvent(at, scenario.Impair{
-					Link:      l,
+				scenario.ImpairEvent(at, l, scenario.Impair{
 					Corrupt:   rng.Float64() * lvl.maxImpair,
 					Duplicate: rng.Float64() * lvl.maxImpair,
 					Reorder:   rng.Float64() * lvl.maxImpair,
 				}),
-				scenario.ImpairEvent(healAt(at, dur), scenario.Impair{Link: l}))
+				scenario.ImpairEvent(healAt(at, dur), l, scenario.Impair{}))
 		}
 	}
 	return &out, nil

@@ -1,7 +1,7 @@
 // Package hypothesis turns protocol predictions into judged runs: a
-// Hypothesis names a workload (a registry scenario, a JSON spec file, an
-// inline spec — optionally perturbed by a seeded chaos fault schedule),
-// a seed set, and a list of typed Expectations ("after the heal at
+// Hypothesis names a workload (a registry scenario or an inline spec,
+// optionally perturbed by a seeded chaos fault schedule), a seed set,
+// and a list of typed Expectations ("after the heal at
 // t=90s the sender re-attains 80% of its steady rate within 30s", "the
 // rate never leaves [floor, ceiling]", "no invariant violations"). The
 // judge runs the workload as one experiments.Sweep over the seed set
@@ -24,12 +24,11 @@ import (
 	"repro/internal/sim"
 )
 
-// Workload selects what a hypothesis runs. Exactly one of Scenario, File
-// or Spec is set; Chaos optionally layers a seeded fault schedule over
-// the selected spec.
+// Workload selects what a hypothesis runs. Exactly one of Scenario or
+// Spec is set; Chaos optionally layers a seeded fault schedule over the
+// selected spec.
 type Workload struct {
 	Scenario string         `json:"scenario,omitempty"` // Spec-backed registry entry id
-	File     string         `json:"file,omitempty"`     // JSON spec document path
 	Spec     *scenario.Spec `json:"spec,omitempty"`     // inline spec
 	Chaos    *ChaosPlan     `json:"chaos,omitempty"`    // seeded fault schedule on top
 }
@@ -191,25 +190,6 @@ func (c *CounterBound) bounds() string {
 }
 
 // --- JSON codec (same strictness contract as scenario specs) -----------
-
-type hypAlias Hypothesis
-
-// MarshalJSON renders the hypothesis in its canonical wire form.
-func (h *Hypothesis) MarshalJSON() ([]byte, error) {
-	return json.Marshal((*hypAlias)(h))
-}
-
-// UnmarshalJSON decodes a hypothesis strictly: unknown fields are errors.
-func (h *Hypothesis) UnmarshalJSON(data []byte) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var a hypAlias
-	if err := dec.Decode(&a); err != nil {
-		return err
-	}
-	*h = Hypothesis(a)
-	return nil
-}
 
 // Encode renders the hypothesis as an indented JSON document.
 func (h *Hypothesis) Encode() ([]byte, error) {

@@ -2,6 +2,8 @@ package hypothesis
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -43,6 +45,95 @@ func TestDecodeRejectsUnknownAndTrailing(t *testing.T) {
 	}
 	if _, err := Decode([]byte(`{"id":"x"}{"id":"y"}`)); err == nil {
 		t.Error("trailing document accepted")
+	}
+}
+
+// TestDecodeRejectsRemovedAndNestedUnknownKeys: a hypothesis document
+// is decoded strictly all the way down — a workload naming the removed
+// file key, or an inline spec carrying a key the spec format does not
+// have, fails Decode with an error naming the key.
+func TestDecodeRejectsRemovedAndNestedUnknownKeys(t *testing.T) {
+	for key, doc := range map[string]string{
+		"file":      `{"id":"x","workload":{"file":"spec.json"}}`,
+		"bogus_key": `{"id":"x","workload":{"spec":{"name":"s","duration_ns":1,"bogus_key":1}}}`,
+		"partition": `{"id":"x","workload":{"spec":{"name":"s","duration_ns":1,"events":[{"partition":[{"site":-1}]}]}}}`,
+	} {
+		if _, err := Decode([]byte(doc)); err == nil || !strings.Contains(err.Error(), `"`+key+`"`) {
+			t.Errorf("%s: %v, want a decode error naming the key", key, err)
+		}
+	}
+}
+
+// chaosDigests pins the committed suite's four chaos schedules (the base
+// spec's events plus the drawn faults) as sha256 over one line per event:
+// time, effect — down, up, impair with its rates and reorder delay, or
+// crash with its slot — and target links. The text names no event verb,
+// so it was computed before the script vocabulary was cut to one link
+// verb and must not move with it.
+var chaosDigests = map[string]string{
+	"chaos-deeptree-l1":  "e7630970054cee4e7358d26d1b442a4c8b0b1a6237886322f1b5d3f212c4cf79",
+	"chaos-massleave-l2": "5e8d5262f288fb751897d5978ab4a942b8badcb353165ec68c9cc47b12601f93",
+	"chaos-partition-l2": "44341e52c8867185d7c3f0313bf0fd5999ea6f29cb3e1677e50bd17f46d4b5d1",
+	"chaos-corruptfb-l3": "12ccdcacdf9c890ed3bec8f2fb5312dcceb8b7b0ae0ccbd5ab385a02f570b6f0",
+}
+
+// scheduleText renders an event script in the verb-free form
+// chaosDigests hashes.
+func scheduleText(t *testing.T, events []scenario.Event) string {
+	t.Helper()
+	var b strings.Builder
+	for _, ev := range events {
+		fmt.Fprintf(&b, "%d ", int64(ev.At))
+		var links []scenario.LinkRef
+		switch m := ev.SetLink; {
+		case ev.Crash != nil:
+			fmt.Fprintf(&b, "crash %d", *ev.Crash)
+		case m != nil && m.Down != nil && *m.Down && m.Impair == nil:
+			b.WriteString("down")
+			links = m.Links
+		case m != nil && m.Down != nil && !*m.Down && m.Impair == nil:
+			b.WriteString("up")
+			links = m.Links
+		case m != nil && m.Impair != nil && m.Down == nil:
+			im := m.Impair
+			fmt.Fprintf(&b, "impair %.17g %.17g %.17g %d", im.Corrupt, im.Duplicate, im.Reorder, int64(im.ReorderDelay))
+			links = m.Links
+		default:
+			t.Fatalf("event outside the chaos vocabulary: %+v", ev)
+		}
+		if m := ev.SetLink; m != nil && (m.BW != nil || m.Delay != nil || m.Loss != nil) {
+			t.Fatalf("chaos event retunes a link: %+v", m)
+		}
+		for _, l := range links {
+			fmt.Fprintf(&b, " %d:%d:%t", l.Site, l.Hop, l.Up)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// TestChaosSchedulesPinned: the committed chaos plans draw the same
+// fault schedules over the same targets, whatever vocabulary spells
+// them and however the targets are counted (today: from a scratch build
+// of the spec).
+func TestChaosSchedulesPinned(t *testing.T) {
+	seen := 0
+	for _, h := range Suite() {
+		if h.Workload.Chaos == nil {
+			continue
+		}
+		seen++
+		spec, _, err := h.Workload.Resolve()
+		if err != nil {
+			t.Fatalf("%s: %v", h.ID, err)
+		}
+		text := scheduleText(t, spec.Events)
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(text))); got != chaosDigests[h.ID] {
+			t.Errorf("%s: schedule digest %s, want %s; schedule:\n%s", h.ID, got, chaosDigests[h.ID], text)
+		}
+	}
+	if seen != len(chaosDigests) {
+		t.Errorf("%d chaos hypotheses in the suite, %d pinned", seen, len(chaosDigests))
 	}
 }
 

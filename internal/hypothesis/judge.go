@@ -80,20 +80,12 @@ func (w Workload) Resolve() (*scenario.Spec, string, error) {
 		}
 		spec, name = e.Spec(), w.Scenario
 	}
-	if w.File != "" {
-		set++
-		s, err := scenario.LoadSpec(w.File)
-		if err != nil {
-			return nil, "", err
-		}
-		spec, name = s, "file-"+w.File
-	}
 	if w.Spec != nil {
 		set++
 		spec, name = w.Spec, "inline-"+w.Spec.Name
 	}
 	if set != 1 {
-		return nil, "", fmt.Errorf("hypothesis: workload must set exactly one of scenario, file, spec (has %d)", set)
+		return nil, "", fmt.Errorf("hypothesis: workload must set exactly one of scenario, spec (has %d)", set)
 	}
 	if w.Chaos != nil {
 		perturbed, err := w.Chaos.Apply(spec)

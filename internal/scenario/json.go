@@ -12,34 +12,12 @@ import (
 // and run without recompiling (`tfmccsim -scenario-file spec.json`). The
 // format is the struct layout under the json tags declared alongside each
 // type: snake_case keys, integer-nanosecond times (_ns suffix), zero
-// values omitted. Decoding is strict — unknown keys and trailing garbage
-// are errors, so a typo'd field fails loudly instead of silently meaning
-// its zero value — and Marshal→Unmarshal→Marshal is a byte-level
-// fixpoint, which the fuzzer and the golden round-trip tests enforce.
-
-// specAlias strips Spec's methods so the codec can delegate to the
-// generic struct encoder without recursing.
-type specAlias Spec
-
-// MarshalJSON renders the spec in its canonical wire form. Specs are
-// plain data, so the default encoder output *is* the format; the method
-// exists to pin that contract (and to keep a custom UnmarshalJSON from
-// making the pair asymmetric).
-func (s *Spec) MarshalJSON() ([]byte, error) {
-	return json.Marshal((*specAlias)(s))
-}
-
-// UnmarshalJSON decodes a spec strictly: unknown fields are errors.
-func (s *Spec) UnmarshalJSON(data []byte) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var a specAlias
-	if err := dec.Decode(&a); err != nil {
-		return err
-	}
-	*s = Spec(a)
-	return nil
-}
+// values omitted. DecodeSpec is strict — unknown keys and trailing
+// garbage are errors, so a typo'd field fails loudly instead of silently
+// meaning its zero value; hypothesis.Decode is as strict about a spec
+// nested in a hypothesis document — and Marshal→Unmarshal→Marshal is a
+// byte-level fixpoint, which the fuzzer and the golden round-trip tests
+// enforce.
 
 // Encode renders the spec as the indented JSON document -spec-out writes
 // and -scenario-file reads.

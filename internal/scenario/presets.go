@@ -145,9 +145,8 @@ func CorruptFB() *Spec {
 		Session:  Session{Cfg: FaultSessionConfig()},
 		Steps:    steps,
 		Events: []Event{
-			ImpairEvent(60*sim.Second, Impair{
-				Link: SiteLink(0, 0, true), Corrupt: 0.3, Duplicate: 0.1, Reorder: 0.2}),
-			ImpairEvent(120*sim.Second, Impair{Link: SiteLink(0, 0, true)}),
+			ImpairEvent(60*sim.Second, SiteLink(0, 0, true), Impair{Corrupt: 0.3, Duplicate: 0.1, Reorder: 0.2}),
+			ImpairEvent(120*sim.Second, SiteLink(0, 0, true), Impair{}),
 		},
 		Duration: 180 * sim.Second,
 	}

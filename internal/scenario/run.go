@@ -143,7 +143,7 @@ func (sc *Scenario) Series() []*stats.Series {
 // slices for a measurement loop.
 //
 // Malformed specs — unknown refs, out-of-range indices, negative times,
-// duplicate flows, an unusable session config — return errors, never
+// duplicate flows, an unusable session or TCP config — return errors, never
 // panics; on error the environment may be left partially built and
 // should be reset or discarded.
 func Build(env Env, spec *Spec) (*Scenario, error) {
@@ -223,6 +223,17 @@ func Build(env Env, spec *Spec) (*Scenario, error) {
 		env.Check.Register("clr-live", sc.Sess.CLRInvariant)
 	}
 	return sc, nil
+}
+
+// BuildScratch builds spec on a fresh environment seeded for seed, for
+// callers that read the built shape — links, sites, receiver slots —
+// instead of running it. Construction is deterministic in the seed, and
+// its only random draws (site jitter) come from the protocol stream on
+// either engine, so the scratch build replicates a run's topology.
+func BuildScratch(spec *Spec, seed int64) (*Scenario, error) {
+	sch := sim.NewScheduler()
+	net := simnet.New(sch, sim.NewRand(seed))
+	return Build(Env{Sch: sch, Net: net, Rng: sim.NewRand(seed + 7)}, spec)
 }
 
 // maxPopulation bounds declared receiver blocks so a malformed (or
@@ -307,13 +318,10 @@ func (sc *Scenario) node(r NodeRef) (simnet.NodeID, error) {
 	return 0, fmt.Errorf("scenario %s: bad node ref %+v", sc.Spec.Name, r)
 }
 
-// Link resolves a spec link reference on the built scenario — the same
-// resolver the event script uses, exported so the engine can map pinned
-// SetLink targets (delay mutations) onto concrete links when it
-// partitions a scratch build of the spec.
-func (sc *Scenario) Link(r LinkRef) (*simnet.Link, error) { return sc.link(r) }
-
-func (sc *Scenario) link(r LinkRef) (*simnet.Link, error) {
+// Link resolves a spec link reference on the built scenario: the event
+// script's resolver, which the engine also uses to map pinned SetLink
+// targets (delay mutations) onto a scratch build's links.
+func (sc *Scenario) Link(r LinkRef) (*simnet.Link, error) {
 	dir := 0
 	if r.Up {
 		dir = 1
@@ -495,13 +503,16 @@ func (sc *Scenario) buildTCP(t *TCPSpec) error {
 	if t.StartAt < 0 || t.StopAt < 0 {
 		return fmt.Errorf("scenario %s: flow %q has a negative start/stop time", sc.Spec.Name, t.Name)
 	}
-	a, b, err := sc.buildEndpoints(t.Name, t.From, t.To)
-	if err != nil {
-		return err
-	}
 	cfg := tcpsim.DefaultConfig()
 	if t.Cfg != nil {
 		cfg = *t.Cfg
+		if err := cfg.Validate(); err != nil {
+			return fmt.Errorf("scenario %s: flow %q cfg: %w", sc.Spec.Name, t.Name, err)
+		}
+	}
+	a, b, err := sc.buildEndpoints(t.Name, t.From, t.To)
+	if err != nil {
+		return err
 	}
 	snd, snk := tcpsim.NewFlow(t.Name, sc.Env.Net, a, b, t.Port, cfg)
 	f := &Flow{Name: t.Name, TCP: snd, TCPSink: snk}
@@ -647,19 +658,30 @@ func (sc *Scenario) scheduleEvent(ev Event) error {
 	switch {
 	case ev.SetLink != nil:
 		m := ev.SetLink
-		l, err := sc.link(m.Link)
-		if err != nil {
-			return err
+		if len(m.Links) == 0 {
+			return fmt.Errorf("scenario %s: set_link names no links", sc.Spec.Name)
+		}
+		if im := m.Impair; im != nil {
+			for _, p := range []float64{im.Corrupt, im.Duplicate, im.Reorder} {
+				if p < 0 || p > 1 {
+					return fmt.Errorf("scenario %s: impairment rate %v outside [0, 1]", sc.Spec.Name, p)
+				}
+			}
+			if im.ReorderDelay < 0 {
+				return fmt.Errorf("scenario %s: negative reorder delay %v", sc.Spec.Name, im.ReorderDelay)
+			}
+		}
+		ls := make([]*simnet.Link, len(m.Links))
+		for i, r := range m.Links {
+			l, err := sc.Link(r)
+			if err != nil {
+				return err
+			}
+			ls[i] = l
 		}
 		sc.Env.Sch.At(ev.At, func() {
-			if m.BW != nil {
-				l.SetBandwidth(*m.BW)
-			}
-			if m.Delay != nil {
-				l.SetDelay(*m.Delay)
-			}
-			if m.Loss != nil {
-				l.SetLoss(*m.Loss)
+			for _, l := range ls {
+				m.apply(l)
 			}
 		})
 	case ev.Start != "":
@@ -674,38 +696,6 @@ func (sc *Scenario) scheduleEvent(ev Event) error {
 			return err
 		}
 		sc.Env.Sch.At(ev.At, f.stop)
-	case ev.Down != nil:
-		l, err := sc.link(*ev.Down)
-		if err != nil {
-			return err
-		}
-		sc.Env.Sch.At(ev.At, func() { l.SetDown(true) })
-	case ev.Up != nil:
-		l, err := sc.link(*ev.Up)
-		if err != nil {
-			return err
-		}
-		sc.Env.Sch.At(ev.At, func() { l.SetDown(false) })
-	case ev.Partition != nil:
-		ls, err := sc.links(ev.Partition)
-		if err != nil {
-			return err
-		}
-		sc.Env.Sch.At(ev.At, func() {
-			for _, l := range ls {
-				l.SetDown(true)
-			}
-		})
-	case ev.Heal != nil:
-		ls, err := sc.links(ev.Heal)
-		if err != nil {
-			return err
-		}
-		sc.Env.Sch.At(ev.At, func() {
-			for _, l := range ls {
-				l.SetDown(false)
-			}
-		})
 	case ev.Crash != nil:
 		idx := *ev.Crash
 		if idx < 0 || idx >= len(sc.Recvs) {
@@ -717,45 +707,35 @@ func (sc *Scenario) scheduleEvent(ev Event) error {
 				rcv.Crash()
 			}
 		})
-	case ev.Impair != nil:
-		im := ev.Impair
-		for _, p := range []float64{im.Corrupt, im.Duplicate, im.Reorder} {
-			if p < 0 || p > 1 {
-				return fmt.Errorf("scenario %s: impairment rate %v outside [0, 1]", sc.Spec.Name, p)
-			}
-		}
-		if im.ReorderDelay < 0 {
-			return fmt.Errorf("scenario %s: negative reorder delay %v", sc.Spec.Name, im.ReorderDelay)
-		}
-		l, err := sc.link(im.Link)
-		if err != nil {
-			return err
-		}
-		sc.Env.Sch.At(ev.At, func() {
-			extra := im.ReorderDelay
-			if extra == 0 {
-				extra = 4 * l.Delay
-				if extra == 0 {
-					extra = sim.Millisecond
-				}
-			}
-			l.SetImpairments(im.Corrupt, im.Duplicate, im.Reorder, extra)
-		})
 	default:
 		return fmt.Errorf("scenario %s: empty event", sc.Spec.Name)
 	}
 	return nil
 }
 
-// links resolves a list of link references eagerly.
-func (sc *Scenario) links(refs []LinkRef) ([]*simnet.Link, error) {
-	out := make([]*simnet.Link, len(refs))
-	for i, r := range refs {
-		l, err := sc.link(r)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = l
+// apply mutates one link at event time. The default reorder delay reads
+// the link's delay now, after this event's own delay change.
+func (m *SetLink) apply(l *simnet.Link) {
+	if m.BW != nil {
+		l.SetBandwidth(*m.BW)
 	}
-	return out, nil
+	if m.Delay != nil {
+		l.SetDelay(*m.Delay)
+	}
+	if m.Loss != nil {
+		l.SetLoss(*m.Loss)
+	}
+	if m.Down != nil {
+		l.SetDown(*m.Down)
+	}
+	if im := m.Impair; im != nil {
+		extra := im.ReorderDelay
+		if extra == 0 {
+			extra = 4 * l.Delay
+			if extra == 0 {
+				extra = sim.Millisecond
+			}
+		}
+		l.SetImpairments(im.Corrupt, im.Duplicate, im.Reorder, extra)
+	}
 }

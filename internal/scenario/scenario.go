@@ -115,39 +115,6 @@ type Topology struct {
 	StubLink LinkP `json:"stub_link,omitzero"` // TransitStub: transit->stub duplex properties
 }
 
-// CoreLinkPairs returns the number of core link pairs the topology will
-// generate — the valid CoreLink indices — applying the same parameter
-// clamping as buildTopology. Chaos schedule generators use it to target
-// core links without building the topology first.
-func (t Topology) CoreLinkPairs() int {
-	switch t.Kind {
-	case Dumbbell:
-		return 1
-	case Star:
-		return 0
-	case Tree:
-		fanout := t.Fanout
-		if fanout < 2 {
-			fanout = 2
-		}
-		pairs, width := 0, 1
-		for d := 0; d < t.Depth; d++ {
-			width *= fanout
-			pairs += width
-			if pairs > maxCoreNodes {
-				return pairs
-			}
-		}
-		return pairs
-	case Chain:
-		return max(t.Hops, 1)
-	case TransitStub:
-		transit := max(t.Transit, 1)
-		return (transit - 1) + transit*max(t.Stubs, 1)
-	}
-	return 0
-}
-
 // Session configures the TFMCC session every scenario carries. The
 // source node hangs off the topology's sender attach point over a fast
 // access duplex, exactly like the hand-wired figures.
@@ -334,12 +301,19 @@ type Population struct {
 	Meter     string  `json:"meter,omitempty"` // meter name for receiver 0; "" = none
 }
 
-// SetLink is a timed link-property mutation. Nil fields stay unchanged.
+// SetLink is a timed mutation of every listed link, the script's one
+// link verb. Nil fields stay unchanged; each link takes the set ones in
+// field order (bandwidth, delay, loss, down, impairments). Down true
+// takes a link down — routes re-derive around it, and traffic with no
+// remaining path becomes counted Unreachable drops — and false brings it
+// back up.
 type SetLink struct {
-	Link  LinkRef   `json:"link,omitzero"`
-	BW    *float64  `json:"bw,omitempty"`
-	Delay *sim.Time `json:"delay_ns,omitempty"`
-	Loss  *float64  `json:"loss,omitempty"`
+	Links  []LinkRef `json:"links,omitempty"`
+	BW     *float64  `json:"bw,omitempty"`
+	Delay  *sim.Time `json:"delay_ns,omitempty"`
+	Loss   *float64  `json:"loss,omitempty"`
+	Down   *bool     `json:"down,omitempty"`
+	Impair *Impair   `json:"impair,omitempty"`
 }
 
 // Impair configures a link's fault-injection modules (see
@@ -349,7 +323,6 @@ type SetLink struct {
 // reordered packet; 0 means four times the link's delay at event time
 // (at least 1 ms).
 type Impair struct {
-	Link         LinkRef  `json:"link,omitzero"`
 	Corrupt      float64  `json:"corrupt,omitempty"`
 	Duplicate    float64  `json:"duplicate,omitempty"`
 	Reorder      float64  `json:"reorder,omitempty"`
@@ -362,14 +335,7 @@ type Event struct {
 	SetLink *SetLink `json:"set_link,omitempty"`
 	Start   string   `json:"start,omitempty"` // start the named flow
 	Stop    string   `json:"stop,omitempty"`  // stop the named flow
-
-	// Fault-injection verbs.
-	Down      *LinkRef  `json:"down,omitempty"`      // take one link down
-	Up        *LinkRef  `json:"up,omitempty"`        // bring one link back up
-	Partition []LinkRef `json:"partition,omitempty"` // take a set of links down at once
-	Heal      []LinkRef `json:"heal,omitempty"`      // bring a set of links back up at once
-	Crash     *int      `json:"crash,omitempty"`     // crash the i-th declared receiver (no Leave report)
-	Impair    *Impair   `json:"impair,omitempty"`    // set a link's corrupt/duplicate/reorder modules
+	Crash   *int     `json:"crash,omitempty"` // crash the i-th declared receiver (no Leave report)
 }
 
 // Spec is a complete declarative scenario.
@@ -385,109 +351,37 @@ type Spec struct {
 	Duration sim.Time    `json:"duration_ns"`
 }
 
-// DeclaredReceivers returns how many receivers the spec will declare —
-// cohort members included, so the count reflects the modelled
-// population, not the endpoint count: the population block
-// (applying expandPopulation's per-attach defaulting), the explicit Recv
-// steps, and the cohort's full membership.
-func (s *Spec) DeclaredReceivers() int {
-	n := s.DeclaredEndpoints()
-	if s.Cohort != nil && s.Cohort.Size > 1 {
-		n += s.Cohort.Size - 1 // the cohort endpoint stands for Size members
-	}
-	return n
-}
-
-// DeclaredEndpoints returns how many receiver endpoints (entries of
-// Scenario.Recvs) the spec will build — the valid Crash indices: the
-// population block first, then the explicit Recv steps, then the cohort
-// (one entry regardless of membership). Equal to DeclaredReceivers for
-// cohort-free specs.
-func (s *Spec) DeclaredEndpoints() int {
-	n := 0
-	if s.Pop != nil {
-		n = s.Pop.Count
-		if s.Pop.PerAttach && n == 0 {
-			n = s.Topology.AttachPoints()
-		}
-	}
-	for _, st := range s.Steps {
-		if st.Recv != nil {
-			n++
-		}
-	}
-	if s.Cohort != nil {
-		n++
-	}
-	return n
-}
-
-// AttachPoints returns how many canonical attach points the topology
-// will generate, applying buildTopology's clamping (companion to
-// CoreLinkPairs).
-func (t Topology) AttachPoints() int {
-	switch t.Kind {
-	case Dumbbell, Star, Chain:
-		return 1
-	case Tree:
-		fanout := max(t.Fanout, 2)
-		width := 1
-		for d := 0; d < t.Depth; d++ {
-			width *= fanout
-			if width > maxCoreNodes {
-				return width
-			}
-		}
-		return width
-	case TransitStub:
-		return max(t.Transit, 1) * max(t.Stubs, 1)
-	}
-	return 0
-}
-
 // BW converts Mbit/s to the bytes/second links use.
 func BW(mbit float64) float64 { return mbit * 125000 }
 
 func ptrF(v float64) *float64   { return &v }
 func ptrT(v sim.Time) *sim.Time { return &v }
+func ptrB(v bool) *bool         { return &v }
 
 // SetBWEvent mutates a link's bandwidth at time t.
 func SetBWEvent(at sim.Time, l LinkRef, bw float64) Event {
-	return Event{At: at, SetLink: &SetLink{Link: l, BW: ptrF(bw)}}
+	return Event{At: at, SetLink: &SetLink{Links: []LinkRef{l}, BW: ptrF(bw)}}
 }
 
 // SetDelayEvent mutates a link's propagation delay at time t.
 func SetDelayEvent(at sim.Time, l LinkRef, d sim.Time) Event {
-	return Event{At: at, SetLink: &SetLink{Link: l, Delay: ptrT(d)}}
+	return Event{At: at, SetLink: &SetLink{Links: []LinkRef{l}, Delay: ptrT(d)}}
 }
 
 // SetLossEvent mutates a link's random-loss probability at time t.
 func SetLossEvent(at sim.Time, l LinkRef, p float64) Event {
-	return Event{At: at, SetLink: &SetLink{Link: l, Loss: ptrF(p)}}
+	return Event{At: at, SetLink: &SetLink{Links: []LinkRef{l}, Loss: ptrF(p)}}
 }
 
-// LinkDownEvent takes a link down at time t: routes re-derive around it,
-// and traffic with no remaining path becomes counted Unreachable drops.
-func LinkDownEvent(at sim.Time, l LinkRef) Event {
-	ref := l
-	return Event{At: at, Down: &ref}
-}
-
-// LinkUpEvent brings a downed link back up at time t.
-func LinkUpEvent(at sim.Time, l LinkRef) Event {
-	ref := l
-	return Event{At: at, Up: &ref}
-}
-
-// PartitionEvent takes every listed link down at time t — the idiom for
-// cutting a duplex (pass both directions) or severing a whole subtree.
+// PartitionEvent takes every listed link down at time t — one link, a
+// duplex (pass DuplexRefs) or a whole subtree.
 func PartitionEvent(at sim.Time, links ...LinkRef) Event {
-	return Event{At: at, Partition: links}
+	return Event{At: at, SetLink: &SetLink{Links: links, Down: ptrB(true)}}
 }
 
 // HealEvent brings every listed link back up at time t.
 func HealEvent(at sim.Time, links ...LinkRef) Event {
-	return Event{At: at, Heal: links}
+	return Event{At: at, SetLink: &SetLink{Links: links, Down: ptrB(false)}}
 }
 
 // DuplexRefs returns both directions of a link reference — convenience
@@ -508,8 +402,7 @@ func CrashEvent(at sim.Time, recv int) Event {
 }
 
 // ImpairEvent configures a link's corruption/duplication/reordering
-// modules at time t.
-func ImpairEvent(at sim.Time, im Impair) Event {
-	cp := im
-	return Event{At: at, Impair: &cp}
+// modules at time t; a zero Impair clears them.
+func ImpairEvent(at sim.Time, l LinkRef, im Impair) Event {
+	return Event{At: at, SetLink: &SetLink{Links: []LinkRef{l}, Impair: &im}}
 }

@@ -18,7 +18,7 @@ func testEnv(seed int64) Env {
 
 func mustLink(t *testing.T, sc *Scenario, ref LinkRef) *simnet.Link {
 	t.Helper()
-	l, err := sc.link(ref)
+	l, err := sc.Link(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,10 @@ func TestTopologyGenerators(t *testing.T) {
 }
 
 // TestEventScript checks SetLink events mutate the referenced links at
-// the scripted instants and flow start/stop toggles traffic.
+// the scripted instants — one link's bandwidth, delay or loss, a duplex
+// taken down and back up by one event each, impairments whose default
+// reorder bound is four times the link's delay at event time — and flow
+// start/stop toggles traffic.
 func TestEventScript(t *testing.T) {
 	spec := &Spec{
 		Name:     "evt-test",
@@ -72,6 +75,13 @@ func TestEventScript(t *testing.T) {
 			SetBWEvent(3*sim.Second, CoreLink(0), 2*125000),
 			SetDelayEvent(3*sim.Second, CoreLink(0), 40*sim.Millisecond),
 			SetLossEvent(3*sim.Second, SiteLink(0, 0, false), 0.5),
+			// The site's uplink goes from 1 ms to 5 ms before it is
+			// impaired, so every packet now reorders by up to 20 ms (4 ms
+			// if the bound were read at build time).
+			SetDelayEvent(sim.Second, SiteLink(0, 0, true), 5*sim.Millisecond),
+			ImpairEvent(1500*sim.Millisecond, SiteLink(0, 0, true), Impair{Reorder: 1}),
+			PartitionEvent(4500*sim.Millisecond, DuplexRefs(CoreLink(0))...),
+			HealEvent(5500*sim.Millisecond, DuplexRefs(CoreLink(0))...),
 		},
 		Duration: 6 * sim.Second,
 	}
@@ -81,12 +91,35 @@ func TestEventScript(t *testing.T) {
 		t.Fatal(err)
 	}
 	core := mustLink(t, sc, CoreLink(0))
+	coreUp := mustLink(t, sc, SiteLink(-1, 0, true))
 	edge := mustLink(t, sc, SiteLink(0, 0, false))
+
+	// Probe the impaired uplink: 200 packets from the site leaf to the
+	// router above it, one every 4 ms from t=1.6s.
+	probe := simnet.Addr{Node: sc.Topo.Attach[0], Port: 99}
+	var minD, maxD sim.Time = sim.MaxTime, 0
+	env.Net.Bind(probe, simnet.HandlerFunc(func(pkt *simnet.Packet) {
+		d := env.Sch.Now() - pkt.SentAt
+		minD, maxD = min(minD, d), max(maxD, d)
+	}))
+	for i := range 200 {
+		env.Sch.At(1600*sim.Millisecond+sim.Time(i)*4*sim.Millisecond, func() {
+			pkt := env.Net.AllocPacket()
+			pkt.Size, pkt.Src, pkt.Dst = 40, simnet.Addr{Node: sc.SiteLeaf[0], Port: 99}, probe
+			env.Net.Send(pkt)
+		})
+	}
 
 	sc.Start()
 	sc.RunUntil(2500 * sim.Millisecond)
 	if core.Bandwidth != 4*125000 || core.Delay != 10*sim.Millisecond || edge.LossProb != 0 {
 		t.Fatal("links mutated before the scripted instant")
+	}
+	if core.IsDown() || coreUp.IsDown() {
+		t.Fatal("core duplex down before the partition")
+	}
+	if minD < 5*sim.Millisecond || maxD >= 25*sim.Millisecond || maxD < 20*sim.Millisecond {
+		t.Fatalf("impaired uplink delays span [%v, %v], want inside [5ms, 25ms) reaching past 20ms", minD, maxD)
 	}
 	if sc.Flow("cbr").CBR.SentPackets == 0 {
 		t.Fatal("CBR did not start at its StartAt")
@@ -101,7 +134,13 @@ func TestEventScript(t *testing.T) {
 	if sent < 200 || sent > 260 {
 		t.Fatalf("CBR sent %d packets in its 2s window, want ~250", sent)
 	}
+	if !core.IsDown() || !coreUp.IsDown() {
+		t.Fatal("partition did not take both core directions down")
+	}
 	sc.RunUntil(6 * sim.Second)
+	if core.IsDown() || coreUp.IsDown() {
+		t.Fatal("heal did not bring both core directions back up")
+	}
 	if sc.Flow("cbr").CBR.SentPackets != sent {
 		t.Fatal("CBR kept sending after StopAt")
 	}
@@ -299,5 +338,31 @@ func TestBuildRejectsUnusableSessionConfig(t *testing.T) {
 	}
 	if err := tfmcc.DefaultConfig().Validate(); err != nil {
 		t.Fatalf("the paper's parameter set is rejected: %v", err)
+	}
+	if err := FaultSessionConfig().Validate(); err != nil {
+		t.Fatalf("the fault presets' parameter set is rejected: %v", err)
+	}
+}
+
+// TestDecodeRejectsRemovedEventKeys: set_link is the script's one link
+// verb, so the keys of the verbs it replaced, and set_link's old
+// single-link key, are unknown fields a strict decode names.
+func TestDecodeRejectsRemovedEventKeys(t *testing.T) {
+	for key, event := range map[string]string{
+		"down":      `{"down":{"site":-1}}`,
+		"up":        `{"up":{"site":-1}}`,
+		"partition": `{"partition":[{"site":-1}]}`,
+		"heal":      `{"heal":[{"site":-1}]}`,
+		"impair":    `{"impair":{"link":{"site":-1},"corrupt":0.1}}`,
+		"link":      `{"set_link":{"link":{"site":-1},"down":true}}`,
+	} {
+		doc := `{"name":"x","duration_ns":1,"events":[` + event + `]}`
+		if _, err := DecodeSpec([]byte(doc)); err == nil || !strings.Contains(err.Error(), `"`+key+`"`) {
+			t.Errorf("%s: %v, want a decode error naming the key", key, err)
+		}
+	}
+	ok := `{"name":"x","duration_ns":1,"events":[{"set_link":{"links":[{"site":-1},{"site":-1,"up":true}],"down":true,"impair":{}}}]}`
+	if _, err := DecodeSpec([]byte(ok)); err != nil {
+		t.Errorf("set_link with links, down and impair refused: %v", err)
 	}
 }
