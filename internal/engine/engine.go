@@ -9,9 +9,8 @@
 // barrier and no scheduler ever sees an event in its past. There are no
 // null messages: shards with an event due step to the window end, one
 // after another on the goroutine that called RunUntil (the others just
-// have their clock moved there), cross-region sends park in per-pair
-// outboxes, and a barrier drains them into the destination shards, where
-// they dispatch in (arrival time, source region, per-source push order).
+// have their clock moved there), and a cross-region send is scheduled
+// into its destination shard when it is sent.
 //
 // Control flow that spans regions (the scenario event script, aggregate
 // and sample tickers, invariant checker ticks, receiver joins, flow
@@ -24,15 +23,16 @@
 //
 // Output is deterministic: for a fixed seed the result is byte-identical
 // across runs, because the region structure, the window schedule and the
-// handoff order depend only on the topology, the seed, the RunUntil calls
-// and the control events. Control events include an armed invariant
-// checker's ticks: they clip windows, and a handoff drained at another
-// barrier takes another place among its region's events of the same
-// instant, so a checked run is not always byte-identical to an unchecked
-// one (PERFORMANCE.md §4 "Region engine"). A sharded run is its own
-// deterministic universe, distinct from the serial engine's (per-region
-// RNG streams replace the two global ones), which is why -engineworkers 1
-// keeps the serial path rather than a one-shard engine.
+// order events enter each scheduler depend only on the topology, the
+// seed, the RunUntil calls and the control events. No packet waits for a
+// barrier, so an armed invariant checker's ticks, which clip windows,
+// move no byte of any registry entry, and neither does slicing RunUntil
+// (TestGoldenLedger's checked pass and TestSlicedRunUntil pin both; a
+// crossing arrival and a local event at one instant are still ordered by
+// when each entered the heap, PERFORMANCE.md §4). A sharded run is its
+// own deterministic universe, distinct from the serial engine's
+// (per-region RNG streams replace the two global ones), which is why
+// -engineworkers 1 keeps the serial path rather than a one-shard engine.
 package engine
 
 import (
@@ -53,8 +53,8 @@ type Stats struct {
 	Batches       uint64   // dispatch instants across control + shard schedulers
 	ShardEvents   []uint64 // events executed per region scheduler
 	ControlEvents uint64   // events executed on the control scheduler
-	HandoffsSent  uint64   // cross-region packets pushed by source shards
-	HandoffsRecv  uint64   // cross-region packets drained into destinations
+	HandoffsSent  uint64   // cross-region packets sent
+	HandoffsRecv  uint64   // equals HandoffsSent (kept for bench/)
 }
 
 // Partition computes the region assignment the engine will use for a
@@ -144,7 +144,8 @@ func Run(env scenario.Env, spec *scenario.Spec, seed int64, workers int) (*scena
 	st := Stats{ShardEvents: net.ShardEventCounts(), ControlEvents: env.Sch.Processed()}
 	st.Shards = len(st.ShardEvents)
 	st.Windows, st.WindowNS, st.ShardSteps = net.WindowCounts()
-	st.HandoffsSent, st.HandoffsRecv = net.HandoffCounts()
+	st.HandoffsSent = net.Handoffs()
+	st.HandoffsRecv = st.HandoffsSent
 	st.Batches = env.Sch.Batches() + net.ShardBatches()
 	return sc, st, nil
 }

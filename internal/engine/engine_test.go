@@ -140,9 +140,9 @@ func TestShardPanicBecomesSeedError(t *testing.T) {
 }
 
 // A caller may act between two RunUntil calls — here a receiver leaves,
-// sending its Leave report from outside any window. The next call drains
-// whatever that pushed before it steps a shard: nothing panics, every
-// handoff is drained and the checker stays clean.
+// sending its Leave report from outside any window. The report is
+// scheduled into its destination region at once, so the next call steps
+// no shard past it: nothing panics and the checker stays clean.
 func TestLeaveBetweenRunUntilCalls(t *testing.T) {
 	env := freshEnv(1, true)
 	sc, err := engine.Build(env, presetSpec(t, "wireless", 0), 1)
@@ -153,8 +153,8 @@ func TestLeaveBetweenRunUntilCalls(t *testing.T) {
 	sc.RunUntil(5 * sim.Second)
 	sc.Recvs[0].Leave()
 	sc.RunUntil(10 * sim.Second)
-	if sent, recv := env.Net.HandoffCounts(); sent == 0 || sent != recv {
-		t.Errorf("handoffs sent %d, drained %d, want equal and non-zero", sent, recv)
+	if env.Net.Handoffs() == 0 {
+		t.Error("no packet crossed a region boundary")
 	}
 	for _, v := range env.Check.Violations() {
 		t.Errorf("invariant violated: %s", v)
@@ -208,11 +208,8 @@ func TestEngineStatsConservation(t *testing.T) {
 		if st.EngineShards < 2 {
 			t.Fatalf("%s: expected a multi-region cut, got %d shards", tc.id, st.EngineShards)
 		}
-		if st.HandoffsSent != st.HandoffsRecv {
-			t.Errorf("%s: handoff conservation broken: sent %d, drained %d", tc.id, st.HandoffsSent, st.HandoffsRecv)
-		}
-		if st.HandoffsSent == 0 {
-			t.Errorf("%s: expected cross-region traffic, saw none", tc.id)
+		if st.HandoffsSent == 0 || st.HandoffsRecv != st.HandoffsSent {
+			t.Errorf("%s: handoffs sent %d, received %d, want equal and non-zero", tc.id, st.HandoffsSent, st.HandoffsRecv)
 		}
 		var shardEvents uint64
 		for _, v := range st.ShardEvents {
@@ -238,19 +235,19 @@ func TestEngineStatsConservation(t *testing.T) {
 }
 
 // A control event that sends at a barrier — here the scheduled Leave
-// reports of massleave's 60–70 s burst — parks its handoff after the
-// shards have stepped. The window loop drains it before it sizes the next
-// window, so no destination shard steps past the arrival: the run neither
-// panics nor breaks an invariant, and every handoff pushed is drained.
-func TestBarrierSendIsDrained(t *testing.T) {
+// reports of massleave's 60–70 s burst — schedules its crossing arrival
+// after the shards have stepped to the barrier. The arrival is at least
+// one lookahead later, so no destination shard has passed it: the run
+// neither panics nor breaks an invariant.
+func TestBarrierSendIsDelivered(t *testing.T) {
 	c := shardedCtx(2)
 	c.EnableInvariants()
 	shortRun(t, c, "massleave", 1, 75*sim.Second)
 	for _, v := range c.Violations() {
 		t.Errorf("invariant violated: %s", v)
 	}
-	if st := c.Stats(); st.HandoffsSent != st.HandoffsRecv {
-		t.Errorf("handoffs sent %d, drained %d", st.HandoffsSent, st.HandoffsRecv)
+	if c.Stats().HandoffsSent == 0 {
+		t.Error("no packet crossed a region boundary")
 	}
 }
 

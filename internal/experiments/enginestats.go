@@ -37,18 +37,19 @@ type EngineStats struct {
 	ReelectNS      sim.Time `json:"reelect_ns" stat:"max"`      // max loss-to-re-election sim-time
 	RateRecoverNS  sim.Time `json:"rate_recover_ns" stat:"max"` // max loss-to-rate-re-attainment sim-time
 
-	// Region engine counters, zero on serial runs. For sharded
-	// runs Events equals ControlEvents + sum(ShardEvents) and
-	// HandoffsSent equals HandoffsRecv once every window drained — the
-	// conservation identities engine.TestEngineStatsConservation and
-	// bench/ check. ShardEvents is a fixed array (the region count is
-	// capped at simnet.MaxAutoShards) so EngineStats stays comparable;
-	// only the first EngineShards entries are meaningful.
+	// Region engine counters, zero on serial runs. For sharded runs
+	// Events equals ControlEvents + sum(ShardEvents), the identity
+	// engine.TestEngineStatsConservation and bench/ check; HandoffsRecv
+	// repeats HandoffsSent, because a crossing send is scheduled into its
+	// destination when it is sent. ShardEvents is a fixed array (the
+	// region count is capped at simnet.MaxAutoShards) so EngineStats
+	// stays comparable; only the first EngineShards entries are
+	// meaningful.
 	EngineShards  int                          `json:"engine_shards" stat:"max"`  // max regions any folded run was cut into
 	ShardEvents   [simnet.MaxAutoShards]uint64 `json:"shard_events" stat:"sum"`   // per-region events
 	ControlEvents uint64                       `json:"control_events" stat:"sum"` // control-scheduler events (checker ticks excluded)
-	HandoffsSent  uint64                       `json:"handoffs_sent" stat:"sum"`  // cross-region packets pushed by source shards
-	HandoffsRecv  uint64                       `json:"handoffs_recv" stat:"sum"`  // cross-region packets drained into destinations
+	HandoffsSent  uint64                       `json:"handoffs_sent" stat:"sum"`  // cross-region packets sent
+	HandoffsRecv  uint64                       `json:"handoffs_recv" stat:"sum"`  // equals HandoffsSent (kept for bench/)
 
 	// Dispatch diagnostics: mean batch occupancy is Events/Batches; the
 	// last three describe the region window schedule. They vary

@@ -121,10 +121,11 @@ func NewRunCtxFor(cfg sweep.Config) *RunCtx {
 // pool conservation, scheduler monotonicity) on all runs, plus
 // protocol-level ones (sender rate bound, CLR liveness) on scenario-spec
 // runs. Violations accumulate across runs; see Violations. The checker's
-// sampling ticks are subtracted from the EngineStats event count, so on
-// the serial engine enabling it changes no byte and no counter
-// (TestGoldenLedger's checked pass). On the region engine the ticks clip
-// the window schedule, which can move both.
+// sampling ticks are subtracted from the EngineStats event count, so
+// enabling it changes no byte and no counter on either engine
+// (TestGoldenLedger's checked pass): on the region engine the ticks clip
+// windows, but a crossing send is scheduled when it is sent, so no event
+// waits for a barrier whose place a tick could move.
 func (c *RunCtx) EnableInvariants() { c.check = true }
 
 // Violations returns the invariant violations observed across every run
@@ -176,9 +177,8 @@ func (c *RunCtx) harvest() {
 			c.stats.ShardEvents[i] += v
 			events += v
 		}
-		sent, recv := e.net.HandoffCounts()
-		c.stats.HandoffsSent += sent
-		c.stats.HandoffsRecv += recv
+		c.stats.HandoffsSent += e.net.Handoffs()
+		c.stats.HandoffsRecv += e.net.Handoffs()
 		c.stats.Batches += e.net.ShardBatches()
 		// The window schedule is a wall-structure diagnostic (-check
 		// ticks clip windows), not part of any determinism check.

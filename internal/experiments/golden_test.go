@@ -165,7 +165,7 @@ func readLedger(t *testing.T) map[string]string {
 // checkedRows are the serial rows the checked pass of TestGoldenLedger
 // reruns with the invariant checker armed: the fault presets and the
 // churn-heavy ones, where the protocol-level predicates have the most to
-// look at.
+// look at. The pass reruns every ew2 row as well.
 var checkedRows = []string{"degrade", "clrfail", "partition", "corruptfb", "flashcrowd", "massleave", "tcpburst"}
 
 // TestGoldenLedger runs every ledger row and requires the committed
@@ -177,12 +177,11 @@ var checkedRows = []string{"degrade", "clrfail", "partition", "corruptfb", "flas
 // (-run TestGoldenLedger/ew2); a filter that selects single rows still
 // runs their universe's chains in full.
 //
-// A last pass, checked/<id>, reruns checkedRows on one context with the
-// invariant checker armed: each must reproduce its serial fields (this
-// run's, else the committed ones) and record no violation, dropped ones
-// included, so arming the checker moves no byte. It is serial only: on
-// the region engine the checker's ticks clip the window schedule and
-// move bytes (PERFORMANCE.md §4). It adds no ledger rows.
+// A last pass reruns checkedRows (as checked/<id>) and every ew2 row (as
+// checked/ew2/<id>) on one context with the invariant checker armed: each
+// must reproduce its unchecked fields (this run's, else the committed
+// ones) and record no violation, dropped ones included, so arming the
+// checker moves no byte on either engine. It adds no ledger rows.
 func TestGoldenLedger(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the whole registry")
@@ -233,11 +232,23 @@ func TestGoldenLedger(t *testing.T) {
 		})
 	}
 	t.Run("checked", func(t *testing.T) {
+		var crows []ledgerRow
+		for _, id := range checkedRows {
+			crows = append(crows, ledgerRow{universe: "serial", entry: id})
+		}
+		for _, r := range rows {
+			if r.universe == "ew2" {
+				crows = append(crows, r)
+			}
+		}
 		ctx := NewRunCtx()
 		ctx.EnableInvariants()
-		for _, id := range checkedRows {
-			r := ledgerRow{universe: "serial", entry: id}
-			t.Run(id, func(t *testing.T) {
+		for _, r := range crows {
+			name := r.id()
+			if r.universe == "ew2" {
+				name = "ew2/" + name
+			}
+			t.Run(name, func(t *testing.T) {
 				fields, err := r.run(ctx)
 				if err != nil {
 					t.Fatal(err)

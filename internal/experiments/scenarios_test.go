@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -250,5 +251,65 @@ func TestBuildRejectsUnusableTCPConfig(t *testing.T) {
 	}
 	if err := tcpsim.DefaultConfig().Validate(); err != nil {
 		t.Fatalf("the default TCP parameter set is rejected: %v", err)
+	}
+}
+
+// TestBuildRejectsUnusableNumbers: every link and CBR number a spec
+// document declares is outside input, so one that cannot drive a link or
+// a source is a Build error naming the field. Negative delays used to panic mid-run ("event
+// scheduled in the past"), a negative bandwidth ran as an infinite link,
+// and a loss outside [0, 1] or a negative queue was accepted. A CBR
+// source with no packet size or no rate used to wedge tcpburst in a send
+// loop at one instant; nothing here runs a clock, so at worst a case
+// fails, it cannot hang.
+func TestBuildRejectsUnusableNumbers(t *testing.T) {
+	cbr := func(edit func(*scenario.CBRSpec)) func(*scenario.Spec) {
+		return func(s *scenario.Spec) {
+			for _, st := range s.Steps {
+				if st.CBR != nil {
+					edit(st.CBR)
+				}
+			}
+		}
+	}
+	for _, tc := range []struct {
+		field string
+		spec  func() *scenario.Spec
+		edit  func(*scenario.Spec)
+	}{
+		{"steps[0].site.hops[0].down.delay_ns", scenario.FlashCrowd, func(s *scenario.Spec) {
+			for _, st := range s.Steps {
+				if st.Site != nil {
+					for h := range st.Site.Hops {
+						st.Site.Hops[h].Down.Delay = -2 * sim.Millisecond
+					}
+				}
+			}
+		}},
+		{"jitter.min_ms", Figure12Spec, func(s *scenario.Spec) { s.Pop.Jitter.MinMs = -60 }},
+		{"pop.hop.up.loss", Figure12Spec, func(s *scenario.Spec) { s.Pop.Hop = scenario.FastHop(); s.Pop.Hop.Up.Loss = 1.5 }},
+		{"topology.core.bw", Figure9Spec, func(s *scenario.Spec) { s.Topology.Core.BW = -1 }},
+		{"topology.core.bw", Figure9Spec, func(s *scenario.Spec) { s.Topology.Core.BW = math.Inf(1) }},
+		{"topology.core.loss", Figure9Spec, func(s *scenario.Spec) { s.Topology.Core.Loss = math.NaN() }},
+		{"topology.core.queue", Figure9Spec, func(s *scenario.Spec) { s.Topology.Core.Queue = -1 }},
+		{"topology.stub_link.delay_ns", scenario.Wireless, func(s *scenario.Spec) { s.Topology.StubLink.Delay = -1 }},
+		{"cohort.hop.down.loss", scenario.CohortFig9(16), func(s *scenario.Spec) { s.Cohort.Hop.Down.Loss = -0.1 }},
+		{"events[1].set_link.delay_ns", scenario.Degrade, func(s *scenario.Spec) { *s.Events[1].SetLink.Delay = -1 }},
+		{"events[0].set_link.bw", scenario.Degrade, func(s *scenario.Spec) { *s.Events[0].SetLink.BW = -125000 }},
+		{"events[0].set_link.loss", scenario.Degrade, func(s *scenario.Spec) {
+			s.Events[0].SetLink.Loss = new(float64)
+			*s.Events[0].SetLink.Loss = 2
+		}},
+		{`flow "cbr" cbr.size`, scenario.TCPBurst, cbr(func(c *scenario.CBRSpec) { c.Size = 0 })},
+		{`flow "cbr" cbr.rate`, scenario.TCPBurst, cbr(func(c *scenario.CBRSpec) { c.Rate = -1000 })},
+		{`flow "cbr" cbr.rate`, scenario.TCPBurst, cbr(func(c *scenario.CBRSpec) { c.Rate = 0 })},
+		{`flow "cbr" cbr.rate`, scenario.TCPBurst, cbr(func(c *scenario.CBRSpec) { c.Rate = math.Inf(1) })},
+	} {
+		spec := tc.spec()
+		tc.edit(spec)
+		_, err := scenario.Build(NewRunCtx().scenarioEnv(1), spec)
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: Build = %v, want an error naming the field", tc.field, err)
+		}
 	}
 }

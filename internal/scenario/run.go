@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/invariant"
 	"repro/internal/sim"
@@ -150,6 +151,9 @@ func Build(env Env, spec *Spec) (*Scenario, error) {
 	if spec.Duration < 0 {
 		return nil, fmt.Errorf("scenario %s: negative duration %v", spec.Name, spec.Duration)
 	}
+	if err := spec.checkLinks(); err != nil {
+		return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
+	}
 	cfg := tfmcc.DefaultConfig()
 	if spec.Session.Cfg != nil {
 		cfg = *spec.Session.Cfg
@@ -223,6 +227,56 @@ func Build(env Env, spec *Spec) (*Scenario, error) {
 		env.Check.Register("clr-live", sc.Sess.CLRInvariant)
 	}
 	return sc, nil
+}
+
+// checkLinks names the first link number the spec declares that no link
+// can take (see LinkP.check) by its place in the spec document: the
+// topology's core and stub links, every access hop and each set_link
+// event's bandwidth, delay and loss.
+func (s *Spec) checkLinks() error {
+	type named struct {
+		field string
+		p     LinkP
+	}
+	links := []named{{"topology.core", s.Topology.Core}, {"topology.stub_link", s.Topology.StubLink}}
+	hop := func(field string, h Hop) {
+		links = append(links, named{field + ".down", h.Down}, named{field + ".up", h.Up})
+	}
+	if s.Pop != nil {
+		hop("pop.hop", s.Pop.Hop)
+	}
+	if s.Cohort != nil && s.Cohort.Hop != nil {
+		hop("cohort.hop", *s.Cohort.Hop)
+	}
+	for i, st := range s.Steps {
+		if st.Site == nil {
+			continue
+		}
+		for h, hp := range st.Site.Hops {
+			hop(fmt.Sprintf("steps[%d].site.hops[%d]", i, h), hp)
+		}
+	}
+	for i, ev := range s.Events {
+		if m := ev.SetLink; m != nil {
+			var p LinkP
+			if m.BW != nil {
+				p.BW = *m.BW
+			}
+			if m.Delay != nil {
+				p.Delay = *m.Delay
+			}
+			if m.Loss != nil {
+				p.Loss = *m.Loss
+			}
+			links = append(links, named{fmt.Sprintf("events[%d].set_link", i), p})
+		}
+	}
+	for _, l := range links {
+		if err := l.p.check(l.field); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // BuildScratch builds spec on a fresh environment seeded for seed, for
@@ -357,8 +411,8 @@ func (sc *Scenario) buildSite(s *SiteSpec) error {
 	if len(s.Hops) < 1 || len(s.Hops) > 2 {
 		return fmt.Errorf("scenario %s: site needs 1 or 2 hops, got %d", sc.Spec.Name, len(s.Hops))
 	}
-	if s.Jitter != nil && s.Jitter.SpanMs < 1 {
-		return fmt.Errorf("scenario %s: jitter span must be >= 1 ms, got %d", sc.Spec.Name, s.Jitter.SpanMs)
+	if j := s.Jitter; j != nil && (j.MinMs < 0 || j.SpanMs < 1) {
+		return fmt.Errorf("scenario %s: jitter.min_ms %d must be >= 0 and jitter.span_ms %d >= 1", sc.Spec.Name, j.MinMs, j.SpanMs)
 	}
 	idx := len(sc.SiteLeaf)
 	hops := append([]Hop(nil), s.Hops...)
@@ -532,6 +586,12 @@ func (sc *Scenario) buildTCP(t *TCPSpec) error {
 func (sc *Scenario) buildCBR(c *CBRSpec) error {
 	if c.StartAt < 0 || c.StopAt < 0 {
 		return fmt.Errorf("scenario %s: flow %q has a negative start/stop time", sc.Spec.Name, c.Name)
+	}
+	if c.Size < 1 {
+		return fmt.Errorf("scenario %s: flow %q cbr.size %d must be >= 1", sc.Spec.Name, c.Name, c.Size)
+	}
+	if !(c.Rate > 0) || math.IsInf(c.Rate, 1) {
+		return fmt.Errorf("scenario %s: flow %q cbr.rate %v must be finite and > 0", sc.Spec.Name, c.Name, c.Rate)
 	}
 	a, b, err := sc.buildEndpoints(c.Name, c.From, c.To)
 	if err != nil {

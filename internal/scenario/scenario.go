@@ -14,6 +14,9 @@
 package scenario
 
 import (
+	"fmt"
+	"math"
+
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/tcpsim"
@@ -35,6 +38,23 @@ type LinkP struct {
 	Delay sim.Time `json:"delay_ns,omitempty"` // propagation delay
 	Loss  float64  `json:"loss,omitempty"`     // Bernoulli drop probability on entry
 	Queue int      `json:"queue,omitempty"`    // queue limit in packets (ignored for infinite links)
+}
+
+// check names the first number of p a link cannot take, field being p's
+// place in the spec document: every value must be finite, bw, delay_ns
+// and queue at least 0, and loss a probability in [0, 1].
+func (p LinkP) check(field string) error {
+	switch {
+	case !(p.BW >= 0) || math.IsInf(p.BW, 1): // negated so that NaN fails too
+		return fmt.Errorf("%s.bw %v is negative or not finite (0 = infinite)", field, p.BW)
+	case p.Delay < 0:
+		return fmt.Errorf("%s.delay_ns %d is negative", field, p.Delay)
+	case !(p.Loss >= 0 && p.Loss <= 1):
+		return fmt.Errorf("%s.loss %v outside [0, 1]", field, p.Loss)
+	case p.Queue < 0:
+		return fmt.Errorf("%s.queue %d is negative", field, p.Queue)
+	}
+	return nil
 }
 
 // Hop is one duplex segment of an access path: Down carries traffic

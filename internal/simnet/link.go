@@ -48,8 +48,8 @@ type Link struct {
 	// impaired is set while any of corrupt, dup or reorder is non-zero.
 	impaired bool
 	// crossTo is the destination region when the link crosses a region
-	// boundary (-1 otherwise): propagation over a crossing link is routed
-	// through the handoff outbox instead of the local scheduler.
+	// boundary (-1 otherwise): propagation over a crossing link is
+	// scheduled on the destination region's scheduler, not the local one.
 	crossTo int32
 
 	Stats LinkStats
@@ -241,16 +241,16 @@ func (l *Link) propDelay() sim.Time {
 	return d
 }
 
-// propagate starts a packet's propagation towards the far node. Within a
-// region this is one shard-local timer per packet; across regions the
-// packet goes into the handoff outbox with its arrival time and is
-// scheduled into the destination shard at the next barrier (the crossing
-// delay is at least the lookahead window, so the arrival is always at or
-// after it).
+// propagate starts a packet's propagation towards the far node: one
+// timer per packet, on the far node's region scheduler when the link
+// crosses regions (the crossing delay is at least the lookahead, so the
+// arrival is at or after the window's end, which the destination's clock
+// has not passed).
 func (l *Link) propagate(pkt *Packet) {
 	d := l.propDelay()
 	if l.crossTo >= 0 {
-		l.net.pushHandoff(l, l.sched.Now()+d, pkt)
+		l.net.handoffs++
+		l.net.shards[l.crossTo].sched.AtArg(l.sched.Now()+d, l.deliverFn, pkt)
 		return
 	}
 	l.sched.AfterArg(d, l.deliverFn, pkt)

@@ -94,14 +94,12 @@ type Network struct {
 
 	// Sharded execution (EnableSharding): nodes are assigned to regions,
 	// each region runs on its own scheduler/RNG pair, and crossing-link
-	// propagation is routed through per-(src,dst) handoff outboxes drained
-	// at the synchronization barriers between RunUntil's lookahead
-	// windows. See shard.go.
+	// propagation is scheduled on the destination region's scheduler.
+	// See shard.go.
 	sharded   bool
 	shardOf   []int32
 	shards    []*shardCtx
-	outbox    [][]handoff // K*K slices indexed src*K+dst
-	handRecv  uint64
+	handoffs  uint64 // packets sent over crossing links
 	hints     map[NodeID]int32
 	lookahead sim.Time
 
@@ -260,13 +258,13 @@ func (n *Network) Reset() bool {
 	n.pktLive = 0
 	clear(n.hints)
 	if n.sharded {
-		// Tear sharding down: drop in-flight handoffs. Rebuilt links bind to
-		// the serial scheduler/RNG; a following sharded run re-enables with
-		// fresh shard state.
+		// Tear sharding down. Rebuilt links bind to the serial
+		// scheduler/RNG; a following sharded run re-enables with fresh
+		// shard state.
 		n.sharded = false
-		n.shards, n.outbox = nil, nil
+		n.shards = nil
 		n.shardOf = n.shardOf[:0]
-		n.handRecv = 0
+		n.handoffs = 0
 		n.windows, n.windowNS, n.shardSteps = 0, 0, 0
 	}
 	return true

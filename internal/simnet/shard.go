@@ -8,15 +8,15 @@ import "repro/internal/sim"
 // its own scheduler and RNG pair. All intra-region traffic — link entry
 // modules, serialisers, propagation, protocol timers — runs on the
 // region's shard; the only inter-region interaction is propagation over a
-// crossing link, which is appended to a per-(src,dst) outbox and drained
-// into the destination shard at the next synchronization barrier.
-// RunUntil steps the shards one after another on the calling goroutine,
-// in conservative lookahead windows no wider than the minimum
-// crossing-link delay, so a handoff's arrival time is always at or after
-// the next barrier and the destination scheduler never sees an event in
-// its past. Everything else — the packet free lists, routes, compiled
-// multicast trees, fault counters — is the network's one copy, shared by
-// every region.
+// crossing link, which the sender schedules straight into the destination
+// shard. RunUntil steps the shards one after another on the calling
+// goroutine, in conservative lookahead windows no wider than the minimum
+// crossing-link delay, so a crossing packet always arrives at or after
+// the window's end, which no shard clock passes inside the window: the
+// destination scheduler never sees an event in its past, whichever of
+// the two shards steps first. Everything else — the packet free lists,
+// routes, compiled multicast trees, fault counters — is the network's
+// one copy, shared by every region.
 //
 // Everything here is gated on n.sharded; a network that never calls
 // EnableSharding takes exactly the serial code paths it always did.
@@ -30,19 +30,6 @@ type shardCtx struct {
 	// next is the shard's earliest pending event at the last peek, MaxTime
 	// if none.
 	next sim.Time
-
-	// sent counts the handoffs this shard pushed; dirty lists the
-	// destinations whose outbox it made non-empty since the last drain, so
-	// a barrier visits only the outboxes that hold something.
-	sent  uint64
-	dirty []int32
-}
-
-// handoff is one cross-region propagation in flight between barriers.
-type handoff struct {
-	at  sim.Time
-	l   *Link
-	pkt *Packet
 }
 
 // ShardSetup binds one region to its scheduler and RNG streams.
@@ -70,8 +57,7 @@ func (n *Network) EnableSharding(p Partition, setups []ShardSetup) {
 	for i, s := range setups {
 		n.shards[i] = &shardCtx{sched: s.Sched, rng: s.NetRng, proto: s.ProtoRng}
 	}
-	n.outbox = make([][]handoff, k*k)
-	n.handRecv = 0
+	n.handoffs = 0
 	n.windows, n.windowNS, n.shardSteps = 0, 0, 0
 	for _, l := range n.linkList {
 		n.bindLink(l)
@@ -86,16 +72,16 @@ func (n *Network) EnableSharding(p Partition, setups []ShardSetup) {
 // shards at its own time. Idle stretches — suppression silences,
 // converged steady state — thus collapse into one wide window instead of
 // a barrier per lookahead quantum. At each barrier the busy shards step
-// to the window end, the control events due run, and the handoffs either
-// of them pushed are drained before the next window is sized. The drain
-// also runs on entry, for whatever the caller sent between two calls.
+// to the window end and the control events due run. A crossing send made
+// anywhere — in a shard, in a control event, by the caller between two
+// calls — is already in its destination's scheduler, so the next window
+// is sized from the shards' heaps alone.
 func (n *Network) RunUntil(t sim.Time) {
 	ctl := n.sched
 	if !n.sharded {
 		ctl.RunUntil(t)
 		return
 	}
-	n.DrainHandoffs()
 	for now := ctl.Now(); ; now = ctl.Now() {
 		end := t
 		// emin == MaxTime means no shard has pending work: only a control
@@ -111,7 +97,6 @@ func (n *Network) RunUntil(t sim.Time) {
 		end = max(end, now)
 		n.shardSteps += uint64(n.stepTo(end))
 		ctl.RunUntil(end)
-		n.DrainHandoffs()
 		n.windows++
 		n.windowNS += end - now
 		if end >= t {
@@ -136,10 +121,10 @@ func (n *Network) peek() sim.Time {
 }
 
 // stepTo runs every shard to time end and returns how many had an event
-// due by then (the window's ShardSteps). A shard's schedule cannot change
-// before the barrier except through its own events — the control events
-// and the handoff drain, the only other writers, run after it — so a
-// shard with nothing due at the last peek only has its clock moved.
+// due by then at the last peek (the window's ShardSteps). Other shards
+// write into a shard's schedule only at or after end, so a shard with
+// nothing due at the peek runs at most the crossing arrivals landing
+// exactly at end.
 func (n *Network) stepTo(end sim.Time) int {
 	busy := 0
 	for _, sc := range n.shards {
@@ -203,54 +188,6 @@ func (n *Network) ProtoRandFor(id NodeID, fallback *sim.Rand) *sim.Rand {
 	return n.shards[n.shardOf[id]].proto
 }
 
-// pushHandoff queues one cross-region propagation with its arrival time
-// on the (from-side, to-side) outbox.
-func (n *Network) pushHandoff(l *Link, at sim.Time, pkt *Packet) {
-	sc := n.shards[l.shard]
-	sc.sent++
-	box := &n.outbox[int(l.shard)*len(n.shards)+int(l.crossTo)]
-	if len(*box) == 0 {
-		sc.dirty = append(sc.dirty, l.crossTo)
-	}
-	*box = append(*box, handoff{at: at, l: l, pkt: pkt})
-}
-
-// DrainHandoffs moves every queued cross-region packet into its
-// destination shard's scheduler and returns how many it moved. Must be
-// called at a barrier (all shards quiesced).
-//
-// Within a destination, handoffs dispatch in (arrival time, source
-// region, per-source push order), which depends on the topology and the
-// seed alone. No sort is needed to get there:
-// a scheduler breaks ties on one instant by schedule order, an outbox
-// holds its source's pushes in push order, and the walk below reaches the
-// outboxes of one destination in ascending source order — so scheduling
-// them as found gives the scheduler exactly that key.
-// (TestDrainOrderMatchesSortedReference pins it against the explicit
-// sort this replaced.) Only outboxes written since the last drain are
-// visited, and each is cleared as soon as it is scheduled so a parked
-// backing array never pins packets or links.
-func (n *Network) DrainHandoffs() int {
-	k := len(n.shards)
-	moved := 0
-	for src, sc := range n.shards {
-		for _, dst := range sc.dirty {
-			box := &n.outbox[src*k+int(dst)]
-			sched := n.shards[dst].sched
-			for i := range *box {
-				h := &(*box)[i]
-				sched.AtArg(h.at, h.l.deliverFn, h.pkt)
-			}
-			moved += len(*box)
-			clear(*box)
-			*box = (*box)[:0]
-		}
-		sc.dirty = sc.dirty[:0]
-	}
-	n.handRecv += uint64(moved)
-	return moved
-}
-
 // SetRegionHint records a partitioning hint: topology generators label
 // the natural cut (e.g. transit-stub domains) and PartitionRegions seeds
 // its region assignment from the labels. Hints are advisory — unhinted
@@ -286,16 +223,9 @@ func (n *Network) ShardBatches() uint64 {
 	return out
 }
 
-// HandoffCounts returns the cross-region handoffs pushed by all shards
-// and the handoffs drained into destination shards. After RunUntil
-// returns the two are equal; engine.TestEngineStatsConservation and
-// bench/ pin that conservation.
-func (n *Network) HandoffCounts() (sent, recv uint64) {
-	for _, sc := range n.shards {
-		sent += sc.sent
-	}
-	return sent, n.handRecv
-}
+// Handoffs returns how many packets have crossed a region boundary since
+// sharding was enabled.
+func (n *Network) Handoffs() uint64 { return n.handoffs }
 
 // WindowCounts returns RunUntil's window schedule since sharding was
 // enabled: the windows run, their summed widths, and the summed count of

@@ -52,7 +52,6 @@ func TestShardedPoolRecirculates(t *testing.T) {
 			for _, s := range setups {
 				s.Sched.RunUntil(now + lookahead)
 			}
-			n.DrainHandoffs()
 		}
 		if got != sends || n.LivePackets() != 0 {
 			t.Fatalf("delivered %d of %d, %d packets still live", got, sends, n.LivePackets())
@@ -71,8 +70,8 @@ func TestShardedPoolRecirculates(t *testing.T) {
 		}
 	}
 	// In flight at once: the first window's 51 sends (0 to 5 ms, both ends
-	// included) wait in their handoffs while the source shard, stepped
-	// first, allocates the next window's 50.
+	// included) wait in the destination's scheduler while the source
+	// shard, stepped first, allocates the next window's 50.
 	if pooled[0] > 51+50 {
 		t.Errorf("one run of %d sends left %d packets pooled: the flow is not recirculating", sends, pooled[0])
 	}
