@@ -1,16 +1,20 @@
 // Package engine builds a declarative scenario on a region-sharded
 // simulation core. The topology is partitioned into regions — the
 // transit-stub domain structure when the generator hinted it, a
-// delay-threshold cut otherwise — and each region gets its own
-// scheduler and RNG streams. simnet.Network.RunUntil then advances the
-// regions together in conservative lookahead windows no wider than the
-// minimum delay of any region-crossing link, so a packet propagating
-// across a cut always arrives at or after the next synchronization
-// barrier and no scheduler ever sees an event in its past. There are no
-// null messages: shards with an event due step to the window end, one
-// after another on the goroutine that called RunUntil (the others just
-// have their clock moved there), and a cross-region send is scheduled
-// into its destination shard when it is sent.
+// delay-threshold cut otherwise — and handed to
+// simnet.Network.EnableSharding, which owns everything a region runs on:
+// its scheduler, its network and protocol RNG streams (derived from the
+// seed and the region index), the window loop and the counters
+// (RegionStats). simnet.Network.RunUntil advances the regions together
+// in conservative lookahead windows no wider than the minimum delay of
+// any region-crossing link, so a packet propagating across a cut always
+// arrives at or after the next synchronization barrier and no scheduler
+// ever sees an event in its past. There are no null messages: shards
+// with an event due step to the window end, one after another on the
+// goroutine that called RunUntil (the others just have their clock moved
+// there), and a cross-region send is scheduled into its destination
+// shard when it is sent. This package only partitions, enables sharding
+// and builds.
 //
 // Control flow that spans regions (the scenario event script, aggregate
 // and sample tickers, invariant checker ticks, receiver joins, flow
@@ -33,6 +37,8 @@
 // own deterministic universe, distinct from the serial engine's
 // (per-region RNG streams replace the two global ones), which is why
 // -engineworkers 1 keeps the serial path rather than a one-shard engine.
+// The serial engine is the one that reproduces the paper's figures; the
+// region engine is the opt-in fast path for multi-domain topologies.
 package engine
 
 import (
@@ -85,26 +91,6 @@ func Partition(spec *scenario.Spec, seed int64, maxShards int) (simnet.Partition
 	return simnet.PartitionRegions(sc.Env.Net, pinned, maxShards), nil
 }
 
-// shardRngMix spreads the region index across the seed bits (the
-// 64-bit golden ratio, the usual splitmix increment) so per-region
-// streams are decorrelated from each other and from the serial streams.
-const shardRngMix = 0x9E3779B97F4A7C15
-
-// setups returns the per-region scheduler and RNG bindings for a run of
-// the given seed. Streams depend only on (seed, region).
-func setups(shards int, seed int64) []simnet.ShardSetup {
-	out := make([]simnet.ShardSetup, shards)
-	for i := range out {
-		mix := int64(uint64(seed) ^ (uint64(i+1) * shardRngMix))
-		out[i] = simnet.ShardSetup{
-			Sched:    sim.NewScheduler(),
-			NetRng:   sim.NewRand(mix),
-			ProtoRng: sim.NewRand(mix + 7),
-		}
-	}
-	return out
-}
-
 // Build partitions spec, enables sharding on env.Net and builds the
 // scenario on it, registering the cross-shard invariants when env has a
 // checker. env must be freshly rewound for seed (the contract
@@ -119,7 +105,7 @@ func Build(env scenario.Env, spec *scenario.Spec, seed int64) (*scenario.Scenari
 	if part.Shards == 0 {
 		return nil, fmt.Errorf("engine: scenario %s has no nodes to partition", spec.Name)
 	}
-	env.Net.EnableSharding(part, setups(part.Shards, seed))
+	env.Net.EnableSharding(part, seed)
 	sc, err := scenario.Build(env, spec)
 	if err != nil {
 		return nil, err
@@ -140,12 +126,11 @@ func Run(env scenario.Env, spec *scenario.Spec, seed int64, workers int) (*scena
 	}
 	sc.Start()
 	sc.RunUntil(spec.Duration)
-	net := env.Net
-	st := Stats{ShardEvents: net.ShardEventCounts(), ControlEvents: env.Sch.Processed()}
-	st.Shards = len(st.ShardEvents)
-	st.Windows, st.WindowNS, st.ShardSteps = net.WindowCounts()
-	st.HandoffsSent = net.Handoffs()
-	st.HandoffsRecv = st.HandoffsSent
-	st.Batches = env.Sch.Batches() + net.ShardBatches()
+	rs := env.Net.RegionStats()
+	st := Stats{
+		Shards: len(rs.Events), Windows: rs.Windows, WindowNS: rs.WindowNS, ShardSteps: rs.ShardSteps,
+		Batches: env.Sch.Batches() + rs.Batches, ShardEvents: rs.Events, ControlEvents: env.Sch.Processed(),
+		HandoffsSent: rs.Handoffs, HandoffsRecv: rs.Handoffs,
+	}
 	return sc, st, nil
 }

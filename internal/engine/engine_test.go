@@ -56,10 +56,9 @@ func TestShardedDeterminismAndRewind(t *testing.T) {
 // freshEnv returns a new environment for seed, the invariant checker
 // armed when check is set.
 func freshEnv(seed int64, check bool) scenario.Env {
-	sch := sim.NewScheduler()
-	env := scenario.Env{Sch: sch, Net: simnet.New(sch, sim.NewRand(seed)), Rng: sim.NewRand(seed + 7)}
+	env := scenario.NewEnv(seed)
 	if check {
-		env.Check = invariant.New(sch, 0)
+		env.Check = invariant.New(env.Sch, 0)
 		env.Check.Start()
 	}
 	return env
@@ -153,7 +152,7 @@ func TestLeaveBetweenRunUntilCalls(t *testing.T) {
 	sc.RunUntil(5 * sim.Second)
 	sc.Recvs[0].Leave()
 	sc.RunUntil(10 * sim.Second)
-	if env.Net.Handoffs() == 0 {
+	if env.Net.RegionStats().Handoffs == 0 {
 		t.Error("no packet crossed a region boundary")
 	}
 	for _, v := range env.Check.Violations() {

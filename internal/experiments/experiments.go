@@ -20,7 +20,6 @@ import (
 	"repro/internal/invariant"
 	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/simnet"
 	"repro/internal/stats"
 	"repro/internal/sweep"
 	"repro/internal/tfmcc"
@@ -92,8 +91,8 @@ func RunWith(c *RunCtx, id string, seed int64) (*Result, error) {
 // counters accumulated across runs. It must be used from one goroutine at
 // a time; parallel sweeps give each worker its own RunCtx.
 type RunCtx struct {
-	env           *env // nil until the first build
-	built         bool // env holds a build harvest has not folded yet
+	env           scenario.Env // zero until the first build
+	built         bool         // env holds a build harvest has not folded yet
 	check         bool
 	engineWorkers int
 	stats         EngineStats
@@ -151,48 +150,44 @@ func (c *RunCtx) harvest() {
 	}
 	c.built = false
 	e := c.env
-	events := e.sch.Processed()
-	if e.check != nil {
+	events := e.Sch.Processed()
+	if e.Check != nil {
 		// The checker's sampling ticks are bookkeeping, not simulation:
 		// subtracting them keeps the serial engine's event count identical
 		// with and without -check.
-		events -= e.check.Ticks()
-		c.violations = append(c.violations, e.check.Violations()...)
-		c.dropped += e.check.Dropped()
+		events -= e.Check.Ticks()
+		c.violations = append(c.violations, e.Check.Violations()...)
+		c.dropped += e.Check.Dropped()
 	}
 	// Batch occupancy: one batch may dispatch many same-timestamp
 	// events. The count differs with and without -check (checker ticks
 	// add events), so no determinism check compares it.
-	c.stats.Batches += e.sch.Batches()
-	if e.net.Sharded() {
+	c.stats.Batches += e.Sch.Batches()
+	if rs := e.Net.RegionStats(); rs.Events != nil {
 		// Region-engine run: the environment scheduler only carried
 		// control flow. Total events = control + every region scheduler,
 		// an identity TestEngineStatsConservation and bench/ re-check.
 		c.stats.ControlEvents += events
-		se := e.net.ShardEventCounts()
-		if len(se) > c.stats.EngineShards {
-			c.stats.EngineShards = len(se)
-		}
-		for i, v := range se {
+		c.stats.EngineShards = max(c.stats.EngineShards, len(rs.Events))
+		for i, v := range rs.Events {
 			c.stats.ShardEvents[i] += v
 			events += v
 		}
-		c.stats.HandoffsSent += e.net.Handoffs()
-		c.stats.HandoffsRecv += e.net.Handoffs()
-		c.stats.Batches += e.net.ShardBatches()
+		c.stats.HandoffsSent += rs.Handoffs
+		c.stats.HandoffsRecv += rs.Handoffs
+		c.stats.Batches += rs.Batches
 		// The window schedule is a wall-structure diagnostic (-check
 		// ticks clip windows), not part of any determinism check.
-		windows, width, steps := e.net.WindowCounts()
-		c.stats.Windows += windows
-		c.stats.WindowNS += width
-		c.stats.ShardSteps += steps
+		c.stats.Windows += rs.Windows
+		c.stats.WindowNS += rs.WindowNS
+		c.stats.ShardSteps += rs.ShardSteps
 	}
 	c.stats.Events += events
-	for _, l := range e.net.Links() {
+	for _, l := range e.Net.Links() {
 		c.stats.PacketsSent += l.Stats.Sent
 		c.stats.PacketsDelivered += l.Stats.Deliver
 	}
-	f := e.net.Faults()
+	f := e.Net.Faults()
 	c.stats.Unreachable += f.Unreachable
 	c.stats.Corrupted += f.Corrupted
 	c.stats.Duplicated += f.Duplicated
@@ -224,28 +219,19 @@ func (c *RunCtx) ResetStats() {
 	c.dropped = 0
 }
 
-// env bundles the per-scenario simulation plumbing.
-type env struct {
-	sch    *sim.Scheduler
-	net    *simnet.Network
-	rng    *sim.Rand
-	netRng *sim.Rand
-	check  *invariant.Checker
-}
-
 // newEnv returns the context's environment, empty and seeded for the next
-// build: it harvests the previous build, then rewinds the environment,
-// which the first call makes.
-func (c *RunCtx) newEnv(seed int64) *env {
+// build, with the checker armed when checking is enabled: it harvests the
+// previous build, then rewinds the environment, which the first call
+// makes.
+func (c *RunCtx) newEnv(seed int64) scenario.Env {
 	c.harvest()
-	if c.env == nil {
-		sch, netRng := sim.NewScheduler(), sim.NewRand(seed)
-		c.env = &env{sch: sch, net: simnet.New(sch, netRng), rng: sim.NewRand(seed + 7), netRng: netRng}
-		c.env.net.EnableReuse()
+	if c.env.Net == nil {
+		c.env = scenario.NewEnv(seed)
+	} else {
+		c.env.Rewind(seed)
 	}
-	c.env.rewind(seed)
 	c.built = true
-	c.armChecker(c.env)
+	c.armChecker()
 	return c.env
 }
 
@@ -253,17 +239,18 @@ func (c *RunCtx) newEnv(seed int64) *env {
 // new run when checking is enabled, registering the engine-level
 // predicates. Protocol-level predicates join in scenario.Build when the
 // run is scenario-spec driven.
-func (c *RunCtx) armChecker(e *env) {
+func (c *RunCtx) armChecker() {
 	if !c.check {
 		return
 	}
-	if e.check == nil {
-		e.check = invariant.New(e.sch, 0)
+	e := &c.env
+	if e.Check == nil {
+		e.Check = invariant.New(e.Sch, 0)
 	} else {
-		e.check.Reset()
+		e.Check.Reset()
 	}
-	net := e.net
-	e.check.Register("pkt-conservation", func() string {
+	net := e.Net
+	e.Check.Register("pkt-conservation", func() string {
 		if live := net.LivePackets(); live < 0 {
 			return fmt.Sprintf("packet pool conservation broken: %d live packets (double release)", live)
 		}
@@ -272,29 +259,13 @@ func (c *RunCtx) armChecker(e *env) {
 	// A train copy holds a packet reference, so parked copies imply live
 	// packets. The converse bound (held <= live) does NOT hold: a multicast
 	// packet fans one live allocation out to many train copies.
-	e.check.Register("train-conservation", func() string {
+	e.Check.Register("train-conservation", func() string {
 		if held, live := net.TrainHeld(), net.LivePackets(); held > 0 && live == 0 {
 			return fmt.Sprintf("fan-out train conservation broken: %d copies on trains with no live packets", held)
 		}
 		return ""
 	})
-	e.check.Start()
-}
-
-// scenarioEnv returns newEnv's environment wrapped for the scenario
-// builder.
-func (c *RunCtx) scenarioEnv(seed int64) scenario.Env {
-	e := c.newEnv(seed)
-	return scenario.Env{Sch: e.sch, Net: e.net, Rng: e.rng, Check: e.check}
-}
-
-// rewind empties the environment and reseeds it for seed, keeping all
-// its storage.
-func (e *env) rewind(seed int64) {
-	e.sch.Reset()
-	e.net.Reset()
-	e.netRng.Reseed(seed)
-	e.rng.Reseed(seed + 7)
+	e.Check.Start()
 }
 
 const (
@@ -309,19 +280,19 @@ const (
 func (c *RunCtx) SessionThroughput(n int, seconds int) float64 {
 	defer c.harvest()
 	e := c.newEnv(1)
-	r1 := e.net.AddNode("r1")
-	r2 := e.net.AddNode("r2")
-	e.net.AddDuplex(r1, r2, 1*mbit, 20*sim.Millisecond, 30)
-	snd := e.net.AddNode("src")
-	e.net.AddDuplex(snd, r1, 0, sim.Millisecond, 0)
-	sess := tfmcc.NewSession(e.net, snd, 1, 100, tfmcc.DefaultConfig(), e.rng)
+	r1 := e.Net.AddNode("r1")
+	r2 := e.Net.AddNode("r2")
+	e.Net.AddDuplex(r1, r2, 1*mbit, 20*sim.Millisecond, 30)
+	snd := e.Net.AddNode("src")
+	e.Net.AddDuplex(snd, r1, 0, sim.Millisecond, 0)
+	sess := tfmcc.NewSession(e.Net, snd, 1, 100, tfmcc.DefaultConfig(), e.Rng)
 	for i := 0; i < n; i++ {
-		leaf := e.net.AddNode("leaf")
-		e.net.AddDuplex(r2, leaf, 0, sim.Time(2+i%40)*sim.Millisecond, 0)
+		leaf := e.Net.AddNode("leaf")
+		e.Net.AddDuplex(r2, leaf, 0, sim.Time(2+i%40)*sim.Millisecond, 0)
 		sess.AddReceiver(leaf)
 	}
 	sess.Start()
-	e.sch.RunUntil(sim.Time(seconds) * sim.Second)
+	e.Sch.RunUntil(sim.Time(seconds) * sim.Second)
 	return sess.Sender.Rate()
 }
 

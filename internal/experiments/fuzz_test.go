@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/scenario"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 )
 
 // fuzzDuration caps the simulated time of fuzzed specs so the seed
@@ -198,17 +199,82 @@ func fuzzTooExpensive(spec *scenario.Spec) bool {
 	return err == nil && len(top.Topo.Attach) > 2000
 }
 
+// fuzzEventBudget bounds one fuzz run's events. A spec can be cheap to
+// state and dear to run — a byte edit that drops a TCP flow's far end
+// leaves both ends on one router, an uncongested flow that sends about
+// 16 M events in 2 s of simulated time — and a run past the budget is
+// rejected as errTooExpensive at the next slice boundary. The seed
+// corpus peaks at 126 k events a run. Slicing RunUntil moves no byte on
+// either engine (TestSlicedRunUntil).
+const (
+	fuzzEventBudget = 500_000
+	fuzzSlice       = 100 * sim.Millisecond
+)
+
+// fuzzRun is one FuzzScenarioSpec run of base on one engine: an optional
+// leading record of the mutation bytes becomes command-line overrides
+// applied with Spec.Apply (fuzzOverrides); the rest is split in half:
+// the first half becomes structured fault events (mutateSpec), the
+// second half a byte-level edit script over the spec's serialised JSON
+// form (mutateJSON), so the strict loader sits inside the fuzzed path
+// too. It returns the run's series as TSV.
+func fuzzRun(base func() *scenario.Spec, seed int64, mut []byte, engineWorkers int) (string, error) {
+	spec := base()
+	if spec.Duration > fuzzDuration {
+		spec.Duration = fuzzDuration
+	}
+	ov, mut := fuzzOverrides(mut)
+	spec, err := spec.Apply(ov)
+	if err != nil {
+		return "", err
+	}
+	half := len(mut) / 2
+	mutateSpec(spec, mut[:half])
+	enc, err := spec.Encode()
+	if err != nil {
+		return "", err
+	}
+	spec, err = scenario.DecodeSpec(mutateJSON(enc, mut[half:]))
+	if err != nil {
+		return "", err
+	}
+	if spec.Duration <= 0 || spec.Duration > fuzzDuration {
+		spec.Duration = fuzzDuration
+	}
+	if fuzzTooExpensive(spec) {
+		return "", errTooExpensive
+	}
+	ctx := NewRunCtxFor(sweep.Config{Check: true, EngineWorkers: engineWorkers})
+	sc, err := ctx.build(spec, seed)
+	if err != nil {
+		return "", err
+	}
+	sc.Start()
+	for now := sim.Time(0); now < spec.Duration; {
+		now = min(now+fuzzSlice, spec.Duration)
+		sc.RunUntil(now)
+		events := sc.Env.Sch.Processed()
+		for _, n := range sc.Env.Net.RegionStats().Events {
+			events += n
+		}
+		if events > fuzzEventBudget {
+			return "", errTooExpensive
+		}
+	}
+	out := ""
+	for _, s := range sc.Series() {
+		out += s.TSV()
+	}
+	return out, nil
+}
+
 // FuzzScenarioSpec drives randomly mutated scenario specs — every
 // registered Spec-backed entry with fuzz-chosen overrides and fault events
-// spliced in — through the executor. An optional leading record of the
-// mutation bytes becomes command-line overrides applied with Spec.Apply
-// (fuzzOverrides); the rest is split in half: the first half becomes
-// structured fault events (mutateSpec), the second half a byte-level edit
-// script over the spec's serialised JSON form (mutateJSON), so the strict
-// loader sits inside the fuzzed path too.
-// The contract under test: a spec either fails to decode/build/run with
-// a structured error or runs deterministically (two runs with the same
-// seed are byte-identical); it never panics.
+// spliced in — through the executor (fuzzRun).
+// The contract under test, on the serial engine and on the region
+// engine alike: a spec either fails to decode/build/run with a
+// structured error or runs deterministically (two runs with the same
+// seed on one engine are byte-identical); it never panics.
 func FuzzScenarioSpec(f *testing.F) {
 	for i, id := range ScenarioIDs() {
 		f.Add(id, int64(i+1), []byte{byte(i), 0x40, byte(2 * i), 1})
@@ -231,54 +297,33 @@ func FuzzScenarioSpec(f *testing.F) {
 			}
 			base = e.Spec
 		}
-		run := func() (string, error) {
-			spec := base()
-			if spec.Duration > fuzzDuration {
-				spec.Duration = fuzzDuration
+		for _, ew := range []int{1, 2} {
+			first, err1 := fuzzRun(base, seed, mut, ew)
+			second, err2 := fuzzRun(base, seed, mut, ew)
+			switch {
+			case err1 != nil || err2 != nil:
+				if (err1 == nil) != (err2 == nil) || (err1 != nil && err1.Error() != err2.Error()) {
+					t.Fatalf("-engineworkers %d: non-deterministic error: %v vs %v", ew, err1, err2)
+				}
+			case first != second:
+				t.Fatalf("-engineworkers %d: same spec and seed produced different output (%d vs %d bytes)",
+					ew, len(first), len(second))
 			}
-			ov, mut := fuzzOverrides(mut)
-			spec, err := spec.Apply(ov)
-			if err != nil {
-				return "", err
-			}
-			half := len(mut) / 2
-			mutateSpec(spec, mut[:half])
-			enc, err := spec.Encode()
-			if err != nil {
-				return "", err
-			}
-			spec, err = scenario.DecodeSpec(mutateJSON(enc, mut[half:]))
-			if err != nil {
-				return "", err
-			}
-			if spec.Duration <= 0 || spec.Duration > fuzzDuration {
-				spec.Duration = fuzzDuration
-			}
-			if fuzzTooExpensive(spec) {
-				return "", errTooExpensive
-			}
-			ctx := NewRunCtx()
-			ctx.EnableInvariants()
-			sc, err := ctx.runSpec(spec, seed)
-			if err != nil {
-				return "", err
-			}
-			out := ""
-			for _, s := range sc.Series() {
-				out += s.TSV()
-			}
-			return out, nil
-		}
-		first, err1 := run()
-		second, err2 := run()
-		switch {
-		case err1 != nil || err2 != nil:
-			if (err1 == nil) != (err2 == nil) || (err1 != nil && err1.Error() != err2.Error()) {
-				t.Fatalf("non-deterministic error: %v vs %v", err1, err2)
-			}
-		case first != second:
-			t.Fatalf("same spec and seed produced different output (%d vs %d bytes)",
-				len(first), len(second))
 		}
 	})
+}
+
+// TestFuzzRejectsRunawayFlow is the input the region-engine fuzzer
+// reported as a hang (corpus entry fe837658651ea093, kept as this test):
+// cohort256 with tcp5's far end edited away, so the flow runs between two
+// access links of one router with nothing to slow it. Each run took over
+// 3 s, four of them more than the fuzzer's patience; past the event
+// budget it is now refused in a fraction of that, on both engines.
+func TestFuzzRejectsRunawayFlow(t *testing.T) {
+	e, _ := Lookup("cohort256")
+	for _, ew := range []int{1, 2} {
+		if _, err := fuzzRun(e.Spec, -5, []byte("A0x\f\f000900"), ew); err != errTooExpensive {
+			t.Errorf("-engineworkers %d: %v, want errTooExpensive", ew, err)
+		}
+	}
 }

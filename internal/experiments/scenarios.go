@@ -37,7 +37,7 @@ func init() {
 // engineWorkers >= 2, serial otherwise — the one dispatch every scenario
 // goes through. The caller starts it and drives its clock with RunUntil.
 func (c *RunCtx) build(spec *scenario.Spec, seed int64) (*scenario.Scenario, error) {
-	env := c.scenarioEnv(seed)
+	env := c.newEnv(seed)
 	if c.engineWorkers >= 2 {
 		return engine.Build(env, spec, seed)
 	}

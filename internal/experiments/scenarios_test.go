@@ -42,6 +42,49 @@ func TestStarvedCoreLinkDeliversNothing(t *testing.T) {
 	}
 }
 
+// TestMaxDelaysRunCleanly runs delays near the end of sim.Time on both
+// engines with the checker armed. The runs end cleanly with nothing
+// delivered over those links:
+//   - the exported flashcrowd with every site hop's down.delay_ns at the
+//     largest sim.Time, which routes nothing (its route weight used to
+//     wrap negative, and fan-out trains then wrapped an arrival into the
+//     past and panicked);
+//   - figure 9 with a core delay of 3·2⁶⁰ ns, reordered by an impair
+//     event with the default bound, four times the delay, which used to
+//     wrap negative and hand the region engine a crossing arrival in the
+//     past.
+func TestMaxDelaysRunCleanly(t *testing.T) {
+	maxSites := func() *scenario.Spec {
+		spec := scenario.FlashCrowd()
+		for _, st := range spec.Steps {
+			if st.Site != nil {
+				for h := range st.Site.Hops {
+					st.Site.Hops[h].Down.Delay = sim.MaxTime
+				}
+			}
+		}
+		return spec
+	}
+	reorderedCore := func() *scenario.Spec {
+		spec := Figure9Spec()
+		spec.Duration = 5 * sim.Second
+		spec.Topology.Core.Delay = 3 << 60
+		spec.Events = append(spec.Events, scenario.ImpairEvent(sim.Second, scenario.CoreLink(0), scenario.Impair{Reorder: 1}))
+		return spec
+	}
+	for name, make := range map[string]func() *scenario.Spec{"max-sites": maxSites, "reordered-core": reorderedCore} {
+		for _, ew := range []int{1, 2} {
+			r := Sweep(SpecJob(name, make()), sweep.Config{Check: true, EngineWorkers: ew}).Runs[0]
+			if r.Err != nil || len(r.Violations) > 0 {
+				t.Errorf("%s -engineworkers %d: err %v, violations %v", name, ew, r.Err, r.Violations)
+			}
+			if r.Stats.PacketsSent == 0 && r.Stats.Unreachable == 0 {
+				t.Errorf("%s -engineworkers %d: nothing was sent; the test proves nothing", name, ew)
+			}
+		}
+	}
+}
+
 // TestScenarioRewindVsFresh pins the arena interplay of the scenario
 // executor: running a preset on a warm context (rewound scheduler,
 // topology rebuilt on recycled storage, pooled protocol state) must
@@ -244,7 +287,7 @@ func TestBuildRejectsUnusableTCPConfig(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", field, err)
 		}
-		_, err = scenario.Build(NewRunCtx().scenarioEnv(1), dec)
+		_, err = scenario.Build(scenario.NewEnv(1), dec)
 		if err == nil || !strings.Contains(err.Error(), `flow "tcp0"`) || !strings.Contains(err.Error(), field) {
 			t.Errorf("%s: %v, want a Build error naming flow tcp0 and the field", field, err)
 		}
@@ -287,6 +330,10 @@ func TestBuildRejectsUnusableNumbers(t *testing.T) {
 			}
 		}},
 		{"jitter.min_ms", Figure12Spec, func(s *scenario.Spec) { s.Pop.Jitter.MinMs = -60 }},
+		// Largest draws past the end of sim.Time: they used to wrap to a
+		// negative delay and panic at the first fan-out.
+		{"jitter.min_ms", Figure12Spec, func(s *scenario.Spec) { s.Pop.Jitter.MinMs = 9223372036854 }},
+		{"jitter.min_ms", Figure12Spec, func(s *scenario.Spec) { s.Pop.Jitter.SpanMs = math.MaxInt }},
 		{"pop.hop.up.loss", Figure12Spec, func(s *scenario.Spec) { s.Pop.Hop = scenario.FastHop(); s.Pop.Hop.Up.Loss = 1.5 }},
 		{"topology.core.bw", Figure9Spec, func(s *scenario.Spec) { s.Topology.Core.BW = -1 }},
 		{"topology.core.bw", Figure9Spec, func(s *scenario.Spec) { s.Topology.Core.BW = math.Inf(1) }},
@@ -307,7 +354,7 @@ func TestBuildRejectsUnusableNumbers(t *testing.T) {
 	} {
 		spec := tc.spec()
 		tc.edit(spec)
-		_, err := scenario.Build(NewRunCtx().scenarioEnv(1), spec)
+		_, err := scenario.Build(scenario.NewEnv(1), spec)
 		if err == nil || !strings.Contains(err.Error(), tc.field) {
 			t.Errorf("%s: Build = %v, want an error naming the field", tc.field, err)
 		}

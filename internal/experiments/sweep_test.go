@@ -20,32 +20,32 @@ import (
 func miniSession(c *RunCtx, seed int64) *Result {
 	defer c.harvest()
 	e := c.newEnv(seed)
-	r1 := e.net.AddNode("r1")
-	r2 := e.net.AddNode("r2")
-	e.net.AddDuplex(r1, r2, 1*mbit, 10*sim.Millisecond, 20)
-	snd := e.net.AddNode("src")
-	e.net.AddDuplex(snd, r1, 0, sim.Millisecond, 0)
-	sess := tfmcc.NewSession(e.net, snd, 1, 100, tfmcc.DefaultConfig(), e.rng)
+	r1 := e.Net.AddNode("r1")
+	r2 := e.Net.AddNode("r2")
+	e.Net.AddDuplex(r1, r2, 1*mbit, 10*sim.Millisecond, 20)
+	snd := e.Net.AddNode("src")
+	e.Net.AddDuplex(snd, r1, 0, sim.Millisecond, 0)
+	sess := tfmcc.NewSession(e.Net, snd, 1, 100, tfmcc.DefaultConfig(), e.Rng)
 	var m *stats.Meter
 	for i := 0; i < 6; i++ {
-		leaf := e.net.AddNode(fmt.Sprintf("leaf%d", i))
-		down, _ := e.net.AddDuplex(r2, leaf, 0, sim.Time(2+i)*sim.Millisecond, 0)
+		leaf := e.Net.AddNode(fmt.Sprintf("leaf%d", i))
+		down, _ := e.Net.AddDuplex(r2, leaf, 0, sim.Time(2+i)*sim.Millisecond, 0)
 		down.LossProb = 0.01
 		rcv := sess.AddReceiver(leaf)
 		if i == 0 {
-			m = scenario.Env{Sch: e.sch, Net: e.net, Rng: e.rng}.NewMeterAt("rate", leaf)
+			m = e.NewMeterAt("rate", leaf)
 			rcv.Meter = m
 			m.Start()
 		}
 	}
 	sess.Start()
-	e.sch.RunUntil(8 * sim.Second)
+	e.Sch.RunUntil(8 * sim.Second)
 
 	res := &Result{Figure: "mini", Title: "mini session"}
 	res.Series = append(res.Series, m.Series)
 	cnt := &stats.Series{Name: "counters"}
 	cnt.Add(0, float64(sess.Sender.Rate()))
-	cnt.Add(0, float64(e.sch.Processed()))
+	cnt.Add(0, float64(e.Sch.Processed()))
 	for _, r := range sess.Receivers {
 		st := r.Stats()
 		cnt.Add(0, float64(st.PacketsRecv))
@@ -187,9 +187,9 @@ func TestDroppedViolationsCounted(t *testing.T) {
 	job := Job{ID: "breach", run: func(c *RunCtx, seed int64) (*Result, error) {
 		e := c.newEnv(seed)
 		n := 0
-		e.check.Register("always", func() string { n++; return fmt.Sprintf("breach %d", n) })
-		e.sch.RunUntil(10 * sim.Second)
-		ticks = e.check.Ticks()
+		e.Check.Register("always", func() string { n++; return fmt.Sprintf("breach %d", n) })
+		e.Sch.RunUntil(10 * sim.Second)
+		ticks = e.Check.Ticks()
 		return &Result{Figure: "breach"}, nil
 	}}
 	r := Sweep(job, sweep.Config{Check: true}).Runs[0]

@@ -24,6 +24,27 @@ type Env struct {
 	Check *invariant.Checker
 }
 
+// NewEnv returns a rewindable environment (arena reuse on) seeded for
+// seed, with no checker.
+func NewEnv(seed int64) Env {
+	sch := sim.NewScheduler()
+	e := Env{Sch: sch, Net: simnet.New(sch, sim.NewRand(0)), Rng: sim.NewRand(0)}
+	e.Net.EnableReuse()
+	e.Rewind(seed) // seeds both streams
+	return e
+}
+
+// Rewind empties the environment for a build seeded for seed, keeping
+// its storage. It owns the seed-to-stream mapping every run uses: the
+// network stream is seed and the protocol stream seed + 7, so a scratch
+// build (BuildScratch) replicates a run's draws.
+func (e Env) Rewind(seed int64) {
+	e.Sch.Reset()
+	e.Net.Reset()
+	e.Net.Rand().Reseed(seed)
+	e.Rng.Reseed(seed + 7)
+}
+
 // meterArenaKey pools stats.Meter structs on reuse-enabled networks. A
 // recycled meter gets a fresh Series (a previous run's Result may still
 // reference the old one) but reuses the struct.
@@ -285,9 +306,7 @@ func (s *Spec) checkLinks() error {
 // its only random draws (site jitter) come from the protocol stream on
 // either engine, so the scratch build replicates a run's topology.
 func BuildScratch(spec *Spec, seed int64) (*Scenario, error) {
-	sch := sim.NewScheduler()
-	net := simnet.New(sch, sim.NewRand(seed))
-	return Build(Env{Sch: sch, Net: net, Rng: sim.NewRand(seed + 7)}, spec)
+	return Build(NewEnv(seed), spec)
 }
 
 // maxPopulation bounds declared receiver blocks so a malformed (or
@@ -413,6 +432,10 @@ func (sc *Scenario) buildSite(s *SiteSpec) error {
 	}
 	if j := s.Jitter; j != nil && (j.MinMs < 0 || j.SpanMs < 1) {
 		return fmt.Errorf("scenario %s: jitter.min_ms %d must be >= 0 and jitter.span_ms %d >= 1", sc.Spec.Name, j.MinMs, j.SpanMs)
+	}
+	// The largest draw, min_ms + span_ms - 1 milliseconds, must fit sim.Time.
+	if j := s.Jitter; j != nil && j.MinMs > int(sim.MaxTime/sim.Millisecond)-(j.SpanMs-1) {
+		return fmt.Errorf("scenario %s: jitter.min_ms %d + jitter.span_ms %d ms does not fit sim.Time", sc.Spec.Name, j.MinMs, j.SpanMs)
 	}
 	idx := len(sc.SiteLeaf)
 	hops := append([]Hop(nil), s.Hops...)
@@ -791,7 +814,7 @@ func (m *SetLink) apply(l *simnet.Link) {
 	if im := m.Impair; im != nil {
 		extra := im.ReorderDelay
 		if extra == 0 {
-			extra = 4 * l.Delay
+			extra = l.Delay.Scale(4) // saturates: a delay near MaxTime must not wrap
 			if extra == 0 {
 				extra = sim.Millisecond
 			}

@@ -10,12 +10,6 @@ import (
 	"repro/internal/tfmcc"
 )
 
-func testEnv(seed int64) Env {
-	sch := sim.NewScheduler()
-	net := simnet.New(sch, sim.NewRand(seed))
-	return Env{Sch: sch, Net: net, Rng: sim.NewRand(seed + 7)}
-}
-
 func mustLink(t *testing.T, sc *Scenario, ref LinkRef) *simnet.Link {
 	t.Helper()
 	l, err := sc.Link(ref)
@@ -39,7 +33,7 @@ func TestTopologyGenerators(t *testing.T) {
 			Core: LinkP{Delay: sim.Millisecond}, StubLink: LinkP{Delay: sim.Millisecond}}, 9, 6, 8},
 	}
 	for _, c := range cases {
-		env := testEnv(1)
+		env := NewEnv(1)
 		topo, err := buildTopology(env.Net, c.top)
 		if err != nil {
 			t.Fatalf("%s: %v", c.top.Kind, err)
@@ -85,7 +79,7 @@ func TestEventScript(t *testing.T) {
 		},
 		Duration: 6 * sim.Second,
 	}
-	env := testEnv(1)
+	env := NewEnv(1)
 	sc, err := Build(env, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +157,7 @@ func TestChurnScript(t *testing.T) {
 		},
 		Duration: 6 * sim.Second,
 	}
-	env := testEnv(1)
+	env := NewEnv(1)
 	sc, err := Build(env, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -295,13 +289,41 @@ func TestOverridesRejectNonsense(t *testing.T) {
 	}
 }
 
+// TestTopologySizeGuardsCannotOverflow: topology sizes whose node count
+// overflows int are refused like any other oversized topology, naming
+// the field, before Build creates a node — they used to wrap past the
+// guard and exhaust memory building the nodes.
+func TestTopologySizeGuardsCannotOverflow(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		make  func() *Spec
+		edit  func(*Topology)
+	}{
+		{"topology.fanout", DeepTree, func(tp *Topology) { tp.Fanout, tp.Depth = math.MaxInt64, 1 }},
+		{"topology.fanout", DeepTree, func(tp *Topology) { tp.Fanout, tp.Depth = 1<<32+1, 2 }},
+		{"topology.depth", DeepTree, func(tp *Topology) { tp.Fanout, tp.Depth = 2, math.MaxInt }},
+		{"topology.stubs", Wireless, func(tp *Topology) { tp.Transit, tp.Stubs = 65536, 1<<48-1 }},
+		{"topology.stubs", Wireless, func(tp *Topology) { tp.Transit, tp.Stubs = 2, math.MaxInt }},
+		{"topology.hops", ChainLoss, func(tp *Topology) { tp.Hops = math.MaxInt }},
+	} {
+		spec := tc.make()
+		tc.edit(&spec.Topology)
+		env := NewEnv(1)
+		_, err := Build(env, spec)
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: Build = %v, want an error naming the field", tc.field, err)
+		}
+		if n := env.Net.NumNodes(); n != 0 {
+			t.Errorf("%s: Build created %d nodes before refusing the topology", tc.field, n)
+		}
+	}
+}
+
 // TestPresetSpecsBuild builds every preset spec (no run) so reference
 // errors — bad site indices, unknown flows in aggregates — fail fast.
 func TestPresetSpecsBuild(t *testing.T) {
 	for _, p := range Presets() {
-		env := testEnv(1)
-		env.Net.EnableReuse()
-		sc, err := Build(env, p.Make())
+		sc, err := Build(NewEnv(1), p.Make())
 		if err != nil {
 			t.Fatalf("%s: %v", p.ID, err)
 		}
@@ -332,7 +354,7 @@ func TestBuildRejectsUnusableSessionConfig(t *testing.T) {
 		cfg := *spec.Session.Cfg
 		mut(&cfg)
 		spec.Session.Cfg = &cfg
-		if _, err := Build(testEnv(1), spec); err == nil || !strings.Contains(err.Error(), field) {
+		if _, err := Build(NewEnv(1), spec); err == nil || !strings.Contains(err.Error(), field) {
 			t.Errorf("%s: want a Build error naming the field, got %v", field, err)
 		}
 	}

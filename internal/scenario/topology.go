@@ -55,14 +55,16 @@ func buildTopology(net *simnet.Network, t Topology) (*Topo, error) {
 		if fanout < 2 {
 			fanout = 2
 		}
+		// Level by level, the next level must fit what is left of the
+		// budget; comparing by division keeps every product in range.
 		total, width := 1, 1
 		for d := 0; d < t.Depth; d++ {
-			width *= fanout
-			total += width
-			if total > maxCoreNodes {
-				return nil, fmt.Errorf("tree topology too large: fanout %d depth %d exceeds %d nodes",
+			if width > (maxCoreNodes-total)/fanout {
+				return nil, fmt.Errorf("tree topology too large: topology.fanout %d and topology.depth %d exceed %d nodes",
 					fanout, t.Depth, maxCoreNodes)
 			}
+			width *= fanout
+			total += width
 		}
 		root := net.AddNode("tree-root")
 		topo := &Topo{Nodes: []simnet.NodeID{root}, SenderAttach: root}
@@ -89,7 +91,7 @@ func buildTopology(net *simnet.Network, t Topology) (*Topo, error) {
 			hops = 1
 		}
 		if hops > maxCoreNodes {
-			return nil, fmt.Errorf("chain topology too large: %d hops exceeds %d nodes", hops, maxCoreNodes)
+			return nil, fmt.Errorf("chain topology too large: topology.hops %d exceeds %d nodes", hops, maxCoreNodes)
 		}
 		topo := &Topo{}
 		prev := net.AddNode("chain-0")
@@ -114,8 +116,9 @@ func buildTopology(net *simnet.Network, t Topology) (*Topo, error) {
 		if stubs < 1 {
 			stubs = 1
 		}
-		if transit > maxCoreNodes || transit*(stubs+1) > maxCoreNodes {
-			return nil, fmt.Errorf("transit-stub topology too large: %d transit x %d stubs exceeds %d nodes",
+		// transit*(stubs+1) nodes, compared by division so it cannot wrap.
+		if transit > maxCoreNodes || stubs >= maxCoreNodes/transit {
+			return nil, fmt.Errorf("transit-stub topology too large: topology.transit %d x (topology.stubs %d + 1) exceeds %d nodes",
 				transit, stubs, maxCoreNodes)
 		}
 		topo := &Topo{}

@@ -151,12 +151,7 @@ func (s *Scheduler) After(d Time, fn func()) Timer {
 	return s.schedule(s.later(d), callFunc, fn)
 }
 
-func (s *Scheduler) later(d Time) Time {
-	if d > MaxTime-s.now {
-		return MaxTime
-	}
-	return s.now + max(d, 0)
-}
+func (s *Scheduler) later(d Time) Time { return Later(s.now, max(d, 0)) }
 
 // AtArg schedules fn(arg) at absolute time t. Unlike At it needs no
 // closure: callers keep one fn per object and pass per-event state in arg,

@@ -58,6 +58,16 @@ func saturate(ns float64) Time {
 	return Time(ns)
 }
 
+// Later returns the instant d >= 0 after t >= 0, saturating at MaxTime:
+// an arrival past the end of time is MaxTime, which no RunUntil bound
+// below it reaches.
+func Later(t, d Time) Time {
+	if d > MaxTime-t {
+		return MaxTime
+	}
+	return t + d
+}
+
 // MinTime returns the smaller of a and b.
 func MinTime(a, b Time) Time {
 	if a < b {

@@ -73,7 +73,6 @@ type Link struct {
 	net   *Network
 	sched *sim.Scheduler
 	rng   *sim.Rand
-	shard int32 // from-side region, -1 on a serial network
 
 	// Pre-bound callbacks so per-packet scheduling allocates no closures;
 	// the packet rides along as the event argument.
@@ -84,7 +83,7 @@ type Link struct {
 }
 
 // linkPad rounds Link up to 256 bytes.
-const linkPad = 8
+const linkPad = 16
 
 // init sets the link up as AddLink creates it, on a new *Link or on one
 // an earlier run of a rewound network left behind: counters zeroed,
@@ -236,7 +235,7 @@ func (l *Link) propDelay() sim.Time {
 	d := l.Delay
 	if l.reorder > 0 && l.rng.Bool(l.reorder) {
 		l.Stats.Reordered++
-		d += sim.Time(float64(l.reorderDelay) * l.rng.Float64())
+		d = sim.Later(d, sim.Time(float64(l.reorderDelay)*l.rng.Float64()))
 	}
 	return d
 }
@@ -245,12 +244,13 @@ func (l *Link) propDelay() sim.Time {
 // timer per packet, on the far node's region scheduler when the link
 // crosses regions (the crossing delay is at least the lookahead, so the
 // arrival is at or after the window's end, which the destination's clock
-// has not passed).
+// has not passed). Either way an arrival past the end of sim.Time is
+// scheduled at MaxTime.
 func (l *Link) propagate(pkt *Packet) {
 	d := l.propDelay()
 	if l.crossTo >= 0 {
-		l.net.handoffs++
-		l.net.shards[l.crossTo].sched.AtArg(l.sched.Now()+d, l.deliverFn, pkt)
+		l.net.regions.handoffs++
+		l.net.regions.shards[l.crossTo].sched.AtArg(sim.Later(l.sched.Now(), d), l.deliverFn, pkt)
 		return
 	}
 	l.sched.AfterArg(d, l.deliverFn, pkt)

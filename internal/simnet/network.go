@@ -92,21 +92,11 @@ type Network struct {
 	reuse bool
 	arena *sim.Arena
 
-	// Sharded execution (EnableSharding): nodes are assigned to regions,
-	// each region runs on its own scheduler/RNG pair, and crossing-link
-	// propagation is scheduled on the destination region's scheduler.
-	// See shard.go.
-	sharded   bool
-	shardOf   []int32
-	shards    []*shardCtx
-	handoffs  uint64 // packets sent over crossing links
-	hints     map[NodeID]int32
-	lookahead sim.Time
-
-	// Window schedule of the sharded run so far (see WindowCounts).
-	windows    uint64
-	windowNS   sim.Time
-	shardSteps uint64
+	// Sharded execution (EnableSharding), zero on a serial network: nodes
+	// are assigned to regions, each region runs on its own scheduler/RNG
+	// pair, and crossing-link propagation is scheduled on the destination
+	// region's scheduler. See shard.go.
+	regions regions
 }
 
 // FaultStats counts network-wide fault-injection outcomes: packets that
@@ -256,17 +246,9 @@ func (n *Network) Reset() bool {
 	n.arena.Rewind()
 	n.faults = FaultStats{}
 	n.pktLive = 0
-	clear(n.hints)
-	if n.sharded {
-		// Tear sharding down. Rebuilt links bind to the serial
-		// scheduler/RNG; a following sharded run re-enables with fresh
-		// shard state.
-		n.sharded = false
-		n.shards = nil
-		n.shardOf = n.shardOf[:0]
-		n.handoffs = 0
-		n.windows, n.windowNS, n.shardSteps = 0, 0, 0
-	}
+	// Rebuilt links bind to the serial scheduler/RNG; a following sharded
+	// run re-enables with fresh shard state.
+	n.regions = regions{}
 	return true
 }
 
@@ -498,7 +480,7 @@ func (n *Network) releasePkt(p *Packet) {
 // shortest-path (by propagation delay) routes; multicast packets follow
 // the source-rooted shortest-path tree over current group members.
 func (n *Network) Send(pkt *Packet) {
-	pkt.SentAt = n.schedForNode(pkt.Src.Node).Now()
+	pkt.SentAt = n.SchedFor(pkt.Src.Node).Now()
 	pkt.refs = 1
 	pkt.tree = nil // a reused packet must not forward along a stale tree
 	if pkt.IsMcast {
@@ -823,7 +805,11 @@ func (n *Network) dijkstra(src NodeID, next []int32) {
 				continue // down links carry no traffic and no routes
 			}
 			v := l.To
-			w := int64(l.Delay) + 1 // +1 keeps zero-delay hops countable
+			// +1 keeps zero-delay hops countable. A delay of inf or more
+			// makes the far end unreachable over this link: clamped, the
+			// weight is at most inf and dist[u] below it, so the sum cannot
+			// wrap negative and attract every route.
+			w := min(int64(l.Delay), inf-1) + 1
 			if nd := dist[u] + w; nd < dist[v] {
 				dist[v] = nd
 				prev[v] = u

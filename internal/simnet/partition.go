@@ -91,7 +91,7 @@ func PartitionRegions(n *Network, pinned map[*Link]bool, maxShards int) Partitio
 	for i := range label {
 		label[i] = -1
 	}
-	for id, r := range n.hints {
+	for id, r := range n.regions.hints {
 		root := d.find(int32(id))
 		if label[root] == -1 || r < label[root] {
 			label[root] = r
@@ -123,7 +123,7 @@ func PartitionRegions(n *Network, pinned map[*Link]bool, maxShards int) Partitio
 		}
 	}
 
-	if len(n.hints) > 0 {
+	if len(n.regions.hints) > 0 {
 		// Hinted: unhinted nodes inherit a region over their links, to a
 		// fixpoint. A link between two differently-labeled sets is a
 		// crossing candidate and is left alone.

@@ -44,7 +44,7 @@ func eagerRoutes(n *Network) [][]int32 {
 			}
 			slices.SortFunc(out, func(a, b *Link) int { return int(a.To) - int(b.To) })
 			for _, l := range out {
-				if nd := dist[u] + int64(l.Delay) + 1; nd < dist[l.To] {
+				if nd := dist[u] + min(int64(l.Delay), inf-1) + 1; nd < dist[l.To] {
 					dist[l.To], prev[l.To] = nd, u
 				}
 			}
@@ -195,6 +195,27 @@ func TestRouteSlabsSurviveInvalidation(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("route recomputation allocates %v objects per rebuild", allocs)
+	}
+}
+
+// TestRoutesSkipEndlessLinks: a link whose delay reaches 2⁶² ns (about
+// 146 years) routes nothing, whatever its delay up to the end of
+// sim.Time. Its weight used to wrap negative at MaxTime, so the route
+// from a to b took it over a 2 ms path, and a node behind it alone was
+// reachable.
+func TestRoutesSkipEndlessLinks(t *testing.T) {
+	n := New(sim.NewScheduler(), sim.NewRand(1))
+	a, b, c, far := n.AddNode("a"), n.AddNode("b"), n.AddNode("c"), n.AddNode("far")
+	n.AddLink(a, b, 0, sim.MaxTime, 0)
+	n.AddLink(a, far, 0, sim.MaxTime, 0)
+	n.AddDuplex(a, c, 0, sim.Millisecond, 0)
+	n.AddDuplex(c, b, 0, sim.Millisecond, 0)
+	row := n.routeRow(a)
+	if via := n.linkIdx[linkKey{a, c}]; row[b] != via || row[far] != -1 {
+		t.Errorf("a routes to b over link %d (want %d, via c) and to far over %d (want -1)", row[b], via, row[far])
+	}
+	if want := eagerRoutes(n)[a]; !slices.Equal(row, want) {
+		t.Errorf("row %v, eager table has %v", row, want)
 	}
 }
 

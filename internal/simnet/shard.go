@@ -4,22 +4,40 @@ import "repro/internal/sim"
 
 // Sharded (region) execution support.
 //
-// EnableSharding assigns every node to a region and binds each region to
-// its own scheduler and RNG pair. All intra-region traffic — link entry
-// modules, serialisers, propagation, protocol timers — runs on the
-// region's shard; the only inter-region interaction is propagation over a
-// crossing link, which the sender schedules straight into the destination
-// shard. RunUntil steps the shards one after another on the calling
-// goroutine, in conservative lookahead windows no wider than the minimum
-// crossing-link delay, so a crossing packet always arrives at or after
-// the window's end, which no shard clock passes inside the window: the
-// destination scheduler never sees an event in its past, whichever of
-// the two shards steps first. Everything else — the packet free lists,
-// routes, compiled multicast trees, fault counters — is the network's
-// one copy, shared by every region.
+// EnableSharding assigns every node to a region and gives each region
+// its own scheduler and RNG pair, derived from the run's seed and the
+// region index. All intra-region traffic — link entry modules,
+// serialisers, propagation, protocol timers — runs on the region's
+// shard; the only inter-region interaction is propagation over a
+// crossing link, which the sender schedules straight into the
+// destination shard. RunUntil steps the shards one after another on the
+// calling goroutine, in conservative lookahead windows no wider than the
+// minimum crossing-link delay, so a crossing packet always arrives at or
+// after the window's end, which no shard clock passes inside the window:
+// the destination scheduler never sees an event in its past, whichever
+// of the two shards steps first. Everything else — the packet free
+// lists, routes, compiled multicast trees, fault counters — is the
+// network's one copy, shared by every region.
 //
-// Everything here is gated on n.sharded; a network that never calls
-// EnableSharding takes exactly the serial code paths it always did.
+// All of it lives in Network.regions, which is zero on a serial network:
+// a network that never calls EnableSharding takes exactly the serial
+// code paths it always did, and Reset tears sharding down by zeroing it.
+// RegionStats reads its counters in one call.
+
+// regions is a network's region state: the partition, the shards and
+// the counters of the sharded run so far. Zero means serial (shards is
+// nil); only hints are also set on a serial network.
+type regions struct {
+	shardOf   []int32
+	shards    []shardCtx
+	lookahead sim.Time
+	hints     map[NodeID]int32
+
+	handoffs   uint64 // packets sent over crossing links
+	windows    uint64
+	windowNS   sim.Time
+	shardSteps uint64
+}
 
 // shardCtx is one region's execution context.
 type shardCtx struct {
@@ -32,33 +50,29 @@ type shardCtx struct {
 	next sim.Time
 }
 
-// ShardSetup binds one region to its scheduler and RNG streams.
-type ShardSetup struct {
-	Sched    *sim.Scheduler
-	NetRng   *sim.Rand
-	ProtoRng *sim.Rand
-}
+// regionRngMix spreads the region index across the seed bits (the
+// 64-bit golden ratio, the usual splitmix increment) so per-region
+// streams are decorrelated from each other and from the serial streams.
+const regionRngMix = 0x9E3779B97F4A7C15
 
 // EnableSharding switches the network to sharded execution: p maps every
 // node (present and to be built — the caller derives it from a scratch
 // build of the same scenario) to a region and bounds RunUntil's windows
-// by its lookahead, and setups binds each region's scheduler and RNGs.
-// Existing links are rebound; links added later bind on creation. Reset
-// tears sharding down again.
-func (n *Network) EnableSharding(p Partition, setups []ShardSetup) {
-	k := len(setups)
-	if k == 0 {
+// by its lookahead. Each region gets a new scheduler and network and
+// protocol streams that depend only on (seed, region). Existing links
+// are rebound; links added later bind on creation. Reset tears sharding
+// down again.
+func (n *Network) EnableSharding(p Partition, seed int64) {
+	if p.Shards == 0 {
 		panic("simnet: EnableSharding with no shards")
 	}
-	n.sharded = true
-	n.shardOf = append(n.shardOf[:0], p.ShardOf...)
-	n.lookahead = p.Lookahead
-	n.shards = make([]*shardCtx, k)
-	for i, s := range setups {
-		n.shards[i] = &shardCtx{sched: s.Sched, rng: s.NetRng, proto: s.ProtoRng}
+	r := regions{shardOf: p.ShardOf, shards: make([]shardCtx, p.Shards),
+		lookahead: p.Lookahead, hints: n.regions.hints}
+	for i := range r.shards {
+		mix := int64(uint64(seed) ^ (uint64(i+1) * regionRngMix))
+		r.shards[i] = shardCtx{sched: sim.NewScheduler(), rng: sim.NewRand(mix), proto: sim.NewRand(mix + 7)}
 	}
-	n.handoffs = 0
-	n.windows, n.windowNS, n.shardSteps = 0, 0, 0
+	n.regions = r
 	for _, l := range n.linkList {
 		n.bindLink(l)
 	}
@@ -77,8 +91,8 @@ func (n *Network) EnableSharding(p Partition, setups []ShardSetup) {
 // calls — is already in its destination's scheduler, so the next window
 // is sized from the shards' heaps alone.
 func (n *Network) RunUntil(t sim.Time) {
-	ctl := n.sched
-	if !n.sharded {
+	ctl, r := n.sched, &n.regions
+	if r.shards == nil {
 		ctl.RunUntil(t)
 		return
 	}
@@ -86,8 +100,8 @@ func (n *Network) RunUntil(t sim.Time) {
 		end := t
 		// emin == MaxTime means no shard has pending work: only a control
 		// event can create any, and the clip below handles it.
-		if emin := n.peek(); n.lookahead < InfiniteLookahead && emin < sim.MaxTime {
-			if w := emin + n.lookahead; w >= emin && w < end {
+		if emin := r.peek(); r.lookahead < InfiniteLookahead && emin < sim.MaxTime {
+			if w := emin + r.lookahead; w >= emin && w < end {
 				end = w
 			}
 		}
@@ -95,10 +109,10 @@ func (n *Network) RunUntil(t sim.Time) {
 			end = ct
 		}
 		end = max(end, now)
-		n.shardSteps += uint64(n.stepTo(end))
+		r.shardSteps += uint64(r.stepTo(end))
 		ctl.RunUntil(end)
-		n.windows++
-		n.windowNS += end - now
+		r.windows++
+		r.windowNS += end - now
 		if end >= t {
 			return
 		}
@@ -107,9 +121,10 @@ func (n *Network) RunUntil(t sim.Time) {
 
 // peek records every shard's earliest pending event time and returns
 // the minimum, sim.MaxTime when no shard has anything pending.
-func (n *Network) peek() sim.Time {
+func (r *regions) peek() sim.Time {
 	emin := sim.MaxTime
-	for _, sc := range n.shards {
+	for i := range r.shards {
+		sc := &r.shards[i]
 		t, ok := sc.sched.PeekTime()
 		if !ok {
 			t = sim.MaxTime
@@ -125,9 +140,10 @@ func (n *Network) peek() sim.Time {
 // write into a shard's schedule only at or after end, so a shard with
 // nothing due at the peek runs at most the crossing arrivals landing
 // exactly at end.
-func (n *Network) stepTo(end sim.Time) int {
+func (r *regions) stepTo(end sim.Time) int {
 	busy := 0
-	for _, sc := range n.shards {
+	for i := range r.shards {
+		sc := &r.shards[i]
 		if sc.next <= end {
 			busy++
 		}
@@ -136,56 +152,49 @@ func (n *Network) stepTo(end sim.Time) int {
 	return busy
 }
 
-// Sharded reports whether the network is in sharded execution mode.
-func (n *Network) Sharded() bool { return n.sharded }
-
 // bindLink points a link at the scheduler/RNG it executes on and
 // classifies it as crossing or intra-region.
 func (n *Network) bindLink(l *Link) {
-	if !n.sharded {
-		l.sched, l.rng, l.shard, l.crossTo = n.sched, n.rng, -1, -1
+	r := &n.regions
+	if r.shards == nil {
+		l.sched, l.rng, l.crossTo = n.sched, n.rng, -1
 		return
 	}
-	ls, ld := n.shardOf[l.From], n.shardOf[l.To]
-	sc := n.shards[ls]
-	l.sched, l.rng, l.shard = sc.sched, sc.rng, ls
+	ls, ld := r.shardOf[l.From], r.shardOf[l.To]
+	l.sched, l.rng, l.crossTo = r.shards[ls].sched, r.shards[ls].rng, -1
 	if ld != ls {
 		l.crossTo = ld
-	} else {
-		l.crossTo = -1
 	}
-}
-
-func (n *Network) schedForNode(id NodeID) *sim.Scheduler {
-	if !n.sharded {
-		return n.sched
-	}
-	return n.shards[n.shardOf[id]].sched
 }
 
 // SchedFor returns the scheduler that executes events at the given node:
 // the node's shard scheduler when sharded, the network scheduler
 // otherwise. Protocol endpoints bind their timers through this so the
 // same constructor works in both modes.
-func (n *Network) SchedFor(id NodeID) *sim.Scheduler { return n.schedForNode(id) }
+func (n *Network) SchedFor(id NodeID) *sim.Scheduler {
+	if n.regions.shards == nil {
+		return n.sched
+	}
+	return n.regions.shards[n.regions.shardOf[id]].sched
+}
 
 // RandFor returns the network-stream RNG for draws made by code executing
 // at the given node (the network's own RNG when serial).
 func (n *Network) RandFor(id NodeID) *sim.Rand {
-	if !n.sharded {
+	if n.regions.shards == nil {
 		return n.rng
 	}
-	return n.shards[n.shardOf[id]].rng
+	return n.regions.shards[n.regions.shardOf[id]].rng
 }
 
 // ProtoRandFor returns the protocol-stream RNG for the given node on a
 // sharded network, and fallback otherwise. Serial runs keep drawing from
 // whatever stream the protocol was built with, bit-for-bit.
 func (n *Network) ProtoRandFor(id NodeID, fallback *sim.Rand) *sim.Rand {
-	if !n.sharded {
+	if n.regions.shards == nil {
 		return fallback
 	}
-	return n.shards[n.shardOf[id]].proto
+	return n.regions.shards[n.regions.shardOf[id]].proto
 }
 
 // SetRegionHint records a partitioning hint: topology generators label
@@ -193,45 +202,38 @@ func (n *Network) ProtoRandFor(id NodeID, fallback *sim.Rand) *sim.Rand {
 // its region assignment from the labels. Hints are advisory — unhinted
 // nodes inherit a region through their links.
 func (n *Network) SetRegionHint(id NodeID, region int) {
-	if n.hints == nil {
-		n.hints = map[NodeID]int32{}
+	if n.regions.hints == nil {
+		n.regions.hints = map[NodeID]int32{}
 	}
-	n.hints[id] = int32(region)
+	n.regions.hints[id] = int32(region)
 }
 
-// ShardEventCounts returns per-shard processed-event counts (nil when
-// not sharded). Safe to call once shards are quiesced.
-func (n *Network) ShardEventCounts() []uint64 {
-	if !n.sharded {
-		return nil
-	}
-	out := make([]uint64, len(n.shards))
-	for i, sc := range n.shards {
-		out[i] = sc.sched.Processed()
-	}
-	return out
+// RegionStats is what a sharded run has counted since EnableSharding.
+type RegionStats struct {
+	Events     []uint64 // events executed per region scheduler
+	Batches    uint64   // dispatch instants summed over the region schedulers
+	Handoffs   uint64   // packets sent over crossing links
+	Windows    uint64   // RunUntil windows run
+	WindowNS   sim.Time // their summed widths
+	ShardSteps uint64   // summed per-window counts of shards that had an event due
 }
 
-// ShardBatches returns the dispatch instants (Scheduler.Batches) summed
-// over every region scheduler (0 when not sharded). The control
-// scheduler's are not included; callers fold those separately.
-func (n *Network) ShardBatches() uint64 {
-	var out uint64
-	for _, sc := range n.shards {
-		out += sc.sched.Batches()
+// RegionStats returns the region counters of a sharded network, and the
+// zero RegionStats (Events nil) on a serial one. The control scheduler's
+// events and batches are not included; callers fold those separately.
+// Call it when the shards are quiesced: at a barrier or after RunUntil.
+func (n *Network) RegionStats() RegionStats {
+	r := &n.regions
+	if r.shards == nil {
+		return RegionStats{}
 	}
-	return out
-}
-
-// Handoffs returns how many packets have crossed a region boundary since
-// sharding was enabled.
-func (n *Network) Handoffs() uint64 { return n.handoffs }
-
-// WindowCounts returns RunUntil's window schedule since sharding was
-// enabled: the windows run, their summed widths, and the summed count of
-// shards each stepped (mean busy shards = steps/windows).
-func (n *Network) WindowCounts() (windows uint64, width sim.Time, steps uint64) {
-	return n.windows, n.windowNS, n.shardSteps
+	st := RegionStats{Events: make([]uint64, len(r.shards)), Handoffs: r.handoffs,
+		Windows: r.windows, WindowNS: r.windowNS, ShardSteps: r.shardSteps}
+	for i := range r.shards {
+		st.Events[i] = r.shards[i].sched.Processed()
+		st.Batches += r.shards[i].sched.Batches()
+	}
+	return st
 }
 
 // ControlNow is the control scheduler's clock, the reference the
@@ -242,12 +244,13 @@ func (n *Network) ControlNow() sim.Time { return n.sched.Now() }
 // sharded). At a barrier every entry equals the control clock; the
 // cross-shard skew invariant pins that.
 func (n *Network) ShardClocks() []sim.Time {
-	if !n.sharded {
+	r := &n.regions
+	if r.shards == nil {
 		return nil
 	}
-	out := make([]sim.Time, len(n.shards))
-	for i, sc := range n.shards {
-		out[i] = sc.sched.Now()
+	out := make([]sim.Time, len(r.shards))
+	for i := range r.shards {
+		out[i] = r.shards[i].sched.Now()
 	}
 	return out
 }

@@ -30,11 +30,7 @@ func TestShardedPoolRecirculates(t *testing.T) {
 		lookahead = 5 * sim.Millisecond
 	)
 	run := func() {
-		setups := []ShardSetup{
-			{Sched: sim.NewScheduler(), NetRng: sim.NewRand(2), ProtoRng: sim.NewRand(3)},
-			{Sched: sim.NewScheduler(), NetRng: sim.NewRand(4), ProtoRng: sim.NewRand(5)},
-		}
-		n.EnableSharding(Partition{ShardOf: []int32{0, 1}, Shards: 2, Lookahead: lookahead}, setups)
+		n.EnableSharding(Partition{ShardOf: []int32{0, 1}, Shards: 2, Lookahead: lookahead}, 1)
 		a, b := n.AddNode("a"), n.AddNode("b")
 		n.AddDuplex(a, b, 0, lookahead, 0)
 		got := 0
@@ -49,8 +45,8 @@ func TestShardedPoolRecirculates(t *testing.T) {
 		}
 		end := sim.Time(sends)*100*sim.Microsecond + 2*lookahead
 		for now := sim.Time(0); now < end; now += lookahead {
-			for _, s := range setups {
-				s.Sched.RunUntil(now + lookahead)
+			for _, sc := range n.regions.shards {
+				sc.sched.RunUntil(now + lookahead)
 			}
 		}
 		if got != sends || n.LivePackets() != 0 {

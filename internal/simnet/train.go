@@ -76,10 +76,11 @@ func (n *Network) fanOut(at NodeID, pkt *Packet, children, rank []int32, slots i
 		f.fireFn = f.fire
 		n.nodes[at].fan = f
 	}
-	s := n.schedForNode(at)
+	s := n.SchedFor(at)
 	f.net, f.sched = n, s
 	ents := f.entryBuf(slots)
 	now := s.Now()
+	latest := sim.MaxTime - now // longest delay whose arrival fits sim.Time
 	boarded := 0
 	for i, li := range children {
 		l := n.linkList[li]
@@ -90,7 +91,9 @@ func (n *Network) fanOut(at NodeID, pkt *Packet, children, rank []int32, slots i
 		}
 		e := &ents[r]
 		e.seq = 0
-		if !l.fixedDelay() {
+		// A copy arriving past MaxTime takes the timer path, which
+		// saturates its arrival at MaxTime, as the oracle does.
+		if !l.fixedDelay() || l.Delay > latest {
 			l.send(pkt)
 		} else if l.admit(pkt) {
 			e.at, e.seq, e.l = now+l.Delay, s.ReserveSeq(), l

@@ -506,6 +506,50 @@ func TestTrainIdentityManyInFlight(t *testing.T) {
 	}
 }
 
+// TestTrainArrivalPastMaxTime: a child whose arrival would pass the end of
+// sim.Time is timed as the timer-per-packet oracle times it — saturated
+// at MaxTime, so it never arrives — instead of wrapping to an instant in
+// the scheduler's past, and the other children's copies are unaffected.
+// The child's delay is the longest a route still crosses (just under
+// 2⁶² ns), so its arrival passes MaxTime once the clock is past 2⁶² ns.
+func TestTrainArrivalPastMaxTime(t *testing.T) {
+	const start = 1<<62 + sim.Second
+	var stars [2]*fastStar
+	for i, coalesce := range []bool{true, false} {
+		st := newFastStar(coalesce, 12, 5)
+		far := st.net.AddNode("far")
+		l := st.net.AddLink(st.hub, far, 0, 1<<62-sim.Second, 0)
+		st.net.Bind(Addr{far, 1}, fastLeaf{st, far})
+		st.net.Join(trainGroup, far)
+		st.sch.RunUntil(start)
+		for i := 0; i < 40; i++ {
+			st.sch.At(start+sim.Time(i)*sim.Millisecond, func() {
+				pkt := st.net.AllocPacket()
+				pkt.Size, pkt.Src, pkt.Dst = 1000, Addr{st.src, 1}, Addr{Port: 1}
+				pkt.Group, pkt.IsMcast = trainGroup, true
+				st.net.Send(pkt)
+			})
+		}
+		st.sch.RunUntil(start + 100*sim.Millisecond)
+		if l.Stats.Sent == 0 || l.Stats.Deliver != 0 {
+			t.Fatalf("coalesce=%v: the far child sent %d and delivered %d copies, want some and none",
+				coalesce, l.Stats.Sent, l.Stats.Deliver)
+		}
+		stars[i] = st
+	}
+	on, off := stars[0], stars[1]
+	requireOracleSplit(t, on.net, off.net)
+	if on.recv == 0 || on.recv != off.recv || on.sum != off.sum {
+		t.Fatalf("deliveries differ: trains %d (hash %x), oracle %d (hash %x)", on.recv, on.sum, off.recv, off.sum)
+	}
+	if a, b := on.sch.Processed(), off.sch.Processed(); a != b {
+		t.Fatalf("processed %d events with trains, %d with the oracle", a, b)
+	}
+	if a, b := on.net.LivePackets(), off.net.LivePackets(); a != b {
+		t.Fatalf("%d packets live with trains, %d with the oracle", a, b)
+	}
+}
+
 // BenchmarkFanOutCopy prices one delivered copy of a 1000-child fan-out
 // with few (8 ms packet spacing: figure 12's 1 Mbit bottleneck) and many
 // (80 us: 100 Mbit) trains in flight, against the timer-per-packet oracle.

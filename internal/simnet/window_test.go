@@ -11,13 +11,11 @@ import (
 // bound, plus the shard schedulers, for driving peek and stepTo directly.
 func shardedNet(k int) (*Network, []*sim.Scheduler) {
 	n := New(sim.NewScheduler(), sim.NewRand(1))
-	setups := make([]ShardSetup, k)
+	n.EnableSharding(Partition{Shards: k, Lookahead: InfiniteLookahead}, 1)
 	scheds := make([]*sim.Scheduler, k)
-	for i := range setups {
-		scheds[i] = sim.NewScheduler()
-		setups[i] = ShardSetup{Sched: scheds[i], NetRng: sim.NewRand(int64(2 * i)), ProtoRng: sim.NewRand(int64(2*i + 1))}
+	for i := range scheds {
+		scheds[i] = n.regions.shards[i].sched
 	}
-	n.EnableSharding(Partition{Shards: k, Lookahead: InfiniteLookahead}, setups)
 	return n, scheds
 }
 
@@ -32,10 +30,10 @@ func TestStepToSkipsIdleShards(t *testing.T) {
 	at(1, 30) // beyond the first window
 	at(3, 10)
 	at(3, 10)
-	if emin := n.peek(); emin != 5 {
+	if emin := n.regions.peek(); emin != 5 {
 		t.Fatalf("earliest pending event %d, want 5", emin)
 	}
-	if busy := n.stepTo(10); busy != 2 {
+	if busy := n.regions.stepTo(10); busy != 2 {
 		t.Errorf("window to 10 stepped %d shards, want 2", busy)
 	}
 	if fmt.Sprint(ran) != "[1 0 0 2]" {
@@ -46,17 +44,17 @@ func TestStepToSkipsIdleShards(t *testing.T) {
 			t.Errorf("shard %d clock %d after the window, want 10", i, s.Now())
 		}
 	}
-	if emin := n.peek(); emin != 30 {
+	if emin := n.regions.peek(); emin != 30 {
 		t.Errorf("earliest pending event %d, want 30", emin)
 	}
-	if busy := n.stepTo(20); busy != 0 {
+	if busy := n.regions.stepTo(20); busy != 0 {
 		t.Errorf("empty window stepped %d shards", busy)
 	}
-	n.peek()
-	if busy := n.stepTo(30); busy != 1 || ran[1] != 1 {
+	n.regions.peek()
+	if busy := n.regions.stepTo(30); busy != 1 || ran[1] != 1 {
 		t.Errorf("window to 30 stepped %d shards and ran shard 1 %d times, want 1 and 1", busy, ran[1])
 	}
-	if emin := n.peek(); emin != sim.MaxTime {
+	if emin := n.regions.peek(); emin != sim.MaxTime {
 		t.Errorf("drained shards report an event at %d", emin)
 	}
 }
@@ -72,13 +70,13 @@ func TestPeekSeesRearmedTime(t *testing.T) {
 		t.Fatal("setup: the re-arm did not keep the handle")
 	}
 	scheds[1].AfterArg(30, nop, nil)
-	if emin := n.peek(); emin != 30 {
+	if emin := n.regions.peek(); emin != 30 {
 		t.Fatalf("earliest pending event %d, want 30", emin)
 	}
-	if next := n.shards[0].next; next != 40 {
+	if next := n.regions.shards[0].next; next != 40 {
 		t.Errorf("re-armed shard reports %d, want 40", next)
 	}
-	if busy := n.stepTo(30); busy != 1 {
+	if busy := n.regions.stepTo(30); busy != 1 {
 		t.Errorf("window to 30 stepped %d shards, want 1", busy)
 	}
 }
@@ -90,26 +88,56 @@ func TestPeekSeesRearmedTime(t *testing.T) {
 func TestRunUntilDeliversCallerSends(t *testing.T) {
 	const delay = 5 * sim.Millisecond
 	n := New(sim.NewScheduler(), sim.NewRand(1))
-	setups := []ShardSetup{
-		{Sched: sim.NewScheduler(), NetRng: sim.NewRand(2), ProtoRng: sim.NewRand(3)},
-		{Sched: sim.NewScheduler(), NetRng: sim.NewRand(4), ProtoRng: sim.NewRand(5)},
-	}
-	n.EnableSharding(Partition{ShardOf: []int32{0, 1}, Shards: 2, Lookahead: delay}, setups)
+	n.EnableSharding(Partition{ShardOf: []int32{0, 1}, Shards: 2, Lookahead: delay}, 1)
 	a, b := n.AddNode("a"), n.AddNode("b")
 	n.AddDuplex(a, b, 0, delay, 0)
 	var got []sim.Time
-	n.Bind(Addr{b, 1}, HandlerFunc(func(*Packet) { got = append(got, setups[1].Sched.Now()) }))
+	n.Bind(Addr{b, 1}, HandlerFunc(func(*Packet) { got = append(got, n.SchedFor(b).Now()) }))
 	n.RunUntil(10 * sim.Millisecond)
 	n.Send(&Packet{Size: 100, Src: Addr{a, 1}, Dst: Addr{b, 1}})
 	n.RunUntil(100 * sim.Millisecond)
 	if fmt.Sprint(got) != fmt.Sprint([]sim.Time{10*sim.Millisecond + delay}) {
 		t.Errorf("deliveries at %v, want one at %v", got, 10*sim.Millisecond+delay)
 	}
-	if h := n.Handoffs(); h != 1 {
-		t.Errorf("%d handoffs, want 1", h)
+	st := n.RegionStats()
+	if st.Handoffs != 1 {
+		t.Errorf("%d handoffs, want 1", st.Handoffs)
 	}
-	if w, width, _ := n.WindowCounts(); w == 0 || width != 100*sim.Millisecond {
-		t.Errorf("%d windows spanning %v, want some spanning the 100 ms run", w, width)
+	if st.Windows == 0 || st.WindowNS != 100*sim.Millisecond {
+		t.Errorf("%d windows spanning %v, want some spanning the 100 ms run", st.Windows, st.WindowNS)
+	}
+}
+
+// A crossing arrival past the end of sim.Time is scheduled at MaxTime, as
+// a local link's timer is, not at an instant that wrapped into the
+// destination's past: a packet sent once now + delay passes MaxTime, and
+// packets whose reordering stretch does. The delay is the longest a route
+// still crosses (just under 2⁶² ns).
+func TestCrossingArrivalSaturates(t *testing.T) {
+	const delay = 1<<62 - sim.Second
+	n := New(sim.NewScheduler(), sim.NewRand(1))
+	n.EnableSharding(Partition{ShardOf: []int32{0, 1}, Shards: 2, Lookahead: delay}, 1)
+	a, b := n.AddNode("a"), n.AddNode("b")
+	ab, _ := n.AddDuplex(a, b, 0, delay, 0)
+	var late []sim.Time // deliveries before their earliest arrival
+	n.Bind(Addr{b, 1}, HandlerFunc(func(pkt *Packet) {
+		if now := n.SchedFor(b).Now(); now < pkt.SentAt+delay {
+			late = append(late, now)
+		}
+	}))
+	ab.SetImpairments(0, 0, 1, sim.MaxTime)
+	for i := 0; i < 20; i++ {
+		n.Send(&Packet{Size: 100, Src: Addr{a, 1}, Dst: Addr{b, 1}})
+	}
+	ab.SetImpairments(0, 0, 0, 0)
+	n.RunUntil(1<<62 + sim.Second)
+	n.Send(&Packet{Size: 100, Src: Addr{a, 1}, Dst: Addr{b, 1}})
+	n.RunUntil(sim.MaxTime - 1)
+	if st := n.RegionStats(); st.Handoffs != 21 || len(late) > 0 {
+		t.Errorf("%d handoffs (want 21), deliveries ahead of their delay at %v", st.Handoffs, late)
+	}
+	if at, ok := n.SchedFor(b).PeekTime(); !ok || at != sim.MaxTime {
+		t.Errorf("destination's next event at %v (pending %v), want the late send at MaxTime", at, ok)
 	}
 }
 
@@ -120,7 +148,7 @@ func TestShardPanicInlineWindow(t *testing.T) {
 	scheds[1].After(1, func() { panic("boom in the only busy shard") })
 	r := func() (r any) {
 		defer func() { r = recover() }()
-		n.stepTo(n.peek())
+		n.regions.stepTo(n.regions.peek())
 		return nil
 	}()
 	if r != "boom in the only busy shard" {
@@ -136,7 +164,7 @@ func TestParallelWindowAllocatesNothing(t *testing.T) {
 		for _, s := range scheds {
 			s.After(1, noop)
 		}
-		if n.stepTo(n.peek()) != len(scheds) {
+		if n.regions.stepTo(n.regions.peek()) != len(scheds) {
 			t.Fatal("not every shard was busy")
 		}
 	}
@@ -159,8 +187,8 @@ func BenchmarkWindowBarrier(b *testing.B) {
 				for _, s := range scheds[:busy] {
 					s.After(1, noop)
 				}
-				n.peek()
-				n.stepTo(sim.Time(i + 1))
+				n.regions.peek()
+				n.regions.stepTo(sim.Time(i + 1))
 			}
 		})
 	}
