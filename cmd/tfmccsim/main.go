@@ -18,8 +18,8 @@
 // -scenario runs any Spec-backed registry entry — the named presets and
 // every single-scenario engine figure — through the generic scenario
 // executor, with the override flags (-duration, -corebw, -coredelay,
-// -coreloss, -corequeue, -edgeloss, -receivers, -cohort, -fanout,
-// -depth, -hops) folded into the declarative spec before the run.
+// -coreloss, -corequeue, -edgeloss, -receivers, -fanout, -depth,
+// -hops) folded into the declarative spec before the run.
 //
 // Every selector (-figure, -all, -scenario, -scenario-file) builds an
 // experiments.Job and runs it through experiments.Sweep. At one seed the
@@ -72,7 +72,6 @@ func main() {
 		corequeue = flag.Int("corequeue", 0, "override: core queue limit in packets")
 		edgeloss  = flag.Float64("edgeloss", -1, "override: loss probability on each site's last (edge) hop, towards the receiver")
 		receivers = flag.Int("receivers", 0, "override: receiver population size")
-		cohort    = flag.Int("cohort", 0, "override: replace the declared receivers with one analytic cohort of this many members")
 		fanout    = flag.Int("fanout", 0, "override: tree fan-out")
 		depth     = flag.Int("depth", 0, "override: tree depth")
 		hops      = flag.Int("hops", 0, "override: chain length")
@@ -112,7 +111,6 @@ func main() {
 		CoreQueue: *corequeue,
 		EdgeLoss:  *edgeloss,
 		Receivers: *receivers,
-		Cohort:    *cohort,
 		Fanout:    *fanout,
 		Depth:     *depth,
 		Hops:      *hops,
@@ -189,7 +187,7 @@ func flagConflict(set map[string]bool, cfg sweep.Config) error {
 	}
 	var overrides []string
 	for _, o := range []string{"duration", "corebw", "coredelay", "coreloss", "corequeue", "edgeloss",
-		"receivers", "cohort", "fanout", "depth", "hops"} {
+		"receivers", "fanout", "depth", "hops"} {
 		if set[o] {
 			overrides = append(overrides, "-"+o)
 		}

@@ -44,7 +44,6 @@ package engine
 import (
 	"fmt"
 
-	"repro/internal/invariant"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/simnet"
@@ -92,8 +91,7 @@ func Partition(spec *scenario.Spec, seed int64, maxShards int) (simnet.Partition
 }
 
 // Build partitions spec, enables sharding on env.Net and builds the
-// scenario on it, registering the cross-shard invariants when env has a
-// checker. env must be freshly rewound for seed (the contract
+// scenario on it. env must be freshly rewound for seed (the contract
 // scenario.Build has); a later env reset tears sharding down again. The
 // caller then starts the scenario and drives it with RunUntil exactly as
 // on the serial engine.
@@ -109,9 +107,6 @@ func Build(env scenario.Env, spec *scenario.Spec, seed int64) (*scenario.Scenari
 	sc, err := scenario.Build(env, spec)
 	if err != nil {
 		return nil, err
-	}
-	if env.Check != nil {
-		invariant.RegisterShardPredicates(env.Check, env.Net)
 	}
 	return sc, nil
 }

@@ -237,8 +237,8 @@ func (c *RunCtx) newEnv(seed int64) scenario.Env {
 
 // armChecker resets and starts the environment's invariant checker for a
 // new run when checking is enabled, registering the engine-level
-// predicates. Protocol-level predicates join in scenario.Build when the
-// run is scenario-spec driven.
+// predicates, the region engine's included. Protocol-level predicates
+// join in scenario.Build when the run is scenario-spec driven.
 func (c *RunCtx) armChecker() {
 	if !c.check {
 		return
@@ -262,6 +262,19 @@ func (c *RunCtx) armChecker() {
 	e.Check.Register("train-conservation", func() string {
 		if held, live := net.TrainHeld(), net.LivePackets(); held > 0 && live == 0 {
 			return fmt.Sprintf("fan-out train conservation broken: %d copies on trains with no live packets", held)
+		}
+		return ""
+	})
+	// The region engine's conservative-execution invariant: shards run
+	// ahead of the control clock within a window, never behind it, where
+	// they could be handed an event in their past. ShardClocks is nil on
+	// a serial network.
+	e.Check.Register("shard-skew", func() string {
+		ctl := net.Scheduler().Now()
+		for i, t := range net.ShardClocks() {
+			if t < ctl {
+				return fmt.Sprintf("shard %d clock %v lags control clock %v", i, t, ctl)
+			}
 		}
 		return ""
 	})
@@ -319,14 +332,18 @@ func (j Job) runOn(c *RunCtx, seed int64) (*Result, error) {
 	return j.run(c, seed)
 }
 
-// FigureJob runs a registry entry through its own runner.
+// FigureJob runs a registry entry through its own runner. The entry owns
+// the Result's figure id and title; runners set neither.
 func FigureJob(id string) (Job, error) {
 	e, ok := Lookup(id)
 	if !ok {
 		return Job{}, fmt.Errorf("experiments: unknown figure %q (have %v)", id, Figures())
 	}
-	return Job{ID: id, Title: e.Title,
-		run: func(c *RunCtx, seed int64) (*Result, error) { return e.Run(c, seed), nil }}, nil
+	return Job{ID: id, Title: e.Title, run: func(c *RunCtx, seed int64) (*Result, error) {
+		res := e.Run(c, seed)
+		res.Figure, res.Title = e.ID, e.Title
+		return res, nil
+	}}, nil
 }
 
 // SeedRun is one seed of a sweep, recorded on its own.

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -12,8 +11,7 @@ import (
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"1", "2", "3", "4", "5", "6", "7", "9", "10", "11",
 		"12", "13", "14", "15", "16", "17", "18", "19", "20", "21",
-		"chainloss", "clrfail", "cohort16", "cohort64", "cohort256", "cohortconv",
-		"corruptfb", "deeptree", "degrade", "flashcrowd",
+		"chainloss", "clrfail", "corruptfb", "deeptree", "degrade", "flashcrowd",
 		"massleave", "partition", "tcpburst", "wireless"}
 	for _, id := range want {
 		e, ok := Lookup(id)
@@ -218,37 +216,6 @@ func TestFigure17Maximum(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("note with the maximum missing")
-	}
-}
-
-// TestCohortConvExpectedFeedback reads the analytic E[M] off the
-// cohortconv notes: one per cohort size n, each a per-round mean, so at
-// least one (the first timer to fire always reports) and at most n.
-func TestCohortConvExpectedFeedback(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-simulation figure")
-	}
-	res, err := RunWith(NewRunCtx(), "cohortconv", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var found int
-	for _, note := range res.Notes {
-		if !strings.Contains(note, "E[M]=") {
-			continue
-		}
-		found++
-		var n int
-		var em float64
-		if _, err := fmt.Sscanf(note, "n=%d feedback: analytic E[M]=%g", &n, &em); err != nil {
-			t.Fatalf("note %q: %v", note, err)
-		}
-		if em < 1 || em > float64(n) {
-			t.Errorf("note %q: E[M] per round %v, want in [1, %d]", note, em, n)
-		}
-	}
-	if found != 3 {
-		t.Fatalf("%d E[M] notes, want one per cohort size (3):\n%s", found, res.Summary())
 	}
 }
 

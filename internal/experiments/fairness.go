@@ -10,8 +10,8 @@ import (
 
 func init() {
 	registerSpec("9", "1 TFMCC and 15 TCP over one 8 Mbit/s bottleneck", Figure9Spec, Figure9)
-	registerSpec("10", "1 TFMCC vs 16 TCP on individual 1 Mbit/s bottlenecks", Figure10Spec, Figure10)
-	registerSpec("21", "Responsiveness to increased congestion", Figure21Spec, Figure21)
+	registerSpec("10", "1 TFMCC vs 16 TCP on sixteen individual 1 Mbit/s bottlenecks", Figure10Spec, Figure10)
+	registerSpec("21", "Responsiveness to increased congestion (flow count doubles every 50s)", Figure21Spec, Figure21)
 }
 
 // Figure9Spec declares the figure 9 scenario: one metered TFMCC receiver
@@ -43,7 +43,7 @@ func Figure9(c *RunCtx, seed int64) *Result {
 	sc := c.runScenario(Figure9Spec(), seed)
 	mT := sc.Recvs[0].Meter
 
-	res := &Result{Figure: "9", Title: "1 TFMCC and 15 TCP over one 8 Mbit/s bottleneck"}
+	res := &Result{}
 	res.Series = append(res.Series, sc.Flows[0].Meter.Series, sc.Flows[1].Meter.Series, mT.Series)
 	var tcpSum float64
 	for _, f := range sc.Flows {
@@ -75,7 +75,7 @@ func Figure10Spec() *scenario.Spec {
 	}
 	return &scenario.Spec{
 		Name:     "figure10",
-		Title:    "1 TFMCC vs 16 TCP on individual 1 Mbit/s bottlenecks",
+		Title:    "1 TFMCC vs 16 TCP on sixteen individual 1 Mbit/s bottlenecks",
 		Topology: scenario.Topology{Kind: scenario.Star},
 		Steps:    steps,
 		Duration: 200 * sim.Second,
@@ -89,7 +89,7 @@ func Figure10(c *RunCtx, seed int64) *Result {
 	sc := c.runScenario(Figure10Spec(), seed)
 	mT := sc.Recvs[0].Meter
 
-	res := &Result{Figure: "10", Title: "1 TFMCC vs 16 TCP on sixteen individual 1 Mbit/s bottlenecks"}
+	res := &Result{}
 	res.Series = append(res.Series, sc.Flows[0].Meter.Series, sc.Flows[1].Meter.Series, mT.Series)
 	var tcpSum float64
 	for _, f := range sc.Flows {
@@ -131,7 +131,7 @@ func Figure21Spec() *scenario.Spec {
 	}
 	return &scenario.Spec{
 		Name:  "figure21",
-		Title: "Responsiveness to increased congestion",
+		Title: "Responsiveness to increased congestion (flow count doubles every 50s)",
 		Topology: scenario.Topology{Kind: scenario.Dumbbell,
 			Core: scenario.LinkP{BW: 16 * mbit, Delay: 20 * sim.Millisecond, Queue: 120}},
 		Steps:    steps,
@@ -146,7 +146,7 @@ func Figure21(c *RunCtx, seed int64) *Result {
 	sc := c.runScenario(Figure21Spec(), seed)
 	mT := sc.Recvs[0].Meter
 
-	res := &Result{Figure: "21", Title: "Responsiveness to increased congestion (flow count doubles every 50s)"}
+	res := &Result{}
 	res.Series = append(res.Series, mT.Series)
 	res.Series = append(res.Series, sc.Aggs...)
 	for i, win := range [][2]sim.Time{

@@ -21,8 +21,8 @@ func init() {
 	registerAnalytic("2", "Time-value distribution of one feedback round", false, Figure2)
 	registerAnalytic("3", "Different feedback cancellation methods (#responses vs n)", true, Figure3)
 	registerAnalytic("4", "Expected number of feedback messages (analytic)", false, Figure4)
-	registerAnalytic("5", "Response time of feedback biasing methods", true, Figure5)
-	registerAnalytic("6", "Quality of reported rate", true, Figure6)
+	registerAnalytic("5", "Response time of feedback biasing methods (RTTs)", true, Figure5)
+	registerAnalytic("6", "Quality of reported rate (relative excess over minimum)", true, Figure6)
 	registerAnalytic("17", "Loss events per RTT vs loss event rate", false, Figure17)
 }
 
@@ -38,7 +38,7 @@ func fbBase(bias feedback.BiasMethod) feedback.Config {
 // timer, the offset method and the modified-N method, for a receiver with
 // feedback value x = 0.5 (time axis in RTTs, T = 4 RTTs).
 func Figure1(*RunCtx, int64) *Result {
-	res := &Result{Figure: "1", Title: "Different feedback biasing methods (CDF of feedback time)"}
+	res := &Result{}
 	const x = 0.5
 	for _, bias := range []feedback.BiasMethod{feedback.BiasNone, feedback.BiasOffset, feedback.BiasModifyN} {
 		cfg := fbBase(bias)
@@ -57,7 +57,7 @@ func Figure1(*RunCtx, int64) *Result {
 // and offset-biased timers. Suppressed responses carry y of the value;
 // series are split by outcome so the plot can mark them differently.
 func Figure2(_ *RunCtx, seed int64) *Result {
-	res := &Result{Figure: "2", Title: "Time-value distribution of one feedback round"}
+	res := &Result{}
 	rng := sim.NewRand(seed)
 	const n = 500
 	delay := 250 * sim.Millisecond // 1 RTT up + down at RTT=1s scale /4
@@ -90,7 +90,7 @@ func Figure2(_ *RunCtx, seed int64) *Result {
 // ε = 1 (all suppressed), ε = 0.1, ε = 0 (only higher suppressed), as a
 // function of the number of receivers.
 func Figure3(_ *RunCtx, seed int64) *Result {
-	res := &Result{Figure: "3", Title: "Different feedback cancellation methods (#responses vs n)"}
+	res := &Result{}
 	labels := map[float64]string{1: "all suppressed", 0.1: "10% lower suppressed", 0: "higher suppressed"}
 	delay := 250 * sim.Millisecond
 	for _, eps := range []float64{1, 0.1, 0} {
@@ -119,7 +119,7 @@ func Figure3(_ *RunCtx, seed int64) *Result {
 // Figure4 evaluates the analytic expected number of feedback messages for
 // T' between 2 and 6 RTTs and receiver counts up to N = 10000.
 func Figure4(*RunCtx, int64) *Result {
-	res := &Result{Figure: "4", Title: "Expected number of feedback messages (analytic)"}
+	res := &Result{}
 	const N = 10000
 	d := sim.Second // network delay = 1 RTT
 	for _, tp := range []float64{2, 3, 4, 5, 6} {
@@ -137,14 +137,14 @@ func Figure4(*RunCtx, int64) *Result {
 // Figure5 measures the mean time of the first response for the three
 // biasing methods as the receiver count grows.
 func Figure5(_ *RunCtx, seed int64) *Result {
-	res := &Result{Figure: "5", Title: "Response time of feedback biasing methods (RTTs)"}
+	res := &Result{}
 	return biasSweep(res, seed, func(sent, first, qual float64) float64 { return first })
 }
 
 // Figure6 measures how close the best reported rate is to the true
 // minimum for the three biasing methods (0 = optimal).
 func Figure6(_ *RunCtx, seed int64) *Result {
-	res := &Result{Figure: "6", Title: "Quality of reported rate (relative excess over minimum)"}
+	res := &Result{}
 	return biasSweep(res, seed, func(sent, first, qual float64) float64 { return qual })
 }
 
@@ -184,7 +184,7 @@ func biasSweep(res *Result, seed int64, pick func(sent, first, qual float64) flo
 // loss event rate (Appendix A). The paper's maximum of ~0.13 corresponds
 // to b = 2 in the TCP model.
 func Figure17(*RunCtx, int64) *Result {
-	res := &Result{Figure: "17", Title: "Loss events per RTT vs loss event rate"}
+	res := &Result{}
 	m := tcpmodel.Default()
 	m.B = 2
 	s := &stats.Series{Name: "loss events/RTT (b=2)"}

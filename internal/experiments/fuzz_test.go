@@ -88,6 +88,9 @@ func FuzzSpecJSON(f *testing.F) {
 	f.Add([]byte(`{"name":"x","unknown_field":1}`))
 	f.Add([]byte(`{"name":"x","duration_ns":1,"events":[{"at_ns":1,"set_link":{"links":[{"site":-1},{"site":-1,"up":true}],"down":true,"impair":{}}}]}`))
 	f.Add([]byte(`{"name":"x","duration_ns":1,"events":[{"at_ns":1,"partition":[{"site":-1}]}]}`))
+	f.Add([]byte(`{"name":"x","duration_ns":1,"cohort":{"size":16,"meter":"TFMCC"}}`))
+	f.Add([]byte(`{"name":"x","duration_ns":9,"steps":[{"recv":{"at":{"kind":1},"join_at_ns":5,"leave_at_ns":8,"meter":"r"}}]}`))
+	f.Add([]byte(`{"name":"x","duration_ns":1,"events":[{"at_ns":1,"set_link":{"links":[{"site":-1}],"bw":1,"delay_ns":2,"loss":0.5,"down":false}}]}`))
 	enc, err := zeroPacketSize().Encode()
 	if err != nil {
 		f.Fatal(err)
@@ -168,7 +171,7 @@ func fuzzOverrides(mut []byte) (scenario.Overrides, []byte) {
 	}
 	pick, a, b := mut[1], int(mut[2]), int(mut[3])
 	for bit, set := range []func(){
-		func() { ov.Cohort = 8 * a },
+		func() { ov.CoreBW = float64(a) * 1250 },
 		func() { ov.Receivers = b },
 		func() { ov.Fanout = a % 8 },
 		func() { ov.Depth = b % 6 },
@@ -282,12 +285,25 @@ func FuzzScenarioSpec(f *testing.F) {
 		f.Add(id, int64(i+1), []byte{byte(i), 0x40, byte(2 * i), 1, 0, byte(i), 0x17, 2, 0, 40, 3, 1, 9})
 	}
 	f.Add(zeroPacketSizeID, int64(1), []byte{})
-	// Override records: a cohort replacing the receivers (with a fault
-	// event after it), a cohort on a tree reshaped by fan-out and depth,
-	// and a core loss of 1.49 that Apply must refuse.
+	// Override records: a 50 kbit/s core (with a fault event after it),
+	// a tree reshaped by fan-out and depth under a 20 kbit/s core, a
+	// core loss of 1.49 that Apply must refuse; then one field each: a
+	// population resized, a chain stretched, edge and core loss at 1, a
+	// negative queue limit and a -receivers on a spec without a
+	// population (both refused), a one-packet core queue (with a fault
+	// event), a wider, shallower tree, and every field at once.
 	f.Add("degrade", int64(1), []byte{0x80, 0x01, 5, 0, 4, 0x40, 0, 1})
 	f.Add("deeptree", int64(2), []byte{0x80, 0x0d, 2, 3})
 	f.Add("clrfail", int64(3), []byte{0x80, 0x21, 1, 0xff})
+	f.Add("12", int64(4), []byte{0x80, 0x02, 0, 40})
+	f.Add("chainloss", int64(5), []byte{0x80, 0x10, 9, 0})
+	f.Add("wireless", int64(6), []byte{0x80, 0x40, 192, 0})
+	f.Add("degrade", int64(7), []byte{0x80, 0x20, 0, 192})
+	f.Add("tcpburst", int64(8), []byte{0x80, 0x80, 0, 10})
+	f.Add("flashcrowd", int64(9), []byte{0x80, 0x02, 0, 7})
+	f.Add("9", int64(10), []byte{0x80, 0x80, 0, 65, 0, 0x40, 0, 1})
+	f.Add("deeptree", int64(11), []byte{0x80, 0x0c, 3, 3})
+	f.Add("deeptree", int64(12), []byte{0x80, 0xff, 64, 100})
 	f.Fuzz(func(t *testing.T, id string, seed int64, mut []byte) {
 		base := zeroPacketSize
 		if id != zeroPacketSizeID {
@@ -314,15 +330,25 @@ func FuzzScenarioSpec(f *testing.F) {
 }
 
 // TestFuzzRejectsRunawayFlow is the input the region-engine fuzzer
-// reported as a hang (corpus entry fe837658651ea093, kept as this test):
-// cohort256 with tcp5's far end edited away, so the flow runs between two
-// access links of one router with nothing to slow it. Each run took over
-// 3 s, four of them more than the fuzzer's patience; past the event
-// budget it is now refused in a fraction of that, on both engines.
+// reported as a hang (corpus entry fe837658651ea093): a TCP flow whose
+// far end was edited away, so it runs between two access links of one
+// router with nothing to slow it. Here it is figure 9 with tcp5's far
+// end cleared to the zero reference, core node 0, its own source. Each
+// run took over 3 s, four of them more than the fuzzer's patience; past
+// the event budget it is now refused in a fraction of that, on both
+// engines.
 func TestFuzzRejectsRunawayFlow(t *testing.T) {
-	e, _ := Lookup("cohort256")
+	runaway := func() *scenario.Spec {
+		spec := Figure9Spec()
+		for _, st := range spec.Steps {
+			if st.TCP != nil && st.TCP.Name == "tcp5" {
+				st.TCP.To = scenario.NodeRef{}
+			}
+		}
+		return spec
+	}
 	for _, ew := range []int{1, 2} {
-		if _, err := fuzzRun(e.Spec, -5, []byte("A0x\f\f000900"), ew); err != errTooExpensive {
+		if _, err := fuzzRun(runaway, -5, nil, ew); err != errTooExpensive {
 			t.Errorf("-engineworkers %d: %v, want errTooExpensive", ew, err)
 		}
 	}

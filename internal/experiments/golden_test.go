@@ -84,6 +84,9 @@ func (r ledgerRow) run(ctx *RunCtx) (fields string, err error) {
 	if err != nil {
 		return "", err
 	}
+	if e, _ := Lookup(r.entry); res.Title != e.Title {
+		return "", fmt.Errorf("result title %q, registry title %q", res.Title, e.Title)
+	}
 	st := ctx.Stats()
 	return fmt.Sprintf("%x\t%d\t%d\t%d", sha256.Sum256([]byte(res.TSV())),
 		st.Events, st.PacketsSent, st.PacketsDelivered), nil

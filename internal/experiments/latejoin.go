@@ -75,21 +75,21 @@ func Figure16Spec() *scenario.Spec {
 // bottleneck; TFMCC must adopt it as CLR within a few seconds and recover
 // after it leaves.
 func Figure15(c *RunCtx, seed int64) *Result {
-	return lateJoin(c, "15", "Late-join of low-rate receiver", Figure15Spec(), false, seed)
+	return lateJoin(c, Figure15Spec(), false, seed)
 }
 
 // Figure16 is Figure15 with an additional TCP flow sharing the 200 Kbit/s
 // tail for the whole run: the TCP flow inevitably times out when the link
 // floods at join time, but both recover and share the tail fairly.
 func Figure16(c *RunCtx, seed int64) *Result {
-	return lateJoin(c, "16", "Additional TCP flow on the slow link", Figure16Spec(), true, seed)
+	return lateJoin(c, Figure16Spec(), true, seed)
 }
 
-func lateJoin(c *RunCtx, fig, title string, spec *scenario.Spec, tcpOnSlowLink bool, seed int64) *Result {
+func lateJoin(c *RunCtx, spec *scenario.Spec, tcpOnSlowLink bool, seed int64) *Result {
 	sc := c.runScenario(spec, seed)
 	mT := sc.Recvs[0].Meter
 
-	res := &Result{Figure: fig, Title: title}
+	res := &Result{}
 	res.Series = append(res.Series, sc.Aggs[0], mT.Series)
 	if tcpOnSlowLink {
 		res.Series = append(res.Series, sc.Flow("TCP on 200KBit/s link").Meter.Series)

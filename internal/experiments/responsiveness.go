@@ -18,16 +18,14 @@ func init() {
 // apart and later leave in reverse order. A TCP flow to each receiver
 // runs throughout as the fairness reference.
 func Figure11(c *RunCtx, seed int64) *Result {
-	return joinLeaveExperiment(c, "11", "Responsiveness to changes in the loss rate",
-		Figure11Spec(), seed)
+	return joinLeaveExperiment(c, Figure11Spec(), seed)
 }
 
 // Figure20 is the same experiment with the loss rate held at 0.5% and the
 // one-way tail delays set to 30/60/120/240 ms-equivalent RTTs, receivers
 // joining in RTT order.
 func Figure20(c *RunCtx, seed int64) *Result {
-	return joinLeaveExperiment(c, "20", "Responsiveness to network delay",
-		Figure20Spec(), seed)
+	return joinLeaveExperiment(c, Figure20Spec(), seed)
 }
 
 // joinLeaveSpec declares the figure 11/20 churn script: per-receiver
@@ -80,10 +78,10 @@ func Figure20Spec() *scenario.Spec {
 		[]sim.Time{13 * sim.Millisecond, 28 * sim.Millisecond, 58 * sim.Millisecond, 118 * sim.Millisecond})
 }
 
-func joinLeaveExperiment(c *RunCtx, fig, title string, spec *scenario.Spec, seed int64) *Result {
+func joinLeaveExperiment(c *RunCtx, spec *scenario.Spec, seed int64) *Result {
 	sc := c.runScenario(spec, seed)
 
-	res := &Result{Figure: fig, Title: title}
+	res := &Result{}
 	for _, f := range sc.Flows {
 		res.Series = append(res.Series, f.Meter.Series)
 	}

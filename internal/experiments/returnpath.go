@@ -60,7 +60,7 @@ func Figure18(c *RunCtx, seed int64) *Result {
 	sc := c.runScenario(Figure18Spec(), seed)
 	mT := sc.Recvs[0].Meter
 
-	res := &Result{Figure: "18", Title: "Competing TCP traffic on return paths"}
+	res := &Result{}
 	res.Series = append(res.Series, mT.Series)
 	for _, revN := range fig18ReverseCounts {
 		res.Series = append(res.Series, sc.Flow(fmt.Sprintf("TCP (%d)", revN)).Meter.Series)
@@ -114,7 +114,7 @@ func Figure19(c *RunCtx, seed int64) *Result {
 	sc := c.runScenario(Figure19Spec(), seed)
 	mT := sc.Recvs[0].Meter
 
-	res := &Result{Figure: "19", Title: "Lossy return paths"}
+	res := &Result{}
 	res.Series = append(res.Series, mT.Series)
 	for _, f := range sc.Flows {
 		res.Series = append(res.Series, f.Meter.Series)

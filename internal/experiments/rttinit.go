@@ -43,7 +43,7 @@ func Figure12(c *RunCtx, seed int64) *Result {
 	sc := c.runScenario(Figure12Spec(), seed)
 	counts := sc.Samples[0]
 
-	res := &Result{Figure: "12", Title: "Rate of initial RTT measurements (1000 receivers)"}
+	res := &Result{}
 	res.Series = append(res.Series, counts)
 	res.Notes = append(res.Notes, fmt.Sprintf(
 		"valid-RTT receivers after 50s: %.0f, 100s: %.0f, 200s: %.0f (paper: ~700 at 200s)",
@@ -58,7 +58,7 @@ func Figure12(c *RunCtx, seed int64) *Result {
 // x axis is the instant of the RTT change; the y value the delay until
 // that receiver becomes CLR.
 func Figure13(c *RunCtx, seed int64) *Result {
-	res := &Result{Figure: "13", Title: "Responsiveness to changes in the RTT"}
+	res := &Result{}
 	changeTimes := []sim.Time{0, 10 * sim.Second, 20 * sim.Second, 40 * sim.Second, 80 * sim.Second}
 	for _, n := range []int{40, 200} {
 		s := &stats.Series{Name: fmt.Sprintf("%d receivers", n)}

@@ -26,7 +26,7 @@ func init() { registerAnalytic("7", "Scaling: throughput vs number of receivers"
 // geometric inter-loss gaps, and each "round" the sender adopts the
 // minimum calculated rate.
 func Figure7(_ *RunCtx, seed int64) *Result {
-	res := &Result{Figure: "7", Title: "Scaling: throughput vs number of receivers"}
+	res := &Result{}
 	model := tcpmodel.Default()
 	const rtt = 0.050
 	ns := logSpace(1, 10000, 9)

@@ -81,13 +81,9 @@ func RunSpecErr(c *RunCtx, id string, spec *scenario.Spec, seed int64) (*Result,
 		res.Notes = append(res.Notes, fmt.Sprintf("%-24s mean=%10.1f, second half=%10.1f",
 			s.Name, s.Mean(), s.MeanBetween(half, spec.Duration)))
 	}
-	receivers := len(sc.Recvs)
-	if spec.Cohort != nil {
-		receivers += spec.Cohort.Size - 1 // the cohort's one endpoint stands for Size members
-	}
 	res.Notes = append(res.Notes, fmt.Sprintf(
 		"topology %s, %d receivers declared, %d flows, %d timed events, %.0fs",
-		spec.Topology.Kind, receivers, len(sc.Flows), len(spec.Events), spec.Duration.Seconds()))
+		spec.Topology.Kind, len(sc.Recvs), len(sc.Flows), len(spec.Events), spec.Duration.Seconds()))
 	return res, nil
 }
 

@@ -89,15 +89,14 @@ func TestMaxDelaysRunCleanly(t *testing.T) {
 // executor: running a preset on a warm context (rewound scheduler,
 // topology rebuilt on recycled storage, pooled protocol state) must
 // reproduce a fresh context's output byte for byte. The preset selection
-// covers the four hard cases — runtime link mutation against the
-// recycled links (degrade), receiver churn against multicast-tree caching (flashcrowd),
-// flow stop/start with CBR traffic (tcpburst), and the pooled analytic
-// cohort receiver (cohort64).
+// covers the three hard cases — runtime link mutation against the
+// recycled links (degrade), receiver churn against multicast-tree caching
+// (flashcrowd), and flow stop/start with CBR traffic (tcpburst).
 func TestScenarioRewindVsFresh(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-simulation scenarios")
 	}
-	for _, id := range []string{"degrade", "flashcrowd", "tcpburst", "cohort64"} {
+	for _, id := range []string{"degrade", "flashcrowd", "tcpburst"} {
 		ctx := NewRunCtx()
 		cold, err := RunWith(ctx, id, 1)
 		if err != nil {
@@ -170,59 +169,6 @@ func TestDegradeEventsShapeRate(t *testing.T) {
 	}
 	if after < 1.5*during {
 		t.Fatalf("restore did not recover: during=%.0f after=%.0f", during, after)
-	}
-}
-
-// TestCohortSweepWorkerInvariance: a multi-seed sweep over a cohort
-// preset must merge to byte-identical TSV and equal engine counters
-// regardless of worker count — the cohort's feedback draws come from the
-// per-run protocol stream, so no worker-shared state may leak into them.
-func TestCohortSweepWorkerInvariance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-simulation scenarios")
-	}
-	job, err := FigureJob("cohort64")
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := Sweep(job, sweep.Config{Seeds: 4, Workers: 1, Base: 1})
-	multi := Sweep(job, sweep.Config{Seeds: 4, Workers: 2, Base: 1})
-	if base.TSV() != multi.TSV() {
-		t.Fatal("cohort sweep output differs between workers=1 and workers=2")
-	}
-	// The merged engine counters too, bar the dispatch-batch diagnostic.
-	base.Engine.Batches, multi.Engine.Batches = 0, 0
-	if base.Engine != multi.Engine {
-		t.Fatalf("cohort sweep counters differ between workers=1 and workers=2:\n%+v\nvs\n%+v", base.Engine, multi.Engine)
-	}
-}
-
-// TestCohortOverrideReplacesReceivers: -cohort N folds any spec's
-// declared receivers into one analytic cohort, inheriting the first
-// receiver's attach point and meter, and the run stays deterministic.
-func TestCohortOverrideReplacesReceivers(t *testing.T) {
-	ov := scenario.None()
-	ov.Duration = 20e9
-	ov.Cohort = 500
-	a, err := RunOverridden(NewRunCtx(), "degrade", ov, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunOverridden(NewRunCtx(), "degrade", ov, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.TSV() != b.TSV() {
-		t.Fatal("cohort-overridden scenario not seed-deterministic")
-	}
-	found := false
-	for _, n := range a.Notes {
-		if strings.Contains(n, "500 receivers declared") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("notes do not count cohort members: %v", a.Notes)
 	}
 }
 
@@ -340,7 +286,6 @@ func TestBuildRejectsUnusableNumbers(t *testing.T) {
 		{"topology.core.loss", Figure9Spec, func(s *scenario.Spec) { s.Topology.Core.Loss = math.NaN() }},
 		{"topology.core.queue", Figure9Spec, func(s *scenario.Spec) { s.Topology.Core.Queue = -1 }},
 		{"topology.stub_link.delay_ns", scenario.Wireless, func(s *scenario.Spec) { s.Topology.StubLink.Delay = -1 }},
-		{"cohort.hop.down.loss", scenario.CohortFig9(16), func(s *scenario.Spec) { s.Cohort.Hop.Down.Loss = -0.1 }},
 		{"events[1].set_link.delay_ns", scenario.Degrade, func(s *scenario.Spec) { *s.Events[1].SetLink.Delay = -1 }},
 		{"events[0].set_link.bw", scenario.Degrade, func(s *scenario.Spec) { *s.Events[0].SetLink.BW = -125000 }},
 		{"events[0].set_link.loss", scenario.Degrade, func(s *scenario.Spec) {

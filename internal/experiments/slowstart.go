@@ -18,7 +18,7 @@ func init() { register("14", "Maximum slowstart rate vs number of receivers", Fi
 // 8 Mbit/s). Paper shape: alone ≈ 2× bottleneck, decreasing with
 // receiver count and competition.
 func Figure14(c *RunCtx, seed int64) *Result {
-	res := &Result{Figure: "14", Title: "Maximum slowstart rate vs number of receivers"}
+	res := &Result{}
 	counts := []int{2, 8, 32, 128}
 	settings := []struct {
 		name   string

@@ -3,8 +3,10 @@ package experiments
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/invariant"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -198,6 +200,34 @@ func TestDroppedViolationsCounted(t *testing.T) {
 	}
 	if got := uint64(len(r.Violations)) + uint64(r.Dropped); got != ticks {
 		t.Fatalf("%d stored + %d dropped violations, want one per tick (%d)", len(r.Violations), r.Dropped, ticks)
+	}
+}
+
+// TestShardSkewReportsLaggingShard: on a region-engine build with the
+// checker armed, stepping the control scheduler alone past a tick leaves
+// every shard clock behind the control clock, and shard-skew must name
+// the lagging shard; the same ticks on a serial build report nothing.
+func TestShardSkewReportsLaggingShard(t *testing.T) {
+	for _, ew := range []int{0, 2} {
+		ctx := NewRunCtxFor(sweep.Config{Check: true, EngineWorkers: ew})
+		sc, err := ctx.build(scenario.Wireless(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.Env.Sch.RunUntil(3 * invariant.DefaultInterval / 2)
+		var skew []invariant.Violation
+		for _, v := range sc.Env.Check.Violations() {
+			if v.Name == "shard-skew" {
+				skew = append(skew, v)
+			}
+		}
+		switch {
+		case ew == 0 && len(skew) != 0:
+			t.Errorf("serial build: shard-skew reported %v", skew)
+		case ew == 2 && (len(skew) != 1 || !strings.HasPrefix(skew[0].Msg, "shard 0 clock") ||
+			!strings.Contains(skew[0].Msg, "lags control clock")):
+			t.Errorf("region build: shard-skew reported %v, want shard 0 lagging the control clock", skew)
+		}
 	}
 }
 

@@ -102,9 +102,8 @@ func (p *ChaosPlan) Apply(spec *scenario.Spec) (*scenario.Spec, error) {
 	}
 
 	// Fault targets are read from a scratch build of the spec: core link
-	// pairs, sites (every first hop is an edge-down target) and receiver
-	// endpoint slots (a cohort is one slot no matter how many members it
-	// models), which both the crash budget and the index draw use.
+	// pairs, sites (every first hop is an edge-down target) and declared
+	// receivers, which both the crash budget and the index draw use.
 	built, err := scenario.BuildScratch(spec, 1)
 	if err != nil {
 		return nil, fmt.Errorf("hypothesis: chaos over spec %q: %w", spec.Name, err)

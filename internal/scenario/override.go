@@ -24,7 +24,6 @@ type Overrides struct {
 	// declared loss.
 	EdgeLoss  float64
 	Receivers int // population size; needs a Population-based spec
-	Cohort    int // replace all declared receivers with one analytic cohort
 	Fanout    int // tree fan-out
 	Depth     int // tree depth
 	Hops      int // chain length
@@ -44,7 +43,7 @@ func (o Overrides) validate() error {
 	for _, f := range []field{
 		{"-duration", float64(o.Duration)}, {"-corebw", o.CoreBW},
 		{"-coredelay", float64(o.CoreDelay)}, {"-corequeue", float64(o.CoreQueue)},
-		{"-receivers", float64(o.Receivers)}, {"-cohort", float64(o.Cohort)},
+		{"-receivers", float64(o.Receivers)},
 		{"-fanout", float64(o.Fanout)}, {"-depth", float64(o.Depth)}, {"-hops", float64(o.Hops)},
 	} {
 		if !(f.v >= 0) || math.IsInf(f.v, 1) { // negated so that NaN fails too
@@ -98,52 +97,6 @@ func (s *Spec) Apply(o Overrides) (*Spec, error) {
 		pop := *s.Pop
 		pop.Count = o.Receivers // PerAttach placement still round-robins
 		out.Pop = &pop
-	}
-	if o.Cohort > 0 {
-		// The cohort replaces every declared receiver: the population and
-		// all explicit Recv steps are dropped, and the cohort inherits the
-		// attach point and meter of whichever they declared first — the
-		// first Recv step if any (keeping its site reference; the site
-		// step itself stays), else the population's parent and access hop.
-		cohort := &CohortSpec{Size: o.Cohort}
-		placed := false
-		var steps []Step
-		for _, st := range out.Steps {
-			if st.Recv != nil {
-				if !placed {
-					cohort.At = st.Recv.At
-					cohort.Meter = st.Recv.Meter
-					placed = true
-				}
-				continue
-			}
-			steps = append(steps, st)
-		}
-		out.Steps = steps
-		if !placed && out.Pop != nil {
-			cohort.At = out.Pop.Parent
-			if out.Pop.PerAttach {
-				// A per-attach population has no meaningful parent; the
-				// cohort takes the first canonical attach point instead.
-				cohort.At = AttachPoint(0)
-			}
-			hop := out.Pop.Hop
-			if hop == (Hop{}) {
-				hop = FastHop()
-			}
-			if !out.Pop.Direct {
-				cohort.Hop = &hop
-			}
-			cohort.Meter = out.Pop.Meter
-			placed = true
-		}
-		if !placed {
-			cohort.At = AttachPoint(0)
-			hop := FastHop()
-			cohort.Hop = &hop
-		}
-		out.Pop = nil
-		out.Cohort = cohort
 	}
 	if o.EdgeLoss >= 0 {
 		if out.Pop != nil {

@@ -23,9 +23,6 @@ func Presets() []Preset {
 	return []Preset{
 		{ID: "chainloss", Title: "Multi-hop lossy chain with mid-path cross traffic", Make: ChainLoss},
 		{ID: "clrfail", Title: "CLR crash, silence halving and re-election", Make: CLRFail},
-		{ID: "cohort16", Title: "Cohort of 16 receivers in the figure 9 setting", Make: CohortFig9(16)},
-		{ID: "cohort64", Title: "Cohort of 64 receivers in the figure 9 setting", Make: CohortFig9(64)},
-		{ID: "cohort256", Title: "Cohort of 256 receivers in the figure 9 setting", Make: CohortFig9(256)},
 		{ID: "corruptfb", Title: "Corrupted and reordered feedback path", Make: CorruptFB},
 		{ID: "deeptree", Title: "Deep binary-tree fan-out with lossy interior", Make: DeepTree},
 		{ID: "degrade", Title: "Mid-run bottleneck degradation and recovery", Make: Degrade},
@@ -352,35 +349,6 @@ func ChainLoss() *Spec {
 			Core: LinkP{BW: 4 * 125000, Delay: 10 * sim.Millisecond, Loss: 0.002, Queue: 40}},
 		Steps:    steps,
 		Duration: 120 * sim.Second,
-	}
-}
-
-// CohortFig9 returns a maker for the cohort convergence scenarios: the
-// figure 9 setting — an 8 Mbit/s dumbbell shared with 15 TCP flows —
-// with the explicit receiver replaced by one analytic cohort of n
-// members behind a fast access hop. The cohortconv figure compares each
-// against its explicit-population twin; the committed hypothesis suite
-// bands the sampled sender rate.
-func CohortFig9(n int) func() *Spec {
-	return func() *Spec {
-		var steps []Step
-		for i := 0; i < 15; i++ {
-			name := fmt.Sprintf("tcp%d", i)
-			steps = append(steps, Step{TCP: &TCPSpec{
-				Name: name, From: Core(0), To: Core(1),
-				Port: 10 + Port(i), Meter: MeterFirst(i, "TCP 1")}})
-		}
-		steps = append(steps, Step{Sample: &SampleSpec{Name: "sender rate", What: SampleSenderRate}})
-		hop := FastHop()
-		return &Spec{
-			Name:  fmt.Sprintf("cohort%d", n),
-			Title: fmt.Sprintf("Cohort of %d receivers in the figure 9 setting", n),
-			Topology: Topology{Kind: Dumbbell,
-				Core: LinkP{BW: 8 * 125000, Delay: 20 * sim.Millisecond, Queue: 80}},
-			Cohort:   &CohortSpec{Size: n, At: AttachPoint(0), Hop: &hop, Meter: "TFMCC"},
-			Steps:    steps,
-			Duration: 200 * sim.Second,
-		}
 	}
 }
 

@@ -104,7 +104,7 @@ type Scenario struct {
 	SiteLinks [][]*simnet.Link // per site: down0, up0[, down1, up1]
 
 	// Recvs holds the declared receiver endpoints — population receivers
-	// first, then Recv steps, then the cohort probe. An entry is nil
+	// first, then Recv steps. An entry is nil
 	// until its receiver's join fires (JoinAt > 0).
 	Recvs   []*tfmcc.Receiver
 	Flows   []*Flow // TCP/CBR steps in order
@@ -233,11 +233,6 @@ func Build(env Env, spec *Spec) (*Scenario, error) {
 			return nil, err
 		}
 	}
-	if spec.Cohort != nil {
-		if err := sc.buildCohort(spec.Cohort); err != nil {
-			return nil, err
-		}
-	}
 	for i, ev := range spec.Events {
 		if err := sc.scheduleEvent(ev); err != nil {
 			return nil, fmt.Errorf("%w (event %d)", err, i)
@@ -265,9 +260,6 @@ func (s *Spec) checkLinks() error {
 	}
 	if s.Pop != nil {
 		hop("pop.hop", s.Pop.Hop)
-	}
-	if s.Cohort != nil && s.Cohort.Hop != nil {
-		hop("cohort.hop", *s.Cohort.Hop)
 	}
 	for i, st := range s.Steps {
 		if st.Site == nil {
@@ -476,7 +468,20 @@ func (sc *Scenario) buildRecv(r *RecvSpec) error {
 	}
 	slot := len(sc.Recvs)
 	sc.Recvs = append(sc.Recvs, nil)
-	sc.join(r.JoinAt, slot, func() *tfmcc.Receiver { return sc.Sess.AddReceiver(at) }, r.Meter, at)
+	meter := r.Meter // not r: the closure must not make the step escape
+	join := func() {
+		rcv := sc.Sess.AddReceiver(at)
+		sc.Recvs[slot] = rcv
+		if meter != "" {
+			rcv.Meter = sc.Env.NewMeterAt(meter, at)
+			rcv.Meter.Start()
+		}
+	}
+	if r.JoinAt == 0 {
+		join()
+	} else {
+		sc.Env.Sch.At(r.JoinAt, join)
+	}
 	if r.LeaveAt > 0 {
 		sc.Env.Sch.At(r.LeaveAt, func() {
 			if rcv := sc.Recvs[slot]; rcv != nil {
@@ -484,67 +489,6 @@ func (sc *Scenario) buildRecv(r *RecvSpec) error {
 			}
 		})
 	}
-	return nil
-}
-
-// join fills receiver slot with add's receiver at joinAt (now when 0),
-// attaching and starting a throughput meter when meter names one.
-func (sc *Scenario) join(joinAt sim.Time, slot int, add func() *tfmcc.Receiver, meter string, at simnet.NodeID) {
-	join := func() {
-		rcv := add()
-		sc.Recvs[slot] = rcv
-		if meter != "" {
-			rcv.Meter = sc.Env.NewMeterAt(meter, at)
-			rcv.Meter.Start()
-		}
-	}
-	if joinAt == 0 {
-		join()
-	} else {
-		sc.Env.Sch.At(joinAt, join)
-	}
-}
-
-// maxCohort bounds the analytic receiver block. Cohorts cost O(1)
-// memory regardless of size, so the ceiling only guards against
-// nonsense specs (negative or absurd counts), not resources.
-const maxCohort = 1 << 24
-
-// buildCohort attaches the spec's analytic receiver block. It runs
-// after the explicit steps so At can reference sites the steps built;
-// a Hop builds an implicit single-hop site below At first, mirroring
-// the population expansion.
-func (sc *Scenario) buildCohort(c *CohortSpec) error {
-	if c.Size < 1 || c.Size > maxCohort {
-		return fmt.Errorf("scenario %s: cohort size %d out of range [1, %d]",
-			sc.Spec.Name, c.Size, maxCohort)
-	}
-	if c.JoinAt < 0 {
-		return fmt.Errorf("scenario %s: negative cohort join time", sc.Spec.Name)
-	}
-	if c.LossModel.Spread < 0 {
-		return fmt.Errorf("scenario %s: negative cohort loss spread %v",
-			sc.Spec.Name, c.LossModel.Spread)
-	}
-	attach := c.At
-	if c.Hop != nil {
-		site := len(sc.SiteLeaf)
-		if err := sc.buildSite(&SiteSpec{Parent: c.At, Hops: []Hop{*c.Hop}}); err != nil {
-			return err
-		}
-		attach = Site(site)
-	}
-	at, err := sc.node(attach)
-	if err != nil {
-		return err
-	}
-	size, spread := c.Size, c.LossModel.Spread
-	sc.Recvs = append(sc.Recvs, nil)
-	sc.join(c.JoinAt, len(sc.Recvs)-1, func() *tfmcc.Receiver {
-		rcv := sc.Sess.AddCohort(at, size)
-		rcv.SetLossSpread(spread)
-		return rcv
-	}, c.Meter, at)
 	return nil
 }
 

@@ -277,36 +277,6 @@ type Step struct {
 	Sample *SampleSpec `json:"sample,omitempty"`
 }
 
-// LossModel declares how a cohort's member loss rates spread around its
-// probe's measurement. The zero value is a homogeneous cohort: every
-// member sees the probe's loss process exactly. Spread > 0 models mild
-// heterogeneity: the worst member's loss event rate is the probe's
-// inflated by (1 + Spread·log2(size)).
-type LossModel struct {
-	Spread float64 `json:"spread,omitempty"`
-}
-
-// CohortSpec declares an aggregate receiver block: Size homogeneous
-// receivers modelled analytically by a single probe endpoint (see
-// tfmcc.Session.AddCohort), so a spec can declare a million receivers and
-// run in bounded memory. The cohort attaches at At — typically an access
-// site or attach point of a dumbbell/transit-stub topology — either
-// directly (Hop nil) or behind a dedicated single access hop. It is
-// built after the explicit Steps (so At may reference any declared
-// site) and occupies the last entry of Scenario.Recvs.
-//
-// A cohort twin is only valid for members genuinely sharing the probe's
-// path; heterogeneous-RTT populations must be split into one cohort per
-// access site.
-type CohortSpec struct {
-	Size      int       `json:"size"`
-	LossModel LossModel `json:"loss_model,omitzero"`
-	At        NodeRef   `json:"at,omitzero"`
-	Hop       *Hop      `json:"hop,omitempty"`        // optional dedicated access hop below At
-	JoinAt    sim.Time  `json:"join_at_ns,omitempty"` // 0 = join during construction
-	Meter     string    `json:"meter,omitempty"`      // probe throughput series; "" = unmetered
-}
-
 // Population declares a uniform receiver block: Count single-hop sites
 // (or direct attachments) with one receiver each, expanded before the
 // explicit Steps. It exists so large uniform scenarios stay compact and
@@ -365,7 +335,6 @@ type Spec struct {
 	Topology Topology    `json:"topology,omitzero"`
 	Session  Session     `json:"session,omitzero"`
 	Pop      *Population `json:"pop,omitempty"`
-	Cohort   *CohortSpec `json:"cohort,omitempty"`
 	Steps    []Step      `json:"steps,omitempty"`
 	Events   []Event     `json:"events,omitempty"`
 	Duration sim.Time    `json:"duration_ns"`

@@ -272,7 +272,6 @@ func TestOverridesRejectNonsense(t *testing.T) {
 		{"coredelay -1ms", with(func(o *Overrides) { o.CoreDelay = -sim.Millisecond }), "-coredelay"},
 		{"corequeue -1", with(func(o *Overrides) { o.CoreQueue = -1 }), "-corequeue"},
 		{"receivers -2", with(func(o *Overrides) { o.Receivers = -2 }), "-receivers"},
-		{"cohort -1", with(func(o *Overrides) { o.Cohort = -1 }), "-cohort"},
 		{"fanout -1", with(func(o *Overrides) { o.Fanout = -1 }), "-fanout"},
 		{"depth -1", with(func(o *Overrides) { o.Depth = -1 }), "-depth"},
 		{"hops -1", with(func(o *Overrides) { o.Hops = -1 }), "-hops"},
@@ -368,17 +367,19 @@ func TestBuildRejectsUnusableSessionConfig(t *testing.T) {
 
 // TestDecodeRejectsRemovedEventKeys: set_link is the script's one link
 // verb, so the keys of the verbs it replaced, and set_link's old
-// single-link key, are unknown fields a strict decode names.
+// single-link key, are unknown fields a strict decode names. So is the
+// spec's old "cohort" key: explicit receivers are the one receiver kind.
 func TestDecodeRejectsRemovedEventKeys(t *testing.T) {
-	for key, event := range map[string]string{
-		"down":      `{"down":{"site":-1}}`,
-		"up":        `{"up":{"site":-1}}`,
-		"partition": `{"partition":[{"site":-1}]}`,
-		"heal":      `{"heal":[{"site":-1}]}`,
-		"impair":    `{"impair":{"link":{"site":-1},"corrupt":0.1}}`,
-		"link":      `{"set_link":{"link":{"site":-1},"down":true}}`,
+	for key, field := range map[string]string{
+		"down":      `"events":[{"down":{"site":-1}}]`,
+		"up":        `"events":[{"up":{"site":-1}}]`,
+		"partition": `"events":[{"partition":[{"site":-1}]}]`,
+		"heal":      `"events":[{"heal":[{"site":-1}]}]`,
+		"impair":    `"events":[{"impair":{"link":{"site":-1},"corrupt":0.1}}]`,
+		"link":      `"events":[{"set_link":{"link":{"site":-1},"down":true}}]`,
+		"cohort":    `"cohort":{"size":16,"meter":"TFMCC"}`,
 	} {
-		doc := `{"name":"x","duration_ns":1,"events":[` + event + `]}`
+		doc := `{"name":"x","duration_ns":1,` + field + `}`
 		if _, err := DecodeSpec([]byte(doc)); err == nil || !strings.Contains(err.Error(), `"`+key+`"`) {
 			t.Errorf("%s: %v, want a decode error naming the key", key, err)
 		}

@@ -323,3 +323,53 @@ func TestCanInlineAgainstStaleTop(t *testing.T) {
 		t.Error("CanInline(5) false with a stale top key of 10")
 	}
 }
+
+// A slot's generation is a uint32 bumped on every release. Started two
+// releases short of the wrap, one slot is armed, re-armed, cancelled,
+// re-armed earlier (a release and a reuse), fired and reset through it:
+// every handle issued before a release must stay inactive after it, and
+// stopping one must not touch the slot's current event.
+func TestTimerGenerationWraps(t *testing.T) {
+	s := NewScheduler()
+	fired := map[int]int{}
+	fn := func(arg any) { fired[arg.(int)]++ }
+	s.AfterArg(1, fn, 0).Stop()
+	s.slots[0].gen = 1<<32 - 2
+
+	t1 := s.AfterArg(10, fn, 1)
+	if t1.slot != 1 || t1.gen != 1<<32-2 {
+		t.Fatalf("first timer took slot %d gen %d, want slot 1 gen 2^32-2", t1.slot, t1.gen)
+	}
+	if s.RearmArg(t1, 20, fn, 1) != t1 {
+		t.Fatal("a later re-arm changed the handle")
+	}
+	t1.Stop() // gen 2^32-1
+	t2 := s.AfterArg(10, fn, 2)
+	t3 := s.RearmArg(t2, 5, fn, 3) // earlier: released (gen wraps to 0) and reused
+	if t3.slot != t1.slot || t3.gen != 0 {
+		t.Fatalf("re-armed timer took slot %d gen %d, want slot %d gen 0", t3.slot, t3.gen, t1.slot)
+	}
+	for i, old := range []Timer{t1, t2} {
+		if old.Active() || old.Stop() {
+			t.Fatalf("handle %d issued before the wrap is active after it", i+1)
+		}
+	}
+	if !t3.Active() || t3.At() != 5 {
+		t.Fatalf("current timer active=%v at=%d, want active at 5", t3.Active(), t3.At())
+	}
+	s.Run()
+	s.Reset()
+	t4 := s.AfterArg(10, fn, 4)
+	for i, old := range []Timer{t1, t2, t3} {
+		if old.Active() || old.Stop() {
+			t.Fatalf("handle %d is active after its slot fired and reset", i+1)
+		}
+	}
+	s.Run()
+	if want := map[int]int{3: 1, 4: 1}; fmt.Sprint(fired) != fmt.Sprint(want) {
+		t.Fatalf("fired %v, want %v", fired, want)
+	}
+	if t4.slot != t1.slot || t4.gen != 2 {
+		t.Fatalf("timer after the reset took slot %d gen %d, want slot %d gen 2", t4.slot, t4.gen, t1.slot)
+	}
+}

@@ -187,3 +187,61 @@ func TestResetAfterDelayMutation(t *testing.T) {
 			aUp.Stats.Sent, aDown.Stats.Sent)
 	}
 }
+
+// TestTopologyVersionWraps runs the tree-invalidation sequence of
+// TestSetDelayInvalidatesMcastTrees across the uint32 wrap of the
+// topology version that expires cached multicast trees (the one-entry
+// last-tree cache and the tree pointer on an in-flight packet): each
+// mutation must still recompile the tree the next send uses. Unicast
+// route rows are expired by routesOK, not by the version; the sends
+// between mutations check them too.
+func TestTopologyVersionWraps(t *testing.T) {
+	sch := sim.NewScheduler()
+	net := New(sch, sim.NewRand(1))
+	src := net.AddNode("src")
+	up := net.AddNode("up")
+	down := net.AddNode("down")
+	rcv := net.AddNode("rcv")
+	net.AddDuplex(src, up, 0, 10*sim.Millisecond, 0)
+	upRcv, _ := net.AddDuplex(up, rcv, 0, 10*sim.Millisecond, 0)
+	net.AddDuplex(src, down, 0, 40*sim.Millisecond, 0)
+	downRcv, _ := net.AddDuplex(down, rcv, 0, 10*sim.Millisecond, 0)
+	c := mcastCounter(net, rcv)
+	const g = GroupID(5)
+	net.Join(g, rcv)
+	net.topoVer = 1<<32 - 2
+
+	sendMcast(net, src, g)
+	uni := func() {
+		net.Send(&Packet{Size: 10, Src: Addr{src, 2}, Dst: Addr{rcv, 1}})
+		sch.Run()
+	}
+	uni()
+	if *c != 2 || upRcv.Stats.Sent != 2 || net.lastVer != 1<<32-2 {
+		t.Fatalf("initial tree and route should run over up: c=%d up=%d cached ver %d", *c, upRcv.Stats.Sent, net.lastVer)
+	}
+	net.LinkBetween(src, up).SetDelay(200 * sim.Millisecond) // version 2^32-1
+	sendMcast(net, src, g)
+	uni()
+	if *c != 4 || downRcv.Stats.Sent != 2 {
+		t.Fatalf("tree or route not recompiled before the wrap: c=%d down=%d", *c, downRcv.Stats.Sent)
+	}
+	net.LinkBetween(src, up).SetDelay(10 * sim.Millisecond) // version wraps to 0
+	sendMcast(net, src, g)
+	uni()
+	if *c != 6 || upRcv.Stats.Sent != 4 || net.topoVer != 0 {
+		t.Fatalf("tree or route not recompiled across the wrap: c=%d up=%d version %d", *c, upRcv.Stats.Sent, net.topoVer)
+	}
+	// In flight across the next bump: the packet's tree, stamped version
+	// 0 at src, expires at its next hop, so it arrives stamped 1.
+	stamp := uint32(1<<32 - 1)
+	net.Bind(Addr{rcv, 1}, HandlerFunc(func(p *Packet) { *c++; stamp = p.treeVer }))
+	net.Send(&Packet{Size: 100, Src: Addr{src, 1}, Dst: Addr{Port: 1}, Group: g, IsMcast: true})
+	sch.At(sch.Now()+5*sim.Millisecond, func() {
+		net.LinkBetween(down, rcv).SetDelay(15 * sim.Millisecond) // version 1, off the packet's path
+	})
+	sch.Run()
+	if *c != 7 || stamp != 1 {
+		t.Fatalf("in-flight packet kept its stale tree: c=%d, arrived stamped version %d, want 1", *c, stamp)
+	}
+}

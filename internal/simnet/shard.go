@@ -236,10 +236,6 @@ func (n *Network) RegionStats() RegionStats {
 	return st
 }
 
-// ControlNow is the control scheduler's clock, the reference the
-// cross-shard invariants compare shard clocks against.
-func (n *Network) ControlNow() sim.Time { return n.sched.Now() }
-
 // ShardClocks returns each shard scheduler's current time (nil when not
 // sharded). At a barrier every entry equals the control clock; the
 // cross-shard skew invariant pins that.
