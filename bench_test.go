@@ -3,8 +3,9 @@
 //
 //	go test -bench=. -benchmem
 //
-// Each benchmark executes the full scenario behind the figure once per
-// iteration and reports the headline numbers via b.Log / custom metrics.
+// Each registry sub-benchmark executes the full scenario behind its
+// entry once per iteration and logs the headline numbers via b.Log; the
+// session benchmarks report engine metrics.
 package repro
 
 import (
@@ -13,59 +14,30 @@ import (
 	"repro/internal/experiments"
 )
 
-func benchFigure(b *testing.B, id string) {
-	b.Helper()
-	b.ReportAllocs()
-	// One context for all iterations: after the first (cold) run, each
-	// iteration rewinds the cached scenario arena instead of rebuilding.
-	ctx := experiments.NewRunCtx()
-	var res *experiments.Result
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunWith(ctx, id, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res = r
-	}
-	if res != nil {
-		b.Log(res.Summary())
+// BenchmarkRegistry runs every registry entry, the paper's figures and
+// the scenario presets alike, as one sub-benchmark named by its id
+// (-bench 'Registry/^12$' selects figure 12). One context serves all
+// iterations of an entry: after the first (cold) run, each iteration
+// rewinds the cached scenario arena instead of rebuilding.
+func BenchmarkRegistry(b *testing.B) {
+	for _, e := range experiments.Entries() {
+		b.Run(e.ID, func(b *testing.B) {
+			b.ReportAllocs()
+			ctx := experiments.NewRunCtx()
+			var res *experiments.Result
+			for i := 0; i < b.N; i++ {
+				r, err := experiments.RunWith(ctx, e.ID, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				res = r
+			}
+			if res != nil {
+				b.Log(res.Summary())
+			}
+		})
 	}
 }
-
-func BenchmarkFigure1(b *testing.B)  { benchFigure(b, "1") }
-func BenchmarkFigure2(b *testing.B)  { benchFigure(b, "2") }
-func BenchmarkFigure3(b *testing.B)  { benchFigure(b, "3") }
-func BenchmarkFigure4(b *testing.B)  { benchFigure(b, "4") }
-func BenchmarkFigure5(b *testing.B)  { benchFigure(b, "5") }
-func BenchmarkFigure6(b *testing.B)  { benchFigure(b, "6") }
-func BenchmarkFigure7(b *testing.B)  { benchFigure(b, "7") }
-func BenchmarkFigure9(b *testing.B)  { benchFigure(b, "9") }
-func BenchmarkFigure10(b *testing.B) { benchFigure(b, "10") }
-func BenchmarkFigure11(b *testing.B) { benchFigure(b, "11") }
-func BenchmarkFigure12(b *testing.B) { benchFigure(b, "12") }
-func BenchmarkFigure13(b *testing.B) { benchFigure(b, "13") }
-func BenchmarkFigure14(b *testing.B) { benchFigure(b, "14") }
-func BenchmarkFigure15(b *testing.B) { benchFigure(b, "15") }
-func BenchmarkFigure16(b *testing.B) { benchFigure(b, "16") }
-func BenchmarkFigure17(b *testing.B) { benchFigure(b, "17") }
-func BenchmarkFigure18(b *testing.B) { benchFigure(b, "18") }
-func BenchmarkFigure19(b *testing.B) { benchFigure(b, "19") }
-func BenchmarkFigure20(b *testing.B) { benchFigure(b, "20") }
-func BenchmarkFigure21(b *testing.B) { benchFigure(b, "21") }
-
-// Scenario presets ride the same harness as the figures.
-func BenchmarkScenarioDeeptree(b *testing.B)   { benchFigure(b, "deeptree") }
-func BenchmarkScenarioDegrade(b *testing.B)    { benchFigure(b, "degrade") }
-func BenchmarkScenarioFlashcrowd(b *testing.B) { benchFigure(b, "flashcrowd") }
-func BenchmarkScenarioMassleave(b *testing.B)  { benchFigure(b, "massleave") }
-func BenchmarkScenarioTCPBurst(b *testing.B)   { benchFigure(b, "tcpburst") }
-func BenchmarkScenarioWireless(b *testing.B)   { benchFigure(b, "wireless") }
-func BenchmarkScenarioChainloss(b *testing.B)  { benchFigure(b, "chainloss") }
-
-// Fault-injection presets.
-func BenchmarkScenarioCLRFail(b *testing.B)   { benchFigure(b, "clrfail") }
-func BenchmarkScenarioPartition(b *testing.B) { benchFigure(b, "partition") }
-func BenchmarkScenarioCorruptFB(b *testing.B) { benchFigure(b, "corruptfb") }
 
 // BenchmarkTFMCCSession measures end-to-end simulation cost: one sender,
 // 100 receivers, a 1 Mbit/s bottleneck, 10 simulated seconds per

@@ -8,6 +8,7 @@
 //	tfmccsim -figure 9 -tsv                  # dump the series as TSV
 //	tfmccsim -figure 9 -seeds 8 -workers 4   # 8-seed sweep, merged bands
 //	tfmccsim -all                            # run every figure
+//	tfmccsim -all -tsv                       # every block headed "# <id>\t<title>"
 //	tfmccsim -list                           # list available figures
 //	tfmccsim -scenario flashcrowd            # run a scenario preset
 //	tfmccsim -scenario 9 -duration 60 -coreloss 0.01   # overridden figure
@@ -142,8 +143,13 @@ func main() {
 	case *scen != "":
 		run(experiments.ScenarioJob(*scen, ov))
 	case *all:
-		for _, id := range experiments.Figures() {
-			run(experiments.FigureJob(id))
+		for _, e := range experiments.Entries() {
+			if *tsv {
+				// Name each entry's block, so a reader (or a diff) need
+				// not count blocks in registry order.
+				fmt.Printf("# %s\t%s\n", e.ID, e.Title)
+			}
+			run(experiments.FigureJob(e.ID))
 		}
 	case *figure != "":
 		run(experiments.FigureJob(*figure))

@@ -52,18 +52,21 @@ func mutateSpec(spec *scenario.Spec, mut []byte) {
 	}
 }
 
-// zeroPacketSizeID names the extra corpus document below in
-// FuzzScenarioSpec's seed corpus.
-const zeroPacketSizeID = "clrfail-packetsize0"
+// sameNodeFlowID names the extra corpus spec below in FuzzScenarioSpec's
+// seed corpus.
+const sameNodeFlowID = "9-tcp5-same-node"
 
-// zeroPacketSize is the spec document that wedged a run before session
-// configs were validated: a fault preset with session.cfg.PacketSize 0.
-// Both fuzzers start from it.
-func zeroPacketSize() *scenario.Spec {
-	spec := scenario.CLRFail()
-	cfg := *spec.Session.Cfg
-	cfg.PacketSize = 0
-	spec.Session.Cfg = &cfg
+// sameNodeFlow is figure 9 with tcp5's to dropped from the document, so
+// it resolves to the zero reference, core node 0, its own from node: a
+// flow that crosses no link and used to run as fast as the event loop
+// could go. Build refuses it.
+func sameNodeFlow() *scenario.Spec {
+	spec := Figure9Spec()
+	for _, st := range spec.Steps {
+		if st.TCP != nil && st.TCP.Name == "tcp5" {
+			st.TCP.To = scenario.NodeRef{}
+		}
+	}
 	return spec
 }
 
@@ -91,11 +94,7 @@ func FuzzSpecJSON(f *testing.F) {
 	f.Add([]byte(`{"name":"x","duration_ns":1,"cohort":{"size":16,"meter":"TFMCC"}}`))
 	f.Add([]byte(`{"name":"x","duration_ns":9,"steps":[{"recv":{"at":{"kind":1},"join_at_ns":5,"leave_at_ns":8,"meter":"r"}}]}`))
 	f.Add([]byte(`{"name":"x","duration_ns":1,"events":[{"at_ns":1,"set_link":{"links":[{"site":-1}],"bw":1,"delay_ns":2,"loss":0.5,"down":false}}]}`))
-	enc, err := zeroPacketSize().Encode()
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(enc)
+	f.Add([]byte(`{"name":"x","duration_ns":1,"session":{"cfg":{"PacketSize":0,"HalveOnSilence":true}}}`))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		spec, err := scenario.DecodeSpec(raw)
 		spec2, err2 := scenario.DecodeSpec(raw)
@@ -203,11 +202,10 @@ func fuzzTooExpensive(spec *scenario.Spec) bool {
 }
 
 // fuzzEventBudget bounds one fuzz run's events. A spec can be cheap to
-// state and dear to run — a byte edit that drops a TCP flow's far end
-// leaves both ends on one router, an uncongested flow that sends about
-// 16 M events in 2 s of simulated time — and a run past the budget is
-// rejected as errTooExpensive at the next slice boundary. The seed
-// corpus peaks at 126 k events a run. Slicing RunUntil moves no byte on
+// state and dear to run — a byte edit that points a TCP flow between two
+// uncongested sites leaves nothing to slow it — and a run past the
+// budget is rejected as errTooExpensive at the next slice boundary. The
+// seed corpus peaks at 126 k events a run. Slicing RunUntil moves no byte on
 // either engine (TestSlicedRunUntil).
 const (
 	fuzzEventBudget = 500_000
@@ -284,7 +282,7 @@ func FuzzScenarioSpec(f *testing.F) {
 		f.Add(id, int64(i+1), []byte{byte(i + 4), 0xc0, 0xff, byte(i)})
 		f.Add(id, int64(i+1), []byte{byte(i), 0x40, byte(2 * i), 1, 0, byte(i), 0x17, 2, 0, 40, 3, 1, 9})
 	}
-	f.Add(zeroPacketSizeID, int64(1), []byte{})
+	f.Add(sameNodeFlowID, int64(1), []byte{})
 	// Override records: a 50 kbit/s core (with a fault event after it),
 	// a tree reshaped by fan-out and depth under a 20 kbit/s core, a
 	// core loss of 1.49 that Apply must refuse; then one field each: a
@@ -305,8 +303,8 @@ func FuzzScenarioSpec(f *testing.F) {
 	f.Add("deeptree", int64(11), []byte{0x80, 0x0c, 3, 3})
 	f.Add("deeptree", int64(12), []byte{0x80, 0xff, 64, 100})
 	f.Fuzz(func(t *testing.T, id string, seed int64, mut []byte) {
-		base := zeroPacketSize
-		if id != zeroPacketSizeID {
+		base := sameNodeFlow
+		if id != sameNodeFlowID {
 			e, ok := Lookup(id)
 			if !ok || e.Spec == nil {
 				t.Skip("not a Spec-backed entry")
@@ -329,23 +327,23 @@ func FuzzScenarioSpec(f *testing.F) {
 	})
 }
 
-// TestFuzzRejectsRunawayFlow is the input the region-engine fuzzer
-// reported as a hang (corpus entry fe837658651ea093): a TCP flow whose
-// far end was edited away, so it runs between two access links of one
-// router with nothing to slow it. Here it is figure 9 with tcp5's far
-// end cleared to the zero reference, core node 0, its own source. Each
-// run took over 3 s, four of them more than the fuzzer's patience; past
-// the event budget it is now refused in a fraction of that, on both
-// engines.
+// TestFuzzRejectsRunawayFlow: a spec can be cheap to state, valid, and
+// dear to run. The fuzzer once reported a hang on a TCP flow between two
+// access links of one router (corpus entry fe837658651ea093), which
+// Build now refuses; a TCP flow between two FastHop sites of a star is
+// the same runaway that Build accepts — infinite links, an 8 ms round
+// trip and nothing to slow it. Past the event budget it is refused in a
+// fraction of its run time, on both engines.
 func TestFuzzRejectsRunawayFlow(t *testing.T) {
 	runaway := func() *scenario.Spec {
-		spec := Figure9Spec()
-		for _, st := range spec.Steps {
-			if st.TCP != nil && st.TCP.Name == "tcp5" {
-				st.TCP.To = scenario.NodeRef{}
-			}
+		site := scenario.Step{Site: &scenario.SiteSpec{Hops: []scenario.Hop{scenario.FastHop()}}}
+		return &scenario.Spec{
+			Name:     "runaway",
+			Topology: scenario.Topology{Kind: scenario.Star},
+			Steps: []scenario.Step{site, site,
+				{TCP: &scenario.TCPSpec{Name: "tcp", From: scenario.Site(0), To: scenario.Site(1)}}},
+			Duration: fuzzDuration,
 		}
-		return spec
 	}
 	for _, ew := range []int{1, 2} {
 		if _, err := fuzzRun(runaway, -5, nil, ew); err != errTooExpensive {

@@ -95,11 +95,9 @@ func (p *ChaosPlan) Apply(spec *scenario.Spec) (*scenario.Spec, error) {
 	out := *spec
 	out.Name = fmt.Sprintf("%s-chaos%d-s%d", spec.Name, p.Level, p.seed())
 	out.Events = append([]scenario.Event(nil), spec.Events...)
-	if out.Session.Cfg == nil {
-		// Chaos runs are fault runs: without the section 5 no-feedback
-		// failure mode a crashed CLR would freeze the rate forever.
-		out.Session.Cfg = scenario.FaultSessionConfig()
-	}
+	// Chaos runs are fault runs: without the section 5 no-feedback
+	// failure mode a crashed CLR would freeze the rate forever.
+	out.HalveOnSilence = true
 
 	// Fault targets are read from a scratch build of the spec: core link
 	// pairs, sites (every first hop is an edge-down target) and declared

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
-	"repro/internal/tfmcc"
 )
 
 // Preset is a named, registrable scenario: the experiments registry
@@ -32,16 +31,6 @@ func Presets() []Preset {
 		{ID: "tcpburst", Title: "Competing TCP burst over CBR background", Make: TCPBurst},
 		{ID: "wireless", Title: "Lossy-edge (wireless-like) receivers on a transit-stub", Make: Wireless},
 	}
-}
-
-// FaultSessionConfig is the session config the fault presets (and the
-// chaos schedule generator) share: the default parameter set plus the
-// section 5 no-feedback failure mode, so total feedback silence degrades
-// the rate instead of freezing it.
-func FaultSessionConfig() *tfmcc.Config {
-	cfg := tfmcc.DefaultConfig()
-	cfg.HalveOnSilence = true
-	return &cfg
 }
 
 // CLRFail puts eight receivers on a star with the last one behind a much
@@ -72,11 +61,11 @@ func CLRFail() *Spec {
 		Step{Sample: &SampleSpec{Name: "sender rate", What: SampleSenderRate, Every: 500 * sim.Millisecond}},
 		Step{Sample: &SampleSpec{Name: "group members", What: SampleMembers}})
 	return &Spec{
-		Name:     "clrfail",
-		Title:    "CLR crash, silence halving and re-election",
-		Topology: Topology{Kind: Star},
-		Session:  Session{Cfg: FaultSessionConfig()},
-		Steps:    steps,
+		Name:           "clrfail",
+		Title:          "CLR crash, silence halving and re-election",
+		Topology:       Topology{Kind: Star},
+		HalveOnSilence: true,
+		Steps:          steps,
 		Events: []Event{
 			CrashEvent(60*sim.Second, n-1),
 		},
@@ -105,8 +94,8 @@ func Partition() *Spec {
 		Title: "Core partition and heal",
 		Topology: Topology{Kind: Dumbbell,
 			Core: LinkP{BW: 4 * 125000, Delay: 20 * sim.Millisecond, Queue: 60}},
-		Session: Session{Cfg: FaultSessionConfig()},
-		Steps:   steps,
+		HalveOnSilence: true,
+		Steps:          steps,
 		Events: []Event{
 			PartitionEvent(60*sim.Second, DuplexRefs(CoreLink(0))...),
 			HealEvent(90*sim.Second, DuplexRefs(CoreLink(0))...),
@@ -136,11 +125,11 @@ func CorruptFB() *Spec {
 		{Sample: &SampleSpec{Name: "sender rate", What: SampleSenderRate}},
 	}
 	return &Spec{
-		Name:     "corruptfb",
-		Title:    "Corrupted and reordered feedback path",
-		Topology: Topology{Kind: Star},
-		Session:  Session{Cfg: FaultSessionConfig()},
-		Steps:    steps,
+		Name:           "corruptfb",
+		Title:          "Corrupted and reordered feedback path",
+		Topology:       Topology{Kind: Star},
+		HalveOnSilence: true,
+		Steps:          steps,
 		Events: []Event{
 			ImpairEvent(60*sim.Second, SiteLink(0, 0, true), Impair{Corrupt: 0.3, Duplicate: 0.1, Reorder: 0.2}),
 			ImpairEvent(120*sim.Second, SiteLink(0, 0, true), Impair{}),

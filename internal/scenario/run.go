@@ -165,7 +165,7 @@ func (sc *Scenario) Series() []*stats.Series {
 // slices for a measurement loop.
 //
 // Malformed specs — unknown refs, out-of-range indices, negative times,
-// duplicate flows, an unusable session or TCP config — return errors, never
+// duplicate flows, unusable link or flow numbers — return errors, never
 // panics; on error the environment may be left partially built and
 // should be reset or discarded.
 func Build(env Env, spec *Spec) (*Scenario, error) {
@@ -174,13 +174,6 @@ func Build(env Env, spec *Spec) (*Scenario, error) {
 	}
 	if err := spec.checkLinks(); err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
-	}
-	cfg := tfmcc.DefaultConfig()
-	if spec.Session.Cfg != nil {
-		cfg = *spec.Session.Cfg
-		if err := cfg.Validate(); err != nil {
-			return nil, fmt.Errorf("scenario %s: session cfg: %w", spec.Name, err)
-		}
 	}
 	topo, err := buildTopology(env.Net, spec.Topology)
 	if err != nil {
@@ -197,14 +190,9 @@ func Build(env Env, spec *Spec) (*Scenario, error) {
 	// a fresh node on a fast access duplex into the sender attach point.
 	snd := net.AddNode("tfmcc-src")
 	net.AddDuplex(snd, sc.Topo.SenderAttach, 0, sim.Millisecond, 0)
-	group, port := spec.Session.Group, spec.Session.Port
-	if group == 0 {
-		group = 1
-	}
-	if port == 0 {
-		port = 100
-	}
-	sc.Sess = tfmcc.NewSession(net, snd, group, port, cfg, env.Rng)
+	cfg := tfmcc.DefaultConfig()
+	cfg.HalveOnSilence = spec.HalveOnSilence
+	sc.Sess = tfmcc.NewSession(net, snd, 1, 100, cfg, env.Rng)
 
 	if spec.Pop != nil {
 		if err := sc.expandPopulation(spec.Pop); err != nil {
@@ -502,7 +490,9 @@ func (sc *Scenario) registerFlow(f *Flow) error {
 }
 
 // buildEndpoints creates a flow's fresh source and sink nodes and their
-// fast access duplexes (source into from, sink behind to).
+// fast access duplexes (source into from, sink behind to). A flow whose
+// to resolves to its own from node is refused: it would cross no link
+// of the scenario and run as fast as the event loop can go.
 func (sc *Scenario) buildEndpoints(name string, from, to NodeRef) (a, b simnet.NodeID, err error) {
 	fromID, err := sc.node(from)
 	if err != nil {
@@ -511,6 +501,9 @@ func (sc *Scenario) buildEndpoints(name string, from, to NodeRef) (a, b simnet.N
 	toID, err := sc.node(to)
 	if err != nil {
 		return 0, 0, err
+	}
+	if toID == fromID {
+		return 0, 0, fmt.Errorf("scenario %s: flow %q to resolves to its from node %d", sc.Spec.Name, name, toID)
 	}
 	net := sc.Env.Net
 	a = net.AddNode(name + "-src")
@@ -524,18 +517,11 @@ func (sc *Scenario) buildTCP(t *TCPSpec) error {
 	if t.StartAt < 0 || t.StopAt < 0 {
 		return fmt.Errorf("scenario %s: flow %q has a negative start/stop time", sc.Spec.Name, t.Name)
 	}
-	cfg := tcpsim.DefaultConfig()
-	if t.Cfg != nil {
-		cfg = *t.Cfg
-		if err := cfg.Validate(); err != nil {
-			return fmt.Errorf("scenario %s: flow %q cfg: %w", sc.Spec.Name, t.Name, err)
-		}
-	}
 	a, b, err := sc.buildEndpoints(t.Name, t.From, t.To)
 	if err != nil {
 		return err
 	}
-	snd, snk := tcpsim.NewFlow(t.Name, sc.Env.Net, a, b, t.Port, cfg)
+	snd, snk := tcpsim.NewFlow(t.Name, sc.Env.Net, a, b, t.Port, tcpsim.DefaultConfig())
 	f := &Flow{Name: t.Name, TCP: snd, TCPSink: snk}
 	if t.Meter != "" {
 		m := sc.Env.NewMeterAt(t.Meter, b)
@@ -694,9 +680,6 @@ func (sc *Scenario) scheduleEvent(ev Event) error {
 					return fmt.Errorf("scenario %s: impairment rate %v outside [0, 1]", sc.Spec.Name, p)
 				}
 			}
-			if im.ReorderDelay < 0 {
-				return fmt.Errorf("scenario %s: negative reorder delay %v", sc.Spec.Name, im.ReorderDelay)
-			}
 		}
 		ls := make([]*simnet.Link, len(m.Links))
 		for i, r := range m.Links {
@@ -740,8 +723,8 @@ func (sc *Scenario) scheduleEvent(ev Event) error {
 	return nil
 }
 
-// apply mutates one link at event time. The default reorder delay reads
-// the link's delay now, after this event's own delay change.
+// apply mutates one link at event time. The reorder delay reads the
+// link's delay now, after this event's own delay change.
 func (m *SetLink) apply(l *simnet.Link) {
 	if m.BW != nil {
 		l.SetBandwidth(*m.BW)
@@ -756,12 +739,9 @@ func (m *SetLink) apply(l *simnet.Link) {
 		l.SetDown(*m.Down)
 	}
 	if im := m.Impair; im != nil {
-		extra := im.ReorderDelay
+		extra := l.Delay.Scale(4) // saturates: a delay near MaxTime must not wrap
 		if extra == 0 {
-			extra = l.Delay.Scale(4) // saturates: a delay near MaxTime must not wrap
-			if extra == 0 {
-				extra = sim.Millisecond
-			}
+			extra = sim.Millisecond
 		}
 		l.SetImpairments(im.Corrupt, im.Duplicate, im.Reorder, extra)
 	}

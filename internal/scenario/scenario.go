@@ -19,8 +19,6 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/simnet"
-	"repro/internal/tcpsim"
-	"repro/internal/tfmcc"
 )
 
 // Port aliases simnet.Port for compact spec literals.
@@ -135,15 +133,6 @@ type Topology struct {
 	StubLink LinkP `json:"stub_link,omitzero"` // TransitStub: transit->stub duplex properties
 }
 
-// Session configures the TFMCC session every scenario carries. The
-// source node hangs off the topology's sender attach point over a fast
-// access duplex, exactly like the hand-wired figures.
-type Session struct {
-	Group simnet.GroupID `json:"group,omitempty"` // default 1
-	Port  simnet.Port    `json:"port,omitempty"`  // default 100
-	Cfg   *tfmcc.Config  `json:"cfg,omitempty"`   // nil = tfmcc.DefaultConfig()
-}
-
 // RefKind discriminates NodeRef targets.
 type RefKind int
 
@@ -212,14 +201,13 @@ type RecvSpec struct {
 // TCPSpec wires a TCP NewReno flow: a fresh source node fast-linked to
 // From, a fresh sink node fast-linked behind To.
 type TCPSpec struct {
-	Name    string         `json:"name"` // unique flow key (events, aggregates)
-	From    NodeRef        `json:"from,omitzero"`
-	To      NodeRef        `json:"to,omitzero"`
-	Port    simnet.Port    `json:"port,omitempty"`
-	StartAt sim.Time       `json:"start_at_ns,omitempty"` // 0 = start during construction
-	StopAt  sim.Time       `json:"stop_at_ns,omitempty"`  // 0 = never stop
-	Meter   string         `json:"meter,omitempty"`       // goodput series name; "" = unmetered
-	Cfg     *tcpsim.Config `json:"cfg,omitempty"`
+	Name    string      `json:"name"` // unique flow key (events, aggregates)
+	From    NodeRef     `json:"from,omitzero"`
+	To      NodeRef     `json:"to,omitzero"`
+	Port    simnet.Port `json:"port,omitempty"`
+	StartAt sim.Time    `json:"start_at_ns,omitempty"` // 0 = start during construction
+	StopAt  sim.Time    `json:"stop_at_ns,omitempty"`  // 0 = never stop
+	Meter   string      `json:"meter,omitempty"`       // goodput series name; "" = unmetered
 }
 
 // CBRSpec wires a constant-bit-rate background source between fresh
@@ -309,14 +297,12 @@ type SetLink struct {
 // Impair configures a link's fault-injection modules (see
 // simnet.Link.SetImpairments). Rates are Bernoulli probabilities drawn
 // from the network's seeded RNG; zero rates disable a module and consume
-// no randomness. ReorderDelay bounds the extra propagation delay of a
-// reordered packet; 0 means four times the link's delay at event time
-// (at least 1 ms).
+// no randomness. A reordered packet is held back by up to four times the
+// link's delay at event time (at least 1 ms).
 type Impair struct {
-	Corrupt      float64  `json:"corrupt,omitempty"`
-	Duplicate    float64  `json:"duplicate,omitempty"`
-	Reorder      float64  `json:"reorder,omitempty"`
-	ReorderDelay sim.Time `json:"reorder_delay_ns,omitempty"`
+	Corrupt   float64 `json:"corrupt,omitempty"`
+	Duplicate float64 `json:"duplicate,omitempty"`
+	Reorder   float64 `json:"reorder,omitempty"`
 }
 
 // Event is one entry of the timed script. Exactly one action is set.
@@ -328,16 +314,20 @@ type Event struct {
 	Crash   *int     `json:"crash,omitempty"` // crash the i-th declared receiver (no Leave report)
 }
 
-// Spec is a complete declarative scenario.
+// Spec is a complete declarative scenario. Its TFMCC session runs the
+// paper's parameter set (tfmcc.DefaultConfig) on group 1, port 100, from
+// a source node on a fast access duplex into the topology's sender
+// attach point; HalveOnSilence is the one protocol choice a spec makes
+// (tfmcc.Config.HalveOnSilence, the section 5 no-feedback mode).
 type Spec struct {
-	Name     string      `json:"name,omitempty"`
-	Title    string      `json:"title,omitempty"`
-	Topology Topology    `json:"topology,omitzero"`
-	Session  Session     `json:"session,omitzero"`
-	Pop      *Population `json:"pop,omitempty"`
-	Steps    []Step      `json:"steps,omitempty"`
-	Events   []Event     `json:"events,omitempty"`
-	Duration sim.Time    `json:"duration_ns"`
+	Name           string      `json:"name,omitempty"`
+	Title          string      `json:"title,omitempty"`
+	Topology       Topology    `json:"topology,omitzero"`
+	HalveOnSilence bool        `json:"halve_on_silence,omitempty"`
+	Pop            *Population `json:"pop,omitempty"`
+	Steps          []Step      `json:"steps,omitempty"`
+	Events         []Event     `json:"events,omitempty"`
+	Duration       sim.Time    `json:"duration_ns"`
 }
 
 // BW converts Mbit/s to the bytes/second links use.

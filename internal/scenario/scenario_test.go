@@ -1,13 +1,13 @@
 package scenario
 
 import (
+	"bytes"
 	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/sim"
 	"repro/internal/simnet"
-	"repro/internal/tfmcc"
 )
 
 func mustLink(t *testing.T, sc *Scenario, ref LinkRef) *simnet.Link {
@@ -332,52 +332,26 @@ func TestPresetSpecsBuild(t *testing.T) {
 	}
 }
 
-// TestBuildRejectsUnusableSessionConfig: Session.Cfg arrives in spec
-// documents from outside the program, so a parameter set that cannot
-// drive a session is a Build error naming the field — PacketSize 0 used
-// to wedge the run (the send clock never advanced).
-func TestBuildRejectsUnusableSessionConfig(t *testing.T) {
-	for field, mut := range map[string]func(*tfmcc.Config){
-		"PacketSize":       func(c *tfmcc.Config) { c.PacketSize = 0 },
-		"ReportSize":       func(c *tfmcc.Config) { c.ReportSize = -40 },
-		"FeedbackC":        func(c *tfmcc.Config) { c.FeedbackC = 0 },
-		"FeedbackN":        func(c *tfmcc.Config) { c.FeedbackN = math.NaN() },
-		"SlowstartFactor":  func(c *tfmcc.Config) { c.SlowstartFactor = math.Inf(1) },
-		"NumLossIntervals": func(c *tfmcc.Config) { c.NumLossIntervals = 0 },
-		"InitialRate":      func(c *tfmcc.Config) { c.InitialRate = math.NaN() },
-		"MinRate":          func(c *tfmcc.Config) { c.MinRate = -1 },
-		"MaxRate":          func(c *tfmcc.Config) { c.MaxRate = c.MinRate / 2 },
-		"CLRTimeoutRounds": func(c *tfmcc.Config) { c.CLRTimeoutRounds = 0 },
-	} {
-		spec := CLRFail()
-		cfg := *spec.Session.Cfg
-		mut(&cfg)
-		spec.Session.Cfg = &cfg
-		if _, err := Build(NewEnv(1), spec); err == nil || !strings.Contains(err.Error(), field) {
-			t.Errorf("%s: want a Build error naming the field, got %v", field, err)
-		}
-	}
-	if err := tfmcc.DefaultConfig().Validate(); err != nil {
-		t.Fatalf("the paper's parameter set is rejected: %v", err)
-	}
-	if err := FaultSessionConfig().Validate(); err != nil {
-		t.Fatalf("the fault presets' parameter set is rejected: %v", err)
-	}
-}
-
 // TestDecodeRejectsRemovedEventKeys: set_link is the script's one link
 // verb, so the keys of the verbs it replaced, and set_link's old
 // single-link key, are unknown fields a strict decode names. So is the
 // spec's old "cohort" key: explicit receivers are the one receiver kind.
+// And so are the old protocol config keys — "session" (with its group,
+// port and tfmcc cfg), a tcp step's "cfg" and an impairment's
+// "reorder_delay_ns": halve_on_silence is the one protocol value a
+// document sets, and it round-trips.
 func TestDecodeRejectsRemovedEventKeys(t *testing.T) {
 	for key, field := range map[string]string{
-		"down":      `"events":[{"down":{"site":-1}}]`,
-		"up":        `"events":[{"up":{"site":-1}}]`,
-		"partition": `"events":[{"partition":[{"site":-1}]}]`,
-		"heal":      `"events":[{"heal":[{"site":-1}]}]`,
-		"impair":    `"events":[{"impair":{"link":{"site":-1},"corrupt":0.1}}]`,
-		"link":      `"events":[{"set_link":{"link":{"site":-1},"down":true}}]`,
-		"cohort":    `"cohort":{"size":16,"meter":"TFMCC"}`,
+		"down":             `"events":[{"down":{"site":-1}}]`,
+		"up":               `"events":[{"up":{"site":-1}}]`,
+		"partition":        `"events":[{"partition":[{"site":-1}]}]`,
+		"heal":             `"events":[{"heal":[{"site":-1}]}]`,
+		"impair":           `"events":[{"impair":{"link":{"site":-1},"corrupt":0.1}}]`,
+		"link":             `"events":[{"set_link":{"link":{"site":-1},"down":true}}]`,
+		"cohort":           `"cohort":{"size":16,"meter":"TFMCC"}`,
+		"session":          `"session":{"cfg":{"PacketSize":0}}`,
+		"cfg":              `"steps":[{"tcp":{"name":"t","cfg":{"InitialRTO":0}}}]`,
+		"reorder_delay_ns": `"events":[{"set_link":{"links":[{"site":-1}],"impair":{"reorder":0.2,"reorder_delay_ns":5}}}]`,
 	} {
 		doc := `{"name":"x","duration_ns":1,` + field + `}`
 		if _, err := DecodeSpec([]byte(doc)); err == nil || !strings.Contains(err.Error(), `"`+key+`"`) {
@@ -387,5 +361,19 @@ func TestDecodeRejectsRemovedEventKeys(t *testing.T) {
 	ok := `{"name":"x","duration_ns":1,"events":[{"set_link":{"links":[{"site":-1},{"site":-1,"up":true}],"down":true,"impair":{}}}]}`
 	if _, err := DecodeSpec([]byte(ok)); err != nil {
 		t.Errorf("set_link with links, down and impair refused: %v", err)
+	}
+	enc, err := CLRFail().Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(enc), `"halve_on_silence": true`) {
+		t.Fatalf("clrfail's document does not set halve_on_silence:\n%s", enc)
+	}
+	back, err := DecodeSpec(enc)
+	if err != nil || !back.HalveOnSilence {
+		t.Fatalf("halve_on_silence lost in decode: %v", err)
+	}
+	if again, _ := back.Encode(); !bytes.Equal(again, enc) {
+		t.Errorf("halve_on_silence round trip not a fixpoint:\n%s\n%s", enc, again)
 	}
 }

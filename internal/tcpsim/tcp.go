@@ -6,7 +6,6 @@
 package tcpsim
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/sim"
@@ -60,31 +59,6 @@ func DefaultConfig() Config {
 		MaxCwnd:    10000,
 		Overhead:   2 * sim.Millisecond,
 	}
-}
-
-// Validate rejects parameter sets that cannot drive a flow — the ones
-// that arrive in spec documents from outside the program and would
-// otherwise wedge a run (a zero RTO re-arms the timer at the same
-// instant forever) or stall it without a word (a window below one
-// packet sends nothing). It names the first offending field.
-func (c Config) Validate() error {
-	switch {
-	case c.PacketSize < 1:
-		return fmt.Errorf("tcpsim: PacketSize %d must be at least 1", c.PacketSize)
-	case c.AckSize < 1:
-		return fmt.Errorf("tcpsim: AckSize %d must be at least 1", c.AckSize)
-	case c.InitialRTO <= 0:
-		return fmt.Errorf("tcpsim: InitialRTO %v must be positive", c.InitialRTO)
-	case c.MinRTO <= 0:
-		return fmt.Errorf("tcpsim: MinRTO %v must be positive", c.MinRTO)
-	case c.MaxRTO < c.MinRTO:
-		return fmt.Errorf("tcpsim: MaxRTO %v must be at least MinRTO %v", c.MaxRTO, c.MinRTO)
-	case !(c.MaxCwnd >= 1): // false for NaN
-		return fmt.Errorf("tcpsim: MaxCwnd %v must be at least 1", c.MaxCwnd)
-	case c.Overhead < 0:
-		return fmt.Errorf("tcpsim: Overhead %v must not be negative", c.Overhead)
-	}
-	return nil
 }
 
 // Sender is a TCP NewReno sender with an unlimited data source.

@@ -9,9 +9,6 @@
 package tfmcc
 
 import (
-	"fmt"
-	"math"
-
 	"repro/internal/feedback"
 	"repro/internal/rtt"
 	"repro/internal/sim"
@@ -78,69 +75,6 @@ func DefaultConfig() Config {
 		PrevCLRTimeout:   2 * sim.Second,
 		HalveOnSilence:   false,
 	}
-}
-
-// Validate rejects parameter sets that cannot drive a session — the ones
-// that arrive in spec documents from outside the program and would
-// otherwise wedge a run (a zero packet size never advances the send
-// clock), poison it with NaN rates, or quietly run another protocol (a
-// zero model packet size lifts every calculated rate off the TCP curve;
-// a zero initial RTT starts the sender's maximum RTT at 0 while every
-// receiver substitutes the default). It names the first offending field.
-func (c Config) Validate() error {
-	positive := func(v float64) bool { return v > 0 && !math.IsInf(v, 1) } // false for NaN
-	rate := func(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
-	fraction := func(v float64) bool { return v >= 0 && v <= 1 }
-	alpha := func(v float64) bool { return v > 0 && v <= 1 }
-	switch {
-	case c.PacketSize < 1:
-		return fmt.Errorf("tfmcc: PacketSize %d must be at least 1", c.PacketSize)
-	case c.ReportSize < 1:
-		return fmt.Errorf("tfmcc: ReportSize %d must be at least 1", c.ReportSize)
-	case c.Model.PacketSize < 1:
-		return fmt.Errorf("tfmcc: Model.PacketSize %d must be at least 1", c.Model.PacketSize)
-	case !(c.Model.B >= 1 && positive(c.Model.B)):
-		return fmt.Errorf("tfmcc: Model.B %v must be finite and at least 1", c.Model.B)
-	case !positive(c.Model.RTOFactor):
-		return fmt.Errorf("tfmcc: Model.RTOFactor %v must be finite and positive", c.Model.RTOFactor)
-	case !positive(c.Model.MathisC):
-		return fmt.Errorf("tfmcc: Model.MathisC %v must be finite and positive", c.Model.MathisC)
-	case c.RTT.InitialRTT <= 0:
-		return fmt.Errorf("tfmcc: RTT.InitialRTT %v must be positive", c.RTT.InitialRTT)
-	case !alpha(c.RTT.AlphaCLR):
-		return fmt.Errorf("tfmcc: RTT.AlphaCLR %v must be in (0, 1]", c.RTT.AlphaCLR)
-	case !alpha(c.RTT.AlphaOther):
-		return fmt.Errorf("tfmcc: RTT.AlphaOther %v must be in (0, 1]", c.RTT.AlphaOther)
-	case !alpha(c.RTT.AlphaOneWay):
-		return fmt.Errorf("tfmcc: RTT.AlphaOneWay %v must be in (0, 1]", c.RTT.AlphaOneWay)
-	case !fraction(c.FeedbackDelta):
-		return fmt.Errorf("tfmcc: FeedbackDelta %v must be in [0, 1]", c.FeedbackDelta)
-	case !fraction(c.FeedbackEps):
-		return fmt.Errorf("tfmcc: FeedbackEps %v must be in [0, 1]", c.FeedbackEps)
-	case c.FeedbackBias < feedback.BiasNone || c.FeedbackBias > feedback.BiasModifiedOffset:
-		return fmt.Errorf("tfmcc: FeedbackBias %d is not a bias method", c.FeedbackBias)
-	case c.FeedbackG < 0:
-		return fmt.Errorf("tfmcc: FeedbackG %d must not be negative", c.FeedbackG)
-	case c.PrevCLRTimeout < 0:
-		return fmt.Errorf("tfmcc: PrevCLRTimeout %v must not be negative", c.PrevCLRTimeout)
-	case !positive(c.FeedbackC):
-		return fmt.Errorf("tfmcc: FeedbackC %v must be finite and positive", c.FeedbackC)
-	case !positive(c.FeedbackN):
-		return fmt.Errorf("tfmcc: FeedbackN %v must be finite and positive", c.FeedbackN)
-	case !positive(c.SlowstartFactor):
-		return fmt.Errorf("tfmcc: SlowstartFactor %v must be finite and positive", c.SlowstartFactor)
-	case c.NumLossIntervals < 1:
-		return fmt.Errorf("tfmcc: NumLossIntervals %d must be at least 1", c.NumLossIntervals)
-	case !rate(c.InitialRate):
-		return fmt.Errorf("tfmcc: InitialRate %v must be finite and not negative", c.InitialRate)
-	case !rate(c.MinRate):
-		return fmt.Errorf("tfmcc: MinRate %v must be finite and not negative", c.MinRate)
-	case !(c.MaxRate == 0 || c.MaxRate >= c.MinRate):
-		return fmt.Errorf("tfmcc: MaxRate %v must be 0 (unlimited) or at least MinRate %v", c.MaxRate, c.MinRate)
-	case c.CLRTimeoutRounds < 1:
-		return fmt.Errorf("tfmcc: CLRTimeoutRounds %d must be at least 1", c.CLRTimeoutRounds)
-	}
-	return nil
 }
 
 // feedbackConfig assembles the per-round feedback.Config for the current
