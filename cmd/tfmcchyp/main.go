@@ -41,7 +41,13 @@ func main() {
 	asJSON := flag.Bool("json", false, "emit verdicts as JSON instead of text reports")
 	summary := flag.String("summary", "", "append a markdown verdict table to this file")
 	flag.Parse()
-	if err := cfg.Validate(); err != nil {
+	err := cfg.Validate()
+	if err == nil {
+		set := map[string]bool{}
+		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+		err = flagConflict(set)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -79,6 +85,30 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+}
+
+// flagConflict rejects flag combinations in which a flag given on the
+// command line (set, as flag.Visit reports them) would be silently
+// ignored: two selectors at once (-list -suite would list and judge
+// nothing, so a gate written that way would pass vacuously), or -json or
+// -summary with -list, which prints text and has no verdicts. The error
+// names the offending flag.
+func flagConflict(set map[string]bool) error {
+	var selectors []string
+	for _, s := range []string{"suite", "list", "run"} {
+		if set[s] {
+			selectors = append(selectors, "-"+s)
+		}
+	}
+	if len(selectors) > 1 {
+		return fmt.Errorf("%s: give one of them; each selects what to do", strings.Join(selectors, " and "))
+	}
+	for _, f := range []string{"json", "summary"} {
+		if set["list"] && set[f] {
+			return fmt.Errorf("-%s: -list prints the suite as text and judges nothing", f)
+		}
+	}
+	return nil
 }
 
 func judge(hs []*hypothesis.Hypothesis, cfg sweep.Config, asJSON bool) []*hypothesis.Verdict {

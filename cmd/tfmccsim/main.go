@@ -62,7 +62,7 @@ func main() {
 		scen     = flag.String("scenario", "", "run a Spec-backed entry through the scenario executor (with overrides)")
 		scenFile = flag.String("scenario-file", "", "run a JSON spec document through the scenario executor (with overrides)")
 		specOut  = flag.String("spec-out", "", "with -scenario: write the spec (overrides applied) as JSON to this file ('-' for stdout) instead of running it")
-		all      = flag.Bool("all", false, "run every figure")
+		all      = flag.Bool("all", false, "run every registry entry (figures and presets)")
 		list     = flag.Bool("list", false, "list available figures and presets")
 		tsv      = flag.Bool("tsv", false, "print full series as TSV instead of a summary")
 

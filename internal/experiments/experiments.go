@@ -337,7 +337,11 @@ func (j Job) runOn(c *RunCtx, seed int64) (*Result, error) {
 func FigureJob(id string) (Job, error) {
 	e, ok := Lookup(id)
 	if !ok {
-		return Job{}, fmt.Errorf("experiments: unknown figure %q (have %v)", id, Figures())
+		var ids []string
+		for _, e := range Entries() {
+			ids = append(ids, e.ID)
+		}
+		return Job{}, fmt.Errorf("experiments: unknown figure %q (have %v)", id, ids)
 	}
 	return Job{ID: id, Title: e.Title, run: func(c *RunCtx, seed int64) (*Result, error) {
 		res := e.Run(c, seed)

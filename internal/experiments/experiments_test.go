@@ -28,19 +28,19 @@ func TestRegistryComplete(t *testing.T) {
 			t.Fatalf("scenario preset %s has no spec", id)
 		}
 	}
-	if len(Figures()) != len(want) {
-		t.Fatalf("registry has %d entries, want %d", len(Figures()), len(want))
+	if n := len(Entries()); n != len(want) {
+		t.Fatalf("registry has %d entries, want %d", n, len(want))
 	}
 }
 
 func TestFiguresSortedNumerically(t *testing.T) {
-	ids := Figures()
-	if ids[0] != "1" || ids[19] != "21" {
-		t.Fatalf("numeric figures must sort first, ascending: %v", ids)
+	es := Entries()
+	if es[0].ID != "1" || es[19].ID != "21" {
+		t.Fatalf("numeric figures must sort first, ascending: first %s, 20th %s", es[0].ID, es[19].ID)
 	}
-	for _, id := range ids[20:] {
-		if id[0] >= '0' && id[0] <= '9' {
-			t.Fatalf("numeric id %s after the named presets: %v", id, ids)
+	for _, e := range es[20:] {
+		if e.ID[0] >= '0' && e.ID[0] <= '9' {
+			t.Fatalf("numeric id %s after the named presets", e.ID)
 		}
 	}
 }

@@ -124,19 +124,3 @@ func numericID(id string) (int, bool) {
 	_, err := fmt.Sscanf(id, "%d", &n)
 	return n, err == nil
 }
-
-// Analytic reports whether a figure is registered as analytic.
-func Analytic(id string) bool {
-	e, _ := Lookup(id)
-	return e.Analytic()
-}
-
-// Figures returns the registered figure identifiers in enumeration order.
-func Figures() []string {
-	es := Entries()
-	out := make([]string, len(es))
-	for i, e := range es {
-		out[i] = e.ID
-	}
-	return out
-}

@@ -10,10 +10,11 @@ import (
 func i64(v int64) *int64 { return &v }
 
 // longPartition is the partition preset with the run extended to 300s:
-// after total feedback silence the sender has halved down to MinRate,
-// and the congestion-avoidance climb back from 125 B/s takes on the
-// order of 100s — the preset's 180s run ends mid-ramp on unlucky seeds.
-// The extension also exercises the inline-spec workload path.
+// after total feedback silence the sender has halved down to
+// tfmcc.MinRate, and the congestion-avoidance climb back from 125 B/s
+// takes on the order of 100s — the preset's 180s run ends mid-ramp on
+// unlucky seeds. The extension also exercises the inline-spec workload
+// path.
 func longPartition() *scenario.Spec {
 	sp := scenario.Partition()
 	sp.Duration = 300 * sim.Second
@@ -24,8 +25,8 @@ func longPartition() *scenario.Spec {
 // with: three fault presets judged against the recovery behaviour
 // sections 4-5 of the paper predict, and four seeded chaos
 // workloads asserting the protocol stays sane — rate positive, finite
-// and floored at MinRate, no invariant violations — under randomized
-// fault schedules. Every hypothesis is deterministic: fixed workload,
+// and floored at tfmcc.MinRate, no invariant violations — under
+// randomized fault schedules. Every hypothesis is deterministic: fixed workload,
 // fixed seeds, fixed chaos schedule.
 func Suite() []*Hypothesis {
 	return []*Hypothesis{
@@ -81,8 +82,8 @@ func Suite() []*Hypothesis {
 
 // chaosSanity is the shared shape of the chaos hypotheses: under a
 // seeded fault schedule of the given level, the sampled sender rate
-// stays a positive finite number at or above (near) the MinRate floor,
-// and the run-level invariants — rate authorization, CLR liveness,
+// stays a positive finite number at or above (near) the tfmcc.MinRate
+// floor, and the run-level invariants — rate authorization, CLR liveness,
 // packet-pool conservation — hold throughout.
 func chaosSanity(id, scenarioID string, level int, chaosSeed int64, seeds int) *Hypothesis {
 	return &Hypothesis{
@@ -94,7 +95,7 @@ func chaosSanity(id, scenarioID string, level int, chaosSeed int64, seeds int) *
 		},
 		Seeds: SeedSet{Base: 1, Count: seeds},
 		Expect: []Expectation{
-			// MinRate is 125 B/s; silence halving stops there. The sampled
+			// tfmcc.MinRate is 125 B/s; silence halving stops there. The sampled
 			// rate passing 100 therefore also proves it never NaNs.
 			{RateFloor: &RateBound{Series: "sender rate", Bound: 100}},
 			{RateCeiling: &RateBound{Series: "sender rate", Bound: 5e7}},

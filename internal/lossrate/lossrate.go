@@ -20,8 +20,7 @@ var DefaultWeights = []float64{5, 5, 5, 5, 4, 3, 2, 1}
 
 // Weights returns a weight vector of length n following the paper's
 // pattern: the newest half has weight 1 (scaled), then a linear decay to
-// 1/(n/2) for the oldest. Weights(8) reproduces DefaultWeights up to a
-// constant factor.
+// 1/(n/2) for the oldest. Weights(8) equals DefaultWeights.
 func Weights(n int) []float64 {
 	if n < 2 {
 		return []float64{1}

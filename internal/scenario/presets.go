@@ -35,10 +35,10 @@ func Presets() []Preset {
 
 // CLRFail puts eight receivers on a star with the last one behind a much
 // lossier edge — the CLR — and crashes it at t=60s without a Leave
-// report. The sender must ride out CLRTimeoutRounds of silence, halve on
-// the report-free rounds that follow (section 5), re-elect a survivor
-// and ramp back up; the fine-grained sender-rate sample makes each phase
-// visible in the TSV.
+// report. The sender must ride out tfmcc.CLRTimeoutRounds of silence,
+// halve on the report-free rounds that follow (section 5), re-elect a
+// survivor and ramp back up; the fine-grained sender-rate sample makes
+// each phase visible in the TSV.
 func CLRFail() *Spec {
 	var steps []Step
 	const n = 8

@@ -190,8 +190,7 @@ func Build(env Env, spec *Spec) (*Scenario, error) {
 	// a fresh node on a fast access duplex into the sender attach point.
 	snd := net.AddNode("tfmcc-src")
 	net.AddDuplex(snd, sc.Topo.SenderAttach, 0, sim.Millisecond, 0)
-	cfg := tfmcc.DefaultConfig()
-	cfg.HalveOnSilence = spec.HalveOnSilence
+	cfg := tfmcc.Config{HalveOnSilence: spec.HalveOnSilence}
 	sc.Sess = tfmcc.NewSession(net, snd, 1, 100, cfg, env.Rng)
 
 	if spec.Pop != nil {

@@ -315,7 +315,7 @@ type Event struct {
 }
 
 // Spec is a complete declarative scenario. Its TFMCC session runs the
-// paper's parameter set (tfmcc.DefaultConfig) on group 1, port 100, from
+// paper's parameter set (tfmcc's constants) on group 1, port 100, from
 // a source node on a fast access duplex into the topology's sender
 // attach point; HalveOnSilence is the one protocol choice a spec makes
 // (tfmcc.Config.HalveOnSilence, the section 5 no-feedback mode).

@@ -104,9 +104,6 @@ type Sender struct {
 // NewSender creates a TCP sender bound to src, talking to a Sink at dst.
 // Call Start to begin transmitting.
 func NewSender(name string, net *simnet.Network, src, dst simnet.Addr, cfg Config) *Sender {
-	if cfg.PacketSize == 0 {
-		cfg = DefaultConfig()
-	}
 	s := &Sender{
 		cfg: cfg, net: net, sch: net.SchedFor(src.Node), rng: net.RandFor(src.Node),
 		src: src, dst: dst, name: name,
@@ -362,9 +359,6 @@ type Sink struct {
 
 // NewSink creates a sink at addr acking to peer.
 func NewSink(net *simnet.Network, addr, peer simnet.Addr, cfg Config) *Sink {
-	if cfg.PacketSize == 0 {
-		cfg = DefaultConfig()
-	}
 	k := &Sink{net: net, src: addr, peer: peer, cfg: cfg, ooo: map[int64]bool{}}
 	net.Bind(addr, simnet.HandlerFunc(k.recv))
 	return k

@@ -65,15 +65,15 @@ type cohortState struct {
 // per access site. On a reuse-enabled network the probe and its cohort
 // state are recycled from the arena, each under its own key.
 func NewCohortReceiver(id ReceiverID, net *simnet.Network, node simnet.NodeID, port simnet.Port,
-	sender simnet.Addr, group simnet.GroupID, cfg Config, rng *sim.Rand, size int) *Receiver {
-	return newCohortReceiver(id, net, node, port, sender, group, newParams(cfg), rng, size)
+	sender simnet.Addr, group simnet.GroupID, _ Config, rng *sim.Rand, size int) *Receiver {
+	return newCohortReceiver(id, net, node, port, sender, group, rng, size)
 }
 
 func newCohortReceiver(id ReceiverID, net *simnet.Network, node simnet.NodeID, port simnet.Port,
-	sender simnet.Addr, group simnet.GroupID, p *params, rng *sim.Rand, size int) *Receiver {
+	sender simnet.Addr, group simnet.GroupID, rng *sim.Rand, size int) *Receiver {
 	st := sim.Pooled[cohortState](net.Arena(), cohortArenaKey)
 	*st = cohortState{size: max(size, 1)}
-	r := newReceiver(id, net, node, port, sender, group, p, rng)
+	r := newReceiver(id, net, node, port, sender, group, rng)
 	r.cohort = st
 	return r
 }

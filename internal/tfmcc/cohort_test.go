@@ -7,6 +7,7 @@ import (
 	"repro/internal/lossrate"
 	"repro/internal/sim"
 	"repro/internal/simnet"
+	"repro/internal/tcpmodel"
 )
 
 // cohortBottleneck builds sender -- r1 ==bw== r2 -- leaf with one
@@ -242,18 +243,13 @@ func TestCohortLossSpreadRaisesRate(t *testing.T) {
 	}
 }
 
-// TestRecycledSessionTakesEachRunsConfig: a pooled session whose Config
-// changes between runs — loss history depth 8, then 4, then 8 again under
-// another TCP model — gives each run's receivers that run's configuration
-// and weights, one copy shared by all of them, and each run behaves as a
-// never-pooled session with that Config. A run never writes the shared
-// parameters: parallel sweep workers read them.
-func TestRecycledSessionTakesEachRunsConfig(t *testing.T) {
-	depth := func(cfg Config, n int) Config { cfg.NumLossIntervals = n; return cfg }
-	other := DefaultConfig()
-	other.Model.RTOFactor = 2
-	runs := []Config{depth(DefaultConfig(), 8), depth(DefaultConfig(), 4), depth(other, 8)}
-
+// TestRecycledSessionMatchesFresh: a pooled session rebuilt on a rewound
+// network — with HalveOnSilence off, on, then off again — takes each
+// run's choice and behaves as a never-pooled session built with it. A
+// run never writes the package values every session reads: parallel
+// sweep workers share them.
+func TestRecycledSessionMatchesFresh(t *testing.T) {
+	runs := []Config{{}, {HalveOnSilence: true}, {}}
 	star := func(sch *sim.Scheduler, net *simnet.Network, cfg Config) *Session {
 		snd := net.AddNode("sender")
 		hub := net.AddNode("hub")
@@ -274,8 +270,6 @@ func TestRecycledSessionTakesEachRunsConfig(t *testing.T) {
 	net := simnet.New(sch, rng)
 	net.EnableReuse()
 	var first *Session
-	var shared []*params
-	var snapshots [][]float64
 	for run, cfg := range runs {
 		if run > 0 {
 			sch.Reset()
@@ -290,18 +284,9 @@ func TestRecycledSessionTakesEachRunsConfig(t *testing.T) {
 		} else if sess != first {
 			t.Fatalf("run %d: the session was not recycled", run)
 		}
-		p := sess.Receivers[0].p
-		for i, r := range sess.Receivers {
-			if r.p != p {
-				t.Fatalf("run %d: receiver %d holds its own parameters", run, i)
-			}
+		if sess.Sender.cfg != cfg {
+			t.Errorf("run %d: sender runs %+v, want %+v", run, sess.Sender.cfg, cfg)
 		}
-		if p.cfg != cfg || !slices.Equal(p.weights, lossrate.Weights(cfg.NumLossIntervals)) {
-			t.Errorf("run %d: receivers got depth %d, model %+v, weights %v; want depth %d, model %+v",
-				run, p.cfg.NumLossIntervals, p.cfg.Model, p.weights, cfg.NumLossIntervals, cfg.Model)
-		}
-		shared = append(shared, p)
-		snapshots = append(snapshots, slices.Clone(p.weights))
 
 		fsch := sim.NewScheduler()
 		fresh := star(fsch, simnet.New(fsch, sim.NewRand(1)), cfg)
@@ -313,13 +298,10 @@ func TestRecycledSessionTakesEachRunsConfig(t *testing.T) {
 			}
 		}
 	}
-	if shared[0] == shared[1] || shared[1] == shared[2] {
-		t.Error("a changed Config reused the previous run's parameters")
+	if !slices.Equal(lossWeights, lossrate.Weights(8)) {
+		t.Errorf("loss weights are %v after the runs, want %v", lossWeights, lossrate.Weights(8))
 	}
-	for run, p := range shared {
-		if p.cfg != runs[run] || !slices.Equal(p.weights, snapshots[run]) {
-			t.Errorf("run %d's parameters changed after the run: depth %d, weights %v, want %v",
-				run, p.cfg.NumLossIntervals, p.weights, snapshots[run])
-		}
+	if model != tcpmodel.Default() {
+		t.Errorf("TCP model is %+v after the runs, want %+v", model, tcpmodel.Default())
 	}
 }

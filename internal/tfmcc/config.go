@@ -10,39 +10,47 @@ package tfmcc
 
 import (
 	"repro/internal/feedback"
+	"repro/internal/lossrate"
 	"repro/internal/rtt"
 	"repro/internal/sim"
 	"repro/internal/tcpmodel"
 )
 
-// Config collects every tunable of the protocol, defaulting to the values
-// used in the paper.
+// The paper's parameter set. Every session runs it; an experiment on one
+// parameter is an edit to its constant here.
+const (
+	PacketSize int = 1000 // data packet size in bytes
+	ReportSize int = 40   // feedback report size in bytes
+
+	// Feedback suppression (section 2.5).
+	FeedbackC     float64 = 4     // T = C · RTT_max (usable 3..6)
+	FeedbackN     float64 = 10000 // receiver-set bound N
+	FeedbackDelta float64 = 0.25  // offset fraction δ
+	FeedbackEps   float64 = 0.1   // cancellation threshold ε
+	FeedbackBias          = feedback.BiasModifiedOffset
+	FeedbackG     int     = 3 // low-rate implosion guard g
+
+	NumLossIntervals int = 8 // loss history depth n
+
+	InitialRate     float64 = 2000 // sender start rate, bytes/s (2 packets/s)
+	MinRate         float64 = 125  // rate floor, bytes/s (one packet per 8 s)
+	SlowstartFactor float64 = 2    // Y: target = Y · min receive rate
+
+	CLRTimeoutRounds int = 10 // CLR declared dead after this many silent rounds
+)
+
+// Values derived from the constants, shared by every session and never
+// written: the TCP response function, the loss-interval weights and the
+// conservative RTT used before the first measurement (rtt's default,
+// which the receivers' estimators fall back to).
+var (
+	model       = tcpmodel.Default()
+	lossWeights = lossrate.Weights(NumLossIntervals)
+	initialRTT  = rtt.DefaultConfig().InitialRTT
+)
+
+// Config holds the one protocol choice a session makes.
 type Config struct {
-	PacketSize int // data packet size in bytes (1000)
-	ReportSize int // feedback report size in bytes (40)
-
-	Model tcpmodel.Params // TCP response function
-	RTT   rtt.Config      // RTT estimator constants
-
-	// Feedback suppression.
-	FeedbackC     float64             // T = C · RTT_max (4; usable 3..6)
-	FeedbackN     float64             // receiver-set bound N (10000)
-	FeedbackDelta float64             // offset fraction delta (0.25)
-	FeedbackEps   float64             // cancellation threshold ε (0.1)
-	FeedbackBias  feedback.BiasMethod // timer bias (modified offset)
-	FeedbackG     int                 // low-rate implosion guard g (3)
-
-	NumLossIntervals int // loss history depth (8)
-
-	InitialRate     float64 // sender start rate, bytes/s (2 packets/s)
-	MinRate         float64 // rate floor, bytes/s (one packet per 8s)
-	MaxRate         float64 // rate ceiling, bytes/s (0 = unlimited)
-	SlowstartFactor float64 // Y: target = Y · min receive rate (2)
-
-	CLRTimeoutRounds int  // CLR declared dead after this many silent rounds (10)
-	StorePrevCLR     bool // Appendix C: remember the previous CLR
-	PrevCLRTimeout   sim.Time
-
 	// HalveOnSilence applies the no-feedback failure mode (section 5):
 	// once the CLR has timed out or left and no surviving receiver could
 	// be elected, the sender halves its rate on every further feedback
@@ -54,41 +62,19 @@ type Config struct {
 	HalveOnSilence bool
 }
 
-// DefaultConfig returns the paper's parameter set.
-func DefaultConfig() Config {
-	return Config{
-		PacketSize:       1000,
-		ReportSize:       40,
-		Model:            tcpmodel.Default(),
-		RTT:              rtt.DefaultConfig(),
-		FeedbackC:        4,
-		FeedbackN:        10000,
-		FeedbackDelta:    0.25,
-		FeedbackEps:      0.1,
-		FeedbackBias:     feedback.BiasModifiedOffset,
-		FeedbackG:        3,
-		NumLossIntervals: 8,
-		InitialRate:      2000, // 2 packets/s
-		MinRate:          125,  // 1 packet per 8 s
-		SlowstartFactor:  2,
-		CLRTimeoutRounds: 10,
-		PrevCLRTimeout:   2 * sim.Second,
-		HalveOnSilence:   false,
-	}
+// DefaultConfig returns the configuration the paper's figures run.
+func DefaultConfig() Config { return Config{} }
+
+// roundDuration returns the feedback round duration T = C · RTT_max at
+// the given sending rate, stretched by the low-rate guard.
+func roundDuration(maxRTT sim.Time, rate float64) sim.Time {
+	return feedback.GuardedT(maxRTT.Scale(FeedbackC), FeedbackG, PacketSize, rate)
 }
 
-// feedbackConfig assembles the per-round feedback.Config for the current
-// maximum RTT and sending rate (applying the low-rate guard).
-func (c Config) feedbackConfig(maxRTT sim.Time, rate float64) feedback.Config {
-	base := maxRTT.Scale(c.FeedbackC)
-	t := feedback.GuardedT(base, c.FeedbackG, c.PacketSize, rate)
-	return feedback.Config{
-		T:     t,
-		N:     c.FeedbackN,
-		Delta: c.FeedbackDelta,
-		Eps:   c.FeedbackEps,
-		Bias:  c.FeedbackBias,
-	}
+// feedbackConfig returns the suppression parameters of a round of
+// duration t.
+func feedbackConfig(t sim.Time) feedback.Config {
+	return feedback.Config{T: t, N: FeedbackN, Delta: FeedbackDelta, Eps: FeedbackEps, Bias: FeedbackBias}
 }
 
 // ReceiverID identifies a receiver within a session.

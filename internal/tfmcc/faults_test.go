@@ -125,7 +125,7 @@ func TestManyReceiversJoinSimultaneously(t *testing.T) {
 		t.Fatalf("flash crowd caused feedback surge: %.1f reports/round", perRound)
 	}
 	// The session must still be transmitting sensibly.
-	if sess.Sender.Rate() < cfg.MinRate {
+	if sess.Sender.Rate() < MinRate {
 		t.Fatal("rate collapsed below floor")
 	}
 }
@@ -164,7 +164,7 @@ func TestCrashingCLRNeverRaisesRateUnsafely(t *testing.T) {
 	// additive-increase cap; it must not jump discontinuously. Sample the
 	// rate each 100 ms and verify the per-RTT step bound.
 	prev := sess.Sender.Rate()
-	maxStep := float64(cfg.PacketSize) / 0.06 * (0.1 / 0.06) * 1.5
+	maxStep := float64(PacketSize) / 0.06 * (0.1 / 0.06) * 1.5
 	for i := 0; i < 50; i++ {
 		sch.RunUntil(sch.Now() + 100*sim.Millisecond)
 		now := sess.Sender.Rate()
@@ -195,8 +195,8 @@ func TestSilenceHalvingAfterCrash(t *testing.T) {
 	if got := sess.Sender.Rate(); got > rateAtCrash/2 {
 		t.Fatalf("rate %.0f did not degrade after total crash (was %.0f)", got, rateAtCrash)
 	}
-	if got := sess.Sender.Rate(); got < cfg.MinRate {
-		t.Fatalf("rate %.0f fell below MinRate %.0f", got, cfg.MinRate)
+	if got := sess.Sender.Rate(); got < MinRate {
+		t.Fatalf("rate %.0f fell below MinRate %.0f", got, MinRate)
 	}
 	// Crash, unlike Leave, sends nothing.
 	for i, r := range sess.Receivers {
@@ -225,7 +225,7 @@ func TestCLRCrashReelectsSurvivor(t *testing.T) {
 	if clr := sess.Sender.CLR(); clr != 1 {
 		t.Fatalf("CLR after crash = %v, want survivor 1", clr)
 	}
-	if got := sess.Sender.Rate(); got < cfg.MinRate {
+	if got := sess.Sender.Rate(); got < MinRate {
 		t.Fatalf("no recovery after CLR crash: rate %.0f", got)
 	}
 	if v := sess.CLRInvariant(); v != "" {

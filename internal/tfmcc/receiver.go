@@ -3,7 +3,6 @@ package tfmcc
 import (
 	"math"
 
-	"repro/internal/feedback"
 	"repro/internal/lossrate"
 	"repro/internal/rtt"
 	"repro/internal/sim"
@@ -21,13 +20,13 @@ import (
 // 64-byte lines of a 64-byte-aligned object: the scalars, flags, counter
 // and meter of line 0; the ring cursors and the RTT estimator of line 1;
 // the last-header snapshot and the open loss interval (est's history
-// header and first slot) of line 2. The ring itself, the session
-// parameters (shared by pointer: Config, RTT constants and loss weights),
-// the CLR's report clock and everything touched only at round start, on
-// a loss or by a report follow. The struct stays within the 512-byte
-// size class: the largest one whose objects the allocator hands out with
-// no header in front, hence 64-byte aligned. TestReceiverLineBudget pins
-// all of it.
+// header and first slot) of line 2. The ring itself, the CLR's report
+// clock and everything touched only at round start, on a loss or by a
+// report follow; the protocol constants, the loss weights and the RTT
+// constants are package values every receiver shares. The struct stays
+// within the 512-byte size class: the largest one whose objects the
+// allocator hands out with no header in front, hence 64-byte aligned.
+// TestReceiverLineBudget pins all of it.
 type Receiver struct {
 	// Line 0.
 	sch         *sim.Scheduler
@@ -51,7 +50,6 @@ type Receiver struct {
 	last lastHeader
 	est  lossrate.Estimator
 
-	p            *params  // the session's shared configuration
 	clrNextAt    sim.Time // read by the CLR only
 	lastSuppress float64
 	fbValue      float64 // planned report rate (bytes/s) guarding cancellation
@@ -86,21 +84,6 @@ type Receiver struct {
 	firstLossWithInitRTT bool
 }
 
-// params is what every receiver of a session reads and none writes: the
-// configuration and the loss-interval weights derived from it. Receivers
-// hold it by pointer, so a thousand of them keep one copy in cache. A
-// params is never changed once made — a session whose configuration
-// changes makes a new one — so parallel sweep workers and recycled
-// sessions never see one move under them.
-type params struct {
-	cfg     Config
-	weights []float64
-}
-
-func newParams(cfg Config) *params {
-	return &params{cfg: cfg, weights: lossrate.Weights(cfg.NumLossIntervals)}
-}
-
 // lastHeader is what the receiver keeps of the newest data header: the
 // fields a later feedback timer or report reads back.
 type lastHeader struct {
@@ -122,18 +105,17 @@ const receiverArenaKey = "tfmcc.Receiver"
 // NewReceiver creates a receiver on the given node and joins the group.
 // sender is the sender's unicast address for reports. On a reuse-enabled
 // network the receiver built at the same point of a previous run is
-// re-initialised and returned instead of allocating a new one. The
-// receiver gets its own copy of cfg; Session.AddReceiver shares the
-// session's among all of its receivers.
+// re-initialised and returned instead of allocating a new one. Config's
+// one choice acts at the sender, so a receiver ignores it.
 func NewReceiver(id ReceiverID, net *simnet.Network, node simnet.NodeID, port simnet.Port,
-	sender simnet.Addr, group simnet.GroupID, cfg Config, rng *sim.Rand) *Receiver {
-	return newReceiver(id, net, node, port, sender, group, newParams(cfg), rng)
+	sender simnet.Addr, group simnet.GroupID, _ Config, rng *sim.Rand) *Receiver {
+	return newReceiver(id, net, node, port, sender, group, rng)
 }
 
 func newReceiver(id ReceiverID, net *simnet.Network, node simnet.NodeID, port simnet.Port,
-	sender simnet.Addr, group simnet.GroupID, p *params, rng *sim.Rand) *Receiver {
+	sender simnet.Addr, group simnet.GroupID, rng *sim.Rand) *Receiver {
 	r := sim.Pooled[Receiver](net.Arena(), receiverArenaKey)
-	r.init(id, net, node, port, sender, group, p, rng)
+	r.init(id, net, node, port, sender, group, rng)
 	return r
 }
 
@@ -143,9 +125,8 @@ func newReceiver(id ReceiverID, net *simnet.Network, node simnet.NodeID, port si
 // Bit-for-bit equivalence of recycled and fresh receivers is what keeps
 // rewound sweep runs deterministic.
 func (r *Receiver) init(id ReceiverID, net *simnet.Network, node simnet.NodeID, port simnet.Port,
-	sender simnet.Addr, group simnet.GroupID, p *params, rng *sim.Rand) {
-	r.p = p
-	r.est.Reset(p.weights)
+	sender simnet.Addr, group simnet.GroupID, rng *sim.Rand) {
+	r.est.Reset(lossWeights)
 	r.id = id
 	r.net = net
 	r.sch = net.SchedFor(node)
@@ -153,7 +134,7 @@ func (r *Receiver) init(id ReceiverID, net *simnet.Network, node simnet.NodeID, 
 	r.addr = simnet.Addr{Node: node, Port: port}
 	r.sender = sender
 	r.group = group
-	r.rtte.Reset(&p.cfg.RTT)
+	r.rtte.Reset(nil)
 	r.haveSeq = false
 	r.nextSeq = 0
 	r.lastArrival = 0
@@ -234,7 +215,7 @@ func (r *Receiver) CalcRate() float64 {
 	if p <= 0 {
 		return math.Inf(1)
 	}
-	return r.p.cfg.Model.Throughput(p, r.rtte.RTT().Seconds())
+	return model.Throughput(p, r.rtte.RTT().Seconds())
 }
 
 // Crash kills the receiver: it stops processing traffic and leaves the
@@ -261,7 +242,7 @@ func (r *Receiver) Leave() {
 	r.leftAt = r.sch.Now()
 	r.cancelTimer()
 	pkt := r.net.AllocPacket()
-	pkt.Size = r.p.cfg.ReportSize
+	pkt.Size = ReportSize
 	pkt.Src = r.addr
 	pkt.Dst = r.sender
 	*reportBox(pkt) = Report{
@@ -368,7 +349,7 @@ func (r *Receiver) initLossHistory(d *Data) {
 	}
 	// Slowstart overshoots to at most twice the bottleneck bandwidth, so
 	// half the receive rate approximates the fair rate.
-	p := r.p.cfg.Model.SimpleLossRate(rate/2, r.rtte.RTT().Seconds())
+	p := model.SimpleLossRate(rate/2, r.rtte.RTT().Seconds())
 	if p <= 0 {
 		return
 	}
@@ -406,7 +387,7 @@ func (r *Receiver) onFirstRTTMeasurement(*Data) {
 	}
 	r.est.Reaggregate(r.rtte.RTT())
 	if r.firstLossWithInitRTT {
-		ratio := float64(r.rtte.RTT()) / float64(r.p.cfg.RTT.InitialRTT)
+		ratio := float64(r.rtte.RTT()) / float64(initialRTT)
 		r.est.AdjustInitInterval(ratio * ratio)
 	}
 }
@@ -419,7 +400,7 @@ func (r *Receiver) onFirstRTTMeasurement(*Data) {
 func (r *Receiver) window(sendRate float64) sim.Time {
 	w := r.rtte.RTT().Scale(4)
 	if sendRate > 0 {
-		minW := sim.FromSeconds(8 * float64(r.p.cfg.PacketSize) / sendRate)
+		minW := sim.FromSeconds(8 * float64(PacketSize) / sendRate)
 		w = sim.MaxOf(w, minW)
 	}
 	return w
@@ -477,7 +458,7 @@ func (r *Receiver) startRound(d *Data, now sim.Time) {
 		x = clamp01(value / d.Rate)
 	}
 
-	fb := r.roundConfig(d.RoundT)
+	fb := feedbackConfig(d.RoundT)
 	delay := fb.Delay(x, r.feedbackDraw())
 	if c := r.cohort; c != nil {
 		c.accrueExpectedFeedback(fb, r.rtte.RTT())
@@ -513,16 +494,6 @@ func receiverFireFeedback(a any) {
 	r.fireFeedback()
 }
 
-func (r *Receiver) roundConfig(roundT sim.Time) feedback.Config {
-	return feedback.Config{
-		T:     roundT,
-		N:     r.p.cfg.FeedbackN,
-		Delta: r.p.cfg.FeedbackDelta,
-		Eps:   r.p.cfg.FeedbackEps,
-		Bias:  r.p.cfg.FeedbackBias,
-	}
-}
-
 // maybeSuppress applies the ε-cancellation rule when the sender echoes a
 // lower report (section 2.5.2). During slowstart, a loss report can only
 // be suppressed by another loss report; conversely a receive-rate report
@@ -551,7 +522,7 @@ func (r *Receiver) maybeSuppress(d *Data) {
 	if v := r.currentValue(d.Rate); v > 0 && !math.IsInf(v, 1) {
 		r.fbValue = v
 	}
-	if r.roundConfig(d.RoundT).Cancel(r.fbValue, r.lastSuppress) {
+	if feedbackConfig(d.RoundT).Cancel(r.fbValue, r.lastSuppress) {
 		r.SuppressCancels++
 		r.cancelTimer()
 	}
@@ -580,7 +551,7 @@ func (r *Receiver) fireFeedback() {
 	if !math.IsInf(r.lastSuppress, 1) {
 		v := r.currentValue(r.last.Rate)
 		if v > 0 && !math.IsInf(v, 1) &&
-			r.roundConfig(r.last.RoundT).Cancel(v, r.lastSuppress) {
+			feedbackConfig(r.last.RoundT).Cancel(v, r.lastSuppress) {
 			r.SuppressCancels++
 			return
 		}
@@ -600,7 +571,7 @@ func (r *Receiver) sendReport(now sim.Time) {
 	}
 	r.ReportsSent++
 	pkt := r.net.AllocPacket()
-	pkt.Size = r.p.cfg.ReportSize
+	pkt.Size = ReportSize
 	pkt.Src = r.addr
 	pkt.Dst = r.sender
 	*reportBox(pkt) = Report{

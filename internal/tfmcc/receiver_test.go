@@ -247,8 +247,9 @@ func TestCLRReportRateLimitedPerRTT(t *testing.T) {
 // allocator aligns to 64 bytes (a multiple of 64, at most 512, the
 // largest without a malloc header in front of the object); and the
 // receivers a session builds do land 64-byte aligned. A field added in
-// the wrong place — or a per-receiver copy of the configuration, the RTT
-// constants or the loss weights — fails here rather than in a benchmark.
+// the wrong place — or a per-receiver copy of what the package values
+// hold: the protocol constants, the RTT constants or the loss weights —
+// fails here rather than in a benchmark.
 func TestReceiverLineBudget(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("layout pinned for 64-bit targets")

@@ -54,10 +54,6 @@ type Sender struct {
 	// instantaneous roundT no longer describes the elapsed silence.
 	clrSilentRounds int
 
-	prevCLR        ReceiverID // Appendix C
-	prevCLRRate    float64
-	prevCLRExpires sim.Time
-
 	echoQ   []echoEntry
 	clrEcho echoEntry // last CLR report, echoed when the queue is empty
 	reports map[ReceiverID]reportInfo
@@ -157,13 +153,12 @@ func (s *Sender) init(net *simnet.Network, node simnet.NodeID, port simnet.Port,
 		sch:          net.SchedFor(node),
 		addr:         simnet.Addr{Node: node, Port: port},
 		group:        group,
-		rate:         cfg.InitialRate,
-		target:       cfg.InitialRate,
+		rate:         InitialRate,
+		target:       InitialRate,
 		slowstart:    true,
 		suppressRate: math.Inf(1),
-		maxRTT:       cfg.RTT.InitialRTT,
+		maxRTT:       initialRTT,
 		clr:          noReceiver,
-		prevCLR:      noReceiver,
 		reports:      reports,
 		minRecvRound: math.Inf(1),
 		rttWindow:    s.rttWindow[:0],
@@ -178,7 +173,7 @@ func (s *Sender) Start() {
 		return
 	}
 	s.running = true
-	s.roundT = s.cfg.feedbackConfig(s.maxRTT, s.rate).T
+	s.roundT = roundDuration(s.maxRTT, s.rate)
 	s.advanceRound()
 	s.sendLoop()
 }
@@ -218,7 +213,7 @@ func (s *Sender) Running() bool { return s.running }
 // safety bounds and returns a description of the first violated one, or
 // "" when all hold. Outside slowstart the rate must never exceed the
 // CLR-authorized target (modulo the MinRate floor); it must always be a
-// positive finite number and respect the MaxRate ceiling.
+// positive finite number.
 func (s *Sender) InvariantViolation() string {
 	if !s.running {
 		return ""
@@ -227,14 +222,11 @@ func (s *Sender) InvariantViolation() string {
 	if math.IsNaN(r) || math.IsInf(r, 0) || r <= 0 {
 		return fmt.Sprintf("sender rate %v is not a positive finite number", r)
 	}
-	if s.cfg.MaxRate > 0 && r > s.cfg.MaxRate*(1+rateTolerance) {
-		return fmt.Sprintf("sender rate %.1f B/s exceeds MaxRate %.1f B/s", r, s.cfg.MaxRate)
-	}
 	if !s.slowstart {
-		bound := math.Max(s.target, s.cfg.MinRate)
+		bound := math.Max(s.target, MinRate)
 		if r > bound*(1+rateTolerance) {
 			return fmt.Sprintf("sender rate %.1f B/s exceeds authorized bound %.1f B/s (target %.1f, MinRate %.1f)",
-				r, bound, s.target, s.cfg.MinRate)
+				r, bound, s.target, MinRate)
 		}
 	}
 	return ""
@@ -262,7 +254,7 @@ func (s *Sender) sendLoop() {
 		return
 	}
 	s.transmit()
-	gap := sim.FromSeconds(float64(s.cfg.PacketSize) / s.rate)
+	gap := sim.FromSeconds(float64(PacketSize) / s.rate)
 	s.sch.AfterArg(gap, senderSendLoop, s)
 }
 
@@ -296,7 +288,7 @@ func (s *Sender) transmit() {
 	}
 	s.seq++
 	s.PacketsSent++
-	pkt.Size = s.cfg.PacketSize
+	pkt.Size = PacketSize
 	pkt.Src = s.addr
 	pkt.Dst = simnet.Addr{Port: s.addr.Port}
 	pkt.Group = s.group
@@ -383,7 +375,7 @@ func (s *Sender) Recv(pkt *simnet.Packet) {
 		}
 		sampleRTT = measured
 		if rep.HasLoss && rep.LossRate > 0 {
-			adj = s.cfg.Model.Throughput(rep.LossRate, measured.Seconds())
+			adj = model.Throughput(rep.LossRate, measured.Seconds())
 		}
 	}
 
@@ -476,14 +468,12 @@ func (s *Sender) steadyReport(rep Report, adj float64, now sim.Time) {
 			s.target = adj
 			s.ensureRamp()
 		}
-		s.maybeRevertToPrevCLR(now)
 		return
 	}
 	// Feedback lower than the current rate: immediate reduction, and the
 	// reporter becomes the new CLR (section 2.2). With no CLR at all, any
 	// report is adopted; increases then ramp at one packet per RTT.
 	if adj < s.rate || s.clr == noReceiver {
-		s.storePrevCLR(now)
 		s.setCLR(rep.From, adj, rep.RTT, now)
 		if adj < s.rate {
 			s.setRate(adj)
@@ -524,40 +514,8 @@ func (s *Sender) setCLR(id ReceiverID, rate float64, rttEst sim.Time, now sim.Ti
 	}
 }
 
-// storePrevCLR remembers the CLR being displaced (Appendix C).
-func (s *Sender) storePrevCLR(now sim.Time) {
-	if !s.cfg.StorePrevCLR || s.clr == noReceiver {
-		return
-	}
-	s.prevCLR = s.clr
-	s.prevCLRRate = s.clrRate
-	s.prevCLRExpires = now + s.cfg.PrevCLRTimeout
-}
-
-// maybeRevertToPrevCLR switches back to the stored CLR when the current
-// CLR's rate rises above it (Appendix C).
-func (s *Sender) maybeRevertToPrevCLR(now sim.Time) {
-	if !s.cfg.StorePrevCLR || s.prevCLR == noReceiver || now > s.prevCLRExpires {
-		s.prevCLR = noReceiver
-		return
-	}
-	if s.clrRate > s.prevCLRRate {
-		old := s.prevCLR
-		oldRate := s.prevCLRRate
-		s.prevCLR = noReceiver
-		s.setCLR(old, oldRate, 0, now)
-		if oldRate < s.rate {
-			s.setRate(oldRate)
-		}
-		s.target = oldRate
-	}
-}
-
 func (s *Sender) onLeave(id ReceiverID, now sim.Time) {
 	delete(s.reports, id)
-	if id == s.prevCLR {
-		s.prevCLR = noReceiver
-	}
 	if id != s.clr {
 		return
 	}
@@ -584,7 +542,7 @@ func (s *Sender) pickBackupCLR(now sim.Time) {
 	best := noReceiver
 	bestRate := math.Inf(1)
 	var bestRTT sim.Time
-	horizon := now - s.roundT.Scale(2*float64(s.cfg.CLRTimeoutRounds))
+	horizon := now - s.roundT.Scale(2*float64(CLRTimeoutRounds))
 	for id, info := range s.reports {
 		if info.at < horizon {
 			continue
@@ -607,13 +565,7 @@ func (s *Sender) pickBackupCLR(now sim.Time) {
 }
 
 func (s *Sender) setRate(r float64) {
-	if r < s.cfg.MinRate {
-		r = s.cfg.MinRate
-	}
-	if s.cfg.MaxRate > 0 && r > s.cfg.MaxRate {
-		r = s.cfg.MaxRate
-	}
-	s.rate = r
+	s.rate = max(r, MinRate)
 	if s.recoverWait {
 		s.noteReattained(s.sch.Now())
 	}
@@ -658,7 +610,7 @@ func (s *Sender) rampTick() {
 		return
 	}
 	if s.target > s.rate {
-		step := float64(s.cfg.PacketSize) / s.rampRTT().Seconds()
+		step := float64(PacketSize) / s.rampRTT().Seconds()
 		s.setRate(math.Min(s.target, s.rate+step))
 	}
 	if s.target > s.rate {
@@ -676,7 +628,7 @@ func (s *Sender) advanceRound() {
 	now := s.sch.Now()
 
 	if s.slowstart && !math.IsInf(s.minRecvRound, 1) {
-		target := s.cfg.SlowstartFactor * s.minRecvRound
+		target := SlowstartFactor * s.minRecvRound
 		if target > s.rate {
 			s.setRate(target)
 		}
@@ -688,7 +640,7 @@ func (s *Sender) advanceRound() {
 	// RTT, stay at the conservative initial value (footnote 7).
 	if s.roundNoRTT {
 		s.rttWindow = s.rttWindow[:0]
-		s.maxRTT = s.cfg.RTT.InitialRTT
+		s.maxRTT = initialRTT
 	} else if s.roundRTT > 0 {
 		s.rttWindow = append(s.rttWindow, s.roundRTT)
 		if len(s.rttWindow) > 4 {
@@ -721,7 +673,7 @@ func (s *Sender) advanceRound() {
 
 	// CLR timeout: assume the CLR left if it has been silent too long.
 	if s.clr != noReceiver && s.lastCLRReport > 0 &&
-		now-s.lastCLRReport > s.roundT.Scale(float64(s.cfg.CLRTimeoutRounds)) {
+		now-s.lastCLRReport > s.roundT.Scale(float64(CLRTimeoutRounds)) {
 		s.onLeave(s.clr, now)
 	}
 
@@ -742,6 +694,6 @@ func (s *Sender) advanceRound() {
 	s.roundStart = now
 	s.suppressRate = math.Inf(1)
 	s.suppressLoss = false
-	s.roundT = s.cfg.feedbackConfig(s.maxRTT, s.rate).T
+	s.roundT = roundDuration(s.maxRTT, s.rate)
 	s.roundTimer = s.sch.AfterArg(s.roundT, senderAdvanceRound, s)
 }

@@ -13,7 +13,6 @@ import (
 // cohort probes alike; a cohort occupies one slot but Members() receiver
 // IDs, so slot index and ReceiverID diverge once a cohort has joined.
 type Session struct {
-	Cfg       Config
 	Net       *simnet.Network
 	Group     simnet.GroupID
 	Port      simnet.Port
@@ -23,10 +22,6 @@ type Session struct {
 	// nextID is the first unallocated ReceiverID: each explicit receiver
 	// advances it by one, each cohort by its membership.
 	nextID ReceiverID
-
-	// p is Cfg as the receivers share it (see params). A recycled session
-	// keeps it while Cfg stays the same.
-	p *params
 
 	rng *sim.Rand
 }
@@ -41,34 +36,21 @@ const sessionArenaKey = "tfmcc.Session"
 func NewSession(net *simnet.Network, senderNode simnet.NodeID, group simnet.GroupID,
 	port simnet.Port, cfg Config, rng *sim.Rand) *Session {
 	s := sim.Pooled[Session](net.Arena(), sessionArenaKey)
-	p := s.p
 	*s = Session{
-		Cfg:       cfg,
 		Net:       net,
 		Group:     group,
 		Port:      port,
 		Sender:    NewSender(net, senderNode, port, group, cfg),
 		Receivers: s.Receivers[:0], // a recycled session keeps the backing array
-		p:         p,
 		rng:       rng,
 	}
 	return s
 }
 
-// params returns the parameters the session's receivers share, made anew
-// whenever Cfg differs from the ones last shared: receivers that joined
-// before a change keep the configuration they joined with.
-func (s *Session) params() *params {
-	if s.p == nil || s.p.cfg != s.Cfg {
-		s.p = newParams(s.Cfg)
-	}
-	return s.p
-}
-
 // AddReceiver joins an explicit receiver on the given node.
 func (s *Session) AddReceiver(node simnet.NodeID) *Receiver {
 	id := s.nextID
-	r := newReceiver(id, s.Net, node, s.Port, s.Sender.addr, s.Group, s.params(), s.rng)
+	r := newReceiver(id, s.Net, node, s.Port, s.Sender.addr, s.Group, s.rng)
 	s.Receivers = append(s.Receivers, r)
 	s.nextID++
 	return r
@@ -82,7 +64,7 @@ func (s *Session) AddCohort(node simnet.NodeID, size int) *Receiver {
 	if size < 1 {
 		size = 1
 	}
-	c := newCohortReceiver(s.nextID, s.Net, node, s.Port, s.Sender.addr, s.Group, s.params(), s.rng, size)
+	c := newCohortReceiver(s.nextID, s.Net, node, s.Port, s.Sender.addr, s.Group, s.rng, size)
 	s.Receivers = append(s.Receivers, c)
 	s.nextID += ReceiverID(size)
 	return c
@@ -125,8 +107,8 @@ func (s *Session) CLRInvariant() string {
 	if int(clr) < 0 || int(clr) >= int(s.nextID) {
 		return fmt.Sprintf("CLR id %d out of range (session has %d receivers)", clr, int(s.nextID))
 	}
-	if silent := snd.CLRSilentRounds(); silent > s.Cfg.CLRTimeoutRounds+2 {
-		return fmt.Sprintf("CLR %d silent for %d rounds (> timeout of %d rounds) without re-election", clr, silent, s.Cfg.CLRTimeoutRounds)
+	if silent := snd.CLRSilentRounds(); silent > CLRTimeoutRounds+2 {
+		return fmt.Sprintf("CLR %d silent for %d rounds (> timeout of %d rounds) without re-election", clr, silent, CLRTimeoutRounds)
 	}
 	return ""
 }

@@ -121,9 +121,9 @@ func TestRateMatchesModelOnLossyPath(t *testing.T) {
 	// Padhye model at p=5%, RTT=62ms: X ≈ 53 KB/s ≈ 420 Kbit/s. The
 	// delivered rate is (1-p) of the sending rate. Accept a wide band —
 	// the loss-event rate differs from the packet loss rate.
-	model := cfg.Model.Throughput(0.05, 0.062) * 8 / 1000
-	if mean < model*0.4 || mean > model*2.5 {
-		t.Fatalf("TFMCC rate %.0f Kbit/s vs model %.0f Kbit/s", mean, model)
+	want := model.Throughput(0.05, 0.062) * 8 / 1000
+	if mean < want*0.4 || mean > want*2.5 {
+		t.Fatalf("TFMCC rate %.0f Kbit/s vs model %.0f Kbit/s", mean, want)
 	}
 }
 
@@ -217,8 +217,8 @@ func TestSenderRateNeverBelowFloor(t *testing.T) {
 	sch, _, sess := starLossy(loss, delay, cfg, 10)
 	sess.Start()
 	sch.RunUntil(120 * sim.Second)
-	if sess.Sender.Rate() < cfg.MinRate {
-		t.Fatalf("rate %.1f below floor %.1f", sess.Sender.Rate(), cfg.MinRate)
+	if sess.Sender.Rate() < MinRate {
+		t.Fatalf("rate %.1f below floor %.1f", sess.Sender.Rate(), MinRate)
 	}
 }
 
@@ -240,7 +240,7 @@ func TestIncreaseLimitedAfterCLRChange(t *testing.T) {
 	for _, dt := range []float64{0.25, 0.5, 1.0} {
 		sch.RunUntil(90*sim.Second + sim.FromSeconds(dt))
 		rateNow := sess.Sender.Rate()
-		bound := rateBefore + dt*float64(cfg.PacketSize)/(rttSec*rttSec)*2
+		bound := rateBefore + dt*float64(PacketSize)/(rttSec*rttSec)*2
 		if rateNow > bound {
 			t.Fatalf("rate %.0f at +%.2fs exceeds additive-increase bound %.0f", rateNow, dt, bound)
 		}
