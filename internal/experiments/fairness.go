@@ -9,9 +9,9 @@ import (
 )
 
 func init() {
-	registerSpec("9", "1 TFMCC and 15 TCP over one 8 Mbit/s bottleneck", Figure9Spec, Figure9)
-	registerSpec("10", "1 TFMCC vs 16 TCP on sixteen individual 1 Mbit/s bottlenecks", Figure10Spec, Figure10)
-	registerSpec("21", "Responsiveness to increased congestion (flow count doubles every 50s)", Figure21Spec, Figure21)
+	registerSpec("9", Figure9Spec, Figure9)
+	registerSpec("10", Figure10Spec, Figure10)
+	registerSpec("21", Figure21Spec, Figure21)
 }
 
 // Figure9Spec declares the figure 9 scenario: one metered TFMCC receiver

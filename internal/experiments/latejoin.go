@@ -9,8 +9,8 @@ import (
 )
 
 func init() {
-	registerSpec("15", "Late-join of low-rate receiver", Figure15Spec, Figure15)
-	registerSpec("16", "Additional TCP flow on the slow link", Figure16Spec, Figure16)
+	registerSpec("15", Figure15Spec, Figure15)
+	registerSpec("16", Figure16Spec, Figure16)
 }
 
 // lateJoinSpec declares the figure 15/16 scenario: an eight-member

@@ -75,9 +75,9 @@ func register(id, title string, r Runner) {
 
 // registerSpec adds an engine figure together with its declarative
 // scenario spec, making it addressable (and overridable) as a named
-// preset via tfmccsim -scenario.
-func registerSpec(id, title string, spec func() *scenario.Spec, r Runner) {
-	addEntry(Entry{ID: id, Title: title, Run: r, Spec: spec,
+// preset via tfmccsim -scenario. The spec owns the title.
+func registerSpec(id string, spec func() *scenario.Spec, r Runner) {
+	addEntry(Entry{ID: id, Title: spec().Title, Run: r, Spec: spec,
 		Tags: []string{TagEngine, TagSweep}})
 }
 

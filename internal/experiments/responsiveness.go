@@ -9,8 +9,8 @@ import (
 )
 
 func init() {
-	registerSpec("11", "Responsiveness to changes in the loss rate", Figure11Spec, Figure11)
-	registerSpec("20", "Responsiveness to network delay", Figure20Spec, Figure20)
+	registerSpec("11", Figure11Spec, Figure11)
+	registerSpec("20", Figure20Spec, Figure20)
 }
 
 // Figure11 reproduces the join/leave experiment: four receivers with loss

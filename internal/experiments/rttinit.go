@@ -9,7 +9,7 @@ import (
 )
 
 func init() {
-	registerSpec("12", "Rate of initial RTT measurements (1000 receivers)", Figure12Spec, Figure12)
+	registerSpec("12", Figure12Spec, Figure12)
 	register("13", "Responsiveness to changes in the RTT", Figure13)
 }
 

@@ -7,57 +7,38 @@ package rtt
 
 import "repro/internal/sim"
 
-// Config holds the estimator's smoothing constants (paper defaults).
-type Config struct {
-	InitialRTT  sim.Time // used before any measurement; paper: 500 ms
-	AlphaCLR    float64  // EWMA weight of a new sample for the CLR (0.05)
-	AlphaOther  float64  // EWMA weight for non-CLR receivers (0.5)
-	AlphaOneWay float64  // EWMA weight for one-way-delay adjustments (smaller)
-}
+// The constants of section 2.4.2/2.4.3. Every estimator runs them; an
+// experiment on one is an edit to its constant here.
+const (
+	InitialRTT  sim.Time = 500 * sim.Millisecond // reported before any measurement
+	AlphaCLR    float64  = 0.05                  // EWMA weight of a new sample for the CLR
+	AlphaOther  float64  = 0.5                   // EWMA weight for non-CLR receivers
+	AlphaOneWay float64  = 0.05                  // EWMA weight for one-way-delay adjustments
+)
 
-// DefaultConfig returns the constants from section 2.4.2/2.4.3.
-func DefaultConfig() Config {
-	return Config{
-		InitialRTT:  500 * sim.Millisecond,
-		AlphaCLR:    0.05,
-		AlphaOther:  0.5,
-		AlphaOneWay: 0.05,
-	}
-}
+// Config carries no value: the estimator runs the constants above. It is
+// kept, with DefaultConfig and NewEstimator's parameter, for the callers
+// in bench/.
+type Config struct{}
 
-// defaultConfig is the Config every estimator built with a zero
-// InitialRTT points at.
-var defaultConfig = DefaultConfig()
+// DefaultConfig returns the empty Config.
+func DefaultConfig() Config { return Config{} }
 
-// Estimator tracks one receiver's RTT to the sender. Its constants are
-// held by pointer: a session's receivers all share one Config.
+// Estimator tracks one receiver's RTT to the sender.
 type Estimator struct {
-	cfg *Config
-
 	est      sim.Time
 	owdBack  sim.Time // derived receiver->sender one-way delay (incl. skew)
 	valid    bool
 	owdValid bool
 }
 
-// NewEstimator returns an estimator that reports cfg.InitialRTT until the
-// first measurement.
-func NewEstimator(cfg Config) *Estimator {
-	e := new(Estimator)
-	e.Reset(&cfg)
-	return e
-}
+// NewEstimator returns an estimator that reports InitialRTT until the
+// first measurement. The Config is ignored.
+func NewEstimator(Config) *Estimator { return new(Estimator) }
 
-// Reset puts the estimator into the state NewEstimator(*cfg) returns. It
-// also initialises a zero value in place, for owners that hold the
-// estimator by value. The estimator keeps cfg, which must not change
-// while it is in use; nil or a zero InitialRTT means DefaultConfig.
-func (e *Estimator) Reset(cfg *Config) {
-	if cfg == nil || cfg.InitialRTT == 0 {
-		cfg = &defaultConfig
-	}
-	*e = Estimator{cfg: cfg}
-}
+// Reset puts the estimator into the state NewEstimator returns, for
+// owners that hold the estimator by value.
+func (e *Estimator) Reset() { *e = Estimator{} }
 
 // Valid reports whether a real RTT measurement has been made.
 func (e *Estimator) Valid() bool { return e.valid }
@@ -66,7 +47,7 @@ func (e *Estimator) Valid() bool { return e.valid }
 // measurement).
 func (e *Estimator) RTT() sim.Time {
 	if !e.valid {
-		return e.cfg.InitialRTT
+		return InitialRTT
 	}
 	return e.est
 }
@@ -86,9 +67,9 @@ func (e *Estimator) Measure(now, sendTS, echoDelay, dataSendTS sim.Time, isCLR b
 		e.valid = true
 		e.est = inst
 	} else {
-		alpha := e.cfg.AlphaOther
+		alpha := AlphaOther
 		if isCLR {
-			alpha = e.cfg.AlphaCLR
+			alpha = AlphaCLR
 		}
 		e.est = ewma(e.est, inst, alpha)
 	}
@@ -113,7 +94,7 @@ func (e *Estimator) AdjustOneWay(now, dataSendTS sim.Time) (sim.Time, bool) {
 	if inst < 0 {
 		inst = 0
 	}
-	e.est = ewma(e.est, inst, e.cfg.AlphaOneWay)
+	e.est = ewma(e.est, inst, AlphaOneWay)
 	return inst, true
 }
 

@@ -16,13 +16,6 @@ func TestInitialRTTBeforeMeasurement(t *testing.T) {
 	}
 }
 
-func TestZeroConfigFallsBackToDefault(t *testing.T) {
-	e := NewEstimator(Config{})
-	if e.RTT() != 500*sim.Millisecond {
-		t.Fatalf("zero config should default, got %v", e.RTT())
-	}
-}
-
 func TestFirstMeasurementTakesFullValue(t *testing.T) {
 	e := NewEstimator(DefaultConfig())
 	// Report sent at t=1s, echoed with 10ms hold, echo arrives at 1.070s:

@@ -693,18 +693,6 @@ func (sc *Scenario) scheduleEvent(ev Event) error {
 				m.apply(l)
 			}
 		})
-	case ev.Start != "":
-		f, err := sc.flow(ev.Start)
-		if err != nil {
-			return err
-		}
-		sc.Env.Sch.At(ev.At, f.start)
-	case ev.Stop != "":
-		f, err := sc.flow(ev.Stop)
-		if err != nil {
-			return err
-		}
-		sc.Env.Sch.At(ev.At, f.stop)
 	case ev.Crash != nil:
 		idx := *ev.Crash
 		if idx < 0 || idx >= len(sc.Recvs) {

@@ -309,8 +309,6 @@ type Impair struct {
 type Event struct {
 	At      sim.Time `json:"at_ns,omitempty"`
 	SetLink *SetLink `json:"set_link,omitempty"`
-	Start   string   `json:"start,omitempty"` // start the named flow
-	Stop    string   `json:"stop,omitempty"`  // stop the named flow
 	Crash   *int     `json:"crash,omitempty"` // crash the i-th declared receiver (no Leave report)
 }
 

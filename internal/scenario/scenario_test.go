@@ -339,7 +339,8 @@ func TestPresetSpecsBuild(t *testing.T) {
 // And so are the old protocol config keys — "session" (with its group,
 // port and tfmcc cfg), a tcp step's "cfg" and an impairment's
 // "reorder_delay_ns": halve_on_silence is the one protocol value a
-// document sets, and it round-trips.
+// document sets, and it round-trips. Flows toggle through a step's
+// start_at_ns and stop_at_ns, so "start" and "stop" are unknown events.
 func TestDecodeRejectsRemovedEventKeys(t *testing.T) {
 	for key, field := range map[string]string{
 		"down":             `"events":[{"down":{"site":-1}}]`,
@@ -352,6 +353,8 @@ func TestDecodeRejectsRemovedEventKeys(t *testing.T) {
 		"session":          `"session":{"cfg":{"PacketSize":0}}`,
 		"cfg":              `"steps":[{"tcp":{"name":"t","cfg":{"InitialRTO":0}}}]`,
 		"reorder_delay_ns": `"events":[{"set_link":{"links":[{"site":-1}],"impair":{"reorder":0.2,"reorder_delay_ns":5}}}]`,
+		"start":            `"events":[{"start":"t"}]`,
+		"stop":             `"events":[{"stop":"t"}]`,
 	} {
 		doc := `{"name":"x","duration_ns":1,` + field + `}`
 		if _, err := DecodeSpec([]byte(doc)); err == nil || !strings.Contains(err.Error(), `"`+key+`"`) {

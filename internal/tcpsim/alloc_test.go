@@ -25,13 +25,7 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 	a := net.AddNode("a")
 	b := net.AddNode("b")
 	net.AddDuplex(a, b, 2*125000, 20*sim.Millisecond, 40)
-	cfg := DefaultConfig()
-	// Bound the window so the packet pool converges: an uncapped single
-	// flow overshoots to 1000+ packet windows and every go-back-N burst
-	// then grows the pool once more (a one-time cost, but it would
-	// dominate this short measurement window).
-	cfg.MaxCwnd = 64
-	snd, snk := NewFlow("flow", net, a, b, 5, cfg)
+	snd, snk := NewFlow("flow", net, a, b, 5, DefaultConfig())
 	snd.Start()
 	sch.RunUntil(10 * sim.Second) // warm up: pools sized, window cycled
 

@@ -31,39 +31,34 @@ type Ack struct {
 	CumAck int64 // next expected sequence number
 }
 
-// Config holds the tunables of a TCP connection.
-type Config struct {
-	PacketSize int      // data segment size in bytes (default 1000)
-	AckSize    int      // ACK size in bytes (default 40)
-	InitialRTO sim.Time // default 1s
-	MinRTO     sim.Time // default 200ms
-	MaxRTO     sim.Time // default 64s
-	MaxCwnd    float64  // cap in packets (default 10000)
+// ns-2's TCP agent defaults. Every connection runs them; an experiment
+// on one is an edit to its constant here.
+const (
+	PacketSize int      = 1000 // data segment size in bytes
+	AckSize    int      = 40   // ACK size in bytes
+	InitialRTO sim.Time = sim.Second
+	MinRTO     sim.Time = 200 * sim.Millisecond
+	MaxRTO     sim.Time = 64 * sim.Second // cap of the backed-off RTO
+	MaxCwnd    float64  = 10000           // window cap in packets
 
 	// Overhead adds a uniform random delay in [0, Overhead) before each
 	// data transmission, like ns-2's overhead_ parameter. It breaks the
 	// perfect ACK clocking that otherwise lets TCP systematically dodge
 	// drop-tail overflows that paced (rate-based) flows must absorb —
-	// the well-known drop-tail phase effect. Default 2ms.
-	Overhead sim.Time
-}
+	// the well-known drop-tail phase effect.
+	Overhead sim.Time = 2 * sim.Millisecond
+)
 
-// DefaultConfig returns ns-2-like defaults.
-func DefaultConfig() Config {
-	return Config{
-		PacketSize: 1000,
-		AckSize:    40,
-		InitialRTO: sim.Second,
-		MinRTO:     200 * sim.Millisecond,
-		MaxRTO:     64 * sim.Second,
-		MaxCwnd:    10000,
-		Overhead:   2 * sim.Millisecond,
-	}
-}
+// Config carries no value: every connection runs the constants above.
+// It is kept, with DefaultConfig and NewFlow's parameter, for the caller
+// in bench/.
+type Config struct{}
+
+// DefaultConfig returns the empty Config.
+func DefaultConfig() Config { return Config{} }
 
 // Sender is a TCP NewReno sender with an unlimited data source.
 type Sender struct {
-	cfg  Config
 	net  *simnet.Network
 	sch  *sim.Scheduler
 	rng  *sim.Rand
@@ -103,11 +98,11 @@ type Sender struct {
 
 // NewSender creates a TCP sender bound to src, talking to a Sink at dst.
 // Call Start to begin transmitting.
-func NewSender(name string, net *simnet.Network, src, dst simnet.Addr, cfg Config) *Sender {
+func NewSender(name string, net *simnet.Network, src, dst simnet.Addr) *Sender {
 	s := &Sender{
-		cfg: cfg, net: net, sch: net.SchedFor(src.Node), rng: net.RandFor(src.Node),
+		net: net, sch: net.SchedFor(src.Node), rng: net.RandFor(src.Node),
 		src: src, dst: dst, name: name,
-		cwnd: 1, ssthresh: cfg.MaxCwnd, rto: cfg.InitialRTO,
+		cwnd: 1, ssthresh: MaxCwnd, rto: InitialRTO,
 	}
 	s.sendFn = func(a any) { s.net.Send(a.(*simnet.Packet)) }
 	s.timeoutFn = func(any) { s.onTimeout() }
@@ -149,7 +144,7 @@ func (s *Sender) trySend() {
 	if s.stopped {
 		return
 	}
-	cw := math.Min(s.cwnd, s.cfg.MaxCwnd)
+	cw := math.Min(s.cwnd, MaxCwnd)
 	for s.flight() < math.Floor(cw) {
 		s.transmit(s.nextSeq, false)
 		s.nextSeq++
@@ -174,7 +169,7 @@ func (s *Sender) transmit(seq int64, isRetx bool) {
 		}
 	}
 	pkt := s.net.AllocPacketClass(classSegment)
-	pkt.Size = s.cfg.PacketSize
+	pkt.Size = PacketSize
 	pkt.Src = s.src
 	pkt.Dst = s.dst
 	// Recycled packets keep their header box: reusing it makes the
@@ -185,17 +180,13 @@ func (s *Sender) transmit(seq int64, isRetx bool) {
 		pkt.Payload = seg
 	}
 	seg.Seq = seq
-	if s.cfg.Overhead > 0 {
-		depart := s.sch.Now() + sim.Time(s.rng.Uniform(0, float64(s.cfg.Overhead)))
-		// Keep departures monotonic so the jitter cannot reorder segments.
-		if depart < s.lastDepart {
-			depart = s.lastDepart
-		}
-		s.lastDepart = depart
-		s.sch.AtArg(depart, s.sendFn, pkt)
-	} else {
-		s.net.Send(pkt)
+	depart := s.sch.Now() + sim.Time(s.rng.Uniform(0, float64(Overhead)))
+	// Keep departures monotonic so the jitter cannot reorder segments.
+	if depart < s.lastDepart {
+		depart = s.lastDepart
 	}
+	s.lastDepart = depart
+	s.sch.AtArg(depart, s.sendFn, pkt)
 	if !isRetx && !s.rttPending {
 		s.rttPending = true
 		s.rttSeq = seq
@@ -210,8 +201,8 @@ func (s *Sender) armRTO() {
 	d := s.rto
 	for i := 0; i < s.backoff; i++ {
 		d *= 2
-		if d > s.cfg.MaxRTO {
-			d = s.cfg.MaxRTO
+		if d > MaxRTO {
+			d = MaxRTO
 			break
 		}
 	}
@@ -280,11 +271,10 @@ func (s *Sender) onNewAck(cum int64) {
 	// Per-ACK window growth (not per byte): a cumulative ACK that jumps
 	// over many go-back-N-resent segments must not inflate the window in
 	// one step, or recovery turns into a retransmit burst.
-	_ = newlyAcked
 	if s.cwnd < s.ssthresh {
-		s.cwnd = math.Min(s.cwnd+1, s.cfg.MaxCwnd) // slow start
+		s.cwnd = math.Min(s.cwnd+1, MaxCwnd) // slow start
 	} else {
-		s.cwnd = math.Min(s.cwnd+1/s.cwnd, s.cfg.MaxCwnd) // congestion avoidance
+		s.cwnd = math.Min(s.cwnd+1/s.cwnd, MaxCwnd) // congestion avoidance
 	}
 	if s.flight() > 0 {
 		s.armRTO()
@@ -328,11 +318,11 @@ func (s *Sender) sampleRTT(sample sim.Time) {
 		s.srtt = sim.Time(0.875*float64(s.srtt) + 0.125*float64(sample))
 	}
 	s.rto = s.srtt + 4*s.rttvar
-	if s.rto < s.cfg.MinRTO {
-		s.rto = s.cfg.MinRTO
+	if s.rto < MinRTO {
+		s.rto = MinRTO
 	}
-	if s.rto > s.cfg.MaxRTO {
-		s.rto = s.cfg.MaxRTO
+	if s.rto > MaxRTO {
+		s.rto = MaxRTO
 	}
 }
 
@@ -349,8 +339,7 @@ type Sink struct {
 	net   *simnet.Network
 	src   simnet.Addr // the sink's own address
 	peer  simnet.Addr // the sender
-	cfg   Config
-	next  int64 // next expected sequence
+	next  int64       // next expected sequence
 	ooo   map[int64]bool
 	Meter *stats.Meter // optional goodput meter (counts in-order bytes)
 
@@ -358,8 +347,8 @@ type Sink struct {
 }
 
 // NewSink creates a sink at addr acking to peer.
-func NewSink(net *simnet.Network, addr, peer simnet.Addr, cfg Config) *Sink {
-	k := &Sink{net: net, src: addr, peer: peer, cfg: cfg, ooo: map[int64]bool{}}
+func NewSink(net *simnet.Network, addr, peer simnet.Addr) *Sink {
+	k := &Sink{net: net, src: addr, peer: peer, ooo: map[int64]bool{}}
 	net.Bind(addr, simnet.HandlerFunc(k.recv))
 	return k
 }
@@ -383,7 +372,7 @@ func (k *Sink) recv(pkt *simnet.Packet) {
 		k.ooo[seg.Seq] = true
 	}
 	ack := k.net.AllocPacketClass(classAck)
-	ack.Size = k.cfg.AckSize
+	ack.Size = AckSize
 	ack.Src = k.src
 	ack.Dst = k.peer
 	ap, ok := ack.Payload.(*Ack)
@@ -407,10 +396,11 @@ func (k *Sink) NextExpected() int64 { return k.next }
 
 // NewFlow wires a sender/sink pair between two nodes on dedicated ports
 // and returns both. The flow starts when Start is called on the sender.
-func NewFlow(name string, net *simnet.Network, from, to simnet.NodeID, port simnet.Port, cfg Config) (*Sender, *Sink) {
+// The Config is ignored.
+func NewFlow(name string, net *simnet.Network, from, to simnet.NodeID, port simnet.Port, _ Config) (*Sender, *Sink) {
 	sAddr := simnet.Addr{Node: from, Port: port}
 	kAddr := simnet.Addr{Node: to, Port: port}
-	snd := NewSender(name, net, sAddr, kAddr, cfg)
-	snk := NewSink(net, kAddr, sAddr, cfg)
+	snd := NewSender(name, net, sAddr, kAddr)
+	snk := NewSink(net, kAddr, sAddr)
 	return snd, snk
 }

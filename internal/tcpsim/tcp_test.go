@@ -45,9 +45,7 @@ func TestBulkTransferSaturatesLink(t *testing.T) {
 func TestNoLossNoRetransmits(t *testing.T) {
 	// Large queue: no drops, so no retransmissions at all.
 	sch, net, a, b := dumbbell(125000, 10*sim.Millisecond, 10000)
-	cfg := DefaultConfig()
-	cfg.MaxCwnd = 20 // keep window below BDP+queue
-	snd, snk := NewFlow("t", net, a, b, 1, cfg)
+	snd, snk := NewFlow("t", net, a, b, 1, DefaultConfig())
 	snd.Start()
 	sch.RunUntil(20 * sim.Second)
 	if snd.Retransmits != 0 || snd.Timeouts != 0 {
@@ -60,8 +58,7 @@ func TestNoLossNoRetransmits(t *testing.T) {
 
 func TestFastRetransmitOnSingleLoss(t *testing.T) {
 	sch, net, a, b := dumbbell(125000, 10*sim.Millisecond, 10000)
-	cfg := DefaultConfig()
-	snd, snk := NewFlow("t", net, a, b, 1, cfg)
+	snd, snk := NewFlow("t", net, a, b, 1, DefaultConfig())
 	// Drop exactly one packet by briefly setting link loss.
 	l := net.LinkBetween(1, 2)
 	sch.After(2*sim.Second, func() { l.LossProb = 1 })
@@ -89,6 +86,59 @@ func TestTimeoutRecoversFromBlackout(t *testing.T) {
 	}
 	if snk.NextExpected() < 1000 {
 		t.Fatalf("did not recover after blackout: %d", snk.NextExpected())
+	}
+}
+
+// TestRTOBackoffCapsAtMaxRTO pins the exponential backoff: through a
+// long blackout every timeout doubles the wait for the next one until it
+// reaches MaxRTO, and from then on timeouts fire exactly MaxRTO apart.
+// The flow still recovers once the path returns.
+func TestRTOBackoffCapsAtMaxRTO(t *testing.T) {
+	const blackoutStart, blackoutEnd = 2 * sim.Second, 400 * sim.Second
+	sch, net, a, b := dumbbell(125000, 10*sim.Millisecond, 50)
+	snd, snk := NewFlow("t", net, a, b, 1, DefaultConfig())
+	var fired []sim.Time
+	onTimeout := snd.timeoutFn
+	snd.timeoutFn = func(x any) {
+		n := snd.Timeouts
+		onTimeout(x)
+		if snd.Timeouts > n {
+			fired = append(fired, sch.Now())
+		}
+	}
+	l := net.LinkBetween(1, 2)
+	sch.At(blackoutStart, func() { l.LossProb = 1 })
+	sch.At(blackoutEnd, func() { l.LossProb = 0 })
+	snd.Start()
+	sch.RunUntil(blackoutEnd)
+
+	// The first gap may still end in an ACK that was in flight when the
+	// blackout began (a new ACK resets the backoff); from the second on,
+	// nothing but the timer runs.
+	var gaps []sim.Time
+	for i := 1; i < len(fired); i++ {
+		gaps = append(gaps, fired[i]-fired[i-1])
+	}
+	doubled, capped := 0, 0
+	for i := 2; i < len(gaps); i++ {
+		want := min(2*gaps[i-1], MaxRTO)
+		if gaps[i] != want {
+			t.Fatalf("timeout gap %d is %v after %v, want %v (gaps %v)", i, gaps[i], gaps[i-1], want, gaps)
+		}
+		if gaps[i] == MaxRTO {
+			capped++
+		} else {
+			doubled++
+		}
+	}
+	if doubled < 4 || capped < 2 {
+		t.Fatalf("blackout saw %d doublings and %d capped gaps, want at least 4 and 2 (gaps %v)", doubled, capped, gaps)
+	}
+
+	delivered := snk.NextExpected()
+	sch.RunUntil(blackoutEnd + MaxRTO + 20*sim.Second)
+	if snk.NextExpected() < delivered+1000 {
+		t.Fatalf("did not recover after the blackout: %d -> %d", delivered, snk.NextExpected())
 	}
 }
 
@@ -180,7 +230,7 @@ func TestSinkOutOfOrderReassembly(t *testing.T) {
 	net.Bind(simnet.Addr{Node: a, Port: 5}, simnet.HandlerFunc(func(p *simnet.Packet) {
 		acks = append(acks, p.Payload.(*Ack).CumAck)
 	}))
-	snk := NewSink(net, simnet.Addr{Node: b, Port: 5}, simnet.Addr{Node: a, Port: 5}, DefaultConfig())
+	snk := NewSink(net, simnet.Addr{Node: b, Port: 5}, simnet.Addr{Node: a, Port: 5})
 	send := func(seq int64) {
 		net.Send(&simnet.Packet{Size: 1000, Src: simnet.Addr{Node: a, Port: 5},
 			Dst: simnet.Addr{Node: b, Port: 5}, Payload: &Segment{Seq: seq}})

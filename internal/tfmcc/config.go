@@ -39,14 +39,15 @@ const (
 	CLRTimeoutRounds int = 10 // CLR declared dead after this many silent rounds
 )
 
+// initialRTT is the conservative RTT used before the first measurement
+// (section 2.4): the value the receivers' estimators report until then.
+const initialRTT = rtt.InitialRTT
+
 // Values derived from the constants, shared by every session and never
-// written: the TCP response function, the loss-interval weights and the
-// conservative RTT used before the first measurement (rtt's default,
-// which the receivers' estimators fall back to).
+// written: the TCP response function and the loss-interval weights.
 var (
 	model       = tcpmodel.Default()
 	lossWeights = lossrate.Weights(NumLossIntervals)
-	initialRTT  = rtt.DefaultConfig().InitialRTT
 )
 
 // Config holds the one protocol choice a session makes.

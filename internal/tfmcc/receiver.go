@@ -18,8 +18,8 @@ import (
 // per-packet cost is the number of distinct cache lines Recv pulls in, so
 // everything an in-order data packet reads or writes fits the first three
 // 64-byte lines of a 64-byte-aligned object: the scalars, flags, counter
-// and meter of line 0; the ring cursors and the RTT estimator of line 1;
-// the last-header snapshot and the open loss interval (est's history
+// and meter of line 0; the ring cursors and the last-header snapshot of
+// line 1; the RTT estimator and the open loss interval (est's history
 // header and first slot) of line 2. The ring itself, the CLR's report
 // clock and everything touched only at round start, on a loss or by a
 // report follow; the protocol constants, the loss weights and the RTT
@@ -44,10 +44,10 @@ type Receiver struct {
 
 	// Line 1.
 	rw   recvWindow
-	rtte rtt.Estimator
+	last lastHeader
 
 	// Line 2, and est runs on into lines 3-5.
-	last lastHeader
+	rtte rtt.Estimator
 	est  lossrate.Estimator
 
 	clrNextAt    sim.Time // read by the CLR only
@@ -134,7 +134,7 @@ func (r *Receiver) init(id ReceiverID, net *simnet.Network, node simnet.NodeID, 
 	r.addr = simnet.Addr{Node: node, Port: port}
 	r.sender = sender
 	r.group = group
-	r.rtte.Reset(nil)
+	r.rtte.Reset()
 	r.haveSeq = false
 	r.nextSeq = 0
 	r.lastArrival = 0

@@ -23,7 +23,7 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 	b := net.AddNode("b")
 	down, _ := net.AddDuplex(a, b, 0, 30*sim.Millisecond, 0)
 	down.LossProb = 0.01
-	snd, rcv := NewFlow(net, a, b, 100, DefaultConfig())
+	snd, rcv := NewFlow(net, a, b, 100)
 	snd.Start()
 	sch.RunUntil(20 * sim.Second)
 

@@ -38,7 +38,7 @@ func TestSingleReceiverTracksTFRC(t *testing.T) {
 		multicast := steady(sch, m)
 
 		sch, net, a, b, m = path(seed)
-		snd, rcv := NewFlow(net, a, b, 100, DefaultConfig())
+		snd, rcv := NewFlow(net, a, b, 100)
 		rcv.Meter = m
 		snd.Start()
 		unicast := steady(sch, m)

@@ -46,32 +46,27 @@ type Feedback struct {
 	HasLoss   bool
 }
 
-// Config holds the TFRC tunables.
-type Config struct {
-	PacketSize  int
-	ReportSize  int
-	Model       tcpmodel.Params
-	InitialRate float64 // bytes/s
-	MinRate     float64
-	NumWeights  int
-}
+// TFMCC's parameter set, so the two protocols compare like for like.
+// Every flow runs it; an experiment on one is an edit to its constant
+// here.
+const (
+	PacketSize       int     = 1000 // data packet size in bytes
+	ReportSize       int     = 40   // feedback report size in bytes
+	InitialRate      float64 = 2000 // sender start rate, bytes/s
+	MinRate          float64 = 125  // rate floor, bytes/s
+	NumLossIntervals int     = 8    // loss history depth n
+)
 
-// DefaultConfig mirrors the TFMCC defaults for apples-to-apples benches.
-func DefaultConfig() Config {
-	return Config{
-		PacketSize:  1000,
-		ReportSize:  40,
-		Model:       tcpmodel.Default(),
-		InitialRate: 2000,
-		MinRate:     125,
-		NumWeights:  8,
-	}
-}
+// Values derived from the constants, shared by every flow and never
+// written: the TCP response function and the loss-interval weights.
+var (
+	model       = tcpmodel.Default()
+	lossWeights = lossrate.Weights(NumLossIntervals)
+)
 
 // Sender paces data packets and adjusts the rate from receiver feedback
 // using the TCP model.
 type Sender struct {
-	cfg  Config
 	net  *simnet.Network
 	sch  *sim.Scheduler
 	addr simnet.Addr
@@ -96,14 +91,11 @@ type Sender struct {
 }
 
 // NewSender creates a TFRC sender bound to addr, sending to peer.
-func NewSender(net *simnet.Network, addr, peer simnet.Addr, cfg Config) *Sender {
-	if cfg.PacketSize == 0 {
-		cfg = DefaultConfig()
-	}
+func NewSender(net *simnet.Network, addr, peer simnet.Addr) *Sender {
 	s := &Sender{
-		cfg: cfg, net: net, sch: net.Scheduler(),
+		net: net, sch: net.Scheduler(),
 		addr: addr, peer: peer,
-		rate: cfg.InitialRate, slowstart: true,
+		rate: InitialRate, slowstart: true,
 	}
 	s.sendFn = func(any) { s.sendLoop() }
 	s.noFbFn = func(any) { s.onNoFeedback() }
@@ -152,7 +144,7 @@ func (s *Sender) sendLoop() {
 	s.seq++
 	s.PacketsSent++
 	pkt := s.net.AllocPacketClass(classData)
-	pkt.Size = s.cfg.PacketSize
+	pkt.Size = PacketSize
 	pkt.Src = s.addr
 	pkt.Dst = s.peer
 	// Recycled packets keep their header box: reusing it makes the
@@ -164,7 +156,7 @@ func (s *Sender) sendLoop() {
 	}
 	*dp = d
 	s.net.Send(pkt)
-	s.sch.AfterArg(sim.FromSeconds(float64(s.cfg.PacketSize)/s.rate), s.sendFn, nil)
+	s.sch.AfterArg(sim.FromSeconds(float64(PacketSize)/s.rate), s.sendFn, nil)
 }
 
 func (s *Sender) currentRTT() sim.Time {
@@ -201,12 +193,12 @@ func (s *Sender) recv(pkt *simnet.Packet) {
 	}
 	if s.slowstart {
 		// Double per RTT, bounded by twice the reported receive rate.
-		target := math.Min(2*s.rate, 2*math.Max(fb.RecvRate, s.cfg.InitialRate))
+		target := math.Min(2*s.rate, 2*math.Max(fb.RecvRate, InitialRate))
 		if target > s.rate {
 			s.rate = target
 		}
 	} else if fb.LossRate > 0 {
-		x := s.cfg.Model.Throughput(fb.LossRate, s.currentRTT().Seconds())
+		x := model.Throughput(fb.LossRate, s.currentRTT().Seconds())
 		// RFC 3448: never more than twice the rate the receiver saw.
 		x = math.Min(x, 2*fb.RecvRate)
 		s.setRate(x)
@@ -215,8 +207,8 @@ func (s *Sender) recv(pkt *simnet.Packet) {
 }
 
 func (s *Sender) setRate(x float64) {
-	if x < s.cfg.MinRate {
-		x = s.cfg.MinRate
+	if x < MinRate {
+		x = MinRate
 	}
 	s.rate = x
 }
@@ -225,7 +217,7 @@ func (s *Sender) setRate(x float64) {
 // for 4 RTTs (or 2 packet intervals at low rates), the rate is halved.
 func (s *Sender) armNoFeedback() {
 	d := sim.MaxOf(s.currentRTT().Scale(4),
-		sim.FromSeconds(2*float64(s.cfg.PacketSize)/s.rate))
+		sim.FromSeconds(2*float64(PacketSize)/s.rate))
 	s.noFeedback = s.sch.RearmArg(s.noFeedback, d, s.noFbFn, nil)
 }
 
@@ -239,7 +231,6 @@ func (s *Sender) onNoFeedback() {
 
 // Receiver measures loss and reports once per RTT.
 type Receiver struct {
-	cfg  Config
 	net  *simnet.Network
 	sch  *sim.Scheduler
 	addr simnet.Addr
@@ -261,14 +252,11 @@ type Receiver struct {
 }
 
 // NewReceiver creates a TFRC receiver bound to addr reporting to peer.
-func NewReceiver(net *simnet.Network, addr, peer simnet.Addr, cfg Config) *Receiver {
-	if cfg.PacketSize == 0 {
-		cfg = DefaultConfig()
-	}
+func NewReceiver(net *simnet.Network, addr, peer simnet.Addr) *Receiver {
 	r := &Receiver{
-		cfg: cfg, net: net, sch: net.Scheduler(),
+		net: net, sch: net.Scheduler(),
 		addr: addr, peer: peer,
-		est: lossrate.NewEstimator(lossrate.Weights(cfg.NumWeights)),
+		est: lossrate.NewEstimator(lossWeights),
 	}
 	net.Bind(addr, simnet.HandlerFunc(r.recv))
 	return r
@@ -312,19 +300,19 @@ func (r *Receiver) recv(pkt *simnet.Packet) {
 
 	if now >= r.nextReport {
 		r.report(now, d)
-		r.nextReport = now + sim.MaxOf(d.RTT, sim.FromSeconds(float64(r.cfg.PacketSize)/d.Rate))
+		r.nextReport = now + sim.MaxOf(d.RTT, sim.FromSeconds(float64(PacketSize)/d.Rate))
 	}
 }
 
 func (r *Receiver) report(now sim.Time, d Data) {
-	window := sim.MaxOf(d.RTT.Scale(2), sim.FromSeconds(8*float64(r.cfg.PacketSize)/d.Rate))
+	window := sim.MaxOf(d.RTT.Scale(2), sim.FromSeconds(8*float64(PacketSize)/d.Rate))
 	cut := now - window
 	var bytes int64
 	for i := len(r.winTimes) - 1; i >= 0 && r.winTimes[i] >= cut; i-- {
 		bytes += int64(r.winBytes[i])
 	}
 	fb := r.net.AllocPacketClass(classFeedback)
-	fb.Size = r.cfg.ReportSize
+	fb.Size = ReportSize
 	fb.Src = r.addr
 	fb.Dst = r.peer
 	fp, ok := fb.Payload.(*Feedback)
@@ -344,10 +332,10 @@ func (r *Receiver) report(now sim.Time, d Data) {
 }
 
 // NewFlow wires a TFRC sender/receiver pair between two nodes.
-func NewFlow(net *simnet.Network, from, to simnet.NodeID, port simnet.Port, cfg Config) (*Sender, *Receiver) {
+func NewFlow(net *simnet.Network, from, to simnet.NodeID, port simnet.Port) (*Sender, *Receiver) {
 	sAddr := simnet.Addr{Node: from, Port: port}
 	rAddr := simnet.Addr{Node: to, Port: port}
-	snd := NewSender(net, sAddr, rAddr, cfg)
-	rcv := NewReceiver(net, rAddr, sAddr, cfg)
+	snd := NewSender(net, sAddr, rAddr)
+	rcv := NewReceiver(net, rAddr, sAddr)
 	return snd, rcv
 }

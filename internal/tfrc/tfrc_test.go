@@ -24,7 +24,7 @@ func dumbbell(bw float64, delay sim.Time, qlen int, seed int64) (*sim.Scheduler,
 
 func TestTFRCConvergesToBottleneck(t *testing.T) {
 	sch, net, a, b := dumbbell(125000, 20*sim.Millisecond, 30, 1)
-	snd, rcv := NewFlow(net, a, b, 1, DefaultConfig())
+	snd, rcv := NewFlow(net, a, b, 1)
 	m := stats.NewMeter("tfrc", sch, sim.Second)
 	rcv.Meter = m
 	m.Start()
@@ -39,15 +39,14 @@ func TestTFRCConvergesToBottleneck(t *testing.T) {
 func TestTFRCRateMatchesModelOnLossyLink(t *testing.T) {
 	sch, net, a, b := dumbbell(0, 30*sim.Millisecond, 0, 2)
 	net.LinkBetween(1, 2).LossProb = 0.02
-	cfg := DefaultConfig()
-	snd, rcv := NewFlow(net, a, b, 1, cfg)
+	snd, rcv := NewFlow(net, a, b, 1)
 	m := stats.NewMeter("tfrc", sch, sim.Second)
 	rcv.Meter = m
 	m.Start()
 	snd.Start()
 	sch.RunUntil(180 * sim.Second)
 	mean := m.Series.MeanBetween(90*sim.Second, 180*sim.Second) * 1000 / 8 // bytes/s
-	model := cfg.Model.Throughput(0.02, 0.064)
+	model := model.Throughput(0.02, 0.064)
 	if mean < model*0.4 || mean > model*2.0 {
 		t.Fatalf("TFRC rate %.0f B/s vs model %.0f B/s", mean, model)
 	}
@@ -55,7 +54,7 @@ func TestTFRCRateMatchesModelOnLossyLink(t *testing.T) {
 
 func TestTFRCSlowstartExitsOnLoss(t *testing.T) {
 	sch, net, a, b := dumbbell(125000, 20*sim.Millisecond, 20, 3)
-	snd, _ := NewFlow(net, a, b, 1, DefaultConfig())
+	snd, _ := NewFlow(net, a, b, 1)
 	snd.Start()
 	sch.RunUntil(60 * sim.Second)
 	if snd.InSlowstart() {
@@ -65,7 +64,7 @@ func TestTFRCSlowstartExitsOnLoss(t *testing.T) {
 
 func TestTFRCSharesWithTCP(t *testing.T) {
 	sch, net, a, b := dumbbell(1e6, 20*sim.Millisecond, 80, 4)
-	snd, rcv := NewFlow(net, a, b, 1, DefaultConfig())
+	snd, rcv := NewFlow(net, a, b, 1)
 	m := stats.NewMeter("tfrc", sch, sim.Second)
 	rcv.Meter = m
 	m.Start()
@@ -103,7 +102,7 @@ func TestTFRCSharesWithTCP(t *testing.T) {
 
 func TestTFRCNoFeedbackHalvesRate(t *testing.T) {
 	sch, net, a, b := dumbbell(125000, 20*sim.Millisecond, 30, 5)
-	snd, _ := NewFlow(net, a, b, 1, DefaultConfig())
+	snd, _ := NewFlow(net, a, b, 1)
 	snd.Start()
 	sch.RunUntil(60 * sim.Second)
 	before := snd.Rate()
@@ -117,7 +116,7 @@ func TestTFRCNoFeedbackHalvesRate(t *testing.T) {
 
 func TestTFRCRTTEstimate(t *testing.T) {
 	sch, net, a, b := dumbbell(1.25e6, 25*sim.Millisecond, 100, 6)
-	snd, _ := NewFlow(net, a, b, 1, DefaultConfig())
+	snd, _ := NewFlow(net, a, b, 1)
 	snd.Start()
 	sch.RunUntil(30 * sim.Second)
 	rtt := snd.RTT().Seconds()
