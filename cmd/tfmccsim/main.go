@@ -162,10 +162,11 @@ func main() {
 // flagConflict rejects flag combinations in which a flag given on the
 // command line (set, as flag.Visit reports them) would be silently
 // ignored: two selectors at once, -spec-out without -scenario (the only
-// run it exports) or with -seeds (it runs nothing), an override without
-// the scenario executor to apply it, or -ci or more than one -workers
-// at one seed, which merges no bands and fans out nothing. The error
-// names the offending flag.
+// run it exports), a run option (-tsv, -seed, -check, -engineworkers,
+// -seeds above 1) with -list or -spec-out, which run nothing, an
+// override without the scenario executor to apply it, or -ci or more
+// than one -workers at one seed, which merges no bands and fans out
+// nothing. The error names the offending flag.
 func flagConflict(set map[string]bool, cfg sweep.Config) error {
 	var selectors []string
 	for _, s := range []string{"figure", "all", "scenario", "scenario-file", "list"} {
@@ -179,8 +180,18 @@ func flagConflict(set map[string]bool, cfg sweep.Config) error {
 	if set["spec-out"] && !set["scenario"] {
 		return fmt.Errorf("-spec-out: exports the spec of a -scenario entry only")
 	}
-	if set["spec-out"] && cfg.Seeds > 1 {
-		return fmt.Errorf("-seeds %d: -spec-out writes the spec and runs nothing", cfg.Seeds)
+	for _, sel := range []string{"list", "spec-out"} {
+		if !set[sel] {
+			continue
+		}
+		for _, f := range []string{"tsv", "seed", "check", "engineworkers"} {
+			if set[f] {
+				return fmt.Errorf("-%s: -%s runs nothing", f, sel)
+			}
+		}
+		if cfg.Seeds > 1 {
+			return fmt.Errorf("-seeds %d: -%s runs nothing", cfg.Seeds, sel)
+		}
 	}
 	if cfg.Seeds == 1 && set["ci"] {
 		return fmt.Errorf("-ci: a single-seed run prints no bands; give -seeds > 1")
@@ -224,12 +235,7 @@ func emit(res interface {
 // writeSpec exports a registry entry's scenario spec (overrides applied)
 // as a JSON document -scenario-file can run.
 func writeSpec(id string, ov scenario.Overrides, path string) {
-	e, ok := experiments.Lookup(id)
-	if !ok || e.Spec == nil {
-		fmt.Fprintf(os.Stderr, "%q is not a Spec-backed entry (have %v)\n", id, experiments.ScenarioIDs())
-		os.Exit(1)
-	}
-	spec, err := e.Spec().Apply(ov)
+	spec, err := experiments.EntrySpec(id, ov)
 	if err == nil {
 		var enc []byte
 		if enc, err = spec.Encode(); err == nil {

@@ -1,8 +1,11 @@
-// Package experiments contains one scenario builder per figure of the
-// TFMCC paper's evaluation. Each builder returns a Result whose series
-// reproduce the corresponding plot; cmd/tfmccsim prints them as TSV. Every
-// runner is a Registry entry: the golden ledger pins its output and
-// counters, and tfmccsim -all -check runs every one.
+// Package experiments reproduces the figures of the TFMCC paper's
+// evaluation. Each figure is a registry entry whose Result holds the
+// series of the corresponding plot; cmd/tfmccsim prints them as TSV. A
+// single-scenario engine figure is its declarative spec plus a report
+// over the completed run, and every spec run takes one path (specJob);
+// the analytic figures and the sub-run families 13 and 14 have runners.
+// The golden ledger pins every entry's output and counters, and
+// tfmccsim -all -check runs every one.
 //
 // Runners execute against a RunCtx, which owns one reusable simulation
 // environment: every build after the first (another seed of a sweep,
@@ -64,9 +67,9 @@ func (r *Result) TSV() string {
 // environments.
 type Runner func(c *RunCtx, seed int64) *Result
 
-// mustScenario unwraps a RunCtx build or run result for the hand-wired
-// figure runners: their specs are compile-time constants, so a build
-// error is a programmer bug, not an input problem.
+// mustScenario unwraps a RunCtx build for the sub-run runners of figures
+// 13 and 14: their specs are compile-time constants, so a build error is
+// a programmer bug, not an input problem.
 func mustScenario(sc *scenario.Scenario, err error) *scenario.Scenario {
 	if err != nil {
 		panic(err)
@@ -74,8 +77,8 @@ func mustScenario(sc *scenario.Scenario, err error) *scenario.Scenario {
 	return sc
 }
 
-// RunWith executes the runner for a figure id on c, recycling the
-// storage of whatever c ran before.
+// RunWith runs FigureJob(id) for one seed on c, recycling the storage of
+// whatever c ran before.
 func RunWith(c *RunCtx, id string, seed int64) (*Result, error) {
 	j, err := FigureJob(id)
 	if err != nil {
@@ -91,8 +94,9 @@ func RunWith(c *RunCtx, id string, seed int64) (*Result, error) {
 // counters accumulated across runs. It must be used from one goroutine at
 // a time; parallel sweeps give each worker its own RunCtx.
 type RunCtx struct {
-	env           scenario.Env // zero until the first build
-	built         bool         // env holds a build harvest has not folded yet
+	env           scenario.Env  // zero until the first build
+	built         bool          // env holds a build harvest has not folded yet
+	sender        *tfmcc.Sender // the session sender of that build, when build made one
 	check         bool
 	engineWorkers int
 	stats         EngineStats
@@ -140,15 +144,24 @@ func (c *RunCtx) Violations() []invariant.Violation { return c.violations }
 // byte-identical to the default.
 func (c *RunCtx) SetEngineWorkers(n int) { c.engineWorkers = n }
 
-// harvest folds the engine counters of the environment's last build into
-// the context totals, once: newEnv calls it before rewinding, and a job
-// calls it when it returns. A context with nothing unharvested is left
-// alone.
+// harvest folds the engine counters of the environment's last build, and
+// the recovery counters of its sender, into the context totals, once:
+// newEnv calls it before rewinding (and so before the next build recycles
+// the sender), and a job calls it when it returns. A context with nothing
+// unharvested is left alone.
 func (c *RunCtx) harvest() {
 	if !c.built {
 		return
 	}
 	c.built = false
+	if s := c.sender; s != nil {
+		c.sender = nil
+		c.stats.CLRLosses += s.CLRLosses
+		c.stats.Reelections += s.Reelections
+		c.stats.RateRecoveries += s.RateRecoveries
+		c.stats.ReelectNS = max(c.stats.ReelectNS, s.ReelectTime)
+		c.stats.RateRecoverNS = max(c.stats.RateRecoverNS, s.RateRecovery)
+	}
 	e := c.env
 	events := e.Sch.Processed()
 	if e.Check != nil {
@@ -196,21 +209,6 @@ func (c *RunCtx) harvest() {
 // Stats returns the engine counters accumulated over every run executed
 // with this context since the last ResetStats.
 func (c *RunCtx) Stats() EngineStats { return c.stats }
-
-// harvestRecovery folds a sender's CLR-loss recovery counters into the
-// context totals. Called by the scenario-spec runner right after the run,
-// before the next build recycles the sender.
-func (c *RunCtx) harvestRecovery(s *tfmcc.Sender) {
-	c.stats.CLRLosses += s.CLRLosses
-	c.stats.Reelections += s.Reelections
-	c.stats.RateRecoveries += s.RateRecoveries
-	if s.ReelectTime > c.stats.ReelectNS {
-		c.stats.ReelectNS = s.ReelectTime
-	}
-	if s.RateRecovery > c.stats.RateRecoverNS {
-		c.stats.RateRecoverNS = s.RateRecovery
-	}
-}
 
 // ResetStats zeroes the accumulated engine counters and violations.
 func (c *RunCtx) ResetStats() {
@@ -332,8 +330,10 @@ func (j Job) runOn(c *RunCtx, seed int64) (*Result, error) {
 	return j.run(c, seed)
 }
 
-// FigureJob runs a registry entry through its own runner. The entry owns
-// the Result's figure id and title; runners set neither.
+// FigureJob runs a registry entry: a Spec-backed one through specJob with
+// its own report, any other through its runner. The job names the
+// Result with the entry's id and title (a Spec-backed entry's title is
+// its spec's); reports and runners set neither.
 func FigureJob(id string) (Job, error) {
 	e, ok := Lookup(id)
 	if !ok {
@@ -342,6 +342,9 @@ func FigureJob(id string) (Job, error) {
 			ids = append(ids, e.ID)
 		}
 		return Job{}, fmt.Errorf("experiments: unknown figure %q (have %v)", id, ids)
+	}
+	if e.Spec != nil {
+		return specJob(id, e.Spec(), e.Report), nil
 	}
 	return Job{ID: id, Title: e.Title, run: func(c *RunCtx, seed int64) (*Result, error) {
 		res := e.Run(c, seed)

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 )
@@ -27,9 +28,45 @@ func TestRegistryComplete(t *testing.T) {
 		if e.HasTag(TagScenario) && e.Spec == nil {
 			t.Fatalf("scenario preset %s has no spec", id)
 		}
+		// Every engine entry but the sub-run families 13 and 14 is its
+		// spec plus a report, run through the one spec path.
+		if e.HasTag(TagEngine) && id != "13" && id != "14" && (e.Spec == nil || e.Run != nil) {
+			t.Fatalf("engine entry %s must have a Spec and no Run", id)
+		}
+		if e.Spec != nil && e.Spec().Title != e.Title {
+			t.Fatalf("entry %s: registry title %q, spec title %q", id, e.Title, e.Spec().Title)
+		}
 	}
 	if n := len(Entries()); n != len(want) {
 		t.Fatalf("registry has %d entries, want %d", n, len(want))
+	}
+}
+
+// TestAddEntryRefusesMixedShapes: an entry is a Spec (with an optional
+// Report) or a Run, never both or neither, so every spec run takes the
+// one spec path. A refused entry is not registered.
+func TestAddEntryRefusesMixedShapes(t *testing.T) {
+	spec := Figure9Spec
+	run := func(*RunCtx, int64) *Result { return &Result{} }
+	report := func(*scenario.Scenario) *Result { return &Result{} }
+	for name, e := range map[string]Entry{
+		"both":             {Spec: spec, Run: run},
+		"neither":          {},
+		"report with run":  {Run: run, Report: report},
+		"report, no shape": {Report: report},
+	} {
+		e.ID = "shape-" + name
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: addEntry accepted the entry", name)
+				}
+			}()
+			addEntry(e)
+		}()
+		if _, ok := Lookup(e.ID); ok {
+			t.Errorf("%s: refused entry was registered", name)
+		}
 	}
 }
 

@@ -9,9 +9,9 @@ import (
 )
 
 func init() {
-	registerSpec("9", Figure9Spec, Figure9)
-	registerSpec("10", Figure10Spec, Figure10)
-	registerSpec("21", Figure21Spec, Figure21)
+	registerSpec("9", Figure9Spec, figure9)
+	registerSpec("10", Figure10Spec, figure10)
+	registerSpec("21", Figure21Spec, figure21)
 }
 
 // Figure9Spec declares the figure 9 scenario: one metered TFMCC receiver
@@ -36,11 +36,10 @@ func Figure9Spec() *scenario.Spec {
 	}
 }
 
-// Figure9 runs one TFMCC flow against 15 TCP flows over a single 8 Mbit/s
-// bottleneck and reports the TFMCC rate plus two sample TCP rates over
+// figure9 reports one TFMCC flow against 15 TCP flows over a single
+// 8 Mbit/s bottleneck: the TFMCC rate plus two sample TCP rates over
 // time. Paper shape: matching means, smoother TFMCC.
-func Figure9(c *RunCtx, seed int64) *Result {
-	sc := c.runScenario(Figure9Spec(), seed)
+func figure9(sc *scenario.Scenario) *Result {
 	mT := sc.Recvs[0].Meter
 
 	res := &Result{}
@@ -82,11 +81,10 @@ func Figure10Spec() *scenario.Spec {
 	}
 }
 
-// Figure10 gives each of 16 receivers its own 1 Mbit/s tail circuit shared
-// with one TCP flow. The loss-path-multiplicity effect limits TFMCC to
-// roughly 70% of TCP's throughput.
-func Figure10(c *RunCtx, seed int64) *Result {
-	sc := c.runScenario(Figure10Spec(), seed)
+// figure10 reports 16 receivers, each on its own 1 Mbit/s tail circuit
+// shared with one TCP flow. The loss-path-multiplicity effect limits
+// TFMCC to roughly 70% of TCP's throughput.
+func figure10(sc *scenario.Scenario) *Result {
 	mT := sc.Recvs[0].Meter
 
 	res := &Result{}
@@ -139,11 +137,10 @@ func Figure21Spec() *scenario.Spec {
 	}
 }
 
-// Figure21 starts one TFMCC flow on a 16 Mbit/s link and doubles the
-// number of competing TCP flows every 50 s (+1, +2, +4, +8). Both should
-// settle at roughly half the bandwidth of the previous interval.
-func Figure21(c *RunCtx, seed int64) *Result {
-	sc := c.runScenario(Figure21Spec(), seed)
+// figure21 reports one TFMCC flow on a 16 Mbit/s link whose competing
+// TCP flows double every 50 s (+1, +2, +4, +8). Both should settle at
+// roughly half the bandwidth of the previous interval.
+func figure21(sc *scenario.Scenario) *Result {
 	mT := sc.Recvs[0].Meter
 
 	res := &Result{}

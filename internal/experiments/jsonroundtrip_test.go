@@ -7,17 +7,24 @@ import (
 	"repro/internal/scenario"
 )
 
+// runSpec runs spec through the one spec path on a fresh context and
+// returns the completed scenario.
+func runSpec(t *testing.T, spec *scenario.Spec, seed int64) *scenario.Scenario {
+	t.Helper()
+	var sc *scenario.Scenario
+	keep := func(s *scenario.Scenario) *Result { sc = s; return &Result{} }
+	if _, err := specJob(spec.Name, spec, keep).runOn(NewRunCtx(), seed); err != nil {
+		t.Fatalf("%s: %v", spec.Name, err)
+	}
+	return sc
+}
+
 // runSpecTSV runs a spec on a fresh context and returns the concatenated
 // series TSV.
 func runSpecTSV(t *testing.T, spec *scenario.Spec, seed int64) string {
 	t.Helper()
-	ctx := NewRunCtx()
-	sc, err := ctx.runSpec(spec, seed)
-	if err != nil {
-		t.Fatalf("%s: %v", spec.Name, err)
-	}
 	out := ""
-	for _, s := range sc.Series() {
+	for _, s := range runSpec(t, spec, seed).Series() {
 		out += s.TSV()
 	}
 	return out

@@ -9,8 +9,8 @@ import (
 )
 
 func init() {
-	registerSpec("15", Figure15Spec, Figure15)
-	registerSpec("16", Figure16Spec, Figure16)
+	registerSpec("15", Figure15Spec, lateJoin)
+	registerSpec("16", Figure16Spec, lateJoin)
 }
 
 // lateJoinSpec declares the figure 15/16 scenario: an eight-member
@@ -69,30 +69,22 @@ func Figure16Spec() *scenario.Spec {
 	return lateJoinSpec("figure16", "Additional TCP flow on the slow link", true)
 }
 
-// Figure15 reproduces the late-join experiment: an eight-member TFMCC
+// lateJoin reports the late-join experiment: an eight-member TFMCC
 // session shares an 8 Mbit/s link with 7 TCP flows (fair rate 1 Mbit/s).
 // From t=50s to t=100s an extra receiver joins behind a 200 Kbit/s
 // bottleneck; TFMCC must adopt it as CLR within a few seconds and recover
-// after it leaves.
-func Figure15(c *RunCtx, seed int64) *Result {
-	return lateJoin(c, Figure15Spec(), false, seed)
-}
-
-// Figure16 is Figure15 with an additional TCP flow sharing the 200 Kbit/s
-// tail for the whole run: the TCP flow inevitably times out when the link
-// floods at join time, but both recover and share the tail fairly.
-func Figure16(c *RunCtx, seed int64) *Result {
-	return lateJoin(c, Figure16Spec(), true, seed)
-}
-
-func lateJoin(c *RunCtx, spec *scenario.Spec, tcpOnSlowLink bool, seed int64) *Result {
-	sc := c.runScenario(spec, seed)
+// after it leaves. In figure 16 a TCP flow shares that tail for the whole
+// run: it inevitably times out when the link floods at join time, but
+// both recover and share the tail fairly.
+func lateJoin(sc *scenario.Scenario) *Result {
+	slow := sc.Flow("TCP on 200KBit/s link") // figure 16 only
+	tcpOnSlowLink := slow != nil
 	mT := sc.Recvs[0].Meter
 
 	res := &Result{}
 	res.Series = append(res.Series, sc.Aggs[0], mT.Series)
 	if tcpOnSlowLink {
-		res.Series = append(res.Series, sc.Flow("TCP on 200KBit/s link").Meter.Series)
+		res.Series = append(res.Series, slow.Meter.Series)
 	}
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("TFMCC before join (20-50s): %.0f Kbit/s (fair: 1000)",
@@ -103,12 +95,12 @@ func lateJoin(c *RunCtx, spec *scenario.Spec, tcpOnSlowLink bool, seed int64) *R
 		fmt.Sprintf("TFMCC after leave (120-140s): %.0f Kbit/s",
 			mT.Series.MeanBetween(120*sim.Second, 140*sim.Second)))
 	if tcpOnSlowLink {
-		slow := sc.Flow("TCP on 200KBit/s link").Meter
+		s := slow.Meter.Series
 		res.Notes = append(res.Notes, fmt.Sprintf(
 			"TCP on slow link: before join %.0f, during %.0f, after %.0f Kbit/s",
-			slow.Series.MeanBetween(20*sim.Second, 50*sim.Second),
-			slow.Series.MeanBetween(60*sim.Second, 100*sim.Second),
-			slow.Series.MeanBetween(120*sim.Second, 140*sim.Second)))
+			s.MeanBetween(20*sim.Second, 50*sim.Second),
+			s.MeanBetween(60*sim.Second, 100*sim.Second),
+			s.MeanBetween(120*sim.Second, 140*sim.Second)))
 	}
 	return res
 }

@@ -55,3 +55,38 @@ func TestRecoveryCountersZeroOnFaultFreeRun(t *testing.T) {
 		t.Fatalf("fault-free run recorded recovery episodes: %+v", st)
 	}
 }
+
+// TestFigureJobMatchesScenarioJob pins the one spec run path: a
+// Spec-backed figure run through its own report and the same spec run
+// through the generic one build, run and harvest the same thing, so
+// every engine counter agrees, the recovery counters included. Figures
+// 15 and 16 lose their CLR when the slow receiver leaves, so a report
+// path that skipped the sender's counters would read 0 here.
+func TestFigureJobMatchesScenarioJob(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-simulation scenarios")
+	}
+	for _, id := range []string{"15", "16"} {
+		fig, err := FigureJob(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scen, err := ScenarioJob(id, scenario.None())
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := NewRunCtx(), NewRunCtx()
+		if _, err := fig.runOn(a, 1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := scen.runOn(b, 1); err != nil {
+			t.Fatal(err)
+		}
+		if a.Stats() != b.Stats() {
+			t.Errorf("figure %s: FigureJob counters %+v, ScenarioJob counters %+v", id, a.Stats(), b.Stats())
+		}
+		if n := a.Stats().CLRLosses; n < 1 {
+			t.Errorf("figure %s: FigureJob CLRLosses = %d, want >= 1", id, n)
+		}
+	}
+}

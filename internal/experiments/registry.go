@@ -25,19 +25,25 @@ const (
 	TagScenario = "scenario"
 )
 
-// Entry is a registered figure reproduction.
+// Entry is a registered figure reproduction: either a declarative
+// scenario plus a report over its completed run (Spec, Report), or a
+// runner that drives the engine or a model itself (Run).
 type Entry struct {
 	ID    string   // stable figure identifier ("1" .. "21")
 	Title string   // paper caption
-	Run   Runner   // scenario builder
 	Tags  []string // TagAnalytic or TagEngine, plus TagSweep when stochastic
-	// Spec returns the entry's declarative scenario, when the entry is
-	// backed by one (single-scenario engine figures and every preset).
-	// Nil for analytic figures and for figure families that sweep many
-	// sub-scenarios (13 and 14, whose runners step each sub-run's clock
-	// in slices on whichever engine built it). The command line uses it
-	// for -scenario runs with parameter overrides.
+	// Spec returns the entry's declarative scenario: single-scenario
+	// engine figures and every preset. FigureJob builds it, runs it to
+	// its duration and renders it with Report; the command line also
+	// runs it with parameter overrides through -scenario.
 	Spec func() *scenario.Spec
+	// Report renders the Result of Spec's completed run. Nil means the
+	// generic report (every series plus steady-state notes).
+	Report func(*scenario.Scenario) *Result
+	// Run reproduces an entry without a single spec: the analytic
+	// figures and the families of sub-runs (13 and 14, which step each
+	// sub-run's clock in slices on whichever engine built it).
+	Run Runner
 }
 
 // Analytic reports whether the entry never uses the simulation engine.
@@ -63,21 +69,26 @@ func addEntry(e Entry) {
 	if _, dup := entryIdx[e.ID]; dup {
 		panic(fmt.Sprintf("experiments: duplicate figure id %q", e.ID))
 	}
+	if (e.Spec == nil) == (e.Run == nil) || (e.Report != nil && e.Spec == nil) {
+		panic(fmt.Sprintf("experiments: entry %q must set exactly one of Spec and Run, and Report only with Spec", e.ID))
+	}
 	entryIdx[e.ID] = len(entries)
 	entries = append(entries, e)
 }
 
-// register adds an engine-driven stochastic figure.
+// register adds an engine-driven stochastic figure that runs its own
+// sub-scenarios.
 func register(id, title string, r Runner) {
 	addEntry(Entry{ID: id, Title: title, Run: r,
 		Tags: []string{TagEngine, TagSweep}})
 }
 
-// registerSpec adds an engine figure together with its declarative
-// scenario spec, making it addressable (and overridable) as a named
-// preset via tfmccsim -scenario. The spec owns the title.
-func registerSpec(id string, spec func() *scenario.Spec, r Runner) {
-	addEntry(Entry{ID: id, Title: spec().Title, Run: r, Spec: spec,
+// registerSpec adds an engine figure as its declarative scenario spec
+// and the report over its completed run, making it addressable (and
+// overridable) as a named preset via tfmccsim -scenario. The spec owns
+// the title.
+func registerSpec(id string, spec func() *scenario.Spec, report func(*scenario.Scenario) *Result) {
+	addEntry(Entry{ID: id, Title: spec().Title, Spec: spec, Report: report,
 		Tags: []string{TagEngine, TagSweep}})
 }
 

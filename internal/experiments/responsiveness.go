@@ -9,23 +9,8 @@ import (
 )
 
 func init() {
-	registerSpec("11", Figure11Spec, Figure11)
-	registerSpec("20", Figure20Spec, Figure20)
-}
-
-// Figure11 reproduces the join/leave experiment: four receivers with loss
-// rates 0.1%, 0.5%, 2.5% and 12.5% (RTT 60 ms) join the session 50 s
-// apart and later leave in reverse order. A TCP flow to each receiver
-// runs throughout as the fairness reference.
-func Figure11(c *RunCtx, seed int64) *Result {
-	return joinLeaveExperiment(c, Figure11Spec(), seed)
-}
-
-// Figure20 is the same experiment with the loss rate held at 0.5% and the
-// one-way tail delays set to 30/60/120/240 ms-equivalent RTTs, receivers
-// joining in RTT order.
-func Figure20(c *RunCtx, seed int64) *Result {
-	return joinLeaveExperiment(c, Figure20Spec(), seed)
+	registerSpec("11", Figure11Spec, joinLeave)
+	registerSpec("20", Figure20Spec, joinLeave)
 }
 
 // joinLeaveSpec declares the figure 11/20 churn script: per-receiver
@@ -64,23 +49,28 @@ func joinLeaveSpec(name, title string, loss []float64, delay []sim.Time) *scenar
 	}
 }
 
-// Figure11Spec declares the loss-rate churn scenario.
+// Figure11Spec declares the join/leave experiment: four receivers with
+// loss rates 0.1%, 0.5%, 2.5% and 12.5% (RTT 60 ms) join the session 50 s
+// apart and later leave in reverse order. A TCP flow to each receiver
+// runs throughout as the fairness reference.
 func Figure11Spec() *scenario.Spec {
 	return joinLeaveSpec("figure11", "Responsiveness to changes in the loss rate",
 		[]float64{0.001, 0.005, 0.025, 0.125},
 		[]sim.Time{28 * sim.Millisecond, 28 * sim.Millisecond, 28 * sim.Millisecond, 28 * sim.Millisecond})
 }
 
-// Figure20Spec declares the delay churn scenario.
+// Figure20Spec is the same experiment with the loss rate held at 0.5% and
+// the one-way tail delays set to 30/60/120/240 ms-equivalent RTTs,
+// receivers joining in RTT order.
 func Figure20Spec() *scenario.Spec {
 	return joinLeaveSpec("figure20", "Responsiveness to network delay",
 		[]float64{0.005, 0.005, 0.005, 0.005},
 		[]sim.Time{13 * sim.Millisecond, 28 * sim.Millisecond, 58 * sim.Millisecond, 118 * sim.Millisecond})
 }
 
-func joinLeaveExperiment(c *RunCtx, spec *scenario.Spec, seed int64) *Result {
-	sc := c.runScenario(spec, seed)
-
+// joinLeave reports figures 11 and 20: every TCP reference and the TFMCC
+// rate at receiver 0, with per-phase TFMCC/TCP notes.
+func joinLeave(sc *scenario.Scenario) *Result {
 	res := &Result{}
 	for _, f := range sc.Flows {
 		res.Series = append(res.Series, f.Meter.Series)

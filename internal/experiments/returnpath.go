@@ -9,8 +9,8 @@ import (
 )
 
 func init() {
-	registerSpec("18", Figure18Spec, Figure18)
-	registerSpec("19", Figure19Spec, Figure19)
+	registerSpec("18", Figure18Spec, figure18)
+	registerSpec("19", Figure19Spec, figure19)
 }
 
 var fig18ReverseCounts = []int{0, 1, 2, 4}
@@ -52,12 +52,12 @@ func Figure18Spec() *scenario.Spec {
 	}
 }
 
-// Figure18 runs a TFMCC session to four receivers alongside four forward
-// TCP flows, with 0, 1, 2 and 4 additional TCP flows on the *return*
-// paths from the receivers. TFMCC (and, thanks to cumulative ACKs, TCP)
-// should be essentially unaffected by moderate reverse congestion.
-func Figure18(c *RunCtx, seed int64) *Result {
-	sc := c.runScenario(Figure18Spec(), seed)
+// figure18 reports a TFMCC session to four receivers alongside four
+// forward TCP flows, with 0, 1, 2 and 4 additional TCP flows on the
+// *return* paths from the receivers. TFMCC (and, thanks to cumulative
+// ACKs, TCP) should be essentially unaffected by moderate reverse
+// congestion.
+func figure18(sc *scenario.Scenario) *Result {
 	mT := sc.Recvs[0].Meter
 
 	res := &Result{}
@@ -106,12 +106,11 @@ func Figure19Spec() *scenario.Spec {
 	}
 }
 
-// Figure19 puts pure random loss of 0%, 10%, 20% and 30% on the receivers'
-// return paths. TCP ACKs survive moderate loss (cumulative), but heavy
-// reverse loss degrades TCP, while TFMCC is insensitive to lost receiver
-// reports.
-func Figure19(c *RunCtx, seed int64) *Result {
-	sc := c.runScenario(Figure19Spec(), seed)
+// figure19 reports pure random loss of 0%, 10%, 20% and 30% on the
+// receivers' return paths. TCP ACKs survive moderate loss (cumulative),
+// but heavy reverse loss degrades TCP, while TFMCC is insensitive to lost
+// receiver reports.
+func figure19(sc *scenario.Scenario) *Result {
 	mT := sc.Recvs[0].Meter
 
 	res := &Result{}

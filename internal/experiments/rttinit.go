@@ -9,7 +9,7 @@ import (
 )
 
 func init() {
-	registerSpec("12", Figure12Spec, Figure12)
+	registerSpec("12", Figure12Spec, figure12)
 	register("13", "Responsiveness to changes in the RTT", Figure13)
 }
 
@@ -34,13 +34,12 @@ func Figure12Spec() *scenario.Spec {
 	}
 }
 
-// Figure12 tracks how many of 1000 receivers behind a single bottleneck
+// figure12 reports how many of 1000 receivers behind a single bottleneck
 // (perfectly correlated loss — the worst case for RTT measurement,
 // because every receiver keeps wanting to report) have obtained a valid
 // RTT measurement over time. Link RTTs vary between 60 and 140 ms; the
 // initial RTT is 500 ms.
-func Figure12(c *RunCtx, seed int64) *Result {
-	sc := c.runScenario(Figure12Spec(), seed)
+func figure12(sc *scenario.Scenario) *Result {
 	counts := sc.Samples[0]
 
 	res := &Result{}

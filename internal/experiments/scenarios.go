@@ -10,72 +10,63 @@ import (
 // The scenario presets ride in the same registry as the paper figures —
 // stable IDs and tags — so the golden ledger pins them and tfmccsim -all
 // runs them like any figure, and tfmccsim runs them via -scenario with
-// parameter overrides.
+// parameter overrides. Each is its spec alone: the generic report
+// renders it.
 func init() {
 	for _, p := range scenario.Presets() {
-		p := p
-		addEntry(Entry{
-			ID:    p.ID,
-			Title: p.Title,
-			Tags:  []string{TagEngine, TagSweep, TagScenario},
-			Spec:  p.Make,
-			Run: func(c *RunCtx, seed int64) *Result {
-				// Preset specs are compile-time constants: a build failure
-				// is a programmer bug, not an input problem.
-				res, err := RunSpecErr(c, p.ID, p.Make(), seed)
-				if err != nil {
-					panic(err)
-				}
-				return res
-			},
-		})
+		addEntry(Entry{ID: p.ID, Title: p.Title, Spec: p.Make,
+			Tags: []string{TagEngine, TagSweep, TagScenario}})
 	}
 }
 
 // build builds spec on the context's rewound environment for the configured
 // execution engine — the region engine when the context has
 // engineWorkers >= 2, serial otherwise — the one dispatch every scenario
-// goes through. The caller starts it and drives its clock with RunUntil.
-func (c *RunCtx) build(spec *scenario.Spec, seed int64) (*scenario.Scenario, error) {
+// goes through. It records the session's sender, whose recovery counters
+// harvest folds with the engine counters. The caller starts the scenario
+// and drives its clock with RunUntil.
+func (c *RunCtx) build(spec *scenario.Spec, seed int64) (sc *scenario.Scenario, err error) {
 	env := c.newEnv(seed)
 	if c.engineWorkers >= 2 {
-		return engine.Build(env, spec, seed)
+		sc, err = engine.Build(env, spec, seed)
+	} else {
+		sc, err = scenario.Build(env, spec)
 	}
-	return scenario.Build(env, spec)
+	if err == nil {
+		c.sender = sc.Sess.Sender
+	}
+	return sc, err
 }
 
-// runSpec builds spec and runs it to its duration.
-func (c *RunCtx) runSpec(spec *scenario.Spec, seed int64) (*scenario.Scenario, error) {
-	sc, err := c.build(spec, seed)
-	if err != nil {
-		return nil, err
+// specJob is the one path every spec run takes: it builds spec on the run
+// context, runs it to its duration and renders the completed run with
+// report (the generic report when nil) as a Result named id. A build
+// failure is returned as a structured error: for everything but the
+// registry's own specs the spec is outside input.
+func specJob(id string, spec *scenario.Spec, report func(*scenario.Scenario) *Result) Job {
+	if report == nil {
+		report = genericReport
 	}
-	sc.Start()
-	sc.RunUntil(spec.Duration)
-	return sc, nil
+	return Job{ID: id, Title: spec.Title, run: func(c *RunCtx, seed int64) (*Result, error) {
+		sc, err := c.build(spec, seed)
+		if err != nil {
+			return nil, err
+		}
+		sc.Start()
+		sc.RunUntil(spec.Duration)
+		res := report(sc)
+		res.Figure, res.Title = id, spec.Title
+		return res, nil
+	}}
 }
 
-// runScenario is runSpec for the hand-wired figure runners, which thereby
-// honour -engineworkers exactly like Spec-backed runs. Build failures
-// panic: these specs are compile-time constants, so failure is a
-// programmer bug (the mustScenario contract).
-func (c *RunCtx) runScenario(spec *scenario.Spec, seed int64) *scenario.Scenario {
-	return mustScenario(c.runSpec(spec, seed))
-}
-
-// RunSpecErr executes a declarative scenario spec and renders a generic
-// Result: every collected series plus steady-state digest notes. Figure
-// runners do their own post-processing; presets, command-line override
-// runs and data-loaded specs (JSON files, fuzz inputs, hypothesis
-// workloads) share this one. A build failure is returned as a structured
-// error: for everything but the presets the spec is outside input.
-func RunSpecErr(c *RunCtx, id string, spec *scenario.Spec, seed int64) (*Result, error) {
-	sc, err := c.runSpec(spec, seed)
-	if err != nil {
-		return nil, err
-	}
-	c.harvestRecovery(sc.Sess.Sender)
-	res := &Result{Figure: id, Title: spec.Title, Series: sc.Series()}
+// genericReport renders a completed spec run: every collected series plus
+// steady-state digest notes. Presets, command-line override runs and
+// data-loaded specs (JSON files, fuzz inputs, hypothesis workloads) share
+// it; the figures bring their own.
+func genericReport(sc *scenario.Scenario) *Result {
+	spec := sc.Spec
+	res := &Result{Series: sc.Series()}
 	half := spec.Duration / 2
 	for _, s := range res.Series {
 		res.Notes = append(res.Notes, fmt.Sprintf("%-24s mean=%10.1f, second half=%10.1f",
@@ -84,36 +75,33 @@ func RunSpecErr(c *RunCtx, id string, spec *scenario.Spec, seed int64) (*Result,
 	res.Notes = append(res.Notes, fmt.Sprintf(
 		"topology %s, %d receivers declared, %d flows, %d timed events, %.0fs",
 		spec.Topology.Kind, len(sc.Recvs), len(sc.Flows), len(spec.Events), spec.Duration.Seconds()))
-	return res, nil
+	return res
+}
+
+// EntrySpec returns the spec of the Spec-backed registry entry id with ov
+// applied: the one lookup behind ScenarioJob, tfmccsim -spec-out and
+// hypothesis workloads.
+func EntrySpec(id string, ov scenario.Overrides) (*scenario.Spec, error) {
+	e, ok := Lookup(id)
+	if !ok || e.Spec == nil {
+		return nil, fmt.Errorf("experiments: %q is not a Spec-backed entry (have %v)", id, ScenarioIDs())
+	}
+	return e.Spec().Apply(ov)
 }
 
 // ScenarioJob runs a Spec-backed registry entry with command-line
-// overrides applied, through the generic scenario executor.
+// overrides applied, rendered by the generic report.
 func ScenarioJob(id string, ov scenario.Overrides) (Job, error) {
-	e, ok := Lookup(id)
-	if !ok {
-		return Job{}, fmt.Errorf("experiments: unknown scenario %q (have %v)", id, ScenarioIDs())
-	}
-	if e.Spec == nil {
-		return Job{}, fmt.Errorf("experiments: %q is not scenario-backed (have %v)", id, ScenarioIDs())
-	}
-	spec, err := e.Spec().Apply(ov)
+	spec, err := EntrySpec(id, ov)
 	if err != nil {
 		return Job{}, err
 	}
-	return Job{ID: id, Title: spec.Title, run: specRunner(id, spec)}, nil
+	return specJob(id, spec, nil), nil
 }
 
 // SpecJob runs an arbitrary (typically data-loaded) spec as a Result
 // named id: a JSON document, a fuzz input, a hypothesis workload.
-func SpecJob(id string, spec *scenario.Spec) Job {
-	return Job{ID: id, Title: spec.Title, run: specRunner(id, spec)}
-}
-
-// specRunner runs spec through the generic executor as a Result named id.
-func specRunner(id string, spec *scenario.Spec) func(*RunCtx, int64) (*Result, error) {
-	return func(c *RunCtx, seed int64) (*Result, error) { return RunSpecErr(c, id, spec, seed) }
-}
+func SpecJob(id string, spec *scenario.Spec) Job { return specJob(id, spec, nil) }
 
 // RunOverridden runs ScenarioJob(id, ov) for one seed on c.
 func RunOverridden(c *RunCtx, id string, ov scenario.Overrides, seed int64) (*Result, error) {

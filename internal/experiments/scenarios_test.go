@@ -23,11 +23,7 @@ func TestStarvedCoreLinkDeliversNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := NewRunCtx().runSpec(spec, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	core, err := sc.Link(scenario.CoreLink(0))
+	core, err := runSpec(t, spec, 1).Link(scenario.CoreLink(0))
 	if err != nil {
 		t.Fatal(err)
 	}

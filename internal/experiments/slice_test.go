@@ -37,7 +37,7 @@ func runSliced(t *testing.T, ctx *RunCtx, id string, seed int64, dur, step sim.T
 }
 
 // TestSlicedRunUntil: driving a run in 100 ms RunUntil slices, as the
-// hand-wired figure 13 and 14 runners do, gives the bytes and counters of
+// figure 13 and 14 runners do, gives the bytes and counters of
 // one RunUntil call to the same instant, on both engines. Each slice end
 // is a window boundary the one call does not have, so on the region
 // engine this pins that no event's place depends on where windows end.

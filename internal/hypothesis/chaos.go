@@ -64,8 +64,7 @@ func (p *ChaosPlan) seed() int64 {
 }
 
 // Apply returns a copy of spec with the plan's fault script appended to
-// its event list (and the fault-preset session config applied when the
-// spec does not pin its own), leaving the receiver untouched.
+// its event list and HalveOnSilence set, leaving the receiver untouched.
 func (p *ChaosPlan) Apply(spec *scenario.Spec) (*scenario.Spec, error) {
 	lvl, ok := chaosLevels[p.Level]
 	if !ok {

@@ -74,11 +74,11 @@ func (w Workload) Resolve() (*scenario.Spec, string, error) {
 	set := 0
 	if w.Scenario != "" {
 		set++
-		e, ok := experiments.Lookup(w.Scenario)
-		if !ok || e.Spec == nil {
-			return nil, "", fmt.Errorf("hypothesis: workload scenario %q is not a Spec-backed registry entry", w.Scenario)
+		s, err := experiments.EntrySpec(w.Scenario, scenario.None())
+		if err != nil {
+			return nil, "", fmt.Errorf("hypothesis: workload scenario: %w", err)
 		}
-		spec, name = e.Spec(), w.Scenario
+		spec, name = s, w.Scenario
 	}
 	if w.Spec != nil {
 		set++

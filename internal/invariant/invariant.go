@@ -1,12 +1,12 @@
 // Package invariant implements a run-level invariant checker for the
 // simulation: named read-only predicates sampled on a scheduler ticker,
 // producing structured violations instead of panics. Predicates must not
-// mutate simulation state or consume randomness. On a serial scheduler
-// enabling the checker then changes nothing about a run except the
-// processed-event count (which callers can correct for via Ticks). On
-// the region engine its ticks are control events that clip the window
-// schedule, which can reorder same-instant events inside a region and so
-// move bytes (PERFORMANCE.md §4 "Region engine").
+// mutate simulation state or consume randomness. Enabling the checker
+// then changes nothing about a run except the processed-event count
+// (which callers can correct for via Ticks), on either engine: on the
+// region engine its ticks clip windows, but a crossing send is scheduled
+// when it is sent, so no event waits for a barrier whose place a tick
+// could move (TestGoldenLedger's checked pass).
 package invariant
 
 import (

@@ -397,9 +397,8 @@ func (sc *Scenario) Link(r LinkRef) (*simnet.Link, error) {
 }
 
 // buildSite creates a site's access path. All nodes are created before
-// any link — the exact sequence the hand-wired figures used — so node
-// ids and link order, and with them routes and bytes, match those
-// figures.
+// any link: creation order pins node ids and link order, and with them
+// routes and ledger bytes.
 func (sc *Scenario) buildSite(s *SiteSpec) error {
 	net := sc.Env.Net
 	parent, err := sc.node(s.Parent)

@@ -190,7 +190,8 @@ type SiteSpec struct {
 
 // RecvSpec joins a TFMCC receiver. Receivers are numbered in step order;
 // scheduled joins (JoinAt > 0) instantiate the receiver when the event
-// fires, exactly like the hand-wired figures did.
+// fires: creation order pins receiver ids, and with them the ledger
+// bytes.
 type RecvSpec struct {
 	At      NodeRef  `json:"at,omitzero"`           // attachment node, typically Site(i)
 	JoinAt  sim.Time `json:"join_at_ns,omitempty"`  // 0 = join during construction

@@ -44,7 +44,6 @@ type Sender struct {
 	clrRate       float64
 	clrRTT        sim.Time
 	lastCLRReport sim.Time
-	newCLREcho    bool
 
 	// clrSilentRounds counts consecutive completed feedback rounds in
 	// which the CLR stayed silent. Purely observational (the timeout
@@ -498,7 +497,6 @@ func (s *Sender) setCLR(id ReceiverID, rate float64, rttEst sim.Time, now sim.Ti
 	}
 	if s.clr != id {
 		s.CLRChanges++
-		s.newCLREcho = true
 	}
 	s.clr = id
 	s.clrRate = rate
