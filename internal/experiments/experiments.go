@@ -1,15 +1,15 @@
 // Package experiments reproduces the figures of the TFMCC paper's
 // evaluation. Each figure is a registry entry whose Result holds the
-// series of the corresponding plot; cmd/tfmccsim prints them as TSV. A
-// single-scenario engine figure is its declarative spec plus a report
-// over the completed run, and every spec run takes one path (specJob);
-// the analytic figures and the sub-run families 13 and 14 have runners.
+// series of the corresponding plot; cmd/tfmccsim prints them as TSV. An
+// engine figure is a declarative spec plus a report over the completed
+// run, or, for figures 13 and 14, a family of such specs; every spec run
+// takes one path (RunCtx.run). Only the analytic figures have runners.
 // The golden ledger pins every entry's output and counters, and
 // tfmccsim -all -check runs every one.
 //
-// Runners execute against a RunCtx, which owns one reusable simulation
+// Runs execute against a RunCtx, which owns one reusable simulation
 // environment: every build after the first (another seed of a sweep,
-// another sub-run of a figure, another scenario) rewinds its scheduler,
+// another member of a family, another scenario) rewinds its scheduler,
 // network and pooled protocol state and rebuilds on their recycled
 // storage, running the same code as a fresh build. A RunCtx is
 // single-goroutine; seed sweeps hand one RunCtx to each worker (see
@@ -62,20 +62,9 @@ func (r *Result) TSV() string {
 	return b.String()
 }
 
-// Runner produces a figure's Result. seed selects the deterministic
-// random stream; the RunCtx supplies (and recycles) the simulation
-// environments.
+// Runner produces an analytic figure's Result. seed selects the
+// deterministic random stream.
 type Runner func(c *RunCtx, seed int64) *Result
-
-// mustScenario unwraps a RunCtx build for the sub-run runners of figures
-// 13 and 14: their specs are compile-time constants, so a build error is
-// a programmer bug, not an input problem.
-func mustScenario(sc *scenario.Scenario, err error) *scenario.Scenario {
-	if err != nil {
-		panic(err)
-	}
-	return sc
-}
 
 // RunWith runs FigureJob(id) for one seed on c, recycling the storage of
 // whatever c ran before.
@@ -331,9 +320,10 @@ func (j Job) runOn(c *RunCtx, seed int64) (*Result, error) {
 }
 
 // FigureJob runs a registry entry: a Spec-backed one through specJob with
-// its own report, any other through its runner. The job names the
-// Result with the entry's id and title (a Spec-backed entry's title is
-// its spec's); reports and runners set neither.
+// its own report, a family member by member on the same path, an
+// analytic figure through its runner. The job names the Result with the
+// entry's id and title (a Spec-backed entry's title is its spec's);
+// reports and runners set neither.
 func FigureJob(id string) (Job, error) {
 	e, ok := Lookup(id)
 	if !ok {
@@ -346,8 +336,12 @@ func FigureJob(id string) (Job, error) {
 	if e.Spec != nil {
 		return specJob(id, e.Spec(), e.Report), nil
 	}
-	return Job{ID: id, Title: e.Title, run: func(c *RunCtx, seed int64) (*Result, error) {
-		res := e.Run(c, seed)
+	return Job{ID: id, Title: e.Title, run: func(c *RunCtx, seed int64) (res *Result, err error) {
+		if e.Run != nil {
+			res = e.Run(c, seed)
+		} else if res, err = e.Family.run(c, seed); err != nil {
+			return nil, err
+		}
 		res.Figure, res.Title = e.ID, e.Title
 		return res, nil
 	}}, nil

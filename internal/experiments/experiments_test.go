@@ -28,10 +28,10 @@ func TestRegistryComplete(t *testing.T) {
 		if e.HasTag(TagScenario) && e.Spec == nil {
 			t.Fatalf("scenario preset %s has no spec", id)
 		}
-		// Every engine entry but the sub-run families 13 and 14 is its
-		// spec plus a report, run through the one spec path.
-		if e.HasTag(TagEngine) && id != "13" && id != "14" && (e.Spec == nil || e.Run != nil) {
-			t.Fatalf("engine entry %s must have a Spec and no Run", id)
+		// Every engine entry is its spec plus a report, or a spec family,
+		// run through the one run path; Run is left to analytic entries.
+		if e.HasTag(TagEngine) && (e.Run != nil || (e.Spec == nil) == (e.Family == nil)) {
+			t.Fatalf("engine entry %s must have one of Spec and Family, and no Run", id)
 		}
 		if e.Spec != nil && e.Spec().Title != e.Title {
 			t.Fatalf("entry %s: registry title %q, spec title %q", id, e.Title, e.Spec().Title)
@@ -42,18 +42,26 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
-// TestAddEntryRefusesMixedShapes: an entry is a Spec (with an optional
-// Report) or a Run, never both or neither, so every spec run takes the
-// one spec path. A refused entry is not registered.
+// TestAddEntryRefusesMixedShapes: an engine entry is a Spec (with an
+// optional Report) or a Family, an analytic one a Run, never two of them
+// or none, so every spec run takes the one run path. A refused entry is
+// not registered.
 func TestAddEntryRefusesMixedShapes(t *testing.T) {
 	spec := Figure9Spec
 	run := func(*RunCtx, int64) *Result { return &Result{} }
 	report := func(*scenario.Scenario) *Result { return &Result{} }
+	family := &Family{Members: figure14Members, Report: figure14}
+	engine := []string{TagEngine}
 	for name, e := range map[string]Entry{
 		"both":             {Spec: spec, Run: run},
 		"neither":          {},
 		"report with run":  {Run: run, Report: report},
 		"report, no shape": {Report: report},
+		"engine with run":  {Run: run, Tags: engine},
+		"spec and family":  {Spec: spec, Family: family, Tags: engine},
+		"family and run":   {Family: family, Run: run, Tags: engine},
+		"family, report":   {Family: family, Report: report, Tags: engine},
+		"analytic family":  {Family: family, Tags: []string{TagAnalytic}},
 	} {
 		e.ID = "shape-" + name
 		func() {
@@ -322,23 +330,32 @@ func TestSessionThroughputHelper(t *testing.T) {
 	}
 }
 
-// A figure 13 sub-run on the region engine: the runner's 100 ms poll
-// loop steps the sharded clock through RunUntil, and around the runtime
-// delay change it finds a finite reaction with the checker clean, the
-// same on an arena rewind and on a fresh context.
+// A figure 13 member on the region engine (40 receivers, RTT change at
+// 10 s): the run path's 100 ms stop checks step the sharded clock
+// through RunUntil, and around the scripted delay change it finds a
+// finite reaction with the checker clean, the same on an arena rewind
+// and on a fresh context.
 func TestRTTChangeReactionSharded(t *testing.T) {
+	const tc = 10 * sim.Second
+	m := figure13Members()[familySeeds] // n = 40, tc = 10 s, first seed
+	if m.Spec.Events[0].At != tc || m.Spec.Pop.Count != 40 {
+		t.Fatalf("member %s changes the RTT at %v, want 40 receivers and %v", m.Spec.Name, m.Spec.Events[0].At, tc)
+	}
 	cfg := sweep.Config{Check: true, EngineWorkers: 2}
 	run := func(c *RunCtx) sim.Time {
 		c.ResetStats()
-		d := rttChangeReaction(c, 40, 10*sim.Second, 1)
+		_, end, err := c.run(m.Spec, 1+m.Seed, m.Stop)
+		if err != nil {
+			t.Fatal(err)
+		}
 		c.harvest()
 		for _, v := range c.Violations() {
 			t.Errorf("invariant violated: %s", v)
 		}
 		if st := c.Stats(); st.EngineShards < 2 {
-			t.Fatalf("sub-run ran on %d shards, want the region engine", st.EngineShards)
+			t.Fatalf("member ran on %d shards, want the region engine", st.EngineShards)
 		}
-		return d
+		return end - tc
 	}
 	c := NewRunCtxFor(cfg)
 	first := run(c)
@@ -346,9 +363,9 @@ func TestRTTChangeReactionSharded(t *testing.T) {
 		t.Fatalf("reaction %v, want a finite delay inside the 200 s deadline", first)
 	}
 	if again := run(c); again != first {
-		t.Errorf("rewound sub-run reacted after %v, first run after %v", again, first)
+		t.Errorf("rewound member reacted after %v, first run after %v", again, first)
 	}
 	if fresh := run(NewRunCtxFor(cfg)); fresh != first {
-		t.Errorf("fresh-context sub-run reacted after %v, first run after %v", fresh, first)
+		t.Errorf("fresh-context member reacted after %v, first run after %v", fresh, first)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/simnet"
+	"repro/internal/stats"
 )
 
 func init() {
@@ -40,21 +41,24 @@ func Figure9Spec() *scenario.Spec {
 // 8 Mbit/s bottleneck: the TFMCC rate plus two sample TCP rates over
 // time. Paper shape: matching means, smoother TFMCC.
 func figure9(sc *scenario.Scenario) *Result {
-	mT := sc.Recvs[0].Meter
-
-	res := &Result{}
-	res.Series = append(res.Series, sc.Flows[0].Meter.Series, sc.Flows[1].Meter.Series, mT.Series)
-	var tcpSum float64
-	for _, f := range sc.Flows {
-		tcpSum += f.Meter.Series.MeanBetween(60*sim.Second, 200*sim.Second)
-	}
-	tcpMean := tcpSum / 15
-	tf := mT.Series.MeanBetween(60*sim.Second, 200*sim.Second)
+	res, tf, tcpMean := tfmccVsTCP(sc)
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("steady state (60-200s): TFMCC=%.0f Kbit/s, mean TCP=%.0f Kbit/s, ratio=%.2f", tf, tcpMean, tf/tcpMean),
 		fmt.Sprintf("smoothness: CoV TFMCC=%.2f vs CoV TCP1=%.2f (paper: TFMCC smoother)",
-			mT.Series.CoV(), sc.Flows[0].Meter.Series.CoV()))
+			sc.Recvs[0].Meter.Series.CoV(), sc.Flows[0].Meter.Series.CoV()))
 	return res
+}
+
+// tfmccVsTCP renders the series figures 9 and 10 share — two sample TCP
+// rates and the TFMCC rate at receiver 0 — and returns the TFMCC and
+// mean TCP rates over the steady state, 60-200 s.
+func tfmccVsTCP(sc *scenario.Scenario) (res *Result, tf, tcpMean float64) {
+	mT := sc.Recvs[0].Meter
+	res = &Result{Series: []*stats.Series{sc.Flows[0].Meter.Series, sc.Flows[1].Meter.Series, mT.Series}}
+	for _, f := range sc.Flows {
+		tcpMean += f.Meter.Series.MeanBetween(60*sim.Second, 200*sim.Second)
+	}
+	return res, mT.Series.MeanBetween(60*sim.Second, 200*sim.Second), tcpMean / float64(len(sc.Flows))
 }
 
 // Figure10Spec declares sixteen two-hop tail circuits off a star hub:
@@ -85,16 +89,7 @@ func Figure10Spec() *scenario.Spec {
 // shared with one TCP flow. The loss-path-multiplicity effect limits
 // TFMCC to roughly 70% of TCP's throughput.
 func figure10(sc *scenario.Scenario) *Result {
-	mT := sc.Recvs[0].Meter
-
-	res := &Result{}
-	res.Series = append(res.Series, sc.Flows[0].Meter.Series, sc.Flows[1].Meter.Series, mT.Series)
-	var tcpSum float64
-	for _, f := range sc.Flows {
-		tcpSum += f.Meter.Series.MeanBetween(60*sim.Second, 200*sim.Second)
-	}
-	tcpMean := tcpSum / 16
-	tf := mT.Series.MeanBetween(60*sim.Second, 200*sim.Second)
+	res, tf, tcpMean := tfmccVsTCP(sc)
 	res.Notes = append(res.Notes, fmt.Sprintf(
 		"steady state: TFMCC=%.0f Kbit/s, mean TCP=%.0f Kbit/s, TFMCC/TCP=%.2f (paper: ~0.70)",
 		tf, tcpMean, tf/tcpMean))

@@ -5,6 +5,8 @@ import (
 	"sort"
 
 	"repro/internal/scenario"
+	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // Registry tags classify figure reproductions for tooling (bench/
@@ -25,9 +27,10 @@ const (
 	TagScenario = "scenario"
 )
 
-// Entry is a registered figure reproduction: either a declarative
-// scenario plus a report over its completed run (Spec, Report), or a
-// runner that drives the engine or a model itself (Run).
+// Entry is a registered figure reproduction: a declarative scenario plus
+// a report over its completed run (Spec, Report), a family of spec runs
+// (Family), or, for the analytic figures only, a runner that drives a
+// model itself (Run).
 type Entry struct {
 	ID    string   // stable figure identifier ("1" .. "21")
 	Title string   // paper caption
@@ -40,10 +43,31 @@ type Entry struct {
 	// Report renders the Result of Spec's completed run. Nil means the
 	// generic report (every series plus steady-state notes).
 	Report func(*scenario.Scenario) *Result
-	// Run reproduces an entry without a single spec: the analytic
-	// figures and the families of sub-runs (13 and 14, which step each
-	// sub-run's clock in slices on whichever engine built it).
-	Run Runner
+	Family *Family // many spec runs: figures 13 and 14
+	Run    Runner  // an analytic figure, which never drives the engine
+}
+
+// Family is an engine figure made of many spec runs. FigureJob calls
+// Members once per run, never at init, runs each member on the one run
+// path and hands Report what survives each, in member order.
+type Family struct {
+	Members func() []Member
+	Report  func([]MemberRun) *Result
+}
+
+// Member is one run of a Family: Spec at the family's seed plus Seed, run
+// to its duration or to the first 100 ms grid instant at which Stop holds.
+type Member struct {
+	Spec *scenario.Spec
+	Seed int64
+	Stop func(sc *scenario.Scenario, now sim.Time) bool // nil: never
+}
+
+// MemberRun is what survives a member's run past the next member's
+// rewind, which recycles its sender, links and receivers.
+type MemberRun struct {
+	Samples []*stats.Series // the spec's sample series
+	End     sim.Time        // the instant the run ended
 }
 
 // Analytic reports whether the entry never uses the simulation engine.
@@ -69,27 +93,27 @@ func addEntry(e Entry) {
 	if _, dup := entryIdx[e.ID]; dup {
 		panic(fmt.Sprintf("experiments: duplicate figure id %q", e.ID))
 	}
-	if (e.Spec == nil) == (e.Run == nil) || (e.Report != nil && e.Spec == nil) {
-		panic(fmt.Sprintf("experiments: entry %q must set exactly one of Spec and Run, and Report only with Spec", e.ID))
+	engine := e.Spec != nil || e.Family != nil
+	if e.Spec != nil && e.Family != nil || engine == (e.Run != nil) || engine != e.HasTag(TagEngine) ||
+		e.Report != nil && e.Spec == nil {
+		panic(fmt.Sprintf("experiments: entry %q must be an engine entry with one of Spec (and an optional Report) and Family, or an analytic one with Run", e.ID))
 	}
 	entryIdx[e.ID] = len(entries)
 	entries = append(entries, e)
 }
 
-// register adds an engine-driven stochastic figure that runs its own
-// sub-scenarios.
-func register(id, title string, r Runner) {
-	addEntry(Entry{ID: id, Title: title, Run: r,
-		Tags: []string{TagEngine, TagSweep}})
+// registerFamily adds an engine figure made of many spec runs.
+func registerFamily(id, title string, members func() []Member, report func([]MemberRun) *Result) {
+	addEntry(Entry{ID: id, Title: title, Family: &Family{members, report}, Tags: []string{TagEngine, TagSweep}})
 }
 
-// registerSpec adds an engine figure as its declarative scenario spec
-// and the report over its completed run, making it addressable (and
+// registerSpec adds an engine entry as its declarative scenario spec and
+// the report over its completed run, making it addressable (and
 // overridable) as a named preset via tfmccsim -scenario. The spec owns
-// the title.
-func registerSpec(id string, spec func() *scenario.Spec, report func(*scenario.Scenario) *Result) {
+// the title; tags follow TagEngine and TagSweep.
+func registerSpec(id string, spec func() *scenario.Spec, report func(*scenario.Scenario) *Result, tags ...string) {
 	addEntry(Entry{ID: id, Title: spec().Title, Spec: spec, Report: report,
-		Tags: []string{TagEngine, TagSweep}})
+		Tags: append([]string{TagEngine, TagSweep}, tags...)})
 }
 
 // registerAnalytic adds a figure that does not use the simulation engine.

@@ -19,12 +19,8 @@ func init() {
 func joinLeaveSpec(name, title string, loss []float64, delay []sim.Time) *scenario.Spec {
 	var steps []scenario.Step
 	for i := range loss {
-		steps = append(steps, scenario.Step{Site: &scenario.SiteSpec{
-			Parent: scenario.AttachPoint(0),
-			Hops: []scenario.Hop{{
-				Down: scenario.LinkP{Delay: delay[i], Loss: loss[i]},
-				Up:   scenario.LinkP{Delay: delay[i]},
-			}}}})
+		steps = append(steps, scenario.Step{Site: &scenario.SiteSpec{Parent: scenario.AttachPoint(0),
+			Hops: []scenario.Hop{scenario.LossyHop(delay[i], loss[i])}}})
 	}
 	for i := range loss {
 		steps = append(steps, scenario.Step{TCP: &scenario.TCPSpec{

@@ -10,7 +10,7 @@ import (
 
 func init() {
 	registerSpec("12", Figure12Spec, figure12)
-	register("13", "Responsiveness to changes in the RTT", Figure13)
+	registerFamily("13", "Responsiveness to changes in the RTT", figure13Members, figure13)
 }
 
 // Figure12Spec declares the 1000-receiver RTT-measurement scenario: a
@@ -52,73 +52,65 @@ func figure12(sc *scenario.Scenario) *Result {
 	return res
 }
 
-// Figure13 measures how long TFMCC needs to find a receiver whose RTT
-// suddenly increases, among n receivers with independent equal loss. The
-// x axis is the instant of the RTT change; the y value the delay until
-// that receiver becomes CLR.
-func Figure13(c *RunCtx, seed int64) *Result {
-	res := &Result{}
-	changeTimes := []sim.Time{0, 10 * sim.Second, 20 * sim.Second, 40 * sim.Second, 80 * sim.Second}
-	for _, n := range []int{40, 200} {
-		s := &stats.Series{Name: fmt.Sprintf("%d receivers", n)}
-		for _, tc := range changeTimes {
-			// Average over a few seeds: a single run's suppression
-			// lottery dominates otherwise.
-			var sum float64
-			const seeds = 3
-			for k := int64(0); k < seeds; k++ {
-				sum += rttChangeReaction(c, n, tc, seed+1000*k).Seconds()
+// Figure 13's points: group sizes, and instants of the RTT change.
+var (
+	rttGroups      = []int{40, 200}
+	rttChangeTimes = []sim.Time{0, 10 * sim.Second, 20 * sim.Second, 40 * sim.Second, 80 * sim.Second}
+)
+
+// familySeeds is how many members, at spaced seed offsets, each point of
+// figures 13 and 14 averages, so no single run's luck dominates it.
+const familySeeds = 3
+
+// figure13Members declares, for each group size n and change instant tc,
+// an equal-loss star of n receivers with 28 ms tail delays whose receiver
+// 0's tail delay rises to 148 ms (one way) at tc. A member stops at the
+// first check after tc at which receiver 0 is CLR, or at tc + 200 s.
+func figure13Members() []Member {
+	var ms []Member
+	for _, n := range rttGroups {
+		for _, tc := range rttChangeTimes {
+			spec := &scenario.Spec{
+				Name:     fmt.Sprintf("figure13-n%d", n),
+				Title:    "Responsiveness to changes in the RTT",
+				Topology: scenario.Topology{Kind: scenario.Star},
+				Pop: &scenario.Population{Count: n, Parent: scenario.AttachPoint(0),
+					Hop: scenario.LossyHop(28*sim.Millisecond, 0.02)},
+				Events: []scenario.Event{
+					scenario.SetDelayEvent(tc, scenario.SiteLink(0, 0, false), 148*sim.Millisecond)},
+				Duration: tc + 200*sim.Second,
 			}
-			s.Add(tc, sum/seeds)
+			stop := func(sc *scenario.Scenario, now sim.Time) bool {
+				return now > tc && sc.Sess.Sender.CLR() == 0
+			}
+			for k := range int64(familySeeds) {
+				ms = append(ms, Member{Spec: spec, Seed: 1000*k + int64(n), Stop: stop})
+			}
+		}
+	}
+	return ms
+}
+
+// figure13 reports how long TFMCC needs to find a receiver whose RTT
+// suddenly increases, among n receivers with independent equal loss. The
+// x axis is the instant tc of the RTT change; the y value the delay until
+// that receiver becomes CLR, the end of each member's run less tc.
+func figure13(runs []MemberRun) *Result {
+	res := &Result{}
+	for _, n := range rttGroups {
+		s := &stats.Series{Name: fmt.Sprintf("%d receivers", n)}
+		for _, tc := range rttChangeTimes {
+			var sum float64
+			for _, r := range runs[:familySeeds] {
+				sum += (r.End - tc).Seconds()
+			}
+			runs = runs[familySeeds:]
+			s.Add(tc, sum/familySeeds)
 		}
 		res.Series = append(res.Series, s)
 	}
 	res.Notes = append(res.Notes,
 		"y = delay (s) until the high-RTT receiver is selected as CLR",
-		"1000-receiver variant omitted from the default run for time; see bench")
+		"the paper's 1000-receiver curve is not reproduced (ROADMAP item 6)")
 	return res
-}
-
-// rttStarSpec declares an equal-loss star of n receivers with 28 ms tail
-// delays — the figure 13 substrate (the runner drives the clock itself).
-func rttStarSpec(n int) *scenario.Spec {
-	var steps []scenario.Step
-	for i := 0; i < n; i++ {
-		steps = append(steps, scenario.Step{Site: &scenario.SiteSpec{
-			Parent: scenario.AttachPoint(0),
-			Hops: []scenario.Hop{{
-				Down: scenario.LinkP{Delay: 28 * sim.Millisecond, Loss: 0.02},
-				Up:   scenario.LinkP{Delay: 28 * sim.Millisecond},
-			}}}})
-	}
-	for i := 0; i < n; i++ {
-		steps = append(steps, scenario.Step{Recv: &scenario.RecvSpec{At: scenario.Site(i)}})
-	}
-	return &scenario.Spec{
-		Name:     fmt.Sprintf("figure13-n%d", n),
-		Title:    "Responsiveness to changes in the RTT",
-		Topology: scenario.Topology{Kind: scenario.Star},
-		Steps:    steps,
-	}
-}
-
-// rttChangeReaction builds a star of n receivers with equal independent
-// loss, raises receiver 0's tail delay from 28 ms to 148 ms (one way) at
-// changeAt via the runtime link-mutation API, and returns how long until
-// it is selected CLR.
-func rttChangeReaction(c *RunCtx, n int, changeAt sim.Time, seed int64) sim.Time {
-	sc := mustScenario(c.build(rttStarSpec(n), seed+int64(n)))
-	sc.Start()
-	sc.RunUntil(changeAt)
-	sc.SiteLinks[0][0].SetDelay(148 * sim.Millisecond)
-	// Watch for receiver 0 becoming CLR.
-	sch := sc.Env.Sch
-	deadline := changeAt + 200*sim.Second
-	for sch.Now() < deadline {
-		sc.RunUntil(sch.Now() + 100*sim.Millisecond)
-		if sc.Sess.Sender.CLR() == 0 {
-			return sch.Now() - changeAt
-		}
-	}
-	return deadline - changeAt
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/scenario"
+	"repro/internal/sim"
 )
 
 // The scenario presets ride in the same registry as the paper figures —
@@ -14,8 +15,7 @@ import (
 // renders it.
 func init() {
 	for _, p := range scenario.Presets() {
-		addEntry(Entry{ID: p.ID, Title: p.Title, Spec: p.Make,
-			Tags: []string{TagEngine, TagSweep, TagScenario}})
+		registerSpec(p().Name, p, nil, TagScenario)
 	}
 }
 
@@ -23,8 +23,8 @@ func init() {
 // execution engine — the region engine when the context has
 // engineWorkers >= 2, serial otherwise — the one dispatch every scenario
 // goes through. It records the session's sender, whose recovery counters
-// harvest folds with the engine counters. The caller starts the scenario
-// and drives its clock with RunUntil.
+// harvest folds with the engine counters. run starts the scenario and
+// drives its clock.
 func (c *RunCtx) build(spec *scenario.Spec, seed int64) (sc *scenario.Scenario, err error) {
 	env := c.newEnv(seed)
 	if c.engineWorkers >= 2 {
@@ -38,8 +38,41 @@ func (c *RunCtx) build(spec *scenario.Spec, seed int64) (sc *scenario.Scenario, 
 	return sc, err
 }
 
-// specJob is the one path every spec run takes: it builds spec on the run
-// context, runs it to its duration and renders the completed run with
+// run is the one path every spec run takes: it builds spec on the context
+// for seed, starts it and runs it to its duration, or, when stop is set,
+// to the first instant of the 100 ms grid at which stop holds. It returns
+// the built scenario and the instant its run ended.
+func (c *RunCtx) run(spec *scenario.Spec, seed int64, stop func(*scenario.Scenario, sim.Time) bool) (*scenario.Scenario, sim.Time, error) {
+	sc, err := c.build(spec, seed)
+	if err != nil {
+		return nil, 0, err
+	}
+	sc.Start()
+	for t := 100 * sim.Millisecond; stop != nil && t < spec.Duration; t += 100 * sim.Millisecond {
+		if sc.RunUntil(t); stop(sc, t) {
+			return sc, t, nil
+		}
+	}
+	sc.RunUntil(spec.Duration)
+	return sc, spec.Duration, nil
+}
+
+// run runs the family's members in order on c, each at seed plus its
+// offset, and reports what survives them.
+func (f *Family) run(c *RunCtx, seed int64) (*Result, error) {
+	members := f.Members()
+	runs := make([]MemberRun, len(members))
+	for i, m := range members {
+		sc, end, err := c.run(m.Spec, seed+m.Seed, m.Stop)
+		if err != nil {
+			return nil, err
+		}
+		runs[i] = MemberRun{Samples: sc.Samples, End: end}
+	}
+	return f.Report(runs), nil
+}
+
+// specJob runs spec on the one path and renders the completed run with
 // report (the generic report when nil) as a Result named id. A build
 // failure is returned as a structured error: for everything but the
 // registry's own specs the spec is outside input.
@@ -48,12 +81,10 @@ func specJob(id string, spec *scenario.Spec, report func(*scenario.Scenario) *Re
 		report = genericReport
 	}
 	return Job{ID: id, Title: spec.Title, run: func(c *RunCtx, seed int64) (*Result, error) {
-		sc, err := c.build(spec, seed)
+		sc, _, err := c.run(spec, seed, nil)
 		if err != nil {
 			return nil, err
 		}
-		sc.Start()
-		sc.RunUntil(spec.Duration)
 		res := report(sc)
 		res.Figure, res.Title = id, spec.Title
 		return res, nil

@@ -120,21 +120,22 @@ func TestScenarioPresetsRun(t *testing.T) {
 		t.Skip("full-simulation scenarios")
 	}
 	for _, p := range scenario.Presets() {
+		spec := p()
 		ov := scenario.None()
-		ov.Duration = p.Make().Duration / 6
-		res, err := RunOverridden(NewRunCtx(), p.ID, ov, 1)
+		ov.Duration = spec.Duration / 6
+		res, err := RunOverridden(NewRunCtx(), spec.Name, ov, 1)
 		if err != nil {
-			t.Fatalf("%s: %v", p.ID, err)
+			t.Fatalf("%s: %v", spec.Name, err)
 		}
 		if len(res.Series) == 0 {
-			t.Fatalf("%s: no series collected", p.ID)
+			t.Fatalf("%s: no series collected", spec.Name)
 		}
 		total := 0
 		for _, s := range res.Series {
 			total += len(s.Points)
 		}
 		if total == 0 {
-			t.Fatalf("%s: series are empty", p.ID)
+			t.Fatalf("%s: series are empty", spec.Name)
 		}
 	}
 }

@@ -37,8 +37,9 @@ func runSliced(t *testing.T, ctx *RunCtx, id string, seed int64, dur, step sim.T
 }
 
 // TestSlicedRunUntil: driving a run in 100 ms RunUntil slices, as the
-// figure 13 and 14 runners do, gives the bytes and counters of
-// one RunUntil call to the same instant, on both engines. Each slice end
+// one run path does for a family member with a stop predicate, gives the
+// bytes and counters of one RunUntil call to the same instant, on both
+// engines. Each slice end
 // is a window boundary the one call does not have, so on the region
 // engine this pins that no event's place depends on where windows end.
 // Every Spec-backed entry runs its first 5 s at seed 1; chainloss also

@@ -9,18 +9,15 @@ import (
 	"repro/internal/stats"
 )
 
-func init() { register("14", "Maximum slowstart rate vs number of receivers", Figure14) }
+func init() {
+	registerFamily("14", "Maximum slowstart rate vs number of receivers", figure14Members, figure14)
+}
 
-// Figure14 measures the maximum rate reached during slowstart as a
-// function of the receiver-set size, in three settings with a fair rate
-// of 1 Mbit/s: TFMCC alone on a 1 Mbit/s link, TFMCC with one competing
-// TCP on 2 Mbit/s, and high statistical multiplexing (7 TCPs on
-// 8 Mbit/s). Paper shape: alone ≈ 2× bottleneck, decreasing with
-// receiver count and competition.
-func Figure14(c *RunCtx, seed int64) *Result {
-	res := &Result{}
-	counts := []int{2, 8, 32, 128}
-	settings := []struct {
+// Figure 14's points: three settings with a fair rate of 1 Mbit/s, each
+// at four receiver counts.
+var (
+	slowstartCounts   = []int{2, 8, 32, 128}
+	slowstartSettings = []struct {
 		name   string
 		linkBW float64
 		numTCP int
@@ -30,22 +27,46 @@ func Figure14(c *RunCtx, seed int64) *Result {
 		{"one competing TCP", 2 * mbit, 1, 35},
 		{"high stat. mux.", 8 * mbit, 7, 80},
 	}
-	for _, cfg := range settings {
-		s := &stats.Series{Name: cfg.name}
-		for _, n := range counts {
-			// Average the peak over a few seeds: a single unlucky early
-			// loss otherwise dominates the competing-TCP settings.
-			var sum float64
-			const seeds = 3
-			for k := int64(0); k < seeds; k++ {
-				sum += maxSlowstartRate(c, n, cfg.linkBW, cfg.numTCP, cfg.queue, seed+100*k)
+)
+
+// figure14Members declares slowstartSpec for every setting and receiver
+// count, each member stopping once slowstart is over.
+func figure14Members() []Member {
+	stop := func(sc *scenario.Scenario, _ sim.Time) bool { return !sc.Sess.Sender.InSlowstart() }
+	var ms []Member
+	for _, cfg := range slowstartSettings {
+		for _, n := range slowstartCounts {
+			spec := slowstartSpec(n, cfg.linkBW, cfg.numTCP, cfg.queue)
+			for k := range int64(familySeeds) {
+				ms = append(ms, Member{Spec: spec, Seed: 100*k + int64(n), Stop: stop})
 			}
-			s.Add(sim.FromSeconds(float64(n)), sum/seeds*8/1000) // Kbit/s
+		}
+	}
+	return ms
+}
+
+// figure14 reports the maximum rate reached during slowstart as a
+// function of the receiver-set size — the peak of each member's
+// sender-rate samples — in three settings: TFMCC alone on a 1 Mbit/s
+// link, TFMCC with one competing TCP on 2 Mbit/s, and high statistical
+// multiplexing (7 TCPs on 8 Mbit/s). Paper shape: alone ≈ 2× bottleneck,
+// decreasing with receiver count and competition.
+func figure14(runs []MemberRun) *Result {
+	res := &Result{}
+	for _, cfg := range slowstartSettings {
+		s := &stats.Series{Name: cfg.name}
+		for _, n := range slowstartCounts {
+			var sum float64
+			for _, r := range runs[:familySeeds] {
+				sum += r.Samples[0].Max()
+			}
+			runs = runs[familySeeds:]
+			s.Add(sim.FromSeconds(float64(n)), sum/familySeeds*8/1000) // Kbit/s
 		}
 		res.Series = append(res.Series, s)
 	}
 	fair := &stats.Series{Name: "Fair Rate"}
-	for _, n := range counts {
+	for _, n := range slowstartCounts {
 		fair.Add(sim.FromSeconds(float64(n)), 1000)
 	}
 	res.Series = append(res.Series, fair)
@@ -53,8 +74,10 @@ func Figure14(c *RunCtx, seed int64) *Result {
 	return res
 }
 
-// slowstartSpec declares one figure 14 sub-run: a dumbbell of the given
-// capacity, nRecv fast receiver tails and numTCP competing flows.
+// slowstartSpec declares one figure 14 member: a dumbbell of the given
+// capacity, nRecv fast receiver tails and numTCP competing flows, all
+// starting together as in the paper, with the sender's rate sampled
+// every 100 ms for up to 120 s.
 func slowstartSpec(nRecv int, bw float64, numTCP, qlen int) *scenario.Spec {
 	var steps []scenario.Step
 	for i := 0; i < numTCP; i++ {
@@ -63,28 +86,15 @@ func slowstartSpec(nRecv int, bw float64, numTCP, qlen int) *scenario.Spec {
 			Name: n, From: scenario.Core(0), To: scenario.Core(1),
 			Port: simnet.Port(10 + i), Meter: n}})
 	}
+	steps = append(steps, scenario.Step{Sample: &scenario.SampleSpec{
+		Name: "sender rate", What: scenario.SampleSenderRate, Every: 100 * sim.Millisecond}})
 	return &scenario.Spec{
 		Name:  fmt.Sprintf("figure14-n%d-tcp%d", nRecv, numTCP),
 		Title: "Maximum slowstart rate vs number of receivers",
 		Topology: scenario.Topology{Kind: scenario.Dumbbell,
 			Core: scenario.LinkP{BW: bw, Delay: 20 * sim.Millisecond, Queue: qlen}},
-		Pop:   &scenario.Population{Count: nRecv, Parent: scenario.AttachPoint(0)},
-		Steps: steps,
+		Pop:      &scenario.Population{Count: nRecv, Parent: scenario.AttachPoint(0)},
+		Steps:    steps,
+		Duration: 120 * sim.Second,
 	}
-}
-
-// maxSlowstartRate runs one figure 14 sub-run.
-func maxSlowstartRate(c *RunCtx, nRecv int, bw float64, numTCP, qlen int, seed int64) float64 {
-	sc := mustScenario(c.build(slowstartSpec(nRecv, bw, numTCP, qlen), seed+int64(nRecv)))
-	// All flows start together, as in the paper.
-	sc.Start()
-	sch := sc.Env.Sch
-	peak := 0.0
-	for sc.Sess.Sender.InSlowstart() && sch.Now() < 120*sim.Second {
-		sc.RunUntil(sch.Now() + 100*sim.Millisecond)
-		if r := sc.Sess.Sender.Rate(); r > peak {
-			peak = r
-		}
-	}
-	return peak
 }

@@ -11,14 +11,16 @@ import (
 )
 
 // registerPanicEntry adds a registry entry whose runner panics on one
-// seed, for exercising sweep degradation end to end. Registered lazily
+// seed, for exercising sweep degradation end to end. It drives no
+// engine, so it is analytic: addEntry refuses a runner on an engine
+// entry. Registered lazily
 // from the test body (never init) so registry-census tests — which run
 // earlier, in file order — see only the real entries.
 var registerPanicEntry = sync.OnceFunc(func() {
 	addEntry(Entry{
 		ID:    "panictest",
 		Title: "injected panicking runner (test only)",
-		Tags:  []string{TagEngine, TagSweep},
+		Tags:  []string{TagAnalytic, TagSweep},
 		Run: func(c *RunCtx, seed int64) *Result {
 			if seed == 2 {
 				panic("injected: seed 2 is cursed")

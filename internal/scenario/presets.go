@@ -6,31 +6,15 @@ import (
 	"repro/internal/sim"
 )
 
-// Preset is a named, registrable scenario: the experiments registry
-// turns each into an entry with a generic runner so the golden ledger
-// pins it like any figure, and tfmccsim runs it via -scenario.
-type Preset struct {
-	ID    string
-	Title string
-	Make  func() *Spec
-}
-
 // Presets enumerates the built-in scenario presets, each probing a TFMCC
-// behaviour no paper figure isolates. IDs are stable; tools list them
-// after the numeric figures.
-func Presets() []Preset {
-	return []Preset{
-		{ID: "chainloss", Title: "Multi-hop lossy chain with mid-path cross traffic", Make: ChainLoss},
-		{ID: "clrfail", Title: "CLR crash, silence halving and re-election", Make: CLRFail},
-		{ID: "corruptfb", Title: "Corrupted and reordered feedback path", Make: CorruptFB},
-		{ID: "deeptree", Title: "Deep binary-tree fan-out with lossy interior", Make: DeepTree},
-		{ID: "degrade", Title: "Mid-run bottleneck degradation and recovery", Make: Degrade},
-		{ID: "flashcrowd", Title: "Flash-crowd join burst", Make: FlashCrowd},
-		{ID: "massleave", Title: "Mass leave including the CLR", Make: MassLeave},
-		{ID: "partition", Title: "Core partition and heal", Make: Partition},
-		{ID: "tcpburst", Title: "Competing TCP burst over CBR background", Make: TCPBurst},
-		{ID: "wireless", Title: "Lossy-edge (wireless-like) receivers on a transit-stub", Make: Wireless},
-	}
+// behaviour no paper figure isolates. A preset is its spec alone, which
+// owns its id (the spec's Name, stable) and title: the experiments
+// registry turns each into an entry rendered by the generic report, so
+// the golden ledger pins it like any figure and tfmccsim runs it via
+// -scenario. Tools list them after the numeric figures.
+func Presets() []func() *Spec {
+	return []func() *Spec{ChainLoss, CLRFail, CorruptFB, DeepTree, Degrade,
+		FlashCrowd, MassLeave, Partition, TCPBurst, Wireless}
 }
 
 // CLRFail puts eight receivers on a star with the last one behind a much
@@ -47,12 +31,7 @@ func CLRFail() *Spec {
 		if i == n-1 {
 			loss = 0.05 // the CLR-to-be
 		}
-		steps = append(steps, Step{Site: &SiteSpec{
-			Parent: AttachPoint(0),
-			Hops: []Hop{{
-				Down: LinkP{Delay: 28 * sim.Millisecond, Loss: loss},
-				Up:   LinkP{Delay: 28 * sim.Millisecond},
-			}}}})
+		steps = append(steps, Step{Site: &SiteSpec{Parent: AttachPoint(0), Hops: []Hop{LossyHop(28*sim.Millisecond, loss)}}})
 	}
 	for i := 0; i < n; i++ {
 		steps = append(steps, Step{Recv: &RecvSpec{At: Site(i), Meter: MeterFirst(i, "TFMCC")}})
@@ -81,10 +60,7 @@ func CLRFail() *Spec {
 // also exercised by unicast.
 func Partition() *Spec {
 	steps := []Step{
-		{Site: &SiteSpec{Parent: AttachPoint(0), Hops: []Hop{{
-			Down: LinkP{Delay: 10 * sim.Millisecond, Loss: 0.002},
-			Up:   LinkP{Delay: 10 * sim.Millisecond},
-		}}}},
+		{Site: &SiteSpec{Parent: AttachPoint(0), Hops: []Hop{LossyHop(10*sim.Millisecond, 0.002)}}},
 		{Recv: &RecvSpec{At: Site(0), Meter: "TFMCC"}},
 		{TCP: &TCPSpec{Name: "tcp", From: Core(0), To: Core(1), Port: 10, Meter: "TCP"}},
 		{Sample: &SampleSpec{Name: "sender rate", What: SampleSenderRate, Every: 500 * sim.Millisecond}},
@@ -112,14 +88,8 @@ func Partition() *Spec {
 // rate collapsing or running away.
 func CorruptFB() *Spec {
 	steps := []Step{
-		{Site: &SiteSpec{Parent: AttachPoint(0), Hops: []Hop{{
-			Down: LinkP{Delay: 28 * sim.Millisecond, Loss: 0.02},
-			Up:   LinkP{Delay: 28 * sim.Millisecond},
-		}}}},
-		{Site: &SiteSpec{Parent: AttachPoint(0), Hops: []Hop{{
-			Down: LinkP{Delay: 28 * sim.Millisecond, Loss: 0.002},
-			Up:   LinkP{Delay: 28 * sim.Millisecond},
-		}}}},
+		{Site: &SiteSpec{Parent: AttachPoint(0), Hops: []Hop{LossyHop(28*sim.Millisecond, 0.02)}}},
+		{Site: &SiteSpec{Parent: AttachPoint(0), Hops: []Hop{LossyHop(28*sim.Millisecond, 0.002)}}},
 		{Recv: &RecvSpec{At: Site(0), Meter: "TFMCC (CLR)"}},
 		{Recv: &RecvSpec{At: Site(1)}},
 		{Sample: &SampleSpec{Name: "sender rate", What: SampleSenderRate}},
@@ -194,12 +164,7 @@ func FlashCrowd() *Spec {
 	var steps []Step
 	const n = 32
 	for i := 0; i < n; i++ {
-		steps = append(steps, Step{Site: &SiteSpec{
-			Parent: AttachPoint(0),
-			Hops: []Hop{{
-				Down: LinkP{Delay: 28 * sim.Millisecond, Loss: 0.005},
-				Up:   LinkP{Delay: 28 * sim.Millisecond},
-			}}}})
+		steps = append(steps, Step{Site: &SiteSpec{Parent: AttachPoint(0), Hops: []Hop{LossyHop(28*sim.Millisecond, 0.005)}}})
 	}
 	for i := 0; i < n; i++ {
 		r := &RecvSpec{At: Site(i), Meter: MeterFirst(i, "TFMCC")}
@@ -231,12 +196,7 @@ func MassLeave() *Spec {
 		if i == n-1 {
 			loss = 0.05 // the current-limited receiver everyone loses
 		}
-		steps = append(steps, Step{Site: &SiteSpec{
-			Parent: AttachPoint(0),
-			Hops: []Hop{{
-				Down: LinkP{Delay: 28 * sim.Millisecond, Loss: loss},
-				Up:   LinkP{Delay: 28 * sim.Millisecond},
-			}}}})
+		steps = append(steps, Step{Site: &SiteSpec{Parent: AttachPoint(0), Hops: []Hop{LossyHop(28*sim.Millisecond, loss)}}})
 	}
 	for i := 0; i < n; i++ {
 		r := &RecvSpec{At: Site(i), Meter: MeterFirst(i, "TFMCC")}

@@ -140,7 +140,7 @@ func (sc *Scenario) RunUntil(t sim.Time) { sc.Env.Net.RunUntil(t) }
 
 // Series returns every collected series in declaration order: metered
 // receivers, metered flows, aggregates, samples. Intended for generic
-// preset output; figure runners pick and order series themselves.
+// preset output; figure reports pick and order series themselves.
 func (sc *Scenario) Series() []*stats.Series {
 	var out []*stats.Series
 	for _, r := range sc.Recvs {
@@ -162,7 +162,7 @@ func (sc *Scenario) Series() []*stats.Series {
 // advancing time: topology, sender and session, population, steps in
 // declaration order, then the event script. Callers then Start it and
 // drive the clock with RunUntil — once to the spec's duration, or in
-// slices for a measurement loop.
+// slices while a stop predicate polls it.
 //
 // Malformed specs — unknown refs, out-of-range indices, negative times,
 // duplicate flows, unusable link or flow numbers — return errors, never
@@ -584,12 +584,8 @@ func (sc *Scenario) scheduleFlow(f *Flow, startAt, stopAt sim.Time) {
 // first tick is scheduled at construction, after the meters it reads, so
 // same-instant sampling keeps the meters-then-aggregate event order.
 func (sc *Scenario) buildAgg(a *AggSpec) error {
-	every := a.Every
-	if every < 0 {
+	if a.Every < 0 {
 		return fmt.Errorf("scenario %s: aggregate %q has a negative period", sc.Spec.Name, a.Name)
-	}
-	if every == 0 {
-		every = sim.Second
 	}
 	ms := make([]*stats.Meter, len(a.Flows))
 	for i, name := range a.Flows {
@@ -602,43 +598,27 @@ func (sc *Scenario) buildAgg(a *AggSpec) error {
 		}
 		ms[i] = f.Meter
 	}
-	series := &stats.Series{Name: a.Name}
-	sc.Aggs = append(sc.Aggs, series)
-	sch := sc.Env.Sch
-	var tick func()
-	tick = func() {
-		sch.After(every, func() {
-			var sum float64
-			for _, m := range ms {
-				if n := len(m.Series.Points); n > 0 {
-					sum += m.Series.Points[n-1].V
-				}
+	sc.Aggs = append(sc.Aggs, sc.tick(a.Name, a.Every, func() (sum float64) {
+		for _, m := range ms {
+			if n := len(m.Series.Points); n > 0 {
+				sum += m.Series.Points[n-1].V
 			}
-			series.Add(sch.Now(), sum)
-			tick()
-		})
-	}
-	tick()
+		}
+		return sum
+	}))
 	return nil
 }
 
 func (sc *Scenario) buildSample(s *SampleSpec) error {
-	every := s.Every
-	if every < 0 {
+	if s.Every < 0 {
 		return fmt.Errorf("scenario %s: sample %q has a negative period", sc.Spec.Name, s.Name)
-	}
-	if every == 0 {
-		every = sim.Second
 	}
 	switch s.What {
 	case SampleValidRTT, SampleSenderRate, SampleMembers:
 	default:
 		return fmt.Errorf("scenario %s: bad sample kind %d", sc.Spec.Name, s.What)
 	}
-	series := &stats.Series{Name: s.Name}
-	sc.Samples = append(sc.Samples, series)
-	sch := sc.Env.Sch
-	sample := func() float64 {
+	sc.Samples = append(sc.Samples, sc.tick(s.Name, s.Every, func() float64 {
 		switch s.What {
 		case SampleValidRTT:
 			return float64(sc.Sess.ValidRTTCount())
@@ -647,16 +627,27 @@ func (sc *Scenario) buildSample(s *SampleSpec) error {
 		default: // SampleMembers; the kind was validated above
 			return float64(sc.Env.Net.Members(sc.Sess.Group))
 		}
+	}))
+	return nil
+}
+
+// tick records read into a new series called name once per period
+// (every, or one second when zero), arming the first tick now.
+func (sc *Scenario) tick(name string, every sim.Time, read func() float64) *stats.Series {
+	if every == 0 {
+		every = sim.Second
 	}
-	var tick func()
-	tick = func() {
+	series := &stats.Series{Name: name}
+	sch := sc.Env.Sch
+	var next func()
+	next = func() {
 		sch.After(every, func() {
-			series.Add(sch.Now(), sample())
-			tick()
+			series.Add(sch.Now(), read())
+			next()
 		})
 	}
-	tick()
-	return nil
+	next()
+	return series
 }
 
 // scheduleEvent validates one script entry and arms its timer. Every

@@ -7,10 +7,10 @@
 // deterministic order, so a scenario is reproducible from its data alone
 // and rewindable through the simnet arena like any hand-built setup.
 //
-// The paper's figure runners build their setups from Specs (each figure
-// is a named preset of this package's vocabulary), and new scenarios —
-// churn scripts, mid-run bottleneck degradation, wireless-like lossy
-// edges — are added by declaring data, not by writing plumbing.
+// The paper's engine figures are Specs with a report each (figures 13 and
+// 14 families of Specs), and new scenarios — churn scripts, mid-run
+// bottleneck degradation, wireless-like lossy edges — are added by
+// declaring data, not by writing plumbing.
 package scenario
 
 import (
@@ -71,6 +71,12 @@ func FastHop() Hop {
 
 // SymHop builds a symmetric hop from one set of properties.
 func SymHop(p LinkP) Hop { return Hop{Down: p, Up: p} }
+
+// LossyHop is an uncapped hop of one-way delay d each way whose down link
+// drops a fraction loss of its packets at random.
+func LossyHop(d sim.Time, loss float64) Hop {
+	return Hop{Down: LinkP{Delay: d, Loss: loss}, Up: LinkP{Delay: d}}
+}
 
 // Jitter draws a site's first-hop delay (both directions) uniformly from
 // {Min, Min+1, ..., Min+Span-1} milliseconds using the environment's
@@ -183,7 +189,7 @@ func SiteLink(s, h int, up bool) LinkRef { return LinkRef{Site: s, Hop: h, Up: u
 // SiteSpec attaches an access path (1 or 2 hops) to the topology,
 // creating this scenario's next site. Sites are numbered in step order.
 type SiteSpec struct {
-	Parent NodeRef `json:"parent,omitzero"`  // where the first hop hangs; zero value = AttachPoint(0)
+	Parent NodeRef `json:"parent,omitzero"`  // where the first hop hangs; zero value = Core(0)
 	Hops   []Hop   `json:"hops,omitempty"`   // 1 or 2 hops; the last node created is the site leaf
 	Jitter *Jitter `json:"jitter,omitempty"` // optional randomised first-hop delay
 }
@@ -272,7 +278,7 @@ type Step struct {
 // so the receiver count is overridable from the command line.
 type Population struct {
 	Count     int     `json:"count,omitempty"`
-	Parent    NodeRef `json:"parent,omitzero"`      // zero value = AttachPoint(0)
+	Parent    NodeRef `json:"parent,omitzero"`      // zero value = Core(0)
 	PerAttach bool    `json:"per_attach,omitempty"` // round-robin receivers over all attach points
 	Direct    bool    `json:"direct,omitempty"`     // no access hop: join on the parent node itself
 	Hop       Hop     `json:"hop,omitzero"`         // access hop (ignored when Direct); zero value = FastHop

@@ -322,12 +322,13 @@ func TestTopologySizeGuardsCannotOverflow(t *testing.T) {
 // errors — bad site indices, unknown flows in aggregates — fail fast.
 func TestPresetSpecsBuild(t *testing.T) {
 	for _, p := range Presets() {
-		sc, err := Build(NewEnv(1), p.Make())
+		spec := p()
+		sc, err := Build(NewEnv(1), spec)
 		if err != nil {
-			t.Fatalf("%s: %v", p.ID, err)
+			t.Fatalf("%s: %v", spec.Name, err)
 		}
 		if sc.Sess == nil {
-			t.Fatalf("%s: no session", p.ID)
+			t.Fatalf("%s: no session", spec.Name)
 		}
 	}
 }

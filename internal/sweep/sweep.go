@@ -34,7 +34,7 @@ type Config struct {
 	CI      float64 // confidence level for the merged bands; 0 means 0.95
 	Base    int64   // first seed
 	Step    int64   // seed stride; 0 means 1
-	Check   bool    // enable run-level invariant checking in runners that support it
+	Check   bool    // enable run-level invariant checking on every run
 
 	// EngineWorkers >= 2 runs scenario-spec simulations on the region
 	// engine; 0 or 1 runs them on the serial engine. See
