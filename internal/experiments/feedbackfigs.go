@@ -122,11 +122,12 @@ func Figure4(*RunCtx, int64) *Result {
 	res := &Result{}
 	const N = 10000
 	d := sim.Second // network delay = 1 RTT
+	ns := logSpace(1, 100000, 16)
 	for _, tp := range []float64{2, 3, 4, 5, 6} {
 		s := &stats.Series{Name: fmt.Sprintf("T'=%g RTTs", tp)}
-		for _, n := range logSpace(1, 100000, 16) {
-			v := feedback.ExpectedResponses(n, N, d, sim.Time(tp*float64(sim.Second)))
-			s.Add(sim.FromSeconds(float64(n)), v)
+		em := feedback.ExpectedResponsesCurve(ns, N, d, sim.Time(tp*float64(sim.Second)))
+		for k, n := range ns {
+			s.Add(sim.FromSeconds(float64(n)), em[k])
 		}
 		res.Series = append(res.Series, s)
 	}

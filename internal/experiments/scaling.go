@@ -89,6 +89,13 @@ func treeLoss(n int) []float64 {
 // the minimum calculated rate over all receivers is sampled. Returns the
 // mean of the minimum rate in bytes/s.
 //
+// The round's minimum rate is the model's rate at the round's highest
+// loss event rate: Throughput is non-increasing in p (p <= 0 gives +Inf,
+// p > 1 reads as 1, and in between it is s over a sum of products of
+// non-negative terms each non-decreasing in p, every operation rounded
+// monotonically), so min over i of Throughput(p_i) is
+// Throughput(max p_i) exactly, and the model runs once per round.
+//
 // The receivers are the first len(loss) entries of ests, reset here, so
 // one slice serves every call of a figure run.
 func minRateSim(model tcpmodel.Params, rtt float64, loss []float64, seed int64, ests []lossrate.Estimator) float64 {
@@ -108,20 +115,18 @@ func minRateSim(model tcpmodel.Params, rtt float64, loss []float64, seed int64, 
 	}
 	var sum float64
 	for r := 0; r < rounds; r++ {
-		minRate := math.Inf(1)
+		maxP := 0.0
 		for i := range ests {
 			// Advance one loss interval per round.
 			ests[i].OnPackets(rng.Geometric(loss[i]) - 1)
 			now += sim.Second
 			ests[i].OnLoss(now, sim.FromSeconds(rtt))
-			p := ests[i].LossEventRate()
-			rate := model.Throughput(p, rtt)
-			if rate < minRate {
-				minRate = rate
+			if p := ests[i].LossEventRate(); p > maxP {
+				maxP = p
 			}
 		}
 		if r >= warmup {
-			sum += minRate
+			sum += model.Throughput(maxP, rtt)
 		}
 	}
 	return sum / float64(rounds-warmup)

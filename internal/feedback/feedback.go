@@ -183,14 +183,27 @@ func GuardedT(base sim.Time, g int, packetSize int, rate float64) sim.Time {
 //	E[M] = n · [ F(d)·P(m=0) + ∫ F(s+d) dG(s) ]
 //
 // with G the CDF of the minimum of the other n-1 timers. The integral is
-// evaluated numerically (exact up to quadrature error).
+// evaluated numerically (exact up to quadrature error). It is the
+// one-point case of ExpectedResponsesCurve.
 func ExpectedResponses(n int, N float64, d, Tprime sim.Time) float64 {
-	if n <= 0 {
-		return 0
-	}
-	if n == 1 {
-		return 1
-	}
+	var out [1]float64
+	expectedResponses(out[:], []int{n}, N, d, Tprime)
+	return out[0]
+}
+
+// ExpectedResponsesCurve returns ExpectedResponses(n, N, d, Tprime) for
+// every n in ns, bit for bit, at the cost of one quadrature: F(s) and
+// F(s+d) are evaluated once per step for all n, and each n keeps its own
+// accumulator, summed in the same step order as a lone call.
+func ExpectedResponsesCurve(ns []int, N float64, d, Tprime sim.Time) []float64 {
+	out := make([]float64, len(ns))
+	expectedResponses(out, ns, N, d, Tprime)
+	return out
+}
+
+// expectedResponses writes E[M] for each ns[k] into out[k], which serves
+// as the accumulator of the quadrature sum for ns[k] >= 2.
+func expectedResponses(out []float64, ns []int, N float64, d, Tprime sim.Time) {
 	T := float64(Tprime)
 	dd := float64(d)
 	lnN := math.Log(N)
@@ -203,23 +216,42 @@ func ExpectedResponses(n int, N float64, d, Tprime sim.Time) float64 {
 		}
 		return math.Pow(N, t/T-1)
 	}
-	nf := float64(n)
-	// Atom: the minimum of the others is exactly 0.
-	atom := 1 - math.Pow(1-1/N, nf-1)
-	sum := F(dd) * atom
-	// Continuous part: dG(s) = (n-1)(1-F(s))^(n-2) f(s) ds with
-	// f(s) = F(s)·lnN/T.
-	const steps = 40000
-	h := T / steps
-	for i := 0; i < steps; i++ {
-		s := (float64(i) + 0.5) * h
-		fs := F(s)
-		g := (nf - 1) * math.Pow(1-fs, nf-2) * fs * lnN / T
-		sum += F(s+dd) * g * h
+	quad := false
+	for k, n := range ns {
+		if n >= 2 {
+			// Atom: the minimum of the others is exactly 0.
+			atom := 1 - math.Pow(1-1/N, float64(n)-1)
+			out[k] = F(dd) * atom
+			quad = true
+		}
 	}
-	v := nf * sum
-	if v < 1 {
-		return 1
+	if quad {
+		// Continuous part: dG(s) = (n-1)(1-F(s))^(n-2) f(s) ds with
+		// f(s) = F(s)·lnN/T.
+		const steps = 40000
+		h := T / steps
+		for i := 0; i < steps; i++ {
+			s := (float64(i) + 0.5) * h
+			fs := F(s)
+			fsd := F(s + dd)
+			for k, n := range ns {
+				if n < 2 {
+					continue
+				}
+				nf := float64(n)
+				g := (nf - 1) * math.Pow(1-fs, nf-2) * fs * lnN / T
+				out[k] += fsd * g * h
+			}
+		}
 	}
-	return v
+	for k, n := range ns {
+		switch {
+		case n <= 0:
+			out[k] = 0
+		case n == 1:
+			out[k] = 1
+		default:
+			out[k] = max(float64(n)*out[k], 1)
+		}
+	}
 }

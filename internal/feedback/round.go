@@ -44,74 +44,150 @@ func (r RoundResult) Quality() float64 {
 // ε-cancellation rule against the lowest echo heard so far.
 //
 // Responses come back in a new slice, sorted by timer expiry with
-// slices.SortFunc; the sort is not stable, so equal expiries keep the
-// order its pdqsort leaves them in, which the golden ledger pins.
-// MeanOverRounds plays the same round on reused storage.
+// slices.SortFunc. That sort only presents the round: the outcome is
+// decided before it, in the order simulateRound documents. The sort is not
+// stable, so equal expiries keep the order its pdqsort leaves them in,
+// which Figure 2's golden ledger row pins. MeanOverRounds plays the same
+// round on reused storage and never builds Responses.
 func SimulateRound(cfg Config, values []float64, delay sim.Time, rng *sim.Rand) RoundResult {
-	return simulateRound(cfg, values, delay, rng, &roundBuf{})
+	var buf roundBuf
+	res := simulateRound(cfg, values, delay, rng, &buf)
+	res.Responses = make([]Response, len(values))
+	for i, x := range values {
+		res.Responses[i] = Response{Receiver: i, Value: x, At: buf.at[i], Sent: buf.sent[i]}
+	}
+	slices.SortFunc(res.Responses, func(a, b Response) int { return cmp.Compare(a.At, b.At) })
+	return res
 }
 
-// sentResp is the (time, value) of a sent response; the echoed minimum
-// visible at time t is the running min over entries with at <= t-delay.
+// sentResp is the (time, value) of a sent response.
 type sentResp struct {
 	at  sim.Time
 	val float64
 }
 
 // roundBuf is the storage of one round, reused by the next round that is
-// handed the same buffer: the responses and the log of sent ones.
+// handed the same buffer: each receiver's expiry and outcome, the decision
+// order with its group bounds, and the log of sent responses.
 type roundBuf struct {
-	responses []Response
-	log       []sentResp
+	at     []sim.Time
+	sent   []bool
+	order  []int32
+	bounds []int32
+	log    []sentResp
 }
 
-// simulateRound is SimulateRound on buf's storage; the result's Responses
-// alias buf and are overwritten by the next round on it.
+// simulateRound decides one round on buf's storage and leaves each
+// receiver's expiry and outcome in buf.at and buf.sent; the result carries
+// no Responses.
+//
+// A timer expiring at t hears exactly the responses sent at or before
+// t−delay. The timers are decided group by group, in an order where every
+// timer of a group comes after every timer of an earlier group that it
+// could hear, and no timer hears another of its own group. A timer of
+// group g then hears every response sent in groups up to g−2 (their
+// running minimum) and is checked one by one only against those sent in
+// group g−1. With delay > 0 the groups are delay-wide segments counted
+// from the first expiry, laid out by one counting pass: a response in the
+// same segment is less than delay earlier, one two segments back at
+// least delay earlier. Where there would be more segments than timers,
+// or delay <= 0, the timers are sorted by expiry as SimulateRound sorts
+// its Responses (same comparator, same starting order, so the same
+// permutation) and each group is a run of equal segments, or with
+// delay <= 0 a single timer. Each decision depends only on which earlier
+// responses were sent, so the outcome equals that of deciding the timers
+// one by one in expiry order.
 func simulateRound(cfg Config, values []float64, delay sim.Time, rng *sim.Rand, buf *roundBuf) RoundResult {
 	n := len(values)
-	if cap(buf.responses) < n {
-		buf.responses = make([]Response, 0, n)
+	if cap(buf.at) < n {
+		buf.at = make([]sim.Time, n)
+		buf.sent = make([]bool, n)
+		buf.order = make([]int32, n)
+		buf.bounds = make([]int32, n+2)
 		buf.log = make([]sentResp, 0, n)
 	}
-	res := RoundResult{TrueMin: math.Inf(1)}
-	res.Responses = buf.responses[:0]
+	at, sent, order := buf.at[:n], buf.sent[:n], buf.order[:n]
+	res := RoundResult{TrueMin: math.Inf(1), FirstAt: -1, BestValue: math.Inf(1)}
+	if n == 0 {
+		return res
+	}
+	first, last := sim.MaxTime, sim.Time(math.MinInt64)
 	for i, x := range values {
 		if x < res.TrueMin {
 			res.TrueMin = x
 		}
-		res.Responses = append(res.Responses, Response{
-			Receiver: i,
-			Value:    x,
-			At:       cfg.Delay(x, rng.Float64()),
-		})
+		t := cfg.Delay(x, rng.Float64())
+		at[i], sent[i] = t, false
+		first, last = min(first, t), max(last, t)
 	}
-	slices.SortFunc(res.Responses, func(a, b Response) int { return cmp.Compare(a.At, b.At) })
 
-	log := buf.log[:0]
-	res.FirstAt = -1
-	res.BestValue = math.Inf(1)
-	for i := range res.Responses {
-		r := &res.Responses[i]
-		// Lowest echo audible at r.At.
-		echo := math.Inf(1)
-		for _, s := range log {
-			if s.at+delay <= r.At && s.val < echo {
-				echo = s.val
+	var bounds []int32
+	if delay > 0 && (last-first)/delay < sim.Time(n) {
+		// Counting pass: segment k's timers, in index order, fill
+		// order[bounds[k]:bounds[k+1]].
+		segs := int((last-first)/delay) + 1
+		bounds = buf.bounds[:segs+2]
+		clear(bounds)
+		for _, t := range at {
+			bounds[(t-first)/delay+2]++
+		}
+		for k := 2; k < len(bounds); k++ {
+			bounds[k] += bounds[k-1]
+		}
+		for i, t := range at {
+			k := (t-first)/delay + 1
+			order[bounds[k]] = int32(i)
+			bounds[k]++
+		}
+		bounds = bounds[:segs+1]
+	} else {
+		for i := range order {
+			order[i] = int32(i)
+		}
+		slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(at[a], at[b]) })
+		bounds = append(buf.bounds[:0], 0)
+		for j := 1; j < n; j++ {
+			if delay <= 0 || (at[order[j]]-first)/delay != (at[order[j-1]]-first)/delay {
+				bounds = append(bounds, int32(j))
 			}
 		}
-		if !math.IsInf(echo, 1) && cfg.Cancel(r.Value, echo) {
-			continue // timer cancelled
+		bounds = append(bounds, int32(n))
+	}
+
+	log := buf.log[:0]
+	heard := math.Inf(1) // lowest response sent in groups up to g−2
+	prev := 0            // log[prev:] holds the responses sent in group g−1
+	for g := 1; g < len(bounds); g++ {
+		cur := len(log)
+		for _, i := range order[bounds[g-1]:bounds[g]] {
+			t, x := at[i], values[i]
+			// Lowest echo audible at t.
+			echo := heard
+			for _, s := range log[prev:cur] {
+				if t-s.at >= delay && s.val < echo {
+					echo = s.val
+				}
+			}
+			if !math.IsInf(echo, 1) && cfg.Cancel(x, echo) {
+				continue // timer cancelled
+			}
+			sent[i] = true
+			res.NumSent++
+			if res.FirstAt < 0 || t < res.FirstAt {
+				res.FirstAt = t
+			}
+			if x < res.BestValue || (x == res.BestValue && t < res.BestAt) {
+				res.BestValue = x
+				res.BestAt = t
+			}
+			log = append(log, sentResp{at: t, val: x})
 		}
-		r.Sent = true
-		res.NumSent++
-		if res.FirstAt < 0 {
-			res.FirstAt = r.At
+		for _, s := range log[prev:cur] {
+			if s.val < heard {
+				heard = s.val
+			}
 		}
-		if r.Value < res.BestValue {
-			res.BestValue = r.Value
-			res.BestAt = r.At
-		}
-		log = append(log, sentResp{at: r.At, val: r.Value})
+		prev = cur
 	}
 	return res
 }

@@ -10,6 +10,7 @@ package lossrate
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -74,10 +75,12 @@ type Estimator struct {
 
 	weights []float64 // shared, read-only
 
-	// Recent losses for Appendix A re-aggregation, newest last. newEvent
-	// records whether that loss started a new loss event when recorded.
+	// Recent losses for Appendix A re-aggregation: up to 4·len(weights)
+	// records in arrival order, then a ring whose oldest record is at
+	// recentOldest. newEvent records whether that loss started a new
+	// loss event when recorded.
 	recentLosses []lossRecord
-	maxRecent    int
+	recentOldest int
 }
 
 // noCopy marks a struct that holds pointers into itself: vet reports any
@@ -112,7 +115,6 @@ func (e *Estimator) Reset(weights []float64) {
 		weights = DefaultWeights
 	}
 	e.weights = weights
-	e.maxRecent = 4 * len(weights)
 	if e.intervals == nil {
 		e.intervals = e.ivBuf[:0]
 	}
@@ -120,6 +122,7 @@ func (e *Estimator) Reset(weights []float64) {
 	e.haveLoss = false
 	e.lastEventTime = 0
 	e.recentLosses = e.recentLosses[:0]
+	e.recentOldest = 0
 	e.initIdx = -1
 }
 
@@ -215,14 +218,19 @@ func (e *Estimator) FirstInterval() int {
 
 func (e *Estimator) recordLoss(t sim.Time, newEvent bool) {
 	rec := lossRecord{t: t, newEvent: newEvent}
-	if n := len(e.recentLosses); n >= e.maxRecent {
-		// Full: drop the oldest in place rather than re-slicing forward,
-		// which would walk off the backing array and reallocate.
-		copy(e.recentLosses, e.recentLosses[1:])
-		e.recentLosses[n-1] = rec
+	if n, full := len(e.recentLosses), 4*len(e.weights); n < full {
+		if n == cap(e.recentLosses) {
+			// One allocation of the whole store, not a doubling per size.
+			e.recentLosses = slices.Grow(e.recentLosses, full-n)
+		}
+		e.recentLosses = append(e.recentLosses, rec)
 		return
 	}
-	e.recentLosses = append(e.recentLosses, rec)
+	// Full: the new record takes the oldest one's slot.
+	e.recentLosses[e.recentOldest] = rec
+	if e.recentOldest++; e.recentOldest == len(e.recentLosses) {
+		e.recentOldest = 0
+	}
 }
 
 // Reaggregate rebuilds loss events from the recorded recent loss
@@ -233,19 +241,21 @@ func (e *Estimator) recordLoss(t sim.Time, newEvent bool) {
 // reconstruction as an approximation over the stored recent losses. It
 // returns the number of additional loss events created.
 func (e *Estimator) Reaggregate(rtt sim.Time) int {
-	if len(e.recentLosses) < 2 {
+	recs := e.recentLosses
+	if len(recs) < 2 {
 		return 0
 	}
 	prevEvents := 0
-	for _, l := range e.recentLosses {
+	for _, l := range recs {
 		if l.newEvent {
 			prevEvents++
 		}
 	}
+	// Oldest first: from the ring's oldest record round to the newest.
 	events := 1
-	start := e.recentLosses[0].t
-	for _, l := range e.recentLosses[1:] {
-		if l.t >= start+rtt {
+	start := recs[e.recentOldest].t
+	for k := 1; k < len(recs); k++ {
+		if l := recs[(e.recentOldest+k)%len(recs)]; l.t >= start+rtt {
 			events++
 			start = l.t
 		}
@@ -274,21 +284,26 @@ func (e *Estimator) AvgInterval() float64 {
 	if !e.haveLoss {
 		return 0
 	}
-	closed := e.weightedAvg(1)
-	withOpen := e.weightedAvg(0)
-	return math.Max(closed, withOpen)
-}
-
-func (e *Estimator) weightedAvg(from int) float64 {
-	var num, den float64
-	for i := 0; i < len(e.weights); i++ {
-		idx := from + i
-		if idx >= len(e.intervals) {
+	// One pass accumulates both averages, each over the weights in order:
+	// withOpen over intervals[0..], closed over intervals[1..].
+	var numOpen, denOpen, numClosed, denClosed float64
+	iv := e.intervals
+	for i, w := range e.weights {
+		if i >= len(iv) {
 			break
 		}
-		num += e.weights[i] * float64(e.intervals[idx])
-		den += e.weights[i]
+		numOpen += w * float64(iv[i])
+		denOpen += w
+		if i+1 < len(iv) {
+			numClosed += w * float64(iv[i+1])
+			denClosed += w
+		}
 	}
+	return math.Max(ratio(numClosed, denClosed), ratio(numOpen, denOpen))
+}
+
+// ratio is num/den, or 0 over an empty weight sum.
+func ratio(num, den float64) float64 {
 	if den == 0 {
 		return 0
 	}

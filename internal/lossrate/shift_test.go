@@ -11,12 +11,51 @@ import (
 // refHistory is the prepend-by-copy reference for the loss-interval
 // history: it builds a fresh slice on every loss event and every
 // re-aggregation split, the way the estimator did before it shifted in
-// place. Everything that does not restructure the history is delegated to
+// place, and it keeps the recent-loss records newest last, dropping the
+// oldest by a copy, the way the estimator did before it kept them in a
+// ring. Everything that does not restructure the history is delegated to
 // a real Estimator that is fed the same operations.
 type refHistory struct {
 	depth     int
 	intervals []int
 	initIdx   int
+	recent    []lossRecord
+}
+
+func (r *refHistory) recordLoss(t sim.Time, newEvent bool) {
+	rec := lossRecord{t: t, newEvent: newEvent}
+	if n := len(r.recent); n >= 4*r.depth {
+		copy(r.recent, r.recent[1:])
+		r.recent[n-1] = rec
+		return
+	}
+	r.recent = append(r.recent, rec)
+}
+
+// reaggregate is Reaggregate over the copy-shifted records.
+func (r *refHistory) reaggregate(rtt sim.Time) int {
+	if len(r.recent) < 2 {
+		return 0
+	}
+	prevEvents := 0
+	for _, l := range r.recent {
+		if l.newEvent {
+			prevEvents++
+		}
+	}
+	events := 1
+	start := r.recent[0].t
+	for _, l := range r.recent[1:] {
+		if l.t >= start+rtt {
+			events++
+			start = l.t
+		}
+	}
+	extra := events - prevEvents
+	if split := r.split(extra); split < extra {
+		return split
+	}
+	return max(extra, 0)
 }
 
 func (r *refHistory) onNewEvent() {
@@ -33,10 +72,10 @@ func (r *refHistory) onNewEvent() {
 	}
 }
 
-func (r *refHistory) split(extra int) {
+func (r *refHistory) split(extra int) int {
 	for i := 0; i < extra; i++ {
 		if len(r.intervals) < 2 || r.intervals[1] < 2 {
-			return
+			return i
 		}
 		half := r.intervals[1] / 2
 		r.intervals[1] -= half
@@ -46,6 +85,7 @@ func (r *refHistory) split(extra int) {
 			r.intervals = r.intervals[:r.depth+1]
 		}
 	}
+	return extra
 }
 
 // TestInPlaceHistoryMatchesPrependReference drives random operation
@@ -53,15 +93,18 @@ func (r *refHistory) split(extra int) {
 // included), losses inside and outside the current loss event,
 // Appendix B initialisation and adjustment, Appendix A re-aggregation —
 // through estimators of inline and spilled depth and checks the history
-// after every operation.
+// after every operation, and each re-aggregation's count. Every run
+// records more than 4·depth losses, so the recent-loss ring has wrapped
+// before the later re-aggregations read it oldest first.
 func TestInPlaceHistoryMatchesPrependReference(t *testing.T) {
 	for _, depth := range []int{1, 2, 8, 9, 32} {
+		wrapped := 0
 		for seed := int64(1); seed <= 20; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			e := NewEstimator(Weights(depth))
 			ref := &refHistory{depth: len(e.weights), intervals: []int{0}, initIdx: -1}
 			now := sim.Time(0)
-			for op := 0; op < 400; op++ {
+			for op := 0; op < 900; op++ {
 				switch k := rng.Intn(11); {
 				case k < 5:
 					for i := rng.Intn(30); i >= 0; i-- {
@@ -74,9 +117,11 @@ func TestInPlaceHistoryMatchesPrependReference(t *testing.T) {
 					ref.intervals[0] += n
 				case k < 8:
 					now += sim.Time(rng.Intn(120)) * sim.Millisecond
-					if e.OnLoss(now, 50*sim.Millisecond) {
+					newEvent := e.OnLoss(now, 50*sim.Millisecond)
+					if newEvent {
 						ref.onNewEvent()
 					}
+					ref.recordLoss(now, newEvent)
 				case k == 8:
 					if rng.Intn(2) == 0 {
 						p := 1 + rng.Intn(200)
@@ -90,13 +135,23 @@ func TestInPlaceHistoryMatchesPrependReference(t *testing.T) {
 						ref.intervals[ref.initIdx], ref.initIdx = int(max(v, 1)+0.5), -1
 					}
 				default:
-					ref.split(e.Reaggregate(sim.Time(1+rng.Intn(40)) * sim.Millisecond))
+					rtt := sim.Time(1+rng.Intn(40)) * sim.Millisecond
+					if e.recentOldest != 0 {
+						wrapped++
+					}
+					if got, want := e.Reaggregate(rtt), ref.reaggregate(rtt); got != want {
+						t.Fatalf("depth %d seed %d op %d: Reaggregate split %d, copy-shifted reference %d",
+							depth, seed, op, got, want)
+					}
 				}
 				if !slices.Equal(e.intervals, ref.intervals) || e.initIdx != ref.initIdx {
 					t.Fatalf("depth %d seed %d op %d: history %v (init %d), prepend reference %v (init %d)",
 						depth, seed, op, e.intervals, e.initIdx, ref.intervals, ref.initIdx)
 				}
 			}
+		}
+		if wrapped == 0 {
+			t.Fatalf("depth %d: no re-aggregation read a wrapped recent-loss ring", depth)
 		}
 	}
 }

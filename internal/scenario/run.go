@@ -637,17 +637,24 @@ func (sc *Scenario) tick(name string, every sim.Time, read func() float64) *stat
 	if every == 0 {
 		every = sim.Second
 	}
-	series := &stats.Series{Name: name}
-	sch := sc.Env.Sch
-	var next func()
-	next = func() {
-		sch.After(every, func() {
-			series.Add(sch.Now(), read())
-			next()
-		})
-	}
-	next()
-	return series
+	tk := &ticker{sch: sc.Env.Sch, every: every, series: &stats.Series{Name: name}, read: read}
+	tk.sch.AfterArg(every, fireTick, tk)
+	return tk.series
+}
+
+// ticker is one sampler's state. Each tick re-arms the same fireTick with
+// the same *ticker, so a tick allocates nothing but its series point.
+type ticker struct {
+	sch    *sim.Scheduler
+	every  sim.Time
+	series *stats.Series
+	read   func() float64
+}
+
+func fireTick(arg any) {
+	tk := arg.(*ticker)
+	tk.series.Add(tk.sch.Now(), tk.read())
+	tk.sch.AfterArg(tk.every, fireTick, tk)
 }
 
 // scheduleEvent validates one script entry and arms its timer. Every

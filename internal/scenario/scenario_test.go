@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/simnet"
+	"repro/internal/stats"
 )
 
 func mustLink(t *testing.T, sc *Scenario, ref LinkRef) *simnet.Link {
@@ -379,5 +380,22 @@ func TestDecodeRejectsRemovedEventKeys(t *testing.T) {
 	}
 	if again, _ := back.Encode(); !bytes.Equal(again, enc) {
 		t.Errorf("halve_on_silence round trip not a fixpoint:\n%s\n%s", enc, again)
+	}
+}
+
+// TestSamplerTickDoesNotAllocate: a sampler re-arms one callback with one
+// argument, so once its series has room, a tick allocates nothing.
+func TestSamplerTickDoesNotAllocate(t *testing.T) {
+	sc := &Scenario{Env: Env{Sch: sim.NewScheduler()}}
+	reads := 0
+	series := sc.tick("x", sim.Millisecond, func() float64 { reads++; return float64(reads) })
+	series.Points = make([]stats.Point, 0, 1000)
+	sch := sc.Env.Sch
+	sch.RunUntil(5 * sim.Millisecond)
+	if n := testing.AllocsPerRun(200, func() { sch.RunUntil(sch.Now() + sim.Millisecond) }); n != 0 {
+		t.Fatalf("a sampler tick allocates %v objects", n)
+	}
+	if len(series.Points) != reads || series.Points[0].T != sim.Millisecond || series.Points[4].V != 5 {
+		t.Fatalf("series %v after %d reads, want one point per millisecond", series.Points[:5], reads)
 	}
 }

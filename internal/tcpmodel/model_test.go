@@ -2,6 +2,7 @@ package tcpmodel
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -26,6 +27,41 @@ func TestThroughputMonotonicInLoss(t *testing.T) {
 			t.Fatalf("throughput not decreasing at p=%v: %v >= %v", p, x, prev)
 		}
 		prev = x
+	}
+}
+
+// TestThroughputNonIncreasingInLoss: for any p1 < p2, Throughput(p1) >=
+// Throughput(p2) as computed, rounding included — over random pairs
+// spanning p <= 0, (0, 1] and p > 1, and over each p's math.Nextafter
+// neighbours. Figure 7 relies on it to take a round's minimum rate as the
+// rate at the round's highest loss event rate.
+func TestThroughputNonIncreasingInLoss(t *testing.T) {
+	m := Default()
+	rng := rand.New(rand.NewSource(1))
+	draw := func() float64 {
+		switch rng.Intn(10) {
+		case 0:
+			return []float64{0, -1, 1, math.SmallestNonzeroFloat64, 1.5}[rng.Intn(5)]
+		case 1:
+			return -rng.Float64()
+		default:
+			return math.Pow(10, -12+13*rng.Float64()) // 1e-12 .. 10
+		}
+	}
+	check := func(p1, p2, rtt float64) {
+		if p1 > p2 {
+			p1, p2 = p2, p1
+		}
+		if x1, x2 := m.Throughput(p1, rtt), m.Throughput(p2, rtt); x1 < x2 {
+			t.Fatalf("rtt %v: Throughput(%v) = %v < Throughput(%v) = %v", rtt, p1, x1, p2, x2)
+		}
+	}
+	for i := 0; i < 200000; i++ {
+		rtt := []float64{0.001, 0.05, 0.1, 1.7}[i%4]
+		p := draw()
+		check(p, draw(), rtt)
+		check(p, math.Nextafter(p, math.Inf(1)), rtt)
+		check(math.Nextafter(p, math.Inf(-1)), p, rtt)
 	}
 }
 
