@@ -64,7 +64,7 @@ func (r *Result) TSV() string {
 
 // Runner produces an analytic figure's Result. seed selects the
 // deterministic random stream.
-type Runner func(c *RunCtx, seed int64) *Result
+type Runner func(seed int64) *Result
 
 // RunWith runs FigureJob(id) for one seed on c, recycling the storage of
 // whatever c ran before.
@@ -338,7 +338,7 @@ func FigureJob(id string) (Job, error) {
 	}
 	return Job{ID: id, Title: e.Title, run: func(c *RunCtx, seed int64) (res *Result, err error) {
 		if e.Run != nil {
-			res = e.Run(c, seed)
+			res = e.Run(seed)
 		} else if res, err = e.Family.run(c, seed); err != nil {
 			return nil, err
 		}

@@ -48,7 +48,7 @@ func TestRegistryComplete(t *testing.T) {
 // not registered.
 func TestAddEntryRefusesMixedShapes(t *testing.T) {
 	spec := Figure9Spec
-	run := func(*RunCtx, int64) *Result { return &Result{} }
+	run := func(int64) *Result { return &Result{} }
 	report := func(*scenario.Scenario) *Result { return &Result{} }
 	family := &Family{Members: figure14Members, Report: figure14}
 	engine := []string{TagEngine}

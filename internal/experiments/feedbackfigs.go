@@ -37,7 +37,7 @@ func fbBase(bias feedback.BiasMethod) feedback.Config {
 // Figure1 plots the CDF of the feedback time for the unbiased exponential
 // timer, the offset method and the modified-N method, for a receiver with
 // feedback value x = 0.5 (time axis in RTTs, T = 4 RTTs).
-func Figure1(*RunCtx, int64) *Result {
+func Figure1(int64) *Result {
 	res := &Result{}
 	const x = 0.5
 	for _, bias := range []feedback.BiasMethod{feedback.BiasNone, feedback.BiasOffset, feedback.BiasModifyN} {
@@ -56,7 +56,7 @@ func Figure1(*RunCtx, int64) *Result {
 // n = 500 receivers holding uniformly distributed values, for unbiased
 // and offset-biased timers. Suppressed responses carry y of the value;
 // series are split by outcome so the plot can mark them differently.
-func Figure2(_ *RunCtx, seed int64) *Result {
+func Figure2(seed int64) *Result {
 	res := &Result{}
 	rng := sim.NewRand(seed)
 	const n = 500
@@ -89,7 +89,7 @@ func Figure2(_ *RunCtx, seed int64) *Result {
 // receiver suddenly congested) for the three cancellation strategies
 // ε = 1 (all suppressed), ε = 0.1, ε = 0 (only higher suppressed), as a
 // function of the number of receivers.
-func Figure3(_ *RunCtx, seed int64) *Result {
+func Figure3(seed int64) *Result {
 	res := &Result{}
 	labels := map[float64]string{1: "all suppressed", 0.1: "10% lower suppressed", 0: "higher suppressed"}
 	delay := 250 * sim.Millisecond
@@ -118,7 +118,7 @@ func Figure3(_ *RunCtx, seed int64) *Result {
 
 // Figure4 evaluates the analytic expected number of feedback messages for
 // T' between 2 and 6 RTTs and receiver counts up to N = 10000.
-func Figure4(*RunCtx, int64) *Result {
+func Figure4(int64) *Result {
 	res := &Result{}
 	const N = 10000
 	d := sim.Second // network delay = 1 RTT
@@ -137,14 +137,14 @@ func Figure4(*RunCtx, int64) *Result {
 
 // Figure5 measures the mean time of the first response for the three
 // biasing methods as the receiver count grows.
-func Figure5(_ *RunCtx, seed int64) *Result {
+func Figure5(seed int64) *Result {
 	res := &Result{}
 	return biasSweep(res, seed, func(sent, first, qual float64) float64 { return first })
 }
 
 // Figure6 measures how close the best reported rate is to the true
 // minimum for the three biasing methods (0 = optimal).
-func Figure6(_ *RunCtx, seed int64) *Result {
+func Figure6(seed int64) *Result {
 	res := &Result{}
 	return biasSweep(res, seed, func(sent, first, qual float64) float64 { return qual })
 }
@@ -184,7 +184,7 @@ func biasSweep(res *Result, seed int64, pick func(sent, first, qual float64) flo
 // Figure17 plots the number of loss events per RTT as a function of the
 // loss event rate (Appendix A). The paper's maximum of ~0.13 corresponds
 // to b = 2 in the TCP model.
-func Figure17(*RunCtx, int64) *Result {
+func Figure17(int64) *Result {
 	res := &Result{}
 	m := tcpmodel.Default()
 	m.B = 2

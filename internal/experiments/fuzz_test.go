@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -214,21 +215,18 @@ const (
 
 // fuzzRun is one FuzzScenarioSpec run of base on one engine: an optional
 // leading record of the mutation bytes becomes command-line overrides
-// applied with Spec.Apply (fuzzOverrides); the rest is split in half:
-// the first half becomes structured fault events (mutateSpec), the
-// second half a byte-level edit script over the spec's serialised JSON
-// form (mutateJSON), so the strict loader sits inside the fuzzed path
-// too. It returns the run's series as TSV.
+// (fuzzOverrides); the rest is split in half: the first half becomes
+// structured fault events (mutateSpec), the second half a byte-level
+// edit script over the spec's serialised JSON form (mutateJSON), so the
+// strict loader sits inside the fuzzed path too. The overrides are
+// applied with Spec.Apply to the decoded document, the order
+// -scenario-file runs them in. It returns the run's series as TSV.
 func fuzzRun(base func() *scenario.Spec, seed int64, mut []byte, engineWorkers int) (string, error) {
 	spec := base()
 	if spec.Duration > fuzzDuration {
 		spec.Duration = fuzzDuration
 	}
 	ov, mut := fuzzOverrides(mut)
-	spec, err := spec.Apply(ov)
-	if err != nil {
-		return "", err
-	}
 	half := len(mut) / 2
 	mutateSpec(spec, mut[:half])
 	enc, err := spec.Encode()
@@ -237,6 +235,9 @@ func fuzzRun(base func() *scenario.Spec, seed int64, mut []byte, engineWorkers i
 	}
 	spec, err = scenario.DecodeSpec(mutateJSON(enc, mut[half:]))
 	if err != nil {
+		return "", err
+	}
+	if spec, err = spec.Apply(ov); err != nil {
 		return "", err
 	}
 	if spec.Duration <= 0 || spec.Duration > fuzzDuration {
@@ -302,6 +303,7 @@ func FuzzScenarioSpec(f *testing.F) {
 	f.Add("9", int64(10), []byte{0x80, 0x80, 0, 65, 0, 0x40, 0, 1})
 	f.Add("deeptree", int64(11), []byte{0x80, 0x0c, 3, 3})
 	f.Add("deeptree", int64(12), []byte{0x80, 0xff, 64, 100})
+	f.Add("flashcrowd", int64(13), hoplessSiteSeed(f))
 	f.Fuzz(func(t *testing.T, id string, seed int64, mut []byte) {
 		base := sameNodeFlow
 		if id != sameNodeFlowID {
@@ -325,6 +327,45 @@ func FuzzScenarioSpec(f *testing.F) {
 			}
 		}
 	})
+}
+
+// hoplessSiteSeed is a FuzzScenarioSpec input for flashcrowd: an
+// edge-loss override record (0.5), fault events that the edit cuts away,
+// and a mutateJSON script that truncates the document after the first
+// site's `"hops": [`, appends five or six bytes and rewrites them as
+// `]}}]}` (and a space).
+// The decoded spec is one site with no hops, which Build refuses;
+// Spec.Apply used to index that site's last hop and panic.
+func hoplessSiteSeed(f *testing.F) []byte {
+	e, _ := Lookup("flashcrowd")
+	spec := e.Spec()
+	spec.Duration = min(spec.Duration, fuzzDuration)
+	enc, err := spec.Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	cut := bytes.Index(enc, []byte(`"hops": [`)) + len(`"hops": [`)
+	tail := "]}}]}"
+	if (cut+len(tail))%2 == 0 {
+		tail += " " // an odd length lets every position take every byte
+	}
+	edit := []byte{2, byte(cut >> 8), byte(cut), 63, byte((cut - len(tail)) >> 8), byte(cut - len(tail))}
+	for i := range len(tail) {
+		// A substitution writes its position's low byte, so pick the
+		// high byte that puts tail[i] at cut+i modulo the grown length.
+		a := -1
+		for hi := range 256 {
+			if (hi<<8|int(tail[i]))%(cut+len(tail)) == cut+i {
+				a = hi
+				break
+			}
+		}
+		if a < 0 {
+			f.Fatalf("no substitution writes %q at %d", tail[i], cut+i)
+		}
+		edit = append(edit, 1, byte(a), tail[i])
+	}
+	return append(append([]byte{0x80, 0x40, 128, 0}, make([]byte, len(edit))...), edit...)
 }
 
 // TestFuzzRejectsRunawayFlow: a spec can be cheap to state, valid, and

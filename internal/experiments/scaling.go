@@ -25,7 +25,7 @@ func init() { registerAnalytic("7", "Scaling: throughput vs number of receivers"
 // analysis: each receiver maintains a TFMCC loss-interval history fed by
 // geometric inter-loss gaps, and each "round" the sender adopts the
 // minimum calculated rate.
-func Figure7(_ *RunCtx, seed int64) *Result {
+func Figure7(seed int64) *Result {
 	res := &Result{}
 	model := tcpmodel.Default()
 	const rtt = 0.050

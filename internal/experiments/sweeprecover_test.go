@@ -21,7 +21,7 @@ var registerPanicEntry = sync.OnceFunc(func() {
 		ID:    "panictest",
 		Title: "injected panicking runner (test only)",
 		Tags:  []string{TagAnalytic, TagSweep},
-		Run: func(c *RunCtx, seed int64) *Result {
+		Run: func(seed int64) *Result {
 			if seed == 2 {
 				panic("injected: seed 2 is cursed")
 			}

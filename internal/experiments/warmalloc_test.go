@@ -30,7 +30,7 @@ func TestSessionWarmAllocBudget(t *testing.T) {
 func TestFigure7AllocBudget(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	Figure7(nil, 1)
+	Figure7(1)
 	runtime.ReadMemStats(&after)
 	if n := after.Mallocs - before.Mallocs; n > 70000 {
 		t.Fatalf("figure 7 allocates %d objects per run, budget 70000", n)

@@ -12,6 +12,7 @@ import (
 	"repro/internal/invariant"
 	"repro/internal/scenario"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/sweep"
 )
 
@@ -343,5 +344,25 @@ func TestNoInvariantViolationsCountsDropped(t *testing.T) {
 	}
 	if m := (&NoInvariantViolations{Allow: 100}).judge(run); !m.Pass || m.Measured != 100 {
 		t.Errorf("64 stored + 36 dropped against allow 100: %+v, want a pass measuring 100", m)
+	}
+}
+
+// TestRecoverWithinNeedsBaselineSamples: a baseline window that holds no
+// samples fails, naming the window. Its mean used to read 0, so the
+// first sample after the trigger "re-attained" the target and passed.
+func TestRecoverWithinNeedsBaselineSamples(t *testing.T) {
+	rate := &stats.Series{Name: "rate"}
+	for at := sim.Time(0); at < 120*sim.Second; at += sim.Second {
+		rate.Add(at, 1000)
+	}
+	run := &experiments.SeedRun{Seed: 1, Result: &experiments.Result{Series: []*stats.Series{rate}}}
+	empty := &RecoverWithin{Series: "rate", After: 60 * sim.Second, Within: 10 * sim.Second,
+		BaselineFrom: 500 * sim.Second, BaselineTo: 600 * sim.Second}
+	if m := empty.judge(run); m.Pass || !strings.Contains(m.Detail, "no samples in baseline window [500.000000s, 600.000000s)") {
+		t.Errorf("empty baseline window [500 s, 600 s): %+v, want a failure naming the window", m)
+	}
+	held := &RecoverWithin{Series: "rate", After: 60 * sim.Second, Within: 10 * sim.Second, BaselineFrom: 30 * sim.Second}
+	if m := held.judge(run); !m.Pass || m.Measured != 0 {
+		t.Errorf("baseline [30 s, 60 s) of a flat series: %+v, want a pass at the trigger", m)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/experiments"
@@ -209,6 +210,11 @@ func (r *RecoverWithin) judge(o *experiments.SeedRun) SeedMeasure {
 	to := r.BaselineTo
 	if to == 0 {
 		to = r.After
+	}
+	if !slices.ContainsFunc(s.Points, func(p stats.Point) bool { return p.T >= r.BaselineFrom && p.T < to }) {
+		// An empty window has no baseline: a target of 0 would pass at the
+		// first sample after the trigger whatever the series did.
+		return SeedMeasure{Detail: fmt.Sprintf("series %q has no samples in baseline window [%v, %v)", r.Series, r.BaselineFrom, to)}
 	}
 	baseline := s.MeanBetween(r.BaselineFrom, to)
 	target := r.frac() * baseline

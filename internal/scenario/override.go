@@ -110,8 +110,8 @@ func (s *Spec) Apply(o Overrides) (*Spec, error) {
 		steps := make([]Step, len(out.Steps))
 		copy(steps, out.Steps)
 		for i, st := range steps {
-			if st.Site == nil {
-				continue
+			if st.Site == nil || len(st.Site.Hops) == 0 {
+				continue // a site with no hops is Build's to refuse
 			}
 			site := *st.Site
 			site.Hops = append([]Hop(nil), site.Hops...)

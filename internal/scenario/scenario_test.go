@@ -240,6 +240,32 @@ func TestOverridesApply(t *testing.T) {
 	}
 }
 
+// TestEdgeLossLeavesHoplessSite: an edge-loss override over a site that
+// declares no hops (a hand-edited document) leaves that site for Build to
+// refuse, as the same document without the override is; Apply used to
+// index the site's last hop and panic.
+func TestEdgeLossLeavesHoplessSite(t *testing.T) {
+	spec := FlashCrowd()
+	site := *spec.Steps[0].Site
+	site.Hops = []Hop{}
+	spec.Steps[0].Site = &site
+	ov := None()
+	ov.EdgeLoss = 0.1
+	out, err := spec.Apply(ov)
+	if err != nil {
+		t.Fatalf("Apply refused a well-formed override: %v", err)
+	}
+	if len(out.Steps[0].Site.Hops) != 0 {
+		t.Fatalf("Apply gave the hopless site %d hops", len(out.Steps[0].Site.Hops))
+	}
+	if out.Steps[1].Site.Hops[0].Down.Loss != 0.1 {
+		t.Fatal("edge loss not applied to the sites that have hops")
+	}
+	if _, err := Build(NewEnv(1), out); err == nil || !strings.Contains(err.Error(), "1 or 2 hops") {
+		t.Fatalf("Build of the hopless site: %v, want the hop-count error", err)
+	}
+}
+
 // TestOverridesRejectNonsense: an override that is neither "unset" nor a
 // value a spec can hold is an error naming its flag — never silently
 // dropped (NaN and negatives used to read as "not set") and never folded

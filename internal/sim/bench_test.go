@@ -112,13 +112,6 @@ func BenchmarkRandGeometric(b *testing.B) {
 	}
 }
 
-func BenchmarkRandGamma(b *testing.B) {
-	r := NewRand(1)
-	for i := 0; i < b.N; i++ {
-		_ = r.Gamma(8, 1)
-	}
-}
-
 // BenchmarkCancelHeavyDrain measures the pop path after a burst of
 // cancellations — the regression benchmark for reaping on pop. Each
 // iteration queues a live horizon plus a slightly-smaller cancelled

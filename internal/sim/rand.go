@@ -60,39 +60,3 @@ func (r *Rand) Geometric(p float64) int {
 	}
 	return 1 + int(k)
 }
-
-// Gamma returns a Gamma(shape k, scale theta) variate using the
-// Marsaglia-Tsang method (with Ahrens-Dieter boosting for k < 1).
-func (r *Rand) Gamma(k, theta float64) float64 {
-	if k <= 0 || theta <= 0 {
-		return 0
-	}
-	if k < 1 {
-		// boost: Gamma(k) = Gamma(k+1) * U^(1/k)
-		u := r.r.Float64()
-		for u == 0 {
-			u = r.r.Float64()
-		}
-		return r.Gamma(k+1, theta) * powf(u, 1/k)
-	}
-	d := k - 1.0/3.0
-	c := 1.0 / sqrtf(9*d)
-	for {
-		x := r.r.NormFloat64()
-		v := 1 + c*x
-		if v <= 0 {
-			continue
-		}
-		v = v * v * v
-		u := r.r.Float64()
-		if u < 1-0.0331*x*x*x*x {
-			return d * v * theta
-		}
-		if u > 0 && logf(u) < 0.5*x*x+d*(1-v+logf(v)) {
-			return d * v * theta
-		}
-	}
-}
-
-// Perm returns a random permutation of [0,n).
-func (r *Rand) Perm(n int) []int { return r.r.Perm(n) }

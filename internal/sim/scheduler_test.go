@@ -295,50 +295,6 @@ func TestRandGeometricEdges(t *testing.T) {
 	}
 }
 
-func TestRandGammaMoments(t *testing.T) {
-	r := NewRand(7)
-	const k, theta = 8.0, 2.0
-	var sum, sum2 float64
-	const n = 30000
-	for i := 0; i < n; i++ {
-		x := r.Gamma(k, theta)
-		sum += x
-		sum2 += x * x
-	}
-	mean := sum / n
-	variance := sum2/n - mean*mean
-	if math.Abs(mean-k*theta) > 0.3 {
-		t.Fatalf("gamma mean = %v, want %v", mean, k*theta)
-	}
-	if math.Abs(variance-k*theta*theta) > 2 {
-		t.Fatalf("gamma var = %v, want %v", variance, k*theta*theta)
-	}
-}
-
-func TestRandGammaSmallShape(t *testing.T) {
-	r := NewRand(7)
-	const k, theta = 0.5, 1.0
-	var sum float64
-	const n = 50000
-	for i := 0; i < n; i++ {
-		x := r.Gamma(k, theta)
-		if x < 0 {
-			t.Fatal("gamma variate negative")
-		}
-		sum += x
-	}
-	if mean := sum / n; math.Abs(mean-k*theta) > 0.05 {
-		t.Fatalf("gamma(0.5) mean = %v, want %v", mean, k*theta)
-	}
-}
-
-func TestRandGammaDegenerate(t *testing.T) {
-	r := NewRand(1)
-	if r.Gamma(0, 1) != 0 || r.Gamma(1, 0) != 0 {
-		t.Fatal("degenerate gamma should be 0")
-	}
-}
-
 func TestRandUniformRange(t *testing.T) {
 	r := NewRand(3)
 	f := func(seed int64) bool {

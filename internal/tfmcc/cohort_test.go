@@ -11,8 +11,8 @@ import (
 )
 
 // cohortBottleneck builds sender -- r1 ==bw== r2 -- leaf with one
-// analytic cohort of the given size on the leaf, runs it for dur and
-// returns the session.
+// receiver standing for a cohort of the given size on the leaf as the
+// session's receiver 0, runs it for dur and returns the session.
 func cohortBottleneck(size int, dur sim.Time, seed int64) (*Session, *Receiver) {
 	sch := sim.NewScheduler()
 	net := simnet.New(sch, sim.NewRand(seed))
@@ -24,59 +24,11 @@ func cohortBottleneck(size int, dur sim.Time, seed int64) (*Session, *Receiver) 
 	net.AddDuplex(r1, r2, 125000, 20*sim.Millisecond, 30)
 	net.AddDuplex(r2, leaf, 0, sim.Millisecond, 0)
 	sess := NewSession(net, snd, 1, 100, DefaultConfig(), sim.NewRand(seed+1))
-	c := sess.AddCohort(leaf, size)
+	c := NewCohortReceiver(0, net, leaf, sess.Port, sess.Sender.addr, sess.Group, DefaultConfig(), sess.rng, size)
+	sess.Receivers = append(sess.Receivers, c)
 	sess.Start()
 	sch.RunUntil(dur)
 	return sess, c
-}
-
-func TestCohortMemberAccounting(t *testing.T) {
-	sch := sim.NewScheduler()
-	net := simnet.New(sch, sim.NewRand(1))
-	snd := net.AddNode("sender")
-	hub := net.AddNode("hub")
-	net.AddDuplex(snd, hub, 0, sim.Millisecond, 0)
-	sess := NewSession(net, snd, 1, 100, DefaultConfig(), sim.NewRand(2))
-
-	a := net.AddNode("a")
-	net.AddDuplex(hub, a, 0, sim.Millisecond, 0)
-	r := sess.AddReceiver(a)
-	if r.id != 0 || r.Members() != 1 {
-		t.Fatalf("explicit receiver: id=%d members=%d, want 0/1", r.id, r.Members())
-	}
-	b := net.AddNode("b")
-	net.AddDuplex(hub, b, 0, sim.Millisecond, 0)
-	c := sess.AddCohort(b, 64)
-	if c.id != 1 || c.Members() != 64 {
-		t.Fatalf("cohort: id=%d members=%d, want 1/64", c.id, c.Members())
-	}
-	// The cohort occupies one id per member, so the next endpoint's id
-	// lands past the whole block and MemberCount sums members.
-	d := net.AddNode("d")
-	net.AddDuplex(hub, d, 0, sim.Millisecond, 0)
-	r2 := sess.AddReceiver(d)
-	if r2.id != 65 {
-		t.Fatalf("receiver after cohort: id=%d, want 65", r2.id)
-	}
-	if got := sess.MemberCount(); got != 66 {
-		t.Fatalf("MemberCount=%d, want 66", got)
-	}
-}
-
-func TestCohortStatsScaleWithMembership(t *testing.T) {
-	_, c := cohortBottleneck(64, 20*sim.Second, 1)
-	st := c.Stats()
-	if st.PacketsRecv == 0 {
-		t.Fatal("cohort received no packets")
-	}
-	if st.PacketsRecv != 64*c.PacketsRecv {
-		t.Fatalf("PacketsRecv=%d, want 64x endpoint count %d", st.PacketsRecv, c.PacketsRecv)
-	}
-	// Wire-level stats stay endpoint-true: the cohort sends one
-	// endpoint's worth of reports, not 64.
-	if st.ReportsSent != c.ReportsSent {
-		t.Fatalf("ReportsSent=%d, want endpoint-true %d", st.ReportsSent, c.ReportsSent)
-	}
 }
 
 func TestCohortBecomesCLR(t *testing.T) {
@@ -84,34 +36,19 @@ func TestCohortBecomesCLR(t *testing.T) {
 	if !c.isCLR {
 		t.Fatalf("sole cohort should be CLR, sender has %d", sess.Sender.CLR())
 	}
-	if n := sess.ValidRTTCount(); n != 256 {
-		t.Fatalf("ValidRTTCount=%d, want 256 (cohort members)", n)
+	if n := sess.ValidRTTCount(); n != 1 {
+		t.Fatalf("ValidRTTCount=%d, want 1 (the cohort's one receiver)", n)
 	}
 	if v := sess.CLRInvariant(); v != "" {
 		t.Fatalf("CLR invariant violated: %s", v)
 	}
 }
 
-func TestCohortExpectedFeedbackAccrues(t *testing.T) {
-	for _, n := range []int{16, 64} {
-		_, c := cohortBottleneck(n, 30*sim.Second, 4)
-		em, rounds := c.ExpectedReportsPerRound()
-		if rounds == 0 {
-			t.Fatalf("n=%d: no feedback rounds accrued", n)
-		}
-		// Per round at least the first timer to fire reports, and at most
-		// every member does.
-		if em < 1 || em > float64(n) {
-			t.Errorf("n=%d: E[M] per round = %.2f, want in [1, %d]", n, em, n)
-		}
-	}
-}
-
 // recycleRun builds the bare receiver rig on net — an explicit receiver
-// when size is 0, else a cohort probe of that size with loss spread 0.1
-// — plays rounds of data with one loss per round, no CLR and no
-// slowstart (so every round draws a feedback timer, and a round outlasts
-// its 2 s timer), and returns the receiver and the reports it sent.
+// when size is 0, else a cohort receiver of that size — plays rounds of
+// data with one loss per round, no CLR and no slowstart (so every round
+// draws a feedback timer, and a round outlasts its 2 s timer), and
+// returns the receiver and the reports it sent.
 func recycleRun(t *testing.T, sch *sim.Scheduler, net *simnet.Network, size, rounds int) (*Receiver, []Report) {
 	snd := net.AddNode("snd")
 	rn := net.AddNode("rcv")
@@ -126,10 +63,6 @@ func recycleRun(t *testing.T, sch *sim.Scheduler, net *simnet.Network, size, rou
 		r = NewReceiver(0, net, rn, 100, senderAddr, 1, DefaultConfig(), sim.NewRand(2))
 	} else {
 		r = NewCohortReceiver(0, net, rn, 100, senderAddr, 1, DefaultConfig(), sim.NewRand(2), size)
-		r.SetLossSpread(0.1)
-		if _, n := r.ExpectedReportsPerRound(); n != 0 {
-			t.Fatalf("a new cohort starts with %d accrued rounds", n)
-		}
 	}
 	seq := int64(0)
 	for round := 1; round <= rounds; round++ {
@@ -148,9 +81,9 @@ func recycleRun(t *testing.T, sch *sim.Scheduler, net *simnet.Network, size, rou
 }
 
 // TestRecycledReceiverForgetsItsKind: a pooled receiver slot that changes
-// kind between runs — cohort probe, then explicit receiver, then cohort
-// again — carries nothing of its previous life. Each run must match a
-// never-pooled receiver of the same kind fed the same packets.
+// kind between runs — cohort receiver, then explicit receiver, then
+// cohort again — carries nothing of its previous life. Each run must
+// match a never-pooled receiver of the same kind fed the same packets.
 func TestRecycledReceiverForgetsItsKind(t *testing.T) {
 	sch := sim.NewScheduler()
 	net := simnet.New(sch, sim.NewRand(1))
@@ -177,31 +110,19 @@ func TestRecycledReceiverForgetsItsKind(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Errorf("run %d: recycled receiver's reports differ from a never-pooled one's\n got %v\nwant %v", run, got, want)
 		}
-		if r.Stats() != fresh.Stats() || r.Members() != fresh.Members() || r.LossEventRate() != fresh.LossEventRate() {
-			t.Errorf("run %d: recycled stats/members/loss rate %+v/%d/%v, fresh %+v/%d/%v", run,
-				r.Stats(), r.Members(), r.LossEventRate(), fresh.Stats(), fresh.Members(), fresh.LossEventRate())
+		if r.Stats() != fresh.Stats() || r.timers != fresh.timers || r.LossEventRate() != fresh.LossEventRate() {
+			t.Errorf("run %d: recycled stats/timers/loss rate %+v/%d/%v, fresh %+v/%d/%v", run,
+				r.Stats(), r.timers, r.LossEventRate(), fresh.Stats(), fresh.timers, fresh.LossEventRate())
 		}
-		em, rounds := r.ExpectedReportsPerRound()
-		if fem, frounds := fresh.ExpectedReportsPerRound(); em != fem || rounds != frounds {
-			t.Errorf("run %d: recycled E[M] %v over %d rounds, fresh %v over %d", run, em, rounds, fem, frounds)
-		}
-		if size == 0 {
-			if r.Members() != 1 || r.LossEventRate() != r.est.LossEventRate() || em != 0 || rounds != 0 {
-				t.Errorf("explicit run: members %d, loss rate %v (estimator %v), E[M] (%v, %d); want 1, the estimator's, (0, 0)",
-					r.Members(), r.LossEventRate(), r.est.LossEventRate(), em, rounds)
-			}
-			if st := r.Stats(); st.PacketsRecv != r.PacketsRecv || st.Losses != r.Losses || st.LossEvents != r.LossEvents {
-				t.Errorf("explicit run: stats %+v scaled", st)
-			}
-		} else if rounds == 0 || r.Stats().PacketsRecv != 256*r.PacketsRecv {
-			t.Errorf("cohort run %d: %d rounds accrued, stats %+v; want rounds and scaled counters", run, rounds, r.Stats())
+		if want := max(size, 1); r.timers != want {
+			t.Errorf("run %d: the receiver stands for %d timers, want %d", run, r.timers, want)
 		}
 	}
 }
 
-// TestCohortAllocBudget pins the O(1) memory contract: a
-// million-member cohort session must allocate within 2x of a
-// thousand-member one (identical topology, identical run length).
+// TestCohortAllocBudget pins the O(1) memory contract: a session whose
+// receiver stands for a million timers must allocate within 2x of one
+// standing for a thousand (identical topology, identical run length).
 func TestCohortAllocBudget(t *testing.T) {
 	run := func(size int) func() {
 		return func() { cohortBottleneck(size, 2*sim.Second, 1) }
@@ -210,36 +131,6 @@ func TestCohortAllocBudget(t *testing.T) {
 	large := testing.AllocsPerRun(3, run(1_000_000))
 	if large > 2*small {
 		t.Fatalf("1e6-member cohort allocates %.0f/run vs %.0f for 1e3 — not O(1) in membership", large, small)
-	}
-}
-
-// TestCohortLossSpreadRaisesRate: a positive loss spread models member
-// heterogeneity as a higher aggregate loss-event rate, so the reported
-// rate must drop relative to a spread-free cohort on the same path.
-func TestCohortLossSpreadRaisesRate(t *testing.T) {
-	sch := sim.NewScheduler()
-	net := simnet.New(sch, sim.NewRand(1))
-	snd := net.AddNode("sender")
-	hub := net.AddNode("hub")
-	leaf := net.AddNode("leaf")
-	net.AddDuplex(snd, hub, 0, sim.Millisecond, 0)
-	down, _ := net.AddDuplex(hub, leaf, 0, 10*sim.Millisecond, 0)
-	down.LossProb = 0.02
-	sess := NewSession(net, snd, 1, 100, DefaultConfig(), sim.NewRand(2))
-	c := sess.AddCohort(leaf, 256)
-	c.SetLossSpread(0.1)
-	sess.Start()
-	sch.RunUntil(30 * sim.Second)
-	base := c.est.LossEventRate()
-	seen := c.LossEventRate()
-	if base <= 0 {
-		t.Fatal("no loss events measured on a 2% lossy path")
-	}
-	if seen <= base {
-		t.Fatalf("spread did not raise the aggregate loss-event rate: base=%.4f seen=%.4f", base, seen)
-	}
-	if seen > 1 {
-		t.Fatalf("aggregate loss-event rate %.4f exceeds 1", seen)
 	}
 }
 

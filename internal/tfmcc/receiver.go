@@ -54,12 +54,10 @@ type Receiver struct {
 	lastSuppress float64
 	fbValue      float64 // planned report rate (bytes/s) guarding cancellation
 
-	// cohort, when non-nil, marks this receiver as the probe standing in
-	// for a whole cohort: the feedback draw becomes the minimum of the
-	// cohort's timers and the reported loss state is the worst member's
-	// (see cohort.go). Nil for explicit receivers — every cohort delta
-	// gates on this single check.
-	cohort *cohortState
+	// timers is how many feedback timers this receiver's one draw stands
+	// for: 1 for an explicit receiver, a cohort's size for the probe
+	// NewCohortReceiver builds (see feedbackDraw).
+	timers int
 
 	net     *simnet.Network
 	rng     *sim.Rand
@@ -112,6 +110,19 @@ func NewReceiver(id ReceiverID, net *simnet.Network, node simnet.NodeID, port si
 	return newReceiver(id, net, node, port, sender, group, rng)
 }
 
+// NewCohortReceiver creates a receiver that stands for a cohort of size
+// receivers behind one access point: it runs the explicit receiver's
+// pipeline on the real packet stream, and its feedback timer is the
+// minimum of size independent draws (feedbackDraw), taken from a single
+// value of the run RNG. Config's one choice acts at the sender, so a
+// receiver ignores it.
+func NewCohortReceiver(id ReceiverID, net *simnet.Network, node simnet.NodeID, port simnet.Port,
+	sender simnet.Addr, group simnet.GroupID, _ Config, rng *sim.Rand, size int) *Receiver {
+	r := newReceiver(id, net, node, port, sender, group, rng)
+	r.timers = max(size, 1)
+	return r
+}
+
 func newReceiver(id ReceiverID, net *simnet.Network, node simnet.NodeID, port simnet.Port,
 	sender simnet.Addr, group simnet.GroupID, rng *sim.Rand) *Receiver {
 	r := sim.Pooled[Receiver](net.Arena(), receiverArenaKey)
@@ -151,7 +162,7 @@ func (r *Receiver) init(id ReceiverID, net *simnet.Network, node simnet.NodeID, 
 	r.left = false
 	r.crashed = false
 	r.leftAt = 0
-	r.cohort = nil
+	r.timers = 1
 	r.firstLossWithInitRTT = false
 	r.ReportsSent = 0
 	r.SuppressCancels = 0
@@ -165,26 +176,26 @@ func (r *Receiver) init(id ReceiverID, net *simnet.Network, node simnet.NodeID, 
 	net.Join(group, node)
 }
 
-// Members returns how many receivers this endpoint represents: 1 for an
-// explicit receiver, the cohort size for a cohort probe.
-func (r *Receiver) Members() int {
-	if r.cohort != nil {
-		return r.cohort.size
-	}
-	return 1
+// ReceiverStats is the snapshot of a receiver's counters Receiver.Stats
+// returns.
+type ReceiverStats struct {
+	ReportsSent     int64
+	SuppressCancels int64
+	Losses          int64
+	LossEvents      int64
+	PacketsRecv     int64
+	StaleDiscards   int64
 }
 
-// Stats returns the counter snapshot: per-member counters scaled by
-// Members, wire-level counters the endpoint's own (see ReceiverStats).
+// Stats returns the receiver's counters.
 func (r *Receiver) Stats() ReceiverStats {
-	n := int64(r.Members())
 	return ReceiverStats{
 		ReportsSent:     r.ReportsSent,
 		SuppressCancels: r.SuppressCancels,
-		Losses:          n * r.Losses,
-		LossEvents:      n * r.LossEvents,
-		PacketsRecv:     n * r.PacketsRecv,
-		StaleDiscards:   n * r.StaleDiscards,
+		Losses:          r.Losses,
+		LossEvents:      r.LossEvents,
+		PacketsRecv:     r.PacketsRecv,
+		StaleDiscards:   r.StaleDiscards,
 	}
 }
 
@@ -192,24 +203,12 @@ func (r *Receiver) Stats() ReceiverStats {
 // (Figure 12's metric).
 func (r *Receiver) HasValidRTT() bool { return r.rtte.Valid() }
 
-// LossEventRate returns the loss event rate of the receiver this
-// endpoint would offer as CLR candidate: the measured rate for an
-// explicit receiver, the spread-inflated worst member's for a cohort
-// probe.
-func (r *Receiver) LossEventRate() float64 {
-	p := r.est.LossEventRate()
-	if c := r.cohort; c != nil && c.spread > 0 && p > 0 {
-		p *= 1 + c.spread*math.Log2(float64(c.size))
-		if p > 1 {
-			p = 1
-		}
-	}
-	return p
-}
+// LossEventRate returns the receiver's measured loss event rate, the
+// value its reports carry.
+func (r *Receiver) LossEventRate() float64 { return r.est.LossEventRate() }
 
 // CalcRate returns X_calc in bytes/s (+Inf before the first loss event),
-// computed from the CLR-candidate loss event rate (for a cohort probe:
-// the worst member's).
+// computed from the measured loss event rate and RTT.
 func (r *Receiver) CalcRate() float64 {
 	p := r.LossEventRate()
 	if p <= 0 {
@@ -460,9 +459,6 @@ func (r *Receiver) startRound(d *Data, now sim.Time) {
 
 	fb := feedbackConfig(d.RoundT)
 	delay := fb.Delay(x, r.feedbackDraw())
-	if c := r.cohort; c != nil {
-		c.accrueExpectedFeedback(fb, r.rtte.RTT())
-	}
 	r.fbValue = value
 	r.fbHasLoss = hasLoss
 	r.fbSlowstart = d.Slowstart
@@ -471,16 +467,15 @@ func (r *Receiver) startRound(d *Data, now sim.Time) {
 }
 
 // feedbackDraw returns the uniform variate for this round's suppression
-// timer. An explicit receiver draws once from the run RNG; a cohort
-// probe transforms that same single draw by the minimum-of-N-uniforms
-// map u -> 1-(1-u)^(1/N). Delay is monotone increasing in u, so the
-// result is distributed exactly as the minimum of N independent member
-// timers while consuming one RNG value either way — the draw sequence
-// shape (and with it cross-run determinism) is preserved.
+// timer: one draw from the run RNG, which a receiver standing for N > 1
+// timers transforms by the minimum-of-N-uniforms map u -> 1-(1-u)^(1/N).
+// Delay is monotone increasing in u, so the result is distributed exactly
+// as the minimum of N independent timers while consuming one RNG value
+// either way.
 func (r *Receiver) feedbackDraw() float64 {
 	u := r.rng.Float64()
-	if c := r.cohort; c != nil && c.size > 1 {
-		u = 1 - math.Pow(1-u, 1/float64(c.size))
+	if r.timers > 1 {
+		u = 1 - math.Pow(1-u, 1/float64(r.timers))
 	}
 	return u
 }

@@ -8,20 +8,14 @@ import (
 )
 
 // Session wires one TFMCC sender and its receivers onto an existing
-// network topology, allocating receiver IDs and a shared port. Receivers
-// holds the session's receivers in join order — explicit receivers and
-// cohort probes alike; a cohort occupies one slot but Members() receiver
-// IDs, so slot index and ReceiverID diverge once a cohort has joined.
+// network topology, sharing one port. Receivers holds the session's
+// receivers in join order, and Receivers[i] reports as ReceiverID(i).
 type Session struct {
 	Net       *simnet.Network
 	Group     simnet.GroupID
 	Port      simnet.Port
 	Sender    *Sender
 	Receivers []*Receiver
-
-	// nextID is the first unallocated ReceiverID: each explicit receiver
-	// advances it by one, each cohort by its membership.
-	nextID ReceiverID
 
 	rng *sim.Rand
 }
@@ -47,32 +41,13 @@ func NewSession(net *simnet.Network, senderNode simnet.NodeID, group simnet.Grou
 	return s
 }
 
-// AddReceiver joins an explicit receiver on the given node.
+// AddReceiver joins a receiver on the given node as the session's next
+// ReceiverID.
 func (s *Session) AddReceiver(node simnet.NodeID) *Receiver {
-	id := s.nextID
-	r := newReceiver(id, s.Net, node, s.Port, s.Sender.addr, s.Group, s.rng)
+	r := newReceiver(ReceiverID(len(s.Receivers)), s.Net, node, s.Port, s.Sender.addr, s.Group, s.rng)
 	s.Receivers = append(s.Receivers, r)
-	s.nextID++
 	return r
 }
-
-// AddCohort joins a cohort of size homogeneous receivers modelled by one
-// probe endpoint on the given node (see cohort.go). The cohort
-// occupies the next size receiver IDs; its probe — the minimum-rate
-// member and CLR candidate — reports as the first of them.
-func (s *Session) AddCohort(node simnet.NodeID, size int) *Receiver {
-	if size < 1 {
-		size = 1
-	}
-	c := newCohortReceiver(s.nextID, s.Net, node, s.Port, s.Sender.addr, s.Group, s.rng, size)
-	s.Receivers = append(s.Receivers, c)
-	s.nextID += ReceiverID(size)
-	return c
-}
-
-// MemberCount returns how many receivers the session represents in
-// total (explicit receivers count 1, cohorts their membership).
-func (s *Session) MemberCount() int { return int(s.nextID) }
 
 // Start begins the transfer.
 func (s *Session) Start() { s.Sender.Start() }
@@ -104,8 +79,8 @@ func (s *Session) CLRInvariant() string {
 	if clr == noReceiver {
 		return ""
 	}
-	if int(clr) < 0 || int(clr) >= int(s.nextID) {
-		return fmt.Sprintf("CLR id %d out of range (session has %d receivers)", clr, int(s.nextID))
+	if int(clr) < 0 || int(clr) >= len(s.Receivers) {
+		return fmt.Sprintf("CLR id %d out of range (session has %d receivers)", clr, len(s.Receivers))
 	}
 	if silent := snd.CLRSilentRounds(); silent > CLRTimeoutRounds+2 {
 		return fmt.Sprintf("CLR %d silent for %d rounds (> timeout of %d rounds) without re-election", clr, silent, CLRTimeoutRounds)
@@ -114,13 +89,12 @@ func (s *Session) CLRInvariant() string {
 }
 
 // ValidRTTCount returns how many receivers have a real RTT measurement
-// (the Figure 12 metric). A cohort's members all share the probe's
-// measurement state, so a valid cohort contributes its whole membership.
+// (the Figure 12 metric).
 func (s *Session) ValidRTTCount() int {
 	n := 0
 	for _, r := range s.Receivers {
 		if r.HasValidRTT() {
-			n += r.Members()
+			n++
 		}
 	}
 	return n

@@ -2,6 +2,7 @@ package tfmcc
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -44,6 +45,29 @@ func starLossy(loss []float64, delay []sim.Time, cfg Config, seed int64) (*sim.S
 		sess.AddReceiver(n)
 	}
 	return sch, net, sess
+}
+
+// TestReceiverIDIsSlot: a session's receiver i reports as ReceiverID(i),
+// and CLRInvariant bounds a CLR id by len(Receivers): the last slot is a
+// receiver, the id one past it is not.
+func TestReceiverIDIsSlot(t *testing.T) {
+	sch, _, sess := singleBottleneck(5, 125000, 20*sim.Millisecond, 30, DefaultConfig(), 2)
+	for i, r := range sess.Receivers {
+		if r.id != ReceiverID(i) {
+			t.Fatalf("receiver %d reports as ReceiverID %d", i, r.id)
+		}
+	}
+	sess.Start()
+	sch.RunUntil(5 * sim.Second)
+	n := len(sess.Receivers)
+	sess.Sender.clr = ReceiverID(n - 1)
+	if v := sess.CLRInvariant(); strings.Contains(v, "out of range") {
+		t.Fatalf("CLR id %d (the last receiver) flagged: %s", n-1, v)
+	}
+	sess.Sender.clr = ReceiverID(n)
+	if v := sess.CLRInvariant(); !strings.Contains(v, "out of range") {
+		t.Fatalf("CLR id %d (one past the last receiver) not flagged out of range: %q", n, v)
+	}
 }
 
 func TestSlowstartRampsUp(t *testing.T) {
