@@ -104,11 +104,7 @@ func Build(env scenario.Env, spec *scenario.Spec, seed int64) (*scenario.Scenari
 		return nil, fmt.Errorf("engine: scenario %s has no nodes to partition", spec.Name)
 	}
 	env.Net.EnableSharding(part, seed)
-	sc, err := scenario.Build(env, spec)
-	if err != nil {
-		return nil, err
-	}
-	return sc, nil
+	return scenario.Build(env, spec)
 }
 
 // Run builds spec on env in sharded mode and executes it to the spec's

@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/invariant"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/sweep"
 	"repro/internal/tfmcc"
@@ -73,7 +72,7 @@ func RunWith(c *RunCtx, id string, seed int64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return j.runOn(c, seed)
+	return j.run(c, seed)
 }
 
 // --- run context and its environment -----------------------------------
@@ -83,9 +82,7 @@ func RunWith(c *RunCtx, id string, seed int64) (*Result, error) {
 // counters accumulated across runs. It must be used from one goroutine at
 // a time; parallel sweeps give each worker its own RunCtx.
 type RunCtx struct {
-	env           scenario.Env  // zero until the first build
-	built         bool          // env holds a build harvest has not folded yet
-	sender        *tfmcc.Sender // the session sender of that build, when build made one
+	env           scenario.Env // zero until the first build
 	check         bool
 	engineWorkers int
 	stats         EngineStats
@@ -134,65 +131,48 @@ func (c *RunCtx) Violations() []invariant.Violation { return c.violations }
 func (c *RunCtx) SetEngineWorkers(n int) { c.engineWorkers = n }
 
 // harvest folds the engine counters of the environment's last build, and
-// the recovery counters of its sender, into the context totals, once:
-// newEnv calls it before rewinding (and so before the next build recycles
-// the sender), and a job calls it when it returns. A context with nothing
-// unharvested is left alone.
-func (c *RunCtx) harvest() {
-	if !c.built {
-		return
-	}
-	c.built = false
-	if s := c.sender; s != nil {
-		c.sender = nil
-		c.stats.CLRLosses += s.CLRLosses
-		c.stats.Reelections += s.Reelections
-		c.stats.RateRecoveries += s.RateRecoveries
-		c.stats.ReelectNS = max(c.stats.ReelectNS, s.ReelectTime)
-		c.stats.RateRecoverNS = max(c.stats.RateRecoverNS, s.RateRecovery)
-	}
+// the recovery counters of its sender when it made one, into the context
+// totals. RunCtx.run defers it, so a failed build or a panicking run
+// still folds what it did.
+func (c *RunCtx) harvest(s *tfmcc.Sender) {
 	e := c.env
-	events := e.Sch.Processed()
+	f := e.Net.Faults()
+	// Batch occupancy: one batch may dispatch many same-timestamp
+	// events. The count differs with and without -check (checker ticks
+	// add events), so no determinism check compares it.
+	st := EngineStats{Events: e.Sch.Processed(), Batches: e.Sch.Batches(),
+		Unreachable: f.Unreachable, Corrupted: f.Corrupted, Duplicated: f.Duplicated}
+	if s != nil {
+		st.CLRLosses, st.Reelections, st.RateRecoveries = s.CLRLosses, s.Reelections, s.RateRecoveries
+		st.ReelectNS, st.RateRecoverNS = s.ReelectTime, s.RateRecovery
+	}
 	if e.Check != nil {
 		// The checker's sampling ticks are bookkeeping, not simulation:
 		// subtracting them keeps the serial engine's event count identical
 		// with and without -check.
-		events -= e.Check.Ticks()
+		st.Events -= e.Check.Ticks()
 		c.violations = append(c.violations, e.Check.Violations()...)
 		c.dropped += e.Check.Dropped()
 	}
-	// Batch occupancy: one batch may dispatch many same-timestamp
-	// events. The count differs with and without -check (checker ticks
-	// add events), so no determinism check compares it.
-	c.stats.Batches += e.Sch.Batches()
 	if rs := e.Net.RegionStats(); rs.Events != nil {
 		// Region-engine run: the environment scheduler only carried
 		// control flow. Total events = control + every region scheduler,
 		// an identity TestEngineStatsConservation and bench/ re-check.
-		c.stats.ControlEvents += events
-		c.stats.EngineShards = max(c.stats.EngineShards, len(rs.Events))
-		for i, v := range rs.Events {
-			c.stats.ShardEvents[i] += v
-			events += v
-		}
-		c.stats.HandoffsSent += rs.Handoffs
-		c.stats.HandoffsRecv += rs.Handoffs
-		c.stats.Batches += rs.Batches
 		// The window schedule is a wall-structure diagnostic (-check
 		// ticks clip windows), not part of any determinism check.
-		c.stats.Windows += rs.Windows
-		c.stats.WindowNS += rs.WindowNS
-		c.stats.ShardSteps += rs.ShardSteps
+		st.ControlEvents, st.EngineShards = st.Events, len(rs.Events)
+		for i, v := range rs.Events {
+			st.ShardEvents[i] = v
+			st.Events += v
+		}
+		st.HandoffsSent, st.HandoffsRecv, st.Batches = rs.Handoffs, rs.Handoffs, st.Batches+rs.Batches
+		st.Windows, st.WindowNS, st.ShardSteps = rs.Windows, rs.WindowNS, rs.ShardSteps
 	}
-	c.stats.Events += events
 	for _, l := range e.Net.Links() {
-		c.stats.PacketsSent += l.Stats.Sent
-		c.stats.PacketsDelivered += l.Stats.Deliver
+		st.PacketsSent += l.Stats.Sent
+		st.PacketsDelivered += l.Stats.Deliver
 	}
-	f := e.Net.Faults()
-	c.stats.Unreachable += f.Unreachable
-	c.stats.Corrupted += f.Corrupted
-	c.stats.Duplicated += f.Duplicated
+	c.stats.Add(st)
 }
 
 // Stats returns the engine counters accumulated over every run executed
@@ -207,17 +187,14 @@ func (c *RunCtx) ResetStats() {
 }
 
 // newEnv returns the context's environment, empty and seeded for the next
-// build, with the checker armed when checking is enabled: it harvests the
-// previous build, then rewinds the environment, which the first call
-// makes.
+// build, with the checker armed when checking is enabled: it rewinds the
+// environment, which the first call makes.
 func (c *RunCtx) newEnv(seed int64) scenario.Env {
-	c.harvest()
 	if c.env.Net == nil {
 		c.env = scenario.NewEnv(seed)
 	} else {
 		c.env.Rewind(seed)
 	}
-	c.built = true
 	c.armChecker()
 	return c.env
 }
@@ -273,35 +250,6 @@ const (
 	kbit = 125.0    // bytes/s per Kbit/s
 )
 
-// SessionThroughput is a benchmark helper: runs a session with n
-// receivers over a 1 Mbit/s bottleneck for the given number of simulated
-// seconds and returns the sender's final rate (bytes/s). Repeated calls
-// on the same context rebuild the scenario on recycled storage.
-func (c *RunCtx) SessionThroughput(n int, seconds int) float64 {
-	defer c.harvest()
-	e := c.newEnv(1)
-	r1 := e.Net.AddNode("r1")
-	r2 := e.Net.AddNode("r2")
-	e.Net.AddDuplex(r1, r2, 1*mbit, 20*sim.Millisecond, 30)
-	snd := e.Net.AddNode("src")
-	e.Net.AddDuplex(snd, r1, 0, sim.Millisecond, 0)
-	sess := tfmcc.NewSession(e.Net, snd, 1, 100, tfmcc.DefaultConfig(), e.Rng)
-	for i := 0; i < n; i++ {
-		leaf := e.Net.AddNode("leaf")
-		e.Net.AddDuplex(r2, leaf, 0, sim.Time(2+i%40)*sim.Millisecond, 0)
-		sess.AddReceiver(leaf)
-	}
-	sess.Start()
-	e.Sch.RunUntil(sim.Time(seconds) * sim.Second)
-	return sess.Sender.Rate()
-}
-
-// SessionThroughput runs the session benchmark scenario on a fresh
-// context.
-func SessionThroughput(n int, seconds int) float64 {
-	return NewRunCtx().SessionThroughput(n, seconds)
-}
-
 // --- seed sweeps -------------------------------------------------------
 
 // Job is what Sweep runs once per seed: a registry figure (FigureJob), a
@@ -311,12 +259,6 @@ type Job struct {
 	ID    string
 	Title string
 	run   func(c *RunCtx, seed int64) (*Result, error)
-}
-
-// runOn runs one seed of the job on c and harvests its last build.
-func (j Job) runOn(c *RunCtx, seed int64) (*Result, error) {
-	defer c.harvest()
-	return j.run(c, seed)
 }
 
 // FigureJob runs a registry entry: a Spec-backed one through specJob with
@@ -422,7 +364,7 @@ func Sweep(job Job, cfg sweep.Config) *SweepResult {
 		// Deferred, so a seed that panics still records what it ran.
 		defer func() { r.Stats, r.Violations, r.Dropped = c.stats, c.violations, c.dropped }()
 		r.Seed = seed
-		r.Result, r.Err = job.runOn(c, seed)
+		r.Result, r.Err = job.run(c, seed)
 		if r.Err != nil {
 			return nil
 		}

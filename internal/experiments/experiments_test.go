@@ -321,15 +321,6 @@ func TestFigure15ShapeQuick(t *testing.T) {
 	}
 }
 
-func TestSessionThroughputHelper(t *testing.T) {
-	rate := SessionThroughput(10, 20)
-	// After 20s of slowstart on a 1 Mbit/s link, the rate should be well
-	// above the initial 2000 B/s and at most ~2x the bottleneck.
-	if rate < 4000 || rate > 2.5*125000 {
-		t.Fatalf("SessionThroughput(10, 20) = %.0f B/s", rate)
-	}
-}
-
 // A figure 13 member on the region engine (40 receivers, RTT change at
 // 10 s): the run path's 100 ms stop checks step the sharded clock
 // through RunUntil, and around the scripted delay change it finds a
@@ -348,7 +339,6 @@ func TestRTTChangeReactionSharded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.harvest()
 		for _, v := range c.Violations() {
 			t.Errorf("invariant violated: %s", v)
 		}

@@ -74,7 +74,6 @@ func TestFamilyOnWarmContext(t *testing.T) {
 	if _, _, err := warm.run(m.Spec, 1+m.Seed, m.Stop); err != nil {
 		t.Fatal(err)
 	}
-	warm.harvest()
 	warm.ResetStats()
 	got, err := RunWith(warm, "14", 1)
 	if err != nil {

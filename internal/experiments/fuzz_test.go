@@ -205,13 +205,10 @@ func fuzzTooExpensive(spec *scenario.Spec) bool {
 // fuzzEventBudget bounds one fuzz run's events. A spec can be cheap to
 // state and dear to run — a byte edit that points a TCP flow between two
 // uncongested sites leaves nothing to slow it — and a run past the
-// budget is rejected as errTooExpensive at the next slice boundary. The
-// seed corpus peaks at 126 k events a run. Slicing RunUntil moves no byte on
-// either engine (TestSlicedRunUntil).
-const (
-	fuzzEventBudget = 500_000
-	fuzzSlice       = 100 * sim.Millisecond
-)
+// budget is rejected as errTooExpensive at the next 100 ms instant of
+// the run path's stop grid. The seed corpus peaks at 126 k events a run.
+// Slicing RunUntil moves no byte on either engine (TestSlicedRunUntil).
+const fuzzEventBudget = 500_000
 
 // fuzzRun is one FuzzScenarioSpec run of base on one engine: an optional
 // leading record of the mutation bytes becomes command-line overrides
@@ -246,22 +243,21 @@ func fuzzRun(base func() *scenario.Spec, seed int64, mut []byte, engineWorkers i
 	if fuzzTooExpensive(spec) {
 		return "", errTooExpensive
 	}
+	// Every event on the control scheduler and the region schedulers.
+	events := func(sc *scenario.Scenario) uint64 {
+		n := sc.Env.Sch.Processed()
+		for _, r := range sc.Env.Net.RegionStats().Events {
+			n += r
+		}
+		return n
+	}
 	ctx := NewRunCtxFor(sweep.Config{Check: true, EngineWorkers: engineWorkers})
-	sc, err := ctx.build(spec, seed)
+	sc, _, err := ctx.run(spec, seed, func(sc *scenario.Scenario, _ sim.Time) bool { return events(sc) > fuzzEventBudget })
 	if err != nil {
 		return "", err
 	}
-	sc.Start()
-	for now := sim.Time(0); now < spec.Duration; {
-		now = min(now+fuzzSlice, spec.Duration)
-		sc.RunUntil(now)
-		events := sc.Env.Sch.Processed()
-		for _, n := range sc.Env.Net.RegionStats().Events {
-			events += n
-		}
-		if events > fuzzEventBudget {
-			return "", errTooExpensive
-		}
+	if events(sc) > fuzzEventBudget {
+		return "", errTooExpensive
 	}
 	out := ""
 	for _, s := range sc.Series() {
@@ -290,7 +286,8 @@ func FuzzScenarioSpec(f *testing.F) {
 	// population resized, a chain stretched, edge and core loss at 1, a
 	// negative queue limit and a -receivers on a spec without a
 	// population (both refused), a one-packet core queue (with a fault
-	// event), a wider, shallower tree, and every field at once.
+	// event), a wider, shallower tree, and every field at once, which
+	// Apply refuses because a tree ignores -hops.
 	f.Add("degrade", int64(1), []byte{0x80, 0x01, 5, 0, 4, 0x40, 0, 1})
 	f.Add("deeptree", int64(2), []byte{0x80, 0x0d, 2, 3})
 	f.Add("clrfail", int64(3), []byte{0x80, 0x21, 1, 0xff})

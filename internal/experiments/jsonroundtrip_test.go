@@ -13,7 +13,7 @@ func runSpec(t *testing.T, spec *scenario.Spec, seed int64) *scenario.Scenario {
 	t.Helper()
 	var sc *scenario.Scenario
 	keep := func(s *scenario.Scenario) *Result { sc = s; return &Result{} }
-	if _, err := specJob(spec.Name, spec, keep).runOn(NewRunCtx(), seed); err != nil {
+	if _, err := specJob(spec.Name, spec, keep).run(NewRunCtx(), seed); err != nil {
 		t.Fatalf("%s: %v", spec.Name, err)
 	}
 	return sc

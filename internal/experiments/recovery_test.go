@@ -76,10 +76,10 @@ func TestFigureJobMatchesScenarioJob(t *testing.T) {
 			t.Fatal(err)
 		}
 		a, b := NewRunCtx(), NewRunCtx()
-		if _, err := fig.runOn(a, 1); err != nil {
+		if _, err := fig.run(a, 1); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := scen.runOn(b, 1); err != nil {
+		if _, err := scen.run(b, 1); err != nil {
 			t.Fatal(err)
 		}
 		if a.Stats() != b.Stats() {

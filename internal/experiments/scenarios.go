@@ -6,6 +6,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/scenario"
 	"repro/internal/sim"
+	"repro/internal/tfmcc"
 )
 
 // The scenario presets ride in the same registry as the paper figures —
@@ -22,29 +23,30 @@ func init() {
 // build builds spec on the context's rewound environment for the configured
 // execution engine — the region engine when the context has
 // engineWorkers >= 2, serial otherwise — the one dispatch every scenario
-// goes through. It records the session's sender, whose recovery counters
-// harvest folds with the engine counters. run starts the scenario and
-// drives its clock.
-func (c *RunCtx) build(spec *scenario.Spec, seed int64) (sc *scenario.Scenario, err error) {
+// goes through.
+func (c *RunCtx) build(spec *scenario.Spec, seed int64) (*scenario.Scenario, error) {
 	env := c.newEnv(seed)
 	if c.engineWorkers >= 2 {
-		sc, err = engine.Build(env, spec, seed)
-	} else {
-		sc, err = scenario.Build(env, spec)
+		return engine.Build(env, spec, seed)
 	}
-	if err == nil {
-		c.sender = sc.Sess.Sender
-	}
-	return sc, err
+	return scenario.Build(env, spec)
 }
 
-// run is the one path every spec run takes: it builds spec on the context
-// for seed, starts it and runs it to its duration, or, when stop is set,
-// to the first instant of the 100 ms grid at which stop holds. It returns
-// the built scenario and the instant its run ended.
-func (c *RunCtx) run(spec *scenario.Spec, seed int64, stop func(*scenario.Scenario, sim.Time) bool) (*scenario.Scenario, sim.Time, error) {
-	sc, err := c.build(spec, seed)
-	if err != nil {
+// run is the one place a simulation starts and ends: it builds spec on
+// the context for seed, starts it and runs it to its duration, or, when
+// stop is set, to the first instant of the 100 ms grid at which stop
+// holds. It returns the built scenario and the instant its run ended.
+// When it returns, or panics, it has folded the build's counters into
+// the context's.
+func (c *RunCtx) run(spec *scenario.Spec, seed int64, stop func(*scenario.Scenario, sim.Time) bool) (sc *scenario.Scenario, end sim.Time, err error) {
+	defer func() {
+		var s *tfmcc.Sender
+		if sc != nil {
+			s = sc.Sess.Sender
+		}
+		c.harvest(s)
+	}()
+	if sc, err = c.build(spec, seed); err != nil {
 		return nil, 0, err
 	}
 	sc.Start()
@@ -140,7 +142,7 @@ func RunOverridden(c *RunCtx, id string, ov scenario.Overrides, seed int64) (*Re
 	if err != nil {
 		return nil, err
 	}
-	return j.runOn(c, seed)
+	return j.run(c, seed)
 }
 
 // ScenarioIDs returns the ids of every Spec-backed entry (figures with a

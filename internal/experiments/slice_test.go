@@ -5,31 +5,31 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
-// runSliced builds entry id's spec on ctx for seed, runs it to dur in
-// RunUntil slices of step (one call when step is dur) and renders the
-// run's series digest and event and packet counters.
-func runSliced(t *testing.T, ctx *RunCtx, id string, seed int64, dur, step sim.Time) string {
+// runSliced runs entry id's spec, cut to dur, on ctx for seed — in
+// 100 ms RunUntil slices under a stop predicate that never holds when
+// sliced, in one call otherwise — and renders the run's series digest and
+// event and packet counters.
+func runSliced(t *testing.T, ctx *RunCtx, id string, seed int64, dur sim.Time, sliced bool) string {
 	t.Helper()
 	e, ok := Lookup(id)
 	if !ok || e.Spec == nil {
 		t.Fatalf("%s: no Spec-backed registry entry", id)
 	}
+	spec := e.Spec()
+	spec.Duration = dur
+	var stop func(*scenario.Scenario, sim.Time) bool
+	if sliced {
+		stop = func(*scenario.Scenario, sim.Time) bool { return false }
+	}
 	ctx.ResetStats()
-	sc, err := ctx.build(e.Spec(), seed)
+	sc, _, err := ctx.run(spec, seed, stop)
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
-	sc.Start()
-	for now := step; ; now += step {
-		sc.RunUntil(min(now, dur))
-		if now >= dur {
-			break
-		}
-	}
-	ctx.harvest()
 	st := ctx.Stats()
 	res := &Result{Series: sc.Series()}
 	return fmt.Sprintf("%x\t%d\t%d\t%d", sha256.Sum256([]byte(res.TSV())),
@@ -46,7 +46,6 @@ func runSliced(t *testing.T, ctx *RunCtx, id string, seed int64, dur, step sim.T
 // runs 30 s at seed 2, past the 24 s at which an engine that parked
 // crossing packets until a barrier first diverged.
 func TestSlicedRunUntil(t *testing.T) {
-	const step = 100 * sim.Millisecond
 	type run struct {
 		id   string
 		seed int64
@@ -63,8 +62,8 @@ func TestSlicedRunUntil(t *testing.T) {
 		ctx.SetEngineWorkers(ew)
 		for _, r := range runs {
 			t.Run(fmt.Sprintf("ew%d/%s@%.0fs/seed%d", ew, r.id, r.dur.Seconds(), r.seed), func(t *testing.T) {
-				one := runSliced(t, ctx, r.id, r.seed, r.dur, r.dur)
-				if sliced := runSliced(t, ctx, r.id, r.seed, r.dur, step); sliced != one {
+				one := runSliced(t, ctx, r.id, r.seed, r.dur, false)
+				if sliced := runSliced(t, ctx, r.id, r.seed, r.dur, true); sliced != one {
 					t.Errorf("slicing RunUntil moved the run (sha256, events, packets sent, delivered)\n one call: %s\n   sliced: %s", one, sliced)
 				}
 			})

@@ -11,44 +11,45 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/sweep"
-	"repro/internal/tfmcc"
 )
 
-// miniSession is a fast real-engine scenario used to pin down arena
+// miniSpec is a fast real-engine scenario used to pin down arena
 // determinism: a TFMCC session to a handful of receivers over a lossy
-// bottleneck, short enough to run many times in a unit test. It returns
-// the metered per-second throughput series plus a counters series, so a
-// byte-level comparison covers event timing, loss draws and feedback.
-func miniSession(c *RunCtx, seed int64) *Result {
-	defer c.harvest()
-	e := c.newEnv(seed)
-	r1 := e.Net.AddNode("r1")
-	r2 := e.Net.AddNode("r2")
-	e.Net.AddDuplex(r1, r2, 1*mbit, 10*sim.Millisecond, 20)
-	snd := e.Net.AddNode("src")
-	e.Net.AddDuplex(snd, r1, 0, sim.Millisecond, 0)
-	sess := tfmcc.NewSession(e.Net, snd, 1, 100, tfmcc.DefaultConfig(), e.Rng)
-	var m *stats.Meter
-	for i := 0; i < 6; i++ {
-		leaf := e.Net.AddNode(fmt.Sprintf("leaf%d", i))
-		down, _ := e.Net.AddDuplex(r2, leaf, 0, sim.Time(2+i)*sim.Millisecond, 0)
-		down.LossProb = 0.01
-		rcv := sess.AddReceiver(leaf)
-		if i == 0 {
-			m = e.NewMeterAt("rate", leaf)
-			rcv.Meter = m
-			m.Start()
-		}
+// bottleneck, short enough to run many times in a unit test.
+func miniSpec() *scenario.Spec {
+	spec := &scenario.Spec{
+		Name:     "mini",
+		Title:    "mini session",
+		Topology: scenario.Topology{Kind: scenario.Dumbbell, Core: scenario.LinkP{BW: 1 * mbit, Delay: 10 * sim.Millisecond, Queue: 20}},
+		Duration: 8 * sim.Second,
 	}
-	sess.Start()
-	e.Sch.RunUntil(8 * sim.Second)
+	for i := 0; i < 6; i++ {
+		d := sim.Time(2+i) * sim.Millisecond
+		meter := ""
+		if i == 0 {
+			meter = "rate"
+		}
+		spec.Steps = append(spec.Steps,
+			scenario.Step{Site: &scenario.SiteSpec{Hops: []scenario.Hop{{
+				Down: scenario.LinkP{Delay: d, Loss: 0.01}, Up: scenario.LinkP{Delay: d}}}}},
+			scenario.Step{Recv: &scenario.RecvSpec{At: scenario.Site(i), Meter: meter}})
+	}
+	return spec
+}
 
-	res := &Result{Figure: "mini", Title: "mini session"}
-	res.Series = append(res.Series, m.Series)
+// miniSession runs miniSpec for seed on c. It returns the metered
+// per-second throughput series plus a counters series, so a byte-level
+// comparison covers event timing, loss draws and feedback.
+func miniSession(c *RunCtx, seed int64) *Result {
+	sc, _, err := c.run(miniSpec(), seed, nil)
+	if err != nil {
+		panic(err)
+	}
+	res := &Result{Figure: "mini", Title: "mini session", Series: sc.Series()}
 	cnt := &stats.Series{Name: "counters"}
-	cnt.Add(0, float64(sess.Sender.Rate()))
-	cnt.Add(0, float64(e.Sch.Processed()))
-	for _, r := range sess.Receivers {
+	cnt.Add(0, float64(sc.Sess.Sender.Rate()))
+	cnt.Add(0, float64(sc.Env.Sch.Processed()))
+	for _, r := range sc.Recvs {
 		st := r.Stats()
 		cnt.Add(0, float64(st.PacketsRecv))
 		cnt.Add(0, float64(st.Losses))
@@ -77,14 +78,14 @@ func TestArenaRunDeterministic(t *testing.T) {
 func TestArenaCrossScenarioReuse(t *testing.T) {
 	ctx := NewRunCtx()
 	a1 := miniSession(ctx, 1).TSV()
-	s1 := ctx.SessionThroughput(8, 3)
+	s1 := sessionThroughput(ctx, 8, 3)
 	a2 := miniSession(ctx, 1).TSV()
-	s2 := ctx.SessionThroughput(8, 3)
+	s2 := sessionThroughput(ctx, 8, 3)
 	if a1 != a2 {
 		t.Fatal("miniSession changed after interleaved scenario")
 	}
 	if s1 != s2 {
-		t.Fatalf("SessionThroughput not reproducible on shared context: %v vs %v", s1, s2)
+		t.Fatalf("session fixture not reproducible on shared context: %v vs %v", s1, s2)
 	}
 }
 
@@ -144,7 +145,7 @@ func TestSweepRunsMatchFreshRuns(t *testing.T) {
 			return RunOverridden(c, "degrade", ov, seed)
 		},
 		"short-clrfail": func(c *RunCtx, seed int64) (*Result, error) {
-			return SpecJob("short-clrfail", spec).runOn(c, seed)
+			return SpecJob("short-clrfail", spec).run(c, seed)
 		},
 	}
 	figure, err := FigureJob("15")
@@ -183,15 +184,26 @@ func TestSweepRunsMatchFreshRuns(t *testing.T) {
 
 // TestDroppedViolationsCounted: a breach the checker stops storing past
 // its cap still counts — a seed whose predicate breaches with a new
-// message on every tick reports one violation per tick.
+// message on every tick from its registration on reports one violation
+// per tick.
 func TestDroppedViolationsCounted(t *testing.T) {
 	var ticks uint64
 	job := Job{ID: "breach", run: func(c *RunCtx, seed int64) (*Result, error) {
-		e := c.newEnv(seed)
-		n := 0
-		e.Check.Register("always", func() string { n++; return fmt.Sprintf("breach %d", n) })
-		e.Sch.RunUntil(10 * sim.Second)
-		ticks = e.Check.Ticks()
+		spec := miniSpec()
+		spec.Duration = 11 * sim.Second
+		var from uint64
+		sc, _, err := c.run(spec, seed, func(sc *scenario.Scenario, now sim.Time) bool {
+			if now == 100*sim.Millisecond {
+				from = sc.Env.Check.Ticks()
+				n := 0
+				sc.Env.Check.Register("always", func() string { n++; return fmt.Sprintf("breach %d", n) })
+			}
+			return false
+		})
+		if err != nil {
+			return nil, err
+		}
+		ticks = sc.Env.Check.Ticks() - from
 		return &Result{Figure: "breach"}, nil
 	}}
 	r := Sweep(job, sweep.Config{Check: true}).Runs[0]

@@ -8,13 +8,13 @@ import (
 // TestSessionWarmAllocBudget pins the warm-path pooling win: after the
 // cold run builds the arena, a rewound 10-second session run (100
 // receivers) must stay within the allocation budget. The budget has
-// headroom over the measured ~155 allocs/op so organic drift does not
+// headroom over the measured 49 allocs/op so organic drift does not
 // flake, while the pre-pooling 768 trips it immediately.
 func TestSessionWarmAllocBudget(t *testing.T) {
 	ctx := NewRunCtx()
-	ctx.SessionThroughput(100, 10) // cold: builds the arena
+	sessionThroughput(ctx, 100, 10) // cold: builds the arena
 	avg := testing.AllocsPerRun(3, func() {
-		ctx.SessionThroughput(100, 10)
+		sessionThroughput(ctx, 100, 10)
 	})
 	if avg > 200 {
 		t.Fatalf("warm session run allocates %.0f/op, budget 200", avg)

@@ -15,11 +15,9 @@
 package hypothesis
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
 
+	"repro/internal/experiments"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 )
@@ -120,41 +118,42 @@ type CounterBound struct {
 	Max     *int64 `json:"max,omitempty"`
 }
 
-// kind returns the one-of discriminator and its payload description for
-// verdict labelling, or an error when the one-of is mis-populated.
-func (e Expectation) kind() (string, string, error) {
-	var kinds []string
-	var desc string
-	if e.RecoverWithin != nil {
-		kinds = append(kinds, "recover_within")
-		desc = fmt.Sprintf("%q recovers to %.0f%% of baseline within %v of t=%v",
-			e.RecoverWithin.Series, e.RecoverWithin.frac()*100, e.RecoverWithin.Within, e.RecoverWithin.After)
+// judged is the payload of an expectation kind: it describes itself for
+// the verdict and judges one seed's run.
+type judged interface {
+	desc() string
+	judge(*experiments.SeedRun) SeedMeasure
+}
+
+// kinds declares each expectation kind once: its json key, and its
+// payload in an expectation together with whether the expectation sets
+// it. The payload's type describes and judges.
+var kinds = []struct {
+	key string
+	of  func(Expectation) (judged, bool)
+}{
+	{"recover_within", func(e Expectation) (judged, bool) { return e.RecoverWithin, e.RecoverWithin != nil }},
+	{"rate_floor", func(e Expectation) (judged, bool) { return rateBound{e.RateFloor, true}, e.RateFloor != nil }},
+	{"rate_ceiling", func(e Expectation) (judged, bool) { return rateBound{e.RateCeiling, false}, e.RateCeiling != nil }},
+	{"no_invariant_violations", func(e Expectation) (judged, bool) { return e.NoInvariantViolations, e.NoInvariantViolations != nil }},
+	{"clr_reelected_by", func(e Expectation) (judged, bool) { return e.CLRReelectedBy, e.CLRReelectedBy != nil }},
+	{"counter_bound", func(e Expectation) (judged, bool) { return e.CounterBound, e.CounterBound != nil }},
+}
+
+// kind returns the json key and payload of the one kind the expectation
+// sets, or an error when the one-of is mis-populated.
+func (e Expectation) kind() (string, judged, error) {
+	var keys []string
+	var payload judged
+	for _, k := range kinds {
+		if j, ok := k.of(e); ok {
+			keys, payload = append(keys, k.key), j
+		}
 	}
-	if e.RateFloor != nil {
-		kinds = append(kinds, "rate_floor")
-		desc = fmt.Sprintf("%q stays >= %.1f over %s", e.RateFloor.Series, e.RateFloor.Bound, e.RateFloor.window())
+	if len(keys) != 1 {
+		return "", nil, fmt.Errorf("hypothesis: expectation must set exactly one kind, has %v", keys)
 	}
-	if e.RateCeiling != nil {
-		kinds = append(kinds, "rate_ceiling")
-		desc = fmt.Sprintf("%q stays <= %.1f over %s", e.RateCeiling.Series, e.RateCeiling.Bound, e.RateCeiling.window())
-	}
-	if e.NoInvariantViolations != nil {
-		kinds = append(kinds, "no_invariant_violations")
-		desc = fmt.Sprintf("at most %d invariant violations", e.NoInvariantViolations.Allow)
-	}
-	if e.CLRReelectedBy != nil {
-		kinds = append(kinds, "clr_reelected_by")
-		desc = fmt.Sprintf("every CLR loss (>= %d) re-elects within %v",
-			e.CLRReelectedBy.minLosses(), e.CLRReelectedBy.Within)
-	}
-	if e.CounterBound != nil {
-		kinds = append(kinds, "counter_bound")
-		desc = fmt.Sprintf("counter %q in %s", e.CounterBound.Counter, e.CounterBound.bounds())
-	}
-	if len(kinds) != 1 {
-		return "", "", fmt.Errorf("hypothesis: expectation must set exactly one kind, has %v", kinds)
-	}
-	return kinds[0], desc, nil
+	return keys[0], payload, nil
 }
 
 func (r *RecoverWithin) frac() float64 {
@@ -189,41 +188,17 @@ func (c *CounterBound) bounds() string {
 	return fmt.Sprintf("[%s, %s]", lo, hi)
 }
 
-// --- JSON codec (same strictness contract as scenario specs) -----------
+// --- JSON codec (scenario's strict document codec) ---------------------
 
 // Encode renders the hypothesis as an indented JSON document.
-func (h *Hypothesis) Encode() ([]byte, error) {
-	enc, err := json.MarshalIndent(h, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(enc, '\n'), nil
-}
+func (h *Hypothesis) Encode() ([]byte, error) { return scenario.EncodeDoc(h) }
 
-// Decode parses one hypothesis document, rejecting unknown fields and
-// trailing content.
+// Decode parses one hypothesis document strictly (see scenario.DecodeDoc).
 func Decode(data []byte) (*Hypothesis, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	h := &Hypothesis{}
-	if err := dec.Decode(h); err != nil {
-		return nil, fmt.Errorf("hypothesis: decode: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("hypothesis: trailing content after document")
-	}
-	return h, nil
+	return scenario.DecodeDoc[Hypothesis]("hypothesis: decode", data)
 }
 
 // Load reads a hypothesis document from disk.
 func Load(path string) (*Hypothesis, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	h, err := Decode(raw)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return h, nil
+	return scenario.LoadDoc[Hypothesis]("hypothesis: decode", path)
 }

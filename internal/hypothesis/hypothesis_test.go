@@ -3,6 +3,7 @@ package hypothesis
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"strings"
@@ -364,5 +365,74 @@ func TestRecoverWithinNeedsBaselineSamples(t *testing.T) {
 	held := &RecoverWithin{Series: "rate", After: 60 * sim.Second, Within: 10 * sim.Second, BaselineFrom: 30 * sim.Second}
 	if m := held.judge(run); !m.Pass || m.Measured != 0 {
 		t.Errorf("baseline [30 s, 60 s) of a flat series: %+v, want a pass at the trigger", m)
+	}
+}
+
+// TestKindKeysAreJSONKeys: the committed suite sets every expectation
+// kind, and the key the kinds table gives each kind — the verdict's Kind
+// — is the key its expectation encodes under.
+func TestKindKeysAreJSONKeys(t *testing.T) {
+	seen := map[string]bool{}
+	for _, h := range Suite() {
+		for _, e := range h.Expect {
+			key, _, err := e.kind()
+			if err != nil {
+				t.Fatalf("%s: %v", h.ID, err)
+			}
+			enc, err := json.Marshal(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var doc map[string]json.RawMessage
+			if err := json.Unmarshal(enc, &doc); err != nil || len(doc) != 1 || doc[key] == nil {
+				t.Errorf("%s: kind %q encodes as %s", h.ID, key, enc)
+			}
+			seen[key] = true
+		}
+	}
+	for _, k := range kinds {
+		if !seen[k.key] {
+			t.Errorf("no suite expectation sets kind %q", k.key)
+		}
+	}
+}
+
+// verdictDigests pins the sha256 of every committed-suite verdict's JSON
+// (encoding/json, compact), so a change to the run path, the judge or the
+// document codec that moves a measured value, a detail or a description
+// fails here rather than in a hand diff of tfmcchyp -suite -json.
+var verdictDigests = map[string]string{
+	"clrfail-reelection":      "3611deca301c5a9297374d23aaeb197d38b28ec9e2751cdbe88cb3ef581e2f3d",
+	"partition-heal-recovery": "d4868f65d8b47b0d51e9ca816c8c4f7dd120092e648023ff7a96f6f9531e600f",
+	"corruptfb-tolerance":     "e09d5df6135fd20d946d4cc97b4de7215650b8b379a99844ddffc6ed5b27f0b7",
+	"chaos-deeptree-l1":       "0c6d11ab81e6ddd185eb72b9c5ca325182f36802be97909a666ca338425b7371",
+	"chaos-massleave-l2":      "c8399d000ad6d557792ab133e7e3fb75d00c2d39f4f5ddad07544d5895be1745",
+	"chaos-partition-l2":      "beee4d1ae81afb3e46d380bb9453d7d4fcecc4f2626aee3e68f2dab4dab1f9d8",
+	"chaos-corruptfb-l3":      "6f0483e17514ca8fa783e2d09a84e4e884c382dcedd959d6ce90fa64ce0e310a",
+}
+
+// TestSuiteVerdictsPinned judges the committed suite at two sweep
+// workers (verdicts do not depend on the count) and compares each
+// verdict's digest with its pin.
+func TestSuiteVerdictsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-simulation runs")
+	}
+	suite := Suite()
+	if len(suite) != len(verdictDigests) {
+		t.Errorf("%d suite hypotheses, %d pinned", len(suite), len(verdictDigests))
+	}
+	for _, h := range suite {
+		v, err := Run(h, sweep.Config{Workers: 2})
+		if err != nil {
+			t.Fatalf("%s: %v", h.ID, err)
+		}
+		enc, err := json.Marshal(v)
+		if err != nil {
+			t.Fatalf("%s: %v", h.ID, err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(enc)); got != verdictDigests[h.ID] {
+			t.Errorf("%s: verdict digest %s, want %s; verdict:\n%s", h.ID, got, verdictDigests[h.ID], v.Report())
+		}
 	}
 }

@@ -127,8 +127,9 @@ func Run(h *Hypothesis, cfg sweep.Config) (*Verdict, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hypothesis %s: %w", h.ID, err)
 	}
-	for _, e := range h.Expect {
-		if _, _, err := e.kind(); err != nil {
+	keys, payloads := make([]string, len(h.Expect)), make([]judged, len(h.Expect))
+	for i, e := range h.Expect {
+		if keys[i], payloads[i], err = e.kind(); err != nil {
 			return nil, fmt.Errorf("hypothesis %s: %w", h.ID, err)
 		}
 	}
@@ -141,11 +142,10 @@ func Run(h *Hypothesis, cfg sweep.Config) (*Verdict, error) {
 		ID: h.ID, Title: h.Title, Workload: name,
 		SeedBase: seeds.Base, SeedCount: seeds.Count, Pass: true,
 	}
-	for _, e := range h.Expect {
-		kind, desc, _ := e.kind()
-		ev := ExpectationVerdict{Kind: kind, Desc: desc, Pass: true}
+	for k, j := range payloads {
+		ev := ExpectationVerdict{Kind: keys[k], Desc: j.desc(), Pass: true}
 		for i := range runs {
-			m := e.judge(&runs[i])
+			m := judge(j, &runs[i])
 			m.Seed = runs[i].Seed
 			if !m.Pass {
 				ev.Pass = false
@@ -160,8 +160,9 @@ func Run(h *Hypothesis, cfg sweep.Config) (*Verdict, error) {
 	return v, nil
 }
 
-// judge evaluates the expectation against one seed's run.
-func (e Expectation) judge(o *experiments.SeedRun) SeedMeasure {
+// judge evaluates an expectation's payload against one seed's run; a run
+// that failed fails every expectation.
+func judge(j judged, o *experiments.SeedRun) SeedMeasure {
 	if o.Err != nil {
 		msg := o.Err.Error()
 		var p sweep.SeedError
@@ -170,21 +171,7 @@ func (e Expectation) judge(o *experiments.SeedRun) SeedMeasure {
 		}
 		return SeedMeasure{Detail: "run failed: " + msg}
 	}
-	switch {
-	case e.RecoverWithin != nil:
-		return e.RecoverWithin.judge(o)
-	case e.RateFloor != nil:
-		return e.RateFloor.judgeFloor(o)
-	case e.RateCeiling != nil:
-		return e.RateCeiling.judgeCeiling(o)
-	case e.NoInvariantViolations != nil:
-		return e.NoInvariantViolations.judge(o)
-	case e.CLRReelectedBy != nil:
-		return e.CLRReelectedBy.judge(o)
-	case e.CounterBound != nil:
-		return e.CounterBound.judge(o)
-	}
-	return SeedMeasure{Detail: "empty expectation"} // unreachable: kind() validated
+	return j.judge(o)
 }
 
 // lookup finds a run's collected series by name (the last of that name).
@@ -200,6 +187,10 @@ func lookup(o *experiments.SeedRun, name string) (*stats.Series, SeedMeasure, bo
 		return s, SeedMeasure{}, true
 	}
 	return nil, SeedMeasure{Detail: fmt.Sprintf("series %q not collected (or empty)", name)}, false
+}
+
+func (r *RecoverWithin) desc() string {
+	return fmt.Sprintf("%q recovers to %.0f%% of baseline within %v of t=%v", r.Series, r.frac()*100, r.Within, r.After)
 }
 
 func (r *RecoverWithin) judge(o *experiments.SeedRun) SeedMeasure {
@@ -236,12 +227,26 @@ func (r *RecoverWithin) judge(o *experiments.SeedRun) SeedMeasure {
 	}
 }
 
-// extreme scans the window for the min (floor) or max (ceiling) sample;
-// any NaN poisons the result.
-func (r *RateBound) extreme(o *experiments.SeedRun, wantMin bool) (float64, int, bool) {
-	s, _, ok := lookup(o, r.Series)
+// rateBound is a RateBound read as a floor or as a ceiling.
+type rateBound struct {
+	*RateBound
+	floor bool
+}
+
+func (r rateBound) desc() string {
+	op := "<="
+	if r.floor {
+		op = ">="
+	}
+	return fmt.Sprintf("%q stays %s %.1f over %s", r.Series, op, r.Bound, r.window())
+}
+
+// judge scans the window for the min (a floor) or max (a ceiling)
+// sample; any NaN poisons the result.
+func (r rateBound) judge(o *experiments.SeedRun) SeedMeasure {
+	s, fail, ok := lookup(o, r.Series)
 	if !ok {
-		return 0, 0, false
+		return fail
 	}
 	to := r.To
 	if to == 0 {
@@ -252,45 +257,29 @@ func (r *RateBound) extreme(o *experiments.SeedRun, wantMin bool) (float64, int,
 		if p.T < r.From || p.T >= to {
 			continue
 		}
-		n++
-		if math.IsNaN(p.V) {
-			return math.NaN(), n, true
+		if n++; math.IsNaN(p.V) {
+			ext = p.V
+			break
 		}
-		if n == 1 || (wantMin && p.V < ext) || (!wantMin && p.V > ext) {
+		if n == 1 || (r.floor && p.V < ext) || (!r.floor && p.V > ext) {
 			ext = p.V
 		}
 	}
-	return ext, n, true
-}
-
-func (r *RateBound) judgeFloor(o *experiments.SeedRun) SeedMeasure {
-	lo, n, ok := r.extreme(o, true)
-	if !ok {
-		_, fail, _ := lookup(o, r.Series)
-		return fail
-	}
 	if n == 0 {
 		return SeedMeasure{Detail: fmt.Sprintf("series %q has no samples in %s", r.Series, r.window())}
 	}
+	pass, what, limit := ext <= r.Bound, "max", "ceiling"
+	if r.floor {
+		pass, what, limit = ext >= r.Bound, "min", "floor"
+	}
 	return SeedMeasure{
-		Pass: lo >= r.Bound, Measured: sanitize(lo), Bound: r.Bound,
-		Detail: fmt.Sprintf("min %.2f vs floor %.2f over %s (%d samples)", lo, r.Bound, r.window(), n),
+		Pass: pass, Measured: sanitize(ext), Bound: r.Bound,
+		Detail: fmt.Sprintf("%s %.2f vs %s %.2f over %s (%d samples)", what, ext, limit, r.Bound, r.window(), n),
 	}
 }
 
-func (r *RateBound) judgeCeiling(o *experiments.SeedRun) SeedMeasure {
-	hi, n, ok := r.extreme(o, false)
-	if !ok {
-		_, fail, _ := lookup(o, r.Series)
-		return fail
-	}
-	if n == 0 {
-		return SeedMeasure{Detail: fmt.Sprintf("series %q has no samples in %s", r.Series, r.window())}
-	}
-	return SeedMeasure{
-		Pass: hi <= r.Bound, Measured: sanitize(hi), Bound: r.Bound,
-		Detail: fmt.Sprintf("max %.2f vs ceiling %.2f over %s (%d samples)", hi, r.Bound, r.window(), n),
-	}
+func (nv *NoInvariantViolations) desc() string {
+	return fmt.Sprintf("at most %d invariant violations", nv.Allow)
 }
 
 func (nv *NoInvariantViolations) judge(o *experiments.SeedRun) SeedMeasure {
@@ -303,6 +292,10 @@ func (nv *NoInvariantViolations) judge(o *experiments.SeedRun) SeedMeasure {
 		m.Detail += ": " + o.Violations[0].String()
 	}
 	return m
+}
+
+func (c *CLRReelectedBy) desc() string {
+	return fmt.Sprintf("every CLR loss (>= %d) re-elects within %v", c.minLosses(), c.Within)
 }
 
 func (c *CLRReelectedBy) judge(o *experiments.SeedRun) SeedMeasure {
@@ -322,6 +315,10 @@ func (c *CLRReelectedBy) judge(o *experiments.SeedRun) SeedMeasure {
 			Detail: fmt.Sprintf("%d losses all re-elected, worst %.2fs vs bound %.2fs", st.CLRLosses, worst, bound),
 		}
 	}
+}
+
+func (c *CounterBound) desc() string {
+	return fmt.Sprintf("counter %q in %s", c.Counter, c.bounds())
 }
 
 func (c *CounterBound) judge(o *experiments.SeedRun) SeedMeasure {

@@ -303,13 +303,67 @@ func TestOverridesRejectNonsense(t *testing.T) {
 		{"depth -1", with(func(o *Overrides) { o.Depth = -1 }), "-depth"},
 		{"hops -1", with(func(o *Overrides) { o.Hops = -1 }), "-hops"},
 	} {
-		out, err := DeepTree().Apply(c.ov)
+		// Degrade has a core link and a site, so every valid value applies.
+		out, err := Degrade().Apply(c.ov)
 		switch {
 		case c.flag == "" && err != nil:
 			t.Errorf("%s: valid overrides refused: %v", c.name, err)
 		case c.flag != "" && err == nil:
 			t.Errorf("%s: applied without error (core loss %v, duration %v)", c.name, out.Topology.Core.Loss, out.Duration)
 		case c.flag != "" && !strings.Contains(err.Error(), c.flag+" "):
+			t.Errorf("%s: error does not name %s: %v", c.name, c.flag, err)
+		}
+	}
+}
+
+// TestOverridesRefuseIgnored: an override that the spec's shape ignores
+// — the run would be byte-identical without it — is an error naming its
+// flag, like -receivers on a spec without a population: core values on
+// a star, tree shape off a tree, a chain length off a chain, edge loss
+// with no site and no population hop. The same override on a shape that
+// uses it applies.
+func TestOverridesRefuseIgnored(t *testing.T) {
+	with := func(set func(*Overrides)) Overrides {
+		o := None()
+		set(&o)
+		return o
+	}
+	corebw := with(func(o *Overrides) { o.CoreBW = 12500 })
+	coredelay := with(func(o *Overrides) { o.CoreDelay = sim.Millisecond })
+	coreloss := with(func(o *Overrides) { o.CoreLoss = 0.5 })
+	corequeue := with(func(o *Overrides) { o.CoreQueue = 10 })
+	fanout := with(func(o *Overrides) { o.Fanout = 3 })
+	depth := with(func(o *Overrides) { o.Depth = 4 })
+	hops := with(func(o *Overrides) { o.Hops = 4 })
+	edgeloss := with(func(o *Overrides) { o.EdgeLoss = 0.1 })
+	for _, c := range []struct {
+		name string
+		spec func() *Spec
+		ov   Overrides
+		flag string // "" = must apply
+	}{
+		{"corebw on a star", FlashCrowd, corebw, "-corebw"},
+		{"coredelay on a star", FlashCrowd, coredelay, "-coredelay"},
+		{"coreloss on a star", FlashCrowd, coreloss, "-coreloss"},
+		{"corequeue on a star", FlashCrowd, corequeue, "-corequeue"},
+		{"fanout on a dumbbell", Degrade, fanout, "-fanout"},
+		{"depth on a chain", ChainLoss, depth, "-depth"},
+		{"hops on a dumbbell", Degrade, hops, "-hops"},
+		{"hops on a tree", DeepTree, hops, "-hops"},
+		{"edgeloss without a site or population hop", DeepTree, edgeloss, "-edgeloss"},
+		{"corebw on a dumbbell", Degrade, corebw, ""},
+		{"coreloss on a tree", DeepTree, coreloss, ""},
+		{"fanout and depth on a tree", DeepTree, with(func(o *Overrides) { o.Fanout, o.Depth = 3, 4 }), ""},
+		{"hops on a chain", ChainLoss, hops, ""},
+		{"edgeloss on a star's sites", FlashCrowd, edgeloss, ""},
+	} {
+		_, err := c.spec().Apply(c.ov)
+		switch {
+		case c.flag == "" && err != nil:
+			t.Errorf("%s: refused: %v", c.name, err)
+		case c.flag != "" && err == nil:
+			t.Errorf("%s: applied, want an error naming %s", c.name, c.flag)
+		case c.flag != "" && !strings.Contains(err.Error(), "override "+c.flag+" has no effect"):
 			t.Errorf("%s: error does not name %s: %v", c.name, c.flag, err)
 		}
 	}
