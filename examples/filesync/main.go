@@ -9,7 +9,10 @@
 package main
 
 import (
+	"bufio"
 	"fmt"
+	"io"
+	"os"
 
 	"repro/internal/sim"
 	"repro/internal/simnet"
@@ -34,6 +37,16 @@ type syncReceiver struct {
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run drives the example and writes its report to out.
+func run(out io.Writer) error {
+	w := bufio.NewWriter(out) // a failed write shows at Flush
+
 	sch := sim.NewScheduler()
 	net := simnet.New(sch, sim.NewRand(1))
 
@@ -87,16 +100,17 @@ func main() {
 	sess.Start()
 	sch.RunUntil(900 * sim.Second)
 
-	fmt.Printf("distributing %d chunks (%d MB) to %d mirrors over TFMCC\n\n",
+	fmt.Fprintf(w, "distributing %d chunks (%d MB) to %d mirrors over TFMCC\n\n",
 		numChunks, fileBytes>>20, len(mirrors))
 	for _, m := range mirrors {
 		status := "INCOMPLETE"
 		if m.done {
 			status = fmt.Sprintf("complete at %s", m.doneAt)
 		}
-		fmt.Printf("  %-24s %6d/%d chunks  %s\n", m.name, len(m.have), numChunks, status)
+		fmt.Fprintf(w, "  %-24s %6d/%d chunks  %s\n", m.name, len(m.have), numChunks, status)
 	}
-	fmt.Printf("\nsession rate settled at %.0f Kbit/s — the slowest mirror's share\n",
+	fmt.Fprintf(w, "\nsession rate settled at %.0f Kbit/s — the slowest mirror's share\n",
 		sess.Sender.Rate()*8/1000)
-	fmt.Printf("CLR: receiver %d (the 500 Kbit/s mirror is index 2)\n", sess.Sender.CLR())
+	fmt.Fprintf(w, "CLR: receiver %d (the 500 Kbit/s mirror is index 2)\n", sess.Sender.CLR())
+	return w.Flush()
 }

@@ -6,7 +6,10 @@
 package main
 
 import (
+	"bufio"
 	"fmt"
+	"io"
+	"os"
 
 	"repro/internal/sim"
 	"repro/internal/simnet"
@@ -14,6 +17,16 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run drives the example and writes its report to out.
+func run(out io.Writer) error {
+	w := bufio.NewWriter(out) // a failed write shows at Flush
+
 	sch := sim.NewScheduler()
 	net := simnet.New(sch, sim.NewRand(1))
 
@@ -34,13 +47,14 @@ func main() {
 	}
 
 	sess.Start()
-	fmt.Println("time    rate_kbit  slowstart  CLR  valid_RTTs")
+	fmt.Fprintln(w, "time    rate_kbit  slowstart  CLR  valid_RTTs")
 	for t := 1; t <= 60; t++ {
 		sch.RunUntil(sim.Time(t) * sim.Second)
-		fmt.Printf("%3ds %10.0f %10v %4d %6d\n",
+		fmt.Fprintf(w, "%3ds %10.0f %10v %4d %6d\n",
 			t, sess.Sender.Rate()*8/1000, sess.Sender.InSlowstart(),
 			sess.Sender.CLR(), sess.ValidRTTCount())
 	}
-	fmt.Printf("\nfinal: %.0f Kbit/s on a 1000 Kbit/s bottleneck, %d packets sent\n",
+	fmt.Fprintf(w, "\nfinal: %.0f Kbit/s on a 1000 Kbit/s bottleneck, %d packets sent\n",
 		sess.Sender.Rate()*8/1000, sess.Sender.PacketsSent)
+	return w.Flush()
 }

@@ -9,7 +9,10 @@
 package main
 
 import (
+	"bufio"
 	"fmt"
+	"io"
+	"os"
 
 	"repro/internal/sim"
 	"repro/internal/simnet"
@@ -17,6 +20,16 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run drives the example and writes its report to out.
+func run(out io.Writer) error {
+	w := bufio.NewWriter(out) // a failed write shows at Flush
+
 	sch := sim.NewScheduler()
 	net := simnet.New(sch, sim.NewRand(1))
 	rng := sim.NewRand(2)
@@ -44,21 +57,22 @@ func main() {
 	}
 
 	sess.Start()
-	fmt.Println("time    rate_kbit  CLR   valid_RTTs  reports_total")
+	fmt.Fprintln(w, "time    rate_kbit  CLR   valid_RTTs  reports_total")
 	for _, t := range []int{10, 30, 60, 120, 180, 240, 300} {
 		sch.RunUntil(sim.Time(t) * sim.Second)
-		fmt.Printf("%4ds %10.0f %5d %10d %14d\n",
+		fmt.Fprintf(w, "%4ds %10.0f %5d %10d %14d\n",
 			t, sess.Sender.Rate()*8/1000, sess.Sender.CLR(),
 			sess.ValidRTTCount(), sess.Sender.ReportsRecv)
 	}
 
 	// Feedback economy: reports per data packet.
 	perData := float64(sess.Sender.ReportsRecv) / float64(sess.Sender.PacketsSent)
-	fmt.Printf("\n%d receivers produced %.2f reports per data packet (implosion avoided)\n",
+	fmt.Fprintf(w, "\n%d receivers produced %.2f reports per data packet (implosion avoided)\n",
 		n, perData)
 	clr := sess.Sender.CLR()
 	if clr >= 0 {
-		fmt.Printf("CLR is receiver %d — one of the high-loss subscribers: %v\n",
+		fmt.Fprintf(w, "CLR is receiver %d — one of the high-loss subscribers: %v\n",
 			clr, clr < 5)
 	}
+	return w.Flush()
 }

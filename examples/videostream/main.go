@@ -8,7 +8,10 @@
 package main
 
 import (
+	"bufio"
 	"fmt"
+	"io"
+	"os"
 
 	"repro/internal/sim"
 	"repro/internal/simnet"
@@ -18,6 +21,16 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run drives the example and writes its report to out.
+func run(out io.Writer) error {
+	w := bufio.NewWriter(out) // a failed write shows at Flush
+
 	sch := sim.NewScheduler()
 	net := simnet.New(sch, sim.NewRand(1))
 
@@ -76,9 +89,10 @@ func main() {
 	}
 	tMean, tCov := tSum/15, tCovSum/15
 
-	fmt.Println("Steady state (60-200s), 8 Mbit/s shared with 15 TCP flows:")
-	fmt.Printf("  video stream (TFMCC): %7.0f Kbit/s   rate CoV %.2f\n", vMean, vCov)
-	fmt.Printf("  mean TCP flow:        %7.0f Kbit/s   rate CoV %.2f\n", tMean, tCov)
-	fmt.Printf("  fairness ratio: %.2f  (1.0 = perfectly TCP-friendly)\n", vMean/tMean)
-	fmt.Printf("  smoothness advantage: TFMCC rate varies %.1fx less than TCP\n", tCov/vCov)
+	fmt.Fprintln(w, "Steady state (60-200s), 8 Mbit/s shared with 15 TCP flows:")
+	fmt.Fprintf(w, "  video stream (TFMCC): %7.0f Kbit/s   rate CoV %.2f\n", vMean, vCov)
+	fmt.Fprintf(w, "  mean TCP flow:        %7.0f Kbit/s   rate CoV %.2f\n", tMean, tCov)
+	fmt.Fprintf(w, "  fairness ratio: %.2f  (1.0 = perfectly TCP-friendly)\n", vMean/tMean)
+	fmt.Fprintf(w, "  smoothness advantage: TFMCC rate varies %.1fx less than TCP\n", tCov/vCov)
+	return w.Flush()
 }

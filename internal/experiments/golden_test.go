@@ -15,9 +15,10 @@ import (
 )
 
 // The golden ledger pins what "these bytes do not move" means: one row
-// per registry entry at seed 1 — the sha256 of Result.TSV() and the
-// run's deterministic engine counters — plus a second universe of rows
-// on the region engine. A PR that changes a row on purpose
+// per registry entry at seed 1 — the sha256 of Result.TSV(), the run's
+// deterministic engine counters and the sha256 of the Result's title and
+// notes, where the paper comparisons live — plus a second universe of
+// rows on the region engine. A PR that changes a row on purpose
 // regenerates the file with
 //
 //	go test ./internal/experiments -run TestGoldenLedger -update
@@ -40,7 +41,7 @@ const ledgerHeader = `# Golden ledger: sha256 of Result.TSV() and the determinis
 # pinned as its spec under a Duration override ("12@40s" = 40 simulated
 # seconds through the generic spec runner) in both universes.
 #
-# universe	id	sha256(tsv)	events	packets_sent	packets_delivered
+# universe	id	sha256(tsv)	events	packets_sent	packets_delivered	sha256(title+notes)
 `
 
 // ledgerRow identifies one run of the ledger. A zero dur runs the
@@ -88,8 +89,9 @@ func (r ledgerRow) run(ctx *RunCtx) (fields string, err error) {
 		return "", fmt.Errorf("result title %q, registry title %q", res.Title, e.Title)
 	}
 	st := ctx.Stats()
-	return fmt.Sprintf("%x\t%d\t%d\t%d", sha256.Sum256([]byte(res.TSV())),
-		st.Events, st.PacketsSent, st.PacketsDelivered), nil
+	notes := strings.Join(append([]string{res.Title}, res.Notes...), "\n")
+	return fmt.Sprintf("%x\t%d\t%d\t%d\t%x", sha256.Sum256([]byte(res.TSV())),
+		st.Events, st.PacketsSent, st.PacketsDelivered, sha256.Sum256([]byte(notes))), nil
 }
 
 // ledgerResult is a row's rendered fields, or the error that stopped it.
@@ -228,7 +230,7 @@ func TestGoldenLedger(t *testing.T) {
 					case !ok:
 						t.Errorf("no ledger row; rerun with -update and say why in CHANGES.md\n got: %s", fields)
 					case w != fields:
-						t.Errorf("ledger row moved (sha256, events, packets sent, delivered); if intended, rerun with -update and say why in CHANGES.md\nwant: %s\n got: %s", w, fields)
+						t.Errorf("ledger row moved (sha256, events, packets sent, delivered, notes); if intended, rerun with -update and say why in CHANGES.md\nwant: %s\n got: %s", w, fields)
 					}
 				})
 			}
@@ -267,7 +269,7 @@ func TestGoldenLedger(t *testing.T) {
 					w, ok = want[r.key()]
 				}
 				if ok && w != fields {
-					t.Errorf("arming the invariant checker moved the row (sha256, events, packets sent, delivered)\nunchecked: %s\n  checked: %s", w, fields)
+					t.Errorf("arming the invariant checker moved the row (sha256, events, packets sent, delivered, notes)\nunchecked: %s\n  checked: %s", w, fields)
 				}
 			})
 		}

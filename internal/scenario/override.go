@@ -37,59 +37,87 @@ func None() Overrides { return Overrides{CoreLoss: -1, EdgeLoss: -1} }
 // Apply returns a copy of the spec with the overrides folded in. It
 // refuses, naming the flag, the first override that is neither unset nor
 // a value a spec can hold, and then the first one the spec's shape
-// ignores, whose run would be byte-identical without it: core link
-// values on a star, which has no core link; tree shape on anything but a
-// tree; a chain length on anything but a chain; a receiver count on a
-// spec without a population; edge loss on a spec with no site and no
-// population hop. Steps are copied only as deeply as they are modified;
-// the receiver spec is never mutated.
+// ignores, whose run would be byte-identical without it: tree shape on
+// anything but a tree; a chain length on anything but a chain; a
+// receiver count on a spec without a population; edge loss on a spec
+// with no site and no population hop; core link values and a tree's
+// fan-out where the overridden topology builds no core link. A shape
+// override that leaves the spec unbuildable, say naming a core node the
+// new topology lacks, is refused naming the flags. Steps are copied
+// only as deeply as they are modified; the receiver spec is never
+// mutated.
 func (s *Spec) Apply(o Overrides) (*Spec, error) {
 	kind := s.Topology.Kind
-	star, notTree := kind == Star, kind != Tree
-	noCore, treeOnly := "it has no core link", "only a tree has a fan-out and a depth"
+	notTree, treeOnly := kind != Tree, "only a tree has a fan-out and a depth"
 	edges := s.Pop != nil && !s.Pop.Direct || slices.ContainsFunc(s.Steps, func(st Step) bool { return st.Site != nil })
-	// Each override once: its flag, its value, whether it is a loss (unset
-	// at -1, else in [0, 1]; any other override is unset at 0, else
-	// positive and finite), why s ignores it ("" when s uses it) and how
-	// it folds into the copy.
+	// Each override once: its flag, its value, its kind bits (a loss is
+	// unset at -1, else in [0, 1], any other override unset at 0, else
+	// positive and finite; core needs a core link; shape reshapes the
+	// topology), why s ignores it ("" when s uses it) and how it folds
+	// into the copy.
+	const loss, core, shape = 1, 2, 4
 	fields := []struct {
 		flag    string
 		v       float64
-		loss    bool
+		kind    int
 		ignored string
 		apply   func(out *Spec, o Overrides)
 	}{
-		{"-duration", float64(o.Duration), false, "", func(out *Spec, o Overrides) { out.Duration = o.Duration }},
-		{"-corebw", o.CoreBW, false, when(star, noCore), func(out *Spec, o Overrides) { out.Topology.Core.BW = o.CoreBW }},
-		{"-coredelay", float64(o.CoreDelay), false, when(star, noCore), func(out *Spec, o Overrides) { out.Topology.Core.Delay = o.CoreDelay }},
-		{"-corequeue", float64(o.CoreQueue), false, when(star, noCore), func(out *Spec, o Overrides) { out.Topology.Core.Queue = o.CoreQueue }},
-		{"-receivers", float64(o.Receivers), false, when(s.Pop == nil, "it declares its receivers as explicit steps, not as a population"), func(out *Spec, o Overrides) {
+		{"-duration", float64(o.Duration), 0, "", func(out *Spec, o Overrides) { out.Duration = o.Duration }},
+		{"-corebw", o.CoreBW, core, "", func(out *Spec, o Overrides) { out.Topology.Core.BW = o.CoreBW }},
+		{"-coredelay", float64(o.CoreDelay), core, "", func(out *Spec, o Overrides) { out.Topology.Core.Delay = o.CoreDelay }},
+		{"-corequeue", float64(o.CoreQueue), core, "", func(out *Spec, o Overrides) { out.Topology.Core.Queue = o.CoreQueue }},
+		{"-receivers", float64(o.Receivers), 0, when(s.Pop == nil, "it declares its receivers as explicit steps, not as a population"), func(out *Spec, o Overrides) {
 			pop := *out.Pop
 			pop.Count = o.Receivers // PerAttach placement still round-robins
 			out.Pop = &pop
 		}},
-		{"-fanout", float64(o.Fanout), false, when(notTree, treeOnly), func(out *Spec, o Overrides) { out.Topology.Fanout = o.Fanout }},
-		{"-depth", float64(o.Depth), false, when(notTree, treeOnly), func(out *Spec, o Overrides) { out.Topology.Depth = o.Depth }},
-		{"-hops", float64(o.Hops), false, when(kind != Chain, "only a chain has hops"), func(out *Spec, o Overrides) { out.Topology.Hops = o.Hops }},
-		{"-coreloss", o.CoreLoss, true, when(star, noCore), func(out *Spec, o Overrides) { out.Topology.Core.Loss = o.CoreLoss }},
-		{"-edgeloss", o.EdgeLoss, true, when(!edges, "it has no site and no population hop"), func(out *Spec, o Overrides) { out.setEdgeLoss(o.EdgeLoss) }},
+		{"-fanout", float64(o.Fanout), shape | core, when(notTree, treeOnly), func(out *Spec, o Overrides) { out.Topology.Fanout = o.Fanout }},
+		{"-depth", float64(o.Depth), shape, when(notTree, treeOnly), func(out *Spec, o Overrides) { out.Topology.Depth = o.Depth }},
+		{"-hops", float64(o.Hops), shape, when(kind != Chain, "only a chain has hops"), func(out *Spec, o Overrides) { out.Topology.Hops = o.Hops }},
+		{"-coreloss", o.CoreLoss, loss | core, "", func(out *Spec, o Overrides) { out.Topology.Core.Loss = o.CoreLoss }},
+		{"-edgeloss", o.EdgeLoss, loss, when(!edges, "it has no site and no population hop"), func(out *Spec, o Overrides) { out.setEdgeLoss(o.EdgeLoss) }},
 	}
 	for _, f := range fields {
-		if f.loss && f.v != -1 && !(f.v >= 0 && f.v <= 1) {
+		if f.kind&loss != 0 && f.v != -1 && !(f.v >= 0 && f.v <= 1) {
 			return nil, fmt.Errorf("scenario: override %s %v is not a loss probability in [0, 1] (-1 keeps the spec's value)", f.flag, f.v)
 		}
-		if !f.loss && (!(f.v >= 0) || math.IsInf(f.v, 1)) { // negated so that NaN fails too
+		if f.kind&loss == 0 && (!(f.v >= 0) || math.IsInf(f.v, 1)) { // negated so that NaN fails too
 			return nil, fmt.Errorf("scenario: override %s is negative or not finite (0 keeps the spec's value)", f.flag)
 		}
 	}
 	out := *s
+	cored, shapes := "", "" // the first set flag that needs a core link; every set shape flag
 	for _, f := range fields {
-		if f.v > 0 || f.loss && f.v == 0 {
-			if f.ignored != "" {
-				return nil, fmt.Errorf("scenario %s: override %s has no effect on a %s spec: %s", s.Name, f.flag, kind, f.ignored)
-			}
-			f.apply(&out, o)
+		if !(f.v > 0 || f.kind&loss != 0 && f.v == 0) {
+			continue
 		}
+		if f.ignored != "" {
+			return nil, fmt.Errorf("scenario %s: override %s has no effect on a %s spec: %s", s.Name, f.flag, kind, f.ignored)
+		}
+		f.apply(&out, o)
+		if f.kind&core != 0 && cored == "" {
+			cored = f.flag
+		}
+		if f.kind&shape != 0 {
+			shapes += " " + f.flag
+		}
+	}
+	if cored == "" && shapes == "" {
+		return &out, nil
+	}
+	// A topology override is judged on a scratch build of the spec it
+	// leaves: Build names a reference a new shape strands, and the built
+	// topology says whether it has a core link.
+	sc, err := BuildScratch(&out, 0)
+	if err != nil && shapes != "" {
+		return nil, fmt.Errorf("%w, after override%s", err, shapes)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if cored != "" && sc.Topo.corePairs == 0 {
+		return nil, fmt.Errorf("scenario %s: override %s has no effect on a %s spec: its topology builds no core link", s.Name, cored, kind)
 	}
 	return &out, nil
 }

@@ -24,12 +24,10 @@ type Env struct {
 	Check *invariant.Checker
 }
 
-// NewEnv returns a rewindable environment (arena reuse on) seeded for
-// seed, with no checker.
+// NewEnv returns an environment seeded for seed, with no checker.
 func NewEnv(seed int64) Env {
 	sch := sim.NewScheduler()
 	e := Env{Sch: sch, Net: simnet.New(sch, sim.NewRand(0)), Rng: sim.NewRand(0)}
-	e.Net.EnableReuse()
 	e.Rewind(seed) // seeds both streams
 	return e
 }
@@ -45,18 +43,15 @@ func (e Env) Rewind(seed int64) {
 	e.Rng.Reseed(seed + 7)
 }
 
-// meterArenaKey pools stats.Meter structs on reuse-enabled networks. A
-// recycled meter gets a fresh Series (a previous run's Result may still
-// reference the old one) but reuses the struct.
-const meterArenaKey = "stats.Meter"
-
 // NewMeterAt returns a per-second throughput meter bound to the metered
-// endpoint's node, pooled through the network arena when the environment
-// is reusable. On a sharded network the meter's sampling timer runs on
-// that node's shard scheduler (the one its Add calls execute on); on a
-// serial network the binding is the environment scheduler.
+// endpoint's node, pooled through the network arena: a recycled meter
+// gets a fresh Series (a previous run's Result may still reference the
+// old one) but reuses the struct. On a sharded network the meter's
+// sampling timer runs on that node's shard scheduler (the one its Add
+// calls execute on); on a serial network the binding is the environment
+// scheduler.
 func (e Env) NewMeterAt(name string, at simnet.NodeID) *stats.Meter {
-	m := sim.Pooled[stats.Meter](e.Net.Arena(), meterArenaKey)
+	m := sim.Pooled[stats.Meter](e.Net.Arena())
 	m.Reset(name, e.Net.SchedFor(at), sim.Second)
 	return m
 }

@@ -336,6 +336,17 @@ func TestOverridesRefuseIgnored(t *testing.T) {
 	depth := with(func(o *Overrides) { o.Depth = 4 })
 	hops := with(func(o *Overrides) { o.Hops = 4 })
 	edgeloss := with(func(o *Overrides) { o.EdgeLoss = 0.1 })
+	// A depth-0 tree and a one-transit transit-stub build no core link.
+	flatTree := func() *Spec {
+		s := DeepTree()
+		s.Topology.Depth = 0
+		return s
+	}
+	oneTransit := func() *Spec {
+		return &Spec{Name: "onetransit", Topology: Topology{Kind: TransitStub, Transit: 1, Stubs: 2,
+			Core: LinkP{BW: BW(10), Delay: sim.Millisecond}, StubLink: LinkP{BW: BW(4), Delay: sim.Millisecond}},
+			Pop: &Population{PerAttach: true, Count: 2}, Duration: sim.Second}
+	}
 	for _, c := range []struct {
 		name string
 		spec func() *Spec
@@ -351,6 +362,15 @@ func TestOverridesRefuseIgnored(t *testing.T) {
 		{"hops on a dumbbell", Degrade, hops, "-hops"},
 		{"hops on a tree", DeepTree, hops, "-hops"},
 		{"edgeloss without a site or population hop", DeepTree, edgeloss, "-edgeloss"},
+		{"corebw on a depth-0 tree", flatTree, corebw, "-corebw"},
+		{"coreloss on a depth-0 tree", flatTree, coreloss, "-coreloss"},
+		{"fanout on a depth-0 tree", flatTree, fanout, "-fanout"},
+		{"corebw on a one-transit transit-stub", oneTransit, corebw, "-corebw"},
+		{"coredelay on a one-transit transit-stub", oneTransit, coredelay, "-coredelay"},
+		{"corequeue on a one-transit transit-stub", oneTransit, corequeue, "-corequeue"},
+		{"coreloss on a one-transit transit-stub", oneTransit, coreloss, "-coreloss"},
+		{"depth and corebw on a depth-0 tree", flatTree, with(func(o *Overrides) { o.Depth, o.CoreBW = 2, 125000 }), ""},
+		{"coreloss on a transit-stub", Wireless, coreloss, ""},
 		{"corebw on a dumbbell", Degrade, corebw, ""},
 		{"coreloss on a tree", DeepTree, coreloss, ""},
 		{"fanout and depth on a tree", DeepTree, with(func(o *Overrides) { o.Fanout, o.Depth = 3, 4 }), ""},
@@ -365,6 +385,52 @@ func TestOverridesRefuseIgnored(t *testing.T) {
 			t.Errorf("%s: applied, want an error naming %s", c.name, c.flag)
 		case c.flag != "" && !strings.Contains(err.Error(), "override "+c.flag+" has no effect"):
 			t.Errorf("%s: error does not name %s: %v", c.name, c.flag, err)
+		}
+	}
+}
+
+// TestShapeOverrideStrandsReference: a shape override that leaves the
+// spec naming a core node, attach point or core link the new topology
+// lacks is refused by Apply, naming the reference and the flags; it used
+// to reach Build, whose error names no flag.
+func TestShapeOverrideStrandsReference(t *testing.T) {
+	leafSites := func() *Spec {
+		s := DeepTree()
+		s.Topology.Depth = 3
+		s.Pop = nil
+		s.Steps = []Step{{Site: &SiteSpec{Parent: AttachPoint(7), Hops: []Hop{FastHop()}}}}
+		return s
+	}
+	coreEvent := func() *Spec {
+		s := ChainLoss()
+		s.Steps = s.Steps[:2]
+		s.Events = []Event{SetLossEvent(sim.Second, CoreLink(5), 0.1)}
+		return s
+	}
+	for _, c := range []struct {
+		name string
+		spec func() *Spec
+		ov   func(*Overrides)
+		want string // "" = must apply
+	}{
+		{"hops below a named core node", ChainLoss, func(o *Overrides) { o.Hops = 3 }, "core node 4 out of range (have 4), after override -hops"},
+		{"hops keeping every core node", ChainLoss, func(o *Overrides) { o.Hops = 4 }, ""},
+		{"depth below a named attach point", leafSites, func(o *Overrides) { o.Depth = 2 }, "attach point 7 out of range (have 4), after override -depth"},
+		{"fanout and depth keeping the attach point", leafSites, func(o *Overrides) { o.Fanout, o.Depth = 3, 2 }, ""},
+		{"fanout and depth below the attach point", leafSites, func(o *Overrides) { o.Fanout, o.Depth = 3, 1 }, "attach point 7 out of range (have 3), after override -fanout -depth"},
+		{"hops below a scripted core link", coreEvent, func(o *Overrides) { o.Hops = 5 }, "core link 5 out of range (have 5 pairs) (event 0), after override -hops"},
+		{"hops keeping the scripted core link", coreEvent, func(o *Overrides) { o.Hops = 6 }, ""},
+	} {
+		o := None()
+		c.ov(&o)
+		_, err := c.spec().Apply(o)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: refused: %v", c.name, err)
+		case c.want != "" && err == nil:
+			t.Errorf("%s: applied, want an error containing %q", c.name, c.want)
+		case c.want != "" && !strings.Contains(err.Error(), c.want):
+			t.Errorf("%s: error %q does not contain %q", c.name, err, c.want)
 		}
 	}
 }

@@ -81,39 +81,36 @@ func TestSchedulerResetReusesSlots(t *testing.T) {
 	}
 }
 
-// TestArenaTakePut covers the keyed positional pool.
-func TestArenaTakePut(t *testing.T) {
+// TestPooled covers the by-type positional pool: within a run every call
+// allocates a fresh object, and after a rewind each type's objects come
+// back in the order they were first handed out, fresh ones after them.
+func TestPooled(t *testing.T) {
+	type x struct{ v int }
+	type y struct{ v int }
 	a := NewArena()
-	if a.Take("x") != nil {
-		t.Fatal("empty arena returned an object")
+	x1, y1, x2 := Pooled[x](a), Pooled[y](a), Pooled[x](a)
+	if x1 == x2 {
+		t.Fatal("one run got the same object twice")
 	}
-	a.Put("x", 1)
-	a.Put("x", 2)
-	a.Put("y", 3)
-	if a.Take("x") != nil {
-		t.Fatal("freshly put objects must not be handed out in the same run")
+	x1.v, x2.v, y1.v = 1, 2, 3
+	a.Rewind()
+	if got := Pooled[x](a); got != x1 {
+		t.Fatalf("first x after rewind = %+v, want %+v", got, x1)
+	}
+	if got := Pooled[y](a); got != y1 {
+		t.Fatalf("first y after rewind = %+v, want %+v", got, y1)
+	}
+	if got := Pooled[x](a); got != x2 {
+		t.Fatalf("second x after rewind = %+v, want %+v", got, x2)
+	}
+	x3 := Pooled[x](a)
+	if x3 == x1 || x3 == x2 || x3.v != 0 {
+		t.Fatalf("exhausted pool handed out %+v, want a fresh zero x", x3)
 	}
 	a.Rewind()
-	if v := a.Take("x"); v != 1 {
-		t.Fatalf("Take = %v, want 1", v)
-	}
-	if v := a.Take("y"); v != 3 {
-		t.Fatalf("Take = %v, want 3", v)
-	}
-	if v := a.Take("x"); v != 2 {
-		t.Fatalf("Take = %v, want 2", v)
-	}
-	if a.Take("x") != nil {
-		t.Fatal("exhausted pool returned an object")
-	}
-	a.Put("x", 4)
-	a.Rewind()
-	for want := 1; want <= 4; want++ {
-		if _, ok := map[int]bool{1: true, 2: true, 4: true}[want]; !ok {
-			continue
-		}
-		if v := a.Take("x"); v != want {
-			t.Fatalf("after rewind Take = %v, want %d", v, want)
+	for i, want := range []*x{x1, x2, x3} {
+		if got := Pooled[x](a); got != want {
+			t.Fatalf("x %d after second rewind = %p, want %p", i, got, want)
 		}
 	}
 }

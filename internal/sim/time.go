@@ -1,7 +1,8 @@
 // Package sim provides a deterministic discrete-event simulation engine:
-// a virtual clock, an event queue with cancellable timers, and seeded
-// randomness helpers. It is the substrate equivalent of the ns-2 scheduler
-// used in the TFMCC paper.
+// a virtual clock, an event queue with cancellable timers, seeded
+// randomness helpers and an arena that pools protocol objects by type
+// across rewound runs. It is the substrate equivalent of the ns-2
+// scheduler used in the TFMCC paper.
 package sim
 
 import (

@@ -249,15 +249,12 @@ func TestImpairedRewindVsFresh(t *testing.T) {
 
 	sch := sim.NewScheduler()
 	net := New(sch, sim.NewRand(5))
-	net.EnableReuse()
 	if got := run(sch, net, true); got != fresh(true) {
 		t.Fatal("first impaired run differs from fresh baseline")
 	}
 	sch.Reset()
 	net.rng.Reseed(5)
-	if !net.Reset() {
-		t.Fatal("network should be rewindable")
-	}
+	net.Reset()
 	if got := run(sch, net, true); got != fresh(true) {
 		t.Fatal("rewound impaired run differs from fresh network")
 	}
@@ -265,9 +262,7 @@ func TestImpairedRewindVsFresh(t *testing.T) {
 	// that never sets any.
 	sch.Reset()
 	net.rng.Reseed(5)
-	if !net.Reset() {
-		t.Fatal("network should be rewindable twice")
-	}
+	net.Reset()
 	if got := run(sch, net, false); got != fresh(false) {
 		t.Fatal("rewind leaked impairments into a healthy run")
 	}

@@ -155,7 +155,6 @@ func TestResetAfterDelayMutation(t *testing.T) {
 	}
 	sch := sim.NewScheduler()
 	net := New(sch, sim.NewRand(1))
-	net.EnableReuse()
 	aUp, aDown, b := build(net)
 	net.Bind(Addr{b, 1}, HandlerFunc(func(*Packet) {}))
 	send := func() {
@@ -173,9 +172,7 @@ func TestResetAfterDelayMutation(t *testing.T) {
 	// recycles the mutated link and passes the original 5 ms; routes
 	// computed before the rewind must not survive it.
 	sch.Reset()
-	if !net.Reset() {
-		t.Fatal("network should be rewindable")
-	}
+	net.Reset()
 	aUp2, aDown2, b2 := build(net)
 	if aUp2 != aUp || aDown2 != aDown {
 		t.Fatal("the rebuild should recycle the previous run's links")

@@ -19,10 +19,10 @@ import (
 // packets obtained from AllocPacket are recycled through a per-network
 // free list, shared by every region of a sharded network.
 //
-// A reuse-enabled network (EnableReuse) is rewound by Reset, which
-// empties it but keeps its storage: the next run's construction calls
-// run the same code as a fresh build, on recycled node slots, links,
-// route slabs and pooled protocol objects.
+// Every network is rewound by Reset, which empties it but keeps its
+// storage: the next run's construction calls run the same code as a
+// fresh build, on recycled node slots, links, route slabs and protocol
+// objects pooled in the network's arena.
 type Network struct {
 	sched *sim.Scheduler
 	rng   *sim.Rand
@@ -85,11 +85,8 @@ type Network struct {
 	faults  FaultStats
 	pktLive int64
 
-	// Arena reuse (EnableReuse/Reset): Reset empties the network but keeps
-	// its storage, so a rebuild takes the fresh-build path on recycled node
-	// slots, links and route scratch, and protocol constructors recycle
-	// their objects through the arena.
-	reuse bool
+	// Protocol constructors recycle their objects through the arena, which
+	// Reset rewinds.
 	arena *sim.Arena
 
 	// Sharded execution (EnableSharding), zero on a serial network: nodes
@@ -173,6 +170,7 @@ func New(sched *sim.Scheduler, rng *sim.Rand) *Network {
 		linkIdx:    map[linkKey]int32{},
 		groups:     map[GroupID]*group{},
 		mcastTrees: map[mcastKey]*mcastTree{},
+		arena:      sim.NewArena(),
 	}
 }
 
@@ -200,38 +198,23 @@ func (n *Network) clearTrains() {
 	}
 }
 
-// EnableReuse turns on arena reuse so Reset can rewind the network for
-// another run. It must be called on an empty network, before any
-// AddNode/AddLink.
-func (n *Network) EnableReuse() {
-	if n.reuse {
-		return
-	}
-	if len(n.nodes) > 0 || len(n.linkList) > 0 {
-		panic("simnet: EnableReuse on a non-empty network")
-	}
-	n.reuse = true
-	n.arena = sim.NewArena()
-}
+// EnableReuse does nothing: every network is rewindable. It stays only
+// because the bench module still calls it.
+func (n *Network) EnableReuse() {}
 
-// Arena returns the network's protocol-object arena, or nil when reuse is
-// not enabled. Protocol constructors (e.g. tfmcc receivers) use it to
-// recycle their allocation-heavy state across rewound runs.
+// Arena returns the network's protocol-object arena. Protocol
+// constructors (e.g. tfmcc receivers) use it to recycle their
+// allocation-heavy state across rewound runs.
 func (n *Network) Arena() *sim.Arena { return n.arena }
 
-// Reset empties a reuse-enabled network for the next run of any
-// scenario: nodes, links, group memberships, multicast trees, routes,
-// fault counters, in-flight trains and sharding are dropped, and the
-// arena rewinds. All storage is kept: the rebuild runs the same AddNode
-// and AddLink code as a fresh build, on the node slots and links the
-// previous runs left behind, and routes are recomputed lazily.
-//
-// Reset reports false, and changes nothing, when reuse is not enabled;
-// the caller must then build a fresh network instead.
+// Reset empties the network for the next run of any scenario: nodes,
+// links, group memberships, multicast trees, routes, fault counters,
+// in-flight trains and sharding are dropped, and the arena rewinds. All
+// storage is kept: the rebuild runs the same AddNode and AddLink code as
+// a fresh build, on the node slots and links the previous runs left
+// behind, and routes are recomputed lazily. It always reports true: the
+// bench module still tests the result.
 func (n *Network) Reset() bool {
-	if !n.reuse {
-		return false
-	}
 	n.clearTrains()
 	n.nodes = n.nodes[:0]
 	n.linkList = n.linkList[:0]

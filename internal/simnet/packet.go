@@ -2,7 +2,8 @@
 // links with bandwidth and propagation delay, drop-tail queues,
 // per-link random loss, shortest-path unicast routing and source-rooted
 // multicast distribution trees. It plays the role ns-2 plays in the
-// TFMCC paper's evaluation.
+// TFMCC paper's evaluation. Every network is rewindable: Reset empties
+// it for the next run and keeps its storage and its arena's objects.
 package simnet
 
 import "repro/internal/sim"

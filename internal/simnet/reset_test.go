@@ -65,14 +65,11 @@ func TestResetReproducesFreshRun(t *testing.T) {
 	sch := sim.NewScheduler()
 	rng := sim.NewRand(7)
 	net := New(sch, rng)
-	net.EnableReuse()
 	fresh := runScenario(sch, net, false)
 
 	for rerun := 0; rerun < 3; rerun++ {
 		sch.Reset()
-		if !net.Reset() {
-			t.Fatal("Reset refused on a reuse-enabled network")
-		}
+		net.Reset()
 		rng.Reseed(7)
 		if got := runScenario(sch, net, false); got != fresh {
 			t.Fatalf("rerun %d diverged from fresh run:\n%s\nvs\n%s", rerun, got, fresh)
@@ -87,13 +84,10 @@ func TestResetDivergentRebuild(t *testing.T) {
 	sch := sim.NewScheduler()
 	rng := sim.NewRand(7)
 	net := New(sch, rng)
-	net.EnableReuse()
 	runScenario(sch, net, false)
 
 	sch.Reset()
-	if !net.Reset() {
-		t.Fatal("Reset refused")
-	}
+	net.Reset()
 	rng.Reseed(7)
 	got := runScenario(sch, net, true) // diverges: one extra leaf
 
@@ -112,16 +106,13 @@ func TestResetPrefixTruncation(t *testing.T) {
 	sch := sim.NewScheduler()
 	rng := sim.NewRand(7)
 	net := New(sch, rng)
-	net.EnableReuse()
 	runScenario(sch, net, true) // big run first
 
 	// Two rewinds: the first rebuilds a strict prefix (small scenario) with
 	// recycled storage left over past it, the second rebuilds it again.
 	for rerun := 0; rerun < 2; rerun++ {
 		sch.Reset()
-		if !net.Reset() {
-			t.Fatal("Reset refused")
-		}
+		net.Reset()
 		rng.Reseed(7)
 		got := runScenario(sch, net, false)
 		sch2 := sim.NewScheduler()
@@ -160,34 +151,13 @@ func TestResetAfterOverwrite(t *testing.T) {
 	want := run(sch2, New(sch2, sim.NewRand(1)))
 	sch := sim.NewScheduler()
 	net := New(sch, sim.NewRand(1))
-	net.EnableReuse()
 	run(sch, net)
 	for rerun := 0; rerun < 2; rerun++ {
 		sch.Reset()
-		if !net.Reset() {
-			t.Fatal("Reset refused after a link overwrite")
-		}
+		net.Reset()
 		if got := run(sch, net); got != want {
 			t.Fatalf("rerun %d after an overwrite differs from fresh:\n%s\nvs\n%s", rerun, got, want)
 		}
-	}
-}
-
-// TestResetWithoutReuse: Reset on a plain network reports false and
-// leaves it usable.
-func TestResetWithoutReuse(t *testing.T) {
-	sch, net := newNet()
-	a, b := net.AddNode("a"), net.AddNode("b")
-	net.AddDuplex(a, b, 0, sim.Millisecond, 0)
-	if net.Reset() {
-		t.Fatal("Reset must report false without EnableReuse")
-	}
-	c := &collector{sch: sch}
-	net.Bind(Addr{b, 1}, c)
-	net.Send(&Packet{Size: 100, Src: Addr{a, 1}, Dst: Addr{b, 1}})
-	sch.Run()
-	if len(c.got) != 1 {
-		t.Fatal("network unusable after refused Reset")
 	}
 }
 
@@ -196,7 +166,6 @@ func TestResetWithoutReuse(t *testing.T) {
 func TestReplayAddLinkNewDelay(t *testing.T) {
 	sch := sim.NewScheduler()
 	net := New(sch, sim.NewRand(1))
-	net.EnableReuse()
 	build := func(direct sim.Time) (NodeID, NodeID) {
 		a, r, b := net.AddNode("a"), net.AddNode("r"), net.AddNode("b")
 		net.AddLink(a, b, 0, direct, 0)
@@ -214,9 +183,7 @@ func TestReplayAddLinkNewDelay(t *testing.T) {
 	}
 
 	sch.Reset()
-	if !net.Reset() {
-		t.Fatal("Reset refused")
-	}
+	net.Reset()
 	a, b = build(2 * sim.Millisecond) // direct link now fastest
 	c2 := &collector{sch: sch}
 	net.Bind(Addr{b, 1}, c2)
@@ -235,7 +202,6 @@ func TestReplayAddLinkNewDelay(t *testing.T) {
 func TestResetRecyclesStorage(t *testing.T) {
 	sch := sim.NewScheduler()
 	net := New(sch, sim.NewRand(1))
-	net.EnableReuse()
 	var links []*Link
 	var src, leaf0 NodeID
 	build := func() {
@@ -265,9 +231,7 @@ func TestResetRecyclesStorage(t *testing.T) {
 	}
 	rewind := func() {
 		sch.Reset()
-		if !net.Reset() {
-			t.Fatal("Reset refused")
-		}
+		net.Reset()
 		build()
 		send()
 	}

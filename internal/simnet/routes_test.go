@@ -148,7 +148,6 @@ func TestLazyRouteRowsMatchEagerTable(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
 		rng := rand.New(rand.NewSource(seed * 977))
 		n := New(sim.NewScheduler(), sim.NewRand(1))
-		n.EnableReuse()
 		links := randomGraph(n, seed)
 		pick := func() *Link { return links[rng.Intn(len(links))] }
 		for i := 0; i < 3; i++ {
@@ -169,9 +168,7 @@ func TestLazyRouteRowsMatchEagerTable(t *testing.T) {
 
 		// Rewind and rebuild the original construction: the late node is
 		// gone, the mutated delay and the down links are restored.
-		if !n.Reset() {
-			t.Fatal("Reset refused")
-		}
+		n.Reset()
 		randomGraph(n, seed)
 		n.Send(&Packet{Src: Addr{Node: 0}, Dst: Addr{Node: 0}}) // a send on the rebuilt network
 		fresh := New(sim.NewScheduler(), sim.NewRand(1))

@@ -24,7 +24,6 @@ func pooledPackets(n *Network) int {
 func TestShardedPoolRecirculates(t *testing.T) {
 	ctl := sim.NewScheduler()
 	n := New(ctl, sim.NewRand(1))
-	n.EnableReuse()
 	const (
 		sends     = 5000
 		lookahead = 5 * sim.Millisecond
@@ -58,9 +57,7 @@ func TestShardedPoolRecirculates(t *testing.T) {
 		run()
 		pooled = append(pooled, pooledPackets(n))
 		ctl.Reset()
-		if !n.Reset() {
-			t.Fatal("Reset refused")
-		}
+		n.Reset()
 		if after := pooledPackets(n); after != pooled[i] {
 			t.Fatalf("run %d: Reset changed the pooled count %d -> %d", i, pooled[i], after)
 		}

@@ -113,7 +113,6 @@ func requireOracleSplit(t *testing.T, on, off *Network) {
 func newTrainRig(coalesce bool, seed int64) *trainRig {
 	r := &trainRig{sch: sim.NewScheduler()}
 	r.net = newTestNet(!coalesce, r.sch, sim.NewRand(seed))
-	r.net.EnableReuse()
 	r.build()
 	return r
 }
@@ -263,9 +262,7 @@ func TestTrainResetMidFlight(t *testing.T) {
 			t.Fatalf("seed %d: setup: nothing in flight at the rewind point", seed)
 		}
 		r.sch.Reset()
-		if !r.net.Reset() {
-			t.Fatal("Reset refused")
-		}
+		r.net.Reset()
 		if held, live := r.net.TrainHeld(), r.net.LivePackets(); held != 0 || live != 0 {
 			t.Fatalf("seed %d: Reset left %d held, %d live", seed, held, live)
 		}

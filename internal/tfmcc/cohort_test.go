@@ -87,14 +87,11 @@ func recycleRun(t *testing.T, sch *sim.Scheduler, net *simnet.Network, size, rou
 func TestRecycledReceiverForgetsItsKind(t *testing.T) {
 	sch := sim.NewScheduler()
 	net := simnet.New(sch, sim.NewRand(1))
-	net.EnableReuse()
 	var first *Receiver
 	for run, size := range []int{256, 0, 256} {
 		if run > 0 {
 			sch.Reset()
-			if !net.Reset() {
-				t.Fatal("network did not rewind")
-			}
+			net.Reset()
 		}
 		r, got := recycleRun(t, sch, net, size, 8)
 		if run == 0 {
@@ -159,15 +156,12 @@ func TestRecycledSessionMatchesFresh(t *testing.T) {
 
 	sch, rng := sim.NewScheduler(), sim.NewRand(1)
 	net := simnet.New(sch, rng)
-	net.EnableReuse()
 	var first *Session
 	for run, cfg := range runs {
 		if run > 0 {
 			sch.Reset()
 			rng.Reseed(1)
-			if !net.Reset() {
-				t.Fatal("network did not rewind")
-			}
+			net.Reset()
 		}
 		sess := star(sch, net, cfg)
 		if run == 0 {

@@ -95,16 +95,12 @@ type lastHeader struct {
 // round a data packet may lag before it is discarded as stale.
 const staleDataRounds = 2
 
-// receiverArenaKey pools receivers on reuse-enabled networks: rewound
-// runs take a receiver, and its 8 KB receive-window ring, back from the
-// network's arena instead of rebuilding them.
-const receiverArenaKey = "tfmcc.Receiver"
-
 // NewReceiver creates a receiver on the given node and joins the group.
-// sender is the sender's unicast address for reports. On a reuse-enabled
-// network the receiver built at the same point of a previous run is
-// re-initialised and returned instead of allocating a new one. Config's
-// one choice acts at the sender, so a receiver ignores it.
+// sender is the sender's unicast address for reports. On a rewound
+// network the receiver built at the same point of a previous run, with
+// its 8 KB receive-window ring, is re-initialised and returned instead of
+// allocating a new one. Config's one choice acts at the sender, so a
+// receiver ignores it.
 func NewReceiver(id ReceiverID, net *simnet.Network, node simnet.NodeID, port simnet.Port,
 	sender simnet.Addr, group simnet.GroupID, _ Config, rng *sim.Rand) *Receiver {
 	return newReceiver(id, net, node, port, sender, group, rng)
@@ -125,7 +121,7 @@ func NewCohortReceiver(id ReceiverID, net *simnet.Network, node simnet.NodeID, p
 
 func newReceiver(id ReceiverID, net *simnet.Network, node simnet.NodeID, port simnet.Port,
 	sender simnet.Addr, group simnet.GroupID, rng *sim.Rand) *Receiver {
-	r := sim.Pooled[Receiver](net.Arena(), receiverArenaKey)
+	r := sim.Pooled[Receiver](net.Arena())
 	r.init(id, net, node, port, sender, group, rng)
 	return r
 }

@@ -121,18 +121,13 @@ const (
 // captive by a partition.
 const staleReportRounds = 4
 
-// senderArenaKey pools senders on reuse-enabled networks, so rewound
-// runs recycle the sender struct, its report map and echo queue instead
-// of rebuilding them.
-const senderArenaKey = "tfmcc.Sender"
-
 // NewSender creates a sender on the given node sending to group. Reports
-// are received on addr. On a reuse-enabled network the sender built at
-// the same point of a previous run is re-initialised and returned instead
-// of allocating a new one.
+// are received on addr. On a rewound network the sender built at the
+// same point of a previous run, with its report map and echo queue, is
+// re-initialised and returned instead of allocating a new one.
 func NewSender(net *simnet.Network, node simnet.NodeID, port simnet.Port,
 	group simnet.GroupID, cfg Config) *Sender {
-	s := sim.Pooled[Sender](net.Arena(), senderArenaKey)
+	s := sim.Pooled[Sender](net.Arena())
 	s.init(net, node, port, group, cfg)
 	return s
 }

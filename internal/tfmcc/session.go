@@ -20,16 +20,12 @@ type Session struct {
 	rng *sim.Rand
 }
 
-// sessionArenaKey pools session shells (receiver slice included) on
-// reuse-enabled networks.
-const sessionArenaKey = "tfmcc.Session"
-
 // NewSession creates a session with the sender on senderNode. On a
-// reuse-enabled network the session (and its sender, via NewSender) is
-// recycled from the arena instead of allocated.
+// rewound network the session (receiver slice included) and its sender,
+// via NewSender, are recycled from the arena instead of allocated.
 func NewSession(net *simnet.Network, senderNode simnet.NodeID, group simnet.GroupID,
 	port simnet.Port, cfg Config, rng *sim.Rand) *Session {
-	s := sim.Pooled[Session](net.Arena(), sessionArenaKey)
+	s := sim.Pooled[Session](net.Arena())
 	*s = Session{
 		Net:       net,
 		Group:     group,
