@@ -11,16 +11,19 @@
 //	tfmccsim -all -tsv                       # every block headed "# <id>\t<title>"
 //	tfmccsim -list                           # list available figures
 //	tfmccsim -scenario flashcrowd            # run a scenario preset
-//	tfmccsim -scenario 9 -duration 60 -coreloss 0.01   # overridden figure
+//	tfmccsim -scenario 9 -duration 60        # figure 9's spec, run for 60 s
+//	tfmccsim -scenario 9 -spec-out f9.json   # export the spec to edit
+//	tfmccsim -scenario-file f9.json          # run the edited document
 //	tfmccsim -figure clrfail -check          # run with the invariant checker
 //	tfmccsim -scenario wireless -engineworkers 2   # region engine
 //	tfmccsim -scenario degrade -seeds 8 -tsv # swept preset, merged bands
 //
 // -scenario runs any Spec-backed registry entry — the named presets and
 // every single-scenario engine figure — through the generic scenario
-// executor, with the override flags (-duration, -corebw, -coredelay,
-// -coreloss, -corequeue, -edgeloss, -receivers, -fanout, -depth,
-// -hops) folded into the declarative spec before the run.
+// executor; -duration, the one override, replaces the spec's length.
+// Any other variation (a link's bandwidth or loss, a topology's shape, a
+// population's size) is an edit to the document -spec-out exports, run
+// with -scenario-file, which checks it like any other document.
 //
 // Every selector (-figure, -all, -scenario, -scenario-file) builds an
 // experiments.Job and runs it through experiments.Sweep. At one seed the
@@ -59,63 +62,32 @@ import (
 func main() {
 	var (
 		figure   = flag.String("figure", "", "figure or preset id to reproduce (e.g. 9, flashcrowd)")
-		scen     = flag.String("scenario", "", "run a Spec-backed entry through the scenario executor (with overrides)")
-		scenFile = flag.String("scenario-file", "", "run a JSON spec document through the scenario executor (with overrides)")
-		specOut  = flag.String("spec-out", "", "with -scenario: write the spec (overrides applied) as JSON to this file ('-' for stdout) instead of running it")
+		scen     = flag.String("scenario", "", "run a Spec-backed entry through the scenario executor (-duration may override its length)")
+		scenFile = flag.String("scenario-file", "", "run a JSON spec document, such as an edited -spec-out export, through the scenario executor")
+		specOut  = flag.String("spec-out", "", "with -scenario: write the spec (-duration applied) as JSON to this file ('-' for stdout) instead of running it; edit it to vary the scenario, run it with -scenario-file")
 		all      = flag.Bool("all", false, "run every registry entry (figures and presets)")
 		list     = flag.Bool("list", false, "list available figures and presets")
 		tsv      = flag.Bool("tsv", false, "print full series as TSV instead of a summary")
-
-		duration  = flag.Float64("duration", 0, "override: simulated seconds")
-		corebw    = flag.Float64("corebw", 0, "override: core link bandwidth in Mbit/s")
-		coredelay = flag.Float64("coredelay", 0, "override: core link delay in ms")
-		coreloss  = flag.Float64("coreloss", -1, "override: core link loss probability")
-		corequeue = flag.Int("corequeue", 0, "override: core queue limit in packets")
-		edgeloss  = flag.Float64("edgeloss", -1, "override: loss probability on each site's last (edge) hop, towards the receiver")
-		receivers = flag.Int("receivers", 0, "override: receiver population size")
-		fanout    = flag.Int("fanout", 0, "override: tree fan-out")
-		depth     = flag.Int("depth", 0, "override: tree depth")
-		hops      = flag.Int("hops", 0, "override: chain length")
+		duration = flag.Float64("duration", 0, "override: simulated seconds")
 	)
 	cfg := sweep.Config{Seeds: 1, Workers: runtime.NumCPU(), CI: 0.95, Base: 1}
 	cfg.RegisterFlags(flag.CommandLine, "seed", "seeds", "workers", "ci", "check", "engineworkers")
 	flag.Parse()
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	err := cfg.Validate()
 	if err == nil {
-		set := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 		err = flagConflict(set, cfg)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-
-	// The two flags converted to integer sim.Time must be finite and fit
-	// in it before the conversion (which would saturate); every other
-	// range check is Spec.Apply's.
-	for _, f := range []struct {
-		name    string
-		v, unit float64
-	}{{"-duration", *duration, float64(sim.Second)}, {"-coredelay", *coredelay, float64(sim.Millisecond)}} {
-		if limit := float64(sim.MaxTime) / f.unit; math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			fail(fmt.Errorf("%s %v: not a finite number", f.name, f.v))
-		} else if math.Abs(f.v) >= limit {
-			fail(fmt.Errorf("%s %v: out of range (magnitude must be below %.4g)", f.name, f.v, limit))
-		}
+	d, err := durationOverride(set["duration"], *duration)
+	if err != nil {
+		fail(err)
 	}
-	ov := scenario.Overrides{
-		Duration:  sim.FromSeconds(*duration),
-		CoreBW:    *corebw * 125000,
-		CoreDelay: sim.FromMillis(*coredelay),
-		CoreLoss:  *coreloss,
-		CoreQueue: *corequeue,
-		EdgeLoss:  *edgeloss,
-		Receivers: *receivers,
-		Fanout:    *fanout,
-		Depth:     *depth,
-		Hops:      *hops,
-	}
+	ov := scenario.Overrides{Duration: d}
 	// run sweeps and reports a job, or exits 1 on the error building it.
 	run := func(job experiments.Job, err error) {
 		if err != nil {
@@ -163,8 +135,8 @@ func main() {
 // command line (set, as flag.Visit reports them) would be silently
 // ignored: two selectors at once, -spec-out without -scenario (the only
 // run it exports), a run option (-tsv, -seed, -check, -engineworkers,
-// -seeds above 1) with -list or -spec-out, which run nothing, an
-// override without the scenario executor to apply it, or -ci or more
+// -seeds above 1) with -list or -spec-out, which run nothing, -duration
+// without the scenario executor to apply it, or -ci or more
 // than one -workers at one seed, which merges no bands and fans out
 // nothing. The error names the offending flag.
 func flagConflict(set map[string]bool, cfg sweep.Config) error {
@@ -199,20 +171,28 @@ func flagConflict(set map[string]bool, cfg sweep.Config) error {
 	if cfg.Seeds == 1 && set["workers"] && cfg.Workers > 1 {
 		return fmt.Errorf("-workers %d: a single-seed run uses one worker; give -seeds > 1", cfg.Workers)
 	}
-	if set["scenario"] || set["scenario-file"] {
-		return nil
-	}
-	var overrides []string
-	for _, o := range []string{"duration", "corebw", "coredelay", "coreloss", "corequeue", "edgeloss",
-		"receivers", "fanout", "depth", "hops"} {
-		if set[o] {
-			overrides = append(overrides, "-"+o)
-		}
-	}
-	if len(overrides) > 0 {
-		return fmt.Errorf("%s: overrides apply to -scenario or -scenario-file runs only", strings.Join(overrides, ", "))
+	if set["duration"] && !set["scenario"] && !set["scenario-file"] {
+		return fmt.Errorf("-duration: overrides apply to -scenario or -scenario-file runs only")
 	}
 	return nil
+}
+
+// durationOverride converts -duration seconds to sim.Time. The value must
+// be finite and fit in sim.Time before the conversion (which would
+// saturate), and a given one must come out at 1 ns or more: 0 is what an
+// absent flag reads as, "keep the spec's length".
+func durationOverride(given bool, sec float64) (sim.Time, error) {
+	limit := float64(sim.MaxTime) / float64(sim.Second)
+	switch d := sim.FromSeconds(sec); {
+	case math.IsNaN(sec) || math.IsInf(sec, 0):
+		return 0, fmt.Errorf("-duration %v: not a finite number", sec)
+	case math.Abs(sec) >= limit:
+		return 0, fmt.Errorf("-duration %v: out of range (magnitude must be below %.4g)", sec, limit)
+	case given && d <= 0:
+		return 0, fmt.Errorf("-duration %v: not a run length (give at least 1e-9 seconds)", sec)
+	default:
+		return d, nil
+	}
 }
 
 func fail(err error) {
@@ -232,7 +212,7 @@ func emit(res interface {
 	}
 }
 
-// writeSpec exports a registry entry's scenario spec (overrides applied)
+// writeSpec exports a registry entry's scenario spec (-duration applied)
 // as a JSON document -scenario-file can run.
 func writeSpec(id string, ov scenario.Overrides, path string) {
 	spec, err := experiments.EntrySpec(id, ov)

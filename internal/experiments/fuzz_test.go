@@ -158,33 +158,48 @@ func mutateJSON(doc, mut []byte) []byte {
 	return out
 }
 
-// fuzzOverrides folds a leading override record out of the mutation
-// bytes. When the first byte has its top bit set, it and the next three
-// become a scenario.Overrides — the second byte's bits pick the fields,
-// the last two give their values, loss fields included out of [0, 1] and
-// the queue limit negative — and the rest of mut is returned; otherwise
-// the overrides are None and mut is returned whole.
-func fuzzOverrides(mut []byte) (scenario.Overrides, []byte) {
-	ov := scenario.None()
-	if len(mut) < 4 || mut[0]&0x80 == 0 {
-		return ov, mut
-	}
-	pick, a, b := mut[1], int(mut[2]), int(mut[3])
+// fuzzFields edits the spec's fields as a four-byte field record asks
+// (see fuzzRun): the second byte's bits pick the core link's bandwidth,
+// loss and queue limit, the population's size, the tree's fan-out and
+// depth, the chain's length and the edge loss (the down-direction loss
+// of the population access hop and of each site's last hop); the last
+// two bytes give their values, losses included out of [0, 1] and the
+// queue limit negative. The edit checks nothing: Build refuses the
+// values no spec can hold.
+func fuzzFields(s *scenario.Spec, rec []byte) {
+	pick, a, b := rec[1], int(rec[2]), int(rec[3])
+	top := &s.Topology
 	for bit, set := range []func(){
-		func() { ov.CoreBW = float64(a) * 1250 },
-		func() { ov.Receivers = b },
-		func() { ov.Fanout = a % 8 },
-		func() { ov.Depth = b % 6 },
-		func() { ov.Hops = a % 12 },
-		func() { ov.CoreLoss = float64(b)/128 - 0.5 },
-		func() { ov.EdgeLoss = float64(a)/128 - 0.5 },
-		func() { ov.CoreQueue = b - 64 },
+		func() { top.Core.BW = float64(a) * 1250 },
+		func() {
+			if s.Pop != nil {
+				s.Pop.Count = b
+			}
+		},
+		func() { top.Fanout = a % 8 },
+		func() { top.Depth = b % 6 },
+		func() { top.Hops = a % 12 },
+		func() { top.Core.Loss = float64(b)/128 - 0.5 },
+		func() {
+			loss := float64(a)/128 - 0.5
+			if s.Pop != nil {
+				if s.Pop.Hop == (scenario.Hop{}) {
+					s.Pop.Hop = scenario.FastHop()
+				}
+				s.Pop.Hop.Down.Loss = loss
+			}
+			for _, st := range s.Steps {
+				if st.Site != nil && len(st.Site.Hops) > 0 {
+					st.Site.Hops[len(st.Site.Hops)-1].Down.Loss = loss
+				}
+			}
+		},
+		func() { top.Core.Queue = b - 64 },
 	} {
 		if pick&(1<<bit) != 0 {
 			set()
 		}
 	}
-	return ov, mut[4:]
 }
 
 // fuzzTooExpensive deterministically rejects decoded specs whose
@@ -210,20 +225,24 @@ func fuzzTooExpensive(spec *scenario.Spec) bool {
 // Slicing RunUntil moves no byte on either engine (TestSlicedRunUntil).
 const fuzzEventBudget = 500_000
 
-// fuzzRun is one FuzzScenarioSpec run of base on one engine: an optional
-// leading record of the mutation bytes becomes command-line overrides
-// (fuzzOverrides); the rest is split in half: the first half becomes
-// structured fault events (mutateSpec), the second half a byte-level
-// edit script over the spec's serialised JSON form (mutateJSON), so the
-// strict loader sits inside the fuzzed path too. The overrides are
-// applied with Spec.Apply to the decoded document, the order
-// -scenario-file runs them in. It returns the run's series as TSV.
+// fuzzRun is one FuzzScenarioSpec run of base on one engine: a leading
+// four-byte record of the mutation bytes whose first byte has its top
+// bit set becomes an edit of the spec's fields (fuzzFields); the rest is
+// split in half: the first half becomes structured fault events
+// (mutateSpec), the second half a byte-level edit script over the spec's
+// serialised JSON form (mutateJSON), so the strict loader sits inside
+// the fuzzed path too. The field edit is made to the decoded document,
+// as a hand edit of an exported one would be. It returns the run's
+// series as TSV.
 func fuzzRun(base func() *scenario.Spec, seed int64, mut []byte, engineWorkers int) (string, error) {
 	spec := base()
 	if spec.Duration > fuzzDuration {
 		spec.Duration = fuzzDuration
 	}
-	ov, mut := fuzzOverrides(mut)
+	var rec []byte
+	if len(mut) >= 4 && mut[0]&0x80 != 0 {
+		rec, mut = mut[:4], mut[4:]
+	}
 	half := len(mut) / 2
 	mutateSpec(spec, mut[:half])
 	enc, err := spec.Encode()
@@ -234,8 +253,8 @@ func fuzzRun(base func() *scenario.Spec, seed int64, mut []byte, engineWorkers i
 	if err != nil {
 		return "", err
 	}
-	if spec, err = spec.Apply(ov); err != nil {
-		return "", err
+	if rec != nil {
+		fuzzFields(spec, rec)
 	}
 	if spec.Duration <= 0 || spec.Duration > fuzzDuration {
 		spec.Duration = fuzzDuration
@@ -267,7 +286,7 @@ func fuzzRun(base func() *scenario.Spec, seed int64, mut []byte, engineWorkers i
 }
 
 // FuzzScenarioSpec drives randomly mutated scenario specs — every
-// registered Spec-backed entry with fuzz-chosen overrides and fault events
+// registered Spec-backed entry with fuzz-chosen field edits and fault events
 // spliced in — through the executor (fuzzRun).
 // The contract under test, on the serial engine and on the region
 // engine alike: a spec either fails to decode/build/run with a
@@ -280,14 +299,14 @@ func FuzzScenarioSpec(f *testing.F) {
 		f.Add(id, int64(i+1), []byte{byte(i), 0x40, byte(2 * i), 1, 0, byte(i), 0x17, 2, 0, 40, 3, 1, 9})
 	}
 	f.Add(sameNodeFlowID, int64(1), []byte{})
-	// Override records: a 50 kbit/s core (with a fault event after it),
-	// a tree reshaped by fan-out and depth under a 20 kbit/s core, a
-	// core loss of 1.49 that Apply must refuse; then one field each: a
-	// population resized, a chain stretched, edge and core loss at 1, a
-	// negative queue limit and a -receivers on a spec without a
-	// population (both refused), a one-packet core queue (with a fault
-	// event), a wider, shallower tree, and every field at once, which
-	// Apply refuses because a tree ignores -hops.
+	// Field records: a 50 kbit/s core (with a fault event after it), a
+	// tree reshaped by fan-out and depth under a 20 kbit/s core, a core
+	// loss of 1.49 that Build refuses naming topology.core; then one
+	// field each: a population resized, a chain stretched, edge and core
+	// loss at 1, a negative queue limit (refused), a population size on a
+	// spec without a population (nothing to set), a one-packet core
+	// queue (with a fault event), a wider, shallower tree, and every
+	// field at once, of which a tree ignores the chain length.
 	f.Add("degrade", int64(1), []byte{0x80, 0x01, 5, 0, 4, 0x40, 0, 1})
 	f.Add("deeptree", int64(2), []byte{0x80, 0x0d, 2, 3})
 	f.Add("clrfail", int64(3), []byte{0x80, 0x21, 1, 0xff})
@@ -327,12 +346,13 @@ func FuzzScenarioSpec(f *testing.F) {
 }
 
 // hoplessSiteSeed is a FuzzScenarioSpec input for flashcrowd: an
-// edge-loss override record (0.5), fault events that the edit cuts away,
+// edge-loss field record (0.5), fault events that the edit cuts away,
 // and a mutateJSON script that truncates the document after the first
 // site's `"hops": [`, appends five or six bytes and rewrites them as
 // `]}}]}` (and a space).
-// The decoded spec is one site with no hops, which Build refuses;
-// Spec.Apply used to index that site's last hop and panic.
+// The decoded spec is one site with no hops, which Build refuses; the
+// edge-loss edit skips that site (an edge-loss override once indexed its
+// last hop and panicked).
 func hoplessSiteSeed(f *testing.F) []byte {
 	e, _ := Lookup("flashcrowd")
 	spec := e.Spec()

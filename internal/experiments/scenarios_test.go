@@ -10,19 +10,16 @@ import (
 	"repro/internal/sweep"
 )
 
-// TestStarvedCoreLinkDeliversNothing is figure 9 at -corebw 1e-30
-// -duration 5: one packet's serialisation time is beyond sim.Time's
-// range, so the core link must hold its first packet for ever. It used to
-// deliver everything in zero time, because the overflowed duration came
-// out negative and After read it as "now".
+// TestStarvedCoreLinkDeliversNothing is figure 9 with its core links at
+// 1e-30 Mbit/s (topology.core.bw), run for 5 s: one packet's
+// serialisation time is beyond sim.Time's range, so the core link must
+// hold its first packet for ever. It used to deliver everything in zero
+// time, because the overflowed duration came out negative and After read
+// it as "now".
 func TestStarvedCoreLinkDeliversNothing(t *testing.T) {
-	ov := scenario.None()
-	ov.CoreBW = 1e-30 * 125000
-	ov.Duration = 5 * sim.Second
-	spec, err := Figure9Spec().Apply(ov)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := Figure9Spec()
+	spec.Topology.Core.BW = 1e-30 * 125000
+	spec.Duration = 5 * sim.Second
 	core, err := runSpec(t, spec, 1).Link(scenario.CoreLink(0))
 	if err != nil {
 		t.Fatal(err)
@@ -167,34 +164,35 @@ func TestDegradeEventsShapeRate(t *testing.T) {
 	}
 }
 
-// TestOverriddenScenarioIsDeterministic: the override path (clone + Apply)
-// must be as reproducible as the base spec.
+// TestOverriddenScenarioIsDeterministic: a spec edited away from its
+// registry values (a resized population, a shorter run) must be as
+// reproducible as the registry spec.
 func TestOverriddenScenarioIsDeterministic(t *testing.T) {
-	ov := scenario.None()
-	ov.Duration = 20e9
-	ov.Receivers = 8
-	a, err := RunOverridden(NewRunCtx(), "deeptree", ov, 3)
+	spec := scenario.DeepTree()
+	spec.Duration = 20 * sim.Second
+	spec.Pop.Count = 8
+	a, err := SpecJob("deeptree", spec).run(NewRunCtx(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunOverridden(NewRunCtx(), "deeptree", ov, 3)
+	b, err := SpecJob("deeptree", spec).run(NewRunCtx(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.TSV() != b.TSV() {
-		t.Fatal("overridden scenario not seed-deterministic")
+		t.Fatal("edited scenario not seed-deterministic")
 	}
 }
 
-// TestOverriddenBuildFailureIsAnError: an override is user input, so a
-// spec it makes unbuildable comes back as an error (tfmccsim prints one
-// line and exits 1) — it used to panic out of RunOverridden.
+// TestOverriddenBuildFailureIsAnError: a spec document is user input, so
+// an edit that makes it unbuildable comes back as an error (tfmccsim
+// prints one line and exits 1) — it used to panic out of the run.
 func TestOverriddenBuildFailureIsAnError(t *testing.T) {
-	ov := scenario.None()
-	ov.Fanout = 100
-	res, err := RunOverridden(NewRunCtx(), "deeptree", ov, 1)
+	spec := scenario.DeepTree()
+	spec.Topology.Fanout = 100
+	res, err := SpecJob("deeptree", spec).run(NewRunCtx(), 1)
 	if err == nil || !strings.Contains(err.Error(), "too large") {
-		t.Fatalf("RunOverridden(deeptree, fanout 100) = %v, %v; want a topology-size error", res, err)
+		t.Fatalf("deeptree at topology.fanout 100 = %v, %v; want a topology-size error", res, err)
 	}
 }
 

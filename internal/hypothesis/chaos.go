@@ -8,21 +8,18 @@ import (
 )
 
 // ChaosPlan draws a randomized-but-deterministic fault schedule over a
-// scenario spec: Bursts faults of kinds the spec's shape supports —
-// core-link partitions with guaranteed heals, edge-link outages,
-// receiver crashes, impairment (corrupt/duplicate/reorder) bursts — at
-// times and durations drawn from a dedicated RNG seeded by Seed, so the
-// same plan over the same spec always yields the same script whatever
-// run seeds it is later swept with. Level scales intensity; the window
-// [From, To) defaults to the middle half of the run, leaving the head to
-// reach steady state and the tail to observe recovery after the final
-// guaranteed heal.
+// scenario spec: the level's count of faults of kinds the spec's shape
+// supports — core-link partitions with guaranteed heals, edge-link
+// outages, receiver crashes, impairment (corrupt/duplicate/reorder)
+// bursts — at times and durations drawn from a dedicated RNG seeded by
+// Seed, so the same plan over the same spec always yields the same
+// script whatever run seeds it is later swept with. Level scales
+// intensity; faults start in the middle half of the run, leaving the
+// head to reach steady state and the tail to observe recovery after the
+// final guaranteed heal.
 type ChaosPlan struct {
-	Level  int      `json:"level"`             // 1 (mild) .. 3 (hostile)
-	Seed   int64    `json:"seed,omitempty"`    // schedule RNG seed; default 1
-	Bursts int      `json:"bursts,omitempty"`  // override the level's burst count; at most maxBursts
-	From   sim.Time `json:"from_ns,omitempty"` // default Duration/4
-	To     sim.Time `json:"to_ns,omitempty"`   // default 3·Duration/4
+	Level int   `json:"level"`          // 1 (mild) .. 3 (hostile)
+	Seed  int64 `json:"seed,omitempty"` // schedule RNG seed; default 1
 }
 
 // chaosLevel is one intensity preset.
@@ -45,11 +42,6 @@ func Levels() map[int]string {
 	return out
 }
 
-// maxBursts caps ChaosPlan.Bursts: the levels draw at most 8 faults, and
-// a document asking for millions would only exhaust memory building the
-// script.
-const maxBursts = 1024
-
 var chaosLevels = map[int]chaosLevel{
 	1: {bursts: 2, minOutage: 1 * sim.Second, maxOutage: 3 * sim.Second, maxImpair: 0.05, crashFrac: 0},
 	2: {bursts: 4, minOutage: 2 * sim.Second, maxOutage: 6 * sim.Second, maxImpair: 0.15, crashFrac: 0.25},
@@ -70,26 +62,10 @@ func (p *ChaosPlan) Apply(spec *scenario.Spec) (*scenario.Spec, error) {
 	if !ok {
 		return nil, fmt.Errorf("hypothesis: unknown chaos level %d (have 1..%d)", p.Level, len(chaosLevels))
 	}
-	bursts := p.Bursts
-	if bursts > maxBursts {
-		return nil, fmt.Errorf("hypothesis: chaos bursts %d exceeds the cap of %d", bursts, maxBursts)
-	}
-	if bursts <= 0 {
-		bursts = lvl.bursts
-	}
 	if spec.Duration <= 0 {
 		return nil, fmt.Errorf("hypothesis: chaos over zero-duration spec %q", spec.Name)
 	}
-	from, to := p.From, p.To
-	if from == 0 {
-		from = spec.Duration / 4
-	}
-	if to == 0 {
-		to = spec.Duration * 3 / 4
-	}
-	if from < 0 || to <= from || to > spec.Duration {
-		return nil, fmt.Errorf("hypothesis: chaos window [%v, %v) outside run of %v", from, to, spec.Duration)
-	}
+	from, to := spec.Duration/4, spec.Duration*3/4
 
 	out := *spec
 	out.Name = fmt.Sprintf("%s-chaos%d-s%d", spec.Name, p.Level, p.seed())
@@ -131,7 +107,7 @@ func (p *ChaosPlan) Apply(spec *scenario.Spec) (*scenario.Spec, error) {
 		return scenario.SiteLink(i-coreLinks, 0, rng.Intn(2) == 1)
 	}
 
-	for b := 0; b < bursts; b++ {
+	for b := 0; b < lvl.bursts; b++ {
 		var kinds []string
 		if coreLinks > 0 {
 			kinds = append(kinds, "partition")

@@ -52,13 +52,16 @@ func TestDecodeRejectsUnknownAndTrailing(t *testing.T) {
 
 // TestDecodeRejectsRemovedAndNestedUnknownKeys: a hypothesis document
 // is decoded strictly all the way down — a workload naming the removed
-// file key, or an inline spec carrying a key the spec format does not
-// have, fails Decode with an error naming the key.
+// file key, a chaos plan naming the removed bursts or window keys, or an
+// inline spec carrying a key the spec format does not have, fails Decode
+// with an error naming the key.
 func TestDecodeRejectsRemovedAndNestedUnknownKeys(t *testing.T) {
 	for key, doc := range map[string]string{
 		"file":      `{"id":"x","workload":{"file":"spec.json"}}`,
 		"bogus_key": `{"id":"x","workload":{"spec":{"name":"s","duration_ns":1,"bogus_key":1}}}`,
 		"partition": `{"id":"x","workload":{"spec":{"name":"s","duration_ns":1,"events":[{"partition":[{"site":-1}]}]}}}`,
+		"bursts":    `{"id":"x","workload":{"scenario":"partition","chaos":{"level":1,"bursts":100000000}}}`,
+		"from_ns":   `{"id":"x","workload":{"scenario":"partition","chaos":{"level":1,"from_ns":1}}}`,
 	} {
 		if _, err := Decode([]byte(doc)); err == nil || !strings.Contains(err.Error(), `"`+key+`"`) {
 			t.Errorf("%s: %v, want a decode error naming the key", key, err)
@@ -141,9 +144,9 @@ func TestChaosSchedulesPinned(t *testing.T) {
 	}
 }
 
-// TestHostileSizesRefused: a seed count or burst count that would only
-// exhaust memory is an error naming its field, returned before anything
-// is allocated for it.
+// TestHostileSizesRefused: a seed count that would only exhaust memory is
+// an error naming its field, returned before anything is allocated for
+// it.
 func TestHostileSizesRefused(t *testing.T) {
 	h := &Hypothesis{
 		ID:       "huge",
@@ -153,12 +156,6 @@ func TestHostileSizesRefused(t *testing.T) {
 	}
 	if _, err := Run(h, sweep.Config{}); err == nil || !strings.Contains(err.Error(), "seeds.count") {
 		t.Errorf("seeds.count 1e9: %v, want an error naming seeds.count", err)
-	}
-	if _, err := (&ChaosPlan{Level: 1, Bursts: 100_000_000}).Apply(scenario.Partition()); err == nil || !strings.Contains(err.Error(), "bursts") {
-		t.Errorf("bursts 1e8: %v, want an error naming bursts", err)
-	}
-	if _, err := (&ChaosPlan{Level: 1, Bursts: maxBursts}).Apply(scenario.Partition()); err != nil {
-		t.Errorf("bursts at the cap refused: %v", err)
 	}
 }
 

@@ -20,7 +20,7 @@ func TestFirstMeasurementTakesFullValue(t *testing.T) {
 	e := NewEstimator(DefaultConfig())
 	// Report sent at t=1s, echoed with 10ms hold, echo arrives at 1.070s:
 	// instantaneous RTT = 60ms.
-	inst := e.Measure(sim.FromMillis(1070), sim.Second, 10*sim.Millisecond, sim.FromMillis(1040), false)
+	inst := e.Measure(1070*sim.Millisecond, sim.Second, 10*sim.Millisecond, 1040*sim.Millisecond, false)
 	if inst != 60*sim.Millisecond {
 		t.Fatalf("instantaneous = %v, want 60ms", inst)
 	}
@@ -32,9 +32,9 @@ func TestFirstMeasurementTakesFullValue(t *testing.T) {
 func TestEWMASmoothingCLRvsOther(t *testing.T) {
 	mk := func(isCLR bool) sim.Time {
 		e := NewEstimator(DefaultConfig())
-		e.Measure(sim.FromMillis(1100), sim.Second, 0, sim.FromMillis(1050), isCLR) // 100ms
+		e.Measure(1100*sim.Millisecond, sim.Second, 0, 1050*sim.Millisecond, isCLR) // 100ms
 		// Single spurious 200ms sample.
-		e.Measure(sim.FromMillis(1200), sim.Second, 0, sim.FromMillis(1100), isCLR)
+		e.Measure(1200*sim.Millisecond, sim.Second, 0, 1100*sim.Millisecond, isCLR)
 		return e.RTT()
 	}
 	clr := mk(true)
@@ -99,9 +99,9 @@ func TestOneWayAdjustmentNeedsMeasurement(t *testing.T) {
 
 func TestDiscardOneWay(t *testing.T) {
 	e := NewEstimator(DefaultConfig())
-	e.Measure(sim.FromMillis(1060), sim.Second, 0, sim.FromMillis(1030), false)
+	e.Measure(1060*sim.Millisecond, sim.Second, 0, 1030*sim.Millisecond, false)
 	e.DiscardOneWay()
-	if _, ok := e.AdjustOneWay(2*sim.Second, sim.FromMillis(1970)); ok {
+	if _, ok := e.AdjustOneWay(2*sim.Second, 1970*sim.Millisecond); ok {
 		t.Fatal("adjustment after discard must fail")
 	}
 }

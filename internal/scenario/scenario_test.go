@@ -189,210 +189,69 @@ func TestOverridesApply(t *testing.T) {
 	base := DeepTree()
 	ov := None()
 	ov.Duration = 10 * sim.Second
-	ov.Fanout = 3
-	ov.Depth = 2
-	ov.Receivers = 5
-	ov.CoreLoss = 0.02
 	out, err := base.Apply(ov)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Duration != 10*sim.Second || out.Topology.Fanout != 3 || out.Topology.Depth != 2 {
-		t.Fatalf("topology overrides not applied: %+v", out.Topology)
-	}
-	if out.Topology.Core.Loss != 0.02 {
-		t.Fatalf("core loss override not applied: %v", out.Topology.Core.Loss)
-	}
-	if out.Pop.Count != 5 {
-		t.Fatalf("receiver override not applied: %+v", out.Pop)
+	if out.Duration != 10*sim.Second {
+		t.Fatalf("duration override not applied: %v", out.Duration)
 	}
 	// The base spec must be untouched.
-	if base.Duration == out.Duration || base.Pop.Count != 0 || base.Topology.Fanout != 2 {
+	if base.Duration == out.Duration {
 		t.Fatal("Apply mutated the receiver spec")
 	}
-
-	// Receivers on a steps-only spec is an error, not silence.
-	if _, err := Degrade().Apply(Overrides{CoreLoss: -1, EdgeLoss: -1, Receivers: 3}); err == nil {
-		t.Fatal("Receivers override on a steps-only spec should error")
-	}
-
-	// EdgeLoss must copy-on-write the site steps.
-	fc := FlashCrowd()
-	out2, err := fc.Apply(Overrides{CoreLoss: -1, EdgeLoss: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var checked bool
-	for i, st := range out2.Steps {
-		if st.Site == nil {
-			continue
-		}
-		if st.Site.Hops[0].Down.Loss != 0.2 {
-			t.Fatalf("edge loss not applied to site step %d", i)
-		}
-		if fc.Steps[i].Site.Hops[0].Down.Loss == 0.2 {
-			t.Fatalf("edge loss mutated the base spec at step %d", i)
-		}
-		checked = true
-	}
-	if !checked {
-		t.Fatal("no site steps found in flashcrowd")
-	}
 }
 
-// TestEdgeLossLeavesHoplessSite: an edge-loss override over a site that
-// declares no hops (a hand-edited document) leaves that site for Build to
-// refuse, as the same document without the override is; Apply used to
-// index the site's last hop and panic.
-func TestEdgeLossLeavesHoplessSite(t *testing.T) {
-	spec := FlashCrowd()
-	site := *spec.Steps[0].Site
-	site.Hops = []Hop{}
-	spec.Steps[0].Site = &site
-	ov := None()
-	ov.EdgeLoss = 0.1
-	out, err := spec.Apply(ov)
-	if err != nil {
-		t.Fatalf("Apply refused a well-formed override: %v", err)
-	}
-	if len(out.Steps[0].Site.Hops) != 0 {
-		t.Fatalf("Apply gave the hopless site %d hops", len(out.Steps[0].Site.Hops))
-	}
-	if out.Steps[1].Site.Hops[0].Down.Loss != 0.1 {
-		t.Fatal("edge loss not applied to the sites that have hops")
-	}
-	if _, err := Build(NewEnv(1), out); err == nil || !strings.Contains(err.Error(), "1 or 2 hops") {
-		t.Fatalf("Build of the hopless site: %v, want the hop-count error", err)
-	}
-}
-
-// TestOverridesRejectNonsense: an override that is neither "unset" nor a
-// value a spec can hold is an error naming its flag — never silently
-// dropped (NaN and negatives used to read as "not set") and never folded
-// into the spec (a loss of 1.5 used to run and print zeros).
+// TestOverridesRejectNonsense: a duration override that is neither
+// "unset" nor a length a spec can hold is an error naming its flag —
+// never silently dropped (negatives used to read as "not set").
 func TestOverridesRejectNonsense(t *testing.T) {
-	nan, inf := math.NaN(), math.Inf(1)
-	with := func(set func(*Overrides)) Overrides {
-		o := None()
-		set(&o)
-		return o
-	}
 	for _, c := range []struct {
 		name string
 		ov   Overrides
 		flag string // "" = must apply cleanly
 	}{
 		{"none", None(), ""},
-		{"loss 0", with(func(o *Overrides) { o.CoreLoss, o.EdgeLoss = 0, 0 }), ""},
-		{"loss 1", with(func(o *Overrides) { o.CoreLoss, o.EdgeLoss = 1, 1 }), ""},
-		{"coreloss 1.5", with(func(o *Overrides) { o.CoreLoss = 1.5 }), "-coreloss"},
-		{"coreloss NaN", with(func(o *Overrides) { o.CoreLoss = nan }), "-coreloss"},
-		{"coreloss -0.5", with(func(o *Overrides) { o.CoreLoss = -0.5 }), "-coreloss"},
-		{"coreloss -Inf", with(func(o *Overrides) { o.CoreLoss = math.Inf(-1) }), "-coreloss"},
-		{"edgeloss NaN", with(func(o *Overrides) { o.EdgeLoss = nan }), "-edgeloss"},
-		{"edgeloss +Inf", with(func(o *Overrides) { o.EdgeLoss = inf }), "-edgeloss"},
-		{"edgeloss -2", with(func(o *Overrides) { o.EdgeLoss = -2 }), "-edgeloss"},
-		{"corebw -3", with(func(o *Overrides) { o.CoreBW = -3 * 125000 }), "-corebw"},
-		{"corebw NaN", with(func(o *Overrides) { o.CoreBW = nan }), "-corebw"},
-		{"corebw +Inf", with(func(o *Overrides) { o.CoreBW = inf }), "-corebw"},
-		{"duration -5", with(func(o *Overrides) { o.Duration = -5 * sim.Second }), "-duration"},
-		{"coredelay -1ms", with(func(o *Overrides) { o.CoreDelay = -sim.Millisecond }), "-coredelay"},
-		{"corequeue -1", with(func(o *Overrides) { o.CoreQueue = -1 }), "-corequeue"},
-		{"receivers -2", with(func(o *Overrides) { o.Receivers = -2 }), "-receivers"},
-		{"fanout -1", with(func(o *Overrides) { o.Fanout = -1 }), "-fanout"},
-		{"depth -1", with(func(o *Overrides) { o.Depth = -1 }), "-depth"},
-		{"hops -1", with(func(o *Overrides) { o.Hops = -1 }), "-hops"},
+		{"duration 5", Overrides{Duration: 5 * sim.Second}, ""},
+		{"duration -5", Overrides{Duration: -5 * sim.Second}, "-duration"},
 	} {
-		// Degrade has a core link and a site, so every valid value applies.
 		out, err := Degrade().Apply(c.ov)
 		switch {
 		case c.flag == "" && err != nil:
 			t.Errorf("%s: valid overrides refused: %v", c.name, err)
 		case c.flag != "" && err == nil:
-			t.Errorf("%s: applied without error (core loss %v, duration %v)", c.name, out.Topology.Core.Loss, out.Duration)
+			t.Errorf("%s: applied without error (duration %v)", c.name, out.Duration)
 		case c.flag != "" && !strings.Contains(err.Error(), c.flag+" "):
 			t.Errorf("%s: error does not name %s: %v", c.name, c.flag, err)
 		}
 	}
 }
 
-// TestOverridesRefuseIgnored: an override that the spec's shape ignores
-// — the run would be byte-identical without it — is an error naming its
-// flag, like -receivers on a spec without a population: core values on
-// a star, tree shape off a tree, a chain length off a chain, edge loss
-// with no site and no population hop. The same override on a shape that
-// uses it applies.
-func TestOverridesRefuseIgnored(t *testing.T) {
-	with := func(set func(*Overrides)) Overrides {
-		o := None()
-		set(&o)
-		return o
+// TestEdgeLossLeavesHoplessSite: a site that declares no hops (a
+// hand-edited document) is refused by Build naming the hop count, and
+// nothing before Build indexes its last hop; an edge-loss override once
+// did, and panicked.
+func TestEdgeLossLeavesHoplessSite(t *testing.T) {
+	spec := FlashCrowd()
+	site := *spec.Steps[0].Site
+	site.Hops = []Hop{}
+	spec.Steps[0].Site = &site
+	out, err := spec.Apply(None())
+	if err != nil {
+		t.Fatalf("Apply refused an empty override: %v", err)
 	}
-	corebw := with(func(o *Overrides) { o.CoreBW = 12500 })
-	coredelay := with(func(o *Overrides) { o.CoreDelay = sim.Millisecond })
-	coreloss := with(func(o *Overrides) { o.CoreLoss = 0.5 })
-	corequeue := with(func(o *Overrides) { o.CoreQueue = 10 })
-	fanout := with(func(o *Overrides) { o.Fanout = 3 })
-	depth := with(func(o *Overrides) { o.Depth = 4 })
-	hops := with(func(o *Overrides) { o.Hops = 4 })
-	edgeloss := with(func(o *Overrides) { o.EdgeLoss = 0.1 })
-	// A depth-0 tree and a one-transit transit-stub build no core link.
-	flatTree := func() *Spec {
-		s := DeepTree()
-		s.Topology.Depth = 0
-		return s
+	if len(out.Steps[0].Site.Hops) != 0 {
+		t.Fatalf("Apply gave the hopless site %d hops", len(out.Steps[0].Site.Hops))
 	}
-	oneTransit := func() *Spec {
-		return &Spec{Name: "onetransit", Topology: Topology{Kind: TransitStub, Transit: 1, Stubs: 2,
-			Core: LinkP{BW: BW(10), Delay: sim.Millisecond}, StubLink: LinkP{BW: BW(4), Delay: sim.Millisecond}},
-			Pop: &Population{PerAttach: true, Count: 2}, Duration: sim.Second}
-	}
-	for _, c := range []struct {
-		name string
-		spec func() *Spec
-		ov   Overrides
-		flag string // "" = must apply
-	}{
-		{"corebw on a star", FlashCrowd, corebw, "-corebw"},
-		{"coredelay on a star", FlashCrowd, coredelay, "-coredelay"},
-		{"coreloss on a star", FlashCrowd, coreloss, "-coreloss"},
-		{"corequeue on a star", FlashCrowd, corequeue, "-corequeue"},
-		{"fanout on a dumbbell", Degrade, fanout, "-fanout"},
-		{"depth on a chain", ChainLoss, depth, "-depth"},
-		{"hops on a dumbbell", Degrade, hops, "-hops"},
-		{"hops on a tree", DeepTree, hops, "-hops"},
-		{"edgeloss without a site or population hop", DeepTree, edgeloss, "-edgeloss"},
-		{"corebw on a depth-0 tree", flatTree, corebw, "-corebw"},
-		{"coreloss on a depth-0 tree", flatTree, coreloss, "-coreloss"},
-		{"fanout on a depth-0 tree", flatTree, fanout, "-fanout"},
-		{"corebw on a one-transit transit-stub", oneTransit, corebw, "-corebw"},
-		{"coredelay on a one-transit transit-stub", oneTransit, coredelay, "-coredelay"},
-		{"corequeue on a one-transit transit-stub", oneTransit, corequeue, "-corequeue"},
-		{"coreloss on a one-transit transit-stub", oneTransit, coreloss, "-coreloss"},
-		{"depth and corebw on a depth-0 tree", flatTree, with(func(o *Overrides) { o.Depth, o.CoreBW = 2, 125000 }), ""},
-		{"coreloss on a transit-stub", Wireless, coreloss, ""},
-		{"corebw on a dumbbell", Degrade, corebw, ""},
-		{"coreloss on a tree", DeepTree, coreloss, ""},
-		{"fanout and depth on a tree", DeepTree, with(func(o *Overrides) { o.Fanout, o.Depth = 3, 4 }), ""},
-		{"hops on a chain", ChainLoss, hops, ""},
-		{"edgeloss on a star's sites", FlashCrowd, edgeloss, ""},
-	} {
-		_, err := c.spec().Apply(c.ov)
-		switch {
-		case c.flag == "" && err != nil:
-			t.Errorf("%s: refused: %v", c.name, err)
-		case c.flag != "" && err == nil:
-			t.Errorf("%s: applied, want an error naming %s", c.name, c.flag)
-		case c.flag != "" && !strings.Contains(err.Error(), "override "+c.flag+" has no effect"):
-			t.Errorf("%s: error does not name %s: %v", c.name, c.flag, err)
-		}
+	if _, err := Build(NewEnv(1), out); err == nil || !strings.Contains(err.Error(), "1 or 2 hops") {
+		t.Fatalf("Build of the hopless site: %v, want the hop-count error", err)
 	}
 }
 
-// TestShapeOverrideStrandsReference: a shape override that leaves the
-// spec naming a core node, attach point or core link the new topology
-// lacks is refused by Apply, naming the reference and the flags; it used
-// to reach Build, whose error names no flag.
+// TestShapeOverrideStrandsReference: a topology shape (fan-out, depth,
+// hops) that leaves the spec naming a core node, attach point or core
+// link the topology lacks is refused by Build naming the reference; the
+// same references on a shape that has them build.
 func TestShapeOverrideStrandsReference(t *testing.T) {
 	leafSites := func() *Spec {
 		s := DeepTree()
@@ -410,25 +269,25 @@ func TestShapeOverrideStrandsReference(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		spec func() *Spec
-		ov   func(*Overrides)
-		want string // "" = must apply
+		edit func(*Topology)
+		want string // "" = must build
 	}{
-		{"hops below a named core node", ChainLoss, func(o *Overrides) { o.Hops = 3 }, "core node 4 out of range (have 4), after override -hops"},
-		{"hops keeping every core node", ChainLoss, func(o *Overrides) { o.Hops = 4 }, ""},
-		{"depth below a named attach point", leafSites, func(o *Overrides) { o.Depth = 2 }, "attach point 7 out of range (have 4), after override -depth"},
-		{"fanout and depth keeping the attach point", leafSites, func(o *Overrides) { o.Fanout, o.Depth = 3, 2 }, ""},
-		{"fanout and depth below the attach point", leafSites, func(o *Overrides) { o.Fanout, o.Depth = 3, 1 }, "attach point 7 out of range (have 3), after override -fanout -depth"},
-		{"hops below a scripted core link", coreEvent, func(o *Overrides) { o.Hops = 5 }, "core link 5 out of range (have 5 pairs) (event 0), after override -hops"},
-		{"hops keeping the scripted core link", coreEvent, func(o *Overrides) { o.Hops = 6 }, ""},
+		{"hops below a named core node", ChainLoss, func(tp *Topology) { tp.Hops = 3 }, "core node 4 out of range (have 4)"},
+		{"hops keeping every core node", ChainLoss, func(tp *Topology) { tp.Hops = 4 }, ""},
+		{"depth below a named attach point", leafSites, func(tp *Topology) { tp.Depth = 2 }, "attach point 7 out of range (have 4)"},
+		{"fanout and depth keeping the attach point", leafSites, func(tp *Topology) { tp.Fanout, tp.Depth = 3, 2 }, ""},
+		{"fanout and depth below the attach point", leafSites, func(tp *Topology) { tp.Fanout, tp.Depth = 3, 1 }, "attach point 7 out of range (have 3)"},
+		{"hops below a scripted core link", coreEvent, func(tp *Topology) { tp.Hops = 5 }, "core link 5 out of range (have 5 pairs) (event 0)"},
+		{"hops keeping the scripted core link", coreEvent, func(tp *Topology) { tp.Hops = 6 }, ""},
 	} {
-		o := None()
-		c.ov(&o)
-		_, err := c.spec().Apply(o)
+		spec := c.spec()
+		c.edit(&spec.Topology)
+		_, err := Build(NewEnv(1), spec)
 		switch {
 		case c.want == "" && err != nil:
 			t.Errorf("%s: refused: %v", c.name, err)
 		case c.want != "" && err == nil:
-			t.Errorf("%s: applied, want an error containing %q", c.name, c.want)
+			t.Errorf("%s: built, want an error containing %q", c.name, c.want)
 		case c.want != "" && !strings.Contains(err.Error(), c.want):
 			t.Errorf("%s: error %q does not contain %q", c.name, err, c.want)
 		}

@@ -16,8 +16,6 @@ type Topo struct {
 	Attach []simnet.NodeID
 	// SenderAttach is where the TFMCC source's access duplex hangs.
 	SenderAttach simnet.NodeID
-
-	corePairs int // pairs of Links built from Topology.Core
 }
 
 // maxCoreNodes bounds generated topologies so a malformed (or fuzzed)
@@ -36,10 +34,7 @@ func buildTopology(net *simnet.Network, t Topology) (*Topo, error) {
 		down.LossProb, up.LossProb = p.Loss, p.Loss
 		topo.Links = append(topo.Links, down, up)
 	}
-	core := func(a, b simnet.NodeID) {
-		duplex(a, b, t.Core)
-		topo.corePairs++
-	}
+	core := func(a, b simnet.NodeID) { duplex(a, b, t.Core) }
 	switch t.Kind {
 	case Dumbbell:
 		left := net.AddNode("left")

@@ -38,10 +38,6 @@ func (t Time) String() string { return fmt.Sprintf("%.6fs", t.Seconds()) }
 // ±MaxTime; NaN reads as MaxTime.
 func FromSeconds(s float64) Time { return saturate(s * float64(Second)) }
 
-// FromMillis converts a duration in milliseconds to a Time, saturating
-// like FromSeconds.
-func FromMillis(ms float64) Time { return saturate(ms * float64(Millisecond)) }
-
 // Scale multiplies a time by a dimensionless factor, saturating like
 // FromSeconds.
 func (t Time) Scale(f float64) Time { return saturate(float64(t) * f) }
