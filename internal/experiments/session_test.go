@@ -3,6 +3,7 @@ package experiments
 import (
 	"testing"
 
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/tfmcc"
 )
@@ -59,5 +60,19 @@ func BenchmarkTFMCCSessionCold(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		sessionThroughput(NewRunCtx(), 100, 10)
+	}
+}
+
+// BenchmarkBuildFigure12 is a cold build of figure 12's thousand-receiver
+// document: a fresh environment every iteration, so B/op is what building
+// a receiver costs — its node, access links, struct and receive-window
+// ring — times a thousand, plus the topology.
+func BenchmarkBuildFigure12(b *testing.B) {
+	b.ReportAllocs()
+	spec := Figure12Spec()
+	for b.Loop() {
+		if _, err := scenario.Build(scenario.NewEnv(1), spec); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

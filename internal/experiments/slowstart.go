@@ -93,7 +93,7 @@ func slowstartSpec(nRecv int, bw float64, numTCP, qlen int) *scenario.Spec {
 		Title: "Maximum slowstart rate vs number of receivers",
 		Topology: scenario.Topology{Kind: scenario.Dumbbell,
 			Core: scenario.LinkP{BW: bw, Delay: 20 * sim.Millisecond, Queue: qlen}},
-		Pop:      &scenario.Population{Count: nRecv, Parent: scenario.AttachPoint(0)},
+		Pop:      &scenario.Population{Count: nRecv, Parent: scenario.AttachPoint(0), Hop: scenario.FastHop()},
 		Steps:    steps,
 		Duration: 120 * sim.Second,
 	}

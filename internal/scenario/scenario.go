@@ -275,15 +275,19 @@ type Step struct {
 // Population declares a uniform receiver block: Count single-hop sites
 // (or direct attachments) with one receiver each, expanded before the
 // explicit Steps. It exists so large uniform scenarios stay compact and
-// so the receiver count is overridable from the command line.
+// so the receiver count is one field of the document.
 type Population struct {
 	Count     int     `json:"count,omitempty"`
 	Parent    NodeRef `json:"parent,omitzero"`      // zero value = Core(0)
 	PerAttach bool    `json:"per_attach,omitempty"` // round-robin receivers over all attach points
 	Direct    bool    `json:"direct,omitempty"`     // no access hop: join on the parent node itself
-	Hop       Hop     `json:"hop,omitzero"`         // access hop (ignored when Direct); zero value = FastHop
-	Jitter    *Jitter `json:"jitter,omitempty"`
-	Meter     string  `json:"meter,omitempty"` // meter name for receiver 0; "" = none
+	// Hop is the access hop (ignored when Direct). Only the wholly zero
+	// value stands for FastHop; a partly set hop is taken literally, so a
+	// hop that sets only a loss has 0 ms links. Jitter, when set, replaces
+	// its delay each way.
+	Hop    Hop     `json:"hop,omitzero"`
+	Jitter *Jitter `json:"jitter,omitempty"`
+	Meter  string  `json:"meter,omitempty"` // meter name for receiver 0; "" = none
 }
 
 // SetLink is a timed mutation of every listed link, the script's one

@@ -157,7 +157,7 @@ type node struct {
 	hport Port
 
 	fan      *fanout   // fan-out train state (train.go); nil until first used
-	handlers []Handler // indexed by Port
+	handlers []Handler // indexed by Port; empty until a second port binds
 
 	_ [8]byte
 }
@@ -267,16 +267,35 @@ func (n *Network) NumNodes() int { return len(n.nodes) }
 // NodeName returns the debug name of a node.
 func (n *Network) NodeName(id NodeID) string { return n.names[id] }
 
-// Bind attaches a handler to a node's port.
+// Bind attaches a handler to a node's port; a nil handler unbinds it.
+// A node bound on one port keeps only h/hport. The port-indexed table is
+// built when a second port binds, holding both, and serves every binding
+// from then on, so a thousand single-port receivers build no table.
 func (n *Network) Bind(addr Addr, h Handler) {
 	nd := &n.nodes[addr.Node]
-	for int(addr.Port) >= len(nd.handlers) {
-		nd.handlers = append(nd.handlers, nil)
+	if len(nd.handlers) == 0 {
+		if nd.h == nil || nd.hport == addr.Port {
+			nd.h, nd.hport = h, addr.Port
+			return
+		}
+		if h == nil {
+			return // unbinding a port that holds nothing
+		}
+		nd.bindTable(nd.hport, nd.h) // a second port: the table takes both
 	}
-	nd.handlers[addr.Port] = h
+	nd.bindTable(addr.Port, h)
 	if h != nil || nd.hport == addr.Port {
 		nd.h, nd.hport = h, addr.Port
 	}
+}
+
+// bindTable sets port's entry of the node's port-indexed table, growing
+// it to hold the port.
+func (nd *node) bindTable(port Port, h Handler) {
+	for int(port) >= len(nd.handlers) {
+		nd.handlers = append(nd.handlers, nil)
+	}
+	nd.handlers[port] = h
 }
 
 // AddLink creates a unidirectional link. bandwidth is in bytes/second

@@ -98,7 +98,7 @@ const staleDataRounds = 2
 // NewReceiver creates a receiver on the given node and joins the group.
 // sender is the sender's unicast address for reports. On a rewound
 // network the receiver built at the same point of a previous run, with
-// its 8 KB receive-window ring, is re-initialised and returned instead of
+// its 4 KB receive-window ring, is re-initialised and returned instead of
 // allocating a new one. Config's one choice acts at the sender, so a
 // receiver ignores it.
 func NewReceiver(id ReceiverID, net *simnet.Network, node simnet.NodeID, port simnet.Port,
@@ -278,7 +278,7 @@ func (r *Receiver) Recv(pkt *simnet.Packet) {
 
 	r.detectLosses(d, now)
 	r.est.OnPacket()
-	r.rw.add(now, pkt.Size)
+	r.rw.add(now)
 
 	wasCLR := r.isCLR
 	r.isCLR = d.CLR == r.id
@@ -609,28 +609,24 @@ func clamp01(x float64) float64 {
 	return x
 }
 
-// recvWindow measures receive rate over a sliding time window. Samples
-// live in a fixed ring, allocated once per receiver, so the per-packet
-// add never allocates; pruning keeps the same samples the old slice
-// version kept (drop the oldest 256 once 512 is exceeded). The cursors
-// sit among the receiver's hot fields, the ring in its own allocation.
-// The ring is held as a slice, not an array pointer: indexing it is then
-// a bounds check against the length beside the cursors instead of a nil
-// check that loads the ring's first line.
+// recvWindow measures receive rate over a sliding time window. Every
+// data packet is PacketSize bytes (the sender sets it, and simnet never
+// resizes a packet), so a sample is its arrival time alone and the rate is
+// the count in the window times PacketSize: the same integer a sum of
+// per-sample sizes gives (TestRecvWindowMatchesSizedRing). Samples live in a fixed ring, allocated once
+// per receiver, so the per-packet add never allocates; pruning keeps the
+// same samples the old slice version kept (drop the oldest 256 once 512 is
+// exceeded). The cursors sit among the receiver's hot fields, the ring in
+// its own allocation. The ring is held as a slice, not an array pointer:
+// indexing it is then a bounds check against the length beside the
+// cursors instead of a nil check that loads the ring's first line.
 type recvWindow struct {
-	s    []recvSample
+	s    []sim.Time
 	head int32 // index of the oldest sample
 	n    int32
 }
 
-// recvSample is one arrival, time and size side by side so add writes a
-// single cache line.
-type recvSample struct {
-	t sim.Time
-	b int
-}
-
-// recvWindowCap is the ring size, 8 KB, a power of two so indices wrap by
+// recvWindowCap is the ring size, 4 KB, a power of two so indices wrap by
 // mask. The pruning rule lets 513 samples live for the instant between
 // add's write and its prune; the 513th is written over the oldest, which
 // that prune drops, so 512 slots hold every sample anything reads.
@@ -641,17 +637,17 @@ func (w *recvWindow) slot(i int32) int32 { return (w.head + i) & (recvWindowCap 
 
 // reset empties the window, allocating the ring the first time. The ring
 // keeps its contents — with n == 0 nothing can read them — so rewinding
-// costs two stores instead of an 8 KB clear.
+// costs two stores instead of a 4 KB clear.
 func (w *recvWindow) reset() {
 	if w.s == nil {
-		w.s = make([]recvSample, recvWindowCap)
+		w.s = make([]sim.Time, recvWindowCap)
 	}
 	w.head, w.n = 0, 0
 }
 
-func (w *recvWindow) add(now sim.Time, bytes int) {
-	e := &w.s[w.slot(w.n)]
-	e.t, e.b = now, bytes
+// add records a PacketSize arrival at now.
+func (w *recvWindow) add(now sim.Time) {
+	w.s[w.slot(w.n)] = now
 	w.n++
 	// Amortised pruning: keep at most ~512 samples.
 	if w.n > 512 {
@@ -666,13 +662,12 @@ func (w *recvWindow) rate(window, now sim.Time) float64 {
 		return 0
 	}
 	cut := now - window
-	var bytes int64
+	var count int64
 	for i := w.n - 1; i >= 0; i-- {
-		e := &w.s[w.slot(i)]
-		if e.t < cut {
+		if w.s[w.slot(i)] < cut {
 			break
 		}
-		bytes += int64(e.b)
+		count++
 	}
-	return float64(bytes) / window.Seconds()
+	return float64(count*int64(PacketSize)) / window.Seconds()
 }

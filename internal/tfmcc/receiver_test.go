@@ -167,16 +167,16 @@ func TestReceiverEligibilityRequiresLowerRate(t *testing.T) {
 func TestRecvWindowRate(t *testing.T) {
 	var w recvWindow
 	w.reset()
-	w.add(0, 1000)
-	w.add(100*sim.Millisecond, 1000)
-	w.add(200*sim.Millisecond, 1000)
+	w.add(0)
+	w.add(100 * sim.Millisecond)
+	w.add(200 * sim.Millisecond)
 	// Window of 1s from t=200ms covers all three packets.
-	if got := w.rate(sim.Second, 200*sim.Millisecond); got != 3000 {
-		t.Fatalf("rate = %v, want 3000 B/s", got)
+	if got := w.rate(sim.Second, 200*sim.Millisecond); got != 3*float64(PacketSize) {
+		t.Fatalf("rate = %v, want %d B/s", got, 3*PacketSize)
 	}
 	// Window of 150ms covers the last two.
-	if got := w.rate(150*sim.Millisecond, 200*sim.Millisecond); math.Abs(got-2000/0.15) > 1 {
-		t.Fatalf("rate = %v, want %v", got, 2000/0.15)
+	if got, want := w.rate(150*sim.Millisecond, 200*sim.Millisecond), 2*float64(PacketSize)/0.15; got != want {
+		t.Fatalf("rate = %v, want %v", got, want)
 	}
 	if w.rate(0, 0) != 0 {
 		t.Fatal("zero window should be 0")
@@ -191,16 +191,125 @@ func TestRecvWindowPruning(t *testing.T) {
 	var w recvWindow
 	w.reset()
 	for i := 0; i < 2000; i++ {
-		w.add(sim.Time(i)*sim.Millisecond, 100)
+		w.add(sim.Time(i) * sim.Millisecond)
 	}
 	if w.n > 512 {
 		t.Fatalf("window not pruned: %d samples", w.n)
 	}
-	// Recent rate still correct after pruning.
-	got := w.rate(100*sim.Millisecond, 1999*sim.Millisecond)
-	if math.Abs(got-100*101/0.1) > 2000 {
-		t.Fatalf("post-prune rate = %v", got)
+	// Recent rate still correct after pruning: arrivals 1899..1999 ms.
+	if got, want := w.rate(100*sim.Millisecond, 1999*sim.Millisecond), 101*float64(PacketSize)/0.1; got != want {
+		t.Fatalf("post-prune rate = %v, want %v", got, want)
 	}
+}
+
+// refWindow is the receive window as it was when every sample carried its
+// size beside its time: the oracle recvWindow's count·PacketSize must
+// match bit for bit on PacketSize arrivals.
+type refWindow struct {
+	s    []refSample
+	head int32
+	n    int32
+}
+
+type refSample struct {
+	t sim.Time
+	b int
+}
+
+func (w *refWindow) slot(i int32) int32 { return (w.head + i) & (recvWindowCap - 1) }
+
+func (w *refWindow) reset() {
+	if w.s == nil {
+		w.s = make([]refSample, recvWindowCap)
+	}
+	w.head, w.n = 0, 0
+}
+
+func (w *refWindow) add(now sim.Time, bytes int) {
+	e := &w.s[w.slot(w.n)]
+	e.t, e.b = now, bytes
+	w.n++
+	if w.n > 512 {
+		w.head = w.slot(256)
+		w.n -= 256
+	}
+}
+
+func (w *refWindow) rate(window, now sim.Time) float64 {
+	if window <= 0 || w.n == 0 {
+		return 0
+	}
+	cut := now - window
+	var bytes int64
+	for i := w.n - 1; i >= 0; i-- {
+		e := &w.s[w.slot(i)]
+		if e.t < cut {
+			break
+		}
+		bytes += int64(e.b)
+	}
+	return float64(bytes) / window.Seconds()
+}
+
+// TestRecvWindowMatchesSizedRing feeds the window and its sized-sample
+// oracle the same random arrival streams — back-to-back bursts, ordinary
+// spacing and silences longer than any window, thousands of arrivals so
+// pruning wraps the ring many times — and queries random windows after
+// each arrival: 0, longer than the whole stream, and starting exactly at
+// a held arrival. Every rate must be bit-equal.
+func TestRecvWindowMatchesSizedRing(t *testing.T) {
+	rng := sim.NewRand(7)
+	queries, pruned := 0, 0
+	for stream := 0; stream < 20; stream++ {
+		var w recvWindow
+		var ref refWindow
+		w.reset()
+		ref.reset()
+		now := sim.Time(rng.Intn(int(sim.Second)))
+		arrivals := 2000 + rng.Intn(3000)
+		for i := 0; i < arrivals; i++ {
+			switch k := rng.Intn(100); {
+			case k < 30: // burst: same instant or a few µs apart
+				now += sim.Time(rng.Intn(5)) * sim.Microsecond
+			case k < 97:
+				now += sim.Time(1 + rng.Intn(int(50*sim.Millisecond)))
+			default: // a silence longer than most windows queried below
+				now += sim.Time(2+rng.Intn(10)) * 10 * sim.Second
+			}
+			n := w.n
+			w.add(now)
+			ref.add(now, PacketSize)
+			if w.n < n {
+				pruned++
+			}
+			if w.n != ref.n || w.head != ref.head {
+				t.Fatalf("stream %d arrival %d: cursors (%d,%d), oracle (%d,%d)", stream, i, w.head, w.n, ref.head, ref.n)
+			}
+			for q := 0; q < 3; q++ {
+				var window sim.Time
+				at := now + sim.Time(rng.Intn(int(100*sim.Millisecond)))
+				switch k := rng.Intn(10); {
+				case k == 0:
+					window = 0
+				case k == 1: // longer than everything the stream holds
+					window = now + sim.Time(1+rng.Intn(int(sim.Second)))
+				case k == 2: // starting exactly at a held arrival
+					window = at - ref.s[ref.slot(int32(rng.Intn(int(ref.n))))].t
+				default:
+					window = sim.Time(1 + rng.Intn(int(20*sim.Second)))
+				}
+				got, want := w.rate(window, at), ref.rate(window, at)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("stream %d arrival %d: rate(%v, %v) = %v, oracle %v", stream, i, window, at, got, want)
+				}
+				queries++
+			}
+		}
+	}
+	if pruned == 0 {
+		t.Fatal("no stream pruned its ring")
+	}
+	t.Logf("%d queries bit-equal across %d prunes", queries, pruned)
 }
 
 func TestClamp01(t *testing.T) {
@@ -288,6 +397,28 @@ func TestReceiverLineBudget(t *testing.T) {
 	for i, rc := range sess.Receivers {
 		if a := uintptr(unsafe.Pointer(rc)); a%line != 0 {
 			t.Fatalf("receiver %d at %#x is not %d-byte aligned", i, a, line)
+		}
+	}
+}
+
+// TestReceiverBytesPinned pins what one receiver costs: a 488-byte
+// struct in the 512-byte size class plus a 4 KB receive-window ring of
+// arrival times. A sample that grows back a size field, or a ring that
+// grows past 512 slots, fails here.
+func TestReceiverBytesPinned(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes pinned for 64-bit targets")
+	}
+	const receiverBytes, ringBytes = 488, 4096
+	var r Receiver
+	if size := unsafe.Sizeof(r); size != receiverBytes || sizeClass(size) != 512 {
+		t.Errorf("Receiver is %d bytes in the %d-byte class, want %d in the 512-byte class",
+			size, sizeClass(size), receiverBytes)
+	}
+	_, _, sess := singleBottleneck(3, 125000, 20*sim.Millisecond, 30, DefaultConfig(), 1)
+	for i, rc := range sess.Receivers {
+		if b := uintptr(cap(rc.rw.s)) * unsafe.Sizeof(rc.rw.s[0]); b != ringBytes {
+			t.Errorf("receiver %d: ring is %d bytes, want %d", i, b, ringBytes)
 		}
 	}
 }
