@@ -9,7 +9,6 @@
 //	tfmcchyp -run path/to/hyp.json   # run a hypothesis document
 //	tfmcchyp -suite -json            # machine-readable verdicts
 //	tfmcchyp -suite -summary out.md  # append a markdown verdict table (CI job summary)
-//	tfmcchyp -run chaos-deeptree-l1 -engineworkers 2 # judge on the region engine
 //
 // Each hypothesis names a workload (a registry scenario or an inline
 // spec, optionally perturbed by a seeded chaos fault schedule), a seed
@@ -37,7 +36,7 @@ func main() {
 	list := flag.Bool("list", false, "list the committed suite and chaos levels")
 	run := flag.String("run", "", "run one hypothesis by suite id or JSON document path")
 	cfg := sweep.Config{Seeds: 1, Workers: min(4, runtime.NumCPU()), CI: 0.95, Base: 1}
-	cfg.RegisterFlags(flag.CommandLine, "workers", "engineworkers")
+	cfg.RegisterFlags(flag.CommandLine, "workers")
 	asJSON := flag.Bool("json", false, "emit verdicts as JSON instead of text reports")
 	summary := flag.String("summary", "", "append a markdown verdict table to this file")
 	flag.Parse()

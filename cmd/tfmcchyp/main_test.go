@@ -24,9 +24,9 @@ func TestFlagConflict(t *testing.T) {
 		{"suite", ""},
 		{"list", ""},
 		{"run", ""},
-		{"suite json summary workers engineworkers", ""},
+		{"suite json summary workers", ""},
 		{"run json", ""},
-		{"run summary engineworkers", ""},
+		{"run summary", ""},
 		{"list workers", ""},
 		{"", ""}, // no selector: main prints usage
 	} {

@@ -15,7 +15,6 @@
 //	tfmccsim -scenario 9 -spec-out f9.json   # export the spec to edit
 //	tfmccsim -scenario-file f9.json          # run the edited document
 //	tfmccsim -figure clrfail -check          # run with the invariant checker
-//	tfmccsim -scenario wireless -engineworkers 2   # region engine
 //	tfmccsim -scenario degrade -seeds 8 -tsv # swept preset, merged bands
 //
 // -scenario runs any Spec-backed registry entry — the named presets and
@@ -34,14 +33,12 @@
 //
 //	series  x  mean  ci_lo  ci_hi  min  max  n
 //
-// The run options (-seeds, -seed, -workers, -ci, -check, -engineworkers)
-// are sweep.Config's, shared with tfmcchyp and described once in
+// The run options (-seeds, -seed, -workers, -ci, -check) are
+// sweep.Config's, shared with tfmcchyp and described once in
 // README.md ("Run options"); a value that cannot mean anything exits 2
 // naming the flag, and so does a flag that could not take effect (see
 // flagConflict), such as -ci or -workers 2 at one seed. A failed seed
-// (with the stack of a panic) or an invariant violation exits 1. With
-// -engineworkers >= 2 output is a different (equally valid) trajectory
-// than the serial engine's.
+// (with the stack of a panic) or an invariant violation exits 1.
 package main
 
 import (
@@ -71,7 +68,7 @@ func main() {
 		duration = flag.Float64("duration", 0, "override: simulated seconds")
 	)
 	cfg := sweep.Config{Seeds: 1, Workers: runtime.NumCPU(), CI: 0.95, Base: 1}
-	cfg.RegisterFlags(flag.CommandLine, "seed", "seeds", "workers", "ci", "check", "engineworkers")
+	cfg.RegisterFlags(flag.CommandLine, "seed", "seeds", "workers", "ci", "check")
 	flag.Parse()
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
@@ -134,11 +131,11 @@ func main() {
 // flagConflict rejects flag combinations in which a flag given on the
 // command line (set, as flag.Visit reports them) would be silently
 // ignored: two selectors at once, -spec-out without -scenario (the only
-// run it exports), a run option (-tsv, -seed, -check, -engineworkers,
-// -seeds above 1) with -list or -spec-out, which run nothing, -duration
-// without the scenario executor to apply it, or -ci or more
-// than one -workers at one seed, which merges no bands and fans out
-// nothing. The error names the offending flag.
+// run it exports), a run option (-tsv, -seed, -check, -seeds above 1)
+// with -list or -spec-out, which run nothing, -duration without the
+// scenario executor to apply it, or -ci or more than one -workers at one
+// seed, which merges no bands and fans out nothing. The error names the
+// offending flag.
 func flagConflict(set map[string]bool, cfg sweep.Config) error {
 	var selectors []string
 	for _, s := range []string{"figure", "all", "scenario", "scenario-file", "list"} {
@@ -156,7 +153,7 @@ func flagConflict(set map[string]bool, cfg sweep.Config) error {
 		if !set[sel] {
 			continue
 		}
-		for _, f := range []string{"tsv", "seed", "check", "engineworkers"} {
+		for _, f := range []string{"tsv", "seed", "check"} {
 			if set[f] {
 				return fmt.Errorf("-%s: -%s runs nothing", f, sel)
 			}

@@ -38,15 +38,13 @@ func TestFlagConflict(t *testing.T) {
 		{"scenario seeds spec-out", 4, 1, "-seeds 4"},
 		{"list seeds", 4, 1, "-seeds 4"},
 		{"list check", 1, 1, "-check"},
-		{"list engineworkers", 1, 1, "-engineworkers"},
 		{"list tsv", 1, 1, "-tsv"},
 		{"list seed", 1, 1, "-seed:"},
 		{"scenario spec-out check", 1, 1, "-check"},
 		{"scenario spec-out tsv", 1, 1, "-tsv"},
 		{"scenario spec-out seed", 1, 1, "-seed:"},
-		{"scenario spec-out engineworkers", 1, 1, "-engineworkers"},
 
-		{"scenario duration seed check tsv engineworkers", 1, 1, ""},
+		{"scenario duration seed check tsv", 1, 1, ""},
 		{"scenario seeds spec-out", 1, 1, ""}, // -seeds 1 is the default spelled out
 		{"list seeds workers", 1, 1, ""},
 		{"scenario-file duration", 1, 1, ""},

@@ -36,9 +36,10 @@
 // when each entered the heap, PERFORMANCE.md §4). A sharded run is its
 // own deterministic universe, distinct from the serial engine's
 // (per-region RNG streams replace the two global ones), which is why
-// -engineworkers 1 keeps the serial path rather than a one-shard engine.
-// The serial engine is the one that reproduces the paper's figures; the
-// region engine is the opt-in fast path for multi-domain topologies.
+// SetEngineWorkers(1) keeps the serial path. No command, sweep or
+// hypothesis selects this engine: it, simnet's shard.go and partition.go
+// are kept only for bench/'s region_sharded workload, until the bench/
+// edit that retires that workload deletes them.
 package engine
 
 import (

@@ -276,18 +276,3 @@ func TestPartitionOnPresets(t *testing.T) {
 		t.Error("partition is not deterministic across calls")
 	}
 }
-
-// Sharded execution composes with seed sweeps: the merged bands stay
-// independent of the sweep worker count.
-func TestSweepWithEngineWorkers(t *testing.T) {
-	job, err := experiments.FigureJob("flashcrowd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(sweepWorkers int) string {
-		return experiments.Sweep(job, sweep.Config{Seeds: 3, Workers: sweepWorkers, EngineWorkers: 2}).TSV()
-	}
-	if a, b := run(1), run(2); a != b {
-		t.Error("sweep output depends on sweep worker count under sharded engine")
-	}
-}

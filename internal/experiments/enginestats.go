@@ -37,7 +37,8 @@ type EngineStats struct {
 	ReelectNS      sim.Time `json:"reelect_ns" stat:"max"`      // max loss-to-re-election sim-time
 	RateRecoverNS  sim.Time `json:"rate_recover_ns" stat:"max"` // max loss-to-rate-re-attainment sim-time
 
-	// Region engine counters, zero on serial runs. For sharded runs
+	// Region engine counters, kept for bench/'s region_sharded; zero on
+	// serial runs. For sharded runs
 	// Events equals ControlEvents + sum(ShardEvents), the identity
 	// engine.TestEngineStatsConservation and bench/ check; HandoffsRecv
 	// repeats HandoffsSent, because a crossing send is scheduled into its

@@ -93,18 +93,6 @@ type RunCtx struct {
 // NewRunCtx returns a context that has built nothing yet.
 func NewRunCtx() *RunCtx { return &RunCtx{} }
 
-// NewRunCtxFor returns a context configured from the run options — the
-// invariant checker armed when cfg.Check, the execution engine selected
-// by cfg.EngineWorkers. Sweep builds every command's contexts here.
-func NewRunCtxFor(cfg sweep.Config) *RunCtx {
-	c := NewRunCtx()
-	if cfg.Check {
-		c.EnableInvariants()
-	}
-	c.SetEngineWorkers(cfg.EngineWorkers)
-	return c
-}
-
 // EnableInvariants arms the run-level invariant checker on every
 // environment this context hands out: engine-level predicates (packet
 // pool conservation, scheduler monotonicity) on all runs, plus
@@ -126,8 +114,8 @@ func (c *RunCtx) Violations() []invariant.Violation { return c.violations }
 // (internal/engine), 0 or 1 on the serial engine. Every n >= 2 runs the
 // same code — the region structure depends only on topology and seed —
 // but sharded output is a different deterministic universe than the
-// serial engine's (per-region RNG streams), so 1 means serial,
-// byte-identical to the default.
+// serial engine's (per-region RNG streams). Only bench/'s
+// region_sharded workload and the region engine's tests set it.
 func (c *RunCtx) SetEngineWorkers(n int) { c.engineWorkers = n }
 
 // harvest folds the engine counters of the environment's last build, and
@@ -346,16 +334,19 @@ func (r *SweepResult) TSV() string {
 
 // Sweep runs job across cfg.Seeds independent seeds on cfg.Workers
 // workers, records each seed's run and merges the per-seed series into
-// bands. It is the one place run contexts are made: each worker owns one,
-// so consecutive seeds on a worker rebuild on the recycled storage of the
-// seed before. The bands, the runs and their order are
-// bit-for-bit independent of the worker count. A seed that fails to
+// bands. It is the one place run contexts are made: each worker owns one
+// (serial, checked at cfg.Check), so consecutive seeds on a worker
+// rebuild on the recycled storage of the seed before. The bands, the
+// runs and their order are bit-for-bit independent of the worker count. A seed that fails to
 // build or panics keeps its Err and stays out of the bands.
 func Sweep(job Job, cfg sweep.Config) *SweepResult {
 	cfg = cfg.Normalized()
 	ctxs := make([]*RunCtx, cfg.Workers)
 	for i := range ctxs {
-		ctxs[i] = NewRunCtxFor(cfg)
+		ctxs[i] = NewRunCtx()
+		if cfg.Check {
+			ctxs[i].EnableInvariants()
+		}
 	}
 	runs := make([]SeedRun, cfg.Seeds)
 	series, panics := sweep.RunRaw(cfg, func(worker int, seed int64) []*stats.Series {

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/sweep"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -332,7 +331,6 @@ func TestRTTChangeReactionSharded(t *testing.T) {
 	if m.Spec.Events[0].At != tc || m.Spec.Pop.Count != 40 {
 		t.Fatalf("member %s changes the RTT at %v, want 40 receivers and %v", m.Spec.Name, m.Spec.Events[0].At, tc)
 	}
-	cfg := sweep.Config{Check: true, EngineWorkers: 2}
 	run := func(c *RunCtx) sim.Time {
 		c.ResetStats()
 		_, end, err := c.run(m.Spec, 1+m.Seed, m.Stop)
@@ -347,7 +345,7 @@ func TestRTTChangeReactionSharded(t *testing.T) {
 		}
 		return end - tc
 	}
-	c := NewRunCtxFor(cfg)
+	c := checkedCtx(2)
 	first := run(c)
 	if first <= 0 || first >= 200*sim.Second {
 		t.Fatalf("reaction %v, want a finite delay inside the 200 s deadline", first)
@@ -355,7 +353,7 @@ func TestRTTChangeReactionSharded(t *testing.T) {
 	if again := run(c); again != first {
 		t.Errorf("rewound member reacted after %v, first run after %v", again, first)
 	}
-	if fresh := run(NewRunCtxFor(cfg)); fresh != first {
+	if fresh := run(checkedCtx(2)); fresh != first {
 		t.Errorf("fresh-context member reacted after %v, first run after %v", fresh, first)
 	}
 }

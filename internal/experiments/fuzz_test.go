@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/sweep"
 )
 
 // fuzzDuration caps the simulated time of fuzzed specs so the seed
@@ -270,7 +269,7 @@ func fuzzRun(base func() *scenario.Spec, seed int64, mut []byte, engineWorkers i
 		}
 		return n
 	}
-	ctx := NewRunCtxFor(sweep.Config{Check: true, EngineWorkers: engineWorkers})
+	ctx := checkedCtx(engineWorkers)
 	sc, _, err := ctx.run(spec, seed, func(sc *scenario.Scenario, _ sim.Time) bool { return events(sc) > fuzzEventBudget })
 	if err != nil {
 		return "", err
@@ -335,10 +334,10 @@ func FuzzScenarioSpec(f *testing.F) {
 			switch {
 			case err1 != nil || err2 != nil:
 				if (err1 == nil) != (err2 == nil) || (err1 != nil && err1.Error() != err2.Error()) {
-					t.Fatalf("-engineworkers %d: non-deterministic error: %v vs %v", ew, err1, err2)
+					t.Fatalf("engine workers %d: non-deterministic error: %v vs %v", ew, err1, err2)
 				}
 			case first != second:
-				t.Fatalf("-engineworkers %d: same spec and seed produced different output (%d vs %d bytes)",
+				t.Fatalf("engine workers %d: same spec and seed produced different output (%d vs %d bytes)",
 					ew, len(first), len(second))
 			}
 		}
@@ -405,7 +404,7 @@ func TestFuzzRejectsRunawayFlow(t *testing.T) {
 	}
 	for _, ew := range []int{1, 2} {
 		if _, err := fuzzRun(runaway, -5, nil, ew); err != errTooExpensive {
-			t.Errorf("-engineworkers %d: %v, want errTooExpensive", ew, err)
+			t.Errorf("engine workers %d: %v, want errTooExpensive", ew, err)
 		}
 	}
 }

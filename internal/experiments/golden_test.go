@@ -12,14 +12,15 @@ import (
 
 	"repro/internal/scenario"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 )
 
 // The golden ledger pins what "these bytes do not move" means: one row
 // per registry entry at seed 1 — the sha256 of Result.TSV(), the run's
 // deterministic engine counters and the sha256 of the Result's title and
 // notes, where the paper comparisons live — plus a second universe of
-// rows on the region engine. A PR that changes a row on purpose
-// regenerates the file with
+// rows on the region engine and a third of merged multi-seed bands. A
+// change that moves a row on purpose regenerates the file with
 //
 //	go test ./internal/experiments -run TestGoldenLedger -update
 //
@@ -40,15 +41,19 @@ const ledgerHeader = `# Golden ledger: sha256 of Result.TSV() and the determinis
 # duration knob — except figure 12, which costs 2.6 s in full and is
 # pinned as its spec under a Duration override ("12@40s" = 40 simulated
 # seconds through the generic spec runner) in both universes.
+# Universe "sweep" pins SweepResult.TSV() of a 4-seed sweep from seed 1
+# (what tfmccsim -figure <id> -seeds 4 -tsv prints), the seeds' summed
+# counters and the title and every seed's notes, in seed order.
 #
 # universe	id	sha256(tsv)	events	packets_sent	packets_delivered	sha256(title+notes)
 `
 
 // ledgerRow identifies one run of the ledger. A zero dur runs the
 // registry entry's own runner; otherwise the entry's spec runs for dur
-// through RunOverridden.
+// through RunOverridden. A sweep row sweeps the entry over sweepSeeds
+// seeds on one worker.
 type ledgerRow struct {
-	universe string // "serial" or "ew2"
+	universe string // "serial", "ew2" or "sweep"
 	entry    string
 	dur      sim.Time
 }
@@ -62,14 +67,41 @@ func (r ledgerRow) id() string {
 
 func (r ledgerRow) key() string { return r.universe + "\t" + r.id() }
 
-// run executes the row on ctx, whose counters it resets first, and
-// renders its ledger fields. A panic is returned as the row's error.
+// sweepSeeds is the seed count of the sweep rows.
+const sweepSeeds = 4
+
+// ledgerFields renders a row: the sha256 of its TSV, its event and packet
+// counters and the sha256 of its title and notes.
+func ledgerFields(tsv string, st EngineStats, title string, notes []string) string {
+	text := strings.Join(append([]string{title}, notes...), "\n")
+	return fmt.Sprintf("%x\t%d\t%d\t%d\t%x", sha256.Sum256([]byte(tsv)),
+		st.Events, st.PacketsSent, st.PacketsDelivered, sha256.Sum256([]byte(text)))
+}
+
+// run executes the row on ctx, whose counters it resets first (a sweep
+// row makes its own contexts), and renders its ledger fields. A panic is
+// returned as the row's error.
 func (r ledgerRow) run(ctx *RunCtx) (fields string, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("panic: %v\n%s", p, debug.Stack())
 		}
 	}()
+	if r.universe == "sweep" {
+		job, err := FigureJob(r.entry)
+		if err != nil {
+			return "", err
+		}
+		res := Sweep(job, sweep.Config{Seeds: sweepSeeds, Workers: 1, Base: 1})
+		var notes []string
+		for _, run := range res.Runs {
+			if run.Err != nil {
+				return "", run.Err
+			}
+			notes = append(notes, run.Result.Notes...)
+		}
+		return ledgerFields(res.TSV(), res.Engine, res.Title, notes), nil
+	}
 	ctx.ResetStats()
 	if r.universe == "ew2" {
 		ctx.SetEngineWorkers(2)
@@ -88,10 +120,7 @@ func (r ledgerRow) run(ctx *RunCtx) (fields string, err error) {
 	if e, _ := Lookup(r.entry); res.Title != e.Title {
 		return "", fmt.Errorf("result title %q, registry title %q", res.Title, e.Title)
 	}
-	st := ctx.Stats()
-	notes := strings.Join(append([]string{res.Title}, res.Notes...), "\n")
-	return fmt.Sprintf("%x\t%d\t%d\t%d\t%x", sha256.Sum256([]byte(res.TSV())),
-		st.Events, st.PacketsSent, st.PacketsDelivered, sha256.Sum256([]byte(notes))), nil
+	return ledgerFields(res.TSV(), ctx.Stats(), res.Title, res.Notes), nil
 }
 
 // ledgerResult is a row's rendered fields, or the error that stopped it.
@@ -126,7 +155,9 @@ func runChains(rows []ledgerRow) ([]chan ledgerResult, func()) {
 }
 
 // ledgerRows enumerates the ledger in file order: the whole registry on
-// the serial engine, then the sharded universe's subset.
+// the serial engine, then the sharded universe's subset, then the swept
+// entries: a cheap engine figure and a fault preset, whose seeds spread,
+// so their bands' CI columns are not their means.
 func ledgerRows() []ledgerRow {
 	const short12 = 40 * sim.Second
 	var rows []ledgerRow
@@ -141,7 +172,8 @@ func ledgerRows() []ledgerRow {
 		rows = append(rows, ledgerRow{universe: "ew2", entry: id})
 	}
 	return append(rows, ledgerRow{universe: "ew2", entry: "12", dur: short12},
-		ledgerRow{universe: "ew2", entry: "14"}, ledgerRow{universe: "ew2", entry: "massleave"})
+		ledgerRow{universe: "ew2", entry: "14"}, ledgerRow{universe: "ew2", entry: "massleave"},
+		ledgerRow{universe: "sweep", entry: "15"}, ledgerRow{universe: "sweep", entry: "clrfail"})
 }
 
 // readLedger parses the committed file into key -> fields.
@@ -205,7 +237,7 @@ func TestGoldenLedger(t *testing.T) {
 		}
 	}
 	got := map[string]string{}
-	for _, universe := range []string{"serial", "ew2"} {
+	for _, universe := range []string{"serial", "ew2", "sweep"} {
 		t.Run(universe, func(t *testing.T) {
 			var urows []ledgerRow
 			for _, r := range rows {

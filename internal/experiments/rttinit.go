@@ -25,8 +25,8 @@ func Figure12Spec() *scenario.Spec {
 		Pop: &scenario.Population{
 			Count:  1000,
 			Parent: scenario.AttachPoint(0),
-			Hop:    scenario.FastHop(),
-			// Tail one-way delay 9..49 ms => link RTTs ~60..140 ms.
+			// A FastHop whose one-way delay is drawn from 9..49 ms =>
+			// link RTTs ~60..140 ms.
 			Jitter: &scenario.Jitter{MinMs: 9, SpanMs: 41},
 		},
 		Steps: []scenario.Step{{Sample: &scenario.SampleSpec{

@@ -22,8 +22,8 @@ func init() {
 
 // build builds spec on the context's rewound environment for the configured
 // execution engine — the region engine when the context has
-// engineWorkers >= 2, serial otherwise — the one dispatch every scenario
-// goes through.
+// engineWorkers >= 2 (bench/ and tests only), serial otherwise — the one
+// dispatch every scenario goes through.
 func (c *RunCtx) build(spec *scenario.Spec, seed int64) (*scenario.Scenario, error) {
 	env := c.newEnv(seed)
 	if c.engineWorkers >= 2 {

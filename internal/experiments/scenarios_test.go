@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/sweep"
 )
 
 // TestStarvedCoreLinkDeliversNothing is figure 9 with its core links at
@@ -65,12 +64,12 @@ func TestMaxDelaysRunCleanly(t *testing.T) {
 	}
 	for name, make := range map[string]func() *scenario.Spec{"max-sites": maxSites, "reordered-core": reorderedCore} {
 		for _, ew := range []int{1, 2} {
-			r := Sweep(SpecJob(name, make()), sweep.Config{Check: true, EngineWorkers: ew}).Runs[0]
-			if r.Err != nil || len(r.Violations) > 0 {
-				t.Errorf("%s -engineworkers %d: err %v, violations %v", name, ew, r.Err, r.Violations)
+			c := checkedCtx(ew)
+			if _, err := SpecJob(name, make()).run(c, 0); err != nil || len(c.Violations()) > 0 {
+				t.Errorf("%s, engine workers %d: err %v, violations %v", name, ew, err, c.Violations())
 			}
-			if r.Stats.PacketsSent == 0 && r.Stats.Unreachable == 0 {
-				t.Errorf("%s -engineworkers %d: nothing was sent; the test proves nothing", name, ew)
+			if st := c.Stats(); st.PacketsSent == 0 && st.Unreachable == 0 {
+				t.Errorf("%s, engine workers %d: nothing was sent; the test proves nothing", name, ew)
 			}
 		}
 	}
@@ -205,7 +204,10 @@ func TestOverriddenBuildFailureIsAnError(t *testing.T) {
 // loop at one instant, and so did a TCP flow whose to resolves to its
 // own from node (figure 9 with tcp5's to dropped from the document: the
 // zero reference, core node 0) — 2 simulated seconds took 3.2 s of wall.
-// Nothing here runs a clock, so at worst a case fails, it cannot hang.
+// A delay declared for a jittered first hop would be dead, since the
+// jitter draws it each way: figure 12 once exported one, and editing it
+// changed nothing. Nothing here runs a clock, so at worst a case fails,
+// it cannot hang.
 func TestBuildRejectsUnusableNumbers(t *testing.T) {
 	cbr := func(edit func(*scenario.CBRSpec)) func(*scenario.Spec) {
 		return func(s *scenario.Spec) {
@@ -236,6 +238,11 @@ func TestBuildRejectsUnusableNumbers(t *testing.T) {
 		{"jitter.min_ms", Figure12Spec, func(s *scenario.Spec) { s.Pop.Jitter.MinMs = 9223372036854 }},
 		{"jitter.min_ms", Figure12Spec, func(s *scenario.Spec) { s.Pop.Jitter.SpanMs = math.MaxInt }},
 		{"pop.hop.up.loss", Figure12Spec, func(s *scenario.Spec) { s.Pop.Hop = scenario.FastHop(); s.Pop.Hop.Up.Loss = 1.5 }},
+		{"pop.hop.down.delay_ns", Figure12Spec, func(s *scenario.Spec) { s.Pop.Hop.Down.Delay = sim.Millisecond }},
+		{"steps[0].site.hops[0].up.delay_ns", scenario.FlashCrowd, func(s *scenario.Spec) {
+			s.Steps[0].Site.Jitter = &scenario.Jitter{MinMs: 9, SpanMs: 41}
+			s.Steps[0].Site.Hops[0].Down.Delay = 0
+		}},
 		{"topology.core.bw", Figure9Spec, func(s *scenario.Spec) { s.Topology.Core.BW = -1 }},
 		{"topology.core.bw", Figure9Spec, func(s *scenario.Spec) { s.Topology.Core.BW = math.Inf(1) }},
 		{"topology.core.loss", Figure9Spec, func(s *scenario.Spec) { s.Topology.Core.Loss = math.NaN() }},

@@ -105,6 +105,16 @@ func shortScenario(t *testing.T, id string, d sim.Time) Job {
 	return j
 }
 
+// checkedCtx returns a fresh context with the invariant checker armed,
+// on the region engine when ew >= 2: the context Sweep makes at -check,
+// or the one a test of the region engine runs on.
+func checkedCtx(ew int) *RunCtx {
+	c := NewRunCtx()
+	c.EnableInvariants()
+	c.SetEngineWorkers(ew)
+	return c
+}
+
 // TestSweepWorkerInvariance: the merged sweep output and every per-seed
 // run must be byte-identical for -workers 1 and any larger worker count,
 // even though each worker's arena sees a different seed subsequence.
@@ -159,7 +169,7 @@ func TestSweepRunsMatchFreshRuns(t *testing.T) {
 			var series [][]*stats.Series
 			var total EngineStats
 			for i, r := range res.Runs {
-				c := NewRunCtxFor(cfg)
+				c := checkedCtx(0)
 				want, err := fresh[job.ID](c, cfg.Seed(i))
 				if err != nil || r.Err != nil {
 					t.Fatalf("%s seed %d: fresh run error %v, sweep run error %v", job.ID, r.Seed, err, r.Err)
@@ -221,7 +231,7 @@ func TestDroppedViolationsCounted(t *testing.T) {
 // the lagging shard; the same ticks on a serial build report nothing.
 func TestShardSkewReportsLaggingShard(t *testing.T) {
 	for _, ew := range []int{0, 2} {
-		ctx := NewRunCtxFor(sweep.Config{Check: true, EngineWorkers: ew})
+		ctx := checkedCtx(ew)
 		sc, err := ctx.build(scenario.Wireless(), 1)
 		if err != nil {
 			t.Fatal(err)

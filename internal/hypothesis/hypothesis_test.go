@@ -304,33 +304,6 @@ func TestWorkloadOneOf(t *testing.T) {
 	}
 }
 
-// TestChaosJudgedSharded runs a chaos suite hypothesis on the
-// region engine and expects it to pass, with verdicts invariant in the
-// sweep worker count.
-func TestChaosJudgedSharded(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-simulation run")
-	}
-	h, ok := ByID("chaos-deeptree-l1")
-	if !ok {
-		t.Fatal("chaos-deeptree-l1 missing from the suite")
-	}
-	a, err := Run(h, sweep.Config{Workers: 1, EngineWorkers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Pass {
-		t.Fatalf("chaos hypothesis fails on the sharded engine:\n%s", a.Report())
-	}
-	b, err := Run(h, sweep.Config{Workers: 2, EngineWorkers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("sharded verdicts differ across sweep worker counts:\n%+v\nvs\n%+v", a, b)
-	}
-}
-
 // TestNoInvariantViolationsCountsDropped: the judge counts the breaches
 // the checker stopped storing past its cap (experiments'
 // TestDroppedViolationsCounted shows a sweep reports them), so an

@@ -104,11 +104,7 @@ func (w Workload) Resolve() (*scenario.Spec, string, error) {
 // by it) as one experiments.Sweep of SpecJob(name, spec) with the
 // invariant checker armed, and every expectation is then judged against
 // the sweep's per-seed runs in seed order, making the verdict
-// independent of the worker count. cfg.EngineWorkers >= 2 judges the
-// workload on the region engine: its own deterministic universe
-// (per-region random streams), so expectations judge a different —
-// equally valid — trajectory than the serial engine's. Every
-// expectation kind judges on either engine.
+// independent of the worker count.
 // The returned error covers malformed hypotheses (bad workload ref,
 // mis-populated expectation, a seed count above sweep.MaxSeeds);
 // workload build/run failures are judged (they fail every expectation),

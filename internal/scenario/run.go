@@ -230,25 +230,27 @@ func Build(env Env, spec *Spec) (*Scenario, error) {
 // checkLinks names the first link number the spec declares that no link
 // can take (see LinkP.check) by its place in the spec document: the
 // topology's core and stub links, every access hop and each set_link
-// event's bandwidth, delay and loss.
+// event's bandwidth, delay and loss; then a delay declared for a
+// jittered first hop, which the jitter draw would replace.
 func (s *Spec) checkLinks() error {
 	type named struct {
-		field string
-		p     LinkP
+		field    string
+		p        LinkP
+		jittered bool
 	}
-	links := []named{{"topology.core", s.Topology.Core}, {"topology.stub_link", s.Topology.StubLink}}
-	hop := func(field string, h Hop) {
-		links = append(links, named{field + ".down", h.Down}, named{field + ".up", h.Up})
+	links := []named{{"topology.core", s.Topology.Core, false}, {"topology.stub_link", s.Topology.StubLink, false}}
+	hop := func(field string, h Hop, jittered bool) {
+		links = append(links, named{field + ".down", h.Down, jittered}, named{field + ".up", h.Up, jittered})
 	}
 	if s.Pop != nil {
-		hop("pop.hop", s.Pop.Hop)
+		hop("pop.hop", s.Pop.Hop, s.Pop.Jitter != nil)
 	}
 	for i, st := range s.Steps {
 		if st.Site == nil {
 			continue
 		}
 		for h, hp := range st.Site.Hops {
-			hop(fmt.Sprintf("steps[%d].site.hops[%d]", i, h), hp)
+			hop(fmt.Sprintf("steps[%d].site.hops[%d]", i, h), hp, h == 0 && st.Site.Jitter != nil)
 		}
 	}
 	for i, ev := range s.Events {
@@ -263,12 +265,17 @@ func (s *Spec) checkLinks() error {
 			if m.Loss != nil {
 				p.Loss = *m.Loss
 			}
-			links = append(links, named{fmt.Sprintf("events[%d].set_link", i), p})
+			links = append(links, named{fmt.Sprintf("events[%d].set_link", i), p, false})
 		}
 	}
 	for _, l := range links {
 		if err := l.p.check(l.field); err != nil {
 			return err
+		}
+	}
+	for _, l := range links {
+		if l.jittered && l.p.Delay != 0 {
+			return fmt.Errorf("%s.delay_ns %d: the hop's jitter draws its delay; declare none", l.field, l.p.Delay)
 		}
 	}
 	return nil

@@ -80,7 +80,8 @@ func LossyHop(d sim.Time, loss float64) Hop {
 
 // Jitter draws a site's first-hop delay (both directions) uniformly from
 // {Min, Min+1, ..., Min+Span-1} milliseconds using the environment's
-// protocol RNG, one draw per site in step order.
+// protocol RNG, one draw per site in step order. The hop it draws for
+// declares no delay of its own; Build refuses one.
 type Jitter struct {
 	MinMs  int `json:"min_ms,omitempty"`
 	SpanMs int `json:"span_ms,omitempty"`
@@ -191,7 +192,7 @@ func SiteLink(s, h int, up bool) LinkRef { return LinkRef{Site: s, Hop: h, Up: u
 type SiteSpec struct {
 	Parent NodeRef `json:"parent,omitzero"`  // where the first hop hangs; zero value = Core(0)
 	Hops   []Hop   `json:"hops,omitempty"`   // 1 or 2 hops; the last node created is the site leaf
-	Jitter *Jitter `json:"jitter,omitempty"` // optional randomised first-hop delay
+	Jitter *Jitter `json:"jitter,omitempty"` // optional randomised first-hop delay; that hop declares none
 }
 
 // RecvSpec joins a TFMCC receiver. Receivers are numbered in step order;
@@ -283,8 +284,8 @@ type Population struct {
 	Direct    bool    `json:"direct,omitempty"`     // no access hop: join on the parent node itself
 	// Hop is the access hop (ignored when Direct). Only the wholly zero
 	// value stands for FastHop; a partly set hop is taken literally, so a
-	// hop that sets only a loss has 0 ms links. Jitter, when set, replaces
-	// its delay each way.
+	// hop that sets only a loss has 0 ms links. Jitter, when set, draws
+	// its delay each way, and the hop must then declare none.
 	Hop    Hop     `json:"hop,omitzero"`
 	Jitter *Jitter `json:"jitter,omitempty"`
 	Meter  string  `json:"meter,omitempty"` // meter name for receiver 0; "" = none

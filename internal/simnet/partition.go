@@ -16,6 +16,7 @@ import (
 // fallback is a delay-threshold cut: remove the largest delay class (then
 // progressively more) until the topology falls apart, which isolates the
 // long-haul links every generated topology keeps between its clusters.
+// Kept only for bench/'s region_sharded workload (see shard.go).
 
 // MaxAutoShards caps how many regions PartitionRegions returns. The cap
 // is a constant on purpose: the region structure must depend only on the

@@ -22,7 +22,8 @@ import "repro/internal/sim"
 // All of it lives in Network.regions, which is zero on a serial network:
 // a network that never calls EnableSharding takes exactly the serial
 // code paths it always did, and Reset tears sharding down by zeroing it.
-// RegionStats reads its counters in one call.
+// RegionStats reads its counters in one call. Kept only for bench/'s
+// region_sharded workload (see internal/engine's package comment).
 
 // regions is a network's region state: the partition, the shards and
 // the counters of the sharded run so far. Zero means serial (shards is

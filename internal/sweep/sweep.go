@@ -24,10 +24,10 @@ import (
 )
 
 // Config is the run-options value every command and harness shares: the
-// seed set, the parallelism across and within runs, and the checker
-// switch. Library callers may leave fields zero (Normalized fills the
-// defaults); command lines register the flags they offer with
-// RegisterFlags and reject nonsense with Validate.
+// seed set, the parallelism across seeds, and the checker switch.
+// Library callers may leave fields zero (Normalized fills the defaults);
+// command lines register the flags they offer with RegisterFlags and
+// reject nonsense with Validate.
 type Config struct {
 	Seeds   int     // number of independent seeds; < 1 means 1
 	Workers int     // worker goroutines; < 1 means 1, capped at Seeds
@@ -35,12 +35,6 @@ type Config struct {
 	Base    int64   // first seed
 	Step    int64   // seed stride; 0 means 1
 	Check   bool    // enable run-level invariant checking on every run
-
-	// EngineWorkers >= 2 runs scenario-spec simulations on the region
-	// engine; 0 or 1 runs them on the serial engine. See
-	// experiments.RunCtx.SetEngineWorkers. Orthogonal to Workers, which
-	// parallelises across seeds.
-	EngineWorkers int
 }
 
 // MaxSeeds caps a sweep's seed count, the bound scenario's maxPopulation
@@ -80,8 +74,6 @@ func (c *Config) RegisterFlags(fs *flag.FlagSet, names ...string) {
 			fs.Float64Var(&c.CI, name, c.CI, "confidence level for the merged bands, strictly between 0 and 1")
 		case "check":
 			fs.BoolVar(&c.Check, name, c.Check, "run the invariant checker alongside every simulation; exit 1 on violations")
-		case "engineworkers":
-			fs.IntVar(&c.EngineWorkers, name, c.EngineWorkers, "run scenario-spec simulations on the region engine (>= 2) or the serial engine (0 or 1)")
 		default:
 			panic("sweep: no run-option flag -" + name)
 		}
@@ -102,8 +94,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("-workers %d: need at least one worker", c.Workers)
 	case !(c.CI > 0 && c.CI < 1): // also catches NaN
 		return fmt.Errorf("-ci %v: confidence level must lie strictly between 0 and 1", c.CI)
-	case c.EngineWorkers < 0:
-		return fmt.Errorf("-engineworkers %d: must not be negative", c.EngineWorkers)
 	}
 	return nil
 }

@@ -111,14 +111,14 @@ func TestFlagsAndValidate(t *testing.T) {
 		c := Config{Seeds: 1, Workers: 2, CI: 0.95, Base: 1}
 		fs := flag.NewFlagSet("t", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
-		c.RegisterFlags(fs, "seeds", "seed", "workers", "ci", "check", "engineworkers")
+		c.RegisterFlags(fs, "seeds", "seed", "workers", "ci", "check")
 		if err := fs.Parse(args); err != nil {
 			return c, err
 		}
 		return c, c.Validate()
 	}
-	c, err := parse("-seeds", "8", "-seed", "5", "-workers", "3", "-ci", "0.9", "-check", "-engineworkers", "2")
-	want := Config{Seeds: 8, Workers: 3, CI: 0.9, Base: 5, Check: true, EngineWorkers: 2}
+	c, err := parse("-seeds", "8", "-seed", "5", "-workers", "3", "-ci", "0.9", "-check")
+	want := Config{Seeds: 8, Workers: 3, CI: 0.9, Base: 5, Check: true}
 	if err != nil || c != want {
 		t.Fatalf("parsed %+v (%v), want %+v", c, err, want)
 	}
@@ -126,7 +126,7 @@ func TestFlagsAndValidate(t *testing.T) {
 		t.Fatalf("defaults rejected: %v", err)
 	}
 	for _, bad := range [][2]string{
-		{"-seeds", "0"}, {"-seeds", "65537"}, {"-seeds", "1000000000"}, {"-workers", "-1"}, {"-engineworkers", "-1"},
+		{"-seeds", "0"}, {"-seeds", "65537"}, {"-seeds", "1000000000"}, {"-workers", "-1"},
 		{"-ci", "0"}, {"-ci", "1"}, {"-ci", "1.5"}, {"-ci", "-0.5"}, {"-ci", "NaN"},
 	} {
 		if _, err := parse(bad[0], bad[1]); err == nil || !strings.HasPrefix(err.Error(), bad[0]+" ") {
