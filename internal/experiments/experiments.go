@@ -266,10 +266,14 @@ func FigureJob(id string) (Job, error) {
 	if e.Spec != nil {
 		return specJob(id, e.Spec(), e.Report), nil
 	}
+	var members []Member
+	if e.Family != nil {
+		members = e.Family.Members()
+	}
 	return Job{ID: id, Title: e.Title, run: func(c *RunCtx, seed int64) (res *Result, err error) {
 		if e.Run != nil {
 			res = e.Run(seed)
-		} else if res, err = e.Family.run(c, seed); err != nil {
+		} else if res, err = e.Family.run(c, seed, members); err != nil {
 			return nil, err
 		}
 		res.Figure, res.Title = e.ID, e.Title

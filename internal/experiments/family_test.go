@@ -38,7 +38,7 @@ func TestFamilyRun(t *testing.T) {
 		},
 		Report: func(r []MemberRun) *Result { runs = r; return &Result{} },
 	}
-	if _, err := f.run(NewRunCtx(), 1); err != nil {
+	if _, err := f.run(NewRunCtx(), 1, f.Members()); err != nil {
 		t.Fatal(err)
 	}
 	if len(runs) != 3 {

@@ -48,8 +48,9 @@ type Entry struct {
 }
 
 // Family is an engine figure made of many spec runs. FigureJob calls
-// Members once per run, never at init, runs each member on the one run
-// path and hands Report what survives each, in member order.
+// Members once per job, never at init, runs each member on the one run
+// path and hands Report what survives each, in member order. A job's
+// seeds share the member specs, which every run only reads.
 type Family struct {
 	Members func() []Member
 	Report  func([]MemberRun) *Result

@@ -61,8 +61,7 @@ func (c *RunCtx) run(spec *scenario.Spec, seed int64, stop func(*scenario.Scenar
 
 // run runs the family's members in order on c, each at seed plus its
 // offset, and reports what survives them.
-func (f *Family) run(c *RunCtx, seed int64) (*Result, error) {
-	members := f.Members()
+func (f *Family) run(c *RunCtx, seed int64, members []Member) (*Result, error) {
 	runs := make([]MemberRun, len(members))
 	for i, m := range members {
 		sc, end, err := c.run(m.Spec, seed+m.Seed, m.Stop)

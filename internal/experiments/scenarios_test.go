@@ -269,3 +269,31 @@ func TestBuildRejectsUnusableNumbers(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildRejectsDirectPopulationHop: a direct population joins its
+// receivers on the parent node and builds no access hop, so a jitter or
+// a hop it declares would be dead; Build refuses either, naming the
+// field. Figure 12 exported with .pop.direct = true used to build and
+// run with its jitter ignored.
+func TestBuildRejectsDirectPopulationHop(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		spec  func() *scenario.Spec
+		edit  func(*scenario.Population)
+	}{
+		{"pop.jitter", Figure12Spec, func(p *scenario.Population) { p.Direct = true }},
+		{"pop.hop", scenario.DeepTree, func(p *scenario.Population) { p.Hop = scenario.FastHop() }},
+		{"pop.hop", scenario.DeepTree, func(p *scenario.Population) { p.Hop.Up.Loss = 0.1 }},
+	} {
+		spec := tc.spec()
+		tc.edit(spec.Pop)
+		_, err := scenario.Build(scenario.NewEnv(1), spec)
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: Build = %v, want an error naming the field", tc.field, err)
+		}
+	}
+	// The committed direct population declares neither.
+	if _, err := scenario.Build(scenario.NewEnv(1), scenario.DeepTree()); err != nil {
+		t.Fatalf("deeptree: %v", err)
+	}
+}

@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/invariant"
 	"repro/internal/sim"
@@ -107,6 +108,7 @@ type Scenario struct {
 	Samples []*stats.Series
 
 	flowByName map[string]*Flow
+	siteLinks  []*simnet.Link // backing store of SiteLinks' rows
 }
 
 // Flow returns the named traffic source, or nil when no flow carries the
@@ -159,6 +161,14 @@ func (sc *Scenario) Series() []*stats.Series {
 // drive the clock with RunUntil — once to the spec's duration, or in
 // slices while a stop predicate polls it.
 //
+// The Scenario, its topology, flows and receiver joins come from the
+// network's arena, and the slices indexed by site, receiver and flow
+// keep their storage, so a rebuild on a rewound environment allocates
+// nothing per site or receiver. Like the sender and receivers, a built
+// Scenario is therefore only valid until its environment is rewound.
+// The Aggs and Samples slices and every series are new on each build,
+// so a caller may keep those past the rewind.
+//
 // Malformed specs — unknown refs, out-of-range indices, negative times,
 // duplicate flows, unusable link or flow numbers — return errors, never
 // panics; on error the environment may be left partially built and
@@ -170,16 +180,27 @@ func Build(env Env, spec *Spec) (*Scenario, error) {
 	if err := spec.checkLinks(); err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
 	}
-	topo, err := buildTopology(env.Net, spec.Topology)
+	net := env.Net
+	sc := sim.Pooled[Scenario](net.Arena())
+	clear(sc.flowByName)
+	if sc.flowByName == nil {
+		sc.flowByName = map[string]*Flow{}
+	}
+	*sc = Scenario{
+		Spec: spec, Env: env,
+		SiteLeaf:   sc.SiteLeaf[:0],
+		SiteMid:    sc.SiteMid[:0],
+		SiteLinks:  sc.SiteLinks[:0],
+		Recvs:      sc.Recvs[:0],
+		Flows:      sc.Flows[:0],
+		flowByName: sc.flowByName,
+		siteLinks:  sc.siteLinks[:0],
+	}
+	topo, err := buildTopology(net, spec.Topology)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
 	}
-	net := env.Net
-	sc := &Scenario{
-		Spec: spec, Env: env,
-		Topo:       topo,
-		flowByName: map[string]*Flow{},
-	}
+	sc.Topo = topo
 
 	// The TFMCC source and session, wired like every hand-built figure:
 	// a fresh node on a fast access duplex into the sender attach point.
@@ -231,26 +252,52 @@ func Build(env Env, spec *Spec) (*Scenario, error) {
 // can take (see LinkP.check) by its place in the spec document: the
 // topology's core and stub links, every access hop and each set_link
 // event's bandwidth, delay and loss; then a delay declared for a
-// jittered first hop, which the jitter draw would replace.
+// jittered first hop, which the jitter draw would replace. Places are
+// formatted only to name a failure, so a valid spec is checked without
+// allocating.
 func (s *Spec) checkLinks() error {
-	type named struct {
-		field    string
-		p        LinkP
-		jittered bool
+	if err := s.eachLink(func(at linkAt, p LinkP, _ bool) error { return p.check(at) }); err != nil {
+		return err
 	}
-	links := []named{{"topology.core", s.Topology.Core, false}, {"topology.stub_link", s.Topology.StubLink, false}}
-	hop := func(field string, h Hop, jittered bool) {
-		links = append(links, named{field + ".down", h.Down, jittered}, named{field + ".up", h.Up, jittered})
+	return s.eachLink(func(at linkAt, p LinkP, jittered bool) error {
+		if jittered && p.Delay != 0 {
+			return fmt.Errorf("%s.delay_ns %d: the hop's jitter draws its delay; declare none", at, p.Delay)
+		}
+		return nil
+	})
+}
+
+// eachLink calls visit on every link number set the spec declares, in
+// document order, with its place and whether a jitter draws its delay,
+// and returns the first error visit returns.
+func (s *Spec) eachLink(visit func(at linkAt, p LinkP, jittered bool) error) error {
+	hop := func(at linkAt, h Hop, jittered bool) error {
+		at.dir = ".down"
+		if err := visit(at, h.Down, jittered); err != nil {
+			return err
+		}
+		at.dir = ".up"
+		return visit(at, h.Up, jittered)
+	}
+	if err := visit(linkAt{field: "topology.core"}, s.Topology.Core, false); err != nil {
+		return err
+	}
+	if err := visit(linkAt{field: "topology.stub_link"}, s.Topology.StubLink, false); err != nil {
+		return err
 	}
 	if s.Pop != nil {
-		hop("pop.hop", s.Pop.Hop, s.Pop.Jitter != nil)
+		if err := hop(linkAt{field: "pop.hop"}, s.Pop.Hop, s.Pop.Jitter != nil); err != nil {
+			return err
+		}
 	}
 	for i, st := range s.Steps {
 		if st.Site == nil {
 			continue
 		}
 		for h, hp := range st.Site.Hops {
-			hop(fmt.Sprintf("steps[%d].site.hops[%d]", i, h), hp, h == 0 && st.Site.Jitter != nil)
+			if err := hop(linkAt{step: i, hop: h}, hp, h == 0 && st.Site.Jitter != nil); err != nil {
+				return err
+			}
 		}
 	}
 	for i, ev := range s.Events {
@@ -265,20 +312,32 @@ func (s *Spec) checkLinks() error {
 			if m.Loss != nil {
 				p.Loss = *m.Loss
 			}
-			links = append(links, named{fmt.Sprintf("events[%d].set_link", i), p, false})
-		}
-	}
-	for _, l := range links {
-		if err := l.p.check(l.field); err != nil {
-			return err
-		}
-	}
-	for _, l := range links {
-		if l.jittered && l.p.Delay != 0 {
-			return fmt.Errorf("%s.delay_ns %d: the hop's jitter draws its delay; declare none", l.field, l.p.Delay)
+			if err := visit(linkAt{event: true, step: i}, p, false); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
+}
+
+// linkAt is a declared link's place in the spec document: a named field
+// (topology.core, pop.hop, ...), hop h of site step i, or the set_link of
+// event i, plus the direction of a hop's link. String renders it.
+type linkAt struct {
+	field     string // a named field; "" for a site step or an event
+	event     bool   // events[step].set_link
+	step, hop int
+	dir       string // ".down" or ".up" on a hop
+}
+
+func (a linkAt) String() string {
+	switch {
+	case a.event:
+		return fmt.Sprintf("events[%d].set_link", a.step)
+	case a.field == "":
+		return fmt.Sprintf("steps[%d].site.hops[%d]%s", a.step, a.hop, a.dir)
+	}
+	return a.field + a.dir
 }
 
 // BuildScratch builds spec on a fresh environment seeded for seed, for
@@ -305,6 +364,14 @@ func (sc *Scenario) expandPopulation(p *Population) error {
 	if p.PerAttach && len(sc.Topo.Attach) == 0 {
 		return fmt.Errorf("scenario %s: per-attach population on a topology with no attach points", sc.Spec.Name)
 	}
+	// A direct population builds no access hop, so a hop or a jitter it
+	// declares would be dead.
+	if p.Direct && p.Jitter != nil {
+		return fmt.Errorf("scenario %s: pop.jitter is set on a direct population, which has no access hop to jitter", sc.Spec.Name)
+	}
+	if p.Direct && p.Hop != (Hop{}) {
+		return fmt.Errorf("scenario %s: pop.hop is set on a direct population, which builds no access hop", sc.Spec.Name)
+	}
 	if p.PerAttach && count == 0 {
 		count = len(sc.Topo.Attach)
 	}
@@ -321,17 +388,14 @@ func (sc *Scenario) expandPopulation(p *Population) error {
 		if i == 0 {
 			meter = p.Meter
 		}
-		if p.Direct {
-			if err := sc.buildRecv(&RecvSpec{At: parent, Meter: meter}); err != nil {
+		at := parent
+		if !p.Direct {
+			at = Site(len(sc.SiteLeaf))
+			if err := sc.buildSite(&SiteSpec{Parent: parent, Hops: []Hop{hop}, Jitter: p.Jitter}); err != nil {
 				return err
 			}
-			continue
 		}
-		site := len(sc.SiteLeaf)
-		if err := sc.buildSite(&SiteSpec{Parent: parent, Hops: []Hop{hop}, Jitter: p.Jitter}); err != nil {
-			return err
-		}
-		if err := sc.buildRecv(&RecvSpec{At: Site(site), Meter: meter}); err != nil {
+		if err := sc.buildRecv(&RecvSpec{At: at, Meter: meter}); err != nil {
 			return err
 		}
 	}
@@ -418,32 +482,50 @@ func (sc *Scenario) buildSite(s *SiteSpec) error {
 		return fmt.Errorf("scenario %s: jitter.min_ms %d + jitter.span_ms %d ms does not fit sim.Time", sc.Spec.Name, j.MinMs, j.SpanMs)
 	}
 	idx := len(sc.SiteLeaf)
-	hops := append([]Hop(nil), s.Hops...)
-	nodes := make([]simnet.NodeID, len(hops))
-	for h := range hops {
-		nodes[h] = net.AddNode(fmt.Sprintf("site%d-%d", idx, h))
+	var nodes [2]simnet.NodeID
+	var name [32]byte
+	for h := range s.Hops {
+		nodes[h] = net.AddNodeName(appendName(name[:0], "site", idx, h))
 	}
+	// A jittered first hop's delay is drawn, the same each way.
+	jitter := sim.Time(-1)
 	if s.Jitter != nil {
-		d := sim.Time(s.Jitter.MinMs+sc.Env.Rng.Intn(s.Jitter.SpanMs)) * sim.Millisecond
-		hops[0].Down.Delay, hops[0].Up.Delay = d, d
+		jitter = sim.Time(s.Jitter.MinMs+sc.Env.Rng.Intn(s.Jitter.SpanMs)) * sim.Millisecond
 	}
-	var links []*simnet.Link
+	first := len(sc.siteLinks)
 	at := parent
-	for h, hop := range hops {
+	for h, hop := range s.Hops {
+		if h == 0 && jitter >= 0 {
+			hop.Down.Delay, hop.Up.Delay = jitter, jitter
+		}
 		down := net.AddLink(at, nodes[h], hop.Down.BW, hop.Down.Delay, hop.Down.Queue)
 		up := net.AddLink(nodes[h], at, hop.Up.BW, hop.Up.Delay, hop.Up.Queue)
 		down.LossProb, up.LossProb = hop.Down.Loss, hop.Up.Loss
-		links = append(links, down, up)
+		sc.siteLinks = append(sc.siteLinks, down, up)
 		at = nodes[h]
 	}
-	sc.SiteLeaf = append(sc.SiteLeaf, nodes[len(nodes)-1])
+	sc.SiteLeaf = append(sc.SiteLeaf, at)
 	mid := simnet.NodeID(-1)
-	if len(nodes) == 2 {
+	if len(s.Hops) == 2 {
 		mid = nodes[0]
 	}
 	sc.SiteMid = append(sc.SiteMid, mid)
-	sc.SiteLinks = append(sc.SiteLinks, links)
+	last := len(sc.siteLinks)
+	sc.SiteLinks = append(sc.SiteLinks, sc.siteLinks[first:last:last])
 	return nil
+}
+
+// appendName appends a node's debug name, prefix followed by the
+// indices joined by dashes ("site3-0"), to b without allocating.
+func appendName(b []byte, prefix string, idx ...int) []byte {
+	b = append(b, prefix...)
+	for i, v := range idx {
+		if i > 0 {
+			b = append(b, '-')
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	return b
 }
 
 func (sc *Scenario) buildRecv(r *RecvSpec) error {
@@ -454,30 +536,54 @@ func (sc *Scenario) buildRecv(r *RecvSpec) error {
 	if err != nil {
 		return err
 	}
-	slot := len(sc.Recvs)
+	j := recvJoin{sc: sc, slot: len(sc.Recvs), at: at, meter: r.Meter}
 	sc.Recvs = append(sc.Recvs, nil)
-	meter := r.Meter // not r: the closure must not make the step escape
-	join := func() {
-		rcv := sc.Sess.AddReceiver(at)
-		sc.Recvs[slot] = rcv
-		if meter != "" {
-			rcv.Meter = sc.Env.NewMeterAt(meter, at)
-			rcv.Meter.Start()
-		}
+	if r.JoinAt == 0 && r.LeaveAt == 0 {
+		j.join()
+		return nil
 	}
+	// A scheduled join or leave carries the receiver as its argument.
+	pj := sim.Pooled[recvJoin](sc.Env.Net.Arena())
+	*pj = j
 	if r.JoinAt == 0 {
-		join()
+		pj.join()
 	} else {
-		sc.Env.Sch.At(r.JoinAt, join)
+		sc.Env.Sch.AtArg(r.JoinAt, joinRecv, pj)
 	}
 	if r.LeaveAt > 0 {
-		sc.Env.Sch.At(r.LeaveAt, func() {
-			if rcv := sc.Recvs[slot]; rcv != nil {
-				rcv.Leave()
-			}
-		})
+		sc.Env.Sch.AtArg(r.LeaveAt, leaveRecv, pj)
 	}
 	return nil
+}
+
+// recvJoin is a declared receiver: the Recvs slot it fills when it joins,
+// the node it joins at and its meter's name. A receiver with a scheduled
+// join or leave takes one from the arena, which its events carry as their
+// argument, so arming them allocates nothing.
+type recvJoin struct {
+	sc    *Scenario
+	slot  int
+	at    simnet.NodeID
+	meter string
+}
+
+func joinRecv(arg any) { arg.(*recvJoin).join() }
+
+func (j *recvJoin) join() {
+	sc := j.sc
+	rcv := sc.Sess.AddReceiver(j.at)
+	sc.Recvs[j.slot] = rcv
+	if j.meter != "" {
+		rcv.Meter = sc.Env.NewMeterAt(j.meter, j.at)
+		rcv.Meter.Start()
+	}
+}
+
+func leaveRecv(arg any) {
+	j := arg.(*recvJoin)
+	if rcv := j.sc.Recvs[j.slot]; rcv != nil {
+		rcv.Leave()
+	}
 }
 
 func (sc *Scenario) registerFlow(f *Flow) error {
@@ -506,8 +612,9 @@ func (sc *Scenario) buildEndpoints(name string, from, to NodeRef) (a, b simnet.N
 		return 0, 0, fmt.Errorf("scenario %s: flow %q to resolves to its from node %d", sc.Spec.Name, name, toID)
 	}
 	net := sc.Env.Net
-	a = net.AddNode(name + "-src")
-	b = net.AddNode(name + "-dst")
+	var buf [32]byte
+	a = net.AddNodeName(append(append(buf[:0], name...), "-src"...))
+	b = net.AddNodeName(append(append(buf[:0], name...), "-dst"...))
 	net.AddDuplex(a, fromID, 0, sim.Millisecond, 0)
 	net.AddDuplex(toID, b, 0, sim.Millisecond, 0)
 	return a, b, nil
@@ -522,7 +629,8 @@ func (sc *Scenario) buildTCP(t *TCPSpec) error {
 		return err
 	}
 	snd, snk := tcpsim.NewFlow(t.Name, sc.Env.Net, a, b, t.Port, tcpsim.DefaultConfig())
-	f := &Flow{Name: t.Name, TCP: snd, TCPSink: snk}
+	f := sc.newFlow()
+	*f = Flow{Name: t.Name, TCP: snd, TCPSink: snk}
 	if t.Meter != "" {
 		m := sc.Env.NewMeterAt(t.Meter, b)
 		snk.Meter = m
@@ -556,7 +664,8 @@ func (sc *Scenario) buildCBR(c *CBRSpec) error {
 	cbr := NewCBR(net, src, dst, c.Rate, c.Size)
 	sink := &CBRSink{}
 	net.Bind(dst, sink)
-	f := &Flow{Name: c.Name, CBR: cbr, CBRSink: sink}
+	f := sc.newFlow()
+	*f = Flow{Name: c.Name, CBR: cbr, CBRSink: sink}
 	if c.Meter != "" {
 		m := sc.Env.NewMeterAt(c.Meter, b)
 		sink.Meter = m
@@ -570,16 +679,22 @@ func (sc *Scenario) buildCBR(c *CBRSpec) error {
 	return nil
 }
 
+// newFlow returns the arena's next Flow for a TCP or CBR step to fill.
+func (sc *Scenario) newFlow() *Flow { return sim.Pooled[Flow](sc.Env.Net.Arena()) }
+
 func (sc *Scenario) scheduleFlow(f *Flow, startAt, stopAt sim.Time) {
 	if startAt == 0 {
 		f.start()
 	} else {
-		sc.Env.Sch.At(startAt, f.start)
+		sc.Env.Sch.AtArg(startAt, startFlow, f)
 	}
 	if stopAt > 0 {
-		sc.Env.Sch.At(stopAt, f.stop)
+		sc.Env.Sch.AtArg(stopAt, stopFlow, f)
 	}
 }
+
+func startFlow(arg any) { arg.(*Flow).start() }
+func stopFlow(arg any)  { arg.(*Flow).stop() }
 
 // buildAgg replicates the figures' aggregation ticker: once per period,
 // sum the latest per-second readings of the named flows' meters. The
@@ -589,8 +704,8 @@ func (sc *Scenario) buildAgg(a *AggSpec) error {
 	if a.Every < 0 {
 		return fmt.Errorf("scenario %s: aggregate %q has a negative period", sc.Spec.Name, a.Name)
 	}
-	ms := make([]*stats.Meter, len(a.Flows))
-	for i, name := range a.Flows {
+	tk := sc.newTicker()
+	for _, name := range a.Flows {
 		f, err := sc.flow(name)
 		if err != nil {
 			return err
@@ -598,16 +713,10 @@ func (sc *Scenario) buildAgg(a *AggSpec) error {
 		if f.Meter == nil {
 			return fmt.Errorf("scenario %s: aggregate %q over unmetered flow %q", sc.Spec.Name, a.Name, name)
 		}
-		ms[i] = f.Meter
+		tk.meters = append(tk.meters, f.Meter)
 	}
-	sc.Aggs = append(sc.Aggs, sc.tick(a.Name, a.Every, func() (sum float64) {
-		for _, m := range ms {
-			if n := len(m.Series.Points); n > 0 {
-				sum += m.Series.Points[n-1].V
-			}
-		}
-		return sum
-	}))
+	tk.agg = true
+	sc.Aggs = append(sc.Aggs, tk.start(a.Name, a.Every))
 	return nil
 }
 
@@ -620,43 +729,70 @@ func (sc *Scenario) buildSample(s *SampleSpec) error {
 	default:
 		return fmt.Errorf("scenario %s: bad sample kind %d", sc.Spec.Name, s.What)
 	}
-	sc.Samples = append(sc.Samples, sc.tick(s.Name, s.Every, func() float64 {
-		switch s.What {
-		case SampleValidRTT:
-			return float64(sc.Sess.ValidRTTCount())
-		case SampleSenderRate:
-			return sc.Sess.Sender.Rate()
-		default: // SampleMembers; the kind was validated above
-			return float64(sc.Env.Net.Members(sc.Sess.Group))
-		}
-	}))
+	tk := sc.newTicker()
+	tk.what = s.What
+	sc.Samples = append(sc.Samples, tk.start(s.Name, s.Every))
 	return nil
 }
 
-// tick records read into a new series called name once per period
-// (every, or one second when zero), arming the first tick now.
-func (sc *Scenario) tick(name string, every sim.Time, read func() float64) *stats.Series {
+// ticker is one sampler's state: an aggregate's meters, or a sample's
+// kind. It comes from the arena, its meter slice keeping its storage,
+// and each tick re-arms the same fireTick with the same *ticker, so a
+// tick allocates nothing but its series point.
+type ticker struct {
+	sc     *Scenario
+	every  sim.Time
+	series *stats.Series
+	agg    bool           // sums meters; else samples what
+	meters []*stats.Meter // an aggregate's flows' meters
+	what   SampleKind
+}
+
+func (sc *Scenario) newTicker() *ticker {
+	tk := sim.Pooled[ticker](sc.Env.Net.Arena())
+	*tk = ticker{sc: sc, meters: tk.meters[:0]}
+	return tk
+}
+
+// start records the ticker's readings into a new series called name
+// once per period (every, or one second when zero), arming the first
+// tick now.
+func (tk *ticker) start(name string, every sim.Time) *stats.Series {
 	if every == 0 {
 		every = sim.Second
 	}
-	tk := &ticker{sch: sc.Env.Sch, every: every, series: &stats.Series{Name: name}, read: read}
-	tk.sch.AfterArg(every, fireTick, tk)
+	tk.every, tk.series = every, &stats.Series{Name: name}
+	tk.sc.Env.Sch.AfterArg(every, fireTick, tk)
 	return tk.series
 }
 
-// ticker is one sampler's state. Each tick re-arms the same fireTick with
-// the same *ticker, so a tick allocates nothing but its series point.
-type ticker struct {
-	sch    *sim.Scheduler
-	every  sim.Time
-	series *stats.Series
-	read   func() float64
+// read is the ticker's current reading.
+func (tk *ticker) read() float64 {
+	sc := tk.sc
+	if tk.agg {
+		var sum float64
+		for _, m := range tk.meters {
+			if n := len(m.Series.Points); n > 0 {
+				sum += m.Series.Points[n-1].V
+			}
+		}
+		return sum
+	}
+	switch tk.what {
+	case SampleValidRTT:
+		return float64(sc.Sess.ValidRTTCount())
+	case SampleSenderRate:
+		return sc.Sess.Sender.Rate()
+	default: // SampleMembers; the kind was validated at Build
+		return float64(sc.Env.Net.Members(sc.Sess.Group))
+	}
 }
 
 func fireTick(arg any) {
 	tk := arg.(*ticker)
-	tk.series.Add(tk.sch.Now(), tk.read())
-	tk.sch.AfterArg(tk.every, fireTick, tk)
+	sch := tk.sc.Env.Sch
+	tk.series.Add(sch.Now(), tk.read())
+	sch.AfterArg(tk.every, fireTick, tk)
 }
 
 // scheduleEvent validates one script entry and arms its timer. Every
@@ -679,34 +815,59 @@ func (sc *Scenario) scheduleEvent(ev Event) error {
 				}
 			}
 		}
-		ls := make([]*simnet.Link, len(m.Links))
-		for i, r := range m.Links {
+		e := sc.newEvent()
+		e.set = m
+		for _, r := range m.Links {
 			l, err := sc.Link(r)
 			if err != nil {
 				return err
 			}
-			ls[i] = l
+			e.links = append(e.links, l)
 		}
-		sc.Env.Sch.At(ev.At, func() {
-			for _, l := range ls {
-				m.apply(l)
-			}
-		})
+		sc.Env.Sch.AtArg(ev.At, fireEvent, e)
 	case ev.Crash != nil:
 		idx := *ev.Crash
 		if idx < 0 || idx >= len(sc.Recvs) {
 			return fmt.Errorf("scenario %s: crash of receiver %d out of range (have %d)",
 				sc.Spec.Name, idx, len(sc.Recvs))
 		}
-		sc.Env.Sch.At(ev.At, func() {
-			if rcv := sc.Recvs[idx]; rcv != nil {
-				rcv.Crash()
-			}
-		})
+		e := sc.newEvent()
+		e.crash = idx
+		sc.Env.Sch.AtArg(ev.At, fireEvent, e)
 	default:
 		return fmt.Errorf("scenario %s: empty event", sc.Spec.Name)
 	}
 	return nil
+}
+
+// scriptEvent is an armed entry of the event script: a set_link and the
+// links it resolved to, or (set nil) the Recvs slot a crash takes down.
+// It comes from the arena, its link slice keeping its storage, and rides
+// its timer as the argument.
+type scriptEvent struct {
+	sc    *Scenario
+	set   *SetLink
+	links []*simnet.Link
+	crash int
+}
+
+func (sc *Scenario) newEvent() *scriptEvent {
+	e := sim.Pooled[scriptEvent](sc.Env.Net.Arena())
+	*e = scriptEvent{sc: sc, links: e.links[:0]}
+	return e
+}
+
+func fireEvent(arg any) {
+	e := arg.(*scriptEvent)
+	if e.set == nil {
+		if rcv := e.sc.Recvs[e.crash]; rcv != nil {
+			rcv.Crash()
+		}
+		return
+	}
+	for _, l := range e.links {
+		e.set.apply(l)
+	}
 }
 
 // apply mutates one link at event time. The reorder delay reads the

@@ -41,7 +41,7 @@ type LinkP struct {
 // check names the first number of p a link cannot take, field being p's
 // place in the spec document: every value must be finite, bw, delay_ns
 // and queue at least 0, and loss a probability in [0, 1].
-func (p LinkP) check(field string) error {
+func (p LinkP) check(field linkAt) error {
 	switch {
 	case !(p.BW >= 0) || math.IsInf(p.BW, 1): // negated so that NaN fails too
 		return fmt.Errorf("%s.bw %v is negative or not finite (0 = infinite)", field, p.BW)

@@ -391,16 +391,19 @@ func TestDecodeRejectsRemovedEventKeys(t *testing.T) {
 // TestSamplerTickDoesNotAllocate: a sampler re-arms one callback with one
 // argument, so once its series has room, a tick allocates nothing.
 func TestSamplerTickDoesNotAllocate(t *testing.T) {
-	sc := &Scenario{Env: Env{Sch: sim.NewScheduler()}}
-	reads := 0
-	series := sc.tick("x", sim.Millisecond, func() float64 { reads++; return float64(reads) })
+	sc := &Scenario{Env: NewEnv(1)}
+	tk := sc.newTicker()
+	tk.agg = true
+	tk.meters = append(tk.meters, &stats.Meter{Series: &stats.Series{Points: []stats.Point{{V: 7}}}})
+	series := tk.start("x", sim.Millisecond)
 	series.Points = make([]stats.Point, 0, 1000)
 	sch := sc.Env.Sch
 	sch.RunUntil(5 * sim.Millisecond)
 	if n := testing.AllocsPerRun(200, func() { sch.RunUntil(sch.Now() + sim.Millisecond) }); n != 0 {
 		t.Fatalf("a sampler tick allocates %v objects", n)
 	}
-	if len(series.Points) != reads || series.Points[0].T != sim.Millisecond || series.Points[4].V != 5 {
-		t.Fatalf("series %v after %d reads, want one point per millisecond", series.Points[:5], reads)
+	if len(series.Points) != int(sch.Now()/sim.Millisecond) || series.Points[0].T != sim.Millisecond ||
+		series.Points[4].T != 5*sim.Millisecond || series.Points[4].V != 7 {
+		t.Fatalf("series %v at %v, want one point of 7 per millisecond", series.Points[:5], sch.Now())
 	}
 }

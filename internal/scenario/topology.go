@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 
+	"repro/internal/sim"
 	"repro/internal/simnet"
 )
 
@@ -25,9 +26,12 @@ const maxCoreNodes = 1 << 16
 // buildTopology generates the core for a spec. Node and link creation
 // order is part of the scenario contract: it pins NodeIDs, link indices
 // and route tie-breaking. Malformed topologies (unknown kind, explosive
-// size) are structured errors.
+// size) are structured errors. The Topo comes from the network's arena
+// and keeps its slices' storage, so a rebuild allocates nothing per node.
 func buildTopology(net *simnet.Network, t Topology) (*Topo, error) {
-	topo := &Topo{}
+	topo := sim.Pooled[Topo](net.Arena())
+	*topo = Topo{Nodes: topo.Nodes[:0], Links: topo.Links[:0], Attach: topo.Attach[:0]}
+	var name [32]byte
 	// duplex joins a to b with a link pair of p, the next pair of Links.
 	duplex := func(a, b simnet.NodeID, p LinkP) {
 		down, up := net.AddDuplex(a, b, p.BW, p.Delay, p.Queue)
@@ -44,14 +48,14 @@ func buildTopology(net *simnet.Network, t Topology) (*Topo, error) {
 		// natural cut, so each half of the dumbbell is its own region.
 		net.SetRegionHint(left, 0)
 		net.SetRegionHint(right, 1)
-		topo.Nodes = []simnet.NodeID{left, right}
-		topo.Attach = []simnet.NodeID{right}
+		topo.Nodes = append(topo.Nodes, left, right)
+		topo.Attach = append(topo.Attach, right)
 		topo.SenderAttach = left
 		return topo, nil
 	case Star:
 		hub := net.AddNode("hub")
-		topo.Nodes = []simnet.NodeID{hub}
-		topo.Attach = []simnet.NodeID{hub}
+		topo.Nodes = append(topo.Nodes, hub)
+		topo.Attach = append(topo.Attach, hub)
 		topo.SenderAttach = hub
 		return topo, nil
 	case Tree:
@@ -68,21 +72,21 @@ func buildTopology(net *simnet.Network, t Topology) (*Topo, error) {
 			total += width
 		}
 		root := net.AddNode("tree-root")
-		topo.Nodes, topo.SenderAttach = []simnet.NodeID{root}, root
-		level := []simnet.NodeID{root}
+		topo.Nodes, topo.SenderAttach = append(topo.Nodes, root), root
+		// Each level is the run of Nodes its parent level appended.
+		level := topo.Nodes
 		for d := 0; d < t.Depth; d++ {
-			var next []simnet.NodeID
+			first := len(topo.Nodes)
 			for _, parent := range level {
 				for k := 0; k < fanout; k++ {
-					child := net.AddNode(fmt.Sprintf("tree-%d-%d", d+1, len(next)))
+					child := net.AddNodeName(appendName(name[:0], "tree-", d+1, len(topo.Nodes)-first))
 					core(parent, child)
 					topo.Nodes = append(topo.Nodes, child)
-					next = append(next, child)
 				}
 			}
-			level = next
+			level = topo.Nodes[first:]
 		}
-		topo.Attach = level
+		topo.Attach = append(topo.Attach, level...)
 		return topo, nil
 	case Chain:
 		hops := max(t.Hops, 1)
@@ -92,13 +96,13 @@ func buildTopology(net *simnet.Network, t Topology) (*Topo, error) {
 		prev := net.AddNode("chain-0")
 		topo.Nodes = append(topo.Nodes, prev)
 		for i := 1; i <= hops; i++ {
-			n := net.AddNode(fmt.Sprintf("chain-%d", i))
+			n := net.AddNodeName(appendName(name[:0], "chain-", i))
 			core(prev, n)
 			topo.Nodes = append(topo.Nodes, n)
 			prev = n
 		}
 		topo.SenderAttach = topo.Nodes[0]
-		topo.Attach = []simnet.NodeID{prev}
+		topo.Attach = append(topo.Attach, prev)
 		return topo, nil
 	case TransitStub:
 		transit, stubs := max(t.Transit, 1), max(t.Stubs, 1)
@@ -108,7 +112,7 @@ func buildTopology(net *simnet.Network, t Topology) (*Topo, error) {
 				transit, stubs, maxCoreNodes)
 		}
 		for i := 0; i < transit; i++ {
-			n := net.AddNode(fmt.Sprintf("transit-%d", i))
+			n := net.AddNodeName(appendName(name[:0], "transit-", i))
 			// Region hints for the parallel engine: the transit backbone is
 			// one region, and each stub domain below a transit router is its
 			// own — the classic transit-stub cut.
@@ -120,7 +124,7 @@ func buildTopology(net *simnet.Network, t Topology) (*Topo, error) {
 		}
 		for i, tn := range topo.Nodes[:transit] {
 			for s := 0; s < stubs; s++ {
-				sn := net.AddNode(fmt.Sprintf("stub-%d-%d", i, s))
+				sn := net.AddNodeName(appendName(name[:0], "stub-", i, s))
 				net.SetRegionHint(sn, 1+i*stubs+s)
 				duplex(tn, sn, t.StubLink)
 				topo.Nodes = append(topo.Nodes, sn)

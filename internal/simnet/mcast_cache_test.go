@@ -20,7 +20,7 @@ func sendMcast(net *Network, src NodeID, g GroupID) {
 
 // TestMcastTreeRebuildInterleaved interleaves Join/Leave/AddLink and
 // checks multicast trees and routes are rebuilt correctly at each step —
-// the invalidateGroup/AddLink cache interplay.
+// the Join/Leave/AddLink tree retirement interplay.
 func TestMcastTreeRebuildInterleaved(t *testing.T) {
 	sch := sim.NewScheduler()
 	net := New(sch, sim.NewRand(1))
@@ -187,5 +187,50 @@ func TestPacketPoolRecycle(t *testing.T) {
 	sch.Run()
 	if len(net.freePkts[0]) != 0 {
 		t.Fatalf("unpooled packet recycled: free list has %d", len(net.freePkts[0]))
+	}
+}
+
+// TestRetiredTreeStorageReused: a membership change retires the compiled
+// tree, and the next compilation reuses its storage and allocates
+// nothing. A packet in flight across the change still holds the retired
+// tree, under a version that no longer matches, so it forwards on the
+// recompiled one.
+func TestRetiredTreeStorageReused(t *testing.T) {
+	sch := sim.NewScheduler()
+	net := New(sch, sim.NewRand(1))
+	src := net.AddNode("src")
+	hub := net.AddNode("hub")
+	a := net.AddNode("a")
+	b := net.AddNode("b")
+	net.AddDuplex(src, hub, 0, 10*sim.Millisecond, 0)
+	net.AddDuplex(hub, a, 0, 10*sim.Millisecond, 0)
+	net.AddDuplex(hub, b, 0, 10*sim.Millisecond, 0)
+	ca, cb := mcastCounter(net, a), mcastCounter(net, b)
+	const g = GroupID(1)
+	net.Join(g, a)
+	first := net.mcastTree(g, src)
+
+	// b joins while the packet is on src->hub: the hub forwards it on the
+	// tree compiled into first's storage, which includes b.
+	net.Send(&Packet{Size: 100, Src: Addr{src, 1}, Dst: Addr{Port: 1}, Group: g, IsMcast: true})
+	sch.At(5*sim.Millisecond, func() { net.Join(g, b) })
+	sch.Run()
+	if *ca != 1 || *cb != 1 {
+		t.Fatalf("mid-flight join: a=%d b=%d, want 1,1", *ca, *cb)
+	}
+	if got := net.mcastTree(g, src); got != first {
+		t.Fatal("the recompiled tree did not reuse the retired tree's storage")
+	}
+	if n := len(net.trees); n != 1 {
+		t.Fatalf("%d compiled trees, want 1", n)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		net.Leave(g, b)
+		net.mcastTree(g, src)
+		net.Join(g, b)
+		net.mcastTree(g, src)
+	})
+	if allocs != 0 {
+		t.Fatalf("recompiling a retired tree allocates %.1f/op, want 0", allocs)
 	}
 }

@@ -51,9 +51,18 @@ type Network struct {
 	slabIdx    int // slab being carved
 	slabOff    int // first free element in it
 
-	groups     map[GroupID]*group
-	mcastTrees map[mcastKey]*mcastTree
-	topoVer    uint32 // bumped on any change that can affect forwarding
+	groups  map[GroupID]*group
+	topoVer uint32 // bumped on any change that can affect forwarding
+
+	// Compiled multicast trees, in compile order, and the trees a topology
+	// or membership change retired (retireTrees), whose storage the next
+	// compilations reuse. treeMark (per link) and treeLinks (the links a
+	// compilation found, in discovery order) are compile scratch.
+	trees      []*mcastTree
+	spareTrees []*mcastTree
+	treeMark   []bool
+	treeLinks  []int32
+	treeWalk   []int32
 
 	// One-entry last-tree cache for the forwarding path: almost
 	// every multicast Send is the session's data stream from one source,
@@ -129,8 +138,10 @@ type group struct {
 
 // mcastTree is a compiled source-rooted distribution tree: child link
 // indices in CSR form plus a node-indexed delivery bitmap. Forwarding one
-// hop touches only flat slices. A tree is read-only once compiled.
+// hop touches only flat slices. A tree is read-only once compiled, until
+// it is retired and its storage compiled into again.
 type mcastTree struct {
+	key     mcastKey
 	start   []int32 // len V+1
 	links   []int32 // linkList indices, grouped per node
 	deliver []bool  // member && not source
@@ -165,12 +176,11 @@ type node struct {
 // New returns an empty network bound to a scheduler and RNG.
 func New(sched *sim.Scheduler, rng *sim.Rand) *Network {
 	return &Network{
-		sched:      sched,
-		rng:        rng,
-		linkIdx:    map[linkKey]int32{},
-		groups:     map[GroupID]*group{},
-		mcastTrees: map[mcastKey]*mcastTree{},
-		arena:      sim.NewArena(),
+		sched:   sched,
+		rng:     rng,
+		linkIdx: map[linkKey]int32{},
+		groups:  map[GroupID]*group{},
+		arena:   sim.NewArena(),
 	}
 }
 
@@ -224,14 +234,15 @@ func (n *Network) Reset() bool {
 		clear(gr.member)
 		gr.count = 0
 	}
-	clear(n.mcastTrees)
-	n.topoVer++
+	n.retireTrees(0, true)
 	n.arena.Rewind()
 	n.faults = FaultStats{}
 	n.pktLive = 0
 	// Rebuilt links bind to the serial scheduler/RNG; a following sharded
-	// run re-enables with fresh shard state.
-	n.regions = regions{}
+	// run re-enables with fresh shard state. The hint map is emptied and
+	// kept for the rebuild's topology to label again.
+	clear(n.regions.hints)
+	n.regions = regions{hints: n.regions.hints}
 	return true
 }
 
@@ -259,6 +270,19 @@ func (n *Network) AddNode(name string) NodeID {
 	n.adjOK = false
 	n.topoVer++
 	return id
+}
+
+// AddNodeName is AddNode with the name given as bytes, for callers that
+// format names into a stack buffer. On a rewound network a node whose
+// slot held the same name in an earlier run keeps that string, so
+// rebuilding the same shape allocates no names.
+func (n *Network) AddNodeName(name []byte) NodeID {
+	if id := len(n.nodes); id < cap(n.names) {
+		if old := n.names[:id+1][id]; old == string(name) {
+			return n.AddNode(old)
+		}
+	}
+	return n.AddNode(string(name))
 }
 
 // NumNodes returns the number of nodes.
@@ -326,8 +350,7 @@ func (n *Network) AddLink(from, to NodeID, bandwidth float64, delay sim.Time, qu
 	}
 	n.routesOK = false
 	n.adjOK = false
-	clear(n.mcastTrees)
-	n.topoVer++
+	n.retireTrees(0, true)
 	return l
 }
 
@@ -364,7 +387,7 @@ func (n *Network) Join(g GroupID, id NodeID) {
 		gr.member[id] = true
 		gr.count++
 	}
-	n.invalidateGroup(g)
+	n.retireTrees(g, false)
 }
 
 // Leave removes a node from a multicast group.
@@ -374,7 +397,7 @@ func (n *Network) Leave(g GroupID, id NodeID) {
 		gr.member[id] = false
 		gr.count--
 	}
-	n.invalidateGroup(g)
+	n.retireTrees(g, false)
 }
 
 // Members returns the current member count of a group.
@@ -400,22 +423,32 @@ func (n *Network) IsMember(g GroupID, id NodeID) bool {
 // tree pointers cached on in-flight packets.
 func (n *Network) noteDelayChange() {
 	n.routesOK = false
-	clear(n.mcastTrees)
-	n.topoVer++
+	n.retireTrees(0, true)
 }
 
-func (n *Network) invalidateGroup(g GroupID) {
-	for k := range n.mcastTrees {
-		if k.group == g {
-			delete(n.mcastTrees, k)
+// retireTrees retires the compiled trees of group g, or every tree when
+// all is set, to spareTrees, whose storage mcastTree compiles into next,
+// and bumps topoVer. The bump is what makes the reuse safe: a retired
+// tree stays reachable only through a packet's tree or through lastTree,
+// each under a version that no longer matches, so nothing reads it
+// again before it is recompiled.
+func (n *Network) retireTrees(g GroupID, all bool) {
+	kept := n.trees[:0]
+	for _, t := range n.trees {
+		if all || t.key.group == g {
+			n.spareTrees = append(n.spareTrees, t)
+		} else {
+			kept = append(kept, t)
 		}
 	}
+	clear(n.trees[len(kept):])
+	n.trees = kept
 	n.topoVer++
 }
 
 // NumPacketClasses bounds the recycling classes of AllocPacketClass.
-// Current convention: 0 tfmcc (data + rare reports), 1-2 tcpsim
-// segment/ack, 3-4 tfrc data/feedback, 8 scenario CBR.
+// Current convention: 0 tfmcc data, 1-2 tcpsim segment/ack, 3-4 tfrc
+// data/feedback, 5 tfmcc reports, 8 scenario CBR.
 const NumPacketClasses = 16
 
 // AllocPacket returns a packet from the network's default free list.
@@ -836,21 +869,32 @@ func (n *Network) dijkstra(src NodeID, next []int32) {
 }
 
 // mcastTree returns (compiling if needed) the flattened shortest-path tree
-// rooted at src spanning the group's members.
+// rooted at src spanning the group's members. A compilation reuses a
+// retired tree's storage and the network's scratch, so recompiling after
+// a topology or membership change allocates nothing once the storage has
+// grown to the network's size.
 func (n *Network) mcastTree(g GroupID, src NodeID) *mcastTree {
 	key := mcastKey{group: g, src: src}
-	if t, ok := n.mcastTrees[key]; ok {
-		return t
+	for _, t := range n.trees {
+		if t.key == key {
+			return t
+		}
+	}
+	var t *mcastTree
+	if k := len(n.spareTrees); k > 0 {
+		t = n.spareTrees[k-1]
+		n.spareTrees = n.spareTrees[:k-1]
+	} else {
+		t = &mcastTree{}
 	}
 	cnt := len(n.nodes)
-	gr := n.groups[g]
-	children := make([][]int32, cnt)
-	onTree := map[[2]NodeID]bool{}
-	nLinks := 0
+	t.key = key
+	t.deliver = resized(t.deliver, cnt)
+	n.treeMark = resized(n.treeMark, len(n.linkList))
+	found := n.treeLinks[:0] // tree links in discovery order
 	unreach := 0
-	reachable := make(map[NodeID]bool)
-	var walk []int32 // scratch: edges of the member currently being walked
-	if gr != nil {
+	if gr := n.groups[g]; gr != nil {
+		walk := n.treeWalk[:0] // edges of the member currently being walked
 		for mi, in := range gr.member {
 			m := NodeID(mi)
 			if !in || m == src {
@@ -875,41 +919,56 @@ func (n *Network) mcastTree(g GroupID, src NodeID) *mcastTree {
 			if at != m {
 				continue
 			}
-			reachable[m] = true
-			hop := src
+			t.deliver[m] = true
 			for _, li := range walk {
-				nxt := n.linkList[li].To
-				e := [2]NodeID{hop, nxt}
-				if !onTree[e] {
-					onTree[e] = true
-					children[hop] = append(children[hop], li)
-					nLinks++
+				if !n.treeMark[li] {
+					n.treeMark[li] = true
+					found = append(found, li)
 				}
-				hop = nxt
 			}
 		}
+		n.treeWalk = walk
 	}
-	t := &mcastTree{
-		start:   make([]int32, cnt+1),
-		links:   make([]int32, 0, nLinks),
-		deliver: make([]bool, cnt),
-		unreach: int32(unreach),
+	for _, li := range found {
+		n.treeMark[li] = false
 	}
-	// One allocation for the train layout and trainRanks' scratch.
-	layout := make([]int32, 2*nLinks+cnt)
-	t.rank, t.slots = layout[:0:nLinks], layout[nLinks:nLinks+cnt]
-	order := layout[nLinks+cnt:]
+	n.treeLinks = found
+	t.unreach = int32(unreach)
+	// CSR by parent node, each node's children in discovery order.
+	nLinks := len(found)
+	t.start = resized(t.start, cnt+1)
+	for _, li := range found {
+		t.start[n.linkList[li].From+1]++
+	}
 	for u := 0; u < cnt; u++ {
-		t.start[u] = int32(len(t.links))
-		t.links = append(t.links, children[u]...)
-		t.rank, t.slots[u] = n.trainRanks(t.rank, children[u], order)
-		if gr != nil && u < len(gr.member) {
-			t.deliver[u] = gr.member[u] && NodeID(u) != src && reachable[NodeID(u)]
-		}
+		t.start[u+1] += t.start[u]
 	}
-	t.start[cnt] = int32(len(t.links))
-	n.mcastTrees[key] = t
+	t.links = resized(t.links, nLinks)
+	t.slots = resized(t.slots, cnt)
+	fill := t.slots // per-node fill count; trainRanks overwrites it below
+	for _, li := range found {
+		u := n.linkList[li].From
+		t.links[t.start[u]+fill[u]] = li
+		fill[u]++
+	}
+	t.rank = resized(t.rank, nLinks)[:0]
+	n.treeWalk = resized(n.treeWalk, nLinks) // trainRanks' scratch
+	for u := 0; u < cnt; u++ {
+		t.rank, t.slots[u] = n.trainRanks(t.rank, t.links[t.start[u]:t.start[u+1]], n.treeWalk)
+	}
+	n.trees = append(n.trees, t)
 	return t
+}
+
+// resized returns s with n zeroed elements, reusing its storage when it
+// has room.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // trainRanks appends one node's fan-out train layout to rank (see

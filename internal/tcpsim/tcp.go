@@ -97,17 +97,30 @@ type Sender struct {
 }
 
 // NewSender creates a TCP sender bound to src, talking to a Sink at dst.
+// On a rewound network the sender is recycled from the network's arena.
 // Call Start to begin transmitting.
 func NewSender(name string, net *simnet.Network, src, dst simnet.Addr) *Sender {
-	s := &Sender{
+	s := sim.Pooled[Sender](net.Arena())
+	s.init(name, net, src, dst)
+	net.Bind(src, s)
+	return s
+}
+
+// init sets every field of a new or recycled sender as a fresh one
+// starts. The pre-bound callbacks are made once per object: they call
+// back into the same pointer, so a recycled sender keeps them.
+func (s *Sender) init(name string, net *simnet.Network, src, dst simnet.Addr) {
+	sendFn, timeoutFn := s.sendFn, s.timeoutFn
+	if sendFn == nil {
+		sendFn = func(a any) { s.net.Send(a.(*simnet.Packet)) }
+		timeoutFn = func(any) { s.onTimeout() }
+	}
+	*s = Sender{
 		net: net, sch: net.SchedFor(src.Node), rng: net.RandFor(src.Node),
 		src: src, dst: dst, name: name,
 		cwnd: 1, ssthresh: MaxCwnd, rto: InitialRTO,
+		sendFn: sendFn, timeoutFn: timeoutFn,
 	}
-	s.sendFn = func(a any) { s.net.Send(a.(*simnet.Packet)) }
-	s.timeoutFn = func(any) { s.onTimeout() }
-	net.Bind(src, simnet.HandlerFunc(s.recv))
-	return s
 }
 
 // Start begins (or, after Stop, resumes) the transfer. ACKs received
@@ -229,9 +242,10 @@ func (s *Sender) onTimeout() {
 	s.armRTO()
 }
 
-// recv handles ACKs. They arrive as pooled *Ack boxes owned by the
-// packet, so the value is copied out before anything else runs.
-func (s *Sender) recv(pkt *simnet.Packet) {
+// Recv implements simnet.Handler: it handles ACKs. They arrive as
+// pooled *Ack boxes owned by the packet, so the value is copied out
+// before anything else runs.
+func (s *Sender) Recv(pkt *simnet.Packet) {
 	ap, ok := pkt.Payload.(*Ack)
 	if !ok || s.stopped {
 		return
@@ -337,25 +351,35 @@ func (s *Sender) SRTT() sim.Time {
 // Sink is a TCP receiver generating one cumulative ACK per segment.
 type Sink struct {
 	net   *simnet.Network
-	src   simnet.Addr // the sink's own address
-	peer  simnet.Addr // the sender
-	next  int64       // next expected sequence
-	ooo   map[int64]bool
+	src   simnet.Addr  // the sink's own address
+	peer  simnet.Addr  // the sender
+	next  int64        // next expected sequence
 	Meter *stats.Meter // optional goodput meter (counts in-order bytes)
+
+	// ooo is the set of sequences received ahead of next, a bitmap: bit
+	// i of word w stands for oooBase + 64w + i, and oooBase never passes
+	// next. The words keep their storage when the sink is recycled, so a
+	// rewound run grows no new set.
+	ooo     []uint64
+	oooBase int64
 
 	DeliveredPackets int64
 }
 
-// NewSink creates a sink at addr acking to peer.
+// NewSink creates a sink at addr acking to peer. On a rewound network
+// the sink is recycled from the network's arena, and its out-of-order
+// set is emptied, keeping the storage it grew.
 func NewSink(net *simnet.Network, addr, peer simnet.Addr) *Sink {
-	k := &Sink{net: net, src: addr, peer: peer, ooo: map[int64]bool{}}
-	net.Bind(addr, simnet.HandlerFunc(k.recv))
+	k := sim.Pooled[Sink](net.Arena())
+	*k = Sink{net: net, src: addr, peer: peer, ooo: k.ooo[:0]}
+	net.Bind(addr, k)
 	return k
 }
 
-// recv handles data segments (pooled *Segment boxes; copied at entry)
-// and acknowledges with a pooled *Ack box on the reply packet.
-func (k *Sink) recv(pkt *simnet.Packet) {
+// Recv implements simnet.Handler: it handles data segments (pooled
+// *Segment boxes; copied at entry) and acknowledges with a pooled *Ack
+// box on the reply packet.
+func (k *Sink) Recv(pkt *simnet.Packet) {
 	sp, ok := pkt.Payload.(*Segment)
 	if !ok {
 		return
@@ -364,12 +388,17 @@ func (k *Sink) recv(pkt *simnet.Packet) {
 	k.DeliveredPackets++
 	if seg.Seq == k.next {
 		k.advance(pkt.Size)
-		for k.ooo[k.next] {
-			delete(k.ooo, k.next)
+		for k.take(k.next) {
 			k.advance(pkt.Size)
 		}
+		// Drop the words wholly behind next. A bit left set behind next
+		// (a held sequence that arrived again in order) is never read.
+		if d := (k.next - k.oooBase) >> 6; d > 0 {
+			k.ooo = k.ooo[:copy(k.ooo, k.ooo[min(int(d), len(k.ooo)):])]
+			k.oooBase += d << 6
+		}
 	} else if seg.Seq > k.next {
-		k.ooo[seg.Seq] = true
+		k.hold(seg.Seq)
 	}
 	ack := k.net.AllocPacketClass(classAck)
 	ack.Size = AckSize
@@ -382,6 +411,26 @@ func (k *Sink) recv(pkt *simnet.Packet) {
 	}
 	ap.CumAck = k.next
 	k.net.Send(ack)
+}
+
+// hold adds seq, received ahead of next, to the out-of-order set.
+func (k *Sink) hold(seq int64) {
+	off := seq - k.oooBase
+	for int(off>>6) >= len(k.ooo) {
+		k.ooo = append(k.ooo, 0)
+	}
+	k.ooo[off>>6] |= 1 << (off & 63)
+}
+
+// take removes seq, not behind oooBase, from the out-of-order set and
+// reports whether it was there.
+func (k *Sink) take(seq int64) bool {
+	off := seq - k.oooBase
+	if w := int(off >> 6); w < len(k.ooo) && k.ooo[w]&(1<<(off&63)) != 0 {
+		k.ooo[w] &^= 1 << (off & 63)
+		return true
+	}
+	return false
 }
 
 func (k *Sink) advance(size int) {

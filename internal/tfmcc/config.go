@@ -43,6 +43,11 @@ const (
 // (section 2.4): the value the receivers' estimators report until then.
 const initialRTT = rtt.InitialRTT
 
+// rttWindowRounds is how many consecutive rounds with a valid RTT from
+// every reporter the sender waits for before it leaves initialRTT; from
+// then on its maximum RTT is the largest round RTT of that many rounds.
+const rttWindowRounds = 4
+
 // Values derived from the constants, shared by every session and never
 // written: the TCP response function and the loss-interval weights.
 var (

@@ -2,6 +2,15 @@ package tfmcc
 
 import "repro/internal/sim"
 
+// Packet recycling classes (see simnet.Network.AllocPacketClass). Data
+// and reports are both steady streams that interleave, so each keeps its
+// own free list: a recycled packet's header box then always matches the
+// header about to be written, and neither path allocates.
+const (
+	classData   = 0
+	classReport = 5
+)
+
 // Data is the header of a multicast data packet. In a wire implementation
 // these fields fit in a few dozen bytes; here they ride as a typed
 // payload while Packet.Size models the on-the-wire cost.

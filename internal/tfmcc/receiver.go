@@ -236,7 +236,7 @@ func (r *Receiver) Leave() {
 	r.left = true
 	r.leftAt = r.sch.Now()
 	r.cancelTimer()
-	pkt := r.net.AllocPacket()
+	pkt := r.net.AllocPacketClass(classReport)
 	pkt.Size = ReportSize
 	pkt.Src = r.addr
 	pkt.Dst = r.sender
@@ -561,7 +561,7 @@ func (r *Receiver) sendReport(now sim.Time) {
 		return
 	}
 	r.ReportsSent++
-	pkt := r.net.AllocPacket()
+	pkt := r.net.AllocPacketClass(classReport)
 	pkt.Size = ReportSize
 	pkt.Src = r.addr
 	pkt.Dst = r.sender
@@ -582,8 +582,8 @@ func (r *Receiver) sendReport(now sim.Time) {
 }
 
 // reportBox returns the packet's pooled Report header, allocating one
-// only the first time a recycled packet carries a report (recycled
-// packets keep their header box; see Network.AllocPacket).
+// only the first time a packet of the report class is handed out
+// (recycled packets keep their header box; see Network.AllocPacket).
 func reportBox(pkt *simnet.Packet) *Report {
 	rp, ok := pkt.Payload.(*Report)
 	if !ok {

@@ -3,6 +3,7 @@ package tfmcc
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/simnet"
@@ -38,7 +39,13 @@ type Sender struct {
 	maxRTT     sim.Time
 	roundRTT   sim.Time // max RTT reported this round
 	roundNoRTT bool     // a report without valid RTT arrived this round
-	rttWindow  []sim.Time
+	// rttWindow is a ring of the round RTTs of the last rttWindowRounds
+	// rounds in which every reporter had a valid RTT: rttNext is the slot
+	// the next one overwrites, and rttFull is set once every slot holds
+	// one since the window was last emptied.
+	rttWindow [rttWindowRounds]sim.Time
+	rttNext   int
+	rttFull   bool
 
 	clr           ReceiverID
 	clrRate       float64
@@ -155,7 +162,6 @@ func (s *Sender) init(net *simnet.Network, node simnet.NodeID, port simnet.Port,
 		clr:          noReceiver,
 		reports:      reports,
 		minRecvRound: math.Inf(1),
-		rttWindow:    s.rttWindow[:0],
 		echoQ:        s.echoQ[:0],
 	}
 	net.Bind(s.addr, s)
@@ -254,7 +260,7 @@ func (s *Sender) sendLoop() {
 
 func (s *Sender) transmit() {
 	now := s.sch.Now()
-	pkt := s.net.AllocPacket()
+	pkt := s.net.AllocPacketClass(classData)
 	// Recycled packets keep their header box: reusing it makes the
 	// steady-state data path allocation-free (see Network.AllocPacket).
 	d, ok := pkt.Payload.(*Data)
@@ -632,25 +638,18 @@ func (s *Sender) advanceRound() {
 	// Maximum-RTT tracking: while any receiver reports without a valid
 	// RTT, stay at the conservative initial value (footnote 7).
 	if s.roundNoRTT {
-		s.rttWindow = s.rttWindow[:0]
+		s.rttNext, s.rttFull = 0, false
 		s.maxRTT = initialRTT
 	} else if s.roundRTT > 0 {
-		s.rttWindow = append(s.rttWindow, s.roundRTT)
-		if len(s.rttWindow) > 4 {
-			s.rttWindow = s.rttWindow[1:]
-		}
+		s.rttWindow[s.rttNext] = s.roundRTT
+		s.rttNext = (s.rttNext + 1) % rttWindowRounds
+		s.rttFull = s.rttFull || s.rttNext == 0
 		// Only move off the conservative initial RTT after several
 		// consecutive rounds in which every reporter had a valid RTT
 		// (footnote 7: the initial RTT governs feedback suppression
 		// until the receiver set has measured its RTTs).
-		if len(s.rttWindow) >= 4 {
-			max := sim.Time(0)
-			for _, v := range s.rttWindow {
-				if v > max {
-					max = v
-				}
-			}
-			s.maxRTT = max
+		if s.rttFull {
+			s.maxRTT = slices.Max(s.rttWindow[:])
 		}
 	}
 	s.roundRTT = 0
