@@ -1,11 +1,15 @@
 package experiments
 
 import (
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/scenario"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -356,4 +360,35 @@ func TestRTTChangeReactionSharded(t *testing.T) {
 	if fresh := run(checkedCtx(2)); fresh != first {
 		t.Errorf("fresh-context member reacted after %v, first run after %v", fresh, first)
 	}
+}
+
+// TestEachSeriesOrderAndPanic: eachSeries returns the series in index
+// order whatever order their goroutines finish in, and a panic in one
+// series reaches the caller's goroutine (where a sweep's per-seed recover
+// sees it) only after every series has returned.
+func TestEachSeriesOrderAndPanic(t *testing.T) {
+	got := eachSeries(6, func(i int) *stats.Series {
+		time.Sleep(time.Duration(6-i) * time.Millisecond)
+		return &stats.Series{Name: strconv.Itoa(i)}
+	})
+	for i, s := range got {
+		if s.Name != strconv.Itoa(i) {
+			t.Fatalf("series %d is %q", i, s.Name)
+		}
+	}
+	var done atomic.Int32
+	defer func() {
+		if r := recover(); r != "series 1" || done.Load() != 2 {
+			t.Fatalf("recovered %v with %d series done, want \"series 1\" after the other two", r, done.Load())
+		}
+	}()
+	eachSeries(3, func(i int) *stats.Series {
+		if i == 1 {
+			panic("series 1")
+		}
+		time.Sleep(5 * time.Millisecond)
+		done.Add(1)
+		return nil
+	})
+	t.Fatal("eachSeries returned after a series panicked")
 }

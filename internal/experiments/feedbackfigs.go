@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/feedback"
 	"repro/internal/sim"
@@ -93,7 +94,9 @@ func Figure3(seed int64) *Result {
 	res := &Result{}
 	labels := map[float64]string{1: "all suppressed", 0.1: "10% lower suppressed", 0: "higher suppressed"}
 	delay := 250 * sim.Millisecond
-	for _, eps := range []float64{1, 0.1, 0} {
+	epss := []float64{1, 0.1, 0}
+	res.Series = eachSeries(len(epss), func(k int) *stats.Series {
+		eps := epss[k]
 		s := &stats.Series{Name: labels[eps]}
 		rng := sim.NewRand(seed)
 		for _, n := range logSpace(1, 10000, 13) {
@@ -110,8 +113,8 @@ func Figure3(seed int64) *Result {
 			sent, _, _ := feedback.MeanOverRounds(cfg, mk, delay, trials, rng)
 			s.Add(sim.FromSeconds(float64(n)), sent)
 		}
-		res.Series = append(res.Series, s)
-	}
+		return s
+	})
 	res.Notes = append(res.Notes, "x axis = number of receivers (stored in the time column)")
 	return res
 }
@@ -123,14 +126,16 @@ func Figure4(int64) *Result {
 	const N = 10000
 	d := sim.Second // network delay = 1 RTT
 	ns := logSpace(1, 100000, 16)
-	for _, tp := range []float64{2, 3, 4, 5, 6} {
+	tps := []float64{2, 3, 4, 5, 6}
+	res.Series = eachSeries(len(tps), func(i int) *stats.Series {
+		tp := tps[i]
 		s := &stats.Series{Name: fmt.Sprintf("T'=%g RTTs", tp)}
 		em := feedback.ExpectedResponsesCurve(ns, N, d, sim.Time(tp*float64(sim.Second)))
 		for k, n := range ns {
 			s.Add(sim.FromSeconds(float64(n)), em[k])
 		}
-		res.Series = append(res.Series, s)
-	}
+		return s
+	})
 	res.Notes = append(res.Notes, "x axis = number of receivers (stored in the time column)")
 	return res
 }
@@ -159,7 +164,8 @@ func biasSweep(res *Result, seed int64, pick func(sent, first, qual float64) flo
 		{"basic offset", feedback.BiasOffset},
 		{"modified offset", feedback.BiasModifiedOffset},
 	}
-	for _, m := range methods {
+	res.Series = eachSeries(len(methods), func(i int) *stats.Series {
+		m := methods[i]
 		cfg := fbBase(m.bias)
 		cfg.Eps = 1 // isolate the effect of the timer bias
 		s := &stats.Series{Name: m.name}
@@ -175,8 +181,8 @@ func biasSweep(res *Result, seed int64, pick func(sent, first, qual float64) flo
 			sent, first, qual := feedback.MeanOverRounds(cfg, mk, delay, trialsFor(n), rng)
 			s.Add(sim.FromSeconds(float64(n)), pick(sent, first, qual))
 		}
-		res.Series = append(res.Series, s)
-	}
+		return s
+	})
 	res.Notes = append(res.Notes, "x axis = number of receivers (stored in the time column)")
 	return res
 }
@@ -202,6 +208,32 @@ func Figure17(int64) *Result {
 		fmt.Sprintf("maximum %.3f loss events per RTT (paper: ~0.13)", max),
 		"x axis = loss event rate (stored in the time column, seconds==rate)")
 	return res
+}
+
+// eachSeries builds a figure's n independent series, series(0) to
+// series(n−1), each on its own goroutine, and returns them in index order.
+// Each call must own everything it writes (its Rand, its buffers), so the
+// result does not depend on how the calls interleave. A panic in a call
+// is raised again on the caller's goroutine once every call has returned.
+func eachSeries(n int, series func(i int) *stats.Series) []*stats.Series {
+	out := make([]*stats.Series, n)
+	panics := make([]any, n)
+	var wg sync.WaitGroup
+	for i := range out {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { panics[i] = recover() }()
+			out[i] = series(i)
+		}()
+	}
+	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
+	return out
 }
 
 // logSpace returns ~k integers log-spaced in [lo, hi], deduplicated.

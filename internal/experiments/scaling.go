@@ -25,22 +25,31 @@ func init() { registerAnalytic("7", "Scaling: throughput vs number of receivers"
 // analysis: each receiver maintains a TFMCC loss-interval history fed by
 // geometric inter-loss gaps, and each "round" the sender adopts the
 // minimum calculated rate.
+//
+// The two curves share nothing (each has its own seed and its own 10⁴
+// estimators, 1.76 MB), so they run on their own goroutines.
 func Figure7(seed int64) *Result {
 	res := &Result{}
 	model := tcpmodel.Default()
 	const rtt = 0.050
 	ns := logSpace(1, 10000, 9)
-	ests := make([]lossrate.Estimator, ns[len(ns)-1])
-
-	constant := &stats.Series{Name: "constant"}
-	distrib := &stats.Series{Name: "distrib."}
-	for _, n := range ns {
-		constant.Add(sim.FromSeconds(float64(n)), minRateSim(model, rtt, constantLoss(n, 0.10), seed, ests))
-		distrib.Add(sim.FromSeconds(float64(n)), minRateSim(model, rtt, treeLoss(n), seed+1, ests))
+	curves := []struct {
+		name string
+		loss func(n int) []float64
+		seed int64
+	}{
+		{"constant", func(n int) []float64 { return constantLoss(n, 0.10) }, seed},
+		{"distrib.", treeLoss, seed + 1},
 	}
-	toKbit(constant)
-	toKbit(distrib)
-	res.Series = append(res.Series, constant, distrib)
+	res.Series = eachSeries(len(curves), func(c int) *stats.Series {
+		s := &stats.Series{Name: curves[c].name}
+		ests := make([]lossrate.Estimator, ns[len(ns)-1])
+		for _, n := range ns {
+			s.Add(sim.FromSeconds(float64(n)), minRateSim(model, rtt, curves[c].loss(n), curves[c].seed, ests))
+		}
+		toKbit(s)
+		return s
+	})
 	res.Notes = append(res.Notes,
 		"x axis = number of receivers (time column); y = sustained rate in Kbit/s",
 		"single receiver fair rate at p=10%, RTT=50ms is ~300 Kbit/s")
@@ -53,32 +62,37 @@ func toKbit(s *stats.Series) {
 	}
 }
 
-// constantLoss gives every receiver the same loss probability.
+// constantLoss gives every receiver the same loss probability p, as the
+// argument sim.Rand.Geometric takes for it, ln(1−p).
 func constantLoss(n int, p float64) []float64 {
 	out := make([]float64, n)
+	lnq := sim.GeometricParam(p)
 	for i := range out {
-		out[i] = p
+		out[i] = lnq
 	}
 	return out
 }
 
 // treeLoss mimics a multicast distribution tree (section 3): a small
 // number (~2·log n) of receivers in the 5-10% range, a few more at 2-5%,
-// and the vast majority between 0.5% and 2%.
+// and the vast majority between 0.5% and 2%. Like constantLoss, it
+// returns each receiver's ln(1−p).
 func treeLoss(n int) []float64 {
 	out := make([]float64, n)
 	rng := sim.NewRand(int64(n) * 13)
 	high := int(2 * math.Log(float64(n)+1))
 	mid := 2 * high
 	for i := range out {
+		var p float64
 		switch {
 		case i < high:
-			out[i] = rng.Uniform(0.05, 0.10)
+			p = rng.Uniform(0.05, 0.10)
 		case i < high+mid:
-			out[i] = rng.Uniform(0.02, 0.05)
+			p = rng.Uniform(0.02, 0.05)
 		default:
-			out[i] = rng.Uniform(0.005, 0.02)
+			p = rng.Uniform(0.005, 0.02)
 		}
+		out[i] = sim.GeometricParam(p)
 	}
 	return out
 }
@@ -86,8 +100,9 @@ func treeLoss(n int) []float64 {
 // minRateSim runs the estimator-level minimum-tracking simulation: each
 // receiver's loss history advances by geometric gaps, a gap of g packets
 // entering as g−1 arrivals (one OnPackets call) and one loss; every round
-// the minimum calculated rate over all receivers is sampled. Returns the
-// mean of the minimum rate in bytes/s.
+// the minimum calculated rate over all receivers is sampled. lnq holds
+// each receiver's ln(1−p) (see constantLoss). Returns the mean of the
+// minimum rate in bytes/s.
 //
 // The round's minimum rate is the model's rate at the round's highest
 // loss event rate: Throughput is non-increasing in p (p <= 0 gives +Inf,
@@ -96,19 +111,23 @@ func treeLoss(n int) []float64 {
 // monotonically), so min over i of Throughput(p_i) is
 // Throughput(max p_i) exactly, and the model runs once per round.
 //
-// The receivers are the first len(loss) entries of ests, reset here, so
-// one slice serves every call of a figure run.
-func minRateSim(model tcpmodel.Params, rtt float64, loss []float64, seed int64, ests []lossrate.Estimator) float64 {
-	ests = ests[:len(loss)]
+// The receivers are the first len(lnq) entries of ests, reset here, so
+// one slice serves every call of a curve. Their RTT is fixed, so no
+// Appendix A re-aggregation follows and they record no recent losses:
+// an estimator is 176 bytes, and a curve's 10⁴ of them fit in one
+// core's L2 cache.
+func minRateSim(model tcpmodel.Params, rtt float64, lnq []float64, seed int64, ests []lossrate.Estimator) float64 {
+	ests = ests[:len(lnq)]
 	rng := sim.NewRand(seed)
 	now := sim.Time(0)
 	const rounds = 260
 	const warmup = 60
 	for i := range ests {
 		ests[i].Reset(lossrate.DefaultWeights)
+		ests[i].StopRecording()
 		// Prime each history with 8 intervals.
 		for k := 0; k < 9; k++ {
-			ests[i].OnPackets(rng.Geometric(loss[i]) - 1)
+			ests[i].OnPackets(rng.Geometric(lnq[i]) - 1)
 			now += sim.Second
 			ests[i].OnLoss(now, sim.FromSeconds(rtt))
 		}
@@ -118,7 +137,7 @@ func minRateSim(model tcpmodel.Params, rtt float64, loss []float64, seed int64, 
 		maxP := 0.0
 		for i := range ests {
 			// Advance one loss interval per round.
-			ests[i].OnPackets(rng.Geometric(loss[i]) - 1)
+			ests[i].OnPackets(rng.Geometric(lnq[i]) - 1)
 			now += sim.Second
 			ests[i].OnLoss(now, sim.FromSeconds(rtt))
 			if p := ests[i].LossEventRate(); p > maxP {

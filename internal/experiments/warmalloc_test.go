@@ -101,18 +101,22 @@ func kept(res *Result) int {
 	return n + 6*len(res.Notes)
 }
 
-// TestFigure7AllocBudget: the 18 simulations of one figure 7 run share
-// one slice of 10 000 estimators, reset per simulation, so what the run
-// allocates (~60 k objects) is each estimator's recent-loss record growing
-// to its 32 entries; an estimator per receiver per simulation costs
-// ~205 k. It counts one run directly: testing.AllocsPerRun would add a
-// warm-up run, and figure 7 has nothing to warm.
+// TestFigure7AllocBudget: each of figure 7's two curves runs its nine
+// simulations on one slice of 10 000 estimators, reset per simulation,
+// and those estimators record no recent losses (their RTT is fixed), so a
+// run allocates only the two slices, each simulation's loss vector and
+// Rand, the curves' goroutines and the Result: ~150 objects. A recent-loss
+// store per estimator costs ~10 k more, an estimator per receiver per
+// simulation ~205 k. It counts one run directly: testing.AllocsPerRun
+// would add a warm-up run, and figure 7 has nothing to warm.
 func TestFigure7AllocBudget(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	Figure7(1)
 	runtime.ReadMemStats(&after)
-	if n := after.Mallocs - before.Mallocs; n > 70000 {
-		t.Fatalf("figure 7 allocates %d objects per run, budget 70000", n)
+	n := after.Mallocs - before.Mallocs
+	t.Logf("figure 7 allocates %d objects per run", n)
+	if n > 170 {
+		t.Fatalf("figure 7 allocates %d objects per run, budget 170", n)
 	}
 }

@@ -16,23 +16,24 @@ import (
 )
 
 // DefaultWeights is the paper's example weight vector for n = 8 intervals:
-// recent intervals count fully, older ones fade to zero.
-var DefaultWeights = []float64{5, 5, 5, 5, 4, 3, 2, 1}
+// recent intervals count fully, older ones fade to zero. Weights are
+// integers, so a weighted sum of integer intervals is exact.
+var DefaultWeights = []int{5, 5, 5, 5, 4, 3, 2, 1}
 
 // Weights returns a weight vector of length n following the paper's
 // pattern: the newest half has weight 1 (scaled), then a linear decay to
 // 1/(n/2) for the oldest. Weights(8) equals DefaultWeights.
-func Weights(n int) []float64 {
+func Weights(n int) []int {
 	if n < 2 {
-		return []float64{1}
+		return []int{1}
 	}
-	w := make([]float64, n)
+	w := make([]int, n)
 	half := n / 2
 	for i := range w {
 		if i < half {
-			w[i] = float64(half + 1)
+			w[i] = half + 1
 		} else {
-			w[i] = float64(n - i)
+			w[i] = n - i
 		}
 	}
 	return w
@@ -73,12 +74,14 @@ type Estimator struct {
 	// absent or aged out of the history.
 	initIdx int
 
-	weights []float64 // shared, read-only
+	weights []int // shared, read-only
 
 	// Recent losses for Appendix A re-aggregation: up to 4·len(weights)
 	// records in arrival order, then a ring whose oldest record is at
 	// recentOldest. newEvent records whether that loss started a new
-	// loss event when recorded.
+	// loss event when recorded. recentOldest < 0 once StopRecording has
+	// run: nothing is recorded until Reset, and the storage is kept for
+	// the next Reset.
 	recentLosses []lossRecord
 	recentOldest int
 }
@@ -98,7 +101,7 @@ type lossRecord struct {
 
 // NewEstimator returns an estimator over len(weights) loss intervals. It
 // keeps weights (see Reset).
-func NewEstimator(weights []float64) *Estimator {
+func NewEstimator(weights []int) *Estimator {
 	e := new(Estimator)
 	e.Reset(weights)
 	return e
@@ -110,7 +113,7 @@ func NewEstimator(weights []float64) *Estimator {
 // never writes it: one vector serves every estimator of a session, so the
 // caller must not change it while any of them is in use. Nil means
 // DefaultWeights.
-func (e *Estimator) Reset(weights []float64) {
+func (e *Estimator) Reset(weights []int) {
 	if len(weights) == 0 {
 		weights = DefaultWeights
 	}
@@ -216,7 +219,20 @@ func (e *Estimator) FirstInterval() int {
 	return e.intervals[1]
 }
 
+// StopRecording ends the recent-loss store's life: the caller will not
+// call Reaggregate again, because its RTT is known (measured, or fixed
+// from the start), so the records are dropped and no later loss is
+// recorded until Reset; Reaggregate then splits nothing. The storage
+// stays allocated for the estimator's next life.
+func (e *Estimator) StopRecording() {
+	e.recentLosses = e.recentLosses[:0]
+	e.recentOldest = -1
+}
+
 func (e *Estimator) recordLoss(t sim.Time, newEvent bool) {
+	if e.recentOldest < 0 {
+		return
+	}
 	rec := lossRecord{t: t, newEvent: newEvent}
 	if n, full := len(e.recentLosses), 4*len(e.weights); n < full {
 		if n == cap(e.recentLosses) {
@@ -284,18 +300,19 @@ func (e *Estimator) AvgInterval() float64 {
 	if !e.haveLoss {
 		return 0
 	}
-	// One pass accumulates both averages, each over the weights in order:
-	// withOpen over intervals[0..], closed over intervals[1..].
-	var numOpen, denOpen, numClosed, denClosed float64
+	// One pass accumulates both averages: withOpen over intervals[0..],
+	// closed over intervals[1..]. The sums are exact integers, so each
+	// ratio is the correctly rounded quotient whatever the order.
+	var numOpen, denOpen, numClosed, denClosed int
 	iv := e.intervals
 	for i, w := range e.weights {
 		if i >= len(iv) {
 			break
 		}
-		numOpen += w * float64(iv[i])
+		numOpen += w * iv[i]
 		denOpen += w
 		if i+1 < len(iv) {
-			numClosed += w * float64(iv[i+1])
+			numClosed += w * iv[i+1]
 			denClosed += w
 		}
 	}
@@ -303,11 +320,11 @@ func (e *Estimator) AvgInterval() float64 {
 }
 
 // ratio is num/den, or 0 over an empty weight sum.
-func ratio(num, den float64) float64 {
+func ratio(num, den int) float64 {
 	if den == 0 {
 		return 0
 	}
-	return num / den
+	return float64(num) / float64(den)
 }
 
 // LossEventRate returns p = 1/l_avg, or 0 before the first loss event.

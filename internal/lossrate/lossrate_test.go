@@ -10,7 +10,7 @@ import (
 
 func TestWeightsShape(t *testing.T) {
 	w := Weights(8)
-	want := []float64{5, 5, 5, 5, 4, 3, 2, 1}
+	want := []int{5, 5, 5, 5, 4, 3, 2, 1}
 	if len(w) != 8 {
 		t.Fatalf("len = %d", len(w))
 	}
@@ -74,7 +74,7 @@ func TestLossAggregationWithinRTT(t *testing.T) {
 }
 
 func TestOpenIntervalOnlyIfItHelps(t *testing.T) {
-	e := NewEstimator([]float64{1, 1})
+	e := NewEstimator([]int{1, 1})
 	rtt := 10 * sim.Millisecond
 	// Two events, each after 10 packets.
 	for i := 0; i < 10; i++ {
@@ -278,7 +278,7 @@ func TestAdjustInitInterval(t *testing.T) {
 }
 
 func TestAdjustInitIntervalAgesOut(t *testing.T) {
-	e := NewEstimator([]float64{1, 1}) // history of 2 intervals
+	e := NewEstimator([]int{1, 1}) // history of 2 intervals
 	e.OnPacket()
 	e.OnLoss(sim.Second, sim.Millisecond)
 	e.InitFirstInterval(400)

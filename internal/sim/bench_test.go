@@ -105,10 +105,13 @@ func BenchmarkTimerCancel(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "cancels/sec")
 }
 
+// BenchmarkRandGeometric draws figure 7's loss gaps: ln(1−p) once, then
+// one uniform and one logarithm per draw.
 func BenchmarkRandGeometric(b *testing.B) {
 	r := NewRand(1)
+	lnq := GeometricParam(0.02)
 	for i := 0; i < b.N; i++ {
-		_ = r.Geometric(0.02)
+		_ = r.Geometric(lnq)
 	}
 }
 

@@ -38,23 +38,40 @@ func (r *Rand) Bool(p float64) bool { return r.r.Float64() < p }
 // Exp returns an exponentially distributed value with the given mean.
 func (r *Rand) Exp(mean float64) float64 { return r.r.ExpFloat64() * mean }
 
+// GeometricParam returns the argument Geometric takes for success
+// probability p: ln(1−p). Every p ≥ 1 maps to −Inf (the first trial
+// succeeds), and p ≤ 0 or NaN to 0 (no trial ever succeeds). A caller
+// that draws many gaps at one p computes it once.
+func GeometricParam(p float64) float64 {
+	switch {
+	case p >= 1:
+		return math.Inf(-1)
+	case p > 0:
+		return math.Log1p(-p)
+	default:
+		return 0
+	}
+}
+
 // Geometric returns the number of Bernoulli(p) trials up to and including
-// the first success (support {1,2,...}). It models the gap between packet
-// losses under independent loss with probability p.
+// the first success (support {1,2,...}), given lnq = GeometricParam(p). It
+// models the gap between packet losses under independent loss with
+// probability p.
 //
 // It draws by inversion from one uniform U in (0,1]: 1 + ⌊ln U / ln(1−p)⌋,
 // since P(X > k) = (1−p)^k = P(U ≤ (1−p)^k). The result is capped at
-// 1<<30, which is also what p ≤ 0 (no loss ever) returns.
-func (r *Rand) Geometric(p float64) int {
+// 1<<30, which is also what lnq ≥ 0 or NaN (no loss ever) returns; lnq =
+// −Inf returns 1. Neither edge draws a uniform.
+func (r *Rand) Geometric(lnq float64) int {
 	const maxGap = 1 << 30
-	if p <= 0 {
+	if !(lnq < 0) {
 		return maxGap
 	}
-	if p >= 1 {
+	if math.IsInf(lnq, -1) {
 		return 1
 	}
 	u := 1 - r.r.Float64()
-	k := math.Floor(math.Log(u) / math.Log1p(-p))
+	k := math.Floor(math.Log(u) / lnq)
 	if k >= maxGap-1 {
 		return maxGap
 	}

@@ -246,7 +246,8 @@ func TestRandGeometricMean(t *testing.T) {
 	const n = 100000
 	for _, p := range []float64{0.005, 0.02, 0.1, 0.5, 0.9} {
 		r, ref := NewRand(1), NewRand(2)
-		got := sampleGeometric(n, func() int { return r.Geometric(p) })
+		lnq := GeometricParam(p)
+		got := sampleGeometric(n, func() int { return r.Geometric(lnq) })
 		want := sampleGeometric(n, func() int { return bernoulliGeometric(ref, p) })
 		variance := (1 - p) / (p * p)
 		se := geometricSample{
@@ -275,19 +276,62 @@ func TestRandGeometricMean(t *testing.T) {
 func TestRandGeometricEdges(t *testing.T) {
 	r := NewRand(1)
 	for _, p := range []float64{1, 1.5} {
-		if got := r.Geometric(p); got != 1 {
-			t.Fatalf("Geometric(%v) = %d, want 1", p, got)
+		if got := r.Geometric(GeometricParam(p)); got != 1 {
+			t.Fatalf("Geometric at p=%v = %d, want 1", p, got)
 		}
 	}
-	for _, p := range []float64{0, -0.5} {
-		if got := r.Geometric(p); got != 1<<30 {
-			t.Fatalf("Geometric(%v) = %d, want 1<<30", p, got)
+	// A NaN probability reads as no loss, the same as p ≤ 0; it used to
+	// return 1 + int(NaN), a huge negative gap on amd64.
+	for _, p := range []float64{0, -0.5, math.NaN()} {
+		if got := r.Geometric(GeometricParam(p)); got != 1<<30 {
+			t.Fatalf("Geometric at p=%v = %d, want 1<<30", p, got)
 		}
+	}
+	if got := r.Geometric(math.NaN()); got != 1<<30 {
+		t.Fatalf("Geometric(NaN) = %d, want 1<<30", got)
 	}
 	// Mean 10¹²: a per-trial sampler would not return; inversion caps.
+	lnq := GeometricParam(1e-12)
 	for i := 0; i < 1000; i++ {
-		if got := r.Geometric(1e-12); got < 1 || got > 1<<30 {
-			t.Fatalf("Geometric(1e-12) = %d, want in [1, 1<<30]", got)
+		if got := r.Geometric(lnq); got < 1 || got > 1<<30 {
+			t.Fatalf("Geometric at p=1e-12 = %d, want in [1, 1<<30]", got)
+		}
+	}
+}
+
+// perDrawGeometric is Geometric as it was when it took p and computed
+// ln(1−p) on every draw, kept verbatim as the reference for the hoist.
+func perDrawGeometric(r *Rand, p float64) int {
+	const maxGap = 1 << 30
+	if p <= 0 {
+		return maxGap
+	}
+	if p >= 1 {
+		return 1
+	}
+	u := 1 - r.r.Float64()
+	k := math.Floor(math.Log(u) / math.Log1p(-p))
+	if k >= maxGap-1 {
+		return maxGap
+	}
+	return 1 + int(k)
+}
+
+// TestGeometricParamMatchesPerDrawFormula: with ln(1−p) computed once by
+// the caller, every draw equals the per-draw formula's and consumes the
+// same uniforms (the two streams stay in step draw for draw), at each
+// edge and across figure 7's loss range.
+func TestGeometricParamMatchesPerDrawFormula(t *testing.T) {
+	for _, p := range []float64{-0.1, 0, 1e-12, 0.005, 0.1, 0.5, 1, 1.5} {
+		r, ref := NewRand(7), NewRand(7)
+		lnq := GeometricParam(p)
+		for i := 0; i < 20000; i++ {
+			if got, want := r.Geometric(lnq), perDrawGeometric(ref, p); got != want {
+				t.Fatalf("p=%g draw %d: Geometric(GeometricParam(p)) = %d, per-draw formula %d", p, i, got, want)
+			}
+		}
+		if got, want := r.Float64(), ref.Float64(); got != want {
+			t.Fatalf("p=%g: the streams drifted apart (%v vs %v)", p, got, want)
 		}
 	}
 }

@@ -375,8 +375,11 @@ func (r *Receiver) updateRTT(d *Data, now sim.Time) {
 
 // onFirstRTTMeasurement applies the Appendix A/B corrections: loss events
 // aggregated with the too-high initial RTT are split, and the synthetic
-// first loss interval is rescaled by (R/R_init)².
+// first loss interval is rescaled by (R/R_init)². The RTT stays valid
+// from here on, so this is the receiver's one re-aggregation, and the
+// estimator stops recording recent losses.
 func (r *Receiver) onFirstRTTMeasurement(*Data) {
+	defer r.est.StopRecording()
 	if !r.est.HaveLoss() {
 		return
 	}
