@@ -96,7 +96,11 @@ func main() {
 	switch {
 	case *list:
 		for _, e := range experiments.Entries() {
-			fmt.Printf("%-10s %-26s %s\n", e.ID, "["+strings.Join(e.Tags, ",")+"]", e.Title)
+			kind := "[engine]"
+			if e.Analytic() {
+				kind = "[analytic]"
+			}
+			fmt.Printf("%-10s %-10s %s\n", e.ID, kind, e.Title)
 		}
 	case *scenFile != "":
 		spec, err := scenario.LoadSpec(*scenFile)

@@ -23,7 +23,7 @@
 // clipped to the next pending control event so those callbacks observe
 // all shards at exactly their own clock. Between two RunUntil calls the
 // caller is at a barrier too, so a stop predicate that polls protocol
-// state in slices (a spec family's member) runs on either engine unchanged.
+// state in slices (a figure member's) runs on either engine unchanged.
 //
 // Output is deterministic: for a fixed seed the result is byte-identical
 // across runs, because the region structure, the window schedule and the

@@ -1,15 +1,16 @@
 // Package experiments reproduces the figures of the TFMCC paper's
 // evaluation. Each figure is a registry entry whose Result holds the
 // series of the corresponding plot; cmd/tfmccsim prints them as TSV. An
-// engine figure is a declarative spec plus a report over the completed
-// run, or, for figures 13 and 14, a family of such specs; every spec run
-// takes one path (RunCtx.run). Only the analytic figures have runners.
+// engine figure is a list of declarative specs — one, except for figures
+// 13 and 14 — plus a report over what survives their runs; every spec
+// run takes one path (RunCtx.run). Only the analytic figures have
+// runners.
 // The golden ledger pins every entry's output and counters, and
 // tfmccsim -all -check runs every one.
 //
 // Runs execute against a RunCtx, which owns one reusable simulation
 // environment: every build after the first (another seed of a sweep,
-// another member of a family, another scenario) rewinds its scheduler,
+// another member of a figure, another scenario) rewinds its scheduler,
 // network and pooled protocol state and rebuilds on their recycled
 // storage, running the same code as a fresh build. A RunCtx is
 // single-goroutine; seed sweeps hand one RunCtx to each worker (see
@@ -249,11 +250,11 @@ type Job struct {
 	run   func(c *RunCtx, seed int64) (*Result, error)
 }
 
-// FigureJob runs a registry entry: a Spec-backed one through specJob with
-// its own report, a family member by member on the same path, an
-// analytic figure through its runner. The job names the Result with the
-// entry's id and title (a Spec-backed entry's title is its spec's);
-// reports and runners set neither.
+// FigureJob runs a registry entry: an engine entry member by member on
+// the one run path, rendered by its report, an analytic figure through
+// its runner. The job names the Result with the entry's id and title
+// (a Spec-backed entry's title is its spec's); reports and runners set
+// neither.
 func FigureJob(id string) (Job, error) {
 	e, ok := Lookup(id)
 	if !ok {
@@ -263,19 +264,11 @@ func FigureJob(id string) (Job, error) {
 		}
 		return Job{}, fmt.Errorf("experiments: unknown figure %q (have %v)", id, ids)
 	}
-	if e.Spec != nil {
-		return specJob(id, e.Spec(), e.Report), nil
+	if e.Run == nil {
+		return membersJob(id, e.Title, e.Members(), e.Report), nil
 	}
-	var members []Member
-	if e.Family != nil {
-		members = e.Family.Members()
-	}
-	return Job{ID: id, Title: e.Title, run: func(c *RunCtx, seed int64) (res *Result, err error) {
-		if e.Run != nil {
-			res = e.Run(seed)
-		} else if res, err = e.Family.run(c, seed, members); err != nil {
-			return nil, err
-		}
+	return Job{ID: id, Title: e.Title, run: func(_ *RunCtx, seed int64) (*Result, error) {
+		res := e.Run(seed)
 		res.Figure, res.Title = e.ID, e.Title
 		return res, nil
 	}}, nil

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -25,16 +24,13 @@ func TestRegistryComplete(t *testing.T) {
 		if e.Title == "" {
 			t.Fatalf("entry %s has no title", id)
 		}
-		if e.HasTag(TagAnalytic) == e.HasTag(TagEngine) {
-			t.Fatalf("entry %s must carry exactly one of analytic/engine, got %v", id, e.Tags)
+		// Every engine entry is its members plus a report, run through
+		// the one run path; Run is left to analytic entries.
+		if (e.Run == nil) == (e.Members == nil || e.Report == nil) {
+			t.Fatalf("entry %s must have one of Run and Members with a Report", id)
 		}
-		if e.HasTag(TagScenario) && e.Spec == nil {
+		if _, figure := numericID(id); !figure && e.Spec == nil {
 			t.Fatalf("scenario preset %s has no spec", id)
-		}
-		// Every engine entry is its spec plus a report, or a spec family,
-		// run through the one run path; Run is left to analytic entries.
-		if e.HasTag(TagEngine) && (e.Run != nil || (e.Spec == nil) == (e.Family == nil)) {
-			t.Fatalf("engine entry %s must have one of Spec and Family, and no Run", id)
 		}
 		if e.Spec != nil && e.Spec().Title != e.Title {
 			t.Fatalf("entry %s: registry title %q, spec title %q", id, e.Title, e.Spec().Title)
@@ -45,26 +41,20 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
-// TestAddEntryRefusesMixedShapes: an engine entry is a Spec (with an
-// optional Report) or a Family, an analytic one a Run, never two of them
-// or none, so every spec run takes the one run path. A refused entry is
-// not registered.
+// TestAddEntryRefusesMixedShapes: an engine entry is its Members and a
+// Report, an analytic one a Run, never both or neither, so every spec
+// run takes the one run path. A refused entry is not registered.
 func TestAddEntryRefusesMixedShapes(t *testing.T) {
 	spec := Figure9Spec
 	run := func(int64) *Result { return &Result{} }
-	report := func(*scenario.Scenario) *Result { return &Result{} }
-	family := &Family{Members: figure14Members, Report: figure14}
-	engine := []string{TagEngine}
 	for name, e := range map[string]Entry{
-		"both":             {Spec: spec, Run: run},
-		"neither":          {},
-		"report with run":  {Run: run, Report: report},
-		"report, no shape": {Report: report},
-		"engine with run":  {Run: run, Tags: engine},
-		"spec and family":  {Spec: spec, Family: family, Tags: engine},
-		"family and run":   {Family: family, Run: run, Tags: engine},
-		"family, report":   {Family: family, Report: report, Tags: engine},
-		"analytic family":  {Family: family, Tags: []string{TagAnalytic}},
+		"spec and run":       {Spec: spec, Run: run},
+		"neither":            {},
+		"report with run":    {Run: run, Report: figure14},
+		"report, no members": {Report: figure14},
+		"members, no report": {Members: figure14Members},
+		"members and run":    {Members: figure14Members, Report: figure14, Run: run},
+		"spec, no members":   {Spec: spec, Report: figure9},
 	} {
 		e.ID = "shape-" + name
 		func() {

@@ -40,25 +40,26 @@ func Figure9Spec() *scenario.Spec {
 // figure9 reports one TFMCC flow against 15 TCP flows over a single
 // 8 Mbit/s bottleneck: the TFMCC rate plus two sample TCP rates over
 // time. Paper shape: matching means, smoother TFMCC.
-func figure9(sc *scenario.Scenario) *Result {
-	res, tf, tcpMean := tfmccVsTCP(sc)
+func figure9(runs []MemberRun) *Result {
+	s := runs[0].Series
+	res, tf, tcpMean := tfmccVsTCP(s)
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("steady state (60-200s): TFMCC=%.0f Kbit/s, mean TCP=%.0f Kbit/s, ratio=%.2f", tf, tcpMean, tf/tcpMean),
-		fmt.Sprintf("smoothness: CoV TFMCC=%.2f vs CoV TCP1=%.2f (paper: TFMCC smoother)",
-			sc.Recvs[0].Meter.Series.CoV(), sc.Flows[0].Meter.Series.CoV()))
+		fmt.Sprintf("smoothness: CoV TFMCC=%.2f vs CoV TCP1=%.2f (paper: TFMCC smoother)", s[0].CoV(), s[1].CoV()))
 	return res
 }
 
 // tfmccVsTCP renders the series figures 9 and 10 share — two sample TCP
 // rates and the TFMCC rate at receiver 0 — and returns the TFMCC and
-// mean TCP rates over the steady state, 60-200 s.
-func tfmccVsTCP(sc *scenario.Scenario) (res *Result, tf, tcpMean float64) {
-	mT := sc.Recvs[0].Meter
-	res = &Result{Series: []*stats.Series{sc.Flows[0].Meter.Series, sc.Flows[1].Meter.Series, mT.Series}}
-	for _, f := range sc.Flows {
-		tcpMean += f.Meter.Series.MeanBetween(60*sim.Second, 200*sim.Second)
+// mean TCP rates over the steady state, 60-200 s. Their runs collect the
+// rate at receiver 0, the one metered receiver, then one per TCP flow.
+func tfmccVsTCP(s []*stats.Series) (res *Result, tf, tcpMean float64) {
+	mT, tcps := s[0], s[1:]
+	res = &Result{Series: []*stats.Series{tcps[0], tcps[1], mT}}
+	for _, t := range tcps {
+		tcpMean += t.MeanBetween(60*sim.Second, 200*sim.Second)
 	}
-	return res, mT.Series.MeanBetween(60*sim.Second, 200*sim.Second), tcpMean / float64(len(sc.Flows))
+	return res, mT.MeanBetween(60*sim.Second, 200*sim.Second), tcpMean / float64(len(tcps))
 }
 
 // Figure10Spec declares sixteen two-hop tail circuits off a star hub:
@@ -88,8 +89,8 @@ func Figure10Spec() *scenario.Spec {
 // figure10 reports 16 receivers, each on its own 1 Mbit/s tail circuit
 // shared with one TCP flow. The loss-path-multiplicity effect limits
 // TFMCC to roughly 70% of TCP's throughput.
-func figure10(sc *scenario.Scenario) *Result {
-	res, tf, tcpMean := tfmccVsTCP(sc)
+func figure10(runs []MemberRun) *Result {
+	res, tf, tcpMean := tfmccVsTCP(runs[0].Series)
 	res.Notes = append(res.Notes, fmt.Sprintf(
 		"steady state: TFMCC=%.0f Kbit/s, mean TCP=%.0f Kbit/s, TFMCC/TCP=%.2f (paper: ~0.70)",
 		tf, tcpMean, tf/tcpMean))
@@ -135,18 +136,21 @@ func Figure21Spec() *scenario.Spec {
 // figure21 reports one TFMCC flow on a 16 Mbit/s link whose competing
 // TCP flows double every 50 s (+1, +2, +4, +8). Both should settle at
 // roughly half the bandwidth of the previous interval.
-func figure21(sc *scenario.Scenario) *Result {
-	mT := sc.Recvs[0].Meter
+// Its run collects the rate at receiver 0, one series per TCP flow and
+// the four group aggregates.
+func figure21(runs []MemberRun) *Result {
+	r := runs[0]
+	mT := r.Series[0]
 
 	res := &Result{}
-	res.Series = append(res.Series, mT.Series)
-	res.Series = append(res.Series, sc.Aggs...)
+	res.Series = append(res.Series, mT)
+	res.Series = append(res.Series, r.Series[1+r.Flows:]...)
 	for i, win := range [][2]sim.Time{
 		{10 * sim.Second, 50 * sim.Second}, {60 * sim.Second, 100 * sim.Second},
 		{110 * sim.Second, 150 * sim.Second}, {160 * sim.Second, 200 * sim.Second},
 		{210 * sim.Second, 250 * sim.Second}} {
 		res.Notes = append(res.Notes, fmt.Sprintf("interval %d: TFMCC mean %.0f Kbit/s",
-			i+1, mT.Series.MeanBetween(win[0], win[1])))
+			i+1, mT.MeanBetween(win[0], win[1])))
 	}
 	return res
 }

@@ -7,11 +7,11 @@ import (
 	"repro/internal/sim"
 )
 
-// TestFamilyRun runs a family of three small stars on one context: a
+// TestFamilyRun runs three small stars as one job's members: a
 // member whose stop holds at the first check ends at 100 ms; a member
 // whose stop never holds is checked at every grid instant below its
 // duration and runs to it, sample for sample like the same member
-// without a stop. Each member's samples survive the rewinds of the
+// without a stop. Each member's series survive the rewinds of the
 // members after it.
 func TestFamilyRun(t *testing.T) {
 	const dur = 2 * sim.Second
@@ -25,38 +25,34 @@ func TestFamilyRun(t *testing.T) {
 	}
 	var checks []sim.Time
 	var runs []MemberRun
-	f := &Family{
-		Members: func() []Member {
-			return []Member{
-				{Spec: spec, Stop: func(*scenario.Scenario, sim.Time) bool { return true }},
-				{Spec: spec, Seed: 1, Stop: func(_ *scenario.Scenario, now sim.Time) bool {
-					checks = append(checks, now)
-					return false
-				}},
-				{Spec: spec, Seed: 1},
-			}
-		},
-		Report: func(r []MemberRun) *Result { runs = r; return &Result{} },
+	members := []Member{
+		{Spec: spec, Stop: func(*scenario.Scenario, sim.Time) bool { return true }},
+		{Spec: spec, Seed: 1, Stop: func(_ *scenario.Scenario, now sim.Time) bool {
+			checks = append(checks, now)
+			return false
+		}},
+		{Spec: spec, Seed: 1},
 	}
-	if _, err := f.run(NewRunCtx(), 1, f.Members()); err != nil {
+	job := membersJob(spec.Name, spec.Title, members, func(r []MemberRun) *Result { runs = r; return &Result{} })
+	if _, err := job.run(NewRunCtx(), 1); err != nil {
 		t.Fatal(err)
 	}
 	if len(runs) != 3 {
 		t.Fatalf("report got %d member runs, want 3", len(runs))
 	}
-	if r := runs[0]; r.End != 100*sim.Millisecond || len(r.Samples[0].Points) != 1 {
+	if r := runs[0]; r.End != 100*sim.Millisecond || len(r.Series[0].Points) != 1 {
 		t.Errorf("member stopped at the first check ended at %v with %d samples, want 100ms and 1",
-			r.End, len(r.Samples[0].Points))
+			r.End, len(r.Series[0].Points))
 	}
 	if n := len(checks); n != 19 || checks[0] != 100*sim.Millisecond || checks[n-1] != dur-100*sim.Millisecond {
 		t.Errorf("never-holding stop checked at %v, want every 100 ms from 100ms to 1.9s", checks)
 	}
 	for i, r := range runs[1:] {
-		if r.End != dur || len(r.Samples[0].Points) != 20 {
-			t.Errorf("member %d ended at %v with %d samples, want %v and 20", i+1, r.End, len(r.Samples[0].Points), dur)
+		if r.End != dur || len(r.Series[0].Points) != 20 {
+			t.Errorf("member %d ended at %v with %d samples, want %v and 20", i+1, r.End, len(r.Series[0].Points), dur)
 		}
 	}
-	sliced, whole := &Result{Series: runs[1].Samples}, &Result{Series: runs[2].Samples}
+	sliced, whole := &Result{Series: runs[1].Series}, &Result{Series: runs[2].Series}
 	if sliced.TSV() != whole.TSV() {
 		t.Errorf("stop checks moved the run's samples:\n%s\nvs\n%s", sliced.TSV(), whole.TSV())
 	}

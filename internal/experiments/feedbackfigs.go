@@ -15,16 +15,13 @@ func init() {
 	// The feedback-mechanism figures are closed-form or Monte-Carlo plots:
 	// they never drive the discrete-event engine, so they are registered
 	// as analytic and engine benchmarks skip their (zero) counters.
-	registerAnalytic("1", "Different feedback biasing methods (CDF of feedback time)", false, Figure1)
-	// Figure 2 is seed-dependent but its points are a scatter (random
-	// feedback times on x), so index-aligned band merging is meaningless:
-	// no sweep tag.
-	registerAnalytic("2", "Time-value distribution of one feedback round", false, Figure2)
-	registerAnalytic("3", "Different feedback cancellation methods (#responses vs n)", true, Figure3)
-	registerAnalytic("4", "Expected number of feedback messages (analytic)", false, Figure4)
-	registerAnalytic("5", "Response time of feedback biasing methods (RTTs)", true, Figure5)
-	registerAnalytic("6", "Quality of reported rate (relative excess over minimum)", true, Figure6)
-	registerAnalytic("17", "Loss events per RTT vs loss event rate", false, Figure17)
+	registerAnalytic("1", "Different feedback biasing methods (CDF of feedback time)", Figure1)
+	registerAnalytic("2", "Time-value distribution of one feedback round", Figure2)
+	registerAnalytic("3", "Different feedback cancellation methods (#responses vs n)", Figure3)
+	registerAnalytic("4", "Expected number of feedback messages (analytic)", Figure4)
+	registerAnalytic("5", "Response time of feedback biasing methods (RTTs)", Figure5)
+	registerAnalytic("6", "Quality of reported rate (relative excess over minimum)", Figure6)
+	registerAnalytic("17", "Loss events per RTT vs loss event rate", Figure17)
 }
 
 // fbBase returns the canonical feedback configuration used by the

@@ -132,27 +132,25 @@ type ledgerResult struct {
 
 // runChains runs rows as two chains, the even and the odd rows in order,
 // each on one context of its own, so every row but the two heads runs on
-// an environment that last built a different scenario. It returns one
-// channel per row that delivers the row's result, and a wait for both
-// chains to finish.
-func runChains(rows []ledgerRow) ([]chan ledgerResult, func()) {
+// an environment that last built a different scenario. Two rows make one
+// chain, so that one of them still does. It returns one buffered channel
+// per row that delivers the row's result, so a chain never blocks.
+func runChains(rows []ledgerRow) []chan ledgerResult {
 	out := make([]chan ledgerResult, len(rows))
 	for i := range out {
 		out[i] = make(chan ledgerResult, 1)
 	}
-	var wg sync.WaitGroup
-	for head := 0; head < 2; head++ {
-		wg.Add(1)
+	chains := min(2, (len(rows)+1)/2)
+	for head := range chains {
 		go func() {
-			defer wg.Done()
 			ctx := NewRunCtx()
-			for i := head; i < len(rows); i += 2 {
+			for i := head; i < len(rows); i += chains {
 				fields, err := rows[i].run(ctx)
 				out[i] <- ledgerResult{fields, err}
 			}
 		}()
 	}
-	return out, wg.Wait
+	return out
 }
 
 // ledgerRows enumerates the ledger in file order: the whole registry on
@@ -211,9 +209,10 @@ var checkedRows = []string{"degrade", "clrfail", "partition", "corruptfb", "flas
 // universe's rows run as the two chains of runChains, concurrently: the
 // ledger thereby also pins that a rebuild on an environment recycled
 // from another scenario equals a fresh build. Subtests are named
-// <universe>/<id>, so CI's race job can select the sharded rows alone
-// (-run TestGoldenLedger/ew2); a filter that selects single rows still
-// runs their universe's chains in full.
+// <universe>/<id>, and the chains run only the rows a -run filter
+// selects: each row's subtest enlists its row and pauses (t.Parallel)
+// until its universe has enlisted every selected row and started the
+// chains over them.
 //
 // A last pass reruns checkedRows (as checked/<id>) and every ew2 row (as
 // checked/ew2/<id>) on one context with the invariant checker armed: each
@@ -237,25 +236,28 @@ func TestGoldenLedger(t *testing.T) {
 			}
 		}
 	}
+	var mu sync.Mutex // guards got, which a universe's rows fill concurrently
 	got := map[string]string{}
 	for _, universe := range []string{"serial", "ew2", "sweep"} {
 		t.Run(universe, func(t *testing.T) {
-			var urows []ledgerRow
+			var selected []ledgerRow
+			var results []chan ledgerResult
 			for _, r := range rows {
-				if r.universe == universe {
-					urows = append(urows, r)
+				if r.universe != universe {
+					continue
 				}
-			}
-			results, wait := runChains(urows)
-			defer wait()
-			for i, r := range urows {
 				t.Run(r.id(), func(t *testing.T) {
+					i := len(selected)
+					selected = append(selected, r)
+					t.Parallel() // resumes once results is set
 					res := <-results[i]
 					if res.err != nil {
 						t.Fatal(res.err)
 					}
 					fields := res.fields
+					mu.Lock()
 					got[r.key()] = fields
+					mu.Unlock()
 					if *updateLedger {
 						return
 					}
@@ -267,6 +269,7 @@ func TestGoldenLedger(t *testing.T) {
 					}
 				})
 			}
+			results = runChains(selected)
 		})
 	}
 	t.Run("checked", func(t *testing.T) {

@@ -8,13 +8,12 @@ import (
 	"repro/internal/sim"
 )
 
-// runSpec runs spec through the one spec path on a fresh context and
+// runSpec runs spec through the one run path on a fresh context and
 // returns the completed scenario.
 func runSpec(t *testing.T, spec *scenario.Spec, seed int64) *scenario.Scenario {
 	t.Helper()
-	var sc *scenario.Scenario
-	keep := func(s *scenario.Scenario) *Result { sc = s; return &Result{} }
-	if _, err := specJob(spec.Name, spec, keep).run(NewRunCtx(), seed); err != nil {
+	sc, _, err := NewRunCtx().run(spec, seed, nil)
+	if err != nil {
 		t.Fatalf("%s: %v", spec.Name, err)
 	}
 	return sc

@@ -6,6 +6,7 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/simnet"
+	"repro/internal/stats"
 )
 
 func init() {
@@ -76,31 +77,38 @@ func Figure16Spec() *scenario.Spec {
 // after it leaves. In figure 16 a TCP flow shares that tail for the whole
 // run: it inevitably times out when the link floods at join time, but
 // both recover and share the tail fairly.
-func lateJoin(sc *scenario.Scenario) *Result {
-	slow := sc.Flow("TCP on 200KBit/s link") // figure 16 only
+//
+// The run collects the rate at receiver 0, one series per TCP on the
+// dumbbell, figure 16's TCP on the slow tail and the dumbbell TCPs'
+// aggregate.
+func lateJoin(runs []MemberRun) *Result {
+	r := runs[0]
+	mT, agg := r.Series[0], r.Series[len(r.Series)-1]
+	var slow *stats.Series
+	if r.Flows > 7 { // figure 16's eighth flow
+		slow = r.Series[r.Flows]
+	}
 	tcpOnSlowLink := slow != nil
-	mT := sc.Recvs[0].Meter
 
 	res := &Result{}
-	res.Series = append(res.Series, sc.Aggs[0], mT.Series)
+	res.Series = append(res.Series, agg, mT)
 	if tcpOnSlowLink {
-		res.Series = append(res.Series, slow.Meter.Series)
+		res.Series = append(res.Series, slow)
 	}
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("TFMCC before join (20-50s): %.0f Kbit/s (fair: 1000)",
-			mT.Series.MeanBetween(20*sim.Second, 50*sim.Second)),
+			mT.MeanBetween(20*sim.Second, 50*sim.Second)),
 		fmt.Sprintf("TFMCC during slow join (60-100s): %.0f Kbit/s (tail: 200%s)",
-			mT.Series.MeanBetween(60*sim.Second, 100*sim.Second),
+			mT.MeanBetween(60*sim.Second, 100*sim.Second),
 			map[bool]string{true: ", shared with TCP", false: ""}[tcpOnSlowLink]),
 		fmt.Sprintf("TFMCC after leave (120-140s): %.0f Kbit/s",
-			mT.Series.MeanBetween(120*sim.Second, 140*sim.Second)))
+			mT.MeanBetween(120*sim.Second, 140*sim.Second)))
 	if tcpOnSlowLink {
-		s := slow.Meter.Series
 		res.Notes = append(res.Notes, fmt.Sprintf(
 			"TCP on slow link: before join %.0f, during %.0f, after %.0f Kbit/s",
-			s.MeanBetween(20*sim.Second, 50*sim.Second),
-			s.MeanBetween(60*sim.Second, 100*sim.Second),
-			s.MeanBetween(120*sim.Second, 140*sim.Second)))
+			slow.MeanBetween(20*sim.Second, 50*sim.Second),
+			slow.MeanBetween(60*sim.Second, 100*sim.Second),
+			slow.MeanBetween(120*sim.Second, 140*sim.Second)))
 	}
 	return res
 }

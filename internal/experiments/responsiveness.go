@@ -6,6 +6,7 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/simnet"
+	"repro/internal/stats"
 )
 
 func init() {
@@ -65,14 +66,13 @@ func Figure20Spec() *scenario.Spec {
 }
 
 // joinLeave reports figures 11 and 20: every TCP reference and the TFMCC
-// rate at receiver 0, with per-phase TFMCC/TCP notes.
-func joinLeave(sc *scenario.Scenario) *Result {
-	res := &Result{}
-	for _, f := range sc.Flows {
-		res.Series = append(res.Series, f.Meter.Series)
-	}
+// rate at receiver 0, with per-phase TFMCC/TCP notes. The run collects
+// one rate per receiver (each has joined by the end), then one per TCP.
+func joinLeave(runs []MemberRun) *Result {
+	r := runs[0]
 	// The TFMCC rate as observed at the always-present receiver 0.
-	res.Series = append(res.Series, sc.Recvs[0].Meter.Series)
+	mT, tcps := r.Series[0], r.Series[r.Recvs:]
+	res := &Result{Series: append(append([]*stats.Series(nil), tcps...), mT)}
 	// Shape notes: mean TFMCC vs mean of the worst-receiver TCP in each
 	// phase where that receiver is the CLR.
 	phases := []struct {
@@ -87,8 +87,8 @@ func joinLeave(sc *scenario.Scenario) *Result {
 		{"after leaves", 370 * sim.Second, 400 * sim.Second, 0},
 	}
 	for _, ph := range phases {
-		tf := sc.Recvs[0].Meter.Series.MeanBetween(ph.from, ph.to)
-		tcp := sc.Flows[ph.tcpIdx].Meter.Series.MeanBetween(ph.from, ph.to)
+		tf := mT.MeanBetween(ph.from, ph.to)
+		tcp := tcps[ph.tcpIdx].MeanBetween(ph.from, ph.to)
 		ratio := 0.0
 		if tcp > 0 {
 			ratio = tf / tcp

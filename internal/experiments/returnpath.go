@@ -57,22 +57,18 @@ func Figure18Spec() *scenario.Spec {
 // *return* paths from the receivers. TFMCC (and, thanks to cumulative
 // ACKs, TCP) should be essentially unaffected by moderate reverse
 // congestion.
-func figure18(sc *scenario.Scenario) *Result {
-	mT := sc.Recvs[0].Meter
-
-	res := &Result{}
-	res.Series = append(res.Series, mT.Series)
-	for _, revN := range fig18ReverseCounts {
-		res.Series = append(res.Series, sc.Flow(fmt.Sprintf("TCP (%d)", revN)).Meter.Series)
-	}
-	for _, revN := range fig18ReverseCounts {
-		m := sc.Flow(fmt.Sprintf("TCP (%d)", revN)).Meter
+// Its run collects the rate at receiver 0 and one series per forward
+// TCP; the reverse flows are unmetered.
+func figure18(runs []MemberRun) *Result {
+	s := runs[0].Series
+	res := &Result{Series: s}
+	for i, revN := range fig18ReverseCounts {
 		res.Notes = append(res.Notes, fmt.Sprintf(
 			"forward TCP with %d reverse flows: %.0f Kbit/s (steady 40-120s)",
-			revN, m.Series.MeanBetween(40*sim.Second, 120*sim.Second)))
+			revN, s[1+i].MeanBetween(40*sim.Second, 120*sim.Second)))
 	}
 	res.Notes = append(res.Notes, fmt.Sprintf("TFMCC: %.0f Kbit/s",
-		mT.Series.MeanBetween(40*sim.Second, 120*sim.Second)))
+		s[0].MeanBetween(40*sim.Second, 120*sim.Second)))
 	return res
 }
 
@@ -110,19 +106,15 @@ func Figure19Spec() *scenario.Spec {
 // receivers' return paths. TCP ACKs survive moderate loss (cumulative),
 // but heavy reverse loss degrades TCP, while TFMCC is insensitive to lost
 // receiver reports.
-func figure19(sc *scenario.Scenario) *Result {
-	mT := sc.Recvs[0].Meter
-
-	res := &Result{}
-	res.Series = append(res.Series, mT.Series)
-	for _, f := range sc.Flows {
-		res.Series = append(res.Series, f.Meter.Series)
-	}
-	for i, f := range sc.Flows {
+// Its run collects the rate at receiver 0, then one series per TCP.
+func figure19(runs []MemberRun) *Result {
+	s := runs[0].Series
+	res := &Result{Series: s}
+	for i, lp := range fig19LossLevels {
 		res.Notes = append(res.Notes, fmt.Sprintf("TCP with %.0f%% reverse loss: %.0f Kbit/s",
-			fig19LossLevels[i]*100, f.Meter.Series.MeanBetween(40*sim.Second, 120*sim.Second)))
+			lp*100, s[1+i].MeanBetween(40*sim.Second, 120*sim.Second)))
 	}
 	res.Notes = append(res.Notes, fmt.Sprintf("TFMCC (reports cross the lossiest path): %.0f Kbit/s",
-		mT.Series.MeanBetween(40*sim.Second, 120*sim.Second)))
+		s[0].MeanBetween(40*sim.Second, 120*sim.Second)))
 	return res
 }

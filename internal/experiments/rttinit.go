@@ -10,7 +10,7 @@ import (
 
 func init() {
 	registerSpec("12", Figure12Spec, figure12)
-	registerFamily("13", "Responsiveness to changes in the RTT", figure13Members, figure13)
+	addEntry(Entry{ID: "13", Title: "Responsiveness to changes in the RTT", Members: figure13Members, Report: figure13})
 }
 
 // Figure12Spec declares the 1000-receiver RTT-measurement scenario: a
@@ -40,11 +40,11 @@ func Figure12Spec() *scenario.Spec {
 // because every receiver keeps wanting to report) have obtained a valid
 // RTT measurement over time. Link RTTs vary between 60 and 140 ms; the
 // initial RTT is 500 ms.
-func figure12(sc *scenario.Scenario) *Result {
-	counts := sc.Samples[0]
+// Its run collects that count alone.
+func figure12(runs []MemberRun) *Result {
+	counts := runs[0].Series[0]
 
-	res := &Result{}
-	res.Series = append(res.Series, counts)
+	res := &Result{Series: runs[0].Series}
 	res.Notes = append(res.Notes, fmt.Sprintf(
 		"valid-RTT receivers after 50s: %.0f, 100s: %.0f, 200s: %.0f (paper: ~700 at 200s)",
 		counts.MeanBetween(48*sim.Second, 52*sim.Second),

@@ -9,14 +9,14 @@ import (
 	"repro/internal/tfmcc"
 )
 
-// The scenario presets ride in the same registry as the paper figures —
-// stable IDs and tags — so the golden ledger pins them and tfmccsim -all
+// The scenario presets ride in the same registry as the paper figures,
+// under stable IDs, so the golden ledger pins them and tfmccsim -all
 // runs them like any figure, and tfmccsim runs them via -scenario with
 // parameter overrides. Each is its spec alone: the generic report
 // renders it.
 func init() {
 	for _, p := range scenario.Presets() {
-		registerSpec(p().Name, p, nil, TagScenario)
+		registerSpec(p().Name, p, genericReport)
 	}
 }
 
@@ -59,46 +59,34 @@ func (c *RunCtx) run(spec *scenario.Spec, seed int64, stop func(*scenario.Scenar
 	return sc, spec.Duration, nil
 }
 
-// run runs the family's members in order on c, each at seed plus its
-// offset, and reports what survives them.
-func (f *Family) run(c *RunCtx, seed int64, members []Member) (*Result, error) {
-	runs := make([]MemberRun, len(members))
-	for i, m := range members {
-		sc, end, err := c.run(m.Spec, seed+m.Seed, m.Stop)
-		if err != nil {
-			return nil, err
+// membersJob runs members in order on the one path, each at the job's
+// seed plus its offset, and renders what survives them with report as a
+// Result named id. A build failure is returned as a structured error:
+// for everything but the registry's own specs the spec is outside input.
+func membersJob(id, title string, members []Member, report func([]MemberRun) *Result) Job {
+	return Job{ID: id, Title: title, run: func(c *RunCtx, seed int64) (*Result, error) {
+		runs := make([]MemberRun, len(members))
+		for i, m := range members {
+			sc, end, err := c.run(m.Spec, seed+m.Seed, m.Stop)
+			if err != nil {
+				return nil, err
+			}
+			runs[i] = MemberRun{Spec: m.Spec, Series: sc.Series(), End: end, Recvs: len(sc.Recvs), Flows: len(sc.Flows)}
 		}
-		runs[i] = MemberRun{Samples: sc.Samples, End: end}
-	}
-	return f.Report(runs), nil
-}
-
-// specJob runs spec on the one path and renders the completed run with
-// report (the generic report when nil) as a Result named id. A build
-// failure is returned as a structured error: for everything but the
-// registry's own specs the spec is outside input.
-func specJob(id string, spec *scenario.Spec, report func(*scenario.Scenario) *Result) Job {
-	if report == nil {
-		report = genericReport
-	}
-	return Job{ID: id, Title: spec.Title, run: func(c *RunCtx, seed int64) (*Result, error) {
-		sc, _, err := c.run(spec, seed, nil)
-		if err != nil {
-			return nil, err
-		}
-		res := report(sc)
-		res.Figure, res.Title = id, spec.Title
+		res := report(runs)
+		res.Figure, res.Title = id, title
 		return res, nil
 	}}
 }
 
-// genericReport renders a completed spec run: every collected series plus
+// genericReport renders a one-member run: every collected series plus
 // steady-state digest notes. Presets, command-line override runs and
 // data-loaded specs (JSON files, fuzz inputs, hypothesis workloads) share
 // it; the figures bring their own.
-func genericReport(sc *scenario.Scenario) *Result {
-	spec := sc.Spec
-	res := &Result{Series: sc.Series()}
+func genericReport(runs []MemberRun) *Result {
+	r := runs[0]
+	spec := r.Spec
+	res := &Result{Series: r.Series}
 	half := spec.Duration / 2
 	for _, s := range res.Series {
 		res.Notes = append(res.Notes, fmt.Sprintf("%-24s mean=%10.1f, second half=%10.1f",
@@ -106,7 +94,7 @@ func genericReport(sc *scenario.Scenario) *Result {
 	}
 	res.Notes = append(res.Notes, fmt.Sprintf(
 		"topology %s, %d receivers declared, %d flows, %d timed events, %.0fs",
-		spec.Topology.Kind, len(sc.Recvs), len(sc.Flows), len(spec.Events), spec.Duration.Seconds()))
+		spec.Topology.Kind, r.Recvs, r.Flows, len(spec.Events), spec.Duration.Seconds()))
 	return res
 }
 
@@ -128,12 +116,14 @@ func ScenarioJob(id string, ov scenario.Overrides) (Job, error) {
 	if err != nil {
 		return Job{}, err
 	}
-	return specJob(id, spec, nil), nil
+	return SpecJob(id, spec), nil
 }
 
 // SpecJob runs an arbitrary (typically data-loaded) spec as a Result
 // named id: a JSON document, a fuzz input, a hypothesis workload.
-func SpecJob(id string, spec *scenario.Spec) Job { return specJob(id, spec, nil) }
+func SpecJob(id string, spec *scenario.Spec) Job {
+	return membersJob(id, spec.Title, []Member{{Spec: spec}}, genericReport)
+}
 
 // RunOverridden runs ScenarioJob(id, ov) for one seed on c.
 func RunOverridden(c *RunCtx, id string, ov scenario.Overrides, seed int64) (*Result, error) {

@@ -37,7 +37,7 @@ func runSliced(t *testing.T, ctx *RunCtx, id string, seed int64, dur sim.Time, s
 }
 
 // TestSlicedRunUntil: driving a run in 100 ms RunUntil slices, as the
-// one run path does for a family member with a stop predicate, gives the
+// one run path does for a member with a stop predicate, gives the
 // bytes and counters of one RunUntil call to the same instant, on both
 // engines. Each slice end
 // is a window boundary the one call does not have, so on the region

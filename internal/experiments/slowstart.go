@@ -10,7 +10,7 @@ import (
 )
 
 func init() {
-	registerFamily("14", "Maximum slowstart rate vs number of receivers", figure14Members, figure14)
+	addEntry(Entry{ID: "14", Title: "Maximum slowstart rate vs number of receivers", Members: figure14Members, Report: figure14})
 }
 
 // Figure 14's points: three settings with a fair rate of 1 Mbit/s, each
@@ -58,7 +58,7 @@ func figure14(runs []MemberRun) *Result {
 		for _, n := range slowstartCounts {
 			var sum float64
 			for _, r := range runs[:familySeeds] {
-				sum += r.Samples[0].Max()
+				sum += r.Series[len(r.Series)-1].Max() // the sender-rate samples, after the TCP meters
 			}
 			runs = runs[familySeeds:]
 			s.Add(sim.FromSeconds(float64(n)), sum/familySeeds*8/1000) // Kbit/s

@@ -307,21 +307,13 @@ func TestEngineStatsAccumulate(t *testing.T) {
 	}
 }
 
-// TestAnalyticRegistry: the engine-less figures must be flagged so
-// bench/ does not prime engine arenas for them.
+// TestAnalyticRegistry: the engine-less figures, and only they, must be
+// flagged so bench/ does not prime engine arenas for them.
 func TestAnalyticRegistry(t *testing.T) {
-	analytic := func(id string) bool {
-		e, ok := Lookup(id)
-		return ok && e.Analytic()
-	}
-	for _, id := range []string{"1", "2", "3", "4", "5", "6", "7", "17"} {
-		if !analytic(id) {
-			t.Fatalf("figure %s should be analytic", id)
-		}
-	}
-	for _, id := range []string{"9", "12", "14", "15", "21"} {
-		if analytic(id) {
-			t.Fatalf("figure %s wrongly marked analytic", id)
+	analytic := map[string]bool{"1": true, "2": true, "3": true, "4": true, "5": true, "6": true, "7": true, "17": true}
+	for _, e := range Entries() {
+		if e.Analytic() != analytic[e.ID] {
+			t.Errorf("entry %s: Analytic() = %v, want %v", e.ID, e.Analytic(), analytic[e.ID])
 		}
 	}
 }

@@ -20,7 +20,6 @@ var registerPanicEntry = sync.OnceFunc(func() {
 	addEntry(Entry{
 		ID:    "panictest",
 		Title: "injected panicking runner (test only)",
-		Tags:  []string{TagAnalytic, TagSweep},
 		Run: func(seed int64) *Result {
 			if seed == 2 {
 				panic("injected: seed 2 is cursed")

@@ -36,8 +36,8 @@ type chaosLevel struct {
 func Levels() map[int]string {
 	out := map[int]string{}
 	for lvl, c := range chaosLevels {
-		out[lvl] = fmt.Sprintf("%d bursts, outages %v-%v, impairment rates <= %.0f%%, up to %.0f%% of receivers crash",
-			c.bursts, c.minOutage, c.maxOutage, c.maxImpair*100, c.crashFrac*100)
+		out[lvl] = fmt.Sprintf("%d bursts, outages %gs-%gs, impairment rates <= %.0f%%, up to %.0f%% of receivers crash",
+			c.bursts, c.minOutage.Seconds(), c.maxOutage.Seconds(), c.maxImpair*100, c.crashFrac*100)
 	}
 	return out
 }

@@ -144,6 +144,15 @@ func TestChaosSchedulesPinned(t *testing.T) {
 	}
 }
 
+// TestLevelsPrintSeconds pins one chaos level line as tfmcchyp -list
+// prints it: outage bounds in plain seconds.
+func TestLevelsPrintSeconds(t *testing.T) {
+	const want = "4 bursts, outages 2s-6s, impairment rates <= 15%, up to 25% of receivers crash"
+	if got := Levels()[2]; got != want {
+		t.Errorf("level 2 reads %q, want %q", got, want)
+	}
+}
+
 // TestHostileSizesRefused: a seed count that would only exhaust memory is
 // an error naming its field, returned before anything is allocated for
 // it.

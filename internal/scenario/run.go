@@ -44,19 +44,6 @@ func (e Env) Rewind(seed int64) {
 	e.Rng.Reseed(seed + 7)
 }
 
-// NewMeterAt returns a per-second throughput meter bound to the metered
-// endpoint's node, pooled through the network arena: a recycled meter
-// gets a fresh Series (a previous run's Result may still reference the
-// old one) but reuses the struct. On a sharded network the meter's
-// sampling timer runs on that node's shard scheduler (the one its Add
-// calls execute on); on a serial network the binding is the environment
-// scheduler.
-func (e Env) NewMeterAt(name string, at simnet.NodeID) *stats.Meter {
-	m := sim.Pooled[stats.Meter](e.Net.Arena())
-	m.Reset(name, e.Net.SchedFor(at), sim.Second)
-	return m
-}
-
 // Flow is one declared traffic source of a built scenario: exactly one
 // of TCP or CBR is set.
 type Flow struct {
@@ -574,8 +561,7 @@ func (j *recvJoin) join() {
 	rcv := sc.Sess.AddReceiver(j.at)
 	sc.Recvs[j.slot] = rcv
 	if j.meter != "" {
-		rcv.Meter = sc.Env.NewMeterAt(j.meter, j.at)
-		rcv.Meter.Start()
+		rcv.Meter = sc.startMeter(j.meter, j.at)
 	}
 }
 
@@ -632,10 +618,8 @@ func (sc *Scenario) buildTCP(t *TCPSpec) error {
 	f := sc.newFlow()
 	*f = Flow{Name: t.Name, TCP: snd, TCPSink: snk}
 	if t.Meter != "" {
-		m := sc.Env.NewMeterAt(t.Meter, b)
-		snk.Meter = m
-		m.Start()
-		f.Meter = m
+		f.Meter = sc.startMeter(t.Meter, b)
+		snk.Meter = f.Meter
 	}
 	if err := sc.registerFlow(f); err != nil {
 		return err
@@ -667,16 +651,28 @@ func (sc *Scenario) buildCBR(c *CBRSpec) error {
 	f := sc.newFlow()
 	*f = Flow{Name: c.Name, CBR: cbr, CBRSink: sink}
 	if c.Meter != "" {
-		m := sc.Env.NewMeterAt(c.Meter, b)
-		sink.Meter = m
-		m.Start()
-		f.Meter = m
+		f.Meter = sc.startMeter(c.Meter, b)
+		sink.Meter = f.Meter
 	}
 	if err := sc.registerFlow(f); err != nil {
 		return err
 	}
 	sc.scheduleFlow(f, c.StartAt, c.StopAt)
 	return nil
+}
+
+// startMeter starts a per-second throughput meter bound to the metered
+// endpoint's node, pooled through the network arena: a recycled meter
+// gets a fresh Series (a previous run's Result may still reference the
+// old one) but reuses the struct. On a sharded network the meter's
+// sampling timer runs on that node's shard scheduler (the one its Add
+// calls execute on); on a serial network the binding is the environment
+// scheduler.
+func (sc *Scenario) startMeter(name string, at simnet.NodeID) *stats.Meter {
+	m := sim.Pooled[stats.Meter](sc.Env.Net.Arena())
+	m.Reset(name, sc.Env.Net.SchedFor(at), sim.Second)
+	m.Start()
+	return m
 }
 
 // newFlow returns the arena's next Flow for a TCP or CBR step to fill.

@@ -8,7 +8,7 @@
 // and rewindable through the simnet arena like any hand-built setup.
 //
 // The paper's engine figures are Specs with a report each (figures 13 and
-// 14 families of Specs), and new scenarios — churn scripts, mid-run
+// 14 many Specs under one report), and new scenarios — churn scripts, mid-run
 // bottleneck degradation, wireless-like lossy edges — are added by
 // declaring data, not by writing plumbing.
 package scenario

@@ -15,7 +15,10 @@ func allocsNow() uint64 {
 }
 
 // TestSteadyStateAllocBudget pins the pooled *Data/*Feedback header
-// boxes on the TFRC path: a warm flow must not allocate per packet.
+// boxes on the TFRC path: a warm flow must not allocate per packet. TFRC
+// takes its RTT from the sender and never re-aggregates loss events, so
+// its receiver keeps no recent-loss store either: a recording estimator
+// would split the run's merged loss events at a 1 µs RTT.
 func TestSteadyStateAllocBudget(t *testing.T) {
 	sch := sim.NewScheduler()
 	net := simnet.New(sch, sim.NewRand(1))
@@ -39,5 +42,8 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 	if budget := uint64(pkts / 10); allocs > budget {
 		t.Fatalf("steady-state TFRC allocated %d times for %d packets (budget %d): header boxes not pooled?",
 			allocs, pkts, budget)
+	}
+	if n := rcv.est.Reaggregate(sim.Microsecond); n != 0 {
+		t.Fatalf("after %d losses the receiver re-aggregated %d events from recorded losses", rcv.Losses, n)
 	}
 }

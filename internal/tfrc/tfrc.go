@@ -258,6 +258,9 @@ func NewReceiver(net *simnet.Network, addr, peer simnet.Addr) *Receiver {
 		addr: addr, peer: peer,
 		est: lossrate.NewEstimator(lossWeights),
 	}
+	// The sender's RTT travels with every packet, so loss events are
+	// never re-aggregated and the estimator keeps no recent losses.
+	r.est.StopRecording()
 	net.Bind(addr, simnet.HandlerFunc(r.recv))
 	return r
 }
