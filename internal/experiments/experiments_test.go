@@ -24,11 +24,6 @@ func TestRegistryComplete(t *testing.T) {
 		if e.Title == "" {
 			t.Fatalf("entry %s has no title", id)
 		}
-		// Every engine entry is its members plus a report, run through
-		// the one run path; Run is left to analytic entries.
-		if (e.Run == nil) == (e.Members == nil || e.Report == nil) {
-			t.Fatalf("entry %s must have one of Run and Members with a Report", id)
-		}
 		if _, figure := numericID(id); !figure && e.Spec == nil {
 			t.Fatalf("scenario preset %s has no spec", id)
 		}
